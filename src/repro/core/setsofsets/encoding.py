@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.errors import CapacityError, ParameterError
-from repro.hashing import SeededHasher, derive_seed, int_to_bytes
+from repro.hashing import Checksum, derive_seed, mix64
+from repro.hashing.mix import MASK64
 from repro.iblt import IBLT, IBLTArray, IBLTParameters
 
 
@@ -36,20 +37,25 @@ def child_set_hash_many(
 ) -> list[int]:
     """Canonical ``bits``-wide hashes of many child sets, in order.
 
-    Each hash is computed over the sorted element list, so it is independent
-    of iteration order and identical for both parties.  The paper asks for an
-    ``O(log s)``-bit pairwise-independent hash; 48 bits (the library default
-    set by the protocols) keeps collision probability among ``O(s^2)`` pairs
-    negligible for any realistic ``s``.  The seeded hasher is derived once
-    for the whole batch, which matters when a protocol hashes thousands of
-    small children.
+    Each hash is the order-independent fold of the child's elements
+    (:meth:`~repro.hashing.checksum.Checksum.of_sets`: one flat pass over
+    every child) finished by one more mix over the fold plus the child's
+    size, so it is identical for both parties whatever order they iterate
+    in (and 0 for the empty child).  The finishing mix is what keeps the XOR of child hashes
+    (:func:`parent_hash`) from being linear in the *elements*: without it,
+    moving an element from one child to another would not change the parent
+    hash.  The paper asks for an ``O(log s)``-bit pairwise-independent hash;
+    48 bits (the library default set by the protocols) keeps collision
+    probability among ``O(s^2)`` pairs negligible for any realistic ``s``.
     """
-    hasher = SeededHasher(derive_seed(seed, "child-set-hash"), bits)
+    if not 1 <= bits <= 64:
+        raise ParameterError("child-set hashes are 1 to 64 bits wide")
+    children = [list(child) for child in children]
+    folds = Checksum(derive_seed(seed, "child-set-hash"), 64).of_sets(children)
+    mask = (1 << bits) - 1
     return [
-        hasher.hash_bytes(
-            b"".join(int_to_bytes(element, 8) for element in sorted(child))
-        )
-        for child in children
+        mix64((fold + len(child)) & MASK64) & mask
+        for fold, child in zip(folds, children)
     ]
 
 
@@ -65,11 +71,9 @@ def parent_hash(children: Iterable[Iterable[int]], seed: int, bits: int = 64) ->
     verify his reconstruction (the replication / verification trick described
     at the end of Section 3.2).
     """
-    hasher = SeededHasher(derive_seed(seed, "parent-hash"), bits)
-    combined = 0
-    for child_hash in child_set_hash_many(children, seed, bits):
-        combined ^= child_hash
-    return hasher.hash_int(combined)
+    return Checksum(derive_seed(seed, "parent-hash"), bits).of_set(
+        child_set_hash_many(children, seed, bits)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ choices and :class:`~repro.hashing.checksum.Checksum` values) are built on
 the 64-bit mixing core of :mod:`repro.hashing.mix` and expose matched batch
 APIs (``cells_for_many`` / ``cells_for_array``, ``of_keys`` /
 ``of_keys_array``) so the vectorized cell-store backends can hash whole key
-arrays at once while agreeing bit for bit with the scalar path.
+arrays at once while agreeing bit for bit with the scalar path.  The same
+core is the one order-independent *set fold*
+(:meth:`~repro.hashing.checksum.Checksum.of_set` / ``of_sets``) behind every
+whole-set verification hash and child-set hash.
 """
 
 from repro.hashing.prf import SeededHasher, derive_seed, int_to_bytes, bytes_to_int

@@ -1,11 +1,16 @@
-"""Checksums for IBLT cells and whole-set verification hashes.
+"""Checksums for IBLT cells and the library's one order-independent set fold.
 
 The IBLT of Section 2 stores, per cell, the XOR of a *checksum* of every key
 hashed there.  The checksum must be wide enough that distinct keys do not
 collide with high probability; the paper uses Theta(log u) bits.  The same
-primitive doubles as the whole-set hash protocols attach to guard against
-undetected checksum failures ("we often ward against checksum failures by
-augmenting the set recovery process with a hash of each of the sets").
+primitive is the whole-set hash protocols attach to guard against undetected
+checksum failures ("we often ward against checksum failures by augmenting the
+set recovery process with a hash of each of the sets"): :meth:`Checksum.of_set`
+XORs the checksums of a set's elements, and :meth:`Checksum.of_sets` does the
+same for many sets in one segmented pass.  Every whole-set, parent-set and
+child-set hash in the library is built on these two folds.  The fold is
+*linear* -- ``H(S ^ D) == H(S) ^ H(D)`` -- which is what lets the sketch store
+keep a running whole-set hash in O(d) per mutation.
 
 Checksums are derived from the shared 64-bit mixing core
 (:mod:`repro.hashing.mix`), so they come in matched scalar and batch forms:
@@ -13,20 +18,49 @@ Checksums are derived from the shared 64-bit mixing core
 and :meth:`Checksum.of_keys_array` for a NumPy ``uint64`` array.  All three
 agree bit for bit, which lets the vectorized cell-store backend verify pure
 cells on whole arrays while the pure-Python backend checks one cell at a
-time -- and still produce identical tables.
+time -- and still produce identical tables.  The folds pick between the same
+two routes from what they can see (NumPy importable, every key below
+``2**64``, enough keys to repay the array set-up) and return identical values
+on both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Any, Collection, Iterable, Sequence
 
-from repro.hashing.mix import HAS_NUMPY, MASK64, fingerprint64, mix64, mix64_array
+from repro.errors import ParameterError
+from repro.hashing.mix import (
+    HAS_NUMPY,
+    MASK64,
+    all_ints,
+    fingerprint64,
+    mix64,
+    mix64_array,
+)
 from repro.hashing.prf import derive_seed
 
 if HAS_NUMPY:
     import numpy as _np
+
+#: Up to this many keys the scalar fold beats the array set-up (measured
+#: crossover: ~1 us per key against ~12 us fixed).
+_BATCH_CUTOFF = 16
+
+
+def _checked_elements(values: Iterable[int]) -> list[int]:
+    """The elements as a list, refusing what the two fold routes would hash
+    differently: ``fromiter`` truncates floats and NumPy 1.x wraps negatives
+    into ``uint64``, where the scalar route raises ``TypeError`` /
+    ``OverflowError``."""
+    elements = list(values)
+    if not all_ints(elements):
+        raise ParameterError("set elements must be Python integers")
+    if elements and min(elements) < 0:
+        raise ParameterError("set elements must be non-negative")
+    return elements
 
 
 @dataclass(frozen=True)
@@ -74,11 +108,54 @@ class Checksum:
         return [self.of_key(key) for key in keys]
 
     def of_set(self, values: Iterable[int]) -> int:
-        """Order-independent checksum of a collection of keys (XOR-combined)."""
+        """Order-independent checksum of a collection of keys (XOR-combined).
+
+        The empty set hashes to 0; keys of ``2**64`` and above are folded
+        through :func:`~repro.hashing.mix.fingerprint64` as IBLT keys are.
+        """
+        elements = _checked_elements(values)
+        checks = self._checks_array(elements)
+        if checks is not None:
+            return int(_np.bitwise_xor.reduce(checks))
+        return self._fold(elements)
+
+    def of_sets(self, sets: Sequence[Collection[int]]) -> list[int]:
+        """:meth:`of_set` of each set, in order (one flat pass over all of them)."""
+        elements = _checked_elements(chain.from_iterable(sets))
+        checks = self._checks_array(elements)
+        if checks is None:
+            return [self._fold(members) for members in sets]
+        sizes = _np.fromiter(map(len, sets), dtype=_np.int64, count=len(sets))
+        # reduceat answers an empty segment with the *next* segment's first
+        # element, so fold the non-empty ones only (their starts still
+        # partition the flat array) and leave the empty sets at 0.
+        occupied = _np.flatnonzero(sizes)
+        folds = _np.zeros(len(sets), dtype=_np.uint64)
+        folds[occupied] = _np.bitwise_xor.reduceat(
+            checks, (_np.cumsum(sizes) - sizes)[occupied]
+        )
+        return folds.tolist()
+
+    def _fold(self, elements: Iterable[int]) -> int:
+        """Scalar route of the folds (validated elements, any width)."""
         combined = 0
-        for value in values:
-            combined ^= self.of_key(value)
+        for element in elements:
+            combined ^= self.of_key(element)
         return combined
+
+    def _checks_array(self, elements: list[int]) -> Any:
+        """Per-element checksums as a ``uint64`` array, or ``None`` when the
+        scalar route applies (no NumPy, a wide key or checksum, few keys)."""
+        if (
+            HAS_NUMPY
+            and self.bits <= 64
+            and len(elements) > _BATCH_CUTOFF
+            and max(elements) >> 64 == 0
+        ):
+            return self.of_keys_array(
+                _np.fromiter(elements, dtype=_np.uint64, count=len(elements))
+            )
+        return None
 
     if HAS_NUMPY:
 

@@ -24,6 +24,7 @@ backend computed them.
 from __future__ import annotations
 
 import hashlib
+from typing import Collection
 
 MASK64 = (1 << 64) - 1
 
@@ -61,6 +62,23 @@ def fingerprint64(key: int) -> int:
     data = key.to_bytes((key.bit_length() + 7) // 8, "big")
     return int.from_bytes(
         hashlib.blake2b(data, digest_size=8, person=b"repro-fp64").digest(), "big"
+    )
+
+
+_INT_TYPES = frozenset({int, bool})
+
+
+def all_ints(keys: Collection[object]) -> bool:
+    """True when every key in the (re-iterable) batch is a Python ``int``.
+
+    The batch paths must refuse anything else before NumPy sees it
+    (``fromiter`` / ``asarray`` would truncate floats), and checking a large
+    batch with one ``isinstance`` call per key costs more than hashing it:
+    exact ``int`` / ``bool`` batches are settled in one C-level pass, and only
+    batches holding some other type (an ``int`` subclass at best) pay the loop.
+    """
+    return set(map(type, keys)) <= _INT_TYPES or all(
+        isinstance(key, int) for key in keys
     )
 
 

@@ -40,7 +40,7 @@ from typing import ClassVar, Sequence
 from repro.config import register_cell_backend
 from repro.errors import CapacityError, ParameterError
 from repro.hashing import Checksum, HashFamily
-from repro.hashing.mix import HAS_NUMPY
+from repro.hashing.mix import HAS_NUMPY, all_ints
 
 if HAS_NUMPY:
     import numpy as _np
@@ -309,9 +309,8 @@ class NumpyCellStore(CellStore):
         # np.asarray would silently truncate floats (1.5 -> 1) and, on
         # NumPy 1.x, wrap negative ints into uint64 -- both would break the
         # exact-parity guarantee, so check types and signs explicitly.
-        for key in keys:
-            if not isinstance(key, int):
-                raise ParameterError("IBLT keys must be Python integers")
+        if not all_ints(keys):
+            raise ParameterError("IBLT keys must be Python integers")
         if keys and min(keys) < 0:
             raise ParameterError("IBLT keys must be non-negative")
         try:

@@ -28,7 +28,7 @@ from repro.core.setrecon.cpi import (
 from repro.core.setrecon.difference import apply_difference, max_element_bits
 from repro.errors import ParameterError
 from repro.estimator import L0Estimator, SetDifferenceEstimator
-from repro.hashing import SeededHasher, derive_seed
+from repro.hashing import Checksum, derive_seed
 from repro.iblt import IBLT, IBLTParameters
 from repro.protocols.party import (
     END_OF_SESSION,
@@ -47,10 +47,12 @@ BOUND_HEADER_BITS = 32
 
 
 def set_verification_hash(seed: int, elements: Iterable[int]) -> int:
-    """Whole-set verification hash (guards against undetected checksum failures)."""
-    return SeededHasher(derive_seed(seed, "set-verification"), WORD_BITS).hash_iterable(
-        elements
-    )
+    """Whole-set verification hash (guards against undetected checksum failures).
+
+    The :meth:`~repro.hashing.checksum.Checksum.of_set` fold, so
+    ``H(S ^ D) == H(S) ^ H(D)``: the sketch store keeps it live in O(d).
+    """
+    return Checksum(derive_seed(seed, "set-verification"), WORD_BITS).of_set(elements)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from repro.core.setsofsets.encoding import (
 from repro.core.setsofsets.types import SetOfSets
 from repro.errors import ParameterError
 from repro.estimator import L0Estimator, SetDifferenceEstimator
-from repro.hashing import SeededHasher, derive_seed
+from repro.hashing import derive_seed
 from repro.iblt import IBLT, IBLTArray, IBLTParameters
 from repro.protocols.party import (
     END_OF_SESSION,
@@ -190,15 +190,9 @@ def naive_bob_known(
     )
 
 
-def _naive_child_id_hasher(
-    ctx: SetsOfSetsContext,
-) -> Callable[[frozenset[int]], int]:
-    hasher = SeededHasher(derive_seed(ctx.seed, "naive-child-id"), 64)
-
-    def child_id(child: frozenset[int]) -> int:
-        return hasher.hash_iterable(sorted(child)) ^ hasher.hash_int(len(child))
-
-    return child_id
+def _naive_child_ids(children: SetOfSets, ctx: SetsOfSetsContext) -> list[int]:
+    """64-bit identifiers of whole child sets (the child-count estimator's keys)."""
+    return child_set_hash_many(children, derive_seed(ctx.seed, "naive-child-id"), 64)
 
 
 def _naive_estimator(
@@ -215,9 +209,8 @@ def naive_alice_unknown(alice: SetOfSets, ctx: SetsOfSetsContext) -> PartyGenera
     bob_estimator = yield Receive(EstimatorCodec(factory, estimator_seed))
     if bob_estimator is END_OF_SESSION:
         return aborted_outcome()
-    child_id = _naive_child_id_hasher(ctx)
     alice_estimator = factory(estimator_seed)
-    alice_estimator.update_all((child_id(child) for child in alice), 2)
+    alice_estimator.update_all(_naive_child_ids(alice, ctx), 2)
     estimate = bob_estimator.merge(alice_estimator).query()
     bound = max(1, int(round(ctx.safety_factor * estimate)) + 1)
     yield from naive_alice_known(alice, bound, ctx, self_describing=True)
@@ -233,9 +226,8 @@ def naive_alice_unknown(alice: SetOfSets, ctx: SetsOfSetsContext) -> PartyGenera
 def naive_bob_unknown(bob: SetOfSets, ctx: SetsOfSetsContext) -> PartyGenerator:
     """Bob's side: send the child-count estimator, then the known-bound flow."""
     factory, estimator_seed = _naive_estimator(ctx)
-    child_id = _naive_child_id_hasher(ctx)
     bob_estimator = factory(estimator_seed)
-    bob_estimator.update_all((child_id(child) for child in bob), 1)
+    bob_estimator.update_all(_naive_child_ids(bob, ctx), 1)
     yield Send(
         "child-count estimator",
         bob_estimator.size_bits,
@@ -1238,7 +1230,7 @@ def multiround_alice_unknown(
         return aborted_outcome()
     alice_estimator = factory(estimator_seed)
     alice_estimator.update_all(
-        (child_set_hash(child, hash_seed, ctx.child_hash_bits) for child in alice), 2
+        child_set_hash_many(alice, hash_seed, ctx.child_hash_bits), 2
     )
     estimated_d_hat = bob_estimator.merge(alice_estimator).query()
     d_hat = max(1, int(round(ctx.estimate_safety * estimated_d_hat)) + 1)
@@ -1267,7 +1259,7 @@ def multiround_bob_unknown(
     estimator_seed = derive_seed(ctx.seed, "multiround-dhat-estimator")
     bob_estimator = factory(estimator_seed)
     bob_estimator.update_all(
-        (child_set_hash(child, hash_seed, ctx.child_hash_bits) for child in bob), 1
+        child_set_hash_many(bob, hash_seed, ctx.child_hash_bits), 1
     )
     yield Send(
         "child-hash estimator",

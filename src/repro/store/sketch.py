@@ -12,10 +12,11 @@ elements per session.  :class:`SketchStore` owns that live state:
   that sizes to the same cell count;
 * per ``(config, side)``, a live difference estimator for the unknown-``d``
   flow (side 1 for serving as bob, side 2 for serving as alice);
-* per config seed, the running whole-set verification hash.  The hash is an
-  XOR fold over per-element hashes
-  (:func:`~repro.protocols.parties.setrecon.set_verification_hash`), so a
-  mutation toggles it in O(d) too;
+* per config seed, the running whole-set verification hash.  The hash is the
+  XOR fold of one keyed splitmix64 checksum per element
+  (:func:`~repro.protocols.parties.setrecon.set_verification_hash`, i.e.
+  :meth:`~repro.hashing.checksum.Checksum.of_set`), so a mutation toggles it
+  in O(d) too;
 * the dataset's size, maintained arithmetically.
 
 Durability (optional, enabled by passing a ``root`` directory) is a
@@ -50,8 +51,10 @@ from repro.store.config import SketchConfig
 from repro.store.journal import UpdateJournal
 
 #: Snapshot schema version; bumped on incompatible changes (older snapshots
-#: are then discarded as invalidations, never misread).
-SNAPSHOT_VERSION = 1
+#: are then discarded as invalidations, never misread).  Version 2: the
+#: running verification hashes became the splitmix64 set fold, so a version-1
+#: snapshot's ``hashes`` hold values no peer computes any more.
+SNAPSHOT_VERSION = 2
 
 
 def _safe_filename(key: str) -> str:

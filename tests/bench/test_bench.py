@@ -115,11 +115,20 @@ class TestBenchmarkTrajectory:
 
 class TestTable1Experiment:
     def test_small_run_produces_all_protocols(self):
+        # One trial per protocol at u = 96, s = 12 is seed luck: over seeds
+        # 0-149 about 3 % of seeds fail per protocol (naive 4, IBLT of IBLTs
+        # 3, multi-round 3 of 150), before and after any change of hash
+        # values.  A change that moves child-hash values moves the
+        # parent-IBLT keys, so re-seed this test then; do not loosen it.
         config = Table1Config(
-            universe_size=96, num_children=12, num_changes=4, children_touched=2, repeats=1
+            universe_size=96,
+            num_children=12,
+            num_changes=4,
+            children_touched=2,
+            repeats=1,
+            seed=2018,
         )
         measurements = run_table1(config)
         assert len(measurements) == 4
         assert all(m.trials == 1 for m in measurements)
-        # In this tiny regime every protocol should succeed.
         assert all(m.success_rate == 1.0 for m in measurements)

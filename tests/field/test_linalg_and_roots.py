@@ -1,6 +1,7 @@
 """Tests for Gaussian elimination, nullspaces and root finding over GF(p)."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,18 +123,20 @@ class TestRootFinding:
 
 
 class TestSplitRootsWorkStack:
-    """Regression: maximally unbalanced Cantor-Zassenhaus splits at d=5000.
+    """Regression: maximally unbalanced Cantor-Zassenhaus splits.
 
     A probe that peels exactly one linear factor per split used to drive the
     recursive ``_split_roots`` to call depth ``d`` -- a ``RecursionError``
-    well below d=5000 under CPython's default limit.  The explicit work-stack
-    must recover every root.  The probe is forced via ``pow_mod`` so the
+    once ``d`` passes the interpreter's recursion limit.  The explicit
+    work-stack must recover every root.  The test is quadratic in ``d``, so
+    ``d`` sits just past the limit and no higher.  The probe is forced via ``pow_mod`` so the
     worst case is deterministic rather than a (vanishingly unlikely) run of
     unlucky random shifts.
     """
 
     def test_deeply_unbalanced_split_peels_all_roots(self, monkeypatch):
-        degree = 5000
+        degree = sys.getrecursionlimit() + 200
+        assert degree > sys.getrecursionlimit()  # a recursive split would overflow
         assert FIELD.modulus > degree  # all roots distinct mod p
         poly = Polynomial.from_roots(FIELD, range(1, degree + 1))
         peeled = iter(range(1, degree + 1))

@@ -10,9 +10,15 @@ import pytest
 
 from repro.errors import ParameterError, StoreError
 from repro.iblt import IBLT
-from repro.protocols.parties.setrecon import set_verification_hash
+from repro.protocols.parties.setrecon import (
+    SetReconContext,
+    ibf_parties,
+    set_verification_hash,
+)
+from repro.protocols.session import run_session
 from repro.service.metrics import ServiceMetrics
-from repro.store import SketchConfig, SketchStore
+from repro.store import SNAPSHOT_VERSION, SketchConfig, SketchStore, StoreView
+from repro.store.parties import stored_ibf_party
 
 UNIVERSE = 1 << 24
 SEED = 2018
@@ -233,3 +239,40 @@ def test_invalidate_drops_memory_and_disk(tmp_path):
     assert not snapshot_path.exists()
     assert not (tmp_path / "d.journal.jsonl").exists()
     store.close()
+
+
+def test_version_1_snapshot_is_invalidated_and_rebuilt(tmp_path):
+    """Version 2 changed the running-hash values: a version-1 snapshot is
+    one invalidation, everything is rebuilt from the supplied dataset, and
+    the next stored sync verifies against a from-scratch peer."""
+    assert SNAPSHOT_VERSION == 2
+    dataset = make_dataset()
+    config = SketchConfig(UNIVERSE, seed=SEED)
+    store = SketchStore(tmp_path)
+    store.table_for("d", config, 20, dataset)
+    store.verification_hash("d", config, dataset)
+    path = store.snapshot("d")
+    store.close()
+
+    # What a pre-fold store left on disk: schema version 1, and a running
+    # hash no peer computes any more.
+    body = json.loads(path.read_text())
+    body["version"] = 1
+    body["hashes"] = {seed: value ^ 0xDEADBEEF for seed, value in body["hashes"].items()}
+    path.write_text(json.dumps(body))
+
+    metrics = ServiceMetrics()
+    reopened = SketchStore(tmp_path, metrics=metrics)
+    assert reopened.verification_hash("d", config, dataset) == set_verification_hash(
+        SEED, dataset
+    )
+    assert metrics.store_invalidations == 1
+    assert metrics.journal_replays == 0
+
+    client = set(dataset)
+    client.symmetric_difference_update({UNIVERSE - 3, next(iter(dataset))})
+    view = StoreView(reopened, "d", config, dataset)
+    _, client_bob = ibf_parties(set(), client, 20, SetReconContext(UNIVERSE, SEED))
+    result = run_session(stored_ibf_party("alice", view, 20), client_bob)
+    assert result.success and result.recovered == dataset
+    reopened.close()
