@@ -36,9 +36,8 @@ if str(_SRC) not in sys.path:  # standalone execution
 
 from repro.bench.cli import DEFAULT_SEED, benchmark_config, benchmark_parser
 from repro.bench.reporting import write_benchmark_record
-from repro.protocols.parties.setrecon import ibf_alice_known
-from repro.store import SketchConfig, SketchStore, StoreView
-from repro.store.parties import stored_ibf_alice_known
+from repro.protocols.parties.setrecon import SetSource, ibf_alice
+from repro.store import SketchConfig, SketchStore, StoreView, stored_ibf_party
 
 UNIVERSE = 1 << 40
 DIFFERENCE = 100  # delta size per repetition (half inserts, half deletes)
@@ -84,7 +83,7 @@ def measure_row(seed: int, size: int, reps: int = REPS) -> tuple[dict, dict]:
     view = StoreView(store, KEY, config, dataset)
 
     prime_start = time.perf_counter()
-    first_message_bytes(stored_ibf_alice_known(view, DIFFERENCE, ctx))
+    first_message_bytes(stored_ibf_party("alice", view, DIFFERENCE))
     prime_s = time.perf_counter() - prime_start
 
     apply_s = serve_s = scratch_s = 0.0
@@ -95,7 +94,7 @@ def measure_row(seed: int, size: int, reps: int = REPS) -> tuple[dict, dict]:
         store.apply(KEY, inserts, deletes)
         applied = time.perf_counter()
         cached_bytes = first_message_bytes(
-            stored_ibf_alice_known(view, DIFFERENCE, ctx)
+            stored_ibf_party("alice", view, DIFFERENCE)
         )
         apply_s += applied - start
         serve_s += time.perf_counter() - applied
@@ -105,7 +104,7 @@ def measure_row(seed: int, size: int, reps: int = REPS) -> tuple[dict, dict]:
 
         start = time.perf_counter()
         scratch_bytes = first_message_bytes(
-            ibf_alice_known(dataset, DIFFERENCE, ctx)
+            ibf_alice(SetSource(dataset, ctx), DIFFERENCE)
         )
         scratch_s += time.perf_counter() - start
 

@@ -1,7 +1,8 @@
 """P1xx: the protocol-party linter.
 
-Walks every generator in the party modules (``repro/protocols/parties/`` and
-``repro/store/parties.py``) and enforces the session contract:
+Walks every generator in the party modules (``repro/protocols/parties/``,
+``repro/store/parties.py`` and ``repro/cluster/parties.py``, i.e.
+:data:`PARTY_PATHS`) and enforces the session contract:
 
 * ``P101`` -- a party generator may yield only ``Send(...)``, ``Receive(...)``
   or ``yield from`` another party generator.  Anything else would reach
@@ -186,7 +187,7 @@ class ProtocolPartyPass(AnalysisPass):
         party_files = [s for s in sources if self.interested_in(s)]
         summaries: list[_GeneratorSummary] = []
         # Delegation targets resolve through top-level names: parties compose
-        # across modules (`yield from ibf_alice_known(...)` inside a graph
+        # across modules (`yield from ibf_alice(...)` inside a graph
         # party) and top-level party names are globally unique.  A name
         # defined at top level in two party modules would be ambiguous, so
         # it is dropped from the table (treated as opaque).

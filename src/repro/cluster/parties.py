@@ -2,12 +2,15 @@
 
 One gossip round between two replicas is a single two-phase session:
 
-* **Phase 1 -- set reconciliation.**  Exactly the store-served ``ibf``
-  exchange (:mod:`repro.store.parties`), run over the replicas' record
-  fingerprint sets: alice sends her live IBLT (plus whole-set hash and
-  size), bob subtracts his live table, peels, and verifies incrementally.
-  The verified decode tells bob which fingerprints only alice holds
-  (``positive``) and which only he holds (``negative``).
+* **Phase 1 -- set reconciliation.**  Not a copy of the ``ibf`` exchange
+  but the exchange itself: the ``ibf_alice`` / ``ibf_bob_difference`` flows
+  of :mod:`repro.protocols.parties.setrecon`, composed with ``yield from``
+  over each replica's live :class:`~repro.store.parties.StoreView` of its
+  record fingerprint set, under the label ``"kv fingerprint IBLT"``.  Alice
+  sends her live IBLT (plus whole-set hash and size), bob subtracts his
+  live table, peels, and verifies incrementally.  The verified decode tells
+  bob which fingerprints only alice holds (``positive``) and which only he
+  holds (``negative``).
 * **Phase 2 -- value fetch.**  Bob sends one ``"kv pull"`` frame: the
   fingerprints he wants resolved, together with the full records behind
   his own one-sided fingerprints (pushed so alice needs no second
@@ -41,13 +44,16 @@ from repro.errors import ParameterError
 from repro.protocols.party import (
     END_OF_SESSION,
     PartyGenerator,
-    PartyOutcome,
     PartyPair,
     Receive,
     Send,
     aborted_outcome,
 )
-from repro.protocols.parties.setrecon import IBFMessageCodec, SetReconContext, ibf_message_bits
+from repro.protocols.parties.setrecon import (
+    SetReconContext,
+    ibf_alice,
+    ibf_bob_difference,
+)
 from repro.protocols.wire import PayloadCodec
 from repro.store.config import SketchConfig
 from repro.store.parties import StoreView
@@ -123,132 +129,49 @@ def kv_context(options: "ReconcileOptions") -> SetReconContext:
 
 
 def _view(replica: "VersionedKV", ctx: SetReconContext) -> StoreView:
-    config = SketchConfig(
-        universe_size=ctx.universe_size,
-        seed=ctx.seed,
-        num_hashes=ctx.num_hashes,
-        backend=ctx.backend,
-        safety_factor=ctx.safety_factor,
+    return replica.view_for(
+        SketchConfig(
+            ctx.universe_size, ctx.seed, ctx.num_hashes, ctx.backend, ctx.safety_factor
+        )
     )
-    return replica.view_for(config)
 
 
-def kv_alice_known(
-    replica: "VersionedKV",
-    difference_bound: int,
-    ctx: SetReconContext,
-    *,
-    self_describing: bool = False,
+def kv_alice(
+    replica: "VersionedKV", difference_bound: int | None, ctx: SetReconContext
 ) -> PartyGenerator:
-    """Alice's side: live IBLT out, pull request in, records back out."""
-    if difference_bound < 0:
-        raise ParameterError("difference_bound must be non-negative")
+    """Alice's side: the ``ibf`` flow, then pull request in, records back out."""
     view = _view(replica, ctx)
-    # copy(): the receiver owns the payload object on in-memory transports,
-    # and the live table must never leave the store's control.
-    table = view.table(difference_bound).copy()
-    yield Send(
-        "kv fingerprint IBLT",
-        ibf_message_bits(ctx, difference_bound, view.size),
-        payload=(table, view.set_hash, view.size),
-        codec=IBFMessageCodec(ctx, difference_bound, self_describing),
-    )
+    outcome = yield from ibf_alice(view, difference_bound, label="kv fingerprint IBLT")
+    if not outcome.success:
+        return outcome
     request = yield Receive(KVPullCodec())
     if request is END_OF_SESSION:
         return aborted_outcome()
     wanted, pushed = request
     records = replica.records_for(wanted)
-    yield Send(
-        "kv records",
-        records_bits(records),
-        payload=records,
-        codec=KVRecordsCodec(),
-    )
-    return PartyOutcome(
-        True,
-        details={
-            "kv_apply": pushed,
-            "kv_sent": len(records),
-            "served_from_store": True,
-        },
-    )
+    yield Send("kv records", records_bits(records), payload=records, codec=KVRecordsCodec())
+    outcome.details.update(kv_apply=pushed, kv_sent=len(records))
+    return outcome
 
 
-def kv_bob_known(
-    replica: "VersionedKV",
-    difference_bound: int | None,
-    ctx: SetReconContext,
-    *,
-    self_describing: bool = False,
+def kv_bob(
+    replica: "VersionedKV", difference_bound: int | None, ctx: SetReconContext
 ) -> PartyGenerator:
-    """Bob's side: subtract, peel, verify, then pull the differing records."""
-    view = _view(replica, ctx)
-    payload = yield Receive(IBFMessageCodec(ctx, difference_bound, self_describing))
-    if payload is END_OF_SESSION:
-        return aborted_outcome()
-    alice_table, alice_hash, alice_size = payload
-    bob_table = view.table_for_params(alice_table.params)
-    difference_table = alice_table.subtract(bob_table)
-    decode = difference_table.try_decode()
-    if not decode.success:
-        return PartyOutcome(
-            False, details={"failure": "iblt-peel", "served_from_store": True}
-        )
-    recovered_hash = view.hash_with(decode.positive, decode.negative)
-    recovered_size = view.size + len(decode.positive) - len(decode.negative)
-    if recovered_hash != alice_hash or recovered_size != alice_size:
-        return PartyOutcome(
-            False, details={"failure": "verification-hash", "served_from_store": True}
-        )
+    """Bob's side: the ``ibf`` flow, then pull the differing records."""
+    outcome, difference = yield from ibf_bob_difference(_view(replica, ctx), difference_bound)
+    if difference is None:
+        return outcome
     # Sorted for a canonical wire image: the same difference always yields
     # byte-identical phase-two frames on every transport.
-    wanted = tuple(sorted(decode.positive))
-    pushed = replica.records_for(tuple(sorted(decode.negative)))
+    wanted = tuple(sorted(difference.positive))
+    pushed = replica.records_for(tuple(sorted(difference.negative)))
     yield Send(
-        "kv pull",
-        pull_request_bits(wanted, pushed),
-        payload=(wanted, pushed),
-        codec=KVPullCodec(),
+        "kv pull", pull_request_bits(wanted, pushed), payload=(wanted, pushed), codec=KVPullCodec()
     )
     reply = yield Receive(KVRecordsCodec())
     if reply is END_OF_SESSION:
         return aborted_outcome()
-    return PartyOutcome(
-        True,
-        details={
-            "kv_apply": reply,
-            "kv_pushed": len(pushed),
-            "difference_found": decode.symmetric_difference_size(),
-            "failure": None,
-            "served_from_store": True,
-        },
-    )
-
-
-def kv_alice_unknown(replica: "VersionedKV", ctx: SetReconContext) -> PartyGenerator:
-    """Alice with unknown ``d``: merge live estimators, size the table."""
-    view = _view(replica, ctx)
-    bob_estimator = yield Receive(ctx.estimator_codec())
-    if bob_estimator is END_OF_SESSION:
-        return aborted_outcome()
-    estimate = bob_estimator.merge(view.estimator(side=2)).query()
-    bound = max(1, int(round(ctx.safety_factor * estimate)) + 1)
-    outcome = yield from kv_alice_known(replica, bound, ctx, self_describing=True)
-    outcome.details.update(estimated_difference=estimate, difference_bound_used=bound)
-    return outcome
-
-
-def kv_bob_unknown(replica: "VersionedKV", ctx: SetReconContext) -> PartyGenerator:
-    """Bob with unknown ``d``: live estimator out, then the known-d flow."""
-    view = _view(replica, ctx)
-    estimator = view.estimator(side=1)
-    yield Send(
-        "difference estimator",
-        estimator.size_bits,
-        payload=estimator,
-        codec=ctx.estimator_codec(),
-    )
-    outcome = yield from kv_bob_known(replica, None, ctx, self_describing=True)
+    outcome.details.update(kv_apply=reply, kv_pushed=len(pushed))
     return outcome
 
 
@@ -258,10 +181,7 @@ def kv_parties(
     difference_bound: int | None,
     ctx: SetReconContext,
 ) -> PartyPair:
-    """Both sides of one gossip round (known or unknown ``d``)."""
-    if difference_bound is None:
-        return kv_alice_unknown(alice, ctx), kv_bob_unknown(bob, ctx)
-    return (
-        kv_alice_known(alice, difference_bound, ctx),
-        kv_bob_known(bob, difference_bound, ctx),
-    )
+    """Both sides of one gossip round; ``difference_bound=None`` selects the
+    unknown-``d`` flow.  Lazy: a side's replica is first touched when its
+    generator starts, so a served session may pass ``None`` for the peer."""
+    return kv_alice(alice, difference_bound, ctx), kv_bob(bob, difference_bound, ctx)

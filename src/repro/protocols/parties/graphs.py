@@ -72,10 +72,9 @@ from repro.protocols.party import (
 )
 from repro.protocols.parties.setrecon import (
     SetReconContext,
-    ibf_alice_known,
-    ibf_alice_unknown,
-    ibf_bob_known,
-    ibf_bob_unknown,
+    SetSource,
+    ibf_alice,
+    ibf_bob,
     ibf_message_bits,
 )
 from repro.protocols.parties.setsofsets import (
@@ -117,19 +116,13 @@ def labeled_parties(
     )
 
     def alice_party() -> PartyGenerator:
-        if difference_bound is None:
-            outcome = yield from ibf_alice_unknown(alice.edge_keys(), ctx)
-        else:
-            outcome = yield from ibf_alice_known(
-                alice.edge_keys(), difference_bound, ctx
-            )
+        outcome = yield from ibf_alice(
+            SetSource(alice.edge_keys(), ctx), difference_bound
+        )
         return outcome
 
     def bob_party() -> PartyGenerator:
-        if difference_bound is None:
-            outcome = yield from ibf_bob_unknown(bob.edge_keys(), ctx)
-        else:
-            outcome = yield from ibf_bob_known(bob.edge_keys(), difference_bound, ctx)
+        outcome = yield from ibf_bob(SetSource(bob.edge_keys(), ctx), difference_bound)
         if outcome.success:
             outcome.recovered = Graph.from_edge_keys(num_vertices, outcome.recovered)
         return outcome
@@ -269,8 +262,8 @@ def degree_order_parties(
             return PartyOutcome(False, details={"failure": "alice-not-separated"})
         alice_canonical = alice.relabel([alice_labeling[v] for v in range(num_vertices)])
         yield from cascading_alice_known(alice_signature_set, difference_bound, sig_ctx)
-        yield from ibf_alice_known(
-            alice_canonical.edge_keys(), difference_bound, edge_ctx
+        yield from ibf_alice(
+            SetSource(alice_canonical.edge_keys(), edge_ctx), difference_bound
         )
         return PartyOutcome(True)
 
@@ -293,8 +286,8 @@ def degree_order_parties(
         bob_labeling = {vertex: rank for rank, vertex in enumerate(bob_top)}
         bob_labeling.update(conforming)
         bob_canonical = bob.relabel([bob_labeling[v] for v in range(num_vertices)])
-        edge_outcome = yield from ibf_bob_known(
-            bob_canonical.edge_keys(), difference_bound, edge_ctx
+        edge_outcome = yield from ibf_bob(
+            SetSource(bob_canonical.edge_keys(), edge_ctx), difference_bound
         )
         if edge_outcome.aborted:
             return aborted_outcome()
@@ -386,8 +379,8 @@ def degree_neighborhood_parties(
         alice_labeling = {vertex: rank for rank, vertex in enumerate(alice_order)}
         alice_canonical = alice.relabel([alice_labeling[v] for v in range(num_vertices)])
         yield from cascading_alice_known(alice_signature_set, signature_bound, sig_ctx)
-        yield from ibf_alice_known(
-            alice_canonical.edge_keys(), difference_bound, edge_ctx
+        yield from ibf_alice(
+            SetSource(alice_canonical.edge_keys(), edge_ctx), difference_bound
         )
         return PartyOutcome(True)
 
@@ -428,8 +421,8 @@ def degree_neighborhood_parties(
             used.add(best_rank)
             bob_labeling[vertex] = best_rank
         bob_canonical = bob.relabel([bob_labeling[v] for v in range(num_vertices)])
-        edge_outcome = yield from ibf_bob_known(
-            bob_canonical.edge_keys(), difference_bound, edge_ctx
+        edge_outcome = yield from ibf_bob(
+            SetSource(bob_canonical.edge_keys(), edge_ctx), difference_bound
         )
         if edge_outcome.aborted:
             return aborted_outcome()

@@ -1,20 +1,32 @@
 """Party state machines for plain set reconciliation (Section 2 protocols).
 
-Splits :mod:`repro.core.setrecon.ibf` and :mod:`repro.core.setrecon.cpi`
-into explicit alice/bob generators:
-
-* ``ibf`` known-``d``: one message (IBLT + whole-set hash + set size).
-* ``ibf`` unknown-``d``: bob's difference estimator, then the known-``d``
-  exchange with a self-describing difference-bound header (32 bits of
-  documented framing -- on a real wire bob cannot derive the bound alice
-  computed from the merged estimator).
+* ``ibf``: one alice and one bob flow (:func:`ibf_alice`, :func:`ibf_bob`).
+  Corollary 2.2 is one message: IBLT + whole-set hash + set size.  With
+  ``difference_bound=None`` the same flows run Corollary 3.2: bob's
+  difference estimator first, then that message with a self-describing
+  difference-bound header (32 bits of documented framing -- on a real wire
+  bob cannot derive the bound alice computed from the merged estimator).
+  They are written against a sketch source (:class:`SetSource`), so
+  from-scratch ``ibf`` (:mod:`repro.core.setrecon.ibf` wraps it),
+  store-served ``ibf`` (:mod:`repro.store.parties`) and phase one of ``kv``
+  gossip (:mod:`repro.cluster.parties`) are the same generators.
 * ``cpi``: one message of characteristic-polynomial evaluations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Set
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    ClassVar,
+    Collection,
+    Generator,
+    Iterable,
+    Mapping,
+    Set,
+)
 
 from repro.comm import WORD_BITS
 from repro.comm.bits import BitReader, BitWriter
@@ -29,7 +41,7 @@ from repro.core.setrecon.difference import apply_difference, max_element_bits
 from repro.errors import ParameterError
 from repro.estimator import L0Estimator, SetDifferenceEstimator
 from repro.hashing import Checksum, derive_seed
-from repro.iblt import IBLT, IBLTParameters
+from repro.iblt import IBLT, DecodeResult, IBLTParameters
 from repro.protocols.party import (
     END_OF_SESSION,
     PartyGenerator,
@@ -40,6 +52,9 @@ from repro.protocols.party import (
     aborted_outcome,
 )
 from repro.protocols.wire import EstimatorCodec, PayloadCodec, WireError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.store.parties import StoreView
 
 #: Width of the self-describing difference-bound header used by the
 #: unknown-``d`` variants (documented framing; see docs/protocols.md).
@@ -85,6 +100,11 @@ class SetReconContext:
     def estimator_codec(self) -> EstimatorCodec:
         factory = self.estimator_factory if self.estimator_factory else L0Estimator
         return EstimatorCodec(factory, self.estimator_seed)
+
+
+def bound_for_estimate(estimate: int, safety_factor: float) -> int:
+    """The difference bound an unknown-``d`` initiator sizes her sketch for."""
+    return max(1, int(round(safety_factor * estimate)) + 1)
 
 
 class IBFMessageCodec(PayloadCodec):
@@ -143,89 +163,134 @@ def ibf_message_bits(ctx: SetReconContext, difference_bound: int, set_size: int)
     )
 
 
-def ibf_alice_known(
-    alice: Set[int],
-    difference_bound: int,
-    ctx: SetReconContext,
-    *,
-    self_describing: bool = False,
+@dataclass(frozen=True)
+class SetSource:
+    """The from-scratch *sketch source*: every sketch is built over ``items`` when asked.
+
+    A sketch source is where a party's sketches of its own set come from: the
+    seam the ``ibf`` flows are written against, and nothing else.  There are
+    exactly two: this one, and the store's :class:`~repro.store.parties.StoreView`,
+    which answers from live, incrementally maintained sketches.  Every sketch is
+    linear, so the wire cannot tell them apart.
+    """
+
+    items: Set[int]
+    ctx: SetReconContext
+    #: Entries the source adds to every outcome it helped produce.
+    outcome_details: ClassVar[Mapping[str, Any]] = {}
+
+    @property
+    def size(self) -> int:
+        return len(self.items)
+
+    @property
+    def set_hash(self) -> int:
+        return set_verification_hash(self.ctx.seed, self.items)
+
+    def owned_table(self, difference_bound: int) -> IBLT:
+        """The set's IBLT, as an object the receiver may keep."""
+        params = self.ctx.table_params(difference_bound)
+        return IBLT.from_items(params, self.items, backend=self.ctx.backend)
+
+    def estimator(self, side: int) -> SetDifferenceEstimator:
+        """The set's difference estimator, its elements on ``side`` (1 or 2)."""
+        estimator = self.ctx.make_estimator()
+        estimator.update_all(self.items, side)
+        return estimator
+
+    def difference_from(self, table: IBLT) -> IBLT:
+        """``table - encode(own set)``, ready to peel."""
+        difference_table = table.copy()
+        difference_table.delete_batch(self.items)
+        return difference_table
+
+    def with_difference(
+        self, added: Collection[int], removed: Collection[int]
+    ) -> tuple[int, int, set[int] | None]:
+        """``(hash, size, elements)`` of the set with a peeled difference applied
+        (``elements`` is ``None`` from a source that does not materialize sets)."""
+        recovered = apply_difference(self.items, added, removed)
+        return set_verification_hash(self.ctx.seed, recovered), len(recovered), recovered
+
+
+def ibf_alice(
+    source: SetSource | StoreView, difference_bound: int | None, *, label: str = "set IBLT"
 ) -> PartyGenerator:
-    """Alice's side of the one-round IBLT protocol (Corollary 2.2)."""
-    if difference_bound < 0:
-        raise ParameterError("difference_bound must be non-negative")
+    """Alice's side of the IBLT protocol (Corollary 2.2).
+
+    ``difference_bound=None`` runs the Corollary 3.2 prelude first: receive
+    bob's estimator, merge her own, and size the table from the estimate.
+    """
+    ctx = source.ctx
     if ctx.universe_size <= 0:
         raise ParameterError("universe_size must be positive")
-    params = ctx.table_params(difference_bound)
-    alice_table = IBLT.from_items(params, alice, backend=ctx.backend)
-    alice_hash = set_verification_hash(ctx.seed, alice)
+    details = dict(source.outcome_details)
+    bound = difference_bound
+    if bound is None:
+        bob_estimator = yield Receive(ctx.estimator_codec())
+        if bob_estimator is END_OF_SESSION:
+            return aborted_outcome()
+        estimate = bob_estimator.merge(source.estimator(2)).query()
+        bound = bound_for_estimate(estimate, ctx.safety_factor)
+        details.update(estimated_difference=estimate, difference_bound_used=bound)
+    if bound < 0:
+        raise ParameterError("difference_bound must be non-negative")
     yield Send(
-        "set IBLT",
-        ibf_message_bits(ctx, difference_bound, len(alice)),
-        payload=(alice_table, alice_hash, len(alice)),
-        codec=IBFMessageCodec(ctx, difference_bound, self_describing),
+        label,
+        ibf_message_bits(ctx, bound, source.size),
+        payload=(source.owned_table(bound), source.set_hash, source.size),
+        codec=IBFMessageCodec(ctx, bound, self_describing=difference_bound is None),
     )
-    return PartyOutcome(True)
+    return PartyOutcome(True, details=details)
 
 
-def ibf_bob_known(
-    bob: Set[int],
-    difference_bound: int | None,
-    ctx: SetReconContext,
-    *,
-    self_describing: bool = False,
-) -> PartyGenerator:
-    """Bob's side: delete his elements, peel, verify the reconstruction."""
+def ibf_bob_difference(
+    source: SetSource | StoreView, difference_bound: int | None
+) -> Generator[Send | Receive, Any, tuple[PartyOutcome, DecodeResult | None]]:
+    """Bob's side, returning the outcome *and* the verified peeled difference.
+
+    With ``difference_bound=None`` he first sends his estimator and then reads
+    the bound off the message's self-describing header.  The difference is
+    ``None`` unless the outcome verified; composites that act on it rather
+    than on the recovered set (``kv``'s value fetch) continue from here.
+    """
+    ctx = source.ctx
+    if difference_bound is None:
+        bob_estimator = source.estimator(1)
+        yield Send(
+            "difference estimator",
+            bob_estimator.size_bits,
+            payload=bob_estimator,
+            codec=ctx.estimator_codec(),
+        )
+    self_describing = difference_bound is None
     payload = yield Receive(IBFMessageCodec(ctx, difference_bound, self_describing))
     if payload is END_OF_SESSION:
-        return aborted_outcome()
+        return aborted_outcome(), None
     alice_table, alice_hash, alice_size = payload
-    difference_table = alice_table.copy()
-    difference_table.delete_batch(bob)
-    decode = difference_table.try_decode()
+    decode = source.difference_from(alice_table).try_decode()
     if not decode.success:
-        return PartyOutcome(False, details={"failure": "iblt-peel"})
-    recovered = apply_difference(bob, decode.positive, decode.negative)
-    verified = (
-        set_verification_hash(ctx.seed, recovered) == alice_hash
-        and len(recovered) == alice_size
+        details = {"failure": "iblt-peel", **source.outcome_details}
+        return PartyOutcome(False, details=details), None
+    recovered_hash, recovered_size, recovered = source.with_difference(
+        decode.positive, decode.negative
     )
-    return PartyOutcome(
+    verified = recovered_hash == alice_hash and recovered_size == alice_size
+    outcome = PartyOutcome(
         verified,
         recovered if verified else None,
         details={
             "difference_found": decode.symmetric_difference_size(),
             "failure": None if verified else "verification-hash",
+            **source.outcome_details,
         },
     )
+    return outcome, decode if verified else None
 
 
-def ibf_alice_unknown(alice: Set[int], ctx: SetReconContext) -> PartyGenerator:
-    """Alice's side of the two-round protocol (Corollary 3.2)."""
-    bob_estimator = yield Receive(ctx.estimator_codec())
-    if bob_estimator is END_OF_SESSION:
-        return aborted_outcome()
-    alice_estimator = ctx.make_estimator()
-    alice_estimator.update_all(alice, 2)
-    estimate = bob_estimator.merge(alice_estimator).query()
-    bound = max(1, int(round(ctx.safety_factor * estimate)) + 1)
-    yield from ibf_alice_known(alice, bound, ctx, self_describing=True)
-    return PartyOutcome(
-        True,
-        details={"estimated_difference": estimate, "difference_bound_used": bound},
-    )
-
-
-def ibf_bob_unknown(bob: Set[int], ctx: SetReconContext) -> PartyGenerator:
-    """Bob's side: send the estimator, then run the known-``d`` exchange."""
-    bob_estimator = ctx.make_estimator()
-    bob_estimator.update_all(bob, 1)
-    yield Send(
-        "difference estimator",
-        bob_estimator.size_bits,
-        payload=bob_estimator,
-        codec=ctx.estimator_codec(),
-    )
-    outcome = yield from ibf_bob_known(bob, None, ctx, self_describing=True)
+def ibf_bob(source: SetSource | StoreView, difference_bound: int | None) -> PartyGenerator:
+    """Bob's side: subtract his set, peel, verify the reconstruction."""
+    outcome, _ = yield from ibf_bob_difference(source, difference_bound)
     return outcome
 
 
@@ -235,12 +300,10 @@ def ibf_parties(
     difference_bound: int | None,
     ctx: SetReconContext,
 ) -> PartyPair:
-    """Both parties for the ``ibf`` protocol (known or unknown ``d``)."""
-    if difference_bound is None:
-        return ibf_alice_unknown(alice, ctx), ibf_bob_unknown(bob, ctx)
+    """Both parties for ``ibf`` over plain sets (``difference_bound=None``: unknown ``d``)."""
     return (
-        ibf_alice_known(alice, difference_bound, ctx),
-        ibf_bob_known(bob, difference_bound, ctx),
+        ibf_alice(SetSource(alice, ctx), difference_bound),
+        ibf_bob(SetSource(bob, ctx), difference_bound),
     )
 
 

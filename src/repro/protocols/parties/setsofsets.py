@@ -53,6 +53,7 @@ from repro.protocols.party import (
     Send,
     aborted_outcome,
 )
+from repro.protocols.parties.setrecon import bound_for_estimate
 from repro.protocols.wire import (
     NULL_CODEC,
     EstimatorCodec,
@@ -212,7 +213,7 @@ def naive_alice_unknown(alice: SetOfSets, ctx: SetsOfSetsContext) -> PartyGenera
     alice_estimator = factory(estimator_seed)
     alice_estimator.update_all(_naive_child_ids(alice, ctx), 2)
     estimate = bob_estimator.merge(alice_estimator).query()
-    bound = max(1, int(round(ctx.safety_factor * estimate)) + 1)
+    bound = bound_for_estimate(estimate, ctx.safety_factor)
     yield from naive_alice_known(alice, bound, ctx, self_describing=True)
     return PartyOutcome(
         True,

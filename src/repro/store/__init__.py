@@ -9,9 +9,9 @@ re-encoding O(n) elements per session.  This package owns that state:
   optional durability (atomic snapshots plus an append-only journal with
   replay-on-restart) and config-fingerprint cache invalidation;
 * :class:`SketchConfig` -- the protocol identity a sketch is keyed on;
-* :class:`StoreView` and the ``stored_ibf_*`` parties -- drop-in,
-  byte-identical replacements for the from-scratch ``ibf`` parties that
-  serve from the store;
+* :class:`StoreView` and :func:`stored_ibf_party` -- the live sketch source
+  the shared ``ibf`` flow runs over, and the builder that picks it: a
+  store-served session is byte-identical to a from-scratch one;
 * :class:`UpdateJournal` -- the write-ahead mutation log;
 * :class:`AntiEntropyLoop` -- the background snapshot sweep with deferred
   retries.
@@ -23,14 +23,7 @@ invalidation rules.
 from repro.store.antientropy import AntiEntropyLoop
 from repro.store.config import SketchConfig
 from repro.store.journal import UpdateJournal
-from repro.store.parties import (
-    StoreView,
-    stored_ibf_alice_known,
-    stored_ibf_alice_unknown,
-    stored_ibf_bob_known,
-    stored_ibf_bob_unknown,
-    stored_ibf_party,
-)
+from repro.store.parties import StoreView, stored_ibf_party
 from repro.store.sketch import SNAPSHOT_VERSION, SketchStore
 
 __all__ = [
@@ -40,9 +33,5 @@ __all__ = [
     "SketchStore",
     "StoreView",
     "UpdateJournal",
-    "stored_ibf_alice_known",
-    "stored_ibf_alice_unknown",
-    "stored_ibf_bob_known",
-    "stored_ibf_bob_unknown",
     "stored_ibf_party",
 ]

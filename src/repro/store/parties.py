@@ -1,14 +1,16 @@
-"""Store-backed ``ibf`` parties: serve a sync without touching the dataset.
+"""Store-served ``ibf``: the live sketch source, and the party built on it.
 
-Each generator here mirrors its from-scratch twin in
-:mod:`repro.protocols.parties.setrecon` message for message -- same labels,
-same charged sizes, same codecs, same bytes.  That is not an accident to be
-tested around but a consequence of linearity, and the tests pin it:
+There are no store-specific generators.  :func:`stored_ibf_party` runs the
+``ibf`` flow of :mod:`repro.protocols.parties.setrecon` over a
+:class:`StoreView` instead of a set, so a store-served session has the same
+labels, charged sizes, codecs and bytes as a from-scratch one.  That is not
+an accident to be tested around but a consequence of linearity, and the
+tests pin it:
 
 * the live table equals ``IBLT.from_items`` over the mutated set
   bit-for-bit (updates commute), so alice's ``"set IBLT"`` payload is
   byte-identical;
-* ``alice_table.subtract(stored_bob_table)`` equals the scratch path's
+* ``alice_table.subtract(stored_bob_table)`` equals the scratch source's
   ``alice_table.copy(); delete_batch(bob)`` -- both compute
   ``encode(A) - encode(B)`` cell-wise;
 * the estimator merge is a counter-wise sum, so a live estimator merged
@@ -18,34 +20,27 @@ tested around but a consequence of linearity, and the tests pin it:
   ``hash(recovered) == stored_hash ^ xor(h(x) for x in positive) ^
   xor(h(x) for x in negative)`` whenever the peeled difference is honest
   (and with overwhelming probability the verification verdict matches the
-  scratch party's in every case).
+  scratch source's in every case).
 
-The bob-side party verifies without materializing the reconciled set (the
-point of the store is to *not* iterate the dataset); pass
+Serving as bob, the view verifies without materializing the reconciled set
+(the point of the store is to *not* iterate the dataset); pass
 ``materialize=True`` to recover it, e.g. in tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, ClassVar, Collection, Mapping
 
 from repro.core.setrecon.difference import apply_difference
-from repro.estimator import SetDifferenceEstimator
 from repro.errors import ParameterError
-from repro.iblt import IBLT, IBLTParameters
-from repro.protocols.party import (
-    END_OF_SESSION,
-    PartyGenerator,
-    PartyOutcome,
-    Receive,
-    Send,
-    aborted_outcome,
-)
+from repro.estimator import SetDifferenceEstimator
+from repro.iblt import IBLT
+from repro.protocols.party import PartyGenerator
 from repro.protocols.parties.setrecon import (
-    IBFMessageCodec,
     SetReconContext,
-    ibf_message_bits,
+    ibf_alice,
+    ibf_bob,
     set_verification_hash,
 )
 from repro.store.config import SketchConfig
@@ -56,9 +51,10 @@ from repro.store.sketch import SketchStore
 class StoreView:
     """One dataset's store handle bound to one protocol config.
 
-    The thin seam between the parties and the store: parties ask the view
-    for sketches and derived facts; every call is O(d) or O(1) after the
-    first touch of a given ``(config, geometry)``.
+    The thin seam between the parties and the store, and the live twin of
+    :class:`~repro.protocols.parties.setrecon.SetSource`: parties ask the
+    view for sketches and derived facts; every call is O(d) or O(1) after
+    the first touch of a given ``(config, geometry)``.
     """
 
     store: SketchStore
@@ -66,8 +62,10 @@ class StoreView:
     config: SketchConfig
     dataset: Any
     materialize: bool = False
+    outcome_details: ClassVar[Mapping[str, Any]] = {"served_from_store": True}
 
-    def context(self) -> SetReconContext:
+    @property
+    def ctx(self) -> SetReconContext:
         return self.config.context()
 
     def table(self, difference_bound: int) -> IBLT:
@@ -75,8 +73,18 @@ class StoreView:
             self.key, self.config, difference_bound, self.dataset
         )
 
-    def table_for_params(self, params: IBLTParameters) -> IBLT:
-        return self.store.table_for_params(self.key, self.config, params, self.dataset)
+    def owned_table(self, difference_bound: int) -> IBLT:
+        # copy(): the receiver owns the payload object on in-memory transports,
+        # and the live table must never leave the store's control.
+        return self.table(difference_bound).copy()
+
+    def difference_from(self, table: IBLT) -> IBLT:
+        # Looked up by the *received* parameters (unknown-d bob learns the
+        # geometry from the bound header); the store refuses ones this
+        # config could not have derived.
+        return table.subtract(
+            self.store.table_for_params(self.key, self.config, table.params, self.dataset)
+        )
 
     def estimator(self, side: int) -> SetDifferenceEstimator:
         return self.store.estimator_for(self.key, self.config, side, self.dataset)
@@ -89,123 +97,31 @@ class StoreView:
     def size(self) -> int:
         return self.store.size_of(self.key, self.dataset)
 
-    def hash_with(self, added: Iterable[int], removed: Iterable[int]) -> int:
-        """The stored hash with a recovered difference toggled in (O(d))."""
-        return (
+    def with_difference(
+        self, added: Collection[int], removed: Collection[int]
+    ) -> tuple[int, int, set[int] | None]:
+        """Hash and size of the set with a peeled difference applied, in O(d):
+        the stored hash is an XOR fold, so the difference toggles in.  The
+        elements cost an O(n) copy and come only when ``materialize`` asks."""
+        recovered_hash = (
             self.set_hash
             ^ set_verification_hash(self.config.seed, added)
             ^ set_verification_hash(self.config.seed, removed)
         )
-
-
-def stored_ibf_alice_known(
-    view: StoreView,
-    difference_bound: int,
-    ctx: SetReconContext,
-    *,
-    self_describing: bool = False,
-) -> PartyGenerator:
-    """Alice's one-round side served from the live table."""
-    if difference_bound < 0:
-        raise ParameterError("difference_bound must be non-negative")
-    if ctx.universe_size <= 0:
-        raise ParameterError("universe_size must be positive")
-    # copy(): the receiver owns the payload object on in-memory transports,
-    # and the live table must never leave the store's control.
-    table = view.table(difference_bound).copy()
-    yield Send(
-        "set IBLT",
-        ibf_message_bits(ctx, difference_bound, view.size),
-        payload=(table, view.set_hash, view.size),
-        codec=IBFMessageCodec(ctx, difference_bound, self_describing),
-    )
-    return PartyOutcome(True, details={"served_from_store": True})
-
-
-def stored_ibf_bob_known(
-    view: StoreView,
-    difference_bound: int | None,
-    ctx: SetReconContext,
-    *,
-    self_describing: bool = False,
-) -> PartyGenerator:
-    """Bob's side: subtract the live table, peel, verify incrementally."""
-    payload = yield Receive(IBFMessageCodec(ctx, difference_bound, self_describing))
-    if payload is END_OF_SESSION:
-        return aborted_outcome()
-    alice_table, alice_hash, alice_size = payload
-    bob_table = view.table_for_params(alice_table.params)
-    difference_table = alice_table.subtract(bob_table)
-    decode = difference_table.try_decode()
-    if not decode.success:
-        return PartyOutcome(
-            False, details={"failure": "iblt-peel", "served_from_store": True}
+        recovered = (
+            apply_difference(self.dataset, added, removed) if self.materialize else None
         )
-    recovered_hash = view.hash_with(decode.positive, decode.negative)
-    recovered_size = view.size + len(decode.positive) - len(decode.negative)
-    verified = recovered_hash == alice_hash and recovered_size == alice_size
-    recovered = None
-    if verified and view.materialize:
-        recovered = apply_difference(
-            set(view.dataset), decode.positive, decode.negative
-        )
-    return PartyOutcome(
-        verified,
-        recovered,
-        details={
-            "difference_found": decode.symmetric_difference_size(),
-            "failure": None if verified else "verification-hash",
-            "served_from_store": True,
-        },
-    )
+        return recovered_hash, self.size + len(added) - len(removed), recovered
 
 
-def stored_ibf_alice_unknown(view: StoreView, ctx: SetReconContext) -> PartyGenerator:
-    """Alice's two-round side: merge the live estimator, size the table."""
-    bob_estimator = yield Receive(ctx.estimator_codec())
-    if bob_estimator is END_OF_SESSION:
-        return aborted_outcome()
-    estimate = bob_estimator.merge(view.estimator(side=2)).query()
-    bound = max(1, int(round(ctx.safety_factor * estimate)) + 1)
-    yield from stored_ibf_alice_known(view, bound, ctx, self_describing=True)
-    return PartyOutcome(
-        True,
-        details={
-            "estimated_difference": estimate,
-            "difference_bound_used": bound,
-            "served_from_store": True,
-        },
-    )
+def stored_ibf_party(role: str, view: StoreView, difference_bound: int | None) -> PartyGenerator:
+    """The store-served ``ibf`` party for one server role.
 
-
-def stored_ibf_bob_unknown(view: StoreView, ctx: SetReconContext) -> PartyGenerator:
-    """Bob's side: send the live estimator, then the known-``d`` exchange."""
-    estimator = view.estimator(side=1)
-    yield Send(
-        "difference estimator",
-        estimator.size_bits,
-        payload=estimator,
-        codec=ctx.estimator_codec(),
-    )
-    outcome = yield from stored_ibf_bob_known(view, None, ctx, self_describing=True)
-    return outcome
-
-
-def stored_ibf_party(
-    role: str,
-    view: StoreView,
-    difference_bound: int | None,
-    ctx: SetReconContext | None = None,
-) -> PartyGenerator:
-    """The store-backed party for one server role (known or unknown ``d``)."""
+    The shared flow over the live view; ``difference_bound=None`` selects
+    the unknown-``d`` flow.
+    """
     if role not in ("alice", "bob"):
         raise ParameterError(f"role must be 'alice' or 'bob', got {role!r}")
-    if ctx is None:
-        ctx = view.context()
-    if difference_bound is None:
-        if role == "alice":
-            return stored_ibf_alice_unknown(view, ctx)
-        return stored_ibf_bob_unknown(view, ctx)
     if role == "alice":
-        return stored_ibf_alice_known(view, difference_bound, ctx)
-    return stored_ibf_bob_known(view, difference_bound, ctx)
+        return ibf_alice(view, difference_bound)
+    return ibf_bob(view, difference_bound)

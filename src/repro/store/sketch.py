@@ -7,17 +7,28 @@ bit-identical to one rebuilt from scratch over the mutated set -- which is
 what lets a server answer a sync in O(d) work instead of re-encoding O(n)
 elements per session.  :class:`SketchStore` owns that live state:
 
-* per dataset, a family of IBLTs keyed on ``(config fingerprint,
-  num_cells)`` -- the same physical table serves every difference bound
-  that sizes to the same cell count;
-* per ``(config, side)``, a live difference estimator for the unknown-``d``
-  flow (side 1 for serving as bob, side 2 for serving as alice);
-* per config seed, the running whole-set verification hash.  The hash is the
-  XOR fold of one keyed splitmix64 checksum per element
-  (:func:`~repro.protocols.parties.setrecon.set_verification_hash`, i.e.
-  :meth:`~repro.hashing.checksum.Checksum.of_set`), so a mutation toggles it
-  in O(d) too;
+* per dataset and config fingerprint, one *sketch family*:
+
+  * IBLTs keyed on ``num_cells`` -- the same physical table serves every
+    difference bound that sizes to the same cell count;
+  * per side, a live difference estimator for the unknown-``d`` flow (side
+    1 for serving as bob, side 2 for serving as alice);
+  * the running whole-set verification hash.  The hash is the XOR fold of
+    one keyed splitmix64 checksum per element
+    (:func:`~repro.protocols.parties.setrecon.set_verification_hash`, i.e.
+    :meth:`~repro.hashing.checksum.Checksum.of_set`), so a mutation toggles
+    it in O(d) too;
+
 * the dataset's size, maintained arithmetically.
+
+The config (seed, hash count, backend) and the difference bound are chosen
+by the *peer*, and every live sketch costs every later
+:meth:`~SketchStore.apply` an update, so what stays live is capped: at most
+:data:`MAX_LIVE_FAMILIES` families per dataset and
+:data:`MAX_TABLES_PER_FAMILY` tables per family, least recently served
+evicted first (a family goes with its tables, estimators and hash
+together).  Eviction only forgets work: the next session that wants an
+evicted sketch is a recorded miss and a rebuild, never a wrong answer.
 
 Durability (optional, enabled by passing a ``root`` directory) is a
 snapshot per dataset (atomic temp-file + ``os.replace``; tables persist via
@@ -56,6 +67,13 @@ from repro.store.journal import UpdateJournal
 #: snapshot's ``hashes`` hold values no peer computes any more.
 SNAPSHOT_VERSION = 2
 
+#: Live sketch families (distinct config fingerprints) kept per dataset, and
+#: live tables (distinct cell counts) kept per family.  Both are chosen by
+#: whoever connects, so both are bounded; a deployment's handful of option
+#: sets (the end-to-end serving workloads share four) never comes close.
+MAX_LIVE_FAMILIES = 16
+MAX_TABLES_PER_FAMILY = 8
+
 
 def _safe_filename(key: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", key) or "_"
@@ -67,6 +85,23 @@ def _verification_hash(seed: int, elements: Iterable[int]) -> int:
     return set_verification_hash(seed, elements)
 
 
+class _Family:
+    """Every live sketch of one config: what is served, and evicted, together."""
+
+    def __init__(self, config: SketchConfig) -> None:
+        self.config = config
+        self.tables: dict[int, IBLT] = {}  # num_cells -> table, LRU first
+        self.estimators: dict[int, SetDifferenceEstimator] = {}  # side -> estimator
+        self.hash: int | None = None  # running XOR hash, once first asked for
+
+    def keep_table(self, table: IBLT) -> None:
+        """File ``table`` as the most recently served one."""
+        self.tables.pop(table.params.num_cells, None)
+        if len(self.tables) >= MAX_TABLES_PER_FAMILY:
+            del self.tables[next(iter(self.tables))]
+        self.tables[table.params.num_cells] = table
+
+
 class _DatasetEntry:
     """The live sketches of one stored dataset."""
 
@@ -75,12 +110,18 @@ class _DatasetEntry:
         self.size = size
         self.seq = 0  # sequence number of the last applied mutation batch
         self.snapshot_seq = -1  # seq captured by the on-disk snapshot
-        self.tables: dict[tuple[str, int], tuple[SketchConfig, IBLT]] = {}
-        self.estimators: dict[
-            tuple[str, int], tuple[SketchConfig, SetDifferenceEstimator]
-        ] = {}
-        self.hashes: dict[int, int] = {}  # config seed -> running XOR hash
+        self.families: dict[str, _Family] = {}  # fingerprint -> family, LRU first
         self.journal: UpdateJournal | None = None
+
+    def family(self, config: SketchConfig) -> _Family:
+        """The family for ``config``, marked most recently served."""
+        family = self.families.pop(config.fingerprint, None)
+        if family is None:
+            family = _Family(config)
+            if len(self.families) >= MAX_LIVE_FAMILIES:
+                del self.families[next(iter(self.families))]
+        self.families[config.fingerprint] = family
+        return family
 
 
 class SketchStore:
@@ -231,15 +272,15 @@ class SketchStore:
             table = IBLT.deserialize(
                 params, int(item["cells"], 16), backend=config.backend
             )
-            entry.tables[(config.fingerprint, params.num_cells)] = (config, table)
+            entry.family(config).keep_table(table)
         for item in body.get("estimators", []):
             config = SketchConfig.from_wire(item["config"])
-            side = int(item["side"])
             estimator = config.context().make_estimator()
             estimator.read_wire(BitReader(bytes.fromhex(item["state"])))
-            entry.estimators[(config.fingerprint, side)] = (config, estimator)
-        for seed, value in body.get("hashes", {}).items():
-            entry.hashes[int(seed)] = int(value)
+            entry.family(config).estimators[int(item["side"])] = estimator
+        hashes = {int(seed): int(value) for seed, value in body.get("hashes", {}).items()}
+        for family in entry.families.values():
+            family.hash = hashes.get(family.config.seed)
         return entry
 
     # -- the incremental core -------------------------------------------------------
@@ -250,19 +291,26 @@ class SketchStore:
     ) -> None:
         inserted = list(inserted)
         deleted = list(deleted)
-        for _config, table in entry.tables.values():
-            table.insert_batch(inserted)
-            table.delete_batch(deleted)
-        for (_fingerprint, side), (_config, estimator) in entry.estimators.items():
-            estimator.update_all(inserted, side)
-            # Deleting x from side s cancels its earlier +-1 contribution:
-            # the counters are mod-4 (or cell counts), so adding x to the
-            # *other* side is exactly the inverse update.
-            estimator.update_all(deleted, 2 if side == 1 else 1)
-        for seed in entry.hashes:
-            entry.hashes[seed] ^= _verification_hash(seed, inserted) ^ _verification_hash(
-                seed, deleted
-            )
+        # Kind by kind, not family by family: interleaving the vectorised table
+        # updates with the scalar hash folds measured ~4% slower per batch.
+        families = list(entry.families.values())
+        for family in families:
+            for table in family.tables.values():
+                table.insert_batch(inserted)
+                table.delete_batch(deleted)
+        for family in families:
+            for side, estimator in family.estimators.items():
+                estimator.update_all(inserted, side)
+                # Deleting x from side s cancels its earlier +-1 contribution:
+                # the counters are mod-4 (or cell counts), so adding x to the
+                # *other* side is exactly the inverse update.
+                estimator.update_all(deleted, 2 if side == 1 else 1)
+        for family in families:
+            if family.hash is not None:
+                seed = family.config.seed
+                family.hash ^= _verification_hash(seed, inserted) ^ _verification_hash(
+                    seed, deleted
+                )
         entry.size += len(inserted) - len(deleted)
 
     def apply(
@@ -336,18 +384,18 @@ class SketchStore:
             )
         with self._lock:
             entry = self._entry(key, dataset)
-            table_key = (config.fingerprint, params.num_cells)
-            cached = entry.tables.get(table_key)
-            if cached is not None:
+            family = entry.family(config)
+            table = family.tables.get(params.num_cells)
+            if table is not None:
                 self._metric("record_store_hit")
-                return cached[1]
-            self._metric("record_store_miss")
-            if dataset is None:
-                raise StoreError(
-                    f"no cached table for dataset {key!r} and no data to encode"
-                )
-            table = IBLT.from_items(params, dataset, backend=config.backend)
-            entry.tables[table_key] = (config, table)
+            else:
+                self._metric("record_store_miss")
+                if dataset is None:
+                    raise StoreError(
+                        f"no cached table for dataset {key!r} and no data to encode"
+                    )
+                table = IBLT.from_items(params, dataset, backend=config.backend)
+            family.keep_table(table)
             return table
 
     def estimator_for(
@@ -363,33 +411,31 @@ class SketchStore:
             raise ParameterError(f"estimator side must be 1 or 2, got {side}")
         with self._lock:
             entry = self._entry(key, dataset)
-            estimator_key = (config.fingerprint, side)
-            cached = entry.estimators.get(estimator_key)
-            if cached is not None:
+            estimators = entry.family(config).estimators
+            estimator = estimators.get(side)
+            if estimator is not None:
                 self._metric("record_store_hit")
-                return cached[1]
+                return estimator
             self._metric("record_store_miss")
             if dataset is None:
                 raise StoreError(
                     f"no cached estimator for dataset {key!r} and no data to encode"
                 )
-            estimator = config.context().make_estimator()
+            estimator = estimators[side] = config.context().make_estimator()
             estimator.update_all(dataset, side)
-            entry.estimators[estimator_key] = (config, estimator)
             return estimator
 
     def verification_hash(self, key: str, config: SketchConfig, dataset: Any) -> int:
         """The running whole-set verification hash for ``config.seed``."""
         with self._lock:
-            entry = self._entry(key, dataset)
-            seed = config.seed
-            if seed not in entry.hashes:
+            family = self._entry(key, dataset).family(config)
+            if family.hash is None:
                 if dataset is None:
                     raise StoreError(
                         f"no cached hash for dataset {key!r} and no data to fold"
                     )
-                entry.hashes[seed] = _verification_hash(seed, dataset)
-            return entry.hashes[seed]
+                family.hash = _verification_hash(config.seed, dataset)
+            return family.hash
 
     def size_of(self, key: str, dataset: Any = None) -> int:
         """The maintained dataset size."""
@@ -411,10 +457,14 @@ class SketchStore:
                 "dataset": key,
                 "seq": entry.seq,
                 "size": entry.size,
-                "hashes": {str(seed): value for seed, value in entry.hashes.items()},
+                "hashes": {
+                    str(family.config.seed): family.hash
+                    for family in entry.families.values()
+                    if family.hash is not None
+                },
                 "tables": [
                     {
-                        "config": config.to_wire(),
+                        "config": family.config.to_wire(),
                         "params": {
                             "num_cells": table.params.num_cells,
                             "key_bits": table.params.key_bits,
@@ -425,15 +475,17 @@ class SketchStore:
                         },
                         "cells": format(table.serialize(), "x"),
                     }
-                    for config, table in entry.tables.values()
+                    for family in entry.families.values()
+                    for table in family.tables.values()
                 ],
                 "estimators": [
                     {
-                        "config": config.to_wire(),
+                        "config": family.config.to_wire(),
                         "side": side,
                         "state": self._estimator_state(estimator),
                     }
-                    for (_fingerprint, side), (config, estimator) in entry.estimators.items()
+                    for family in entry.families.values()
+                    for side, estimator in family.estimators.items()
                 ],
             }
             path = self._snapshot_path(key)

@@ -152,7 +152,7 @@ class TestInputHygiene:
 
 class TestLinearity:
     """``H(S ^ D) == H(S) ^ H(D)``: what ``SketchStore.apply`` and
-    ``StoreView.hash_with`` rely on to keep a running hash in O(d)."""
+    ``StoreView.with_difference`` rely on to keep a running hash in O(d)."""
 
     @given(
         st.sets(st.integers(min_value=0, max_value=(1 << 70)), max_size=80),

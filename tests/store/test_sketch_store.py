@@ -19,6 +19,7 @@ from repro.protocols.session import run_session
 from repro.service.metrics import ServiceMetrics
 from repro.store import SNAPSHOT_VERSION, SketchConfig, SketchStore, StoreView
 from repro.store.parties import stored_ibf_party
+from repro.store.sketch import MAX_LIVE_FAMILIES, MAX_TABLES_PER_FAMILY
 
 UNIVERSE = 1 << 24
 SEED = 2018
@@ -275,4 +276,72 @@ def test_version_1_snapshot_is_invalidated_and_rebuilt(tmp_path):
     _, client_bob = ibf_parties(set(), client, 20, SetReconContext(UNIVERSE, SEED))
     result = run_session(stored_ibf_party("alice", view, 20), client_bob)
     assert result.success and result.recovered == dataset
+    reopened.close()
+
+
+def first_frame(party):
+    """A party's opening message, serialized by its own codec."""
+    send = next(party)
+    return send.label, send.size_bits, send.codec.encode(send.payload)
+
+
+def test_peer_chosen_configs_cannot_grow_the_live_set(tmp_path):
+    """Seeds and bounds come from whoever connects; the sketches they leave
+    live are capped, and eviction costs a rebuild, never a wrong answer."""
+    dataset = make_dataset()
+    metrics = ServiceMetrics()
+    store = SketchStore(tmp_path, metrics=metrics)
+    config = SketchConfig(UNIVERSE, seed=SEED)
+    ctx = SetReconContext(UNIVERSE, SEED)
+
+    def opening_frames(a_store, a_dataset):
+        view = StoreView(a_store, "d", config, a_dataset)
+        return (
+            first_frame(stored_ibf_party("alice", view, 20)),
+            first_frame(stored_ibf_party("bob", view, None)),
+        )
+
+    def scratch_opening_frames(a_dataset):
+        return (
+            first_frame(ibf_parties(a_dataset, set(), 20, ctx)[0]),
+            first_frame(ibf_parties(set(), a_dataset, None, ctx)[1]),
+        )
+
+    def live_sketches():
+        body = json.loads(store.snapshot("d").read_text())
+        return len(body["tables"]), len(body["estimators"]), len(body["hashes"])
+
+    assert opening_frames(store, dataset) == scratch_opening_frames(dataset)
+    # 300 sessions, each with its own seed and bound, as both roles.
+    for i in range(1, 301):
+        foreign = StoreView(store, "d", SketchConfig(UNIVERSE, seed=SEED + i), dataset)
+        first_frame(stored_ibf_party("alice", foreign, 10 + i))
+        first_frame(stored_ibf_party("bob", foreign, None))
+    # What apply() has to update (its cost is linear in this) stayed capped...
+    assert live_sketches() == (MAX_LIVE_FAMILIES,) * 3
+    # ... also when one config walks through many table geometries.
+    for bound in range(10, 400, 10):
+        store.table_for("d", config, bound, dataset)
+    tables, estimators, hashes = live_sketches()
+    assert tables == MAX_LIVE_FAMILIES - 1 + MAX_TABLES_PER_FAMILY
+    assert estimators == hashes == MAX_LIVE_FAMILIES - 1
+
+    # The first config was evicted long ago: serving it again is a recorded
+    # miss per sketch and the same bytes, before and after a mutation.
+    misses = metrics.store_misses
+    assert opening_frames(store, dataset) == scratch_opening_frames(dataset)
+    assert metrics.store_misses == misses + 2  # the bound-20 table, the estimator
+    store.apply("d", [UNIVERSE - 1], [min(dataset)])
+    mutated = (dataset - {min(dataset)}) | {UNIVERSE - 1}
+    assert opening_frames(store, mutated) == scratch_opening_frames(mutated)
+
+    # Snapshot / reopen round-trips what is left, and serves it from hits.
+    kept = live_sketches()
+    store.close()
+    reopened_metrics = ServiceMetrics()
+    reopened = SketchStore(tmp_path, metrics=reopened_metrics)
+    assert opening_frames(reopened, mutated) == scratch_opening_frames(mutated)
+    assert reopened_metrics.store_misses == 0
+    body = json.loads(reopened.snapshot("d").read_text())
+    assert (len(body["tables"]), len(body["estimators"]), len(body["hashes"])) == kept
     reopened.close()

@@ -2,10 +2,14 @@
 wire from its from-scratch twin -- same labels, same charged bits, same
 serialized bytes, frame for frame -- and recovers the same sets."""
 
+import hashlib
 import random
 
 import pytest
 
+from repro.cluster import KVRecord, VersionedKV
+from repro.cluster.parties import kv_context, kv_parties
+from repro.protocols.options import ReconcileOptions
 from repro.protocols.parties.setrecon import SetReconContext, ibf_parties
 from repro.protocols.session import run_session
 from repro.protocols.transports import SerializingTransport
@@ -26,7 +30,7 @@ class RecordingTransport(SerializingTransport):
 
     def on_send(self, sender, send):
         data = super().on_send(sender, send)
-        self.frames.append((sender, send.label, data))
+        self.frames.append((sender, send.label, send.size_bits, data))
         return data
 
 
@@ -72,8 +76,23 @@ def make_view(server_set, *, materialize=False, mutations=0):
     return StoreView(store, "server", config, server_set, materialize=materialize)
 
 
-def scratch_frames(server_set, client_set, bound, server_role):
-    ctx = SetReconContext(UNIVERSE, SEED)
+def kv_pair():
+    """Two replicas sharing 40 records and holding 5 one-sided records each."""
+    left, right = VersionedKV(0, seed=SEED), VersionedKV(1, seed=SEED)
+    common = [
+        KVRecord(key=f"shared-{i}", version=i + 1, writer=0, value=f"c{i}")
+        for i in range(40)
+    ]
+    left.merge_records(common)
+    right.merge_records(common)
+    for i in range(5):
+        left.put(f"left-{i}", f"lv{i}")
+        right.put(f"right-{i}", f"rv{i}")
+    return left, right
+
+
+def scratch_frames(server_set, client_set, bound, server_role, ctx=None):
+    ctx = ctx or SetReconContext(UNIVERSE, SEED)
     alice, bob = ibf_parties(
         server_set if server_role == "alice" else client_set,
         client_set if server_role == "alice" else server_set,
@@ -99,19 +118,43 @@ def stored_frames(view, client_set, bound, server_role):
     return transport.frames, result
 
 
+def kv_frames(left, right, bound, left_role):
+    """One gossip session; ``left_role`` says which side ``left`` plays."""
+    ctx = kv_context(ReconcileOptions(seed=SEED, difference_bound=bound))
+    pair = (left, right) if left_role == "alice" else (right, left)
+    transport = RecordingTransport()
+    result = run_session(*kv_parties(*pair, bound, ctx), transport=transport)
+    return transport.frames, result
+
+
 @pytest.mark.parametrize("server_role", ["alice", "bob"])
 @pytest.mark.parametrize("bound", [BOUND, None])
-def test_stored_party_is_byte_identical_to_scratch(server_role, bound):
-    server_set, client_set = make_instance()
-    reference_frames, reference = scratch_frames(
-        server_set, client_set, bound, server_role
-    )
-    view = make_view(server_set, materialize=True)
-    frames, result = stored_frames(view, client_set, bound, server_role)
+@pytest.mark.parametrize("family", ["store", "kv"])
+def test_stored_party_is_byte_identical_to_scratch(family, server_role, bound):
+    if family == "store":
+        server_set, client_set = make_instance()
+        reference_frames, reference = scratch_frames(
+            server_set, client_set, bound, server_role
+        )
+        view = make_view(server_set, materialize=True)
+        frames, result = stored_frames(view, client_set, bound, server_role)
+        assert result.total_bits == reference.total_bits
+        assert result.num_rounds == reference.num_rounds
+    else:
+        # kv phase one *is* ibf over the replicas' fingerprint sets: same
+        # senders, charged bits and bytes under its own message label.
+        left, right = kv_pair()
+        reference_frames, reference = scratch_frames(
+            left.fingerprints, right.fingerprints, bound, server_role,
+            kv_context(ReconcileOptions(seed=SEED)),
+        )
+        frames, result = kv_frames(left, right, bound, server_role)
+        frames = [
+            (sender, label.replace("kv fingerprint IBLT", "set IBLT"), bits, data)
+            for sender, label, bits, data in frames[: len(reference_frames)]
+        ]
     assert frames == reference_frames
     assert result.success and reference.success
-    assert result.total_bits == reference.total_bits
-    assert result.num_rounds == reference.num_rounds
 
 
 @pytest.mark.parametrize("bound", [BOUND, None])
@@ -142,18 +185,21 @@ def test_stored_bob_skips_materialization_by_default():
     assert result.details.get("served_from_store")
 
 
-def test_stored_bob_rejects_dishonest_hash():
-    """A wrong client-side hash fails verification, as in the scratch party."""
-    server_set, client_set = make_instance()
-    config = SketchConfig(UNIVERSE, seed=SEED)
-    ctx = SetReconContext(UNIVERSE, SEED)
-    store = SketchStore()
-    view = StoreView(store, "server", config, server_set)
+def bob_party(source, bob_set, bound):
+    """Bob's ``ibf`` party over ``bob_set`` from either sketch source."""
+    if source == "store":
+        return stored_ibf_party("bob", make_view(bob_set), bound)
+    return ibf_parties(set(), bob_set, bound, SetReconContext(UNIVERSE, SEED))[1]
 
-    from repro.protocols.parties.setrecon import ibf_alice_known
+
+@pytest.mark.parametrize("source", ["scratch", "store"])
+def test_bob_rejects_dishonest_hash(source):
+    """A wrong hash from alice fails verification, whatever serves bob."""
+    bob_set, alice_set = make_instance()
+    ctx = SetReconContext(UNIVERSE, SEED)
 
     def lying_alice():
-        gen = ibf_alice_known(client_set, BOUND, ctx)
+        gen, _ = ibf_parties(alice_set, set(), BOUND, ctx)
         send = next(gen)
         table, set_hash, size = send.payload
         doctored = send.__class__(
@@ -164,7 +210,109 @@ def test_stored_bob_rejects_dishonest_hash():
         return (yield from gen)
 
     result = run_session(
-        lying_alice(), stored_ibf_party("bob", view, BOUND),
+        lying_alice(), bob_party(source, bob_set, BOUND),
         transport=SerializingTransport(),
     )
-    assert not result.success
+    assert not result.success and result.recovered is None
+    assert result.details["failure"] == "verification-hash"
+
+
+@pytest.mark.parametrize("source", ["scratch", "store"])
+def test_undersized_bound_is_a_detected_peel_failure(source):
+    """``difference_bound`` too small: bob reports the failed peel, never a set."""
+    bob_set, alice_set = make_instance(differences=60)
+    alice, _ = ibf_parties(alice_set, set(), 2, SetReconContext(UNIVERSE, SEED))
+    result = run_session(
+        alice, bob_party(source, bob_set, 2), transport=SerializingTransport()
+    )
+    assert not result.success and result.recovered is None
+    assert result.details["failure"] == "iblt-peel"
+    assert result.details.get("served_from_store", False) == (source == "store")
+
+
+# ---------------------------------------------------------------------------
+# Transcript identity of the whole IBLT set family, pinned as literals
+# ---------------------------------------------------------------------------
+
+
+def pinned_sets():
+    """A fixed instance built without ``random`` (stable on every interpreter)."""
+    server_set = {(i * 2654435761) % UNIVERSE for i in range(1, 401)}
+    client_set = set(sorted(server_set)[5:]) | {
+        (i * 40503 + 17) % UNIVERSE for i in range(1, 6)
+    }
+    assert len(server_set ^ client_set) == 10
+    return server_set, client_set
+
+
+def family_frames(family, server_role, bound):
+    """The recorded frames of one session of ``family`` (scratch/store/kv).
+
+    ``server_role`` says which side holds the server set (scratch, store) or
+    the left replica (kv, where both sides are served from live sketches).
+    """
+    if family == "kv":
+        return kv_frames(*kv_pair(), bound, server_role)
+    server_set, client_set = pinned_sets()
+    if family == "scratch":
+        return scratch_frames(server_set, client_set, bound, server_role)
+    return stored_frames(make_view(server_set), client_set, bound, server_role)
+
+
+def frames_digest(frames):
+    digest = hashlib.sha256()
+    for sender, label, size_bits, data in frames:
+        digest.update(f"{sender}|{label}|{size_bits}|{len(data)}|".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+#: SHA-256 over (sender, label, charged bits, bytes) of every frame, recorded
+#: at the commit *before* the three party modules were folded into one flow
+#: (3b3dd2e).  Scratch and store share a digest per case: that is the point.
+_KNOWN_ALICE = "93458227ad2aea46bd4af97504ed3939c9c7aefef32e3b97fae56f7ae087e36a"
+_UNKNOWN_ALICE = "3fe6e3a11e2d3c48703db2cf5e81d0e9b5105fad53e286ca0765320c7c5061bf"
+_KNOWN_BOB = "6a0692172b993908e6490ec5fcc79eac0ddab74c25b7da1be11bbe41574eb353"
+_UNKNOWN_BOB = "f6f477b6bfd7c32c3ab006b1b484b32266155c880eee17361a57742c5b94100d"
+FRAME_PINS = {
+    ("scratch", "alice", BOUND): _KNOWN_ALICE,
+    ("scratch", "alice", None): _UNKNOWN_ALICE,
+    ("scratch", "bob", BOUND): _KNOWN_BOB,
+    ("scratch", "bob", None): _UNKNOWN_BOB,
+    ("store", "alice", BOUND): _KNOWN_ALICE,
+    ("store", "alice", None): _UNKNOWN_ALICE,
+    ("store", "bob", BOUND): _KNOWN_BOB,
+    ("store", "bob", None): _UNKNOWN_BOB,
+    ("kv", "alice", BOUND): "b472384d940e08c269b9c4b63c694a96212a065fcf153e4b7123920791d39ae3",
+    ("kv", "alice", None): "b10c17011e3059a526da41c2940395f1c393b0e2210eedad37fb3ed36d18821a",
+    ("kv", "bob", BOUND): "2b99c894d89f67d89bb4d799868a683dc7c3e85169b533f697c4e44f532f315a",
+    ("kv", "bob", None): "4fa2716c02b73cea19a268ec65e3a3cf17eb80af8e7d044b0352fd70955ec170",
+}
+
+#: ``ReconciliationResult.details`` of the same sessions at the same commit
+#: (``kv_apply`` shown as its record count), by family and known/unknown.
+_UNKNOWN_DETAILS = {"estimated_difference": 10, "difference_bound_used": 21}
+_DETAILS = {
+    "scratch": {"difference_found": 10, "failure": None},
+    "store": {"difference_found": 10, "failure": None, "served_from_store": True},
+    "kv": {
+        "difference_found": 10,
+        "failure": None,
+        "served_from_store": True,
+        "kv_apply": 5,
+        "kv_sent": 5,
+        "kv_pushed": 5,
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_PINS, key=repr), ids=repr)
+def test_family_sessions_match_the_recorded_pins(case):
+    family, _, bound = case
+    frames, result = family_frames(*case)
+    assert result.success
+    assert frames_digest(frames) == FRAME_PINS[case]
+    details = dict(result.details)
+    if "kv_apply" in details:
+        details["kv_apply"] = len(details["kv_apply"])
+    assert details == {**_DETAILS[family], **({} if bound else _UNKNOWN_DETAILS)}
