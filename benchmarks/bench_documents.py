@@ -13,11 +13,12 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:  # standalone execution
     sys.path.insert(0, str(_SRC))
 
+import repro
 from conftest import run_once
 from repro.bench.cli import benchmark_config, benchmark_parser
 from repro.bench.reporting import format_table, write_benchmark_record
-from repro.core.setsofsets import reconcile_multiround
 from repro.documents import DocumentCollection, classify_documents, reconcile_collections
+from repro.hashing import derive_seed
 from repro.workloads import edited_corpus_pair
 
 NUM_DOCS = 120
@@ -50,17 +51,18 @@ def report_rows(seed=2):
     alice, bob = _collections(seed=seed)
     classification = classify_documents(alice, bob)
 
-    def multiround_adapter(alice_sets, bob_sets, bound, universe, seed, **kwargs):
-        # The multi-round protocol sizes each per-document payload from an
-        # estimated difference, which is what makes reconciliation cheaper
-        # than shipping every signature in this mostly-identical corpus.
-        return reconcile_multiround(
-            alice_sets, bob_sets, bound, universe, SIGNATURE_SIZE, seed, **kwargs
-        )
-
-    result = reconcile_collections(
-        alice, bob, 2 * SIGNATURE_SIZE, seed + 7,
-        protocol=multiround_adapter, differing_children_bound=12,
+    # The multi-round protocol sizes each per-document payload from an
+    # estimated difference, which is what makes reconciliation cheaper than
+    # shipping every signature in this mostly-identical corpus.
+    result = repro.reconcile(
+        alice.to_sets_of_sets(),
+        bob.to_sets_of_sets(),
+        protocol="multiround",
+        seed=derive_seed(seed + 7, "documents"),
+        difference_bound=2 * SIGNATURE_SIZE,
+        universe_size=alice.universe_size,
+        max_child_size=SIGNATURE_SIZE,
+        differing_children_bound=12,
     )
     explicit = sum(len(sig) for sig in alice.signatures) * alice.hash_bits
     return [

@@ -1,21 +1,34 @@
-"""I5xx: unused imports.
+"""I5xx: import hygiene.
 
 * ``I501`` -- a module-level import that no code in the module references.
   ``__init__.py`` files are exempt (re-export surface), as is anything named
   in ``__all__`` and explicit ``import name as name`` re-exports (the PEP
   484 convention).
+* ``I502`` -- a library module imports or calls a per-protocol
+  ``reconcile_*`` alias (a top-level ``reconcile_*`` function under
+  :data:`ALIAS_PATHS`).  Each alias builds one party pair and runs it in
+  memory; a module composing aliases would fork a protocol away from the
+  parties every transport and the service run, so composites are built from
+  ``*_parties`` and ``yield from``.  ``__init__.py`` re-exports are exempt.
 
-This is the dependency-hygiene slice of ruff's ``F401`` implemented on the
-stdlib AST, so the gate also runs in environments where ruff cannot be
+``I501`` is the dependency-hygiene slice of ruff's ``F401`` implemented on
+the stdlib AST, so the gate also runs in environments where ruff cannot be
 installed (the check in CI runs both; they must agree).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from pathlib import Path
+from typing import Iterator, Sequence
 
-from repro.analysis.base import AnalysisPass, Finding, SourceFile
+from repro.analysis.base import AnalysisPass, Finding, SourceFile, call_name
+
+#: Packages whose top-level ``reconcile_*`` functions are per-protocol aliases
+#: (the service's ``reconcile_sharded`` is a client of a remote party, not one).
+ALIAS_PATHS = tuple(
+    f"src/repro/{package}/" for package in ("core", "graphs", "db", "documents")
+)
 
 
 def _binding_name(alias: ast.alias) -> str:
@@ -122,6 +135,8 @@ class UnusedImportPass(AnalysisPass):
     name = "imports"
     rules = {
         "I501": "imported name is never used (and not re-exported)",
+        "I502": "library module imports or calls a per-protocol reconcile_* "
+        "alias (compose the parties instead)",
     }
 
     def interested_in(self, source: SourceFile) -> bool:
@@ -155,3 +170,34 @@ class UnusedImportPass(AnalysisPass):
                     node.lineno,
                     node.col_offset,
                 )
+
+    def check_project(
+        self, root: Path, sources: Sequence[SourceFile]
+    ) -> Iterator[Finding]:
+        aliases = {
+            node.name
+            for source in sources
+            if source.relpath.startswith(ALIAS_PATHS)
+            for node in source.tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("reconcile_")
+        }
+        for source in sources:
+            if not self.interested_in(source):
+                continue
+            for node in ast.walk(source.tree):
+                if isinstance(node, ast.ImportFrom):
+                    uses = [("imports", alias.name) for alias in node.names]
+                elif isinstance(node, ast.Call):
+                    uses = [("calls", (call_name(node) or "").rpartition(".")[2])]
+                else:
+                    continue
+                for verb, name in uses:
+                    if name in aliases:
+                        yield Finding(
+                            "I502",
+                            f"{verb} the per-protocol alias {name!r}; compose "
+                            "*_parties (or call repro.reconcile) instead",
+                            source.relpath,
+                            node.lineno,
+                            node.col_offset,
+                        )

@@ -12,15 +12,12 @@ Run standalone with ``python -m repro.bench.table1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.bench.reporting import print_table
 from repro.bench.runner import ProtocolMeasurement, measure_protocol, summarize
-from repro.core.setsofsets import (
-    reconcile_cascading,
-    reconcile_iblt_of_iblts,
-    reconcile_multiround,
-    reconcile_naive,
-)
+from repro.comm import ReconciliationResult
+from repro.protocols.registry import reconcile
 from repro.workloads.sets_of_sets import SetsOfSetsInstance, table1_instance
 
 
@@ -55,61 +52,36 @@ def run_table1(config: Table1Config | None = None) -> list[ProtocolMeasurement]:
             max_children_touched=config.children_touched,
         )
 
-    def run_naive(seed: int):
-        instance = make_instance(seed)
-        return reconcile_naive(
-            instance.alice,
-            instance.bob,
-            instance.differing_children,
-            instance.universe_size,
-            instance.max_child_size,
-            seed,
-        )
+    def session_for(protocol: str) -> Callable[[int], ReconciliationResult]:
+        def run(seed: int) -> ReconciliationResult:
+            instance = make_instance(seed)
+            # The naive protocol is parameterised by differing children, the
+            # other three by total element changes (Table 1's d_hat vs d).
+            bound = (
+                instance.differing_children
+                if protocol == "naive"
+                else instance.planted_difference
+            )
+            return reconcile(
+                instance.alice,
+                instance.bob,
+                protocol=protocol,
+                seed=seed,
+                difference_bound=bound,
+                differing_children_bound=instance.differing_children,
+                universe_size=instance.universe_size,
+                max_child_size=instance.max_child_size,
+                backend=config.backend,
+                field_kernel=config.field_kernel,
+            )
 
-    def run_flat(seed: int):
-        instance = make_instance(seed)
-        return reconcile_iblt_of_iblts(
-            instance.alice,
-            instance.bob,
-            instance.planted_difference,
-            instance.universe_size,
-            seed,
-            differing_children_bound=instance.differing_children,
-        )
-
-    def run_cascading(seed: int):
-        instance = make_instance(seed)
-        return reconcile_cascading(
-            instance.alice,
-            instance.bob,
-            instance.planted_difference,
-            instance.universe_size,
-            instance.max_child_size,
-            seed,
-            differing_children_bound=instance.differing_children,
-            backend=config.backend,
-            field_kernel=config.field_kernel,
-        )
-
-    def run_multiround(seed: int):
-        instance = make_instance(seed)
-        return reconcile_multiround(
-            instance.alice,
-            instance.bob,
-            instance.planted_difference,
-            instance.universe_size,
-            instance.max_child_size,
-            seed,
-            differing_children_bound=instance.differing_children,
-            backend=config.backend,
-            field_kernel=config.field_kernel,
-        )
+        return run
 
     runners = [
-        ("naive (Thm 3.3)", run_naive),
-        ("IBLT of IBLTs (Thm 3.5)", run_flat),
-        ("cascading (Thm 3.7)", run_cascading),
-        ("multi-round (Thm 3.9)", run_multiround),
+        ("naive (Thm 3.3)", session_for("naive")),
+        ("IBLT of IBLTs (Thm 3.5)", session_for("iblt_of_iblts")),
+        ("cascading (Thm 3.7)", session_for("cascading")),
+        ("multi-round (Thm 3.9)", session_for("multiround")),
     ]
     return [
         measure_protocol(name, runner, repeats=config.repeats, base_seed=config.seed)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.comm import ReconciliationResult
-from repro.core.setrecon.ibf import reconcile_known_d
 from repro.errors import ParameterError
 
 
@@ -81,16 +80,17 @@ def reconcile_multiset_known_d(
     should pass ``2 * d`` to be safe -- the convenience wrapper in the
     sets-of-sets layer does exactly that.
     """
-    encoded_alice = encode_multiset(alice, max_multiplicity)
-    encoded_bob = encode_multiset(bob, max_multiplicity)
+    from repro.protocols.parties.setrecon import SetReconContext, ibf_parties
+    from repro.protocols.session import run_session
+
     pair_universe = universe_size * (max_multiplicity + 1) + max_multiplicity + 1
-    result = reconcile_known_d(
-        encoded_alice,
-        encoded_bob,
+    alice_party, bob_party = ibf_parties(
+        encode_multiset(alice, max_multiplicity),
+        encode_multiset(bob, max_multiplicity),
         difference_bound,
-        pair_universe,
-        seed,
+        SetReconContext(pair_universe, seed),
     )
+    result = run_session(alice_party, bob_party)
     if result.success:
         result.recovered = decode_multiset(result.recovered, max_multiplicity)
     return result

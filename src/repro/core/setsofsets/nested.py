@@ -12,18 +12,21 @@ encoded-element changes, which only affects constants.
 
 Because the encoded parent is an ordinary :class:`SetOfSets`, nested
 reconciliation routes through the batched child-sketch pipeline for free:
-the default cascading protocol builds every encoded child's sketch through
+the cascading protocol builds every encoded child's sketch through
 :class:`~repro.iblt.multi.IBLTArray` in one flat pass per level.
+
+This module holds the types and the encoding; the protocol itself (Theorem
+3.11) is the party pair in :mod:`repro.protocols.parties.setsofsets`, and
+:func:`reconcile_multisets_of_multisets` is a thin alias running it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.comm import ReconciliationResult
 from repro.core.setrecon.multiset import decode_multiset, encode_multiset
-from repro.core.setsofsets.cascading import reconcile_cascading
 from repro.core.setsofsets.types import SetOfSets
 from repro.errors import ParameterError
 
@@ -206,11 +209,13 @@ def reconcile_multisets_of_multisets(
     *,
     element_multiplicity_bound: int | None = None,
     parent_multiplicity_bound: int | None = None,
-    protocol: Callable[..., ReconciliationResult] | None = None,
     backend: str | None = None,
-    **protocol_kwargs,
 ) -> ReconciliationResult:
     """Reconcile two multisets of multisets (one-way, Bob recovers Alice's).
+
+    Thin wrapper over the party pair of
+    :mod:`repro.protocols.parties.setsofsets` (in-memory session), which runs
+    the cascading protocol of Theorem 3.7 on the encoded parents.
 
     Parameters
     ----------
@@ -224,51 +229,21 @@ def reconcile_multisets_of_multisets(
         Universe of the underlying elements.
     element_multiplicity_bound, parent_multiplicity_bound:
         Bounds on multiplicities; default to what the two inputs exhibit.
-    protocol:
-        The underlying set-of-sets protocol; defaults to the cascading
-        protocol of Theorem 3.7.  It must accept
-        ``(alice, bob, difference_bound, universe_size, max_child_size, seed)``.
     backend:
-        Cell-store backend forwarded to the underlying protocol (only when
-        set, so custom protocols without a ``backend`` parameter keep
-        working); see :mod:`repro.config`.
+        Cell-store backend for every table the protocol builds; see
+        :mod:`repro.config`.
     """
-    if backend is not None:
-        protocol_kwargs = dict(protocol_kwargs, backend=backend)
-    if element_multiplicity_bound is None:
-        element_multiplicity_bound = max(
-            alice.max_element_multiplicity, bob.max_element_multiplicity
-        )
-    if parent_multiplicity_bound is None:
-        parent_multiplicity_bound = max(
-            alice.max_parent_multiplicity, bob.max_parent_multiplicity
-        )
-    if protocol is None:
-        protocol = reconcile_cascading
+    from repro.protocols.parties.setsofsets import multisets_of_multisets_parties
+    from repro.protocols.session import run_session
 
-    encoded_alice = encode_multiset_children(
-        alice, universe_size, element_multiplicity_bound, parent_multiplicity_bound
-    )
-    encoded_bob = encode_multiset_children(
-        bob, universe_size, element_multiplicity_bound, parent_multiplicity_bound
-    )
-    encoded_universe = encoded_universe_size(
-        universe_size, element_multiplicity_bound, parent_multiplicity_bound
-    )
-    encoded_bound = 2 * max(1, difference_bound) + 2
-    max_child = max(1, max(encoded_alice.max_child_size, encoded_bob.max_child_size))
-
-    result = protocol(
-        encoded_alice,
-        encoded_bob,
-        encoded_bound,
-        encoded_universe,
-        max_child,
+    alice_party, bob_party = multisets_of_multisets_parties(
+        alice,
+        bob,
+        difference_bound,
+        universe_size,
         seed,
-        **protocol_kwargs,
+        element_multiplicity_bound=element_multiplicity_bound,
+        parent_multiplicity_bound=parent_multiplicity_bound,
+        backend=backend,
     )
-    if result.success:
-        result.recovered = decode_multiset_children(
-            result.recovered, universe_size, element_multiplicity_bound
-        )
-    return result
+    return run_session(alice_party, bob_party)

@@ -1,15 +1,14 @@
-"""End-to-end reconciliation of binary relational tables."""
+"""End-to-end reconciliation of binary relational tables.
+
+The protocol is ``db_parties`` in
+:mod:`repro.protocols.parties.applications`; :func:`reconcile_tables` is a
+thin alias running it over an in-memory session.
+"""
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.comm import ReconciliationResult
-from repro.core.setsofsets.cascading import reconcile_cascading
-from repro.core.setsofsets.naive import reconcile_naive
 from repro.db.table import BinaryTable
-from repro.errors import ParameterError
-from repro.hashing import derive_seed
 
 
 def reconcile_tables(
@@ -18,9 +17,8 @@ def reconcile_tables(
     flipped_bits_bound: int,
     seed: int,
     *,
-    protocol: str | Callable[..., ReconciliationResult] = "cascading",
+    protocol: str = "cascading",
     backend: str | None = None,
-    **protocol_kwargs,
 ) -> ReconciliationResult:
     """One-way reconciliation of two binary tables (Bob recovers Alice's).
 
@@ -35,46 +33,19 @@ def reconcile_tables(
         Shared seed.
     protocol:
         Which set-of-sets protocol to use: ``"cascading"`` (Theorem 3.7,
-        default), ``"naive"`` (Theorem 3.3), or any callable following the
-        ``(alice, bob, d, u, h, seed, ...)`` convention.
+        default) or ``"naive"`` (Theorem 3.3).
     backend:
-        IBLT cell-store backend forwarded to the protocol when set (see
-        :mod:`repro.config`).
+        IBLT cell-store backend (see :mod:`repro.config`).
 
     Returns
     -------
     ReconciliationResult
         ``recovered`` is a :class:`BinaryTable` equal to Alice's.
     """
-    if alice.columns != bob.columns:
-        raise ParameterError("tables must share the same columns")
-    if backend is not None:
-        protocol_kwargs = dict(protocol_kwargs, backend=backend)
-    universe = alice.num_columns
-    max_child = max(
-        1,
-        alice.to_sets_of_sets().max_child_size,
-        bob.to_sets_of_sets().max_child_size,
-    )
-    if protocol == "cascading":
-        protocol_fn: Callable[..., ReconciliationResult] = reconcile_cascading
-    elif protocol == "naive":
-        def protocol_fn(a, b, d, u, h, s, **kw):
-            return reconcile_naive(a, b, max(1, d), u, h, s, **kw)
-    elif callable(protocol):
-        protocol_fn = protocol
-    else:
-        raise ParameterError(f"unknown protocol {protocol!r}")
+    from repro.protocols.parties.applications import db_parties
+    from repro.protocols.session import run_session
 
-    result = protocol_fn(
-        alice.to_sets_of_sets(),
-        bob.to_sets_of_sets(),
-        max(1, flipped_bits_bound),
-        universe,
-        max_child,
-        derive_seed(seed, "db"),
-        **protocol_kwargs,
+    alice_party, bob_party = db_parties(
+        alice, bob, flipped_bits_bound, seed, protocol=protocol, backend=backend
     )
-    if result.success:
-        result.recovered = BinaryTable.from_sets_of_sets(alice.columns, result.recovered)
-    return result
+    return run_session(alice_party, bob_party)

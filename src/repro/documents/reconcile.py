@@ -7,18 +7,19 @@ near-duplicate and non-duplicate documents."  Here the signature sets are
 reconciled with a set-of-sets protocol, after which
 :func:`classify_documents` labels each of Alice's documents as an exact
 duplicate, a near duplicate, or fresh relative to Bob's collection.
+
+The protocol is ``documents_parties`` in
+:mod:`repro.protocols.parties.applications`; :func:`reconcile_collections`
+is a thin alias running it over an in-memory session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.comm import ReconciliationResult
-from repro.core.setsofsets.iblt_of_iblts import reconcile_iblt_of_iblts
 from repro.documents.collection import DocumentCollection
 from repro.errors import ParameterError
-from repro.hashing import derive_seed
 
 
 def reconcile_collections(
@@ -27,11 +28,15 @@ def reconcile_collections(
     shingle_difference_bound: int,
     seed: int,
     *,
-    protocol: Callable[..., ReconciliationResult] | None = None,
+    differing_children_bound: int | None = None,
     backend: str | None = None,
-    **protocol_kwargs,
 ) -> ReconciliationResult:
     """One-way reconciliation of the signature sets of two collections.
+
+    Thin wrapper over ``documents_parties`` in
+    :mod:`repro.protocols.parties.applications` (in-memory session), which
+    runs the IBLT-of-IBLTs protocol of Theorem 3.5 -- the one the paper
+    singles out for this application.
 
     ``recovered`` is the :class:`~repro.core.setsofsets.SetOfSets` of Alice's
     document signatures, from which Bob learns exactly which signatures he is
@@ -42,33 +47,24 @@ def reconcile_collections(
     shingle_difference_bound:
         Bound on the total number of differing shingle hashes across matched
         document pairs (the paper's ``d``).
-    protocol:
-        Set-of-sets protocol; defaults to the IBLT-of-IBLTs protocol of
-        Theorem 3.5, which the paper singles out for this application.  Must
-        follow the ``(alice, bob, d, u, seed, ...)`` convention of
-        :func:`reconcile_iblt_of_iblts`.
+    differing_children_bound:
+        Bound ``d_hat`` on the number of differing documents; defaults to
+        ``shingle_difference_bound``.
     backend:
-        IBLT cell-store backend forwarded to the protocol when set (see
-        :mod:`repro.config`).
+        IBLT cell-store backend (see :mod:`repro.config`).
     """
-    if backend is not None:
-        protocol_kwargs = dict(protocol_kwargs, backend=backend)
-    if (
-        alice.shingle_size != bob.shingle_size
-        or alice.seed != bob.seed
-        or alice.hash_bits != bob.hash_bits
-    ):
-        raise ParameterError("collections must share shingling parameters")
-    if protocol is None:
-        protocol = reconcile_iblt_of_iblts
-    return protocol(
-        alice.to_sets_of_sets(),
-        bob.to_sets_of_sets(),
-        max(1, shingle_difference_bound),
-        alice.universe_size,
-        derive_seed(seed, "documents"),
-        **protocol_kwargs,
+    from repro.protocols.parties.applications import documents_parties
+    from repro.protocols.session import run_session
+
+    alice_party, bob_party = documents_parties(
+        alice,
+        bob,
+        shingle_difference_bound,
+        seed,
+        differing_children_bound=differing_children_bound,
+        backend=backend,
     )
+    return run_session(alice_party, bob_party)
 
 
 @dataclass

@@ -12,24 +12,19 @@ after reconciling the *set of multisets* of signatures.
 Costs roughly ``O(pn)`` times more communication than the degree-ordering
 scheme (every edge change perturbs ~``2pn`` signatures by one element), which
 is exactly the trade-off Theorem 5.6 describes.
+
+This module holds the signature encoding and the change bound; the protocol
+is ``degree_neighborhood_parties`` in :mod:`repro.protocols.parties.graphs`,
+and :func:`reconcile_degree_neighborhood` is a thin alias running it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from repro.comm import ReconciliationResult, Transcript
-from repro.core.setrecon import reconcile_known_d
+from repro.comm import ReconciliationResult
 from repro.core.setrecon.multiset import decode_multiset, encode_multiset
-from repro.core.setsofsets import SetOfSets
-from repro.core.setsofsets.cascading import reconcile_cascading
-from repro.errors import ParameterError
 from repro.graphs.graph import Graph
-from repro.graphs.separation import (
-    degree_neighborhood_signatures,
-    multiset_difference_size,
-)
-from repro.hashing import derive_seed
 
 
 def _encode_signature(signature: Counter, multiplicity_bound: int) -> frozenset[int]:
@@ -59,11 +54,11 @@ def reconcile_degree_neighborhood(
     difference_bound: int,
     max_degree: int,
     seed: int,
-    *,
-    signature_protocol=reconcile_cascading,
-    signature_bound: int | None = None,
 ) -> ReconciliationResult:
     """One-round reconciliation with degree-neighborhood signatures (Theorem 5.6).
+
+    Thin wrapper over the party state machines of
+    :mod:`repro.protocols.parties.graphs` (in-memory session).
 
     Parameters
     ----------
@@ -74,117 +69,13 @@ def reconcile_degree_neighborhood(
     max_degree:
         The signature truncation threshold (the paper's ``pn``); both parties
         must use the same value.
-    signature_bound:
-        Optional override of the total encoded-change bound passed to the
-        set-of-sets protocol (defaults to :func:`signature_change_bound`).
+    seed:
+        Shared seed.
     """
-    if alice.num_vertices != bob.num_vertices:
-        raise ParameterError("graph reconciliation requires equal vertex counts")
-    difference_bound = max(1, difference_bound)
-    transcript = Transcript()
-    multiplicity_bound = alice.num_vertices  # a degree value occurs at most n times
-    if signature_bound is None:
-        signature_bound = signature_change_bound(difference_bound, max_degree)
+    from repro.protocols.parties.graphs import degree_neighborhood_parties
+    from repro.protocols.session import run_session
 
-    # ---- Alice: signatures, canonical labeling by signature order, edges.
-    alice_signatures = degree_neighborhood_signatures(alice, max_degree)
-    alice_encoded = {
-        vertex: _encode_signature(signature, multiplicity_bound)
-        for vertex, signature in alice_signatures.items()
-    }
-    if len(set(alice_encoded.values())) != alice.num_vertices:
-        return ReconciliationResult(
-            False, None, transcript, details={"failure": "alice-not-disjoint"}
-        )
-    alice_order = sorted(alice_encoded, key=lambda v: sorted(alice_encoded[v]))
-    alice_labeling = {vertex: rank for rank, vertex in enumerate(alice_order)}
-    alice_canonical = alice.relabel(
-        [alice_labeling[v] for v in range(alice.num_vertices)]
+    alice_party, bob_party = degree_neighborhood_parties(
+        alice, bob, difference_bound, max_degree, seed
     )
-    alice_signature_set = SetOfSets(alice_encoded.values())
-
-    # ---- Bob: his signatures.
-    bob_signatures = degree_neighborhood_signatures(bob, max_degree)
-    bob_encoded = {
-        vertex: _encode_signature(signature, multiplicity_bound)
-        for vertex, signature in bob_signatures.items()
-    }
-    bob_signature_set = SetOfSets(bob_encoded.values())
-
-    pair_universe = (alice.num_vertices + 1) * (multiplicity_bound + 1) + multiplicity_bound + 1
-    max_child = max(
-        1, alice_signature_set.max_child_size, bob_signature_set.max_child_size
-    )
-
-    # ---- Message part (a): reconcile the signature multisets.
-    bits_before_signatures = transcript.total_bits
-    signature_result = signature_protocol(
-        alice_signature_set,
-        bob_signature_set,
-        signature_bound,
-        pair_universe,
-        max_child,
-        derive_seed(seed, "degree-neighborhood-signatures"),
-        transcript=transcript,
-    )
-    if not signature_result.success:
-        return ReconciliationResult(
-            False,
-            None,
-            transcript,
-            details={"failure": "signature-reconciliation", **signature_result.details},
-        )
-
-    # ---- Bob aligns with Alice's labeling via closest signatures.
-    alice_children = signature_result.recovered.sorted_children()
-    if len(alice_children) != alice.num_vertices:
-        return ReconciliationResult(
-            False, None, transcript, details={"failure": "signature-count"}
-        )
-    alice_counters = [_decode_signature(child, multiplicity_bound) for child in alice_children]
-    label_of_rank = {rank: rank for rank in range(len(alice_children))}
-    bob_labeling: dict[int, int] = {}
-    used: set[int] = set()
-    for vertex in bob.vertices():
-        bob_counter = bob_signatures[vertex]
-        best_rank = None
-        best_distance = None
-        for rank, alice_counter in enumerate(alice_counters):
-            distance = multiset_difference_size(bob_counter, alice_counter)
-            if best_distance is None or distance < best_distance:
-                best_distance = distance
-                best_rank = rank
-        if best_rank is None or best_distance > 2 * difference_bound or best_rank in used:
-            return ReconciliationResult(
-                False, None, transcript, details={"failure": "conforming-match"}
-            )
-        used.add(best_rank)
-        bob_labeling[vertex] = label_of_rank[best_rank]
-    bob_canonical = bob.relabel([bob_labeling[v] for v in range(bob.num_vertices)])
-
-    # ---- Message part (b): labeled-edge reconciliation.
-    signature_bits = transcript.total_bits - bits_before_signatures
-    edge_result = reconcile_known_d(
-        alice_canonical.edge_keys(),
-        bob_canonical.edge_keys(),
-        difference_bound,
-        alice_canonical.edge_key_universe,
-        derive_seed(seed, "degree-neighborhood-edges"),
-        transcript=transcript,
-    )
-    if not edge_result.success:
-        return ReconciliationResult(
-            False, None, transcript, details={"failure": "edge-reconciliation"}
-        )
-    recovered = Graph.from_edge_keys(alice.num_vertices, edge_result.recovered)
-    return ReconciliationResult(
-        True,
-        recovered,
-        transcript,
-        details={
-            "bob_canonical_labeling": bob_labeling,
-            "max_degree": max_degree,
-            "signature_bits": signature_bits,
-            "edge_bits": transcript.total_bits - bits_before_signatures - signature_bits,
-        },
-    )
+    return run_session(alice_party, bob_party)

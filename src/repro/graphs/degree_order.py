@@ -20,18 +20,18 @@ Theorem 5.3):
 ``recovered`` is Alice's graph expressed in the canonical labeling (i.e. a
 graph isomorphic to hers that Bob can now hold); ``details`` carries the
 conforming labeling Bob computed for his own vertex ids.
+
+This module holds the local labeling transforms; the protocol is
+``degree_order_parties`` in :mod:`repro.protocols.parties.graphs`, and
+:func:`reconcile_degree_order` is a thin alias running it.
 """
 
 from __future__ import annotations
 
-from repro.comm import ReconciliationResult, Transcript
-from repro.core.setrecon import reconcile_known_d
+from repro.comm import ReconciliationResult
 from repro.core.setsofsets import SetOfSets
-from repro.core.setsofsets.cascading import reconcile_cascading
 from repro.errors import ParameterError
 from repro.graphs.graph import Graph
-from repro.graphs.separation import degree_order_signatures
-from repro.hashing import derive_seed
 
 
 def canonical_labeling_from_signatures(
@@ -99,10 +99,11 @@ def reconcile_degree_order(
     difference_bound: int,
     num_top: int,
     seed: int,
-    *,
-    signature_protocol=reconcile_cascading,
 ) -> ReconciliationResult:
     """One-round random graph reconciliation (Theorem 5.2).
+
+    Thin wrapper over the party state machines of
+    :mod:`repro.protocols.parties.graphs` (in-memory session).
 
     Parameters
     ----------
@@ -115,92 +116,11 @@ def reconcile_degree_order(
         random graphs separated with high probability).
     seed:
         Shared seed.
-    signature_protocol:
-        Set-of-sets protocol used for the signatures (cascading by default);
-        must follow the ``(alice, bob, d, u, h, seed, ...)`` signature.
     """
-    if alice.num_vertices != bob.num_vertices:
-        raise ParameterError("graph reconciliation requires equal vertex counts")
-    if num_top <= 0 or num_top > alice.num_vertices:
-        raise ParameterError("num_top must lie in (0, num_vertices]")
-    difference_bound = max(1, difference_bound)
-    transcript = Transcript()
+    from repro.protocols.parties.graphs import degree_order_parties
+    from repro.protocols.session import run_session
 
-    # ---- Alice's side: signatures, canonical labeling, canonical edge keys.
-    alice_top, alice_signatures = degree_order_signatures(alice, num_top)
-    try:
-        alice_labeling = canonical_labeling_from_signatures(alice_top, alice_signatures)
-    except ParameterError:
-        return ReconciliationResult(
-            False, None, transcript, details={"failure": "alice-not-separated"}
-        )
-    alice_canonical = alice.relabel(
-        [alice_labeling[v] for v in range(alice.num_vertices)]
+    alice_party, bob_party = degree_order_parties(
+        alice, bob, difference_bound, num_top, seed
     )
-    alice_signature_set = SetOfSets(alice_signatures.values())
-    if alice_signature_set.num_children != len(alice_signatures):
-        return ReconciliationResult(
-            False, None, transcript, details={"failure": "alice-not-separated"}
-        )
-
-    # ---- Bob's side: his own signatures (needed before protocol messages apply).
-    bob_top, bob_signatures = degree_order_signatures(bob, num_top)
-    bob_signature_set = SetOfSets(bob_signatures.values())
-
-    # ---- Message part (a): reconcile the signature sets (set of sets, u = h).
-    bits_before_signatures = transcript.total_bits
-    signature_result = signature_protocol(
-        alice_signature_set,
-        bob_signature_set,
-        difference_bound,
-        num_top,
-        num_top,
-        derive_seed(seed, "degree-order-signatures"),
-        transcript=transcript,
-    )
-    if not signature_result.success:
-        return ReconciliationResult(
-            False,
-            None,
-            transcript,
-            details={"failure": "signature-reconciliation", **signature_result.details},
-        )
-
-    # ---- Bob aligns his labeling with Alice's.
-    conforming = _conforming_labels_for_bob(
-        signature_result.recovered, bob_signatures, num_top, difference_bound
-    )
-    if conforming is None:
-        return ReconciliationResult(
-            False, None, transcript, details={"failure": "conforming-match"}
-        )
-    bob_labeling = {vertex: rank for rank, vertex in enumerate(bob_top)}
-    bob_labeling.update(conforming)
-    bob_canonical = bob.relabel([bob_labeling[v] for v in range(bob.num_vertices)])
-
-    # ---- Message part (b): labeled-edge reconciliation under the shared labeling.
-    signature_bits = transcript.total_bits - bits_before_signatures
-    edge_result = reconcile_known_d(
-        alice_canonical.edge_keys(),
-        bob_canonical.edge_keys(),
-        difference_bound,
-        alice_canonical.edge_key_universe,
-        derive_seed(seed, "degree-order-edges"),
-        transcript=transcript,
-    )
-    if not edge_result.success:
-        return ReconciliationResult(
-            False, None, transcript, details={"failure": "edge-reconciliation"}
-        )
-    recovered = Graph.from_edge_keys(alice.num_vertices, edge_result.recovered)
-    return ReconciliationResult(
-        True,
-        recovered,
-        transcript,
-        details={
-            "bob_canonical_labeling": bob_labeling,
-            "num_top": num_top,
-            "signature_bits": signature_bits,
-            "edge_bits": transcript.total_bits - bits_before_signatures - signature_bits,
-        },
-    )
+    return run_session(alice_party, bob_party)

@@ -16,6 +16,10 @@ A rooted forest is stored as a parent array.  The reconciliation scheme:
 4.  Bob reconstructs Alice's forest from the recovered collection: vertices
     are grouped by signature, and the edge signatures attached to a repeated
     signature divide evenly among its copies.
+
+This module holds the forest type, the signatures and the reconstruction;
+the protocol is ``forest_parties`` in :mod:`repro.protocols.parties.graphs`,
+and :func:`reconcile_forest` is a thin alias running it.
 """
 
 from __future__ import annotations
@@ -24,11 +28,7 @@ from collections import Counter, deque
 from typing import Sequence
 
 from repro.comm import ReconciliationResult
-from repro.core.setsofsets.cascading import reconcile_cascading
-from repro.core.setsofsets.nested import (
-    MultisetOfMultisets,
-    reconcile_multisets_of_multisets,
-)
+from repro.core.setsofsets.nested import MultisetOfMultisets
 from repro.errors import ParameterError
 from repro.hashing import SeededHasher, derive_seed, int_to_bytes
 
@@ -195,7 +195,7 @@ def ahu_signatures(forest: RootedForest, seed: int, signature_bits: int = 48) ->
 
 
 # ---------------------------------------------------------------------------
-# Reconciliation (Theorem 6.1)
+# Reconciliation (Theorem 6.1): collection transform, reconstruction, alias
 # ---------------------------------------------------------------------------
 
 
@@ -270,16 +270,6 @@ def _reconstruct_forest(
     return RootedForest(parents)
 
 
-def forest_signature_multiset_hash(
-    forest: RootedForest, seed: int, signature_bits: int = 48
-) -> int:
-    """Order-independent hash of the multiset of vertex signatures (verification aid)."""
-    signatures = ahu_signatures(forest, seed, signature_bits)
-    hasher = SeededHasher(derive_seed(seed, "forest-verify"), 64)
-    payload = b"".join(int_to_bytes(s, 8) for s in sorted(signatures))
-    return hasher.hash_bytes(payload)
-
-
 def reconcile_forest(
     alice: RootedForest,
     bob: RootedForest,
@@ -288,9 +278,11 @@ def reconcile_forest(
     seed: int,
     *,
     signature_bits: int = 48,
-    protocol=reconcile_cascading,
 ) -> ReconciliationResult:
     """One-round forest reconciliation (Theorem 6.1).
+
+    Thin wrapper over the party state machines of
+    :mod:`repro.protocols.parties.graphs` (in-memory session).
 
     Parameters
     ----------
@@ -304,62 +296,16 @@ def reconcile_forest(
         (fine in simulations, where both sides are visible).
     seed:
         Shared seed.
-    protocol:
-        Underlying set-of-sets protocol for the encoded multisets.
 
     Returns
     -------
     ReconciliationResult
         ``recovered`` is a :class:`RootedForest` isomorphic to Alice's.
     """
-    difference_bound = max(1, difference_bound)
-    if max_depth is None:
-        max_depth = max(alice.max_depth, bob.max_depth)
-    max_depth = max(1, max_depth)
+    from repro.protocols.parties.graphs import forest_parties
+    from repro.protocols.session import run_session
 
-    alice_signatures = ahu_signatures(alice, seed, signature_bits)
-    bob_signatures = ahu_signatures(bob, seed, signature_bits)
-    alice_collection = _edge_multisets(alice, alice_signatures, signature_bits)
-    bob_collection = _edge_multisets(bob, bob_signatures, signature_bits)
-
-    # Each edge edit changes the signatures of at most ``sigma`` ancestors;
-    # each changed signature perturbs two multisets (its own tagged entry and
-    # its parent's child entry), and the edit itself moves one child entry.
-    change_bound = difference_bound * (4 * max_depth + 2)
-    universe = 1 << (signature_bits + 1)
-
-    result = reconcile_multisets_of_multisets(
-        alice_collection,
-        bob_collection,
-        change_bound,
-        universe,
-        derive_seed(seed, "forest-sos"),
-        protocol=protocol,
+    alice_party, bob_party = forest_parties(
+        alice, bob, difference_bound, max_depth, seed, signature_bits=signature_bits
     )
-    if not result.success:
-        return ReconciliationResult(
-            False,
-            None,
-            result.transcript,
-            details={"failure": "collection-reconciliation", **result.details},
-        )
-    reconstructed = _reconstruct_forest(result.recovered, signature_bits)
-    if reconstructed is None:
-        return ReconciliationResult(
-            False, None, result.transcript, details={"failure": "reconstruction"}
-        )
-    # Local sanity check: the rebuilt forest must reproduce the recovered
-    # collection (catches reconstruction bugs and signature collisions).
-    rebuilt_signatures = ahu_signatures(reconstructed, seed, signature_bits)
-    rebuilt_collection = _edge_multisets(reconstructed, rebuilt_signatures, signature_bits)
-    verified = rebuilt_collection == result.recovered
-    return ReconciliationResult(
-        verified,
-        reconstructed if verified else None,
-        result.transcript,
-        details={
-            "max_depth": max_depth,
-            "change_bound": change_bound,
-            "failure": None if verified else "reconstruction-verification",
-        },
-    )
+    return run_session(alice_party, bob_party)

@@ -4,10 +4,17 @@ Both applications are transforms around a set-of-sets protocol: binary
 relational tables become sets of row-sets (reconciled with cascading by
 default), document collections become sets of shingle-signature sets
 (reconciled with IBLT-of-IBLTs, the protocol the paper singles out for the
-application).
+application).  This module is the only spelling of each protocol;
+``reconcile_tables`` and ``reconcile_collections`` are thin wrappers running
+these parties over an in-memory session.  Both builders forward their
+``context_options`` to :func:`context_for`, so every
+:class:`SetsOfSetsContext` knob (``differing_children_bound``, ``backend``,
+``fallback_to_all_children``, ...) reaches the underlying protocol.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 from repro.db.table import BinaryTable
 from repro.documents.collection import DocumentCollection
@@ -32,14 +39,13 @@ def db_parties(
     seed: int,
     *,
     protocol: str = "cascading",
-    backend: str | None = None,
-    child_hash_bits: int = 48,
-    num_hashes: int = 4,
-    level_slack: float = 3.0,
+    **context_options: Any,
 ) -> PartyPair:
     """Both parties for binary-table reconciliation (Bob recovers Alice's)."""
     if alice.columns != bob.columns:
         raise ParameterError("tables must share the same columns")
+    if protocol not in ("cascading", "naive"):
+        raise ParameterError(f"unknown protocol {protocol!r}")
     columns = alice.columns
     alice_sets = alice.to_sets_of_sets()
     bob_sets = bob.to_sets_of_sets()
@@ -52,13 +58,8 @@ def db_parties(
         universe,
         derive_seed(seed, "db"),
         max_child_size=max_child,
-        backend=backend,
-        child_hash_bits=child_hash_bits,
-        num_hashes=num_hashes,
-        level_slack=level_slack,
+        **context_options,
     )
-    if protocol not in ("cascading", "naive"):
-        raise ParameterError(f"unknown protocol {protocol!r}")
 
     def alice_party() -> PartyGenerator:
         if protocol == "naive":
@@ -86,10 +87,7 @@ def documents_parties(
     bob: DocumentCollection,
     shingle_difference_bound: int,
     seed: int,
-    *,
-    backend: str | None = None,
-    child_hash_bits: int = 48,
-    num_hashes: int = 4,
+    **context_options: Any,
 ) -> PartyPair:
     """Both parties for document-collection signature reconciliation.
 
@@ -111,9 +109,7 @@ def documents_parties(
         bob_sets,
         alice.universe_size,
         derive_seed(seed, "documents"),
-        backend=backend,
-        child_hash_bits=child_hash_bits,
-        num_hashes=num_hashes,
+        **context_options,
     )
 
     def alice_party() -> PartyGenerator:

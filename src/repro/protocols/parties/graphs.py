@@ -1,15 +1,18 @@
 """Party state machines for the graph and forest schemes (Sections 4-6).
 
 Each scheme composes the flat set / set-of-sets parties with its local
-signature and labeling computations:
+signature and labeling computations (the pure transforms live next to the
+data types in :mod:`repro.graphs`).  This module is the only spelling of each
+protocol; every ``reconcile_*`` function in :mod:`repro.graphs` is a thin
+wrapper running these parties over an in-memory session:
 
 * ``labeled`` -- plain labeled-edge set reconciliation (Section 4).
 * ``exhaustive`` -- the ``O(d log n)``-bit brute-force scheme (Theorem 4.3).
 * ``degree_order`` -- degree-ordering signatures + cascading + edge recon
   (Theorem 5.2).
 * ``degree_neighborhood`` -- degree-neighborhood signatures (Theorem 5.6).
-* ``forest`` -- AHU signatures encoded as multisets-of-multisets over the
-  cascading protocol (Theorem 6.1).
+* ``forest`` -- AHU signatures as a multiset of multisets over the Theorem
+  3.11 parties (Theorem 6.1).
 
 The party builders precompute the *shared context* (signature-set sizes,
 multiplicity bounds, canonical primes) from both inputs -- the quantities the
@@ -25,11 +28,6 @@ from typing import Callable
 
 from repro.comm.bits import BitReader, BitWriter
 from repro.comm.sizing import bits_for_value
-from repro.core.setsofsets.nested import (
-    decode_multiset_children,
-    encode_multiset_children,
-    encoded_universe_size,
-)
 from repro.core.setsofsets.types import SetOfSets
 from repro.errors import ParameterError
 from repro.estimator import SetDifferenceEstimator
@@ -82,6 +80,7 @@ from repro.protocols.parties.setsofsets import (
     cascading_alice_known,
     cascading_bob_known,
     context_for,
+    multisets_of_multisets_parties,
 )
 from repro.protocols.wire import PayloadCodec
 
@@ -323,7 +322,6 @@ def degree_neighborhood_parties(
     max_degree: int,
     seed: int,
     *,
-    signature_bound: int | None = None,
     backend: str | None = None,
     child_hash_bits: int = 48,
     num_hashes: int = 4,
@@ -335,8 +333,7 @@ def degree_neighborhood_parties(
     difference_bound = max(1, difference_bound)
     num_vertices = alice.num_vertices
     multiplicity_bound = num_vertices  # a degree value occurs at most n times
-    if signature_bound is None:
-        signature_bound = signature_change_bound(difference_bound, max_degree)
+    change_bound = signature_change_bound(difference_bound, max_degree)
 
     alice_raw = degree_neighborhood_signatures(alice, max_degree)
     bob_raw = degree_neighborhood_signatures(bob, max_degree)
@@ -370,7 +367,7 @@ def degree_neighborhood_parties(
         alice.edge_key_universe, derive_seed(seed, "degree-neighborhood-edges"),
         num_hashes, backend,
     )
-    signature_bits = _cascade_plan(sig_ctx, signature_bound).total_bits
+    signature_bits = _cascade_plan(sig_ctx, change_bound).total_bits
 
     def alice_party() -> PartyGenerator:
         if len(set(alice_encoded.values())) != num_vertices:
@@ -378,7 +375,7 @@ def degree_neighborhood_parties(
         alice_order = sorted(alice_encoded, key=lambda v: sorted(alice_encoded[v]))
         alice_labeling = {vertex: rank for rank, vertex in enumerate(alice_order)}
         alice_canonical = alice.relabel([alice_labeling[v] for v in range(num_vertices)])
-        yield from cascading_alice_known(alice_signature_set, signature_bound, sig_ctx)
+        yield from cascading_alice_known(alice_signature_set, change_bound, sig_ctx)
         yield from ibf_alice(
             SetSource(alice_canonical.edge_keys(), edge_ctx), difference_bound
         )
@@ -386,7 +383,7 @@ def degree_neighborhood_parties(
 
     def bob_party() -> PartyGenerator:
         sig_outcome = yield from cascading_bob_known(
-            bob_signature_set, signature_bound, sig_ctx
+            bob_signature_set, change_bound, sig_ctx
         )
         if sig_outcome.aborted:
             return aborted_outcome()
@@ -483,45 +480,22 @@ def forest_parties(
     change_bound = difference_bound * (4 * max_depth + 2)
     universe = 1 << (signature_bits + 1)
 
-    # Multiset-of-multisets encoding (Theorem 3.11): multiplicity bounds and
-    # child sizes are public context derived from both collections.
-    element_multiplicity_bound = max(
-        alice_collection.max_element_multiplicity,
-        bob_collection.max_element_multiplicity,
-    )
-    parent_multiplicity_bound = max(
-        alice_collection.max_parent_multiplicity,
-        bob_collection.max_parent_multiplicity,
-    )
-    encoded_alice = encode_multiset_children(
-        alice_collection, universe, element_multiplicity_bound, parent_multiplicity_bound
-    )
-    encoded_bob = encode_multiset_children(
-        bob_collection, universe, element_multiplicity_bound, parent_multiplicity_bound
-    )
-    encoded_universe = encoded_universe_size(
-        universe, element_multiplicity_bound, parent_multiplicity_bound
-    )
-    encoded_bound = 2 * max(1, change_bound) + 2
-    max_child = max(1, encoded_alice.max_child_size, encoded_bob.max_child_size)
-    sos_ctx = context_for(
-        encoded_alice,
-        encoded_bob,
-        encoded_universe,
+    # The collections are multisets of multisets (isomorphic subtrees repeat),
+    # so they travel over the Theorem 3.11 parties.
+    collection_alice, collection_bob = multisets_of_multisets_parties(
+        alice_collection,
+        bob_collection,
+        change_bound,
+        universe,
         derive_seed(seed, "forest-sos"),
-        max_child_size=max_child,
         backend=backend,
         child_hash_bits=child_hash_bits,
         num_hashes=num_hashes,
         level_slack=level_slack,
     )
 
-    def alice_party() -> PartyGenerator:
-        yield from cascading_alice_known(encoded_alice, encoded_bound, sos_ctx)
-        return PartyOutcome(True)
-
     def bob_party() -> PartyGenerator:
-        outcome = yield from cascading_bob_known(encoded_bob, encoded_bound, sos_ctx)
+        outcome = yield from collection_bob
         if outcome.aborted:
             return aborted_outcome()
         if not outcome.success:
@@ -529,9 +503,7 @@ def forest_parties(
                 False,
                 details={"failure": "collection-reconciliation", **outcome.details},
             )
-        recovered_collection = decode_multiset_children(
-            outcome.recovered, universe, element_multiplicity_bound
-        )
+        recovered_collection = outcome.recovered
         reconstructed = _reconstruct_forest(recovered_collection, signature_bits)
         if reconstructed is None:
             return PartyOutcome(False, details={"failure": "reconstruction"})
@@ -552,4 +524,4 @@ def forest_parties(
             },
         )
 
-    return alice_party(), bob_party()
+    return collection_alice, bob_party()

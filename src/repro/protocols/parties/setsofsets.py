@@ -3,8 +3,10 @@
 The four SSRK protocols -- naive (Thm 3.3/3.4), IBLT-of-IBLTs (Thm 3.5 /
 Cor 3.6), cascading (Thm 3.7 / Cor 3.8) and multiround (Thm 3.9/3.10) --
 split into explicit alice/bob generators plus the wire codecs for their
-messages.  The legacy functions in :mod:`repro.core.setsofsets` are thin
-wrappers running these parties over an in-memory session.
+messages, followed by the multiset-of-multisets reduction (Thm 3.11) that
+runs the cascading parties on multiplicity-folded parents.  Every
+``reconcile_*`` function in :mod:`repro.core.setsofsets` is a thin wrapper
+running these parties over an in-memory session.
 
 Shared-context conventions (documented in docs/protocols.md): the universe
 size ``u``, child bound ``h``, the seed, and both parents' child counts and
@@ -38,6 +40,12 @@ from repro.core.setsofsets.encoding import (
     child_set_hash,
     child_set_hash_many,
     parent_hash,
+)
+from repro.core.setsofsets.nested import (
+    MultisetOfMultisets,
+    decode_multiset_children,
+    encode_multiset_children,
+    encoded_universe_size,
 )
 from repro.core.setsofsets.types import SetOfSets
 from repro.errors import ParameterError
@@ -807,6 +815,64 @@ def cascading_parties(
         doubling_alice(known_alice, initial_bound, max_bound),
         doubling_bob(known_bob, initial_bound, max_bound),
     )
+
+
+# ---------------------------------------------------------------------------
+# Multisets of multisets (Section 3.4, Theorem 3.11)
+# ---------------------------------------------------------------------------
+
+
+def multisets_of_multisets_parties(
+    alice: MultisetOfMultisets,
+    bob: MultisetOfMultisets,
+    difference_bound: int,
+    universe_size: int,
+    seed: int,
+    *,
+    element_multiplicity_bound: int | None = None,
+    parent_multiplicity_bound: int | None = None,
+    **context_options: Any,
+) -> PartyPair:
+    """Both parties for Theorem 3.11: cascading over multiplicity-folded parents.
+
+    ``difference_bound`` counts element insertions/deletions (the paper's
+    ``d``); it is doubled internally because one multiplicity change touches
+    two encoded pairs.  The multiplicity bounds are public context and
+    default to what the two inputs exhibit; ``context_options`` are forwarded
+    to :func:`context_for`.  Bob's ``recovered`` is Alice's
+    :class:`MultisetOfMultisets`.
+    """
+    element_bound = (
+        element_multiplicity_bound
+        if element_multiplicity_bound is not None
+        else max(alice.max_element_multiplicity, bob.max_element_multiplicity)
+    )
+    parent_bound = (
+        parent_multiplicity_bound
+        if parent_multiplicity_bound is not None
+        else max(alice.max_parent_multiplicity, bob.max_parent_multiplicity)
+    )
+    encoded_alice = encode_multiset_children(alice, universe_size, element_bound, parent_bound)
+    encoded_bob = encode_multiset_children(bob, universe_size, element_bound, parent_bound)
+    encoded_bound = 2 * max(1, difference_bound) + 2
+    ctx = context_for(
+        encoded_alice,
+        encoded_bob,
+        encoded_universe_size(universe_size, element_bound, parent_bound),
+        seed,
+        max_child_size=max(1, encoded_alice.max_child_size, encoded_bob.max_child_size),
+        **context_options,
+    )
+
+    def bob_party() -> PartyGenerator:
+        outcome = yield from cascading_bob_known(encoded_bob, encoded_bound, ctx)
+        if outcome.success:
+            outcome.recovered = decode_multiset_children(
+                outcome.recovered, universe_size, element_bound
+            )
+        return outcome
+
+    return cascading_alice_known(encoded_alice, encoded_bound, ctx), bob_party()
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,22 @@ def _derived_max_child_size(alice: Any, bob: Any, options: ReconcileOptions) -> 
     return max(1, alice.max_child_size, bob.max_child_size)
 
 
+def _sets_of_sets_options(options: ReconcileOptions) -> dict[str, Any]:
+    """The ``SetsOfSetsContext`` fields every set-of-sets protocol takes from ``options``."""
+    return dict(
+        num_hashes=options.num_hashes,
+        child_hash_bits=options.child_hash_bits,
+        backend=options.backend,
+        field_kernel=options.field_kernel,
+        differing_children_bound=options.differing_children_bound,
+        level_slack=options.level_slack,
+        safety_factor=options.safety_factor,
+        estimate_safety=options.estimate_safety,
+        estimator_factory=options.estimator_factory,
+        fallback_to_all_children=options.fallback_to_all_children,
+    )
+
+
 def _sets_of_sets_context(
     alice: Any, bob: Any, options: ReconcileOptions, **extra: Any
 ) -> Any:
@@ -177,16 +193,7 @@ def _sets_of_sets_context(
         bob,
         options.universe_size,
         options.seed,
-        num_hashes=options.num_hashes,
-        child_hash_bits=options.child_hash_bits,
-        backend=options.backend,
-        field_kernel=options.field_kernel,
-        differing_children_bound=options.differing_children_bound,
-        level_slack=options.level_slack,
-        safety_factor=options.safety_factor,
-        estimate_safety=options.estimate_safety,
-        estimator_factory=options.estimator_factory,
-        fallback_to_all_children=options.fallback_to_all_children,
+        **_sets_of_sets_options(options),
         **extra,
     )
 
@@ -497,10 +504,7 @@ class DatabaseProtocol(Protocol):
             bob,
             options.difference_bound,
             options.seed,
-            backend=options.backend,
-            child_hash_bits=options.child_hash_bits,
-            num_hashes=options.num_hashes,
-            level_slack=options.level_slack,
+            **_sets_of_sets_options(options),
         )
 
 
@@ -522,7 +526,5 @@ class DocumentsProtocol(Protocol):
             bob,
             options.difference_bound,
             options.seed,
-            backend=options.backend,
-            child_hash_bits=options.child_hash_bits,
-            num_hashes=options.num_hashes,
+            **_sets_of_sets_options(options),
         )

@@ -104,6 +104,24 @@ def test_import_pass_flags_unused_import():
     assert "json" in findings[0].message
 
 
+def test_import_pass_flags_library_use_of_a_reconcile_alias():
+    definition = "def reconcile_widgets(alice, bob, seed):\n    return None\n"
+    alias_module = SourceFile(
+        path=Path("mem.py"),
+        relpath="src/repro/core/widgets.py",
+        text=definition,
+        tree=ast.parse(definition),
+        lines=definition.splitlines(),
+    )
+    caller = load_fixture("alias_violations.py", "src/repro/bench/fixture_mod.py")
+    findings = list(UnusedImportPass().check_project(ROOT, [alias_module, caller]))
+    assert [(f.rule, f.path) for f in findings] == [("I502", caller.relpath)] * 3
+    assert sorted(f.message.split()[0] for f in findings) == ["calls", "calls", "imports"]
+    # The same file as a package __init__ is a re-export surface, not a caller.
+    reexport = load_fixture("alias_violations.py", "src/repro/bench/__init__.py")
+    assert list(UnusedImportPass().check_project(ROOT, [alias_module, reexport])) == []
+
+
 def test_typing_pass_flags_untyped_def():
     source = load_fixture(
         "typing_violations.py", "src/repro/protocols/fixture_mod.py"

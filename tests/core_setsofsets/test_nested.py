@@ -98,13 +98,3 @@ class TestReconciliation:
         alice = MultisetOfMultisets([[1], [2, 2]])
         result = reconcile_multisets_of_multisets(alice, alice, 1, 8, seed=3)
         assert result.success and result.recovered == alice
-
-    def test_custom_protocol(self):
-        from repro.core.setsofsets.multiround import reconcile_multiround
-
-        alice = MultisetOfMultisets([[1, 1], [2, 3]])
-        bob = MultisetOfMultisets([[1], [2, 3]])
-        result = reconcile_multisets_of_multisets(
-            alice, bob, 2, 8, seed=4, protocol=reconcile_multiround
-        )
-        assert result.success and result.recovered == alice

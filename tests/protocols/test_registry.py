@@ -5,9 +5,11 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.documents import DocumentCollection
 from repro.errors import ParameterError
 from repro.protocols import ReconcileOptions
 from repro.protocols.registry import get, names, registry_table_markdown, specs
+from repro.workloads import edited_corpus_pair
 
 from protocol_fixtures import protocol_instances
 
@@ -99,9 +101,12 @@ class TestReconcileEntryPoint:
         assert unified.recovered == legacy.recovered
         assert unified.total_bits == legacy.total_bits
 
-    # The composite protocols keep their legacy function bodies (for the
-    # custom-callable parameters); these pins stop the registered party
-    # versions from silently diverging from them.
+    # Every ``reconcile_*`` free function is a thin alias that runs the
+    # registered parties, so comparing one against ``repro.reconcile`` only
+    # checks that the alias maps its arguments onto the same options.  What
+    # the composites (degree_order, degree_neighborhood, forest, db,
+    # documents, multisets of multisets) send is pinned literally, through
+    # both entry points, in test_backcompat.py.
 
     def _assert_equivalent(self, unified, legacy):
         assert unified.success == legacy.success, (unified.details, legacy.details)
@@ -109,48 +114,52 @@ class TestReconcileEntryPoint:
         assert unified.total_bits == legacy.total_bits
         assert unified.num_rounds == legacy.num_rounds
 
-    def test_degree_order_matches_legacy(self):
-        alice, bob, kwargs = protocol_instances()["degree_order"]
-        unified = repro.reconcile(alice, bob, protocol="degree_order", seed=99, **kwargs)
-        legacy = repro.reconcile_degree_order(
-            alice, bob, kwargs["difference_bound"], kwargs["num_top"], 99
-        )
-        self._assert_equivalent(unified, legacy)
-        assert unified.details == legacy.details
+    def test_documents_honours_differing_children_bound(self):
+        # The test_integration corpus: the option must reach the parties
+        # through the registry as well as through the alias.
+        alice_texts, bob_texts = edited_corpus_pair(20, 40, 2, 2, 1, seed=5)
+        alice = DocumentCollection(alice_texts, 3, seed=5, signature_size=16)
+        bob = DocumentCollection(bob_texts, 3, seed=5, signature_size=16)
+        for bound, bits in ((8, 246_784), (None, 789_568)):
+            unified = repro.reconcile(
+                alice, bob, protocol="documents", seed=6,
+                difference_bound=32, differing_children_bound=bound,
+            )
+            legacy = repro.reconcile_collections(
+                alice, bob, 32, seed=6, differing_children_bound=bound
+            )
+            assert unified.success and legacy.success
+            assert unified.recovered == legacy.recovered == alice.to_sets_of_sets()
+            assert unified.total_bits == legacy.total_bits == bits
+        assert repro.reconcile_collections(alice, bob, 32, seed=6).total_bits == 789_568
 
-    def test_degree_neighborhood_matches_legacy(self):
-        alice, bob, kwargs = protocol_instances()["degree_neighborhood"]
-        unified = repro.reconcile(
-            alice, bob, protocol="degree_neighborhood", seed=99, **kwargs
-        )
-        legacy = repro.reconcile_degree_neighborhood(
-            alice, bob, kwargs["difference_bound"], kwargs["max_degree"], 99
-        )
-        self._assert_equivalent(unified, legacy)
-        assert unified.details == legacy.details
-
-    def test_forest_matches_legacy(self):
-        alice, bob, kwargs = protocol_instances()["forest"]
-        unified = repro.reconcile(alice, bob, protocol="forest", seed=99, **kwargs)
-        legacy = repro.reconcile_forest(
-            alice, bob, kwargs["difference_bound"], None, 99
-        )
-        self._assert_equivalent(unified, legacy)
-        assert unified.details == legacy.details
-
-    def test_db_matches_legacy(self):
+    def test_db_honours_differing_children_bound(self):
         alice, bob, kwargs = protocol_instances()["db"]
-        unified = repro.reconcile(alice, bob, protocol="db", seed=99, **kwargs)
-        legacy = repro.reconcile_tables(alice, bob, kwargs["difference_bound"], 99)
-        self._assert_equivalent(unified, legacy)
-
-    def test_documents_matches_legacy(self):
-        alice, bob, kwargs = protocol_instances()["documents"]
-        unified = repro.reconcile(alice, bob, protocol="documents", seed=99, **kwargs)
-        legacy = repro.reconcile_collections(
-            alice, bob, kwargs["difference_bound"], 99
+        default = repro.reconcile(alice, bob, protocol="db", seed=99, **kwargs)
+        bounded = repro.reconcile(
+            alice, bob, protocol="db", seed=99, differing_children_bound=3, **kwargs
         )
-        self._assert_equivalent(unified, legacy)
+        assert bounded.success and bounded.recovered == alice
+        assert (default.total_bits, bounded.total_bits) == (57_024, 48_648)
+
+    def test_documents_honours_fallback_to_all_children(self):
+        # Alice holds a near-duplicate of a document both sides share, so the
+        # only child it decodes against is one of Bob's *unchanged* children.
+        shared, _ = edited_corpus_pair(6, 30, 0, 0, 0, seed=3)
+        words = shared[0].split()
+        words[5] = "zebra"
+        alice = DocumentCollection([*shared, " ".join(words)], 3, seed=3)
+        bob = DocumentCollection(shared, 3, seed=3)
+        outcomes = {
+            fallback: repro.reconcile(
+                alice, bob, protocol="documents", seed=1, difference_bound=16,
+                fallback_to_all_children=fallback,
+            )
+            for fallback in (True, False)
+        }
+        assert outcomes[True].success
+        assert outcomes[True].recovered == alice.to_sets_of_sets()
+        assert outcomes[False].details["failure"] == "child-iblt-decode"
 
     def test_labeled_and_exhaustive_match_legacy(self):
         alice, bob, kwargs = protocol_instances()["labeled"]
