@@ -32,6 +32,7 @@ from repro.comm import ReconciliationResult
 from repro.core.setsofsets import SetOfSets
 from repro.errors import ParameterError
 from repro.graphs.graph import Graph
+from repro.graphs.separation import signature_mask
 
 
 def canonical_labeling_from_signatures(
@@ -53,6 +54,15 @@ def canonical_labeling_from_signatures(
     return labeling
 
 
+def _closest_rank(mask: int, alice_masks: list[int], difference_bound: int) -> int | None:
+    """Rank of the unique closest Alice mask within ``difference_bound``, else ``None``."""
+    distances = [(candidate ^ mask).bit_count() for candidate in alice_masks]
+    closest = min(distances, default=None)
+    if closest is None or closest > difference_bound or distances.count(closest) > 1:
+        return None
+    return distances.index(closest)
+
+
 def _conforming_labels_for_bob(
     alice_signatures: SetOfSets,
     bob_signatures: dict[int, frozenset[int]],
@@ -66,30 +76,28 @@ def _conforming_labels_for_bob(
     closest signature is also the unique one within that distance); returns
     ``None`` when a vertex has no close-enough signature, the closest is
     tied, or two vertices claim the same signature.
+
+    Alice's signatures are distinct, so one equal to Bob's is at distance 0,
+    closest and untied: a dict lookup settles all but the O(d) perturbed
+    vertices, and only those scan Alice's signatures.
     """
-    alice_list = alice_signatures.sorted_children()
-    label_of_signature = {
-        signature: num_top + rank for rank, signature in enumerate(alice_list)
-    }
+    alice_masks = [
+        signature_mask(signature) for signature in alice_signatures.sorted_children()
+    ]
+    rank_of_mask = {mask: rank for rank, mask in enumerate(alice_masks)}
     assigned: dict[int, int] = {}
     used: set[int] = set()
     for vertex, signature in bob_signatures.items():
-        best = None
-        best_distance = None
-        tied = False
-        for candidate in alice_list:
-            distance = len(candidate ^ signature)
-            if best_distance is None or distance < best_distance:
-                best, best_distance, tied = candidate, distance, False
-            elif distance == best_distance:
-                tied = True
-        if best is None or best_distance > difference_bound or tied:
+        mask = signature_mask(signature)
+        rank = rank_of_mask.get(mask)
+        if rank is None:
+            rank = _closest_rank(mask, alice_masks, difference_bound)
+            if rank is None:
+                return None
+        if rank in used:
             return None
-        label = label_of_signature[best]
-        if label in used:
-            return None
-        used.add(label)
-        assigned[vertex] = label
+        used.add(rank)
+        assigned[vertex] = num_top + rank
     return assigned
 
 

@@ -9,6 +9,7 @@ conversion to/from :mod:`networkx` for interoperability and testing.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import ParameterError
@@ -126,7 +127,13 @@ class Graph:
 
     def edge_keys(self) -> set[int]:
         """All edges as canonical keys (the labeled-graph set representation)."""
-        return {self.edge_key(u, v) for u, v in self.edges()}
+        n = self._num_vertices
+        return {
+            u * n + v
+            for u, adjacency in enumerate(self._adjacency)
+            for v in adjacency
+            if u < v
+        }
 
     @property
     def edge_key_universe(self) -> int:
@@ -135,11 +142,24 @@ class Graph:
 
     @classmethod
     def from_edge_keys(cls, num_vertices: int, keys: Iterable[int]) -> "Graph":
-        """Rebuild a graph from canonical edge keys."""
+        """Rebuild a graph from canonical edge keys (duplicates count once).
+
+        Raises :class:`ParameterError` for a key outside ``[0, n*n)`` or a
+        self-loop key ``u*n + u``: recovered keys come from a peer.
+        """
         graph = cls(num_vertices)
-        for key in keys:
-            u, v = divmod(key, num_vertices)
-            graph.add_edge(u, v)
+        keys = set(keys)
+        limit = num_vertices * num_vertices
+        if keys and (min(keys) < 0 or max(keys) >= limit):
+            raise ParameterError(f"edge key out of range [0, {limit})")
+        adjacency = graph._adjacency
+        for u, v in map(divmod, keys, repeat(num_vertices)):
+            if u == v:
+                raise ParameterError("self-loops are not allowed in a simple graph")
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        # Counted from the adjacency so a key and its mirror are one edge.
+        graph._num_edges = sum(map(len, adjacency)) // 2
         return graph
 
     def relabel(self, mapping: Sequence[int]) -> "Graph":
@@ -150,8 +170,11 @@ class Graph:
         if sorted(mapping) != list(range(self._num_vertices)):
             raise ParameterError("mapping must be a permutation of the vertex ids")
         relabeled = Graph(self._num_vertices)
-        for u, v in self.edges():
-            relabeled.add_edge(mapping[u], mapping[v])
+        rename = mapping.__getitem__
+        # A permutation keeps neighbors distinct and creates no self-loop.
+        for vertex, adjacency in enumerate(self._adjacency):
+            relabeled._adjacency[rename(vertex)] = set(map(rename, adjacency))
+        relabeled._num_edges = self._num_edges
         return relabeled
 
     # -- comparisons and conversions ----------------------------------------------------

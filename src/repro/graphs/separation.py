@@ -19,6 +19,8 @@ properties (used by Theorems 5.3 and 5.5's experiments).
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
+from typing import Iterable
 
 from repro.errors import ParameterError
 from repro.graphs.graph import Graph
@@ -31,7 +33,8 @@ from repro.graphs.graph import Graph
 
 def degree_sorted_vertices(graph: Graph) -> list[int]:
     """Vertices sorted by decreasing degree (ties broken by vertex id)."""
-    return sorted(graph.vertices(), key=lambda v: (-graph.degree(v), v))
+    degrees = graph.degree_sequence()
+    return sorted(graph.vertices(), key=lambda v: (-degrees[v], v))
 
 
 def degree_order_signatures(
@@ -52,14 +55,26 @@ def degree_order_signatures(
         raise ParameterError("num_top must lie in [0, num_vertices]")
     ordered = degree_sorted_vertices(graph)
     top_vertices = ordered[:num_top]
-    top_index = {vertex: index for index, vertex in enumerate(top_vertices)}
-    signatures: dict[int, frozenset[int]] = {}
-    for vertex in ordered[num_top:]:
-        adjacency = graph.neighbors(vertex)
-        signatures[vertex] = frozenset(
-            top_index[top] for top in top_vertices if top in adjacency
-        )
+    # Filled from the top side: h adjacency sets are read, not n.
+    members: dict[int, list[int]] = {vertex: [] for vertex in ordered[num_top:]}
+    for index, top in enumerate(top_vertices):
+        for vertex in graph.neighbors(top):
+            if vertex in members:
+                members[vertex].append(index)
+    signatures = {vertex: frozenset(indices) for vertex, indices in members.items()}
     return top_vertices, signatures
+
+
+def signature_mask(signature: Iterable[int]) -> int:
+    """A signature as a Python-int bitmask: bit ``i`` is set iff ``i`` is a member.
+
+    The Hamming distance of two signatures is then ``(a ^ b).bit_count()``,
+    for any ``num_top`` (Python ints do not stop at 64 bits).
+    """
+    mask = 0
+    for index in signature:
+        mask |= 1 << index
+    return mask
 
 
 def is_degree_separated(graph: Graph, num_top: int, degree_gap: int, signature_gap: int) -> bool:
@@ -75,12 +90,11 @@ def is_degree_separated(graph: Graph, num_top: int, degree_gap: int, signature_g
         if degrees[index] - degrees[index + 1] < degree_gap:
             return False
     _, signatures = degree_order_signatures(graph, num_top)
-    signature_list = list(signatures.values())
-    for i in range(len(signature_list)):
-        for j in range(i + 1, len(signature_list)):
-            if len(signature_list[i] ^ signature_list[j]) < signature_gap:
-                return False
-    return True
+    masks = [signature_mask(signature) for signature in signatures.values()]
+    return all(
+        (first ^ second).bit_count() >= signature_gap
+        for first, second in combinations(masks, 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +123,20 @@ def multiset_difference_size(first: Counter, second: Counter) -> int:
     return sum(abs(first.get(key, 0) - second.get(key, 0)) for key in keys)
 
 
+def multiset_mask(signature: Counter, stride: int) -> int:
+    """A degree multiset in unary, as a :func:`signature_mask`.
+
+    Value ``k`` with count ``c <= stride`` sets bits ``k*stride .. k*stride +
+    c - 1``, so two masks differ in ``|c - c'|`` bits per value and
+    ``(a ^ b).bit_count()`` is :func:`multiset_difference_size`.
+    """
+    return signature_mask(
+        value * stride + copy
+        for value, count in signature.items()
+        for copy in range(count)
+    )
+
+
 def neighborhood_disjointness(graph: Graph, max_degree: int) -> int:
     """The smallest pairwise multiset difference among all vertex signatures.
 
@@ -116,18 +144,15 @@ def neighborhood_disjointness(graph: Graph, max_degree: int) -> int:
     when this value is at least ``k`` (Definition 5.4).  Returns a large
     sentinel for graphs with fewer than two vertices.
     """
-    signatures = list(degree_neighborhood_signatures(graph, max_degree).values())
-    if len(signatures) < 2:
-        return graph.num_vertices * graph.num_vertices
-    best = None
-    for i in range(len(signatures)):
-        for j in range(i + 1, len(signatures)):
-            difference = multiset_difference_size(signatures[i], signatures[j])
-            if best is None or difference < best:
-                best = difference
-                if best == 0:
-                    return 0
-    return best if best is not None else 0
+    num_vertices = graph.num_vertices
+    if num_vertices < 2:
+        return num_vertices * num_vertices
+    # A degree value occurs fewer than n times among a vertex's neighbors.
+    masks = [
+        multiset_mask(signature, num_vertices)
+        for signature in degree_neighborhood_signatures(graph, max_degree).values()
+    ]
+    return min((first ^ second).bit_count() for first, second in combinations(masks, 2))
 
 
 def are_neighborhoods_disjoint(graph: Graph, max_degree: int, min_difference: int) -> bool:

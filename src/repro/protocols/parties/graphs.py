@@ -56,7 +56,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.separation import (
     degree_neighborhood_signatures,
     degree_order_signatures,
-    multiset_difference_size,
+    multiset_mask,
 )
 from repro.hashing import derive_seed
 from repro.protocols.party import (
@@ -88,6 +88,16 @@ from repro.protocols.wire import PayloadCodec
 # ---------------------------------------------------------------------------
 # Labeled graphs (Section 4): edge-set reconciliation
 # ---------------------------------------------------------------------------
+
+
+def _graph_from_peer_keys(num_vertices: int, keys: set[int]) -> Graph | None:
+    """The graph a peer's verified edge keys describe, or ``None`` when they
+    describe none (a self-loop ``u*n + u``, or a key in the slack between
+    ``n*n`` and the key width's power of two): the peer chose the keys."""
+    try:
+        return Graph.from_edge_keys(num_vertices, keys)
+    except ParameterError:
+        return None
 
 
 def labeled_parties(
@@ -123,10 +133,47 @@ def labeled_parties(
     def bob_party() -> PartyGenerator:
         outcome = yield from ibf_bob(SetSource(bob.edge_keys(), ctx), difference_bound)
         if outcome.success:
-            outcome.recovered = Graph.from_edge_keys(num_vertices, outcome.recovered)
+            recovered = _graph_from_peer_keys(num_vertices, outcome.recovered)
+            if recovered is None:
+                return PartyOutcome(False, details={"failure": "edge-keys"})
+            outcome.recovered = recovered
         return outcome
 
     return alice_party(), bob_party()
+
+
+def _bob_edge_phase(
+    bob: Graph,
+    bob_labeling: dict[int, int],
+    edge_ctx: SetReconContext,
+    difference_bound: int,
+    scheme_details: dict[str, int],
+) -> PartyGenerator:
+    """Bob's last step in Theorems 5.2 / 5.6: adopt Alice's labeling, then
+    labeled edge reconciliation; ``scheme_details`` joins the outcome's."""
+    num_vertices = bob.num_vertices
+    bob_canonical = bob.relabel([bob_labeling[v] for v in range(num_vertices)])
+    edge_outcome = yield from ibf_bob(
+        SetSource(bob_canonical.edge_keys(), edge_ctx), difference_bound
+    )
+    if edge_outcome.aborted:
+        return aborted_outcome()
+    if not edge_outcome.success:
+        return PartyOutcome(False, details={"failure": "edge-reconciliation"})
+    recovered = _graph_from_peer_keys(num_vertices, edge_outcome.recovered)
+    if recovered is None:
+        return PartyOutcome(False, details={"failure": "edge-keys"})
+    return PartyOutcome(
+        True,
+        recovered,
+        details={
+            "bob_canonical_labeling": bob_labeling,
+            **scheme_details,
+            "edge_bits": ibf_message_bits(
+                edge_ctx, difference_bound, len(edge_outcome.recovered)
+            ),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,28 +331,11 @@ def degree_order_parties(
             return PartyOutcome(False, details={"failure": "conforming-match"})
         bob_labeling = {vertex: rank for rank, vertex in enumerate(bob_top)}
         bob_labeling.update(conforming)
-        bob_canonical = bob.relabel([bob_labeling[v] for v in range(num_vertices)])
-        edge_outcome = yield from ibf_bob(
-            SetSource(bob_canonical.edge_keys(), edge_ctx), difference_bound
+        outcome = yield from _bob_edge_phase(
+            bob, bob_labeling, edge_ctx, difference_bound,
+            {"num_top": num_top, "signature_bits": signature_bits},
         )
-        if edge_outcome.aborted:
-            return aborted_outcome()
-        if not edge_outcome.success:
-            return PartyOutcome(False, details={"failure": "edge-reconciliation"})
-        recovered = Graph.from_edge_keys(num_vertices, edge_outcome.recovered)
-        edge_bits = ibf_message_bits(
-            edge_ctx, difference_bound, len(edge_outcome.recovered)
-        )
-        return PartyOutcome(
-            True,
-            recovered,
-            details={
-                "bob_canonical_labeling": bob_labeling,
-                "num_top": num_top,
-                "signature_bits": signature_bits,
-                "edge_bits": edge_bits,
-            },
-        )
+        return outcome
 
     return alice_party(), bob_party()
 
@@ -395,50 +425,34 @@ def degree_neighborhood_parties(
         alice_children = sig_outcome.recovered.sorted_children()
         if len(alice_children) != num_vertices:
             return PartyOutcome(False, details={"failure": "signature-count"})
-        alice_counters = [
-            _decode_signature(child, multiplicity_bound) for child in alice_children
+        stride = multiplicity_bound + 1  # decoded counts are at most the bound
+        alice_masks = [
+            multiset_mask(_decode_signature(child, multiplicity_bound), stride)
+            for child in alice_children
         ]
+        rank_of_child = {child: rank for rank, child in enumerate(alice_children)}
         bob_labeling: dict[int, int] = {}
         used: set[int] = set()
         for vertex in bob.vertices():
-            bob_counter = bob_raw[vertex]
-            best_rank = None
-            best_distance = None
-            for rank, alice_counter in enumerate(alice_counters):
-                distance = multiset_difference_size(bob_counter, alice_counter)
-                if best_distance is None or distance < best_distance:
-                    best_distance = distance
-                    best_rank = rank
-            if (
-                best_rank is None
-                or best_distance > 2 * difference_bound
-                or best_rank in used
-            ):
+            # Alice's children are distinct, so an equal one is at distance 0
+            # and is the closest; only perturbed vertices scan her signatures.
+            rank = rank_of_child.get(bob_encoded[vertex])
+            if rank is None:
+                mask = multiset_mask(bob_raw[vertex], stride)
+                distances = [(candidate ^ mask).bit_count() for candidate in alice_masks]
+                closest = min(distances)
+                if closest > 2 * difference_bound:
+                    return PartyOutcome(False, details={"failure": "conforming-match"})
+                rank = distances.index(closest)
+            if rank in used:
                 return PartyOutcome(False, details={"failure": "conforming-match"})
-            used.add(best_rank)
-            bob_labeling[vertex] = best_rank
-        bob_canonical = bob.relabel([bob_labeling[v] for v in range(num_vertices)])
-        edge_outcome = yield from ibf_bob(
-            SetSource(bob_canonical.edge_keys(), edge_ctx), difference_bound
+            used.add(rank)
+            bob_labeling[vertex] = rank
+        outcome = yield from _bob_edge_phase(
+            bob, bob_labeling, edge_ctx, difference_bound,
+            {"max_degree": max_degree, "signature_bits": signature_bits},
         )
-        if edge_outcome.aborted:
-            return aborted_outcome()
-        if not edge_outcome.success:
-            return PartyOutcome(False, details={"failure": "edge-reconciliation"})
-        recovered = Graph.from_edge_keys(num_vertices, edge_outcome.recovered)
-        edge_bits = ibf_message_bits(
-            edge_ctx, difference_bound, len(edge_outcome.recovered)
-        )
-        return PartyOutcome(
-            True,
-            recovered,
-            details={
-                "bob_canonical_labeling": bob_labeling,
-                "max_degree": max_degree,
-                "signature_bits": signature_bits,
-                "edge_bits": edge_bits,
-            },
-        )
+        return outcome
 
     return alice_party(), bob_party()
 

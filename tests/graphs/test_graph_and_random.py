@@ -88,6 +88,74 @@ class TestGraph:
         assert not graph.has_edge(1, 2)
 
 
+class TestLinearTransforms:
+    """``relabel`` / ``edge_keys`` / ``from_edge_keys`` build adjacency and key
+    sets directly; the per-edge ``add_edge`` / ``edge_key`` route is the reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equal_the_add_edge_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 40)
+        graph = gnp_random_graph(n, rng.random(), seed)
+        mapping = random_permutation(n, rng)
+
+        relabeled = Graph(n)
+        for u, v in graph.edges():
+            relabeled.add_edge(mapping[u], mapping[v])
+        keys = {graph.edge_key(u, v) for u, v in graph.edges()}
+        rebuilt = Graph(n)
+        for key in keys:
+            rebuilt.add_edge(*divmod(key, n))
+
+        for fast, reference in (
+            (graph.relabel(mapping), relabeled),
+            (Graph.from_edge_keys(n, keys), rebuilt),
+        ):
+            assert fast == reference
+            assert fast.num_edges == reference.num_edges
+            assert [fast.neighbors(v) for v in range(n)] == [
+                reference.neighbors(v) for v in range(n)
+            ]
+        assert graph.edge_keys() == keys
+        assert rebuilt == graph
+
+    def test_relabel_does_not_share_adjacency(self):
+        graph = Graph(3, [(0, 1)])
+        relabeled = graph.relabel([0, 1, 2])
+        relabeled.add_edge(1, 2)
+        assert graph.num_edges == 1 and not graph.has_edge(1, 2)
+
+    @pytest.mark.parametrize("mapping", [[0, 0, 1], [0, 1], [0, 1, 3], [0, 1, 2, 3]])
+    def test_relabel_rejects_non_permutations(self, mapping):
+        with pytest.raises(ParameterError):
+            Graph(3, [(0, 1)]).relabel(mapping)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [16],          # n*n: first key past the universe
+            [31],          # inside the 5-bit key width, outside the universe
+            [-1],
+            [1, 5],        # 5 = 1*4 + 1, a self-loop
+            [0],           # 0*4 + 0
+        ],
+    )
+    def test_from_edge_keys_rejects_non_edges(self, keys):
+        with pytest.raises(ParameterError):
+            Graph.from_edge_keys(4, keys)
+
+    def test_from_edge_keys_rejects_keys_of_an_empty_graph(self):
+        with pytest.raises(ParameterError):
+            Graph.from_edge_keys(0, [0])
+        assert Graph.from_edge_keys(0, []).num_edges == 0
+
+    def test_duplicate_and_mirrored_keys_count_one_edge(self):
+        # 1*4 + 2 and its mirror 2*4 + 1 name the same edge.
+        graph = Graph.from_edge_keys(4, [6, 6, 9, 3])
+        assert graph.num_edges == 2
+        assert graph == Graph(4, [(1, 2), (0, 3)])
+
+
 class TestRandomGraphs:
     def test_gnp_extremes(self):
         assert gnp_random_graph(10, 0.0, 1).num_edges == 0
