@@ -14,6 +14,17 @@ from typing import Iterable
 from repro.errors import ParameterError
 
 
+def sampled_level(level_hash: int, num_levels: int) -> int:
+    """Deepest of ``num_levels`` geometric levels a 64-bit hash is sampled into.
+
+    The number of trailing zeros of a uniform word is geometric with ratio
+    1/2; both the L0 levels and the strata are chosen this way.
+    """
+    if level_hash == 0:
+        return num_levels - 1
+    return min((level_hash & -level_hash).bit_length() - 1, num_levels - 1)
+
+
 class SetDifferenceEstimator(ABC):
     """Base class for set-difference estimators."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.errors import ParameterError
 from repro.estimator.base import SetDifferenceEstimator
@@ -66,6 +66,11 @@ class MedianEstimator(SetDifferenceEstimator):
         self._validate_side(side)
         for replica in self._replicas:
             replica.update(element, side)
+
+    def update_all(self, elements: Iterable[int], side: int) -> None:
+        elements = list(elements)
+        for replica in self._replicas:
+            replica.update_all(elements, side)
 
     def merge(self, other: "MedianEstimator") -> "MedianEstimator":
         if not isinstance(other, MedianEstimator) or other.num_replicas != self.num_replicas:

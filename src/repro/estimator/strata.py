@@ -17,8 +17,8 @@ for the estimator ablation benchmark (experiment E5 in DESIGN.md).
 from __future__ import annotations
 
 from repro.errors import ParameterError
-from repro.estimator.base import SetDifferenceEstimator
-from repro.hashing import SeededHasher, derive_seed
+from repro.estimator.base import SetDifferenceEstimator, sampled_level
+from repro.hashing import Checksum, derive_seed
 from repro.iblt import IBLT, IBLTParameters
 
 
@@ -54,8 +54,8 @@ class StrataEstimator(SetDifferenceEstimator):
         self.num_strata = num_strata
         self.cells_per_stratum = cells_per_stratum
         self.key_bits = key_bits
-        self._level_hasher = SeededHasher(derive_seed(seed, "strata-level"), 64)
-        self._key_hasher = SeededHasher(derive_seed(seed, "strata-key"), key_bits)
+        self._level_hash = Checksum(derive_seed(seed, "strata-level"), 64)
+        self._key_hash = Checksum(derive_seed(seed, "strata-key"), key_bits)
         self._strata = [
             IBLT(
                 IBLTParameters(
@@ -73,17 +73,12 @@ class StrataEstimator(SetDifferenceEstimator):
     # -- internal helpers -----------------------------------------------------------
 
     def _stratum_of(self, element: int) -> int:
-        level_hash = self._level_hasher.hash_int(element)
-        # Trailing zeros of a uniform 64-bit value; geometric with ratio 1/2.
-        if level_hash == 0:
-            return self.num_strata - 1
-        trailing = (level_hash & -level_hash).bit_length() - 1
-        return min(trailing, self.num_strata - 1)
+        return sampled_level(self._level_hash.of_key(element), self.num_strata)
 
     def _representative(self, element: int) -> int:
         # Hash the element so arbitrary (wide) universes fit in key_bits,
         # and so that strata contents look uniform.
-        return self._key_hasher.hash_int(element)
+        return self._key_hash.of_key(element)
 
     def _check_compatible(self, other: "StrataEstimator") -> None:
         if (

@@ -9,11 +9,6 @@ primitives here are:
   maps arbitrary byte strings / integers to integers of a requested width.
 * :class:`~repro.hashing.family.HashFamily` -- a family of independent seeded
   hashers derived from one seed, used for the k hash functions of an IBLT.
-* :class:`~repro.hashing.pairwise.PairwiseHash` -- a pairwise-independent hash
-  ``h(x) = (a*x + b) mod p mod m`` used where the paper explicitly asks for
-  pairwise independence (child-set hashes, signatures).
-* :class:`~repro.hashing.tabulation.TabulationHash` -- 3-wise independent
-  tabulation hashing, used as a fast alternative key hash.
 * helpers for checksums and for mapping set elements to field elements.
 
 The IBLT inner-loop hashes (:class:`~repro.hashing.family.HashFamily` bucket
@@ -30,15 +25,11 @@ whole-set verification hash and child-set hash.
 from repro.hashing.prf import SeededHasher, derive_seed, int_to_bytes, bytes_to_int
 from repro.hashing.mix import HAS_NUMPY, fingerprint64, mix64
 from repro.hashing.family import HashFamily
-from repro.hashing.pairwise import PairwiseHash
-from repro.hashing.tabulation import TabulationHash
 from repro.hashing.checksum import Checksum
 
 __all__ = [
     "SeededHasher",
     "HashFamily",
-    "PairwiseHash",
-    "TabulationHash",
     "Checksum",
     "derive_seed",
     "int_to_bytes",

@@ -50,7 +50,7 @@ if HAS_NUMPY:
 _BATCH_CUTOFF = 16
 
 
-def _checked_elements(values: Iterable[int]) -> list[int]:
+def checked_elements(values: Iterable[int]) -> list[int]:
     """The elements as a list, refusing what the two fold routes would hash
     differently: ``fromiter`` truncates floats and NumPy 1.x wraps negatives
     into ``uint64``, where the scalar route raises ``TypeError`` /
@@ -113,7 +113,7 @@ class Checksum:
         The empty set hashes to 0; keys of ``2**64`` and above are folded
         through :func:`~repro.hashing.mix.fingerprint64` as IBLT keys are.
         """
-        elements = _checked_elements(values)
+        elements = checked_elements(values)
         checks = self._checks_array(elements)
         if checks is not None:
             return int(_np.bitwise_xor.reduce(checks))
@@ -121,7 +121,7 @@ class Checksum:
 
     def of_sets(self, sets: Sequence[Collection[int]]) -> list[int]:
         """:meth:`of_set` of each set, in order (one flat pass over all of them)."""
-        elements = _checked_elements(chain.from_iterable(sets))
+        elements = checked_elements(chain.from_iterable(sets))
         checks = self._checks_array(elements)
         if checks is None:
             return [self._fold(members) for members in sets]

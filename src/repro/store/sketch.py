@@ -64,8 +64,10 @@ from repro.store.journal import UpdateJournal
 #: Snapshot schema version; bumped on incompatible changes (older snapshots
 #: are then discarded as invalidations, never misread).  Version 2: the
 #: running verification hashes became the splitmix64 set fold, so a version-1
-#: snapshot's ``hashes`` hold values no peer computes any more.
-SNAPSHOT_VERSION = 2
+#: snapshot's ``hashes`` hold values no peer computes any more.  Version 3:
+#: the L0 estimator hashes with splitmix64 too, so an older snapshot's
+#: ``estimators`` hold counters of another hash (the layout did not change).
+SNAPSHOT_VERSION = 3
 
 #: Live sketch families (distinct config fingerprints) kept per dataset, and
 #: live tables (distinct cell counts) kept per family.  Both are chosen by

@@ -1,0 +1,262 @@
+"""The L0 estimator's two update routes, its linearity, its wire layout and
+its accuracy, against a per-element list-of-lists reference (the spec:
+``mix64`` level hash, trailing zeros for the deepest level, a second ``mix64``
+per level for the bucket, counters mod 4, two bits per counter on the wire)."""
+
+import random
+import statistics
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.comm.bits import BitReader, BitWriter
+from repro.errors import ParameterError
+from repro.estimator import L0Estimator, MedianEstimator, StrataEstimator, l0
+from repro.hashing import derive_seed, fingerprint64, mix64
+from repro.hashing.mix import HAS_NUMPY, MASK64
+from repro.protocols.parties.setrecon import bound_for_estimate
+
+CUTOFF = l0._BATCH_CUTOFF
+#: Small shapes keep every level busy; 3 x 9 counters are 54 bits, which is
+#: neither a whole number of bytes nor of hex digits.
+SHAPES = [(32, 128), (6, 16), (3, 9), (70, 8)]
+
+
+def reference_counters(seed, num_levels, buckets, updates):
+    """Counters after ``updates`` (``(element, side)`` pairs), one at a time."""
+    level_seed = derive_seed(seed, "l0-level") & MASK64
+    bucket_root = derive_seed(seed, "l0-bucket")
+    counters = [[0] * buckets for _ in range(num_levels)]
+    for element, side in updates:
+        level_hash = mix64(fingerprint64(element) ^ level_seed)
+        trailing = (level_hash & -level_hash).bit_length() - 1 if level_hash else num_levels
+        for level in range(min(trailing, num_levels - 1) + 1):
+            bucket = mix64(level_hash ^ mix64(bucket_root + level)) % buckets
+            counters[level][bucket] = (counters[level][bucket] + (1 if side == 1 else -1)) % 4
+    return counters
+
+
+def reference_wire(counters):
+    """One 2-bit field per counter, level-major: the layout since the first wire format."""
+    writer = BitWriter()
+    for row in counters:
+        for value in row:
+            writer.write(value, 2)
+    return writer.getvalue()
+
+
+def reference_query(counters, reliable_fraction=0.25):
+    """Scale the non-zero count of the first level at most a quarter full."""
+    threshold = int(reliable_fraction * len(counters[0]))
+    occupied = [sum(1 for value in row if value) for row in counters]
+    for level, count in enumerate(occupied):
+        if count <= threshold:
+            return count if level == 0 else max(1, count) << level
+    return max(1, occupied[-1]) << (len(counters) - 1)
+
+
+def wire(estimator):
+    writer = BitWriter()
+    estimator.write_wire(writer)
+    assert writer.bit_length == estimator.size_bits
+    return writer.getvalue()
+
+
+@st.composite
+def key_sets(draw, wide=False):
+    """A key set of a size straddling the batch cutoff (drawn from a seeded
+    generator, so large sets stay cheap to shrink), some with a >= 2^64 key."""
+    size = draw(st.sampled_from([0, 1, 7, CUTOFF - 1, CUTOFF, CUTOFF + 1, 3 * CUTOFF]))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    keys = {rng.getrandbits(rng.choice([8, 40, 64])) for _ in range(size)}
+    if wide:
+        keys.add(rng.getrandbits(200) | 1 << 64)
+    return keys
+
+
+# -- (a) the routes agree, counter for counter ---------------------------------------
+
+
+@pytest.mark.parametrize("numpy_visible", [True, False], ids=["numpy", "no-numpy"])
+@pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide-key"])
+@given(data=st.data(), shape=st.sampled_from(SHAPES), seed=st.integers(0, 1 << 32))
+@settings(max_examples=40, deadline=None)
+def test_update_all_equals_a_loop_of_update(numpy_visible, wide, data, shape, seed):
+    ones, twos = data.draw(key_sets(wide)), data.draw(key_sets(wide))
+    with mock.patch.object(l0, "HAS_NUMPY", HAS_NUMPY and numpy_visible):
+        batched = L0Estimator(seed, *shape)
+        batched.update_all(ones, 1)
+        batched.update_all(twos, 2)
+    looped = L0Estimator(seed, *shape)
+    for element in ones:
+        looped.update(element, 1)
+    for element in twos:
+        looped.update(element, 2)
+    updates = [(element, 1) for element in ones] + [(element, 2) for element in twos]
+    assert wire(batched) == wire(looped) == reference_wire(
+        reference_counters(seed, *shape, updates)
+    )
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="the array route needs NumPy")
+def test_the_array_route_is_taken_exactly_above_the_cutoff():
+    taken = []
+    with mock.patch.object(
+        L0Estimator, "_add_array", lambda self, keys, delta: taken.append(len(keys))
+    ):
+        estimator = L0Estimator(1)
+        estimator.update_all(range(CUTOFF), 1)
+        estimator.update_all(range(CUTOFF + 1), 1)
+        estimator.update_all(list(range(CUTOFF)) + [1 << 64], 1)
+        estimator.update(5, 1)
+    assert taken == [CUTOFF + 1]
+
+
+@pytest.mark.parametrize("size", [1, 3 * CUTOFF])
+def test_a_zero_level_hash_is_sampled_into_every_level(size):
+    """``mix64(0) == 0``: the key equal to the level seed has no lowest set
+    bit, and 70 levels is past what a 64-bit shift can express."""
+    seed, shape = 11, (70, 8)
+    zero_hashed = derive_seed(seed, "l0-level") & MASK64
+    keys = [zero_hashed] + list(range(size - 1))
+    estimator = L0Estimator(seed, *shape)
+    estimator.update_all(keys, 1)
+    counters = reference_counters(seed, *shape, [(key, 1) for key in keys])
+    assert all(any(row) for row in counters)
+    assert wire(estimator) == reference_wire(counters)
+
+
+# -- the one typed refusal -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "a", None])
+@pytest.mark.parametrize("padding", [0, 3 * CUTOFF], ids=["scalar", "array"])
+def test_bad_elements_are_refused_before_any_counter_moves(bad, padding):
+    estimator = L0Estimator(3)
+    with pytest.raises(ParameterError):
+        estimator.update_all(list(range(padding)) + [bad], 1)
+    with pytest.raises(ParameterError):
+        estimator.update(bad, 2)
+    with pytest.raises(ParameterError):
+        estimator.update_all(range(padding + 1), 3)
+    assert wire(estimator) == bytes(estimator.size_bits // 8)
+
+
+@pytest.mark.parametrize("foreign", [None, 7, StrataEstimator(3), MedianEstimator(3)])
+def test_merge_with_a_foreign_object_is_a_parameter_error(foreign):
+    with pytest.raises(ParameterError):
+        L0Estimator(3).merge(foreign)
+
+
+# -- (b) linearity ---------------------------------------------------------------------
+
+
+@given(keys=key_sets(), shape=st.sampled_from(SHAPES))
+@settings(max_examples=40, deadline=None)
+def test_both_sides_of_one_set_cancel_to_zero(keys, shape):
+    estimator = L0Estimator(9, *shape)
+    estimator.update_all(keys, 1)
+    estimator.update_all(keys, 2)
+    assert not any(wire(estimator))
+    assert estimator.query() == 0
+
+
+@given(ones=key_sets(), twos=key_sets(), shape=st.sampled_from(SHAPES))
+@settings(max_examples=40, deadline=None)
+def test_merge_equals_one_estimator_fed_both(ones, twos, shape):
+    first, second, both = (L0Estimator(9, *shape) for _ in range(3))
+    first.update_all(ones, 1)
+    second.update_all(twos, 2)
+    both.update_all(ones, 1)
+    both.update_all(twos, 2)
+    merged = first.merge(second)
+    assert wire(merged) == wire(both)
+    assert merged.query() == both.query()
+    assert wire(second.merge(first)) == wire(both)
+
+
+# -- (c) the wire is the per-counter layout --------------------------------------------
+
+
+@given(
+    seed=st.integers(0, 1 << 32),
+    fill=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    shape=st.sampled_from(SHAPES),
+)
+@settings(max_examples=60, deadline=None)
+def test_wire_is_one_two_bit_field_per_counter(seed, fill, shape):
+    rng = random.Random(seed)
+    counters = [
+        [rng.randrange(1, 4) if rng.random() < fill else 0 for _ in range(shape[1])]
+        for _ in range(shape[0])
+    ]
+    encoded = reference_wire(counters)
+    estimator = L0Estimator(1, *shape)
+    estimator.read_wire(BitReader(encoded))
+    assert wire(estimator) == encoded
+    # read_wire put every counter where query and merge look for it.
+    assert estimator.query() == reference_query(counters)
+    doubled = estimator.merge(estimator)
+    assert wire(doubled) == reference_wire(
+        [[2 * value % 4 for value in row] for row in counters]
+    )
+
+
+def test_wire_fields_follow_a_shared_stream():
+    """The field starts where the stream is, not at a byte boundary."""
+    estimator = L0Estimator(4, 3, 9)
+    estimator.update_all(range(200), 1)
+    writer = BitWriter()
+    writer.write(5, 3)
+    estimator.write_wire(writer)
+    writer.write(1, 1)
+    reader = BitReader(writer.getvalue())
+    assert reader.read(3) == 5
+    decoded = L0Estimator(4, 3, 9)
+    decoded.read_wire(reader)
+    assert reader.read(1) == 1
+    assert wire(decoded) == wire(estimator)
+
+
+# -- the wrappers ------------------------------------------------------------------------
+
+
+def test_median_update_all_feeds_each_replica_one_batch():
+    keys = list(range(3 * CUTOFF))
+    batched, looped = MedianEstimator(6, 3), MedianEstimator(6, 3)
+    with mock.patch.object(L0Estimator, "update", side_effect=AssertionError("per element")):
+        batched.update_all(iter(keys), 1)
+    for key in keys:
+        looped.update(key, 1)
+    assert wire(batched) == wire(looped)
+
+
+def test_strata_update_all_equals_a_loop_of_update():
+    rng = random.Random(2)
+    keys = [rng.getrandbits(70) for _ in range(300)]
+    batched, looped = StrataEstimator(6), StrataEstimator(6)
+    batched.update_all(keys, 2)
+    for key in keys:
+        looped.update(key, 2)
+    assert wire(batched) == wire(looped)
+
+
+# -- (e) accuracy ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("difference", [4, 16, 64, 1024])
+def test_accuracy_over_200_seeds(difference):
+    size, trials = 4096, 200
+    ratios, covered = [], 0
+    for seed in range(trials):
+        pool = random.Random(seed * 7919 + difference).sample(range(1 << 40), size + difference)
+        shared = pool[: size - difference // 2]
+        alice, bob = L0Estimator(seed), L0Estimator(seed)
+        alice.update_all(shared + pool[size - difference // 2 : size], 1)
+        bob.update_all(shared + pool[size:], 2)
+        estimate = alice.merge(bob).query()
+        ratios.append(estimate / difference)
+        covered += bound_for_estimate(estimate, 2.0) >= difference
+    assert 0.5 <= statistics.median(ratios) <= 2.0
+    assert covered >= 0.95 * trials

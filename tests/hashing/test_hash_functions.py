@@ -1,75 +1,10 @@
-"""Tests for pairwise, tabulation, family and checksum hashing."""
+"""Tests for family and checksum hashing."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ParameterError
-from repro.hashing import Checksum, HashFamily, PairwiseHash, TabulationHash
-
-
-class TestPairwiseHash:
-    def test_output_range(self):
-        hasher = PairwiseHash(seed=1, out_range=100)
-        assert all(0 <= hasher(x) < 100 for x in range(500))
-
-    def test_deterministic(self):
-        assert PairwiseHash(2, 50)(10) == PairwiseHash(2, 50)(10)
-
-    def test_seed_changes_function(self):
-        outputs_a = [PairwiseHash(1, 1000)(x) for x in range(50)]
-        outputs_b = [PairwiseHash(2, 1000)(x) for x in range(50)]
-        assert outputs_a != outputs_b
-
-    def test_out_bits(self):
-        assert PairwiseHash(1, 256).out_bits == 8
-        assert PairwiseHash(1, 257).out_bits == 9
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ParameterError):
-            PairwiseHash(1, 0)
-        with pytest.raises(ParameterError):
-            PairwiseHash(1, 10, prime=5)
-
-    def test_negative_input_rejected(self):
-        with pytest.raises(ParameterError):
-            PairwiseHash(1, 10)(-3)
-
-    def test_collision_rate_reasonable(self):
-        hasher = PairwiseHash(seed=9, out_range=1 << 20)
-        outputs = [hasher(x) for x in range(2000)]
-        assert len(set(outputs)) > 1990
-
-
-class TestTabulationHash:
-    def test_deterministic(self):
-        assert TabulationHash(3)(12345) == TabulationHash(3)(12345)
-
-    def test_width_enforced(self):
-        hasher = TabulationHash(3, key_bits=16)
-        with pytest.raises(ParameterError):
-            hasher(1 << 20)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ParameterError):
-            TabulationHash(3)(-1)
-
-    def test_output_bits(self):
-        hasher = TabulationHash(3, key_bits=32, out_bits=32)
-        assert all(hasher(x) < 2**32 for x in range(100))
-
-    def test_hash_to_range(self):
-        hasher = TabulationHash(5)
-        assert all(0 <= hasher.hash_to_range(x, 7) < 7 for x in range(100))
-
-    @given(st.integers(min_value=0, max_value=2**63))
-    def test_xor_structure_differs_from_identity(self, key):
-        hasher = TabulationHash(11)
-        assert isinstance(hasher(key), int)
-
-    def test_few_collisions(self):
-        hasher = TabulationHash(7, key_bits=32, out_bits=64)
-        outputs = {hasher(x) for x in range(3000)}
-        assert len(outputs) == 3000
+from repro.hashing import Checksum, HashFamily
 
 
 class TestHashFamily:

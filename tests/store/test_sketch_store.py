@@ -7,7 +7,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.comm.bits import BitWriter
 from repro.errors import ParameterError, StoreError
 from repro.iblt import IBLT
 from repro.protocols.parties.setrecon import (
@@ -74,6 +76,37 @@ def test_same_geometry_shares_one_table_and_counts_hits():
     other = store.table_for("d", config, 200, dataset)
     assert other is not first
     assert metrics.store_misses == 2
+
+
+@given(
+    steps=st.lists(
+        st.tuples(st.booleans(), st.sampled_from([1, 3, 45, 90]), st.integers(0, 1 << 32)),
+        max_size=6,
+    )
+)
+@settings(max_examples=25, deadline=None)
+def test_live_estimators_equal_fresh_ones_after_random_mutations(steps):
+    """Both sides' live estimators, through one-key and batched applies on
+    either side of the array-route cutoff, counter for counter."""
+    dataset = make_dataset()
+    config = SketchConfig(UNIVERSE, seed=SEED)
+    store = SketchStore()
+    for side in (1, 2):
+        store.estimator_for("d", config, side, dataset)
+    for insert, size, seed in steps:
+        rng = random.Random(seed)
+        if insert:
+            changed = sorted({rng.randrange(UNIVERSE) for _ in range(size)} - dataset)
+            store.apply("d", changed, [])
+        else:
+            changed = rng.sample(sorted(dataset), min(size, len(dataset)))
+            store.apply("d", [], changed)
+        dataset.symmetric_difference_update(changed)
+    for side in (1, 2):
+        fresh = config.context().make_estimator()
+        fresh.update_all(dataset, side)
+        live = store.estimator_for("d", config, side, None)
+        assert estimator_state(live) == estimator_state(fresh)
 
 
 def test_live_estimator_equals_fresh_one():
@@ -242,24 +275,47 @@ def test_invalidate_drops_memory_and_disk(tmp_path):
     store.close()
 
 
-def test_version_1_snapshot_is_invalidated_and_rebuilt(tmp_path):
-    """Version 2 changed the running-hash values: a version-1 snapshot is
-    one invalidation, everything is rebuilt from the supplied dataset, and
-    the next stored sync verifies against a from-scratch peer."""
-    assert SNAPSHOT_VERSION == 2
+def estimator_state(estimator):
+    writer = BitWriter()
+    estimator.write_wire(writer)
+    return writer.getvalue()
+
+
+@pytest.mark.parametrize("stale_version", [1, 2])
+def test_older_snapshot_is_invalidated_and_rebuilt(tmp_path, stale_version):
+    """Version 2 changed the running-hash values and version 3 the estimator's
+    hash: an older snapshot is one invalidation, everything is rebuilt from
+    the supplied dataset (what would have been hits are misses), and the next
+    stored sync verifies against a from-scratch peer."""
+    assert SNAPSHOT_VERSION == 3
     dataset = make_dataset()
     config = SketchConfig(UNIVERSE, seed=SEED)
     store = SketchStore(tmp_path)
     store.table_for("d", config, 20, dataset)
+    store.estimator_for("d", config, 1, dataset)
     store.verification_hash("d", config, dataset)
     path = store.snapshot("d")
     store.close()
 
-    # What a pre-fold store left on disk: schema version 1, and a running
-    # hash no peer computes any more.
+    # The snapshot as it stands is served: two hits, nothing rebuilt.
+    metrics = ServiceMetrics()
+    current = SketchStore(tmp_path, metrics=metrics)
+    current.table_for("d", config, 20, dataset)
+    current.estimator_for("d", config, 1, dataset)
+    assert (metrics.store_hits, metrics.store_misses) == (2, 0)
+    current.close()
+
+    # What an older store left on disk: its schema version, a running hash
+    # no peer computes any more, and estimator counters in the same layout
+    # filled by another hash.
     body = json.loads(path.read_text())
-    body["version"] = 1
+    body["version"] = stale_version
     body["hashes"] = {seed: value ^ 0xDEADBEEF for seed, value in body["hashes"].items()}
+    foreign = SketchConfig(UNIVERSE, seed=SEED + 1).context().make_estimator()
+    foreign.update_all(dataset, 1)
+    for item in body["estimators"]:
+        assert len(item["state"]) == 2 * len(estimator_state(foreign))
+        item["state"] = estimator_state(foreign).hex()
     path.write_text(json.dumps(body))
 
     metrics = ServiceMetrics()
@@ -269,6 +325,12 @@ def test_version_1_snapshot_is_invalidated_and_rebuilt(tmp_path):
     )
     assert metrics.store_invalidations == 1
     assert metrics.journal_replays == 0
+    fresh = config.context().make_estimator()
+    fresh.update_all(dataset, 1)
+    rebuilt = reopened.estimator_for("d", config, 1, dataset)
+    assert estimator_state(rebuilt) == estimator_state(fresh) != estimator_state(foreign)
+    reopened.table_for("d", config, 20, dataset)
+    assert (metrics.store_hits, metrics.store_misses) == (0, 2)
 
     client = set(dataset)
     client.symmetric_difference_update({UNIVERSE - 3, next(iter(dataset))})

@@ -270,10 +270,14 @@ def frames_digest(frames):
 #: SHA-256 over (sender, label, charged bits, bytes) of every frame, recorded
 #: at the commit *before* the three party modules were folded into one flow
 #: (3b3dd2e).  Scratch and store share a digest per case: that is the point.
+#: The six unknown-bound entries were re-recorded once since, when the L0
+#: estimator moved from keyed BLAKE2b to the splitmix64 mixer: the estimator
+#: frame keeps its 8,192 bits and its layout and carries other counters (and
+#: the kv pair now meets one bucket collision: estimate 9, bound 19).
 _KNOWN_ALICE = "93458227ad2aea46bd4af97504ed3939c9c7aefef32e3b97fae56f7ae087e36a"
-_UNKNOWN_ALICE = "3fe6e3a11e2d3c48703db2cf5e81d0e9b5105fad53e286ca0765320c7c5061bf"
+_UNKNOWN_ALICE = "48e2b54d8f9f8894aa320769b9a0244ad71f8c1876f106db16cbb16251e56d6b"
 _KNOWN_BOB = "6a0692172b993908e6490ec5fcc79eac0ddab74c25b7da1be11bbe41574eb353"
-_UNKNOWN_BOB = "f6f477b6bfd7c32c3ab006b1b484b32266155c880eee17361a57742c5b94100d"
+_UNKNOWN_BOB = "3c5b77f3e58289c37dd1eb17f552dec680dd870be50baf682478521e448ebcf9"
 FRAME_PINS = {
     ("scratch", "alice", BOUND): _KNOWN_ALICE,
     ("scratch", "alice", None): _UNKNOWN_ALICE,
@@ -284,14 +288,18 @@ FRAME_PINS = {
     ("store", "bob", BOUND): _KNOWN_BOB,
     ("store", "bob", None): _UNKNOWN_BOB,
     ("kv", "alice", BOUND): "b472384d940e08c269b9c4b63c694a96212a065fcf153e4b7123920791d39ae3",
-    ("kv", "alice", None): "b10c17011e3059a526da41c2940395f1c393b0e2210eedad37fb3ed36d18821a",
+    ("kv", "alice", None): "1cc7965a963be38def47c45eb8cbfc509b31014d264660f10e479e8e64446cea",
     ("kv", "bob", BOUND): "2b99c894d89f67d89bb4d799868a683dc7c3e85169b533f697c4e44f532f315a",
-    ("kv", "bob", None): "4fa2716c02b73cea19a268ec65e3a3cf17eb80af8e7d044b0352fd70955ec170",
+    ("kv", "bob", None): "b486e959e1f47733b3714c0825fd731d524b6dad7540757d8e1ac27838d082de",
 }
 
 #: ``ReconciliationResult.details`` of the same sessions at the same commit
 #: (``kv_apply`` shown as its record count), by family and known/unknown.
-_UNKNOWN_DETAILS = {"estimated_difference": 10, "difference_bound_used": 21}
+_UNKNOWN_DETAILS = {
+    "scratch": {"estimated_difference": 10, "difference_bound_used": 21},
+    "store": {"estimated_difference": 10, "difference_bound_used": 21},
+    "kv": {"estimated_difference": 9, "difference_bound_used": 19},
+}
 _DETAILS = {
     "scratch": {"difference_found": 10, "failure": None},
     "store": {"difference_found": 10, "failure": None, "served_from_store": True},
@@ -315,4 +323,4 @@ def test_family_sessions_match_the_recorded_pins(case):
     details = dict(result.details)
     if "kv_apply" in details:
         details["kv_apply"] = len(details["kv_apply"])
-    assert details == {**_DETAILS[family], **({} if bound else _UNKNOWN_DETAILS)}
+    assert details == {**_DETAILS[family], **({} if bound else _UNKNOWN_DETAILS[family])}
