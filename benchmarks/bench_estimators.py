@@ -3,7 +3,8 @@
 Paper claim: the L0-sketch estimator reports the difference within a constant
 factor while being an O(log u) factor *smaller* than the strata estimator of
 [14] and faster to merge/query.  The benchmark measures accuracy (ratio of
-estimate to true difference) and sketch size for both estimators.
+estimate to true difference) and sketch size for both estimators, and for the
+median-of-five-L0 amplification (five times the L0 sketch).
 """
 
 import random
@@ -19,7 +20,7 @@ import pytest
 from conftest import run_once
 from repro.bench.cli import benchmark_config, benchmark_parser
 from repro.bench.reporting import format_table, write_benchmark_record
-from repro.estimator import L0Estimator, StrataEstimator
+from repro.estimator import L0Estimator, MedianEstimator, StrataEstimator
 
 TRUE_DIFFERENCES = (16, 128, 1024)
 TITLE = "E5: set-difference estimators (accuracy and size)"
@@ -49,13 +50,16 @@ def sweep(seed=0):
     for true_d in TRUE_DIFFERENCES:
         l0 = _merged(L0Estimator, true_d, seed=seed + true_d)
         strata = _merged(StrataEstimator, true_d, seed=seed + true_d)
+        median = _merged(MedianEstimator, true_d, seed=seed + true_d)
         rows.append(
             {
                 "true d": true_d,
                 "l0 estimate": l0.query(),
                 "strata estimate": strata.query(),
+                "median estimate": median.query(),
                 "l0 bits": l0.size_bits,
                 "strata bits": strata.size_bits,
+                "median bits": median.size_bits,
             }
         )
     return rows
@@ -68,6 +72,8 @@ def test_estimator_accuracy_and_size_report(benchmark):
     for row in rows:
         assert row["true d"] / 8 <= row["l0 estimate"] <= row["true d"] * 8
         assert row["true d"] / 8 <= row["strata estimate"] <= row["true d"] * 8
+        assert row["true d"] / 8 <= row["median estimate"] <= row["true d"] * 8
+        assert row["median bits"] == 5 * row["l0 bits"]
         # The headline claim: the paper's estimator is much smaller.
         assert row["l0 bits"] * 10 < row["strata bits"]
 

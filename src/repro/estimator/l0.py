@@ -39,9 +39,8 @@ if HAS_NUMPY:
 #: (measured: ~2 us per element against ~20 us per occupied level).
 _BATCH_CUTOFF = 40
 
-#: Wire helpers: a hex digit is two counters, a base-4 digit is one.
-_HEX_TO_QUADS = {ord(f"{value:x}"): f"{value >> 2}{value & 3}" for value in range(16)}
-_QUADS_TO_COUNTERS = bytes.maketrans(b"0123", bytes(range(4)))
+#: A hex digit of the wire field is two counters (as characters 0..3).
+_HEX_TO_COUNTERS = {ord(f"{value:x}"): chr(value >> 2) + chr(value & 3) for value in range(16)}
 
 
 class L0Estimator(SetDifferenceEstimator):
@@ -186,5 +185,5 @@ class L0Estimator(SetDifferenceEstimator):
 
     def read_wire(self, reader) -> None:
         size = len(self._counters)
-        quads = f"{reader.read(self.size_bits):0{(size + 1) // 2}x}".translate(_HEX_TO_QUADS)
-        self._counters[:] = quads[-size:].encode().translate(_QUADS_TO_COUNTERS)
+        digits = f"{reader.read(self.size_bits):0{(size + 1) // 2}x}"
+        self._counters[:] = digits.translate(_HEX_TO_COUNTERS)[-size:].encode("latin-1")

@@ -9,7 +9,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.comm.bits import BitWriter
 from repro.errors import ParameterError, StoreError
 from repro.iblt import IBLT
 from repro.protocols.parties.setrecon import (
@@ -102,11 +101,12 @@ def test_live_estimators_equal_fresh_ones_after_random_mutations(steps):
             changed = rng.sample(sorted(dataset), min(size, len(dataset)))
             store.apply("d", [], changed)
         dataset.symmetric_difference_update(changed)
+    state = config.context().estimator_codec().encode
     for side in (1, 2):
         fresh = config.context().make_estimator()
         fresh.update_all(dataset, side)
         live = store.estimator_for("d", config, side, None)
-        assert estimator_state(live) == estimator_state(fresh)
+        assert state(live) == state(fresh)
 
 
 def test_live_estimator_equals_fresh_one():
@@ -275,12 +275,6 @@ def test_invalidate_drops_memory_and_disk(tmp_path):
     store.close()
 
 
-def estimator_state(estimator):
-    writer = BitWriter()
-    estimator.write_wire(writer)
-    return writer.getvalue()
-
-
 @pytest.mark.parametrize("stale_version", [1, 2])
 def test_older_snapshot_is_invalidated_and_rebuilt(tmp_path, stale_version):
     """Version 2 changed the running-hash values and version 3 the estimator's
@@ -311,11 +305,12 @@ def test_older_snapshot_is_invalidated_and_rebuilt(tmp_path, stale_version):
     body = json.loads(path.read_text())
     body["version"] = stale_version
     body["hashes"] = {seed: value ^ 0xDEADBEEF for seed, value in body["hashes"].items()}
+    state = config.context().estimator_codec().encode
     foreign = SketchConfig(UNIVERSE, seed=SEED + 1).context().make_estimator()
     foreign.update_all(dataset, 1)
     for item in body["estimators"]:
-        assert len(item["state"]) == 2 * len(estimator_state(foreign))
-        item["state"] = estimator_state(foreign).hex()
+        assert len(item["state"]) == 2 * len(state(foreign))
+        item["state"] = state(foreign).hex()
     path.write_text(json.dumps(body))
 
     metrics = ServiceMetrics()
@@ -328,7 +323,7 @@ def test_older_snapshot_is_invalidated_and_rebuilt(tmp_path, stale_version):
     fresh = config.context().make_estimator()
     fresh.update_all(dataset, 1)
     rebuilt = reopened.estimator_for("d", config, 1, dataset)
-    assert estimator_state(rebuilt) == estimator_state(fresh) != estimator_state(foreign)
+    assert state(rebuilt) == state(fresh) != state(foreign)
     reopened.table_for("d", config, 20, dataset)
     assert (metrics.store_hits, metrics.store_misses) == (0, 2)
 
