@@ -54,8 +54,10 @@ def reconcile_cascading(
         Bound ``d_hat`` on differing child sets; defaults to
         ``min(difference_bound, s)`` with ``s`` the larger parent size.
     backend:
-        Cell-store backend for every table built here (the wide-keyed parent
-        tables fall back to the pure-Python store; see :mod:`repro.config`).
+        Cell-store backend (see :mod:`repro.config`).  A vectorized one builds
+        and serializes each level's child tables as one cell tensor; the
+        wide-keyed parent tables resolve to the pure-Python store, which folds
+        each key to 64 bits once and then hashes the folds as one array.
     field_kernel:
         Scoped GF(p) kernel selection (see :mod:`repro.field.kernels`),
         matching the other set-of-sets entry points.  The cascade itself is

@@ -8,8 +8,9 @@ This module provides:
   in scalar (:func:`child_set_hash`) and batch (:func:`child_set_hash_many`)
   forms;
 * packing / unpacking of a child encoding into a fixed-width integer key --
-  :meth:`ChildEncodingScheme.encode_all` batches the whole parent set
-  through one :class:`~repro.iblt.multi.IBLTArray` pass;
+  :func:`encode_children` batches the whole parent set through one
+  :class:`~repro.iblt.multi.IBLTArray` pass per scheme, over one flatten,
+  one validation and one child-hash pass shared by all of them;
 * a per-reconcile cache of candidate child tables for the decode side
   (:class:`ChildTableCache`);
 * explicit (raw) encodings of whole child sets, used by the naive protocol
@@ -19,12 +20,13 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.errors import CapacityError, ParameterError
 from repro.hashing import Checksum, derive_seed, mix64
 from repro.hashing.mix import MASK64
 from repro.iblt import IBLT, IBLTArray, IBLTParameters
+from repro.iblt.multi import FlatChildren
 
 
 # ---------------------------------------------------------------------------
@@ -126,21 +128,10 @@ class ChildEncodingScheme:
         self, children: Iterable[Iterable[int]], backend: str | None = None
     ) -> list[int]:
         """Encode many child sets (the batch form protocols feed to
-        :meth:`~repro.iblt.table.IBLT.insert_batch`).
-
-        All child IBLTs are materialized in one pass through
-        :class:`~repro.iblt.multi.IBLTArray` -- one flat hashing-and-scatter
-        over every ``(child_index, element)`` pair -- and the child hashes
-        through :func:`child_set_hash_many`.  The keys are bit-identical to
-        calling :meth:`encode` per child.
+        :meth:`~repro.iblt.table.IBLT.insert_batch`): the one-scheme call of
+        :func:`encode_children`, bit-identical to :meth:`encode` per child.
         """
-        children = [list(child) for child in children]
-        array = IBLTArray(self.child_params, children, backend=backend)
-        hashes = child_set_hash_many(children, self.seed, self.hash_bits)
-        return [
-            (serialized << self.hash_bits) | child_hash
-            for serialized, child_hash in zip(array.serialize_all(), hashes)
-        ]
+        return encode_children([self], children, backend=backend)[0]
 
     def decode(self, key: int, backend: str | None = None) -> tuple[IBLT, int]:
         """Split a key back into ``(child IBLT, child hash)``."""
@@ -155,6 +146,35 @@ class ChildEncodingScheme:
     def hash_of(self, child: Iterable[int]) -> int:
         """The hash component alone (cheap lookup key)."""
         return child_set_hash(child, self.seed, self.hash_bits)
+
+
+def encode_children(
+    schemes: Sequence[ChildEncodingScheme],
+    children: Iterable[Iterable[int]],
+    backend: str | None = None,
+) -> list[list[int]]:
+    """The children's keys under every scheme: ``result[i][j]`` equals
+    ``schemes[i].encode(children[j])``.
+
+    The levels of a cascade encode the same children with the same child-hash
+    seed and width, so what does not depend on the scheme runs once: one
+    flatten and validation (:class:`~repro.iblt.multi.FlatChildren`) and one
+    hash pass per distinct ``(seed, hash_bits)``.  Each scheme's child IBLTs
+    are then built and serialized in one :class:`~repro.iblt.multi.IBLTArray`
+    pass, one scheme's cell tensor at a time.
+    """
+    flat = FlatChildren(children)
+    hashes: dict[tuple[int, int], list[int]] = {}
+    encoded = []
+    for scheme in schemes:
+        shared = (scheme.seed, scheme.hash_bits)
+        if shared not in hashes:
+            hashes[shared] = child_set_hash_many(flat.rows, *shared)
+        tables = IBLTArray(scheme.child_params, flat, backend=backend).serialize_all()
+        encoded.append(
+            [(table << scheme.hash_bits) | tail for table, tail in zip(tables, hashes[shared])]
+        )
+    return encoded
 
 
 class ChildTableCache:

@@ -11,7 +11,9 @@ that seam:
   scans, the whole peeling loop (:meth:`CellStore.peel_rounds`), in-place
   combination, and snapshot/load for serialization.
 * :class:`PythonCellStore` -- the reference implementation over plain Python
-  lists.  Handles keys of any width; always available.
+  lists.  Handles keys of any width; always available.  A batch folds each
+  key to 64 bits once; one with keys past 64 bits then hashes the folds
+  through the array functions when NumPy is importable.
 * :class:`NumpyCellStore` -- vectorized implementation over NumPy ``int64``
   count and ``uint64`` XOR arrays.  Batch inserts hash whole key arrays
   through :meth:`~repro.hashing.family.HashFamily.cells_for_array` and
@@ -40,10 +42,15 @@ from typing import ClassVar, Sequence
 from repro.config import register_cell_backend
 from repro.errors import CapacityError, ParameterError
 from repro.hashing import Checksum, HashFamily
-from repro.hashing.mix import HAS_NUMPY, all_ints
+from repro.hashing.mix import HAS_NUMPY, all_ints, fingerprint64
 
 if HAS_NUMPY:
     import numpy as _np
+
+
+#: The python store hashes a wide-keyed batch through the array functions above
+#: this many keys (measured: ~35 us of array set-up against ~3 us saved per key).
+_ARRAY_HASH_CUTOFF = 12
 
 
 def max_peel_rounds(num_cells: int) -> int:
@@ -216,8 +223,20 @@ class PythonCellStore(CellStore):
         counts, key_xor, check_xor = self._counts, self._key_xor, self._check_xor
         if isinstance(deltas, int):
             deltas = [deltas] * len(keys)
-        checks = checksum.of_keys(keys)
-        cell_rows = family.cells_for_many(keys)
+        # One fold per key (the one BLAKE2b digest a wide key costs); a fold
+        # is below 2**64, where fingerprint64 is the identity, so hashing the
+        # folds gives the keys' own cells and checksums on either route.  The
+        # array route is for batches with a key only this store can hold: on
+        # keys the array stores take, it stays their pure-Python reference.
+        folds = [fingerprint64(key) for key in keys]
+        batched = HAS_NUMPY and checksum.bits <= 64 and len(folds) > _ARRAY_HASH_CUTOFF
+        if batched and folds != keys:
+            array = _np.fromiter(folds, dtype=_np.uint64, count=len(folds))
+            checks = checksum.of_keys_array(array).tolist()
+            cell_rows = family.cells_for_array(array).T.tolist()
+        else:
+            checks = checksum.of_keys(folds)
+            cell_rows = family.cells_for_many(folds)
         for key, delta, check, cells in zip(keys, deltas, checks, cell_rows):
             for cell in cells:
                 counts[cell] += delta
@@ -305,7 +324,21 @@ class NumpyCellStore(CellStore):
             check_xor[cell] ^= check_word
 
     def prepare_keys(self, keys, key_bits):
-        keys = list(keys)
+        # A uint64 array (what an earlier call returned) cannot hold a float,
+        # a negative or a wide key: only the width is left to check.
+        if isinstance(keys, _np.ndarray) and keys.dtype == _np.uint64:
+            array = keys
+        else:
+            array = self._checked_array(list(keys), key_bits)
+        if key_bits < 64 and array.size:
+            oversized = array >> _np.uint64(key_bits)
+            if oversized.any():
+                offender = int(array[_np.nonzero(oversized)[0][0]])
+                _validate_key_scalar(offender, key_bits)
+        return array
+
+    @staticmethod
+    def _checked_array(keys, key_bits):
         # np.asarray would silently truncate floats (1.5 -> 1) and, on
         # NumPy 1.x, wrap negative ints into uint64 -- both would break the
         # exact-parity guarantee, so check types and signs explicitly.
@@ -314,18 +347,12 @@ class NumpyCellStore(CellStore):
         if keys and min(keys) < 0:
             raise ParameterError("IBLT keys must be non-negative")
         try:
-            array = _np.asarray(keys, dtype=_np.uint64)
+            return _np.asarray(keys, dtype=_np.uint64)
         except (OverflowError, TypeError, ValueError):
             # A >64-bit key somewhere: re-raise with exact parity.
             for key in keys:
                 _validate_key_scalar(key, key_bits)
             raise  # pragma: no cover - scalar validation always raises first
-        if key_bits < 64 and array.size:
-            oversized = array >> _np.uint64(key_bits)
-            if oversized.any():
-                offender = int(array[_np.nonzero(oversized)[0][0]])
-                _validate_key_scalar(offender, key_bits)
-        return array
 
     def coerce_keys(self, keys):
         return _np.asarray(keys, dtype=_np.uint64)

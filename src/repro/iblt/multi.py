@@ -8,15 +8,18 @@ backend resolution and per-table scatter -- a pure-Python ``O(n)`` loop that
 dominates encoding for parents with many small children.
 
 :class:`IBLTArray` materializes all ``s`` child tables in one pass instead:
-the children are flattened to ``(child_index, element)`` pairs, the whole
-flat element array is hashed once through the existing batch pipeline
+the children are flattened to ``(child_index, element)`` pairs
+(:class:`FlatChildren`: once, however many parameter sets are built over
+them), the whole flat element array is hashed once through the batch pipeline
 (:meth:`~repro.hashing.family.HashFamily.cells_for_array`,
 :meth:`~repro.hashing.checksum.Checksum.of_keys_array`), and the results are
 scattered into a single ``(s, num_cells)`` cell tensor -- three ``ufunc.at``
-calls for the entire parent set.  When the vectorized path is unavailable
-(no NumPy, or keys wider than 64 bits) the array falls back to building each
-row through the ordinary per-table path, so the contents are bit-identical
-either way: ``IBLTArray(params, children).table(i)`` always equals
+calls for the entire parent set.  :meth:`IBLTArray.serialize_all` writes the
+tensor out the same way: all cells as bit planes, packed to bytes in one
+pass, one ``int.from_bytes`` per row.  When the vectorized path is unavailable
+(no NumPy, or keys wider than 64 bits) the array builds and serializes each
+row through the ordinary per-table path, so the contents are bit-identical:
+``IBLTArray(params, children).table(i)`` always equals
 ``IBLT.from_items(params, children[i])``.
 
 The many-balls-into-many-bins structure of this batch build (every element
@@ -27,7 +30,8 @@ but they are why one flat scatter is safe: rows never interact.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Any, Iterable, Sequence
 
 from repro.errors import CapacityError, ParameterError
 from repro.hashing.mix import HAS_NUMPY
@@ -39,6 +43,21 @@ if HAS_NUMPY:
 
 
 if HAS_NUMPY:
+
+    def _bit_planes(values, width):
+        """The low ``width`` bits of every 64-bit value, MSB first, on a new last
+        axis, unpacked from only the big-endian bytes that hold them.  ``int64``
+        reads as two's complement; a field wider than 64 bits (on the tensor
+        path only a count can be) repeats the sign plane."""
+        num_bytes = min(8, (width + 7) // 8)
+        octets = values.astype(values.dtype.newbyteorder(">")).view(_np.uint8)
+        planes = _np.unpackbits(
+            octets.reshape(values.shape + (8,))[..., 8 - num_bytes :], axis=-1
+        )
+        if width > 64:
+            sign = _np.repeat(planes[..., :1], width - 64, axis=-1)
+            return _np.concatenate([sign, planes], axis=-1)
+        return planes[..., 8 * num_bytes - width :]
 
     def _peel_tensor(counts, key_xor, check_xor, family, checksum):
         """Peel every row of an ``(s, num_cells)`` cell tensor, in place.
@@ -104,6 +123,21 @@ if HAS_NUMPY:
         ]
 
 
+class FlatChildren:
+    """One parent's children, flattened once for every array built over them:
+    the ``rows``, their ``lengths`` and ``keys``, every element in row order as
+    one ``uint64`` array, validated by the first tensor build and only checked
+    against ``key_bits`` by the later ones (the other levels of a cascade)."""
+
+    def __init__(self, children: Iterable[Iterable[int]]) -> None:
+        self.rows = [
+            child if isinstance(child, (list, tuple)) else list(child)
+            for child in children
+        ]
+        self.lengths = list(map(len, self.rows))
+        self.keys: Any = None
+
+
 class IBLTArray:
     """A batch of IBLTs over shared parameters, built in one vectorized pass.
 
@@ -113,8 +147,9 @@ class IBLTArray:
         Shared table configuration; every row uses the same cell count, seed
         and widths (this is what lets the rows share one flat hashing pass).
     children:
-        A sequence of key collections, one per table.  Row ``i`` holds
-        exactly the contents of ``IBLT.from_items(params, children[i])``.
+        A sequence of key collections, one per table, or the
+        :class:`FlatChildren` of one.  Row ``i`` holds exactly the contents
+        of ``IBLT.from_items(params, children[i])``.
     backend:
         Cell-store backend name, with the same semantics as
         :class:`~repro.iblt.table.IBLT`: the vectorized tensor path is used
@@ -126,15 +161,12 @@ class IBLTArray:
     def __init__(
         self,
         params: IBLTParameters,
-        children: Sequence[Iterable[int]],
+        children: "Sequence[Iterable[int]] | FlatChildren",
         backend: str | None = None,
     ) -> None:
         self.params = params
-        children = [
-            child if isinstance(child, (list, tuple)) else list(child)
-            for child in children
-        ]
-        self.num_tables = len(children)
+        flat = children if isinstance(children, FlatChildren) else FlatChildren(children)
+        self.num_tables = len(flat.rows)
         # One template table supplies the shared hash family, checksum and
         # resolved cell store; rows clone it instead of re-deriving seeds.
         self._template = IBLT(params, backend=backend)
@@ -147,11 +179,11 @@ class IBLTArray:
         )
         if self._vectorized:
             self._tables: list[IBLT] | None = None
-            self._build_tensor(children)
+            self._build_tensor(flat)
         else:
             self._counts = self._key_xor = self._check_xor = None
             tables = []
-            for child in children:
+            for child in flat.rows:
                 table = self._template.copy()
                 table.insert_batch(child)
                 tables.append(table)
@@ -169,17 +201,14 @@ class IBLTArray:
 
     # -- construction ----------------------------------------------------------------
 
-    def _build_tensor(self, children: list[list[int]]) -> None:
-        """Flatten to (child_index, element) pairs and scatter them all at once."""
+    def _build_tensor(self, flat: FlatChildren) -> None:
+        """Scatter every (child_index, element) pair of the flat array at once."""
         params = self.params
         num_cells = params.num_cells
-        flat: list[int] = []
-        lengths = []
-        for child in children:
-            flat.extend(child)
-            lengths.append(len(child))
-        store = self._template._store
-        keys = store.prepare_keys(flat, params.key_bits)  # validated uint64 array
+        lengths = flat.lengths
+        elements = flat.keys if flat.keys is not None else chain.from_iterable(flat.rows)
+        # The validated uint64 array (an earlier one passes on a width check).
+        keys = flat.keys = self._template._store.prepare_keys(elements, params.key_bits)
         total_cells = self.num_tables * num_cells
         counts = _np.zeros(total_cells, dtype=_np.int64)
         key_xor = _np.zeros(total_cells, dtype=_np.uint64)
@@ -293,15 +322,15 @@ class IBLTArray:
     def serialize_all(self) -> list[int]:
         """Canonical serializations of every row, in order.
 
-        Row ``i`` equals ``self.table(i).serialize()`` bit for bit; on the
-        tensor path the per-cell packing is one vectorized pass and only the
-        final fixed-width big-integer assembly runs per row.
+        Row ``i`` equals ``self.table(i).serialize()`` bit for bit.  On the
+        tensor path every cell is written as bit planes (``count`` in two's
+        complement ``|| key_xor || check_xor``, cell 0 first, MSB first) and
+        packed to bytes in one pass; a row then costs one ``int.from_bytes``.
         """
         if self._tables is not None:
             return [table.serialize() for table in self._tables]
         params = self.params
-        count_limit = 1 << params.count_bits
-        half = count_limit >> 1
+        half = 1 << (params.count_bits - 1)
         counts = self._counts
         if counts.size and not (
             -half <= int(counts.min()) and int(counts.max()) < half
@@ -309,21 +338,23 @@ class IBLTArray:
             raise CapacityError(
                 f"a cell count does not fit in {params.count_bits} bits"
             )
-        # Pack each cell into one Python int (object dtype: cells can exceed
-        # 64 bits), matching IBLT.serialize's count || key_xor || check_xor.
-        packed = (
-            ((counts % count_limit).astype(object) << (params.key_bits + params.checksum_bits))
-            | (self._key_xor.astype(object) << params.checksum_bits)
-            | self._check_xor.astype(object)
+        planes = _np.concatenate(
+            [
+                _bit_planes(counts, params.count_bits),
+                _bit_planes(self._key_xor, params.key_bits),
+                _bit_planes(self._check_xor, params.checksum_bits),
+            ],
+            axis=-1,
         )
-        cell_bits = params.cell_bits
-        serialized = []
-        for row in packed:
-            encoded = 0
-            for value in row:
-                encoded = (encoded << cell_bits) | value
-            serialized.append(encoded)
-        return serialized
+        # packbits pads a row's last byte on the right; shift that back out.
+        packed = _np.packbits(planes.reshape(self.num_tables, params.size_bits), axis=1)
+        padding = -params.size_bits % 8
+        row_bytes = packed.shape[1]
+        data = packed.tobytes()
+        return [
+            int.from_bytes(data[start : start + row_bytes], "big") >> padding
+            for start in range(0, len(data), row_bytes)
+        ]
 
     def __len__(self) -> int:
         return self.num_tables

@@ -39,6 +39,7 @@ from repro.core.setsofsets.encoding import (
     ExplicitChildScheme,
     child_set_hash,
     child_set_hash_many,
+    encode_children,
     parent_hash,
 )
 from repro.core.setsofsets.nested import (
@@ -673,9 +674,10 @@ def cascading_alice_known(
         raise ParameterError("max_child_size must be positive")
     plan = _cascade_plan(ctx, difference_bound)
     level_tables: list[IBLT] = []
-    for scheme, params in zip(plan.schemes, plan.level_params):
+    level_keys = encode_children(plan.schemes, alice, backend=ctx.backend)
+    for keys, params in zip(level_keys, plan.level_params):
         table = IBLT(params, backend=ctx.backend)
-        table.insert_batch(scheme.encode_all(alice, backend=ctx.backend))
+        table.insert_batch(keys)
         level_tables.append(table)
     t_star: IBLT | None = None
     if plan.t_star_params is not None:
@@ -706,17 +708,17 @@ def cascading_bob_known(
     level_tables, t_star, verification = payload
 
     bob_children = bob.sorted_children()
+    # Bob's encodings for every level come out of one pass over his children;
+    # the few already-recovered children are re-encoded per level below.
+    bob_level_keys = encode_children(plan.schemes, bob_children, backend=ctx.backend)
     recovered_children: set[frozenset[int]] = set()   # D_A
     differing_bob: set[frozenset[int]] = set()        # D_B
 
-    for level_index, (scheme, alice_table) in enumerate(
-        zip(plan.schemes, level_tables)
+    for level_index, (scheme, alice_table, bob_keys) in enumerate(
+        zip(plan.schemes, level_tables, bob_level_keys)
     ):
         level = level_index + 1
         work = alice_table.copy()
-        # All of Bob's encodings (and the already-recovered children's) are
-        # batch-built for this level's scheme in one flat pass each.
-        bob_keys = scheme.encode_all(bob_children, backend=ctx.backend)
         encoding_to_child = dict(zip(bob_keys, bob_children))
         deletions = [
             key

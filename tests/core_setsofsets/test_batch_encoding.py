@@ -4,6 +4,8 @@ Covers:
 
 * ``ChildEncodingScheme.encode_all`` / ``child_set_hash_many`` bit-identity
   with the scalar paths, on every backend;
+* ``encode_children``: every scheme's keys from one shared flatten,
+  validation and child-hash pass, equal to the per-scheme and per-child forms;
 * the per-reconcile :class:`ChildTableCache` (candidate tables built once,
   not once per (Alice key, candidate) pair);
 * the repeated-doubling clamp: the largest permitted bound is attempted even
@@ -26,7 +28,10 @@ from repro.core.setsofsets.encoding import (
     ChildTableCache,
     child_set_hash,
     child_set_hash_many,
+    encode_children,
 )
+from repro.core.setsofsets import encoding
+from repro.errors import CapacityError
 from repro.iblt import IBLT, IBLTParameters, NumpyCellStore
 from repro.workloads import sets_of_sets_instance
 
@@ -72,6 +77,66 @@ class TestBatchEncoding:
         assert SCHEME.encode_all(children, backend="python") == SCHEME.encode_all(
             children, backend="numpy"
         )
+
+
+def level_schemes(hash_seeds, key_bits=24):
+    """Cascade-like schemes: growing child tables, one hash seed per level."""
+    return [
+        ChildEncodingScheme(
+            IBLTParameters.for_difference(
+                2**level, key_bits, seed=100 + level,
+                num_hashes=3, checksum_bits=24, count_bits=16,
+            ),
+            48,
+            seed=hash_seed,
+        )
+        for level, hash_seed in enumerate(hash_seeds, start=1)
+    ]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestEncodeChildren:
+    @pytest.mark.parametrize(
+        "hash_seeds", [(77, 77, 77), (77, 78, 77)], ids=["shared-seed", "own-seeds"]
+    )
+    def test_equals_per_scheme_and_per_child_encoding(self, backend, hash_seeds, monkeypatch):
+        schemes = level_schemes(hash_seeds)
+        children = random_children(30, seed=11) + [frozenset()]
+        hash_passes = []
+        hash_many = encoding.child_set_hash_many
+
+        def counting(children, seed, bits):
+            hash_passes.append((seed, bits))
+            return hash_many(children, seed, bits)
+
+        monkeypatch.setattr(encoding, "child_set_hash_many", counting)
+        encoded = encode_children(schemes, children, backend=backend)
+        # One hash pass per distinct (seed, width), not one per scheme.
+        assert sorted(hash_passes) == sorted({(seed, 48) for seed in hash_seeds})
+        for scheme, keys in zip(schemes, encoded):
+            assert keys == scheme.encode_all(children, backend=backend)
+            assert keys == [scheme.encode(child, backend=backend) for child in children]
+
+    def test_no_schemes_and_no_children(self, backend):
+        assert encode_children([], random_children(3), backend=backend) == []
+        assert encode_children(level_schemes((77, 77)), [], backend=backend) == [[], []]
+
+    @pytest.mark.parametrize("narrow_level", [0, 1], ids=["first", "later"])
+    def test_an_element_past_a_schemes_key_bits_raises_as_that_scheme_does(
+        self, backend, narrow_level
+    ):
+        # 5000 fits 24 bits and not 12: the shared array must be checked
+        # against every scheme's own width, first level or not.
+        schemes = level_schemes((77, 77))
+        narrow = level_schemes((77, 77), key_bits=12)[narrow_level]
+        schemes[narrow_level] = narrow
+        children = [[1, 2], [3, 5000]]
+        with pytest.raises(CapacityError) as alone:
+            narrow.encode_all(children, backend=backend)
+        with pytest.raises(CapacityError) as shared:
+            encode_children(schemes, children, backend=backend)
+        assert str(shared.value) == str(alone.value)
+        assert "key_bits=12" in str(shared.value)
 
 
 class TestChildTableCache:

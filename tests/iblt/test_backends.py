@@ -1,5 +1,8 @@
 """Tests for the pluggable cell-store backends and the batch IBLT APIs."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +14,8 @@ from repro.config import (
     set_default_cell_backend,
 )
 from repro.errors import CapacityError, ParameterError
+from repro.hashing import Checksum
+from repro.iblt import backends
 from repro.iblt import (
     IBLT,
     IBLTParameters,
@@ -168,6 +173,90 @@ class TestBatchAPI:
         table.insert_batch([7, 7, 7])
         table.delete_batch([7, 7, 7])
         assert table.is_structurally_empty()
+
+
+class TestPythonStoreBatchHashing:
+    """``PythonCellStore.apply_batch``: one fold per key, then either hash route."""
+
+    CUTOFF = backends._ARRAY_HASH_CUTOFF
+    SIZES = [0, 1, CUTOFF - 1, CUTOFF, CUTOFF + 1, 3 * CUTOFF]
+    #: share of keys at or above 2**64, per batch
+    MIXES = {"narrow": 0.0, "straddling": 0.5, "wide": 1.0}
+
+    @staticmethod
+    def batch(size, wide_share, seed=5):
+        rng = random.Random(seed * 1000 + size)
+        keys = [
+            rng.getrandbits(200) | (1 << 64) if rng.random() < wide_share
+            else rng.getrandbits(64)
+            for _ in range(size)
+        ]
+        return keys + keys[:2]  # a repeated key must count twice
+
+    @pytest.fixture(params=[True, False], ids=["numpy-visible", "numpy-hidden"])
+    def numpy_visible(self, request, monkeypatch):
+        if not request.param:
+            monkeypatch.setattr(backends, "HAS_NUMPY", False)
+        elif not HAS_NUMPY:
+            pytest.skip("NumPy not installed")
+        return request.param
+
+    @pytest.mark.parametrize("checksum_bits", [32, 80])
+    @pytest.mark.parametrize("mix", MIXES)
+    @pytest.mark.parametrize("size", SIZES)
+    def test_batch_equals_a_loop_of_inserts(self, numpy_visible, size, mix, checksum_bits):
+        params = make_params(cells=40, key_bits=201, checksum_bits=checksum_bits)
+        keys = self.batch(size, self.MIXES[mix])
+        batched = IBLT(params)
+        assert isinstance(batched._store, PythonCellStore)
+        batched.insert_batch(keys)
+        batched.delete_batch(keys[: size // 2])
+        looped = IBLT(params)
+        for key in keys:
+            looped.insert(key)
+        for key in keys[: size // 2]:
+            looped.delete(key)
+        assert batched._store.snapshot() == looped._store.snapshot()
+
+    @pytest.mark.parametrize("mix", MIXES)
+    @pytest.mark.parametrize("size", SIZES)
+    def test_one_digest_per_wide_key_per_batch(self, numpy_visible, size, mix, monkeypatch):
+        keys = self.batch(size, self.MIXES[mix])
+        table = IBLT(make_params(cells=40, key_bits=201))
+        blake2b = hashlib.blake2b
+        folds = []
+
+        def counting(data=b"", **kwargs):
+            if kwargs.get("person") == b"repro-fp64":
+                folds.append(data)
+            return blake2b(data, **kwargs)
+
+        monkeypatch.setattr(hashlib, "blake2b", counting)
+        table.insert_batch(keys)
+        assert len(folds) == sum(key >> 64 != 0 for key in keys)
+        table.delete_batch(keys)
+        assert len(folds) == 2 * sum(key >> 64 != 0 for key in keys)
+        assert table.is_structurally_empty()
+
+    @needs_numpy
+    def test_the_array_route_needs_a_wide_key_and_more_keys_than_the_cutoff(self, monkeypatch):
+        table = IBLT(make_params(cells=40, key_bits=201))
+        sizes = []
+        of_keys_array = Checksum.of_keys_array
+
+        def spying(self, keys):
+            sizes.append(len(keys))
+            return of_keys_array(self, keys)
+
+        monkeypatch.setattr(Checksum, "of_keys_array", spying)
+        for size in (self.CUTOFF, self.CUTOFF + 1):
+            table.insert_batch([1 << 70 | key for key in range(size)])
+        assert sizes == [self.CUTOFF + 1]
+        # Keys the array stores can hold keep this store the scalar reference.
+        table.insert_batch(range(10 * self.CUTOFF))
+        assert sizes == [self.CUTOFF + 1]
+        table.insert_batch([*range(10 * self.CUTOFF), 1 << 64])
+        assert sizes == [self.CUTOFF + 1, 10 * self.CUTOFF + 1]
 
 
 @needs_numpy

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import CapacityError, ParameterError
 from repro.iblt import IBLT, IBLTArray, IBLTParameters, NumpyCellStore
@@ -156,3 +157,90 @@ class TestFromDifference:
     def test_empty_candidate_list(self):
         alice = IBLT.from_items(PARAMS, [1], backend="numpy")
         assert IBLTArray.from_difference(alice, []).decode_all() == []
+
+
+# -- the packed serializer ----------------------------------------------------------
+
+
+@st.composite
+def arrays_to_serialize(draw):
+    """``(params, children)``: any admissible field widths, any row width."""
+    key_bits = draw(st.integers(1, 64))
+    num_hashes = draw(st.integers(2, 4))
+    params = IBLTParameters(
+        num_cells=draw(st.integers(num_hashes, 3 * num_hashes + 1)),
+        key_bits=key_bits,
+        seed=draw(st.integers(0, 1 << 32)),
+        num_hashes=num_hashes,
+        checksum_bits=draw(st.integers(8, 64)),
+        count_bits=draw(st.integers(4, 32)),
+    )
+    child = st.lists(st.integers(0, (1 << key_bits) - 1), max_size=6)
+    return params, draw(st.lists(child, max_size=5))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestPackedSerializer:
+    @settings(max_examples=150, deadline=None)
+    @given(arrays_to_serialize())
+    # 3 cells of 4 + 1 + 8 = 13 bits: a 39-bit row, five bytes with one to spare.
+    @example((IBLTParameters(3, 1, 0, 3, checksum_bits=8, count_bits=4), [[1], [], [0, 1]]))
+    @example((PARAMS, []))
+    @example((PARAMS, [[], [], []]))
+    def test_rows_equal_the_scalar_serializer(self, backend, case):
+        params, children = case
+        array = IBLTArray(params, children, backend=backend)
+        serialized = array.serialize_all()
+        assert serialized == [array.table(i).serialize() for i in range(len(children))]
+        assert all(0 <= row < 1 << params.size_bits for row in serialized)
+
+    def test_a_count_outside_count_bits_still_raises(self, backend):
+        params = IBLTParameters(6, 20, 3, 3, checksum_bits=24, count_bits=4)
+        array = IBLTArray(params, [[1], [9] * 8], backend=backend)  # counts fit [-8, 8)
+        with pytest.raises(CapacityError):
+            array.serialize_all()
+        with pytest.raises(CapacityError):
+            array.table(1).serialize()
+
+
+@pytest.mark.skipif(not NumpyCellStore.available(), reason="NumPy not installed")
+class TestPackedDifferenceRows:
+    """``from_difference`` arrays are where a tensor holds negative counts."""
+
+    @staticmethod
+    def rows_agree(array):
+        assert array.serialize_all() == [
+            array.table(i).serialize() for i in range(len(array))
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays_to_serialize(), st.data())
+    def test_negative_counts_pack_in_twos_complement(self, case, data):
+        params, children = case
+        minuend = IBLT.from_items(
+            params, data.draw(st.sampled_from(children)) if children else [], backend="numpy"
+        )
+        self.rows_agree(
+            IBLTArray.from_difference(
+                minuend, [IBLT.from_items(params, child, backend="numpy") for child in children]
+            )
+        )
+
+    @pytest.mark.parametrize("count_bits", [4, 70])
+    def test_count_widths_at_both_ends(self, count_bits):
+        # Below a byte, and past 64 bits, where the sign plane is repeated.
+        params = IBLTParameters(6, 20, 3, 3, checksum_bits=24, count_bits=count_bits)
+        minuend = IBLT.from_items(params, [4, 5], backend="numpy")
+        plenty = IBLT.from_items(params, [9] * 6 + [4], backend="numpy")
+        array = IBLTArray.from_difference(minuend, [plenty, minuend, IBLT(params)])
+        assert int(array._counts.min()) <= -6 and int(array._counts.max()) >= 1
+        self.rows_agree(array)
+
+    def test_a_count_below_the_range_still_raises(self):
+        params = IBLTParameters(6, 20, 3, 3, checksum_bits=24, count_bits=4)
+        nine = IBLT.from_items(params, [9] * 5, backend="numpy")
+        nine.insert_batch([9] * 4)
+        array = IBLTArray.from_difference(IBLT(params, backend="numpy"), [nine])
+        assert int(array._counts.min()) == -9  # counts fit [-8, 8)
+        with pytest.raises(CapacityError):
+            array.serialize_all()
