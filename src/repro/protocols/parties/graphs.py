@@ -425,11 +425,16 @@ def degree_neighborhood_parties(
         alice_children = sig_outcome.recovered.sorted_children()
         if len(alice_children) != num_vertices:
             return PartyOutcome(False, details={"failure": "signature-count"})
+        try:
+            alice_signatures = [
+                _decode_signature(child, multiplicity_bound) for child in alice_children
+            ]
+        except ParameterError:
+            # The peer chose the children: a pair with count 0, or two pairs
+            # for one degree, fits the universe and verifies, and is no multiset.
+            return PartyOutcome(False, details={"failure": "signature-encoding"})
         stride = multiplicity_bound + 1  # decoded counts are at most the bound
-        alice_masks = [
-            multiset_mask(_decode_signature(child, multiplicity_bound), stride)
-            for child in alice_children
-        ]
+        alice_masks = [multiset_mask(signature, stride) for signature in alice_signatures]
         rank_of_child = {child: rank for rank, child in enumerate(alice_children)}
         bob_labeling: dict[int, int] = {}
         used: set[int] = set()
