@@ -117,18 +117,13 @@ def degree_neighborhood_signatures(graph: Graph, max_degree: int) -> dict[int, C
     return signatures
 
 
-def multiset_difference_size(first: Counter, second: Counter) -> int:
-    """``|D_u xor D_v|`` for two degree multisets."""
-    keys = set(first) | set(second)
-    return sum(abs(first.get(key, 0) - second.get(key, 0)) for key in keys)
-
-
 def multiset_mask(signature: Counter, stride: int) -> int:
     """A degree multiset in unary, as a :func:`signature_mask`.
 
     Value ``k`` with count ``c <= stride`` sets bits ``k*stride .. k*stride +
     c - 1``, so two masks differ in ``|c - c'|`` bits per value and
-    ``(a ^ b).bit_count()`` is :func:`multiset_difference_size`.
+    ``(a ^ b).bit_count()`` is ``|D_u xor D_v|``,
+    :func:`~repro.core.setrecon.multiset.multiset_symmetric_difference`.
     """
     return signature_mask(
         value * stride + copy

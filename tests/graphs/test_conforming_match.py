@@ -13,11 +13,8 @@ import pytest
 from repro.core.setsofsets import SetOfSets
 from repro.graphs import degree_order
 from repro.graphs.degree_order import _conforming_labels_for_bob
-from repro.graphs.separation import (
-    multiset_difference_size,
-    multiset_mask,
-    signature_mask,
-)
+from repro.core.setrecon.multiset import multiset_symmetric_difference
+from repro.graphs.separation import multiset_mask, signature_mask
 
 
 def quadratic_conforming_labels(alice_signatures, bob_signatures, num_top, difference_bound):
@@ -159,4 +156,4 @@ class TestMasks:
                 for _ in range(2)
             )
             distance = (multiset_mask(first, 8) ^ multiset_mask(second, 8)).bit_count()
-            assert distance == multiset_difference_size(first, second)
+            assert distance == multiset_symmetric_difference(first, second)

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.setrecon.multiset import multiset_symmetric_difference
 from repro.errors import ParameterError
 from repro.graphs import (
     Graph,
@@ -20,7 +21,7 @@ from repro.graphs.random_graphs import (
     planted_separated_graph,
     reconciliation_pair,
 )
-from repro.graphs.separation import degree_sorted_vertices, multiset_difference_size
+from repro.graphs.separation import degree_sorted_vertices
 
 
 class TestDegreeOrderSignatures:
@@ -122,7 +123,7 @@ class TestDegreeNeighborhoodSignatures:
         assert signatures[3] == Counter()                 # degree-3 neighbor excluded
 
     def test_multiset_difference(self):
-        assert multiset_difference_size(Counter({1: 2}), Counter({1: 1, 2: 1})) == 2
+        assert multiset_symmetric_difference(Counter({1: 2}), Counter({1: 1, 2: 1})) == 2
 
     def test_disjointness_monotone_in_density(self):
         sparse = gnp_random_graph(150, 0.1, 3)
