@@ -125,16 +125,15 @@ if HAS_NUMPY:
 
 class FlatChildren:
     """One parent's children, flattened once for every array built over them:
-    the ``rows``, their ``lengths`` and ``keys``, every element in row order as
-    one ``uint64`` array, validated by the first tensor build and only checked
-    against ``key_bits`` by the later ones (the other levels of a cascade)."""
+    the ``rows`` and ``keys``, every element in row order as one ``uint64``
+    array, validated by the first tensor build and only checked against
+    ``key_bits`` by the later ones (the other levels of a cascade)."""
 
     def __init__(self, children: Iterable[Iterable[int]]) -> None:
         self.rows = [
             child if isinstance(child, (list, tuple)) else list(child)
             for child in children
         ]
-        self.lengths = list(map(len, self.rows))
         self.keys: Any = None
 
 
@@ -205,7 +204,7 @@ class IBLTArray:
         """Scatter every (child_index, element) pair of the flat array at once."""
         params = self.params
         num_cells = params.num_cells
-        lengths = flat.lengths
+        lengths = list(map(len, flat.rows))
         elements = flat.keys if flat.keys is not None else chain.from_iterable(flat.rows)
         # The validated uint64 array (an earlier one passes on a width check).
         keys = flat.keys = self._template._store.prepare_keys(elements, params.key_bits)

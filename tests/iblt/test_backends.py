@@ -15,13 +15,13 @@ from repro.config import (
 )
 from repro.errors import CapacityError, ParameterError
 from repro.hashing import Checksum
-from repro.iblt import backends
 from repro.iblt import (
     IBLT,
     IBLTParameters,
     NumbaCellStore,
     NumpyCellStore,
     PythonCellStore,
+    backends,
 )
 
 HAS_NUMPY = NumpyCellStore.available()
