@@ -256,9 +256,17 @@ class Cluster:
         return applied
 
     def converged(self) -> bool:
-        """Whether every live replica's canonical state digest agrees."""
-        digests = {replica.digest() for replica in self.replicas.values()}
-        return len(digests) <= 1
+        """Whether every live replica holds byte-identical state.
+
+        Decided by the canonical state digests (cached per replica until
+        its next installed record).  The O(1) summaries only screen: under
+        the shared seed differing summaries prove differing states, an exact
+        ``False``; agreeing ones prove nothing and the digests are compared.
+        """
+        replicas = self.replicas.values()
+        if len({replica.summary() for replica in replicas}) > 1:
+            return False
+        return len({replica.digest() for replica in replicas}) <= 1
 
     def run_until_converged(self, max_rounds: int = 64) -> ConvergenceReport:
         """Gossip until byte-identical replicas (or ``max_rounds``)."""

@@ -7,8 +7,10 @@ One journal file per replica, one JSON line per *applied* record::
 Replaying the journal through the replica's LWW merge rebuilds the exact
 pre-crash state (the merge is idempotent, so records superseded later in
 the file are simply overwritten again in order).  The crash model matches
-:class:`~repro.store.journal.UpdateJournal`: appends are flushed per entry,
-a torn trailing line is tolerated, and a malformed interior line raises
+:class:`~repro.store.journal.UpdateJournal`: a merge's winners are one
+append (one write, one flush, one optional ``fsync``), a crash inside it
+leaves complete lines and at most one torn trailing one, which is tolerated,
+and a malformed interior line raises
 :class:`~repro.errors.ClusterError` because everything after it is suspect.
 """
 
@@ -21,6 +23,10 @@ from typing import IO, Iterable
 
 from repro.cluster.records import KVRecord
 from repro.errors import ClusterError
+
+
+def _line(record: KVRecord) -> str:
+    return json.dumps(record.to_wire(), separators=(",", ":"), sort_keys=True) + "\n"
 
 
 class RecordJournal:
@@ -57,14 +63,14 @@ class RecordJournal:
         with open(self.path, "r+b") as handle:
             handle.truncate(data.rfind(b"\n") + 1)
 
-    def append(self, record: KVRecord) -> None:
-        """Durably record one applied record before it mutates the replica."""
-        line = json.dumps(record.to_wire(), separators=(",", ":"), sort_keys=True)
+    def append(self, records: Iterable[KVRecord]) -> None:
+        """Durably record one merge's winners before they mutate the replica."""
+        lines = "".join(_line(record) for record in records)
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._repair_torn_tail()
             self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(line + "\n")
+        self._handle.write(lines)
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())
@@ -74,13 +80,19 @@ class RecordJournal:
     def records(self) -> list[KVRecord]:
         """Every parseable record in append order, tolerating a torn tail.
 
-        A line that fails to parse is dropped when it is the last one (the
-        torn write of a crash mid-append) and raises :class:`ClusterError`
-        anywhere else.
+        The last line is dropped when it is unterminated or fails to parse
+        (the torn write of a crash mid-append); a line that fails to parse
+        anywhere else raises :class:`ClusterError`.
         """
         if not self.path.exists():
             return []
-        lines = self.path.read_text(encoding="utf-8").splitlines()
+        text = self.path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        last = len(lines) - 1  # the one line a crash mid-append may have torn
+        if lines and not text.endswith("\n"):
+            # The newline commits a line: the next append truncates an
+            # unterminated tail, so replay must not count it either.
+            lines.pop()
         parsed: list[KVRecord] = []
         for index, line in enumerate(lines):
             if not line.strip():
@@ -88,7 +100,7 @@ class RecordJournal:
             try:
                 parsed.append(KVRecord.from_wire(json.loads(line)))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                if index == len(lines) - 1:
+                if index == last:
                     break  # torn tail: the crash interrupted this append
                 raise ClusterError(
                     f"corrupt journal entry at {self.path}:{index + 1}: {exc}"
@@ -107,11 +119,7 @@ class RecordJournal:
         temp = self.path.with_suffix(self.path.suffix + ".tmp")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(temp, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(
-                    json.dumps(record.to_wire(), separators=(",", ":"), sort_keys=True)
-                    + "\n"
-                )
+            handle.writelines(_line(record) for record in records)
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())

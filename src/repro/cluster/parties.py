@@ -15,8 +15,9 @@ One gossip round between two replicas is a single two-phase session:
   fingerprints he wants resolved, together with the full records behind
   his own one-sided fingerprints (pushed so alice needs no second
   request).  Alice answers with a ``"kv records"`` frame carrying the
-  requested records.  Both frames are bit-exact
-  (:func:`~repro.cluster.records.record_bits`).
+  requested records, which bob accepts only if they hash to exactly the
+  fingerprints he asked for (failure ``"kv-records"`` otherwise).  Both
+  frames are bit-exact (:func:`~repro.cluster.records.record_bits`).
 
 The parties are deliberately **pure**: neither side mutates its replica.
 Each side returns the records it should merge in
@@ -36,6 +37,7 @@ from repro.cluster.records import (
     FINGERPRINT_UNIVERSE,
     KVRecord,
     read_record,
+    record_fingerprint,
     records_bits,
     write_record,
 )
@@ -44,6 +46,7 @@ from repro.errors import ParameterError
 from repro.protocols.party import (
     END_OF_SESSION,
     PartyGenerator,
+    PartyOutcome,
     PartyPair,
     Receive,
     Send,
@@ -171,6 +174,10 @@ def kv_bob(
     reply = yield Receive(KVRecordsCodec())
     if reply is END_OF_SESSION:
         return aborted_outcome()
+    # Only the fingerprints are verified so far; the records are whatever the
+    # peer chose to send, and are merged only if they hash to what was asked.
+    if sorted(record_fingerprint(ctx.seed, record) for record in reply) != list(wanted):
+        return PartyOutcome(False, details={"failure": "kv-records"})
     outcome.details.update(kv_apply=reply, kv_pushed=len(pushed))
     return outcome
 

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterable, Sequence
 
 from repro.comm.bits import BitReader, BitWriter
 from repro.errors import ParameterError
 from repro.hashing import derive_seed
 from repro.hashing.mix import MASK64, mix64
+from repro.protocols.wire import WireError
 
 #: Every record fingerprint is a 64-bit element; sessions reconcile sets
 #: drawn from this universe.
@@ -126,6 +128,13 @@ class KVRecord:
         )
 
 
+@lru_cache(maxsize=64)
+def _chain_start(seed: int) -> int:
+    """First word of every fingerprint chain under ``seed``: one BLAKE2b
+    derivation per seed per process instead of one per record."""
+    return mix64(derive_seed(seed, "kv-record") & MASK64)
+
+
 def record_fingerprint(seed: int, record: KVRecord) -> int:
     """The 64-bit set element a record contributes, shared public-coin style.
 
@@ -133,7 +142,7 @@ def record_fingerprint(seed: int, record: KVRecord) -> int:
     element from the same ``seed`` without communicating, and any field
     change moves the record to an (overwhelmingly likely) fresh element.
     """
-    h = mix64(derive_seed(seed, "kv-record") & MASK64)
+    h = _chain_start(seed)
     h = mix64(h ^ _text_hash64(record.key.encode("utf-8"), person=b"repro-kv-key"))
     h = mix64(h ^ (record.version & MASK64))
     h = mix64(h ^ record.writer)
@@ -163,31 +172,39 @@ def record_bits(record: KVRecord) -> int:
     return bits
 
 
+def _write_text(writer: BitWriter, text: str, length_bits: int) -> None:
+    """A length-prefixed UTF-8 string as one ``8 * len``-bit field: the
+    stream is MSB-first, so these are the bytes in order."""
+    data = text.encode("utf-8")
+    writer.write(len(data), length_bits)
+    writer.write(int.from_bytes(data, "big"), 8 * len(data))
+
+
+def _read_text(reader: BitReader, length_bits: int) -> str:
+    length = reader.read(length_bits)
+    # The one read raises on a length past the stream, before any allocation.
+    data = reader.read(8 * length).to_bytes(length, "big")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireError(f"record string is not valid UTF-8: {exc}") from exc
+
+
 def write_record(writer: BitWriter, record: KVRecord) -> None:
-    key_bytes = record.key.encode("utf-8")
-    writer.write(len(key_bytes), KEY_LENGTH_BITS)
-    for byte in key_bytes:
-        writer.write(byte, 8)
+    _write_text(writer, record.key, KEY_LENGTH_BITS)
     writer.write(record.version, VERSION_BITS)
     writer.write(record.writer, WRITER_BITS)
     writer.write(1 if record.value is None else 0, TOMBSTONE_BITS)
     if record.value is not None:
-        value_bytes = record.value.encode("utf-8")
-        writer.write(len(value_bytes), VALUE_LENGTH_BITS)
-        for byte in value_bytes:
-            writer.write(byte, 8)
+        _write_text(writer, record.value, VALUE_LENGTH_BITS)
 
 
 def read_record(reader: BitReader) -> KVRecord:
-    key_length = reader.read(KEY_LENGTH_BITS)
-    key = bytes(reader.read(8) for _ in range(key_length)).decode("utf-8")
+    key = _read_text(reader, KEY_LENGTH_BITS)
     version = reader.read(VERSION_BITS)
     writer_id = reader.read(WRITER_BITS)
     tombstone = reader.read(TOMBSTONE_BITS)
-    value: str | None = None
-    if not tombstone:
-        value_length = reader.read(VALUE_LENGTH_BITS)
-        value = bytes(reader.read(8) for _ in range(value_length)).decode("utf-8")
+    value = None if tombstone else _read_text(reader, VALUE_LENGTH_BITS)
     return KVRecord(key=key, version=version, writer=writer_id, value=value)
 
 

@@ -2,14 +2,17 @@
 
 A :class:`VersionedKV` holds the record map and, alongside it, the *set
 view* a gossip session reconciles: the set of 64-bit record fingerprints
-(:func:`~repro.cluster.records.record_fingerprint`).  Every mutation is
-routed through an in-process :class:`~repro.store.SketchStore` ``apply``
-call, so the live IBLTs, estimators, and verification hash tracking the
+(:func:`~repro.cluster.records.record_fingerprint`).  Every merge -- a
+local write, a gossip round's records, journal replay -- installs its
+winners through one in-process :class:`~repro.store.SketchStore` ``apply``
+batch, so the live IBLTs, estimators, and verification hash tracking the
 fingerprint set are maintained in O(1) per changed record -- a gossip
-round then costs O(d) sketch work, never an O(n) re-encode.
+round then costs O(d) sketch work, never an O(n) re-encode.  The replica
+also keeps an O(1) state summary and caches its digest between installed
+records, so checking convergence after a round is not O(n) either.
 
-Durability is optional: given a ``journal_path`` the replica appends every
-applied record to a :class:`~repro.cluster.journal.RecordJournal` before
+Durability is optional: given a ``journal_path`` the replica appends each
+merge's winners to a :class:`~repro.cluster.journal.RecordJournal` before
 mutating state, and a restarted replica replays the journal through the
 same LWW merge (idempotent, so duplicates and superseded records are
 harmless) to recover its exact pre-crash state.
@@ -18,7 +21,7 @@ harmless) to recover its exact pre-crash state.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Collection, Iterable
 
 from repro.cluster.journal import RecordJournal
 from repro.cluster.records import (
@@ -49,8 +52,8 @@ class VersionedKV:
         fingerprints are derived from it, so replicas with different seeds
         hold incompatible fingerprint sets and refuse to gossip.
     journal_path:
-        Optional record journal; when given, applied records are journaled
-        before they mutate state and replayed on construction.
+        Optional record journal; when given, each merge's winners are
+        journaled before they mutate state and replayed on construction.
     metrics:
         Optional sink forwarded to the internal sketch store (anything
         with ``record_store_hit``-style methods, e.g.
@@ -74,14 +77,16 @@ class VersionedKV:
         self._records: dict[str, KVRecord] = {}
         self._fingerprints: set[int] = set()
         self._key_by_fingerprint: dict[int, str] = {}
+        self._fingerprint_xor = 0
+        self._digest: str | None = None  # cached until the next installed record
         self.store = SketchStore(metrics=metrics)
-        self._journal = (
-            RecordJournal(journal_path, fsync=fsync) if journal_path is not None else None
-        )
-        if self._journal is not None:
-            for record in self._journal.records():
-                if record.wins_over(self._records.get(record.key)):
-                    self._apply(record, journal=False)
+        self._journal: RecordJournal | None = None
+        if journal_path is not None:
+            journal = RecordJournal(journal_path, fsync=fsync)
+            # Replay is the ordinary merge, run before the journal is
+            # attached so that it does not journal itself.
+            self.merge_records(journal.records())
+            self._journal = journal
 
     # -- local writes ----------------------------------------------------------------
 
@@ -97,51 +102,67 @@ class VersionedKV:
         self.merge_records([record])
         return record
 
-    # -- merge (local writes and gossip both land here) ------------------------------
+    # -- merge (local writes, gossip and journal replay all land here) ---------------
 
     def merge_records(self, records: Iterable[KVRecord]) -> int:
         """LWW-merge records into this replica; returns how many applied.
 
         Commutative, associative, and idempotent: merging any multiset of
         records in any order yields the same state, which is what makes
-        anti-entropy gossip converge.
+        anti-entropy gossip converge.  The batch's winners are resolved
+        first, in input order, and installed together; a record superseded
+        later in its own batch still counts as applied.
         """
+        winners: dict[str, KVRecord] = {}
         applied = 0
         for record in records:
-            if record.wins_over(self._records.get(record.key)):
-                self._apply(record)
+            key = record.key
+            if record.wins_over(winners.get(key, self._records.get(key))):
+                winners[key] = record
                 applied += 1
+        if winners:
+            self._apply(winners.values())
         return applied
 
-    def _apply(self, record: KVRecord, *, journal: bool = True) -> None:
-        new_fp = record_fingerprint(self.seed, record)
-        owner = self._key_by_fingerprint.get(new_fp)
-        if owner is not None:
-            # Same element for a different record: a 64-bit fingerprint
-            # collision.  Astronomically unlikely; refusing loudly beats
-            # silently desynchronizing the sketches from the record map.
-            raise ClusterError(
-                f"fingerprint collision: record for {record.key!r} maps to the "
-                f"element already held by {owner!r}"
-            )
-        old = self._records.get(record.key)
+    def _apply(self, records: Collection[KVRecord]) -> None:
+        """Install LWW winners (one per key): journal, one store batch, maps."""
+        installed: dict[int, KVRecord] = {}
         deleted: list[int] = []
-        if old is not None:
-            deleted.append(record_fingerprint(self.seed, old))
-        if journal and self._journal is not None:
-            self._journal.append(record)
+        for record in records:
+            new_fp = record_fingerprint(self.seed, record)
+            owner = self._key_by_fingerprint.get(new_fp)
+            if owner is None and new_fp in installed:
+                owner = installed[new_fp].key
+            if owner is not None:
+                # Same element for a different record: a 64-bit fingerprint
+                # collision.  Astronomically unlikely; refusing loudly beats
+                # silently desynchronizing the sketches from the record map.
+                raise ClusterError(
+                    f"fingerprint collision: record for {record.key!r} maps to the "
+                    f"element already held by {owner!r}"
+                )
+            installed[new_fp] = record
+            old = self._records.get(record.key)
+            if old is not None:
+                deleted.append(record_fingerprint(self.seed, old))
+        if self._journal is not None:
+            self._journal.append(records)
         # Pre-mutation dataset: SketchStore.apply sizes a fresh entry from
-        # it and updates every live sketch in O(1) per changed element.
-        self.store.apply(_STORE_KEY, [new_fp], deleted, dataset=self._fingerprints)
-        if old is not None:
-            old_fp = deleted[0]
+        # it and updates every live sketch in O(1) per changed element (they
+        # are linear, so one batch equals one call per record bit for bit).
+        self.store.apply(_STORE_KEY, installed.keys(), deleted, dataset=self._fingerprints)
+        self._digest = None
+        for old_fp in deleted:
             self._fingerprints.discard(old_fp)
-            self._key_by_fingerprint.pop(old_fp, None)
-        self._fingerprints.add(new_fp)
-        self._key_by_fingerprint[new_fp] = record.key
-        self._records[record.key] = record
-        if record.version > self.clock:
-            self.clock = record.version
+            del self._key_by_fingerprint[old_fp]
+            self._fingerprint_xor ^= old_fp
+        for new_fp, record in installed.items():
+            self._fingerprints.add(new_fp)
+            self._key_by_fingerprint[new_fp] = record.key
+            self._fingerprint_xor ^= new_fp
+            self._records[record.key] = record
+            if record.version > self.clock:
+                self.clock = record.version
 
     # -- reads -----------------------------------------------------------------------
 
@@ -178,7 +199,17 @@ class VersionedKV:
 
     def digest(self) -> str:
         """Canonical state digest; equality across replicas == convergence."""
-        return state_digest(self._records.values())
+        if self._digest is None:
+            self._digest = state_digest(self._records.values())
+        return self._digest
+
+    def summary(self) -> tuple[int, int]:
+        """``(record count, XOR of held fingerprints)``, kept in O(1) per
+        installed record.  A function of the state under the cluster's
+        shared seed, so replicas whose summaries differ hold different
+        states; equal summaries prove nothing and :meth:`digest` decides.
+        """
+        return len(self._records), self._fingerprint_xor
 
     # -- the session-facing seam -----------------------------------------------------
 

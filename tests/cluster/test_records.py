@@ -1,15 +1,38 @@
 """KV records: fingerprints, LWW order, bit-exact wire form, state digest."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cluster import KVRecord, record_bits, record_fingerprint, state_digest
-from repro.cluster.records import FINGERPRINT_UNIVERSE, read_record, write_record
+from repro.cluster.records import (
+    FINGERPRINT_UNIVERSE,
+    KEY_LENGTH_BITS,
+    VALUE_LENGTH_BITS,
+    read_record,
+    write_record,
+)
 from repro.comm.bits import BitReader, BitWriter
 from repro.errors import ParameterError
 
 
 def rec(key="user:7", version=3, writer=1, value="hello"):
     return KVRecord(key=key, version=version, writer=writer, value=value)
+
+
+def write_record_per_byte(writer, record):
+    """The reference writer: every string byte as its own 8-bit field."""
+    key_bytes = record.key.encode("utf-8")
+    writer.write(len(key_bytes), KEY_LENGTH_BITS)
+    for byte in key_bytes:
+        writer.write(byte, 8)
+    writer.write(record.version, 64)
+    writer.write(record.writer, 32)
+    writer.write(1 if record.value is None else 0, 1)
+    if record.value is not None:
+        value_bytes = record.value.encode("utf-8")
+        writer.write(len(value_bytes), VALUE_LENGTH_BITS)
+        for byte in value_bytes:
+            writer.write(byte, 8)
 
 
 class TestFingerprints:
@@ -31,6 +54,16 @@ class TestFingerprints:
         dead = record_fingerprint(42, rec(value=None))
         assert dead != record_fingerprint(42, rec(value="hello"))
         assert dead != record_fingerprint(42, rec(value=""))
+
+    def test_pinned_values(self):
+        # Taken on the code that derived the chain's seed once per record:
+        # caching that derivation per seed must not move an element.
+        assert record_fingerprint(42, rec()) == 0x9EB5434318CFF086
+        wide = rec(key="naïve-κλειδί", version=(1 << 64) - 1, writer=(1 << 32) - 1, value="")
+        assert record_fingerprint(0, wide) == 0x34578FD4231F9CDB
+        assert record_fingerprint(2018, rec(key="k", version=1, writer=0, value=None)) == (
+            0x81A034915368F70C
+        )
 
 
 class TestLWWOrder:
@@ -81,6 +114,25 @@ class TestWireForm:
         write_record(writer, record)
         assert writer.bit_length == record_bits(record)
         reader = BitReader(writer.getvalue())
+        assert read_record(reader) == record
+
+    @given(
+        key=st.text(min_size=1, max_size=12),
+        value=st.one_of(st.none(), st.text(max_size=24)),
+        lead_bits=st.integers(0, 7),
+    )
+    def test_strings_as_one_field_are_the_per_byte_bits(self, key, value, lead_bits):
+        record = rec(key=key, value=value)
+        # A few bits in front, so the strings do not start on a byte boundary.
+        ours, reference = BitWriter(), BitWriter()
+        ours.write(0, lead_bits)
+        reference.write(0, lead_bits)
+        write_record(ours, record)
+        write_record_per_byte(reference, record)
+        assert ours.bit_length == reference.bit_length == lead_bits + record_bits(record)
+        assert ours.getvalue() == reference.getvalue()
+        reader = BitReader(ours.getvalue())
+        reader.read(lead_bits)
         assert read_record(reader) == record
 
     def test_json_wire_roundtrip(self):

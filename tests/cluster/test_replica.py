@@ -112,6 +112,66 @@ class TestJournal:
         third = VersionedKV(0, seed=5, journal_path=path)
         assert third.get("d") == "4"
 
+    def test_crash_at_every_byte_of_a_batch_append(self, tmp_path):
+        # A batch is one write, so a crash inside it leaves complete lines
+        # followed by at most one torn one.  At every cut: the reopened
+        # state is the LWW merge of the lines whose newline made it to disk,
+        # and the next append lands on a clean line.
+        path = tmp_path / "node.journal.jsonl"
+        first = KVRecord(key="a", version=1, writer=0, value="1")
+        batch = [
+            KVRecord(key="a", version=5, writer=1, value="2"),
+            KVRecord(key="b", version=2, writer=1, value=None),
+            KVRecord(key="clé", version=3, writer=2, value="vé\nw"),
+        ]
+        kv = VersionedKV(0, seed=5, journal_path=path)
+        kv.merge_records([first])
+        batch_start = path.stat().st_size
+        assert kv.merge_records(batch) == 3
+        kv.close()
+        whole = path.read_bytes()
+        assert whole.count(b"\n") == 4
+        for cut in range(batch_start, len(whole) + 1):
+            path.write_bytes(whole[:cut])
+            committed = whole[: whole.rfind(b"\n", 0, cut) + 1]
+            expected = VersionedKV(0, seed=5)
+            expected.merge_records(([first] + batch)[: committed.count(b"\n")])
+            reborn = VersionedKV(0, seed=5, journal_path=path)
+            assert reborn.records() == expected.records(), cut
+            assert (reborn.digest(), reborn.clock) == (expected.digest(), expected.clock)
+            reborn.put("z", "after")
+            reborn.close()
+            lines = path.read_bytes()
+            assert lines.startswith(committed) and lines.count(b"\n") == committed.count(b"\n") + 1
+            third = VersionedKV(0, seed=5, journal_path=path)
+            assert third.digest() == reborn.digest(), cut
+            third.close()
+
+    def test_a_merge_is_one_synced_append_of_its_winners(self, tmp_path, monkeypatch):
+        import repro.cluster.journal as journal_module
+
+        synced = []
+        monkeypatch.setattr(journal_module.os, "fsync", synced.append)
+        path = tmp_path / "node.journal.jsonl"
+        kv = VersionedKV(0, seed=5, journal_path=path, fsync=True)
+        old = KVRecord(key="a", version=1, writer=0, value="old")
+        new = KVRecord(key="a", version=2, writer=1, value="new")
+        other = KVRecord(key="b", version=1, writer=1, value=None)
+        assert kv.merge_records([old, new, other]) == 3
+        assert kv.merge_records([old]) == 0  # nothing won: nothing appended
+        assert len(synced) == 1
+        # Superseded inside its own batch: counted, never journalled.
+        assert RecordJournal(path).records() == [new, other]
+
+    def test_corruption_before_a_torn_tail_still_raises(self, tmp_path):
+        path = tmp_path / "node.journal.jsonl"
+        kv = VersionedKV(0, seed=5, journal_path=path)
+        kv.put("a", "1")
+        kv.close()
+        path.write_text(path.read_text() + "not json\n" + '{"key": "c", "ver')
+        with pytest.raises(ClusterError, match="corrupt journal"):
+            VersionedKV(0, seed=5, journal_path=path)
+
     def test_interior_corruption_raises(self, tmp_path):
         path = tmp_path / "node.journal.jsonl"
         kv = VersionedKV(0, seed=5, journal_path=path)
