@@ -1,4 +1,4 @@
-"""Cell-store backend comparison: pure-Python vs NumPy vs the compiled tier.
+"""Cell-store backend comparison: pure-Python vs NumPy.
 
 Times the three IBLT primitives every protocol is built from --
 encode (batch insert of n keys), subtract, and decode (batch peeling) --
@@ -7,15 +7,14 @@ recover identical sets.  The acceptance bar for the vectorized backend is
 a >= 5x end-to-end (encode + subtract + decode) speedup over the reference
 backend at n = 10^5.
 
-The large-scale row (``compare_large``, n = 10^7) runs all three tiers --
-python, numpy, and ``backend="numba"`` resolved down the fallback chain when
-numba is not installed -- in one run, asserts byte-identical serializations
-across them, and times the decode phase both through the legacy per-round
-driver and through the in-store vectorized peel that replaced it.  The
-acceptance bar is >= 2x on the peel/decode phase for the in-store peel of
-the fastest tier over the reference tier's peel (the legacy-driver
-comparison on the same store is reported alongside, unfloored: the generic
-driver already runs batched store primitives, so its gap is small).
+The large-scale row (``compare_large``, n = 10^7) runs both tiers in one
+run, asserts byte-identical serializations across them, and times the
+decode phase both through the legacy per-round driver and through the
+in-store vectorized peel that replaced it.  The acceptance bar is >= 2x on
+the peel/decode phase for the NumPy store's in-store peel over the reference
+tier's peel (the legacy-driver comparison on the same store is reported
+alongside, unfloored: the generic driver already runs batched store
+primitives, so its gap is small).
 
 Run under pytest-benchmark like the other benchmarks, or standalone::
 
@@ -45,7 +44,7 @@ SIZES = (1_000, 10_000, 100_000)
 KEY_BITS = 48
 SPEEDUP_FLOOR = 5.0  # acceptance bar at the largest size
 LARGE_N = 10_000_000
-PEEL_SPEEDUP_FLOOR = 2.0  # fastest tier's in-store peel vs the reference peel at 1e7
+PEEL_SPEEDUP_FLOOR = 2.0  # the NumPy store's in-store peel vs the reference peel at 1e7
 _UNIVERSE = 1 << (KEY_BITS - 1)
 
 
@@ -130,19 +129,19 @@ def _legacy_decode(table: IBLT) -> DecodeResult:
 
 
 def compare_large(n: int = LARGE_N, seed: int = DEFAULT_SEED) -> dict:
-    """The n=1e7 row: all three tiers in one run, plus the peel phase.
+    """The n=1e7 row: both tiers in one run, plus the peel phase.
 
-    Encodes, subtracts, and decodes under the python, numpy, and numba
-    tiers (a ``numba`` request resolves down the fallback chain when numba
-    is not installed; the resolved store is recorded), asserts byte-identical
-    serializations and identical recovered sets across all three, then times
-    the decode phase of the fastest tier twice: through the legacy per-round
-    driver and through the in-store vectorized peel that replaced it.
+    Encodes, subtracts, and decodes under the python and numpy tiers (the
+    store the ``numpy`` request resolved to is recorded), asserts
+    byte-identical serializations and identical recovered sets across them,
+    then times the NumPy store's decode phase twice: through the legacy
+    per-round driver and through the in-store vectorized peel that replaced
+    it.
 
     ``peel_speedup`` (floored at :data:`PEEL_SPEEDUP_FLOOR`) is the
-    reference tier's peel over the fastest tier's in-store peel -- the
-    peel/decode-phase gain of the vectorized/compiled tier.
-    ``legacy_driver_speedup`` isolates the in-store refactor on the fastest
+    reference tier's peel over the NumPy store's in-store peel -- the
+    peel/decode-phase gain of the vectorized tier.
+    ``legacy_driver_speedup`` isolates the in-store refactor on the NumPy
     store itself and is reported unfloored.
     """
     alice, bob = _instance(n, seed)
@@ -150,10 +149,9 @@ def compare_large(n: int = LARGE_N, seed: int = DEFAULT_SEED) -> dict:
         2 * max(2, n // 100), KEY_BITS, seed=seed
     )
     tiers: dict[str, dict] = {}
-    serialized: dict[str, list] = {}
+    differences: dict[str, IBLT] = {}
     reference = None
-    fastest_difference = None
-    for backend in ("python", "numpy", "numba"):
+    for backend in ("python", "numpy"):
         start = time.perf_counter()
         alice_table = IBLT.from_items(params, alice, backend=backend)
         bob_table = IBLT.from_items(params, bob, backend=backend)
@@ -163,9 +161,8 @@ def compare_large(n: int = LARGE_N, seed: int = DEFAULT_SEED) -> dict:
         result = difference.try_decode()
         decoded = time.perf_counter()
         assert result.success, f"{backend} decode failed at n={n}"
-        serialized[backend] = difference.serialize()
+        differences[backend] = difference
         tiers[backend] = {
-            "resolved_backend": difference.backend,
             "encode_s": round(encoded - start, 6),
             "subtract_s": round(subtracted - encoded, 6),
             "decode_s": round(decoded - subtracted, 6),
@@ -176,25 +173,22 @@ def compare_large(n: int = LARGE_N, seed: int = DEFAULT_SEED) -> dict:
         else:
             assert result.positive == reference.positive
             assert result.negative == reference.negative
-        if backend == "numba":
-            fastest_difference = difference
-    assert serialized["python"] == serialized["numpy"] == serialized["numba"]
+    assert differences["python"].serialize() == differences["numpy"].serialize()
 
     start = time.perf_counter()
-    legacy = _legacy_decode(fastest_difference)
+    legacy = _legacy_decode(differences["numpy"])
     legacy_s = time.perf_counter() - start
     start = time.perf_counter()
-    instore = fastest_difference.try_decode()
+    instore = differences["numpy"].try_decode()
     instore_s = time.perf_counter() - start
     assert legacy == instore  # identical round structure, identical sets
 
     return {
         "n": n,
         "recovered": len(reference.positive) + len(reference.negative),
-        "python": {k: v for k, v in tiers["python"].items() if k != "resolved_backend"},
-        "numpy": {k: v for k, v in tiers["numpy"].items() if k != "resolved_backend"},
-        "numba": {k: v for k, v in tiers["numba"].items() if k != "resolved_backend"},
-        "numba_resolved_backend": tiers["numba"]["resolved_backend"],
+        "python": tiers["python"],
+        "numpy": tiers["numpy"],
+        "numpy_resolved_backend": differences["numpy"].backend,
         "identical_serializations": True,
         "legacy_decode_s": round(legacy_s, 6),
         "instore_decode_s": round(instore_s, 6),
@@ -202,7 +196,7 @@ def compare_large(n: int = LARGE_N, seed: int = DEFAULT_SEED) -> dict:
         "peel_speedup": round(tiers["python"]["decode_s"] / instore_s, 2),
         "peel_speedup_floor": PEEL_SPEEDUP_FLOOR,
         "speedup": round(
-            tiers["python"]["total_s"] / tiers["numba"]["total_s"], 2
+            tiers["python"]["total_s"] / tiers["numpy"]["total_s"], 2
         ),
     }
 
@@ -241,7 +235,7 @@ def test_numpy_backend_speedup_floor(benchmark):
 
 @needs_numpy
 def test_all_tiers_identical_and_instore_peel_matches_legacy(benchmark):
-    """CI smoke for the large-scale row at a small n: three tiers in one
+    """CI smoke for the large-scale row at a small n: both tiers in one
     run, byte-identical serializations, legacy driver == in-store peel."""
     from conftest import run_once
 
@@ -273,8 +267,6 @@ def main() -> None:
     print(
         f"n={large['n']:>8}  python={large['python']['total_s']:.1f}s  "
         f"numpy={large['numpy']['total_s']:.1f}s  "
-        f"numba({large['numba_resolved_backend']})="
-        f"{large['numba']['total_s']:.1f}s  "
         f"peel ref={large['python']['decode_s']:.3f}s "
         f"in-store={large['instore_decode_s']:.3f}s "
         f"({large['peel_speedup']:.1f}x; legacy driver "
@@ -291,7 +283,7 @@ def main() -> None:
     if args.profile:
         config["profile"] = {
             f"{tier}_{phase}_s": large[tier][f"{phase}_s"]
-            for tier in ("python", "numpy", "numba")
+            for tier in ("python", "numpy")
             for phase in ("encode", "subtract", "decode")
         } | {
             "peel_legacy_s": large["legacy_decode_s"],
@@ -304,7 +296,7 @@ def main() -> None:
         description=(
             "IBLT encode+subtract+decode wall-clock per cell-store "
             "backend; identical recovered sets asserted per size; the "
-            "n=1e7 row runs all three tiers plus the legacy-vs-in-store "
+            "n=1e7 row runs both tiers plus the legacy-vs-in-store "
             "peel comparison"
         ),
         config=config,

@@ -11,9 +11,8 @@ kernel at ``n = 600, d = 48``.
 The large-scale row (``compare_gcd_phase``, d = 10^4) times the phase that
 dominates CPI decoding at large difference bounds: the Cantor-Zassenhaus
 root-finding gcd chain on degree-d polynomials.  It compares the scalar
-reference chain against the vectorized Euclid chain (and the compiled
-kernel, resolved down the fallback chain when numba is missing), asserting
-exact coefficient identity; acceptance bar >= 2x on the gcd phase.
+reference chain against the vectorized Euclid chain, asserting exact
+coefficient identity; acceptance bar >= 2x on the gcd phase.
 
 Run under pytest like the other benchmarks (the small-``d`` cases double as
 the CI smoke test), or standalone::
@@ -145,12 +144,9 @@ def compare_gcd_phase(degree: int = GCD_DEGREE, seed: int = DEFAULT_SEED) -> dic
     at large difference bounds -- is a chain of large-degree polynomial
     gcds.  This row builds two degree-``degree`` products of linears
     sharing ``degree // 2`` roots (the shape a split sees) and times one
-    gcd under three tiers: the scalar reference chain, the vectorized
-    NumPy Euclid chain, and the ``field_kernel="numba"`` request resolved
-    down the fallback chain when numba is not installed.  All tiers must
-    produce exactly the same coefficients.
+    gcd under both tiers: the scalar reference chain and the vectorized
+    NumPy Euclid chain.  They must produce exactly the same coefficients.
     """
-    from repro.config import resolve_field_kernel
     from repro.field import Polynomial, prime_field
     from repro.field.kernels import _poly_gcd_scalar
 
@@ -172,15 +168,7 @@ def compare_gcd_phase(degree: int = GCD_DEGREE, seed: int = DEFAULT_SEED) -> dic
         numpy_gcd = numpy_kernel.poly_gcd(PRIME, a_coeffs, b_coeffs)
         numpy_times.append(time.perf_counter() - start)
 
-    numba_cls = resolve_field_kernel("numba", PRIME)
-    numba_kernel = numba_cls()
-    numba_times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        numba_gcd = numba_kernel.poly_gcd(PRIME, a_coeffs, b_coeffs)
-        numba_times.append(time.perf_counter() - start)
-
-    assert scalar_gcd == numpy_gcd == numba_gcd
+    assert scalar_gcd == numpy_gcd
     assert len(scalar_gcd) - 1 == degree // 2  # exactly the shared roots
     return {
         "n": SET_SIZE,
@@ -189,8 +177,6 @@ def compare_gcd_phase(degree: int = GCD_DEGREE, seed: int = DEFAULT_SEED) -> dic
         "shared_roots": degree // 2,
         "python": {"gcd_s": round(scalar_s, 6)},
         "numpy": {"gcd_s": round(min(numpy_times), 6)},
-        "numba": {"gcd_s": round(min(numba_times), 6)},
-        "numba_resolved_kernel": numba_cls.name,
         "identical_coefficients": True,
         "speedup": round(scalar_s / min(numpy_times), 2),
         "gcd_speedup": round(scalar_s / min(numpy_times), 2),
@@ -241,8 +227,8 @@ def test_numpy_kernel_speedup_floor(benchmark):
 
 @needs_numpy
 def test_gcd_phase_tiers_identical(benchmark):
-    """CI smoke for the large-degree gcd row at a small degree: every tier
-    produces exactly the same coefficients."""
+    """CI smoke for the large-degree gcd row at a small degree: both tiers
+    produce exactly the same coefficients."""
     from conftest import run_once
 
     row = run_once(benchmark, compare_gcd_phase, degree=600)
@@ -275,8 +261,6 @@ def main() -> None:
         f"n={gcd_row['n']}  d={gcd_row['d']:>5}  gcd phase  "
         f"python={gcd_row['python']['gcd_s']:.2f}s  "
         f"numpy={gcd_row['numpy']['gcd_s']:.2f}s  "
-        f"numba({gcd_row['numba_resolved_kernel']})="
-        f"{gcd_row['numba']['gcd_s']:.2f}s  "
         f"speedup={gcd_row['speedup']:.1f}x"
     )
     if gcd_row["speedup"] < GCD_SPEEDUP_FLOOR:
@@ -296,7 +280,6 @@ def main() -> None:
             "numpy_field_s": rows[-2]["numpy"]["decode_s"],
             "gcd_python_s": gcd_row["python"]["gcd_s"],
             "gcd_numpy_s": gcd_row["numpy"]["gcd_s"],
-            "gcd_numba_s": gcd_row["numba"]["gcd_s"],
         }
     output = args.output
     write_benchmark_record(
@@ -305,8 +288,8 @@ def main() -> None:
         description=(
             "CPI encode/decode wall-clock per GF(p) field kernel; "
             "bit-identical evaluations and recovered sets asserted per d; "
-            "the d=1e4 row times the root-finding gcd chain under all "
-            "three tiers"
+            "the d=1e4 row times the root-finding gcd chain under both "
+            "tiers"
         ),
         config=config,
         universe=UNIVERSE,

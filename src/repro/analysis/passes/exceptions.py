@@ -6,8 +6,7 @@
   (:mod:`repro.errors`) gives every expected failure a narrow type, so a
   broad catch is only legitimate when it re-raises (possibly wrapped),
   records the failure through a logger, or carries an audited
-  ``# lint: allow[E401]`` pragma (e.g. dependency probing in
-  :mod:`repro.jit`).
+  ``# lint: allow[E401]`` pragma (e.g. probing for an optional dependency).
 """
 
 from __future__ import annotations

@@ -19,15 +19,16 @@ one in three ways, in decreasing precedence:
 3. automatically (``"auto"``): the highest-priority implementation that is
    both importable and able to represent the parameters.
 
-Selection is *graceful*: an implementation that is unavailable (numba or
-NumPy not installed) or that cannot represent the parameters (keys wider
-than 64 bits, field moduli at or above ``2**31``) silently falls back down
-the priority chain -- the compiled numba tier to the vectorized NumPy tier
-to the pure-Python reference implementation -- so callers never need to
-special-case missing accelerators, wide keys or large moduli.  Registration
-is open -- future backends (sharded, async, Cython, GPU) plug in with
+Selection is *graceful*: an implementation that is unavailable (NumPy not
+installed) or that cannot represent the parameters (keys wider than 64
+bits, field moduli at or above ``2**31``) silently falls back down the
+priority chain -- the vectorized NumPy tier to the pure-Python reference
+implementation -- so callers never need to special-case a missing NumPy,
+wide keys or large moduli.  A name that is not registered never falls back:
+it raises :class:`~repro.errors.ParameterError`.  Each seam registers
+exactly those two classes; another tier plugs in with
 :func:`register_cell_backend` / :func:`register_field_kernel` and a
-``priority``.
+``priority`` (``docs/backends.md``, ``docs/field-kernels.md``).
 """
 
 from __future__ import annotations

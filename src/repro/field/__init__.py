@@ -15,9 +15,8 @@ over a prime field GF(p) with ``p`` larger than the element universe:
   Cantor-Zassenhaus equal-degree splitting (used to extract the reconciled
   set elements from the interpolated characteristic-polynomial ratio).
 * :mod:`repro.field.kernels` -- the pluggable batched-arithmetic backends
-  (pure-Python reference, vectorized NumPy, and the numba-compiled tier of
-  :mod:`repro.field.kernels_numba`) every hot path above runs through; see
-  :mod:`repro.config` for selection.
+  (pure-Python reference and vectorized NumPy) every hot path above runs
+  through; see :mod:`repro.config` for selection.
 """
 
 from repro.field.prime import is_probable_prime, next_prime
@@ -29,7 +28,6 @@ from repro.field.kernels import (
     kernel_for,
     use_kernel,
 )
-from repro.field.kernels_numba import NumbaFieldKernel
 from repro.field.poly import Polynomial
 from repro.field.linalg import (
     gaussian_elimination,
@@ -47,7 +45,6 @@ __all__ = [
     "FieldKernel",
     "PythonFieldKernel",
     "NumpyFieldKernel",
-    "NumbaFieldKernel",
     "kernel_for",
     "use_kernel",
     "Polynomial",

@@ -18,11 +18,6 @@ IBLT cell-store registry (:mod:`repro.config`):
   ``int64`` arrays.  Safe only for ``p < 2**31`` (products of two canonical
   residues then fit in a signed 64-bit word); larger moduli transparently
   fall back to the reference kernel via the registry.
-* :class:`~repro.field.kernels_numba.NumbaFieldKernel` (registered from its
-  own module) -- the compiled tier: the modmul-heavy inner loops (schoolbook
-  convolution, Horner evaluation, root-product evaluation, the Euclidean
-  gcd chain) JIT-compiled by numba, falling back along
-  ``numba -> numpy -> python`` when a dependency is missing.
 
 Determinism: kernels are observationally identical.  All arithmetic is
 exact (integer, never floating point), so batched evaluation, elimination

@@ -13,8 +13,7 @@ of every efficient protocol in this library.  This package provides:
 * :class:`~repro.iblt.table.IBLTParameters` -- the shared configuration both
   parties must agree on (cells, hash count, key width, seed).
 * :mod:`repro.iblt.backends` -- pluggable cell-store backends: a pure-Python
-  reference store, a vectorized NumPy store, and a numba-compiled store
-  (:mod:`repro.iblt.backends_numba`), selected through the
+  reference store and a vectorized NumPy store, selected through the
   :mod:`repro.config` registry and producing bit-identical tables.
 * :class:`~repro.iblt.multi.IBLTArray` -- batched construction of many
   tables over shared parameters (all child sketches of a set-of-sets parent
@@ -24,7 +23,6 @@ of every efficient protocol in this library.  This package provides:
 """
 
 from repro.iblt.backends import CellStore, NumpyCellStore, PythonCellStore
-from repro.iblt.backends_numba import NumbaCellStore
 from repro.iblt.table import IBLT, IBLTParameters, DecodeResult
 from repro.iblt.multi import IBLTArray
 from repro.iblt.sizing import cells_for_difference, PEELING_THRESHOLDS
@@ -37,7 +35,6 @@ __all__ = [
     "CellStore",
     "PythonCellStore",
     "NumpyCellStore",
-    "NumbaCellStore",
     "cells_for_difference",
     "PEELING_THRESHOLDS",
 ]

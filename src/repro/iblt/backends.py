@@ -23,10 +23,6 @@ that seam:
   tables whose keys are serialized child IBLTs (Section 3.2) transparently
   fall back to :class:`PythonCellStore` via the registry
   (:mod:`repro.config`).
-* :class:`~repro.iblt.backends_numba.NumbaCellStore` (registered from its
-  own module) -- the compiled tier: the same array layout as the NumPy
-  store with the scatter and peel loops JIT-compiled by numba.  Falls back
-  along ``numba -> numpy -> python`` when a dependency is missing.
 
 Both backends derive every bucket index and checksum from the same 64-bit
 mixing core (:mod:`repro.hashing.mix`), so a given parameter set and key

@@ -1,10 +1,9 @@
 """The multi-process sync fleet: one supervisor, W :class:`SyncServer` workers.
 
 The single-server :class:`~repro.service.server.SyncServer` multiplexes every
-session on one event loop, so its ceiling is one CPU no matter how fast the
-compiled tier makes each decode.  The fleet lifts that ceiling with a
-supervisor process that owns the listening socket and W worker processes
-each running today's server loop:
+session on one event loop, so its ceiling is one CPU no matter how fast each
+decode is.  The fleet lifts that ceiling with a supervisor process that owns
+the listening socket and W worker processes each running today's server loop:
 
 * the **supervisor** accepts every connection, reads exactly the first
   frame with raw socket recvs (later bytes stay in the kernel buffer, so

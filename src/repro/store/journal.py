@@ -13,9 +13,9 @@ human-readable, greppable, and recoverable with a text editor.
 Crash model: appends are flushed to the OS per entry (``fsync=True``
 additionally forces them to disk), so a process death leaves at most one
 *torn* trailing line.  :meth:`UpdateJournal.entries` tolerates exactly that
--- a final line that does not parse is dropped -- while a malformed entry in
-the interior raises :class:`~repro.errors.StoreError`, because data after it
-cannot be trusted to line up with the sequence numbers.
+-- a final line that is unterminated or does not parse is dropped -- while a
+malformed entry in the interior raises :class:`~repro.errors.StoreError`,
+because data after it cannot be trusted to line up with the sequence numbers.
 """
 
 from __future__ import annotations
@@ -101,13 +101,19 @@ class UpdateJournal:
     def entries(self) -> list[JournalEntry]:
         """Every parseable entry, tolerating a torn trailing line.
 
-        A line that fails to parse is dropped when it is the last one (the
-        torn write of a crash mid-append) and raises :class:`StoreError`
-        anywhere else.
+        The last line is dropped when it is unterminated or fails to parse
+        (the torn write of a crash mid-append); a line that fails to parse
+        anywhere else raises :class:`StoreError`.
         """
         if not self.path.exists():
             return []
-        lines = self.path.read_text(encoding="utf-8").splitlines()
+        text = self.path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        last = len(lines) - 1  # the one line a crash mid-append may have torn
+        if lines and not text.endswith("\n"):
+            # The newline commits a line: the next append truncates an
+            # unterminated tail, so replay must not count it either.
+            lines.pop()
         parsed: list[JournalEntry] = []
         for index, line in enumerate(lines):
             if not line.strip():
@@ -115,7 +121,7 @@ class UpdateJournal:
             try:
                 parsed.append(_parse_line(line))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                if index == len(lines) - 1:
+                if index == last:
                     break  # torn tail: the crash interrupted this append
                 raise StoreError(
                     f"corrupt journal entry at {self.path}:{index + 1}: {exc}"

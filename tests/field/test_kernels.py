@@ -32,7 +32,6 @@ from repro.field.kernels import (
     kernel_for,
     use_kernel,
 )
-from repro.field.kernels_numba import NumbaFieldKernel
 from repro.field.linalg import (
     gaussian_elimination,
     rational_interpolation_system,
@@ -58,12 +57,7 @@ def both_kernels():
 
 
 def vectorized_kernels():
-    kernels = []
-    if NumpyFieldKernel.available():
-        kernels.append(NumpyFieldKernel())
-    if NumbaFieldKernel.available():
-        kernels.append(NumbaFieldKernel())
-    return kernels
+    return both_kernels()[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +70,8 @@ class TestRegistry:
         assert "python" in field_kernel_names()
         assert "python" in available_field_kernels()
 
-    def test_numpy_kernel_registered(self):
-        assert "numpy" in field_kernel_names()
+    def test_both_kernels_registered(self):
+        assert field_kernel_names() == ["numpy", "python"]
 
     def test_unknown_name_raises(self):
         with pytest.raises(ParameterError):
@@ -85,9 +79,7 @@ class TestRegistry:
 
     def test_auto_prefers_vectorized_when_supported(self):
         cls = resolve_field_kernel(AUTO_BACKEND, 1048583)
-        if NumbaFieldKernel.available():
-            assert cls is NumbaFieldKernel
-        elif NumpyFieldKernel.available():
+        if NumpyFieldKernel.available():
             assert cls is NumpyFieldKernel
         else:
             assert cls is PythonFieldKernel
@@ -107,12 +99,7 @@ class TestRegistry:
             set_default_field_kernel("python")
             assert kernel_for(1048583).name == "python"
             with use_kernel(AUTO_BACKEND):
-                if NumbaFieldKernel.available():
-                    expected = "numba"
-                elif NumpyFieldKernel.available():
-                    expected = "numpy"
-                else:
-                    expected = "python"
+                expected = "numpy" if NumpyFieldKernel.available() else "python"
                 assert kernel_for(1048583).name == expected
             assert kernel_for(1048583).name == "python"
         finally:
@@ -307,57 +294,32 @@ class TestPolynomialIntegration:
 
 
 # ---------------------------------------------------------------------------
-# Compiled tier: registry fallback chain (numba -> numpy -> python)
+# Registry fallback chain (numpy -> python)
 # ---------------------------------------------------------------------------
 
 
-class TestCompiledTierChain:
-    """``field_kernel="numba"`` requests degrade gracefully down the chain.
+class TestFallbackChain:
+    """``field_kernel="numpy"`` requests degrade gracefully to the reference.
 
     The resolver is cached, so every availability monkeypatch must clear
     :func:`repro.config._resolve_field_kernel_cached` both after patching
     and after undoing the patch.
     """
 
-    def test_numba_kernel_registered(self):
-        assert "numba" in field_kernel_names()
-
-    def test_numba_request_resolves_down_the_chain(self):
-        resolved = resolve_field_kernel("numba", 1048583)
-        if NumbaFieldKernel.available():
-            assert resolved is NumbaFieldKernel
-        elif NumpyFieldKernel.available():
+    def test_numpy_request_resolves_down_the_chain(self):
+        resolved = resolve_field_kernel("numpy", 1048583)
+        if NumpyFieldKernel.available():
             assert resolved is NumpyFieldKernel
         else:
             assert resolved is PythonFieldKernel
 
-    def test_large_modulus_forces_reference(self):
-        # 2**61 - 1 exceeds the exact int64 range of the whole vectorized
-        # tier, so even an explicit "numba" request lands on the reference.
-        assert resolve_field_kernel("numba", BIG_PRIME) is PythonFieldKernel
-
-    @needs_numpy
-    def test_numba_absent_resolves_to_numpy(self, monkeypatch):
-        monkeypatch.setattr(
-            NumbaFieldKernel, "available", classmethod(lambda cls: False)
-        )
-        _resolve_field_kernel_cached.cache_clear()
-        try:
-            assert resolve_field_kernel("numba", 1048583) is NumpyFieldKernel
-        finally:
-            monkeypatch.undo()
-            _resolve_field_kernel_cached.cache_clear()
-
-    def test_numba_and_numpy_absent_resolve_to_reference(self, monkeypatch):
-        monkeypatch.setattr(
-            NumbaFieldKernel, "available", classmethod(lambda cls: False)
-        )
+    def test_numpy_absent_resolves_to_reference(self, monkeypatch):
         monkeypatch.setattr(
             NumpyFieldKernel, "available", classmethod(lambda cls: False)
         )
         _resolve_field_kernel_cached.cache_clear()
         try:
-            assert resolve_field_kernel("numba", 1048583) is PythonFieldKernel
+            assert resolve_field_kernel("numpy", 1048583) is PythonFieldKernel
             assert (
                 resolve_field_kernel(AUTO_BACKEND, 1048583) is PythonFieldKernel
             )

@@ -18,7 +18,6 @@ from repro.hashing import Checksum
 from repro.iblt import (
     IBLT,
     IBLTParameters,
-    NumbaCellStore,
     NumpyCellStore,
     PythonCellStore,
     backends,
@@ -35,7 +34,7 @@ def make_params(cells=64, key_bits=32, seed=1, **kwargs):
 
 class TestRegistry:
     def test_both_backends_registered(self):
-        assert {"python", "numpy"} <= set(cell_backend_names())
+        assert cell_backend_names() == ["numpy", "python"]
 
     def test_python_always_available(self):
         assert "python" in available_cell_backends()
@@ -65,11 +64,7 @@ class TestRegistry:
 
     @needs_numpy
     def test_auto_prefers_fastest_vectorized_tier(self):
-        resolved = resolve_cell_backend("auto", make_params())
-        if NumbaCellStore.available():
-            assert resolved is NumbaCellStore
-        else:
-            assert resolved is NumpyCellStore
+        assert resolve_cell_backend("auto", make_params()) is NumpyCellStore
 
     @needs_numpy
     def test_wide_keys_fall_back_to_python(self):

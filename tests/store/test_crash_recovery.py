@@ -35,12 +35,17 @@ def fresh_bits(config, dataset):
     return IBLT.from_items(params, dataset, backend=config.backend).serialize()
 
 
-def check_sync(store, config, dataset):
-    """The store must serve exactly what a from-scratch encode would."""
-    live = store.table_for(KEY, config, BOUND, dataset)
+def check_sync(store, config, dataset, supplied=True):
+    """The store must serve exactly what a from-scratch encode would.
+
+    ``supplied=False`` withholds the dataset, so the store cannot heal itself
+    from it: what it serves is what its snapshot and journal hold.
+    """
+    given = dataset if supplied else None
+    live = store.table_for(KEY, config, BOUND, given)
     assert live.serialize() == fresh_bits(config, dataset)
-    assert store.size_of(KEY, dataset) == len(dataset)
-    assert store.verification_hash(KEY, config, dataset) == set_verification_hash(
+    assert store.size_of(KEY, given) == len(dataset)
+    assert store.verification_hash(KEY, config, given) == set_verification_hash(
         config.seed, dataset
     )
 
@@ -109,3 +114,38 @@ def test_recovered_state_survives_repeated_restarts(deltas, snapshot_after):
 
         check_sync(store, config, dataset)
         store.close()
+
+
+def test_crash_at_every_byte_of_a_journal_append(tmp_path):
+    """Restart, mutate, restart: what the first restart served, the second
+    still holds -- wherever inside the last append the process died."""
+    config = SketchConfig(UNIVERSE, seed=SEED)
+    base = set(range(3000, 3100))
+    first = ([UNIVERSE - 1, UNIVERSE - 2], [3000])
+    second = ([UNIVERSE - 3], [3001, UNIVERSE - 1])
+    third = ([UNIVERSE - 4], [3002])
+    store = SketchStore(tmp_path)
+    check_sync(store, config, base)  # prime every sketch kind
+    store.snapshot(KEY)
+    journal = tmp_path / f"{KEY}.journal.jsonl"
+    store.apply(KEY, *first)
+    append_start = journal.stat().st_size
+    store.apply(KEY, *second)
+    whole = journal.read_bytes()
+
+    def after(batches):
+        dataset = set(base)
+        for inserts, deletes in batches:
+            dataset.difference_update(deletes)
+            dataset.update(inserts)
+        return dataset
+
+    for cut in range(append_start, len(whole) + 1):
+        journal.write_bytes(whole[:cut])
+        committed = [first, second][: whole[:cut].count(b"\n")]
+        restarted = SketchStore(tmp_path)
+        check_sync(restarted, config, after(committed), supplied=False)
+        restarted.apply(KEY, *third)
+        check_sync(
+            SketchStore(tmp_path), config, after(committed + [third]), supplied=False
+        )

@@ -90,3 +90,41 @@ def test_unlink_removes_the_file(tmp_path):
     journal.append(1, (1,), ())
     journal.unlink()
     assert not path.exists()
+
+
+def test_crash_at_every_byte_of_an_append(tmp_path):
+    # The newline commits an entry.  At every cut inside an append: the
+    # reopened entries are the newline-committed prefix, the next append
+    # lands on a clean line, and a third open agrees with the second --
+    # an entry one restart replayed is never lost by the next.
+    path = tmp_path / "j.jsonl"
+    written = [(1, (10, 11), (5,)), (2, (42,), (10,))]
+    journal = UpdateJournal(path)
+    journal.append(*written[0])
+    append_start = path.stat().st_size
+    journal.append(*written[1])
+    journal.close()
+    whole = path.read_bytes()
+    assert whole.count(b"\n") == 2
+    for cut in range(append_start, len(whole) + 1):
+        path.write_bytes(whole[:cut])
+        committed = whole[: whole.rfind(b"\n", 0, cut) + 1]
+        reopened = UpdateJournal(path)
+        assert reopened.entries() == written[: committed.count(b"\n")], cut
+        after = (reopened.last_seq() + 1, (7,), ())
+        reopened.append(*after)
+        reopened.close()
+        assert path.read_bytes().startswith(committed)
+        assert path.read_bytes().count(b"\n") == committed.count(b"\n") + 1
+        third = UpdateJournal(path)
+        assert third.entries() == written[: committed.count(b"\n")] + [after], cut
+
+
+def test_corruption_before_a_torn_tail_still_raises(tmp_path):
+    path = tmp_path / "j.jsonl"
+    journal = UpdateJournal(path)
+    journal.append(1, (1,), ())
+    journal.close()
+    path.write_text(path.read_text() + "not json\n" + '{"seq":3,"ins')
+    with pytest.raises(StoreError, match="corrupt journal"):
+        UpdateJournal(path).entries()

@@ -9,11 +9,9 @@ structured set-of-sets protocols (IBLT-of-IBLTs, cascading, multiround), all
 of which route their child encodings through the batched
 :class:`~repro.iblt.multi.IBLTArray` pipeline.
 
-The same guarantee covers the compiled tier and every step of its fallback
-chain: ``backend="numba"`` must produce byte-identical transcripts whether it
-runs compiled (numba installed), falls back to the NumPy store (numba
-missing), or falls all the way to the reference store (NumPy missing, or
-keys wider than 64 bits).
+The same guarantee covers the fallback: ``backend="numpy"`` must produce
+byte-identical transcripts when it falls back to the reference store (NumPy
+missing, or keys wider than 64 bits).
 """
 
 import random
@@ -26,7 +24,7 @@ from repro.core.setsofsets.cascading import reconcile_cascading
 from repro.core.setsofsets.iblt_of_iblts import reconcile_iblt_of_iblts
 from repro.core.setsofsets.multiround import reconcile_multiround
 from repro.core.setsofsets.types import SetOfSets
-from repro.iblt import IBLT, IBLTParameters, NumbaCellStore, NumpyCellStore
+from repro.iblt import IBLT, IBLTParameters, NumpyCellStore
 
 pytestmark = pytest.mark.skipif(
     not NumpyCellStore.available(), reason="NumPy not installed"
@@ -172,78 +170,31 @@ class TestDefaultBackendInvariance:
         )
 
 
-ALL_RUNS = [run_known_d, run_cascading, run_iblt_of_iblts, run_multiround]
-
-
-class TestNumbaTier:
-    """``backend="numba"`` is byte-identical to the reference, compiled or not.
-
-    Without numba installed the request resolves down the fallback chain to
-    the NumPy (or Python) store; with numba installed it runs compiled.  The
-    transcripts must be identical either way, so this test pins the whole
-    chain on every install.
-    """
-
-    @pytest.mark.parametrize("run", ALL_RUNS, ids=lambda run: run.__name__)
-    def test_byte_identical_to_python(self, run):
-        numba_result = run("numba")
-        py = run("python")
-        assert numba_result.success == py.success
-        assert numba_result.recovered == py.recovered
-        assert transcript_fingerprint(numba_result.transcript) == (
-            transcript_fingerprint(py.transcript)
-        )
-
-
 class TestFallbackChain:
     def params(self, **kwargs):
         defaults = dict(num_cells=64, key_bits=32, seed=1)
         defaults.update(kwargs)
         return IBLTParameters(**defaults)
 
-    def test_numba_request_resolves_down_the_chain(self):
-        resolved = resolve_cell_backend("numba", self.params())
-        if NumbaCellStore.available():
-            assert resolved is NumbaCellStore
-        else:
-            assert resolved is NumpyCellStore
-
     def test_wide_keys_force_reference_store(self):
         wide = self.params(key_bits=80)
-        assert resolve_cell_backend("numba", wide).name == "python"
-        table = IBLT(wide, backend="numba")
+        assert resolve_cell_backend("numpy", wide).name == "python"
+        table = IBLT(wide, backend="numpy")
         assert table.backend == "python"
         table.insert_batch([1 << 70, 5])
         result = table.try_decode()
         assert result.success and result.positive == {1 << 70, 5}
 
     def test_numpy_absent_runs_reference_chain(self, monkeypatch):
-        """With NumPy (and hence numba) reported unavailable, ``numba``
-        requests degrade to the reference store and still produce the exact
-        python-tier transcript."""
+        """With NumPy reported unavailable, ``numpy`` requests degrade to the
+        reference store and still produce the exact python-tier transcript."""
         monkeypatch.setattr(
             NumpyCellStore, "available", classmethod(lambda cls: False)
         )
-        monkeypatch.setattr(
-            NumbaCellStore, "available", classmethod(lambda cls: False)
-        )
-        assert resolve_cell_backend("numba", self.params()).name == "python"
-        degraded = run_iblt_of_iblts("numba")
+        assert resolve_cell_backend("numpy", self.params()).name == "python"
+        degraded = run_iblt_of_iblts("numpy")
         monkeypatch.undo()
         py = run_iblt_of_iblts("python")
-        assert degraded.recovered == py.recovered
-        assert transcript_fingerprint(degraded.transcript) == (
-            transcript_fingerprint(py.transcript)
-        )
-
-    def test_numba_absent_resolves_to_numpy(self, monkeypatch):
-        monkeypatch.setattr(
-            NumbaCellStore, "available", classmethod(lambda cls: False)
-        )
-        assert resolve_cell_backend("numba", self.params()) is NumpyCellStore
-        degraded = run_known_d("numba")
-        monkeypatch.undo()
-        py = run_known_d("python")
         assert degraded.recovered == py.recovered
         assert transcript_fingerprint(degraded.transcript) == (
             transcript_fingerprint(py.transcript)

@@ -13,12 +13,13 @@ import random
 
 import pytest
 
+from repro.config import _resolve_field_kernel_cached
 from repro.core.setrecon.cpi import CPIMessage, cpi_decode, cpi_encode, reconcile_cpi
 from repro.core.setsofsets.multiround import (
     reconcile_multiround,
     reconcile_multiround_unknown,
 )
-from repro.field.kernels import NumpyFieldKernel
+from repro.field.kernels import NumpyFieldKernel, kernel_for
 from repro.workloads import sets_of_sets_instance
 
 pytestmark = pytest.mark.skipif(
@@ -112,16 +113,27 @@ class TestCPIAcrossKernels:
             forced.transcript
         )
 
-    def test_numba_tier_matches_python(self):
-        # Resolves compiled when numba is installed, down the fallback chain
-        # (numpy, then python) otherwise -- identical bytes either way.
+    def test_numpy_absent_runs_reference_kernel(self, monkeypatch):
+        # With NumPy reported unavailable a "numpy" request runs on the
+        # reference kernel -- the bytes the NumPy kernel itself produces.
         alice, bob = make_sets(150, 11, seed=5)
-        result_numba = reconcile_cpi(alice, bob, 12, UNIVERSE, 9, field_kernel="numba")
-        result_py = reconcile_cpi(alice, bob, 12, UNIVERSE, 9, field_kernel="python")
-        assert result_numba.success and result_py.success
-        assert result_numba.recovered == result_py.recovered
-        assert transcript_fingerprint(result_numba.transcript) == (
-            transcript_fingerprint(result_py.transcript)
+        result_np = reconcile_cpi(alice, bob, 12, UNIVERSE, 9, field_kernel="numpy")
+        monkeypatch.setattr(
+            NumpyFieldKernel, "available", classmethod(lambda cls: False)
+        )
+        _resolve_field_kernel_cached.cache_clear()
+        try:
+            assert kernel_for(1048583, "numpy").name == "python"
+            degraded = reconcile_cpi(
+                alice, bob, 12, UNIVERSE, 9, field_kernel="numpy"
+            )
+        finally:
+            monkeypatch.undo()
+            _resolve_field_kernel_cached.cache_clear()
+        assert degraded.success and result_np.success
+        assert degraded.recovered == result_np.recovered
+        assert transcript_fingerprint(degraded.transcript) == (
+            transcript_fingerprint(result_np.transcript)
         )
 
 
