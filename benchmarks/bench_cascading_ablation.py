@@ -18,7 +18,7 @@ if str(_SRC) not in sys.path:  # standalone execution
 from conftest import run_once
 from repro.bench.cli import benchmark_config, benchmark_parser
 from repro.bench.reporting import format_table, write_benchmark_record
-from repro.core.setsofsets import reconcile_cascading, reconcile_iblt_of_iblts
+from repro import reconcile
 from repro.workloads import sets_of_sets_instance
 
 UNIVERSE = 4096
@@ -39,21 +39,16 @@ def sweep(seed=0):
             seed=seed + difference,
             max_children_touched=max(1, difference // 2),
         )
-        flat = reconcile_iblt_of_iblts(
-            instance.alice,
-            instance.bob,
-            instance.planted_difference,
-            UNIVERSE,
+        flat = reconcile(
+            instance.alice, instance.bob, protocol="iblt_of_iblts",
+            difference_bound=instance.planted_difference, universe_size=UNIVERSE,
             seed=seed + 1,
             differing_children_bound=min(instance.planted_difference, NUM_CHILDREN),
         )
-        cascading = reconcile_cascading(
-            instance.alice,
-            instance.bob,
-            instance.planted_difference,
-            UNIVERSE,
-            instance.max_child_size,
-            seed=seed + 1,
+        cascading = reconcile(
+            instance.alice, instance.bob, protocol="cascading",
+            difference_bound=instance.planted_difference, universe_size=UNIVERSE,
+            max_child_size=instance.max_child_size, seed=seed + 1,
             differing_children_bound=min(instance.planted_difference, NUM_CHILDREN),
         )
         rows.append(

@@ -21,7 +21,7 @@ import pytest
 from conftest import run_once
 from repro.bench.cli import benchmark_config, benchmark_parser
 from repro.bench.reporting import format_table, write_benchmark_record
-from repro.core.setrecon import reconcile_cpi, reconcile_known_d
+from repro import reconcile
 
 UNIVERSE = 1 << 20
 # The last d is large enough that the cubic interpolation time dominates the
@@ -46,7 +46,10 @@ def _instance(size, difference, seed):
 @pytest.mark.parametrize("difference", [4, 16, 48])
 def test_cpi_reconciliation(benchmark, difference):
     alice, bob = _instance(600, difference, seed=difference)
-    result = run_once(benchmark, reconcile_cpi, alice, bob, difference, UNIVERSE, 1)
+    result = run_once(
+        benchmark, reconcile, alice, bob, protocol="cpi", difference_bound=difference,
+        universe_size=UNIVERSE, seed=1,
+    )
     assert result.success and result.recovered == alice
 
 
@@ -56,10 +59,16 @@ def sweep(seed=0):
     for difference in DIFFERENCES:
         alice, bob = _instance(SET_SIZE, difference, seed=seed + difference)
         start = time.perf_counter()
-        cpi = reconcile_cpi(alice, bob, difference, UNIVERSE, seed=seed + 1)
+        cpi = reconcile(
+            alice, bob, protocol="cpi", difference_bound=difference, universe_size=UNIVERSE,
+            seed=seed + 1,
+        )
         cpi_time = time.perf_counter() - start
         start = time.perf_counter()
-        iblt = reconcile_known_d(alice, bob, difference, UNIVERSE, seed=seed + 1)
+        iblt = reconcile(
+            alice, bob, protocol="ibf", difference_bound=difference, universe_size=UNIVERSE,
+            seed=seed + 1,
+        )
         iblt_time = time.perf_counter() - start
         rows.append(
             {

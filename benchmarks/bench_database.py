@@ -18,7 +18,9 @@ import pytest
 from conftest import run_once
 from repro.bench.cli import benchmark_config, benchmark_parser
 from repro.bench.reporting import format_table, write_benchmark_record
-from repro.db import reconcile_tables
+from repro import reconcile
+from repro.protocols.parties.applications import db_parties
+from repro.protocols.session import run_session
 from repro.workloads import flipped_table_pair
 
 NUM_ROWS = 96
@@ -29,14 +31,21 @@ FLIP_COUNTS = (4, 8, 16)
 TITLE = "E12: binary database reconciliation"
 
 
+def _sync(alice, bob, bound, protocol):
+    """``protocol="db"`` runs cascading; naive under a table is a party-builder choice."""
+    if protocol == "naive":
+        return run_session(*db_parties(alice, bob, bound, 11, protocol="naive"))
+    return reconcile(alice, bob, protocol="db", difference_bound=bound, seed=11)
+
+
 def sweep(seed=0):
     rows = []
     for flips in FLIP_COUNTS:
         alice, bob, _ = flipped_table_pair(
             NUM_ROWS, NUM_COLUMNS, DENSITY, flips, seed=seed + flips, max_rows_touched=flips // 2
         )
-        naive = reconcile_tables(alice, bob, flips + 2, 11, protocol="naive")
-        cascading = reconcile_tables(alice, bob, flips + 2, 11, protocol="cascading")
+        naive = _sync(alice, bob, flips + 2, "naive")
+        cascading = _sync(alice, bob, flips + 2, "cascading")
         rows.append(
             {
                 "flipped bits": flips,
@@ -54,9 +63,7 @@ def test_database_reconciliation(benchmark, protocol):
     alice, bob, _ = flipped_table_pair(
         NUM_ROWS, NUM_COLUMNS, DENSITY, NUM_FLIPS, seed=3, max_rows_touched=4
     )
-    result = run_once(
-        benchmark, reconcile_tables, alice, bob, NUM_FLIPS + 2, 11, protocol=protocol
-    )
+    result = run_once(benchmark, _sync, alice, bob, NUM_FLIPS + 2, protocol)
     assert result.success and result.recovered == alice
 
 

@@ -17,7 +17,8 @@ import repro
 from conftest import run_once
 from repro.bench.cli import benchmark_config, benchmark_parser
 from repro.bench.reporting import format_table, write_benchmark_record
-from repro.documents import DocumentCollection, classify_documents, reconcile_collections
+from repro import reconcile
+from repro.documents import DocumentCollection, classify_documents
 from repro.hashing import derive_seed
 from repro.workloads import edited_corpus_pair
 
@@ -36,13 +37,8 @@ def _collections(seed=1):
 def test_collection_reconciliation(benchmark):
     alice, bob = _collections()
     result = run_once(
-        benchmark,
-        reconcile_collections,
-        alice,
-        bob,
-        2 * SIGNATURE_SIZE,
-        9,
-        differing_children_bound=12,
+        benchmark, reconcile, alice, bob, protocol="documents",
+        difference_bound=2 * SIGNATURE_SIZE, seed=9, differing_children_bound=12,
     )
     assert result.success and result.recovered == alice.to_sets_of_sets()
 

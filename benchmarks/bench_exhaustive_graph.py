@@ -18,12 +18,8 @@ import pytest
 from conftest import run_once
 from repro.bench.cli import benchmark_config, benchmark_parser
 from repro.bench.reporting import format_table, write_benchmark_record
-from repro.graphs import (
-    Graph,
-    are_isomorphic_small,
-    isomorphism_fingerprint_protocol,
-    reconcile_exhaustive,
-)
+from repro import reconcile
+from repro.graphs import Graph, are_isomorphic_small, isomorphism_fingerprint_protocol
 
 NUM_VERTICES = 6
 DIFFERENCES = (0, 1, 2)
@@ -50,7 +46,10 @@ def test_exhaustive_reconciliation(benchmark, difference):
     bob.toggle_edge(0, 3)
     if difference == 2:
         bob.toggle_edge(2, 5)
-    result = run_once(benchmark, reconcile_exhaustive, alice, bob, difference, 9)
+    result = run_once(
+        benchmark, reconcile, alice, bob, protocol="exhaustive",
+        difference_bound=difference, seed=9,
+    )
     assert result.success
     assert are_isomorphic_small(result.recovered, alice)
 
@@ -60,7 +59,10 @@ def sweep(seed=0):
     alice = _path(NUM_VERTICES)
     for difference in DIFFERENCES:
         bob = _path(NUM_VERTICES)
-        result = reconcile_exhaustive(alice, bob, difference, seed=seed + difference)
+        result = reconcile(
+            alice, bob, protocol="exhaustive", difference_bound=difference,
+            seed=seed + difference,
+        )
         lower_bound = max(1, difference) * NUM_VERTICES.bit_length()
         rows.append(
             {

@@ -19,7 +19,8 @@ import pytest
 from conftest import run_once
 from repro.bench.cli import benchmark_config, benchmark_parser
 from repro.bench.reporting import format_table, write_benchmark_record
-from repro.graphs import forest_canonical_form, reconcile_forest
+from repro import reconcile
+from repro.graphs import forest_canonical_form
 from repro.workloads import forest_instance
 
 FOREST_SIZES = (100, 200, 400)
@@ -30,13 +31,8 @@ TITLE = "E10: forest reconciliation, bits vs n (d and depth fixed)"
 def test_forest_reconciliation(benchmark, num_vertices):
     instance = forest_instance(num_vertices, 3, seed=num_vertices, max_depth=4)
     result = run_once(
-        benchmark,
-        reconcile_forest,
-        instance.alice,
-        instance.bob,
-        max(1, instance.num_edits),
-        instance.max_depth,
-        7,
+        benchmark, reconcile, instance.alice, instance.bob, protocol="forest",
+        difference_bound=max(1, instance.num_edits), max_depth=instance.max_depth, seed=7,
     )
     assert result.success
     assert forest_canonical_form(result.recovered) == forest_canonical_form(instance.alice)
@@ -46,9 +42,10 @@ def sweep(seed=0):
     rows = []
     for num_vertices in FOREST_SIZES:
         instance = forest_instance(num_vertices, 3, seed=seed + num_vertices + 1, max_depth=4)
-        result = reconcile_forest(
-            instance.alice, instance.bob, max(1, instance.num_edits),
-            instance.max_depth, seed=seed + 8,
+        result = reconcile(
+            instance.alice, instance.bob, protocol="forest",
+            difference_bound=max(1, instance.num_edits), max_depth=instance.max_depth,
+            seed=seed + 8,
         )
         rows.append(
             {

@@ -20,7 +20,7 @@ import pytest
 from conftest import run_once
 from repro.bench.cli import benchmark_config, benchmark_parser
 from repro.bench.reporting import format_table, write_benchmark_record
-from repro.core.setrecon import reconcile_known_d
+from repro import reconcile
 
 UNIVERSE = 1 << 30
 SET_SIZE = 4000
@@ -43,7 +43,8 @@ def _instance(size, difference, seed):
 def test_iblt_reconciliation_scaling(benchmark, difference):
     alice, bob = _instance(4000, difference, seed=difference)
     result = run_once(
-        benchmark, reconcile_known_d, alice, bob, difference, UNIVERSE, difference + 1
+        benchmark, reconcile, alice, bob, protocol="ibf", difference_bound=difference,
+        universe_size=UNIVERSE, seed=difference + 1,
     )
     assert result.success and result.recovered == alice
 
@@ -52,7 +53,10 @@ def sweep(seed=0):
     rows = []
     for difference in DIFFERENCES:
         alice, bob = _instance(SET_SIZE, difference, seed=seed + difference)
-        result = reconcile_known_d(alice, bob, difference, UNIVERSE, seed=seed + 1)
+        result = reconcile(
+            alice, bob, protocol="ibf", difference_bound=difference, universe_size=UNIVERSE,
+            seed=seed + 1,
+        )
         rows.append(
             {
                 "d": difference,

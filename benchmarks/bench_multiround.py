@@ -17,11 +17,7 @@ if str(_SRC) not in sys.path:  # standalone execution
 from conftest import run_once
 from repro.bench.cli import benchmark_config, benchmark_parser
 from repro.bench.reporting import format_table, write_benchmark_record
-from repro.core.setsofsets import (
-    reconcile_iblt_of_iblts,
-    reconcile_multiround,
-    reconcile_multiround_unknown,
-)
+from repro import reconcile
 from repro.workloads import table1_instance
 
 UNIVERSE = 2048
@@ -33,14 +29,9 @@ TITLE = "E7: multi-round protocol vs one-round flat protocol"
 def test_multiround_known_d(benchmark):
     instance = table1_instance(UNIVERSE, NUM_CHILDREN, 8, seed=1, max_children_touched=4)
     result = run_once(
-        benchmark,
-        reconcile_multiround,
-        instance.alice,
-        instance.bob,
-        instance.planted_difference,
-        UNIVERSE,
-        instance.max_child_size,
-        7,
+        benchmark, reconcile, instance.alice, instance.bob, protocol="multiround",
+        difference_bound=instance.planted_difference, universe_size=UNIVERSE,
+        max_child_size=instance.max_child_size, seed=7,
     )
     assert result.success and result.num_rounds == 3
 
@@ -48,13 +39,9 @@ def test_multiround_known_d(benchmark):
 def test_multiround_unknown_d(benchmark):
     instance = table1_instance(UNIVERSE, NUM_CHILDREN, 8, seed=2, max_children_touched=4)
     result = run_once(
-        benchmark,
-        reconcile_multiround_unknown,
-        instance.alice,
-        instance.bob,
-        UNIVERSE,
-        instance.max_child_size,
-        9,
+        benchmark, reconcile, instance.alice, instance.bob, protocol="multiround",
+        difference_bound=None, universe_size=UNIVERSE,
+        max_child_size=instance.max_child_size, seed=9,
     )
     assert result.success and result.num_rounds == 4
 
@@ -66,15 +53,19 @@ def sweep(seed=0):
             UNIVERSE, NUM_CHILDREN, difference, seed=seed + difference,
             max_children_touched=max(1, difference // 2),
         )
-        known = reconcile_multiround(
-            instance.alice, instance.bob, instance.planted_difference,
-            UNIVERSE, instance.max_child_size, seed=seed + 3,
+        known = reconcile(
+            instance.alice, instance.bob, protocol="multiround",
+            difference_bound=instance.planted_difference, universe_size=UNIVERSE,
+            max_child_size=instance.max_child_size, seed=seed + 3,
         )
-        unknown = reconcile_multiround_unknown(
-            instance.alice, instance.bob, UNIVERSE, instance.max_child_size, seed=seed + 3
+        unknown = reconcile(
+            instance.alice, instance.bob, protocol="multiround", difference_bound=None,
+            universe_size=UNIVERSE, max_child_size=instance.max_child_size, seed=seed + 3,
         )
-        flat = reconcile_iblt_of_iblts(
-            instance.alice, instance.bob, instance.planted_difference, UNIVERSE, seed=seed + 3
+        flat = reconcile(
+            instance.alice, instance.bob, protocol="iblt_of_iblts",
+            difference_bound=instance.planted_difference, universe_size=UNIVERSE,
+            seed=seed + 3,
         )
         rows.append(
             {

@@ -16,7 +16,7 @@ if str(_SRC) not in sys.path:  # standalone execution
 from conftest import run_once
 from repro.bench.cli import benchmark_config, benchmark_parser
 from repro.bench.reporting import format_table, write_benchmark_record
-from repro.core.setsofsets import reconcile_multiround, reconcile_naive
+from repro import reconcile
 from repro.workloads import sets_of_sets_instance
 
 UNIVERSE = 1024
@@ -33,13 +33,15 @@ def sweep(seed=0):
             NUM_CHILDREN, child_size, UNIVERSE, NUM_CHANGES,
             seed=seed + child_size, max_children_touched=3,
         )
-        naive = reconcile_naive(
-            instance.alice, instance.bob, 2 * instance.differing_children,
-            UNIVERSE, instance.max_child_size, seed=seed + 5,
+        naive = reconcile(
+            instance.alice, instance.bob, protocol="naive",
+            difference_bound=2 * instance.differing_children, universe_size=UNIVERSE,
+            max_child_size=instance.max_child_size, seed=seed + 5,
         )
-        structured = reconcile_multiround(
-            instance.alice, instance.bob, instance.planted_difference,
-            UNIVERSE, instance.max_child_size, seed=seed + 5,
+        structured = reconcile(
+            instance.alice, instance.bob, protocol="multiround",
+            difference_bound=instance.planted_difference, universe_size=UNIVERSE,
+            max_child_size=instance.max_child_size, seed=seed + 5,
         )
         rows.append(
             {

@@ -17,7 +17,8 @@ if str(_SRC) not in sys.path:  # standalone execution
 from conftest import run_once
 from repro.bench.cli import benchmark_config, benchmark_parser
 from repro.bench.reporting import format_table, write_benchmark_record
-from repro.graphs import neighborhood_disjointness, reconcile_degree_neighborhood
+from repro import reconcile
+from repro.graphs import neighborhood_disjointness
 from repro.graphs.random_graphs import gnp_random_graph, reconciliation_pair
 
 CONFIGS = ((120, 0.1), (120, 0.3), (240, 0.3))
@@ -53,8 +54,9 @@ def reconciliation_search(seed=0):
         if neighborhood_disjointness(base, max_degree) < 4 * d + 1:
             continue
         pair = reconciliation_pair(n, p, d, seed=seed + offset + 500, base=base)
-        result = reconcile_degree_neighborhood(
-            pair.alice, pair.bob, d, max_degree, seed=seed + offset
+        result = reconcile(
+            pair.alice, pair.bob, protocol="degree_neighborhood", difference_bound=d,
+            max_degree=max_degree, seed=seed + offset,
         )
         return seed + offset, result
     return None, None

@@ -22,7 +22,8 @@ if str(_SRC) not in sys.path:  # standalone execution
 from conftest import run_once
 from repro.bench.cli import benchmark_config, benchmark_parser
 from repro.bench.reporting import format_table, write_benchmark_record
-from repro.graphs import is_degree_separated, reconcile_degree_order
+from repro import reconcile
+from repro.graphs import is_degree_separated
 from repro.graphs.random_graphs import (
     gnp_random_graph,
     planted_separated_graph,
@@ -54,7 +55,10 @@ def reconciliation_rows(seed=0):
     for offset in range(3):
         base = planted_separated_graph(n, p, h, degree_gap=d + 1, seed=seed + offset + 40)
         pair = reconciliation_pair(n, p, d, seed=seed + offset + 140, base=base)
-        result = reconcile_degree_order(pair.alice, pair.bob, d, h, seed=seed + offset)
+        result = reconcile(
+            pair.alice, pair.bob, protocol="degree_order", difference_bound=d, num_top=h,
+            seed=seed + offset,
+        )
         successes += bool(result.success)
         rows.append(
             {

@@ -11,7 +11,7 @@ scatters it into one ``(s, num_cells)`` cell tensor.
 
 This benchmark times both paths per cell-store backend, asserting
 bit-identical encodings throughout, and runs one full
-``reconcile_iblt_of_iblts`` exchange per backend asserting identical
+``protocol="iblt_of_iblts"`` exchange per backend asserting identical
 transcripts and recovered sets.  The acceptance bar is a >= 4x ``encode_all``
 speedup over the per-child loop at ``s = 2000`` small children on the numpy
 backend.
@@ -38,7 +38,7 @@ if str(_SRC) not in sys.path:  # standalone execution
 from repro.bench.cli import DEFAULT_SEED, benchmark_config, benchmark_parser
 from repro.bench.reporting import write_benchmark_record
 from repro.core.setsofsets.encoding import ChildEncodingScheme
-from repro.core.setsofsets.iblt_of_iblts import reconcile_iblt_of_iblts
+from repro import reconcile
 from repro.core.setsofsets.types import SetOfSets
 from repro.iblt import IBLTParameters, NumpyCellStore
 
@@ -134,8 +134,9 @@ def protocol_cross_backend(num_children: int = 64, seed: int = 11) -> dict:
     backends = ["python"] + (["numpy"] if NumpyCellStore.available() else [])
     results = {}
     for backend in backends:
-        result = reconcile_iblt_of_iblts(
-            alice, bob, 8, UNIVERSE, seed=seed, backend=backend
+        result = reconcile(
+            alice, bob, protocol="iblt_of_iblts", difference_bound=8,
+            universe_size=UNIVERSE, seed=seed, backend=backend,
         )
         assert result.success, f"{backend}: protocol failed"
         assert result.recovered == alice, f"{backend}: wrong recovery"

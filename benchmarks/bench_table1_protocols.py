@@ -21,12 +21,7 @@ from repro.bench.cli import benchmark_config, benchmark_parser
 from repro.bench.reporting import format_table, write_benchmark_record
 from repro.bench.runner import summarize
 from repro.bench.table1 import Table1Config, run_table1
-from repro.core.setsofsets import (
-    reconcile_cascading,
-    reconcile_iblt_of_iblts,
-    reconcile_multiround,
-    reconcile_naive,
-)
+from repro import reconcile
 from repro.workloads import table1_instance
 
 CONFIG = Table1Config(
@@ -69,55 +64,37 @@ def test_table1_report(benchmark):
 
 def test_naive_protocol(benchmark, instance):
     result = run_once(
-        benchmark,
-        reconcile_naive,
-        instance.alice,
-        instance.bob,
-        2 * instance.differing_children,
-        instance.universe_size,
-        instance.max_child_size,
-        CONFIG.seed,
+        benchmark, reconcile, instance.alice, instance.bob, protocol="naive",
+        difference_bound=2 * instance.differing_children,
+        universe_size=instance.universe_size, max_child_size=instance.max_child_size,
+        seed=CONFIG.seed,
     )
     assert result.success
 
 
 def test_iblt_of_iblts_protocol(benchmark, instance):
     result = run_once(
-        benchmark,
-        reconcile_iblt_of_iblts,
-        instance.alice,
-        instance.bob,
-        instance.planted_difference,
-        instance.universe_size,
-        CONFIG.seed,
+        benchmark, reconcile, instance.alice, instance.bob, protocol="iblt_of_iblts",
+        difference_bound=instance.planted_difference, universe_size=instance.universe_size,
+        seed=CONFIG.seed,
     )
     assert result.success
 
 
 def test_cascading_protocol(benchmark, instance):
     result = run_once(
-        benchmark,
-        reconcile_cascading,
-        instance.alice,
-        instance.bob,
-        instance.planted_difference,
-        instance.universe_size,
-        instance.max_child_size,
-        CONFIG.seed,
+        benchmark, reconcile, instance.alice, instance.bob, protocol="cascading",
+        difference_bound=instance.planted_difference, universe_size=instance.universe_size,
+        max_child_size=instance.max_child_size, seed=CONFIG.seed,
     )
     assert result.success
 
 
 def test_multiround_protocol(benchmark, instance):
     result = run_once(
-        benchmark,
-        reconcile_multiround,
-        instance.alice,
-        instance.bob,
-        instance.planted_difference,
-        instance.universe_size,
-        instance.max_child_size,
-        CONFIG.seed,
+        benchmark, reconcile, instance.alice, instance.bob, protocol="multiround",
+        difference_bound=instance.planted_difference, universe_size=instance.universe_size,
+        max_child_size=instance.max_child_size, seed=CONFIG.seed,
     )
     assert result.success
 

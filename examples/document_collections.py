@@ -11,7 +11,8 @@ Run with::
     python examples/document_collections.py
 """
 
-from repro.documents import DocumentCollection, classify_documents, reconcile_collections
+from repro import reconcile
+from repro.documents import DocumentCollection, classify_documents
 from repro.workloads import edited_corpus_pair
 
 SEED = 99
@@ -46,8 +47,9 @@ def main() -> None:
     # completely fresh document); only a handful of documents differ at all.
     per_child_bound = 2 * SIGNATURE_SIZE
     differing_children = 2 * (NUM_EDITED + NUM_FRESH) + 2
-    result = reconcile_collections(
-        alice, bob, per_child_bound, SEED, differing_children_bound=differing_children
+    result = reconcile(
+        alice, bob, protocol="documents", difference_bound=per_child_bound, seed=SEED,
+        differing_children_bound=differing_children,
     )
     recovered_ok = result.success and result.recovered == alice.to_sets_of_sets()
     print(

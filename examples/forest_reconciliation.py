@@ -11,7 +11,8 @@ Run with::
     python examples/forest_reconciliation.py
 """
 
-from repro.graphs import forest_canonical_form, reconcile_forest
+from repro import reconcile
+from repro.graphs import forest_canonical_form
 from repro.workloads import forest_instance
 
 SEED = 11
@@ -29,7 +30,10 @@ def main() -> None:
     )
     print(f"Bob's forest differs by {instance.num_edits} edge edits.\n")
 
-    result = reconcile_forest(alice, bob, instance.num_edits, instance.max_depth, SEED)
+    result = reconcile(
+        alice, bob, protocol="forest", difference_bound=instance.num_edits,
+        max_depth=instance.max_depth, seed=SEED,
+    )
     if not result.success:
         print(f"Protocol failed ({result.details.get('failure')}).")
         return

@@ -16,7 +16,7 @@ Run with::
     python examples/graph_reconciliation.py
 """
 
-from repro.graphs import reconcile_degree_order
+from repro import reconcile
 from repro.graphs.random_graphs import planted_separated_graph, reconciliation_pair
 
 SEED = 5
@@ -39,7 +39,10 @@ def main() -> None:
         "Alice's copy privately relabeled."
     )
 
-    result = reconcile_degree_order(pair.alice, pair.bob, NUM_CHANGES, NUM_TOP, seed=SEED + 2)
+    result = reconcile(
+        pair.alice, pair.bob, protocol="degree_order", difference_bound=NUM_CHANGES,
+        num_top=NUM_TOP, seed=SEED + 2,
+    )
     if not result.success:
         print(f"Protocol failed ({result.details.get('failure')}); "
               "this happens when the instance is not separated -- rerun with another seed.")

@@ -11,15 +11,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import (
-    SetOfSets,
-    minimum_matching_difference,
-    reconcile_cascading,
-    reconcile_iblt_of_iblts,
-    reconcile_multiround,
-    reconcile_multiround_unknown,
-    reconcile_naive,
-)
+from repro import minimum_matching_difference, reconcile
 from repro.workloads import sets_of_sets_instance
 
 SEED = 2018
@@ -42,36 +34,40 @@ def main() -> None:
     protocols = [
         (
             "naive (Thm 3.3)",
-            lambda: reconcile_naive(
-                alice, bob, instance.differing_children, UNIVERSE,
-                instance.max_child_size, SEED,
+            lambda: reconcile(
+                alice, bob, protocol="naive", difference_bound=instance.differing_children,
+                universe_size=UNIVERSE, max_child_size=instance.max_child_size, seed=SEED,
             ),
         ),
         (
             "IBLT of IBLTs (Thm 3.5)",
-            lambda: reconcile_iblt_of_iblts(
-                alice, bob, instance.planted_difference, UNIVERSE, SEED,
-                differing_children_bound=instance.differing_children,
+            lambda: reconcile(
+                alice, bob, protocol="iblt_of_iblts",
+                difference_bound=instance.planted_difference, universe_size=UNIVERSE,
+                seed=SEED, differing_children_bound=instance.differing_children,
             ),
         ),
         (
             "cascading (Thm 3.7)",
-            lambda: reconcile_cascading(
-                alice, bob, instance.planted_difference, UNIVERSE,
-                instance.max_child_size, SEED,
+            lambda: reconcile(
+                alice, bob, protocol="cascading",
+                difference_bound=instance.planted_difference, universe_size=UNIVERSE,
+                max_child_size=instance.max_child_size, seed=SEED,
             ),
         ),
         (
             "multi-round (Thm 3.9)",
-            lambda: reconcile_multiround(
-                alice, bob, instance.planted_difference, UNIVERSE,
-                instance.max_child_size, SEED,
+            lambda: reconcile(
+                alice, bob, protocol="multiround",
+                difference_bound=instance.planted_difference, universe_size=UNIVERSE,
+                max_child_size=instance.max_child_size, seed=SEED,
             ),
         ),
         (
             "multi-round, unknown d (Thm 3.10)",
-            lambda: reconcile_multiround_unknown(
-                alice, bob, UNIVERSE, instance.max_child_size, SEED,
+            lambda: reconcile(
+                alice, bob, protocol="multiround", difference_bound=None,
+                universe_size=UNIVERSE, max_child_size=instance.max_child_size, seed=SEED,
             ),
         ),
     ]

@@ -12,14 +12,19 @@ protocols:
 * applications to binary relational databases and shingled document
   collections.
 
+Every protocol runs through one entry point, :func:`reconcile`, named by its
+registered protocol (``repro.protocols.names()``); ``difference_bound=None``
+selects a protocol's unknown-``d`` variant.
+
 Quickstart::
 
-    from repro import SetOfSets, reconcile_cascading
+    import repro
+    from repro import SetOfSets
 
     alice = SetOfSets([{1, 2, 3}, {4, 5}, {6}])
     bob = SetOfSets([{1, 2, 3}, {4, 5, 7}, {6}])
-    result = reconcile_cascading(alice, bob, difference_bound=2,
-                                 universe_size=8, max_child_size=4, seed=42)
+    result = repro.reconcile(alice, bob, protocol="cascading", difference_bound=2,
+                             universe_size=8, max_child_size=4, seed=42)
     assert result.success and result.recovered == alice
 """
 
@@ -35,38 +40,17 @@ from repro.config import (
     set_default_field_kernel,
 )
 from repro.field import use_kernel
-from repro.core.setrecon import (
-    reconcile_known_d,
-    reconcile_unknown_d,
-    reconcile_cpi,
-)
 from repro.core.setsofsets import (
     SetOfSets,
     MultisetOfMultisets,
-    reconcile_naive,
-    reconcile_naive_unknown,
-    reconcile_iblt_of_iblts,
-    reconcile_iblt_of_iblts_unknown,
-    reconcile_cascading,
-    reconcile_cascading_unknown,
-    reconcile_multiround,
-    reconcile_multiround_unknown,
     reconcile_multisets_of_multisets,
     minimum_matching_difference,
 )
 from repro.estimator import L0Estimator, StrataEstimator, MedianEstimator
 from repro.iblt import IBLT, IBLTParameters
-from repro.graphs import (
-    Graph,
-    RootedForest,
-    reconcile_labeled_graphs,
-    reconcile_degree_order,
-    reconcile_degree_neighborhood,
-    reconcile_forest,
-    reconcile_exhaustive,
-)
-from repro.db import BinaryTable, reconcile_tables
-from repro.documents import DocumentCollection, reconcile_collections
+from repro.graphs import Graph, RootedForest
+from repro.db import BinaryTable
+from repro.documents import DocumentCollection
 from repro import protocols
 from repro.protocols import (
     InMemoryTransport,
@@ -98,19 +82,8 @@ __all__ = [
     "default_field_kernel",
     "set_default_field_kernel",
     "use_kernel",
-    "reconcile_known_d",
-    "reconcile_unknown_d",
-    "reconcile_cpi",
     "SetOfSets",
     "MultisetOfMultisets",
-    "reconcile_naive",
-    "reconcile_naive_unknown",
-    "reconcile_iblt_of_iblts",
-    "reconcile_iblt_of_iblts_unknown",
-    "reconcile_cascading",
-    "reconcile_cascading_unknown",
-    "reconcile_multiround",
-    "reconcile_multiround_unknown",
     "reconcile_multisets_of_multisets",
     "minimum_matching_difference",
     "L0Estimator",
@@ -120,14 +93,7 @@ __all__ = [
     "IBLTParameters",
     "Graph",
     "RootedForest",
-    "reconcile_labeled_graphs",
-    "reconcile_degree_order",
-    "reconcile_degree_neighborhood",
-    "reconcile_forest",
-    "reconcile_exhaustive",
     "BinaryTable",
-    "reconcile_tables",
     "DocumentCollection",
-    "reconcile_collections",
     "__version__",
 ]

@@ -1,21 +1,23 @@
 """Single-set reconciliation protocols (Section 2 and Section 3.4).
 
 One-way reconciliation: at the end of a protocol Bob holds Alice's set.
+Run them with :func:`repro.reconcile`:
 
-* :func:`~repro.core.setrecon.ibf.reconcile_known_d` -- Corollary 2.2: one
-  round, ``O(d log u)`` bits, ``O(n)`` time, succeeds with probability
-  ``1 - 1/poly(d)``.
-* :func:`~repro.core.setrecon.ibf.reconcile_unknown_d` -- Corollary 3.2: two
-  rounds, same communication, using a set-difference estimator first.
-* :func:`~repro.core.setrecon.cpi.reconcile_cpi` -- Theorem 2.3: one round,
-  ``O(d log u)`` bits, characteristic-polynomial interpolation, succeeds with
-  probability 1 (when the difference bound holds).
+* ``protocol="ibf"`` -- Corollary 2.2: one round, ``O(d log u)`` bits,
+  ``O(n)`` time, succeeds with probability ``1 - 1/poly(d)``; with
+  ``difference_bound=None`` it is Corollary 3.2: two rounds, same
+  communication, using a set-difference estimator first.
+* ``protocol="cpi"`` -- Theorem 2.3: one round, ``O(d log u)`` bits,
+  characteristic-polynomial interpolation, succeeds with probability 1
+  (when the difference bound holds); :mod:`repro.core.setrecon.cpi` holds
+  its encoder and decoder.
 * :mod:`repro.core.setrecon.multiset` -- Section 3.4: the same protocols for
   multisets via the ``(element, multiplicity)`` encoding.
+
+The party state machines live in :mod:`repro.protocols.parties.setrecon`.
 """
 
-from repro.core.setrecon.ibf import reconcile_known_d, reconcile_unknown_d
-from repro.core.setrecon.cpi import reconcile_cpi, CPIMessage
+from repro.core.setrecon.cpi import CPIMessage
 from repro.core.setrecon.multiset import (
     encode_multiset,
     decode_multiset,
@@ -28,9 +30,6 @@ from repro.core.setrecon.difference import (
 )
 
 __all__ = [
-    "reconcile_known_d",
-    "reconcile_unknown_d",
-    "reconcile_cpi",
     "CPIMessage",
     "encode_multiset",
     "decode_multiset",

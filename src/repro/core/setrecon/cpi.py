@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Set
 
-from repro.comm import ReconciliationResult, Transcript
 from repro.comm.sizing import bits_for_field_elements, bits_for_value
 from repro.core.setrecon.difference import apply_difference
 from repro.errors import ParameterError
@@ -235,26 +234,3 @@ def cpi_decode(
             return False, None
         return True, recovered
 
-
-def reconcile_cpi(
-    alice: Set[int],
-    bob: Set[int],
-    difference_bound: int,
-    universe_size: int,
-    seed: int = 0,
-    *,
-    field_kernel: str | None = None,
-    transcript: Transcript | None = None,
-) -> ReconciliationResult:
-    """One-round characteristic-polynomial reconciliation (Theorem 2.3).
-
-    Thin wrapper over the party state machines of
-    :mod:`repro.protocols.parties.setrecon` (in-memory session).
-    """
-    from repro.protocols.parties.setrecon import cpi_parties
-    from repro.protocols.session import run_session
-
-    alice_party, bob_party = cpi_parties(
-        alice, bob, difference_bound, universe_size, seed, field_kernel=field_kernel
-    )
-    return run_session(alice_party, bob_party, transcript=transcript)

@@ -3,21 +3,24 @@
 Alice and Bob each hold a *parent set* of up to ``s`` *child sets*, each child
 containing at most ``h`` elements of a universe of size ``u``; the total
 number of element differences under the minimum-difference matching of child
-sets is ``d``.  Protocols (all one-way: Bob ends with Alice's parent set):
+sets is ``d``.  Protocols (all one-way: Bob ends with Alice's parent set), run
+with ``repro.reconcile(alice, bob, protocol=..., universe_size=u, seed=...)``;
+``difference_bound=None`` selects the unknown-``d`` variant:
 
-=================================================  =====================  ======
-protocol                                           paper reference        rounds
-=================================================  =====================  ======
-:func:`~repro.core.setsofsets.naive.reconcile_naive`                Thm 3.3     1
-:func:`~repro.core.setsofsets.naive.reconcile_naive_unknown`        Thm 3.4     2
-:func:`~repro.core.setsofsets.iblt_of_iblts.reconcile_iblt_of_iblts`        Alg 1 / Thm 3.5   1
-:func:`~repro.core.setsofsets.iblt_of_iblts.reconcile_iblt_of_iblts_unknown` Cor 3.6   O(log d)
-:func:`~repro.core.setsofsets.cascading.reconcile_cascading`        Alg 2 / Thm 3.7   1
-:func:`~repro.core.setsofsets.cascading.reconcile_cascading_unknown`        Cor 3.8   O(log d)
-:func:`~repro.core.setsofsets.multiround.reconcile_multiround`      Thm 3.9     3
-:func:`~repro.core.setsofsets.multiround.reconcile_multiround_unknown`      Thm 3.10    4
-=================================================  =====================  ======
+===================================================  =====================  ========
+call                                                 paper reference        rounds
+===================================================  =====================  ========
+``protocol="naive", difference_bound=d_hat``         Thm 3.3                1
+``protocol="naive", difference_bound=None``          Thm 3.4                2
+``protocol="iblt_of_iblts", difference_bound=d``     Alg 1 / Thm 3.5        1
+``protocol="iblt_of_iblts", difference_bound=None``  Cor 3.6                O(log d)
+``protocol="cascading", difference_bound=d``         Alg 2 / Thm 3.7        1
+``protocol="cascading", difference_bound=None``      Cor 3.8                O(log d)
+``protocol="multiround", difference_bound=d``        Thm 3.9                3
+``protocol="multiround", difference_bound=None``     Thm 3.10               4
+===================================================  =====================  ========
 
+The party state machines live in :mod:`repro.protocols.parties.setsofsets`.
 :mod:`repro.core.setsofsets.nested` adapts the protocols to sets of multisets
 and multisets of multisets (Section 3.4), which the graph applications use.
 """
@@ -27,19 +30,6 @@ from repro.core.setsofsets.matching import (
     minimum_matching_difference,
     relaxed_difference,
     differing_children_count,
-)
-from repro.core.setsofsets.naive import reconcile_naive, reconcile_naive_unknown
-from repro.core.setsofsets.iblt_of_iblts import (
-    reconcile_iblt_of_iblts,
-    reconcile_iblt_of_iblts_unknown,
-)
-from repro.core.setsofsets.cascading import (
-    reconcile_cascading,
-    reconcile_cascading_unknown,
-)
-from repro.core.setsofsets.multiround import (
-    reconcile_multiround,
-    reconcile_multiround_unknown,
 )
 from repro.core.setsofsets.nested import (
     MultisetOfMultisets,
@@ -53,14 +43,6 @@ __all__ = [
     "minimum_matching_difference",
     "relaxed_difference",
     "differing_children_count",
-    "reconcile_naive",
-    "reconcile_naive_unknown",
-    "reconcile_iblt_of_iblts",
-    "reconcile_iblt_of_iblts_unknown",
-    "reconcile_cascading",
-    "reconcile_cascading_unknown",
-    "reconcile_multiround",
-    "reconcile_multiround_unknown",
     "MultisetOfMultisets",
     "encode_multiset_children",
     "decode_multiset_children",

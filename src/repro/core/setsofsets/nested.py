@@ -17,7 +17,8 @@ the cascading protocol builds every encoded child's sketch through
 
 This module holds the types and the encoding; the protocol itself (Theorem
 3.11) is the party pair in :mod:`repro.protocols.parties.setsofsets`, and
-:func:`reconcile_multisets_of_multisets` is a thin alias running it.
+:func:`reconcile_multisets_of_multisets` runs it over an in-memory session
+(Theorem 3.11 has no registered protocol name of its own).
 """
 
 from __future__ import annotations

@@ -9,62 +9,16 @@ reconciled with a set-of-sets protocol, after which
 duplicate, a near duplicate, or fresh relative to Bob's collection.
 
 The protocol is ``documents_parties`` in
-:mod:`repro.protocols.parties.applications`; :func:`reconcile_collections`
-is a thin alias running it over an in-memory session.
+:mod:`repro.protocols.parties.applications`, run by
+``repro.reconcile(alice, bob, protocol="documents", ...)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.comm import ReconciliationResult
 from repro.documents.collection import DocumentCollection
 from repro.errors import ParameterError
-
-
-def reconcile_collections(
-    alice: DocumentCollection,
-    bob: DocumentCollection,
-    shingle_difference_bound: int,
-    seed: int,
-    *,
-    differing_children_bound: int | None = None,
-    backend: str | None = None,
-) -> ReconciliationResult:
-    """One-way reconciliation of the signature sets of two collections.
-
-    Thin wrapper over ``documents_parties`` in
-    :mod:`repro.protocols.parties.applications` (in-memory session), which
-    runs the IBLT-of-IBLTs protocol of Theorem 3.5 -- the one the paper
-    singles out for this application.
-
-    ``recovered`` is the :class:`~repro.core.setsofsets.SetOfSets` of Alice's
-    document signatures, from which Bob learns exactly which signatures he is
-    missing (he can then request the corresponding documents out of band).
-
-    Parameters
-    ----------
-    shingle_difference_bound:
-        Bound on the total number of differing shingle hashes across matched
-        document pairs (the paper's ``d``).
-    differing_children_bound:
-        Bound ``d_hat`` on the number of differing documents; defaults to
-        ``shingle_difference_bound``.
-    backend:
-        IBLT cell-store backend (see :mod:`repro.config`).
-    """
-    from repro.protocols.parties.applications import documents_parties
-    from repro.protocols.session import run_session
-
-    alice_party, bob_party = documents_parties(
-        alice,
-        bob,
-        shingle_difference_bound,
-        seed,
-        differing_children_bound=differing_children_bound,
-        backend=backend,
-    )
-    return run_session(alice_party, bob_party)
 
 
 @dataclass

@@ -5,8 +5,6 @@
 * :mod:`repro.graphs.random_graphs` -- G(n, p) generation and the paper's
   perturbation model (a base graph, each party holding a copy with at most
   ``d/2`` edge changes and a private relabeling).
-* :mod:`repro.graphs.labeled` -- labeled-graph reconciliation (plain set
-  reconciliation over edge keys), the final step of every scheme.
 * :mod:`repro.graphs.isomorphism` -- the folklore fingerprint protocol for
   graph isomorphism (Theorem 4.1) and brute-force canonical forms for tiny
   graphs.
@@ -21,6 +19,12 @@
   with the degree-neighborhood signature scheme (Theorem 5.6).
 * :mod:`repro.graphs.forest` -- rooted forests, AHU canonical labels and
   forest reconciliation (Theorem 6.1).
+
+Each scheme is a party pair in :mod:`repro.protocols.parties.graphs`, run by
+``repro.reconcile(alice, bob, protocol=...)`` with ``"labeled"`` (graphs
+sharing a labeling: plain set reconciliation over edge keys, Section 4),
+``"exhaustive"``, ``"degree_order"``, ``"degree_neighborhood"`` or
+``"forest"``.
 """
 
 from repro.graphs.graph import Graph
@@ -30,26 +34,21 @@ from repro.graphs.random_graphs import (
     random_permutation,
     reconciliation_pair,
 )
-from repro.graphs.labeled import reconcile_labeled_graphs
 from repro.graphs.isomorphism import (
     canonical_form_small,
     are_isomorphic_small,
     isomorphism_fingerprint_protocol,
 )
-from repro.graphs.exhaustive import reconcile_exhaustive
 from repro.graphs.separation import (
     degree_order_signatures,
     is_degree_separated,
     degree_neighborhood_signatures,
     neighborhood_disjointness,
 )
-from repro.graphs.degree_order import reconcile_degree_order
-from repro.graphs.degree_neighborhood import reconcile_degree_neighborhood
 from repro.graphs.forest import (
     RootedForest,
     ahu_signatures,
     forest_canonical_form,
-    reconcile_forest,
 )
 
 __all__ = [
@@ -58,19 +57,14 @@ __all__ = [
     "perturb_edges",
     "random_permutation",
     "reconciliation_pair",
-    "reconcile_labeled_graphs",
     "canonical_form_small",
     "are_isomorphic_small",
     "isomorphism_fingerprint_protocol",
-    "reconcile_exhaustive",
     "degree_order_signatures",
     "is_degree_separated",
     "degree_neighborhood_signatures",
     "neighborhood_disjointness",
-    "reconcile_degree_order",
-    "reconcile_degree_neighborhood",
     "RootedForest",
     "ahu_signatures",
     "forest_canonical_form",
-    "reconcile_forest",
 ]

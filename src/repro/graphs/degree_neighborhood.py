@@ -15,16 +15,14 @@ is exactly the trade-off Theorem 5.6 describes.
 
 This module holds the signature encoding and the change bound; the protocol
 is ``degree_neighborhood_parties`` in :mod:`repro.protocols.parties.graphs`,
-and :func:`reconcile_degree_neighborhood` is a thin alias running it.
+run by ``repro.reconcile(alice, bob, protocol="degree_neighborhood", ...)``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from repro.comm import ReconciliationResult
 from repro.core.setrecon.multiset import decode_multiset, encode_multiset
-from repro.graphs.graph import Graph
 
 
 def _encode_signature(signature: Counter, multiplicity_bound: int) -> frozenset[int]:
@@ -46,36 +44,3 @@ def signature_change_bound(difference_bound: int, max_degree: int) -> int:
     this is at most ``8 * max_degree + 8`` encoded changes per edge change.
     """
     return max(1, difference_bound) * (8 * max(1, max_degree) + 8)
-
-
-def reconcile_degree_neighborhood(
-    alice: Graph,
-    bob: Graph,
-    difference_bound: int,
-    max_degree: int,
-    seed: int,
-) -> ReconciliationResult:
-    """One-round reconciliation with degree-neighborhood signatures (Theorem 5.6).
-
-    Thin wrapper over the party state machines of
-    :mod:`repro.protocols.parties.graphs` (in-memory session).
-
-    Parameters
-    ----------
-    alice, bob:
-        The two unlabeled graphs (equal vertex counts).
-    difference_bound:
-        Bound ``d`` on the number of differing edges.
-    max_degree:
-        The signature truncation threshold (the paper's ``pn``); both parties
-        must use the same value.
-    seed:
-        Shared seed.
-    """
-    from repro.protocols.parties.graphs import degree_neighborhood_parties
-    from repro.protocols.session import run_session
-
-    alice_party, bob_party = degree_neighborhood_parties(
-        alice, bob, difference_bound, max_degree, seed
-    )
-    return run_session(alice_party, bob_party)

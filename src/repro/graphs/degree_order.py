@@ -22,16 +22,14 @@ graph isomorphic to hers that Bob can now hold); ``details`` carries the
 conforming labeling Bob computed for his own vertex ids.
 
 This module holds the local labeling transforms; the protocol is
-``degree_order_parties`` in :mod:`repro.protocols.parties.graphs`, and
-:func:`reconcile_degree_order` is a thin alias running it.
+``degree_order_parties`` in :mod:`repro.protocols.parties.graphs`, run by
+``repro.reconcile(alice, bob, protocol="degree_order", ...)``.
 """
 
 from __future__ import annotations
 
-from repro.comm import ReconciliationResult
 from repro.core.setsofsets import SetOfSets
 from repro.errors import ParameterError
-from repro.graphs.graph import Graph
 from repro.graphs.separation import signature_mask
 
 
@@ -99,36 +97,3 @@ def _conforming_labels_for_bob(
         used.add(rank)
         assigned[vertex] = num_top + rank
     return assigned
-
-
-def reconcile_degree_order(
-    alice: Graph,
-    bob: Graph,
-    difference_bound: int,
-    num_top: int,
-    seed: int,
-) -> ReconciliationResult:
-    """One-round random graph reconciliation (Theorem 5.2).
-
-    Thin wrapper over the party state machines of
-    :mod:`repro.protocols.parties.graphs` (in-memory session).
-
-    Parameters
-    ----------
-    alice, bob:
-        The two unlabeled graphs (equal vertex counts).
-    difference_bound:
-        Bound ``d`` on the number of edge changes separating the graphs.
-    num_top:
-        The scheme parameter ``h`` (see Theorem 5.3 for the value that makes
-        random graphs separated with high probability).
-    seed:
-        Shared seed.
-    """
-    from repro.protocols.parties.graphs import degree_order_parties
-    from repro.protocols.session import run_session
-
-    alice_party, bob_party = degree_order_parties(
-        alice, bob, difference_bound, num_top, seed
-    )
-    return run_session(alice_party, bob_party)

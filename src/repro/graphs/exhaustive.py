@@ -8,13 +8,17 @@ optimum ``O(d log n)`` bits (Theorem 4.4 proves the matching lower bound);
 computation is astronomically expensive, so the implementation is gated to
 very small graphs and serves as the exact reference the efficient Section 5
 schemes are compared against.
+
+This module holds the canonical-form evaluation and the candidate
+enumeration; the protocol is ``exhaustive_parties`` in
+:mod:`repro.protocols.parties.graphs`, run by
+``repro.reconcile(alice, bob, protocol="exhaustive", ...)``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from repro.comm import ReconciliationResult
 from repro.graphs.graph import Graph
 from repro.graphs.isomorphism import (
     MAX_BRUTE_FORCE_VERTICES as MAX_BRUTE_FORCE_VERTICES,  # re-export: parties import it from here
@@ -43,28 +47,3 @@ def _graphs_within_changes(graph: Graph, max_changes: int):
             for u, v in flipped:
                 candidate.toggle_edge(u, v)
             yield candidate
-
-
-def reconcile_exhaustive(
-    alice: Graph,
-    bob: Graph,
-    difference_bound: int,
-    seed: int,
-    *,
-    prime: int | None = None,
-) -> ReconciliationResult:
-    """One-round, ``O(d log n)``-bit graph reconciliation (Theorem 4.3).
-
-    ``recovered`` is a graph isomorphic to Alice's obtained by changing at
-    most ``difference_bound`` edges of Bob's graph.  Only feasible for
-    ``n <= 9`` and small ``d`` because Bob enumerates ``O(n^{2d})`` graphs and
-    canonicalises each by brute force.  Thin wrapper over the party state
-    machines of :mod:`repro.protocols.parties.graphs` (in-memory session).
-    """
-    from repro.protocols.parties.graphs import exhaustive_parties
-    from repro.protocols.session import run_session
-
-    alice_party, bob_party = exhaustive_parties(
-        alice, bob, difference_bound, seed, prime=prime
-    )
-    return run_session(alice_party, bob_party)

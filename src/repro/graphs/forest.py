@@ -19,7 +19,7 @@ A rooted forest is stored as a parent array.  The reconciliation scheme:
 
 This module holds the forest type, the signatures and the reconstruction;
 the protocol is ``forest_parties`` in :mod:`repro.protocols.parties.graphs`,
-and :func:`reconcile_forest` is a thin alias running it.
+run by ``repro.reconcile(alice, bob, protocol="forest", ...)``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Sequence
 
-from repro.comm import ReconciliationResult
 from repro.core.setsofsets.nested import MultisetOfMultisets
 from repro.errors import ParameterError
 from repro.hashing import SeededHasher, derive_seed, int_to_bytes
@@ -195,7 +194,7 @@ def ahu_signatures(forest: RootedForest, seed: int, signature_bits: int = 48) ->
 
 
 # ---------------------------------------------------------------------------
-# Reconciliation (Theorem 6.1): collection transform, reconstruction, alias
+# Reconciliation (Theorem 6.1): collection transform and reconstruction
 # ---------------------------------------------------------------------------
 
 
@@ -268,44 +267,3 @@ def _reconstruct_forest(
     if len(parents) != total_vertices:
         return None
     return RootedForest(parents)
-
-
-def reconcile_forest(
-    alice: RootedForest,
-    bob: RootedForest,
-    difference_bound: int,
-    max_depth: int | None,
-    seed: int,
-    *,
-    signature_bits: int = 48,
-) -> ReconciliationResult:
-    """One-round forest reconciliation (Theorem 6.1).
-
-    Thin wrapper over the party state machines of
-    :mod:`repro.protocols.parties.graphs` (in-memory session).
-
-    Parameters
-    ----------
-    alice, bob:
-        The two rooted forests.
-    difference_bound:
-        Bound ``d`` on the number of directed edge insertions/deletions.
-    max_depth:
-        Bound ``sigma`` on the depth of any tree (both parties must agree);
-        pass ``None`` to use the maximum of the two forests' actual depths
-        (fine in simulations, where both sides are visible).
-    seed:
-        Shared seed.
-
-    Returns
-    -------
-    ReconciliationResult
-        ``recovered`` is a :class:`RootedForest` isomorphic to Alice's.
-    """
-    from repro.protocols.parties.graphs import forest_parties
-    from repro.protocols.session import run_session
-
-    alice_party, bob_party = forest_parties(
-        alice, bob, difference_bound, max_depth, seed, signature_bits=signature_bits
-    )
-    return run_session(alice_party, bob_party)

@@ -16,7 +16,8 @@ session:
   protocol (set reconciliation, the four SSRK protocols, the graph and
   forest schemes, the applications).
 
-See docs/protocols.md for the design and the back-compat story.
+See docs/protocols.md for the design and the migration from the removed
+per-protocol ``reconcile_*`` functions.
 """
 
 from repro.protocols.options import ReconcileOptions

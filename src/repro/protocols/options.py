@@ -1,15 +1,15 @@
 """The consolidated options object shared by every protocol entry point.
 
-Before this layer existed each ``reconcile_*`` free function threaded its own
-ad-hoc keyword set (``seed``, ``backend=``, ``field_kernel=``, sizing knobs).
-:class:`ReconcileOptions` consolidates them: one frozen dataclass carries
-every cross-protocol parameter, and each protocol documents (in its
-:class:`~repro.protocols.registry.Protocol` descriptor) which fields it
-reads.  Fields irrelevant to a protocol are simply ignored.
+:class:`ReconcileOptions` is the one keyword set of :func:`repro.reconcile`
+(``seed``, ``backend=``, ``field_kernel=``, sizing knobs): one frozen
+dataclass carries every cross-protocol parameter, and each protocol
+documents (in its :class:`~repro.protocols.registry.Protocol` descriptor)
+which fields it reads.  Fields irrelevant to a protocol are simply ignored.
 
 ``difference_bound=None`` selects a protocol's unknown-``d`` variant (the
-estimator-based or repeated-doubling flavor); an integer selects the
-known-``d`` variant.
+estimator-based or repeated-doubling flavor); a non-negative integer selects
+the known-``d`` variant, and a negative one is refused here, once, for every
+protocol.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ class ReconcileOptions:
     difference_bound:
         The bound ``d`` on the difference (elements, edges, or flipped bits,
         depending on the protocol's input kind).  ``None`` runs the
-        unknown-``d`` variant where the protocol supports one.
+        unknown-``d`` variant where the protocol supports one; a negative
+        bound raises :class:`ParameterError`.
     universe_size:
         Element universe size ``u`` (set and set-of-sets protocols).
     max_child_size:
@@ -98,6 +99,12 @@ class ReconcileOptions:
     max_depth: int | None = None
     signature_bits: int = 48
     fallback_to_all_children: bool = True
+
+    def __post_init__(self) -> None:
+        if self.difference_bound is not None and self.difference_bound < 0:
+            raise ParameterError(
+                f"difference_bound must be None or >= 0 (got {self.difference_bound})"
+            )
 
     def merged(self, **overrides: Any) -> "ReconcileOptions":
         """A copy with ``overrides`` applied (unknown names raise)."""

@@ -5,8 +5,9 @@ relational tables become sets of row-sets (reconciled with cascading by
 default), document collections become sets of shingle-signature sets
 (reconciled with IBLT-of-IBLTs, the protocol the paper singles out for the
 application).  This module is the only spelling of each protocol;
-``reconcile_tables`` and ``reconcile_collections`` are thin wrappers running
-these parties over an in-memory session.  Both builders forward their
+``repro.reconcile`` runs them as ``protocol="db"`` and
+``protocol="documents"``, and ``db_parties(..., protocol="naive")`` is the
+one way to put the naive protocol under a table.  Both builders forward their
 ``context_options`` to :func:`context_for`, so every
 :class:`SetsOfSetsContext` knob (``differing_children_bound``, ``backend``,
 ``fallback_to_all_children``, ...) reaches the underlying protocol.

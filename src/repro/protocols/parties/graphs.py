@@ -3,8 +3,7 @@
 Each scheme composes the flat set / set-of-sets parties with its local
 signature and labeling computations (the pure transforms live next to the
 data types in :mod:`repro.graphs`).  This module is the only spelling of each
-protocol; every ``reconcile_*`` function in :mod:`repro.graphs` is a thin
-wrapper running these parties over an in-memory session:
+protocol; :func:`repro.reconcile` runs each one by its registered name:
 
 * ``labeled`` -- plain labeled-edge set reconciliation (Section 4).
 * ``exhaustive`` -- the ``O(d log n)``-bit brute-force scheme (Theorem 4.3).
@@ -203,8 +202,6 @@ def exhaustive_parties(
     bob: Graph,
     difference_bound: int,
     seed: int,
-    *,
-    prime: int | None = None,
 ) -> PartyPair:
     """Both parties for the brute-force scheme (only feasible for tiny n)."""
     if alice.num_vertices != bob.num_vertices:
@@ -216,9 +213,8 @@ def exhaustive_parties(
         )
     if difference_bound < 0:
         raise ParameterError("difference_bound must be non-negative")
-    if prime is None:
-        # q = n^{2d+3} as in the proof of Theorem 4.3 (with a small floor).
-        prime = prime_at_least(max(17, n ** (2 * difference_bound + 3)))
+    # q = n^{2d+3} as in the proof of Theorem 4.3 (with a small floor).
+    prime = prime_at_least(max(17, n ** (2 * difference_bound + 3)))
     codec = FingerprintCodec(prime)
 
     def alice_party() -> PartyGenerator:

@@ -7,7 +7,7 @@
   difference-bound header (32 bits of documented framing -- on a real wire
   bob cannot derive the bound alice computed from the merged estimator).
   They are written against a sketch source (:class:`SetSource`), so
-  from-scratch ``ibf`` (:mod:`repro.core.setrecon.ibf` wraps it),
+  from-scratch ``ibf`` (``repro.reconcile(..., protocol="ibf")``),
   store-served ``ibf`` (:mod:`repro.store.parties`) and phase one of ``kv``
   gossip (:mod:`repro.cluster.parties`) are the same generators.
 * ``cpi``: one message of characteristic-polynomial evaluations.

@@ -4,9 +4,10 @@ The four SSRK protocols -- naive (Thm 3.3/3.4), IBLT-of-IBLTs (Thm 3.5 /
 Cor 3.6), cascading (Thm 3.7 / Cor 3.8) and multiround (Thm 3.9/3.10) --
 split into explicit alice/bob generators plus the wire codecs for their
 messages, followed by the multiset-of-multisets reduction (Thm 3.11) that
-runs the cascading parties on multiplicity-folded parents.  Every
-``reconcile_*`` function in :mod:`repro.core.setsofsets` is a thin wrapper
-running these parties over an in-memory session.
+runs the cascading parties on multiplicity-folded parents.
+:func:`repro.reconcile` runs the four protocols by name, and
+:func:`~repro.core.setsofsets.nested.reconcile_multisets_of_multisets` runs
+the reduction over an in-memory session.
 
 Shared-context conventions (documented in docs/protocols.md): the universe
 size ``u``, child bound ``h``, the seed, and both parents' child counts and
@@ -997,6 +998,11 @@ CHILD_BOUND_BITS = 24
 CHILD_SET_SIZE_BITS = 32
 
 
+def _clamp_child_bound(ctx: SetsOfSetsContext, bound: int) -> int:
+    """Cap a per-child payload bound at ``2 h`` (a child differs in at most that)."""
+    return min(bound, 2 * ctx.max_child_size) if ctx.max_child_size else bound
+
+
 class MultiroundPayloadsCodec(PayloadCodec):
     """Codec for Alice's final message: a list of :class:`ChildPayload`.
 
@@ -1041,6 +1047,10 @@ class MultiroundPayloadsCodec(PayloadCodec):
             own_hash = reader.read(self.ctx.child_hash_bits)
             is_cpi = reader.read(CHILD_FLAG_BITS)
             bound = reader.read(CHILD_BOUND_BITS)
+            # An honest bound is >= 1 and already clamped; anything else would
+            # buy a hostile peer a decode cubic in a 24-bit number.
+            if bound < 1 or _clamp_child_bound(self.ctx, bound) != bound:
+                raise WireError(f"per-child bound {bound} outside the clamp range")
             if not is_cpi:
                 params = _multiround_child_params(self.ctx, bound, own_hash)
                 table = IBLT.deserialize(
@@ -1152,8 +1162,9 @@ def multiround_alice_known(
             # explicitly via a CPI message against the empty set.
             best_hash = 0
             best_estimate = len(child)
-        bound = max(1, int(math.ceil(ctx.estimate_safety * best_estimate)) + 1)
-        bound = min(bound, 2 * ctx.max_child_size) if ctx.max_child_size else bound
+        bound = _clamp_child_bound(
+            ctx, max(1, int(math.ceil(ctx.estimate_safety * best_estimate)) + 1)
+        )
         own_hash = alice_child_to_hash[child]
         if best_estimate >= cpi_threshold:
             child_params = _multiround_child_params(ctx, bound, own_hash)
@@ -1287,17 +1298,14 @@ def multiround_bob_known(
 def multiround_alice_unknown(
     alice: SetOfSets,
     ctx: SetsOfSetsContext,
-    *,
-    hash_estimator_factory: Callable[[int], SetDifferenceEstimator] | None = None,
 ) -> PartyGenerator:
     """Alice's side of the four-round protocol (Theorem 3.10)."""
-    factory = hash_estimator_factory if hash_estimator_factory else L0Estimator
     hash_seed = derive_seed(ctx.seed, "child-hash")
     estimator_seed = derive_seed(ctx.seed, "multiround-dhat-estimator")
-    bob_estimator = yield Receive(EstimatorCodec(factory, estimator_seed))
+    bob_estimator = yield Receive(EstimatorCodec(L0Estimator, estimator_seed))
     if bob_estimator is END_OF_SESSION:
         return aborted_outcome()
-    alice_estimator = factory(estimator_seed)
+    alice_estimator = L0Estimator(estimator_seed)
     alice_estimator.update_all(
         child_set_hash_many(alice, hash_seed, ctx.child_hash_bits), 2
     )
@@ -1319,14 +1327,11 @@ def multiround_alice_unknown(
 def multiround_bob_unknown(
     bob: SetOfSets,
     ctx: SetsOfSetsContext,
-    *,
-    hash_estimator_factory: Callable[[int], SetDifferenceEstimator] | None = None,
 ) -> PartyGenerator:
     """Bob's side: send the child-hash estimator, then rounds 2 and 4."""
-    factory = hash_estimator_factory if hash_estimator_factory else L0Estimator
     hash_seed = derive_seed(ctx.seed, "child-hash")
     estimator_seed = derive_seed(ctx.seed, "multiround-dhat-estimator")
-    bob_estimator = factory(estimator_seed)
+    bob_estimator = L0Estimator(estimator_seed)
     bob_estimator.update_all(
         child_set_hash_many(bob, hash_seed, ctx.child_hash_bits), 1
     )
@@ -1334,7 +1339,7 @@ def multiround_bob_unknown(
         "child-hash estimator",
         bob_estimator.size_bits,
         payload=bob_estimator,
-        codec=EstimatorCodec(factory, estimator_seed),
+        codec=EstimatorCodec(L0Estimator, estimator_seed),
     )
     outcome = yield from multiround_bob_known(bob, None, ctx, self_describing=True)
     return outcome

@@ -8,9 +8,9 @@ through the transport (recording it in the shared transcript), and delivers
 its peer finished.  The result combines both parties' outcomes into the
 library's standard :class:`~repro.comm.result.ReconciliationResult`.
 
-The legacy ``reconcile_*`` free functions are thin wrappers over this loop
-with an :class:`~repro.protocols.transports.InMemoryTransport`; the uniform
-entry point :func:`repro.reconcile` adds transport selection on top.
+The uniform entry point :func:`repro.reconcile` builds a registered
+protocol's parties and runs them through this loop (by default over an
+:class:`~repro.protocols.transports.InMemoryTransport`).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class SessionResult:
         return self.transcript.round_summary()
 
     def to_reconciliation_result(self) -> ReconciliationResult:
-        """Combine the outcomes the way the legacy functions reported them.
+        """Combine both parties' outcomes into one result.
 
         Success requires both parties to succeed; ``recovered`` comes from
         the recovering party (bob); ``details`` are merged with bob's entries
@@ -79,8 +79,7 @@ class Session:
         subroutines of a larger one reuse the caller's).
     field_kernel:
         Optional GF(p) kernel name scoped around the whole session (both
-        parties), mirroring how the legacy entry points scoped it around
-        their bodies.
+        parties).
     """
 
     _ROLES = ("alice", "bob")
@@ -169,7 +168,7 @@ def run_session(
     transcript: Transcript | None = None,
     field_kernel: str | None = None,
 ) -> ReconciliationResult:
-    """Run a session and combine the outcomes (the legacy wrappers' one-liner)."""
+    """Run a session and combine the outcomes (``Session(...).run()`` as one call)."""
     session = Session(
         alice, bob, transport=transport, transcript=transcript, field_kernel=field_kernel
     )

@@ -3,8 +3,8 @@
 Three implementations of one interface:
 
 * :class:`InMemoryTransport` -- payload objects are handed over untouched
-  (zero-copy).  This is the default and preserves the historical simulation
-  behavior and performance of the ``reconcile_*`` functions.
+  (zero-copy).  This is the default: the in-process simulation every
+  :func:`repro.reconcile` call runs unless given another transport.
 * :class:`SerializingTransport` -- every payload is round-tripped through its
   wire codec.  The receiver gets a genuinely re-decoded object, and the
   measured byte length of every message is cross-checked against the

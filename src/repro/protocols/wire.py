@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.comm.bits import BitReader, BitWriter
-from repro.errors import ReproError
+from repro.errors import ParameterError, ReproError
 from repro.iblt import IBLT, IBLTParameters
 
 
@@ -65,7 +65,11 @@ class PayloadCodec:
         return writer.getvalue()
 
     def decode(self, data: bytes) -> Any:
-        return self.read(BitReader(data))
+        """Parse one payload; bytes that do not parse (e.g. truncated) raise :class:`WireError`."""
+        try:
+            return self.read(BitReader(data))
+        except ParameterError as exc:
+            raise WireError(f"malformed {type(self).__name__} payload: {exc}") from exc
 
 
 class NullCodec(PayloadCodec):

@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import ServiceError, SessionRejectedError
+from repro.errors import ParameterError, ServiceError, SessionRejectedError
 from repro.protocols.options import ReconcileOptions
 from repro.service.admission import ADMISSION_CODES
 
@@ -86,7 +86,10 @@ def options_from_wire(wire: dict[str, Any]) -> ReconcileOptions:
     unknown = set(wire) - (_OPTION_FIELDS - set(_UNSERIALIZABLE_OPTIONS))
     if unknown:
         raise ServiceError(f"unknown option(s) in hello: {sorted(unknown)}")
-    return ReconcileOptions().merged(**wire)
+    try:
+        return ReconcileOptions().merged(**wire)
+    except ParameterError as exc:  # e.g. a negative difference_bound
+        raise ServiceError(f"invalid option in hello: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,24 @@
 """Tests for characteristic-polynomial reconciliation and multiset support."""
 
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import reconcile
 from repro.core.setrecon import (
     decode_multiset,
     encode_multiset,
     multiset_symmetric_difference,
-    reconcile_cpi,
-    reconcile_known_d,
     reconcile_multiset_known_d,
 )
 from repro.core.setrecon.cpi import cpi_decode, cpi_encode
 from repro.errors import ParameterError
 
 UNIVERSE = 1 << 16
+
+cpi = functools.partial(reconcile, protocol="cpi", universe_size=UNIVERSE)
 
 
 def make_instance(size, difference, seed):
@@ -33,55 +35,57 @@ def make_instance(size, difference, seed):
 class TestCPIProtocol:
     def test_basic(self):
         alice, bob = make_instance(200, 10, seed=1)
-        result = reconcile_cpi(alice, bob, 12, UNIVERSE, seed=2)
+        result = cpi(alice, bob, difference_bound=12, seed=2)
         assert result.success and result.recovered == alice
 
     def test_exact_bound(self):
         alice, bob = make_instance(150, 9, seed=3)
-        result = reconcile_cpi(alice, bob, 9, UNIVERSE, seed=4)
+        result = cpi(alice, bob, difference_bound=9, seed=4)
         assert result.success and result.recovered == alice
 
     def test_identical_sets(self):
         alice, _ = make_instance(80, 0, seed=5)
-        result = reconcile_cpi(alice, set(alice), 3, UNIVERSE, seed=6)
+        result = cpi(alice, set(alice), difference_bound=3, seed=6)
         assert result.success and result.recovered == alice
 
     def test_asymmetric_sizes(self):
         alice = set(range(100))
         bob = set(range(90))
-        result = reconcile_cpi(alice, bob, 10, UNIVERSE, seed=7)
+        result = cpi(alice, bob, difference_bound=10, seed=7)
         assert result.success and result.recovered == alice
 
     def test_bob_superset(self):
         alice = set(range(50))
         bob = set(range(60))
-        result = reconcile_cpi(alice, bob, 10, UNIVERSE, seed=8)
+        result = cpi(alice, bob, difference_bound=10, seed=8)
         assert result.success and result.recovered == alice
 
     def test_empty_sides(self):
-        assert reconcile_cpi(set(), {1, 2}, 3, UNIVERSE, seed=9).recovered == set()
-        assert reconcile_cpi({1, 2}, set(), 3, UNIVERSE, seed=10).recovered == {1, 2}
+        assert cpi(set(), {1, 2}, difference_bound=3, seed=9).recovered == set()
+        assert cpi({1, 2}, set(), difference_bound=3, seed=10).recovered == {1, 2}
 
     def test_under_bound_fails_detectably(self):
         alice, bob = make_instance(100, 30, seed=11)
-        result = reconcile_cpi(alice, bob, 5, UNIVERSE, seed=12)
+        result = cpi(alice, bob, difference_bound=5, seed=12)
         assert not result.success
 
     def test_deterministic_success_across_seeds(self):
         # Theorem 2.3: succeeds with probability 1 whenever the bound holds.
         alice, bob = make_instance(120, 14, seed=13)
         assert all(
-            reconcile_cpi(alice, bob, 16, UNIVERSE, seed=s).success for s in range(10)
+            cpi(alice, bob, difference_bound=16, seed=s).success for s in range(10)
         )
 
     def test_communication_less_than_iblt(self):
         # CPI sends ~d field elements; the IBLT protocol sends ~1.8d cells of
         # (count, key, checksum); CPI should therefore be smaller.
         alice, bob = make_instance(400, 20, seed=14)
-        cpi = reconcile_cpi(alice, bob, 22, UNIVERSE, seed=15)
-        iblt = reconcile_known_d(alice, bob, 22, UNIVERSE, seed=15)
-        assert cpi.success and iblt.success
-        assert cpi.total_bits < iblt.total_bits
+        by_cpi = cpi(alice, bob, difference_bound=22, seed=15)
+        by_iblt = reconcile(
+            alice, bob, protocol="ibf", difference_bound=22, universe_size=UNIVERSE, seed=15
+        )
+        assert by_cpi.success and by_iblt.success
+        assert by_cpi.total_bits < by_iblt.total_bits
 
     def test_message_size_accounting(self):
         message = cpi_encode({1, 2, 3}, 5, UNIVERSE)
@@ -125,8 +129,8 @@ class TestCPIProtocol:
         if field_kernel == "numpy" and not NumpyFieldKernel.available():
             pytest.skip("NumPy not installed")
         alice, bob = make_instance(90, 7, seed=21)
-        result = reconcile_cpi(
-            alice, bob, 8, UNIVERSE, seed=22, field_kernel=field_kernel
+        result = cpi(
+            alice, bob, difference_bound=8, seed=22, field_kernel=field_kernel
         )
         assert result.success and result.recovered == alice
 
@@ -137,7 +141,7 @@ class TestCPIProtocol:
     )
     def test_property_exact_recovery(self, alice, bob):
         difference = len(alice ^ bob)
-        result = reconcile_cpi(alice, bob, difference, UNIVERSE, seed=17)
+        result = cpi(alice, bob, difference_bound=difference, seed=17)
         assert result.success and result.recovered == alice
 
 

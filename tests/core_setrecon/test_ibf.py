@@ -1,20 +1,19 @@
 """Tests for IBLT-based set reconciliation (Corollaries 2.2 and 3.2)."""
 
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.setrecon import (
-    apply_difference,
-    reconcile_known_d,
-    reconcile_unknown_d,
-    symmetric_difference_size,
-)
+from repro import reconcile
+from repro.core.setrecon import apply_difference, symmetric_difference_size
 from repro.errors import ParameterError
 from repro.estimator import StrataEstimator
 
 UNIVERSE = 1 << 24
+
+ibf = functools.partial(reconcile, protocol="ibf", universe_size=UNIVERSE)
 
 
 def make_instance(size, difference, seed):
@@ -40,38 +39,38 @@ class TestHelpers:
 class TestKnownD:
     def test_basic_reconciliation(self):
         alice, bob = make_instance(500, 20, seed=1)
-        result = reconcile_known_d(alice, bob, 25, UNIVERSE, seed=2)
+        result = ibf(alice, bob, difference_bound=25, seed=2)
         assert result.success and result.recovered == alice
 
     def test_identical_sets(self):
         alice, _ = make_instance(100, 0, seed=3)
-        result = reconcile_known_d(alice, set(alice), 1, UNIVERSE, seed=4)
+        result = ibf(alice, set(alice), difference_bound=1, seed=4)
         assert result.success and result.recovered == alice
 
     def test_empty_alice(self):
-        result = reconcile_known_d(set(), {1, 2, 3}, 4, UNIVERSE, seed=5)
+        result = ibf(set(), {1, 2, 3}, difference_bound=4, seed=5)
         assert result.success and result.recovered == set()
 
     def test_empty_bob(self):
-        result = reconcile_known_d({1, 2, 3}, set(), 4, UNIVERSE, seed=6)
+        result = ibf({1, 2, 3}, set(), difference_bound=4, seed=6)
         assert result.success and result.recovered == {1, 2, 3}
 
     def test_one_round(self):
         alice, bob = make_instance(100, 4, seed=7)
-        result = reconcile_known_d(alice, bob, 6, UNIVERSE, seed=8)
+        result = ibf(alice, bob, difference_bound=6, seed=8)
         assert result.num_rounds == 1
 
     def test_underestimated_bound_fails_detectably(self):
         alice, bob = make_instance(500, 200, seed=9)
-        result = reconcile_known_d(alice, bob, 5, UNIVERSE, seed=10)
+        result = ibf(alice, bob, difference_bound=5, seed=10)
         assert not result.success
         assert result.recovered is None
 
     def test_communication_scales_with_bound_not_set_size(self):
         small_alice, small_bob = make_instance(100, 10, seed=11)
         large_alice, large_bob = make_instance(5000, 10, seed=12)
-        small = reconcile_known_d(small_alice, small_bob, 12, UNIVERSE, seed=13)
-        large = reconcile_known_d(large_alice, large_bob, 12, UNIVERSE, seed=13)
+        small = ibf(small_alice, small_bob, difference_bound=12, seed=13)
+        large = ibf(large_alice, large_bob, difference_bound=12, seed=13)
         assert small.success and large.success
         # Only the tiny set-size counter may differ; the IBLT itself is
         # identical in size because it depends on the bound, not on |S|.
@@ -79,20 +78,20 @@ class TestKnownD:
 
     def test_communication_grows_with_bound(self):
         alice, bob = make_instance(500, 10, seed=14)
-        loose = reconcile_known_d(alice, bob, 100, UNIVERSE, seed=15)
-        tight = reconcile_known_d(alice, bob, 12, UNIVERSE, seed=15)
+        loose = ibf(alice, bob, difference_bound=100, seed=15)
+        tight = ibf(alice, bob, difference_bound=12, seed=15)
         assert loose.total_bits > tight.total_bits
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
-            reconcile_known_d({1}, {1}, -1, UNIVERSE, seed=1)
+            ibf({1}, {1}, difference_bound=-1, seed=1)
         with pytest.raises(ParameterError):
-            reconcile_known_d({1}, {1}, 1, 0, seed=1)
+            reconcile({1}, {1}, protocol="ibf", difference_bound=1, universe_size=0, seed=1)
 
     def test_success_rate_over_seeds(self):
         alice, bob = make_instance(400, 30, seed=20)
         successes = sum(
-            reconcile_known_d(alice, bob, 35, UNIVERSE, seed=s).success for s in range(20)
+            ibf(alice, bob, difference_bound=35, seed=s).success for s in range(20)
         )
         assert successes >= 19
 
@@ -104,7 +103,7 @@ class TestKnownD:
     )
     def test_property_random_sets(self, alice, bob, seed):
         difference = symmetric_difference_size(alice, bob)
-        result = reconcile_known_d(alice, bob, difference + 2, UNIVERSE, seed=seed)
+        result = ibf(alice, bob, difference_bound=difference + 2, seed=seed)
         if result.success:
             assert result.recovered == alice
 
@@ -112,24 +111,24 @@ class TestKnownD:
 class TestUnknownD:
     def test_two_rounds(self):
         alice, bob = make_instance(600, 16, seed=31)
-        result = reconcile_unknown_d(alice, bob, UNIVERSE, seed=32)
+        result = ibf(alice, bob, difference_bound=None, seed=32)
         assert result.success and result.recovered == alice
         assert result.num_rounds == 2
         assert result.details["estimated_difference"] >= 1
 
     def test_zero_difference(self):
         alice, _ = make_instance(200, 0, seed=33)
-        result = reconcile_unknown_d(alice, set(alice), UNIVERSE, seed=34)
+        result = ibf(alice, set(alice), difference_bound=None, seed=34)
         assert result.success and result.recovered == alice
 
     def test_large_difference(self):
         alice, bob = make_instance(800, 300, seed=35)
-        result = reconcile_unknown_d(alice, bob, UNIVERSE, seed=36)
+        result = ibf(alice, bob, difference_bound=None, seed=36)
         assert result.success and result.recovered == alice
 
     def test_custom_estimator_factory(self):
         alice, bob = make_instance(300, 12, seed=37)
-        result = reconcile_unknown_d(
-            alice, bob, UNIVERSE, seed=38, estimator_factory=StrataEstimator
+        result = ibf(
+            alice, bob, difference_bound=None, seed=38, estimator_factory=StrataEstimator
         )
         assert result.success and result.recovered == alice

@@ -16,13 +16,8 @@ import random
 
 import pytest
 
-from repro.core.setsofsets import (
-    SetOfSets,
-    reconcile_cascading,
-    reconcile_cascading_unknown,
-    reconcile_iblt_of_iblts,
-    reconcile_iblt_of_iblts_unknown,
-)
+from repro import reconcile
+from repro.core.setsofsets import SetOfSets
 from repro.core.setsofsets.encoding import (
     ChildEncodingScheme,
     ChildTableCache,
@@ -183,8 +178,9 @@ class TestNoRedundantTableBuilds:
         instance = sets_of_sets_instance(
             24, 12, UNIVERSE, 12, seed=41, max_children_touched=6
         )
-        result = reconcile_iblt_of_iblts(
-            instance.alice, instance.bob, instance.planted_difference, UNIVERSE,
+        result = reconcile(
+            instance.alice, instance.bob, protocol="iblt_of_iblts",
+            difference_bound=instance.planted_difference, universe_size=UNIVERSE,
             seed=9, differing_children_bound=instance.differing_children + 1,
         )
         assert result.success and result.recovered == instance.alice
@@ -194,9 +190,10 @@ class TestNoRedundantTableBuilds:
         instance = sets_of_sets_instance(
             24, 12, UNIVERSE, 12, seed=43, max_children_touched=6
         )
-        result = reconcile_cascading(
-            instance.alice, instance.bob, instance.planted_difference, UNIVERSE,
-            instance.max_child_size, seed=9,
+        result = reconcile(
+            instance.alice, instance.bob, protocol="cascading",
+            difference_bound=instance.planted_difference, universe_size=UNIVERSE,
+            max_child_size=instance.max_child_size, seed=9,
         )
         assert result.success and result.recovered == instance.alice
         assert from_items_counter == []
@@ -213,8 +210,9 @@ class TestDoublingClampToMaxBound:
         instance = sets_of_sets_instance(
             24, 12, UNIVERSE, 24, seed=3, max_children_touched=8
         )
-        result = reconcile_iblt_of_iblts_unknown(
-            instance.alice, instance.bob, UNIVERSE, seed=103, max_bound=5
+        result = reconcile(
+            instance.alice, instance.bob, protocol="iblt_of_iblts",
+            difference_bound=None, universe_size=UNIVERSE, seed=103, max_bound=5,
         )
         assert result.success and result.recovered == instance.alice
         assert result.details["final_difference_bound"] == 5
@@ -226,8 +224,9 @@ class TestDoublingClampToMaxBound:
         instance = sets_of_sets_instance(
             16, 12, UNIVERSE, 48, seed=5, max_children_touched=12
         )
-        result = reconcile_iblt_of_iblts_unknown(
-            instance.alice, instance.bob, UNIVERSE, seed=11, max_bound=5
+        result = reconcile(
+            instance.alice, instance.bob, protocol="iblt_of_iblts",
+            difference_bound=None, universe_size=UNIVERSE, seed=11, max_bound=5,
         )
         assert not result.success
         assert result.details["failure"] == "exceeded-max-bound"
@@ -239,8 +238,9 @@ class TestDoublingClampToMaxBound:
         instance = sets_of_sets_instance(
             16, 12, UNIVERSE, 48, seed=7, max_children_touched=12
         )
-        result = reconcile_cascading_unknown(
-            instance.alice, instance.bob, UNIVERSE, instance.max_child_size,
+        result = reconcile(
+            instance.alice, instance.bob, protocol="cascading", difference_bound=None,
+            universe_size=UNIVERSE, max_child_size=instance.max_child_size,
             seed=11, max_bound=5,
         )
         assert result.success and result.recovered == instance.alice
@@ -251,8 +251,9 @@ class TestDoublingClampToMaxBound:
         instance = sets_of_sets_instance(
             16, 12, UNIVERSE, 80, seed=0, max_children_touched=16
         )
-        result = reconcile_cascading_unknown(
-            instance.alice, instance.bob, UNIVERSE, instance.max_child_size,
+        result = reconcile(
+            instance.alice, instance.bob, protocol="cascading", difference_bound=None,
+            universe_size=UNIVERSE, max_child_size=instance.max_child_size,
             seed=11, max_bound=5,
         )
         assert not result.success
@@ -261,7 +262,8 @@ class TestDoublingClampToMaxBound:
 
     def test_initial_bound_above_max_bound_attempts_nothing(self):
         alice = SetOfSets([{1, 2}])
-        result = reconcile_iblt_of_iblts_unknown(
-            alice, alice, UNIVERSE, seed=1, initial_bound=8, max_bound=5
+        result = reconcile(
+            alice, alice, protocol="iblt_of_iblts", difference_bound=None,
+            universe_size=UNIVERSE, seed=1, initial_bound=8, max_bound=5,
         )
         assert not result.success and result.attempts == 0

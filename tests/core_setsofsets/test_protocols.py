@@ -2,17 +2,8 @@
 
 import pytest
 
-from repro.core.setsofsets import (
-    SetOfSets,
-    reconcile_cascading,
-    reconcile_cascading_unknown,
-    reconcile_iblt_of_iblts,
-    reconcile_iblt_of_iblts_unknown,
-    reconcile_multiround,
-    reconcile_multiround_unknown,
-    reconcile_naive,
-    reconcile_naive_unknown,
-)
+from repro import reconcile
+from repro.core.setsofsets import SetOfSets
 from repro.errors import ParameterError
 from repro.workloads import sets_of_sets_instance
 
@@ -27,28 +18,25 @@ def small_instance(seed=1, changes=6, children=24, child_size=12, touched=3):
 
 def run_known(protocol_name, instance, seed=9):
     """Dispatch to a known-d protocol with its natural arguments."""
-    alice, bob = instance.alice, instance.bob
+    options = dict(universe_size=UNIVERSE, seed=seed)
     if protocol_name == "naive":
-        return reconcile_naive(
-            alice, bob, instance.differing_children + 1, UNIVERSE,
-            instance.max_child_size, seed,
+        options.update(
+            difference_bound=instance.differing_children + 1,
+            max_child_size=instance.max_child_size,
         )
-    if protocol_name == "iblt_of_iblts":
-        return reconcile_iblt_of_iblts(
-            alice, bob, instance.planted_difference, UNIVERSE, seed,
+    elif protocol_name == "iblt_of_iblts":
+        options.update(
+            difference_bound=instance.planted_difference,
             differing_children_bound=instance.differing_children + 1,
         )
-    if protocol_name == "cascading":
-        return reconcile_cascading(
-            alice, bob, instance.planted_difference, UNIVERSE,
-            instance.max_child_size, seed,
+    elif protocol_name in ("cascading", "multiround"):
+        options.update(
+            difference_bound=instance.planted_difference,
+            max_child_size=instance.max_child_size,
         )
-    if protocol_name == "multiround":
-        return reconcile_multiround(
-            alice, bob, instance.planted_difference, UNIVERSE,
-            instance.max_child_size, seed,
-        )
-    raise AssertionError(protocol_name)
+    else:
+        raise AssertionError(protocol_name)
+    return reconcile(instance.alice, instance.bob, protocol=protocol_name, **options)
 
 
 KNOWN_PROTOCOLS = ["naive", "iblt_of_iblts", "cascading", "multiround"]
@@ -94,13 +82,17 @@ class TestNaiveSpecifics:
     def test_whole_child_replacement(self):
         alice = SetOfSets([{1, 2}, {5, 6, 7}])
         bob = SetOfSets([{1, 2}, {8, 9}])
-        result = reconcile_naive(alice, bob, 4, 16, 4, seed=1)
+        result = reconcile(
+            alice, bob, protocol="naive", difference_bound=4, universe_size=16,
+            max_child_size=4, seed=1,
+        )
         assert result.success and result.recovered == alice
 
     def test_unknown_variant_two_rounds(self):
         instance = small_instance(seed=13)
-        result = reconcile_naive_unknown(
-            instance.alice, instance.bob, UNIVERSE, instance.max_child_size, seed=2
+        result = reconcile(
+            instance.alice, instance.bob, protocol="naive", difference_bound=None,
+            universe_size=UNIVERSE, max_child_size=instance.max_child_size, seed=2,
         )
         assert result.success and result.recovered == instance.alice
         assert result.num_rounds == 2
@@ -108,12 +100,16 @@ class TestNaiveSpecifics:
     def test_invalid_bound(self):
         alice = SetOfSets([{1}])
         with pytest.raises(ParameterError):
-            reconcile_naive(alice, alice, -1, 8, 2, seed=1)
+            reconcile(
+                alice, alice, protocol="naive", difference_bound=-1, universe_size=8,
+                max_child_size=2, seed=1,
+            )
 
     def test_underestimated_bound_detected(self):
         instance = small_instance(seed=15, changes=12, touched=6)
-        result = reconcile_naive(
-            instance.alice, instance.bob, 1, UNIVERSE, instance.max_child_size, seed=3
+        result = reconcile(
+            instance.alice, instance.bob, protocol="naive", difference_bound=1,
+            universe_size=UNIVERSE, max_child_size=instance.max_child_size, seed=3,
         )
         assert not result.success
 
@@ -121,8 +117,9 @@ class TestNaiveSpecifics:
 class TestIBLTofIBLTsSpecifics:
     def test_doubling_unknown_d(self):
         instance = small_instance(seed=17)
-        result = reconcile_iblt_of_iblts_unknown(
-            instance.alice, instance.bob, UNIVERSE, seed=4
+        result = reconcile(
+            instance.alice, instance.bob, protocol="iblt_of_iblts",
+            difference_bound=None, universe_size=UNIVERSE, seed=4,
         )
         assert result.success and result.recovered == instance.alice
         assert result.attempts >= 1
@@ -133,19 +130,26 @@ class TestIBLTofIBLTsSpecifics:
         # fallback decodes it against an arbitrary child (here within bound).
         alice = SetOfSets([{1, 2, 3}, {100, 101}])
         bob = SetOfSets([{1, 2, 3}])
-        result = reconcile_iblt_of_iblts(alice, bob, 4, UNIVERSE, seed=5)
+        result = reconcile(
+            alice, bob, protocol="iblt_of_iblts", difference_bound=4,
+            universe_size=UNIVERSE, seed=5,
+        )
         assert result.success and result.recovered == alice
 
     def test_invalid_bound(self):
         alice = SetOfSets([{1}])
         with pytest.raises(ParameterError):
-            reconcile_iblt_of_iblts(alice, alice, -2, 8, seed=1)
+            reconcile(
+                alice, alice, protocol="iblt_of_iblts", difference_bound=-2,
+                universe_size=8, seed=1,
+            )
 
     def test_failure_reported_when_bound_too_small(self):
         instance = small_instance(seed=19, changes=16, touched=2)
-        result = reconcile_iblt_of_iblts(
-            instance.alice, instance.bob, 1, UNIVERSE, seed=6,
-            differing_children_bound=1, fallback_to_all_children=False,
+        result = reconcile(
+            instance.alice, instance.bob, protocol="iblt_of_iblts", difference_bound=1,
+            universe_size=UNIVERSE, seed=6, differing_children_bound=1,
+            fallback_to_all_children=False,
         )
         assert not result.success
 
@@ -153,8 +157,9 @@ class TestIBLTofIBLTsSpecifics:
 class TestCascadingSpecifics:
     def test_unknown_d_doubles_until_success(self):
         instance = small_instance(seed=21)
-        result = reconcile_cascading_unknown(
-            instance.alice, instance.bob, UNIVERSE, instance.max_child_size, seed=7
+        result = reconcile(
+            instance.alice, instance.bob, protocol="cascading", difference_bound=None,
+            universe_size=UNIVERSE, max_child_size=instance.max_child_size, seed=7,
         )
         assert result.success and result.recovered == instance.alice
         assert result.attempts >= 1
@@ -163,23 +168,26 @@ class TestCascadingSpecifics:
         # difference bound >= max_child_size triggers the explicit T* table.
         alice = SetOfSets([{1, 2}, {3, 4}, {10, 11}])
         bob = SetOfSets([{1, 2}, {3, 4}, {20, 21}])
-        result = reconcile_cascading(alice, bob, 6, 32, 2, seed=8)
+        result = reconcile(
+            alice, bob, protocol="cascading", difference_bound=6, universe_size=32,
+            max_child_size=2, seed=8,
+        )
         assert result.details["used_t_star"]
         assert result.success and result.recovered == alice
 
     def test_details_reported(self):
         instance = small_instance(seed=23)
-        result = reconcile_cascading(
-            instance.alice, instance.bob, instance.planted_difference, UNIVERSE,
-            instance.max_child_size, seed=9,
-        )
+        result = run_known("cascading", instance)
         assert result.details["num_levels"] >= 1
         assert result.details["recovered_children"] >= 0
 
     def test_invalid_parameters(self):
         alice = SetOfSets([{1}])
         with pytest.raises(ParameterError):
-            reconcile_cascading(alice, alice, 2, 8, 0, seed=1)
+            reconcile(
+                alice, alice, protocol="cascading", difference_bound=2, universe_size=8,
+                max_child_size=0, seed=1,
+            )
 
 
 class TestMultiroundSpecifics:
@@ -190,24 +198,27 @@ class TestMultiroundSpecifics:
 
     def test_four_rounds_unknown(self):
         instance = small_instance(seed=27)
-        result = reconcile_multiround_unknown(
-            instance.alice, instance.bob, UNIVERSE, instance.max_child_size, seed=10
+        result = reconcile(
+            instance.alice, instance.bob, protocol="multiround", difference_bound=None,
+            universe_size=UNIVERSE, max_child_size=instance.max_child_size, seed=10,
         )
         assert result.success and result.recovered == instance.alice
         assert result.num_rounds == 4
 
     def test_uses_cpi_for_small_differences(self):
         instance = small_instance(seed=29, changes=2, touched=1)
-        result = reconcile_multiround(
-            instance.alice, instance.bob, 64, UNIVERSE, instance.max_child_size, seed=11
+        result = reconcile(
+            instance.alice, instance.bob, protocol="multiround", difference_bound=64,
+            universe_size=UNIVERSE, max_child_size=instance.max_child_size, seed=11,
         )
         assert result.success
         assert result.details["cpi_payloads"] >= 1
 
     def test_uses_iblt_for_large_differences(self):
         instance = small_instance(seed=31, changes=10, touched=1)
-        result = reconcile_multiround(
-            instance.alice, instance.bob, 4, UNIVERSE, instance.max_child_size, seed=12
+        result = reconcile(
+            instance.alice, instance.bob, protocol="multiround", difference_bound=4,
+            universe_size=UNIVERSE, max_child_size=instance.max_child_size, seed=12,
         )
         assert result.success
         assert result.details["iblt_payloads"] >= 1
@@ -215,7 +226,10 @@ class TestMultiroundSpecifics:
     def test_bob_missing_whole_child(self):
         alice = SetOfSets([{1, 2, 3}, {40, 41, 42}])
         bob = SetOfSets([{1, 2, 3}])
-        result = reconcile_multiround(alice, bob, 6, UNIVERSE, 3, seed=13)
+        result = reconcile(
+            alice, bob, protocol="multiround", difference_bound=6, universe_size=UNIVERSE,
+            max_child_size=3, seed=13,
+        )
         assert result.success and result.recovered == alice
 
 
@@ -226,13 +240,14 @@ class TestCommunicationShapes:
         instance = sets_of_sets_instance(
             32, 400, 800, 6, seed=33, max_children_touched=3
         )
-        naive = reconcile_naive(
-            instance.alice, instance.bob, instance.differing_children, 800,
-            instance.max_child_size, seed=14,
+        shared = dict(universe_size=800, max_child_size=instance.max_child_size, seed=14)
+        naive = reconcile(
+            instance.alice, instance.bob, protocol="naive",
+            difference_bound=instance.differing_children, **shared,
         )
-        multiround = reconcile_multiround(
-            instance.alice, instance.bob, instance.planted_difference, 800,
-            instance.max_child_size, seed=14,
+        multiround = reconcile(
+            instance.alice, instance.bob, protocol="multiround",
+            difference_bound=instance.planted_difference, **shared,
         )
         assert naive.success and multiround.success
         assert multiround.total_bits < naive.total_bits
@@ -240,12 +255,14 @@ class TestCommunicationShapes:
     def test_naive_beats_structured_for_tiny_children(self):
         # Crossover: with tiny children the explicit encoding is cheapest.
         instance = sets_of_sets_instance(32, 3, 64, 4, seed=35, max_children_touched=2)
-        naive = reconcile_naive(
-            instance.alice, instance.bob, instance.differing_children, 64,
-            instance.max_child_size, seed=15,
+        naive = reconcile(
+            instance.alice, instance.bob, protocol="naive",
+            difference_bound=instance.differing_children, universe_size=64,
+            max_child_size=instance.max_child_size, seed=15,
         )
-        flat = reconcile_iblt_of_iblts(
-            instance.alice, instance.bob, instance.planted_difference, 64, seed=15,
+        flat = reconcile(
+            instance.alice, instance.bob, protocol="iblt_of_iblts",
+            difference_bound=instance.planted_difference, universe_size=64, seed=15,
             differing_children_bound=instance.differing_children,
         )
         assert naive.success and flat.success

@@ -7,8 +7,11 @@ try:
 except ImportError:
     np = None
 
-from repro.db import BinaryTable, reconcile_tables
+from repro import reconcile
+from repro.db import BinaryTable
 from repro.errors import ParameterError
+from repro.protocols.parties.applications import db_parties
+from repro.protocols.session import run_session
 from repro.workloads import flipped_table_pair, random_binary_table
 
 
@@ -100,24 +103,29 @@ class TestWorkloads:
 class TestReconciliation:
     def test_cascading_protocol(self):
         alice, bob, _ = flipped_table_pair(40, 64, 0.4, 6, seed=3, max_rows_touched=3)
-        result = reconcile_tables(alice, bob, 8, seed=4)
+        result = reconcile(alice, bob, protocol="db", difference_bound=8, seed=4)
         assert result.success and result.recovered == alice
 
     def test_naive_protocol(self):
         alice, bob, _ = flipped_table_pair(30, 48, 0.4, 4, seed=5, max_rows_touched=2)
-        result = reconcile_tables(alice, bob, 6, seed=6, protocol="naive")
+        # The naive protocol under a table is a party-builder choice, not a
+        # registered name.
+        result = run_session(*db_parties(alice, bob, 6, 6, protocol="naive"))
         assert result.success and result.recovered == alice
 
     def test_identical_tables(self):
         alice = random_binary_table(20, 32, 0.4, seed=7)
-        result = reconcile_tables(alice, alice, 2, seed=8)
+        result = reconcile(alice, alice, protocol="db", difference_bound=2, seed=8)
         assert result.success and result.recovered == alice
 
     def test_unknown_protocol_name(self):
         alice = random_binary_table(5, 8, 0.4, seed=9)
         with pytest.raises(ParameterError):
-            reconcile_tables(alice, alice, 1, seed=1, protocol="bogus")
+            db_parties(alice, alice, 1, 1, protocol="bogus")
 
     def test_column_mismatch_rejected(self):
         with pytest.raises(ParameterError):
-            reconcile_tables(BinaryTable(["a"]), BinaryTable(["b"]), 1, seed=1)
+            reconcile(
+                BinaryTable(["a"]), BinaryTable(["b"]), protocol="db", difference_bound=1,
+                seed=1,
+            )

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro import reconcile
 from repro.documents import (
     DocumentCollection,
     classify_documents,
     document_signature,
-    reconcile_collections,
     shingle_hashes,
 )
 from repro.documents.shingle import tokenize
@@ -91,8 +91,9 @@ class TestReconciliation:
         alice_texts, bob_texts = edited_corpus_pair(25, 50, 2, 2, 1, seed=2)
         alice = DocumentCollection(alice_texts, 3, seed=2, signature_size=24)
         bob = DocumentCollection(bob_texts, 3, seed=2, signature_size=24)
-        result = reconcile_collections(
-            alice, bob, 2 * 24, seed=3, differing_children_bound=8
+        result = reconcile(
+            alice, bob, protocol="documents", difference_bound=2 * 24, seed=3,
+            differing_children_bound=8,
         )
         assert result.success
         assert result.recovered == alice.to_sets_of_sets()
@@ -101,13 +102,13 @@ class TestReconciliation:
         alice = DocumentCollection(["a b c"], 2, seed=1)
         bob = DocumentCollection(["a b c"], 3, seed=1)
         with pytest.raises(ParameterError):
-            reconcile_collections(alice, bob, 4, seed=1)
+            reconcile(alice, bob, protocol="documents", difference_bound=4, seed=1)
 
     def test_identical_collections(self):
         texts = synthetic_corpus(15, 40, seed=4)
         alice = DocumentCollection(texts, 3, seed=4, signature_size=16)
         bob = DocumentCollection(list(texts), 3, seed=4, signature_size=16)
-        result = reconcile_collections(alice, bob, 8, seed=5)
+        result = reconcile(alice, bob, protocol="documents", difference_bound=8, seed=5)
         assert result.success and result.recovered == alice.to_sets_of_sets()
 
 

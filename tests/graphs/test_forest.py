@@ -3,13 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import reconcile
 from repro.errors import ParameterError
-from repro.graphs import (
-    RootedForest,
-    ahu_signatures,
-    forest_canonical_form,
-    reconcile_forest,
-)
+from repro.graphs import RootedForest, ahu_signatures, forest_canonical_form
 from repro.workloads import forest_instance, perturb_forest, random_forest
 
 
@@ -114,29 +110,37 @@ class TestWorkloadGenerators:
 class TestForestReconciliation:
     def test_end_to_end(self):
         instance = forest_instance(80, 3, seed=5, max_depth=4)
-        result = reconcile_forest(
-            instance.alice, instance.bob, instance.num_edits, instance.max_depth, seed=6
+        result = reconcile(
+            instance.alice, instance.bob, protocol="forest",
+            difference_bound=instance.num_edits, max_depth=instance.max_depth, seed=6,
         )
         assert result.success
         assert forest_canonical_form(result.recovered) == forest_canonical_form(instance.alice)
 
     def test_identical_forests(self):
         forest = random_forest(50, seed=7, max_depth=4)
-        result = reconcile_forest(forest, forest.copy(), 1, None, seed=8)
+        result = reconcile(
+            forest, forest.copy(), protocol="forest", difference_bound=1, max_depth=None,
+            seed=8,
+        )
         assert result.success
         assert forest_canonical_form(result.recovered) == forest_canonical_form(forest)
 
     def test_single_edit(self):
         alice = random_forest(40, seed=9, max_depth=3)
         bob, applied = perturb_forest(alice, 1, seed=10)
-        result = reconcile_forest(alice, bob, max(1, applied), None, seed=11)
+        result = reconcile(
+            alice, bob, protocol="forest", difference_bound=max(1, applied), max_depth=None,
+            seed=11,
+        )
         assert result.success
         assert forest_canonical_form(result.recovered) == forest_canonical_form(alice)
 
     def test_one_round(self):
         instance = forest_instance(60, 2, seed=12, max_depth=4)
-        result = reconcile_forest(
-            instance.alice, instance.bob, instance.num_edits, instance.max_depth, seed=13
+        result = reconcile(
+            instance.alice, instance.bob, protocol="forest",
+            difference_bound=instance.num_edits, max_depth=instance.max_depth, seed=13,
         )
         assert result.num_rounds == 1
 
@@ -146,7 +150,9 @@ class TestForestReconciliation:
         alice = RootedForest(parents)
         bob = alice.copy()
         bob.delete_edge(2)
-        result = reconcile_forest(alice, bob, 1, 1, seed=14)
+        result = reconcile(
+            alice, bob, protocol="forest", difference_bound=1, max_depth=1, seed=14,
+        )
         assert result.success
         assert forest_canonical_form(result.recovered) == forest_canonical_form(alice)
 
@@ -154,9 +160,10 @@ class TestForestReconciliation:
     @given(st.integers(min_value=0, max_value=10**6))
     def test_property_random_instances(self, seed):
         instance = forest_instance(40, 2, seed=seed, max_depth=3)
-        result = reconcile_forest(
-            instance.alice, instance.bob, max(1, instance.num_edits),
-            instance.max_depth, seed=seed + 1,
+        result = reconcile(
+            instance.alice, instance.bob, protocol="forest",
+            difference_bound=max(1, instance.num_edits), max_depth=instance.max_depth,
+            seed=seed + 1,
         )
         if result.success:
             assert forest_canonical_form(result.recovered) == forest_canonical_form(

@@ -2,18 +2,17 @@
 
 import random
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import reconcile
 from repro.errors import ParameterError
-from repro.graphs import Graph, gnp_random_graph, perturb_edges, reconcile_labeled_graphs
+from repro.graphs import Graph, gnp_random_graph, perturb_edges
 from repro.graphs.random_graphs import (
     planted_separated_graph,
     random_permutation,
     reconciliation_pair,
 )
-from repro.graphs.separation import is_degree_separated
 
 
 class TestGraph:
@@ -212,23 +211,27 @@ class TestRandomGraphs:
 class TestLabeledReconciliation:
     def test_known_d(self):
         pair = reconciliation_pair(100, 0.3, 8, seed=3, relabel_alice=False)
-        result = reconcile_labeled_graphs(pair.alice, pair.bob, 10, seed=4)
+        result = reconcile(
+            pair.alice, pair.bob, protocol="labeled", difference_bound=10, seed=4,
+        )
         assert result.success and result.recovered == pair.alice
 
     def test_unknown_d(self):
         pair = reconciliation_pair(100, 0.3, 8, seed=5, relabel_alice=False)
-        result = reconcile_labeled_graphs(pair.alice, pair.bob, None, seed=6)
+        result = reconcile(
+            pair.alice, pair.bob, protocol="labeled", difference_bound=None, seed=6,
+        )
         assert result.success and result.recovered == pair.alice
         assert result.num_rounds == 2
 
     def test_identical_graphs(self):
         graph = gnp_random_graph(50, 0.2, 7)
-        result = reconcile_labeled_graphs(graph, graph.copy(), 2, seed=8)
+        result = reconcile(graph, graph.copy(), protocol="labeled", difference_bound=2, seed=8)
         assert result.success and result.recovered == graph
 
     def test_vertex_count_mismatch(self):
         with pytest.raises(ParameterError):
-            reconcile_labeled_graphs(Graph(3), Graph(4), 1, seed=1)
+            reconcile(Graph(3), Graph(4), protocol="labeled", difference_bound=1, seed=1)
 
     # Derandomized: the protocol has an inherent (small) peeling-failure
     # probability at bound = d + 1, so free-ranging exploration eventually
@@ -242,7 +245,9 @@ class TestLabeledReconciliation:
         base = gnp_random_graph(30, 0.3, seed)
         bob = perturb_edges(base, rng.randint(0, 5), rng)
         difference = base.edge_difference(bob)
-        result = reconcile_labeled_graphs(base, bob, difference + 1, seed=seed)
+        result = reconcile(
+            base, bob, protocol="labeled", difference_bound=difference + 1, seed=seed,
+        )
         assert result.success and result.recovered == base
 
     def test_known_unlucky_seed_fails_detected_not_wrong(self):
@@ -255,8 +260,12 @@ class TestLabeledReconciliation:
         base = gnp_random_graph(30, 0.3, seed)
         bob = perturb_edges(base, rng.randint(0, 5), rng)
         difference = base.edge_difference(bob)
-        result = reconcile_labeled_graphs(base, bob, difference + 1, seed=seed)
+        result = reconcile(
+            base, bob, protocol="labeled", difference_bound=difference + 1, seed=seed,
+        )
         assert not result.success and result.recovered is None
         assert result.details["failure"] == "iblt-peel"
-        retry = reconcile_labeled_graphs(base, bob, difference + 4, seed=seed)
+        retry = reconcile(
+            base, bob, protocol="labeled", difference_bound=difference + 4, seed=seed,
+        )
         assert retry.success and retry.recovered == base

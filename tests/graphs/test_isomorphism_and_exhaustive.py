@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro import reconcile
 from repro.errors import ParameterError
 from repro.graphs import (
     Graph,
     are_isomorphic_small,
     canonical_form_small,
     isomorphism_fingerprint_protocol,
-    reconcile_exhaustive,
 )
 from repro.graphs.isomorphism import (
     figure1_graphs,
@@ -95,13 +95,16 @@ class TestExhaustiveReconciliation:
         alice = path_graph(6).relabel([3, 1, 5, 0, 2, 4])
         bob = path_graph(6)
         bob.toggle_edge(0, 3)
-        result = reconcile_exhaustive(alice, bob, 1, seed=1)
+        result = reconcile(alice, bob, protocol="exhaustive", difference_bound=1, seed=1)
         assert result.success
         assert are_isomorphic_small(result.recovered, alice)
 
     def test_zero_difference(self):
         graph = cycle_graph(5)
-        result = reconcile_exhaustive(graph.relabel([4, 2, 0, 3, 1]), graph, 0, seed=2)
+        result = reconcile(
+            graph.relabel([4, 2, 0, 3, 1]), graph, protocol="exhaustive",
+            difference_bound=0, seed=2,
+        )
         assert result.success and are_isomorphic_small(result.recovered, graph)
 
     def test_two_changes(self):
@@ -109,25 +112,28 @@ class TestExhaustiveReconciliation:
         bob = alice.copy()
         bob.toggle_edge(0, 1)
         bob.toggle_edge(2, 4)
-        result = reconcile_exhaustive(alice.relabel([1, 0, 3, 2, 4]), bob, 2, seed=3)
+        result = reconcile(
+            alice.relabel([1, 0, 3, 2, 4]), bob, protocol="exhaustive", difference_bound=2,
+            seed=3,
+        )
         assert result.success and are_isomorphic_small(result.recovered, alice)
 
     def test_communication_is_d_log_n(self):
         # Theorem 4.3 / 4.4: O(d log n) bits -- minuscule compared to the graph.
         alice, bob = path_graph(6), path_graph(6)
-        result = reconcile_exhaustive(alice, bob, 1, seed=4)
+        result = reconcile(alice, bob, protocol="exhaustive", difference_bound=1, seed=4)
         assert result.total_bits < 64
 
     def test_size_limit(self):
         with pytest.raises(ParameterError):
-            reconcile_exhaustive(Graph(12), Graph(12), 1, seed=1)
+            reconcile(Graph(12), Graph(12), protocol="exhaustive", difference_bound=1, seed=1)
 
     def test_mismatched_sizes(self):
         with pytest.raises(ParameterError):
-            reconcile_exhaustive(Graph(4), Graph(5), 1, seed=1)
+            reconcile(Graph(4), Graph(5), protocol="exhaustive", difference_bound=1, seed=1)
 
     def test_insufficient_bound_fails(self):
         alice = cycle_graph(6)
         bob = Graph(6)
-        result = reconcile_exhaustive(alice, bob, 1, seed=5)
+        result = reconcile(alice, bob, protocol="exhaustive", difference_bound=1, seed=5)
         assert not result.success

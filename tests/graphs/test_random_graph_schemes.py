@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from repro import reconcile
 from repro.core.setrecon.multiset import multiset_symmetric_difference
 from repro.errors import ParameterError
 from repro.graphs import (
@@ -12,8 +13,6 @@ from repro.graphs import (
     degree_order_signatures,
     is_degree_separated,
     neighborhood_disjointness,
-    reconcile_degree_neighborhood,
-    reconcile_degree_order,
 )
 from repro.graphs.degree_order import canonical_labeling_from_signatures
 from repro.graphs.random_graphs import (
@@ -76,7 +75,10 @@ class TestDegreeOrderProtocol:
 
     def test_end_to_end_recovery(self):
         pair, h, d = self.make_pair()
-        result = reconcile_degree_order(pair.alice, pair.bob, d, h, seed=6)
+        result = reconcile(
+            pair.alice, pair.bob, protocol="degree_order", difference_bound=d, num_top=h,
+            seed=6,
+        )
         assert result.success
         recovered = result.recovered
         assert sorted(recovered.degree_sequence()) == sorted(pair.alice.degree_sequence())
@@ -84,30 +86,45 @@ class TestDegreeOrderProtocol:
 
     def test_one_round(self):
         pair, h, d = self.make_pair(seed=15)
-        result = reconcile_degree_order(pair.alice, pair.bob, d, h, seed=7)
+        result = reconcile(
+            pair.alice, pair.bob, protocol="degree_order", difference_bound=d, num_top=h,
+            seed=7,
+        )
         if result.success:
             assert result.num_rounds == 1
 
     def test_communication_much_smaller_than_graph(self):
         pair, h, d = self.make_pair(seed=25)
-        result = reconcile_degree_order(pair.alice, pair.bob, d, h, seed=8)
+        result = reconcile(
+            pair.alice, pair.bob, protocol="degree_order", difference_bound=d, num_top=h,
+            seed=8,
+        )
         if result.success:
             full_graph_bits = pair.alice.num_vertices * (pair.alice.num_vertices - 1) // 2
             assert result.total_bits < full_graph_bits / 2
 
     def test_unseparated_graph_fails_cleanly(self):
         pair = reconciliation_pair(60, 0.5, 4, seed=9)
-        result = reconcile_degree_order(pair.alice, pair.bob, 4, 6, seed=10)
+        result = reconcile(
+            pair.alice, pair.bob, protocol="degree_order", difference_bound=4, num_top=6,
+            seed=10,
+        )
         assert not result.success
         assert result.details["failure"] is not None
 
     def test_vertex_count_mismatch(self):
         with pytest.raises(ParameterError):
-            reconcile_degree_order(Graph(3), Graph(4), 1, 2, seed=1)
+            reconcile(
+                Graph(3), Graph(4), protocol="degree_order", difference_bound=1, num_top=2,
+                seed=1,
+            )
 
     def test_invalid_num_top(self):
         with pytest.raises(ParameterError):
-            reconcile_degree_order(Graph(4), Graph(4), 1, 0, seed=1)
+            reconcile(
+                Graph(4), Graph(4), protocol="degree_order", difference_bound=1, num_top=0,
+                seed=1,
+            )
 
 
 class TestDegreeNeighborhoodSignatures:
@@ -148,8 +165,9 @@ class TestDegreeNeighborhoodProtocol:
         pair = self.find_instance()
         if pair is None:
             pytest.skip("no disjoint instance found at this scale")
-        result = reconcile_degree_neighborhood(
-            pair.alice, pair.bob, 1, int(0.35 * 150), seed=11
+        result = reconcile(
+            pair.alice, pair.bob, protocol="degree_neighborhood", difference_bound=1,
+            max_degree=int(0.35 * 150), seed=11,
         )
         if result.success:
             assert sorted(result.recovered.degree_sequence()) == sorted(
@@ -162,11 +180,17 @@ class TestDegreeNeighborhoodProtocol:
 
     def test_vertex_count_mismatch(self):
         with pytest.raises(ParameterError):
-            reconcile_degree_neighborhood(Graph(3), Graph(4), 1, 2, seed=1)
+            reconcile(
+                Graph(3), Graph(4), protocol="degree_neighborhood", difference_bound=1,
+                max_degree=2, seed=1,
+            )
 
     def test_identical_graphs(self):
         graph = gnp_random_graph(60, 0.3, 13)
         if neighborhood_disjointness(graph, 18) < 5:
             pytest.skip("instance not disjoint enough for a deterministic check")
-        result = reconcile_degree_neighborhood(graph, graph.copy(), 1, 18, seed=14)
+        result = reconcile(
+            graph, graph.copy(), protocol="degree_neighborhood", difference_bound=1,
+            max_degree=18, seed=14,
+        )
         assert result.success

@@ -1,13 +1,14 @@
-"""Back-compat: the legacy free functions keep their signatures and results.
+"""Pins: every protocol's charged bits on fixed inputs, through its one spelling.
 
-The ``reconcile_*`` functions are now thin wrappers over protocol sessions;
-these tests pin (a) their exact signatures and (b) their results on fixed
-inputs against values recorded from the pre-session implementation, so the
-refactor is observationally invisible.
+Each protocol runs through :func:`repro.reconcile` (the naive table protocol
+through ``db_parties(protocol="naive")`` and Theorem 3.11 through
+:func:`~repro.core.setsofsets.nested.reconcile_multisets_of_multisets`, the
+two spellings with no registered name).  The values were recorded from the
+implementations that preceded the party sessions, so any change to what a
+protocol sends shows up here.
 """
 
 import functools
-import inspect
 import zlib
 
 import pytest
@@ -15,6 +16,8 @@ import pytest
 import repro
 from repro.core.setsofsets import MultisetOfMultisets
 from repro.graphs import random_graphs
+from repro.protocols.parties.applications import db_parties
+from repro.protocols.session import run_session
 from repro.workloads import sets_of_sets_instance
 
 from protocol_fixtures import protocol_instances
@@ -75,167 +78,67 @@ PINNED_DETAILS = {
     },
 }
 
-SIGNATURES = {
-    repro.reconcile_known_d: (
-        "alice", "bob", "difference_bound", "universe_size", "seed",
-        "num_hashes", "backend", "transcript",
-    ),
-    repro.reconcile_unknown_d: (
-        "alice", "bob", "universe_size", "seed",
-        "estimator_factory", "safety_factor", "num_hashes", "backend",
-    ),
-    repro.reconcile_cpi: (
-        "alice", "bob", "difference_bound", "universe_size", "seed",
-        "field_kernel", "transcript",
-    ),
-    repro.reconcile_naive: (
-        "alice", "bob", "differing_children_bound", "universe_size",
-        "max_child_size", "seed", "num_hashes", "backend", "transcript",
-    ),
-    repro.reconcile_naive_unknown: (
-        "alice", "bob", "universe_size", "max_child_size", "seed",
-        "estimator_factory", "safety_factor", "num_hashes", "backend",
-    ),
-    repro.reconcile_iblt_of_iblts: (
-        "alice", "bob", "difference_bound", "universe_size", "seed",
-        "differing_children_bound", "child_hash_bits", "num_hashes",
-        "backend", "fallback_to_all_children", "transcript",
-    ),
-    repro.reconcile_iblt_of_iblts_unknown: (
-        "alice", "bob", "universe_size", "seed",
-        "initial_bound", "max_bound", "child_hash_bits", "num_hashes", "backend",
-    ),
-    repro.reconcile_cascading: (
-        "alice", "bob", "difference_bound", "universe_size", "max_child_size",
-        "seed", "differing_children_bound", "child_hash_bits", "num_hashes",
-        "backend", "field_kernel", "level_slack", "transcript",
-    ),
-    repro.reconcile_cascading_unknown: (
-        "alice", "bob", "universe_size", "max_child_size", "seed",
-        "initial_bound", "max_bound", "child_hash_bits", "num_hashes",
-        "backend", "field_kernel", "level_slack",
-    ),
-    repro.reconcile_multiround: (
-        "alice", "bob", "difference_bound", "universe_size", "max_child_size",
-        "seed", "differing_children_bound", "child_hash_bits", "num_hashes",
-        "backend", "field_kernel", "estimator_factory", "estimate_safety",
-        "transcript",
-    ),
-    repro.reconcile_multiround_unknown: (
-        "alice", "bob", "universe_size", "max_child_size", "seed",
-        "child_hash_bits", "num_hashes", "backend", "field_kernel",
-        "estimator_factory", "estimate_safety", "hash_estimator_factory",
-    ),
-    # The composites take no custom-callable hooks (``signature_protocol``,
-    # ``signature_bound``, callable ``protocol``, ``**protocol_kwargs``).
-    repro.reconcile_degree_order: (
-        "alice", "bob", "difference_bound", "num_top", "seed",
-    ),
-    repro.reconcile_degree_neighborhood: (
-        "alice", "bob", "difference_bound", "max_degree", "seed",
-    ),
-    repro.reconcile_forest: (
-        "alice", "bob", "difference_bound", "max_depth", "seed", "signature_bits",
-    ),
-    repro.reconcile_multisets_of_multisets: (
-        "alice", "bob", "difference_bound", "universe_size", "seed",
-        "element_multiplicity_bound", "parent_multiplicity_bound", "backend",
-    ),
-    repro.reconcile_tables: (
-        "alice", "bob", "flipped_bits_bound", "seed", "protocol", "backend",
-    ),
-    repro.reconcile_collections: (
-        "alice", "bob", "shingle_difference_bound", "seed",
-        "differing_children_bound", "backend",
-    ),
-}
 
-
-def test_signatures_unchanged():
-    for function, expected in SIGNATURES.items():
-        parameters = tuple(inspect.signature(function).parameters)
-        assert parameters == expected, function.__qualname__
-
-
-def _fixture_results():
-    a = set(range(60))
-    b = set(range(8, 68))
-    inst = sets_of_sets_instance(20, 12, 256, 6, 31, max_children_touched=3)
-    sos = (inst.alice, inst.bob)
-    return {
-        "known_d": repro.reconcile_known_d(a, b, 20, 128, 41),
-        "unknown_d": repro.reconcile_unknown_d(a, b, 128, 41),
-        "cpi": repro.reconcile_cpi(a, b, 16, 128, 41),
-        "naive": repro.reconcile_naive(
-            *sos, inst.differing_children, 256, inst.max_child_size, 31
-        ),
-        "naive_unknown": repro.reconcile_naive_unknown(
-            *sos, 256, inst.max_child_size, 31
-        ),
-        "iblt_of_iblts": repro.reconcile_iblt_of_iblts(
-            *sos, inst.planted_difference, 256, 31
-        ),
-        "iblt_of_iblts_unknown": repro.reconcile_iblt_of_iblts_unknown(*sos, 256, 31),
-        "cascading": repro.reconcile_cascading(
-            *sos, inst.planted_difference, 256, inst.max_child_size, 31
-        ),
-        "cascading_unknown": repro.reconcile_cascading_unknown(
-            *sos, 256, inst.max_child_size, 31
-        ),
-        "multiround": repro.reconcile_multiround(
-            *sos, inst.planted_difference, 256, inst.max_child_size, 31
-        ),
-        "multiround_unknown": repro.reconcile_multiround_unknown(
-            *sos, 256, inst.max_child_size, 31
-        ),
-        **{name: results[0] for name, results in _composite_results().items()},
-    }
+def _sets_instance():
+    return sets_of_sets_instance(20, 12, 256, 6, 31, max_children_touched=3)
 
 
 @functools.lru_cache(maxsize=1)
-def _composite_results():
-    """``{pin name: [wrapper result, repro.reconcile result (when registered)]}``."""
-    instances = protocol_instances()
+def _fixture_results():
+    a = set(range(60))
+    b = set(range(8, 68))
+    inst = _sets_instance()
 
-    def both(registered, wrapper, *option_names):
-        alice, bob, kwargs = instances[registered]
-        # An option the fixture leaves unset (forest's max_depth) is None.
-        arguments = [kwargs.get(name) for name in option_names]
-        return [
-            wrapper(alice, bob, *arguments, 99),
-            repro.reconcile(alice, bob, protocol=registered, seed=99, **kwargs),
-        ]
+    def flat(protocol, bound):
+        return repro.reconcile(
+            a, b, protocol=protocol, difference_bound=bound, universe_size=128, seed=41
+        )
 
-    nested_alice = MultisetOfMultisets([[1, 1, 2], [3, 4], [3, 4], [9], [10, 11, 11]])
-    nested_bob = MultisetOfMultisets([[1, 2], [3], [3, 4], [8]])
-    table_alice, table_bob, table_kwargs = instances["db"]
+    def nested(protocol, bound, **options):
+        return repro.reconcile(
+            inst.alice, inst.bob, protocol=protocol, difference_bound=bound,
+            universe_size=256, seed=31, **options,
+        )
+
+    h = inst.max_child_size
     return {
-        "degree_order": both(
-            "degree_order", repro.reconcile_degree_order, "difference_bound", "num_top"
-        ),
-        "degree_neighborhood": both(
-            "degree_neighborhood", repro.reconcile_degree_neighborhood,
-            "difference_bound", "max_degree",
-        ),
-        "forest": both(
-            "forest", repro.reconcile_forest, "difference_bound", "max_depth"
-        ),
-        "db": both("db", repro.reconcile_tables, "difference_bound"),
-        # ``protocol="naive"`` is a wrapper-only choice; nothing registered runs it.
-        "db_naive": [
-            repro.reconcile_tables(
-                table_alice, table_bob, table_kwargs["difference_bound"], 99,
-                protocol="naive",
-            )
-        ],
-        "documents": both(
-            "documents", repro.reconcile_collections, "difference_bound"
-        ),
-        # Theorem 3.11 is a building block of ``forest``, not a registered name.
-        "multisets_of_multisets": [
-            repro.reconcile_multisets_of_multisets(nested_alice, nested_bob, 6, 16, 4)
-        ],
+        "known_d": flat("ibf", 20),
+        "unknown_d": flat("ibf", None),
+        "cpi": flat("cpi", 16),
+        "naive": nested("naive", inst.differing_children, max_child_size=h),
+        "naive_unknown": nested("naive", None, max_child_size=h),
+        "iblt_of_iblts": nested("iblt_of_iblts", inst.planted_difference),
+        "iblt_of_iblts_unknown": nested("iblt_of_iblts", None),
+        "cascading": nested("cascading", inst.planted_difference, max_child_size=h),
+        "cascading_unknown": nested("cascading", None, max_child_size=h),
+        "multiround": nested("multiround", inst.planted_difference, max_child_size=h),
+        "multiround_unknown": nested("multiround", None, max_child_size=h),
+        **_composite_results(),
     }
+
+
+def _composite_results():
+    instances = protocol_instances()
+    results = {
+        name: repro.reconcile(alice, bob, protocol=name, seed=99, **kwargs)
+        for name, (alice, bob, kwargs) in instances.items()
+        if name in PINNED_DETAILS
+    }
+    # ``protocol="naive"`` under a table is a party-builder choice, not a
+    # registered name.
+    table_alice, table_bob, table_kwargs = instances["db"]
+    results["db_naive"] = run_session(
+        *db_parties(
+            table_alice, table_bob, table_kwargs["difference_bound"], 99, protocol="naive"
+        )
+    )
+    # Theorem 3.11 is a building block of ``forest``, not a registered name.
+    results["multisets_of_multisets"] = repro.reconcile_multisets_of_multisets(
+        MultisetOfMultisets([[1, 1, 2], [3, 4], [3, 4], [9], [10, 11, 11]]),
+        MultisetOfMultisets([[1, 2], [3], [3, 4], [8]]),
+        6, 16, 4,
+    )
+    return results
 
 
 def _pinnable(details):
@@ -257,25 +160,16 @@ def test_results_match_pinned_fixtures():
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DETAILS))
-def test_composite_matches_pins_through_both_entry_points(name):
-    results = _composite_results()[name]
-    for result in results:
-        observed = (
-            result.success, result.total_bits, result.num_rounds, result.attempts
-        )
-        assert observed == PINNED[name]
-        assert _pinnable(result.details) == PINNED_DETAILS[name]
-        assert result.recovered == results[0].recovered
-        assert result.transcript.bits_by_label() == (
-            results[0].transcript.bits_by_label()
-        )
+def test_composite_details_match_pins(name):
+    assert _pinnable(_fixture_results()[name].details) == PINNED_DETAILS[name]
 
 
 def test_recovered_objects_are_correct():
     results = _fixture_results()
-    a = set(range(60))
-    inst = sets_of_sets_instance(20, 12, 256, 6, 31, max_children_touched=3)
-    assert results["known_d"].recovered == a
-    assert results["cpi"].recovered == a
+    inst = _sets_instance()
+    assert results["known_d"].recovered == set(range(60))
+    assert results["cpi"].recovered == set(range(60))
     for name in ("naive", "iblt_of_iblts", "cascading", "multiround"):
         assert results[name].recovered == inst.alice, name
+    table_alice = protocol_instances()["db"][0]
+    assert results["db"].recovered == results["db_naive"].recovered == table_alice

@@ -88,50 +88,33 @@ class TestReconcileEntryPoint:
         with pytest.raises(ParameterError, match="difference_bound"):
             repro.reconcile({1}, {2}, protocol="cpi", universe_size=8)
 
-    def test_matches_legacy_free_functions(self):
-        alice, bob, kwargs = protocol_instances()["cascading"]
-        unified = repro.reconcile(
-            alice, bob, protocol="cascading", seed=99, **kwargs
-        )
-        legacy = repro.reconcile_cascading(
-            alice, bob, kwargs["difference_bound"], kwargs["universe_size"],
-            max(alice.max_child_size, bob.max_child_size), 99,
-        )
-        assert unified.success == legacy.success
-        assert unified.recovered == legacy.recovered
-        assert unified.total_bits == legacy.total_bits
+    @pytest.mark.parametrize("protocol", sorted(protocol_instances()))
+    def test_negative_bound_refused_by_every_protocol(self, protocol):
+        alice, bob, kwargs = protocol_instances()[protocol]
+        kwargs = {**kwargs, "difference_bound": -1}
+        with pytest.raises(ParameterError, match="difference_bound"):
+            repro.reconcile(alice, bob, protocol=protocol, seed=99, **kwargs)
 
-    # Every ``reconcile_*`` free function is a thin alias that runs the
-    # registered parties, so comparing one against ``repro.reconcile`` only
-    # checks that the alias maps its arguments onto the same options.  What
-    # the composites (degree_order, degree_neighborhood, forest, db,
-    # documents, multisets of multisets) send is pinned literally, through
-    # both entry points, in test_backcompat.py.
-
-    def _assert_equivalent(self, unified, legacy):
-        assert unified.success == legacy.success, (unified.details, legacy.details)
-        assert unified.recovered == legacy.recovered
-        assert unified.total_bits == legacy.total_bits
-        assert unified.num_rounds == legacy.num_rounds
+    def test_negative_bound_refused_by_options_and_merge(self):
+        with pytest.raises(ParameterError, match="difference_bound"):
+            ReconcileOptions(difference_bound=-1)
+        with pytest.raises(ParameterError, match="difference_bound"):
+            ReconcileOptions().merged(difference_bound=-3)
+        assert ReconcileOptions(difference_bound=0).difference_bound == 0
 
     def test_documents_honours_differing_children_bound(self):
-        # The test_integration corpus: the option must reach the parties
-        # through the registry as well as through the alias.
+        # The test_integration corpus: the option must reach the parties.
         alice_texts, bob_texts = edited_corpus_pair(20, 40, 2, 2, 1, seed=5)
         alice = DocumentCollection(alice_texts, 3, seed=5, signature_size=16)
         bob = DocumentCollection(bob_texts, 3, seed=5, signature_size=16)
         for bound, bits in ((8, 246_784), (None, 789_568)):
-            unified = repro.reconcile(
+            result = repro.reconcile(
                 alice, bob, protocol="documents", seed=6,
                 difference_bound=32, differing_children_bound=bound,
             )
-            legacy = repro.reconcile_collections(
-                alice, bob, 32, seed=6, differing_children_bound=bound
-            )
-            assert unified.success and legacy.success
-            assert unified.recovered == legacy.recovered == alice.to_sets_of_sets()
-            assert unified.total_bits == legacy.total_bits == bits
-        assert repro.reconcile_collections(alice, bob, 32, seed=6).total_bits == 789_568
+            assert result.success
+            assert result.recovered == alice.to_sets_of_sets()
+            assert result.total_bits == bits
 
     def test_db_honours_differing_children_bound(self):
         alice, bob, kwargs = protocol_instances()["db"]
@@ -160,20 +143,6 @@ class TestReconcileEntryPoint:
         assert outcomes[True].success
         assert outcomes[True].recovered == alice.to_sets_of_sets()
         assert outcomes[False].details["failure"] == "child-iblt-decode"
-
-    def test_labeled_and_exhaustive_match_legacy(self):
-        alice, bob, kwargs = protocol_instances()["labeled"]
-        for bound in (kwargs["difference_bound"], None):
-            unified = repro.reconcile(
-                alice, bob, protocol="labeled", seed=99, difference_bound=bound
-            )
-            legacy = repro.reconcile_labeled_graphs(alice, bob, bound, 99)
-            self._assert_equivalent(unified, legacy)
-            assert unified.details == legacy.details
-        unified = repro.reconcile(alice, bob, protocol="exhaustive", seed=99,
-                                  difference_bound=1)
-        legacy = repro.reconcile_exhaustive(alice, bob, 1, 99)
-        self._assert_equivalent(unified, legacy)
 
 
 class TestDocsSync:

@@ -34,7 +34,6 @@ from repro.protocols.parties.setsofsets import (
     _multiround_child_params,
     _naive_codec,
     _naive_parent_params,
-    default_child_estimator_factory,
 )
 from repro.protocols.parties.graphs import FingerprintCodec
 from repro.protocols.wire import (
@@ -292,6 +291,27 @@ class TestSetsOfSetsCodecs:
         decoded = codec.decode(data)
         assert decoded == payloads
 
+    @pytest.mark.parametrize("use_cpi", [True, False], ids=["cpi", "iblt"])
+    def test_multiround_per_child_bound_is_clamped_on_read(self, use_cpi):
+        # An honest Alice clamps each per-child bound to [1, 2h]; a bound past
+        # it would buy a hostile peer a CPI decode cubic in a 24-bit number.
+        ctx = self.ctx()
+        h = ctx.max_child_size
+        codec = MultiroundPayloadsCodec(ctx)
+
+        def payload(bound):
+            if use_cpi:
+                return [ChildPayload(1, 2, bound, None, cpi_encode({3, 4}, bound, 64))]
+            params = _multiround_child_params(ctx, bound, 2)
+            return [ChildPayload(1, 2, bound, IBLT.from_items(params, {3, 4}), None)]
+
+        assert codec.decode(codec.encode(payload(2 * h))) == payload(2 * h)
+        with pytest.raises(WireError, match="per-child bound"):
+            codec.decode(codec.encode(payload(2 * h + 1)))
+        if use_cpi:  # an IBLT cannot even be sized for bound 0
+            with pytest.raises(WireError, match="per-child bound"):
+                codec.decode(codec.encode(payload(0)))
+
 
 class TestEstimatorCodecs:
     @pytest.mark.parametrize(
@@ -325,3 +345,52 @@ class TestFingerprintCodec:
         codec = FingerprintCodec(17)
         data = assert_within_budget(codec, (point, evaluation), 2 * bits_for_value(16))
         assert codec.decode(data) == (point, evaluation)
+
+
+def _truncation_cases():
+    """``{name: (codec, payload)}`` for the fixed-size codecs."""
+    from repro.core.setsofsets.encoding import ExplicitChildScheme, parent_hash
+
+    ctx = SetsOfSetsContext(
+        64, 11, max_child_size=8, max_num_children=6, max_total_elements=40
+    )
+    parent = _sos([{1, 2}, {3, 4, 5}])
+    table_params = IBLTParameters.for_difference(8, 8, seed=5)
+    parent_table = IBLT(_naive_parent_params(ctx, 4))
+    scheme = ExplicitChildScheme(ctx.universe_size, ctx.max_child_size)
+    parent_table.insert_batch(scheme.encode(child) for child in parent)
+    estimator = L0Estimator(31)
+    estimator.update_all(range(20), 1)
+    plan = _cascade_plan(ctx, 4)
+    level_tables = []
+    for level_scheme, params in zip(plan.schemes, plan.level_params):
+        level_table = IBLT(params)
+        level_table.insert_batch(level_scheme.encode_all(parent))
+        level_tables.append(level_table)
+    t_star = None
+    if plan.t_star_params is not None:
+        t_star = IBLT(plan.t_star_params)
+        t_star.insert_batch(plan.explicit_scheme.encode(child) for child in parent)
+    return {
+        "table": (TableCodec(table_params), IBLT.from_items(table_params, range(10))),
+        "table-with-hash": (
+            _naive_codec(ctx, 4, False), (parent_table, parent_hash(parent, ctx.seed))
+        ),
+        "estimator": (EstimatorCodec(L0Estimator, 31), estimator),
+        "cascading": (
+            CascadingMessageCodec(plan),
+            (level_tables, t_star, parent_hash(parent, ctx.seed)),
+        ),
+        "fingerprint": (FingerprintCodec(17), (3, 5)),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["table", "table-with-hash", "estimator", "cascading", "fingerprint"]
+)
+def test_truncated_payload_is_a_wire_error(name):
+    codec, payload = _truncation_cases()[name]
+    data = codec.encode(payload)
+    codec.decode(data)  # the whole payload parses
+    with pytest.raises(WireError, match="bit stream exhausted"):
+        codec.decode(data[:-1])

@@ -205,10 +205,19 @@ def test_negotiation_failures_raise_service_error():
             ack = await raw_hello(port, b"\xff not json")
             with pytest.raises(ServiceError, match="refused"):
                 parse_ack(ack.payload)
+            # So are options ReconcileOptions refuses (a negative bound).
+            ack = await raw_hello(
+                port,
+                Hello(
+                    "ibf", "bob", {"universe_size": UNIVERSE, "difference_bound": -1}, None
+                ).to_json(),
+            )
+            with pytest.raises(ServiceError, match="invalid option"):
+                parse_ack(ack.payload)
             return await afetch_stats("127.0.0.1", port)
 
     stats = run_async(scenario())
-    assert stats["rejected_hellos"] >= 2
+    assert stats["rejected_hellos"] >= 3
     assert stats["sessions_served"] == 0
 
 

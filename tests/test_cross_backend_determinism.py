@@ -18,11 +18,8 @@ import random
 
 import pytest
 
+from repro import reconcile
 from repro.config import resolve_cell_backend
-from repro.core.setrecon.ibf import reconcile_known_d
-from repro.core.setsofsets.cascading import reconcile_cascading
-from repro.core.setsofsets.iblt_of_iblts import reconcile_iblt_of_iblts
-from repro.core.setsofsets.multiround import reconcile_multiround
 from repro.core.setsofsets.types import SetOfSets
 from repro.iblt import IBLT, IBLTParameters, NumpyCellStore
 
@@ -56,16 +53,18 @@ def run_known_d(backend):
     shared = set(rng.sample(range(1 << 30), 500))
     alice = shared | {1 << 30, (1 << 30) + 7}
     bob = shared | {(1 << 30) + 100}
-    return reconcile_known_d(
-        alice, bob, 8, 1 << 31, seed=77, backend=backend
+    return reconcile(
+        alice, bob, protocol="ibf", difference_bound=8, universe_size=1 << 31, seed=77,
+        backend=backend,
     )
 
 
 def run_cascading(backend):
     alice = SetOfSets([{1, 2, 3}, {4, 5, 6}, {7, 8}, {9, 10, 11, 12}])
     bob = SetOfSets([{1, 2, 3}, {4, 5, 600}, {7, 8}, {9, 10, 11}])
-    return reconcile_cascading(
-        alice, bob, 4, 1024, 4, seed=55, backend=backend
+    return reconcile(
+        alice, bob, protocol="cascading", difference_bound=4, universe_size=1024,
+        max_child_size=4, seed=55, backend=backend,
     )
 
 
@@ -84,15 +83,17 @@ def _structured_instance():
 
 def run_iblt_of_iblts(backend):
     alice, bob = _structured_instance()
-    return reconcile_iblt_of_iblts(
-        alice, bob, 6, 1 << 16, seed=66, backend=backend
+    return reconcile(
+        alice, bob, protocol="iblt_of_iblts", difference_bound=6, universe_size=1 << 16,
+        seed=66, backend=backend,
     )
 
 
 def run_multiround(backend):
     alice, bob = _structured_instance()
-    return reconcile_multiround(
-        alice, bob, 6, 1 << 16, 7, seed=88, backend=backend
+    return reconcile(
+        alice, bob, protocol="multiround", difference_bound=6, universe_size=1 << 16,
+        max_child_size=7, seed=88, backend=backend,
     )
 
 

@@ -13,12 +13,9 @@ import random
 
 import pytest
 
+from repro import reconcile
 from repro.config import _resolve_field_kernel_cached
-from repro.core.setrecon.cpi import CPIMessage, cpi_decode, cpi_encode, reconcile_cpi
-from repro.core.setsofsets.multiround import (
-    reconcile_multiround,
-    reconcile_multiround_unknown,
-)
+from repro.core.setrecon.cpi import CPIMessage, cpi_decode, cpi_encode
 from repro.field.kernels import NumpyFieldKernel, kernel_for
 from repro.workloads import sets_of_sets_instance
 
@@ -95,8 +92,14 @@ class TestCPIAcrossKernels:
 
     def test_transcripts_identical(self):
         alice, bob = make_sets(150, 11, seed=5)
-        result_py = reconcile_cpi(alice, bob, 12, UNIVERSE, 9, field_kernel="python")
-        result_np = reconcile_cpi(alice, bob, 12, UNIVERSE, 9, field_kernel="numpy")
+        result_py = reconcile(
+            alice, bob, protocol="cpi", difference_bound=12, universe_size=UNIVERSE, seed=9,
+            field_kernel="python",
+        )
+        result_np = reconcile(
+            alice, bob, protocol="cpi", difference_bound=12, universe_size=UNIVERSE, seed=9,
+            field_kernel="numpy",
+        )
         assert result_py.success and result_np.success
         assert result_py.recovered == result_np.recovered == alice
         assert transcript_fingerprint(result_py.transcript) == transcript_fingerprint(
@@ -105,8 +108,13 @@ class TestCPIAcrossKernels:
 
     def test_auto_kernel_matches_forced(self):
         alice, bob = make_sets(120, 6, seed=11)
-        auto = reconcile_cpi(alice, bob, 8, UNIVERSE, 2)
-        forced = reconcile_cpi(alice, bob, 8, UNIVERSE, 2, field_kernel="python")
+        auto = reconcile(
+            alice, bob, protocol="cpi", difference_bound=8, universe_size=UNIVERSE, seed=2,
+        )
+        forced = reconcile(
+            alice, bob, protocol="cpi", difference_bound=8, universe_size=UNIVERSE, seed=2,
+            field_kernel="python",
+        )
         assert auto.success and forced.success
         assert auto.recovered == forced.recovered
         assert transcript_fingerprint(auto.transcript) == transcript_fingerprint(
@@ -117,15 +125,19 @@ class TestCPIAcrossKernels:
         # With NumPy reported unavailable a "numpy" request runs on the
         # reference kernel -- the bytes the NumPy kernel itself produces.
         alice, bob = make_sets(150, 11, seed=5)
-        result_np = reconcile_cpi(alice, bob, 12, UNIVERSE, 9, field_kernel="numpy")
+        result_np = reconcile(
+            alice, bob, protocol="cpi", difference_bound=12, universe_size=UNIVERSE, seed=9,
+            field_kernel="numpy",
+        )
         monkeypatch.setattr(
             NumpyFieldKernel, "available", classmethod(lambda cls: False)
         )
         _resolve_field_kernel_cached.cache_clear()
         try:
             assert kernel_for(1048583, "numpy").name == "python"
-            degraded = reconcile_cpi(
-                alice, bob, 12, UNIVERSE, 9, field_kernel="numpy"
+            degraded = reconcile(
+                alice, bob, protocol="cpi", difference_bound=12, universe_size=UNIVERSE,
+                seed=9, field_kernel="numpy",
             )
         finally:
             monkeypatch.undo()
@@ -148,22 +160,16 @@ class TestMultiroundAcrossKernels:
             max_children_touched=5,
         )
         if unknown:
-            return reconcile_multiround_unknown(
-                instance.alice,
-                instance.bob,
-                instance.universe_size,
-                instance.max_child_size,
-                seed=17,
-                field_kernel=field_kernel,
+            return reconcile(
+                instance.alice, instance.bob, protocol="multiround", difference_bound=None,
+                universe_size=instance.universe_size,
+                max_child_size=instance.max_child_size, seed=17, field_kernel=field_kernel,
             )
-        return reconcile_multiround(
-            instance.alice,
-            instance.bob,
-            instance.planted_difference,
-            instance.universe_size,
-            instance.max_child_size,
-            seed=17,
-            field_kernel=field_kernel,
+        return reconcile(
+            instance.alice, instance.bob, protocol="multiround",
+            difference_bound=instance.planted_difference,
+            universe_size=instance.universe_size, max_child_size=instance.max_child_size,
+            seed=17, field_kernel=field_kernel,
         )
 
     @pytest.mark.parametrize("unknown", [False, True])
