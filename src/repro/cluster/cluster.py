@@ -169,8 +169,8 @@ class Cluster:
     def _bound_schedule(self) -> Iterable[int | None]:
         bound = self.options.difference_bound
         yield bound
-        if bound is None:
-            bound = _FALLBACK_BOUND
+        # Grown from at least 1: a zero bound would otherwise stay zero.
+        bound = _FALLBACK_BOUND if bound is None else max(bound, 1)
         for _ in range(1, self.max_attempts):
             bound *= _RETRY_FACTOR
             yield bound
@@ -195,7 +195,7 @@ class Cluster:
         messages = 0
         attempts = 0
         applied = 0
-        success = False
+        success = in_sync = False
         for bound in self._bound_schedule():
             attempts += 1
             options = self.options.merged(difference_bound=bound)
@@ -207,6 +207,7 @@ class Cluster:
                 applied += peer_kv.merge_records(result.alice.details["kv_apply"])
                 applied += initiator_kv.merge_records(result.bob.details["kv_apply"])
                 success = True
+                in_sync = result.bob.details["kv_in_sync"]
                 break
         record = GossipSessionRecord(
             round_index=self.rounds_run + 1,
@@ -217,6 +218,7 @@ class Cluster:
             messages=messages,
             attempts=attempts,
             records_applied=applied,
+            in_sync=in_sync,
         )
         self.scheduler.record_sync(initiator, peer)
         self.metrics.record(record)
@@ -240,6 +242,7 @@ class Cluster:
             messages=2,
             attempts=1,
             records_applied=applied,
+            in_sync=False,
         )
 
     # -- rounds and convergence -----------------------------------------------------

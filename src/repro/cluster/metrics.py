@@ -26,6 +26,8 @@ class GossipSessionRecord:
     messages: int
     attempts: int
     records_applied: int
+    #: Ended by the summary prelude: the replicas already agreed.
+    in_sync: bool
 
 
 @dataclass
@@ -50,6 +52,10 @@ class ClusterMetrics:
     def failures(self) -> int:
         return sum(1 for session in self.sessions if not session.success)
 
+    @property
+    def in_sync_sessions(self) -> int:
+        return sum(1 for session in self.sessions if session.in_sync)
+
     def bits_for_round(self, round_index: int) -> int:
         return sum(
             session.bits
@@ -70,6 +76,7 @@ class ClusterMetrics:
                     "bits": sum(s.bits for s in in_round),
                     "applied": sum(s.records_applied for s in in_round),
                     "failed": sum(1 for s in in_round if not s.success),
+                    "in_sync": sum(1 for s in in_round if s.in_sync),
                 }
             )
         return rows

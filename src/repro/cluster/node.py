@@ -178,6 +178,7 @@ class ClusterNode:
             "bits": result.transcript.total_bits,
             "messages": len(result.transcript.messages),
             "applied": applied,
+            "in_sync": result.details.get("kv_in_sync", False),
             "digest": self.replica.digest(),
         }
 

@@ -1,9 +1,21 @@
-"""The ``kv`` gossip protocol: fingerprint reconciliation, then value fetch.
+"""The ``kv`` gossip protocol: summary, fingerprint reconciliation, value fetch.
 
-One gossip round between two replicas is a single two-phase session:
+One gossip round between two replicas is a single session in three phases:
 
-* **Phase 1 -- set reconciliation.**  Not a copy of the ``ibf`` exchange
-  but the exchange itself: the ``ibf_alice`` / ``ibf_bob_difference`` flows
+* **Phase 0 -- the summary prelude.**  Bob sends ``"kv summary"``: his
+  fingerprint set's 64-bit whole-set verification hash and its size, both
+  kept live by the :class:`~repro.store.parties.StoreView` in O(1) per
+  record.  Alice answers ``"kv verdict"``, one bit: whether her view has
+  the same ``(set_hash, size)``.  If it does, both sides succeed with
+  nothing to merge and the session ends after ``64 + bits_for_value(n) + 1``
+  bits, whatever the bound.  A wrong skip needs a 64-bit hash collision at
+  equal size -- the same risk phase one's verification already accepts.
+  Both sides report ``details["kv_in_sync"]``.  A forged summary or
+  verdict can end a session early but never makes anything merge.
+* **Phase 1 -- set reconciliation** (only when the verdict is "differ";
+  every frame from here on is what it was without the prelude).  Not a
+  copy of the ``ibf`` exchange but the exchange itself: the
+  ``ibf_alice`` / ``ibf_bob_difference`` flows
   of :mod:`repro.protocols.parties.setrecon`, composed with ``yield from``
   over each replica's live :class:`~repro.store.parties.StoreView` of its
   record fingerprint set, under the label ``"kv fingerprint IBLT"``.  Alice
@@ -41,7 +53,9 @@ from repro.cluster.records import (
     records_bits,
     write_record,
 )
+from repro.comm import WORD_BITS
 from repro.comm.bits import BitReader, BitWriter
+from repro.comm.sizing import bits_for_value
 from repro.errors import ParameterError
 from repro.protocols.party import (
     END_OF_SESSION,
@@ -65,8 +79,37 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.replica import VersionedKV
     from repro.protocols.options import ReconcileOptions
 
+#: Bob's prelude payload: ``(set_hash, size)`` of his fingerprint set.
+Summary = tuple[int, int]
 #: The phase-two payloads.
 PullRequest = tuple[tuple[int, ...], tuple[KVRecord, ...]]
+
+
+class KVSummaryCodec(PayloadCodec):
+    """Wire form of bob's summary: the 64-bit set hash, then the size as tail."""
+
+    def write(self, writer: BitWriter, payload: Summary) -> None:
+        set_hash, size = payload
+        writer.write(set_hash, WORD_BITS)
+        writer.write_tail(size)
+
+    def read(self, reader: BitReader) -> Summary:
+        return reader.read(WORD_BITS), reader.read_tail_int()
+
+
+class KVVerdictCodec(PayloadCodec):
+    """Wire form of alice's verdict: one bit, set when the summaries agree."""
+
+    def write(self, writer: BitWriter, payload: bool) -> None:
+        writer.write(int(payload), 1)
+
+    def read(self, reader: BitReader) -> bool:
+        return bool(reader.read(1))
+
+
+def summary_bits(size: int) -> int:
+    """Exact charged size of the summary frame."""
+    return WORD_BITS + bits_for_value(size)
 
 
 class KVPullCodec(PayloadCodec):
@@ -139,11 +182,32 @@ def _view(replica: "VersionedKV", ctx: SetReconContext) -> StoreView:
     )
 
 
+def _in_sync_outcome(view: StoreView) -> PartyOutcome:
+    return PartyOutcome(True, details={**view.outcome_details, "kv_apply": ()})
+
+
 def kv_alice(
     replica: "VersionedKV", difference_bound: int | None, ctx: SetReconContext
 ) -> PartyGenerator:
-    """Alice's side: the ``ibf`` flow, then pull request in, records back out."""
+    """Alice's side: judge bob's summary; unless in sync, the ``ibf`` flow,
+    then pull request in, records back out."""
     view = _view(replica, ctx)
+    summary = yield Receive(KVSummaryCodec())
+    if summary is END_OF_SESSION:
+        return aborted_outcome()
+    in_sync = summary == (view.set_hash, view.size)
+    yield Send("kv verdict", 1, payload=in_sync, codec=KVVerdictCodec())
+    if in_sync:
+        outcome = _in_sync_outcome(view)
+    else:
+        outcome = yield from _alice_exchange(replica, view, difference_bound)
+    outcome.details["kv_in_sync"] = in_sync
+    return outcome
+
+
+def _alice_exchange(
+    replica: "VersionedKV", view: StoreView, difference_bound: int | None
+) -> PartyGenerator:
     outcome = yield from ibf_alice(view, difference_bound, label="kv fingerprint IBLT")
     if not outcome.success:
         return outcome
@@ -160,8 +224,28 @@ def kv_alice(
 def kv_bob(
     replica: "VersionedKV", difference_bound: int | None, ctx: SetReconContext
 ) -> PartyGenerator:
-    """Bob's side: the ``ibf`` flow, then pull the differing records."""
-    outcome, difference = yield from ibf_bob_difference(_view(replica, ctx), difference_bound)
+    """Bob's side: send his summary; unless alice finds it equal to hers,
+    the ``ibf`` flow, then pull the differing records."""
+    view = _view(replica, ctx)
+    size = view.size
+    yield Send(
+        "kv summary", summary_bits(size), payload=(view.set_hash, size), codec=KVSummaryCodec()
+    )
+    in_sync = yield Receive(KVVerdictCodec())
+    if in_sync is END_OF_SESSION:
+        return aborted_outcome()
+    if in_sync:
+        outcome = _in_sync_outcome(view)
+    else:
+        outcome = yield from _bob_exchange(replica, view, difference_bound)
+    outcome.details["kv_in_sync"] = in_sync
+    return outcome
+
+
+def _bob_exchange(
+    replica: "VersionedKV", view: StoreView, difference_bound: int | None
+) -> PartyGenerator:
+    outcome, difference = yield from ibf_bob_difference(view, difference_bound)
     if difference is None:
         return outcome
     # Sorted for a canonical wire image: the same difference always yields
@@ -176,7 +260,7 @@ def kv_bob(
         return aborted_outcome()
     # Only the fingerprints are verified so far; the records are whatever the
     # peer chose to send, and are merged only if they hash to what was asked.
-    if sorted(record_fingerprint(ctx.seed, record) for record in reply) != list(wanted):
+    if sorted(record_fingerprint(view.config.seed, record) for record in reply) != list(wanted):
         return PartyOutcome(False, details={"failure": "kv-records"})
     outcome.details.update(kv_apply=reply, kv_pushed=len(pushed))
     return outcome

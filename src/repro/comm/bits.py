@@ -107,8 +107,11 @@ class BitReader:
 
         Inverse of :meth:`BitWriter.write_tail`: the final field was written
         left-padded up to the byte boundary, so the remaining bits *are* the
-        value.  Only valid for the final field of a stream.
+        value.  Only valid for the final field of a stream.  The field is at
+        least one bit wide, so a stream with nothing left was truncated.
         """
         remaining = self.remaining_bits
+        if not remaining:
+            raise ParameterError("bit stream exhausted")
         self._pos = self._total
-        return self._acc & ((1 << remaining) - 1) if remaining else 0
+        return self._acc & ((1 << remaining) - 1)

@@ -228,10 +228,10 @@ class IBFProtocol(Protocol):
 class KVSyncProtocol(Protocol):
     name = "kv"
     input_kind = "kv"
-    rounds_known = 2
-    rounds_unknown = 3
+    rounds_known = 4
+    rounds_unknown = 6
     supports_unknown_d = True
-    summary = "replicated-KV gossip: fingerprint set reconciliation plus a value fetch"
+    summary = "replicated-KV gossip: summary check, fingerprint set reconciliation, value fetch"
     reference = "Cor 2.2 / Cor 3.2 application"
 
     @classmethod

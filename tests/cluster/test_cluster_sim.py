@@ -90,6 +90,30 @@ class TestConvergence:
         assert report_gossip.total_bits < report_full.total_bits
 
 
+class TestInSyncSessions:
+    @pytest.mark.parametrize("bound", [32, None])
+    def test_in_sync_sessions_are_exactly_those_between_equal_summaries(self, bound):
+        cluster = Cluster(6, seed=SEED, difference_bound=bound)
+        plant_writes(cluster)
+        equal_before = []
+        gossip_once = cluster.gossip_once
+
+        def observed(initiator, peer):
+            summaries = (cluster[initiator].summary(), cluster[peer].summary())
+            equal_before.append(summaries[0] == summaries[1])
+            return gossip_once(initiator, peer)
+
+        cluster.gossip_once = observed
+        cluster.run_until_converged()
+        cluster.run_round()  # a converged round: every session is in sync
+        flags = [session.in_sync for session in cluster.metrics.sessions]
+        assert flags == equal_before
+        assert any(flags) and not all(flags)
+        assert cluster.metrics.in_sync_sessions == sum(flags)
+        assert sum(row["in_sync"] for row in cluster.metrics.round_rows()) == sum(flags)
+        assert cluster.metrics.round_rows()[-1]["in_sync"] == 6
+
+
 class TestRetries:
     def test_undersized_bound_retries_with_larger_tables_and_charges_all(self):
         cluster = Cluster(2, seed=SEED, difference_bound=1)
@@ -99,6 +123,15 @@ class TestRetries:
         assert record.success
         assert record.attempts > 1
         assert cluster.metrics.total_bits == record.bits
+        assert cluster["node1"].digest() == cluster["node0"].digest()
+
+    def test_a_zero_bound_grows_its_retry_tables(self):
+        cluster = Cluster(2, seed=SEED, difference_bound=0)
+        assert list(cluster._bound_schedule()) == [0, 4, 16, 64]
+        for i in range(40):
+            cluster.put("node0", f"k{i}", f"v{i}")
+        record = cluster.gossip_once("node1", "node0")
+        assert record.success and record.records_applied == 40
         assert cluster["node1"].digest() == cluster["node0"].digest()
 
     def test_self_gossip_rejected(self):

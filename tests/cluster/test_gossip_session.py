@@ -4,10 +4,22 @@ import pytest
 
 import repro
 from repro.cluster import VersionedKV
-from repro.cluster.parties import kv_context, kv_parties, pull_request_bits
+from repro.cluster.parties import (
+    KVSummaryCodec,
+    KVVerdictCodec,
+    kv_alice,
+    kv_bob,
+    kv_context,
+    kv_parties,
+    pull_request_bits,
+    summary_bits,
+)
 from repro.cluster.records import records_bits
+from repro.comm.sizing import bits_for_value
 from repro.errors import ParameterError
 from repro.protocols.options import ReconcileOptions
+from repro.protocols.parties.setrecon import set_verification_hash
+from repro.protocols.party import PartyOutcome, Receive, Send
 from repro.protocols.session import Session
 from repro.protocols.transports import SerializingTransport
 
@@ -75,14 +87,26 @@ class TestSessionOutcome:
         replied = left.records_for(tuple(wanted))
         assert by_label["kv records"].size_bits == records_bits(replied)
 
-    def test_identical_replicas_exchange_no_records(self):
+    @pytest.mark.parametrize("bound", [8, None])
+    def test_identical_replicas_exchange_no_records(self, bound):
         left, right = replica_pair(unique=0)
         result = repro.reconcile(
-            left, right, protocol="kv", seed=SEED, difference_bound=8
+            left, right, protocol="kv", seed=SEED, difference_bound=bound,
+            transport=SerializingTransport(),
         )
         assert result.success
+        labels = [m.label for m in result.transcript.messages]
+        assert labels == ["kv summary", "kv verdict"]  # no table, no estimator
+        assert result.total_bits == 64 + bits_for_value(len(right)) + 1
         assert result.details["kv_apply"] == ()
-        assert result.details["difference_found"] == 0
+        assert result.details["kv_in_sync"] is True
+
+    def test_differing_replicas_report_not_in_sync(self):
+        left, right = replica_pair()
+        ctx = kv_context(ReconcileOptions(seed=SEED, difference_bound=16))
+        session = Session(*kv_parties(left, right, 16, ctx)).run()
+        assert session.alice.details["kv_in_sync"] is False
+        assert session.bob.details["kv_in_sync"] is False
 
     def test_undersized_bound_fails_without_touching_replicas(self):
         left, right = replica_pair(unique=20)
@@ -91,6 +115,52 @@ class TestSessionOutcome:
         session = Session(*kv_parties(left, right, 2, ctx)).run()
         assert not session.bob.success
         assert session.bob.details["failure"] == "iblt-peel"
+        assert (left.digest(), right.digest()) == before
+
+
+class TestForgedPrelude:
+    """A lying prelude can stop a sync early; it can never make anything merge."""
+
+    def run_and_merge(self, alice_party, bob_party, left, right):
+        session = Session(alice_party, bob_party, transport=SerializingTransport()).run()
+        for replica, outcome in ((left, session.alice), (right, session.bob)):
+            if outcome.success:
+                replica.merge_records(outcome.details.get("kv_apply", ()))
+        return session
+
+    def test_forged_in_sync_verdict_ends_the_session_with_nothing_merged(self):
+        left, right = replica_pair()
+        before = (left.digest(), right.digest())
+
+        def lying_alice():
+            yield Receive(KVSummaryCodec())
+            yield Send("kv verdict", 1, payload=True, codec=KVVerdictCodec())
+            return PartyOutcome(True)
+
+        ctx = kv_context(ReconcileOptions(seed=SEED, difference_bound=16))
+        session = self.run_and_merge(lying_alice(), kv_bob(right, 16, ctx), left, right)
+        assert session.bob.success and session.bob.details["kv_in_sync"] is True
+        assert session.bob.details["kv_apply"] == ()
+        assert len(session.transcript.messages) == 2
+        assert (left.digest(), right.digest()) == before
+
+    def test_forged_summary_equal_to_alices_ends_the_session_with_nothing_merged(self):
+        left, right = replica_pair()
+        before = (left.digest(), right.digest())
+        ctx = kv_context(ReconcileOptions(seed=SEED, difference_bound=16))
+        forged = (set_verification_hash(SEED, left.fingerprints), len(left))
+
+        def lying_bob():
+            yield Send(
+                "kv summary", summary_bits(len(left)), payload=forged, codec=KVSummaryCodec()
+            )
+            verdict = yield Receive(KVVerdictCodec())
+            return PartyOutcome(True, details={"verdict": verdict})
+
+        session = self.run_and_merge(kv_alice(left, 16, ctx), lying_bob(), left, right)
+        assert session.bob.details["verdict"] is True
+        assert session.alice.success and session.alice.details["kv_in_sync"] is True
+        assert session.alice.details["kv_apply"] == ()
         assert (left.digest(), right.digest()) == before
 
 

@@ -9,7 +9,14 @@ import asyncio
 
 import pytest
 
-from repro.cluster import Cluster, ClusterNode, GossipScheduler, VersionedKV, acontrol
+from repro.cluster import (
+    Cluster,
+    ClusterNode,
+    GossipScheduler,
+    KVRecord,
+    VersionedKV,
+    acontrol,
+)
 from repro.cluster.node import DIGEST_LABEL, GOSSIP_LABEL, PUT_LABEL
 from repro.errors import ClusterError
 from repro.protocols.options import ReconcileOptions
@@ -80,24 +87,30 @@ def test_eight_live_nodes_converge_with_exact_bit_accounting():
     run_async(body())
 
 
+def plant(replicas, equal):
+    """Four records on ``node0`` only, or the same four on both replicas."""
+    records = [KVRecord(key=f"key{w}", version=w + 1, writer=0, value=f"v{w}") for w in range(4)]
+    for replica in replicas if equal else replicas[:1]:
+        replica.merge_records(records)
+
+
 @pytest.mark.timeout(60)
-def test_live_and_simulated_sessions_charge_identical_bits():
-    """The same planted delta costs the same bits on sockets as simulated."""
+@pytest.mark.parametrize("equal", [False, True], ids=["planted-delta", "equal-pair"])
+def test_live_and_simulated_sessions_charge_identical_bits(equal):
+    """The same pair costs the same bits on sockets as simulated."""
     sim = Cluster(2, seed=SEED, difference_bound=32)
-    for w in range(4):
-        sim.put("node0", f"key{w}", f"v{w}")
+    plant([sim["node0"], sim["node1"]], equal)
     record = sim.gossip_once("node1", "node0")
-    assert record.success
+    assert record.success and record.in_sync == equal
 
     async def body():
         nodes, _ = make_nodes(2)
-        for w in range(4):
-            nodes["node0"].replica.put(f"key{w}", f"v{w}")
+        plant([nodes["node0"].replica, nodes["node1"].replica], equal)
         async with nodes["node0"], nodes["node1"]:
             summary = await nodes["node1"].agossip(
                 nodes["node0"].host, nodes["node0"].port
             )
-        assert summary["ok"]
+        assert summary["ok"] and summary["in_sync"] == equal
         return summary["bits"]
 
     assert run_async(body()) == record.bits

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.parties import KVSummaryCodec, KVVerdictCodec, summary_bits
 from repro.comm.bits import BitReader, BitWriter
 from repro.comm.sizing import bits_for_value
 from repro.core.setrecon.cpi import cpi_encode
@@ -347,6 +348,19 @@ class TestFingerprintCodec:
         assert codec.decode(data) == (point, evaluation)
 
 
+class TestKVPreludeCodecs:
+    @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=10**9))
+    def test_summary_roundtrip(self, set_hash, size):
+        codec = KVSummaryCodec()
+        data = assert_within_budget(codec, (set_hash, size), summary_bits(size))
+        assert codec.decode(data) == (set_hash, size)
+
+    @pytest.mark.parametrize("verdict", [False, True])
+    def test_verdict_roundtrip(self, verdict):
+        codec = KVVerdictCodec()
+        assert codec.decode(assert_within_budget(codec, verdict, 1)) is verdict
+
+
 def _truncation_cases():
     """``{name: (codec, payload)}`` for the fixed-size codecs."""
     from repro.core.setsofsets.encoding import ExplicitChildScheme, parent_hash
@@ -382,11 +396,24 @@ def _truncation_cases():
             (level_tables, t_star, parent_hash(parent, ctx.seed)),
         ),
         "fingerprint": (FingerprintCodec(17), (3, 5)),
+        # The size is the stream's tail field: cut off with the final byte
+        # only while it fits in one byte.
+        "kv-summary": (KVSummaryCodec(), ((1 << 64) - 1, 200)),
+        "kv-verdict": (KVVerdictCodec(), True),
     }
 
 
 @pytest.mark.parametrize(
-    "name", ["table", "table-with-hash", "estimator", "cascading", "fingerprint"]
+    "name",
+    [
+        "table",
+        "table-with-hash",
+        "estimator",
+        "cascading",
+        "fingerprint",
+        "kv-summary",
+        "kv-verdict",
+    ],
 )
 def test_truncated_payload_is_a_wire_error(name):
     codec, payload = _truncation_cases()[name]

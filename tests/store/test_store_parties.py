@@ -141,17 +141,19 @@ def test_stored_party_is_byte_identical_to_scratch(family, server_role, bound):
         assert result.total_bits == reference.total_bits
         assert result.num_rounds == reference.num_rounds
     else:
-        # kv phase one *is* ibf over the replicas' fingerprint sets: same
-        # senders, charged bits and bytes under its own message label.
+        # After the two-frame summary prelude, kv phase one *is* ibf over
+        # the replicas' fingerprint sets: same senders, charged bits and
+        # bytes under its own message label.
         left, right = kv_pair()
         reference_frames, reference = scratch_frames(
             left.fingerprints, right.fingerprints, bound, server_role,
             kv_context(ReconcileOptions(seed=SEED)),
         )
         frames, result = kv_frames(left, right, bound, server_role)
+        assert [label for _, label, _, _ in frames[:2]] == ["kv summary", "kv verdict"]
         frames = [
             (sender, label.replace("kv fingerprint IBLT", "set IBLT"), bits, data)
-            for sender, label, bits, data in frames[: len(reference_frames)]
+            for sender, label, bits, data in frames[2 : 2 + len(reference_frames)]
         ]
     assert frames == reference_frames
     assert result.success and reference.success
@@ -273,7 +275,9 @@ def frames_digest(frames):
 #: The six unknown-bound entries were re-recorded once since, when the L0
 #: estimator moved from keyed BLAKE2b to the splitmix64 mixer: the estimator
 #: frame keeps its 8,192 bits and its layout and carries other counters (and
-#: the kv pair now meets one bucket collision: estimate 9, bound 19).
+#: the kv pair now meets one bucket collision: estimate 9, bound 19).  The
+#: four kv entries were re-recorded once more when kv sessions gained the
+#: two-frame summary prelude ahead of the same ibf frames.
 _KNOWN_ALICE = "93458227ad2aea46bd4af97504ed3939c9c7aefef32e3b97fae56f7ae087e36a"
 _UNKNOWN_ALICE = "48e2b54d8f9f8894aa320769b9a0244ad71f8c1876f106db16cbb16251e56d6b"
 _KNOWN_BOB = "6a0692172b993908e6490ec5fcc79eac0ddab74c25b7da1be11bbe41574eb353"
@@ -287,10 +291,10 @@ FRAME_PINS = {
     ("store", "alice", None): _UNKNOWN_ALICE,
     ("store", "bob", BOUND): _KNOWN_BOB,
     ("store", "bob", None): _UNKNOWN_BOB,
-    ("kv", "alice", BOUND): "b472384d940e08c269b9c4b63c694a96212a065fcf153e4b7123920791d39ae3",
-    ("kv", "alice", None): "1cc7965a963be38def47c45eb8cbfc509b31014d264660f10e479e8e64446cea",
-    ("kv", "bob", BOUND): "2b99c894d89f67d89bb4d799868a683dc7c3e85169b533f697c4e44f532f315a",
-    ("kv", "bob", None): "b486e959e1f47733b3714c0825fd731d524b6dad7540757d8e1ac27838d082de",
+    ("kv", "alice", BOUND): "08b11d12330a4ce4d04d2368845d16cf52926b24b55f48c8d958ae23d259cb5d",
+    ("kv", "alice", None): "4a2cd0248c434f4494b4f7b6064f136f8becd2d048c30beb946b46360dd9b23d",
+    ("kv", "bob", BOUND): "304a23becdb13557e64989c46c238d5b6c00f2f478e80a7871f4b5876fb2674c",
+    ("kv", "bob", None): "bb38309a41327f3ca628901543d21c52fe0bc329df32a8bd66809b9244839ff4",
 }
 
 #: ``ReconciliationResult.details`` of the same sessions at the same commit
@@ -310,6 +314,7 @@ _DETAILS = {
         "kv_apply": 5,
         "kv_sent": 5,
         "kv_pushed": 5,
+        "kv_in_sync": False,
     },
 }
 
