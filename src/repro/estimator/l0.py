@@ -20,12 +20,25 @@ sampled into) and its bucket at a level is
 well-mixed hash is all a bucket-occupancy count needs.  And its word-RAM
 tricks (the whole sketch in O(1) machine words) become one array pass per
 :meth:`L0Estimator.update_all`.  This changes constants, not sizes.
+
+On the wire only the counters that carry information travel.  Level ``i``
+holds about ``n / 2^i`` of a party's ``n`` elements, so past level
+``log2 n`` the levels are empty and just before it they are sparse.  The
+frame (:meth:`L0Estimator.write_wire`) is a ``bits_for_value(num_levels)``
+header with the number of levels sent -- every level after the deepest one
+holding a non-zero counter is dropped -- and then, per sent level, one flag
+bit and the shorter of two encodings: *dense*, every counter as a 2-bit
+field, or *sparse*, a ``bits_for_value(buckets_per_level)`` count followed by
+an ``(index, value)`` pair per non-zero counter in increasing index order
+(sparse only when strictly shorter).  The frame is canonical: the reader
+refuses any other encoding of the same counters.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from repro.comm.sizing import bits_for_value
 from repro.errors import ParameterError
 from repro.estimator.base import SetDifferenceEstimator, sampled_level
 from repro.hashing import derive_seed
@@ -39,8 +52,12 @@ if HAS_NUMPY:
 #: (measured: ~2 us per element against ~20 us per occupied level).
 _BATCH_CUTOFF = 40
 
-#: A hex digit of the wire field is two counters (as characters 0..3).
+#: A hex digit of a dense level's field is two counters (as characters 0..3).
 _HEX_TO_COUNTERS = {ord(f"{value:x}"): chr(value >> 2) + chr(value & 3) for value in range(16)}
+
+#: Maps a counter byte to 1 when it is non-zero: the frame's levels and a
+#: sparse level's buckets are then found by ``rfind`` / ``count`` / ``find``.
+_OCCUPIED = bytes([0] + [1] * 255)
 
 
 class L0Estimator(SetDifferenceEstimator):
@@ -56,7 +73,8 @@ class L0Estimator(SetDifferenceEstimator):
         ``num_levels = 32`` handles differences up to billions.
     buckets_per_level:
         Number of mod-4 counters per level.  Larger values give better
-        accuracy; the default of 128 keeps the sketch around 1 KiB while
+        accuracy; the default of 128 keeps the sketch at 1 KiB in memory (a
+        one-sided frame of 4,096 elements is about 300 bytes) while
         estimating within a small constant factor.
     reliable_fraction:
         A level is trusted when its non-zero bucket count is at most
@@ -86,6 +104,15 @@ class L0Estimator(SetDifferenceEstimator):
         #: One counter per byte, level-major; the array route works on a
         #: ``(num_levels, buckets_per_level)`` ``uint8`` view of this memory.
         self._counters = bytearray(num_levels * buckets_per_level)
+        # Frame widths: the level-count header, a sparse level's count and
+        # one (index, value) entry, and the most entries a sparse level can
+        # hold while it is still strictly shorter than the dense 2 bits each.
+        self._header_bits = bits_for_value(num_levels)
+        self._count_bits = bits_for_value(buckets_per_level)
+        self._entry_bits = bits_for_value(buckets_per_level - 1) + 2
+        self._sparse_limit = (
+            2 * buckets_per_level - self._count_bits - 1
+        ) // self._entry_bits
 
     # -- SetDifferenceEstimator interface ---------------------------------------------
 
@@ -173,17 +200,88 @@ class L0Estimator(SetDifferenceEstimator):
         deepest = self.num_levels - 1
         return max(1, self._nonzero_count(deepest)) << deepest
 
+    # -- the compact wire frame ------------------------------------------------------
+
+    def _occupancy(self) -> tuple[bytes, list[int]]:
+        """The counters as 0/1 occupancy bytes, and the non-zero count of each
+        level the frame carries: every level up to the deepest one holding a
+        non-zero counter."""
+        width = self.buckets_per_level
+        occupied = self._counters.translate(_OCCUPIED)
+        sent = occupied.rfind(1) // width + 1  # 0 when every counter is zero
+        return occupied, [
+            occupied.count(1, start, start + width) for start in range(0, sent * width, width)
+        ]
+
+    def _level_bits(self, nonzero: int) -> int:
+        """A sent level's flag bit plus its shorter encoding."""
+        if nonzero <= self._sparse_limit:
+            return 1 + self._count_bits + nonzero * self._entry_bits
+        return 1 + 2 * self.buckets_per_level
+
     @property
     def size_bits(self) -> int:
-        # Two bits per counter; that is the whole transmitted payload.
-        return 2 * self.num_levels * self.buckets_per_level
+        """The exact length of the frame for the current counters."""
+        return self._header_bits + sum(map(self._level_bits, self._occupancy()[1]))
 
     def write_wire(self, writer) -> None:
-        # One field for the whole tensor: its base-4 digits are the counters,
-        # level-major and MSB-first, exactly as a 2-bit field per counter.
-        writer.write(int(self._counters.hex()[1::2], 4), self.size_bits)
+        width = self.buckets_per_level
+        counters = self._counters
+        occupied, occupancy = self._occupancy()
+        writer.write(len(occupancy), self._header_bits)
+        for start, nonzero in zip(range(0, len(occupancy) * width, width), occupancy):
+            end = start + width
+            bits = self._level_bits(nonzero)
+            if nonzero > self._sparse_limit:
+                # Flag 0, then one field whose base-4 digits are the counters,
+                # MSB first: exactly a 2-bit field per counter.
+                writer.write(int(counters[start:end].hex()[1::2], 4), bits)
+                continue
+            field = (1 << self._count_bits) | nonzero  # flag 1, then the count
+            index = occupied.find(1, start, end)
+            while index >= 0:
+                field = (field << self._entry_bits) | ((index - start) << 2) | counters[index]
+                index = occupied.find(1, index + 1, end)
+            writer.write(field, bits)
 
     def read_wire(self, reader) -> None:
-        size = len(self._counters)
-        digits = f"{reader.read(self.size_bits):0{(size + 1) // 2}x}"
-        self._counters[:] = digits.translate(_HEX_TO_COUNTERS)[-size:].encode("latin-1")
+        """Fill the counters from a frame; anything but the canonical frame of
+        some counters raises :class:`~repro.errors.ParameterError` (a codec
+        turns it into a ``WireError``) before more than the frame is read."""
+        width = self.buckets_per_level
+        sent = reader.read(self._header_bits)
+        if sent > self.num_levels:
+            raise ParameterError(f"L0 frame sends {sent} of {self.num_levels} levels")
+        counters = bytearray(len(self._counters))
+        index_mask = (1 << (self._entry_bits - 2)) - 1
+        for start in range(0, sent * width, width):
+            if reader.read(1):
+                nonzero = reader.read(self._count_bits)
+                if nonzero > self._sparse_limit:
+                    raise ParameterError(
+                        f"sparse L0 level of {nonzero} counters is not shorter than dense"
+                    )
+                entries = reader.read(nonzero * self._entry_bits)
+                previous = -1
+                for shift in range((nonzero - 1) * self._entry_bits, -1, -self._entry_bits):
+                    index = (entries >> (shift + 2)) & index_mask
+                    value = (entries >> shift) & 3
+                    if not previous < index < width or not value:
+                        raise ParameterError(
+                            f"sparse L0 entry ({index}, {value}) out of order or range"
+                        )
+                    counters[start + index] = value
+                    previous = index
+            else:
+                digits = f"{reader.read(2 * width):0{(width + 1) // 2}x}"
+                counters[start : start + width] = digits.translate(_HEX_TO_COUNTERS)[
+                    -width:
+                ].encode("latin-1")
+                nonzero = width - counters.count(0, start, start + width)
+                if nonzero <= self._sparse_limit:
+                    raise ParameterError(
+                        f"dense L0 level of {nonzero} non-zero counters has a shorter sparse form"
+                    )
+        if sent and not any(counters[(sent - 1) * width : sent * width]):
+            raise ParameterError("the last level of an L0 frame is all zero")
+        self._counters[:] = counters

@@ -231,7 +231,13 @@ def ibf_alice(
         if bob_estimator is END_OF_SESSION:
             return aborted_outcome()
         estimate = bob_estimator.merge(source.estimator(2)).query()
-        bound = bound_for_estimate(estimate, ctx.safety_factor)
+        # The difference never exceeds the universe, and the bound must fit its
+        # header: a forged frame cannot make her size a larger table.
+        bound = min(
+            bound_for_estimate(estimate, ctx.safety_factor),
+            ctx.universe_size,
+            2**BOUND_HEADER_BITS - 1,
+        )
         details.update(estimated_difference=estimate, difference_bound_used=bound)
     if bound < 0:
         raise ParameterError("difference_bound must be non-negative")

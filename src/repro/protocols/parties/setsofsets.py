@@ -949,17 +949,18 @@ def _multiround_child_params(
 class MultiroundRound2Codec(PayloadCodec):
     """Codec for Bob's reply: his hash IBLT plus per-child estimators.
 
-    The estimator list is self-delimiting: every entry is a fixed
-    ``hash_bits + estimator.size_bits`` wide (the shared factory fixes the
-    estimator shape), so the entry count is recovered from the remaining bit
-    count.  Zero framing.
+    The estimator list is self-delimiting: every estimator frame delimits
+    itself, and none is shorter than an empty estimator's, so entries are
+    read while a minimal entry (``hash_bits`` plus that frame) still fits in
+    what is left.  With a hash of 8 bits or more (48 by default) the
+    stream's byte padding never passes for an entry.  Zero framing.
     """
 
     def __init__(self, ctx: SetsOfSetsContext, hash_params: IBLTParameters) -> None:
         self.ctx = ctx
         self.params = hash_params
         self.factory, self.estimator_seed = _multiround_child_estimator(ctx)
-        self.entry_bits = (
+        self.min_entry_bits = (
             ctx.child_hash_bits + self.factory(self.estimator_seed).size_bits
         )
 
@@ -981,7 +982,7 @@ class MultiroundRound2Codec(PayloadCodec):
             self.params, reader.read(self.params.size_bits), backend=self.ctx.backend
         )
         bob_estimators = []
-        while reader.remaining_bits >= self.entry_bits:
+        while reader.remaining_bits >= self.min_entry_bits:
             child_hash = reader.read(self.ctx.child_hash_bits)
             estimator = self.factory(self.estimator_seed)
             estimator.read_wire(reader)

@@ -67,7 +67,10 @@ from repro.store.journal import UpdateJournal
 #: snapshot's ``hashes`` hold values no peer computes any more.  Version 3:
 #: the L0 estimator hashes with splitmix64 too, so an older snapshot's
 #: ``estimators`` hold counters of another hash (the layout did not change).
-SNAPSHOT_VERSION = 3
+#: Version 4: an L0 estimator's state is its compact wire frame; read as
+#: one, an older snapshot's dense two-bits-per-counter state is refused or
+#: misread.
+SNAPSHOT_VERSION = 4
 
 #: Live sketch families (distinct config fingerprints) kept per dataset, and
 #: live tables (distinct cell counts) kept per family.  Both are chosen by

@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from repro.comm.bits import BitReader, BitWriter
+from repro.comm.sizing import bits_for_value
 from repro.errors import ParameterError
 from repro.estimator import L0Estimator, MedianEstimator, StrataEstimator
+from repro.hashing import derive_seed
 
 
 def build_pair(factory, true_difference, shared=2000, seed=0):
@@ -62,11 +65,20 @@ class TestEstimatorInterface:
         assert estimator.query() <= 4
 
 
+def largest_l0_frame(num_levels, buckets):
+    """Every level sent and dense: the header, then a flag and 2 bits per counter."""
+    return 2 * num_levels * buckets + num_levels + bits_for_value(num_levels)
+
+
 class TestSizeComparison:
     def test_l0_is_smaller_than_strata(self):
         # The paper's Theorem 3.1 improvement: the L0 sketch drops the
         # O(log u) factor that the strata estimator pays per stratum cell.
-        assert L0Estimator(1).size_bits < StrataEstimator(1).size_bits / 10
+        # Even the largest L0 frame is; the frame one side sends is smaller.
+        one_sided = L0Estimator(1)
+        one_sided.update_all(random.Random(1).sample(range(1 << 40), 4096), 1)
+        strata = StrataEstimator(1).size_bits
+        assert one_sided.size_bits < largest_l0_frame(32, 128) < strata / 10
 
 
 class TestL0Parameters:
@@ -79,8 +91,16 @@ class TestL0Parameters:
             L0Estimator(1, reliable_fraction=1.5)
 
     def test_size_formula(self):
+        # Empty: only the level-count header.  Every counter non-zero: every
+        # level sent, each dense -- the largest frame of the shape.
         estimator = L0Estimator(1, num_levels=10, buckets_per_level=64)
-        assert estimator.size_bits == 2 * 10 * 64
+        assert estimator.size_bits == bits_for_value(10)
+        writer = BitWriter()
+        writer.write(10, bits_for_value(10))
+        for _ in range(10):
+            writer.write(int("01" * 64, 2), 1 + 2 * 64)
+        estimator.read_wire(BitReader(writer.getvalue()))
+        assert estimator.size_bits == writer.bit_length == largest_l0_frame(10, 64)
 
 
 class TestStrataParameters:
@@ -109,5 +129,15 @@ class TestMedianEstimator:
             a.merge(b)
 
     def test_size_is_sum_of_replicas(self):
+        # Replica frames are concatenated: each costs what it carries.
+        elements = range(500)
         estimator = MedianEstimator(1, num_replicas=3)
-        assert estimator.size_bits == 3 * L0Estimator(0).size_bits
+        estimator.update_all(elements, 1)
+        replicas = [L0Estimator(derive_seed(1, "replica", index)) for index in range(3)]
+        for replica in replicas:
+            replica.update_all(elements, 1)
+        assert estimator.size_bits == sum(replica.size_bits for replica in replicas)
+        writer = BitWriter()
+        estimator.write_wire(writer)
+        assert writer.bit_length == estimator.size_bits
+        assert MedianEstimator(1, num_replicas=3).size_bits == 3 * bits_for_value(32)

@@ -1,7 +1,8 @@
-"""The L0 estimator's two update routes, its linearity, its wire layout and
+"""The L0 estimator's two update routes, its linearity, its wire frame and
 its accuracy, against a per-element list-of-lists reference (the spec:
 ``mix64`` level hash, trailing zeros for the deepest level, a second ``mix64``
-per level for the bucket, counters mod 4, two bits per counter on the wire)."""
+per level for the bucket, counters mod 4) and a field-by-field reference
+encoder of the compact frame."""
 
 import random
 import statistics
@@ -11,11 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.comm.bits import BitReader, BitWriter
+from repro.comm.sizing import bits_for_value
 from repro.errors import ParameterError
 from repro.estimator import L0Estimator, MedianEstimator, StrataEstimator, l0
 from repro.hashing import derive_seed, fingerprint64, mix64
 from repro.hashing.mix import HAS_NUMPY, MASK64
 from repro.protocols.parties.setrecon import bound_for_estimate
+from repro.protocols.wire import EstimatorCodec, WireError
 
 CUTOFF = l0._BATCH_CUTOFF
 #: Small shapes keep every level busy; 3 x 9 counters are 54 bits, which is
@@ -37,13 +40,33 @@ def reference_counters(seed, num_levels, buckets, updates):
     return counters
 
 
-def reference_wire(counters):
-    """One 2-bit field per counter, level-major: the layout since the first wire format."""
+def reference_frame(counters):
+    """The compact frame, one field at a time: the number of levels up to the
+    deepest non-zero counter, then per level a flag bit and the shorter of
+    dense (2 bits per counter) and sparse (a count, then an (index, value)
+    pair per non-zero counter), sparse only when strictly shorter."""
+    num_levels, buckets = len(counters), len(counters[0])
+    sent = max((level + 1 for level, row in enumerate(counters) if any(row)), default=0)
+    count_bits, index_bits = bits_for_value(buckets), bits_for_value(buckets - 1)
     writer = BitWriter()
-    for row in counters:
-        for value in row:
-            writer.write(value, 2)
-    return writer.getvalue()
+    writer.write(sent, bits_for_value(num_levels))
+    for row in counters[:sent]:
+        occupied = [(index, value) for index, value in enumerate(row) if value]
+        if count_bits + len(occupied) * (index_bits + 2) < 2 * buckets:
+            writer.write(1, 1)
+            writer.write(len(occupied), count_bits)
+            for index, value in occupied:
+                writer.write(index, index_bits)
+                writer.write(value, 2)
+        else:
+            writer.write(0, 1)
+            for value in row:
+                writer.write(value, 2)
+    return writer
+
+
+def reference_wire(counters):
+    return reference_frame(counters).getvalue()
 
 
 def reference_query(counters, reliable_fraction=0.25):
@@ -140,7 +163,8 @@ def test_bad_elements_are_refused_before_any_counter_moves(bad, padding):
         estimator.update(bad, 2)
     with pytest.raises(ParameterError):
         estimator.update_all(range(padding + 1), 3)
-    assert wire(estimator) == bytes(estimator.size_bits // 8)
+    assert estimator.size_bits == bits_for_value(estimator.num_levels)
+    assert wire(estimator) == bytes(1)
 
 
 @pytest.mark.parametrize("foreign", [None, 7, StrataEstimator(3), MedianEstimator(3)])
@@ -174,33 +198,141 @@ def test_merge_equals_one_estimator_fed_both(ones, twos, shape):
     assert wire(merged) == wire(both)
     assert merged.query() == both.query()
     assert wire(second.merge(first)) == wire(both)
+    # What arrives off the wire merges and queries as what was sent.
+    received = L0Estimator(9, *shape)
+    received.read_wire(BitReader(wire(first)))
+    assert received.query() == first.query()
+    assert wire(received.merge(second)) == wire(both)
 
 
-# -- (c) the wire is the per-counter layout --------------------------------------------
+# -- (c) the wire is the compact frame -------------------------------------------------
 
 
 @given(
     seed=st.integers(0, 1 << 32),
     fill=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
     shape=st.sampled_from(SHAPES),
+    depth=st.floats(0.0, 1.0),
 )
-@settings(max_examples=60, deadline=None)
-def test_wire_is_one_two_bit_field_per_counter(seed, fill, shape):
+@settings(max_examples=80, deadline=None)
+def test_wire_is_the_reference_compact_frame(seed, fill, shape, depth):
+    """Counters of a fill up to a drawn depth (zero below it, so trailing
+    levels are dropped): decode(reference) re-encodes to the same bits, costs
+    what was written, and queries and merges as the counters do."""
+    num_levels, buckets = shape
     rng = random.Random(seed)
+    filled = round(depth * num_levels)
     counters = [
-        [rng.randrange(1, 4) if rng.random() < fill else 0 for _ in range(shape[1])]
-        for _ in range(shape[0])
+        [rng.randrange(1, 4) if level < filled and rng.random() < fill else 0
+         for _ in range(buckets)]
+        for level in range(num_levels)
     ]
-    encoded = reference_wire(counters)
+    frame = reference_frame(counters)
     estimator = L0Estimator(1, *shape)
-    estimator.read_wire(BitReader(encoded))
-    assert wire(estimator) == encoded
+    estimator.read_wire(BitReader(frame.getvalue()))
+    assert wire(estimator) == frame.getvalue()
+    assert estimator.size_bits == frame.bit_length
+    assert estimator.size_bits <= 2 * num_levels * buckets + num_levels + bits_for_value(
+        num_levels
+    )
     # read_wire put every counter where query and merge look for it.
     assert estimator.query() == reference_query(counters)
     doubled = estimator.merge(estimator)
     assert wire(doubled) == reference_wire(
         [[2 * value % 4 for value in row] for row in counters]
     )
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_an_empty_estimator_costs_only_the_header(shape):
+    estimator = L0Estimator(1, *shape)
+    assert estimator.size_bits == bits_for_value(shape[0])
+    assert wire(estimator) == reference_wire([[0] * shape[1]] * shape[0])
+    received = L0Estimator(1, *shape)
+    received.read_wire(BitReader(wire(estimator)))
+    assert received.query() == 0 and wire(received) == wire(estimator)
+
+
+# -- (d) hostile frames are typed refusals -----------------------------------------------
+
+#: Counters of B = 10 take 4-bit counts and 4-bit indices: a sparse level of
+#: c counters is 4 + 6c bits against 20 dense, so it holds at most two, and
+#: indices 10-15 fit the field but not the level.
+HOSTILE_SHAPE = (4, 10)
+
+
+def frame_of(*fields):
+    """Bytes of ``(value, bits)`` fields, MSB first."""
+    writer = BitWriter()
+    for value, bits in fields:
+        writer.write(value, bits)
+    return writer.getvalue()
+
+
+def sparse_level(*entries):
+    """The fields of a sparse level of HOSTILE_SHAPE: flag, count, entries."""
+    fields = [(1, 1), (len(entries), 4)]
+    for index, value in entries:
+        fields += [(index, 4), (value, 2)]
+    return fields
+
+
+#: ``{case: (frame fields, what the refusal names)}``.
+HOSTILE_FRAMES = {
+    "more-levels-than-the-shape": ([(5, 3)] + sparse_level((1, 1)) * 5, "5 of 4 levels"),
+    "last-level-all-zero-sparse": (
+        [(2, 3)] + sparse_level((1, 1)) + sparse_level(), "last level"
+    ),
+    "last-level-all-zero-dense": ([(1, 3), (0, 1), (0, 20)], "shorter sparse form"),
+    "dense-level-with-a-shorter-sparse-form": (
+        [(1, 3), (0, 1), (1, 20)], "shorter sparse form"
+    ),
+    "sparse-count-past-the-buckets": (
+        [(1, 3)] + sparse_level(*[(index, 1) for index in range(11)]),
+        "not shorter than dense",
+    ),
+    "sparse-not-shorter-than-dense": (
+        [(1, 3)] + sparse_level((1, 1), (2, 1), (3, 1)), "not shorter than dense"
+    ),
+    "index-past-the-buckets": ([(1, 3)] + sparse_level((12, 1)), r"\(12, 1\) out of"),
+    "repeated-index": ([(1, 3)] + sparse_level((5, 1), (5, 2)), r"\(5, 2\) out of"),
+    "decreasing-indices": ([(1, 3)] + sparse_level((6, 1), (5, 1)), r"\(5, 1\) out of"),
+    "zero-value": ([(1, 3)] + sparse_level((3, 0)), r"\(3, 0\) out of"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FRAMES))
+def test_a_malformed_frame_is_a_wire_error(name):
+    fields, reason = HOSTILE_FRAMES[name]
+    codec = EstimatorCodec(lambda seed: L0Estimator(seed, *HOSTILE_SHAPE), 1)
+    with pytest.raises(WireError, match=reason):
+        codec.decode(frame_of(*fields))
+
+
+def test_the_frame_helpers_make_frames_the_reader_accepts():
+    """The refusals above are the named defect's, not the harness's."""
+    codec = EstimatorCodec(lambda seed: L0Estimator(seed, *HOSTILE_SHAPE), 1)
+    valid = [(2, 3)] + sparse_level((1, 1)) + sparse_level((5, 1), (6, 3))
+    decoded = codec.decode(frame_of(*valid))
+    assert codec.encode(decoded) == frame_of(*valid)
+    assert decoded.size_bits == 3 + 2 * 5 + 3 * 6
+
+
+@pytest.mark.parametrize("shape", [HOSTILE_SHAPE, (32, 128)])
+@given(data=st.binary(max_size=48))
+@settings(max_examples=150, deadline=None)
+def test_arbitrary_bytes_decode_canonically_or_are_refused(shape, data):
+    """Any bytes are either a WireError or the canonical frame of what they
+    decode to: re-encoding gives back exactly the bits that were read."""
+    codec = EstimatorCodec(lambda seed: L0Estimator(seed, *shape), 1)
+    try:
+        decoded = codec.decode(data)
+    except WireError:
+        return
+    bits = decoded.size_bits
+    assert bits <= 8 * len(data)
+    prefix = int.from_bytes(data, "big") >> (8 * len(data) - bits)
+    assert int.from_bytes(codec.encode(decoded), "big") >> (-bits % 8) == prefix
 
 
 def test_wire_fields_follow_a_shared_stream():

@@ -362,7 +362,8 @@ class TestKVPreludeCodecs:
 
 
 def _truncation_cases():
-    """``{name: (codec, payload)}`` for the fixed-size codecs."""
+    """``{name: (codec, payload)}`` for the codecs whose payloads delimit
+    themselves: fixed-size fields, or the estimator frames' own headers."""
     from repro.core.setsofsets.encoding import ExplicitChildScheme, parent_hash
 
     ctx = SetsOfSetsContext(
@@ -375,6 +376,18 @@ def _truncation_cases():
     parent_table.insert_batch(scheme.encode(child) for child in parent)
     estimator = L0Estimator(31)
     estimator.update_all(range(20), 1)
+    # Enough elements for dense low levels ahead of the sparse ones.
+    l0 = L0Estimator(31)
+    l0.update_all(range(1000), 1)
+    median = MedianEstimator(31, 3)
+    median.update_all(range(300), 1)
+    factory, estimator_seed = _multiround_child_estimator(ctx)
+    child_estimators = []
+    for child_hash, child in ((7, {1, 2, 3}), (9, set(range(40, 48)))):
+        child_estimator = factory(estimator_seed)
+        child_estimator.update_all(child, 1)
+        child_estimators.append((child_hash, child_estimator))
+    hash_params = _hash_iblt_params(ctx, 4)
     plan = _cascade_plan(ctx, 4)
     level_tables = []
     for level_scheme, params in zip(plan.schemes, plan.level_params):
@@ -391,6 +404,12 @@ def _truncation_cases():
             _naive_codec(ctx, 4, False), (parent_table, parent_hash(parent, ctx.seed))
         ),
         "estimator": (EstimatorCodec(L0Estimator, 31), estimator),
+        "l0": (EstimatorCodec(L0Estimator, 31), l0),
+        "median": (EstimatorCodec(lambda seed: MedianEstimator(seed, 3), 31), median),
+        "multiround-round2": (
+            MultiroundRound2Codec(ctx, hash_params),
+            (IBLT.from_items(hash_params, range(1, 5)), child_estimators),
+        ),
         "cascading": (
             CascadingMessageCodec(plan),
             (level_tables, t_star, parent_hash(parent, ctx.seed)),
@@ -409,6 +428,9 @@ def _truncation_cases():
         "table",
         "table-with-hash",
         "estimator",
+        "l0",
+        "median",
+        "multiround-round2",
         "cascading",
         "fingerprint",
         "kv-summary",

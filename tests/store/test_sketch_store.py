@@ -17,6 +17,7 @@ from repro.protocols.parties.setrecon import (
     set_verification_hash,
 )
 from repro.protocols.session import run_session
+from repro.protocols.wire import WireError
 from repro.service.metrics import ServiceMetrics
 from repro.store import SNAPSHOT_VERSION, SketchConfig, SketchStore, StoreView
 from repro.store.parties import stored_ibf_party
@@ -281,7 +282,7 @@ def test_older_snapshot_is_invalidated_and_rebuilt(tmp_path, stale_version):
     hash: an older snapshot is one invalidation, everything is rebuilt from
     the supplied dataset (what would have been hits are misses), and the next
     stored sync verifies against a from-scratch peer."""
-    assert SNAPSHOT_VERSION == 3
+    assert SNAPSHOT_VERSION == 4
     dataset = make_dataset()
     config = SketchConfig(UNIVERSE, seed=SEED)
     store = SketchStore(tmp_path)
@@ -300,8 +301,8 @@ def test_older_snapshot_is_invalidated_and_rebuilt(tmp_path, stale_version):
     current.close()
 
     # What an older store left on disk: its schema version, a running hash
-    # no peer computes any more, and estimator counters in the same layout
-    # filled by another hash.
+    # no peer computes any more, and estimator counters filled by another
+    # hash.
     body = json.loads(path.read_text())
     body["version"] = stale_version
     body["hashes"] = {seed: value ^ 0xDEADBEEF for seed, value in body["hashes"].items()}
@@ -309,7 +310,6 @@ def test_older_snapshot_is_invalidated_and_rebuilt(tmp_path, stale_version):
     foreign = SketchConfig(UNIVERSE, seed=SEED + 1).context().make_estimator()
     foreign.update_all(dataset, 1)
     for item in body["estimators"]:
-        assert len(item["state"]) == 2 * len(state(foreign))
         item["state"] = state(foreign).hex()
     path.write_text(json.dumps(body))
 
@@ -333,6 +333,50 @@ def test_older_snapshot_is_invalidated_and_rebuilt(tmp_path, stale_version):
     _, client_bob = ibf_parties(set(), client, 20, SetReconContext(UNIVERSE, SEED))
     result = run_session(stored_ibf_party("alice", view, 20), client_bob)
     assert result.success and result.recovered == dataset
+    reopened.close()
+
+
+def dense_state(estimator):
+    """What a version-3 store kept for an L0 estimator: every counter as a
+    2-bit field, level-major, MSB first."""
+    value = 0
+    for counter in estimator._counters:
+        value = (value << 2) | counter
+    return value.to_bytes(2 * len(estimator._counters) // 8, "big").hex()
+
+
+def test_version_3_estimators_are_rebuilt_not_misread(tmp_path):
+    """Version 4 stores the compact estimator frame.  A version-3 snapshot's
+    dense states are never handed to its reader: the snapshot is one
+    invalidation and both sides' estimators are rebuilt from the dataset."""
+    dataset = make_dataset()
+    config = SketchConfig(UNIVERSE, seed=SEED)
+    store = SketchStore(tmp_path)
+    live = [store.estimator_for("d", config, side, dataset) for side in (1, 2)]
+    path = store.snapshot("d")
+    store.close()
+
+    body = json.loads(path.read_text())
+    body["version"] = 3
+    codec = config.context().estimator_codec()
+    for item in body["estimators"]:
+        estimator = live[item["side"] - 1]
+        item["state"] = dense_state(estimator)
+        # Read as a compact frame, a dense state is refused or wrong.
+        try:
+            misread = codec.encode(codec.decode(bytes.fromhex(item["state"])))
+        except WireError:
+            misread = None
+        assert misread != codec.encode(estimator)
+    path.write_text(json.dumps(body))
+
+    metrics = ServiceMetrics()
+    reopened = SketchStore(tmp_path, metrics=metrics)
+    for side, estimator in zip((1, 2), live):
+        rebuilt = reopened.estimator_for("d", config, side, dataset)
+        assert codec.encode(rebuilt) == codec.encode(estimator)
+    assert metrics.store_invalidations == 1
+    assert (metrics.store_hits, metrics.store_misses) == (0, 2)
     reopened.close()
 
 

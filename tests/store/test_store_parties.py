@@ -277,11 +277,15 @@ def frames_digest(frames):
 #: frame keeps its 8,192 bits and its layout and carries other counters (and
 #: the kv pair now meets one bucket collision: estimate 9, bound 19).  The
 #: four kv entries were re-recorded once more when kv sessions gained the
-#: two-frame summary prelude ahead of the same ibf frames.
+#: two-frame summary prelude ahead of the same ibf frames.  The six
+#: unknown-bound entries were re-recorded a second time when the estimator
+#: frame became the compact one (levels up to the deepest non-zero counter,
+#: each dense or sparse): the same counters in 1,705 bits here instead of
+#: 8,192, and the same estimates and bounds, so ``_UNKNOWN_DETAILS`` held.
 _KNOWN_ALICE = "93458227ad2aea46bd4af97504ed3939c9c7aefef32e3b97fae56f7ae087e36a"
-_UNKNOWN_ALICE = "48e2b54d8f9f8894aa320769b9a0244ad71f8c1876f106db16cbb16251e56d6b"
+_UNKNOWN_ALICE = "00aaa768d17490d404e2b9b755ab9e53cd2b5bc466adbe533cb873e4a29f838f"
 _KNOWN_BOB = "6a0692172b993908e6490ec5fcc79eac0ddab74c25b7da1be11bbe41574eb353"
-_UNKNOWN_BOB = "3c5b77f3e58289c37dd1eb17f552dec680dd870be50baf682478521e448ebcf9"
+_UNKNOWN_BOB = "564ffd2b79ecfe023502d1a4d335528426591fbfbf71451cad7a927fd13e83f6"
 FRAME_PINS = {
     ("scratch", "alice", BOUND): _KNOWN_ALICE,
     ("scratch", "alice", None): _UNKNOWN_ALICE,
@@ -292,9 +296,9 @@ FRAME_PINS = {
     ("store", "bob", BOUND): _KNOWN_BOB,
     ("store", "bob", None): _UNKNOWN_BOB,
     ("kv", "alice", BOUND): "08b11d12330a4ce4d04d2368845d16cf52926b24b55f48c8d958ae23d259cb5d",
-    ("kv", "alice", None): "4a2cd0248c434f4494b4f7b6064f136f8becd2d048c30beb946b46360dd9b23d",
+    ("kv", "alice", None): "f90b2f38774bc916b6503386c31b7c6caec1e4c0fbd31b0573fd33993e0333a4",
     ("kv", "bob", BOUND): "304a23becdb13557e64989c46c238d5b6c00f2f478e80a7871f4b5876fb2674c",
-    ("kv", "bob", None): "bb38309a41327f3ca628901543d21c52fe0bc329df32a8bd66809b9244839ff4",
+    ("kv", "bob", None): "9a66965590b2ddc361f57b126f0aebe3a2cfd392c6a8262f1ad454c165ad5303",
 }
 
 #: ``ReconciliationResult.details`` of the same sessions at the same commit
