@@ -4,7 +4,7 @@ A pure-Python reference implementation of the paper's data structures and
 protocols:
 
 * set reconciliation (IBLT and characteristic-polynomial protocols),
-* set-difference estimators,
+* the set-difference estimator,
 * set-of-sets reconciliation (naive, IBLT-of-IBLTs, cascading, multi-round),
 * random graph reconciliation (degree ordering and degree neighborhood
   signature schemes), forest reconciliation, and the unbounded-computation
@@ -46,7 +46,7 @@ from repro.core.setsofsets import (
     reconcile_multisets_of_multisets,
     minimum_matching_difference,
 )
-from repro.estimator import L0Estimator, StrataEstimator, MedianEstimator
+from repro.estimator import L0Estimator
 from repro.iblt import IBLT, IBLTParameters
 from repro.graphs import Graph, RootedForest
 from repro.db import BinaryTable
@@ -87,8 +87,6 @@ __all__ = [
     "reconcile_multisets_of_multisets",
     "minimum_matching_difference",
     "L0Estimator",
-    "StrataEstimator",
-    "MedianEstimator",
     "IBLT",
     "IBLTParameters",
     "Graph",

@@ -150,20 +150,13 @@ def pull_request_bits(wanted: Sequence[int], pushed: Sequence[KVRecord]) -> int:
 def kv_context(options: "ReconcileOptions") -> SetReconContext:
     """The shared sketch context a kv session derives from its options.
 
-    The universe is fixed (64-bit fingerprints); a custom estimator factory
-    is rejected because the live estimators come from the replicas' sketch
-    stores, which only know the default family.
+    The universe is fixed (64-bit fingerprints).
     """
     universe = options.universe_size or FINGERPRINT_UNIVERSE
     if universe != FINGERPRINT_UNIVERSE:
         raise ParameterError(
             "kv sessions reconcile 64-bit record fingerprints; leave "
             "universe_size unset or pass 2**64"
-        )
-    if options.estimator_factory is not None:
-        raise ParameterError(
-            "kv sessions serve estimators from the replicas' sketch stores "
-            "and do not accept a custom estimator_factory"
         )
     return SetReconContext(
         universe,

@@ -1,31 +1,17 @@
-"""Set-difference estimators (Section 3 and Appendix A of the paper).
+"""The set-difference estimator (Section 3 and Appendix A of the paper).
 
 A set-difference estimator implicitly maintains two sets ``S1`` and ``S2``
 and supports ``update``, ``merge`` and ``query``; ``query`` returns an
 estimate of ``|S1 xor S2|`` accurate to within a constant factor with good
-probability.  Two implementations are provided:
-
-* :class:`~repro.estimator.strata.StrataEstimator` -- the strata estimator of
-  Eppstein, Goodrich, Uyeda and Varghese ("What's the Difference?", reference
-  [14] of the paper), built from a hierarchy of fixed-size IBLTs.  This is
-  the baseline the paper improves upon.
-* :class:`~repro.estimator.l0.L0Estimator` -- the paper's improved estimator
-  (Theorem 3.1 / Appendix A), built from levels of tiny mod-4 bucket counters
-  in the style of streaming L0-norm estimation.  Asymptotically smaller
-  (``O(log(1/delta) log n)`` bits) and faster to merge/query.
-* :class:`~repro.estimator.median.MedianEstimator` -- the standard
-  median-of-replicas amplification wrapper used to reach failure probability
-  ``delta``.
+probability.  :class:`~repro.estimator.l0.L0Estimator` is the paper's
+estimator (Theorem 3.1 / Appendix A), built from levels of tiny mod-4 bucket
+counters in the style of streaming L0-norm estimation, and the only one the
+library has: every unknown-``d`` protocol opens with one of its frames.  It
+is an ``O(log u)`` factor smaller than the strata estimator of Eppstein,
+Goodrich, Uyeda and Varghese (reference [14] of the paper), which experiment
+E5 (``benchmarks/bench_estimators.py``) cites by its closed-form size.
 """
 
-from repro.estimator.base import SetDifferenceEstimator
-from repro.estimator.strata import StrataEstimator
 from repro.estimator.l0 import L0Estimator
-from repro.estimator.median import MedianEstimator
 
-__all__ = [
-    "SetDifferenceEstimator",
-    "StrataEstimator",
-    "L0Estimator",
-    "MedianEstimator",
-]
+__all__ = ["L0Estimator"]

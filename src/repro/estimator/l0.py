@@ -9,11 +9,11 @@ contributes.  A level whose number of non-zero buckets is small counts its
 sampled difference (almost) exactly; the query scales the count of the
 sparsest reliable level by its sampling rate.
 
-Compared with the strata estimator this sketch stores 2-bit counters instead
-of full IBLT cells, which is exactly the ``O(log u)``-factor saving the paper
-claims.  Two things of Appendix A are not reproduced.  Its bucket hashes are
-pairwise independent; here every hash is the library's one 64-bit mixer
-(:mod:`repro.hashing.mix`): an element's *level hash* is
+Compared with the strata estimator of reference [14] this sketch stores 2-bit
+counters instead of full IBLT cells, which is exactly the ``O(log u)``-factor
+saving the paper claims.  Two things of Appendix A are not reproduced.  Its
+bucket hashes are pairwise independent; here every hash is the library's one
+64-bit mixer (:mod:`repro.hashing.mix`): an element's *level hash* is
 ``mix64(key ^ level_seed)`` (its trailing zeros pick the deepest level it is
 sampled into) and its bucket at a level is
 ``mix64(level_hash ^ bucket_seed[level]) % buckets_per_level`` -- a cheap,
@@ -40,7 +40,6 @@ from typing import Iterable
 
 from repro.comm.sizing import bits_for_value
 from repro.errors import ParameterError
-from repro.estimator.base import SetDifferenceEstimator, sampled_level
 from repro.hashing import derive_seed
 from repro.hashing.checksum import checked_elements
 from repro.hashing.mix import HAS_NUMPY, MASK64, fingerprint64, mix64, mix64_array
@@ -60,7 +59,17 @@ _HEX_TO_COUNTERS = {ord(f"{value:x}"): chr(value >> 2) + chr(value & 3) for valu
 _OCCUPIED = bytes([0] + [1] * 255)
 
 
-class L0Estimator(SetDifferenceEstimator):
+def sampled_level(level_hash: int, num_levels: int) -> int:
+    """Deepest of ``num_levels`` geometric levels a 64-bit hash is sampled into.
+
+    The number of trailing zeros of a uniform word is geometric with ratio 1/2.
+    """
+    if level_hash == 0:
+        return num_levels - 1
+    return min((level_hash & -level_hash).bit_length() - 1, num_levels - 1)
+
+
+class L0Estimator:
     """L0-sketch set-difference estimator with nested geometric sampling.
 
     Parameters
@@ -114,16 +123,18 @@ class L0Estimator(SetDifferenceEstimator):
             2 * buckets_per_level - self._count_bits - 1
         ) // self._entry_bits
 
-    # -- SetDifferenceEstimator interface ---------------------------------------------
+    # -- the Section 3 interface: update, merge, query ---------------------------------
 
     def update(self, element: int, side: int) -> None:
+        """Add ``element`` to set ``S1`` (side=1) or ``S2`` (side=2)."""
         self.update_all((element,), side)
 
     def update_all(self, elements: Iterable[int], side: int) -> None:
         """Add every element to ``side``: one array pass, or -- without NumPy,
         for a small batch, or with a key of ``2**64`` and above (folded as
         IBLT keys are) -- the scalar loop, which leaves identical counters."""
-        self._validate_side(side)
+        if side not in (1, 2):
+            raise ParameterError(f"side must be 1 or 2, got {side}")
         keys = checked_elements(elements)
         delta = 1 if side == 1 else 3  # -1 mod 4
         if HAS_NUMPY and len(keys) > _BATCH_CUTOFF and max(keys) >> 64 == 0:
@@ -164,6 +175,7 @@ class L0Estimator(SetDifferenceEstimator):
                 break
 
     def merge(self, other: "L0Estimator") -> "L0Estimator":
+        """A new estimator of the union of both sketches' updates."""
         if (
             not isinstance(other, L0Estimator)
             or self.seed != other.seed
@@ -188,6 +200,7 @@ class L0Estimator(SetDifferenceEstimator):
         )
 
     def query(self) -> int:
+        """An estimate of ``|S1 xor S2|``."""
         threshold = int(self.reliable_fraction * self.buckets_per_level)
         for level in range(self.num_levels):
             count = self._nonzero_count(level)
@@ -225,6 +238,9 @@ class L0Estimator(SetDifferenceEstimator):
         return self._header_bits + sum(map(self._level_bits, self._occupancy()[1]))
 
     def write_wire(self, writer) -> None:
+        """Append exactly :attr:`size_bits` bits to a
+        :class:`~repro.comm.bits.BitWriter`: the seed and shape are shared
+        knowledge and do not travel."""
         width = self.buckets_per_level
         counters = self._counters
         occupied, occupancy = self._occupancy()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import ParameterError
 
@@ -51,19 +51,18 @@ class ReconcileOptions:
     child_hash_bits:
         Width of per-child identification hashes.
     safety_factor:
-        Multiplier applied to estimator queries in the two-round
-        unknown-``d`` protocols.
+        Multiplier applied to the difference estimate of the two-round
+        unknown-``d`` protocols (``ibf``, ``naive``, ``labeled``, ``kv``).
+        Every unknown-``d`` protocol estimates with the one L0 sketch of
+        :mod:`repro.estimator`; its shape is part of the protocol, not an
+        option.
     estimate_safety:
-        Multiplier applied to per-child difference estimates (multiround).
+        Multiplier applied to the multiround estimates: the differing-children
+        estimate of its unknown-``d`` variant and every per-child estimate.
     level_slack:
         Cascading per-level capacity slack.
     initial_bound, max_bound:
         Repeated-doubling schedule (unknown-``d`` IBLT-of-IBLTs/cascading).
-    estimator_factory:
-        Factory ``seed -> SetDifferenceEstimator`` for estimator messages.
-        ``None`` uses each protocol's default (which is also the only factory
-        the wire codecs can serialize; custom factories restrict the session
-        to the in-memory transport).
     num_top:
         Degree-ordering parameter ``h`` (``degree_order``); ``None`` derives
         a default from the vertex count.
@@ -93,7 +92,6 @@ class ReconcileOptions:
     level_slack: float = 3.0
     initial_bound: int = 1
     max_bound: int | None = None
-    estimator_factory: Callable[[int], Any] | None = None
     num_top: int | None = None
     max_degree: int | None = None
     max_depth: int | None = None

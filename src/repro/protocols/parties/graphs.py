@@ -23,13 +23,10 @@ from __future__ import annotations
 
 import random
 
-from typing import Callable
-
 from repro.comm.bits import BitReader, BitWriter
 from repro.comm.sizing import bits_for_value
 from repro.core.setsofsets.types import SetOfSets
 from repro.errors import ParameterError
-from repro.estimator import SetDifferenceEstimator
 from repro.field.prime import prime_at_least
 from repro.graphs.degree_neighborhood import (
     _decode_signature,
@@ -107,7 +104,6 @@ def labeled_parties(
     *,
     num_hashes: int = 4,
     backend: str | None = None,
-    estimator_factory: Callable[[int], SetDifferenceEstimator] | None = None,
     safety_factor: float = 2.0,
 ) -> PartyPair:
     """Both parties for labeled-graph reconciliation."""
@@ -119,7 +115,6 @@ def labeled_parties(
         seed,
         num_hashes,
         backend,
-        estimator_factory=estimator_factory,
         safety_factor=safety_factor,
     )
 

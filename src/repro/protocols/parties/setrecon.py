@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     ClassVar,
     Collection,
     Generator,
@@ -39,7 +38,7 @@ from repro.core.setrecon.cpi import (
 )
 from repro.core.setrecon.difference import apply_difference, max_element_bits
 from repro.errors import ParameterError
-from repro.estimator import L0Estimator, SetDifferenceEstimator
+from repro.estimator import L0Estimator
 from repro.hashing import Checksum, derive_seed
 from repro.iblt import IBLT, DecodeResult, IBLTParameters
 from repro.protocols.party import (
@@ -78,7 +77,6 @@ class SetReconContext:
     seed: int
     num_hashes: int = 4
     backend: str | None = None
-    estimator_factory: Callable[[int], SetDifferenceEstimator] | None = None
     safety_factor: float = 2.0
 
     def table_params(self, difference_bound: int) -> IBLTParameters:
@@ -93,18 +91,36 @@ class SetReconContext:
     def estimator_seed(self) -> int:
         return derive_seed(self.seed, "setrecon-estimator")
 
-    def make_estimator(self) -> SetDifferenceEstimator:
-        factory = self.estimator_factory if self.estimator_factory else L0Estimator
-        return factory(self.estimator_seed)
+    def make_estimator(self) -> L0Estimator:
+        return L0Estimator(self.estimator_seed)
 
     def estimator_codec(self) -> EstimatorCodec:
-        factory = self.estimator_factory if self.estimator_factory else L0Estimator
-        return EstimatorCodec(factory, self.estimator_seed)
+        return EstimatorCodec(L0Estimator, self.estimator_seed)
 
 
 def bound_for_estimate(estimate: int, safety_factor: float) -> int:
     """The difference bound an unknown-``d`` initiator sizes her sketch for."""
     return max(1, int(round(safety_factor * estimate)) + 1)
+
+
+def estimated_bound(
+    own: L0Estimator, codec: EstimatorCodec, safety_factor: float, ceiling: int
+) -> Generator[Receive, Any, tuple[int, int] | None]:
+    """The initiator's half of every unknown-``d`` prelude (Cor 3.2, Thm 3.4,
+    Thm 3.10): receive the peer's L0 frame, merge her own, and return
+    ``(estimate, bound)`` -- or ``None`` when the session ended instead.
+
+    The peer chooses the frame, so the bound is clamped: to ``ceiling``, the
+    largest difference the caller's inputs can have, and to what a
+    :data:`BOUND_HEADER_BITS` header carries.  A forged frame then cannot make
+    her size a larger table than an honest one could.
+    """
+    peer = yield Receive(codec)
+    if peer is END_OF_SESSION:
+        return None
+    estimate = peer.merge(own).query()
+    bound = min(bound_for_estimate(estimate, safety_factor), ceiling, 2**BOUND_HEADER_BITS - 1)
+    return estimate, bound
 
 
 class IBFMessageCodec(PayloadCodec):
@@ -192,7 +208,7 @@ class SetSource:
         params = self.ctx.table_params(difference_bound)
         return IBLT.from_items(params, self.items, backend=self.ctx.backend)
 
-    def estimator(self, side: int) -> SetDifferenceEstimator:
+    def estimator(self, side: int) -> L0Estimator:
         """The set's difference estimator, its elements on ``side`` (1 or 2)."""
         estimator = self.ctx.make_estimator()
         estimator.update_all(self.items, side)
@@ -227,17 +243,13 @@ def ibf_alice(
     details = dict(source.outcome_details)
     bound = difference_bound
     if bound is None:
-        bob_estimator = yield Receive(ctx.estimator_codec())
-        if bob_estimator is END_OF_SESSION:
-            return aborted_outcome()
-        estimate = bob_estimator.merge(source.estimator(2)).query()
-        # The difference never exceeds the universe, and the bound must fit its
-        # header: a forged frame cannot make her size a larger table.
-        bound = min(
-            bound_for_estimate(estimate, ctx.safety_factor),
-            ctx.universe_size,
-            2**BOUND_HEADER_BITS - 1,
+        # The difference never exceeds the universe.
+        prelude = yield from estimated_bound(
+            source.estimator(2), ctx.estimator_codec(), ctx.safety_factor, ctx.universe_size
         )
+        if prelude is None:
+            return aborted_outcome()
+        estimate, bound = prelude
         details.update(estimated_difference=estimate, difference_bound_used=bound)
     if bound < 0:
         raise ParameterError("difference_bound must be non-negative")

@@ -51,7 +51,7 @@ from repro.core.setsofsets.nested import (
 )
 from repro.core.setsofsets.types import SetOfSets
 from repro.errors import ParameterError
-from repro.estimator import L0Estimator, SetDifferenceEstimator
+from repro.estimator import L0Estimator
 from repro.hashing import derive_seed
 from repro.iblt import IBLT, IBLTArray, IBLTParameters
 from repro.protocols.party import (
@@ -63,7 +63,7 @@ from repro.protocols.party import (
     Send,
     aborted_outcome,
 )
-from repro.protocols.parties.setrecon import bound_for_estimate
+from repro.protocols.parties.setrecon import estimated_bound
 from repro.protocols.wire import (
     NULL_CODEC,
     EstimatorCodec,
@@ -93,7 +93,6 @@ class SetsOfSetsContext:
     level_slack: float = 3.0
     safety_factor: float = 2.0
     estimate_safety: float = 2.0
-    estimator_factory: Callable[[int], SetDifferenceEstimator] | None = None
     fallback_to_all_children: bool = True
     max_num_children: int = 1
     max_total_elements: int = 1
@@ -206,24 +205,24 @@ def _naive_child_ids(children: SetOfSets, ctx: SetsOfSetsContext) -> list[int]:
     return child_set_hash_many(children, derive_seed(ctx.seed, "naive-child-id"), 64)
 
 
-def _naive_estimator(
-    ctx: SetsOfSetsContext,
-) -> tuple[Callable[[int], SetDifferenceEstimator], int]:
-    factory = ctx.estimator_factory if ctx.estimator_factory else L0Estimator
-    estimator_seed = derive_seed(ctx.seed, "naive-estimator")
-    return factory, estimator_seed
+def _naive_estimator(ctx: SetsOfSetsContext, children: SetOfSets, side: int) -> L0Estimator:
+    """The child-count estimator over whole-child identifiers."""
+    estimator = L0Estimator(derive_seed(ctx.seed, "naive-estimator"))
+    estimator.update_all(_naive_child_ids(children, ctx), side)
+    return estimator
 
 
 def naive_alice_unknown(alice: SetOfSets, ctx: SetsOfSetsContext) -> PartyGenerator:
     """Alice's side of the two-round naive protocol (Theorem 3.4)."""
-    factory, estimator_seed = _naive_estimator(ctx)
-    bob_estimator = yield Receive(EstimatorCodec(factory, estimator_seed))
-    if bob_estimator is END_OF_SESSION:
+    own = _naive_estimator(ctx, alice, 2)
+    # A bound never needs more than s differing child pairs: the difference
+    # holds at most a + b <= 2 s child encodings.
+    prelude = yield from estimated_bound(
+        own, EstimatorCodec(L0Estimator, own.seed), ctx.safety_factor, ctx.max_num_children
+    )
+    if prelude is None:
         return aborted_outcome()
-    alice_estimator = factory(estimator_seed)
-    alice_estimator.update_all(_naive_child_ids(alice, ctx), 2)
-    estimate = bob_estimator.merge(alice_estimator).query()
-    bound = bound_for_estimate(estimate, ctx.safety_factor)
+    estimate, bound = prelude
     yield from naive_alice_known(alice, bound, ctx, self_describing=True)
     return PartyOutcome(
         True,
@@ -236,14 +235,12 @@ def naive_alice_unknown(alice: SetOfSets, ctx: SetsOfSetsContext) -> PartyGenera
 
 def naive_bob_unknown(bob: SetOfSets, ctx: SetsOfSetsContext) -> PartyGenerator:
     """Bob's side: send the child-count estimator, then the known-bound flow."""
-    factory, estimator_seed = _naive_estimator(ctx)
-    bob_estimator = factory(estimator_seed)
-    bob_estimator.update_all(_naive_child_ids(bob, ctx), 1)
+    bob_estimator = _naive_estimator(ctx, bob, 1)
     yield Send(
         "child-count estimator",
         bob_estimator.size_bits,
         payload=bob_estimator,
-        codec=EstimatorCodec(factory, estimator_seed),
+        codec=EstimatorCodec(L0Estimator, bob_estimator.seed),
     )
     outcome = yield from naive_bob_known(bob, None, ctx, self_describing=True)
     return outcome
@@ -898,18 +895,6 @@ class ChildPayload:
         return 2 * hash_bits + payload
 
 
-def default_child_estimator_factory(
-    max_child_size: int,
-) -> Callable[[int], SetDifferenceEstimator]:
-    """Small per-child estimators: O(log h) levels of a handful of buckets."""
-    levels = max(4, max_child_size.bit_length() + 2)
-
-    def factory(seed: int) -> SetDifferenceEstimator:
-        return L0Estimator(seed, num_levels=levels, buckets_per_level=32)
-
-    return factory
-
-
 def _hash_iblt_params(ctx: SetsOfSetsContext, d_hat: int) -> IBLTParameters:
     # Up to 2 * d_hat child hashes (one per side of each differing pair) can
     # remain after Bob subtracts his own hashes, so size for that.
@@ -925,13 +910,14 @@ def _hash_iblt_params(ctx: SetsOfSetsContext, d_hat: int) -> IBLTParameters:
 
 def _multiround_child_estimator(
     ctx: SetsOfSetsContext,
-) -> tuple[Callable[[int], SetDifferenceEstimator], int]:
-    factory = (
-        ctx.estimator_factory
-        if ctx.estimator_factory
-        else default_child_estimator_factory(max(1, ctx.max_child_size))
+) -> tuple[Callable[[int], L0Estimator], int]:
+    """The per-child estimators' factory and seed: small L0 sketches of
+    O(log h) levels of 32 buckets, a fixed part of the protocol."""
+    levels = max(4, max(1, ctx.max_child_size).bit_length() + 2)
+    return (
+        lambda seed: L0Estimator(seed, num_levels=levels, buckets_per_level=32),
+        derive_seed(ctx.seed, "multiround-child-estimator"),
     )
-    return factory, derive_seed(ctx.seed, "multiround-child-estimator")
 
 
 def _multiround_child_params(
@@ -967,7 +953,7 @@ class MultiroundRound2Codec(PayloadCodec):
     def write(
         self,
         writer: BitWriter,
-        payload: tuple[IBLT, list[tuple[int, SetDifferenceEstimator]]],
+        payload: tuple[IBLT, list[tuple[int, L0Estimator]]],
     ) -> None:
         bob_hash_table, bob_estimators = payload
         writer.write(bob_hash_table.serialize(), self.params.size_bits)
@@ -977,7 +963,7 @@ class MultiroundRound2Codec(PayloadCodec):
 
     def read(
         self, reader: BitReader
-    ) -> tuple[IBLT, list[tuple[int, SetDifferenceEstimator]]]:
+    ) -> tuple[IBLT, list[tuple[int, L0Estimator]]]:
         bob_hash_table = IBLT.deserialize(
             self.params, reader.read(self.params.size_bits), backend=self.ctx.backend
         )
@@ -1234,7 +1220,7 @@ def multiround_bob_known(
     bob_differing = [
         bob_hash_to_child[h] for h in hash_decode.negative if h in bob_hash_to_child
     ]
-    bob_estimators: list[tuple[int, SetDifferenceEstimator]] = []
+    bob_estimators: list[tuple[int, L0Estimator]] = []
     for child in bob_differing:
         estimator = factory(estimator_seed)
         estimator.update_all(child, 1)
@@ -1296,22 +1282,29 @@ def multiround_bob_known(
     )
 
 
+def _multiround_dhat_estimator(
+    ctx: SetsOfSetsContext, children: SetOfSets, side: int
+) -> L0Estimator:
+    """The differing-children estimator over the children's hashes."""
+    estimator = L0Estimator(derive_seed(ctx.seed, "multiround-dhat-estimator"))
+    hash_seed = derive_seed(ctx.seed, "child-hash")
+    estimator.update_all(child_set_hash_many(children, hash_seed, ctx.child_hash_bits), side)
+    return estimator
+
+
 def multiround_alice_unknown(
     alice: SetOfSets,
     ctx: SetsOfSetsContext,
 ) -> PartyGenerator:
     """Alice's side of the four-round protocol (Theorem 3.10)."""
-    hash_seed = derive_seed(ctx.seed, "child-hash")
-    estimator_seed = derive_seed(ctx.seed, "multiround-dhat-estimator")
-    bob_estimator = yield Receive(EstimatorCodec(L0Estimator, estimator_seed))
-    if bob_estimator is END_OF_SESSION:
-        return aborted_outcome()
-    alice_estimator = L0Estimator(estimator_seed)
-    alice_estimator.update_all(
-        child_set_hash_many(alice, hash_seed, ctx.child_hash_bits), 2
+    own = _multiround_dhat_estimator(ctx, alice, 2)
+    # As in the naive prelude: at most s differing child pairs.
+    prelude = yield from estimated_bound(
+        own, EstimatorCodec(L0Estimator, own.seed), ctx.estimate_safety, ctx.max_num_children
     )
-    estimated_d_hat = bob_estimator.merge(alice_estimator).query()
-    d_hat = max(1, int(round(ctx.estimate_safety * estimated_d_hat)) + 1)
+    if prelude is None:
+        return aborted_outcome()
+    estimated_d_hat, d_hat = prelude
     pseudo_d = max(1, d_hat * max(1, ctx.max_child_size) // 4)
     outcome = yield from multiround_alice_known(
         alice, pseudo_d, d_hat, ctx, self_describing=True
@@ -1330,17 +1323,12 @@ def multiround_bob_unknown(
     ctx: SetsOfSetsContext,
 ) -> PartyGenerator:
     """Bob's side: send the child-hash estimator, then rounds 2 and 4."""
-    hash_seed = derive_seed(ctx.seed, "child-hash")
-    estimator_seed = derive_seed(ctx.seed, "multiround-dhat-estimator")
-    bob_estimator = L0Estimator(estimator_seed)
-    bob_estimator.update_all(
-        child_set_hash_many(bob, hash_seed, ctx.child_hash_bits), 1
-    )
+    bob_estimator = _multiround_dhat_estimator(ctx, bob, 1)
     yield Send(
         "child-hash estimator",
         bob_estimator.size_bits,
         payload=bob_estimator,
-        codec=EstimatorCodec(L0Estimator, estimator_seed),
+        codec=EstimatorCodec(L0Estimator, bob_estimator.seed),
     )
     outcome = yield from multiround_bob_known(bob, None, ctx, self_describing=True)
     return outcome

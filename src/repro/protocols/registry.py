@@ -177,7 +177,6 @@ def _sets_of_sets_options(options: ReconcileOptions) -> dict[str, Any]:
         level_slack=options.level_slack,
         safety_factor=options.safety_factor,
         estimate_safety=options.estimate_safety,
-        estimator_factory=options.estimator_factory,
         fallback_to_all_children=options.fallback_to_all_children,
     )
 
@@ -218,7 +217,6 @@ class IBFProtocol(Protocol):
             options.seed,
             options.num_hashes,
             options.backend,
-            estimator_factory=options.estimator_factory,
             safety_factor=options.safety_factor,
         )
         return ibf_parties(alice, bob, options.difference_bound, ctx)
@@ -463,7 +461,6 @@ class LabeledGraphProtocol(Protocol):
             options.seed,
             num_hashes=options.num_hashes,
             backend=options.backend,
-            estimator_factory=options.estimator_factory,
             safety_factor=options.safety_factor,
         )
 

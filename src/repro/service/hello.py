@@ -2,7 +2,7 @@
 
 Before a protocol session starts, the client sends one ``FRAME_CONTROL``
 frame labeled ``"hello"`` whose JSON payload names the registered protocol,
-the role the client wants to play, the wire-serializable subset of
+the role the client wants to play, the non-default fields of
 :class:`~repro.protocols.options.ReconcileOptions`, and -- for the
 set-of-sets protocols -- the client input's *public size statistics*
 (``num_children``, ``total_elements``, ``max_child_size``).  Those
@@ -54,27 +54,13 @@ SERVICE_VERSION = 1
 SERVED_INPUT_KINDS = ("set", "set_of_sets", "kv")
 
 _OPTION_FIELDS = {f.name for f in dataclasses.fields(ReconcileOptions)}
-_UNSERIALIZABLE_OPTIONS = ("estimator_factory",)
 
 
 def options_to_wire(options: ReconcileOptions) -> dict[str, Any]:
-    """The JSON-safe dict form of ``options`` (defaults omitted).
-
-    Raises :class:`ServiceError` for options that cannot travel (a custom
-    ``estimator_factory`` is a Python callable; sessions that need one are
-    restricted to in-process transports).
-    """
-    for name in _UNSERIALIZABLE_OPTIONS:
-        if getattr(options, name) is not None:
-            raise ServiceError(
-                f"option {name!r} is not wire-serializable; "
-                "the service only supports the default"
-            )
+    """The JSON-safe dict form of ``options`` (defaults omitted)."""
     defaults = ReconcileOptions()
     wire = {}
     for field in dataclasses.fields(options):
-        if field.name in _UNSERIALIZABLE_OPTIONS:
-            continue
         value = getattr(options, field.name)
         if value != getattr(defaults, field.name):
             wire[field.name] = value
@@ -83,7 +69,7 @@ def options_to_wire(options: ReconcileOptions) -> dict[str, Any]:
 
 def options_from_wire(wire: dict[str, Any]) -> ReconcileOptions:
     """Rebuild a :class:`ReconcileOptions` from its wire dict."""
-    unknown = set(wire) - (_OPTION_FIELDS - set(_UNSERIALIZABLE_OPTIONS))
+    unknown = set(wire) - _OPTION_FIELDS
     if unknown:
         raise ServiceError(f"unknown option(s) in hello: {sorted(unknown)}")
     try:

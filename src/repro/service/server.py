@@ -434,15 +434,13 @@ class SyncServer:
 
         Only the plain-set ``ibf`` protocol over the full (unsharded)
         dataset is served from the store: shards are ephemeral subsets with
-        no maintained sketch, and a custom estimator factory would diverge
-        from the store's live estimators.
+        no maintained sketch.
         """
         if (
             self.store is None
             or spec.name != "ibf"
             or hello.shard is not None
             or not isinstance(dataset, (set, frozenset))
-            or options.estimator_factory is not None
         ):
             return None
         config = SketchConfig.from_options(options)

@@ -3,7 +3,7 @@
 A live sketch is only reusable by a session that would have built the exact
 same sketch from scratch: same universe (key width), same seed (bucket and
 checksum hash functions), same hash count, same backend choice.  Those
-fields -- the wire-serializable subset of
+fields -- the subset of
 :class:`~repro.protocols.options.ReconcileOptions` the ``ibf`` builder
 reads -- make up :class:`SketchConfig`; its :attr:`~SketchConfig.fingerprint`
 is the cache key, and a persisted sketch whose recorded parameters no longer
@@ -34,9 +34,7 @@ class SketchConfig:
     """The (hashable, persistable) identity of one sketch family.
 
     Mirrors exactly what :class:`~repro.protocols.registry.IBFProtocol`
-    feeds into :class:`~repro.protocols.parties.setrecon.SetReconContext`,
-    minus the unserializable ``estimator_factory`` (sessions carrying one
-    bypass the store).
+    feeds into :class:`~repro.protocols.parties.setrecon.SetReconContext`.
     """
 
     universe_size: int

@@ -34,7 +34,7 @@ from typing import Any, ClassVar, Collection, Mapping
 
 from repro.core.setrecon.difference import apply_difference
 from repro.errors import ParameterError
-from repro.estimator import SetDifferenceEstimator
+from repro.estimator import L0Estimator
 from repro.iblt import IBLT
 from repro.protocols.party import PartyGenerator
 from repro.protocols.parties.setrecon import (
@@ -86,7 +86,7 @@ class StoreView:
             self.store.table_for_params(self.key, self.config, table.params, self.dataset)
         )
 
-    def estimator(self, side: int) -> SetDifferenceEstimator:
+    def estimator(self, side: int) -> L0Estimator:
         return self.store.estimator_for(self.key, self.config, side, self.dataset)
 
     @property

@@ -56,7 +56,7 @@ from typing import Any, Iterable
 
 from repro.comm.bits import BitReader, BitWriter
 from repro.errors import ParameterError, ReproError, StoreError
-from repro.estimator import SetDifferenceEstimator
+from repro.estimator import L0Estimator
 from repro.iblt import IBLT, IBLTParameters
 from repro.store.config import SketchConfig
 from repro.store.journal import UpdateJournal
@@ -96,7 +96,7 @@ class _Family:
     def __init__(self, config: SketchConfig) -> None:
         self.config = config
         self.tables: dict[int, IBLT] = {}  # num_cells -> table, LRU first
-        self.estimators: dict[int, SetDifferenceEstimator] = {}  # side -> estimator
+        self.estimators: dict[int, L0Estimator] = {}  # side -> estimator
         self.hash: int | None = None  # running XOR hash, once first asked for
 
     def keep_table(self, table: IBLT) -> None:
@@ -405,7 +405,7 @@ class SketchStore:
 
     def estimator_for(
         self, key: str, config: SketchConfig, side: int, dataset: Any
-    ) -> SetDifferenceEstimator:
+    ) -> L0Estimator:
         """The live difference estimator for ``(dataset, config, side)``.
 
         ``side=1`` serves the bob role (his elements are ``S1``), ``side=2``
@@ -508,7 +508,7 @@ class SketchStore:
             return path
 
     @staticmethod
-    def _estimator_state(estimator: SetDifferenceEstimator) -> str:
+    def _estimator_state(estimator: L0Estimator) -> str:
         writer = BitWriter()
         estimator.write_wire(writer)
         return writer.getvalue().hex()

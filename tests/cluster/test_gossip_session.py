@@ -169,12 +169,6 @@ class TestContextValidation:
         with pytest.raises(ParameterError, match="2\\*\\*64"):
             kv_context(ReconcileOptions(seed=SEED, universe_size=1 << 20))
 
-    def test_custom_estimator_factory_rejected(self):
-        with pytest.raises(ParameterError, match="estimator_factory"):
-            kv_context(
-                ReconcileOptions(seed=SEED, estimator_factory=lambda *a: None)
-            )
-
     def test_session_seed_must_match_replica_seed(self):
         left, right = replica_pair()
         from repro.errors import ClusterError

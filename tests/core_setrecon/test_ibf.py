@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro import reconcile
 from repro.core.setrecon import apply_difference, symmetric_difference_size
 from repro.errors import ParameterError
-from repro.estimator import StrataEstimator
 
 UNIVERSE = 1 << 24
 
@@ -124,11 +123,4 @@ class TestUnknownD:
     def test_large_difference(self):
         alice, bob = make_instance(800, 300, seed=35)
         result = ibf(alice, bob, difference_bound=None, seed=36)
-        assert result.success and result.recovered == alice
-
-    def test_custom_estimator_factory(self):
-        alice, bob = make_instance(300, 12, seed=37)
-        result = ibf(
-            alice, bob, difference_bound=None, seed=38, estimator_factory=StrataEstimator
-        )
         assert result.success and result.recovered == alice

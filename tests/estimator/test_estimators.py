@@ -1,4 +1,4 @@
-"""Tests for the set-difference estimators (strata baseline and L0)."""
+"""Tests for the L0 set-difference estimator."""
 
 import random
 
@@ -7,8 +7,17 @@ import pytest
 from repro.comm.bits import BitReader, BitWriter
 from repro.comm.sizing import bits_for_value
 from repro.errors import ParameterError
-from repro.estimator import L0Estimator, MedianEstimator, StrataEstimator
-from repro.hashing import derive_seed
+from repro.estimator import L0Estimator
+from repro.protocols.parties.setsofsets import SetsOfSetsContext, _multiround_child_estimator
+
+#: The two shapes the protocols build: the default sketch of every
+#: unknown-``d`` prelude, and multiround's per-child sketch (32 buckets, here
+#: for children of up to 1024 elements).
+FACTORIES = [
+    L0Estimator,
+    _multiround_child_estimator(SetsOfSetsContext(1 << 20, 0, max_child_size=1024))[0],
+]
+FACTORY_IDS = ["l0", "l0-child"]
 
 
 def build_pair(factory, true_difference, shared=2000, seed=0):
@@ -24,7 +33,7 @@ def build_pair(factory, true_difference, shared=2000, seed=0):
     return alice_est.merge(bob_est)
 
 
-@pytest.mark.parametrize("factory", [L0Estimator, StrataEstimator], ids=["l0", "strata"])
+@pytest.mark.parametrize("factory", FACTORIES, ids=FACTORY_IDS)
 class TestEstimatorAccuracy:
     def test_zero_difference(self, factory):
         merged = build_pair(factory, 0)
@@ -45,7 +54,7 @@ class TestEstimatorAccuracy:
         assert large > small
 
 
-@pytest.mark.parametrize("factory", [L0Estimator, StrataEstimator], ids=["l0", "strata"])
+@pytest.mark.parametrize("factory", FACTORIES, ids=FACTORY_IDS)
 class TestEstimatorInterface:
     def test_invalid_side_rejected(self, factory):
         with pytest.raises(ParameterError):
@@ -70,6 +79,11 @@ def largest_l0_frame(num_levels, buckets):
     return 2 * num_levels * buckets + num_levels + bits_for_value(num_levels)
 
 
+#: The strata estimator the L0 sketch replaces (Theorem 3.1): 32 strata of 40
+#: cells, each a 16-bit count, a 64-bit key sum and a 24-bit checksum.
+STRATA_BITS = 32 * 40 * (16 + 64 + 24)
+
+
 class TestSizeComparison:
     def test_l0_is_smaller_than_strata(self):
         # The paper's Theorem 3.1 improvement: the L0 sketch drops the
@@ -77,8 +91,7 @@ class TestSizeComparison:
         # Even the largest L0 frame is; the frame one side sends is smaller.
         one_sided = L0Estimator(1)
         one_sided.update_all(random.Random(1).sample(range(1 << 40), 4096), 1)
-        strata = StrataEstimator(1).size_bits
-        assert one_sided.size_bits < largest_l0_frame(32, 128) < strata / 10
+        assert one_sided.size_bits < largest_l0_frame(32, 128) < STRATA_BITS / 10
 
 
 class TestL0Parameters:
@@ -101,43 +114,3 @@ class TestL0Parameters:
             writer.write(int("01" * 64, 2), 1 + 2 * 64)
         estimator.read_wire(BitReader(writer.getvalue()))
         assert estimator.size_bits == writer.bit_length == largest_l0_frame(10, 64)
-
-
-class TestStrataParameters:
-    def test_invalid_parameters(self):
-        with pytest.raises(ParameterError):
-            StrataEstimator(1, num_strata=0)
-        with pytest.raises(ParameterError):
-            StrataEstimator(1, cells_per_stratum=2)
-
-
-class TestMedianEstimator:
-    def test_replicas_for_delta(self):
-        assert MedianEstimator.replicas_for_delta(0.5) >= 1
-        assert MedianEstimator.replicas_for_delta(0.01) > MedianEstimator.replicas_for_delta(0.3)
-        with pytest.raises(ParameterError):
-            MedianEstimator.replicas_for_delta(0.0)
-
-    def test_median_accuracy(self):
-        merged = build_pair(lambda seed: MedianEstimator(seed, num_replicas=5), 128, seed=9)
-        assert 16 <= merged.query() <= 1024
-
-    def test_merge_shape_checked(self):
-        a = MedianEstimator(1, num_replicas=3)
-        b = MedianEstimator(1, num_replicas=5)
-        with pytest.raises(ParameterError):
-            a.merge(b)
-
-    def test_size_is_sum_of_replicas(self):
-        # Replica frames are concatenated: each costs what it carries.
-        elements = range(500)
-        estimator = MedianEstimator(1, num_replicas=3)
-        estimator.update_all(elements, 1)
-        replicas = [L0Estimator(derive_seed(1, "replica", index)) for index in range(3)]
-        for replica in replicas:
-            replica.update_all(elements, 1)
-        assert estimator.size_bits == sum(replica.size_bits for replica in replicas)
-        writer = BitWriter()
-        estimator.write_wire(writer)
-        assert writer.bit_length == estimator.size_bits
-        assert MedianEstimator(1, num_replicas=3).size_bits == 3 * bits_for_value(32)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.comm.bits import BitReader, BitWriter
 from repro.comm.sizing import bits_for_value
 from repro.errors import ParameterError
-from repro.estimator import L0Estimator, MedianEstimator, StrataEstimator, l0
+from repro.estimator import L0Estimator, l0
 from repro.hashing import derive_seed, fingerprint64, mix64
 from repro.hashing.mix import HAS_NUMPY, MASK64
 from repro.protocols.parties.setrecon import bound_for_estimate
@@ -167,7 +167,7 @@ def test_bad_elements_are_refused_before_any_counter_moves(bad, padding):
     assert wire(estimator) == bytes(1)
 
 
-@pytest.mark.parametrize("foreign", [None, 7, StrataEstimator(3), MedianEstimator(3)])
+@pytest.mark.parametrize("foreign", [None, 7])
 def test_merge_with_a_foreign_object_is_a_parameter_error(foreign):
     with pytest.raises(ParameterError):
         L0Estimator(3).merge(foreign)
@@ -349,29 +349,6 @@ def test_wire_fields_follow_a_shared_stream():
     decoded.read_wire(reader)
     assert reader.read(1) == 1
     assert wire(decoded) == wire(estimator)
-
-
-# -- the wrappers ------------------------------------------------------------------------
-
-
-def test_median_update_all_feeds_each_replica_one_batch():
-    keys = list(range(3 * CUTOFF))
-    batched, looped = MedianEstimator(6, 3), MedianEstimator(6, 3)
-    with mock.patch.object(L0Estimator, "update", side_effect=AssertionError("per element")):
-        batched.update_all(iter(keys), 1)
-    for key in keys:
-        looped.update(key, 1)
-    assert wire(batched) == wire(looped)
-
-
-def test_strata_update_all_equals_a_loop_of_update():
-    rng = random.Random(2)
-    keys = [rng.getrandbits(70) for _ in range(300)]
-    batched, looped = StrataEstimator(6), StrataEstimator(6)
-    batched.update_all(keys, 2)
-    for key in keys:
-        looped.update(key, 2)
-    assert wire(batched) == wire(looped)
 
 
 # -- (e) accuracy ------------------------------------------------------------------------

@@ -2,27 +2,36 @@
 
 Bob's frame is well-formed however he fills it, and one with every counter
 set to 1 saturates every level: ``query()`` returns ``128 << 31 = 2**38``.
-Alice must not size a table for twice that.  The difference can never exceed
-the universe, and the bound has to fit its 32-bit header, so ``ibf_alice``
-clamps it to both -- checked here before any table is built (an unclamped
-bound of ``2**39 + 1`` asks for about a trillion cells).
+Alice must not size a table for twice that.  Every unknown-``d`` prelude
+clamps the bound to the largest difference its inputs can have -- the
+universe for ``ibf``, the child count ``s`` for ``naive`` and ``multiround``
+-- and to its 32-bit header, checked here before any table is built (an
+unclamped bound of ``2**39 + 1`` asks for about a trillion cells).
 """
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
 from repro.comm.bits import BitWriter
 from repro.comm.sizing import bits_for_value
+from repro.core.setsofsets.types import SetOfSets
 from repro.estimator import L0Estimator
+from repro.protocols.options import ReconcileOptions
+from repro.protocols.parties import setsofsets
+from repro.protocols.registry import get
 from repro.protocols.parties.setrecon import (
     BOUND_HEADER_BITS,
     SetReconContext,
     SetSource,
+    bound_for_estimate,
+    estimated_bound,
     ibf_alice,
     ibf_bob,
     ibf_message_bits,
 )
+from repro.protocols.party import END_OF_SESSION, Receive
 from repro.protocols.session import run_session
 from repro.protocols.transports import SerializingTransport
 
@@ -101,3 +110,106 @@ def test_past_a_32_bit_universe_the_bound_header_clamps():
     with pytest.raises(BoundTooLarge):
         run()
     assert source.sized == [2**BOUND_HEADER_BITS - 1]
+
+
+#: Where each protocol first turns the bound into table parameters, and the
+#: ceiling its prelude must clamp a forged estimate to (a universe of 2**10
+#: elements; five children a side).
+FIRST_SIZING = {
+    "ibf": (SetReconContext, "table_params", 1 << 10),
+    "naive": (setsofsets, "_naive_parent_params", 5),
+    "multiround": (setsofsets, "_hash_iblt_params", 5),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(FIRST_SIZING))
+def test_every_prelude_clamps_a_forged_estimate_before_sizing_a_table(protocol):
+    owner, sizing, ceiling = FIRST_SIZING[protocol]
+    if protocol == "ibf":
+        alice, bob = set(range(0, 200, 2)), set(range(0, 210, 2))
+    else:
+        alice = SetOfSets([{child, child + 100} for child in range(5)])
+        bob = SetOfSets([{child, child + 200} for child in range(5)])
+    options = ReconcileOptions(seed=5, universe_size=1 << 10)
+    alice_party, _ = get(protocol).build(alice, bob, options)
+    sized = []
+
+    def stop_at_sizing(_ctx, bound):
+        sized.append(bound)
+        raise BoundTooLarge(bound)
+
+    receive = next(alice_party)
+    with mock.patch.object(owner, sizing, stop_at_sizing), pytest.raises(BoundTooLarge):
+        alice_party.send(receive.codec.decode(saturated_frame()))
+    assert sized == [ceiling]
+
+
+# -- the shared prelude, driven by hand ------------------------------------------------
+
+
+def run_prelude(peer, safety_factor=2.0, ceiling=1 << 20, own=None):
+    """What :func:`estimated_bound` returns when ``peer`` is received."""
+    ctx = SetReconContext(1 << 20, seed=5)
+    own = ctx.make_estimator() if own is None else own
+    prelude = estimated_bound(own, ctx.estimator_codec(), safety_factor, ceiling)
+    receive = next(prelude)
+    assert isinstance(receive, Receive)
+    with pytest.raises(StopIteration) as stopped:
+        prelude.send(peer)
+    return stopped.value.value
+
+
+def test_the_prelude_returns_none_when_the_session_ends():
+    assert run_prelude(END_OF_SESSION) is None
+
+
+@pytest.mark.parametrize("size", [0, 1, 6, 40, 300])
+@pytest.mark.parametrize("safety_factor", [1.0, 2.0])
+def test_an_honest_estimate_is_inflated_and_not_clamped(size, safety_factor):
+    ctx = SetReconContext(1 << 20, seed=5)
+    peer, own = ctx.make_estimator(), ctx.make_estimator()
+    peer.update_all(range(size), 1)
+    own.update_all(range(size // 2), 2)
+    estimate = peer.merge(own).query()
+    assert run_prelude(peer, safety_factor, own=own) == (
+        estimate,
+        bound_for_estimate(estimate, safety_factor),
+    )
+
+
+def test_the_prelude_clamps_to_the_ceiling_and_the_header():
+    forged = SetReconContext(1 << 20, seed=5).estimator_codec().decode(saturated_frame())
+    assert run_prelude(forged, ceiling=7) == (2**38, 7)
+    assert run_prelude(forged, ceiling=1 << 40) == (2**38, 2**BOUND_HEADER_BITS - 1)
+
+
+#: An honest pair whose estimate sits under every ceiling: one element (for
+#: ``ibf``) or one child (for the sets of sets, 40 a side) differs.
+HONEST_KEYS = {
+    "ibf": ("estimated_difference", "difference_bound_used", "safety_factor"),
+    "naive": (
+        "estimated_differing_children", "differing_children_bound_used", "safety_factor"
+    ),
+    "multiround": (
+        "estimated_differing_children", "differing_children_bound_used", "estimate_safety"
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(HONEST_KEYS))
+def test_an_honest_session_runs_on_the_unclamped_bound(protocol):
+    estimate_key, bound_key, safety = HONEST_KEYS[protocol]
+    if protocol == "ibf":
+        alice, bob = set(range(0, 200, 2)), set(range(0, 202, 2))
+        ceiling = 1 << 10
+    else:
+        alice = SetOfSets([{child, child + 100} for child in range(40)])
+        bob = SetOfSets([{child, child + 100} for child in range(39)] + [{39, 300}])
+        ceiling = 40
+    options = ReconcileOptions(seed=5, universe_size=1 << 10)
+    result = run_session(*get(protocol).build(alice, bob, options))
+    assert result.success
+    estimate = result.details[estimate_key]
+    assert 1 <= estimate
+    bound = bound_for_estimate(estimate, getattr(options, safety))
+    assert result.details[bound_key] == bound < ceiling

@@ -138,6 +138,11 @@ class TestReconcileOptions:
         with pytest.raises(ParameterError, match="unknown reconcile option"):
             ReconcileOptions().merged(nope=1)
 
+    def test_the_estimator_is_not_an_option(self):
+        # Every unknown-d prelude uses the one L0 sketch; there is no factory knob.
+        with pytest.raises(ParameterError, match="unknown reconcile option"):
+            ReconcileOptions().merged(estimator_factory=lambda seed: None)
+
     def test_merged_returns_new_frozen_copy(self):
         base = ReconcileOptions(seed=1)
         merged = base.merged(seed=2, universe_size=10)

@@ -15,7 +15,7 @@ from repro.comm.sizing import bits_for_value
 from repro.core.setrecon.cpi import cpi_encode
 from repro.core.setsofsets.types import SetOfSets
 from repro.errors import ParameterError
-from repro.estimator import L0Estimator, MedianEstimator, StrataEstimator
+from repro.estimator import L0Estimator
 from repro.iblt import IBLT, IBLTParameters
 from repro.protocols.parties.setrecon import (
     CPIMessageCodec,
@@ -319,12 +319,12 @@ class TestEstimatorCodecs:
         "factory",
         [
             lambda seed: L0Estimator(seed, num_levels=6, buckets_per_level=16),
-            lambda seed: StrataEstimator(seed, num_strata=4, cells_per_stratum=10),
-            lambda seed: MedianEstimator(
-                seed, 3, lambda s: L0Estimator(s, num_levels=4, buckets_per_level=8)
-            ),
+            # Multiround's per-child sketch, as the round-2 message carries it.
+            _multiround_child_estimator(
+                SetsOfSetsContext(64, 11, max_child_size=8, max_num_children=6)
+            )[0],
         ],
-        ids=["l0", "strata", "median"],
+        ids=["l0", "l0-child"],
     )
     @given(elements=st.sets(st.integers(min_value=0, max_value=10**6), max_size=30))
     @settings(max_examples=15, deadline=None)
@@ -379,8 +379,6 @@ def _truncation_cases():
     # Enough elements for dense low levels ahead of the sparse ones.
     l0 = L0Estimator(31)
     l0.update_all(range(1000), 1)
-    median = MedianEstimator(31, 3)
-    median.update_all(range(300), 1)
     factory, estimator_seed = _multiround_child_estimator(ctx)
     child_estimators = []
     for child_hash, child in ((7, {1, 2, 3}), (9, set(range(40, 48)))):
@@ -405,7 +403,7 @@ def _truncation_cases():
         ),
         "estimator": (EstimatorCodec(L0Estimator, 31), estimator),
         "l0": (EstimatorCodec(L0Estimator, 31), l0),
-        "median": (EstimatorCodec(lambda seed: MedianEstimator(seed, 3), 31), median),
+        "l0-child": (EstimatorCodec(factory, estimator_seed), child_estimators[1][1]),
         "multiround-round2": (
             MultiroundRound2Codec(ctx, hash_params),
             (IBLT.from_items(hash_params, range(1, 5)), child_estimators),
@@ -429,7 +427,7 @@ def _truncation_cases():
         "table-with-hash",
         "estimator",
         "l0",
-        "median",
+        "l0-child",
         "multiround-round2",
         "cascading",
         "fingerprint",

@@ -13,7 +13,6 @@ import pytest
 import repro
 from repro.core.setsofsets.types import SetOfSets
 from repro.errors import ReconciliationError, ServiceError
-from repro.estimator import StrataEstimator
 from repro.protocols import SocketTransport, pack_frame, read_frame, run_party
 from repro.protocols.options import ReconcileOptions
 from repro.protocols.registry import get
@@ -195,12 +194,6 @@ def test_negotiation_failures_raise_service_error():
             with pytest.raises(ServiceError, match="no dataset"):
                 await areconcile("127.0.0.1", port, "cpi", {1},
                                  universe_size=UNIVERSE, difference_bound=2)
-            with pytest.raises(ServiceError, match="not wire-serializable"):
-                await areconcile(
-                    "127.0.0.1", port, "ibf", {1},
-                    universe_size=UNIVERSE,
-                    estimator_factory=StrataEstimator,
-                )
             # Garbage hello payloads are refused, not crashed on.
             ack = await raw_hello(port, b"\xff not json")
             with pytest.raises(ServiceError, match="refused"):
