@@ -122,7 +122,7 @@ def run_serial_client(
     sock = socket.create_connection(("127.0.0.1", port), timeout=60)
     try:
         hello = Hello(PROTOCOL, "bob", options_to_wire(options),
-                      PeerStats().to_wire())
+                      PeerStats())
         if latency:
             time.sleep(latency)
         sock.sendall(pack_frame(FRAME_CONTROL, "bob", HELLO_LABEL, 0,

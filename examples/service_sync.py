@@ -10,9 +10,8 @@ result is checked against the same protocol run as an in-memory session
 (identical recovered data and identical transcript bits: the wire changes
 nothing but the transport).
 
-The finale is a sharded sync: one client splits its set into 8 key-prefix
-shards and reconciles them as 8 concurrent sessions against the same
-server, and the server's ``stats`` report shows the sessions it served.
+The finale fetches the server's ``stats`` report, which shows the
+sessions it served.
 
 Run with::
 
@@ -25,7 +24,7 @@ import random
 import repro
 from repro.core.setsofsets.types import SetOfSets
 from repro.protocols.options import ReconcileOptions
-from repro.service import SyncServer, afetch_stats, areconcile, areconcile_sharded
+from repro.service import SyncServer, afetch_stats, areconcile
 
 SEED = 2018
 UNIVERSE = 1 << 20
@@ -105,27 +104,13 @@ async def main() -> None:
         for protocol, client_id, bits in finished:
             print(f"[clients]   #{client_id:<2} {protocol:<11} {bits:>7} bits")
 
-        sharded = await areconcile_sharded(
-            "127.0.0.1", port, "ibf",
-            perturb(datasets["ibf"], random.Random(SEED + 99)),
-            shard_bits=3,
-            options=ReconcileOptions(
-                seed=SEED, universe_size=UNIVERSE, difference_bound=16
-            ),
-        )
-        assert sharded.success and sharded.recovered == datasets["ibf"]
-        print(f"[sharded] 8-shard sync: {sharded.details['sessions']} sessions, "
-              f"{sharded.total_bits} bits total, "
-              f"{sharded.details['resplits']} resplit(s)")
-
         stats = await afetch_stats("127.0.0.1", port)
-        print(f"[stats] served {stats['sessions_served']} sessions "
-              f"({stats['shard_sessions']} sharded), "
+        print(f"[stats] served {stats['sessions_served']} sessions, "
               f"{stats['rounds_total']} rounds, "
               f"{stats['bits_charged_total']} bits charged, "
               f"{stats['wire_bytes_sent'] + stats['wire_bytes_received']} "
               "raw bytes on the wire")
-        assert stats["sessions_served"] == len(finished) + sharded.details["sessions"]
+        assert stats["sessions_served"] == len(finished)
         assert stats["sessions_failed"] == 0
 
 

@@ -24,8 +24,7 @@ from typing import Iterator, Sequence
 
 from repro.analysis.base import AnalysisPass, Finding, SourceFile, call_name
 
-#: Packages whose top-level ``reconcile_*`` functions are per-protocol aliases
-#: (the service's ``reconcile_sharded`` is a client of a remote party, not one).
+#: Packages whose top-level ``reconcile_*`` functions are per-protocol aliases.
 ALIAS_PATHS = tuple(
     f"src/repro/{package}/" for package in ("core", "graphs", "db", "documents")
 )

@@ -211,8 +211,8 @@ def pack_frame(
     if len(payload) > MAX_FRAME_PAYLOAD:
         raise ReconciliationError(
             f"message {label!r} serialized to {len(payload)} bytes, over the "
-            f"{MAX_FRAME_PAYLOAD}-byte frame cap; split the instance "
-            "(e.g. shard it) instead of sending one monolithic sketch"
+            f"{MAX_FRAME_PAYLOAD}-byte frame cap; split the data across several datasets "
+            "instead of sending one monolithic sketch"
         )
     try:
         header = FRAME_HEADER.pack(

@@ -7,16 +7,14 @@ Three pillars on top of the protocol-session layer
   simultaneous protocol sessions on one event loop, speaking the same frame
   format as the blocking :class:`~repro.protocols.transports.SocketTransport`
   through :class:`AsyncSocketTransport`; :func:`areconcile` /
-  :func:`areconcile_sharded` / :func:`afetch_stats` are the client side, and
+  :func:`afetch_stats` / :func:`amutate` are the client side, and
   ``python -m repro.service`` is the CLI entry point.
-* **Sharded reconciliation** -- :func:`reconcile_sharded` splits one huge
-  instance into splitmix64 key-prefix shards, runs the per-shard sessions
-  (serially, on a process pool, or concurrently against a server), resplits
-  failed shards instead of failing the whole sync, and merges everything
-  into one result with exact aggregate bit accounting.
+* **Multi-process fleet** -- :class:`SyncFleet` puts W server workers
+  behind one supervisor, routing each dataset to its owner worker
+  (:func:`owner_of`) or, without a store, to the least-loaded worker.
 * **Service metrics** -- :class:`ServiceMetrics` aggregates per-session
-  records (rounds, wire bytes vs. charged bits, retries, shard fan-out)
-  into the report served to ``stats`` requests.
+  records (rounds, wire bytes vs. charged bits, retries) into the report
+  served to ``stats`` requests.
 
 See docs/service.md for the architecture and failure model.
 """
@@ -31,7 +29,6 @@ from repro.service.client import (
     afetch_stats,
     amutate,
     areconcile,
-    areconcile_sharded,
     fetch_stats_blocking,
     mutate_server,
     reconcile_with_server,
@@ -44,21 +41,13 @@ from repro.service.fleet import (
     install_signal_drain,
     remove_signal_drain,
 )
-from repro.service.hello import Hello, PeerStats, ShardRequest
+from repro.service.hello import Hello, PeerStats
 from repro.service.metrics import (
     ServiceMetrics,
     SessionRecord,
     format_stats_report,
 )
 from repro.service.server import SyncServer
-from repro.service.sharding import (
-    ShardPlan,
-    merge_sessions,
-    reconcile_sharded,
-    shard_input,
-    shard_of,
-    split_shard,
-)
 from repro.service.transport import AsyncSocketTransport, run_party_async
 
 __all__ = [
@@ -72,27 +61,19 @@ __all__ = [
     "REJECT_RATE_LIMITED",
     "ServiceMetrics",
     "SessionRecord",
-    "ShardPlan",
-    "ShardRequest",
     "SyncFleet",
     "SyncServer",
     "WorkerConfig",
     "afetch_stats",
     "amutate",
     "areconcile",
-    "areconcile_sharded",
     "fetch_stats_blocking",
     "fleet_supported",
     "format_stats_report",
     "install_signal_drain",
-    "merge_sessions",
     "mutate_server",
     "owner_of",
     "remove_signal_drain",
     "reconcile_with_server",
-    "reconcile_sharded",
     "run_party_async",
-    "shard_input",
-    "shard_of",
-    "split_shard",
 ]

@@ -35,7 +35,7 @@ from repro.errors import ParameterError, ReproError
 from repro.hashing import derive_seed
 from repro.protocols.options import ReconcileOptions
 from repro.service.admission import AdmissionController, AdmissionPolicy
-from repro.service.client import amutate, areconcile, areconcile_sharded, afetch_stats
+from repro.service.client import amutate, areconcile, afetch_stats
 from repro.service.fleet import SyncFleet, install_signal_drain, remove_signal_drain
 from repro.service.metrics import format_stats_report
 from repro.service.server import SyncServer
@@ -140,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="seeded mutations applied to the client copy")
     sync.add_argument("--difference-bound", type=int, default=None,
                       help="known difference bound d (omit for unknown-d)")
-    sync.add_argument("--shard-bits", type=int, default=0,
-                      help="run a sharded sync over 2^bits concurrent sessions")
 
     mutate = commands.add_parser(
         "mutate", help="apply a delta to a server-side dataset"
@@ -275,15 +273,9 @@ async def _sync(args: argparse.Namespace) -> int:
         universe_size=args.universe,
         difference_bound=args.difference_bound,
     )
-    if args.shard_bits:
-        result = await areconcile_sharded(
-            args.host, args.port, args.protocol, mine,
-            shard_bits=args.shard_bits, options=options,
-        )
-    else:
-        result = await areconcile(
-            args.host, args.port, args.protocol, mine, options=options
-        )
+    result = await areconcile(
+        args.host, args.port, args.protocol, mine, options=options
+    )
     status = "reconciled" if result.success else "FAILED"
     print(
         f"{status}: {args.protocol} in {result.total_bits} bits over "

@@ -7,15 +7,6 @@ and drive it over an :class:`~repro.service.transport.AsyncSocketTransport`.
 The default ``role="bob"`` recovers the server's dataset; ``role="alice"``
 pushes the client's data to the server instead.
 
-:func:`areconcile_sharded` runs one *sharded* reconciliation against the
-server: the client partitions its input into ``2^shard_bits`` key-prefix
-shards (:mod:`repro.service.sharding`), opens one concurrent session per
-shard (each hello carries the shard descriptor so the server restricts its
-dataset to the same shard), resplits failed shards one prefix bit deeper,
-and merges every per-shard result into a single
-:class:`~repro.comm.result.ReconciliationResult` whose transcript bits are
-exactly the sum over the shard sessions.
-
 Blocking convenience wrappers (:func:`reconcile_with_server`,
 :func:`fetch_stats_blocking`) cover scripts and the CLI.
 """
@@ -39,19 +30,11 @@ from repro.service.hello import (
     STATS_LABEL,
     Hello,
     PeerStats,
-    ShardRequest,
     mutate_payload,
     options_to_wire,
     parse_ack,
     parse_mutate_ack,
     placeholder_input,
-)
-from repro.service.sharding import (
-    ShardPlan,
-    ShardSession,
-    merge_sessions,
-    shard_input,
-    split_shard,
 )
 from repro.service.transport import AsyncSocketTransport, run_party_async
 
@@ -77,16 +60,14 @@ async def areconcile(
     options: ReconcileOptions | None = None,
     strict: bool = True,
     latency: float = 0.0,
-    shard: ShardRequest | None = None,
     **overrides: Any,
 ) -> ReconciliationResult:
     """Run one session against the server; returns this endpoint's result.
 
     With the default ``role="bob"``, ``result.recovered`` is the server's
-    dataset (restricted to ``shard`` if one is requested).  Negotiation
-    failures raise :class:`~repro.errors.ServiceError`; transport failures
-    mid-session raise :class:`~repro.errors.ReconciliationError` like any
-    other socket session.
+    dataset.  Negotiation failures raise :class:`~repro.errors.ServiceError`;
+    transport failures mid-session raise
+    :class:`~repro.errors.ReconciliationError` like any other socket session.
     """
     if role not in ("alice", "bob"):
         raise ServiceError("role must be 'alice' or 'bob'")
@@ -94,13 +75,7 @@ async def areconcile(
         **overrides
     )
     spec = registry.get(protocol)
-    hello = Hello(
-        protocol,
-        role,
-        options_to_wire(merged),
-        PeerStats.of(data).to_wire(),
-        shard,
-    )
+    hello = Hello(protocol, role, options_to_wire(merged), PeerStats.of(data))
     reader, writer = await _connect(host, port)
     transport = AsyncSocketTransport(
         reader, writer, role, strict=strict, latency=latency
@@ -188,82 +163,6 @@ async def amutate(
         return parse_mutate_ack(frame.payload)
     finally:
         await transport.aclose()
-
-
-async def areconcile_sharded(
-    host: str,
-    port: int,
-    protocol: str,
-    data: Any,
-    *,
-    shard_bits: int = 4,
-    role: str = "bob",
-    options: ReconcileOptions | None = None,
-    max_shard_bits: int = 12,
-    shard_safety: float = 2.0,
-    concurrency: int = 32,
-    strict: bool = True,
-    latency: float = 0.0,
-    **overrides: Any,
-) -> ReconciliationResult:
-    """Sharded reconciliation against the server: one session per shard.
-
-    Every shard session runs concurrently (bounded by ``concurrency``); a
-    failed shard is resplit one prefix bit deeper -- both sides re-partition
-    with the shared salt, so the two halves line up -- and retried with
-    fresh derived randomness, until ``max_shard_bits``.
-    """
-    merged = (options if options is not None else ReconcileOptions()).merged(
-        **overrides
-    )
-    plan = ShardPlan(
-        protocol,
-        shard_bits,
-        merged,
-        max_shard_bits=max_shard_bits,
-        shard_safety=shard_safety,
-    )
-    seed = merged.seed
-    shards = shard_input(data, shard_bits, seed)
-    semaphore = asyncio.Semaphore(max(1, concurrency))
-    sessions: list[ShardSession] = []
-
-    async def run_shard(bits: int, index: int, shard_data: Any) -> None:
-        async with semaphore:
-            result = await areconcile(
-                host,
-                port,
-                protocol,
-                shard_data,
-                role=role,
-                options=plan.options_for(bits, index),
-                strict=strict,
-                latency=latency,
-                shard=ShardRequest(bits, index, seed),
-            )
-        resplit = not result.success and bits < plan.max_shard_bits
-        sessions.append(
-            ShardSession(
-                bits,
-                index,
-                result.success,
-                result.recovered,
-                result.transcript,
-                result.attempts,
-                resplit=resplit,
-            )
-        )
-        if resplit:
-            left, right = split_shard(shard_data, bits, index, seed)
-            await asyncio.gather(
-                run_shard(bits + 1, 2 * index, left),
-                run_shard(bits + 1, 2 * index + 1, right),
-            )
-
-    await asyncio.gather(
-        *(run_shard(shard_bits, index, shard) for index, shard in enumerate(shards))
-    )
-    return merge_sessions(sessions, data)
 
 
 # ---------------------------------------------------------------------------

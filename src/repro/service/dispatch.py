@@ -3,12 +3,11 @@
 Two routing regimes, matching the two fleet deployment shapes:
 
 * **Ownership routing** (store-backed fleets) -- datasets are partitioned
-  across workers by splitmix64 prefix, reusing the
-  :mod:`repro.service.sharding` conventions: :func:`owner_of` mixes the
-  dataset name's fingerprint with the shared partition salt and takes the
-  top of the 64-bit value, so ``mutate`` frames and ``ibf`` sessions for a
-  dataset always land on the worker that holds its live sketches and
-  journal partition.  Ownership is a pure function of
+  across workers by name: :func:`owner_of` mixes the dataset name's
+  fingerprint with a salt derived from the fleet seed and takes the top of
+  the 64-bit value, so ``mutate`` frames and ``ibf`` sessions for a dataset
+  always land on the worker that holds its live sketches and journal
+  partition.  Ownership is a pure function of
   ``(name, num_workers, seed)``: the supervisor, a restarted worker, and
   any test can recompute it without coordination.
 
@@ -34,9 +33,7 @@ from typing import Sequence
 from repro.hashing import derive_seed
 from repro.hashing.mix import MASK64, mix64
 
-#: Label mixed into the fleet seed to derive the ownership salt (distinct
-#: from the shard-partition label: shard indices and worker ownership are
-#: independent partitions of different key spaces).
+#: Label mixed into the fleet seed to derive the ownership salt.
 _OWNER_LABEL = "service-fleet-owner"
 
 
@@ -49,10 +46,9 @@ def owner_fingerprint(name: str, seed: int) -> int:
 def owner_of(name: str, num_workers: int, seed: int) -> int:
     """The worker that owns dataset ``name`` in a ``num_workers`` fleet.
 
-    Multiplies the mixed 64-bit fingerprint down to the worker range (the
-    splitmix64-prefix convention of :func:`repro.service.sharding.shard_of`
-    generalized to non-power-of-two worker counts: the top bits of the
-    mixed value decide, so growing the fleet only moves prefix ranges).
+    Multiplies the mixed 64-bit fingerprint down to the worker range, so
+    the top bits of the mixed value decide and any worker count works;
+    growing the fleet only moves prefix ranges.
     """
     if num_workers <= 1:
         return 0

@@ -10,9 +10,8 @@ the listening socket and W worker processes each running today's server loop:
   nothing is lost in the handoff), routes on it, and passes the connected
   descriptor to a worker over the control channel with SCM_RIGHTS FD
   passing (``multiprocessing.reduction.send_handle``);
-* **store-backed fleets** partition datasets across workers by splitmix64
-  prefix (:func:`repro.service.dispatch.owner_of`, reusing the
-  :mod:`repro.service.sharding` conventions), so ``mutate`` frames and
+* **store-backed fleets** partition datasets across workers by owner
+  (:func:`repro.service.dispatch.owner_of`), so ``mutate`` frames and
   sessions for a dataset always land on the worker holding its live
   sketches and journal partition;
 * **storeless fleets** replicate the datasets to every worker and spread

@@ -16,10 +16,11 @@ options plus the *server* input's public statistics, or ``{"ok": false,
 "error": ...}``, which the client surfaces as a
 :class:`~repro.errors.ServiceError`.
 
-A hello may also carry a ``shard`` descriptor (``{"bits", "index", "seed"}``)
-asking the server to restrict its dataset to one splitmix64 key-prefix shard
-(see :mod:`repro.service.sharding`), or ``{"stats": true}`` to request the
-service metrics report instead of a session.
+A hello may instead carry ``{"stats_request": true}`` to request the
+service metrics report rather than a session.  :meth:`Hello.from_json`
+checks the type of every top-level field a peer sends and refuses unknown
+ones, so a malformed hello is answered with a refusing ack; option values
+are left to :func:`options_from_wire`.
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ SERVICE_VERSION = 1
 SERVED_INPUT_KINDS = ("set", "set_of_sets", "kv")
 
 _OPTION_FIELDS = {f.name for f in dataclasses.fields(ReconcileOptions)}
+#: Every top-level key a hello may carry.
+_HELLO_FIELDS = {"version", "stats_request", "protocol", "role", "options", "stats"}
+
+
+def _is_count(value: Any) -> bool:
+    """A JSON non-negative integer (``bool`` is an ``int`` subclass, so it is
+    excluded explicitly)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def options_to_wire(options: ReconcileOptions) -> dict[str, Any]:
@@ -97,17 +106,19 @@ class PeerStats:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_wire(cls, wire: dict[str, Any] | None) -> "PeerStats":
-        if not wire:
+    def from_wire(cls, wire: Any) -> "PeerStats":
+        """Parse peer-sent statistics: absent means zeros, anything else must
+        be an object of exactly the three fields, each a non-negative int."""
+        if wire is None:
             return cls()
-        try:
-            return cls(
-                int(wire["num_children"]),
-                int(wire["total_elements"]),
-                int(wire["max_child_size"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ServiceError(f"malformed stats in hello: {wire!r}") from exc
+        names = [field.name for field in dataclasses.fields(cls)]
+        if (
+            not isinstance(wire, dict)
+            or set(wire) != set(names)
+            or not all(_is_count(wire[name]) for name in names)
+        ):
+            raise ServiceError(f"malformed peer stats: {wire!r}")
+        return cls(*(wire[name] for name in names))
 
     @classmethod
     def of(cls, data: Any) -> "PeerStats":
@@ -118,35 +129,13 @@ class PeerStats:
 
 
 @dataclass(frozen=True)
-class ShardRequest:
-    """Ask the server to restrict its dataset to one key-prefix shard."""
-
-    bits: int
-    index: int
-    seed: int
-
-    def to_wire(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any] | None) -> "ShardRequest | None":
-        if wire is None:
-            return None
-        try:
-            return cls(int(wire["bits"]), int(wire["index"]), int(wire["seed"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ServiceError(f"malformed shard descriptor: {wire!r}") from exc
-
-
-@dataclass(frozen=True)
 class Hello:
     """The client's opening control payload."""
 
     protocol: str | None
     role: str = "bob"
     options: dict[str, Any] = dataclasses.field(default_factory=dict)
-    stats: dict[str, int] | None = None
-    shard: ShardRequest | None = None
+    stats: PeerStats = PeerStats()
     want_stats: bool = False
 
     def to_json(self) -> bytes:
@@ -158,10 +147,8 @@ class Hello:
                 protocol=self.protocol,
                 role=self.role,
                 options=self.options,
-                stats=self.stats,
+                stats=self.stats.to_wire(),
             )
-            if self.shard is not None:
-                body["shard"] = self.shard.to_wire()
         return json.dumps(body).encode()
 
     @classmethod
@@ -170,6 +157,11 @@ class Hello:
             body = json.loads(payload.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ServiceError(f"malformed hello payload: {exc}") from exc
+        if not isinstance(body, dict):
+            raise ServiceError(f"hello must be a JSON object, got {body!r}")
+        unknown = set(body) - _HELLO_FIELDS
+        if unknown:
+            raise ServiceError(f"unknown field(s) in hello: {sorted(unknown)}")
         if body.get("version") != SERVICE_VERSION:
             raise ServiceError(
                 f"unsupported service version {body.get('version')!r} "
@@ -177,16 +169,16 @@ class Hello:
             )
         if body.get("stats_request"):
             return cls(None, want_stats=True)
+        protocol = body.get("protocol")
+        if not isinstance(protocol, str):
+            raise ServiceError(f"hello protocol must be a string, got {protocol!r}")
         role = body.get("role", "bob")
         if role not in ("alice", "bob"):
             raise ServiceError(f"hello role must be 'alice' or 'bob', got {role!r}")
-        return cls(
-            body.get("protocol"),
-            role,
-            body.get("options") or {},
-            body.get("stats"),
-            ShardRequest.from_wire(body.get("shard")),
-        )
+        options = body.get("options", {})
+        if not isinstance(options, dict):
+            raise ServiceError(f"hello options must be an object, got {options!r}")
+        return cls(protocol, role, options, PeerStats.from_wire(body.get("stats")))
 
 
 def placeholder_input(input_kind: str, stats: PeerStats) -> Any:
@@ -273,7 +265,7 @@ def parse_mutate(payload: bytes) -> tuple[str, list[int], list[int]]:
             raise ServiceError(f"mutate {name!r} must be a list of keys")
         parsed = []
         for key in raw:
-            if isinstance(key, bool) or not isinstance(key, int) or key < 0:
+            if not _is_count(key):
                 raise ServiceError(
                     f"mutate {name!r} keys must be non-negative integers, got {key!r}"
                 )

@@ -1,12 +1,10 @@
 """Service metrics: per-session records and aggregate counters.
 
-Every session the server (or the sharded engine) finishes is recorded as a
-:class:`SessionRecord`; :class:`ServiceMetrics` aggregates them into the
-counters the ``/stats`` report exposes -- sessions served/failed, rounds,
-raw bytes on the wire (frame headers included) vs. the bits the transcripts
-charged, protocol attempts beyond the first (``retries``, the repeated
-doubling variants), and shard fan-out (sessions run on behalf of sharded
-reconciliations, including recovery resplits).
+Every session the server finishes is recorded as a :class:`SessionRecord`;
+:class:`ServiceMetrics` aggregates them into the counters the ``/stats``
+report exposes -- sessions served/failed, rounds, raw bytes on the wire
+(frame headers included) vs. the bits the transcripts charged, and protocol
+attempts beyond the first (``retries``, the repeated doubling variants).
 
 The report comes in two shapes: :meth:`ServiceMetrics.report` returns the
 JSON-safe dict served to ``stats`` control requests, and
@@ -35,7 +33,6 @@ class SessionRecord:
     wire_bytes_sent: int = 0
     wire_bytes_received: int = 0
     attempts: int = 1
-    sharded: bool = False
     error: str | None = None
 
 
@@ -43,9 +40,9 @@ class SessionRecord:
 class ServiceMetrics:
     """Aggregate service counters; safe to share across threads and tasks.
 
-    The asyncio server mutates this from one event loop, but the sharded
-    engine's process-pool path reports from worker futures, so updates take
-    a lock (uncontended in the common case).
+    The asyncio server mutates this from one event loop, but callers may
+    also record from other threads, so updates take a lock (uncontended in
+    the common case).
     """
 
     sessions_started: int = 0
@@ -57,8 +54,6 @@ class ServiceMetrics:
     wire_bytes_sent: int = 0
     wire_bytes_received: int = 0
     retries: int = 0
-    shard_sessions: int = 0
-    shard_resplits: int = 0
     stats_requests: int = 0
     rejected_hellos: int = 0
     sessions_drained: int = 0
@@ -116,10 +111,6 @@ class ServiceMetrics:
     def record_worker_restart(self) -> None:
         with self._lock:
             self.worker_restarts += 1
-
-    def record_resplit(self, count: int = 1) -> None:
-        with self._lock:
-            self.shard_resplits += count
 
     def record_drain(self, drained: int, aborted: int) -> None:
         with self._lock:
@@ -183,8 +174,6 @@ class ServiceMetrics:
             self.wire_bytes_sent += record.wire_bytes_sent
             self.wire_bytes_received += record.wire_bytes_received
             self.retries += max(0, record.attempts - 1)
-            if record.sharded:
-                self.shard_sessions += 1
             per = self.by_protocol.setdefault(
                 record.protocol,
                 {"served": 0, "failed": 0, "bits_charged": 0, "wire_bytes": 0},
@@ -251,8 +240,6 @@ class ServiceMetrics:
                     - (self.bits_charged_total + 7) // 8,
                 ),
                 "retries": self.retries,
-                "shard_sessions": self.shard_sessions,
-                "shard_resplits": self.shard_resplits,
                 "sessions_drained": self.sessions_drained,
                 "sessions_aborted": self.sessions_aborted,
                 "admission": {
@@ -324,8 +311,6 @@ def format_stats_report(report: dict[str, Any], title: str = "service metrics") 
         f"{wire_bytes} wire bytes "
         f"({report['wire_overhead_bytes']} overhead), "
         f"{report['retries']} retries, "
-        f"{report['shard_sessions']} shard sessions "
-        f"({report['shard_resplits']} resplits), "
         f"{report['sessions_drained']} drained / "
         f"{report['sessions_aborted']} aborted on shutdown"
     ]

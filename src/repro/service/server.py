@@ -2,11 +2,10 @@
 
 :class:`SyncServer` accepts any number of simultaneous connections.  Each
 connection starts with the hello/ack handshake of :mod:`repro.service.hello`
-(protocol name, client role, wire options, public size statistics, optional
-shard restriction), after which the server builds its side of the named
-protocol from the registry and drives it with
-:func:`~repro.service.transport.run_party_async` -- one server-side party
-per connection, all multiplexed on a single event loop.  Blocking
+(protocol name, client role, wire options, public size statistics), after
+which the server builds its side of the named protocol from the registry
+and drives it with :func:`~repro.service.transport.run_party_async` -- one
+server-side party per connection, all multiplexed on a single event loop.  Blocking
 :class:`~repro.protocols.transports.SocketTransport` clients interoperate:
 the frame format is shared.
 
@@ -59,7 +58,6 @@ from repro.service.hello import (
     placeholder_input,
 )
 from repro.service.metrics import ServiceMetrics, SessionRecord
-from repro.service.sharding import shard_input
 from repro.service.transport import (
     AsyncSocketTransport,
     frame_from_bytes,
@@ -67,11 +65,6 @@ from repro.service.transport import (
 )
 from repro.store import AntiEntropyLoop, SketchConfig, SketchStore, StoreView
 from repro.store.parties import stored_ibf_party
-
-#: How many (protocol, shard_bits, seed) partitions the server memoizes, so a
-#: sharded sync fanning out over one dataset partitions it once, not per
-#: connection.
-_SHARD_CACHE_SLOTS = 8
 
 logger = logging.getLogger(__name__)
 
@@ -175,7 +168,6 @@ class SyncServer:
         self.on_outcome = on_outcome
         self.control_handlers = dict(control_handlers or {})
         self._server: asyncio.AbstractServer | None = None
-        self._shard_cache: dict[tuple[str, int, int], list[Any]] = {}
         self._sessions: set[asyncio.Task] = set()
         self._anti_entropy_task: asyncio.Task | None = None
 
@@ -376,7 +368,6 @@ class SyncServer:
 
         server_role = "bob" if hello.role == "alice" else "alice"
         transport.role = server_role
-        client_stats = PeerStats.from_wire(hello.stats)
         await transport.send_frame(
             FRAME_CONTROL, ACK_LABEL, payload=ack_payload(options, PeerStats.of(dataset))
         )
@@ -389,7 +380,7 @@ class SyncServer:
             if view is not None:
                 party = stored_ibf_party(server_role, view, options.difference_bound)
             else:
-                placeholder = placeholder_input(spec.input_kind, client_stats)
+                placeholder = placeholder_input(spec.input_kind, hello.stats)
                 if server_role == "alice":
                     build_alice, build_bob = dataset, placeholder
                 else:
@@ -421,7 +412,6 @@ class SyncServer:
                     wire_bytes_sent=transport.bytes_sent,
                     wire_bytes_received=transport.bytes_received,
                     attempts=outcome.attempts if outcome is not None else 1,
-                    sharded=hello.shard is not None,
                     error=error,
                 )
             )
@@ -432,14 +422,11 @@ class SyncServer:
         """The store-backed view for this session, or ``None`` to build the
         party from scratch.
 
-        Only the plain-set ``ibf`` protocol over the full (unsharded)
-        dataset is served from the store: shards are ephemeral subsets with
-        no maintained sketch.
+        Only the plain-set ``ibf`` protocol is served from the store.
         """
         if (
             self.store is None
             or spec.name != "ibf"
-            or hello.shard is not None
             or not isinstance(dataset, (set, frozenset))
         ):
             return None
@@ -491,8 +478,6 @@ class SyncServer:
         self, hello: Hello
     ) -> tuple[type[registry.Protocol], Any, ReconcileOptions]:
         """Resolve the hello into ``(spec, dataset, options)`` or refuse."""
-        if not hello.protocol:
-            raise ServiceError("hello names no protocol")
         if hello.protocol not in registry.names():
             raise ServiceError(f"unknown protocol {hello.protocol!r}")
         spec = registry.get(hello.protocol)
@@ -506,8 +491,6 @@ class SyncServer:
         options = options_from_wire(hello.options)
         dataset = self.datasets[hello.protocol]
         self._check_dataset_kind(hello.protocol, spec.input_kind, dataset)
-        if hello.shard is not None:
-            dataset = self._shard_dataset(hello, dataset)
         return spec, dataset, options
 
     @staticmethod
@@ -534,24 +517,6 @@ class SyncServer:
                 f"{type(dataset).__name__}, which cannot feed a protocol "
                 f"with input kind {input_kind!r}"
             )
-
-    def _shard_dataset(self, hello: Hello, dataset: Any) -> Any:
-        shard = hello.shard
-        if not 0 <= shard.index < (1 << shard.bits):
-            raise ServiceError(
-                f"shard index {shard.index} out of range for {shard.bits} bits"
-            )
-        key = (hello.protocol, shard.bits, shard.seed)
-        partitioned = self._shard_cache.get(key)
-        if partitioned is None:
-            try:
-                partitioned = shard_input(dataset, shard.bits, shard.seed)
-            except ReproError as exc:
-                raise ServiceError(f"dataset cannot be sharded: {exc}") from exc
-            if len(self._shard_cache) >= _SHARD_CACHE_SLOTS:
-                self._shard_cache.pop(next(iter(self._shard_cache)))
-            self._shard_cache[key] = partitioned
-        return partitioned[shard.index]
 
     async def _refuse(
         self, transport: AsyncSocketTransport, message: str, code: str | None = None

@@ -196,7 +196,7 @@ def test_rejection_frame_parseable_by_blocking_client():
 
             def blocking_hello():
                 hello = Hello("ibf", "bob", options_to_wire(options()),
-                              PeerStats().to_wire())
+                              PeerStats())
                 with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
                     sock.sendall(
                         pack_frame(FRAME_CONTROL, "bob", HELLO_LABEL, 0,
@@ -232,7 +232,7 @@ def test_mid_handshake_disconnect_leaves_server_healthy():
 
             def vanish_mid_handshake():
                 hello = Hello("ibf", "bob", options_to_wire(options()),
-                              PeerStats().to_wire())
+                              PeerStats())
                 frame = pack_frame(FRAME_CONTROL, "bob", HELLO_LABEL, 0,
                                    hello.to_json())
                 with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
@@ -243,7 +243,7 @@ def test_mid_handshake_disconnect_leaves_server_healthy():
                     sock.sendall(
                         pack_frame(FRAME_CONTROL, "bob", HELLO_LABEL, 0,
                                    Hello("ibf", "bob", options_to_wire(options()),
-                                         PeerStats().to_wire()).to_json())
+                                         PeerStats()).to_json())
                     )
                     ack = read_frame(sock)
                     parse_ack(ack.payload)

@@ -379,7 +379,7 @@ class TestFleetRobustness:
 
                 def partial_hello():
                     hello = Hello("ibf", "bob", options_to_wire(options()),
-                                  PeerStats().to_wire())
+                                  PeerStats())
                     frame = pack_frame(FRAME_CONTROL, "bob", HELLO_LABEL, 0,
                                        hello.to_json())
                     with socket.create_connection(("127.0.0.1", port)) as sock:

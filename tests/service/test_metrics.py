@@ -25,8 +25,7 @@ def test_counters_aggregate():
     metrics.record_start()
     record(metrics)
     record(metrics, protocol="cpi", success=False, attempts=3)
-    record(metrics, protocol="ibf", sharded=True)
-    metrics.record_resplit()
+    record(metrics)
     metrics.record_stats_request()
     metrics.record_rejected()
 
@@ -40,8 +39,6 @@ def test_counters_aggregate():
     assert report["wire_bytes_sent"] == 240
     assert report["wire_bytes_received"] == 210
     assert report["retries"] == 2  # attempts=3 -> two retries
-    assert report["shard_sessions"] == 1
-    assert report["shard_resplits"] == 1
     assert report["stats_requests"] == 1
     assert report["rejected_hellos"] == 1
     assert report["by_protocol"]["ibf"]["served"] == 2
@@ -79,7 +76,7 @@ def test_thread_safety_of_recording():
     def hammer():
         for _ in range(500):
             record(metrics)
-            metrics.record_resplit()
+            metrics.record_rejected()
 
     threads = [threading.Thread(target=hammer) for _ in range(4)]
     for thread in threads:
@@ -88,5 +85,5 @@ def test_thread_safety_of_recording():
         thread.join()
     report = metrics.report()
     assert report["sessions_served"] == 2000
-    assert report["shard_resplits"] == 2000
+    assert report["rejected_hellos"] == 2000
     assert report["bits_charged_total"] == 2_000_000

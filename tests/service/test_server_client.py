@@ -187,7 +187,7 @@ def test_negotiation_failures_raise_service_error():
             # ... and refused server-side for a hand-rolled hello.
             ack = await raw_hello(
                 port,
-                Hello("nonsense", "bob", {}, None).to_json(),
+                Hello("nonsense", "bob", {}).to_json(),
             )
             with pytest.raises(ServiceError, match="unknown protocol"):
                 parse_ack(ack.payload)
@@ -202,7 +202,7 @@ def test_negotiation_failures_raise_service_error():
             ack = await raw_hello(
                 port,
                 Hello(
-                    "ibf", "bob", {"universe_size": UNIVERSE, "difference_bound": -1}, None
+                    "ibf", "bob", {"universe_size": UNIVERSE, "difference_bound": -1}
                 ).to_json(),
             )
             with pytest.raises(ServiceError, match="invalid option"):
@@ -271,7 +271,7 @@ def test_server_survives_a_mid_session_client_crash():
             hello = Hello(
                 "ibf", "bob",
                 {"universe_size": UNIVERSE, "difference_bound": None, "seed": 1},
-                PeerStats().to_wire(),
+                PeerStats(),
             )
             writer.write(pack_frame(FRAME_CONTROL, "bob", HELLO_LABEL, 0,
                                     hello.to_json()))
@@ -322,7 +322,7 @@ def test_blocking_socket_client_interoperates_with_async_server():
     sock = socket.create_connection(("127.0.0.1", box["port"]), timeout=10)
     hello = Hello("ibf", "bob", {"seed": 7, "universe_size": UNIVERSE,
                                  "difference_bound": 12},
-                  PeerStats().to_wire())
+                  PeerStats())
     sock.sendall(pack_frame(FRAME_CONTROL, "bob", HELLO_LABEL, 0, hello.to_json()))
     ack = read_frame(sock)
     assert ack.kind == FRAME_CONTROL and ack.label == ACK_LABEL

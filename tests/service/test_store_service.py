@@ -186,28 +186,3 @@ def test_anti_entropy_requires_a_durable_store():
         SyncServer({"ibf": set()}, anti_entropy_interval=1.0)
     with pytest.raises(ServiceError, match="durable"):
         SyncServer({"ibf": set()}, store=SketchStore(), anti_entropy_interval=1.0)
-
-
-@pytest.mark.timeout(120)
-def test_sharded_sessions_bypass_the_store():
-    """Shards are ephemeral subsets: they must not poison the live sketches."""
-    from repro.service import areconcile_sharded
-
-    server_set, client_set = make_sets()
-
-    async def scenario():
-        store = SketchStore()
-        async with SyncServer({"ibf": set(server_set)}, store=store) as server:
-            result = await areconcile_sharded(
-                "127.0.0.1", server.port, "ibf", client_set,
-                shard_bits=2, options=options(difference_bound=None),
-            )
-            assert result.success
-            assert result.recovered == server_set
-            # A later unsharded sync still serves correct bytes.
-            follow_up = await areconcile(
-                "127.0.0.1", server.port, "ibf", client_set, options=options()
-            )
-            assert follow_up.success and follow_up.recovered == server_set
-
-    run(scenario())
