@@ -10,6 +10,9 @@ that seam:
   three accumulators and implements batch scatter updates, batch pure-cell
   scans, the whole peeling loop (:meth:`CellStore.peel_rounds`), in-place
   combination, and snapshot/load for serialization.
+* :func:`count_residue` -- the one reading of a cell count.  Stores keep
+  exact counts, but a table is only defined modulo ``2**count_bits`` (the
+  serialized width): every count read goes through the signed residue.
 * :class:`PythonCellStore` -- the reference implementation over plain Python
   lists.  Handles keys of any width; always available.  A batch folds each
   key to 64 bits once; one with keys past 64 bits then hashes the folds
@@ -61,6 +64,23 @@ def max_peel_rounds(num_cells: int) -> int:
     return 4 * num_cells + 16
 
 
+def count_residue(count, count_bits: int):
+    """The signed residue of ``count`` modulo ``2**count_bits``.
+
+    Lies in ``[-2**(count_bits-1), 2**(count_bits-1))``; works on a Python int
+    and elementwise on an ``int64`` array.  A sent table carries only the low
+    ``count_bits`` bits of each count, and the receiver subtracts exact counts
+    from those, so a difference cell is right only modulo ``2**count_bits``:
+    every read of a count (peel scan, emptiness, snapshot) takes this residue.
+    Exact counts stay far below ``2**63``, so at 64 bits and over the residue
+    is the count itself.
+    """
+    if count_bits >= 64:
+        return count
+    half = 1 << (count_bits - 1)
+    return ((count + half) & ((half << 1) - 1)) - half
+
+
 def _validate_key_scalar(key: int, key_bits: int) -> None:
     """Shared single-key validation (exact error parity across backends)."""
     if not isinstance(key, int):
@@ -83,8 +103,9 @@ class CellStore(ABC):
     #: Auto-selection preference; higher wins (see :mod:`repro.config`).
     priority: ClassVar[int]
 
-    def __init__(self, num_cells: int) -> None:
+    def __init__(self, num_cells: int, count_bits: int) -> None:
         self.num_cells = num_cells
+        self.count_bits = count_bits
 
     # -- capability probes ----------------------------------------------------------
 
@@ -126,7 +147,7 @@ class CellStore(ABC):
         """Run the entire peeling loop in-store; return recovered keys.
 
         Peels the table in place, round by round: every currently pure cell
-        (count of +-1, checksum-verified) is found in one scan, each key is
+        (count residue of +-1, checksum-verified) is found in one scan, each key is
         chosen exactly once per round (first cell in ascending cell order
         wins, which fixes the order deterministically), and all chosen keys
         are removed in one batch update.  Stops when a round finds no pure
@@ -162,11 +183,11 @@ class CellStore(ABC):
 
     @abstractmethod
     def is_empty(self) -> bool:
-        """True when every cell is all-zero."""
+        """True when every cell is all-zero (counts read as residues)."""
 
     @abstractmethod
     def pure_cells(self, checksum: Checksum) -> tuple[list[int], list[int]]:
-        """Scan for candidate pure cells (count of +-1, checksum-verified).
+        """Scan for candidate pure cells (count residue of +-1, checksum-verified).
 
         Returns the cell keys and matching signs in ascending cell order;
         keys may repeat when one key is pure in several cells.
@@ -174,7 +195,8 @@ class CellStore(ABC):
 
     @abstractmethod
     def snapshot(self) -> tuple[list[int], list[int], list[int]]:
-        """Cell contents as ``(counts, key_xors, check_xors)`` Python lists."""
+        """Cell contents as ``(counts, key_xors, check_xors)`` Python lists,
+        every count as its residue (:func:`count_residue`)."""
 
     @abstractmethod
     def load(self, counts: list[int], key_xors: list[int], check_xors: list[int]) -> None:
@@ -193,8 +215,8 @@ class PythonCellStore(CellStore):
     vectorized = False
     priority = 0
 
-    def __init__(self, num_cells: int) -> None:
-        super().__init__(num_cells)
+    def __init__(self, num_cells: int, count_bits: int) -> None:
+        super().__init__(num_cells, count_bits)
         self._counts = [0] * num_cells
         self._key_xor = [0] * num_cells
         self._check_xor = [0] * num_cells
@@ -253,8 +275,9 @@ class PythonCellStore(CellStore):
             check_xor[cell] ^= other_checks[cell]
 
     def is_empty(self):
+        count_bits = self.count_bits
         return (
-            all(count == 0 for count in self._counts)
+            all(count_residue(count, count_bits) == 0 for count in self._counts)
             and all(key == 0 for key in self._key_xor)
             and all(check == 0 for check in self._check_xor)
         )
@@ -262,8 +285,9 @@ class PythonCellStore(CellStore):
     def pure_cells(self, checksum):
         keys: list[int] = []
         signs: list[int] = []
-        key_xor, check_xor = self._key_xor, self._check_xor
+        key_xor, check_xor, count_bits = self._key_xor, self._check_xor, self.count_bits
         for cell, count in enumerate(self._counts):
+            count = count_residue(count, count_bits)
             if count == 1 or count == -1:
                 key = key_xor[cell]
                 if check_xor[cell] == checksum.of_key(key):
@@ -272,7 +296,8 @@ class PythonCellStore(CellStore):
         return keys, signs
 
     def snapshot(self):
-        return list(self._counts), list(self._key_xor), list(self._check_xor)
+        counts = [count_residue(count, self.count_bits) for count in self._counts]
+        return counts, list(self._key_xor), list(self._check_xor)
 
     def load(self, counts, key_xors, check_xors):
         self._counts = list(counts)
@@ -282,6 +307,7 @@ class PythonCellStore(CellStore):
     def copy(self):
         clone = PythonCellStore.__new__(PythonCellStore)
         clone.num_cells = self.num_cells
+        clone.count_bits = self.count_bits
         clone._counts = list(self._counts)
         clone._key_xor = list(self._key_xor)
         clone._check_xor = list(self._check_xor)
@@ -296,8 +322,8 @@ class NumpyCellStore(CellStore):
     vectorized = True
     priority = 10
 
-    def __init__(self, num_cells: int) -> None:
-        super().__init__(num_cells)
+    def __init__(self, num_cells: int, count_bits: int) -> None:
+        super().__init__(num_cells, count_bits)
         self._counts = _np.zeros(num_cells, dtype=_np.int64)
         self._key_xor = _np.zeros(num_cells, dtype=_np.uint64)
         self._check_xor = _np.zeros(num_cells, dtype=_np.uint64)
@@ -393,7 +419,8 @@ class NumpyCellStore(CellStore):
         positive: list[int] = []
         negative: list[int] = []
         for _ in range(max_peel_rounds(self.num_cells)):
-            candidates = _np.nonzero((counts == 1) | (counts == -1))[0]
+            residues = count_residue(counts, self.count_bits)
+            candidates = _np.nonzero(_np.abs(residues) == 1)[0]
             if candidates.size == 0:
                 break
             keys = key_xor[candidates]
@@ -402,7 +429,7 @@ class NumpyCellStore(CellStore):
             keys = keys[verified]
             if keys.size == 0:
                 break
-            signs = counts[candidates][verified]
+            signs = residues[candidates][verified]
             # First cell in ascending order wins for a key pure in several
             # cells: np.unique returns first-occurrence indices and the
             # candidate scan is already in cell order.
@@ -423,26 +450,33 @@ class NumpyCellStore(CellStore):
 
         Lets same-parameter batch layers (:mod:`repro.iblt.multi`) stack many
         stores into one tensor without a round trip through Python lists.
-        Callers must not mutate the arrays.
+        The counts are exact: callers read them through :func:`count_residue`
+        and must not mutate the arrays.
         """
         return self._counts, self._key_xor, self._check_xor
 
     def is_empty(self):
         return not (
-            self._counts.any() or self._key_xor.any() or self._check_xor.any()
+            count_residue(self._counts, self.count_bits).any()
+            or self._key_xor.any()
+            or self._check_xor.any()
         )
 
     def pure_cells(self, checksum):
-        counts = self._counts
-        candidates = _np.nonzero((counts == 1) | (counts == -1))[0]
+        residues = count_residue(self._counts, self.count_bits)
+        candidates = _np.nonzero(_np.abs(residues) == 1)[0]
         if candidates.size == 0:
             return [], []
         keys = self._key_xor[candidates]
         verified = self._check_xor[candidates] == checksum.of_keys_array(keys)
-        return keys[verified].tolist(), counts[candidates][verified].tolist()
+        return keys[verified].tolist(), residues[candidates][verified].tolist()
 
     def snapshot(self):
-        return self._counts.tolist(), self._key_xor.tolist(), self._check_xor.tolist()
+        return (
+            count_residue(self._counts, self.count_bits).tolist(),
+            self._key_xor.tolist(),
+            self._check_xor.tolist(),
+        )
 
     def load(self, counts, key_xors, check_xors):
         self._counts = _np.asarray(counts, dtype=_np.int64)
@@ -452,6 +486,7 @@ class NumpyCellStore(CellStore):
     def copy(self):
         clone = NumpyCellStore.__new__(NumpyCellStore)
         clone.num_cells = self.num_cells
+        clone.count_bits = self.count_bits
         clone._counts = self._counts.copy()
         clone._key_xor = self._key_xor.copy()
         clone._check_xor = self._check_xor.copy()

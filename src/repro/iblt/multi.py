@@ -33,9 +33,9 @@ from __future__ import annotations
 from itertools import chain
 from typing import Any, Iterable, Sequence
 
-from repro.errors import CapacityError, ParameterError
+from repro.errors import ParameterError
 from repro.hashing.mix import HAS_NUMPY
-from repro.iblt.backends import max_peel_rounds
+from repro.iblt.backends import count_residue, max_peel_rounds
 from repro.iblt.table import IBLT, DecodeResult, IBLTParameters
 
 if HAS_NUMPY:
@@ -59,7 +59,7 @@ if HAS_NUMPY:
             return _np.concatenate([sign, planes], axis=-1)
         return planes[..., 8 * num_bytes - width :]
 
-    def _peel_tensor(counts, key_xor, check_xor, family, checksum):
+    def _peel_tensor(counts, key_xor, check_xor, family, checksum, count_bits):
         """Peel every row of an ``(s, num_cells)`` cell tensor, in place.
 
         Rows never share cells, so one *global* round (pure-cell scan over the
@@ -78,7 +78,8 @@ if HAS_NUMPY:
         positive: list[list[int]] = [[] for _ in range(num_tables)]
         negative: list[list[int]] = [[] for _ in range(num_tables)]
         for _ in range(max_peel_rounds(num_cells)):
-            candidates = _np.nonzero((flat_counts == 1) | (flat_counts == -1))[0]
+            residues = count_residue(flat_counts, count_bits)
+            candidates = _np.nonzero(_np.abs(residues) == 1)[0]
             if candidates.size == 0:
                 break
             keys = flat_keys[candidates]
@@ -89,7 +90,7 @@ if HAS_NUMPY:
                 break
             keys = keys[verified]
             checks = checks[verified]
-            signs = flat_counts[candidates]
+            signs = residues[candidates]
             rows = candidates // num_cells
             # First cell in ascending cell order wins per (row, key) pair --
             # the same tie-break as every in-store peel.  Sort by (row, key,
@@ -115,7 +116,9 @@ if HAS_NUMPY:
             ):
                 (positive[row] if sign == 1 else negative[row]).append(key)
         decoded = ~(
-            counts.any(axis=1) | key_xor.any(axis=1) | check_xor.any(axis=1)
+            count_residue(counts, count_bits).any(axis=1)
+            | key_xor.any(axis=1)
+            | check_xor.any(axis=1)
         )
         return [
             DecodeResult(bool(decoded[row]), set(positive[row]), set(negative[row]))
@@ -314,6 +317,7 @@ class IBLTArray:
             self._check_xor.copy(),
             self._template._family,
             self._template._checksum,
+            self.params.count_bits,
         )
 
     # -- serialization ---------------------------------------------------------------
@@ -322,24 +326,18 @@ class IBLTArray:
         """Canonical serializations of every row, in order.
 
         Row ``i`` equals ``self.table(i).serialize()`` bit for bit.  On the
-        tensor path every cell is written as bit planes (``count`` in two's
-        complement ``|| key_xor || check_xor``, cell 0 first, MSB first) and
-        packed to bytes in one pass; a row then costs one ``int.from_bytes``.
+        tensor path every cell is written as bit planes (``count`` modulo
+        ``2**count_bits`` ``|| key_xor || check_xor``, cell 0 first, MSB
+        first) and packed to bytes in one pass; a row then costs one
+        ``int.from_bytes``.  The low ``count_bits`` planes of an exact
+        two's-complement count are its residue's.
         """
         if self._tables is not None:
             return [table.serialize() for table in self._tables]
         params = self.params
-        half = 1 << (params.count_bits - 1)
-        counts = self._counts
-        if counts.size and not (
-            -half <= int(counts.min()) and int(counts.max()) < half
-        ):
-            raise CapacityError(
-                f"a cell count does not fit in {params.count_bits} bits"
-            )
         planes = _np.concatenate(
             [
-                _bit_planes(counts, params.count_bits),
+                _bit_planes(self._counts, params.count_bits),
                 _bit_planes(self._key_xor, params.key_bits),
                 _bit_planes(self._check_xor, params.checksum_bits),
             ],

@@ -19,8 +19,11 @@ incremental callers.  Backends produce bit-identical tables for the same paramet
 keys, so the backend choice is invisible to protocols (and to
 serialization).
 
-Peeling repeatedly extracts "pure" cells (count of +1 or -1 whose key
-checksum matches the cell checksum) until the table is empty or stuck.  The
+Counts are kept modulo ``2**count_bits``: a sent table carries only the low
+``count_bits`` bits of each count, so every count is read as its signed
+residue (:func:`~repro.iblt.backends.count_residue`).  Peeling repeatedly
+extracts "pure" cells (``count ≡ ±1 (mod 2**count_bits)`` with a key
+checksum matching the cell checksum) until the table is empty or stuck.  The
 peeler works in rounds: each round asks the backend for every currently pure
 cell in one scan (vectorized on the NumPy backend), then removes all the
 recovered keys in one batch update.  The two failure modes of the paper are
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from repro.config import resolve_cell_backend
-from repro.errors import CapacityError, DecodeError, ParameterError
+from repro.errors import DecodeError, ParameterError
 from repro.hashing import Checksum, HashFamily, derive_seed
 from repro.iblt import backends as _backends  # also registers the built-in backends
 from repro.iblt.sizing import cells_for_difference
@@ -58,11 +61,16 @@ class IBLTParameters:
     num_hashes:
         Number of hash functions ``k``.
     checksum_bits:
-        Width of the per-key checksum stored (XORed) in each cell.
+        Width of the per-key checksum stored (XORed) in each cell.  It is
+        sized to keep false pure cells rare next to peeling failures, not to
+        rule them out: the callers' whole-set hash turns any wrong answer into
+        a detected failure (see ``docs/protocols.md`` for the measured rates).
     count_bits:
-        Width used for the cell count in the serialized form.  Counts are
-        stored in two's complement, so values in
-        ``[-2**(count_bits-1), 2**(count_bits-1))`` are representable.
+        Width of the cell count.  Counts are kept modulo ``2**count_bits``
+        and read as signed residues in
+        ``[-2**(count_bits-1), 2**(count_bits-1))``, so a table serializes
+        whatever its counts; a pure cell is one whose count is ``±1``
+        modulo ``2**count_bits``.
 
     The cell-store backend is deliberately *not* part of the parameters: two
     tables built with different backends but equal parameters hold identical
@@ -73,8 +81,8 @@ class IBLTParameters:
     key_bits: int
     seed: int
     num_hashes: int = 4
-    checksum_bits: int = 32
-    count_bits: int = 16
+    checksum_bits: int = 16
+    count_bits: int = 4
 
     def __post_init__(self) -> None:
         if self.num_cells < self.num_hashes:
@@ -95,8 +103,8 @@ class IBLTParameters:
         key_bits: int,
         seed: int,
         num_hashes: int = 4,
-        checksum_bits: int = 32,
-        count_bits: int = 16,
+        checksum_bits: int = 16,
+        count_bits: int = 4,
     ) -> "IBLTParameters":
         """Parameters sized (via :func:`cells_for_difference`) for ``d`` keys."""
         cells = cells_for_difference(max(1, difference_bound), num_hashes)
@@ -161,7 +169,9 @@ class IBLT:
 
     def __init__(self, params: IBLTParameters, backend: str | None = None) -> None:
         self.params = params
-        self._store = resolve_cell_backend(backend, params)(params.num_cells)
+        self._store = resolve_cell_backend(backend, params)(
+            params.num_cells, params.count_bits
+        )
         self._family = HashFamily(
             derive_seed(params.seed, "iblt-buckets"),
             params.num_hashes,
@@ -324,7 +334,7 @@ class IBLT:
         """Canonical fixed-width integer encoding of the table contents.
 
         The encoding packs cells from index 0 upward, each as
-        ``count (two's complement) || key_xor || check_xor``.  Because the
+        ``count (mod 2**count_bits) || key_xor || check_xor``.  Because the
         width is fully determined by the parameters, a serialized table can be
         used as a fixed-width key of a *parent* IBLT (Section 3.2).  The
         encoding is backend-independent: equal contents serialize equally.
@@ -337,19 +347,12 @@ class IBLT:
         params = self.params
         counts, key_xors, check_xors = self._store.snapshot()
         count_limit = 1 << params.count_bits
-        half = count_limit >> 1
         cell_bits = params.count_bits + params.key_bits + params.checksum_bits
-        chunks = []
-        for cell in range(params.num_cells):
-            count = counts[cell]
-            if not -half <= count < half:
-                raise CapacityError(
-                    f"cell count {count} does not fit in {params.count_bits} bits"
-                )
-            chunks.append(
-                ((((count % count_limit) << params.key_bits) | key_xors[cell])
-                 << params.checksum_bits) | check_xors[cell]
-            )
+        chunks = [
+            ((((count % count_limit) << params.key_bits) | key_xor)
+             << params.checksum_bits) | check_xor
+            for count, key_xor, check_xor in zip(counts, key_xors, check_xors)
+        ]
         if not chunks:
             return 0
         widths = [cell_bits] * len(chunks)

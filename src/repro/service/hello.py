@@ -19,16 +19,17 @@ options plus the *server* input's public statistics, or ``{"ok": false,
 A hello may instead carry ``{"stats_request": true}`` to request the
 service metrics report rather than a session.  :meth:`Hello.from_json`
 checks the type of every top-level field a peer sends and refuses unknown
-ones, so a malformed hello is answered with a refusing ack; option values
-are left to :func:`options_from_wire`.
+ones, so a malformed hello is answered with a refusing ack;
+:func:`options_from_wire` checks the type and range of every option value.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, TypeGuard
 
 from repro.errors import ParameterError, ServiceError, SessionRejectedError
 from repro.protocols.options import ReconcileOptions
@@ -54,15 +55,73 @@ SERVICE_VERSION = 1
 #: stand-in is never dereferenced at all.
 SERVED_INPUT_KINDS = ("set", "set_of_sets", "kv")
 
-_OPTION_FIELDS = {f.name for f in dataclasses.fields(ReconcileOptions)}
 #: Every top-level key a hello may carry.
 _HELLO_FIELDS = {"version", "stats_request", "protocol", "role", "options", "stats"}
 
 
+def _is_int(value: Any) -> TypeGuard[int]:
+    """A JSON integer (``bool`` is an ``int`` subclass, so it is excluded
+    explicitly)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_count(value: Any) -> bool:
-    """A JSON non-negative integer (``bool`` is an ``int`` subclass, so it is
-    excluded explicitly)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    """A JSON non-negative integer."""
+    return _is_int(value) and value >= 0
+
+
+#: The largest bound a peer may send: the width of a frame's bound header.
+MAX_WIRE_BOUND = 2**32 - 1
+
+
+def _integer(low: int, *, optional: bool = False) -> Callable[[Any], bool]:
+    def check(value: Any) -> bool:
+        if value is None:
+            return optional
+        return _is_int(value) and low <= value <= MAX_WIRE_BOUND
+
+    return check
+
+
+def _optional_text(value: Any) -> bool:
+    return value is None or isinstance(value, str)
+
+
+def _factor(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
+
+
+#: What every option a peer may send must be, one entry per
+#: :class:`ReconcileOptions` field (any other name is refused as unknown).
+#: Counts and bounds are integers in ``[low, MAX_WIRE_BOUND]`` (never bools),
+#: ``universe_size`` is a positive integer, multipliers are positive finite
+#: numbers.
+_OPTION_CHECKS: dict[str, Callable[[Any], bool]] = {
+    "seed": _is_int,
+    "difference_bound": _integer(0, optional=True),
+    "universe_size": lambda value: value is None or (_is_int(value) and value > 0),
+    "max_child_size": _integer(0, optional=True),
+    "differing_children_bound": _integer(0, optional=True),
+    "backend": _optional_text,
+    "field_kernel": _optional_text,
+    "num_hashes": _integer(2),
+    "child_hash_bits": _integer(1),
+    "safety_factor": _factor,
+    "estimate_safety": _factor,
+    "level_slack": _factor,
+    "initial_bound": _integer(1),
+    "max_bound": _integer(0, optional=True),
+    "num_top": _integer(0, optional=True),
+    "max_degree": _integer(0, optional=True),
+    "max_depth": _integer(0, optional=True),
+    "signature_bits": _integer(1),
+    "fallback_to_all_children": lambda value: isinstance(value, bool),
+}
 
 
 def options_to_wire(options: ReconcileOptions) -> dict[str, Any]:
@@ -77,10 +136,18 @@ def options_to_wire(options: ReconcileOptions) -> dict[str, Any]:
 
 
 def options_from_wire(wire: dict[str, Any]) -> ReconcileOptions:
-    """Rebuild a :class:`ReconcileOptions` from its wire dict."""
-    unknown = set(wire) - _OPTION_FIELDS
+    """Rebuild a :class:`ReconcileOptions` from its wire dict.
+
+    A peer chooses every value, so each is checked against
+    :data:`_OPTION_CHECKS` before it reaches a party builder; a bad one
+    raises :class:`ServiceError` (the refusing ack), never a later error.
+    """
+    unknown = set(wire) - _OPTION_CHECKS.keys()
     if unknown:
         raise ServiceError(f"unknown option(s) in hello: {sorted(unknown)}")
+    for name, value in wire.items():
+        if not _OPTION_CHECKS[name](value):
+            raise ServiceError(f"invalid option in hello: {name}={value!r}")
     try:
         return ReconcileOptions().merged(**wire)
     except ParameterError as exc:  # e.g. a negative difference_bound
@@ -250,6 +317,8 @@ def parse_mutate(payload: bytes) -> tuple[str, list[int], list[int]]:
         body = json.loads(payload.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ServiceError(f"malformed mutate payload: {exc}") from exc
+    if not isinstance(body, dict):
+        raise ServiceError(f"mutate must be a JSON object, got {body!r}")
     if body.get("version") != SERVICE_VERSION:
         raise ServiceError(
             f"unsupported service version {body.get('version')!r} "

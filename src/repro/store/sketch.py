@@ -69,8 +69,9 @@ from repro.store.journal import UpdateJournal
 #: ``estimators`` hold counters of another hash (the layout did not change).
 #: Version 4: an L0 estimator's state is its compact wire frame; read as
 #: one, an older snapshot's dense two-bits-per-counter state is refused or
-#: misread.
-SNAPSHOT_VERSION = 4
+#: misread.  Version 5: tables hold 4-bit wrapped counts and 16-bit
+#: checksums, so an older snapshot's tables have cells of another width.
+SNAPSHOT_VERSION = 5
 
 #: Live sketch families (distinct config fingerprints) kept per dataset, and
 #: live tables (distinct cell counts) kept per family.  Both are chosen by

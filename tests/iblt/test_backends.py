@@ -275,6 +275,23 @@ class TestCrossBackendAgreement:
         positive, _ = np_table.decode()
         assert positive == set(keys)
 
+    def test_snapshots_hold_equal_residues(self):
+        # Exact counts of 300, -300 and more: both stores report each as its
+        # residue in [-8, 8), so cells, equality and serialization agree.
+        params = make_params(cells=16, key_bits=20, seed=5, count_bits=4)
+        keys = list(range(300))
+        tables = []
+        for backend in ("python", "numpy"):
+            table = IBLT.from_items(params, keys, backend=backend)
+            table.delete_batch([key + 1000 for key in keys] * 2)
+            tables.append(table)
+        py, np_table = tables
+        counts = py._store.snapshot()[0]
+        assert set(counts) <= set(range(-8, 8))
+        assert py._store.snapshot() == np_table._store.snapshot()
+        assert py == np_table
+        assert py.serialize() == np_table.serialize()
+
     def test_mixed_backend_subtract(self):
         params = make_params(seed=4)
         py = IBLT.from_items(params, {1, 2, 3}, backend="python")

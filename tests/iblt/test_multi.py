@@ -194,13 +194,12 @@ class TestPackedSerializer:
         assert serialized == [array.table(i).serialize() for i in range(len(children))]
         assert all(0 <= row < 1 << params.size_bits for row in serialized)
 
-    def test_a_count_outside_count_bits_still_raises(self, backend):
+    def test_counts_past_count_bits_wrap(self, backend):
         params = IBLTParameters(6, 20, 3, 3, checksum_bits=24, count_bits=4)
-        array = IBLTArray(params, [[1], [9] * 8], backend=backend)  # counts fit [-8, 8)
-        with pytest.raises(CapacityError):
-            array.serialize_all()
-        with pytest.raises(CapacityError):
-            array.table(1).serialize()
+        array = IBLTArray(params, [[1], [9] * 8], backend=backend)  # 8 is past [-8, 8)
+        serialized = array.serialize_all()
+        assert serialized == [array.table(i).serialize() for i in range(len(array))]
+        assert IBLT.deserialize(params, serialized[1]) == array.table(1)
 
 
 @pytest.mark.skipif(not NumpyCellStore.available(), reason="NumPy not installed")
@@ -236,11 +235,13 @@ class TestPackedDifferenceRows:
         assert int(array._counts.min()) <= -6 and int(array._counts.max()) >= 1
         self.rows_agree(array)
 
-    def test_a_count_below_the_range_still_raises(self):
+    def test_a_count_below_the_range_wraps(self):
         params = IBLTParameters(6, 20, 3, 3, checksum_bits=24, count_bits=4)
         nine = IBLT.from_items(params, [9] * 5, backend="numpy")
         nine.insert_batch([9] * 4)
         array = IBLTArray.from_difference(IBLT(params, backend="numpy"), [nine])
-        assert int(array._counts.min()) == -9  # counts fit [-8, 8)
-        with pytest.raises(CapacityError):
-            array.serialize_all()
+        assert int(array._counts.min()) == -9  # -9 is past [-8, 8)
+        self.rows_agree(array)
+        assert array.table(0).serialize() == IBLT.from_items(
+            params, [9] * 7, backend="numpy"
+        ).serialize()  # -9 and 7 are one residue modulo 16

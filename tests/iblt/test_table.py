@@ -17,7 +17,7 @@ def make_params(cells=64, key_bits=32, seed=1, **kwargs):
 class TestParameters:
     def test_size_bits(self):
         params = make_params(cells=10, key_bits=20)
-        assert params.cell_bits == 16 + 20 + 32
+        assert params.cell_bits == 4 + 20 + 16
         assert params.size_bits == 10 * params.cell_bits
 
     def test_for_difference_uses_sizing(self):
@@ -204,10 +204,15 @@ class TestSerialization:
         b = IBLT.from_items(params, {30, 10, 20})
         assert a.serialize() == b.serialize()
 
-    def test_count_overflow_detected(self):
+    def test_counts_wrap_round_trip(self):
+        # Counts of 10 and -9 lie outside [-8, 8): they serialize as their
+        # residues modulo 16, and the table they restore to equals this one.
         params = make_params(cells=8, count_bits=4)
         table = IBLT(params)
         for _ in range(10):
             table.insert(1)
-        with pytest.raises(CapacityError):
-            table.serialize()
+        for _ in range(9):
+            table.delete(2)
+        restored = IBLT.deserialize(params, table.serialize())
+        assert restored == table
+        assert set(restored._store.snapshot()[0]) <= set(range(-8, 8))

@@ -107,7 +107,7 @@ class TestReconcileEntryPoint:
         alice_texts, bob_texts = edited_corpus_pair(20, 40, 2, 2, 1, seed=5)
         alice = DocumentCollection(alice_texts, 3, seed=5, signature_size=16)
         bob = DocumentCollection(bob_texts, 3, seed=5, signature_size=16)
-        for bound, bits in ((8, 246_784), (None, 789_568)):
+        for bound, bits in ((8, 245_664), (None, 785_984)):
             result = repro.reconcile(
                 alice, bob, protocol="documents", seed=6,
                 difference_bound=32, differing_children_bound=bound,
@@ -123,7 +123,7 @@ class TestReconcileEntryPoint:
             alice, bob, protocol="db", seed=99, differing_children_bound=3, **kwargs
         )
         assert bounded.success and bounded.recovered == alice
-        assert (default.total_bits, bounded.total_bits) == (57_024, 48_648)
+        assert (default.total_bits, bounded.total_bits) == (54_672, 46_632)
 
     def test_documents_honours_fallback_to_all_children(self):
         # Alice holds a near-duplicate of a document both sides share, so the

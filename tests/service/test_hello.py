@@ -1,12 +1,15 @@
 """The hello handshake against hostile peers, and the package surface.
 
-Every malformed hello must be answered with a refusing ``hello-ack`` -- never
-a dropped connection or a server-side "unexpected error" -- and must leave
+Every malformed hello, an option value of the wrong type or range included,
+must be answered with a refusing ``hello-ack`` (and every malformed ``mutate``
+with a refusing ``mutate-ack``) -- never a dropped connection or a
+server-side "unexpected error" -- and must leave
 the session counters consistent: ``sessions_started == sessions_served +
 sessions_failed + rejected_hellos``.
 """
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -16,14 +19,22 @@ from repro.errors import ParameterError, ServiceError
 from repro.protocols import pack_frame
 from repro.protocols.transports import FRAME_CONTROL
 from repro.service import SyncFleet, SyncServer, afetch_stats, areconcile, fleet_supported
+from repro.protocols.options import ReconcileOptions
 from repro.service.hello import (
+    _OPTION_CHECKS,
     ACK_LABEL,
     HELLO_LABEL,
+    MUTATE_ACK_LABEL,
+    MUTATE_LABEL,
     SERVICE_VERSION,
     Hello,
     PeerStats,
+    options_from_wire,
+    options_to_wire,
     parse_ack,
+    parse_mutate_ack,
 )
+from repro.store import SketchStore
 from repro.service.transport import AsyncSocketTransport
 
 UNIVERSE = 1 << 20
@@ -66,17 +77,49 @@ HOSTILE_HELLOS = {
 }
 
 
-async def send_hello(port, body):
-    """Send one raw hello and return the parsed ack (raises on refusal)."""
+def with_option(name, value):
+    return {**VALID, "options": {**VALID["options"], name: value}}
+
+
+#: Option values of the wrong type or past their range: each is refused in
+#: the ack, before any party is built.
+HOSTILE_HELLOS.update(
+    {
+        "bound-string": with_option("difference_bound", "x"),
+        "bound-past-header": with_option("difference_bound", 10**30),
+        "bound-float": with_option("difference_bound", 8.0),
+        "universe-string": with_option("universe_size", "big"),
+        "universe-float": with_option("universe_size", 1.5),
+        "universe-zero": with_option("universe_size", 0),
+        "seed-list": with_option("seed", [1]),
+        "hashes-bool": with_option("num_hashes", True),
+        "hashes-one": with_option("num_hashes", 1),
+        "safety-string": with_option("safety_factor", "2"),
+        "safety-negative": with_option("safety_factor", -1.0),
+        "backend-int": with_option("backend", 3),
+    }
+)
+
+#: ``mutate`` bodies that are not JSON objects.
+HOSTILE_MUTATES = {"list": [], "string": "ibf", "number": 5, "null": None}
+
+
+async def send_control(port, label, body):
+    """Send one raw control frame and return the reply frame."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     transport = AsyncSocketTransport(reader, writer, "bob")
     try:
         payload = json.dumps(body).encode()
-        writer.write(pack_frame(FRAME_CONTROL, "bob", HELLO_LABEL, 0, payload))
+        writer.write(pack_frame(FRAME_CONTROL, "bob", label, 0, payload))
         await writer.drain()
-        frame = await transport.receive_frame()
+        return await transport.receive_frame()
     finally:
         await transport.aclose()
+
+
+async def send_hello(port, body):
+    """Send one raw hello and return the parsed ack (raises on refusal)."""
+    frame = await send_control(port, HELLO_LABEL, body)
     assert frame.kind == FRAME_CONTROL and frame.label == ACK_LABEL
     return parse_ack(frame.payload)
 
@@ -100,6 +143,34 @@ def test_malformed_hello_is_refused_in_the_ack(body):
             return await afetch_stats("127.0.0.1", server.port)
 
     assert_sessions_balance(asyncio.run(scenario()))
+
+
+@pytest.mark.timeout(60)
+@pytest.mark.parametrize("body", HOSTILE_MUTATES.values(), ids=HOSTILE_MUTATES.keys())
+def test_malformed_mutate_is_refused_in_the_ack(body):
+    async def scenario():
+        async with SyncServer({"ibf": set(DATASETS["ibf"])}, store=SketchStore()) as server:
+            frame = await send_control(server.port, MUTATE_LABEL, body)
+            assert frame.kind == FRAME_CONTROL and frame.label == MUTATE_ACK_LABEL
+            with pytest.raises(ServiceError, match="JSON object"):
+                parse_mutate_ack(frame.payload)
+            acked_options, _ = await send_hello(server.port, VALID)
+            assert acked_options.difference_bound == 8
+            return await afetch_stats("127.0.0.1", server.port)
+
+    stats = asyncio.run(scenario())
+    assert stats["mutations"]["rejected"] == 1
+    assert stats["mutations"]["applied"] == 0
+    assert_sessions_balance(stats)
+
+
+def test_every_option_has_a_wire_check_that_admits_its_default():
+    defaults = ReconcileOptions()
+    assert set(_OPTION_CHECKS) == set(dataclasses.asdict(defaults))
+    for name, check in _OPTION_CHECKS.items():
+        assert check(getattr(defaults, name)), name
+    options = ReconcileOptions(seed=7, difference_bound=2**32 - 1, safety_factor=3)
+    assert options_from_wire(options_to_wire(options)) == options
 
 
 @pytest.mark.timeout(120)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParameterError, StoreError
-from repro.iblt import IBLT
+from repro.iblt import IBLT, IBLTParameters
 from repro.protocols.parties.setrecon import (
     SetReconContext,
     ibf_parties,
@@ -276,13 +276,14 @@ def test_invalidate_drops_memory_and_disk(tmp_path):
     store.close()
 
 
-@pytest.mark.parametrize("stale_version", [1, 2])
+@pytest.mark.parametrize("stale_version", [1, 2, 4])
 def test_older_snapshot_is_invalidated_and_rebuilt(tmp_path, stale_version):
-    """Version 2 changed the running-hash values and version 3 the estimator's
-    hash: an older snapshot is one invalidation, everything is rebuilt from
-    the supplied dataset (what would have been hits are misses), and the next
-    stored sync verifies against a from-scratch peer."""
-    assert SNAPSHOT_VERSION == 4
+    """Version 2 changed the running-hash values, version 3 the estimator's
+    hash and version 5 the table cell (16 / 32 to 4 / 16 bits): an older
+    snapshot is one invalidation, everything is rebuilt from the supplied
+    dataset (what would have been hits are misses), and the next stored sync
+    verifies against a from-scratch peer."""
+    assert SNAPSHOT_VERSION == 5
     dataset = make_dataset()
     config = SketchConfig(UNIVERSE, seed=SEED)
     store = SketchStore(tmp_path)
@@ -301,10 +302,14 @@ def test_older_snapshot_is_invalidated_and_rebuilt(tmp_path, stale_version):
     current.close()
 
     # What an older store left on disk: its schema version, a running hash
-    # no peer computes any more, and estimator counters filled by another
-    # hash.
+    # no peer computes any more, estimator counters filled by another hash,
+    # and tables of 16-bit counts and 32-bit checksums.
     body = json.loads(path.read_text())
     body["version"] = stale_version
+    for item in body["tables"]:
+        item["params"].update(checksum_bits=32, count_bits=16)
+        wide = IBLT.from_items(IBLTParameters(**item["params"]), dataset)
+        item["cells"] = format(wide.serialize(), "x")
     body["hashes"] = {seed: value ^ 0xDEADBEEF for seed, value in body["hashes"].items()}
     state = config.context().estimator_codec().encode
     foreign = SketchConfig(UNIVERSE, seed=SEED + 1).context().make_estimator()

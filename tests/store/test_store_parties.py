@@ -282,10 +282,12 @@ def frames_digest(frames):
 #: frame became the compact one (levels up to the deepest non-zero counter,
 #: each dense or sparse): the same counters in 1,705 bits here instead of
 #: 8,192, and the same estimates and bounds, so ``_UNKNOWN_DETAILS`` held.
-_KNOWN_ALICE = "93458227ad2aea46bd4af97504ed3939c9c7aefef32e3b97fae56f7ae087e36a"
-_UNKNOWN_ALICE = "00aaa768d17490d404e2b9b755ab9e53cd2b5bc466adbe533cb873e4a29f838f"
-_KNOWN_BOB = "6a0692172b993908e6490ec5fcc79eac0ddab74c25b7da1be11bbe41574eb353"
-_UNKNOWN_BOB = "564ffd2b79ecfe023502d1a4d335528426591fbfbf71451cad7a927fd13e83f6"
+#: All twelve were re-recorded once more when the default IBLT cell narrowed
+#: to a 4-bit wrapped count and a 16-bit checksum; the details held.
+_KNOWN_ALICE = "3d5e04d798bd558866e7639507913c12cfc46d357f619c2a850f0fd5435168b1"
+_UNKNOWN_ALICE = "bc853e67c67e3083ebfc236a894c77ed75b8ed2ea0109905b83f93797c48bda3"
+_KNOWN_BOB = "aff31bc28d2506996d1d251fa45790d55a489b683a8855dc3d67b99451f751d8"
+_UNKNOWN_BOB = "c170ce9ef4c79b55064568a7e3775192b1d0da97214e822f1b6c1783c13313da"
 FRAME_PINS = {
     ("scratch", "alice", BOUND): _KNOWN_ALICE,
     ("scratch", "alice", None): _UNKNOWN_ALICE,
@@ -295,10 +297,10 @@ FRAME_PINS = {
     ("store", "alice", None): _UNKNOWN_ALICE,
     ("store", "bob", BOUND): _KNOWN_BOB,
     ("store", "bob", None): _UNKNOWN_BOB,
-    ("kv", "alice", BOUND): "08b11d12330a4ce4d04d2368845d16cf52926b24b55f48c8d958ae23d259cb5d",
-    ("kv", "alice", None): "f90b2f38774bc916b6503386c31b7c6caec1e4c0fbd31b0573fd33993e0333a4",
-    ("kv", "bob", BOUND): "304a23becdb13557e64989c46c238d5b6c00f2f478e80a7871f4b5876fb2674c",
-    ("kv", "bob", None): "9a66965590b2ddc361f57b126f0aebe3a2cfd392c6a8262f1ad454c165ad5303",
+    ("kv", "alice", BOUND): "659025123254e7789c2d832dc3863b1ae8b3a33cf0c26a3e997ac51aeed95138",
+    ("kv", "alice", None): "0110d5532195f39bfbdf3fde5f8fd00853647c723874b02906cb4289b18a345e",
+    ("kv", "bob", BOUND): "be545dd26ebea5032973cf03d3aaa573004c68ec6e9000dda6e327c6e914e7db",
+    ("kv", "bob", None): "73c8c666a0c2920cb0dd7bd62f378e87d2aed181d014e2630c0aeb77d5d28dbb",
 }
 
 #: ``ReconciliationResult.details`` of the same sessions at the same commit
