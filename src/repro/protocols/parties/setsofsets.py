@@ -552,6 +552,18 @@ def _level_child_scheme(ctx: SetsOfSetsContext, level: int) -> ChildEncodingSche
     )
 
 
+def _clamped_capacity(budget: float, d_hat: int) -> int:
+    """``ceil(budget)`` keys, clamped to ``[2, 2 * d_hat]``.
+
+    No table of the cascade ever holds more than the ``2 * d_hat`` differing
+    children of both sides.  The clamp is taken before the float becomes an
+    int, so a peer-chosen ``level_slack`` can neither size a table past it
+    nor overflow the conversion.
+    """
+    ceiling = 2 * d_hat
+    return max(2, ceiling if budget >= ceiling else math.ceil(budget))
+
+
 def _parent_capacity(level: int, difference_bound: int, d_hat: int, slack: float) -> int:
     """Capacity (in keys) of the level-``level`` parent table.
 
@@ -562,13 +574,17 @@ def _parent_capacity(level: int, difference_bound: int, d_hat: int, slack: float
     """
     if level == 1:
         return max(2, min(2 * d_hat, 2 * difference_bound))
-    budget = int(math.ceil(slack * difference_bound / (2 ** (level - 1))))
-    return max(2, min(2 * d_hat, budget))
+    return _clamped_capacity(slack * difference_bound / 2 ** (level - 1), d_hat)
 
 
 @dataclass(frozen=True)
 class _CascadePlan:
-    """Everything both parties derive from the shared cascading context."""
+    """Everything both parties derive from the shared cascading context.
+
+    ``schemes`` and ``level_params`` are the child-IBLT levels the plan runs;
+    ``t_star_params`` sizes T*, the explicit table that ends the cascade
+    (``None`` when the plan runs every level and ``d < h``).
+    """
 
     schemes: list[ChildEncodingScheme]
     level_params: list[IBLTParameters]
@@ -587,7 +603,16 @@ class _CascadePlan:
         return total
 
 
-def _cascade_plan(ctx: SetsOfSetsContext, difference_bound: int) -> _CascadePlan:
+def _cascade_candidates(
+    ctx: SetsOfSetsContext, difference_bound: int
+) -> list[_CascadePlan]:
+    """Every truncation of the cascade, cut ``j = 0 .. L`` in order.
+
+    Cut ``j < L`` runs child-IBLT levels ``1..j`` and then one explicit table
+    in place of level ``j + 1``, with that level's capacity: an explicit key
+    decodes to the child itself, so nothing after it is needed.  Cut ``L``
+    is Algorithm 2 in full, whose T* is present only when ``d >= h``.
+    """
     difference_bound = max(1, difference_bound)
     d_hat = (
         ctx.differing_children_bound
@@ -595,29 +620,49 @@ def _cascade_plan(ctx: SetsOfSetsContext, difference_bound: int) -> _CascadePlan
         else min(difference_bound, ctx.max_num_children)
     )
     cascade_limit = max(2, min(difference_bound, ctx.max_child_size))
-    num_levels = max(1, math.ceil(math.log2(cascade_limit)))
-    schemes = [
-        _level_child_scheme(ctx, level) for level in range(1, num_levels + 1)
+    levels = range(1, max(1, math.ceil(math.log2(cascade_limit))) + 1)
+    schemes = [_level_child_scheme(ctx, level) for level in levels]
+    capacities = [
+        _parent_capacity(level, difference_bound, d_hat, ctx.level_slack)
+        for level in levels
     ]
     level_params = [
         IBLTParameters.for_difference(
-            _parent_capacity(level, difference_bound, d_hat, ctx.level_slack),
+            capacity,
             scheme.key_bits,
             derive_seed(ctx.seed, "cascade-parent", level),
             ctx.num_hashes,
         )
-        for level, scheme in zip(range(1, num_levels + 1), schemes)
+        for level, scheme, capacity in zip(levels, schemes, capacities)
     ]
     explicit_scheme = ExplicitChildScheme(ctx.universe_size, ctx.max_child_size)
+    explicit_seed = derive_seed(ctx.seed, "cascade-t-star")
+
+    def explicit_table(capacity: int) -> IBLTParameters:
+        return IBLTParameters.for_difference(
+            capacity, explicit_scheme.key_bits, explicit_seed, ctx.num_hashes
+        )
+
+    candidates = [
+        _CascadePlan(
+            schemes[:cut], level_params[:cut], explicit_scheme, explicit_table(capacity)
+        )
+        for cut, capacity in enumerate(capacities)
+    ]
     t_star_params = None
     if difference_bound >= ctx.max_child_size:
-        t_star_params = IBLTParameters.for_difference(
-            max(2, math.ceil(ctx.level_slack * difference_bound / ctx.max_child_size)),
-            explicit_scheme.key_bits,
-            derive_seed(ctx.seed, "cascade-t-star"),
-            ctx.num_hashes,
+        t_star_params = explicit_table(
+            _clamped_capacity(
+                ctx.level_slack * difference_bound / ctx.max_child_size, d_hat
+            )
         )
-    return _CascadePlan(schemes, level_params, explicit_scheme, t_star_params)
+    candidates.append(_CascadePlan(schemes, level_params, explicit_scheme, t_star_params))
+    return candidates
+
+
+def _cascade_plan(ctx: SetsOfSetsContext, difference_bound: int) -> _CascadePlan:
+    """The cheapest truncation of the cascade (fewer levels on a tie)."""
+    return min(_cascade_candidates(ctx, difference_bound), key=lambda plan: plan.total_bits)
 
 
 class CascadingMessageCodec(PayloadCodec):
@@ -665,7 +710,7 @@ class CascadingMessageCodec(PayloadCodec):
 def cascading_alice_known(
     alice: SetOfSets, difference_bound: int, ctx: SetsOfSetsContext
 ) -> PartyGenerator:
-    """Alice's side: build every level table (and T*) and send them at once."""
+    """Alice's side: build the plan's level tables (and T*) and send them at once."""
     if difference_bound < 0:
         raise ParameterError("difference_bound must be non-negative")
     if ctx.max_child_size is None or ctx.max_child_size <= 0:
@@ -694,7 +739,7 @@ def cascading_alice_known(
 def cascading_bob_known(
     bob: SetOfSets, difference_bound: int, ctx: SetsOfSetsContext
 ) -> PartyGenerator:
-    """Bob's side: process the levels in order, then T*."""
+    """Bob's side: process the plan's levels in order, then T*."""
     if difference_bound < 0:
         raise ParameterError("difference_bound must be non-negative")
     if ctx.max_child_size is None or ctx.max_child_size <= 0:
@@ -750,7 +795,8 @@ def cascading_bob_known(
     if t_star is not None:
         work = t_star.copy()
         # Children in D_B stay in the table so only Alice's unrecovered
-        # children remain to extract (keeps T* within its O(d/h) budget).
+        # children remain to extract: the keys a level >= 2 table carries,
+        # so a T* that replaces a level fits that level's capacity.
         deletions = [
             plan.explicit_scheme.encode(child)
             for child in bob_children

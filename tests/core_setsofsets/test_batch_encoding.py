@@ -235,8 +235,10 @@ class TestDoublingClampToMaxBound:
     def test_cascading_succeeds_exactly_at_clamped_bound(self):
         # Bounds 1, 2 and 4 fail; the clamped final attempt at 5 succeeds
         # (before the clamp the doubling jumped 4 -> 8 > 5 and failed).
+        # Seed 31 is the first instance seed on which this holds under the
+        # cascade's cheapest-truncation plan.
         instance = sets_of_sets_instance(
-            16, 12, UNIVERSE, 48, seed=7, max_children_touched=12
+            16, 12, UNIVERSE, 48, seed=31, max_children_touched=12
         )
         result = reconcile(
             instance.alice, instance.bob, protocol="cascading", difference_bound=None,

@@ -5,6 +5,7 @@ import pytest
 from repro import reconcile
 from repro.core.setsofsets import SetOfSets
 from repro.errors import ParameterError
+from repro.protocols.parties.setsofsets import _cascade_plan, context_for
 from repro.workloads import sets_of_sets_instance
 
 UNIVERSE = 512
@@ -178,7 +179,12 @@ class TestCascadingSpecifics:
     def test_details_reported(self):
         instance = small_instance(seed=23)
         result = run_known("cascading", instance)
-        assert result.details["num_levels"] >= 1
+        ctx = context_for(
+            instance.alice, instance.bob, UNIVERSE, 9,
+            max_child_size=instance.max_child_size,
+        )
+        plan = _cascade_plan(ctx, instance.planted_difference)
+        assert result.details["num_levels"] == plan.num_levels
         assert result.details["recovered_children"] >= 0
 
     def test_invalid_parameters(self):

@@ -123,7 +123,7 @@ class TestReconcileEntryPoint:
             alice, bob, protocol="db", seed=99, differing_children_bound=3, **kwargs
         )
         assert bounded.success and bounded.recovered == alice
-        assert (default.total_bits, bounded.total_bits) == (54_672, 46_632)
+        assert (default.total_bits, bounded.total_bits) == (848, 624)
 
     def test_documents_honours_fallback_to_all_children(self):
         # Alice holds a near-duplicate of a document both sides share, so the

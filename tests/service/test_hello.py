@@ -35,6 +35,7 @@ from repro.service.hello import (
     parse_mutate_ack,
 )
 from repro.store import SketchStore
+from repro.workloads import sets_of_sets_instance
 from repro.service.transport import AsyncSocketTransport
 
 UNIVERSE = 1 << 20
@@ -162,6 +163,40 @@ def test_malformed_mutate_is_refused_in_the_ack(body):
     assert stats["mutations"]["rejected"] == 1
     assert stats["mutations"]["applied"] == 0
     assert_sessions_balance(stats)
+
+
+#: ``level_slack`` values a ``cascading`` hello may carry: each passes the
+#: option checks (a positive finite number) and is acked, so the cascade plan
+#: itself must keep every table within its ``2 d_hat`` keys.  Unclamped, the
+#: first sized tables of millions of cells and the other two overflowed the
+#: float-to-int conversion of a capacity.
+HOSTILE_SLACKS = {"slack-1e6": 1e6, "slack-1e300": 1e300, "slack-max-float": 1.7e308}
+
+
+@pytest.mark.timeout(60)
+@pytest.mark.parametrize("slack", HOSTILE_SLACKS.values(), ids=HOSTILE_SLACKS.keys())
+def test_a_hostile_level_slack_cannot_size_the_cascade(slack):
+    instance = sets_of_sets_instance(30, 8, UNIVERSE, 6, seed=4, max_children_touched=3)
+
+    async def scenario():
+        async with SyncServer({"cascading": instance.alice}) as server:
+            try:
+                result = await asyncio.wait_for(
+                    areconcile(
+                        "127.0.0.1", server.port, "cascading", instance.bob,
+                        universe_size=UNIVERSE, difference_bound=64, level_slack=slack,
+                    ),
+                    timeout=5,
+                )
+            except ServiceError:
+                result = None  # refused in the ack: also a bounded answer
+            return result, await afetch_stats("127.0.0.1", server.port)
+
+    result, stats = asyncio.run(scenario())
+    if result is not None:
+        assert result.success and result.recovered == instance.alice
+    assert_sessions_balance(stats)
+    assert stats["sessions_failed"] == 0
 
 
 def test_every_option_has_a_wire_check_that_admits_its_default():
