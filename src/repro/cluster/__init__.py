@@ -16,7 +16,6 @@ Entry points:
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.gossip import POLICIES, GossipScheduler
-from repro.cluster.journal import RecordJournal
 from repro.cluster.metrics import ClusterMetrics, ConvergenceReport, GossipSessionRecord
 from repro.cluster.node import ClusterNode, acontrol
 from repro.cluster.records import (
@@ -39,7 +38,6 @@ __all__ = [
     "GossipScheduler",
     "GossipSessionRecord",
     "KVRecord",
-    "RecordJournal",
     "VersionedKV",
     "acontrol",
     "record_bits",

@@ -119,13 +119,16 @@ class KVRecord:
 
     @classmethod
     def from_wire(cls, wire: dict[str, Any]) -> "KVRecord":
-        value = wire["value"]
-        return cls(
-            key=str(wire["key"]),
-            version=int(wire["version"]),
-            writer=int(wire["writer"]),
-            value=None if value is None else str(value),
-        )
+        """The record a :meth:`to_wire` dict describes; a field of the wrong
+        type raises ``ValueError`` instead of being coerced."""
+        key, version, writer, value = (wire[name] for name in ("key", "version", "writer", "value"))
+        if not (
+            isinstance(key, str)
+            and all(type(number) is int for number in (version, writer))
+            and (value is None or isinstance(value, str))
+        ):
+            raise ValueError(f"record fields have the wrong types: {wire!r}")
+        return cls(key=key, version=version, writer=writer, value=value)
 
 
 @lru_cache(maxsize=64)

@@ -12,18 +12,19 @@ also keeps an O(1) state summary and caches its digest between installed
 records, so checking convergence after a round is not O(n) either.
 
 Durability is optional: given a ``journal_path`` the replica appends each
-merge's winners to a :class:`~repro.cluster.journal.RecordJournal` before
-mutating state, and a restarted replica replays the journal through the
-same LWW merge (idempotent, so duplicates and superseded records are
-harmless) to recover its exact pre-crash state.
+merge's winners to a :class:`~repro.store.journal.Journal` of
+:data:`RECORDS` entries before mutating state, and a restarted replica
+replays the journal through the same LWW merge (idempotent, so duplicates
+and superseded records are harmless) to recover its exact pre-crash state.
+A malformed interior line raises :class:`~repro.errors.ClusterError`.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Any, Collection, Iterable
 
-from repro.cluster.journal import RecordJournal
 from repro.cluster.records import (
     FINGERPRINT_UNIVERSE,
     KVRecord,
@@ -32,11 +33,19 @@ from repro.cluster.records import (
 )
 from repro.errors import ClusterError, ParameterError
 from repro.store.config import SketchConfig
+from repro.store.journal import Journal, LineCodec
 from repro.store.parties import StoreView
 from repro.store.sketch import SketchStore
 
 #: The store key every replica files its fingerprint set under.
 _STORE_KEY = "kv"
+
+#: The replica's journal entries: one applied record per line.
+RECORDS: LineCodec[KVRecord] = LineCodec(
+    lambda record: json.dumps(record.to_wire(), separators=(",", ":"), sort_keys=True),
+    lambda line, _previous: KVRecord.from_wire(json.loads(line)),
+    ClusterError,
+)
 
 
 class VersionedKV:
@@ -80,12 +89,12 @@ class VersionedKV:
         self._fingerprint_xor = 0
         self._digest: str | None = None  # cached until the next installed record
         self.store = SketchStore(metrics=metrics)
-        self._journal: RecordJournal | None = None
+        self._journal: Journal[KVRecord] | None = None
         if journal_path is not None:
-            journal = RecordJournal(journal_path, fsync=fsync)
+            journal = Journal(journal_path, RECORDS, fsync=fsync)
             # Replay is the ordinary merge, run before the journal is
             # attached so that it does not journal itself.
-            self.merge_records(journal.records())
+            self.merge_records(journal.entries())
             self._journal = journal
 
     # -- local writes ----------------------------------------------------------------
@@ -235,15 +244,11 @@ class VersionedKV:
 
     # -- durability ------------------------------------------------------------------
 
-    @property
-    def journal(self) -> RecordJournal | None:
-        return self._journal
-
     def compact_journal(self) -> None:
         """Rewrite the journal down to the current merged state."""
         if self._journal is None:
             raise ClusterError("this replica has no journal to compact")
-        self._journal.compact(self.records())
+        self._journal.rewrite(self.records())
 
     def close(self) -> None:
         if self._journal is not None:

@@ -12,7 +12,8 @@ re-encoding O(n) elements per session.  This package owns that state:
 * :class:`StoreView` and :func:`stored_ibf_party` -- the live sketch source
   the shared ``ibf`` flow runs over, and the builder that picks it: a
   store-served session is byte-identical to a from-scratch one;
-* :class:`UpdateJournal` -- the write-ahead mutation log;
+* :class:`Journal` -- the append-only line journal (write-ahead log) of
+  both the store and the gossip replica, one codec per entry kind;
 * :class:`AntiEntropyLoop` -- the background snapshot sweep with deferred
   retries.
 
@@ -22,16 +23,16 @@ invalidation rules.
 
 from repro.store.antientropy import AntiEntropyLoop
 from repro.store.config import SketchConfig
-from repro.store.journal import UpdateJournal
+from repro.store.journal import Journal
 from repro.store.parties import StoreView, stored_ibf_party
 from repro.store.sketch import SNAPSHOT_VERSION, SketchStore
 
 __all__ = [
     "AntiEntropyLoop",
+    "Journal",
     "SNAPSHOT_VERSION",
     "SketchConfig",
     "SketchStore",
     "StoreView",
-    "UpdateJournal",
     "stored_ibf_party",
 ]

@@ -31,12 +31,14 @@ together).  Eviction only forgets work: the next session that wants an
 evicted sketch is a recorded miss and a rebuild, never a wrong answer.
 
 Durability (optional, enabled by passing a ``root`` directory) is a
-snapshot per dataset (atomic temp-file + ``os.replace``; tables persist via
-:meth:`~repro.iblt.table.IBLT.serialize`) plus an append-only
-:class:`~repro.store.journal.UpdateJournal`.  Restart loads the snapshot
+snapshot per dataset (written by :func:`~repro.store.journal.atomic_write`;
+tables persist via :meth:`~repro.iblt.table.IBLT.serialize`) plus an
+append-only :class:`~repro.store.journal.Journal` of
+:data:`~repro.store.journal.UPDATES` entries.  Restart loads the snapshot
 and replays the journal suffix; a snapshot or table whose recorded
-parameters disagree with what its recorded config would derive today is
-discarded and counted as an invalidation (see
+parameters disagree with what its recorded config would derive today, or
+a journal suffix that does not decode or apply, is discarded and counted
+as an invalidation (see
 :meth:`~repro.store.config.SketchConfig.admits_params`).
 
 Metrics are duck-typed: any object with the ``record_store_*`` /
@@ -48,7 +50,6 @@ disables recording.  The store never imports the service layer.
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
 from pathlib import Path
@@ -59,7 +60,7 @@ from repro.errors import ParameterError, ReproError, StoreError
 from repro.estimator import L0Estimator
 from repro.iblt import IBLT, IBLTParameters
 from repro.store.config import SketchConfig
-from repro.store.journal import UpdateJournal
+from repro.store.journal import UPDATES, Journal, Update, atomic_write
 
 #: Snapshot schema version; bumped on incompatible changes (older snapshots
 #: are then discarded as invalidations, never misread).  Version 2: the
@@ -117,7 +118,7 @@ class _DatasetEntry:
         self.seq = 0  # sequence number of the last applied mutation batch
         self.snapshot_seq = -1  # seq captured by the on-disk snapshot
         self.families: dict[str, _Family] = {}  # fingerprint -> family, LRU first
-        self.journal: UpdateJournal | None = None
+        self.journal: Journal[Update] | None = None
 
     def family(self, config: SketchConfig) -> _Family:
         """The family for ``config``, marked most recently served."""
@@ -194,7 +195,7 @@ class SketchStore:
         if entry is not None:
             return entry
         journal = (
-            UpdateJournal(self._journal_path(key), fsync=self.fsync)
+            Journal(self._journal_path(key), UPDATES, fsync=self.fsync)
             if self.durable
             else None
         )
@@ -211,7 +212,7 @@ class SketchStore:
                 # mutations the supplied dataset already reflects; continue
                 # its sequence numbering instead of colliding with it.
                 try:
-                    entry.seq = journal.last_seq()
+                    entry.seq = max((seq for seq, _, _ in journal.entries()), default=0)
                 except StoreError:
                     self._metric("record_store_invalidation")
                     journal.unlink()
@@ -220,7 +221,7 @@ class SketchStore:
         return entry
 
     def _load_entry(
-        self, key: str, dataset: Any, journal: UpdateJournal
+        self, key: str, dataset: Any, journal: Journal[Update]
     ) -> _DatasetEntry | None:
         path = self._snapshot_path(key)
         if not path.exists():
@@ -234,22 +235,19 @@ class SketchStore:
             self._metric("record_store_invalidation")
             return None
         try:
-            replayed = journal.replay(entry.seq)
-        except StoreError:
-            # Interior journal corruption: the snapshot is sound but the
-            # mutations past it cannot be trusted to line up with the
-            # dataset.  Rebuild from supplied data instead of serving a
-            # silently stale sketch.
+            replayed = [update for update in journal.entries() if update[0] > entry.seq]
+            for seq, inserted, deleted in replayed:
+                self._apply_to_entry(entry, inserted, deleted)
+                entry.seq = seq
+        except ReproError:
+            # Interior journal corruption, or a replayed batch no live
+            # sketch can hold: the snapshot is sound but the mutations past
+            # it cannot be trusted to line up with the dataset.  Rebuild
+            # from supplied data instead of serving a silently stale sketch.
             self._metric("record_store_invalidation")
             journal.unlink()
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
+            path.unlink(missing_ok=True)
             return None
-        for seq, inserted, deleted in replayed:
-            self._apply_to_entry(entry, inserted, deleted)
-            entry.seq = seq
         if replayed:
             self._metric("record_journal_replay", len(replayed))
         if dataset is not None and entry.size != len(dataset):
@@ -257,10 +255,7 @@ class SketchStore:
             # cached sketch is suspect.  Drop the persisted state too.
             self._metric("record_store_invalidation")
             journal.unlink()
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
+            path.unlink(missing_ok=True)
             return None
         return entry
 
@@ -345,7 +340,7 @@ class SketchStore:
             deleted = tuple(deleted)
             seq = entry.seq + 1
             if entry.journal is not None:
-                entry.journal.append(seq, inserted, deleted)
+                entry.journal.append([(seq, inserted, deleted)])
             try:
                 self._apply_to_entry(entry, inserted, deleted)
             except (ReproError, ArithmeticError, LookupError, TypeError, ValueError) as exc:
@@ -495,16 +490,12 @@ class SketchStore:
                 ],
             }
             path = self._snapshot_path(key)
-            temp = path.with_suffix(path.suffix + ".tmp")
-            with open(temp, "w", encoding="utf-8") as handle:
-                json.dump(body, handle)
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
-            os.replace(temp, path)
+            atomic_write(path, json.dumps(body), fsync=self.fsync)
             entry.snapshot_seq = entry.seq
             if entry.journal is not None:
-                entry.journal.compact(entry.seq)
+                entry.journal.rewrite(
+                    update for update in entry.journal.entries() if update[0] > entry.seq
+                )
             self._metric("record_snapshot")
             return path
 
@@ -558,12 +549,9 @@ class SketchStore:
             if entry is not None and entry.journal is not None:
                 entry.journal.unlink()
             elif self.durable:
-                UpdateJournal(self._journal_path(key)).unlink()
+                self._journal_path(key).unlink(missing_ok=True)
             if self.durable:
-                try:
-                    self._snapshot_path(key).unlink()
-                except FileNotFoundError:
-                    pass
+                self._snapshot_path(key).unlink(missing_ok=True)
             self._metric("record_store_invalidation")
 
     def close(self) -> None:

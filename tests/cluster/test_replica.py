@@ -1,12 +1,17 @@
-"""Replica semantics: LWW merge, journal replay, crash tails, sketch seam."""
+"""Replica semantics: LWW merge, journal replay, sketch seam.
+
+The journal's crash properties are checked for both entry codecs in
+tests/store/test_journal.py."""
 
 import json
 
 import pytest
 
-from repro.cluster import KVRecord, RecordJournal, VersionedKV
+from repro.cluster import KVRecord, VersionedKV
 from repro.cluster.records import FINGERPRINT_UNIVERSE
+from repro.cluster.replica import RECORDS
 from repro.errors import ClusterError, ParameterError
+from repro.store import Journal
 from repro.store.config import SketchConfig
 
 
@@ -95,60 +100,8 @@ class TestJournal:
         assert reborn.get("b") is None
         assert reborn.clock == kv.clock
 
-    def test_torn_tail_is_tolerated(self, tmp_path):
-        path = tmp_path / "node.journal.jsonl"
-        kv = VersionedKV(0, seed=5, journal_path=path)
-        kv.put("a", "1")
-        kv.put("b", "2")
-        kv.close()
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "c", "version": 3')  # crash mid-append
-        reborn = VersionedKV(0, seed=5, journal_path=path)
-        assert reborn.get("a") == "1" and reborn.get("b") == "2"
-        assert len(reborn) == 2
-        # The next append lands on a clean line, not the torn fragment.
-        reborn.put("d", "4")
-        reborn.close()
-        third = VersionedKV(0, seed=5, journal_path=path)
-        assert third.get("d") == "4"
-
-    def test_crash_at_every_byte_of_a_batch_append(self, tmp_path):
-        # A batch is one write, so a crash inside it leaves complete lines
-        # followed by at most one torn one.  At every cut: the reopened
-        # state is the LWW merge of the lines whose newline made it to disk,
-        # and the next append lands on a clean line.
-        path = tmp_path / "node.journal.jsonl"
-        first = KVRecord(key="a", version=1, writer=0, value="1")
-        batch = [
-            KVRecord(key="a", version=5, writer=1, value="2"),
-            KVRecord(key="b", version=2, writer=1, value=None),
-            KVRecord(key="clé", version=3, writer=2, value="vé\nw"),
-        ]
-        kv = VersionedKV(0, seed=5, journal_path=path)
-        kv.merge_records([first])
-        batch_start = path.stat().st_size
-        assert kv.merge_records(batch) == 3
-        kv.close()
-        whole = path.read_bytes()
-        assert whole.count(b"\n") == 4
-        for cut in range(batch_start, len(whole) + 1):
-            path.write_bytes(whole[:cut])
-            committed = whole[: whole.rfind(b"\n", 0, cut) + 1]
-            expected = VersionedKV(0, seed=5)
-            expected.merge_records(([first] + batch)[: committed.count(b"\n")])
-            reborn = VersionedKV(0, seed=5, journal_path=path)
-            assert reborn.records() == expected.records(), cut
-            assert (reborn.digest(), reborn.clock) == (expected.digest(), expected.clock)
-            reborn.put("z", "after")
-            reborn.close()
-            lines = path.read_bytes()
-            assert lines.startswith(committed) and lines.count(b"\n") == committed.count(b"\n") + 1
-            third = VersionedKV(0, seed=5, journal_path=path)
-            assert third.digest() == reborn.digest(), cut
-            third.close()
-
     def test_a_merge_is_one_synced_append_of_its_winners(self, tmp_path, monkeypatch):
-        import repro.cluster.journal as journal_module
+        import repro.store.journal as journal_module
 
         synced = []
         monkeypatch.setattr(journal_module.os, "fsync", synced.append)
@@ -161,24 +114,37 @@ class TestJournal:
         assert kv.merge_records([old]) == 0  # nothing won: nothing appended
         assert len(synced) == 1
         # Superseded inside its own batch: counted, never journalled.
-        assert RecordJournal(path).records() == [new, other]
+        assert Journal(path, RECORDS).entries() == [new, other]
 
-    def test_corruption_before_a_torn_tail_still_raises(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"key":[1,2],"version":3.9,"writer":true,"value":{"a":1}}',
+            '{"key":7,"version":3,"writer":1,"value":"v"}',
+            '{"key":"k","version":3.9,"writer":1,"value":"v"}',
+            '{"key":"k","version":"3","writer":1,"value":"v"}',
+            '{"key":"k","version":3,"writer":true,"value":"v"}',
+            '{"key":"k","version":3,"writer":1,"value":{"a":1}}',
+            '{"key":"k","version":3,"writer":1,"value":5}',
+        ],
+        ids=[
+            "every-field",
+            "int-key",
+            "float-version",
+            "str-version",
+            "bool-writer",
+            "dict-value",
+            "int-value",
+        ],
+    )
+    def test_a_record_of_the_wrong_type_is_corruption(self, tmp_path, line):
+        # Replay checks each field instead of coercing it into a record no
+        # replica wrote.
         path = tmp_path / "node.journal.jsonl"
         kv = VersionedKV(0, seed=5, journal_path=path)
         kv.put("a", "1")
         kv.close()
-        path.write_text(path.read_text() + "not json\n" + '{"key": "c", "ver')
-        with pytest.raises(ClusterError, match="corrupt journal"):
-            VersionedKV(0, seed=5, journal_path=path)
-
-    def test_interior_corruption_raises(self, tmp_path):
-        path = tmp_path / "node.journal.jsonl"
-        kv = VersionedKV(0, seed=5, journal_path=path)
-        kv.put("a", "1")
-        kv.close()
-        lines = path.read_text().splitlines()
-        path.write_text("not json\n" + "\n".join(lines) + "\n")
+        path.write_text(path.read_text() + line + "\n" + path.read_text())
         with pytest.raises(ClusterError, match="corrupt journal"):
             VersionedKV(0, seed=5, journal_path=path)
 
@@ -187,7 +153,7 @@ class TestJournal:
         kv = VersionedKV(0, seed=5, journal_path=path)
         for i in range(5):
             kv.put("a", f"v{i}")
-        assert len(RecordJournal(path).records()) == 5
+        assert len(Journal(path, RECORDS).entries()) == 5
         kv.compact_journal()
         entries = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(entries) == 1 and entries[0]["value"] == "v4"

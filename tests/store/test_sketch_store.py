@@ -222,6 +222,65 @@ def test_restart_with_out_of_band_dataset_change_invalidates(tmp_path):
     reopened.close()
 
 
+def _snapshot_then_journal(tmp_path, dataset, config, lines):
+    """A snapshot of ``dataset`` at seq 0, then a journal of raw ``lines``."""
+    store = SketchStore(tmp_path)
+    store.table_for("d", config, 20, dataset)
+    store.snapshot("d")
+    store.close()
+    (tmp_path / "d.journal.jsonl").write_text(
+        "".join(line + "\n" for line in lines), encoding="utf-8"
+    )
+
+
+def test_a_journal_line_the_store_would_coerce_invalidates(tmp_path):
+    # 1.7, "12" and false are not keys, and true is not a sequence number:
+    # the line is interior corruption, not the batch (1, 12, 0) at seq 1.
+    dataset = make_dataset() - {0, 1, 5, 12}
+    config = SketchConfig(UNIVERSE, seed=SEED)
+    _snapshot_then_journal(
+        tmp_path,
+        dataset,
+        config,
+        [
+            '{"seq": true, "insert": [1.7, "12", false]}',
+            '{"seq":2,"insert":[5],"delete":[]}',
+        ],
+    )
+    dataset |= {0, 1, 5, 12}
+    metrics = ServiceMetrics()
+    reopened = SketchStore(tmp_path, metrics=metrics)
+    live = reopened.table_for("d", config, 20, dataset)
+    assert live.serialize() == fresh_table(config, 20, dataset).serialize()
+    assert metrics.store_invalidations == 1
+    assert metrics.journal_replays == 0
+    reopened.close()
+
+
+@pytest.mark.parametrize("key", [1 << 70, -5], ids=["2**70", "-5"])
+def test_a_replayed_key_no_table_can_hold_invalidates(tmp_path, key):
+    # Load rebuilds from the supplied dataset instead of raising out of
+    # table_for (CapacityError for 2**70, ParameterError for -5).
+    dataset = make_dataset()
+    config = SketchConfig(UNIVERSE, seed=SEED)
+    _snapshot_then_journal(
+        tmp_path,
+        dataset,
+        config,
+        [
+            '{"seq":1,"insert":[%d],"delete":[]}' % key,
+            '{"seq":2,"insert":[],"delete":[]}',
+        ],
+    )
+    metrics = ServiceMetrics()
+    reopened = SketchStore(tmp_path, metrics=metrics)
+    live = reopened.table_for("d", config, 20, dataset)
+    assert live.serialize() == fresh_table(config, 20, dataset).serialize()
+    assert metrics.store_invalidations == 1
+    assert not (tmp_path / "d.journal.jsonl").exists()
+    reopened.close()
+
+
 def test_failed_apply_invalidates_wholesale(tmp_path):
     dataset = make_dataset()
     # A tiny universe: keys outside it poison the cell encoding.
