@@ -7,6 +7,11 @@ recover identical sets.  The acceptance bar for the vectorized backend is
 a >= 5x end-to-end (encode + subtract + decode) speedup over the reference
 backend at n = 10^5.
 
+The wide-key row (``compare_wide``) does the same at 588-bit keys, the
+width of the explicit child table of the ``sos-cascading`` workload: both
+stores hold such keys (the NumPy store as ten ``uint64`` limbs per cell), and
+the row asserts byte-identical serializations and identical recovered sets.
+
 The large-scale row (``compare_large``, n = 10^7) runs both tiers in one
 run, asserts byte-identical serializations across them, and times the
 decode phase both through the legacy per-round driver and through the
@@ -42,6 +47,8 @@ from repro.iblt.table import DecodeResult
 
 SIZES = (1_000, 10_000, 100_000)
 KEY_BITS = 48
+WIDE_KEY_BITS = 588
+WIDE_N = 2_000
 SPEEDUP_FLOOR = 5.0  # acceptance bar at the largest size
 LARGE_N = 10_000_000
 PEEL_SPEEDUP_FLOOR = 2.0  # the NumPy store's in-store peel vs the reference peel at 1e7
@@ -111,6 +118,48 @@ def compare(sizes=SIZES, seed: int = 20180611) -> list[dict]:
             }
         )
     return rows
+
+
+def compare_wide(n: int = WIDE_N, seed: int = DEFAULT_SEED) -> dict:
+    """The wide-key row: both stores at :data:`WIDE_KEY_BITS`-bit keys.
+
+    Asserts that the ``numpy`` request stays on the NumPy store, that both
+    stores serialize Alice's table and the difference to the same bytes, and
+    that they recover the same sets.
+    """
+    rng = random.Random(seed)
+    alice = [rng.getrandbits(WIDE_KEY_BITS) for _ in range(n)]
+    difference = max(2, n // 100)
+    bob = alice[: n - difference // 2] + [
+        rng.getrandbits(WIDE_KEY_BITS) for _ in range(difference - difference // 2)
+    ]
+    params = IBLTParameters.for_difference(2 * difference, WIDE_KEY_BITS, seed=seed)
+    runs = {}
+    for backend in ("python", "numpy"):
+        start = time.perf_counter()
+        alice_table = IBLT.from_items(params, alice, backend=backend)
+        delta = alice_table.subtract(IBLT.from_items(params, bob, backend=backend))
+        result = delta.try_decode()
+        elapsed = time.perf_counter() - start
+        assert result.success, f"{backend} decode failed at {WIDE_KEY_BITS}-bit keys"
+        runs[backend] = (alice_table, delta, result, elapsed)
+    (py_table, py_delta, py_result, py_s), (np_table, np_delta, np_result, np_s) = (
+        runs["python"], runs["numpy"]
+    )
+    assert np_table.backend == "numpy"
+    assert py_table.serialize() == np_table.serialize()
+    assert py_delta.serialize() == np_delta.serialize()
+    assert (py_result.positive, py_result.negative) == (np_result.positive, np_result.negative)
+    return {
+        "n": n,
+        "key_bits": WIDE_KEY_BITS,
+        "recovered": len(np_result.positive) + len(np_result.negative),
+        "python": {"total_s": round(py_s, 6)},
+        "numpy": {"total_s": round(np_s, 6)},
+        "numpy_resolved_backend": np_table.backend,
+        "identical_serializations": True,
+        "speedup": round(py_s / np_s, 2),
+    }
 
 
 def _legacy_decode(table: IBLT) -> DecodeResult:
@@ -234,6 +283,18 @@ def test_numpy_backend_speedup_floor(benchmark):
 
 
 @needs_numpy
+def test_wide_keys_identical_on_both_stores(benchmark):
+    """The 588-bit row: the NumPy store holds the keys as limbs and writes
+    the same bytes as the reference store."""
+    from conftest import run_once
+
+    row = run_once(benchmark, compare_wide, n=400)
+    assert row["numpy_resolved_backend"] == "numpy"
+    assert row["identical_serializations"]
+    assert row["recovered"] == 4
+
+
+@needs_numpy
 def test_all_tiers_identical_and_instore_peel_matches_legacy(benchmark):
     """CI smoke for the large-scale row at a small n: both tiers in one
     run, byte-identical serializations, legacy driver == in-store peel."""
@@ -278,8 +339,16 @@ def main() -> None:
             f"reference peel is below the {PEEL_SPEEDUP_FLOOR}x floor "
             f"at n={large['n']}"
         )
-    rows.append(large)
-    config = benchmark_config(args.seed, sizes=list(SIZES), large_n=LARGE_N)
+    wide = compare_wide(seed=args.seed)
+    print(
+        f"n={wide['n']:>7}  {WIDE_KEY_BITS}-bit keys  "
+        f"python={wide['python']['total_s']:.3f}s  numpy={wide['numpy']['total_s']:.3f}s  "
+        f"speedup={wide['speedup']:.1f}x  identical bytes"
+    )
+    rows.extend([large, wide])
+    config = benchmark_config(
+        args.seed, sizes=list(SIZES), large_n=LARGE_N, wide_n=WIDE_N
+    )
     if args.profile:
         config["profile"] = {
             f"{tier}_{phase}_s": large[tier][f"{phase}_s"]

@@ -20,11 +20,11 @@ one in three ways, in decreasing precedence:
    both importable and able to represent the parameters.
 
 Selection is *graceful*: an implementation that is unavailable (NumPy not
-installed) or that cannot represent the parameters (keys wider than 64
-bits, field moduli at or above ``2**31``) silently falls back down the
+installed) or that cannot represent the parameters (checksums wider than
+64 bits, field moduli at or above ``2**31``) silently falls back down the
 priority chain -- the vectorized NumPy tier to the pure-Python reference
-implementation -- so callers never need to special-case a missing NumPy,
-wide keys or large moduli.  A name that is not registered never falls back:
+implementation -- so callers never need to special-case a missing NumPy
+or large moduli.  A name that is not registered never falls back:
 it raises :class:`~repro.errors.ParameterError`.  Each seam registers
 exactly those two classes; another tier plugs in with
 :func:`register_cell_backend` / :func:`register_field_kernel` and a
@@ -173,8 +173,7 @@ def resolve_cell_backend(name: str | None, params: Any) -> type["CellStore"]:
     ``name=None`` means "use the process default".  Unknown names raise
     :class:`~repro.errors.ParameterError`; known-but-unusable backends
     (missing dependency, unsupported parameters) fall back to the
-    highest-priority backend that does work, so wide-key tables degrade to
-    the pure-Python reference implementation transparently.
+    highest-priority backend that does work.
     """
     return _cell_registry.resolve(name, params)
 

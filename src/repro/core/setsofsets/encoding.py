@@ -19,14 +19,22 @@ This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 from repro.errors import CapacityError, ParameterError
 from repro.hashing import Checksum, derive_seed, mix64
-from repro.hashing.mix import MASK64
+from repro.hashing.mix import HAS_NUMPY, MASK64, mix64_array
 from repro.iblt import IBLT, IBLTArray, IBLTParameters
 from repro.iblt.multi import FlatChildren
+
+if HAS_NUMPY:
+    import numpy as _np
+
+#: Above this many children the finishing mix runs on an array (measured:
+#: ~6 us of array set-up against ~0.35 us saved per child).
+_MIX_ARRAY_CUTOFF = 16
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +60,15 @@ def child_set_hash_many(
     """
     if not 1 <= bits <= 64:
         raise ParameterError("child-set hashes are 1 to 64 bits wide")
-    children = [list(child) for child in children]
+    children = [
+        child if isinstance(child, (frozenset, list)) else list(child) for child in children
+    ]
     folds = Checksum(derive_seed(seed, "child-set-hash"), 64).of_sets(children)
     mask = (1 << bits) - 1
+    if HAS_NUMPY and len(children) > _MIX_ARRAY_CUTOFF:
+        sizes = _np.fromiter(map(len, children), dtype=_np.uint64, count=len(children))
+        mixed = mix64_array(_np.asarray(folds, dtype=_np.uint64) + sizes)
+        return (mixed & _np.uint64(mask)).tolist()
     return [
         mix64((fold + len(child)) & MASK64) & mask
         for fold, child in zip(folds, children)
@@ -161,8 +175,11 @@ def encode_children(
     flatten and validation (:class:`~repro.iblt.multi.FlatChildren`) and one
     hash pass per distinct ``(seed, hash_bits)``.  Each scheme's child IBLTs
     are then built and serialized in one :class:`~repro.iblt.multi.IBLTArray`
-    pass, one scheme's cell tensor at a time.
+    pass, one scheme's cell tensor at a time.  With no schemes the children
+    are not read.
     """
+    if not schemes:
+        return []
     flat = FlatChildren(children)
     hashes: dict[tuple[int, int], list[int]] = {}
     encoded = []
@@ -236,51 +253,83 @@ class ExplicitChildScheme:
     * *packed list*: the at most ``h`` elements written as sorted
       ``1 + log u``-bit values (a leading 1 bit distinguishes "element
       present" slots from padding so sets of different sizes stay distinct).
+
+    ``element_bits``, ``slot_bits`` and ``uses_bitmap`` follow from the two
+    parameters and are computed once, when the scheme is made.
     """
 
     universe_size: int
     max_child_size: int
+    element_bits: int = field(init=False, repr=False, compare=False)
+    slot_bits: int = field(init=False, repr=False, compare=False)
+    uses_bitmap: bool = field(init=False, repr=False, compare=False)
+    #: The "element present" bit of each of ``h`` packed slots (0 for a bitmap).
+    _present_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.universe_size <= 0:
             raise ParameterError("universe_size must be positive")
         if self.max_child_size < 0:
             raise ParameterError("max_child_size must be non-negative")
-
-    @property
-    def element_bits(self) -> int:
-        return max(1, (self.universe_size - 1).bit_length())
-
-    @property
-    def uses_bitmap(self) -> bool:
-        packed = self.max_child_size * (self.element_bits + 1)
-        return self.universe_size <= packed
+        element_bits = max(1, (self.universe_size - 1).bit_length())
+        object.__setattr__(self, "element_bits", element_bits)
+        object.__setattr__(self, "slot_bits", element_bits + 1)
+        object.__setattr__(
+            self,
+            "uses_bitmap",
+            self.universe_size <= self.max_child_size * (element_bits + 1),
+        )
+        # 1 in every slot: the repunit (B^h - 1) / (B - 1) in base B = 2^slot_bits.
+        slots = 0 if self.uses_bitmap else self.max_child_size
+        repunit = ((1 << (slots * self.slot_bits)) - 1) // ((1 << self.slot_bits) - 1)
+        object.__setattr__(self, "_present_bits", repunit << element_bits)
 
     @property
     def key_bits(self) -> int:
         """Width of the explicit encoding (``min(h (log u + 1), u)``)."""
-        packed = max(1, self.max_child_size * (self.element_bits + 1))
+        packed = max(1, self.max_child_size * self.slot_bits)
         return min(self.universe_size, packed) if self.max_child_size else 1
 
     def encode(self, child: Iterable[int]) -> int:
-        child = sorted(set(child))
-        if len(child) > self.max_child_size:
-            raise CapacityError(
-                f"child set of size {len(child)} exceeds max_child_size "
-                f"{self.max_child_size}"
-            )
-        if any(element >= self.universe_size for element in child):
-            raise CapacityError("child set element outside the universe")
-        if self.uses_bitmap:
+        """The key of one child (the one-child case of :meth:`encode_many`)."""
+        return self.encode_many([child])[0]
+
+    def encode_many(self, children: Iterable[Iterable[int]]) -> list[int]:
+        """The keys of many children, in order, in one pass.
+
+        An element that is not a non-negative ``int`` (a ``bool`` included)
+        raises :class:`ParameterError`; a child larger than ``max_child_size``
+        or with an element outside the universe raises :class:`CapacityError`.
+        """
+        rows = [child if isinstance(child, frozenset) else set(child) for child in children]
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            for element in chain.from_iterable(rows):
+                if not isinstance(element, int) or isinstance(element, bool):
+                    raise ParameterError("child set elements must be integers")
+        limit, universe = self.max_child_size, self.universe_size
+        bitmap, slot_bits, present_bits = self.uses_bitmap, self.slot_bits, self._present_bits
+        keys = []
+        for child in rows:
+            if len(child) > limit:
+                raise CapacityError(
+                    f"child set of size {len(child)} exceeds max_child_size {limit}"
+                )
             encoded = 0
-            for element in child:
-                encoded |= 1 << element
-            return encoded
-        encoded = 0
-        slot_bits = self.element_bits + 1
-        for element in child:
-            encoded = (encoded << slot_bits) | (1 << self.element_bits) | element
-        return encoded
+            if child:
+                ordered = sorted(child)
+                if ordered[0] < 0:
+                    raise ParameterError("child set elements must be non-negative")
+                if ordered[-1] >= universe:
+                    raise CapacityError("child set element outside the universe")
+                if bitmap:
+                    # Distinct powers of two: their sum is their OR.
+                    encoded = sum(map((1).__lshift__, ordered))
+                else:
+                    for element in ordered:
+                        encoded = (encoded << slot_bits) | element
+                    encoded |= present_bits >> (slot_bits * (limit - len(ordered)))
+            keys.append(encoded)
+        return keys
 
     def decode(self, key: int) -> frozenset[int]:
         if self.uses_bitmap:
@@ -292,7 +341,7 @@ class ExplicitChildScheme:
                 key >>= 1
                 index += 1
             return frozenset(elements)
-        slot_bits = self.element_bits + 1
+        slot_bits = self.slot_bits
         element_mask = (1 << self.element_bits) - 1
         elements = []
         while key:

@@ -98,8 +98,10 @@ class SetOfSets:
         differing children ``D_B`` and add Alice's recovered children ``D_A``.
         """
         removed = {frozenset(child) for child in to_remove}
-        added = {frozenset(child) for child in to_add}
-        return SetOfSets((self._children - removed) | added)
+        # Only the added children are new: validate those, keep the rest.
+        result = SetOfSets(to_add)
+        result._children = (self._children - removed) | result._children
+        return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetOfSets):

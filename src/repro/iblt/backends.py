@@ -15,17 +15,17 @@ that seam:
   serialized width): every count read goes through the signed residue.
 * :class:`PythonCellStore` -- the reference implementation over plain Python
   lists.  Handles keys of any width; always available.  A batch folds each
-  key to 64 bits once; one with keys past 64 bits then hashes the folds
-  through the array functions when NumPy is importable.
+  key to 64 bits once and hashes the folds with the scalar functions.
 * :class:`NumpyCellStore` -- vectorized implementation over NumPy ``int64``
-  count and ``uint64`` XOR arrays.  Batch inserts hash whole key arrays
-  through :meth:`~repro.hashing.family.HashFamily.cells_for_array` and
-  scatter with ``ufunc.at``; the peeler runs whole rounds (pure-cell scan,
-  checksum verification, per-key dedup, batch removal) as vector
-  operations.  Requires keys and checksums of at most 64 bits, so
-  tables whose keys are serialized child IBLTs (Section 3.2) transparently
-  fall back to :class:`PythonCellStore` via the registry
-  (:mod:`repro.config`).
+  count and ``uint64`` XOR arrays.  A key of ``key_bits`` bits is held as
+  ``L = ceil(key_bits / 64)`` ``uint64`` limbs, so ``key_xor`` has shape
+  ``(num_cells, L)`` (flat at ``L = 1``): tables whose keys are serialized
+  child IBLTs or explicit child sets (Section 3.2) stay on this store.
+  Batch inserts hash the keys' 64-bit folds through
+  :meth:`~repro.hashing.family.HashFamily.cells_for_array` and scatter with
+  ``ufunc.at``; the peeler runs whole rounds (pure-cell scan, checksum
+  verification, per-key dedup, batch removal) as vector operations.
+  Requires checksums of at most 64 bits.
 
 Both backends derive every bucket index and checksum from the same 64-bit
 mixing core (:mod:`repro.hashing.mix`), so a given parameter set and key
@@ -36,7 +36,7 @@ serialized tables and decode results -- regardless of backend.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, Sequence
+from typing import Any, ClassVar, NamedTuple, Sequence
 
 from repro.config import register_cell_backend
 from repro.errors import CapacityError, ParameterError
@@ -45,11 +45,6 @@ from repro.hashing.mix import HAS_NUMPY, all_ints, fingerprint64
 
 if HAS_NUMPY:
     import numpy as _np
-
-
-#: The python store hashes a wide-keyed batch through the array functions above
-#: this many keys (measured: ~35 us of array set-up against ~3 us saved per key).
-_ARRAY_HASH_CUTOFF = 12
 
 
 def max_peel_rounds(num_cells: int) -> int:
@@ -103,9 +98,10 @@ class CellStore(ABC):
     #: Auto-selection preference; higher wins (see :mod:`repro.config`).
     priority: ClassVar[int]
 
-    def __init__(self, num_cells: int, count_bits: int) -> None:
+    def __init__(self, num_cells: int, count_bits: int, key_bits: int) -> None:
         self.num_cells = num_cells
         self.count_bits = count_bits
+        self.key_bits = key_bits
 
     # -- capability probes ----------------------------------------------------------
 
@@ -215,8 +211,8 @@ class PythonCellStore(CellStore):
     vectorized = False
     priority = 0
 
-    def __init__(self, num_cells: int, count_bits: int) -> None:
-        super().__init__(num_cells, count_bits)
+    def __init__(self, num_cells: int, count_bits: int, key_bits: int) -> None:
+        super().__init__(num_cells, count_bits, key_bits)
         self._counts = [0] * num_cells
         self._key_xor = [0] * num_cells
         self._check_xor = [0] * num_cells
@@ -243,18 +239,10 @@ class PythonCellStore(CellStore):
             deltas = [deltas] * len(keys)
         # One fold per key (the one BLAKE2b digest a wide key costs); a fold
         # is below 2**64, where fingerprint64 is the identity, so hashing the
-        # folds gives the keys' own cells and checksums on either route.  The
-        # array route is for batches with a key only this store can hold: on
-        # keys the array stores take, it stays their pure-Python reference.
+        # folds gives the keys' own cells and checksums.
         folds = [fingerprint64(key) for key in keys]
-        batched = HAS_NUMPY and checksum.bits <= 64 and len(folds) > _ARRAY_HASH_CUTOFF
-        if batched and folds != keys:
-            array = _np.fromiter(folds, dtype=_np.uint64, count=len(folds))
-            checks = checksum.of_keys_array(array).tolist()
-            cell_rows = family.cells_for_array(array).T.tolist()
-        else:
-            checks = checksum.of_keys(folds)
-            cell_rows = family.cells_for_many(folds)
+        checks = checksum.of_keys(folds)
+        cell_rows = family.cells_for_many(folds)
         for key, delta, check, cells in zip(keys, deltas, checks, cell_rows):
             for cell in cells:
                 counts[cell] += delta
@@ -308,24 +296,94 @@ class PythonCellStore(CellStore):
         clone = PythonCellStore.__new__(PythonCellStore)
         clone.num_cells = self.num_cells
         clone.count_bits = self.count_bits
+        clone.key_bits = self.key_bits
         clone._counts = list(self._counts)
         clone._key_xor = list(self._key_xor)
         clone._check_xor = list(self._check_xor)
         return clone
 
 
+class KeyBatch(NamedTuple):
+    """A validated key batch as :class:`NumpyCellStore` holds it.
+
+    ``limbs`` holds the keys as :class:`NumpyCellStore` stores them (see
+    there); ``folds`` is each key's :func:`~repro.hashing.mix.fingerprint64`,
+    the word its cells and checksum are hashed from: ``limbs`` itself at one
+    limb per key.
+    """
+
+    limbs: Any
+    folds: Any
+
+
+def _limbs_of(keys: Sequence[int], num_limbs: int):
+    """The key array of non-negative keys: one word each at one limb, else
+    ``(n, num_limbs)`` limbs, most significant first.  ``OverflowError`` when
+    a key is wider than the limbs."""
+    if num_limbs == 1:
+        return _np.asarray(keys, dtype=_np.uint64)
+    width = 8 * num_limbs
+    data = b"".join([key.to_bytes(width, "big") for key in keys])
+    return _np.frombuffer(data, dtype=">u8").astype(_np.uint64).reshape(-1, num_limbs)
+
+
+def _ints_of(limbs) -> list[int]:
+    """The keys a key array holds (one word or one limb row each), as ints."""
+    if limbs.ndim == 1:
+        return limbs.tolist()
+    width = 8 * limbs.shape[1]
+    data = limbs.astype(">u8").tobytes()
+    return [
+        int.from_bytes(data[start : start + width], "big")
+        for start in range(0, len(data), width)
+    ]
+
+
+def _folds_of(limbs):
+    """:func:`~repro.hashing.mix.fingerprint64` of every key of a key array:
+    the array itself at one word per key, one BLAKE2b digest per key past
+    64 bits otherwise."""
+    if limbs.ndim == 1:
+        return limbs
+    keys = _ints_of(limbs)
+    return _np.fromiter(map(fingerprint64, keys), dtype=_np.uint64, count=len(keys))
+
+
+def _first_occurrences(limbs):
+    """Index of the first row of each distinct key (rows in cell order)."""
+    if limbs.ndim == 2:
+        # Each limb row as one opaque value: far cheaper than np.unique(axis=0).
+        limbs = limbs.view(_np.dtype((_np.void, limbs.itemsize * limbs.shape[1])))[:, 0]
+    return _np.unique(limbs, return_index=True)[1]
+
+
+def _repeated(rows, times: int):
+    """``rows`` stacked ``times`` times along the first axis (one copy per hash)."""
+    return _np.tile(rows, times) if rows.ndim == 1 else _np.tile(rows, (times, 1))
+
+
 @register_cell_backend
 class NumpyCellStore(CellStore):
-    """Vectorized backend over NumPy arrays (keys and checksums <= 64 bits)."""
+    """Vectorized backend over NumPy arrays (any key width, checksums <= 64 bits).
+
+    A key takes ``num_limbs = ceil(key_bits / 64)`` ``uint64`` limbs, most
+    significant first: ``key_xor`` has shape ``(num_cells, num_limbs)``, and
+    at one limb it is the flat ``(num_cells,)`` array of words, so narrow
+    tables run exactly the one-word code.  Cells and checksums are hashed
+    from each key's 64-bit fold, as on :class:`PythonCellStore`, so both
+    stores hold identical cells.
+    """
 
     name = "numpy"
     vectorized = True
     priority = 10
 
-    def __init__(self, num_cells: int, count_bits: int) -> None:
-        super().__init__(num_cells, count_bits)
+    def __init__(self, num_cells: int, count_bits: int, key_bits: int) -> None:
+        super().__init__(num_cells, count_bits, key_bits)
+        self.num_limbs = -(-key_bits // 64)
         self._counts = _np.zeros(num_cells, dtype=_np.int64)
-        self._key_xor = _np.zeros(num_cells, dtype=_np.uint64)
+        shape = (num_cells,) if self.num_limbs == 1 else (num_cells, self.num_limbs)
+        self._key_xor = _np.zeros(shape, dtype=_np.uint64)
         self._check_xor = _np.zeros(num_cells, dtype=_np.uint64)
 
     @classmethod
@@ -334,33 +392,34 @@ class NumpyCellStore(CellStore):
 
     @classmethod
     def supports(cls, params):
-        return HAS_NUMPY and params.key_bits <= 64 and params.checksum_bits <= 64
+        return HAS_NUMPY and params.checksum_bits <= 64
 
     def apply(self, cells, key, check, delta):
         counts, key_xor, check_xor = self._counts, self._key_xor, self._check_xor
-        key_word = _np.uint64(key)
+        key_limbs = _np.uint64(key) if self.num_limbs == 1 else _limbs_of([key], self.num_limbs)[0]
         check_word = _np.uint64(check)
         for cell in cells:
             counts[cell] += delta
-            key_xor[cell] ^= key_word
+            key_xor[cell] ^= key_limbs
             check_xor[cell] ^= check_word
 
     def prepare_keys(self, keys, key_bits):
-        # A uint64 array (what an earlier call returned) cannot hold a float,
-        # a negative or a wide key: only the width is left to check.
-        if isinstance(keys, _np.ndarray) and keys.dtype == _np.uint64:
-            array = keys
+        # A KeyBatch (what an earlier call returned) cannot hold a float, a
+        # negative or an over-long key: only the width is left to check.
+        if isinstance(keys, KeyBatch):
+            batch = keys
         else:
-            array = self._checked_array(list(keys), key_bits)
-        if key_bits < 64 and array.size:
-            oversized = array >> _np.uint64(key_bits)
+            batch = self._checked_batch(list(keys), key_bits)
+        top_bits = key_bits - 64 * (self.num_limbs - 1)
+        if top_bits < 64 and batch.folds.size:
+            top = batch.limbs if self.num_limbs == 1 else batch.limbs[:, 0]
+            oversized = top >> _np.uint64(top_bits)
             if oversized.any():
-                offender = int(array[_np.nonzero(oversized)[0][0]])
-                _validate_key_scalar(offender, key_bits)
-        return array
+                row = batch.limbs[_np.nonzero(oversized)[0][:1]]
+                _validate_key_scalar(_ints_of(row)[0], key_bits)
+        return batch
 
-    @staticmethod
-    def _checked_array(keys, key_bits):
+    def _checked_batch(self, keys, key_bits):
         # np.asarray would silently truncate floats (1.5 -> 1) and, on
         # NumPy 1.x, wrap negative ints into uint64 -- both would break the
         # exact-parity guarantee, so check types and signs explicitly.
@@ -369,31 +428,37 @@ class NumpyCellStore(CellStore):
         if keys and min(keys) < 0:
             raise ParameterError("IBLT keys must be non-negative")
         try:
-            return _np.asarray(keys, dtype=_np.uint64)
+            return self.coerce_keys(keys)
         except (OverflowError, TypeError, ValueError):
-            # A >64-bit key somewhere: re-raise with exact parity.
+            # A key wider than the limbs somewhere: re-raise with exact parity.
             for key in keys:
                 _validate_key_scalar(key, key_bits)
             raise  # pragma: no cover - scalar validation always raises first
 
     def coerce_keys(self, keys):
-        return _np.asarray(keys, dtype=_np.uint64)
+        if self.num_limbs == 1:
+            words = _np.asarray(keys, dtype=_np.uint64)
+            return KeyBatch(words, words)
+        return KeyBatch(
+            _limbs_of(keys, self.num_limbs),
+            _np.fromiter(map(fingerprint64, keys), dtype=_np.uint64, count=len(keys)),
+        )
 
     def apply_batch(self, keys, deltas, family, checksum):
-        array = keys if isinstance(keys, _np.ndarray) else self.coerce_keys(keys)
-        if array.size == 0:
+        limbs, folds = keys if isinstance(keys, KeyBatch) else self.coerce_keys(keys)
+        if folds.size == 0:
             return
         num_hashes = family.num_hashes
         # One flat scatter per accumulator: ufunc.at needs the value array to
         # match the (flattened) index array exactly, so tile per hash row.
-        cells = family.cells_for_array(array).reshape(-1)
-        checks = checksum.of_keys_array(array)
+        cells = family.cells_for_array(folds).reshape(-1)
+        checks = checksum.of_keys_array(folds)
         if isinstance(deltas, int):
             _np.add.at(self._counts, cells, _np.int64(deltas))
         else:
             delta_array = _np.asarray(deltas, dtype=_np.int64)
             _np.add.at(self._counts, cells, _np.tile(delta_array, num_hashes))
-        _np.bitwise_xor.at(self._key_xor, cells, _np.tile(array, num_hashes))
+        _np.bitwise_xor.at(self._key_xor, cells, _repeated(limbs, num_hashes))
         _np.bitwise_xor.at(self._check_xor, cells, _np.tile(checks, num_hashes))
 
     def combine(self, other, sign):
@@ -404,7 +469,7 @@ class NumpyCellStore(CellStore):
         else:
             counts, keys, checks = other.snapshot()
             other_counts = _np.asarray(counts, dtype=_np.int64)
-            other_keys = _np.asarray(keys, dtype=_np.uint64)
+            other_keys = _limbs_of(keys, self.num_limbs)
             other_checks = _np.asarray(checks, dtype=_np.uint64)
         if sign == 1:
             self._counts += other_counts
@@ -423,36 +488,40 @@ class NumpyCellStore(CellStore):
             candidates = _np.nonzero(_np.abs(residues) == 1)[0]
             if candidates.size == 0:
                 break
-            keys = key_xor[candidates]
-            checks = checksum.of_keys_array(keys)
+            limbs = key_xor[candidates]
+            folds = _folds_of(limbs)
+            checks = checksum.of_keys_array(folds)
             verified = check_xor[candidates] == checks
-            keys = keys[verified]
-            if keys.size == 0:
+            limbs = limbs[verified]
+            if limbs.shape[0] == 0:
                 break
-            signs = residues[candidates][verified]
             # First cell in ascending order wins for a key pure in several
             # cells: np.unique returns first-occurrence indices and the
             # candidate scan is already in cell order.
-            unique_keys, first = _np.unique(keys, return_index=True)
-            chosen_signs = signs[first]
-            positive.extend(unique_keys[chosen_signs == 1].tolist())
-            negative.extend(unique_keys[chosen_signs == -1].tolist())
-            cells = family.cells_for_array(unique_keys).reshape(-1)
-            _np.add.at(counts, cells, _np.tile(-chosen_signs, num_hashes))
-            _np.bitwise_xor.at(key_xor, cells, _np.tile(unique_keys, num_hashes))
-            _np.bitwise_xor.at(
-                check_xor, cells, _np.tile(checks[verified][first], num_hashes)
-            )
+            first = _first_occurrences(limbs)
+            limbs = limbs[first]
+            folds = limbs if limbs.ndim == 1 else folds[verified][first]
+            checks = checks[verified][first]
+            signs = residues[candidates[verified][first]]
+            positive.extend(_ints_of(limbs[signs == 1]))
+            negative.extend(_ints_of(limbs[signs == -1]))
+            cells = family.cells_for_array(folds).reshape(-1)
+            _np.add.at(counts, cells, _np.tile(-signs, num_hashes))
+            _np.bitwise_xor.at(key_xor, cells, _repeated(limbs, num_hashes))
+            _np.bitwise_xor.at(check_xor, cells, _np.tile(checks, num_hashes))
         return positive, negative
 
     def dense_cells(self):
-        """The live ``(counts, key_xor, check_xor)`` arrays (not copies).
+        """The live ``(counts, key_xor, check_xor)`` arrays of a one-limb
+        table (not copies).
 
         Lets same-parameter batch layers (:mod:`repro.iblt.multi`) stack many
         stores into one tensor without a round trip through Python lists.
         The counts are exact: callers read them through :func:`count_residue`
         and must not mutate the arrays.
         """
+        if self.num_limbs != 1:
+            raise ParameterError("dense cells hold one limb per key")
         return self._counts, self._key_xor, self._check_xor
 
     def is_empty(self):
@@ -467,26 +536,28 @@ class NumpyCellStore(CellStore):
         candidates = _np.nonzero(_np.abs(residues) == 1)[0]
         if candidates.size == 0:
             return [], []
-        keys = self._key_xor[candidates]
-        verified = self._check_xor[candidates] == checksum.of_keys_array(keys)
-        return keys[verified].tolist(), residues[candidates][verified].tolist()
+        limbs = self._key_xor[candidates]
+        verified = self._check_xor[candidates] == checksum.of_keys_array(_folds_of(limbs))
+        return _ints_of(limbs[verified]), residues[candidates][verified].tolist()
 
     def snapshot(self):
         return (
             count_residue(self._counts, self.count_bits).tolist(),
-            self._key_xor.tolist(),
+            _ints_of(self._key_xor),
             self._check_xor.tolist(),
         )
 
     def load(self, counts, key_xors, check_xors):
         self._counts = _np.asarray(counts, dtype=_np.int64)
-        self._key_xor = _np.asarray(key_xors, dtype=_np.uint64)
+        self._key_xor = _limbs_of(key_xors, self.num_limbs)
         self._check_xor = _np.asarray(check_xors, dtype=_np.uint64)
 
     def copy(self):
         clone = NumpyCellStore.__new__(NumpyCellStore)
         clone.num_cells = self.num_cells
         clone.count_bits = self.count_bits
+        clone.key_bits = self.key_bits
+        clone.num_limbs = self.num_limbs
         clone._counts = self._counts.copy()
         clone._key_xor = self._key_xor.copy()
         clone._check_xor = self._check_xor.copy()

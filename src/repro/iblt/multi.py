@@ -16,10 +16,10 @@ them), the whole flat element array is hashed once through the batch pipeline
 scattered into a single ``(s, num_cells)`` cell tensor -- three ``ufunc.at``
 calls for the entire parent set.  :meth:`IBLTArray.serialize_all` writes the
 tensor out the same way: all cells as bit planes, packed to bytes in one
-pass, one ``int.from_bytes`` per row.  When the vectorized path is unavailable
-(no NumPy, or keys wider than 64 bits) the array builds and serializes each
-row through the ordinary per-table path, so the contents are bit-identical:
-``IBLTArray(params, children).table(i)`` always equals
+pass, one ``int.from_bytes`` per row.  When the tensor path is unavailable
+(no NumPy, or keys wider than one 64-bit word) the array builds and
+serializes each row through the ordinary per-table path, so the contents
+are bit-identical: ``IBLTArray(params, children).table(i)`` always equals
 ``IBLT.from_items(params, children[i])``.
 
 The many-balls-into-many-bins structure of this batch build (every element
@@ -128,9 +128,10 @@ if HAS_NUMPY:
 
 class FlatChildren:
     """One parent's children, flattened once for every array built over them:
-    the ``rows`` and ``keys``, every element in row order as one ``uint64``
-    array, validated by the first tensor build and only checked against
-    ``key_bits`` by the later ones (the other levels of a cascade)."""
+    the ``rows`` and ``keys``, every element in row order as one
+    :class:`~repro.iblt.backends.KeyBatch`, validated by the first tensor
+    build and only checked against ``key_bits`` by the later ones (the other
+    levels of a cascade)."""
 
     def __init__(self, children: Iterable[Iterable[int]]) -> None:
         self.rows = [
@@ -209,8 +210,9 @@ class IBLTArray:
         num_cells = params.num_cells
         lengths = list(map(len, flat.rows))
         elements = flat.keys if flat.keys is not None else chain.from_iterable(flat.rows)
-        # The validated uint64 array (an earlier one passes on a width check).
-        keys = flat.keys = self._template._store.prepare_keys(elements, params.key_bits)
+        # The validated key batch (an earlier one passes on a width check).
+        flat.keys = self._template._store.prepare_keys(elements, params.key_bits)
+        keys = flat.keys.folds
         total_cells = self.num_tables * num_cells
         counts = _np.zeros(total_cells, dtype=_np.int64)
         key_xor = _np.zeros(total_cells, dtype=_np.uint64)
@@ -248,8 +250,10 @@ class IBLTArray:
         (whose lazy early exit is the better economics there anyway).
         """
         stores = [minuend._store] + [table._store for table in subtrahends]
-        if not HAS_NUMPY or not all(
-            hasattr(store, "dense_cells") for store in stores
+        if (
+            not HAS_NUMPY
+            or minuend.params.key_bits > 64
+            or not all(hasattr(store, "dense_cells") for store in stores)
         ):
             return None
         for table in subtrahends:

@@ -163,14 +163,14 @@ class IBLT:
         Cell-store backend name (``"python"``, ``"numpy"``, or ``"auto"``);
         ``None`` uses the process default (see :mod:`repro.config`).  A
         backend that cannot represent ``params`` -- e.g. the NumPy store for
-        keys wider than 64 bits -- silently falls back to the pure-Python
-        reference store.
+        checksums wider than 64 bits -- silently falls back to the
+        pure-Python reference store.
     """
 
     def __init__(self, params: IBLTParameters, backend: str | None = None) -> None:
         self.params = params
         self._store = resolve_cell_backend(backend, params)(
-            params.num_cells, params.count_bits
+            params.num_cells, params.count_bits, params.key_bits
         )
         self._family = HashFamily(
             derive_seed(params.seed, "iblt-buckets"),

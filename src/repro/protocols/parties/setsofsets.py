@@ -155,8 +155,8 @@ def naive_alice_known(
     scheme = ExplicitChildScheme(ctx.universe_size, ctx.max_child_size)
     params = _naive_parent_params(ctx, differing_children_bound)
     alice_table = IBLT(params, backend=ctx.backend)
-    alice_table.insert_batch(scheme.encode(child) for child in alice)
-    verification = parent_hash(alice, ctx.seed)
+    alice_table.insert_batch(scheme.encode_many(alice.children))
+    verification = parent_hash(alice.children, ctx.seed)
     yield Send(
         "naive parent IBLT",
         alice_table.size_bits + WORD_BITS,
@@ -182,14 +182,14 @@ def naive_bob_known(
     alice_table, verification = payload
     scheme = ExplicitChildScheme(ctx.universe_size, ctx.max_child_size)
     difference = alice_table.copy()
-    difference.delete_batch(scheme.encode(child) for child in bob)
+    difference.delete_batch(scheme.encode_many(bob.children))
     decode = difference.try_decode()
     if not decode.success:
         return PartyOutcome(False, details={"failure": "parent-iblt-peel"})
     alice_only = [scheme.decode(key) for key in decode.positive]
     bob_only = [scheme.decode(key) for key in decode.negative]
     recovered = bob.replace_children(bob_only, alice_only)
-    verified = parent_hash(recovered, ctx.seed) == verification
+    verified = parent_hash(recovered.children, ctx.seed) == verification
     return PartyOutcome(
         verified,
         recovered if verified else None,
@@ -411,8 +411,8 @@ def iblt_of_iblts_alice_known(
     scheme = _flat_child_scheme(ctx, difference_bound)
     parent_params = _flat_parent_params(ctx, difference_bound)
     alice_table = IBLT(parent_params, backend=ctx.backend)
-    alice_table.insert_batch(scheme.encode_all(alice, backend=ctx.backend))
-    verification = parent_hash(alice, ctx.seed)
+    alice_table.insert_batch(scheme.encode_all(alice.children, backend=ctx.backend))
+    verification = parent_hash(alice.children, ctx.seed)
     yield Send(
         "parent IBLT of child encodings",
         alice_table.size_bits + WORD_BITS,
@@ -487,7 +487,7 @@ def iblt_of_iblts_bob_known(
         recovered_children.append(recovered)
 
     reconstruction = bob.replace_children(differing_bob_children, recovered_children)
-    verified = parent_hash(reconstruction, ctx.seed) == verification
+    verified = parent_hash(reconstruction.children, ctx.seed) == verification
     return PartyOutcome(
         verified,
         reconstruction if verified else None,
@@ -717,7 +717,7 @@ def cascading_alice_known(
         raise ParameterError("max_child_size must be positive")
     plan = _cascade_plan(ctx, difference_bound)
     level_tables: list[IBLT] = []
-    level_keys = encode_children(plan.schemes, alice, backend=ctx.backend)
+    level_keys = encode_children(plan.schemes, alice.children, backend=ctx.backend)
     for keys, params in zip(level_keys, plan.level_params):
         table = IBLT(params, backend=ctx.backend)
         table.insert_batch(keys)
@@ -725,8 +725,8 @@ def cascading_alice_known(
     t_star: IBLT | None = None
     if plan.t_star_params is not None:
         t_star = IBLT(plan.t_star_params, backend=ctx.backend)
-        t_star.insert_batch(plan.explicit_scheme.encode(child) for child in alice)
-    verification = parent_hash(alice, ctx.seed)
+        t_star.insert_batch(plan.explicit_scheme.encode_many(alice.children))
+    verification = parent_hash(alice.children, ctx.seed)
     yield Send(
         "cascading level tables",
         plan.total_bits,
@@ -750,9 +750,11 @@ def cascading_bob_known(
         return aborted_outcome()
     level_tables, t_star, verification = payload
 
-    bob_children = bob.sorted_children()
-    # Bob's encodings for every level come out of one pass over his children;
-    # the few already-recovered children are re-encoded per level below.
+    # Bob's matching maps level keys back to his children, the one place an
+    # order is observable; with no levels there is nothing to sort.  His
+    # encodings for every level come out of one pass over his children; the
+    # few already-recovered children are re-encoded per level below.
+    bob_children = bob.sorted_children() if plan.schemes else []
     bob_level_keys = encode_children(plan.schemes, bob_children, backend=ctx.backend)
     recovered_children: set[frozenset[int]] = set()   # D_A
     differing_bob: set[frozenset[int]] = set()        # D_B
@@ -769,11 +771,7 @@ def cascading_bob_known(
             if level == 1 or child not in differing_bob
         ]
         if recovered_children:
-            deletions.extend(
-                scheme.encode_all(
-                    sorted(recovered_children, key=sorted), backend=ctx.backend
-                )
-            )
+            deletions.extend(scheme.encode_all(recovered_children, backend=ctx.backend))
         work.delete_batch(deletions)
         decode = work.try_decode()  # partial results are still useful on failure
 
@@ -797,14 +795,10 @@ def cascading_bob_known(
         # Children in D_B stay in the table so only Alice's unrecovered
         # children remain to extract: the keys a level >= 2 table carries,
         # so a T* that replaces a level fits that level's capacity.
-        deletions = [
-            plan.explicit_scheme.encode(child)
-            for child in bob_children
-            if child not in differing_bob
-        ]
-        deletions.extend(
-            plan.explicit_scheme.encode(child) for child in recovered_children
+        deletions = plan.explicit_scheme.encode_many(
+            [child for child in bob.children if child not in differing_bob]
         )
+        deletions.extend(plan.explicit_scheme.encode_many(recovered_children))
         work.delete_batch(deletions)
         decode = work.try_decode()
         for key in decode.positive:
@@ -815,7 +809,7 @@ def cascading_bob_known(
                 differing_bob.add(decoded)
 
     reconstruction = bob.replace_children(differing_bob, recovered_children)
-    verified = parent_hash(reconstruction, ctx.seed) == verification
+    verified = parent_hash(reconstruction.children, ctx.seed) == verification
     return PartyOutcome(
         verified,
         reconstruction if verified else None,
@@ -1154,7 +1148,7 @@ def multiround_alice_known(
     alice_hash_to_child = dict(zip(alice_hashes, alice_children))
     alice_child_to_hash = dict(zip(alice_children, alice_hashes))
     alice_hash_table.insert_batch(list(alice_hash_to_child))
-    verification = parent_hash(alice, ctx.seed)
+    verification = parent_hash(alice.children, ctx.seed)
     yield Send(
         "child-hash IBLT",
         alice_hash_table.size_bits + WORD_BITS,
@@ -1315,7 +1309,7 @@ def multiround_bob_known(
         recovered_children.append(recovered)
 
     reconstruction = bob.replace_children(bob_differing, recovered_children)
-    verified = parent_hash(reconstruction, ctx.seed) == verification
+    verified = parent_hash(reconstruction.children, ctx.seed) == verification
     return PartyOutcome(
         verified,
         reconstruction if verified else None,

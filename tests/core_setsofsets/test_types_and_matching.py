@@ -1,5 +1,7 @@
 """Tests for the SetOfSets type, difference measures and child encodings."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -107,6 +109,16 @@ class TestChildHashing:
         bob = SetOfSets([{1, 2}, {4}])
         assert parent_hash(alice, 1) != parent_hash(bob, 1)
         assert parent_hash(alice, 1) == parent_hash(SetOfSets([{3}, {1, 2}]), 1)
+        # Order independent: the protocols hash their children unsorted.
+        rng = random.Random(3)
+        parent = SetOfSets(rng.sample(range(1000), rng.randint(0, 6)) for _ in range(40))
+        children = [list(child) for child in parent.children]
+        expected = parent_hash(parent, 1)
+        for _ in range(5):
+            rng.shuffle(children)
+            shuffled = [rng.sample(child, len(child)) for child in children]
+            assert parent_hash(shuffled, 1) == expected
+            assert parent_hash(SetOfSets(shuffled).children, 1) == expected
 
 
 class TestChildEncodingScheme:
@@ -171,3 +183,38 @@ class TestExplicitChildScheme:
     def test_round_trip_property(self, child):
         for scheme in (ExplicitChildScheme(256, 10), ExplicitChildScheme(1 << 30, 10)):
             assert scheme.decode(scheme.encode(child)) == frozenset(child)
+
+    SCHEMES = [
+        pytest.param(ExplicitChildScheme(1 << 20, 4), id="packed"),
+        pytest.param(ExplicitChildScheme(32, 20), id="bitmap"),
+    ]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_negative_element_refused(self, scheme):
+        with pytest.raises(ParameterError):
+            scheme.encode([-1])
+        with pytest.raises(ParameterError):
+            scheme.encode_many([{1, 2}, {3, -5}])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_bool_element_refused(self, scheme):
+        with pytest.raises(ParameterError):
+            scheme.encode([True])
+        with pytest.raises(ParameterError):
+            scheme.encode_many([{2}, {False, 3}])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_non_int_element_refused(self, scheme):
+        for element in (1.0, 2.5, "3", None):
+            with pytest.raises(ParameterError):
+                scheme.encode([element])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_encode_many_is_encode_per_child(self, scheme):
+        children = [set(), {0}, {1, 7, 19}, [19, 7, 1], (3, 3, 4), frozenset({31})]
+        assert scheme.encode_many(children) == [scheme.encode(c) for c in children]
+        assert scheme.encode_many([]) == []
+        with pytest.raises(CapacityError):
+            scheme.encode_many([{1}, set(range(25))])
+        with pytest.raises(CapacityError):
+            scheme.encode_many([{1}, {1 << 20}])

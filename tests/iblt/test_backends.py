@@ -14,14 +14,8 @@ from repro.config import (
     set_default_cell_backend,
 )
 from repro.errors import CapacityError, ParameterError
-from repro.hashing import Checksum
-from repro.iblt import (
-    IBLT,
-    IBLTParameters,
-    NumpyCellStore,
-    PythonCellStore,
-    backends,
-)
+from repro.hashing import HashFamily
+from repro.iblt import IBLT, IBLTParameters, NumpyCellStore
 
 HAS_NUMPY = NumpyCellStore.available()
 BACKENDS = ["python"] + (["numpy"] if HAS_NUMPY else [])
@@ -67,10 +61,10 @@ class TestRegistry:
         assert resolve_cell_backend("auto", make_params()) is NumpyCellStore
 
     @needs_numpy
-    def test_wide_keys_fall_back_to_python(self):
+    def test_wide_keys_resolve_to_numpy(self):
         wide = make_params(key_bits=80)
-        assert resolve_cell_backend("numpy", wide) is PythonCellStore
-        assert IBLT(wide, backend="numpy").backend == "python"
+        assert resolve_cell_backend("numpy", wide) is NumpyCellStore
+        assert IBLT(wide, backend="numpy").backend == "numpy"
 
     @needs_numpy
     def test_wide_checksums_fall_back_to_python(self):
@@ -86,8 +80,6 @@ class TestBatchHashingParity:
 
     def test_cells_for_many_matches_cells_for_array(self):
         import numpy as np
-
-        from repro.hashing import HashFamily
 
         family = HashFamily(seed=3, num_hashes=4, num_cells=44)
         scalar = family.cells_for_many(self.KEYS)
@@ -170,54 +162,48 @@ class TestBatchAPI:
         assert table.is_structurally_empty()
 
 
-class TestPythonStoreBatchHashing:
-    """``PythonCellStore.apply_batch``: one fold per key, then either hash route."""
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestWideKeyBatches:
+    """Batches over keys on both sides of 2**64: one fold per key, either store."""
 
-    CUTOFF = backends._ARRAY_HASH_CUTOFF
-    SIZES = [0, 1, CUTOFF - 1, CUTOFF, CUTOFF + 1, 3 * CUTOFF]
+    SIZES = [0, 1, 11, 12, 13, 36]
     #: share of keys at or above 2**64, per batch
     MIXES = {"narrow": 0.0, "straddling": 0.5, "wide": 1.0}
 
     @staticmethod
-    def batch(size, wide_share, seed=5):
+    def batch(size, wide_share, key_bits=201, seed=5):
         rng = random.Random(seed * 1000 + size)
         keys = [
-            rng.getrandbits(200) | (1 << 64) if rng.random() < wide_share
+            rng.getrandbits(key_bits) | (1 << 64) if rng.random() < wide_share
             else rng.getrandbits(64)
             for _ in range(size)
         ]
         return keys + keys[:2]  # a repeated key must count twice
 
-    @pytest.fixture(params=[True, False], ids=["numpy-visible", "numpy-hidden"])
-    def numpy_visible(self, request, monkeypatch):
-        if not request.param:
-            monkeypatch.setattr(backends, "HAS_NUMPY", False)
-        elif not HAS_NUMPY:
-            pytest.skip("NumPy not installed")
-        return request.param
-
     @pytest.mark.parametrize("checksum_bits", [32, 80])
     @pytest.mark.parametrize("mix", MIXES)
     @pytest.mark.parametrize("size", SIZES)
-    def test_batch_equals_a_loop_of_inserts(self, numpy_visible, size, mix, checksum_bits):
+    def test_batch_equals_a_loop_of_inserts(self, backend, size, mix, checksum_bits):
         params = make_params(cells=40, key_bits=201, checksum_bits=checksum_bits)
         keys = self.batch(size, self.MIXES[mix])
-        batched = IBLT(params)
-        assert isinstance(batched._store, PythonCellStore)
+        batched = IBLT(params, backend=backend)
+        assert batched.backend == (backend if checksum_bits <= 64 else "python")
         batched.insert_batch(keys)
         batched.delete_batch(keys[: size // 2])
-        looped = IBLT(params)
+        looped = IBLT(params, backend="python")
         for key in keys:
             looped.insert(key)
         for key in keys[: size // 2]:
             looped.delete(key)
         assert batched._store.snapshot() == looped._store.snapshot()
 
+    @pytest.mark.parametrize("key_bits", [65, 128, 588, 1024])
     @pytest.mark.parametrize("mix", MIXES)
     @pytest.mark.parametrize("size", SIZES)
-    def test_one_digest_per_wide_key_per_batch(self, numpy_visible, size, mix, monkeypatch):
-        keys = self.batch(size, self.MIXES[mix])
-        table = IBLT(make_params(cells=40, key_bits=201))
+    def test_one_digest_per_wide_key_per_batch(self, backend, size, mix, key_bits, monkeypatch):
+        keys = self.batch(size, self.MIXES[mix], key_bits)
+        table = IBLT(make_params(cells=40, key_bits=key_bits), backend=backend)
+        assert table.backend == backend
         blake2b = hashlib.blake2b
         folds = []
 
@@ -233,26 +219,6 @@ class TestPythonStoreBatchHashing:
         assert len(folds) == 2 * sum(key >> 64 != 0 for key in keys)
         assert table.is_structurally_empty()
 
-    @needs_numpy
-    def test_the_array_route_needs_a_wide_key_and_more_keys_than_the_cutoff(self, monkeypatch):
-        table = IBLT(make_params(cells=40, key_bits=201))
-        sizes = []
-        of_keys_array = Checksum.of_keys_array
-
-        def spying(self, keys):
-            sizes.append(len(keys))
-            return of_keys_array(self, keys)
-
-        monkeypatch.setattr(Checksum, "of_keys_array", spying)
-        for size in (self.CUTOFF, self.CUTOFF + 1):
-            table.insert_batch([1 << 70 | key for key in range(size)])
-        assert sizes == [self.CUTOFF + 1]
-        # Keys the array stores can hold keep this store the scalar reference.
-        table.insert_batch(range(10 * self.CUTOFF))
-        assert sizes == [self.CUTOFF + 1]
-        table.insert_batch([*range(10 * self.CUTOFF), 1 << 64])
-        assert sizes == [self.CUTOFF + 1, 10 * self.CUTOFF + 1]
-
 
 @needs_numpy
 class TestCrossBackendAgreement:
@@ -264,6 +230,74 @@ class TestCrossBackendAgreement:
         assert py._store.snapshot() == np_table._store.snapshot()
         assert py == np_table
         assert py.serialize() == np_table.serialize()
+
+    @pytest.mark.parametrize("key_bits", [65, 128, 588, 1024])
+    def test_wide_keys_agree_cell_for_cell(self, key_bits, monkeypatch):
+        """Wide, narrow and top-limbs-zero keys in one table: identical cells,
+        bytes, peel results and peel rounds on both stores."""
+        rng = random.Random(key_bits)
+        params = IBLTParameters.for_difference(24, key_bits, seed=key_bits)
+        shared = [rng.getrandbits(key_bits) for _ in range(40)]
+        alice = shared + [rng.getrandbits(key_bits) for _ in range(8)]
+        alice += [rng.getrandbits(64), (1 << 64) | rng.getrandbits(8), 0]
+        bob = shared + [rng.getrandbits(key_bits) for _ in range(6)] + [2**64 - 1]
+        rounds = []
+
+        def counted(name):
+            hashed = getattr(HashFamily, name)
+
+            def spying(self, keys):
+                rounds.append(name)
+                return hashed(self, keys)
+
+            monkeypatch.setattr(HashFamily, name, spying)
+
+        outcomes = {}
+        for backend in ("python", "numpy"):
+            table = IBLT.from_items(params, alice, backend=backend)
+            table.delete_batch(bob)
+            assert table.backend == backend
+            counted("cells_for_many")
+            counted("cells_for_array")
+            result = table.try_decode()
+            monkeypatch.undo()
+            outcomes[backend] = (
+                table._store.snapshot(),
+                table.serialize(),
+                result.success,
+                result.positive,
+                result.negative,
+                len(rounds),
+            )
+            rounds.clear()
+        assert outcomes["python"] == outcomes["numpy"]
+        assert outcomes["numpy"][2:5] == (True, set(alice) - set(bob), set(bob) - set(alice))
+        assert outcomes["numpy"][5] >= 2
+        encoded = outcomes["numpy"][1]
+        for backend in ("python", "numpy"):
+            restored = IBLT.deserialize(params, encoded, backend=backend)
+            assert restored.serialize() == encoded
+            assert restored.try_decode().positive == set(alice) - set(bob)
+
+    @pytest.mark.parametrize("key_bits", [8, 64, 65, 588])
+    @pytest.mark.parametrize(
+        "bad", [1.5, True, -1, "over-wide"], ids=["float", "bool", "negative", "over-wide"]
+    )
+    def test_identical_outcome_for_odd_keys(self, key_bits, bad):
+        key = 1 << key_bits if bad == "over-wide" else bad
+        outcomes = []
+        for backend in ("python", "numpy"):
+            table = IBLT(make_params(cells=16, key_bits=key_bits), backend=backend)
+            assert table.backend == backend
+            try:
+                table.insert_batch([3, key])
+            except (ParameterError, CapacityError) as error:
+                outcomes.append(type(error))
+            else:
+                outcomes.append(table.serialize())
+        assert outcomes[0] == outcomes[1]
+        if bad is not True:  # a bool is the key 0 or 1 on both stores
+            assert outcomes[0] in (ParameterError, CapacityError)
 
     def test_full_width_64_bit_keys(self):
         params = make_params(key_bits=64, seed=2)

@@ -85,7 +85,7 @@ class TestBackendSelection:
         wide = IBLTParameters.for_difference(3, 100, seed=5, num_hashes=3)
         children = [[1 << 80, 3], [2]]
         array = IBLTArray(wide, children, backend="numpy")
-        assert not array.vectorized
+        assert not array.vectorized and array.backend == "numpy"
         assert array.serialize_all() == [
             IBLT.from_items(wide, child).serialize() for child in children
         ]

@@ -96,14 +96,15 @@ def test_the_tensor_path_peels_every_wrapped_difference():
     assert results == [array.table(row).try_decode() for row in range(len(array))]
 
 
-def test_the_wide_key_fallback_peels_a_wrapped_difference():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_wide_keys_peel_a_wrapped_difference(backend):
     """Keys past 64 bits, as in a cascade's parent table of serialized
-    children: the numpy request falls back to the Python store."""
+    children: two limbs per key on the NumPy store."""
     alice, bob = planted(key_bits=96)
-    alice_table = IBLT.from_items(params(96), alice, backend="numpy")
-    assert alice_table.backend == "python"
+    alice_table = IBLT.from_items(params(96), alice, backend=backend)
+    assert alice_table.backend == backend
     assert max_exact_count(alice_table) > 1 << 7
-    bob_table = IBLT.from_items(params(96), bob, backend="numpy")
+    bob_table = IBLT.from_items(params(96), bob, backend=backend)
     assert_planted(sent(alice_table).subtract(bob_table).try_decode(), alice, bob)
 
 

@@ -7,6 +7,7 @@ import pytest
 import repro
 from repro.documents import DocumentCollection
 from repro.errors import ParameterError
+from repro.iblt import IBLT, NumpyCellStore
 from repro.protocols import ReconcileOptions
 from repro.protocols.registry import get, names, registry_table_markdown, specs
 from repro.workloads import edited_corpus_pair
@@ -67,6 +68,27 @@ class TestReconcileEntryPoint:
             )
             assert result.success, (protocol, result.details)
             assert result.total_bits > 0
+
+    @pytest.mark.skipif(not NumpyCellStore.available(), reason="NumPy not installed")
+    @pytest.mark.parametrize(
+        "protocol", ["cascading", "naive", "iblt_of_iblts", "degree_order", "forest"]
+    )
+    def test_numpy_sessions_build_every_table_on_numpy(self, protocol, monkeypatch):
+        built = []
+        build = IBLT.__init__
+
+        def spying(table, params, backend=None):
+            build(table, params, backend)
+            built.append((params.key_bits, table.backend))
+
+        monkeypatch.setattr(IBLT, "__init__", spying)
+        alice, bob, kwargs = protocol_instances()[protocol]
+        result = repro.reconcile(
+            alice, bob, protocol=protocol, seed=99, backend="numpy", **kwargs
+        )
+        assert result.success, (protocol, result.details)
+        assert built
+        assert [(bits, "numpy") for bits, _ in built] == built
 
     def test_options_object_and_overrides_compose(self):
         alice, bob, kwargs = protocol_instances()["ibf"]
