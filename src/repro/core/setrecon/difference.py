@@ -11,7 +11,7 @@ def symmetric_difference_size(first: Set[int], second: Set[int]) -> int:
 
 
 def apply_difference(
-    base: Set[int], to_add: Iterable[int], to_remove: Iterable[int]
+    base: Iterable[int], to_add: Iterable[int], to_remove: Iterable[int]
 ) -> set[int]:
     """Apply a decoded difference to a set.
 

@@ -8,9 +8,11 @@ are stated in: ``s`` (number of child sets), ``h`` (largest child set) and
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.errors import ParameterError
+from repro.hashing.mix import all_ints
 
 
 class SetOfSets:
@@ -29,12 +31,10 @@ class SetOfSets:
 
     def __init__(self, children: Iterable[Iterable[int]]) -> None:
         frozen = frozenset(frozenset(child) for child in children)
-        for child in frozen:
-            for element in child:
-                if not isinstance(element, int) or element < 0:
-                    raise ParameterError(
-                        "child set elements must be non-negative integers"
-                    )
+        # One flat pass over every element, type and sign settled in C.
+        elements = list(chain.from_iterable(frozen))
+        if not all_ints(elements) or (elements and min(elements) < 0):
+            raise ParameterError("child set elements must be non-negative integers")
         self._children = frozen
 
     # -- constructors ---------------------------------------------------------------

@@ -36,13 +36,20 @@ refuses any other encoding of the same counters.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Any, Iterable
 
 from repro.comm.sizing import bits_for_value
 from repro.errors import ParameterError
 from repro.hashing import derive_seed
 from repro.hashing.checksum import checked_elements
-from repro.hashing.mix import HAS_NUMPY, MASK64, fingerprint64, mix64, mix64_array
+from repro.hashing.mix import (
+    HAS_NUMPY,
+    MASK64,
+    fingerprint64,
+    is_key_array,
+    mix64,
+    mix64_array,
+)
 
 if HAS_NUMPY:
     import numpy as _np
@@ -132,16 +139,25 @@ class L0Estimator:
     def update_all(self, elements: Iterable[int], side: int) -> None:
         """Add every element to ``side``: one array pass, or -- without NumPy,
         for a small batch, or with a key of ``2**64`` and above (folded as
-        IBLT keys are) -- the scalar loop, which leaves identical counters."""
+        IBLT keys are) -- the scalar loop, which leaves identical counters.
+        A ``uint64`` array is valid by its dtype and is not checked again."""
         if side not in (1, 2):
             raise ParameterError(f"side must be 1 or 2, got {side}")
-        keys = checked_elements(elements)
         delta = 1 if side == 1 else 3  # -1 mod 4
-        if HAS_NUMPY and len(keys) > _BATCH_CUTOFF and max(keys) >> 64 == 0:
-            self._add_array(keys, delta)
+        if is_key_array(elements):
+            if HAS_NUMPY:
+                self._add_array(elements, delta)
+                return
+            keys = elements.tolist()
         else:
-            for key in keys:
-                self._add_one(key, delta)
+            keys = checked_elements(elements)
+            if HAS_NUMPY and len(keys) > _BATCH_CUTOFF and max(keys) >> 64 == 0:
+                self._add_array(
+                    _np.fromiter(keys, dtype=_np.uint64, count=len(keys)), delta
+                )
+                return
+        for key in keys:
+            self._add_one(key, delta)
 
     def _add_one(self, key: int, delta: int) -> None:
         counters = self._counters
@@ -153,17 +169,14 @@ class L0Estimator:
             )
             counters[index] = (counters[index] + delta) & 3
 
-    def _add_array(self, keys: list[int], delta: int) -> None:
+    def _add_array(self, keys: Any, delta: int) -> None:
         tensor = _np.frombuffer(self._counters, dtype=_np.uint8).reshape(
             self.num_levels, self.buckets_per_level
         )
         buckets = _np.uint64(self.buckets_per_level)
         # Level hashes of the elements still sampled at the current level:
         # an element goes on to level i + 1 while its low i + 1 bits are zero.
-        sampled = mix64_array(
-            _np.fromiter(keys, dtype=_np.uint64, count=len(keys))
-            ^ _np.uint64(self._level_seed)
-        )
+        sampled = mix64_array(keys ^ _np.uint64(self._level_seed))
         for level, bucket_seed in enumerate(self._bucket_seeds):
             hits = _np.bincount(
                 (mix64_array(sampled ^ _np.uint64(bucket_seed)) % buckets).astype(_np.intp),

@@ -1,30 +1,113 @@
-"""A light undirected simple graph.
+"""A light undirected simple graph, stored as one bitset row per vertex.
 
-Vertices are the integers ``0 .. n-1``.  The class carries exactly the
-operations the reconciliation schemes need: adjacency queries, degree
-sequences, canonical integer edge keys (so that a labeled graph is just a
-set of integers, ready for plain set reconciliation), relabeling, and
-conversion to/from :mod:`networkx` for interoperability and testing.
+Vertices are the integers ``0 .. n-1``.  ``_rows[v]`` is a Python int whose
+bit ``w`` is set when the edge ``{v, w}`` exists: the adjacency matrix in
+n²/8 bytes, so adjacency queries, degrees and edge toggles are O(1) int
+operations.  The class carries exactly the operations the reconciliation
+schemes need: adjacency queries, degree sequences, canonical integer edge
+keys (so that a labeled graph is just a set of integers, ready for plain set
+reconciliation), relabeling, and conversion to/from :mod:`networkx` for
+interoperability and testing.
+
+The bulk transforms -- edge keys to and from the rows, relabeling, the
+anchor signatures of the degree-ordering scheme -- take one of two routes
+with identical values, as the hash folds of :mod:`repro.hashing.checksum`
+do.  With NumPy they unpack the rows into a 0/1 matrix and work on arrays (a
+permutation gather, ``np.divmod`` with vectorised range and self-loop
+checks, packing back to rows); without it they walk the rows bit by bit.
+Either way the rows are the one stored form.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import ParameterError
+
+try:  # NumPy carries the bulk transforms; the row walk keeps it optional.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised on NumPy-free installs
+    _np = None
+
+#: Whether the bulk transforms take the array route (tests turn it off).
+HAS_NUMPY = _np is not None
+
+_ONE = re.compile("1")
+
+
+def _members(row: int) -> list[int]:
+    """The positions of the set bits of ``row``, ascending (the row walk):
+    the binary digits, lowest first, scanned in C."""
+    return [match.start() for match in _ONE.finditer(bin(row)[:1:-1])]
+
+
+def _all_vertex_ints(values: list[Any]) -> bool:
+    """True when every value is an ``int`` and none is a ``bool``: exact-int
+    lists are settled in one C-level pass, anything else pays the loop."""
+    return set(map(type, values)) <= {int} or all(
+        isinstance(value, int) and not isinstance(value, bool) for value in values
+    )
+
+
+def _bit_matrix(rows: Sequence[int], width: int) -> Any:
+    """``rows`` as a ``(len(rows), width)`` ``bool`` matrix: bit ``w`` of
+    ``rows[i]`` at ``[i, w]``."""
+    num_bytes = (width + 7) // 8
+    data = b"".join([row.to_bytes(num_bytes, "little") for row in rows])
+    packed = _np.frombuffer(data, dtype=_np.uint8).reshape(len(rows), num_bytes)
+    return _np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
+
+
+def _rows_of(matrix: Any) -> list[int]:
+    """The inverse of :func:`_bit_matrix`: one int per row of a bool matrix."""
+    packed = _np.packbits(matrix, axis=1, bitorder="little")
+    num_bytes = packed.shape[1]
+    if num_bytes == 0:  # zero-width rows (n = 0) hold nothing
+        return [0] * packed.shape[0]
+    data = packed.tobytes()
+    return [
+        int.from_bytes(data[start : start + num_bytes], "little")
+        for start in range(0, len(data), num_bytes)
+    ]
+
+
+def _rows_from_key_array(num_vertices: int, keys: Any) -> list[int]:
+    """Array route of :meth:`Graph.from_edge_keys` (``uint64`` keys, range-checked)."""
+    low, high = _np.divmod(keys, _np.uint64(max(num_vertices, 1)))
+    if (low == high).any():
+        raise ParameterError("self-loops are not allowed in a simple graph")
+    # Both orientations into one flat bit matrix with byte-aligned rows:
+    # a mirrored or repeated key sets the same two bits again.
+    width = 8 * ((num_vertices + 7) // 8)
+    bits = _np.zeros(num_vertices * width, dtype=bool)
+    bits[low * _np.uint64(width) + high] = True
+    bits[high * _np.uint64(width) + low] = True
+    return _rows_of(bits.reshape(num_vertices, width))
+
+
+def _rows_from_keys(num_vertices: int, keys: list[int]) -> list[int]:
+    """Row-walk route of :meth:`Graph.from_edge_keys` (int keys, range-checked)."""
+    rows = [0] * num_vertices
+    for u, v in map(divmod, keys, repeat(num_vertices)):
+        if u == v:
+            raise ParameterError("self-loops are not allowed in a simple graph")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
 
 
 class Graph:
     """An undirected simple graph on vertices ``0 .. num_vertices - 1``."""
 
-    __slots__ = ("_num_vertices", "_adjacency", "_num_edges")
+    __slots__ = ("_num_vertices", "_rows", "_num_edges")
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if num_vertices < 0:
             raise ParameterError("num_vertices must be non-negative")
         self._num_vertices = num_vertices
-        self._adjacency: list[set[int]] = [set() for _ in range(num_vertices)]
+        self._rows: list[int] = [0] * num_vertices
         self._num_edges = 0
         for u, v in edges:
             self.add_edge(u, v)
@@ -48,33 +131,74 @@ class Graph:
     def neighbors(self, vertex: int) -> frozenset[int]:
         """The adjacency set of ``vertex``."""
         self._check_vertex(vertex)
-        return frozenset(self._adjacency[vertex])
+        return frozenset(_members(self._rows[vertex]))
 
     def degree(self, vertex: int) -> int:
         """Degree of ``vertex``."""
         self._check_vertex(vertex)
-        return len(self._adjacency[vertex])
+        return self._rows[vertex].bit_count()
 
     def degree_sequence(self) -> list[int]:
-        """Degrees of all vertices, indexed by vertex id."""
-        return [len(adj) for adj in self._adjacency]
+        """Degrees of all vertices, indexed by vertex id.
+
+        One ``bit_count`` per row on both routes: at n = 300 it is faster
+        than unpacking the rows into an array.
+        """
+        return [row.bit_count() for row in self._rows]
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if the edge ``{u, v}`` is present."""
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._adjacency[u]
+        return self._rows[u] >> v & 1 == 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate edges as ``(min, max)`` pairs."""
-        for u in range(self._num_vertices):
-            for v in self._adjacency[u]:
-                if u < v:
-                    yield (u, v)
+        for u, row in enumerate(self._rows):
+            for offset in _members(row >> (u + 1)):
+                yield (u, u + 1 + offset)
+
+    def neighbors_among(
+        self, anchors: Sequence[int], vertices: Sequence[int]
+    ) -> list[frozenset[int]]:
+        """For each of ``vertices``, its neighbors among ``anchors`` as indices
+        into ``anchors``: the degree-ordering signature (Section 5.1), or,
+        with every vertex as an anchor, each vertex's neighbor set.
+
+        The anchors' rows are read as one block: ``len(anchors)`` rows, not n.
+        """
+        anchors, vertices = list(anchors), list(vertices)
+        for group in (anchors, vertices):
+            if not _all_vertex_ints(group) or (
+                group and (min(group) < 0 or max(group) >= self._num_vertices)
+            ):
+                raise ParameterError("anchors and vertices must be vertex ids")
+        if HAS_NUMPY:
+            block = _bit_matrix([self._rows[anchor] for anchor in anchors], self._num_vertices)
+            # Row-major nonzero of the transposed block: indices grouped by vertex.
+            owners, indices = _np.nonzero(block[:, vertices].T)
+            counts = _np.bincount(owners, minlength=len(vertices)).tolist()
+            flat = indices.tolist()
+            signatures = []
+            start = 0
+            for count in counts:
+                signatures.append(frozenset(flat[start : start + count]))
+                start += count
+            return signatures
+        members: dict[int, list[int]] = {vertex: [] for vertex in vertices}
+        for index, anchor in enumerate(anchors):
+            for vertex in _members(self._rows[anchor]):
+                if vertex in members:
+                    members[vertex].append(index)
+        return [frozenset(members[vertex]) for vertex in vertices]
 
     # -- mutation --------------------------------------------------------------------
 
     def _check_vertex(self, vertex: int) -> None:
+        if type(vertex) is not int and (
+            not isinstance(vertex, int) or isinstance(vertex, bool)
+        ):
+            raise ParameterError(f"vertex {vertex!r} is not an integer")
         if not 0 <= vertex < self._num_vertices:
             raise ParameterError(f"vertex {vertex} out of range [0, {self._num_vertices})")
 
@@ -84,18 +208,20 @@ class Graph:
         self._check_vertex(v)
         if u == v:
             raise ParameterError("self-loops are not allowed in a simple graph")
-        if v not in self._adjacency[u]:
-            self._adjacency[u].add(v)
-            self._adjacency[v].add(u)
+        rows = self._rows
+        if not rows[u] >> v & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
             self._num_edges += 1
 
     def remove_edge(self, u: int, v: int) -> None:
         """Remove the edge ``{u, v}`` (no-op if absent)."""
         self._check_vertex(u)
         self._check_vertex(v)
-        if v in self._adjacency[u]:
-            self._adjacency[u].discard(v)
-            self._adjacency[v].discard(u)
+        rows = self._rows
+        if rows[u] >> v & 1:
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
             self._num_edges -= 1
 
     def toggle_edge(self, u: int, v: int) -> None:
@@ -107,10 +233,16 @@ class Graph:
 
     def copy(self) -> "Graph":
         """Deep copy."""
-        clone = Graph(self._num_vertices)
-        clone._adjacency = [set(adj) for adj in self._adjacency]
-        clone._num_edges = self._num_edges
-        return clone
+        return Graph._of_rows(list(self._rows), self._num_edges)
+
+    @classmethod
+    def _of_rows(cls, rows: list[int], num_edges: int) -> "Graph":
+        """The graph whose rows are ``rows`` (symmetric, zero diagonal)."""
+        graph = cls.__new__(cls)
+        graph._num_vertices = len(rows)
+        graph._rows = rows
+        graph._num_edges = num_edges
+        return graph
 
     # -- edge keys and relabeling -----------------------------------------------------
 
@@ -125,15 +257,25 @@ class Graph:
         """Inverse of :meth:`edge_key`."""
         return divmod(key, self._num_vertices)
 
+    def edge_key_array(self) -> Any:
+        """All edges as canonical keys in one sorted ``uint64`` array (needs NumPy)."""
+        if not HAS_NUMPY:
+            raise RuntimeError("edge_key_array requires NumPy")
+        n = self._num_vertices
+        # Keep each row's bits above the diagonal; in the (n, n) matrix the
+        # flat index u*n + v of bit (u, v) is then the edge's key, ascending.
+        upper = [row >> (u + 1) << (u + 1) for u, row in enumerate(self._rows)]
+        return _np.flatnonzero(_bit_matrix(upper, n)).astype(_np.uint64)
+
     def edge_keys(self) -> set[int]:
         """All edges as canonical keys (the labeled-graph set representation)."""
+        if HAS_NUMPY:
+            return set(self.edge_key_array().tolist())
         n = self._num_vertices
-        return {
-            u * n + v
-            for u, adjacency in enumerate(self._adjacency)
-            for v in adjacency
-            if u < v
-        }
+        keys: set[int] = set()
+        for u, row in enumerate(self._rows):
+            keys.update(map((u * n + u + 1).__add__, _members(row >> (u + 1))))
+        return keys
 
     @property
     def edge_key_universe(self) -> int:
@@ -141,41 +283,61 @@ class Graph:
         return self._num_vertices * self._num_vertices
 
     @classmethod
-    def from_edge_keys(cls, num_vertices: int, keys: Iterable[int]) -> "Graph":
-        """Rebuild a graph from canonical edge keys (duplicates count once).
+    def from_edge_keys(cls, num_vertices: int, keys: Iterable[int] | Any) -> "Graph":
+        """Rebuild a graph from canonical edge keys: any iterable of ints, or
+        an integer NumPy array such as :meth:`edge_key_array`'s.
 
-        Raises :class:`ParameterError` for a key outside ``[0, n*n)`` or a
-        self-loop key ``u*n + u``: recovered keys come from a peer.
+        A key ``u*n + v`` and its mirror ``v*n + u`` name one edge, and
+        duplicates count once.  Raises :class:`ParameterError` for a key that
+        is not an integer (a ``bool`` included), outside ``[0, n*n)``, or a
+        self-loop ``u*n + u``: recovered keys come from a peer.
         """
-        graph = cls(num_vertices)
-        keys = set(keys)
+        if num_vertices < 0:
+            raise ParameterError("num_vertices must be non-negative")
         limit = num_vertices * num_vertices
-        if keys and (min(keys) < 0 or max(keys) >= limit):
-            raise ParameterError(f"edge key out of range [0, {limit})")
-        adjacency = graph._adjacency
-        for u, v in map(divmod, keys, repeat(num_vertices)):
-            if u == v:
-                raise ParameterError("self-loops are not allowed in a simple graph")
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        # Counted from the adjacency so a key and its mirror are one edge.
-        graph._num_edges = sum(map(len, adjacency)) // 2
-        return graph
+        if _np is not None and isinstance(keys, _np.ndarray):
+            if keys.ndim != 1 or keys.dtype.kind not in "ui":
+                raise ParameterError("edge keys must be integers")
+            if keys.size and (keys.min() < 0 or keys.max() >= limit):
+                raise ParameterError(f"edge key out of range [0, {limit})")
+            keys = keys.astype(_np.uint64, copy=False) if HAS_NUMPY else keys.tolist()
+        else:
+            keys = list(keys)
+            if not _all_vertex_ints(keys):
+                raise ParameterError("edge keys must be integers")
+            if keys and (min(keys) < 0 or max(keys) >= limit):
+                raise ParameterError(f"edge key out of range [0, {limit})")
+            if HAS_NUMPY:
+                keys = _np.fromiter(keys, dtype=_np.uint64, count=len(keys))
+        if HAS_NUMPY:
+            rows = _rows_from_key_array(num_vertices, keys)
+        else:
+            rows = _rows_from_keys(num_vertices, keys)
+        # Counted from the rows so a key and its mirror are one edge.
+        return cls._of_rows(rows, sum(map(int.bit_count, rows)) // 2)
 
     def relabel(self, mapping: Sequence[int]) -> "Graph":
         """Return the graph with vertex ``v`` renamed to ``mapping[v]``.
 
-        ``mapping`` must be a permutation of ``0 .. n-1``.
+        ``mapping`` must be a permutation of ``0 .. n-1`` given as ints.
         """
-        if sorted(mapping) != list(range(self._num_vertices)):
+        n = self._num_vertices
+        mapping = list(mapping)
+        if not _all_vertex_ints(mapping) or sorted(mapping) != list(range(n)):
             raise ParameterError("mapping must be a permutation of the vertex ids")
-        relabeled = Graph(self._num_vertices)
-        rename = mapping.__getitem__
+        if HAS_NUMPY:
+            # New vertex mapping[v] is old vertex v: gather rows and columns
+            # through the inverse permutation.
+            inverse = _np.empty(n, dtype=_np.intp)
+            inverse[mapping] = _np.arange(n)
+            rows = _rows_of(_bit_matrix(self._rows, n)[inverse][:, inverse])
+        else:
+            bits = [1 << image for image in mapping]
+            rows = [0] * n
+            for vertex, row in enumerate(self._rows):
+                rows[mapping[vertex]] = sum(map(bits.__getitem__, _members(row)))
         # A permutation keeps neighbors distinct and creates no self-loop.
-        for vertex, adjacency in enumerate(self._adjacency):
-            relabeled._adjacency[rename(vertex)] = set(map(rename, adjacency))
-        relabeled._num_edges = self._num_edges
-        return relabeled
+        return Graph._of_rows(rows, self._num_edges)
 
     # -- comparisons and conversions ----------------------------------------------------
 
@@ -183,18 +345,15 @@ class Graph:
         """Number of edge slots on which the two (labeled) graphs disagree."""
         if other.num_vertices != self._num_vertices:
             raise ParameterError("graphs must have the same number of vertices")
-        return len(self.edge_keys() ^ other.edge_keys())
+        return sum((a ^ b).bit_count() for a, b in zip(self._rows, other._rows)) // 2
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self._num_vertices == other._num_vertices
-            and self._adjacency == other._adjacency
-        )
+        return self._num_vertices == other._num_vertices and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self._num_vertices, frozenset(self.edge_keys())))
+        return hash((self._num_vertices, tuple(self._rows)))
 
     def to_networkx(self):
         """Convert to a :class:`networkx.Graph`."""

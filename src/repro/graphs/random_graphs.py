@@ -41,9 +41,9 @@ def gnp_random_graph(num_vertices: int, edge_probability: float, seed: int) -> G
         rng = np.random.default_rng(seed)
         row_indices, col_indices = np.triu_indices(num_vertices, k=1)
         mask = rng.random(row_indices.shape[0]) < edge_probability
-        for u, v in zip(row_indices[mask], col_indices[mask]):
-            graph.add_edge(int(u), int(v))
-        return graph
+        return Graph.from_edge_keys(
+            num_vertices, row_indices[mask] * num_vertices + col_indices[mask]
+        )
     fallback_rng = random.Random(seed)
     for u in range(num_vertices - 1):
         for v in range(u + 1, num_vertices):

@@ -19,7 +19,9 @@ properties (used by Theorems 5.3 and 5.5's experiments).
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable
 
 from repro.errors import ParameterError
@@ -55,13 +57,8 @@ def degree_order_signatures(
         raise ParameterError("num_top must lie in [0, num_vertices]")
     ordered = degree_sorted_vertices(graph)
     top_vertices = ordered[:num_top]
-    # Filled from the top side: h adjacency sets are read, not n.
-    members: dict[int, list[int]] = {vertex: [] for vertex in ordered[num_top:]}
-    for index, top in enumerate(top_vertices):
-        for vertex in graph.neighbors(top):
-            if vertex in members:
-                members[vertex].append(index)
-    signatures = {vertex: frozenset(indices) for vertex, indices in members.items()}
+    others = ordered[num_top:]
+    signatures = dict(zip(others, graph.neighbors_among(top_vertices, others)))
     return top_vertices, signatures
 
 
@@ -71,10 +68,7 @@ def signature_mask(signature: Iterable[int]) -> int:
     The Hamming distance of two signatures is then ``(a ^ b).bit_count()``,
     for any ``num_top`` (Python ints do not stop at 64 bits).
     """
-    mask = 0
-    for index in signature:
-        mask |= 1 << index
-    return mask
+    return reduce(or_, map((1).__lshift__, signature), 0)
 
 
 def is_degree_separated(graph: Graph, num_top: int, degree_gap: int, signature_gap: int) -> bool:
@@ -107,10 +101,11 @@ def degree_neighborhood_signatures(graph: Graph, max_degree: int) -> dict[int, C
     if max_degree < 0:
         raise ParameterError("max_degree must be non-negative")
     degrees = graph.degree_sequence()
+    vertices = graph.vertices()
     signatures: dict[int, Counter] = {}
-    for vertex in graph.vertices():
+    for vertex, neighbors in zip(vertices, graph.neighbors_among(vertices, vertices)):
         counter: Counter = Counter()
-        for neighbor in graph.neighbors(vertex):
+        for neighbor in neighbors:
             if degrees[neighbor] <= max_degree:
                 counter[degrees[neighbor]] += 1
         signatures[vertex] = counter

@@ -37,6 +37,7 @@ from repro.hashing.mix import (
     MASK64,
     all_ints,
     fingerprint64,
+    is_key_array,
     mix64,
     mix64_array,
 )
@@ -112,8 +113,18 @@ class Checksum:
 
         The empty set hashes to 0; keys of ``2**64`` and above are folded
         through :func:`~repro.hashing.mix.fingerprint64` as IBLT keys are.
+        A ``uint64`` array is valid by its dtype and is not checked again.
         """
-        elements = checked_elements(values)
+        return self.of_checked(values if is_key_array(values) else checked_elements(values))
+
+    def of_checked(self, elements: Collection[int] | Any) -> int:
+        """:meth:`of_set` of elements validated already: what
+        :func:`checked_elements` returned (or a set of such ints), or a
+        ``uint64`` array, which its dtype validates."""
+        if is_key_array(elements):
+            if HAS_NUMPY and self.bits <= 64:
+                return int(_np.bitwise_xor.reduce(self.of_keys_array(elements)))
+            elements = elements.tolist()
         checks = self._checks_array(elements)
         if checks is not None:
             return int(_np.bitwise_xor.reduce(checks))
@@ -143,7 +154,7 @@ class Checksum:
             combined ^= self.of_key(element)
         return combined
 
-    def _checks_array(self, elements: list[int]) -> Any:
+    def _checks_array(self, elements: Collection[int]) -> Any:
         """Per-element checksums as a ``uint64`` array, or ``None`` when the
         scalar route applies (no NumPy, a wide key or checksum, few keys)."""
         if (

@@ -82,6 +82,18 @@ def all_ints(keys: Collection[object]) -> bool:
     )
 
 
+def is_key_array(values: object) -> bool:
+    """True for a one-dimensional NumPy ``uint64`` array: a batch of keys
+    below ``2**64`` that its dtype has already validated (no float, no
+    negative, no key too wide), so the batch paths take it as it is."""
+    return (
+        _np is not None
+        and isinstance(values, _np.ndarray)
+        and values.dtype == _np.uint64
+        and values.ndim == 1
+    )
+
+
 if HAS_NUMPY:
     _NP_MULT_A = _np.uint64(_MULT_A)
     _NP_MULT_B = _np.uint64(_MULT_B)

@@ -22,6 +22,7 @@ party only its own side's data plus that context.
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
 from repro.comm.bits import BitReader, BitWriter
 from repro.comm.sizing import bits_for_value
@@ -48,6 +49,7 @@ from repro.graphs.forest import (
     _reconstruct_forest,
     ahu_signatures,
 )
+from repro.graphs import graph as graph_module
 from repro.graphs.graph import Graph
 from repro.graphs.separation import (
     degree_neighborhood_signatures,
@@ -80,13 +82,22 @@ from repro.protocols.parties.setsofsets import (
 )
 from repro.protocols.wire import PayloadCodec
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.protocols.parties.setrecon import KeyArray
+
 
 # ---------------------------------------------------------------------------
 # Labeled graphs (Section 4): edge-set reconciliation
 # ---------------------------------------------------------------------------
 
 
-def _graph_from_peer_keys(num_vertices: int, keys: set[int]) -> Graph | None:
+def _edge_key_set(graph: Graph) -> KeyArray | set[int]:
+    """The graph's edge keys in the form a :class:`SetSource` validates
+    fastest: the ``uint64`` array, or the set without NumPy."""
+    return graph.edge_key_array() if graph_module.HAS_NUMPY else graph.edge_keys()
+
+
+def _graph_from_peer_keys(num_vertices: int, keys: KeyArray | set[int]) -> Graph | None:
     """The graph a peer's verified edge keys describe, or ``None`` when they
     describe none (a self-loop ``u*n + u``, or a key in the slack between
     ``n*n`` and the key width's power of two): the peer chose the keys."""
@@ -120,12 +131,12 @@ def labeled_parties(
 
     def alice_party() -> PartyGenerator:
         outcome = yield from ibf_alice(
-            SetSource(alice.edge_keys(), ctx), difference_bound
+            SetSource(_edge_key_set(alice), ctx), difference_bound
         )
         return outcome
 
     def bob_party() -> PartyGenerator:
-        outcome = yield from ibf_bob(SetSource(bob.edge_keys(), ctx), difference_bound)
+        outcome = yield from ibf_bob(SetSource(_edge_key_set(bob), ctx), difference_bound)
         if outcome.success:
             recovered = _graph_from_peer_keys(num_vertices, outcome.recovered)
             if recovered is None:
@@ -148,7 +159,7 @@ def _bob_edge_phase(
     num_vertices = bob.num_vertices
     bob_canonical = bob.relabel([bob_labeling[v] for v in range(num_vertices)])
     edge_outcome = yield from ibf_bob(
-        SetSource(bob_canonical.edge_keys(), edge_ctx), difference_bound
+        SetSource(_edge_key_set(bob_canonical), edge_ctx), difference_bound
     )
     if edge_outcome.aborted:
         return aborted_outcome()
@@ -300,7 +311,7 @@ def degree_order_parties(
         alice_canonical = alice.relabel([alice_labeling[v] for v in range(num_vertices)])
         yield from cascading_alice_known(alice_signature_set, difference_bound, sig_ctx)
         yield from ibf_alice(
-            SetSource(alice_canonical.edge_keys(), edge_ctx), difference_bound
+            SetSource(_edge_key_set(alice_canonical), edge_ctx), difference_bound
         )
         return PartyOutcome(True)
 
@@ -398,7 +409,7 @@ def degree_neighborhood_parties(
         alice_canonical = alice.relabel([alice_labeling[v] for v in range(num_vertices)])
         yield from cascading_alice_known(alice_signature_set, change_bound, sig_ctx)
         yield from ibf_alice(
-            SetSource(alice_canonical.edge_keys(), edge_ctx), difference_bound
+            SetSource(_edge_key_set(alice_canonical), edge_ctx), difference_bound
         )
         return PartyOutcome(True)
 

@@ -15,14 +15,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
     Any,
     ClassVar,
     Collection,
     Generator,
     Iterable,
+    Iterator,
     Mapping,
     Set,
 )
@@ -40,7 +44,10 @@ from repro.core.setrecon.difference import apply_difference, max_element_bits
 from repro.errors import ParameterError
 from repro.estimator import L0Estimator
 from repro.hashing import Checksum, derive_seed
+from repro.hashing.checksum import checked_elements
+from repro.hashing.mix import HAS_NUMPY, is_key_array
 from repro.iblt import IBLT, DecodeResult, IBLTParameters
+from repro.iblt.backends import KeyBatch
 from repro.protocols.party import (
     END_OF_SESSION,
     PartyGenerator,
@@ -52,12 +59,25 @@ from repro.protocols.party import (
 )
 from repro.protocols.wire import EstimatorCodec, PayloadCodec, WireError
 
+if HAS_NUMPY:
+    import numpy as _np
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+    from numpy.typing import NDArray
+
     from repro.store.parties import StoreView
+
+    #: A key set as one ``uint64`` array (valid set elements by its dtype).
+    KeyArray = NDArray[np.uint64]
 
 #: Width of the self-describing difference-bound header used by the
 #: unknown-``d`` variants (documented framing; see docs/protocols.md).
 BOUND_HEADER_BITS = 32
+
+
+def _verification_checksum(seed: int) -> Checksum:
+    return Checksum(derive_seed(seed, "set-verification"), WORD_BITS)
 
 
 def set_verification_hash(seed: int, elements: Iterable[int]) -> int:
@@ -66,7 +86,7 @@ def set_verification_hash(seed: int, elements: Iterable[int]) -> int:
     The :meth:`~repro.hashing.checksum.Checksum.of_set` fold, so
     ``H(S ^ D) == H(S) ^ H(D)``: the sketch store keeps it live in O(d).
     """
-    return Checksum(derive_seed(seed, "set-verification"), WORD_BITS).of_set(elements)
+    return _verification_checksum(seed).of_set(elements)
 
 
 @dataclass(frozen=True)
@@ -179,6 +199,34 @@ def ibf_message_bits(ctx: SetReconContext, difference_bound: int, set_size: int)
     )
 
 
+class KeyArrayView(AbstractSet[int]):
+    """A ``uint64`` key array as a read-only set: what :attr:`SetSource.items`
+    holds for one, so callers keep treating ``items`` as a set (``len``,
+    ``in``, ``|``; set algebra returns a plain ``set``)."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: KeyArray) -> None:
+        self.array = array
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.array.tolist())
+
+    def __contains__(self, key: object) -> bool:
+        return (
+            isinstance(key, int)
+            and 0 <= key < 1 << 64
+            and bool((self.array == key).any())
+        )
+
+    @classmethod
+    def _from_iterable(cls, iterable: Iterable[Any]) -> set[Any]:
+        return set(iterable)
+
+
 @dataclass(frozen=True)
 class SetSource:
     """The from-scratch *sketch source*: every sketch is built over ``items`` when asked.
@@ -188,45 +236,128 @@ class SetSource:
     exactly two: this one, and the store's :class:`~repro.store.parties.StoreView`,
     which answers from live, incrementally maintained sketches.  Every sketch is
     linear, so the wire cannot tell them apart.
+
+    ``items`` is a collection of non-negative ints or a ``uint64`` array (a
+    graph's :meth:`~repro.graphs.graph.Graph.edge_key_array`), which the
+    source then holds as a :class:`KeyArrayView`.  The source validates the
+    items once, at construction: a collection through
+    :func:`~repro.hashing.checksum.checked_elements`, an array by its dtype.
+    The table build, Bob's delete, the set hash and the estimator all reuse
+    that one form.  The NumPy cell store takes the keys as one ``uint64``
+    :class:`~repro.iblt.backends.KeyBatch`; the pure-Python store
+    (``backend="python"``, no NumPy, or a key of ``2**64`` and above) takes
+    the validated list.
     """
 
-    items: Set[int]
+    items: Collection[int] | KeyArray
     ctx: SetReconContext
+    #: The validated items: the list ``checked_elements`` returned, or the array.
+    keys: list[int] | KeyArray = field(init=False, repr=False, compare=False)
     #: Entries the source adds to every outcome it helped produce.
     outcome_details: ClassVar[Mapping[str, Any]] = {}
 
+    def __post_init__(self) -> None:
+        items = self.items
+        if isinstance(items, KeyArrayView):
+            items = items.array
+        keys: list[int] | KeyArray
+        if is_key_array(items):
+            if self.ctx.universe_size > 1 << 64:
+                raise ParameterError("a uint64 key array needs a universe of at most 2**64")
+            keys = items
+            object.__setattr__(self, "items", KeyArrayView(items))
+        else:
+            keys = checked_elements(items)
+        object.__setattr__(self, "keys", keys)
+
+    @cached_property
+    def _words(self) -> KeyArray | None:
+        """The keys as one ``uint64`` array; ``None`` without NumPy or with a
+        key of ``2**64`` and above."""
+        keys = self.keys
+        if not isinstance(keys, list):
+            return keys
+        if not HAS_NUMPY or (keys and max(keys) >> 64):
+            return None
+        return _np.fromiter(keys, dtype=_np.uint64, count=len(keys))
+
+    @cached_property
+    def _elements(self) -> list[int]:
+        """The keys as a list of ints (the scalar routes' form)."""
+        keys = self.keys
+        return keys if isinstance(keys, list) else keys.tolist()
+
+    def _batch_for(self, table: IBLT) -> KeyBatch | list[int]:
+        """The keys as ``table``'s cell store takes them without checking
+        them again: one word per key on a one-limb NumPy table, else the list."""
+        words = self._words
+        if words is not None and table.backend == "numpy" and table.params.key_bits <= 64:
+            return KeyBatch(words, words)
+        return self._elements
+
+    def _hashable(self) -> list[int] | KeyArray:
+        """The keys for the hash fold and the estimator: the array if any."""
+        words = self._words
+        return self._elements if words is None else words
+
     @property
     def size(self) -> int:
-        return len(self.items)
+        return len(self.keys)
 
     @property
     def set_hash(self) -> int:
-        return set_verification_hash(self.ctx.seed, self.items)
+        return _verification_checksum(self.ctx.seed).of_checked(self._hashable())
 
     def owned_table(self, difference_bound: int) -> IBLT:
         """The set's IBLT, as an object the receiver may keep."""
-        params = self.ctx.table_params(difference_bound)
-        return IBLT.from_items(params, self.items, backend=self.ctx.backend)
+        table = IBLT(self.ctx.table_params(difference_bound), backend=self.ctx.backend)
+        table.insert_batch(self._batch_for(table))
+        return table
 
     def estimator(self, side: int) -> L0Estimator:
         """The set's difference estimator, its elements on ``side`` (1 or 2)."""
         estimator = self.ctx.make_estimator()
-        estimator.update_all(self.items, side)
+        estimator.update_all(self._hashable(), side)
         return estimator
 
     def difference_from(self, table: IBLT) -> IBLT:
         """``table - encode(own set)``, ready to peel."""
         difference_table = table.copy()
-        difference_table.delete_batch(self.items)
+        difference_table.delete_batch(self._batch_for(difference_table))
         return difference_table
 
     def with_difference(
         self, added: Collection[int], removed: Collection[int]
-    ) -> tuple[int, int, set[int] | None]:
+    ) -> tuple[int, int, set[int] | KeyArray | None]:
         """``(hash, size, elements)`` of the set with a peeled difference applied
-        (``elements`` is ``None`` from a source that does not materialize sets)."""
-        recovered = apply_difference(self.items, added, removed)
-        return set_verification_hash(self.ctx.seed, recovered), len(recovered), recovered
+        (``elements`` is ``None`` from a source that does not materialize sets).
+
+        The elements come in the form the source was given -- a ``set`` for a
+        collection, a ``uint64`` array for an array -- and the hash is of them.
+        """
+        keys = self.keys
+        recovered: set[int] | KeyArray
+        if isinstance(keys, list):
+            recovered = apply_difference(keys, added, removed)
+        else:
+            recovered = _array_with_difference(keys, added, removed)
+        checksum = _verification_checksum(self.ctx.seed)
+        return checksum.of_checked(recovered), len(recovered), recovered
+
+
+def _array_with_difference(
+    keys: KeyArray, added: Collection[int], removed: Collection[int]
+) -> KeyArray:
+    """:func:`apply_difference` on a ``uint64`` array, without sorting it:
+    every key the difference names leaves, then each added key comes back once."""
+    fresh = set(added)
+    named = _np.fromiter(
+        chain(removed, fresh), dtype=_np.uint64, count=len(removed) + len(fresh)
+    )
+    kept = keys[_np.isin(keys, named, invert=True)] if named.size else keys
+    return _np.concatenate(
+        [kept, _np.fromiter(fresh, dtype=_np.uint64, count=len(fresh))]
+    )
 
 
 def ibf_alice(

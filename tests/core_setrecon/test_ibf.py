@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro import reconcile
 from repro.core.setrecon import apply_difference, symmetric_difference_size
 from repro.errors import ParameterError
+from repro.hashing import HAS_NUMPY
 
 UNIVERSE = 1 << 24
 
@@ -124,3 +125,60 @@ class TestUnknownD:
         alice, bob = make_instance(800, 300, seed=35)
         result = ibf(alice, bob, difference_bound=None, seed=36)
         assert result.success and result.recovered == alice
+
+
+class TestSetSource:
+    """A sketch source over a set or a ``uint64`` array validates once and
+    returns the recovered set in the form it was given."""
+
+    BOB = [3, 10, 42, 77]
+
+    def source(self, form):
+        from repro.protocols.parties.setrecon import SetReconContext, SetSource
+
+        if form == "array":
+            if not HAS_NUMPY:
+                pytest.skip("needs NumPy")
+            import numpy as np
+
+            items = np.array(self.BOB, dtype=np.uint64)
+        else:
+            items = set(self.BOB)
+        return SetSource(items, SetReconContext(universe_size=128, seed=7))
+
+    @pytest.mark.parametrize("form", ["set", "array"])
+    def test_a_source_hashes_the_set_it_returns(self, form):
+        from repro.protocols.parties.setrecon import set_verification_hash
+
+        # 10 is added though Bob holds it; 99 is removed though he lacks it.
+        recovered_hash, size, elements = self.source(form).with_difference(
+            added={10, 5}, removed={99, 42}
+        )
+        assert recovered_hash == set_verification_hash(7, elements)
+        assert size == len(elements)
+        assert sorted(list(elements)) == [3, 5, 10, 77]
+
+    @pytest.mark.parametrize("form", ["set", "array"])
+    def test_every_sketch_agrees_across_forms(self, form):
+        source, reference = self.source(form), self.source("set")
+        assert source.size == reference.size
+        assert source.set_hash == reference.set_hash
+        assert source.owned_table(4).serialize() == reference.owned_table(4).serialize()
+        table = reference.owned_table(4)
+        assert (
+            source.difference_from(table).serialize()
+            == reference.difference_from(table).serialize()
+        )
+        assert source.estimator(1).query() == reference.estimator(1).query()
+
+    def test_an_array_source_reads_as_a_set(self):
+        source = self.source("array")
+        assert 10 in source.items and 11 not in source.items
+        assert source.items | {5} == {3, 5, 10, 42, 77}
+
+    @pytest.mark.parametrize("items", [{1, -2}, {1.5}, [3, "4"]])
+    def test_invalid_items_fail_at_construction(self, items):
+        from repro.protocols.parties.setrecon import SetReconContext, SetSource
+
+        with pytest.raises(ParameterError):
+            SetSource(items, SetReconContext(universe_size=128, seed=7))

@@ -1,5 +1,6 @@
 """Tests for the Graph type, random graph generation and labeled reconciliation."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,6 +9,10 @@ from hypothesis import given, settings, strategies as st
 from repro import reconcile
 from repro.errors import ParameterError
 from repro.graphs import Graph, gnp_random_graph, perturb_edges
+from repro.graphs import graph as graph_module
+from repro.graphs import random_graphs as random_graphs_module
+from repro.graphs.separation import degree_order_signatures
+from repro.hashing import HAS_NUMPY
 from repro.graphs.random_graphs import (
     planted_separated_graph,
     random_permutation,
@@ -87,36 +92,80 @@ class TestGraph:
         assert not graph.has_edge(1, 2)
 
 
+SIZES = [0, 1, 2, 7, 8, 9, 63, 64, 65, 300]
+
+
+def random_edges(n, seed):
+    """Edges of a seeded G(n, p) draw with a random p, made without ``Graph``."""
+    rng = random.Random(seed)
+    p = rng.random()
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
 class TestLinearTransforms:
-    """``relabel`` / ``edge_keys`` / ``from_edge_keys`` build adjacency and key
-    sets directly; the per-edge ``add_edge`` / ``edge_key`` route is the reference."""
+    """The bulk transforms against the per-edge ``add_edge`` reference, on the
+    array route and with ``HAS_NUMPY`` turned off (the row walk): both routes
+    must give the values the reference gives, hence each other's."""
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_equal_the_add_edge_reference(self, seed):
-        rng = random.Random(seed)
-        n = rng.randrange(1, 40)
-        graph = gnp_random_graph(n, rng.random(), seed)
-        mapping = random_permutation(n, rng)
+    @pytest.fixture(params=["numpy", "no-numpy"], autouse=True)
+    def route(self, request, monkeypatch):
+        if request.param == "numpy" and not HAS_NUMPY:
+            pytest.skip("needs NumPy")
+        if request.param == "no-numpy":
+            monkeypatch.setattr(graph_module, "HAS_NUMPY", False)
+        return request.param
 
-        relabeled = Graph(n)
-        for u, v in graph.edges():
-            relabeled.add_edge(mapping[u], mapping[v])
-        keys = {graph.edge_key(u, v) for u, v in graph.edges()}
-        rebuilt = Graph(n)
-        for key in keys:
-            rebuilt.add_edge(*divmod(key, n))
+    @pytest.mark.parametrize("n", SIZES)
+    def test_equal_the_add_edge_reference(self, n):
+        edges = random_edges(n, n)
+        graph = Graph(n, edges)
+        neighbors = [set() for _ in range(n)]
+        for u, v in edges:
+            neighbors[u].add(v)
+            neighbors[v].add(u)
+        keys = {u * n + v for u, v in edges}
+        assert graph.edge_keys() == keys
+        assert graph.degree_sequence() == [len(adjacent) for adjacent in neighbors]
+        assert [graph.neighbors(v) for v in range(n)] == neighbors
+        assert sorted(graph.edges()) == sorted(edges)
 
-        for fast, reference in (
-            (graph.relabel(mapping), relabeled),
-            (Graph.from_edge_keys(n, keys), rebuilt),
-        ):
+        mapping = random_permutation(n, random.Random(n))
+        relabeled = Graph(n, [(mapping[u], mapping[v]) for u, v in edges])
+        rebuilt = Graph.from_edge_keys(n, keys)
+        for fast, reference in ((graph.relabel(mapping), relabeled), (rebuilt, graph)):
             assert fast == reference
-            assert fast.num_edges == reference.num_edges
+            assert hash(fast) == hash(reference)
+            assert fast.num_edges == reference.num_edges == len(edges)
             assert [fast.neighbors(v) for v in range(n)] == [
                 reference.neighbors(v) for v in range(n)
             ]
-        assert graph.edge_keys() == keys
-        assert rebuilt == graph
+
+        num_top = min(n, 5)
+        degrees = graph.degree_sequence()
+        ordered = sorted(range(n), key=lambda v: (-degrees[v], v))
+        top = ordered[:num_top]
+        expected = {
+            v: frozenset(index for index, anchor in enumerate(top) if v in neighbors[anchor])
+            for v in ordered[num_top:]
+        }
+        top_vertices, signatures = degree_order_signatures(graph, num_top)
+        assert top_vertices == top
+        assert list(signatures.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_key_arrays_equal_the_reference(self, route, n):
+        if route != "numpy":
+            pytest.skip("the key array needs NumPy")
+        import numpy as np
+
+        edges = random_edges(n, n)
+        graph = Graph(n, edges)
+        array = graph.edge_key_array()
+        assert array.dtype == np.uint64
+        assert array.tolist() == sorted(u * n + v for u, v in edges)
+        rebuilt = Graph.from_edge_keys(n, array)
+        assert rebuilt == graph and rebuilt.num_edges == len(edges)
+        assert hash(rebuilt) == hash(graph)
 
     def test_relabel_does_not_share_adjacency(self):
         graph = Graph(3, [(0, 1)])
@@ -155,6 +204,44 @@ class TestLinearTransforms:
         assert graph == Graph(4, [(1, 2), (0, 3)])
 
 
+class TestVertexTypes:
+    """A vertex or an edge key is an ``int`` and never a ``bool``: a bool
+    used to pass as 0 or 1, and a float used to crash on a list index."""
+
+    @pytest.mark.parametrize(
+        "method, u, v",
+        [
+            ("add_edge", True, 2),
+            ("add_edge", 0.0, 1),
+            ("remove_edge", True, 2),
+            ("remove_edge", 0.0, 1),
+        ],
+    )
+    def test_edge_updates_reject_non_int_vertices(self, method, u, v):
+        graph = Graph(3, [(1, 2)])
+        with pytest.raises(ParameterError):
+            getattr(graph, method)(u, v)
+        assert graph == Graph(3, [(1, 2)])
+
+    @pytest.mark.parametrize("keys", [[True], [6.0], [6.5]])
+    def test_from_edge_keys_rejects_non_int_keys(self, keys):
+        with pytest.raises(ParameterError):
+            Graph.from_edge_keys(4, keys)
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="needs NumPy")
+    @pytest.mark.parametrize("dtype", ["float64", "bool"])
+    def test_from_edge_keys_rejects_non_int_arrays(self, dtype):
+        import numpy as np
+
+        with pytest.raises(ParameterError):
+            Graph.from_edge_keys(4, np.array([6], dtype=dtype))
+
+    @pytest.mark.parametrize("mapping", [[True, False, 2], [0.0, 1, 2]])
+    def test_relabel_rejects_non_int_mappings(self, mapping):
+        with pytest.raises(ParameterError):
+            Graph(3, [(0, 1)]).relabel(mapping)
+
+
 class TestRandomGraphs:
     def test_gnp_extremes(self):
         assert gnp_random_graph(10, 0.0, 1).num_edges == 0
@@ -168,6 +255,26 @@ class TestRandomGraphs:
     def test_gnp_deterministic_by_seed(self):
         assert gnp_random_graph(50, 0.2, 3) == gnp_random_graph(50, 0.2, 3)
         assert gnp_random_graph(50, 0.2, 3) != gnp_random_graph(50, 0.2, 4)
+
+    #: ``(n, p, seed) -> (edges, sha256 prefix of the sorted keys)`` on the
+    #: NumPy stream (``True``) and on the pure-Python fallback's stream.
+    GNP_PINS = {
+        True: {
+            (40, 0.3, 1): (237, "75749c53fc25c6eb"),
+            (300, 0.2, 2018): (8922, "6f487a9d9151bf7a"),
+        },
+        False: {
+            (40, 0.3, 1): (228, "2765d1a07e44ef90"),
+            (300, 0.2, 2018): (9086, "7e90b24ec3b3df6f"),
+        },
+    }
+
+    @pytest.mark.parametrize("n, p, seed", [(40, 0.3, 1), (300, 0.2, 2018)])
+    def test_gnp_realisations_are_pinned(self, n, p, seed):
+        graph = gnp_random_graph(n, p, seed)
+        digest = hashlib.sha256(repr(sorted(graph.edge_keys())).encode()).hexdigest()[:16]
+        pins = self.GNP_PINS[random_graphs_module.np is not None]
+        assert (graph.num_edges, digest) == pins[(n, p, seed)]
 
     def test_gnp_invalid_probability(self):
         with pytest.raises(ParameterError):
