@@ -15,11 +15,15 @@ with identical values, as the hash folds of :mod:`repro.hashing.checksum`
 do.  With NumPy they unpack the rows into a 0/1 matrix and work on arrays (a
 permutation gather, ``np.divmod`` with vectorised range and self-loop
 checks, packing back to rows); without it they walk the rows bit by bit.
-Either way the rows are the one stored form.
+Either way the rows are the one stored form.  The rows cost n²/8 bytes
+whatever the edge count, which suits the paper's dense G(n, p); the array
+route unpacks them a block of rows at a time, so its transient matrices stay
+near 4 MiB at any n instead of taking n² bytes.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from itertools import repeat
 from typing import Any, Iterable, Iterator, Sequence
@@ -43,12 +47,37 @@ def _members(row: int) -> list[int]:
     return [match.start() for match in _ONE.finditer(bin(row)[:1:-1])]
 
 
-def _all_vertex_ints(values: list[Any]) -> bool:
-    """True when every value is an ``int`` and none is a ``bool``: exact-int
+def _index(value: Any, what: str) -> int:
+    """``value`` as a Python int: any integer, a NumPy integer scalar
+    included, but never a ``bool``."""
+    if isinstance(value, bool):
+        raise ParameterError(f"{what} {value!r} is not an integer")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} {value!r} is not an integer") from None
+
+
+def _as_ints(values: Iterable[Any], what: str) -> list[int]:
+    """``values`` as a list of Python ints (see :func:`_index`): exact-int
     lists are settled in one C-level pass, anything else pays the loop."""
-    return set(map(type, values)) <= {int} or all(
-        isinstance(value, int) and not isinstance(value, bool) for value in values
-    )
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    return [_index(value, what) for value in values]
+
+
+#: Bits the array route unpacks at once, about 4 MiB of ``bool``: one
+#: n-by-n matrix would take n² bytes, eight times the rows.
+_BLOCK_BITS = 1 << 22
+
+
+def _row_blocks(num_rows: int, width: int) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` spans of ``num_rows`` rows of ``width`` bits, each
+    at most :data:`_BLOCK_BITS` bits (at least one row)."""
+    step = max(1, _BLOCK_BITS // max(width, 1))
+    for start in range(0, num_rows, step):
+        yield start, min(start + step, num_rows)
 
 
 def _bit_matrix(rows: Sequence[int], width: int) -> Any:
@@ -78,13 +107,23 @@ def _rows_from_key_array(num_vertices: int, keys: Any) -> list[int]:
     low, high = _np.divmod(keys, _np.uint64(max(num_vertices, 1)))
     if (low == high).any():
         raise ParameterError("self-loops are not allowed in a simple graph")
-    # Both orientations into one flat bit matrix with byte-aligned rows:
-    # a mirrored or repeated key sets the same two bits again.
+    # Both orientations as flat indices into a bit matrix with byte-aligned
+    # rows: a mirrored or repeated key sets the same bit again.
     width = 8 * ((num_vertices + 7) // 8)
-    bits = _np.zeros(num_vertices * width, dtype=bool)
-    bits[low * _np.uint64(width) + high] = True
-    bits[high * _np.uint64(width) + low] = True
-    return _rows_of(bits.reshape(num_vertices, width))
+    flat = _np.concatenate(
+        [low * _np.uint64(width) + high, high * _np.uint64(width) + low]
+    )
+    rows: list[int] = []
+    for start, stop in _row_blocks(num_vertices, width):
+        first, last = start * width, stop * width
+        if stop - start < num_vertices:  # one block of several: its bits only
+            block = flat[(flat >= first) & (flat < last)] - _np.uint64(first)
+        else:
+            block = flat
+        bits = _np.zeros(last - first, dtype=bool)
+        bits[block] = True
+        rows.extend(_rows_of(bits.reshape(stop - start, width)))
+    return rows
 
 
 def _rows_from_keys(num_vertices: int, keys: list[int]) -> list[int]:
@@ -130,13 +169,11 @@ class Graph:
 
     def neighbors(self, vertex: int) -> frozenset[int]:
         """The adjacency set of ``vertex``."""
-        self._check_vertex(vertex)
-        return frozenset(_members(self._rows[vertex]))
+        return frozenset(_members(self._rows[self._vertex(vertex)]))
 
     def degree(self, vertex: int) -> int:
         """Degree of ``vertex``."""
-        self._check_vertex(vertex)
-        return self._rows[vertex].bit_count()
+        return self._rows[self._vertex(vertex)].bit_count()
 
     def degree_sequence(self) -> list[int]:
         """Degrees of all vertices, indexed by vertex id.
@@ -148,9 +185,7 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if the edge ``{u, v}`` is present."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return self._rows[u] >> v & 1 == 1
+        return self._rows[self._vertex(u)] >> self._vertex(v) & 1 == 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate edges as ``(min, max)`` pairs."""
@@ -165,20 +200,28 @@ class Graph:
         into ``anchors``: the degree-ordering signature (Section 5.1), or,
         with every vertex as an anchor, each vertex's neighbor set.
 
-        The anchors' rows are read as one block: ``len(anchors)`` rows, not n.
+        Only the anchors' rows are read: ``len(anchors)`` rows, not n.
         """
-        anchors, vertices = list(anchors), list(vertices)
+        anchors = _as_ints(anchors, "anchor")
+        vertices = _as_ints(vertices, "vertex")
         for group in (anchors, vertices):
-            if not _all_vertex_ints(group) or (
-                group and (min(group) < 0 or max(group) >= self._num_vertices)
-            ):
+            if group and (min(group) < 0 or max(group) >= self._num_vertices):
                 raise ParameterError("anchors and vertices must be vertex ids")
         if HAS_NUMPY:
-            block = _bit_matrix([self._rows[anchor] for anchor in anchors], self._num_vertices)
-            # Row-major nonzero of the transposed block: indices grouped by vertex.
-            owners, indices = _np.nonzero(block[:, vertices].T)
-            counts = _np.bincount(owners, minlength=len(vertices)).tolist()
-            flat = indices.tolist()
+            owners = [_np.empty(0, dtype=_np.intp)]
+            indices = [_np.empty(0, dtype=_np.intp)]
+            for start, stop in _row_blocks(len(anchors), self._num_vertices):
+                block = _bit_matrix(
+                    [self._rows[anchor] for anchor in anchors[start:stop]], self._num_vertices
+                )
+                # Row-major nonzero of the transposed block: indices grouped by vertex.
+                block_owners, block_indices = _np.nonzero(block[:, vertices].T)
+                owners.append(block_owners)
+                indices.append(block_indices + start)
+            # A stable sort regroups the blocks by vertex, each group ascending.
+            owner = _np.concatenate(owners)
+            flat = _np.concatenate(indices)[_np.argsort(owner, kind="stable")].tolist()
+            counts = _np.bincount(owner, minlength=len(vertices)).tolist()
             signatures = []
             start = 0
             for count in counts:
@@ -194,18 +237,17 @@ class Graph:
 
     # -- mutation --------------------------------------------------------------------
 
-    def _check_vertex(self, vertex: int) -> None:
-        if type(vertex) is not int and (
-            not isinstance(vertex, int) or isinstance(vertex, bool)
-        ):
-            raise ParameterError(f"vertex {vertex!r} is not an integer")
+    def _vertex(self, vertex: Any) -> int:
+        """``vertex`` as a Python int (see :func:`_index`), range-checked."""
+        if type(vertex) is not int:
+            vertex = _index(vertex, "vertex")
         if not 0 <= vertex < self._num_vertices:
             raise ParameterError(f"vertex {vertex} out of range [0, {self._num_vertices})")
+        return vertex
 
     def add_edge(self, u: int, v: int) -> None:
         """Add the edge ``{u, v}`` (no-op if already present)."""
-        self._check_vertex(u)
-        self._check_vertex(v)
+        u, v = self._vertex(u), self._vertex(v)
         if u == v:
             raise ParameterError("self-loops are not allowed in a simple graph")
         rows = self._rows
@@ -216,8 +258,7 @@ class Graph:
 
     def remove_edge(self, u: int, v: int) -> None:
         """Remove the edge ``{u, v}`` (no-op if absent)."""
-        self._check_vertex(u)
-        self._check_vertex(v)
+        u, v = self._vertex(u), self._vertex(v)
         rows = self._rows
         if rows[u] >> v & 1:
             rows[u] ^= 1 << v
@@ -248,8 +289,7 @@ class Graph:
 
     def edge_key(self, u: int, v: int) -> int:
         """Canonical integer key of an (unordered) edge: ``min * n + max``."""
-        self._check_vertex(u)
-        self._check_vertex(v)
+        u, v = self._vertex(u), self._vertex(v)
         low, high = (u, v) if u < v else (v, u)
         return low * self._num_vertices + high
 
@@ -262,15 +302,21 @@ class Graph:
         if not HAS_NUMPY:
             raise RuntimeError("edge_key_array requires NumPy")
         n = self._num_vertices
-        # Keep each row's bits above the diagonal; in the (n, n) matrix the
-        # flat index u*n + v of bit (u, v) is then the edge's key, ascending.
-        upper = [row >> (u + 1) << (u + 1) for u, row in enumerate(self._rows)]
-        return _np.flatnonzero(_bit_matrix(upper, n)).astype(_np.uint64)
+        parts = [_np.empty(0, dtype=_np.uint64)]
+        for start, stop in _row_blocks(n, n):
+            # Keep each row's bits above the diagonal; in the block's matrix
+            # the flat index (u - start)*n + v of bit (u, v), plus start*n, is
+            # then the edge's key, ascending.
+            upper = [
+                row >> (u + 1) << (u + 1)
+                for u, row in enumerate(self._rows[start:stop], start)
+            ]
+            flat = _np.flatnonzero(_bit_matrix(upper, n)).astype(_np.uint64)
+            parts.append(flat + _np.uint64(start * n))
+        return _np.concatenate(parts)
 
     def edge_keys(self) -> set[int]:
         """All edges as canonical keys (the labeled-graph set representation)."""
-        if HAS_NUMPY:
-            return set(self.edge_key_array().tolist())
         n = self._num_vertices
         keys: set[int] = set()
         for u, row in enumerate(self._rows):
@@ -302,9 +348,7 @@ class Graph:
                 raise ParameterError(f"edge key out of range [0, {limit})")
             keys = keys.astype(_np.uint64, copy=False) if HAS_NUMPY else keys.tolist()
         else:
-            keys = list(keys)
-            if not _all_vertex_ints(keys):
-                raise ParameterError("edge keys must be integers")
+            keys = _as_ints(keys, "edge key")
             if keys and (min(keys) < 0 or max(keys) >= limit):
                 raise ParameterError(f"edge key out of range [0, {limit})")
             if HAS_NUMPY:
@@ -322,15 +366,19 @@ class Graph:
         ``mapping`` must be a permutation of ``0 .. n-1`` given as ints.
         """
         n = self._num_vertices
-        mapping = list(mapping)
-        if not _all_vertex_ints(mapping) or sorted(mapping) != list(range(n)):
+        mapping = _as_ints(mapping, "mapping entry")
+        if sorted(mapping) != list(range(n)):
             raise ParameterError("mapping must be a permutation of the vertex ids")
         if HAS_NUMPY:
             # New vertex mapping[v] is old vertex v: gather rows and columns
             # through the inverse permutation.
             inverse = _np.empty(n, dtype=_np.intp)
             inverse[mapping] = _np.arange(n)
-            rows = _rows_of(_bit_matrix(self._rows, n)[inverse][:, inverse])
+            old = inverse.tolist()
+            rows: list[int] = []
+            for start, stop in _row_blocks(n, n):
+                block = _bit_matrix([self._rows[v] for v in old[start:stop]], n)
+                rows.extend(_rows_of(block[:, inverse]))
         else:
             bits = [1 << image for image in mapping]
             rows = [0] * n

@@ -16,7 +16,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from typing import (
     TYPE_CHECKING,
@@ -240,18 +239,18 @@ class SetSource:
     ``items`` is a collection of non-negative ints or a ``uint64`` array (a
     graph's :meth:`~repro.graphs.graph.Graph.edge_key_array`), which the
     source then holds as a :class:`KeyArrayView`.  The source validates the
-    items once, at construction: a collection through
-    :func:`~repro.hashing.checksum.checked_elements`, an array by its dtype.
-    The table build, Bob's delete, the set hash and the estimator all reuse
-    that one form.  The NumPy cell store takes the keys as one ``uint64``
-    :class:`~repro.iblt.backends.KeyBatch`; the pure-Python store
-    (``backend="python"``, no NumPy, or a key of ``2**64`` and above) takes
-    the validated list.
+    items once, at construction -- a collection through
+    :func:`~repro.hashing.checksum.checked_elements`, an array by its dtype --
+    and settles their one form there: a ``uint64`` array when NumPy is present
+    and every key is below ``2**64``, else the checked list.  The table build,
+    Bob's delete, the set hash and the estimator all reuse it; only the
+    pure-Python cell store (``backend="python"``, or a key too wide for one
+    limb) is handed the array as a list.
     """
 
     items: Collection[int] | KeyArray
     ctx: SetReconContext
-    #: The validated items: the list ``checked_elements`` returned, or the array.
+    #: The validated items: a ``uint64`` array if they fit one, else a list.
     keys: list[int] | KeyArray = field(init=False, repr=False, compare=False)
     #: Entries the source adds to every outcome it helped produce.
     outcome_details: ClassVar[Mapping[str, Any]] = {}
@@ -268,37 +267,19 @@ class SetSource:
             object.__setattr__(self, "items", KeyArrayView(items))
         else:
             keys = checked_elements(items)
+            if HAS_NUMPY and not (keys and max(keys) >> 64):
+                keys = _np.fromiter(keys, dtype=_np.uint64, count=len(keys))
         object.__setattr__(self, "keys", keys)
-
-    @cached_property
-    def _words(self) -> KeyArray | None:
-        """The keys as one ``uint64`` array; ``None`` without NumPy or with a
-        key of ``2**64`` and above."""
-        keys = self.keys
-        if not isinstance(keys, list):
-            return keys
-        if not HAS_NUMPY or (keys and max(keys) >> 64):
-            return None
-        return _np.fromiter(keys, dtype=_np.uint64, count=len(keys))
-
-    @cached_property
-    def _elements(self) -> list[int]:
-        """The keys as a list of ints (the scalar routes' form)."""
-        keys = self.keys
-        return keys if isinstance(keys, list) else keys.tolist()
 
     def _batch_for(self, table: IBLT) -> KeyBatch | list[int]:
         """The keys as ``table``'s cell store takes them without checking
-        them again: one word per key on a one-limb NumPy table, else the list."""
-        words = self._words
-        if words is not None and table.backend == "numpy" and table.params.key_bits <= 64:
-            return KeyBatch(words, words)
-        return self._elements
-
-    def _hashable(self) -> list[int] | KeyArray:
-        """The keys for the hash fold and the estimator: the array if any."""
-        words = self._words
-        return self._elements if words is None else words
+        them again: one word per key on a one-limb NumPy table, else a list."""
+        keys = self.keys
+        if isinstance(keys, list):
+            return keys
+        if table.backend == "numpy" and table.params.key_bits <= 64:
+            return KeyBatch(keys, keys)
+        return keys.tolist()
 
     @property
     def size(self) -> int:
@@ -306,7 +287,7 @@ class SetSource:
 
     @property
     def set_hash(self) -> int:
-        return _verification_checksum(self.ctx.seed).of_checked(self._hashable())
+        return _verification_checksum(self.ctx.seed).of_checked(self.keys)
 
     def owned_table(self, difference_bound: int) -> IBLT:
         """The set's IBLT, as an object the receiver may keep."""
@@ -317,7 +298,7 @@ class SetSource:
     def estimator(self, side: int) -> L0Estimator:
         """The set's difference estimator, its elements on ``side`` (1 or 2)."""
         estimator = self.ctx.make_estimator()
-        estimator.update_all(self._hashable(), side)
+        estimator.update_all(self.keys, side)
         return estimator
 
     def difference_from(self, table: IBLT) -> IBLT:
@@ -335,12 +316,13 @@ class SetSource:
         The elements come in the form the source was given -- a ``set`` for a
         collection, a ``uint64`` array for an array -- and the hash is of them.
         """
-        keys = self.keys
+        items = self.items
         recovered: set[int] | KeyArray
-        if isinstance(keys, list):
-            recovered = apply_difference(keys, added, removed)
+        if isinstance(items, KeyArrayView):
+            recovered = _array_with_difference(items.array, added, removed)
         else:
-            recovered = _array_with_difference(keys, added, removed)
+            # The checked items themselves: ``keys`` may be their array.
+            recovered = apply_difference(items, added, removed)
         checksum = _verification_checksum(self.ctx.seed)
         return checksum.of_checked(recovered), len(recovered), recovered
 

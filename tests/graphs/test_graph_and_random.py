@@ -104,13 +104,17 @@ def random_edges(n, seed):
 
 class TestLinearTransforms:
     """The bulk transforms against the per-edge ``add_edge`` reference, on the
-    array route and with ``HAS_NUMPY`` turned off (the row walk): both routes
-    must give the values the reference gives, hence each other's."""
+    array route, on the array route cut into blocks of a few rows, and with
+    ``HAS_NUMPY`` turned off (the row walk): every route must give the values
+    the reference gives, hence each other's."""
 
-    @pytest.fixture(params=["numpy", "no-numpy"], autouse=True)
+    @pytest.fixture(params=["numpy", "blocked", "no-numpy"], autouse=True)
     def route(self, request, monkeypatch):
-        if request.param == "numpy" and not HAS_NUMPY:
+        if request.param != "no-numpy" and not HAS_NUMPY:
             pytest.skip("needs NumPy")
+        if request.param == "blocked":
+            # 256 bits: one block up to n = 16, several from n = 17 on.
+            monkeypatch.setattr(graph_module, "_BLOCK_BITS", 256)
         if request.param == "no-numpy":
             monkeypatch.setattr(graph_module, "HAS_NUMPY", False)
         return request.param
@@ -154,7 +158,7 @@ class TestLinearTransforms:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_key_arrays_equal_the_reference(self, route, n):
-        if route != "numpy":
+        if route == "no-numpy":
             pytest.skip("the key array needs NumPy")
         import numpy as np
 
@@ -205,8 +209,24 @@ class TestLinearTransforms:
 
 
 class TestVertexTypes:
-    """A vertex or an edge key is an ``int`` and never a ``bool``: a bool
-    used to pass as 0 or 1, and a float used to crash on a list index."""
+    """A vertex or an edge key is an integer and never a ``bool``: a bool
+    used to pass as 0 or 1, and a float used to crash on a list index.  A
+    NumPy integer scalar is an integer, and is stored as a Python int."""
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="needs NumPy")
+    def test_numpy_integer_scalars_are_vertices_and_keys(self):
+        import numpy as np
+
+        graph = Graph(4, [(np.int64(0), np.uint8(1))])
+        graph.add_edge(np.intp(1), 2)
+        assert graph.degree(np.int64(1)) == 2
+        assert graph.has_edge(np.intp(0), 1) and graph.neighbors(np.int32(2)) == {1}
+        assert graph.edge_key(np.int64(2), np.uint64(1)) == 6
+        assert all(type(row) is int for row in graph._rows)
+        assert Graph.from_edge_keys(4, list(np.array([1, 6], dtype=np.uint64))) == graph
+        assert graph.relabel(list(np.arange(4))) == graph
+        top, signatures = degree_order_signatures(graph, 1)
+        assert top == [1] and signatures == {0: {0}, 2: {0}, 3: frozenset()}
 
     @pytest.mark.parametrize(
         "method, u, v",
