@@ -42,6 +42,7 @@ sessions with byte-identical transcripts.
 
 from __future__ import annotations
 
+import struct
 from typing import TYPE_CHECKING, Sequence
 
 from repro.cluster.records import (
@@ -49,7 +50,7 @@ from repro.cluster.records import (
     FINGERPRINT_UNIVERSE,
     KVRecord,
     read_record,
-    record_fingerprint,
+    record_fingerprints,
     records_bits,
     write_record,
 )
@@ -118,14 +119,17 @@ class KVPullCodec(PayloadCodec):
     def write(self, writer: BitWriter, payload: PullRequest) -> None:
         wanted, pushed = payload
         writer.write(len(wanted), COUNT_BITS)
-        for fingerprint in wanted:
-            writer.write(fingerprint, 64)
+        # The fingerprints as one field: 64 bits each, in order.
+        packed = struct.pack(f">{len(wanted)}Q", *wanted)
+        writer.write(int.from_bytes(packed, "big"), 64 * len(wanted))
         writer.write(len(pushed), COUNT_BITS)
         for record in pushed:
             write_record(writer, record)
 
     def read(self, reader: BitReader) -> PullRequest:
-        wanted = tuple(reader.read(64) for _ in range(reader.read(COUNT_BITS)))
+        count = reader.read(COUNT_BITS)
+        # The one read raises on a count past the stream, before any allocation.
+        wanted = struct.unpack(f">{count}Q", reader.read(64 * count).to_bytes(8 * count, "big"))
         pushed = tuple(read_record(reader) for _ in range(reader.read(COUNT_BITS)))
         return wanted, pushed
 
@@ -253,7 +257,7 @@ def _bob_exchange(
         return aborted_outcome()
     # Only the fingerprints are verified so far; the records are whatever the
     # peer chose to send, and are merged only if they hash to what was asked.
-    if sorted(record_fingerprint(view.config.seed, record) for record in reply) != list(wanted):
+    if sorted(record_fingerprints(view.config.seed, reply)) != list(wanted):
         return PartyOutcome(False, details={"failure": "kv-records"})
     outcome.details.update(kv_apply=reply, kv_pushed=len(pushed))
     return outcome

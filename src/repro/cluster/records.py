@@ -18,6 +18,12 @@ The wire encoding is bit-exact: :func:`record_bits` is the charged size and
 :func:`write_record` produces exactly that many bits, so session
 transcripts account for every value byte shipped in phase two of a gossip
 round.
+
+:func:`record_fingerprints` is :func:`record_fingerprint` over a batch: one
+BLAKE2b digest per key and per value, then the mixing chain as whole-array
+operations when NumPy is present.  :func:`record_state_bytes` is one
+record's share of :func:`state_digest`, so a replica that keeps those bytes
+per installed record digests its state with one join and one hash.
 """
 
 from __future__ import annotations
@@ -25,13 +31,17 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Sequence
+from operator import attrgetter
+from typing import Any, Collection, Iterable, Sequence
 
 from repro.comm.bits import BitReader, BitWriter
 from repro.errors import ParameterError
 from repro.hashing import derive_seed
-from repro.hashing.mix import MASK64, mix64
+from repro.hashing.mix import HAS_NUMPY, MASK64, mix64, mix64_array
 from repro.protocols.wire import WireError
+
+if HAS_NUMPY:
+    import numpy as _np
 
 #: Every record fingerprint is a 64-bit element; sessions reconcile sets
 #: drawn from this universe.
@@ -45,18 +55,34 @@ TOMBSTONE_BITS = 1
 VALUE_LENGTH_BITS = 24
 #: List-length prefix of the phase-two value-fetch frames.
 COUNT_BITS = 32
+#: The fixed-width fields after the key: version, writer, tombstone flag.
+_FIXED_BITS = VERSION_BITS + WRITER_BITS + TOMBSTONE_BITS
 
 #: Mixed into tombstone fingerprints in place of a value hash, so deleting
 #: a key maps to a different element than any live value for it.
-_TOMBSTONE_SALT = 0x746F6D6273746F6E  # b"tombston" as an integer
+_TOMBSTONE_WORD = b"tombston"  # the word 0x746F6D6273746F6E
+
+#: Up to this many records the scalar chain beats the array set-up.
+_BATCH_CUTOFF = 8
 
 
-def _text_hash64(data: bytes, *, person: bytes) -> int:
-    """Fold arbitrary bytes to a 64-bit word (keyed BLAKE2b, like
+#: Keyed BLAKE2b states the key and value hashes are copied from (a copy
+#: is cheaper than a keyed constructor).
+_KEY_HASHER = hashlib.blake2b(digest_size=8, person=b"repro-kv-key")
+_VALUE_HASHER = hashlib.blake2b(digest_size=8, person=b"repro-kv-val")
+
+
+def _text_digest(text: str, base: Any) -> bytes:
+    """A string folded to one big-endian 64-bit word (keyed BLAKE2b, like
     :func:`~repro.hashing.mix.fingerprint64` does for wide IBLT keys)."""
-    return int.from_bytes(
-        hashlib.blake2b(data, digest_size=8, person=person).digest(), "big"
-    )
+    hasher = base.copy()
+    hasher.update(text.encode("utf-8"))
+    digest: bytes = hasher.digest()
+    return digest
+
+
+def _value_digest(value: str | None) -> bytes:
+    return _TOMBSTONE_WORD if value is None else _text_digest(value, _VALUE_HASHER)
 
 
 @dataclass(frozen=True)
@@ -146,16 +172,36 @@ def record_fingerprint(seed: int, record: KVRecord) -> int:
     change moves the record to an (overwhelmingly likely) fresh element.
     """
     h = _chain_start(seed)
-    h = mix64(h ^ _text_hash64(record.key.encode("utf-8"), person=b"repro-kv-key"))
+    h = mix64(h ^ int.from_bytes(_text_digest(record.key, _KEY_HASHER), "big"))
     h = mix64(h ^ (record.version & MASK64))
     h = mix64(h ^ record.writer)
-    if record.value is None:
-        h = mix64(h ^ _TOMBSTONE_SALT)
-    else:
-        h = mix64(
-            h ^ _text_hash64(record.value.encode("utf-8"), person=b"repro-kv-val")
-        )
-    return h
+    return mix64(h ^ int.from_bytes(_value_digest(record.value), "big"))
+
+
+def _words(digests: list[bytes]) -> Any:
+    """Eight-byte big-endian digests as one ``uint64`` array."""
+    return _np.frombuffer(b"".join(digests), dtype=">u8").astype(_np.uint64)
+
+
+def record_fingerprints(seed: int, records: Collection[KVRecord]) -> list[int]:
+    """:func:`record_fingerprint` of every record, in order.
+
+    One BLAKE2b digest per key and per value; past ``_BATCH_CUTOFF``
+    records, and with NumPy, the five-step mixing chain then runs once over
+    the whole batch instead of once per record.
+    """
+    if not HAS_NUMPY or len(records) <= _BATCH_CUTOFF:
+        return [record_fingerprint(seed, record) for record in records]
+    keys = [_text_digest(record.key, _KEY_HASHER) for record in records]
+    values = [_value_digest(record.value) for record in records]
+    versions = [record.version for record in records]
+    writers = [record.writer for record in records]
+
+    h = mix64_array(_words(keys) ^ _np.uint64(_chain_start(seed)))
+    for field in (_np.array(versions, _np.uint64), _np.array(writers, _np.uint64), _words(values)):
+        h = mix64_array(h ^ field)
+    result: list[int] = h.tolist()
+    return result
 
 
 # -- bit-exact wire encoding ----------------------------------------------------------
@@ -176,17 +222,20 @@ def record_bits(record: KVRecord) -> int:
 
 
 def _write_text(writer: BitWriter, text: str, length_bits: int) -> None:
-    """A length-prefixed UTF-8 string as one ``8 * len``-bit field: the
-    stream is MSB-first, so these are the bytes in order."""
+    """A length-prefixed UTF-8 string as one field: the stream is
+    MSB-first, so these are the length, then the bytes in order."""
     data = text.encode("utf-8")
-    writer.write(len(data), length_bits)
-    writer.write(int.from_bytes(data, "big"), 8 * len(data))
+    bits = 8 * len(data)
+    writer.write((len(data) << bits) | int.from_bytes(data, "big"), length_bits + bits)
 
 
 def _read_text(reader: BitReader, length_bits: int) -> str:
     length = reader.read(length_bits)
     # The one read raises on a length past the stream, before any allocation.
-    data = reader.read(8 * length).to_bytes(length, "big")
+    return _decode_text(reader.read(8 * length).to_bytes(length, "big"))
+
+
+def _decode_text(data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -194,20 +243,27 @@ def _read_text(reader: BitReader, length_bits: int) -> str:
 
 
 def write_record(writer: BitWriter, record: KVRecord) -> None:
-    _write_text(writer, record.key, KEY_LENGTH_BITS)
-    writer.write(record.version, VERSION_BITS)
-    writer.write(record.writer, WRITER_BITS)
-    writer.write(1 if record.value is None else 0, TOMBSTONE_BITS)
+    """Key length, key, version, writer and tombstone flag as one field,
+    then the value (length-prefixed) as another; :class:`KVRecord` has
+    checked that every field fits its width."""
+    key = record.key.encode("utf-8")
+    head = (len(key) << 8 * len(key)) | int.from_bytes(key, "big")
+    head = (head << VERSION_BITS) | record.version
+    head = (head << WRITER_BITS) | record.writer
+    head = (head << TOMBSTONE_BITS) | (record.value is None)
+    writer.write(head, KEY_LENGTH_BITS + 8 * len(key) + _FIXED_BITS)
     if record.value is not None:
         _write_text(writer, record.value, VALUE_LENGTH_BITS)
 
 
 def read_record(reader: BitReader) -> KVRecord:
-    key = _read_text(reader, KEY_LENGTH_BITS)
-    version = reader.read(VERSION_BITS)
-    writer_id = reader.read(WRITER_BITS)
-    tombstone = reader.read(TOMBSTONE_BITS)
-    value = None if tombstone else _read_text(reader, VALUE_LENGTH_BITS)
+    length = reader.read(KEY_LENGTH_BITS)
+    # The one read raises on a length past the stream, before any allocation.
+    rest = reader.read(8 * length + _FIXED_BITS)
+    key = _decode_text((rest >> _FIXED_BITS).to_bytes(length, "big"))
+    version = (rest >> (WRITER_BITS + TOMBSTONE_BITS)) & ((1 << VERSION_BITS) - 1)
+    writer_id = (rest >> TOMBSTONE_BITS) & ((1 << WRITER_BITS) - 1)
+    value = None if rest & 1 else _read_text(reader, VALUE_LENGTH_BITS)
     return KVRecord(key=key, version=version, writer=writer_id, value=value)
 
 
@@ -216,23 +272,40 @@ def records_bits(records: Sequence[KVRecord]) -> int:
     return COUNT_BITS + sum(record_bits(record) for record in records)
 
 
+def record_state_bytes(record: KVRecord) -> bytes:
+    """One record's canonical bytes in :func:`state_digest`: key, version
+    and writer (decimal) each length-prefixed, then ``0x00`` for a
+    tombstone or ``0x01`` and the length-prefixed value."""
+    parts: list[bytes] = []
+    for field in (record.key, str(record.version), str(record.writer)):
+        encoded = field.encode("utf-8")
+        parts += (len(encoded).to_bytes(4, "big"), encoded)
+    if record.value is None:
+        parts.append(b"\x00")
+    else:
+        encoded = record.value.encode("utf-8")
+        parts += (b"\x01", len(encoded).to_bytes(4, "big"), encoded)
+    return b"".join(parts)
+
+
+def digest_state_bytes(ordered: Iterable[bytes]) -> str:
+    """The digest of a state given its records' :func:`record_state_bytes`
+    in sorted-key order: one BLAKE2b over their concatenation, which is
+    the same hash as feeding the pieces one at a time."""
+    hasher = hashlib.blake2b(digest_size=16, person=b"repro-kv-state")
+    hasher.update(b"".join(ordered))
+    return hasher.hexdigest()
+
+
 def state_digest(records: Iterable[KVRecord]) -> str:
     """Canonical digest of a full replica state (order-independent input).
 
     Two replicas are converged exactly when their digests agree: the digest
     folds every record field in sorted-key order, so byte-identical state
-    is both necessary and sufficient.
+    is both necessary and sufficient.  The reference for
+    :meth:`~repro.cluster.replica.VersionedKV.digest`, which keeps each
+    record's bytes from install time instead of re-encoding them.
     """
-    hasher = hashlib.blake2b(digest_size=16, person=b"repro-kv-state")
-    for record in sorted(records, key=lambda item: item.key):
-        for field in (record.key, str(record.version), str(record.writer)):
-            encoded = field.encode("utf-8")
-            hasher.update(len(encoded).to_bytes(4, "big"))
-            hasher.update(encoded)
-        if record.value is None:
-            hasher.update(b"\x00")
-        else:
-            encoded = record.value.encode("utf-8")
-            hasher.update(b"\x01" + len(encoded).to_bytes(4, "big"))
-            hasher.update(encoded)
-    return hasher.hexdigest()
+    return digest_state_bytes(
+        map(record_state_bytes, sorted(records, key=attrgetter("key")))
+    )

@@ -2,14 +2,15 @@
 
 A :class:`VersionedKV` holds the record map and, alongside it, the *set
 view* a gossip session reconciles: the set of 64-bit record fingerprints
-(:func:`~repro.cluster.records.record_fingerprint`).  Every merge -- a
+(:func:`~repro.cluster.records.record_fingerprints`).  Every merge -- a
 local write, a gossip round's records, journal replay -- installs its
 winners through one in-process :class:`~repro.store.SketchStore` ``apply``
 batch, so the live IBLTs, estimators, and verification hash tracking the
 fingerprint set are maintained in O(1) per changed record -- a gossip
 round then costs O(d) sketch work, never an O(n) re-encode.  The replica
-also keeps an O(1) state summary and caches its digest between installed
-records, so checking convergence after a round is not O(n) either.
+also keeps an O(1) state summary and each installed record's canonical
+digest bytes, so checking convergence after a round encodes nothing: the
+digest is one sort and one join of those bytes, then one BLAKE2b call.
 
 Durability is optional: given a ``journal_path`` the replica appends each
 merge's winners to a :class:`~repro.store.journal.Journal` of
@@ -28,8 +29,9 @@ from typing import Any, Collection, Iterable
 from repro.cluster.records import (
     FINGERPRINT_UNIVERSE,
     KVRecord,
-    record_fingerprint,
-    state_digest,
+    digest_state_bytes,
+    record_fingerprints,
+    record_state_bytes,
 )
 from repro.errors import ClusterError, ParameterError
 from repro.store.config import SketchConfig
@@ -84,6 +86,10 @@ class VersionedKV:
         self.seed = seed
         self.clock = 0
         self._records: dict[str, KVRecord] = {}
+        # Per key, the held record's fingerprint and its state_digest bytes,
+        # both computed once when the record is installed.
+        self._fingerprint_of: dict[str, int] = {}
+        self._state_bytes: dict[str, bytes] = {}
         self._fingerprints: set[int] = set()
         self._key_by_fingerprint: dict[int, str] = {}
         self._fingerprint_xor = 0
@@ -137,8 +143,7 @@ class VersionedKV:
         """Install LWW winners (one per key): journal, one store batch, maps."""
         installed: dict[int, KVRecord] = {}
         deleted: list[int] = []
-        for record in records:
-            new_fp = record_fingerprint(self.seed, record)
+        for record, new_fp in zip(records, record_fingerprints(self.seed, records)):
             owner = self._key_by_fingerprint.get(new_fp)
             if owner is None and new_fp in installed:
                 owner = installed[new_fp].key
@@ -151,9 +156,9 @@ class VersionedKV:
                     f"element already held by {owner!r}"
                 )
             installed[new_fp] = record
-            old = self._records.get(record.key)
-            if old is not None:
-                deleted.append(record_fingerprint(self.seed, old))
+            old_fp = self._fingerprint_of.get(record.key)
+            if old_fp is not None:
+                deleted.append(old_fp)
         if self._journal is not None:
             self._journal.append(records)
         # Pre-mutation dataset: SketchStore.apply sizes a fresh entry from
@@ -170,6 +175,8 @@ class VersionedKV:
             self._key_by_fingerprint[new_fp] = record.key
             self._fingerprint_xor ^= new_fp
             self._records[record.key] = record
+            self._fingerprint_of[record.key] = new_fp
+            self._state_bytes[record.key] = record_state_bytes(record)
             if record.version > self.clock:
                 self.clock = record.version
 
@@ -207,9 +214,14 @@ class VersionedKV:
         return len(self._records)
 
     def digest(self) -> str:
-        """Canonical state digest; equality across replicas == convergence."""
+        """Canonical state digest; equality across replicas == convergence.
+
+        Equal to :func:`~repro.cluster.records.state_digest` of
+        :meth:`records`, from the bytes kept per installed record.
+        """
         if self._digest is None:
-            self._digest = state_digest(self._records.values())
+            state = self._state_bytes
+            self._digest = digest_state_bytes(map(state.__getitem__, sorted(state)))
         return self._digest
 
     def summary(self) -> tuple[int, int]:

@@ -15,6 +15,9 @@ of every efficient protocol in this library.  This package provides:
 * :mod:`repro.iblt.backends` -- pluggable cell-store backends: a pure-Python
   reference store and a vectorized NumPy store, selected through the
   :mod:`repro.config` registry and producing bit-identical tables.
+* :mod:`repro.iblt.codec` -- the one cell codec behind ``serialize`` /
+  ``deserialize``: bit planes for NumPy arrays, a pairwise integer fold
+  for the Python store, the same integer either way.
 * :class:`~repro.iblt.multi.IBLTArray` -- batched construction of many
   tables over shared parameters (all child sketches of a set-of-sets parent
   in one flat hashing-and-scatter pass).

@@ -512,17 +512,21 @@ class NumpyCellStore(CellStore):
         return positive, negative
 
     def dense_cells(self):
-        """The live ``(counts, key_xor, check_xor)`` arrays of a one-limb
-        table (not copies).
+        """The live ``(counts, key_xor, check_xor)`` arrays (not copies);
+        ``key_xor`` is ``(num_cells, num_limbs)`` past one limb.
 
-        Lets same-parameter batch layers (:mod:`repro.iblt.multi`) stack many
-        stores into one tensor without a round trip through Python lists.
-        The counts are exact: callers read them through :func:`count_residue`
-        and must not mutate the arrays.
+        Lets the array cell codec (:mod:`repro.iblt.codec`) and
+        same-parameter batch layers (:mod:`repro.iblt.multi`) read the
+        cells without a round trip through Python lists.  The counts are
+        exact: callers read them through :func:`count_residue` and must not
+        mutate the arrays.
         """
-        if self.num_limbs != 1:
-            raise ParameterError("dense cells hold one limb per key")
         return self._counts, self._key_xor, self._check_xor
+
+    def load_dense(self, counts, key_xor, check_xor):
+        """Take over arrays shaped as :meth:`dense_cells` returns them
+        (deserialization; the arrays must not be used elsewhere)."""
+        self._counts, self._key_xor, self._check_xor = counts, key_xor, check_xor
 
     def is_empty(self):
         return not (

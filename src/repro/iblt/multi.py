@@ -41,23 +41,10 @@ from repro.iblt.table import IBLT, DecodeResult, IBLTParameters
 if HAS_NUMPY:
     import numpy as _np
 
+    from repro.iblt.codec import pack_rows
+
 
 if HAS_NUMPY:
-
-    def _bit_planes(values, width):
-        """The low ``width`` bits of every 64-bit value, MSB first, on a new last
-        axis, unpacked from only the big-endian bytes that hold them.  ``int64``
-        reads as two's complement; a field wider than 64 bits (on the tensor
-        path only a count can be) repeats the sign plane."""
-        num_bytes = min(8, (width + 7) // 8)
-        octets = values.astype(values.dtype.newbyteorder(">")).view(_np.uint8)
-        planes = _np.unpackbits(
-            octets.reshape(values.shape + (8,))[..., 8 - num_bytes :], axis=-1
-        )
-        if width > 64:
-            sign = _np.repeat(planes[..., :1], width - 64, axis=-1)
-            return _np.concatenate([sign, planes], axis=-1)
-        return planes[..., 8 * num_bytes - width :]
 
     def _peel_tensor(counts, key_xor, check_xor, family, checksum, count_bits):
         """Peel every row of an ``(s, num_cells)`` cell tensor, in place.
@@ -338,24 +325,7 @@ class IBLTArray:
         """
         if self._tables is not None:
             return [table.serialize() for table in self._tables]
-        params = self.params
-        planes = _np.concatenate(
-            [
-                _bit_planes(self._counts, params.count_bits),
-                _bit_planes(self._key_xor, params.key_bits),
-                _bit_planes(self._check_xor, params.checksum_bits),
-            ],
-            axis=-1,
-        )
-        # packbits pads a row's last byte on the right; shift that back out.
-        packed = _np.packbits(planes.reshape(self.num_tables, params.size_bits), axis=1)
-        padding = -params.size_bits % 8
-        row_bytes = packed.shape[1]
-        data = packed.tobytes()
-        return [
-            int.from_bytes(data[start : start + row_bytes], "big") >> padding
-            for start in range(0, len(data), row_bytes)
-        ]
+        return pack_rows(self.params, self._counts, self._key_xor, self._check_xor)
 
     def __len__(self) -> int:
         return self.num_tables

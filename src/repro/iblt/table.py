@@ -35,12 +35,14 @@ structurally empty or by the caller's whole-set hash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 
 from repro.config import resolve_cell_backend
 from repro.errors import DecodeError, ParameterError
 from repro.hashing import Checksum, HashFamily, derive_seed
 from repro.iblt import backends as _backends  # also registers the built-in backends
+from repro.iblt import codec as _codec
 from repro.iblt.sizing import cells_for_difference
 
 
@@ -152,6 +154,17 @@ class DecodeResult:
         return len(self.positive) + len(self.negative)
 
 
+@lru_cache(maxsize=256)
+def _hashers(params: IBLTParameters) -> tuple[HashFamily, Checksum]:
+    """The bucket hash family and cell checksum of ``params``, derived once
+    per parameter set per process (``num_hashes + 3`` BLAKE2b calls).
+    Neither is ever mutated, so tables share them, as copies always have."""
+    family = HashFamily(
+        derive_seed(params.seed, "iblt-buckets"), params.num_hashes, params.num_cells
+    )
+    return family, Checksum(derive_seed(params.seed, "iblt-checksum"), params.checksum_bits)
+
+
 class IBLT:
     """An Invertible Bloom Lookup Table over fixed-width integer keys.
 
@@ -172,14 +185,7 @@ class IBLT:
         self._store = resolve_cell_backend(backend, params)(
             params.num_cells, params.count_bits, params.key_bits
         )
-        self._family = HashFamily(
-            derive_seed(params.seed, "iblt-buckets"),
-            params.num_hashes,
-            params.num_cells,
-        )
-        self._checksum = Checksum(
-            derive_seed(params.seed, "iblt-checksum"), params.checksum_bits
-        )
+        self._family, self._checksum = _hashers(params)
 
     @property
     def backend(self) -> str:
@@ -338,76 +344,29 @@ class IBLT:
         width is fully determined by the parameters, a serialized table can be
         used as a fixed-width key of a *parent* IBLT (Section 3.2).  The
         encoding is backend-independent: equal contents serialize equally.
-
-        Cells are joined by balanced pairwise folding: appending one cell at
-        a time re-copies the whole accumulated big integer per cell, which
-        is quadratic in table size and dominates everything else at the
-        hundreds-of-thousands-of-cells tables the n=1e7 benchmarks build.
+        The NumPy store packs its arrays as bit planes, the Python store
+        folds its ints (:mod:`repro.iblt.codec`).
         """
-        params = self.params
-        counts, key_xors, check_xors = self._store.snapshot()
-        count_limit = 1 << params.count_bits
-        cell_bits = params.count_bits + params.key_bits + params.checksum_bits
-        chunks = [
-            ((((count % count_limit) << params.key_bits) | key_xor)
-             << params.checksum_bits) | check_xor
-            for count, key_xor, check_xor in zip(counts, key_xors, check_xors)
-        ]
-        if not chunks:
-            return 0
-        widths = [cell_bits] * len(chunks)
-        while len(chunks) > 1:
-            joined_chunks, joined_widths = [], []
-            for index in range(0, len(chunks) - 1, 2):
-                joined_chunks.append(
-                    (chunks[index] << widths[index + 1]) | chunks[index + 1]
-                )
-                joined_widths.append(widths[index] + widths[index + 1])
-            if len(chunks) % 2:
-                joined_chunks.append(chunks[-1])
-                joined_widths.append(widths[-1])
-            chunks, widths = joined_chunks, joined_widths
-        return chunks[0]
+        store = self._store
+        if isinstance(store, _backends.NumpyCellStore):
+            counts, key_xor, check_xor = store.dense_cells()
+            return _codec.pack_rows(self.params, counts[None], key_xor[None], check_xor[None])[0]
+        return _codec.fold_cells(self.params, *store.snapshot())
 
     @classmethod
     def deserialize(
         cls, params: IBLTParameters, encoded: int, backend: str | None = None
     ) -> "IBLT":
-        """Inverse of :meth:`serialize`.
-
-        Splits the big integer by recursive halving (the mirror image of
-        serialize's pairwise fold): shifting one cell off the end at a time
-        re-copies the remaining integer per cell, quadratic in table size.
-        """
+        """Inverse of :meth:`serialize`; the NumPy store takes the unpacked
+        arrays as they are (counts wider than 64 bits go the scalar way)."""
         if encoded < 0 or encoded.bit_length() > params.size_bits:
             raise ParameterError("encoded value does not match the parameters")
         table = cls(params, backend=backend)
-        count_limit = 1 << params.count_bits
-        half = count_limit >> 1
-        key_mask = (1 << params.key_bits) - 1
-        check_mask = (1 << params.checksum_bits) - 1
-        cell_bits = params.count_bits + params.key_bits + params.checksum_bits
-
-        def split(value: int, count: int) -> list[int]:
-            if count == 1:
-                return [value]
-            right_count = count // 2
-            right_bits = cell_bits * right_count
-            left = value >> right_bits
-            right = value & ((1 << right_bits) - 1)
-            return split(left, count - right_count) + split(right, right_count)
-
-        counts = [0] * params.num_cells
-        key_xors = [0] * params.num_cells
-        check_xors = [0] * params.num_cells
-        packed_cells = split(encoded, params.num_cells) if params.num_cells else []
-        for cell, packed in enumerate(packed_cells):
-            check_xors[cell] = packed & check_mask
-            packed >>= params.checksum_bits
-            key_xors[cell] = packed & key_mask
-            raw_count = packed >> params.key_bits
-            counts[cell] = raw_count - count_limit if raw_count >= half else raw_count
-        table._store.load(counts, key_xors, check_xors)
+        store = table._store
+        if isinstance(store, _backends.NumpyCellStore) and params.count_bits <= 64:
+            store.load_dense(*_codec.unpack_row(params, encoded))
+        else:
+            store.load(*_codec.split_cells(params, encoded))
         return table
 
     def __eq__(self, other: object) -> bool:

@@ -16,6 +16,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 from typing import (
     TYPE_CHECKING,
@@ -75,7 +76,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 BOUND_HEADER_BITS = 32
 
 
+@lru_cache(maxsize=64)
 def _verification_checksum(seed: int) -> Checksum:
+    """The whole-set hash function under ``seed``: built (two BLAKE2b
+    derivations) once per seed per process, not once per call."""
     return Checksum(derive_seed(seed, "set-verification"), WORD_BITS)
 
 

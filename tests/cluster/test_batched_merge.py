@@ -7,13 +7,16 @@ clock, digest, returned counts, every live sketch -- and count the calls
 that used to be O(n) per replica per round so they cannot creep back.
 """
 
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.cluster.records as records_module
 import repro.cluster.replica as replica_module
 from repro.cluster import Cluster, KVRecord, VersionedKV
-from repro.cluster.records import FINGERPRINT_UNIVERSE
+from repro.cluster.records import FINGERPRINT_UNIVERSE, state_digest
 from repro.comm.bits import BitWriter
 from repro.errors import ClusterError
 from repro.store.config import SketchConfig
@@ -31,6 +34,19 @@ RECORDS = st.builds(
     version=st.integers(1, 4),
     writer=st.integers(0, 2),
     value=st.sampled_from([None, "", "x", "y"]),
+)
+
+
+#: put, delete, merge and journal replay, in any order.
+KEYS = st.sampled_from(["a", "b", "clé"])
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), KEYS, st.sampled_from(["", "x", "ünï"])),
+        st.tuples(st.just("delete"), KEYS),
+        st.tuples(st.just("merge"), st.lists(RECORDS, max_size=6)),
+        st.tuples(st.just("replay")),
+    ),
+    max_size=16,
 )
 
 
@@ -100,7 +116,9 @@ class TestBatchEqualsPerRecord:
         assert kv.merge_records([]) == 0 and len(calls) == 1
 
     def test_collision_inside_one_batch_raises_before_any_mutation(self, monkeypatch):
-        monkeypatch.setattr(replica_module, "record_fingerprint", lambda s, r: 77)
+        monkeypatch.setattr(
+            replica_module, "record_fingerprints", lambda seed, records: [77] * len(records)
+        )
         kv = VersionedKV(0, seed=SEED)
         with pytest.raises(ClusterError, match="collision"):
             kv.merge_records(
@@ -170,32 +188,53 @@ class TestConvergedIsDecidedByDigest:
         assert kv.summary() == (2, folded)
 
     def test_digest_is_recomputed_after_every_installed_record_only(self, monkeypatch):
-        calls = []
-        real = replica_module.state_digest
+        encoded = []
+        real = replica_module.record_state_bytes
 
-        def counting(records):
-            calls.append(1)
-            return real(records)
+        def counting(record):
+            encoded.append(record)
+            return real(record)
 
-        monkeypatch.setattr(replica_module, "state_digest", counting)
+        monkeypatch.setattr(replica_module, "record_state_bytes", counting)
         kv = VersionedKV(0, seed=SEED)
         record = kv.put("a", "1")
+        assert encoded == [record]  # one canonical encoding per installed record
         first = kv.digest()
-        assert kv.digest() == first and len(calls) == 1
+        assert kv.digest() == first and encoded == [record]  # none per digest()
         kv.merge_records([record])  # a no-op merge installs nothing
-        assert kv.digest() == first and len(calls) == 1
-        kv.put("a", "2")
-        assert kv.digest() != first and len(calls) == 2
-        kv.delete("a")
-        kv.digest()
-        assert len(calls) == 3
-        assert kv.digest() == real(kv.records())
+        assert kv.digest() == first and encoded == [record]
+        second = kv.put("a", "2")
+        assert kv.digest() != first and encoded == [record, second]
+        third = kv.delete("a")
+        assert kv.digest() == state_digest(kv.records())
+        assert encoded == [record, second, third]
+
+
+class TestDigestIsTheReference:
+    @settings(max_examples=60, deadline=None)
+    @given(operations=OPERATIONS)
+    def test_after_any_history(self, operations):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "kv.journal.jsonl"
+            kv = VersionedKV(0, seed=SEED, journal_path=path)
+            for operation in operations:
+                if operation[0] == "put":
+                    kv.put(operation[1], operation[2])
+                elif operation[0] == "delete":
+                    kv.delete(operation[1])
+                elif operation[0] == "merge":
+                    kv.merge_records(operation[1])
+                else:
+                    kv.close()
+                    kv = VersionedKV(0, seed=SEED, journal_path=path)
+                assert kv.digest() == state_digest(kv.records())
+            kv.close()
 
 
 class TestWorkIsProportionalToTheDifference:
     def test_counts_over_one_run_to_convergence(self, monkeypatch):
         cluster = loaded_cluster()
-        counts = {"digest": 0, "apply": 0, "seed": 0}
+        counts = {"encode": 0, "apply": 0, "seed": 0}
 
         def counted(name, real):
             def wrapper(*args, **kwargs):
@@ -211,7 +250,9 @@ class TestWorkIsProportionalToTheDifference:
 
         real_derive_seed = records_module.derive_seed
         monkeypatch.setattr(
-            replica_module, "state_digest", counted("digest", replica_module.state_digest)
+            replica_module,
+            "record_state_bytes",
+            counted("encode", replica_module.record_state_bytes),
         )
         monkeypatch.setattr(SketchStore, "apply", counted("apply", SketchStore.apply))
         monkeypatch.setattr(records_module, "derive_seed", counted_derive_seed)
@@ -219,10 +260,16 @@ class TestWorkIsProportionalToTheDifference:
         report = cluster.run_until_converged()
 
         assert report.converged
-        assert report.digest == cluster["node0"].digest()
         assert {len(cluster[name]) for name in cluster.node_names} == {400}
-        # One full digest per replica, at the end: not one per replica per round.
-        assert counts["digest"] == len(cluster.node_names)
+        # One canonical encoding per installed record: each gossip batch
+        # holds one record per key, so installed == applied.
+        applied = sum(session.records_applied for session in cluster.metrics.sessions)
+        assert counts["encode"] == applied > 0
+        # ... and none per digest(): the convergence check and these calls
+        # join the kept bytes.
+        digests = {cluster[name].digest() for name in cluster.node_names}
+        assert digests == {report.digest} and counts["encode"] == applied
+        assert report.digest == state_digest(cluster["node0"].records())
         # One store batch per merging side: not one per record.
         assert counts["apply"] <= 2 * report.sessions
         # The fingerprint chain's first word is derived once per seed.

@@ -1,16 +1,19 @@
 """KV records: fingerprints, LWW order, bit-exact wire form, state digest."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cluster import KVRecord, record_bits, record_fingerprint, state_digest
+import repro.cluster.records as records_module
+from repro.cluster import KVRecord, VersionedKV, record_bits, record_fingerprint, state_digest
 from repro.cluster.records import (
     FINGERPRINT_UNIVERSE,
     KEY_LENGTH_BITS,
     VALUE_LENGTH_BITS,
     read_record,
+    record_fingerprints,
     write_record,
 )
+from repro.hashing import HAS_NUMPY
 from repro.comm.bits import BitReader, BitWriter
 from repro.errors import ParameterError
 
@@ -64,6 +67,50 @@ class TestFingerprints:
         assert record_fingerprint(2018, rec(key="k", version=1, writer=0, value=None)) == (
             0x81A034915368F70C
         )
+
+
+@pytest.fixture(params=["as-installed", "no-numpy", "always-array"])
+def fingerprint_route(request, monkeypatch):
+    """``record_fingerprints`` as installed, with NumPy hidden, and on the
+    array route whatever the batch size."""
+    if request.param == "no-numpy":
+        monkeypatch.setattr(records_module, "HAS_NUMPY", False)
+    elif request.param == "always-array":
+        if not HAS_NUMPY:
+            pytest.skip("the array route needs NumPy")
+        monkeypatch.setattr(records_module, "_BATCH_CUTOFF", 0)
+    return request.param
+
+
+ANY_RECORD = st.builds(
+    KVRecord,
+    key=st.text(min_size=1, max_size=8),
+    version=st.integers(1, (1 << 64) - 1),
+    writer=st.integers(0, (1 << 32) - 1),
+    value=st.none() | st.text(max_size=8),
+)
+
+
+class TestBatchFingerprints:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, (1 << 64) - 1), records=st.lists(ANY_RECORD, max_size=40))
+    def test_equal_to_one_record_at_a_time(self, fingerprint_route, seed, records):
+        assert record_fingerprints(seed, records) == [
+            record_fingerprint(seed, record) for record in records
+        ]
+
+    def test_pinned_values(self, fingerprint_route):
+        wide = rec(key="naïve-κλειδί", version=(1 << 64) - 1, writer=(1 << 32) - 1, value="")
+        # Four copies of TestFingerprints' pinned records: past the cutoff.
+        batch = [rec(), wide, rec(key="k", version=1, writer=0, value=None)] * 4
+        pins = (
+            (42, 0, 0x9EB5434318CFF086),
+            (0, 1, 0x34578FD4231F9CDB),
+            (2018, 2, 0x81A034915368F70C),
+        )
+        for seed, index, pinned in pins:
+            assert record_fingerprints(seed, batch)[index::3] == [pinned] * 4
+        assert record_fingerprints(3, []) == []
 
 
 class TestLWWOrder:
@@ -167,3 +214,31 @@ class TestStateDigest:
 
     def test_tombstone_distinct_from_empty_value(self):
         assert state_digest([rec(value=None)]) != state_digest([rec(value="")])
+
+    def test_pinned_values(self):
+        # Taken on the code that fed BLAKE2b one field at a time: joining
+        # each record's bytes first must not move a digest.
+        assert state_digest([]) == "ff1e8ff31b57f33d986fd55ba777550b"
+        tombstone = rec(key="gone", version=3, writer=2, value=None)
+        assert state_digest([tombstone]) == "40386ed6d8185bc0ee21dc2cc4dce4e3"
+        non_ascii = [
+            rec(key="clé", version=1, writer=0, value="ünïcødé ☃"),
+            rec(key="ключ", version=(1 << 64) - 1, writer=(1 << 32) - 1, value=""),
+            rec(key="鍵", version=7, writer=1, value=None),
+        ]
+        assert state_digest(non_ascii) == "2c7dc242a34ba16c18d14457ca12d293"
+        state = [
+            rec(
+                key=f"key-{i:03d}",
+                version=1 + i % 5,
+                writer=i % 3,
+                value=None if i % 7 == 0 else f"value-{i}",
+            )
+            for i in range(500)
+        ]
+        assert state_digest(reversed(state)) == "37da23d275382aacdc53554f9b340cf2"
+        # The replica's kept bytes give the same hex.
+        kv = VersionedKV(9, seed=1)
+        kv.merge_records(state)
+        assert kv.digest() == "37da23d275382aacdc53554f9b340cf2"
+        assert VersionedKV(9, seed=1).digest() == "ff1e8ff31b57f33d986fd55ba777550b"

@@ -77,7 +77,9 @@ class TestMerge:
     def test_fingerprint_collision_raises(self, monkeypatch):
         import repro.cluster.replica as replica_module
 
-        monkeypatch.setattr(replica_module, "record_fingerprint", lambda s, r: 77)
+        monkeypatch.setattr(
+            replica_module, "record_fingerprints", lambda seed, records: [77] * len(records)
+        )
         kv = VersionedKV(0, seed=5)
         kv.put("a", "1")
         with pytest.raises(ClusterError, match="collision"):
