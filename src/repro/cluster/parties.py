@@ -5,31 +5,38 @@ One gossip round between two replicas is a single session in three phases:
 * **Phase 0 -- the summary prelude.**  Bob sends ``"kv summary"``: his
   fingerprint set's 64-bit whole-set verification hash and its size, both
   kept live by the :class:`~repro.store.parties.StoreView` in O(1) per
-  record.  Alice answers ``"kv verdict"``, one bit: whether her view has
-  the same ``(set_hash, size)``.  If it does, both sides succeed with
-  nothing to merge and the session ends after ``64 + bits_for_value(n) + 1``
-  bits, whatever the bound.  A wrong skip needs a 64-bit hash collision at
-  equal size -- the same risk phase one's verification already accepts.
-  Both sides report ``details["kv_in_sync"]``.  A forged summary or
-  verdict can end a session early but never makes anything merge.
-* **Phase 1 -- set reconciliation** (only when the verdict is "differ";
-  every frame from here on is what it was without the prelude).  Not a
-  copy of the ``ibf`` exchange but the exchange itself: the
-  ``ibf_alice`` / ``ibf_bob_difference`` flows
-  of :mod:`repro.protocols.parties.setrecon`, composed with ``yield from``
-  over each replica's live :class:`~repro.store.parties.StoreView` of its
-  record fingerprint set, under the label ``"kv fingerprint IBLT"``.  Alice
-  sends her live IBLT (plus whole-set hash and size), bob subtracts his
-  live table, peels, and verifies incrementally.  The verified decode tells
-  bob which fingerprints only alice holds (``positive``) and which only he
-  holds (``negative``).
-* **Phase 2 -- value fetch.**  Bob sends one ``"kv pull"`` frame: the
-  fingerprints he wants resolved, together with the full records behind
-  his own one-sided fingerprints (pushed so alice needs no second
-  request).  Alice answers with a ``"kv records"`` frame carrying the
-  requested records, which bob accepts only if they hash to exactly the
-  fingerprints he asked for (failure ``"kv-records"`` otherwise).  Both
-  frames are bit-exact (:func:`~repro.cluster.records.record_bits`).
+  record.  Alice answers ``"kv verdict"``: one bit, set when her view has
+  the same ``(set_hash, size)``, and otherwise followed by her own size.  If
+  they agree, both sides succeed with nothing to merge and the session ends
+  after ``64 + bits_for_value(n) + 1`` bits, whatever the bound.  A wrong
+  skip needs a 64-bit hash collision at equal size -- the same risk phase
+  one's verification already accepts.  Both sides report
+  ``details["kv_in_sync"]``.  A forged summary or verdict can end a session
+  early, or start phase one at a larger rung (never past the top), but never
+  makes anything merge.
+* **Phase 1 -- set reconciliation** (only when the verdict is "differ").
+  With a known bound it is the fold ladder of
+  :mod:`repro.protocols.parties.setrecon` (``ladder_alice`` /
+  ``ladder_bob_difference``) over each replica's live
+  :class:`~repro.store.parties.StoreView` of its record fingerprint set.
+  Both sides start at the smallest rung whose capacity covers the two
+  sizes' difference; alice sends ``"kv fingerprint IBLT"``, the fold of her
+  live table at that rung plus her whole-set hash.  Bob subtracts his own
+  fold, peels and verifies incrementally; while that fails below the top he
+  sends ``"kv grow"`` (one bit) and alice answers ``"kv fingerprint IBLT
+  growth"``, the upper half of the next rung.  With ``difference_bound=None``
+  it is the unknown-``d`` ``ibf`` exchange itself (``ibf_alice`` /
+  ``ibf_bob_difference``: estimator, then one table sized from it).  The
+  verified decode tells bob which fingerprints only alice holds
+  (``positive``) and which only he holds (``negative``).
+* **Phase 2 -- value fetch.**  Bob sends one ``"kv pull"`` frame (the
+  growth request's codec with its leading bit clear): the fingerprints he
+  wants resolved, together with the full records behind his own one-sided
+  fingerprints (pushed so alice needs no second request).  Alice answers
+  with a ``"kv records"`` frame carrying the requested records, which bob
+  accepts only if they hash to exactly the fingerprints he asked for
+  (failure ``"kv-records"`` otherwise).  Both frames are bit-exact
+  (:func:`~repro.cluster.records.record_bits`).
 
 The parties are deliberately **pure**: neither side mutates its replica.
 Each side returns the records it should merge in
@@ -68,9 +75,14 @@ from repro.protocols.party import (
     aborted_outcome,
 )
 from repro.protocols.parties.setrecon import (
+    GROW,
+    GrowOrCodec,
     SetReconContext,
+    growth_refused,
     ibf_alice,
     ibf_bob_difference,
+    ladder_alice,
+    ladder_bob_difference,
 )
 from repro.protocols.wire import PayloadCodec
 from repro.store.config import SketchConfig
@@ -82,6 +94,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Bob's prelude payload: ``(set_hash, size)`` of his fingerprint set.
 Summary = tuple[int, int]
+#: Alice's answer: ``None`` when in sync, else the size of her fingerprint set.
+Verdict = int | None
 #: The phase-two payloads.
 PullRequest = tuple[tuple[int, ...], tuple[KVRecord, ...]]
 
@@ -99,18 +113,26 @@ class KVSummaryCodec(PayloadCodec):
 
 
 class KVVerdictCodec(PayloadCodec):
-    """Wire form of alice's verdict: one bit, set when the summaries agree."""
+    """Wire form of alice's verdict (``None`` when the summaries agree, else
+    her set size): one bit, set when they agree; the size follows as tail."""
 
-    def write(self, writer: BitWriter, payload: bool) -> None:
-        writer.write(int(payload), 1)
+    def write(self, writer: BitWriter, payload: Verdict) -> None:
+        writer.write(int(payload is None), 1)
+        if payload is not None:
+            writer.write_tail(payload)
 
-    def read(self, reader: BitReader) -> bool:
-        return bool(reader.read(1))
+    def read(self, reader: BitReader) -> Verdict:
+        return None if reader.read(1) else reader.read_tail_int()
 
 
 def summary_bits(size: int) -> int:
     """Exact charged size of the summary frame."""
     return WORD_BITS + bits_for_value(size)
+
+
+def verdict_bits(verdict: Verdict) -> int:
+    """Exact charged size of the verdict frame."""
+    return 1 if verdict is None else 1 + bits_for_value(verdict)
 
 
 class KVPullCodec(PayloadCodec):
@@ -146,9 +168,16 @@ class KVRecordsCodec(PayloadCodec):
         return tuple(read_record(reader) for _ in range(reader.read(COUNT_BITS)))
 
 
+#: Bob's message after phase one's table: a growth request or the pull.
+REQUEST_CODEC = GrowOrCodec(KVPullCodec())
+
+#: Phase one's table label (the growth frames add " growth").
+TABLE_LABEL = "kv fingerprint IBLT"
+
+
 def pull_request_bits(wanted: Sequence[int], pushed: Sequence[KVRecord]) -> int:
-    """Exact charged size of the pull frame."""
-    return COUNT_BITS + 64 * len(wanted) + records_bits(pushed)
+    """Exact charged size of the pull frame, with its leading request bit."""
+    return 1 + COUNT_BITS + 64 * len(wanted) + records_bits(pushed)
 
 
 def kv_context(options: "ReconcileOptions") -> SetReconContext:
@@ -186,29 +215,38 @@ def _in_sync_outcome(view: StoreView) -> PartyOutcome:
 def kv_alice(
     replica: "VersionedKV", difference_bound: int | None, ctx: SetReconContext
 ) -> PartyGenerator:
-    """Alice's side: judge bob's summary; unless in sync, the ``ibf`` flow,
-    then pull request in, records back out."""
+    """Alice's side: judge bob's summary; unless in sync, phase one, then
+    pull request in, records back out."""
     view = _view(replica, ctx)
     summary = yield Receive(KVSummaryCodec())
     if summary is END_OF_SESSION:
         return aborted_outcome()
-    in_sync = summary == (view.set_hash, view.size)
-    yield Send("kv verdict", 1, payload=in_sync, codec=KVVerdictCodec())
-    if in_sync:
+    verdict = None if summary == (view.set_hash, view.size) else view.size
+    yield Send("kv verdict", verdict_bits(verdict), payload=verdict, codec=KVVerdictCodec())
+    if verdict is None:
         outcome = _in_sync_outcome(view)
     else:
-        outcome = yield from _alice_exchange(replica, view, difference_bound)
-    outcome.details["kv_in_sync"] = in_sync
+        outcome = yield from _alice_exchange(replica, view, difference_bound, summary[1])
+    outcome.details["kv_in_sync"] = verdict is None
     return outcome
 
 
 def _alice_exchange(
-    replica: "VersionedKV", view: StoreView, difference_bound: int | None
+    replica: "VersionedKV", view: StoreView, difference_bound: int | None, peer_size: int
 ) -> PartyGenerator:
-    outcome = yield from ibf_alice(view, difference_bound, label="kv fingerprint IBLT")
-    if not outcome.success:
-        return outcome
-    request = yield Receive(KVPullCodec())
+    if difference_bound is None:
+        outcome = yield from ibf_alice(view, None, label=TABLE_LABEL)
+        if not outcome.success:
+            return outcome
+        request = yield Receive(REQUEST_CODEC)
+        if request is GROW:  # one table, no ladder to grow
+            return growth_refused(view)
+    else:
+        outcome, request = yield from ladder_alice(
+            view, difference_bound, peer_size, REQUEST_CODEC, label=TABLE_LABEL
+        )
+        if not outcome.success:
+            return outcome
     if request is END_OF_SESSION:
         return aborted_outcome()
     wanted, pushed = request
@@ -222,27 +260,32 @@ def kv_bob(
     replica: "VersionedKV", difference_bound: int | None, ctx: SetReconContext
 ) -> PartyGenerator:
     """Bob's side: send his summary; unless alice finds it equal to hers,
-    the ``ibf`` flow, then pull the differing records."""
+    phase one, then pull the differing records."""
     view = _view(replica, ctx)
     size = view.size
     yield Send(
         "kv summary", summary_bits(size), payload=(view.set_hash, size), codec=KVSummaryCodec()
     )
-    in_sync = yield Receive(KVVerdictCodec())
-    if in_sync is END_OF_SESSION:
+    verdict = yield Receive(KVVerdictCodec())
+    if verdict is END_OF_SESSION:
         return aborted_outcome()
-    if in_sync:
+    if verdict is None:
         outcome = _in_sync_outcome(view)
     else:
-        outcome = yield from _bob_exchange(replica, view, difference_bound)
-    outcome.details["kv_in_sync"] = in_sync
+        outcome = yield from _bob_exchange(replica, view, difference_bound, verdict)
+    outcome.details["kv_in_sync"] = verdict is None
     return outcome
 
 
 def _bob_exchange(
-    replica: "VersionedKV", view: StoreView, difference_bound: int | None
+    replica: "VersionedKV", view: StoreView, difference_bound: int | None, peer_size: int
 ) -> PartyGenerator:
-    outcome, difference = yield from ibf_bob_difference(view, difference_bound)
+    if difference_bound is None:
+        outcome, difference = yield from ibf_bob_difference(view, None)
+    else:
+        outcome, difference = yield from ladder_bob_difference(
+            view, difference_bound, peer_size, REQUEST_CODEC, label="kv grow"
+        )
     if difference is None:
         return outcome
     # Sorted for a canonical wire image: the same difference always yields
@@ -250,7 +293,7 @@ def _bob_exchange(
     wanted = tuple(sorted(difference.positive))
     pushed = replica.records_for(tuple(sorted(difference.negative)))
     yield Send(
-        "kv pull", pull_request_bits(wanted, pushed), payload=(wanted, pushed), codec=KVPullCodec()
+        "kv pull", pull_request_bits(wanted, pushed), payload=(wanted, pushed), codec=REQUEST_CODEC
     )
     reply = yield Receive(KVRecordsCodec())
     if reply is END_OF_SESSION:

@@ -12,7 +12,9 @@ Bucket indices come from the shared 64-bit mixing core
 * :meth:`HashFamily.cells_for` -- one key at a time (scalar reference path);
 * :meth:`HashFamily.cells_for_many` -- a list of keys, one row per key;
 * :meth:`HashFamily.cells_for_array` -- a NumPy ``uint64`` key array mapped
-  to a ``(num_hashes, n)`` index matrix in a handful of vector operations.
+  to a ``(num_hashes, n)`` index matrix by one mix over a ``(k, n)`` matrix
+  (:meth:`HashFamily.cells_and_checks_array` adds the cell checksums as one
+  more row of the same mix).
 
 All three agree exactly, which is what lets the pluggable cell-store
 backends (:mod:`repro.iblt.backends`) produce bit-identical tables.
@@ -23,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ParameterError
-from repro.hashing.mix import HAS_NUMPY, MASK64, fingerprint64, mix64, mix64_array
+from repro.hashing.checksum import Checksum
+from repro.hashing.mix import HAS_NUMPY, MASK64, fingerprint64, mix64, mix64_inplace
 from repro.hashing.prf import derive_seed
 
 if HAS_NUMPY:
@@ -72,9 +75,11 @@ class HashFamily:
             start += size
         self._region_bounds = bounds
         if HAS_NUMPY:
-            self._np_seeds = [_np.uint64(seed) for seed in self._seeds]
-            self._np_starts = [_np.int64(start) for start, _ in bounds]
-            self._np_sizes = [_np.uint64(size) for _, size in bounds]
+            # Columns, so one XOR broadcasts a key row against every seed.
+            self._np_seeds = _np.array(self._seeds, dtype=_np.uint64)[:, None]
+            self._np_starts = _np.array([start for start, _ in bounds], dtype=_np.int64)[:, None]
+            self._np_sizes = _np.array([size for _, size in bounds], dtype=_np.uint64)[:, None]
+            self._np_joint_seeds: dict[Checksum, _np.ndarray] = {}
 
     def cells_for(self, key: int) -> list[int]:
         """Return the ``k`` distinct cell indices for ``key``.
@@ -109,12 +114,25 @@ class HashFamily:
             """Vectorized bucket mapping for a ``uint64`` key array.
 
             Returns an ``(num_hashes, n)`` ``int64`` matrix whose column ``j``
-            equals ``cells_for(keys[j])``.  Callers guarantee the keys fit in
+            equals ``cells_for(keys[j])``, from one mix over the ``(k, n)``
+            matrix of keys XOR seeds.  Callers guarantee the keys fit in
             64 bits (the vectorized cell stores enforce this).
             """
-            out = _np.empty((self.num_hashes, keys.shape[0]), dtype=_np.int64)
-            for index in range(self.num_hashes):
-                mixed = mix64_array(keys ^ self._np_seeds[index])
-                out[index] = (mixed % self._np_sizes[index]).astype(_np.int64)
-                out[index] += self._np_starts[index]
-            return out
+            return self._cells_of(mix64_inplace(keys ^ self._np_seeds))
+
+        def cells_and_checks_array(self, keys, checksum: Checksum):
+            """:meth:`cells_for_array` and ``checksum.of_keys_array(keys)``
+            from one ``(k + 1)``-row mix: the checksum's seed is one more row
+            of the same XOR (a checksum of at most 64 bits)."""
+            seeds = self._np_joint_seeds.get(checksum)
+            if seeds is None:
+                seeds = _np.append(self._np_seeds, [[checksum._np_seed]], axis=0)
+                self._np_joint_seeds[checksum] = seeds
+            mixed = mix64_inplace(keys ^ seeds)
+            return self._cells_of(mixed[:-1]), mixed[-1] & checksum._np_mask
+
+        def _cells_of(self, mixed):
+            # Residues are below a region size, so the int64 view is exact.
+            cells = (mixed % self._np_sizes).view(_np.int64)
+            cells += self._np_starts
+            return cells

@@ -103,7 +103,11 @@ if HAS_NUMPY:
 
     def mix64_array(values):
         """Vectorized :func:`mix64` over a ``uint64`` array (input not modified)."""
-        z = values.astype(_np.uint64, copy=True)
+        return mix64_inplace(values.astype(_np.uint64, copy=True))
+
+    def mix64_inplace(z):
+        """:func:`mix64_array` that overwrites ``z`` (a fresh ``uint64`` array
+        its caller owns, e.g. the result of an XOR) and returns it."""
         z ^= z >> _NP_S30
         z *= _NP_MULT_A
         z ^= z >> _NP_S27
@@ -115,3 +119,5 @@ else:  # pragma: no cover - exercised on NumPy-free installs
 
     def mix64_array(values):
         raise RuntimeError("mix64_array requires NumPy")
+
+    mix64_inplace = mix64_array

@@ -22,9 +22,10 @@ that seam:
   ``(num_cells, L)`` (flat at ``L = 1``): tables whose keys are serialized
   child IBLTs or explicit child sets (Section 3.2) stay on this store.
   Batch inserts hash the keys' 64-bit folds through
-  :meth:`~repro.hashing.family.HashFamily.cells_for_array` and scatter with
-  ``ufunc.at``; the peeler runs whole rounds (pure-cell scan, checksum
-  verification, per-key dedup, batch removal) as vector operations.
+  :meth:`~repro.hashing.family.HashFamily.cells_and_checks_array` (cells
+  and checksums from one mix) and scatter with ``ufunc.at``; the peeler
+  runs whole rounds (pure-cell scan, checksum verification, per-key dedup,
+  batch removal) as vector operations.
   Requires checksums of at most 64 bits.
 
 Both backends derive every bucket index and checksum from the same 64-bit
@@ -175,6 +176,30 @@ class CellStore(ABC):
             self.apply_batch(self.coerce_keys(list(chosen)), deltas, family, checksum)
         return positive, negative
 
+    # -- folding --------------------------------------------------------------------
+    #
+    # A table of ``regions`` equal regions maps hash i to region i at
+    # ``mix % size``; as (x mod 2r) mod r = x mod r, adding each cell into its
+    # position modulo a divisor of the region size gives the table of the same
+    # keys at that size.  The three methods below are that identity's pieces.
+
+    @abstractmethod
+    def folded(self, regions: int, num_cells: int) -> "CellStore":
+        """A new store of ``num_cells`` cells: every cell added into its
+        offset modulo the smaller region size (``num_cells // regions`` must
+        divide this store's)."""
+
+    @abstractmethod
+    def upper_half(self, regions: int) -> "CellStore":
+        """A new store of the upper half of every region, in region order:
+        what this store adds over its fold to half the size."""
+
+    @abstractmethod
+    def unfolded(self, upper: "CellStore", regions: int) -> "CellStore":
+        """The store of twice the size whose fold is this one and whose
+        :meth:`upper_half` is ``upper``: each region's lower half is
+        ``self - upper`` and its upper half ``upper``."""
+
     # -- inspection -----------------------------------------------------------------
 
     @abstractmethod
@@ -262,6 +287,57 @@ class PythonCellStore(CellStore):
             key_xor[cell] ^= other_keys[cell]
             check_xor[cell] ^= other_checks[cell]
 
+    def _with_cells(self, counts, key_xor, check_xor):
+        store = PythonCellStore.__new__(PythonCellStore)
+        CellStore.__init__(store, len(counts), self.count_bits, self.key_bits)
+        store._counts, store._key_xor, store._check_xor = counts, key_xor, check_xor
+        return store
+
+    def folded(self, regions, num_cells):
+        size, target = self.num_cells // regions, num_cells // regions
+        counts, key_xor, check_xor = [0] * num_cells, [0] * num_cells, [0] * num_cells
+        for cell, (count, key, check) in enumerate(
+            zip(self._counts, self._key_xor, self._check_xor)
+        ):
+            region, offset = divmod(cell, size)
+            into = region * target + offset % target
+            counts[into] += count
+            key_xor[into] ^= key
+            check_xor[into] ^= check
+        return self._with_cells(counts, key_xor, check_xor)
+
+    def upper_half(self, regions):
+        size = self.num_cells // regions
+        half = size // 2
+        cells = [
+            start + offset for start in range(half, self.num_cells, size) for offset in range(half)
+        ]
+        return self._with_cells(
+            [self._counts[cell] for cell in cells],
+            [self._key_xor[cell] for cell in cells],
+            [self._check_xor[cell] for cell in cells],
+        )
+
+    def unfolded(self, upper, regions):
+        upper_counts, upper_keys, upper_checks = (
+            (upper._counts, upper._key_xor, upper._check_xor)
+            if isinstance(upper, PythonCellStore)
+            else upper.snapshot()
+        )
+        size = self.num_cells // regions
+        counts: list[int] = []
+        key_xor: list[int] = []
+        check_xor: list[int] = []
+        for start in range(0, self.num_cells, size):
+            span = slice(start, start + size)
+            counts += [a - b for a, b in zip(self._counts[span], upper_counts[span])]
+            counts += upper_counts[span]
+            key_xor += [a ^ b for a, b in zip(self._key_xor[span], upper_keys[span])]
+            key_xor += upper_keys[span]
+            check_xor += [a ^ b for a, b in zip(self._check_xor[span], upper_checks[span])]
+            check_xor += upper_checks[span]
+        return self._with_cells(counts, key_xor, check_xor)
+
     def is_empty(self):
         count_bits = self.count_bits
         return (
@@ -293,14 +369,7 @@ class PythonCellStore(CellStore):
         self._check_xor = list(check_xors)
 
     def copy(self):
-        clone = PythonCellStore.__new__(PythonCellStore)
-        clone.num_cells = self.num_cells
-        clone.count_bits = self.count_bits
-        clone.key_bits = self.key_bits
-        clone._counts = list(self._counts)
-        clone._key_xor = list(self._key_xor)
-        clone._check_xor = list(self._check_xor)
-        return clone
+        return self._with_cells(list(self._counts), list(self._key_xor), list(self._check_xor))
 
 
 class KeyBatch(NamedTuple):
@@ -349,17 +418,22 @@ def _folds_of(limbs):
     return _np.fromiter(map(fingerprint64, keys), dtype=_np.uint64, count=len(keys))
 
 
-def _first_occurrences(limbs):
-    """Index of the first row of each distinct key (rows in cell order)."""
-    if limbs.ndim == 2:
-        # Each limb row as one opaque value: far cheaper than np.unique(axis=0).
-        limbs = limbs.view(_np.dtype((_np.void, limbs.itemsize * limbs.shape[1])))[:, 0]
-    return _np.unique(limbs, return_index=True)[1]
+def _dense_of(cells, num_limbs: int):
+    """A :meth:`CellStore.snapshot` as :class:`NumpyCellStore` arrays."""
+    counts, keys, checks = cells
+    return (
+        _np.asarray(counts, dtype=_np.int64),
+        _limbs_of(keys, num_limbs),
+        _np.asarray(checks, dtype=_np.uint64),
+    )
 
 
 def _repeated(rows, times: int):
-    """``rows`` stacked ``times`` times along the first axis (one copy per hash)."""
-    return _np.tile(rows, times) if rows.ndim == 1 else _np.tile(rows, (times, 1))
+    """``rows`` stacked ``times`` times along the first axis: the values of a
+    hash-major flat scatter.  ``ufunc.at`` needs them shaped like the flat
+    index array (broadcasting a 1-D value row over a 2-D index gives wrong
+    sums on some NumPy 2 releases), and one concatenate is cheaper than a tile."""
+    return _np.concatenate([rows] * times)
 
 
 @register_cell_backend
@@ -449,17 +523,16 @@ class NumpyCellStore(CellStore):
         if folds.size == 0:
             return
         num_hashes = family.num_hashes
-        # One flat scatter per accumulator: ufunc.at needs the value array to
-        # match the (flattened) index array exactly, so tile per hash row.
-        cells = family.cells_for_array(folds).reshape(-1)
-        checks = checksum.of_keys_array(folds)
+        # One flat scatter per accumulator, hash-major.
+        cells, checks = family.cells_and_checks_array(folds, checksum)
+        cells = cells.reshape(-1)
         if isinstance(deltas, int):
             _np.add.at(self._counts, cells, _np.int64(deltas))
         else:
             delta_array = _np.asarray(deltas, dtype=_np.int64)
-            _np.add.at(self._counts, cells, _np.tile(delta_array, num_hashes))
+            _np.add.at(self._counts, cells, _repeated(delta_array, num_hashes))
         _np.bitwise_xor.at(self._key_xor, cells, _repeated(limbs, num_hashes))
-        _np.bitwise_xor.at(self._check_xor, cells, _np.tile(checks, num_hashes))
+        _np.bitwise_xor.at(self._check_xor, cells, _repeated(checks, num_hashes))
 
     def combine(self, other, sign):
         if isinstance(other, NumpyCellStore):
@@ -467,10 +540,7 @@ class NumpyCellStore(CellStore):
             other_keys = other._key_xor
             other_checks = other._check_xor
         else:
-            counts, keys, checks = other.snapshot()
-            other_counts = _np.asarray(counts, dtype=_np.int64)
-            other_keys = _limbs_of(keys, self.num_limbs)
-            other_checks = _np.asarray(checks, dtype=_np.uint64)
+            other_counts, other_keys, other_checks = _dense_of(other.snapshot(), self.num_limbs)
         if sign == 1:
             self._counts += other_counts
         else:
@@ -489,27 +559,80 @@ class NumpyCellStore(CellStore):
             if candidates.size == 0:
                 break
             limbs = key_xor[candidates]
-            folds = _folds_of(limbs)
-            checks = checksum.of_keys_array(folds)
-            verified = check_xor[candidates] == checks
-            limbs = limbs[verified]
-            if limbs.shape[0] == 0:
+            # Cells and checksums of every candidate in one mix; the few
+            # that fail verification only cost their columns.
+            cells, checks = family.cells_and_checks_array(_folds_of(limbs), checksum)
+            verified = _np.flatnonzero(check_xor[candidates] == checks)
+            if verified.size == 0:
                 break
             # First cell in ascending order wins for a key pure in several
-            # cells: np.unique returns first-occurrence indices and the
-            # candidate scan is already in cell order.
-            first = _first_occurrences(limbs)
-            limbs = limbs[first]
-            folds = limbs if limbs.ndim == 1 else folds[verified][first]
-            checks = checks[verified][first]
-            signs = residues[candidates[verified][first]]
-            positive.extend(_ints_of(limbs[signs == 1]))
-            negative.extend(_ints_of(limbs[signs == -1]))
-            cells = family.cells_for_array(folds).reshape(-1)
-            _np.add.at(counts, cells, _np.tile(-signs, num_hashes))
+            # cells: the candidate scan is in cell order, so keep each key's
+            # first index (a round peels a handful of keys: a dict beats
+            # np.unique's sort).
+            first: dict[int, int] = {}
+            for index, key in zip(verified.tolist(), _ints_of(limbs[verified])):
+                first.setdefault(key, index)
+            chosen = _np.fromiter(first.values(), dtype=_np.int64, count=len(first))
+            limbs = limbs[chosen]
+            signs = residues[candidates[chosen]]
+            for key, sign in zip(first, signs.tolist()):
+                (positive if sign == 1 else negative).append(key)
+            cells = cells[:, chosen].reshape(-1)
+            _np.add.at(counts, cells, _repeated(-signs, num_hashes))
             _np.bitwise_xor.at(key_xor, cells, _repeated(limbs, num_hashes))
-            _np.bitwise_xor.at(check_xor, cells, _np.tile(checks, num_hashes))
+            _np.bitwise_xor.at(check_xor, cells, _repeated(checks[chosen], num_hashes))
         return positive, negative
+
+    def _with_cells(self, counts, key_xor, check_xor):
+        store = NumpyCellStore.__new__(NumpyCellStore)
+        CellStore.__init__(store, counts.shape[0], self.count_bits, self.key_bits)
+        store.num_limbs = self.num_limbs
+        store._counts, store._key_xor, store._check_xor = counts, key_xor, check_xor
+        return store
+
+    def _by_region(self, array, regions: int, *shape: int):
+        """``array`` viewed as ``(regions, *shape)`` cells, limbs kept last."""
+        return array.reshape((regions, *shape) + array.shape[1:])
+
+    def folded(self, regions, num_cells):
+        target = num_cells // regions
+        shape = (self.num_cells // regions // target, target)
+        flat = (num_cells,)
+        return self._with_cells(
+            self._by_region(self._counts, regions, *shape).sum(axis=1).reshape(flat),
+            _np.bitwise_xor.reduce(self._by_region(self._key_xor, regions, *shape), axis=1)
+            .reshape(flat + self._key_xor.shape[1:]),
+            _np.bitwise_xor.reduce(self._by_region(self._check_xor, regions, *shape), axis=1)
+            .reshape(flat),
+        )
+
+    def upper_half(self, regions):
+        half = self.num_cells // regions // 2
+
+        def upper(array):
+            return _np.ascontiguousarray(
+                self._by_region(array, regions, 2, half)[:, 1]
+            ).reshape((regions * half,) + array.shape[1:])
+
+        return self._with_cells(upper(self._counts), upper(self._key_xor), upper(self._check_xor))
+
+    def unfolded(self, upper, regions):
+        if not isinstance(upper, NumpyCellStore):
+            upper = self._with_cells(*_dense_of(upper.snapshot(), self.num_limbs))
+        size = self.num_cells // regions
+
+        def joined(fold, top, lower):
+            fold = self._by_region(fold, regions, 1, size)
+            top = self._by_region(top, regions, 1, size)
+            return _np.concatenate([lower(fold, top), top], axis=1).reshape(
+                (2 * self.num_cells,) + fold.shape[3:]
+            )
+
+        return self._with_cells(
+            joined(self._counts, upper._counts, _np.subtract),
+            joined(self._key_xor, upper._key_xor, _np.bitwise_xor),
+            joined(self._check_xor, upper._check_xor, _np.bitwise_xor),
+        )
 
     def dense_cells(self):
         """The live ``(counts, key_xor, check_xor)`` arrays (not copies);
@@ -552,17 +675,11 @@ class NumpyCellStore(CellStore):
         )
 
     def load(self, counts, key_xors, check_xors):
-        self._counts = _np.asarray(counts, dtype=_np.int64)
-        self._key_xor = _limbs_of(key_xors, self.num_limbs)
-        self._check_xor = _np.asarray(check_xors, dtype=_np.uint64)
+        self._counts, self._key_xor, self._check_xor = _dense_of(
+            (counts, key_xors, check_xors), self.num_limbs
+        )
 
     def copy(self):
-        clone = NumpyCellStore.__new__(NumpyCellStore)
-        clone.num_cells = self.num_cells
-        clone.count_bits = self.count_bits
-        clone.key_bits = self.key_bits
-        clone.num_limbs = self.num_limbs
-        clone._counts = self._counts.copy()
-        clone._key_xor = self._key_xor.copy()
-        clone._check_xor = self._check_xor.copy()
-        return clone
+        return self._with_cells(
+            self._counts.copy(), self._key_xor.copy(), self._check_xor.copy()
+        )

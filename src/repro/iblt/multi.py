@@ -11,8 +11,8 @@ dominates encoding for parents with many small children.
 the children are flattened to ``(child_index, element)`` pairs
 (:class:`FlatChildren`: once, however many parameter sets are built over
 them), the whole flat element array is hashed once through the batch pipeline
-(:meth:`~repro.hashing.family.HashFamily.cells_for_array`,
-:meth:`~repro.hashing.checksum.Checksum.of_keys_array`), and the results are
+(:meth:`~repro.hashing.family.HashFamily.cells_and_checks_array`: cells
+and checksums from one mix), and the results are
 scattered into a single ``(s, num_cells)`` cell tensor -- three ``ufunc.at``
 calls for the entire parent set.  :meth:`IBLTArray.serialize_all` writes the
 tensor out the same way: all cells as bit planes, packed to bytes in one
@@ -35,7 +35,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.errors import ParameterError
 from repro.hashing.mix import HAS_NUMPY
-from repro.iblt.backends import count_residue, max_peel_rounds
+from repro.iblt.backends import _repeated, count_residue, max_peel_rounds
 from repro.iblt.table import IBLT, DecodeResult, IBLTParameters
 
 if HAS_NUMPY:
@@ -70,13 +70,14 @@ if HAS_NUMPY:
             if candidates.size == 0:
                 break
             keys = flat_keys[candidates]
-            checks = checksum.of_keys_array(keys)
+            cells, checks = family.cells_and_checks_array(keys, checksum)
             verified = flat_checks[candidates] == checks
             candidates = candidates[verified]
             if candidates.size == 0:
                 break
             keys = keys[verified]
             checks = checks[verified]
+            cells = cells[:, verified]
             signs = residues[candidates]
             rows = candidates // num_cells
             # First cell in ascending cell order wins per (row, key) pair --
@@ -94,10 +95,10 @@ if HAS_NUMPY:
             chosen_signs = signs[winners]
             chosen_checks = checks[winners]
             row_offsets = rows[winners] * num_cells
-            cells = (family.cells_for_array(chosen_keys) + row_offsets).reshape(-1)
-            _np.add.at(flat_counts, cells, _np.tile(-chosen_signs, num_hashes))
-            _np.bitwise_xor.at(flat_keys, cells, _np.tile(chosen_keys, num_hashes))
-            _np.bitwise_xor.at(flat_checks, cells, _np.tile(chosen_checks, num_hashes))
+            cells = (cells[:, winners] + row_offsets).reshape(-1)
+            _np.add.at(flat_counts, cells, _repeated(-chosen_signs, num_hashes))
+            _np.bitwise_xor.at(flat_keys, cells, _repeated(chosen_keys, num_hashes))
+            _np.bitwise_xor.at(flat_checks, cells, _repeated(chosen_checks, num_hashes))
             for row, key, sign in zip(
                 rows[winners].tolist(), chosen_keys.tolist(), chosen_signs.tolist()
             ):
@@ -211,12 +212,12 @@ class IBLTArray:
             offsets = _np.repeat(
                 _np.arange(self.num_tables, dtype=_np.int64) * num_cells, lengths
             )
-            cells = (family.cells_for_array(keys) + offsets).reshape(-1)
-            checks = checksum.of_keys_array(keys)
+            cells, checks = family.cells_and_checks_array(keys, checksum)
+            cells = (cells + offsets).reshape(-1)
             num_hashes = family.num_hashes
             _np.add.at(counts, cells, _np.int64(1))
-            _np.bitwise_xor.at(key_xor, cells, _np.tile(keys, num_hashes))
-            _np.bitwise_xor.at(check_xor, cells, _np.tile(checks, num_hashes))
+            _np.bitwise_xor.at(key_xor, cells, _repeated(keys, num_hashes))
+            _np.bitwise_xor.at(check_xor, cells, _repeated(checks, num_hashes))
         shape = (self.num_tables, num_cells)
         self._counts = counts.reshape(shape)
         self._key_xor = key_xor.reshape(shape)

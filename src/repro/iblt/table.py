@@ -34,7 +34,7 @@ structurally empty or by the caller's whole-set hash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import islice
 
@@ -152,6 +152,37 @@ class DecodeResult:
     def symmetric_difference_size(self) -> int:
         """Number of keys recovered on either side."""
         return len(self.positive) + len(self.negative)
+
+
+#: The smallest region a fold ladder descends to: below it a rung is too
+#: small to peel the differences any sensible start rule sends it.
+MIN_RUNG_REGION = 8
+
+
+@lru_cache(maxsize=256)
+def resized(params: IBLTParameters, num_cells: int) -> IBLTParameters:
+    """``params`` at another cell count (same seed, widths and hash count):
+    what a fold or an unfold of a ``params`` table is built with."""
+    return replace(params, num_cells=num_cells)
+
+
+@lru_cache(maxsize=64)
+def fold_ladder(top: IBLTParameters) -> tuple[IBLTParameters, ...]:
+    """The rungs a ``top`` table folds down to, smallest first, ``top`` last.
+
+    Each rung halves the one above it, for as long as every region halves
+    evenly and keeps at least :data:`MIN_RUNG_REGION` cells: 128 cells at
+    four hashes give 32 / 64 / 128.  A top whose regions do not halve (52
+    cells: regions of 13) is a ladder of one rung.
+    """
+    regions = top.num_hashes
+    region = top.num_cells // regions
+    rungs = [top]
+    if top.num_cells % regions == 0:
+        while region % 2 == 0 and region // 2 >= MIN_RUNG_REGION:
+            region //= 2
+            rungs.append(resized(top, region * regions))
+    return tuple(reversed(rungs))
 
 
 @lru_cache(maxsize=256)
@@ -294,6 +325,64 @@ class IBLT:
         result = self.copy()
         result._store.combine(other._store, +1)
         return result
+
+    # -- folding --------------------------------------------------------------------
+
+    def _with_store(self, params: IBLTParameters, store: _backends.CellStore) -> "IBLT":
+        table = IBLT.__new__(IBLT)
+        table.params = params
+        table._family, table._checksum = _hashers(params)
+        table._store = store
+        return table
+
+    def _check_regions(self, divisor: int) -> None:
+        """Refuse a table whose regions are unequal or not a multiple of ``divisor``."""
+        regions = self.params.num_hashes
+        if self.params.num_cells % (regions * divisor):
+            raise ParameterError(
+                f"a {self.params.num_cells}-cell table has no equal regions "
+                f"of a multiple of {divisor} over {regions} hashes"
+            )
+
+    def fold(self, num_cells: int) -> "IBLT":
+        """The table of the same keys at ``num_cells`` cells, in O(cells).
+
+        Hash ``i`` maps a key to ``start_i + mix % size`` with seeds that do
+        not depend on the cell count, and (x mod 2r) mod r = x mod r: adding
+        each region's cell ``j + r`` into cell ``j`` halves a table exactly.
+        ``num_cells`` must be the table's own size divided by a divisor of
+        its region size; the result equals ``IBLT.from_items`` at that size.
+        """
+        regions = self.params.num_hashes
+        if num_cells <= 0 or num_cells % regions or self.params.num_cells % num_cells:
+            raise ParameterError(
+                f"a {self.params.num_cells}-cell table does not fold to {num_cells} "
+                f"cells over {regions} regions"
+            )
+        return self._with_store(
+            resized(self.params, num_cells), self._store.folded(regions, num_cells)
+        )
+
+    def upper_half(self) -> "IBLT":
+        """The upper half of every region, as a table of half the cells: what
+        this table adds over :meth:`fold` to half its size (a ladder's growth
+        step sends exactly this)."""
+        self._check_regions(2)
+        return self._with_store(
+            resized(self.params, self.params.num_cells // 2),
+            self._store.upper_half(self.params.num_hashes),
+        )
+
+    def unfold(self, upper: "IBLT") -> "IBLT":
+        """The table of twice the cells whose fold is ``self`` and whose
+        :meth:`upper_half` is ``upper``: each region's lower half is
+        ``self - upper``, its upper half ``upper``."""
+        self._check_compatible(upper)
+        self._check_regions(1)
+        return self._with_store(
+            resized(self.params, 2 * self.params.num_cells),
+            self._store.unfolded(upper._store, self.params.num_hashes),
+        )
 
     # -- inspection -----------------------------------------------------------------
 

@@ -8,15 +8,20 @@
   bob cannot derive the bound alice computed from the merged estimator).
   They are written against a sketch source (:class:`SetSource`), so
   from-scratch ``ibf`` (``repro.reconcile(..., protocol="ibf")``),
-  store-served ``ibf`` (:mod:`repro.store.parties`) and phase one of ``kv``
-  gossip (:mod:`repro.cluster.parties`) are the same generators.
+  store-served ``ibf`` (:mod:`repro.store.parties`) and the unknown-``d``
+  phase one of ``kv`` gossip (:mod:`repro.cluster.parties`) are the same
+  generators.
+* The fold ladder (:func:`ladder_alice`, :func:`ladder_bob_difference`): a
+  known-bound exchange over the same seam that sends the fold of the bound's
+  table at a start rung and grows it by upper halves.  ``kv``'s known-bound
+  phase one runs it.
 * ``cpi``: one message of characteristic-polynomial evaluations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from typing import (
     TYPE_CHECKING,
@@ -48,6 +53,8 @@ from repro.hashing.checksum import checked_elements
 from repro.hashing.mix import HAS_NUMPY, is_key_array
 from repro.iblt import IBLT, DecodeResult, IBLTParameters
 from repro.iblt.backends import KeyBatch
+from repro.iblt.sizing import capacity_of
+from repro.iblt.table import fold_ladder, resized
 from repro.protocols.party import (
     END_OF_SESSION,
     PartyGenerator,
@@ -57,7 +64,13 @@ from repro.protocols.party import (
     Send,
     aborted_outcome,
 )
-from repro.protocols.wire import EstimatorCodec, PayloadCodec, WireError
+from repro.protocols.wire import (
+    EstimatorCodec,
+    PayloadCodec,
+    TableCodec,
+    TableWithHashCodec,
+    WireError,
+)
 
 if HAS_NUMPY:
     import numpy as _np
@@ -92,6 +105,22 @@ def set_verification_hash(seed: int, elements: Iterable[int]) -> int:
     return _verification_checksum(seed).of_set(elements)
 
 
+@lru_cache(maxsize=64)
+def table_seed(seed: int) -> int:
+    """The seed every ``ibf`` table under session seed ``seed`` is built with."""
+    return derive_seed(seed, "setrecon")
+
+
+@lru_cache(maxsize=256)
+def _table_params(
+    universe_size: int, seed: int, num_hashes: int, difference_bound: int
+) -> IBLTParameters:
+    """:meth:`SetReconContext.table_params`, derived once per process."""
+    return IBLTParameters.for_difference(
+        max(1, difference_bound), max_element_bits(universe_size), table_seed(seed), num_hashes
+    )
+
+
 @dataclass(frozen=True)
 class SetReconContext:
     """Shared knowledge both parties derive the ``ibf`` exchange from."""
@@ -103,12 +132,7 @@ class SetReconContext:
     safety_factor: float = 2.0
 
     def table_params(self, difference_bound: int) -> IBLTParameters:
-        return IBLTParameters.for_difference(
-            max(1, difference_bound),
-            max_element_bits(self.universe_size),
-            derive_seed(self.seed, "setrecon"),
-            self.num_hashes,
-        )
+        return _table_params(self.universe_size, self.seed, self.num_hashes, difference_bound)
 
     @property
     def estimator_seed(self) -> int:
@@ -293,11 +317,20 @@ class SetSource:
     def set_hash(self) -> int:
         return _verification_checksum(self.ctx.seed).of_checked(self.keys)
 
-    def owned_table(self, difference_bound: int) -> IBLT:
-        """The set's IBLT, as an object the receiver may keep."""
-        table = IBLT(self.ctx.table_params(difference_bound), backend=self.ctx.backend)
+    def _table(self, params: IBLTParameters) -> IBLT:
+        table = IBLT(params, backend=self.ctx.backend)
         table.insert_batch(self._batch_for(table))
         return table
+
+    def owned_table(self, difference_bound: int) -> IBLT:
+        """The set's IBLT, as an object the receiver may keep."""
+        return self._table(self.ctx.table_params(difference_bound))
+
+    def rung_table(self, difference_bound: int, num_cells: int) -> IBLT:
+        """The set's table at the ``num_cells`` rung of the bound's fold
+        ladder, built at that size (by the fold identity, the fold of
+        :meth:`owned_table`)."""
+        return self._table(resized(self.ctx.table_params(difference_bound), num_cells))
 
     def estimator(self, side: int) -> L0Estimator:
         """The set's difference estimator, its elements on ``side`` (1 or 2)."""
@@ -404,13 +437,29 @@ def ibf_bob_difference(
         return aborted_outcome(), None
     alice_table, alice_hash, alice_size = payload
     decode = source.difference_from(alice_table).try_decode()
+    return _verified_difference(source, decode, alice_hash, alice_size)
+
+
+def _verified_difference(
+    source: SetSource | StoreView, decode: DecodeResult, alice_hash: int, alice_size: int
+) -> tuple[PartyOutcome, DecodeResult | None]:
+    """Bob's outcome for one peel: the recovered set must hash to alice's
+    hash and count her size, and no key may come out with both signs.  The
+    difference comes back only if it did."""
     if not decode.success:
         details = {"failure": "iblt-peel", **source.outcome_details}
         return PartyOutcome(False, details=details), None
     recovered_hash, recovered_size, recovered = source.with_difference(
         decode.positive, decode.negative
     )
-    verified = recovered_hash == alice_hash and recovered_size == alice_size
+    # A key peeled with both signs (a false pure cell, then its echo) is no
+    # set difference, and the store's O(d) XOR-fold hash and size cannot see
+    # it: they toggle the key in and out again.
+    verified = (
+        recovered_hash == alice_hash
+        and recovered_size == alice_size
+        and decode.positive.isdisjoint(decode.negative)
+    )
     outcome = PartyOutcome(
         verified,
         recovered if verified else None,
@@ -440,6 +489,164 @@ def ibf_parties(
         ibf_alice(SetSource(alice, ctx), difference_bound),
         ibf_bob(SetSource(bob, ctx), difference_bound),
     )
+
+
+# ---------------------------------------------------------------------------
+# The fold ladder: a known-bound exchange that starts small and grows by halves
+# ---------------------------------------------------------------------------
+#
+# An IBLT costs O(d) cells for the d that actually separates the sets
+# (Corollary 2.2), but a known bound sizes the table for the worst d.  The
+# ladder sends the fold of the bound's table at a start rung; each time bob's
+# peel fails (or his whole-set hash rejects it) he asks with one bit, and
+# alice sends only the upper half of the next rung, from which bob rebuilds
+# that rung.  Total table bits are the final rung's, not the bound's.
+
+
+class _Grow:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "GROW"
+
+
+#: Bob's growth request: the payload that asks alice for the next rung.
+GROW = _Grow()
+
+#: Alice's failure when asked to grow past the top rung.
+GROWTH_REFUSED = "growth-refused"
+
+
+class GrowOrCodec(PayloadCodec):
+    """Bob's message after a ladder rung: a leading bit, set for a growth
+    request (the whole message), clear ahead of ``inner``'s payload (what a
+    composite sends once the difference verified)."""
+
+    def __init__(self, inner: PayloadCodec) -> None:
+        self.inner = inner
+
+    def write(self, writer: BitWriter, payload: Any) -> None:
+        writer.write(int(payload is GROW), 1)
+        if payload is not GROW:
+            self.inner.write(writer, payload)
+
+    def read(self, reader: BitReader) -> Any:
+        return GROW if reader.read(1) else self.inner.read(reader)
+
+    def framing_bits(self, payload: Any) -> int:
+        return 0 if payload is GROW else self.inner.framing_bits(payload)
+
+
+def ladder_rungs(
+    ctx: SetReconContext, difference_bound: int, size_gap: int
+) -> tuple[tuple[IBLTParameters, ...], int]:
+    """The rungs of a ladder session, smallest first, and its start rung's index.
+
+    The top rung is ``ctx.table_params(difference_bound)``, from the shared
+    bound and never from the peer.  The start is the smallest rung whose
+    :func:`~repro.iblt.sizing.capacity_of` covers ``size_gap``, the sizes'
+    difference and so a free lower bound on ``d``; the top when none does.
+    """
+    rungs = fold_ladder(ctx.table_params(difference_bound))
+    start = next(
+        (
+            index
+            for index, params in enumerate(rungs)
+            if capacity_of(params.num_cells, params.num_hashes) >= size_gap
+        ),
+        len(rungs) - 1,
+    )
+    return rungs, start
+
+
+def _start_codec(
+    ctx: SetReconContext, rungs: tuple[IBLTParameters, ...], start: int
+) -> TableWithHashCodec:
+    """The start rung's table and the 64-bit whole-set hash: its cell count
+    is shared (both sides know both sizes), so nothing says which rung."""
+    return TableWithHashCodec(
+        partial(resized, rungs[-1]), rungs[start].num_cells, backend=ctx.backend
+    )
+
+
+def growth_refused(source: SetSource | StoreView) -> PartyOutcome:
+    """Alice's outcome for a growth request she will not answer."""
+    return PartyOutcome(False, details={"failure": GROWTH_REFUSED, **source.outcome_details})
+
+
+def ladder_alice(
+    source: SetSource | StoreView,
+    difference_bound: int,
+    peer_size: int,
+    request_codec: GrowOrCodec,
+    *,
+    label: str,
+) -> Generator[Send | Receive, Any, tuple[PartyOutcome, Any]]:
+    """Alice's side of the fold ladder.
+
+    Sends the start rung's table with her whole-set hash (her size already
+    crossed the wire), then the upper half of the next rung for each growth
+    request, and refuses a request past the top.  Returns her outcome and
+    bob's first message that is not a growth request, as ``request_codec``
+    decodes it (:data:`END_OF_SESSION` when he ended the session instead).
+    """
+    ctx = source.ctx
+    rungs, index = ladder_rungs(ctx, difference_bound, abs(source.size - peer_size))
+    start = rungs[index]
+    yield Send(
+        label,
+        start.size_bits + WORD_BITS,
+        payload=(source.rung_table(difference_bound, start.num_cells), source.set_hash),
+        codec=_start_codec(ctx, rungs, index),
+    )
+    while True:
+        request = yield Receive(request_codec)
+        if request is not GROW:
+            return PartyOutcome(True, details=dict(source.outcome_details)), request
+        index += 1
+        if index == len(rungs):
+            return growth_refused(source), END_OF_SESSION
+        upper = source.rung_table(difference_bound, rungs[index].num_cells).upper_half()
+        yield Send(
+            f"{label} growth",
+            upper.size_bits,
+            payload=upper,
+            codec=TableCodec(upper.params, ctx.backend),
+        )
+
+
+def ladder_bob_difference(
+    source: SetSource | StoreView,
+    difference_bound: int,
+    peer_size: int,
+    request_codec: GrowOrCodec,
+    *,
+    label: str,
+) -> Generator[Send | Receive, Any, tuple[PartyOutcome, DecodeResult | None]]:
+    """Bob's side of the fold ladder, returning as :func:`ibf_bob_difference`.
+
+    Peels each rung's difference and verifies it against alice's hash and
+    ``peer_size``.  Below the top, a failed peel or a rejected hash sends a
+    one-bit growth request under ``label`` (so a false peel on a small rung is
+    caught and grown past), and alice's next rung is rebuilt from her fold and
+    the upper half she answers with.  At the top the failure stands.
+    """
+    ctx = source.ctx
+    rungs, index = ladder_rungs(ctx, difference_bound, abs(peer_size - source.size))
+    message = yield Receive(_start_codec(ctx, rungs, index))
+    if message is END_OF_SESSION:
+        return aborted_outcome(), None
+    alice_table, alice_hash = message
+    while True:
+        own = source.rung_table(difference_bound, alice_table.params.num_cells)
+        decode = alice_table.subtract(own).try_decode()
+        outcome, difference = _verified_difference(source, decode, alice_hash, peer_size)
+        index += 1
+        if difference is not None or index == len(rungs):
+            return outcome, difference
+        yield Send(label, 1, payload=GROW, codec=request_codec)
+        upper = yield Receive(TableCodec(alice_table.params, ctx.backend))
+        if upper is END_OF_SESSION:
+            return aborted_outcome(), None
+        alice_table = alice_table.unfold(upper)
 
 
 # ---------------------------------------------------------------------------

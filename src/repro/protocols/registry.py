@@ -229,7 +229,10 @@ class KVSyncProtocol(Protocol):
     rounds_known = 4
     rounds_unknown = 6
     supports_unknown_d = True
-    summary = "replicated-KV gossip: summary check, fingerprint set reconciliation, value fetch"
+    summary = (
+        "replicated-KV gossip: summary check, fingerprint set reconciliation "
+        "(a fold ladder, +2 rounds per growth), value fetch"
+    )
     reference = "Cor 2.2 / Cor 3.2 application"
 
     @classmethod

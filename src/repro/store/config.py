@@ -18,10 +18,10 @@ IBLT or estimator sketch, so a kernel change cannot invalidate one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
 from repro.core.setrecon.difference import max_element_bits
-from repro.hashing import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.iblt import IBLTParameters
@@ -55,15 +55,7 @@ class SketchConfig:
 
     def context(self) -> "SetReconContext":
         """The shared protocol context a session with this config derives."""
-        from repro.protocols.parties.setrecon import SetReconContext
-
-        return SetReconContext(
-            self.universe_size,
-            self.seed,
-            self.num_hashes,
-            self.backend,
-            safety_factor=self.safety_factor,
-        )
+        return _context(self)
 
     @property
     def fingerprint(self) -> str:
@@ -83,7 +75,9 @@ class SketchConfig:
     @property
     def table_seed(self) -> int:
         """Seed every IBLT of this config is built with."""
-        return derive_seed(self.seed, "setrecon")
+        from repro.protocols.parties.setrecon import table_seed
+
+        return table_seed(self.seed)
 
     @property
     def key_bits(self) -> int:
@@ -92,14 +86,7 @@ class SketchConfig:
 
     def expected_params(self, num_cells: int) -> "IBLTParameters":
         """The table parameters this config derives for a given cell count."""
-        from repro.iblt import IBLTParameters
-
-        return IBLTParameters(
-            num_cells=num_cells,
-            key_bits=self.key_bits,
-            seed=self.table_seed,
-            num_hashes=self.num_hashes,
-        )
+        return _expected_params(self, num_cells)
 
     def admits_params(self, params: "IBLTParameters") -> bool:
         """Whether table parameters could have come from this config.
@@ -131,3 +118,32 @@ class SketchConfig:
             backend=wire.get("backend"),
             safety_factor=float(wire.get("safety_factor", 2.0)),
         )
+
+
+# Every session asks for these, several times; a config is frozen, so each
+# is derived once per process.
+
+
+@lru_cache(maxsize=64)
+def _context(config: SketchConfig) -> "SetReconContext":
+    from repro.protocols.parties.setrecon import SetReconContext
+
+    return SetReconContext(
+        config.universe_size,
+        config.seed,
+        config.num_hashes,
+        config.backend,
+        safety_factor=config.safety_factor,
+    )
+
+
+@lru_cache(maxsize=256)
+def _expected_params(config: SketchConfig, num_cells: int) -> "IBLTParameters":
+    from repro.iblt import IBLTParameters
+
+    return IBLTParameters(
+        num_cells=num_cells,
+        key_bits=config.key_bits,
+        seed=config.table_seed,
+        num_hashes=config.num_hashes,
+    )

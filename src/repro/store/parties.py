@@ -78,6 +78,11 @@ class StoreView:
         # and the live table must never leave the store's control.
         return self.table(difference_bound).copy()
 
+    def rung_table(self, difference_bound: int, num_cells: int) -> IBLT:
+        """The live table for the bound folded to ``num_cells`` cells: any
+        rung of its fold ladder, in O(cells), with no table built or kept."""
+        return self.table(difference_bound).fold(num_cells)
+
     def difference_from(self, table: IBLT) -> IBLT:
         # Looked up by the *received* parameters (unknown-d bob learns the
         # geometry from the bound header); the store refuses ones this

@@ -13,15 +13,17 @@ from repro.cluster.parties import (
     kv_parties,
     pull_request_bits,
     summary_bits,
+    verdict_bits,
 )
 from repro.cluster.records import records_bits
 from repro.comm.sizing import bits_for_value
 from repro.errors import ParameterError
 from repro.protocols.options import ReconcileOptions
-from repro.protocols.parties.setrecon import set_verification_hash
+from repro.protocols.parties.setrecon import ladder_rungs, set_verification_hash
 from repro.protocols.party import PartyOutcome, Receive, Send
 from repro.protocols.session import Session
 from repro.protocols.transports import SerializingTransport
+from repro.store import SketchConfig
 
 SEED = 99
 
@@ -134,7 +136,7 @@ class TestForgedPrelude:
 
         def lying_alice():
             yield Receive(KVSummaryCodec())
-            yield Send("kv verdict", 1, payload=True, codec=KVVerdictCodec())
+            yield Send("kv verdict", 1, payload=None, codec=KVVerdictCodec())
             return PartyOutcome(True)
 
         ctx = kv_context(ReconcileOptions(seed=SEED, difference_bound=16))
@@ -158,10 +160,82 @@ class TestForgedPrelude:
             return PartyOutcome(True, details={"verdict": verdict})
 
         session = self.run_and_merge(kv_alice(left, 16, ctx), lying_bob(), left, right)
-        assert session.bob.details["verdict"] is True
+        assert session.bob.details["verdict"] is None  # "in sync"
         assert session.alice.success and session.alice.details["kv_in_sync"] is True
         assert session.alice.details["kv_apply"] == ()
         assert (left.digest(), right.digest()) == before
+
+
+class TestFoldLadder:
+    """kv's known-bound phase one starts at a small rung and grows by halves."""
+
+    @pytest.mark.parametrize("backend", [None, "python"])
+    def test_a_session_grown_twice_succeeds_and_charges_each_step(self, backend):
+        left, right = replica_pair(unique=25)  # d = 50: too many for 32 or 64 cells
+        ctx = kv_context(ReconcileOptions(seed=SEED, difference_bound=64, backend=backend))
+        session = Session(
+            *kv_parties(left, right, 64, ctx), transport=SerializingTransport()
+        ).run()
+        assert session.alice.success and session.bob.success
+        messages = session.transcript.messages
+        assert [m.label for m in messages] == [
+            "kv summary", "kv verdict", "kv fingerprint IBLT",
+            "kv grow", "kv fingerprint IBLT growth",
+            "kv grow", "kv fingerprint IBLT growth",
+            "kv pull", "kv records",
+        ]
+        # Equal sizes: the start is the smallest rung, and each growth is the
+        # upper half of the next one (as many cells as the rung below it).
+        rungs, start = ladder_rungs(ctx, 64, 0)
+        assert [p.num_cells for p in rungs] == [32, 64, 128] and start == 0
+        assert rungs[0].cell_bits == 84
+        wanted = sorted(left.fingerprints - right.fingerprints)
+        pushed = right.records_for(tuple(sorted(right.fingerprints - left.fingerprints)))
+        expected = [
+            summary_bits(len(right)),
+            verdict_bits(len(left)),
+            rungs[0].size_bits + 64,
+            1, rungs[0].size_bits,
+            1, rungs[1].size_bits,
+            pull_request_bits(wanted, pushed),
+            records_bits(left.records_for(tuple(wanted))),
+        ]
+        assert [m.size_bits for m in messages] == expected
+        assert session.transcript.total_bits == sum(expected)
+        left.merge_records(session.alice.details["kv_apply"])
+        right.merge_records(session.bob.details["kv_apply"])
+        assert left.digest() == right.digest()
+
+    def test_the_start_rung_covers_the_size_difference(self):
+        ctx = kv_context(ReconcileOptions(seed=SEED, difference_bound=64))
+        starts = [ladder_rungs(ctx, 64, gap)[1] for gap in (0, 13, 14, 30, 31, 66, 10**9)]
+        assert starts == [0, 0, 1, 1, 2, 2, 2]
+
+    def test_a_served_session_grows_without_building_a_table(self, monkeypatch):
+        """Every rung is a fold of the one live table per side: after the
+        first touch a growing session builds nothing O(n) and keeps nothing new."""
+        from repro.iblt import IBLT
+
+        left, right = replica_pair(unique=25)
+        ctx = kv_context(ReconcileOptions(seed=SEED, difference_bound=64))
+        for replica in (left, right):
+            replica.view_for(SketchConfig(ctx.universe_size, ctx.seed)).table(64)
+        builds = []
+        for name in ("from_items", "insert_batch", "delete_batch"):
+            original = getattr(IBLT, name)
+
+            def spying(*args, _original=original, _name=name, **kwargs):
+                builds.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(IBLT, name, spying)
+        session = Session(*kv_parties(left, right, 64, ctx)).run()
+        assert session.bob.success
+        assert sum(m.label == "kv grow" for m in session.transcript.messages) == 2
+        assert builds == []
+        for replica in (left, right):
+            (family,) = replica.store._entries["kv"].families.values()
+            assert [t.params.num_cells for t in family.tables.values()] == [128]
 
 
 class TestContextValidation:

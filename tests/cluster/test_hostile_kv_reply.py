@@ -1,4 +1,6 @@
-"""Alice's ``kv records`` reply need not be the records bob asked for.
+"""A hostile peer in a ``kv`` session: forged replies, growth requests, sizes.
+
+Alice's ``kv records`` reply need not be the records bob asked for.
 
 Phase one verifies alice's *fingerprints*; the reply of phase two is
 whatever her ``records_for`` chooses to send.  Bob must accept it only when
@@ -6,19 +8,42 @@ it hashes to exactly the fingerprints he pulled: a forged record would
 otherwise be merged for good (a version of 2**64 - 1 also wedges every
 later local write) and spread by gossip.  Likewise a string that is not
 UTF-8 is a misbehaving peer, not a bug: it must surface as a ``ReproError``.
+Phase one's fold ladder takes sizes and growth requests from the peer: none
+of them can make alice send past the top rung, which only the shared bound
+sets.
 """
 
 import pytest
 
 from repro.cluster import Cluster, KVRecord, VersionedKV
-from repro.cluster.parties import KVRecordsCodec, kv_context, kv_parties
+from repro.cluster.parties import (
+    REQUEST_CODEC,
+    KVRecordsCodec,
+    KVSummaryCodec,
+    KVVerdictCodec,
+    kv_context,
+    kv_parties,
+    pull_request_bits,
+    summary_bits,
+    verdict_bits,
+)
 from repro.cluster.records import KEY_LENGTH_BITS, read_record
 from repro.comm.bits import BitReader, BitWriter
 from repro.errors import ParameterError, ReproError
+from repro.iblt.table import resized
 from repro.protocols.options import ReconcileOptions
+from repro.protocols.parties.setrecon import (
+    GROW,
+    GROWTH_REFUSED,
+    IBFMessageCodec,
+    ladder_alice,
+    ladder_rungs,
+)
+from repro.protocols.party import END_OF_SESSION, PartyOutcome, Receive, Send
 from repro.protocols.session import Session
 from repro.protocols.transports import SerializingTransport
-from repro.protocols.wire import WireError
+from repro.protocols.wire import NULL_CODEC, TableCodec, TableWithHashCodec, WireError
+from repro.store import SketchConfig, StoreView
 
 SEED = 11
 FORGED = KVRecord(key="k0", version=2**64 - 1, writer=2**32 - 1, value="pwned")
@@ -110,3 +135,227 @@ def test_a_length_past_the_stream_raises_before_allocating():
     writer.write(0x6B, 8)
     with pytest.raises(ParameterError, match="bit stream exhausted"):
         read_record(BitReader(writer.getvalue()))
+
+
+# ---------------------------------------------------------------------------
+# Phase one's fold ladder: growth requests, upper halves and sizes
+# ---------------------------------------------------------------------------
+
+LADDER_BOUND = 64  # a 128-cell top rung: rungs of 32 / 64 / 128 cells
+
+
+def ladder_pair(unique=4):
+    alice, bob = VersionedKV(0, seed=SEED), VersionedKV(1, seed=SEED)
+    shared = [KVRecord(key=f"k{i}", version=1, writer=0, value=f"v{i}") for i in range(30)]
+    alice.merge_records(shared)
+    bob.merge_records(shared)
+    for i in range(unique):
+        alice.put(f"a{i}", "a")
+        bob.put(f"b{i}", "b")
+    return alice, bob
+
+
+def ladder_ctx(bound=LADDER_BOUND):
+    return kv_context(ReconcileOptions(seed=SEED, difference_bound=bound))
+
+
+def view_of(replica, ctx):
+    return replica.view_for(SketchConfig(ctx.universe_size, ctx.seed))
+
+
+def run_against(alice_party, bob_party):
+    return Session(alice_party, bob_party, transport=SerializingTransport()).run()
+
+
+def honest_summary(view):
+    return Send(
+        "kv summary", summary_bits(view.size), payload=(view.set_hash, view.size),
+        codec=KVSummaryCodec(),
+    )
+
+
+def receive_start_rung(rungs, start):
+    """Receive alice's start rung the way an honest bob does."""
+    return Receive(
+        TableWithHashCodec(lambda cells: resized(rungs[-1], cells), rungs[start].num_cells)
+    )
+
+
+@pytest.mark.parametrize("bound", [LADDER_BOUND, 24])
+def test_a_growth_request_past_the_top_rung_is_refused(bound):
+    alice, bob = ladder_pair()
+    ctx = ladder_ctx(bound)
+    rungs, start = ladder_rungs(ctx, bound, 0)
+    view = view_of(bob, ctx)
+    answers = []
+
+    def greedy():
+        yield honest_summary(view)
+        yield Receive(KVVerdictCodec())
+        yield receive_start_rung(rungs, start)
+        for _ in range(len(rungs) + 1):
+            yield Send("kv grow", 1, payload=GROW, codec=REQUEST_CODEC)
+            answers.append((yield Receive(NULL_CODEC)))
+        return PartyOutcome(True)
+
+    result = run_against(kv_parties(alice, bob, bound, ctx)[0], greedy())
+    growth = [m.size_bits for m in result.transcript.messages if m.label.endswith("growth")]
+    # One upper half per rung above the start, then nothing bigger: the
+    # request past the top ends alice's side with a refusal.
+    assert growth == [params.size_bits for params in rungs[start:-1]]
+    assert answers[len(growth):] == [END_OF_SESSION] * (len(rungs) + 1 - len(growth))
+    assert not result.alice.success
+    assert result.alice.details["failure"] == GROWTH_REFUSED
+    assert "kv_apply" not in result.alice.details
+
+
+def test_a_growth_request_after_the_pull_is_never_answered():
+    alice, bob = ladder_pair()
+    ctx = ladder_ctx()
+    view = view_of(bob, ctx)
+    rungs, start = ladder_rungs(ctx, LADDER_BOUND, 0)
+    late = []
+
+    def pull_then_grow():
+        yield honest_summary(view)
+        yield Receive(KVVerdictCodec())
+        yield receive_start_rung(rungs, start)
+        yield Send("kv pull", pull_request_bits((), ()), payload=((), ()), codec=REQUEST_CODEC)
+        yield Receive(KVRecordsCodec())
+        yield Send("kv grow", 1, payload=GROW, codec=REQUEST_CODEC)
+        late.append((yield Receive(NULL_CODEC)))
+        return PartyOutcome(True)
+
+    result = run_against(kv_parties(alice, bob, LADDER_BOUND, ctx)[0], pull_then_grow())
+    labels = [m.label for m in result.transcript.messages]
+    assert labels[-2:] == ["kv records", "kv grow"]
+    assert not any(label.endswith("growth") for label in labels)
+    assert late == [END_OF_SESSION]
+
+
+def test_a_growth_request_in_the_unknown_d_flow_is_refused():
+    """The estimator-sized flow has one table: there is nothing to grow to."""
+    alice, bob = ladder_pair()
+    ctx = kv_context(ReconcileOptions(seed=SEED))
+    view = view_of(bob, ctx)
+
+    def greedy():
+        yield honest_summary(view)
+        yield Receive(KVVerdictCodec())
+        estimator = view.estimator(1)
+        yield Send("difference estimator", estimator.size_bits, payload=estimator,
+                   codec=ctx.estimator_codec())
+        yield Receive(IBFMessageCodec(ctx, None, self_describing=True))
+        yield Send("kv grow", 1, payload=GROW, codec=REQUEST_CODEC)
+        return PartyOutcome(True)
+
+    result = run_against(kv_parties(alice, bob, None, ctx)[0], greedy())
+    assert result.alice.details["failure"] == GROWTH_REFUSED
+    assert result.transcript.messages[-1].label == "kv grow"
+
+
+def test_a_truncated_upper_half_is_a_wire_error():
+    alice, _ = ladder_pair()
+    ctx = ladder_ctx()
+    upper = view_of(alice, ctx).rung_table(LADDER_BOUND, 128).upper_half()
+    codec = TableCodec(upper.params)
+    data = codec.encode(upper)
+    assert codec.decode(data) == upper
+    with pytest.raises(WireError, match="bit stream exhausted"):
+        codec.decode(data[:-1])
+
+
+@pytest.mark.parametrize("forged", [0, 10**9, 2**64 - 1])
+def test_a_forged_summary_size_picks_at_most_the_top_rung(forged):
+    alice, bob = ladder_pair()
+    ctx = ladder_ctx()
+    view = view_of(bob, ctx)
+    top = ctx.table_params(LADDER_BOUND)
+
+    def forging_bob():
+        yield Send(
+            "kv summary", summary_bits(forged), payload=(view.set_hash, forged),
+            codec=KVSummaryCodec(),
+        )
+        verdict = yield Receive(KVVerdictCodec())
+        yield receive_start_rung(*ladder_rungs(ctx, LADDER_BOUND, abs(verdict - forged)))
+        return PartyOutcome(True)
+
+    result = run_against(kv_parties(alice, bob, LADDER_BOUND, ctx)[0], forging_bob())
+    # Each forged gap is past the 64-cell rung's capacity: alice starts at
+    # the top, and no size can take her further.
+    (table,) = [m for m in result.transcript.messages if m.label == "kv fingerprint IBLT"]
+    assert table.size_bits == top.size_bits + 64
+
+
+@pytest.mark.parametrize("forged", [0, 10**9])
+def test_a_forged_verdict_size_picks_at_most_the_top_rung(forged):
+    alice, bob = ladder_pair(unique=20)
+    ctx = ladder_ctx()
+    alice_view = view_of(alice, ctx)
+
+    def forging_alice():
+        yield Receive(KVSummaryCodec())
+        yield Send("kv verdict", verdict_bits(forged), payload=forged, codec=KVVerdictCodec())
+        # An honest ladder from the rung the forged size points bob at: the
+        # peer size that gives alice bob's gap.
+        gap = abs(forged - len(bob))
+        outcome, _ = yield from ladder_alice(
+            alice_view, LADDER_BOUND, alice_view.size + gap, REQUEST_CODEC,
+            label="kv fingerprint IBLT",
+        )
+        return outcome
+
+    result = run_against(forging_alice(), kv_parties(alice, bob, LADDER_BOUND, ctx)[1])
+    tables = [
+        m.size_bits for m in result.transcript.messages if m.label.startswith("kv fingerprint")
+    ]
+    # Whatever the size said, bob never reads past the top rung.
+    top = ctx.table_params(LADDER_BOUND)
+    assert sum(tables) <= top.size_bits + 64
+    # A size other than alice's own is a rejected hash, never a merge.
+    assert not result.bob.success
+    assert "kv_apply" not in result.bob.details
+
+
+def test_the_top_rung_comes_from_the_shared_bound():
+    for bound in (8, 24, LADDER_BOUND, 500):
+        ctx = ladder_ctx(bound)
+        for gap in (0, 7, 100, 2**64):
+            rungs, start = ladder_rungs(ctx, bound, gap)
+            assert rungs[-1] == ctx.table_params(bound)
+            assert 0 <= start < len(rungs)
+
+
+class LyingView(StoreView):
+    """A live view whose whole-set hash is off by one bit."""
+
+    @property
+    def set_hash(self):
+        return super().set_hash ^ 1
+
+
+def test_a_rejected_hash_grows_to_the_top_and_fails_there():
+    """A peel the whole-set hash rejects is grown past like a failed one (a
+    false peel on a small rung), up to the top rung, where it fails."""
+    alice, bob = ladder_pair()
+    ctx = ladder_ctx()
+    view = view_of(alice, ctx)
+    lying = LyingView(view.store, view.key, view.config, view.dataset)
+    rungs, start = ladder_rungs(ctx, LADDER_BOUND, 0)
+
+    def lying_alice():
+        summary = yield Receive(KVSummaryCodec())
+        yield Send("kv verdict", verdict_bits(view.size), payload=view.size, codec=KVVerdictCodec())
+        outcome, _ = yield from ladder_alice(
+            lying, LADDER_BOUND, summary[1], REQUEST_CODEC, label="kv fingerprint IBLT"
+        )
+        return outcome
+
+    result = run_against(lying_alice(), kv_parties(alice, bob, LADDER_BOUND, ctx)[1])
+    labels = [m.label for m in result.transcript.messages]
+    assert labels.count("kv grow") == len(rungs) - 1 - start == 2
+    assert labels[-1] == "kv fingerprint IBLT growth"
+    assert not result.bob.success
+    assert result.bob.details["failure"] == "verification-hash"
+    assert "kv_apply" not in result.bob.details

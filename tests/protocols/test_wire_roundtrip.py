@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.parties import KVSummaryCodec, KVVerdictCodec, summary_bits
+from repro.cluster.parties import (
+    REQUEST_CODEC,
+    KVSummaryCodec,
+    KVVerdictCodec,
+    pull_request_bits,
+    summary_bits,
+    verdict_bits,
+)
 from repro.comm.bits import BitReader, BitWriter
 from repro.comm.sizing import bits_for_value
 from repro.core.setrecon.cpi import cpi_encode
@@ -18,6 +25,7 @@ from repro.errors import ParameterError
 from repro.estimator import L0Estimator
 from repro.iblt import IBLT, IBLTParameters
 from repro.protocols.parties.setrecon import (
+    GROW,
     CPIMessageCodec,
     IBFMessageCodec,
     SetReconContext,
@@ -355,10 +363,26 @@ class TestKVPreludeCodecs:
         data = assert_within_budget(codec, (set_hash, size), summary_bits(size))
         assert codec.decode(data) == (set_hash, size)
 
-    @pytest.mark.parametrize("verdict", [False, True])
+    @given(st.none() | st.integers(min_value=0, max_value=10**9))
     def test_verdict_roundtrip(self, verdict):
+        # In sync: the one bit.  Differing: the bit, then alice's size.
         codec = KVVerdictCodec()
-        assert codec.decode(assert_within_budget(codec, verdict, 1)) is verdict
+        data = assert_within_budget(codec, verdict, verdict_bits(verdict))
+        assert codec.decode(data) == verdict
+
+    @given(
+        st.just(GROW)
+        | st.tuples(
+            st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=5).map(tuple),
+            st.just(()),
+        )
+    )
+    def test_request_roundtrip(self, request):
+        # A growth request is the leading bit alone; a pull is that bit clear
+        # ahead of the pull frame.
+        bits = 1 if request is GROW else pull_request_bits(*request)
+        data = assert_within_budget(REQUEST_CODEC, request, bits)
+        assert REQUEST_CODEC.decode(data) == request
 
 
 def _truncation_cases():
@@ -416,7 +440,7 @@ def _truncation_cases():
         # The size is the stream's tail field: cut off with the final byte
         # only while it fits in one byte.
         "kv-summary": (KVSummaryCodec(), ((1 << 64) - 1, 200)),
-        "kv-verdict": (KVVerdictCodec(), True),
+        "kv-verdict": (KVVerdictCodec(), 100),  # the bit and the size: one byte
     }
 
 

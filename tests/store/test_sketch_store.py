@@ -9,7 +9,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.setrecon.difference import max_element_bits
 from repro.errors import ParameterError, StoreError
+from repro.hashing import derive_seed
 from repro.iblt import IBLT, IBLTParameters
 from repro.protocols.parties.setrecon import (
     SetReconContext,
@@ -60,6 +62,24 @@ def test_live_table_equals_fresh_encode_after_mutations():
     assert store.verification_hash("d", config, dataset) == set_verification_hash(
         SEED, dataset
     )
+
+
+@pytest.mark.parametrize("universe", [UNIVERSE, 1 << 64])
+@pytest.mark.parametrize("seed", [0, SEED])
+@pytest.mark.parametrize("num_hashes", [3, 4])
+def test_derived_table_params_are_cached_and_equal_the_derivation(universe, seed, num_hashes):
+    """``table_params`` and ``table_seed`` derive once per process; the cached
+    values are exactly what the uncached derivation gives."""
+    config = SketchConfig(universe, seed=seed, num_hashes=num_hashes)
+    assert config.table_seed == derive_seed(seed, "setrecon")
+    context = config.context()
+    for bound in (0, 1, 24, 64, 500):
+        uncached = IBLTParameters.for_difference(
+            max(1, bound), max_element_bits(universe), derive_seed(seed, "setrecon"), num_hashes
+        )
+        assert context.table_params(bound) == uncached
+        assert context.table_params(bound) is config.context().table_params(bound)
+        assert config.admits_params(uncached)
 
 
 def test_same_geometry_shares_one_table_and_counts_hits():

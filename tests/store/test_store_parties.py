@@ -8,9 +8,19 @@ import random
 import pytest
 
 from repro.cluster import KVRecord, VersionedKV
-from repro.cluster.parties import kv_context, kv_parties
+from repro.cluster.parties import REQUEST_CODEC, kv_context, kv_parties
 from repro.protocols.options import ReconcileOptions
-from repro.protocols.parties.setrecon import SetReconContext, ibf_parties
+from repro.iblt import IBLT, DecodeResult
+from repro.protocols.parties.setrecon import (
+    SetReconContext,
+    SetSource,
+    _verified_difference,
+    ibf_parties,
+    ladder_alice,
+    ladder_bob_difference,
+    ladder_rungs,
+    set_verification_hash,
+)
 from repro.protocols.session import run_session
 from repro.protocols.transports import SerializingTransport
 from repro.store import SketchConfig, SketchStore, StoreView
@@ -76,8 +86,8 @@ def make_view(server_set, *, materialize=False, mutations=0):
     return StoreView(store, "server", config, server_set, materialize=materialize)
 
 
-def kv_pair():
-    """Two replicas sharing 40 records and holding 5 one-sided records each."""
+def kv_pair(unique=5):
+    """Two replicas sharing 40 records and holding ``unique`` one-sided records each."""
     left, right = VersionedKV(0, seed=SEED), VersionedKV(1, seed=SEED)
     common = [
         KVRecord(key=f"shared-{i}", version=i + 1, writer=0, value=f"c{i}")
@@ -85,7 +95,7 @@ def kv_pair():
     ]
     left.merge_records(common)
     right.merge_records(common)
-    for i in range(5):
+    for i in range(unique):
         left.put(f"left-{i}", f"lv{i}")
         right.put(f"right-{i}", f"rv{i}")
     return left, right
@@ -129,34 +139,71 @@ def kv_frames(left, right, bound, left_role):
 
 @pytest.mark.parametrize("server_role", ["alice", "bob"])
 @pytest.mark.parametrize("bound", [BOUND, None])
-@pytest.mark.parametrize("family", ["store", "kv"])
-def test_stored_party_is_byte_identical_to_scratch(family, server_role, bound):
-    if family == "store":
-        server_set, client_set = make_instance()
-        reference_frames, reference = scratch_frames(
-            server_set, client_set, bound, server_role
-        )
-        view = make_view(server_set, materialize=True)
-        frames, result = stored_frames(view, client_set, bound, server_role)
-        assert result.total_bits == reference.total_bits
-        assert result.num_rounds == reference.num_rounds
-    else:
-        # After the two-frame summary prelude, kv phase one *is* ibf over
-        # the replicas' fingerprint sets: same senders, charged bits and
-        # bytes under its own message label.
-        left, right = kv_pair()
-        reference_frames, reference = scratch_frames(
-            left.fingerprints, right.fingerprints, bound, server_role,
-            kv_context(ReconcileOptions(seed=SEED)),
-        )
-        frames, result = kv_frames(left, right, bound, server_role)
-        assert [label for _, label, _, _ in frames[:2]] == ["kv summary", "kv verdict"]
-        frames = [
-            (sender, label.replace("kv fingerprint IBLT", "set IBLT"), bits, data)
-            for sender, label, bits, data in frames[2 : 2 + len(reference_frames)]
-        ]
+def test_stored_party_is_byte_identical_to_scratch(server_role, bound):
+    server_set, client_set = make_instance()
+    reference_frames, reference = scratch_frames(
+        server_set, client_set, bound, server_role
+    )
+    view = make_view(server_set, materialize=True)
+    frames, result = stored_frames(view, client_set, bound, server_role)
+    assert result.total_bits == reference.total_bits
+    assert result.num_rounds == reference.num_rounds
     assert frames == reference_frames
     assert result.success and reference.success
+
+
+@pytest.mark.parametrize("bound", [64, BOUND])
+def test_every_kv_rung_is_byte_identical_to_a_scratch_table(bound):
+    """kv's phase one is the fold ladder, not ibf's frames: every rung a
+    replica's live view serves (start tables and upper halves alike) is the
+    table ``IBLT.from_items`` builds at the rung's parameters."""
+    left, _ = kv_pair()
+    ctx = kv_context(ReconcileOptions(seed=SEED, difference_bound=bound))
+    view = left.view_for(SketchConfig(ctx.universe_size, ctx.seed))
+    rungs, _ = ladder_rungs(ctx, bound, 0)
+    assert len(rungs) == (3 if bound == 64 else 1)
+    for params in rungs:
+        served = view.rung_table(bound, params.num_cells)
+        scratch = IBLT.from_items(params, left.fingerprints)
+        assert served.params == params
+        assert served.serialize() == scratch.serialize()
+    for params in rungs[1:]:
+        assert view.rung_table(bound, params.num_cells).upper_half().serialize() == (
+            IBLT.from_items(params, left.fingerprints).upper_half().serialize()
+        )
+
+
+@pytest.mark.parametrize("server_role", ["alice", "bob"])
+def test_kv_phase_one_is_the_ladder_over_plain_sets(server_role):
+    """The fold ladder is written against the sketch-source seam: over the
+    replicas' fingerprint sets as plain sets (every rung built from scratch)
+    it sends kv's phase-one frames byte for byte, growth steps included."""
+    left, right = kv_pair(unique=25)  # d = 50 at bound 64: too many for 32 cells
+    bound = 64
+    ctx = kv_context(ReconcileOptions(seed=SEED, difference_bound=bound))
+    alice, bob = (left, right) if server_role == "alice" else (right, left)
+
+    def scratch_alice():
+        outcome, _ = yield from ladder_alice(
+            SetSource(alice.fingerprints, ctx), bound, len(bob), REQUEST_CODEC,
+            label="kv fingerprint IBLT",
+        )
+        return outcome
+
+    def scratch_bob():
+        outcome, difference = yield from ladder_bob_difference(
+            SetSource(bob.fingerprints, ctx), bound, len(alice), REQUEST_CODEC,
+            label="kv grow",
+        )
+        assert difference.positive == alice.fingerprints - bob.fingerprints
+        return outcome
+
+    transport = RecordingTransport()
+    reference = run_session(scratch_alice(), scratch_bob(), transport=transport)
+    frames, result = kv_frames(left, right, bound, server_role)
+    assert reference.success and result.success
+    assert "kv grow" in [label for _, label, _, _ in transport.frames]
+    assert frames[2 : 2 + len(transport.frames)] == transport.frames
 
 
 @pytest.mark.parametrize("bound", [BOUND, None])
@@ -217,6 +264,30 @@ def test_bob_rejects_dishonest_hash(source):
     )
     assert not result.success and result.recovered is None
     assert result.details["failure"] == "verification-hash"
+
+
+@pytest.mark.parametrize("source", ["scratch", "store"])
+def test_a_key_peeled_with_both_signs_never_verifies(source):
+    """A false pure cell and its echo can put one key in both halves of a
+    peel.  The store's O(d) XOR-fold hash and size toggle that key in and
+    out again, so they would pass it: bob's verification refuses it on
+    either source (it once let a small ladder rung through)."""
+    bob_set, alice_set = make_instance()
+    ctx = SetReconContext(UNIVERSE, SEED)
+    added, removed = alice_set - bob_set, bob_set - alice_set
+    echo = next(key for key in range(UNIVERSE) if key not in alice_set | bob_set)
+    bob = make_view(bob_set) if source == "store" else SetSource(bob_set, ctx)
+    alice_hash = set_verification_hash(SEED, alice_set)
+    outcome, difference = _verified_difference(
+        bob, DecodeResult(True, added | {echo}, removed | {echo}), alice_hash, len(alice_set)
+    )
+    assert not outcome.success and difference is None
+    assert outcome.details["failure"] == "verification-hash"
+    # The honest difference verifies: the refusal is the echo's doing.
+    outcome, difference = _verified_difference(
+        bob, DecodeResult(True, added, removed), alice_hash, len(alice_set)
+    )
+    assert outcome.success and difference.positive == added
 
 
 @pytest.mark.parametrize("source", ["scratch", "store"])
@@ -283,7 +354,12 @@ def frames_digest(frames):
 #: each dense or sparse): the same counters in 1,705 bits here instead of
 #: 8,192, and the same estimates and bounds, so ``_UNKNOWN_DETAILS`` held.
 #: All twelve were re-recorded once more when the default IBLT cell narrowed
-#: to a 4-bit wrapped count and a 16-bit checksum; the details held.
+#: to a 4-bit wrapped count and a 16-bit checksum; the details held.  The
+#: four kv entries were re-recorded once more when kv's known-bound phase one
+#: became the fold ladder: the verdict carries alice's size when the states
+#: differ, the table message drops its size field, and bob's pull gains the
+#: growth request's leading bit (bound 24 is a one-rung ladder, so no growth
+#: frame); the details held.
 _KNOWN_ALICE = "3d5e04d798bd558866e7639507913c12cfc46d357f619c2a850f0fd5435168b1"
 _UNKNOWN_ALICE = "bc853e67c67e3083ebfc236a894c77ed75b8ed2ea0109905b83f93797c48bda3"
 _KNOWN_BOB = "aff31bc28d2506996d1d251fa45790d55a489b683a8855dc3d67b99451f751d8"
@@ -297,10 +373,10 @@ FRAME_PINS = {
     ("store", "alice", None): _UNKNOWN_ALICE,
     ("store", "bob", BOUND): _KNOWN_BOB,
     ("store", "bob", None): _UNKNOWN_BOB,
-    ("kv", "alice", BOUND): "659025123254e7789c2d832dc3863b1ae8b3a33cf0c26a3e997ac51aeed95138",
-    ("kv", "alice", None): "0110d5532195f39bfbdf3fde5f8fd00853647c723874b02906cb4289b18a345e",
-    ("kv", "bob", BOUND): "be545dd26ebea5032973cf03d3aaa573004c68ec6e9000dda6e327c6e914e7db",
-    ("kv", "bob", None): "73c8c666a0c2920cb0dd7bd62f378e87d2aed181d014e2630c0aeb77d5d28dbb",
+    ("kv", "alice", BOUND): "fb18a6057ee93a7ad4aa3e45fea753440651f43e9871b73a374a814a583ac756",
+    ("kv", "alice", None): "2eb6ed2cd61e394f8244a4143fce51031794da6b629e38b6d6e09910e02b463a",
+    ("kv", "bob", BOUND): "63b6503826feefd735fcaea98f1327dff2f341d04867cdab408f29014855ecb6",
+    ("kv", "bob", None): "1a41df47988171b39219b4c6a41a9bf3032f3e87bf24ae6a4f851e562279c3a1",
 }
 
 #: ``ReconciliationResult.details`` of the same sessions at the same commit
