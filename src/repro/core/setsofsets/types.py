@@ -11,8 +11,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Iterator
 
-from repro.errors import ParameterError
-from repro.hashing.mix import all_ints
+from repro.hashing.mix import checked_keys
 
 
 class SetOfSets:
@@ -31,10 +30,7 @@ class SetOfSets:
 
     def __init__(self, children: Iterable[Iterable[int]]) -> None:
         frozen = frozenset(frozenset(child) for child in children)
-        # One flat pass over every element, type and sign settled in C.
-        elements = list(chain.from_iterable(frozen))
-        if not all_ints(elements) or (elements and min(elements) < 0):
-            raise ParameterError("child set elements must be non-negative integers")
+        checked_keys(chain.from_iterable(frozen), "child set elements", array_above=None)
         self._children = frozen
 
     # -- constructors ---------------------------------------------------------------

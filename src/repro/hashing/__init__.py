@@ -9,7 +9,9 @@ primitives here are:
   maps arbitrary byte strings / integers to integers of a requested width.
 * :class:`~repro.hashing.family.HashFamily` -- a family of independent seeded
   hashers derived from one seed, used for the k hash functions of an IBLT.
-* helpers for checksums and for mapping set elements to field elements.
+* helpers for checksums and for mapping set elements to field elements;
+* :func:`~repro.hashing.mix.checked_keys`, the one ingestion of a caller's
+  key batch: validated once, and a ``uint64`` array whenever one holds it.
 
 The IBLT inner-loop hashes (:class:`~repro.hashing.family.HashFamily` bucket
 choices and :class:`~repro.hashing.checksum.Checksum` values) are built on
@@ -23,7 +25,7 @@ whole-set verification hash and child-set hash.
 """
 
 from repro.hashing.prf import SeededHasher, derive_seed, int_to_bytes, bytes_to_int
-from repro.hashing.mix import HAS_NUMPY, fingerprint64, mix64
+from repro.hashing.mix import HAS_NUMPY, checked_keys, fingerprint64, mix64
 from repro.hashing.family import HashFamily
 from repro.hashing.checksum import Checksum
 
@@ -37,4 +39,5 @@ __all__ = [
     "mix64",
     "fingerprint64",
     "HAS_NUMPY",
+    "checked_keys",
 ]

@@ -31,11 +31,10 @@ from functools import cached_property
 from itertools import chain
 from typing import Any, Collection, Iterable, Sequence
 
-from repro.errors import ParameterError
 from repro.hashing.mix import (
     HAS_NUMPY,
     MASK64,
-    all_ints,
+    checked_keys,
     fingerprint64,
     is_key_array,
     mix64,
@@ -49,19 +48,6 @@ if HAS_NUMPY:
 #: Up to this many keys the scalar fold beats the array set-up (measured
 #: crossover: ~1 us per key against ~12 us fixed).
 _BATCH_CUTOFF = 16
-
-
-def checked_elements(values: Iterable[int]) -> list[int]:
-    """The elements as a list, refusing what the two fold routes would hash
-    differently: ``fromiter`` truncates floats and NumPy 1.x wraps negatives
-    into ``uint64``, where the scalar route raises ``TypeError`` /
-    ``OverflowError``."""
-    elements = list(values)
-    if not all_ints(elements):
-        raise ParameterError("set elements must be Python integers")
-    if elements and min(elements) < 0:
-        raise ParameterError("set elements must be non-negative")
-    return elements
 
 
 @dataclass(frozen=True)
@@ -115,25 +101,21 @@ class Checksum:
         through :func:`~repro.hashing.mix.fingerprint64` as IBLT keys are.
         A ``uint64`` array is valid by its dtype and is not checked again.
         """
-        return self.of_checked(values if is_key_array(values) else checked_elements(values))
+        return self.of_checked(checked_keys(values, array_above=_BATCH_CUTOFF))
 
-    def of_checked(self, elements: Collection[int] | Any) -> int:
-        """:meth:`of_set` of elements validated already: what
-        :func:`checked_elements` returned (or a set of such ints), or a
-        ``uint64`` array, which its dtype validates."""
-        if is_key_array(elements):
-            if HAS_NUMPY and self.bits <= 64:
-                return int(_np.bitwise_xor.reduce(self.of_keys_array(elements)))
-            elements = elements.tolist()
-        checks = self._checks_array(elements)
+    def of_checked(self, keys: Collection[int] | Any) -> int:
+        """:meth:`of_set` of keys validated already: what
+        :func:`~repro.hashing.mix.checked_keys` returned."""
+        checks = self._checks_array(keys)
         if checks is not None:
             return int(_np.bitwise_xor.reduce(checks))
-        return self._fold(elements)
+        return self._fold(keys)
 
     def of_sets(self, sets: Sequence[Collection[int]]) -> list[int]:
         """:meth:`of_set` of each set, in order (one flat pass over all of them)."""
-        elements = checked_elements(chain.from_iterable(sets))
-        checks = self._checks_array(elements)
+        checks = self._checks_array(
+            checked_keys(chain.from_iterable(sets), array_above=_BATCH_CUTOFF)
+        )
         if checks is None:
             return [self._fold(members) for members in sets]
         sizes = _np.fromiter(map(len, sets), dtype=_np.int64, count=len(sets))
@@ -147,25 +129,18 @@ class Checksum:
         )
         return folds.tolist()
 
-    def _fold(self, elements: Iterable[int]) -> int:
-        """Scalar route of the folds (validated elements, any width)."""
+    def _fold(self, keys: Iterable[int] | Any) -> int:
+        """Scalar route of the folds (validated keys, any width)."""
         combined = 0
-        for element in elements:
-            combined ^= self.of_key(element)
+        for key in keys.tolist() if is_key_array(keys) else keys:
+            combined ^= self.of_key(key)
         return combined
 
-    def _checks_array(self, elements: Collection[int]) -> Any:
-        """Per-element checksums as a ``uint64`` array, or ``None`` when the
-        scalar route applies (no NumPy, a wide key or checksum, few keys)."""
-        if (
-            HAS_NUMPY
-            and self.bits <= 64
-            and len(elements) > _BATCH_CUTOFF
-            and max(elements) >> 64 == 0
-        ):
-            return self.of_keys_array(
-                _np.fromiter(elements, dtype=_np.uint64, count=len(elements))
-            )
+    def _checks_array(self, keys: Collection[int] | Any) -> Any:
+        """Per-key checksums of a ``uint64`` key array, or ``None`` when the
+        scalar route applies (a list, no NumPy, a checksum past 64 bits)."""
+        if is_key_array(keys) and HAS_NUMPY and self.bits <= 64:
+            return self.of_keys_array(keys)
         return None
 
     if HAS_NUMPY:

@@ -13,7 +13,10 @@ vectorize.  This module defines the mixing function both paths use instead:
   the mixers consume.  Keys that already fit in 64 bits are used as-is (so
   the scalar and vectorized paths agree without any hashing); wider keys
   (e.g. serialized child IBLTs used as parent-table keys, Section 3.2) are
-  folded through BLAKE2b once per key.
+  folded through BLAKE2b once per key;
+* :func:`checked_keys` -- the one ingestion of a caller's key batch, which
+  refuses what the two paths would hash differently and hands the batch
+  paths their ``uint64`` array.
 
 Cross-backend determinism rests on this file: every cell-store backend
 (:mod:`repro.iblt.backends`) derives bucket indices and checksums from these
@@ -24,7 +27,9 @@ backend computed them.
 from __future__ import annotations
 
 import hashlib
-from typing import Collection
+from typing import Any, Iterable
+
+from repro.errors import ParameterError
 
 MASK64 = (1 << 64) - 1
 
@@ -68,20 +73,6 @@ def fingerprint64(key: int) -> int:
 _INT_TYPES = frozenset({int, bool})
 
 
-def all_ints(keys: Collection[object]) -> bool:
-    """True when every key in the (re-iterable) batch is a Python ``int``.
-
-    The batch paths must refuse anything else before NumPy sees it
-    (``fromiter`` / ``asarray`` would truncate floats), and checking a large
-    batch with one ``isinstance`` call per key costs more than hashing it:
-    exact ``int`` / ``bool`` batches are settled in one C-level pass, and only
-    batches holding some other type (an ``int`` subclass at best) pay the loop.
-    """
-    return set(map(type, keys)) <= _INT_TYPES or all(
-        isinstance(key, int) for key in keys
-    )
-
-
 def is_key_array(values: object) -> bool:
     """True for a one-dimensional NumPy ``uint64`` array: a batch of keys
     below ``2**64`` that its dtype has already validated (no float, no
@@ -92,6 +83,39 @@ def is_key_array(values: object) -> bool:
         and values.dtype == _np.uint64
         and values.ndim == 1
     )
+
+
+def checked_keys(
+    values: Iterable[int] | Any, what: str = "set elements", *, array_above: int | None = 0
+) -> list[int] | Any:
+    """The one ingestion of a batch of keys: validated once, in one form.
+
+    A ``uint64`` array when NumPy is present, there are more than
+    ``array_above`` keys (``None``: never) and every key is below ``2**64``;
+    else the checked list.  A ``uint64`` array comes back as it is (its dtype
+    validated it).  Refused, as :class:`~repro.errors.ParameterError` naming
+    ``what``: anything not an ``int`` (a float, even ``2.0``, which
+    ``fromiter`` would truncate; a NumPy scalar; a string; ``None``) and a
+    negative key (NumPy 1.x wraps it into ``uint64``).  ``bool`` and ``int``
+    subclasses are ints.  The type check is one C-level pass over the key
+    types; only a batch holding another type (an ``int`` subclass at best)
+    pays an ``isinstance`` per key.
+    """
+    if is_key_array(values):
+        return values
+    keys = list(values)
+    if not set(map(type, keys)) <= _INT_TYPES and not all(
+        isinstance(key, int) for key in keys
+    ):
+        raise ParameterError(f"{what} must be Python integers")
+    if keys and min(keys) < 0:
+        raise ParameterError(f"{what} must be non-negative")
+    if HAS_NUMPY and array_above is not None and len(keys) > array_above:
+        try:
+            return _np.fromiter(keys, dtype=_np.uint64, count=len(keys))
+        except OverflowError:  # a key of 2**64 or more: the list it is
+            pass
+    return keys
 
 
 if HAS_NUMPY:

@@ -42,7 +42,7 @@ from typing import Any, ClassVar, NamedTuple, Sequence
 from repro.config import register_cell_backend
 from repro.errors import CapacityError, ParameterError
 from repro.hashing import Checksum, HashFamily
-from repro.hashing.mix import HAS_NUMPY, all_ints, fingerprint64
+from repro.hashing.mix import HAS_NUMPY, checked_keys, fingerprint64, is_key_array
 
 if HAS_NUMPY:
     import numpy as _np
@@ -494,13 +494,11 @@ class NumpyCellStore(CellStore):
         return batch
 
     def _checked_batch(self, keys, key_bits):
-        # np.asarray would silently truncate floats (1.5 -> 1) and, on
-        # NumPy 1.x, wrap negative ints into uint64 -- both would break the
-        # exact-parity guarantee, so check types and signs explicitly.
-        if not all_ints(keys):
-            raise ParameterError("IBLT keys must be Python integers")
-        if keys and min(keys) < 0:
-            raise ParameterError("IBLT keys must be non-negative")
+        # Types and signs are checked before NumPy sees a key (it would
+        # truncate a float and, on 1.x, wrap a negative): exact parity.
+        keys = checked_keys(keys, "IBLT keys", array_above=0 if self.num_limbs == 1 else None)
+        if is_key_array(keys):
+            return KeyBatch(keys, keys)
         try:
             return self.coerce_keys(keys)
         except (OverflowError, TypeError, ValueError):

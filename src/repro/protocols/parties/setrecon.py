@@ -21,8 +21,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from itertools import chain
+from functools import cached_property, lru_cache, partial
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
@@ -45,12 +44,11 @@ from repro.core.setrecon.cpi import (
     cpi_encode,
     field_for_universe,
 )
-from repro.core.setrecon.difference import apply_difference, max_element_bits
+from repro.core.setrecon.difference import max_element_bits
 from repro.errors import ParameterError
 from repro.estimator import L0Estimator
 from repro.hashing import Checksum, derive_seed
-from repro.hashing.checksum import checked_elements
-from repro.hashing.mix import HAS_NUMPY, is_key_array
+from repro.hashing.mix import HAS_NUMPY, checked_keys, is_key_array
 from repro.iblt import IBLT, DecodeResult, IBLTParameters
 from repro.iblt.backends import KeyBatch
 from repro.iblt.sizing import capacity_of
@@ -267,11 +265,12 @@ class SetSource:
     ``items`` is a collection of non-negative ints or a ``uint64`` array (a
     graph's :meth:`~repro.graphs.graph.Graph.edge_key_array`), which the
     source then holds as a :class:`KeyArrayView`.  The source validates the
-    items once, at construction -- a collection through
-    :func:`~repro.hashing.checksum.checked_elements`, an array by its dtype --
-    and settles their one form there: a ``uint64`` array when NumPy is present
+    items once, at construction, through
+    :func:`~repro.hashing.mix.checked_keys` (an array by its dtype), which
+    settles their one form there: a ``uint64`` array when NumPy is present
     and every key is below ``2**64``, else the checked list.  The table build,
-    Bob's delete, the set hash and the estimator all reuse it; only the
+    Bob's delete, the set hash (computed once) and the estimator all reuse
+    it; only the
     pure-Python cell store (``backend="python"``, or a key too wide for one
     limb) is handed the array as a list.
     """
@@ -287,17 +286,11 @@ class SetSource:
         items = self.items
         if isinstance(items, KeyArrayView):
             items = items.array
-        keys: list[int] | KeyArray
         if is_key_array(items):
             if self.ctx.universe_size > 1 << 64:
                 raise ParameterError("a uint64 key array needs a universe of at most 2**64")
-            keys = items
             object.__setattr__(self, "items", KeyArrayView(items))
-        else:
-            keys = checked_elements(items)
-            if HAS_NUMPY and not (keys and max(keys) >> 64):
-                keys = _np.fromiter(keys, dtype=_np.uint64, count=len(keys))
-        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "keys", checked_keys(items))
 
     def _batch_for(self, table: IBLT) -> KeyBatch | list[int]:
         """The keys as ``table``'s cell store takes them without checking
@@ -313,7 +306,7 @@ class SetSource:
     def size(self) -> int:
         return len(self.keys)
 
-    @property
+    @cached_property
     def set_hash(self) -> int:
         return _verification_checksum(self.ctx.seed).of_checked(self.keys)
 
@@ -351,31 +344,50 @@ class SetSource:
         (``elements`` is ``None`` from a source that does not materialize sets).
 
         The elements come in the form the source was given -- a ``set`` for a
-        collection, a ``uint64`` array for an array -- and the hash is of them.
+        collection, a ``uint64`` array for an array -- and the hash is of them,
+        in O(d): the set fold is linear, so the set's own hash changes by the
+        checksums of exactly the keys whose membership the difference flips.
         """
-        items = self.items
-        recovered: set[int] | KeyArray
-        if isinstance(items, KeyArrayView):
-            recovered = _array_with_difference(items.array, added, removed)
-        else:
-            # The checked items themselves: ``keys`` may be their array.
-            recovered = apply_difference(items, added, removed)
         checksum = _verification_checksum(self.ctx.seed)
-        return checksum.of_checked(recovered), len(recovered), recovered
+        items = self.items
+        if isinstance(items, KeyArrayView):
+            array, flipped = _array_with_difference(items.array, added, removed)
+            return self.set_hash ^ checksum.of_checked(flipped), len(array), array
+        recovered = set(items)
+        # ``set_hash`` folds every item and a repeated one cancels; the
+        # recovered set's hash is of its distinct keys.
+        recovered_hash = (
+            self.set_hash
+            if len(recovered) == self.size
+            else checksum.of_set(recovered)
+        )
+        for key in removed:
+            if key in recovered:
+                recovered.remove(key)
+                recovered_hash ^= checksum.of_key(key)
+        for key in added:
+            if key not in recovered:
+                recovered.add(key)
+                recovered_hash ^= checksum.of_key(key)
+        return recovered_hash, len(recovered), recovered
 
 
 def _array_with_difference(
     keys: KeyArray, added: Collection[int], removed: Collection[int]
-) -> KeyArray:
+) -> tuple[KeyArray, KeyArray]:
     """:func:`apply_difference` on a ``uint64`` array, without sorting it:
-    every key the difference names leaves, then each added key comes back once."""
-    fresh = set(added)
-    named = _np.fromiter(
-        chain(removed, fresh), dtype=_np.uint64, count=len(removed) + len(fresh)
-    )
-    kept = keys[_np.isin(keys, named, invert=True)] if named.size else keys
-    return _np.concatenate(
-        [kept, _np.fromiter(fresh, dtype=_np.uint64, count=len(fresh))]
+    every key the difference names leaves, then each added key comes back
+    once.  Returns the new array and the keys that flipped its hash -- every
+    copy that left, then every key that came back -- so that the new array's
+    fold is the old one's XOR theirs."""
+    fresh = _np.fromiter(set(added), dtype=_np.uint64, count=-1)
+    named = _np.concatenate([_np.fromiter(removed, dtype=_np.uint64, count=-1), fresh])
+    if not named.size:
+        return keys.copy(), named
+    leaving = _np.isin(keys, named)
+    return (
+        _np.concatenate([keys[~leaving], fresh]),
+        _np.concatenate([keys[leaving], fresh]),
     )
 
 

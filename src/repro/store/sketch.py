@@ -36,9 +36,10 @@ tables persist via :meth:`~repro.iblt.table.IBLT.serialize`) plus an
 append-only :class:`~repro.store.journal.Journal` of
 :data:`~repro.store.journal.UPDATES` entries.  Restart loads the snapshot
 and replays the journal suffix; a snapshot or table whose recorded
-parameters disagree with what its recorded config would derive today, or
-a journal suffix that does not decode or apply, is discarded and counted
-as an invalidation (see
+parameters disagree with what its recorded config would derive today, a
+journal suffix that does not decode or apply, or a replayed state whose
+size or whole-set hash disagrees with the supplied dataset's, is discarded
+and counted as an invalidation (see
 :meth:`~repro.store.config.SketchConfig.admits_params`).
 
 Metrics are duck-typed: any object with the ``record_store_*`` /
@@ -250,14 +251,31 @@ class SketchStore:
             return None
         if replayed:
             self._metric("record_journal_replay", len(replayed))
-        if dataset is not None and entry.size != len(dataset):
-            # The dataset changed without going through apply(): every
+        if dataset is not None and (
+            entry.size != len(dataset) or self._hash_disagrees(entry, dataset)
+        ):
+            # The dataset changed without going through apply(), or the
+            # journal lost or doubled a batch that kept the size: every
             # cached sketch is suspect.  Drop the persisted state too.
             self._metric("record_store_invalidation")
             journal.unlink()
             path.unlink(missing_ok=True)
             return None
         return entry
+
+    @staticmethod
+    def _hash_disagrees(entry: _DatasetEntry, dataset: Any) -> bool:
+        """Whether a replayed whole-set hash differs from the supplied
+        dataset's: O(n) once per load and per seed, against a size check
+        that a batch of as many inserts as deletes passes."""
+        replayed = {
+            family.config.seed: family.hash
+            for family in entry.families.values()
+            if family.hash is not None
+        }
+        return any(
+            value != _verification_hash(seed, dataset) for seed, value in replayed.items()
+        )
 
     def _entry_from_snapshot(self, key: str, body: dict[str, Any]) -> _DatasetEntry:
         entry = _DatasetEntry(key, int(body["size"]))

@@ -4,7 +4,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import reconcile
 from repro.core.setrecon import apply_difference, symmetric_difference_size
@@ -12,6 +12,8 @@ from repro.errors import ParameterError
 from repro.hashing import HAS_NUMPY
 
 UNIVERSE = 1 << 24
+#: Small key sets with one key past 2**64 in reach (the list route).
+KEYS = st.sets(st.integers(0, 12) | st.just((1 << 64) + 3), max_size=8)
 
 ibf = functools.partial(reconcile, protocol="ibf", universe_size=UNIVERSE)
 
@@ -170,6 +172,77 @@ class TestSetSource:
             == reference.difference_from(table).serialize()
         )
         assert source.estimator(1).query() == reference.estimator(1).query()
+
+    @pytest.mark.parametrize("form", ["set", "list", "array"])
+    @given(base=KEYS, added=KEYS, removed=KEYS)
+    @example(base={1, 2}, added={1, 3}, removed={2, 4})  # added in B, removed not
+    @example(base={1, 2}, added={3, 2}, removed={2, 3})  # added meets removed
+    @example(base={1, 2}, added=set(), removed=set())  # empty difference
+    @example(base=set(), added={5}, removed={5})
+    @settings(max_examples=60, deadline=None)
+    def test_the_o_d_hash_equals_the_materialized_one(self, form, base, added, removed):
+        """Bob's hash is his own XOR the checksums of the keys whose
+        membership flips; it must equal hashing what he materializes, for any
+        base set and any difference, a forged one included."""
+        from repro.protocols.parties.setrecon import (
+            SetReconContext,
+            SetSource,
+            set_verification_hash,
+        )
+
+        if form == "array":
+            if not HAS_NUMPY:
+                pytest.skip("needs NumPy")
+            import numpy as np
+
+            # A key array holds keys below 2**64, and so does its difference.
+            base, added, removed = ({key for key in keys if key >> 64 == 0}
+                                    for keys in (base, added, removed))
+            items = np.array(sorted(base), dtype=np.uint64)
+        else:
+            items = base if form == "set" else sorted(base) + sorted(base)[:2]
+        universe = 1 << (64 if form == "array" else 80)
+        source = SetSource(items, SetReconContext(universe_size=universe, seed=7))
+        recovered_hash, size, recovered = source.with_difference(added, removed)
+        expected = apply_difference(base, added, removed)
+        assert sorted(recovered.tolist() if form == "array" else recovered) == sorted(expected)
+        assert size == len(recovered) == len(expected)
+        assert recovered_hash == set_verification_hash(7, recovered)
+
+    def test_bob_hashes_his_set_once_and_the_difference(self, monkeypatch):
+        """One ``ibf`` session at n = 4,096 and d = 16: Bob's verification
+        hashes his n keys and O(d) flipped ones, not a second pass of n."""
+        from repro.hashing import Checksum
+        from repro.protocols.parties import setrecon
+        from repro.protocols.session import run_session
+
+        alice, bob = make_instance(4096, 16, seed=41)
+        ctx = setrecon.SetReconContext(UNIVERSE, seed=42)
+        alice_source = setrecon.SetSource(alice, ctx)
+        alice_source.set_hash  # noqa: B018 - Alice's hash is not Bob's work
+        verification = setrecon._verification_checksum(ctx.seed)
+        hashed = {"of_key": 0, "of_keys_array": 0}
+
+        def spying(name):
+            original = getattr(Checksum, name)
+
+            def counted(self, keys):
+                if self is verification:
+                    hashed[name] += 1 if name == "of_key" else len(keys)
+                return original(self, keys)
+
+            monkeypatch.setattr(Checksum, name, counted)
+
+        spying("of_key")
+        if HAS_NUMPY:
+            spying("of_keys_array")
+        bob_party = setrecon.ibf_bob(setrecon.SetSource(bob, ctx), 32)
+        result = run_session(setrecon.ibf_alice(alice_source, 32), bob_party)
+        assert result.success and result.recovered == alice
+        # Each flipped key once, and with NumPy Bob's own keys in one array pass.
+        assert sum(hashed.values()) == len(bob) + 16
+        if HAS_NUMPY:
+            assert hashed == {"of_key": 16, "of_keys_array": len(bob)}
 
     def test_an_array_source_reads_as_a_set(self):
         source = self.source("array")

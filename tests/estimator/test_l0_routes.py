@@ -150,6 +150,49 @@ def test_a_zero_level_hash_is_sampled_into_every_level(size):
     assert wire(estimator) == reference_wire(counters)
 
 
+def one_pass_and_scalar(seed, num_levels, keys, side):
+    """The counters the one-pass array route and the per-key scalar route leave."""
+    import numpy as np
+
+    delta = 1 if side == 1 else 3
+    one_pass, scalar = L0Estimator(seed, num_levels), L0Estimator(seed, num_levels)
+    one_pass._add_array(np.array(keys, dtype=np.uint64), delta)
+    for key in keys:
+        scalar._add_one(key, delta)
+    return bytes(one_pass._counters), bytes(scalar._counters)
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="the array route needs NumPy")
+@pytest.mark.parametrize("side", [1, 2])
+@pytest.mark.parametrize("num_levels", [4, 32])
+@pytest.mark.parametrize("size", [0, 1, 300, 5000])
+def test_the_one_pass_route_equals_the_scalar_route(side, num_levels, size):
+    """At 4 levels about one key in eight reaches the cap; at 32 none does
+    but the zero-hash key, which is in the batch."""
+    seed = 23
+    keys = random.Random(size).sample(range(1 << 40), size)
+    if size:
+        keys[0] = derive_seed(seed, "l0-level") & MASK64  # level hash 0
+    one_pass, scalar = one_pass_and_scalar(seed, num_levels, keys, side)
+    assert one_pass == scalar
+    assert any(one_pass) == bool(size)
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="the array route needs NumPy")
+@pytest.mark.parametrize("side", [1, 2])
+def test_a_key_past_the_top_level_lands_on_every_level(side):
+    """A level hash with at least ``num_levels`` trailing zeros is capped at
+    the top level, on both routes."""
+    seed, num_levels = 5, 4
+    level_seed = derive_seed(seed, "l0-level") & MASK64
+    key = next(
+        key for key in range(1, 1 << 16) if mix64(key ^ level_seed) & ((1 << num_levels) - 1) == 0
+    )
+    one_pass, scalar = one_pass_and_scalar(seed, num_levels, [key], side)
+    assert one_pass == scalar
+    assert one_pass.count(1 if side == 1 else 3) == num_levels
+
+
 # -- the one typed refusal -------------------------------------------------------------
 
 

@@ -242,6 +242,43 @@ def test_restart_with_out_of_band_dataset_change_invalidates(tmp_path):
     reopened.close()
 
 
+@pytest.mark.parametrize("fault", ["dropped", "doubled"])
+def test_a_lost_or_doubled_size_preserving_batch_invalidates(tmp_path, fault):
+    """Four inserts and four deletes keep the size, so a journal that lost
+    (or doubled) such a batch passes the size check: the replayed whole-set
+    hash is what tells the state apart from the supplied dataset."""
+    dataset = make_dataset()
+    config = SketchConfig(UNIVERSE, seed=SEED)
+    store = SketchStore(tmp_path)
+    store.table_for("d", config, 20, dataset)
+    store.verification_hash("d", config, dataset)
+    store.snapshot("d")
+    fresh = iter(range(UNIVERSE - 1, 0, -1))
+    for _ in range(2):
+        inserted = [next(key for key in fresh if key not in dataset) for _ in range(4)]
+        deleted = sorted(dataset)[:4]
+        store.apply("d", inserted, deleted)
+        dataset = (dataset - set(deleted)) | set(inserted)
+    store.close()
+    journal = tmp_path / "d.journal.jsonl"
+    first, second = journal.read_text(encoding="utf-8").splitlines()
+    if fault == "dropped":
+        lines = [first]
+    else:
+        lines = [first, second, json.dumps({**json.loads(second), "seq": 3})]
+    journal.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+    metrics = ServiceMetrics()
+    reopened = SketchStore(tmp_path, metrics=metrics)
+    live = reopened.table_for("d", config, 20, dataset)
+    assert metrics.store_invalidations == 1
+    assert live.serialize() == fresh_table(config, 20, dataset).serialize()
+    assert reopened.verification_hash("d", config, dataset) == set_verification_hash(
+        SEED, dataset
+    )
+    reopened.close()
+
+
 def _snapshot_then_journal(tmp_path, dataset, config, lines):
     """A snapshot of ``dataset`` at seq 0, then a journal of raw ``lines``."""
     store = SketchStore(tmp_path)
