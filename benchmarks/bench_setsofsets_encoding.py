@@ -9,12 +9,11 @@ structured protocol; the batched pipeline
 ``(child_index, element)`` pairs, hashes the whole flat array once and
 scatters it into one ``(s, num_cells)`` cell tensor.
 
-This benchmark times both paths per cell-store backend, asserting
-bit-identical encodings throughout, and runs one full
-``protocol="iblt_of_iblts"`` exchange per backend asserting identical
-transcripts and recovered sets.  The acceptance bar is a >= 4x ``encode_all``
-speedup over the per-child loop at ``s = 2000`` small children on the numpy
-backend.
+This benchmark times both paths, asserting bit-identical encodings
+throughout, and runs one full ``protocol="iblt_of_iblts"`` exchange under
+every accepted ``backend=`` name asserting identical transcripts and
+recovered sets.  The acceptance bar is a >= 4x ``encode_all`` speedup over
+the per-child loop at ``s = 2000`` small children.
 
 Run under pytest like the other benchmarks (the small-``s`` cases double as
 the CI smoke test), or standalone::
@@ -40,7 +39,7 @@ from repro.bench.reporting import write_benchmark_record
 from repro.core.setsofsets.encoding import ChildEncodingScheme
 from repro import reconcile
 from repro.core.setsofsets.types import SetOfSets
-from repro.iblt import IBLTParameters, NumpyCellStore
+from repro.iblt import IBLTParameters
 
 UNIVERSE = 1 << 20
 CHILD_SIZE = 8
@@ -48,8 +47,8 @@ CHILD_DIFFERENCE_BOUND = 4  # sizes the per-child sketches (small children)
 CHILD_HASH_BITS = 48
 S_VALUES = (500, 2000)
 HEADLINE_S = 2000
-SPEEDUP_FLOOR = 4.0  # acceptance bar for encode_all at s = HEADLINE_S, numpy
-ROUNDS = 5  # interleaved measurement rounds per (backend, s)
+SPEEDUP_FLOOR = 4.0  # acceptance bar for encode_all at s = HEADLINE_S
+ROUNDS = 5  # measurement rounds per s
 
 
 def _scheme(seed: int = DEFAULT_SEED) -> ChildEncodingScheme:
@@ -73,57 +72,53 @@ def _children(num_children: int, seed: int = 7) -> list[frozenset[int]]:
     ]
 
 
-def _time_paths(scheme, children, backend: str) -> tuple[float, float, list[int]]:
-    """One timed run of (per-child loop, batch) on one backend."""
+def _time_paths(scheme, children) -> tuple[float, float, list[int]]:
+    """One timed run of (per-child loop, batch)."""
     start = time.perf_counter()
-    loop_keys = [scheme.encode(child, backend=backend) for child in children]
+    loop_keys = [scheme.encode(child) for child in children]
     loop_s = time.perf_counter() - start
     start = time.perf_counter()
-    batch_keys = scheme.encode_all(children, backend=backend)
+    batch_keys = scheme.encode_all(children)
     batch_s = time.perf_counter() - start
-    assert batch_keys == loop_keys, f"{backend}: batch encodings differ from loop"
+    assert batch_keys == loop_keys, "batch encodings differ from loop"
     return loop_s, batch_s, batch_keys
 
 
 def compare(
     s_values=S_VALUES, rounds: int = ROUNDS, seed: int = DEFAULT_SEED
 ) -> list[dict]:
-    """Time both paths per backend and s; assert bit-identical encodings.
+    """Time both paths per s; assert bit-identical encodings.
 
-    Measurement rounds for the two backends are interleaved so load spikes
-    on shared machines hit both sides, and best-of-round times are compared
-    (the standard microbenchmark guard against one-sided noise).
+    Best-of-round times are compared (the standard microbenchmark guard
+    against one-sided noise).
     """
-    backends = ["python"] + (["numpy"] if NumpyCellStore.available() else [])
     scheme = _scheme(seed)
     rows = []
     for num_children in s_values:
         children = _children(num_children, seed=seed + 7)
-        best = {backend: [float("inf"), float("inf")] for backend in backends}
-        keys = {}
+        loop_best = batch_best = float("inf")
         for _ in range(rounds):
-            for backend in backends:
-                loop_s, batch_s, batch_keys = _time_paths(scheme, children, backend)
-                best[backend][0] = min(best[backend][0], loop_s)
-                best[backend][1] = min(best[backend][1], batch_s)
-                keys[backend] = batch_keys
-        assert len(set(map(tuple, keys.values()))) == 1, "encodings differ by backend"
-        row: dict = {"s": num_children, "child_size": CHILD_SIZE}
-        for backend in backends:
-            loop_s, batch_s = best[backend]
-            row[backend] = {
-                "encode_loop_s": round(loop_s, 6),
-                "encode_all_s": round(batch_s, 6),
+            loop_s, batch_s, _ = _time_paths(scheme, children)
+            loop_best = min(loop_best, loop_s)
+            batch_best = min(batch_best, batch_s)
+        rows.append(
+            {
+                "s": num_children,
+                "child_size": CHILD_SIZE,
+                "numpy": {
+                    "encode_loop_s": round(loop_best, 6),
+                    "encode_all_s": round(batch_best, 6),
+                },
+                "speedup": round(loop_best / batch_best, 2),
+                "identical_encodings": True,
             }
-            if backend == "numpy":
-                row["speedup"] = round(loop_s / batch_s, 2)
-        row["identical_encodings"] = True
-        rows.append(row)
+        )
     return rows
 
 
 def protocol_cross_backend(num_children: int = 64, seed: int = 11) -> dict:
-    """One flat IBLT-of-IBLTs exchange per backend: identical transcripts."""
+    """One flat IBLT-of-IBLTs exchange per accepted ``backend=`` name:
+    identical transcripts."""
     rng = random.Random(seed)
     children = _children(num_children, seed=seed)
     bob_children = [set(child) for child in children]
@@ -131,7 +126,7 @@ def protocol_cross_backend(num_children: int = 64, seed: int = 11) -> dict:
         bob_children[index].add(rng.randrange(UNIVERSE))
     alice = SetOfSets(children)
     bob = SetOfSets(bob_children)
-    backends = ["python"] + (["numpy"] if NumpyCellStore.available() else [])
+    backends = [None, "auto", "numpy"]
     results = {}
     for backend in backends:
         result = reconcile(
@@ -160,25 +155,18 @@ def protocol_cross_backend(num_children: int = 64, seed: int = 11) -> dict:
 # pytest entry points (the small-s cases are the CI smoke test)
 # ---------------------------------------------------------------------------
 
-import pytest
 
-
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_encode_smoke_small_s(benchmark, backend):
-    """Loop-vs-batch encoding at small s under each backend (CI smoke)."""
+def test_encode_smoke_small_s(benchmark):
+    """Loop-vs-batch encoding at small s (CI smoke)."""
     from conftest import run_once
 
-    if backend == "numpy" and not NumpyCellStore.available():
-        pytest.skip("NumPy not installed")
     scheme = _scheme()
     children = _children(200)
-    loop_s, batch_s, batch_keys = run_once(
-        benchmark, _time_paths, scheme, children, backend
-    )
+    loop_s, batch_s, batch_keys = run_once(benchmark, _time_paths, scheme, children)
     assert len(batch_keys) == 200
 
 
-def test_identical_encodings_across_backends(benchmark):
+def test_identical_encodings_loop_and_batch(benchmark):
     from conftest import run_once
 
     rows = run_once(benchmark, compare, s_values=(200,), rounds=1)
@@ -192,9 +180,8 @@ def test_identical_protocol_transcripts(benchmark):
     assert row["identical_transcripts"] and row["identical_recovered_sets"]
 
 
-@pytest.mark.skipif(not NumpyCellStore.available(), reason="NumPy not installed")
 def test_numpy_encode_all_speedup_floor(benchmark):
-    """The tentpole acceptance check: >= 4x encode_all at s=2000, numpy."""
+    """The acceptance check: >= 4x encode_all at s=2000."""
     from conftest import run_once
 
     rows = run_once(benchmark, compare, s_values=(HEADLINE_S,))
@@ -206,18 +193,14 @@ def main() -> None:
         "Sets-of-sets child-encoding comparison",
         Path(__file__).resolve().parent.parent / "BENCH_setsofsets.json",
     ).parse_args()
-    if not NumpyCellStore.available():
-        sys.exit("NumPy is required for the sets-of-sets encoding comparison")
     rows = compare(seed=args.seed)
     for row in rows:
-        numpy_times = row["numpy"]
-        python_times = row["python"]
+        times = row["numpy"]
         print(
             f"s={row['s']:>5}  "
-            f"loop={numpy_times['encode_loop_s']*1000:8.2f} ms  "
-            f"batch={numpy_times['encode_all_s']*1000:7.2f} ms  "
-            f"speedup={row['speedup']:.1f}x  "
-            f"(python loop={python_times['encode_loop_s']*1000:.2f} ms)"
+            f"loop={times['encode_loop_s']*1000:8.2f} ms  "
+            f"batch={times['encode_all_s']*1000:7.2f} ms  "
+            f"speedup={row['speedup']:.1f}x"
         )
     protocol_row = protocol_cross_backend(seed=args.seed)
     headline = next(row for row in rows if row["s"] == HEADLINE_S)
@@ -231,9 +214,9 @@ def main() -> None:
         output,
         benchmark="bench_setsofsets_encoding",
         description=(
-            "Per-child loop vs batched IBLTArray child encoding per cell-store "
-            "backend; bit-identical encodings, transcripts and recovered sets "
-            "asserted across backends"
+            "Per-child loop vs batched IBLTArray child encoding; bit-identical "
+            "encodings, and transcripts and recovered sets asserted across the "
+            "accepted backend names"
         ),
         config=benchmark_config(args.seed, s_values=list(S_VALUES)),
         universe=UNIVERSE,

@@ -1,7 +1,7 @@
 """repro -- Reconciling Graphs and Sets of Sets (Mitzenmacher & Morgan, PODS 2018).
 
-A pure-Python reference implementation of the paper's data structures and
-protocols:
+A Python implementation of the paper's data structures and protocols, with
+NumPy (a required dependency) carrying the IBLT cells and every batch hash:
 
 * set reconciliation (IBLT and characteristic-polynomial protocols),
 * the set-difference estimator,
@@ -30,13 +30,9 @@ Quickstart::
 
 from repro.comm import ReconciliationResult, Transcript
 from repro.config import (
-    available_cell_backends,
     available_field_kernels,
-    cell_backend_names,
-    default_cell_backend,
     default_field_kernel,
     field_kernel_names,
-    set_default_cell_backend,
     set_default_field_kernel,
 )
 from repro.field import use_kernel
@@ -73,10 +69,6 @@ __all__ = [
     "InMemoryTransport",
     "SerializingTransport",
     "SocketTransport",
-    "available_cell_backends",
-    "cell_backend_names",
-    "default_cell_backend",
-    "set_default_cell_backend",
     "available_field_kernels",
     "field_kernel_names",
     "default_field_kernel",

@@ -1,7 +1,7 @@
 """Domain-aware static analysis for the reconciliation codebase.
 
 The test suite enforces the repo's core guarantee -- byte-identical
-transcripts across backend tiers, field kernels and transports --
+transcripts across field kernels and transports --
 *dynamically*; this package enforces the invariants that make those tests
 meaningful *statically*, at lint time:
 

@@ -1,8 +1,8 @@
 """R6xx: registry / documentation / test-coverage consistency.
 
-The three registries (protocols, cell-store backends, field kernels) are the
-source of truth for what the library serves.  Everything that *describes*
-them -- the README protocol table, the docs pages, and the cross-transport
+The two registries (protocols, field kernels) are the source of truth for
+what the library serves.  Everything that *describes* them -- the README
+protocol table, the docs pages, and the cross-transport
 determinism coverage list in the test suite -- must agree, or a freshly
 registered protocol could ship unserved, undocumented, and untested without
 any test noticing.
@@ -14,8 +14,8 @@ any test noticing.
   ``tests/protocols/protocol_fixtures.py`` (the list that feeds the
   cross-transport determinism suite); an uncovered protocol would escape
   the byte-identity tests entirely.
-* ``R604`` -- a registered cell backend / field kernel is not documented in
-  docs/backends.md / docs/field-kernels.md.
+* ``R604`` -- a registered field kernel is not documented in
+  docs/field-kernels.md.
 * ``R605`` -- incoherent registry metadata (``supports_unknown_d`` without
   ``rounds_unknown`` or vice versa, an unknown ``input_kind``, or empty
   summary/reference).
@@ -70,7 +70,7 @@ class RegistryDocsPass(AnalysisPass):
         "R602": "registered protocol not named in docs/protocols.md",
         "R603": "registered protocol has no cross-transport determinism "
         "fixture instance",
-        "R604": "registered backend/kernel missing from its docs table",
+        "R604": "registered field kernel missing from its docs table",
         "R605": "incoherent protocol registry metadata",
         "R606": "docs page missing from the README documentation index",
     }
@@ -78,12 +78,11 @@ class RegistryDocsPass(AnalysisPass):
     def check_project(
         self, root: Path, sources: Sequence[SourceFile]
     ) -> Iterator[Finding]:
-        from repro.config import cell_backend_names, field_kernel_names
+        from repro.config import field_kernel_names
         from repro.protocols import registry
 
         readme = self._read(root / "README.md")
         protocols_doc = self._read(root / "docs" / "protocols.md")
-        backends_doc = self._read(root / "docs" / "backends.md")
         kernels_doc = self._read(root / "docs" / "field-kernels.md")
         fixture_names = _fixture_instance_names(root / _FIXTURES)
 
@@ -122,15 +121,6 @@ class RegistryDocsPass(AnalysisPass):
                 )
             yield from self._check_metadata(spec, registry_py)
 
-        for backend in cell_backend_names():
-            if backends_doc is not None and f"`{backend}`" not in backends_doc:
-                yield Finding(
-                    "R604",
-                    f"cell backend {backend!r} is not documented in "
-                    "docs/backends.md",
-                    "docs/backends.md",
-                    1,
-                )
         for kernel in field_kernel_names():
             if kernels_doc is not None and f"`{kernel}`" not in kernels_doc:
                 yield Finding(

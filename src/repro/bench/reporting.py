@@ -18,7 +18,6 @@ from repro.errors import ParameterError
 #: Recorded benchmark files at the repository root and the path (in their
 #: ``results`` rows) of the headline speedup each one tracks.
 BENCHMARK_RECORDS = {
-    "cell_backend": "BENCH_backends.json",
     "cluster_convergence": "BENCH_cluster.json",
     "field_kernel": "BENCH_field_kernels.json",
     "setsofsets_encoding": "BENCH_setsofsets.json",

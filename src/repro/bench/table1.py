@@ -25,8 +25,9 @@ from repro.workloads.sets_of_sets import SetsOfSetsInstance, table1_instance
 class Table1Config:
     """Workload parameters for the Table 1 regime.
 
-    ``backend`` / ``field_kernel`` select the IBLT cell store and the GF(p)
-    kernel for every protocol run (``None`` keeps the process defaults).
+    ``field_kernel`` selects the GF(p) kernel for every protocol run
+    (``None`` keeps the process default); ``backend`` is passed on as
+    :class:`~repro.iblt.table.IBLT` accepts it.
     """
 
     universe_size: int = 2048

@@ -21,7 +21,7 @@ round.
 
 :func:`record_fingerprints` is :func:`record_fingerprint` over a batch: one
 BLAKE2b digest per key and per value, then the mixing chain as whole-array
-operations when NumPy is present.  :func:`record_state_bytes` is one
+operations past a small batch.  :func:`record_state_bytes` is one
 record's share of :func:`state_digest`, so a replica that keeps those bytes
 per installed record digests its state with one join and one hash.
 """
@@ -34,14 +34,13 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Any, Collection, Iterable, Sequence
 
+import numpy as _np
+
 from repro.comm.bits import BitReader, BitWriter
 from repro.errors import ParameterError
 from repro.hashing import derive_seed
-from repro.hashing.mix import HAS_NUMPY, MASK64, mix64, mix64_array
+from repro.hashing.mix import MASK64, mix64, mix64_array
 from repro.protocols.wire import WireError
-
-if HAS_NUMPY:
-    import numpy as _np
 
 #: Every record fingerprint is a 64-bit element; sessions reconcile sets
 #: drawn from this universe.
@@ -187,10 +186,10 @@ def record_fingerprints(seed: int, records: Collection[KVRecord]) -> list[int]:
     """:func:`record_fingerprint` of every record, in order.
 
     One BLAKE2b digest per key and per value; past ``_BATCH_CUTOFF``
-    records, and with NumPy, the five-step mixing chain then runs once over
-    the whole batch instead of once per record.
+    records the five-step mixing chain then runs once over the whole batch
+    instead of once per record.
     """
-    if not HAS_NUMPY or len(records) <= _BATCH_CUTOFF:
+    if len(records) <= _BATCH_CUTOFF:
         return [record_fingerprint(seed, record) for record in records]
     keys = [_text_digest(record.key, _KEY_HASHER) for record in records]
     values = [_value_digest(record.value) for record in records]

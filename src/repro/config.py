@@ -1,34 +1,27 @@
-"""Library-wide configuration: the pluggable backend registries.
+"""Library-wide configuration: the field-kernel registry.
 
-Two seams are configured here, both instances of the same registry pattern:
+Every GF(p) hot path (characteristic-polynomial evaluation, Gaussian
+elimination, polynomial products and root finding) runs through a
+:class:`~repro.field.kernels.FieldKernel`.  Kernels register themselves here
+(keyed by name) and callers pick one in three ways, in decreasing
+precedence:
 
-* **Cell-store backends** -- every IBLT stores its cells through a
-  :class:`~repro.iblt.backends.CellStore` backend.
-* **Field kernels** -- every GF(p) hot path (characteristic-polynomial
-  evaluation, Gaussian elimination, polynomial products and root finding)
-  runs through a :class:`~repro.field.kernels.FieldKernel`.
+1. explicitly, via the ``field_kernel=`` keyword threaded through the
+   protocol entry points;
+2. process-wide, via :func:`set_default_field_kernel` or the
+   ``REPRO_FIELD_KERNEL`` environment variable;
+3. automatically (``"auto"``): the highest-priority kernel able to take the
+   modulus.
 
-Implementations register themselves here (keyed by name) and callers pick
-one in three ways, in decreasing precedence:
+Selection is *graceful*: a kernel that cannot take the modulus (the NumPy
+kernel at or above ``2**31``) falls back down the priority chain to the
+pure-Python reference kernel, so callers never special-case large moduli.
+A name that is not registered never falls back: it raises
+:class:`~repro.errors.ParameterError`.  Another kernel plugs in with
+:func:`register_field_kernel` and a ``priority``
+(``docs/field-kernels.md``).
 
-1. explicitly, via the ``backend=`` / ``field_kernel=`` keywords threaded
-   through the protocol entry points;
-2. process-wide, via :func:`set_default_cell_backend` /
-   :func:`set_default_field_kernel` or the ``REPRO_CELL_BACKEND`` /
-   ``REPRO_FIELD_KERNEL`` environment variables;
-3. automatically (``"auto"``): the highest-priority implementation that is
-   both importable and able to represent the parameters.
-
-Selection is *graceful*: an implementation that is unavailable (NumPy not
-installed) or that cannot represent the parameters (checksums wider than
-64 bits, field moduli at or above ``2**31``) silently falls back down the
-priority chain -- the vectorized NumPy tier to the pure-Python reference
-implementation -- so callers never need to special-case a missing NumPy
-or large moduli.  A name that is not registered never falls back:
-it raises :class:`~repro.errors.ParameterError`.  Each seam registers
-exactly those two classes; another tier plugs in with
-:func:`register_cell_backend` / :func:`register_field_kernel` and a
-``priority`` (``docs/backends.md``, ``docs/field-kernels.md``).
+The IBLT has one cell store (:mod:`repro.iblt.backends`) and no registry.
 """
 
 from __future__ import annotations
@@ -41,27 +34,21 @@ from repro.errors import ParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.field.kernels import FieldKernel
-    from repro.iblt.backends import CellStore
-
-#: Environment variable consulted when no explicit or process-wide default is set.
-BACKEND_ENV_VAR = "REPRO_CELL_BACKEND"
 
 #: Environment variable selecting the default GF(p) field kernel.
 FIELD_KERNEL_ENV_VAR = "REPRO_FIELD_KERNEL"
 
-#: Sentinel name meaning "pick the best available backend for these parameters".
+#: Sentinel name meaning "pick the best kernel for this modulus".
 AUTO_BACKEND = "auto"
 
 _BackendClass = TypeVar("_BackendClass")
 
 
 class _Registry(Generic[_BackendClass]):
-    """Shared name -> class registry with default and graceful resolution.
+    """Name -> class registry with default and graceful resolution.
 
     Registered classes expose ``name``, ``priority``, ``available()`` and
-    ``supports(key)``; ``kind`` only labels error messages.  Both seams
-    (cell stores, field kernels) are instances of this one implementation,
-    so their selection semantics cannot drift apart.
+    ``supports(key)``; ``kind`` only labels error messages.
     """
 
     def __init__(self, kind: str, env_var: str) -> None:
@@ -128,59 +115,7 @@ class _Registry(Generic[_BackendClass]):
         return candidates[0]
 
 
-_cell_registry: _Registry = _Registry("cell backend", BACKEND_ENV_VAR)
 _kernel_registry: _Registry = _Registry("field kernel", FIELD_KERNEL_ENV_VAR)
-
-
-# ---------------------------------------------------------------------------
-# Cell-store backends
-# ---------------------------------------------------------------------------
-
-
-def register_cell_backend(cls: type["CellStore"]) -> type["CellStore"]:
-    """Register a cell-store backend class under ``cls.name`` (decorator-friendly)."""
-    return _cell_registry.register(cls)
-
-
-def cell_backend_names() -> list[str]:
-    """Names of all registered backends (available or not)."""
-    return _cell_registry.names()
-
-
-def available_cell_backends() -> list[str]:
-    """Names of registered backends whose dependencies are importable."""
-    return _cell_registry.available()
-
-
-def cell_backend_class(name: str) -> type["CellStore"]:
-    """Look up a registered backend class by name."""
-    return _cell_registry.lookup(name)
-
-
-def set_default_cell_backend(name: str | None) -> None:
-    """Set (or with ``None`` clear) the process-wide default backend."""
-    _cell_registry.set_default(name)
-
-
-def default_cell_backend() -> str:
-    """The effective default backend name (may be :data:`AUTO_BACKEND`)."""
-    return _cell_registry.effective_default()
-
-
-def resolve_cell_backend(name: str | None, params: Any) -> type["CellStore"]:
-    """Resolve a backend request to a concrete class for ``params``.
-
-    ``name=None`` means "use the process default".  Unknown names raise
-    :class:`~repro.errors.ParameterError`; known-but-unusable backends
-    (missing dependency, unsupported parameters) fall back to the
-    highest-priority backend that does work.
-    """
-    return _cell_registry.resolve(name, params)
-
-
-# ---------------------------------------------------------------------------
-# Field kernels
-# ---------------------------------------------------------------------------
 
 
 def register_field_kernel(cls: type["FieldKernel"]) -> type["FieldKernel"]:
@@ -223,9 +158,11 @@ def _resolve_field_kernel_cached(requested: str, modulus: int) -> type["FieldKer
 def resolve_field_kernel(name: str | None, modulus: int) -> type["FieldKernel"]:
     """Resolve a field-kernel request to a concrete class for ``modulus``.
 
-    Same semantics as :func:`resolve_cell_backend` (protocols over very
-    large universes degrade to the pure-Python reference kernel
-    transparently), but memoized on ``(name, modulus)`` because the
+    ``name=None`` means "use the process default".  Unknown names raise
+    :class:`~repro.errors.ParameterError`; a kernel that cannot take the
+    modulus falls back to the highest-priority one that can (protocols over
+    very large universes degrade to the pure-Python reference kernel
+    transparently).  Memoized on ``(name, modulus)`` because the
     multiround protocol resolves a kernel once per (tiny) CPI exchange.
     """
     requested = name if name is not None else default_field_kernel()

@@ -17,8 +17,8 @@ from repro.core.setsofsets.types import SetOfSets
 def _difference_matrix(
     alice: SetOfSets, bob: SetOfSets
 ) -> tuple[list[list[int]], list, list]:
-    # Plain lists keep this module importable without NumPy; the matrices are
-    # s x s for parents of s children, far too small to need vectorizing.
+    # Plain lists: the matrices are s x s for parents of s children, far
+    # too small to need vectorizing.
     alice_children = alice.sorted_children()
     bob_children = bob.sorted_children()
     matrix = [

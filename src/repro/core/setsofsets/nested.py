@@ -231,8 +231,7 @@ def reconcile_multisets_of_multisets(
     element_multiplicity_bound, parent_multiplicity_bound:
         Bounds on multiplicities; default to what the two inputs exhibit.
     backend:
-        Cell-store backend for every table the protocol builds; see
-        :mod:`repro.config`.
+        Accepted as :class:`~repro.iblt.table.IBLT` accepts it.
     """
     from repro.protocols.parties.setsofsets import multisets_of_multisets_parties
     from repro.protocols.session import run_session

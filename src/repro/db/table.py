@@ -4,10 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-try:  # only the dense to_matrix/from_matrix conveniences need NumPy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on NumPy-free installs
-    np = None
+import numpy as np
 
 from repro.core.setsofsets import SetOfSets
 from repro.errors import ParameterError
@@ -104,8 +101,6 @@ class BinaryTable:
 
     def to_matrix(self) -> "np.ndarray":
         """Dense 0/1 matrix (rows in canonical order) -- convenient for tests."""
-        if np is None:
-            raise RuntimeError("BinaryTable.to_matrix requires NumPy")
         ordered = sorted(self._rows, key=sorted)
         matrix = np.zeros((len(ordered), self.num_columns), dtype=np.uint8)
         for row_index, row in enumerate(ordered):
@@ -116,8 +111,6 @@ class BinaryTable:
     @classmethod
     def from_matrix(cls, columns: Sequence[str], matrix: "np.ndarray") -> "BinaryTable":
         """Build a table from a dense 0/1 matrix."""
-        if np is None:
-            raise RuntimeError("BinaryTable.from_matrix requires NumPy")
         if matrix.ndim != 2 or matrix.shape[1] != len(columns):
             raise ParameterError("matrix shape does not match the column list")
         rows = (set(np.nonzero(matrix[i])[0].tolist()) for i in range(matrix.shape[0]))

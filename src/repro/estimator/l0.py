@@ -41,11 +41,12 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
+import numpy as _np
+
 from repro.comm.sizing import bits_for_value
 from repro.errors import ParameterError
 from repro.hashing import derive_seed
 from repro.hashing.mix import (
-    HAS_NUMPY,
     MASK64,
     checked_keys,
     fingerprint64,
@@ -53,9 +54,6 @@ from repro.hashing.mix import (
     mix64,
     mix64_inplace,
 )
-
-if HAS_NUMPY:
-    import numpy as _np
 
 #: Up to this many elements the scalar route beats the array set-up
 #: (measured, NumPy 2.4: ~2.4 us per element against ~33 us per array pass).
@@ -140,19 +138,17 @@ class L0Estimator:
         self.update_all((element,), side)
 
     def update_all(self, elements: Iterable[int], side: int) -> None:
-        """Add every element to ``side``: one array pass, or -- without NumPy,
-        for a small batch, or with a key of ``2**64`` and above (folded as
-        IBLT keys are) -- the scalar loop, which leaves identical counters.
-        A ``uint64`` array is valid by its dtype and is not checked again."""
+        """Add every element to ``side``: one array pass, or -- for a small
+        batch, or with a key of ``2**64`` and above (folded as IBLT keys
+        are) -- the scalar loop, which leaves identical counters.  A
+        ``uint64`` array is valid by its dtype and is not checked again."""
         if side not in (1, 2):
             raise ParameterError(f"side must be 1 or 2, got {side}")
         delta = 1 if side == 1 else 3  # -1 mod 4
         keys = checked_keys(elements, array_above=_BATCH_CUTOFF)
         if is_key_array(keys):
-            if HAS_NUMPY:
-                self._add_array(keys, delta)
-                return
-            keys = keys.tolist()
+            self._add_array(keys, delta)
+            return
         for key in keys:
             self._add_one(key, delta)
 

@@ -6,8 +6,8 @@ in four inner loops: evaluating characteristic polynomials ``prod (z - r)``
 at the shared points, assembling and solving the rational-interpolation
 linear system (Gaussian elimination, the paper's ``O(d^3)`` step),
 polynomial products/remainders, and Cantor-Zassenhaus root finding.  This
-module isolates those loops behind a backend seam, exactly mirroring the
-IBLT cell-store registry (:mod:`repro.config`):
+module isolates those loops behind a backend seam, selected through the
+:mod:`repro.config` registry:
 
 * :class:`FieldKernel` -- the abstract kernel interface.  Batch-first: every
   method takes whole vectors/matrices of field elements.
@@ -28,7 +28,7 @@ of GF(p) roots of a polynomial is intrinsic, so
 matter which kernel computed it.  ``tests/field/test_kernels.py`` and
 ``tests/test_cross_kernel_determinism.py`` pin both guarantees.
 
-Kernel selection follows the cell-store precedence: explicit
+Kernel selection precedence: explicit
 ``field_kernel=`` keyword > :func:`use_kernel` context >
 :func:`repro.config.set_default_field_kernel` > ``REPRO_FIELD_KERNEL``
 environment variable > ``"auto"`` (highest priority usable kernel).
@@ -40,12 +40,10 @@ import contextlib
 from abc import ABC, abstractmethod
 from typing import ClassVar, Iterable, Sequence
 
+import numpy as _np
+
 from repro.config import register_field_kernel, resolve_field_kernel
 from repro.errors import ParameterError
-from repro.hashing.mix import HAS_NUMPY
-
-if HAS_NUMPY:
-    import numpy as _np
 
 _MASK16 = 0xFFFF
 
@@ -501,186 +499,188 @@ _INT64_SAFE = 1 << 62
 _GCD_VECTOR_CUTOFF = 48
 
 
-if HAS_NUMPY:
+def _trim_arr(arr):
+    """Array counterpart of :func:`_trim` (returns a view)."""
+    nonzero = _np.nonzero(arr)[0]
+    return arr[: int(nonzero[-1]) + 1] if nonzero.size else arr[:0]
 
-    def _trim_arr(arr):
-        """Array counterpart of :func:`_trim` (returns a view)."""
-        nonzero = _np.nonzero(arr)[0]
-        return arr[: int(nonzero[-1]) + 1] if nonzero.size else arr[:0]
 
-    def _pmod_vec(p, a, b):
-        """Remainder of canonical int64 arrays ``a mod b`` (``len(b) >= 2``).
+def _pmod_vec(p, a, b):
+    """Remainder of canonical int64 arrays ``a mod b`` (``len(b) >= 2``).
 
-        Same long-division chain as :func:`_poly_mod_scalar`, with each
-        reduction step a whole-array multiply-subtract; returns a trimmed
-        array.  ``a`` is not modified.
-        """
-        width = len(b)
-        if len(a) < width:
-            return _trim_arr(a.copy())
-        remainder = a.copy()
-        inv_lead = pow(int(b[-1]), -1, p)
-        body = b[:-1]
-        for idx in range(len(remainder) - 1, width - 2, -1):
-            coeff = int(remainder[idx])
-            if coeff == 0:
-                continue
-            factor = coeff * inv_lead % p
-            shift = idx - width + 1
-            remainder[shift:idx] = (remainder[shift:idx] - factor * body) % p
-        return _trim_arr(remainder[: width - 1])
+    Same long-division chain as :func:`_poly_mod_scalar`, with each
+    reduction step a whole-array multiply-subtract; returns a trimmed
+    array.  ``a`` is not modified.
+    """
+    width = len(b)
+    if len(a) < width:
+        return _trim_arr(a.copy())
+    remainder = a.copy()
+    inv_lead = pow(int(b[-1]), -1, p)
+    body = b[:-1]
+    for idx in range(len(remainder) - 1, width - 2, -1):
+        coeff = int(remainder[idx])
+        if coeff == 0:
+            continue
+        factor = coeff * inv_lead % p
+        shift = idx - width + 1
+        remainder[shift:idx] = (remainder[shift:idx] - factor * body) % p
+    return _trim_arr(remainder[: width - 1])
 
-    def _poly_gcd_vec(p, a, b):
-        """Monic gcd with vectorized remainder steps for large operands.
 
-        Bit-identical to :func:`_poly_gcd_scalar` (exact arithmetic over the
-        same Euclidean chain); hands the tail of the chain to the scalar
-        helper once both degrees drop below :data:`_GCD_VECTOR_CUTOFF`.
-        """
-        x = _trim_arr(_np.asarray(a, dtype=_np.int64) % p)
-        y = _trim_arr(_np.asarray(b, dtype=_np.int64) % p)
-        while len(y) >= _GCD_VECTOR_CUTOFF:
-            if len(x) >= len(y):
-                x = _pmod_vec(p, x, y)
-            x, y = y, x
-        return _poly_gcd_scalar(p, [int(v) for v in x], [int(v) for v in y])
+def _poly_gcd_vec(p, a, b):
+    """Monic gcd with vectorized remainder steps for large operands.
 
-    def _pmul_np(p, a, b):
-        """Exact product of canonical int64 coefficient arrays mod ``p``.
+    Bit-identical to :func:`_poly_gcd_scalar` (exact arithmetic over the
+    same Euclidean chain); hands the tail of the chain to the scalar
+    helper once both degrees drop below :data:`_GCD_VECTOR_CUTOFF`.
+    """
+    x = _trim_arr(_np.asarray(a, dtype=_np.int64) % p)
+    y = _trim_arr(_np.asarray(b, dtype=_np.int64) % p)
+    while len(y) >= _GCD_VECTOR_CUTOFF:
+        if len(x) >= len(y):
+            x = _pmod_vec(p, x, y)
+        x, y = y, x
+    return _poly_gcd_scalar(p, [int(v) for v in x], [int(v) for v in y])
 
-        Fast path: when every convolution term sum provably fits a signed
-        64-bit word (``n * p**2 < 2**62``), one direct convolution suffices
-        -- this covers every realistic universe (p up to ~2**28 at CPI
-        degrees).  Otherwise coefficients are split into 16-bit limbs and
-        the three partial convolutions are recombined modulo ``p``.
-        """
-        n = len(a) + len(b) - 1
-        if n * p * p < _INT64_SAFE:
-            return _np.convolve(a, b) % p
-        w16 = (1 << 16) % p
-        w32 = w16 * w16 % p
-        ah, al = a >> 16, a & _MASK16
-        if b is a:
-            hh = _np.convolve(ah, ah)
-            cross = _np.convolve(ah, al)
-            cross = cross + cross
-            ll = _np.convolve(al, al)
-        else:
-            bh, bl = b >> 16, b & _MASK16
-            hh = _np.convolve(ah, bh)
-            cross = _np.convolve(ah, bl) + _np.convolve(al, bh)
-            ll = _np.convolve(al, bl)
-        r = ((hh % p) * w32 + (cross % p) * w16) % p
-        return (r + ll % p) % p
 
-    class _Modulus:
-        """Precomputed reduction data for a fixed monic modulus polynomial.
+def _pmul_np(p, a, b):
+    """Exact product of canonical int64 coefficient arrays mod ``p``.
 
-        Reduction of a product (degree <= 2m-2) is one small integer
-        matmul: the rows give ``x^(m+j) mod q``.  When the dot products
-        could overflow int64 they are pre-split into 16-bit limbs.
-        """
+    Fast path: when every convolution term sum provably fits a signed
+    64-bit word (``n * p**2 < 2**62``), one direct convolution suffices
+    -- this covers every realistic universe (p up to ~2**28 at CPI
+    degrees).  Otherwise coefficients are split into 16-bit limbs and
+    the three partial convolutions are recombined modulo ``p``.
+    """
+    n = len(a) + len(b) - 1
+    if n * p * p < _INT64_SAFE:
+        return _np.convolve(a, b) % p
+    w16 = (1 << 16) % p
+    w32 = w16 * w16 % p
+    ah, al = a >> 16, a & _MASK16
+    if b is a:
+        hh = _np.convolve(ah, ah)
+        cross = _np.convolve(ah, al)
+        cross = cross + cross
+        ll = _np.convolve(al, al)
+    else:
+        bh, bl = b >> 16, b & _MASK16
+        hh = _np.convolve(ah, bh)
+        cross = _np.convolve(ah, bl) + _np.convolve(al, bh)
+        ll = _np.convolve(al, bl)
+    r = ((hh % p) * w32 + (cross % p) * w16) % p
+    return (r + ll % p) % p
 
-        __slots__ = ("p", "q", "m", "x_m", "rows", "rows_hi", "rows_lo", "w16", "fast")
 
-        def __init__(self, p, q):
-            self.p = p
-            self.q = q
-            self.m = len(q) - 1
-            self.w16 = (1 << 16) % p
-            # Strict int64 bound for every fused op: convolution term sums
-            # (<= m terms of p^2), the reduction matmul plus carry-in, and
-            # the linear multiply's three-way sum.
-            self.fast = (self.m + 1) * p * p < _INT64_SAFE
-            self.x_m = (p - q[: self.m] % p) % p  # x^m mod q
-            rows = _np.zeros((max(0, self.m - 1), self.m), dtype=_np.int64)
-            cur = self.x_m
-            for j in range(self.m - 1):
-                rows[j] = cur
-                if j == self.m - 2:
-                    break
-                top = int(cur[self.m - 1])
-                nxt = _np.empty(self.m, dtype=_np.int64)
-                nxt[0] = 0
-                nxt[1:] = cur[: self.m - 1]
-                if top:
-                    nxt = (nxt + top * self.x_m) % p
-                cur = nxt
-            self.rows = rows
-            if not self.fast:
-                self.rows_hi = rows >> 16
-                self.rows_lo = rows & _MASK16
+class _Modulus:
+    """Precomputed reduction data for a fixed monic modulus polynomial.
 
-        def reduce(self, u):
-            """``u mod q`` for ``len(u) <= 2m - 1`` (canonical residues)."""
-            m = self.m
-            if len(u) <= m:
-                out = _np.zeros(m, dtype=_np.int64)
-                out[: len(u)] = u
-                return out
-            lo, hi = u[:m], u[m:]
-            k = len(hi)
-            if self.fast:
-                return (lo + hi @ self.rows[:k]) % self.p
-            # Limb path: each dot product sums terms below p * 2**16, so cap
-            # the summed length and fold chunk-wise to stay within int64.
-            safe = max(1, int(_INT64_SAFE // (self.p << 16)))
-            acc = lo % self.p
-            for start in range(0, k, safe):
-                stop = min(start + safe, k)
-                part = hi[start:stop]
-                acc = (
-                    acc
-                    + ((part @ self.rows_hi[start:stop]) % self.p) * self.w16
-                    + (part @ self.rows_lo[start:stop]) % self.p
-                ) % self.p
-            return acc
+    Reduction of a product (degree <= 2m-2) is one small integer
+    matmul: the rows give ``x^(m+j) mod q``.  When the dot products
+    could overflow int64 they are pre-split into 16-bit limbs.
+    """
 
-        def mulmod(self, a, b):
-            return self.reduce(_pmul_np(self.p, a, b))
+    __slots__ = ("p", "q", "m", "x_m", "rows", "rows_hi", "rows_lo", "w16", "fast")
 
-        def mul_linear(self, cur, shift):
-            """``(x + shift) * cur mod q`` without a full convolution."""
-            p, m = self.p, self.m
-            top = int(cur[m - 1])
-            if self.fast:
-                # shift*cur + top*x_m is at most 2p^2 + p, well within int64.
-                res = shift * cur
-                res[1:] += cur[: m - 1]
-                if top:
-                    res += top * self.x_m
-                res %= p
-                return res
-            full = _np.empty(m + 1, dtype=_np.int64)
-            full[0] = 0
-            full[1:] = cur
-            if shift:
-                full[:m] = (full[:m] + shift * cur) % p
-            res = full[:m]
+    def __init__(self, p, q):
+        self.p = p
+        self.q = q
+        self.m = len(q) - 1
+        self.w16 = (1 << 16) % p
+        # Strict int64 bound for every fused op: convolution term sums
+        # (<= m terms of p^2), the reduction matmul plus carry-in, and
+        # the linear multiply's three-way sum.
+        self.fast = (self.m + 1) * p * p < _INT64_SAFE
+        self.x_m = (p - q[: self.m] % p) % p  # x^m mod q
+        rows = _np.zeros((max(0, self.m - 1), self.m), dtype=_np.int64)
+        cur = self.x_m
+        for j in range(self.m - 1):
+            rows[j] = cur
+            if j == self.m - 2:
+                break
+            top = int(cur[self.m - 1])
+            nxt = _np.empty(self.m, dtype=_np.int64)
+            nxt[0] = 0
+            nxt[1:] = cur[: self.m - 1]
             if top:
-                res = (res + top * self.x_m) % p
-            return res
+                nxt = (nxt + top * self.x_m) % p
+            cur = nxt
+        self.rows = rows
+        if not self.fast:
+            self.rows_hi = rows >> 16
+            self.rows_lo = rows & _MASK16
 
-        def pow_linear(self, shift, exponent):
-            """``(x + shift) ** exponent mod q`` (exponent >= 1, m >= 2)."""
-            p, m = self.p, self.m
-            cur = _np.zeros(m, dtype=_np.int64)
-            cur[0] = shift % p
-            cur[1] = 1
-            bits = bin(exponent)[3:]
-            if self.fast:
-                rows = self.rows
-                for bit in bits:
-                    u = _np.convolve(cur, cur) % p
-                    cur = (u[:m] + u[m:] @ rows) % p
-                    if bit == "1":
-                        cur = self.mul_linear(cur, shift)
-                return cur
+    def reduce(self, u):
+        """``u mod q`` for ``len(u) <= 2m - 1`` (canonical residues)."""
+        m = self.m
+        if len(u) <= m:
+            out = _np.zeros(m, dtype=_np.int64)
+            out[: len(u)] = u
+            return out
+        lo, hi = u[:m], u[m:]
+        k = len(hi)
+        if self.fast:
+            return (lo + hi @ self.rows[:k]) % self.p
+        # Limb path: each dot product sums terms below p * 2**16, so cap
+        # the summed length and fold chunk-wise to stay within int64.
+        safe = max(1, int(_INT64_SAFE // (self.p << 16)))
+        acc = lo % self.p
+        for start in range(0, k, safe):
+            stop = min(start + safe, k)
+            part = hi[start:stop]
+            acc = (
+                acc
+                + ((part @ self.rows_hi[start:stop]) % self.p) * self.w16
+                + (part @ self.rows_lo[start:stop]) % self.p
+            ) % self.p
+        return acc
+
+    def mulmod(self, a, b):
+        return self.reduce(_pmul_np(self.p, a, b))
+
+    def mul_linear(self, cur, shift):
+        """``(x + shift) * cur mod q`` without a full convolution."""
+        p, m = self.p, self.m
+        top = int(cur[m - 1])
+        if self.fast:
+            # shift*cur + top*x_m is at most 2p^2 + p, well within int64.
+            res = shift * cur
+            res[1:] += cur[: m - 1]
+            if top:
+                res += top * self.x_m
+            res %= p
+            return res
+        full = _np.empty(m + 1, dtype=_np.int64)
+        full[0] = 0
+        full[1:] = cur
+        if shift:
+            full[:m] = (full[:m] + shift * cur) % p
+        res = full[:m]
+        if top:
+            res = (res + top * self.x_m) % p
+        return res
+
+    def pow_linear(self, shift, exponent):
+        """``(x + shift) ** exponent mod q`` (exponent >= 1, m >= 2)."""
+        p, m = self.p, self.m
+        cur = _np.zeros(m, dtype=_np.int64)
+        cur[0] = shift % p
+        cur[1] = 1
+        bits = bin(exponent)[3:]
+        if self.fast:
+            rows = self.rows
             for bit in bits:
-                cur = self.mulmod(cur, cur)
+                u = _np.convolve(cur, cur) % p
+                cur = (u[:m] + u[m:] @ rows) % p
                 if bit == "1":
                     cur = self.mul_linear(cur, shift)
             return cur
+        for bit in bits:
+            cur = self.mulmod(cur, cur)
+            if bit == "1":
+                cur = self.mul_linear(cur, shift)
+        return cur
 
 
 @register_field_kernel
@@ -692,14 +692,10 @@ class NumpyFieldKernel(FieldKernel):
     priority = 10
 
     @classmethod
-    def available(cls):
-        return HAS_NUMPY
-
-    @classmethod
     def supports(cls, modulus):
         # Products of two canonical residues must fit a signed 64-bit word,
         # and the root finder assumes an odd modulus.
-        return HAS_NUMPY and 2 < modulus < 2**31
+        return 2 < modulus < 2**31
 
     # -- evaluation -----------------------------------------------------------------
 

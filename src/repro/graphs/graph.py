@@ -10,40 +10,31 @@ reconciliation), relabeling, and conversion to/from :mod:`networkx` for
 interoperability and testing.
 
 The bulk transforms -- edge keys to and from the rows, relabeling, the
-anchor signatures of the degree-ordering scheme -- take one of two routes
-with identical values, as the hash folds of :mod:`repro.hashing.checksum`
-do.  With NumPy they unpack the rows into a 0/1 matrix and work on arrays (a
-permutation gather, ``np.divmod`` with vectorised range and self-loop
-checks, packing back to rows); without it they walk the rows bit by bit.
-Either way the rows are the one stored form.  The rows cost n²/8 bytes
-whatever the edge count, which suits the paper's dense G(n, p); the array
-route unpacks them a block of rows at a time, so its transient matrices stay
-near 4 MiB at any n instead of taking n² bytes.
+anchor signatures of the degree-ordering scheme -- unpack the rows into a
+0/1 matrix and work on arrays (a permutation gather, ``np.divmod`` with
+vectorised range and self-loop checks, packing back to rows); the rows stay
+the one stored form.  The rows cost n²/8 bytes whatever the edge count,
+which suits the paper's dense G(n, p); the transforms unpack them a block of
+rows at a time, so their transient matrices stay near 4 MiB at any n
+instead of taking n² bytes.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from itertools import repeat
 from typing import Any, Iterable, Iterator, Sequence
 
+import numpy as _np
+
 from repro.errors import ParameterError
-
-try:  # NumPy carries the bulk transforms; the row walk keeps it optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on NumPy-free installs
-    _np = None
-
-#: Whether the bulk transforms take the array route (tests turn it off).
-HAS_NUMPY = _np is not None
 
 _ONE = re.compile("1")
 
 
 def _members(row: int) -> list[int]:
-    """The positions of the set bits of ``row``, ascending (the row walk):
-    the binary digits, lowest first, scanned in C."""
+    """The positions of the set bits of ``row``, ascending: the binary
+    digits, lowest first, scanned in C."""
     return [match.start() for match in _ONE.finditer(bin(row)[:1:-1])]
 
 
@@ -67,7 +58,7 @@ def _as_ints(values: Iterable[Any], what: str) -> list[int]:
     return [_index(value, what) for value in values]
 
 
-#: Bits the array route unpacks at once, about 4 MiB of ``bool``: one
+#: Bits the bulk transforms unpack at once, about 4 MiB of ``bool``: one
 #: n-by-n matrix would take n² bytes, eight times the rows.
 _BLOCK_BITS = 1 << 22
 
@@ -103,7 +94,7 @@ def _rows_of(matrix: Any) -> list[int]:
 
 
 def _rows_from_key_array(num_vertices: int, keys: Any) -> list[int]:
-    """Array route of :meth:`Graph.from_edge_keys` (``uint64`` keys, range-checked)."""
+    """The rows of :meth:`Graph.from_edge_keys` (``uint64`` keys, range-checked)."""
     low, high = _np.divmod(keys, _np.uint64(max(num_vertices, 1)))
     if (low == high).any():
         raise ParameterError("self-loops are not allowed in a simple graph")
@@ -123,17 +114,6 @@ def _rows_from_key_array(num_vertices: int, keys: Any) -> list[int]:
         bits = _np.zeros(last - first, dtype=bool)
         bits[block] = True
         rows.extend(_rows_of(bits.reshape(stop - start, width)))
-    return rows
-
-
-def _rows_from_keys(num_vertices: int, keys: list[int]) -> list[int]:
-    """Row-walk route of :meth:`Graph.from_edge_keys` (int keys, range-checked)."""
-    rows = [0] * num_vertices
-    for u, v in map(divmod, keys, repeat(num_vertices)):
-        if u == v:
-            raise ParameterError("self-loops are not allowed in a simple graph")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
     return rows
 
 
@@ -178,8 +158,8 @@ class Graph:
     def degree_sequence(self) -> list[int]:
         """Degrees of all vertices, indexed by vertex id.
 
-        One ``bit_count`` per row on both routes: at n = 300 it is faster
-        than unpacking the rows into an array.
+        One ``bit_count`` per row: at n = 300 it is faster than unpacking
+        the rows into an array.
         """
         return [row.bit_count() for row in self._rows]
 
@@ -207,33 +187,26 @@ class Graph:
         for group in (anchors, vertices):
             if group and (min(group) < 0 or max(group) >= self._num_vertices):
                 raise ParameterError("anchors and vertices must be vertex ids")
-        if HAS_NUMPY:
-            owners = [_np.empty(0, dtype=_np.intp)]
-            indices = [_np.empty(0, dtype=_np.intp)]
-            for start, stop in _row_blocks(len(anchors), self._num_vertices):
-                block = _bit_matrix(
-                    [self._rows[anchor] for anchor in anchors[start:stop]], self._num_vertices
-                )
-                # Row-major nonzero of the transposed block: indices grouped by vertex.
-                block_owners, block_indices = _np.nonzero(block[:, vertices].T)
-                owners.append(block_owners)
-                indices.append(block_indices + start)
-            # A stable sort regroups the blocks by vertex, each group ascending.
-            owner = _np.concatenate(owners)
-            flat = _np.concatenate(indices)[_np.argsort(owner, kind="stable")].tolist()
-            counts = _np.bincount(owner, minlength=len(vertices)).tolist()
-            signatures = []
-            start = 0
-            for count in counts:
-                signatures.append(frozenset(flat[start : start + count]))
-                start += count
-            return signatures
-        members: dict[int, list[int]] = {vertex: [] for vertex in vertices}
-        for index, anchor in enumerate(anchors):
-            for vertex in _members(self._rows[anchor]):
-                if vertex in members:
-                    members[vertex].append(index)
-        return [frozenset(members[vertex]) for vertex in vertices]
+        owners = [_np.empty(0, dtype=_np.intp)]
+        indices = [_np.empty(0, dtype=_np.intp)]
+        for start, stop in _row_blocks(len(anchors), self._num_vertices):
+            block = _bit_matrix(
+                [self._rows[anchor] for anchor in anchors[start:stop]], self._num_vertices
+            )
+            # Row-major nonzero of the transposed block: indices grouped by vertex.
+            block_owners, block_indices = _np.nonzero(block[:, vertices].T)
+            owners.append(block_owners)
+            indices.append(block_indices + start)
+        # A stable sort regroups the blocks by vertex, each group ascending.
+        owner = _np.concatenate(owners)
+        flat = _np.concatenate(indices)[_np.argsort(owner, kind="stable")].tolist()
+        counts = _np.bincount(owner, minlength=len(vertices)).tolist()
+        signatures = []
+        start = 0
+        for count in counts:
+            signatures.append(frozenset(flat[start : start + count]))
+            start += count
+        return signatures
 
     # -- mutation --------------------------------------------------------------------
 
@@ -298,9 +271,7 @@ class Graph:
         return divmod(key, self._num_vertices)
 
     def edge_key_array(self) -> Any:
-        """All edges as canonical keys in one sorted ``uint64`` array (needs NumPy)."""
-        if not HAS_NUMPY:
-            raise RuntimeError("edge_key_array requires NumPy")
+        """All edges as canonical keys in one sorted ``uint64`` array."""
         n = self._num_vertices
         parts = [_np.empty(0, dtype=_np.uint64)]
         for start, stop in _row_blocks(n, n):
@@ -341,22 +312,18 @@ class Graph:
         if num_vertices < 0:
             raise ParameterError("num_vertices must be non-negative")
         limit = num_vertices * num_vertices
-        if _np is not None and isinstance(keys, _np.ndarray):
+        if isinstance(keys, _np.ndarray):
             if keys.ndim != 1 or keys.dtype.kind not in "ui":
                 raise ParameterError("edge keys must be integers")
             if keys.size and (keys.min() < 0 or keys.max() >= limit):
                 raise ParameterError(f"edge key out of range [0, {limit})")
-            keys = keys.astype(_np.uint64, copy=False) if HAS_NUMPY else keys.tolist()
+            keys = keys.astype(_np.uint64, copy=False)
         else:
             keys = _as_ints(keys, "edge key")
             if keys and (min(keys) < 0 or max(keys) >= limit):
                 raise ParameterError(f"edge key out of range [0, {limit})")
-            if HAS_NUMPY:
-                keys = _np.fromiter(keys, dtype=_np.uint64, count=len(keys))
-        if HAS_NUMPY:
-            rows = _rows_from_key_array(num_vertices, keys)
-        else:
-            rows = _rows_from_keys(num_vertices, keys)
+            keys = _np.fromiter(keys, dtype=_np.uint64, count=len(keys))
+        rows = _rows_from_key_array(num_vertices, keys)
         # Counted from the rows so a key and its mirror are one edge.
         return cls._of_rows(rows, sum(map(int.bit_count, rows)) // 2)
 
@@ -369,21 +336,15 @@ class Graph:
         mapping = _as_ints(mapping, "mapping entry")
         if sorted(mapping) != list(range(n)):
             raise ParameterError("mapping must be a permutation of the vertex ids")
-        if HAS_NUMPY:
-            # New vertex mapping[v] is old vertex v: gather rows and columns
-            # through the inverse permutation.
-            inverse = _np.empty(n, dtype=_np.intp)
-            inverse[mapping] = _np.arange(n)
-            old = inverse.tolist()
-            rows: list[int] = []
-            for start, stop in _row_blocks(n, n):
-                block = _bit_matrix([self._rows[v] for v in old[start:stop]], n)
-                rows.extend(_rows_of(block[:, inverse]))
-        else:
-            bits = [1 << image for image in mapping]
-            rows = [0] * n
-            for vertex, row in enumerate(self._rows):
-                rows[mapping[vertex]] = sum(map(bits.__getitem__, _members(row)))
+        # New vertex mapping[v] is old vertex v: gather rows and columns
+        # through the inverse permutation.
+        inverse = _np.empty(n, dtype=_np.intp)
+        inverse[mapping] = _np.arange(n)
+        old = inverse.tolist()
+        rows: list[int] = []
+        for start, stop in _row_blocks(n, n):
+            block = _bit_matrix([self._rows[v] for v in old[start:stop]], n)
+            rows.extend(_rows_of(block[:, inverse]))
         # A permutation keeps neighbors distinct and creates no self-loop.
         return Graph._of_rows(rows, self._num_edges)
 

@@ -11,10 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-try:  # NumPy accelerates G(n, p) sampling; a pure fallback keeps it optional.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on NumPy-free installs
-    np = None
+import numpy as np
 
 from repro.errors import ParameterError
 from repro.graphs.graph import Graph
@@ -23,33 +20,21 @@ from repro.graphs.graph import Graph
 def gnp_random_graph(num_vertices: int, edge_probability: float, seed: int) -> Graph:
     """Draw a graph from G(n, p).
 
-    Edge indicators are generated with numpy over the upper triangle, which
-    keeps generation fast enough for the few-thousand-vertex graphs used in
-    the benchmarks.  Without NumPy a pure-Python fallback samples the same
-    distribution; it is deterministic per seed but draws from a *different*
-    random stream, so the concrete realization for a given seed depends on
-    whether NumPy is installed.  Both parties of a simulation share one
-    process, so reconciliation is unaffected -- only workload realizations
-    recorded across differently-equipped machines would differ.
+    Edge indicators come from one ``numpy.random.default_rng(seed)`` stream
+    over the upper triangle, so a seed fixes the graph on every machine, and
+    generation stays fast for the few-thousand-vertex graphs used in the
+    benchmarks.
     """
     if not 0.0 <= edge_probability <= 1.0:
         raise ParameterError("edge_probability must lie in [0, 1]")
-    graph = Graph(num_vertices)
     if num_vertices < 2 or edge_probability == 0.0:
-        return graph
-    if np is not None:
-        rng = np.random.default_rng(seed)
-        row_indices, col_indices = np.triu_indices(num_vertices, k=1)
-        mask = rng.random(row_indices.shape[0]) < edge_probability
-        return Graph.from_edge_keys(
-            num_vertices, row_indices[mask] * num_vertices + col_indices[mask]
-        )
-    fallback_rng = random.Random(seed)
-    for u in range(num_vertices - 1):
-        for v in range(u + 1, num_vertices):
-            if fallback_rng.random() < edge_probability:
-                graph.add_edge(u, v)
-    return graph
+        return Graph(num_vertices)
+    rng = np.random.default_rng(seed)
+    row_indices, col_indices = np.triu_indices(num_vertices, k=1)
+    mask = rng.random(row_indices.shape[0]) < edge_probability
+    return Graph.from_edge_keys(
+        num_vertices, row_indices[mask] * num_vertices + col_indices[mask]
+    )
 
 
 def perturb_edges(graph: Graph, num_changes: int, rng: random.Random) -> Graph:

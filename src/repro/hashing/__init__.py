@@ -15,17 +15,17 @@ primitives here are:
 
 The IBLT inner-loop hashes (:class:`~repro.hashing.family.HashFamily` bucket
 choices and :class:`~repro.hashing.checksum.Checksum` values) are built on
-the 64-bit mixing core of :mod:`repro.hashing.mix` and expose matched batch
-APIs (``cells_for_many`` / ``cells_for_array``, ``of_keys`` /
-``of_keys_array``) so the vectorized cell-store backends can hash whole key
-arrays at once while agreeing bit for bit with the scalar path.  The same
+the 64-bit mixing core of :mod:`repro.hashing.mix` and expose matched
+scalar and array APIs (``cells_for`` / ``cells_for_array``, ``of_key`` /
+``of_keys_array``) so the cell store hashes whole key arrays at once while
+agreeing bit for bit with the single-key path.  The same
 core is the one order-independent *set fold*
 (:meth:`~repro.hashing.checksum.Checksum.of_set` / ``of_sets``) behind every
 whole-set verification hash and child-set hash.
 """
 
 from repro.hashing.prf import SeededHasher, derive_seed, int_to_bytes, bytes_to_int
-from repro.hashing.mix import HAS_NUMPY, checked_keys, fingerprint64, mix64
+from repro.hashing.mix import checked_keys, fingerprint64, mix64
 from repro.hashing.family import HashFamily
 from repro.hashing.checksum import Checksum
 
@@ -38,6 +38,5 @@ __all__ = [
     "bytes_to_int",
     "mix64",
     "fingerprint64",
-    "HAS_NUMPY",
     "checked_keys",
 ]

@@ -13,15 +13,12 @@ child-set hash in the library is built on these two folds.  The fold is
 keep a running whole-set hash in O(d) per mutation.
 
 Checksums are derived from the shared 64-bit mixing core
-(:mod:`repro.hashing.mix`), so they come in matched scalar and batch forms:
-:meth:`Checksum.of_key` for one key, :meth:`Checksum.of_keys` for a list,
-and :meth:`Checksum.of_keys_array` for a NumPy ``uint64`` array.  All three
-agree bit for bit, which lets the vectorized cell-store backend verify pure
-cells on whole arrays while the pure-Python backend checks one cell at a
-time -- and still produce identical tables.  The folds pick between the same
-two routes from what they can see (NumPy importable, every key below
-``2**64``, enough keys to repay the array set-up) and return identical values
-on both.
+(:mod:`repro.hashing.mix`), so they come in matched scalar and array forms:
+:meth:`Checksum.of_key` for one key and :meth:`Checksum.of_keys_array` for a
+NumPy ``uint64`` array, which agree bit for bit.  The folds pick between the
+two routes from what they can see (every key below ``2**64``, a checksum of
+at most 64 bits, enough keys to repay the array set-up) and return identical
+values on both.
 """
 
 from __future__ import annotations
@@ -31,8 +28,9 @@ from functools import cached_property
 from itertools import chain
 from typing import Any, Collection, Iterable, Sequence
 
+import numpy as _np
+
 from repro.hashing.mix import (
-    HAS_NUMPY,
     MASK64,
     checked_keys,
     fingerprint64,
@@ -41,9 +39,6 @@ from repro.hashing.mix import (
     mix64_array,
 )
 from repro.hashing.prf import derive_seed
-
-if HAS_NUMPY:
-    import numpy as _np
 
 #: Up to this many keys the scalar fold beats the array set-up (measured
 #: crossover: ~1 us per key against ~12 us fixed).
@@ -90,10 +85,6 @@ class Checksum:
             combined = (combined << 64) | mix64(fingerprint ^ word_seed)
         return combined & self._mask
 
-    def of_keys(self, keys: Sequence[int]) -> list[int]:
-        """Checksums of many keys (scalar reference path, any key width)."""
-        return [self.of_key(key) for key in keys]
-
     def of_set(self, values: Iterable[int]) -> int:
         """Order-independent checksum of a collection of keys (XOR-combined).
 
@@ -138,27 +129,25 @@ class Checksum:
 
     def _checks_array(self, keys: Collection[int] | Any) -> Any:
         """Per-key checksums of a ``uint64`` key array, or ``None`` when the
-        scalar route applies (a list, no NumPy, a checksum past 64 bits)."""
-        if is_key_array(keys) and HAS_NUMPY and self.bits <= 64:
+        scalar route applies (a list, a checksum past 64 bits)."""
+        if is_key_array(keys) and self.bits <= 64:
             return self.of_keys_array(keys)
         return None
 
-    if HAS_NUMPY:
+    @cached_property
+    def _np_seed(self):
+        return _np.uint64(self._word_seeds[0])
 
-        @cached_property
-        def _np_seed(self):
-            return _np.uint64(self._word_seeds[0])
+    @cached_property
+    def _np_mask(self):
+        return _np.uint64(self._mask if self.bits <= 64 else MASK64)
 
-        @cached_property
-        def _np_mask(self):
-            return _np.uint64(self._mask if self.bits <= 64 else MASK64)
+    def of_keys_array(self, keys) -> "_np.ndarray":
+        """Vectorized checksums of a ``uint64`` key array.
 
-        def of_keys_array(self, keys) -> "_np.ndarray":
-            """Vectorized checksums of a ``uint64`` key array.
-
-            Only defined for ``bits <= 64`` (the vectorized cell stores
-            guarantee this); agrees element-wise with :meth:`of_key`.
-            """
-            if self.bits > 64:
-                raise ValueError("of_keys_array requires bits <= 64")
-            return mix64_array(keys ^ self._np_seed) & self._np_mask
+        Only defined for ``bits <= 64`` (every IBLT checksum is); agrees
+        element-wise with :meth:`of_key`.
+        """
+        if self.bits > 64:
+            raise ValueError("of_keys_array requires bits <= 64")
+        return mix64_array(keys ^ self._np_seed) & self._np_mask

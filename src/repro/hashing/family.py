@@ -7,30 +7,29 @@ paper ("one can use a partitioned hash table, with each hash function having
 m/k cells"), which guarantees that the k cells a key maps to are distinct.
 
 Bucket indices come from the shared 64-bit mixing core
-(:mod:`repro.hashing.mix`) and are exposed in three matched forms:
+(:mod:`repro.hashing.mix`) and are exposed in two matched forms:
 
-* :meth:`HashFamily.cells_for` -- one key at a time (scalar reference path);
-* :meth:`HashFamily.cells_for_many` -- a list of keys, one row per key;
+* :meth:`HashFamily.cells_for` -- one key at a time (the single-key
+  ``IBLT.insert`` / ``delete``);
 * :meth:`HashFamily.cells_for_array` -- a NumPy ``uint64`` key array mapped
   to a ``(num_hashes, n)`` index matrix by one mix over a ``(k, n)`` matrix
   (:meth:`HashFamily.cells_and_checks_array` adds the cell checksums as one
   more row of the same mix).
 
-All three agree exactly, which is what lets the pluggable cell-store
-backends (:mod:`repro.iblt.backends`) produce bit-identical tables.
+Both agree exactly, so a key lands in the same cells whichever way the cell
+store (:mod:`repro.iblt.backends`) is fed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as _np
+
 from repro.errors import ParameterError
 from repro.hashing.checksum import Checksum
-from repro.hashing.mix import HAS_NUMPY, MASK64, fingerprint64, mix64, mix64_inplace
+from repro.hashing.mix import MASK64, fingerprint64, mix64, mix64_inplace
 from repro.hashing.prf import derive_seed
-
-if HAS_NUMPY:
-    import numpy as _np
 
 
 @dataclass
@@ -74,12 +73,11 @@ class HashFamily:
             bounds.append((start, size))
             start += size
         self._region_bounds = bounds
-        if HAS_NUMPY:
-            # Columns, so one XOR broadcasts a key row against every seed.
-            self._np_seeds = _np.array(self._seeds, dtype=_np.uint64)[:, None]
-            self._np_starts = _np.array([start for start, _ in bounds], dtype=_np.int64)[:, None]
-            self._np_sizes = _np.array([size for _, size in bounds], dtype=_np.uint64)[:, None]
-            self._np_joint_seeds: dict[Checksum, _np.ndarray] = {}
+        # Columns, so one XOR broadcasts a key row against every seed.
+        self._np_seeds = _np.array(self._seeds, dtype=_np.uint64)[:, None]
+        self._np_starts = _np.array([start for start, _ in bounds], dtype=_np.int64)[:, None]
+        self._np_sizes = _np.array([size for _, size in bounds], dtype=_np.uint64)[:, None]
+        self._np_joint_seeds: dict[Checksum, _np.ndarray] = {}
 
     def cells_for(self, key: int) -> list[int]:
         """Return the ``k`` distinct cell indices for ``key``.
@@ -92,13 +90,6 @@ class HashFamily:
             cells.append(start + mix64(fingerprint ^ seed) % size)
         return cells
 
-    def cells_for_many(self, keys) -> list[list[int]]:
-        """Cell indices for many keys (scalar reference path, any key width).
-
-        Returns one row of ``k`` indices per key, matching :meth:`cells_for`.
-        """
-        return [self.cells_for(key) for key in keys]
-
     def region_of(self, cell_index: int) -> int:
         """Return which hash function's region a cell index belongs to."""
         if not 0 <= cell_index < self.num_cells:
@@ -108,31 +99,29 @@ class HashFamily:
                 return region
         raise ParameterError("cell index out of range")  # pragma: no cover
 
-    if HAS_NUMPY:
+    def cells_for_array(self, keys) -> "_np.ndarray":
+        """Vectorized bucket mapping for a ``uint64`` key array.
 
-        def cells_for_array(self, keys) -> "_np.ndarray":
-            """Vectorized bucket mapping for a ``uint64`` key array.
+        Returns an ``(num_hashes, n)`` ``int64`` matrix whose column ``j``
+        equals ``cells_for(keys[j])``, from one mix over the ``(k, n)``
+        matrix of keys XOR seeds.  Callers guarantee the keys fit in
+        64 bits (the vectorized cell stores enforce this).
+        """
+        return self._cells_of(mix64_inplace(keys ^ self._np_seeds))
 
-            Returns an ``(num_hashes, n)`` ``int64`` matrix whose column ``j``
-            equals ``cells_for(keys[j])``, from one mix over the ``(k, n)``
-            matrix of keys XOR seeds.  Callers guarantee the keys fit in
-            64 bits (the vectorized cell stores enforce this).
-            """
-            return self._cells_of(mix64_inplace(keys ^ self._np_seeds))
+    def cells_and_checks_array(self, keys, checksum: Checksum):
+        """:meth:`cells_for_array` and ``checksum.of_keys_array(keys)``
+        from one ``(k + 1)``-row mix: the checksum's seed is one more row
+        of the same XOR (a checksum of at most 64 bits)."""
+        seeds = self._np_joint_seeds.get(checksum)
+        if seeds is None:
+            seeds = _np.append(self._np_seeds, [[checksum._np_seed]], axis=0)
+            self._np_joint_seeds[checksum] = seeds
+        mixed = mix64_inplace(keys ^ seeds)
+        return self._cells_of(mixed[:-1]), mixed[-1] & checksum._np_mask
 
-        def cells_and_checks_array(self, keys, checksum: Checksum):
-            """:meth:`cells_for_array` and ``checksum.of_keys_array(keys)``
-            from one ``(k + 1)``-row mix: the checksum's seed is one more row
-            of the same XOR (a checksum of at most 64 bits)."""
-            seeds = self._np_joint_seeds.get(checksum)
-            if seeds is None:
-                seeds = _np.append(self._np_seeds, [[checksum._np_seed]], axis=0)
-                self._np_joint_seeds[checksum] = seeds
-            mixed = mix64_inplace(keys ^ seeds)
-            return self._cells_of(mixed[:-1]), mixed[-1] & checksum._np_mask
-
-        def _cells_of(self, mixed):
-            # Residues are below a region size, so the int64 view is exact.
-            cells = (mixed % self._np_sizes).view(_np.int64)
-            cells += self._np_starts
-            return cells
+    def _cells_of(self, mixed):
+        # Residues are below a region size, so the int64 view is exact.
+        cells = (mixed % self._np_sizes).view(_np.int64)
+        cells += self._np_starts
+        return cells

@@ -1,4 +1,4 @@
-"""64-bit mixing primitives shared by the scalar and vectorized hash paths.
+"""64-bit mixing primitives shared by the scalar and array hash paths.
 
 The IBLT inner loops (bucket choice and per-key checksums) are the hot path
 of every protocol in this library.  Deriving those values from keyed BLAKE2b
@@ -18,10 +18,10 @@ vectorize.  This module defines the mixing function both paths use instead:
   refuses what the two paths would hash differently and hands the batch
   paths their ``uint64`` array.
 
-Cross-backend determinism rests on this file: every cell-store backend
-(:mod:`repro.iblt.backends`) derives bucket indices and checksums from these
-functions, so the same seed yields bit-identical tables no matter which
-backend computed them.
+Determinism rests on this file: the cell store (:mod:`repro.iblt.backends`)
+derives bucket indices and checksums from these functions, and the scalar
+routes that small batches take below their measured cutoffs agree with the
+array routes value for value.
 """
 
 from __future__ import annotations
@@ -29,19 +29,14 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Iterable
 
+import numpy as _np
+
 from repro.errors import ParameterError
 
 MASK64 = (1 << 64) - 1
 
 _MULT_A = 0xBF58476D1CE4E5B9
 _MULT_B = 0x94D049BB133111EB
-
-try:  # NumPy is optional; every caller falls back to the scalar path.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on NumPy-free installs
-    _np = None
-
-HAS_NUMPY = _np is not None
 
 
 def mix64(value: int) -> int:
@@ -77,12 +72,7 @@ def is_key_array(values: object) -> bool:
     """True for a one-dimensional NumPy ``uint64`` array: a batch of keys
     below ``2**64`` that its dtype has already validated (no float, no
     negative, no key too wide), so the batch paths take it as it is."""
-    return (
-        _np is not None
-        and isinstance(values, _np.ndarray)
-        and values.dtype == _np.uint64
-        and values.ndim == 1
-    )
+    return isinstance(values, _np.ndarray) and values.dtype == _np.uint64 and values.ndim == 1
 
 
 def checked_keys(
@@ -90,9 +80,9 @@ def checked_keys(
 ) -> list[int] | Any:
     """The one ingestion of a batch of keys: validated once, in one form.
 
-    A ``uint64`` array when NumPy is present, there are more than
-    ``array_above`` keys (``None``: never) and every key is below ``2**64``;
-    else the checked list.  A ``uint64`` array comes back as it is (its dtype
+    A ``uint64`` array when there are more than ``array_above`` keys
+    (``None``: never) and every key is below ``2**64``; else the checked
+    list.  A ``uint64`` array comes back as it is (its dtype
     validated it).  Refused, as :class:`~repro.errors.ParameterError` naming
     ``what``: anything not an ``int`` (a float, even ``2.0``, which
     ``fromiter`` would truncate; a NumPy scalar; a string; ``None``) and a
@@ -110,7 +100,7 @@ def checked_keys(
         raise ParameterError(f"{what} must be Python integers")
     if keys and min(keys) < 0:
         raise ParameterError(f"{what} must be non-negative")
-    if HAS_NUMPY and array_above is not None and len(keys) > array_above:
+    if array_above is not None and len(keys) > array_above:
         try:
             return _np.fromiter(keys, dtype=_np.uint64, count=len(keys))
         except OverflowError:  # a key of 2**64 or more: the list it is
@@ -118,30 +108,24 @@ def checked_keys(
     return keys
 
 
-if HAS_NUMPY:
-    _NP_MULT_A = _np.uint64(_MULT_A)
-    _NP_MULT_B = _np.uint64(_MULT_B)
-    _NP_S30 = _np.uint64(30)
-    _NP_S27 = _np.uint64(27)
-    _NP_S31 = _np.uint64(31)
+_NP_MULT_A = _np.uint64(_MULT_A)
+_NP_MULT_B = _np.uint64(_MULT_B)
+_NP_S30 = _np.uint64(30)
+_NP_S27 = _np.uint64(27)
+_NP_S31 = _np.uint64(31)
 
-    def mix64_array(values):
-        """Vectorized :func:`mix64` over a ``uint64`` array (input not modified)."""
-        return mix64_inplace(values.astype(_np.uint64, copy=True))
 
-    def mix64_inplace(z):
-        """:func:`mix64_array` that overwrites ``z`` (a fresh ``uint64`` array
-        its caller owns, e.g. the result of an XOR) and returns it."""
-        z ^= z >> _NP_S30
-        z *= _NP_MULT_A
-        z ^= z >> _NP_S27
-        z *= _NP_MULT_B
-        z ^= z >> _NP_S31
-        return z
+def mix64_array(values):
+    """Vectorized :func:`mix64` over a ``uint64`` array (input not modified)."""
+    return mix64_inplace(values.astype(_np.uint64, copy=True))
 
-else:  # pragma: no cover - exercised on NumPy-free installs
 
-    def mix64_array(values):
-        raise RuntimeError("mix64_array requires NumPy")
-
-    mix64_inplace = mix64_array
+def mix64_inplace(z):
+    """:func:`mix64_array` that overwrites ``z`` (a fresh ``uint64`` array
+    its caller owns, e.g. the result of an XOR) and returns it."""
+    z ^= z >> _NP_S30
+    z *= _NP_MULT_A
+    z ^= z >> _NP_S27
+    z *= _NP_MULT_B
+    z ^= z >> _NP_S31
+    return z

@@ -12,12 +12,10 @@ of every efficient protocol in this library.  This package provides:
   combine tables cell-wise through it.
 * :class:`~repro.iblt.table.IBLTParameters` -- the shared configuration both
   parties must agree on (cells, hash count, key width, seed).
-* :mod:`repro.iblt.backends` -- pluggable cell-store backends: a pure-Python
-  reference store and a vectorized NumPy store, selected through the
-  :mod:`repro.config` registry and producing bit-identical tables.
+* :mod:`repro.iblt.backends` -- the one cell store, the three per-cell
+  accumulators as NumPy arrays.
 * :mod:`repro.iblt.codec` -- the one cell codec behind ``serialize`` /
-  ``deserialize``: bit planes for NumPy arrays, a pairwise integer fold
-  for the Python store, the same integer either way.
+  ``deserialize``: the store's arrays as bit planes.
 * :class:`~repro.iblt.multi.IBLTArray` -- batched construction of many
   tables over shared parameters (all child sketches of a set-of-sets parent
   in one flat hashing-and-scatter pass).
@@ -25,7 +23,7 @@ of every efficient protocol in this library.  This package provides:
   bound, following the peeling thresholds referenced by Theorem 2.1.
 """
 
-from repro.iblt.backends import CellStore, NumpyCellStore, PythonCellStore
+from repro.iblt.backends import NumpyCellStore
 from repro.iblt.table import IBLT, IBLTParameters, DecodeResult
 from repro.iblt.multi import IBLTArray
 from repro.iblt.sizing import cells_for_difference, PEELING_THRESHOLDS
@@ -35,8 +33,6 @@ __all__ = [
     "IBLTParameters",
     "DecodeResult",
     "IBLTArray",
-    "CellStore",
-    "PythonCellStore",
     "NumpyCellStore",
     "cells_for_difference",
     "PEELING_THRESHOLDS",

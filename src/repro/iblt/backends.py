@@ -1,61 +1,60 @@
-"""Pluggable cell-store backends for the IBLT.
+"""The IBLT's cell store.
 
 An IBLT is three parallel per-cell accumulators -- ``count``, ``key_xor``
 and ``check_xor`` -- plus a scatter pattern derived from the hash family.
-Everything else (peeling logic, serialization, protocol plumbing) is generic
-over *how* those accumulators are stored and updated.  This module defines
-that seam:
+:class:`NumpyCellStore` owns those accumulators as NumPy ``int64`` count and
+``uint64`` XOR arrays and implements everything that touches them: batch
+scatter updates, the whole peeling loop (:meth:`NumpyCellStore.peel_rounds`),
+in-place combination, the fold ladder's pieces and snapshot/load.
 
-* :class:`CellStore` -- the abstract backend interface.  A backend owns the
-  three accumulators and implements batch scatter updates, batch pure-cell
-  scans, the whole peeling loop (:meth:`CellStore.peel_rounds`), in-place
-  combination, and snapshot/load for serialization.
-* :func:`count_residue` -- the one reading of a cell count.  Stores keep
-  exact counts, but a table is only defined modulo ``2**count_bits`` (the
-  serialized width): every count read goes through the signed residue.
-* :class:`PythonCellStore` -- the reference implementation over plain Python
-  lists.  Handles keys of any width; always available.  A batch folds each
-  key to 64 bits once and hashes the folds with the scalar functions.
-* :class:`NumpyCellStore` -- vectorized implementation over NumPy ``int64``
-  count and ``uint64`` XOR arrays.  A key of ``key_bits`` bits is held as
-  ``L = ceil(key_bits / 64)`` ``uint64`` limbs, so ``key_xor`` has shape
-  ``(num_cells, L)`` (flat at ``L = 1``): tables whose keys are serialized
-  child IBLTs or explicit child sets (Section 3.2) stay on this store.
-  Batch inserts hash the keys' 64-bit folds through
-  :meth:`~repro.hashing.family.HashFamily.cells_and_checks_array` (cells
-  and checksums from one mix) and scatter with ``ufunc.at``; the peeler
-  runs whole rounds (pure-cell scan, checksum verification, per-key dedup,
-  batch removal) as vector operations.
-  Requires checksums of at most 64 bits.
+A key of ``key_bits`` bits is held as ``L = ceil(key_bits / 64)`` ``uint64``
+limbs, so ``key_xor`` has shape ``(num_cells, L)`` (flat at ``L = 1``):
+tables whose keys are serialized child IBLTs or explicit child sets
+(Section 3.2) live here too.  Batch inserts hash the keys' 64-bit folds
+through :meth:`~repro.hashing.family.HashFamily.cells_and_checks_array`
+(cells and checksums from one mix) and scatter with ``ufunc.at``; the peeler
+runs whole rounds (pure-cell scan, checksum verification, per-key dedup,
+batch removal) as vector operations.  Checksums and counts are at most 64
+bits wide (:class:`~repro.iblt.table.IBLTParameters` refuses wider ones).
 
-Both backends derive every bucket index and checksum from the same 64-bit
-mixing core (:mod:`repro.hashing.mix`), so a given parameter set and key
-sequence produces bit-identical cell contents -- and therefore identical
-serialized tables and decode results -- regardless of backend.
+Every bucket index and checksum comes from the one 64-bit mixing core
+(:mod:`repro.hashing.mix`), so a parameter set and a key sequence fix the
+cell contents, and therefore the serialized table and the decode result.
+:func:`count_residue` is the one reading of a cell count: the store keeps
+exact counts, but a table is only defined modulo ``2**count_bits`` (the
+serialized width).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Any, ClassVar, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
-from repro.config import register_cell_backend
+import numpy as _np
+
 from repro.errors import CapacityError, ParameterError
 from repro.hashing import Checksum, HashFamily
-from repro.hashing.mix import HAS_NUMPY, checked_keys, fingerprint64, is_key_array
+from repro.hashing.mix import checked_keys, fingerprint64, is_key_array
 
-if HAS_NUMPY:
-    import numpy as _np
+#: The names ``backend=`` accepts: the one store's, and ``"auto"``.  The
+#: option selects nothing; it stays so that callers naming the store keep
+#: working.
+BACKEND_NAMES = ("auto", "numpy")
+
+
+def check_backend(name: str | None) -> None:
+    """Refuse a ``backend=`` request the one cell store does not answer to
+    (:data:`BACKEND_NAMES`, or ``None``)."""
+    if name is not None and name not in BACKEND_NAMES:
+        raise ParameterError(f"unknown cell backend {name!r}; accepted: {list(BACKEND_NAMES)}")
 
 
 def max_peel_rounds(num_cells: int) -> int:
-    """The peeling round cap every backend's :meth:`CellStore.peel_rounds` obeys.
+    """The peeling round cap of :meth:`NumpyCellStore.peel_rounds` and of
+    the array peel (:mod:`repro.iblt.multi`).
 
     A successful peel removes at least one key per round and never needs
     more rounds than keys; the cap only guards degenerate adversarial
-    states.  It is part of the cross-backend observational contract (all
-    tiers stop after identical round sequences), so it lives here rather
-    than in any one peel implementation.
+    states.  Both peelers stop after identical round sequences.
     """
     return 4 * num_cells + 16
 
@@ -78,7 +77,7 @@ def count_residue(count, count_bits: int):
 
 
 def _validate_key_scalar(key: int, key_bits: int) -> None:
-    """Shared single-key validation (exact error parity across backends)."""
+    """Single-key validation (the batch path raises exactly the same)."""
     if not isinstance(key, int):
         raise ParameterError("IBLT keys must be Python integers")
     if key < 0:
@@ -87,289 +86,6 @@ def _validate_key_scalar(key: int, key_bits: int) -> None:
         raise CapacityError(
             f"key of {key.bit_length()} bits exceeds key_bits={key_bits}"
         )
-
-
-class CellStore(ABC):
-    """Storage backend for the per-cell ``(count, key_xor, check_xor)`` triples."""
-
-    #: Registry name; also reported by :attr:`repro.iblt.table.IBLT.backend`.
-    name: ClassVar[str]
-    #: True when batch operations run over whole arrays rather than loops.
-    vectorized: ClassVar[bool]
-    #: Auto-selection preference; higher wins (see :mod:`repro.config`).
-    priority: ClassVar[int]
-
-    def __init__(self, num_cells: int, count_bits: int, key_bits: int) -> None:
-        self.num_cells = num_cells
-        self.count_bits = count_bits
-        self.key_bits = key_bits
-
-    # -- capability probes ----------------------------------------------------------
-
-    @classmethod
-    def available(cls) -> bool:
-        """True when the backend's dependencies are importable."""
-        return True
-
-    @classmethod
-    def supports(cls, params) -> bool:
-        """True when the backend can represent tables with these parameters."""
-        return True
-
-    # -- mutation -------------------------------------------------------------------
-
-    @abstractmethod
-    def apply(self, cells: Sequence[int], key: int, check: int, delta: int) -> None:
-        """Scatter one key (with its checksum) into its cells with ``delta``."""
-
-    @abstractmethod
-    def prepare_keys(self, keys, key_bits: int):
-        """Validate a key batch and return the representation ``apply_batch`` takes."""
-
-    @abstractmethod
-    def coerce_keys(self, keys: Sequence[int]):
-        """Like :meth:`prepare_keys` for keys already known valid (peeling)."""
-
-    @abstractmethod
-    def apply_batch(self, keys, deltas, family: HashFamily, checksum: Checksum) -> None:
-        """Scatter a prepared key batch; ``deltas`` is one int or one per key."""
-
-    @abstractmethod
-    def combine(self, other: "CellStore", sign: int) -> None:
-        """In-place cell-wise ``self += sign * other`` (counts add, XORs fold)."""
-
-    # -- peeling --------------------------------------------------------------------
-
-    def peel_rounds(self, checksum: Checksum, family: HashFamily) -> tuple[list[int], list[int]]:
-        """Run the entire peeling loop in-store; return recovered keys.
-
-        Peels the table in place, round by round: every currently pure cell
-        (count residue of +-1, checksum-verified) is found in one scan, each key is
-        chosen exactly once per round (first cell in ascending cell order
-        wins, which fixes the order deterministically), and all chosen keys
-        are removed in one batch update.  Stops when a round finds no pure
-        cell or after :func:`max_peel_rounds` rounds.
-
-        Returns the keys recovered with positive and negative counts.
-        Backends override this to run whole rounds in vectorized or compiled
-        code; every implementation must peel the identical per-round key
-        sets (ordering within a round may differ -- callers consume sets)
-        and leave identical final cell contents, so the round structure and
-        decode results match across tiers (the cross-backend determinism
-        suites pin both).
-        """
-        positive: list[int] = []
-        negative: list[int] = []
-        for _ in range(max_peel_rounds(self.num_cells)):
-            keys, signs = self.pure_cells(checksum)
-            if not keys:
-                break
-            # One key can be pure in several cells; remove it exactly once.
-            chosen: dict[int, int] = {}
-            for key, sign in zip(keys, signs):
-                if key not in chosen:
-                    chosen[key] = sign
-            deltas = []
-            for key, sign in chosen.items():
-                (positive if sign == 1 else negative).append(key)
-                deltas.append(-sign)
-            self.apply_batch(self.coerce_keys(list(chosen)), deltas, family, checksum)
-        return positive, negative
-
-    # -- folding --------------------------------------------------------------------
-    #
-    # A table of ``regions`` equal regions maps hash i to region i at
-    # ``mix % size``; as (x mod 2r) mod r = x mod r, adding each cell into its
-    # position modulo a divisor of the region size gives the table of the same
-    # keys at that size.  The three methods below are that identity's pieces.
-
-    @abstractmethod
-    def folded(self, regions: int, num_cells: int) -> "CellStore":
-        """A new store of ``num_cells`` cells: every cell added into its
-        offset modulo the smaller region size (``num_cells // regions`` must
-        divide this store's)."""
-
-    @abstractmethod
-    def upper_half(self, regions: int) -> "CellStore":
-        """A new store of the upper half of every region, in region order:
-        what this store adds over its fold to half the size."""
-
-    @abstractmethod
-    def unfolded(self, upper: "CellStore", regions: int) -> "CellStore":
-        """The store of twice the size whose fold is this one and whose
-        :meth:`upper_half` is ``upper``: each region's lower half is
-        ``self - upper`` and its upper half ``upper``."""
-
-    # -- inspection -----------------------------------------------------------------
-
-    @abstractmethod
-    def is_empty(self) -> bool:
-        """True when every cell is all-zero (counts read as residues)."""
-
-    @abstractmethod
-    def pure_cells(self, checksum: Checksum) -> tuple[list[int], list[int]]:
-        """Scan for candidate pure cells (count residue of +-1, checksum-verified).
-
-        Returns the cell keys and matching signs in ascending cell order;
-        keys may repeat when one key is pure in several cells.
-        """
-
-    @abstractmethod
-    def snapshot(self) -> tuple[list[int], list[int], list[int]]:
-        """Cell contents as ``(counts, key_xors, check_xors)`` Python lists,
-        every count as its residue (:func:`count_residue`)."""
-
-    @abstractmethod
-    def load(self, counts: list[int], key_xors: list[int], check_xors: list[int]) -> None:
-        """Replace the cell contents wholesale (deserialization)."""
-
-    @abstractmethod
-    def copy(self) -> "CellStore":
-        """Independent deep copy."""
-
-
-@register_cell_backend
-class PythonCellStore(CellStore):
-    """Reference backend over plain Python lists (any key width)."""
-
-    name = "python"
-    vectorized = False
-    priority = 0
-
-    def __init__(self, num_cells: int, count_bits: int, key_bits: int) -> None:
-        super().__init__(num_cells, count_bits, key_bits)
-        self._counts = [0] * num_cells
-        self._key_xor = [0] * num_cells
-        self._check_xor = [0] * num_cells
-
-    def apply(self, cells, key, check, delta):
-        counts, key_xor, check_xor = self._counts, self._key_xor, self._check_xor
-        for cell in cells:
-            counts[cell] += delta
-            key_xor[cell] ^= key
-            check_xor[cell] ^= check
-
-    def prepare_keys(self, keys, key_bits):
-        keys = list(keys)
-        for key in keys:
-            _validate_key_scalar(key, key_bits)
-        return keys
-
-    def coerce_keys(self, keys):
-        return keys
-
-    def apply_batch(self, keys, deltas, family, checksum):
-        counts, key_xor, check_xor = self._counts, self._key_xor, self._check_xor
-        if isinstance(deltas, int):
-            deltas = [deltas] * len(keys)
-        # One fold per key (the one BLAKE2b digest a wide key costs); a fold
-        # is below 2**64, where fingerprint64 is the identity, so hashing the
-        # folds gives the keys' own cells and checksums.
-        folds = [fingerprint64(key) for key in keys]
-        checks = checksum.of_keys(folds)
-        cell_rows = family.cells_for_many(folds)
-        for key, delta, check, cells in zip(keys, deltas, checks, cell_rows):
-            for cell in cells:
-                counts[cell] += delta
-                key_xor[cell] ^= key
-                check_xor[cell] ^= check
-
-    def combine(self, other, sign):
-        if isinstance(other, PythonCellStore):  # read directly, skip the copies
-            other_counts = other._counts
-            other_keys = other._key_xor
-            other_checks = other._check_xor
-        else:
-            other_counts, other_keys, other_checks = other.snapshot()
-        counts, key_xor, check_xor = self._counts, self._key_xor, self._check_xor
-        for cell in range(self.num_cells):
-            counts[cell] += sign * other_counts[cell]
-            key_xor[cell] ^= other_keys[cell]
-            check_xor[cell] ^= other_checks[cell]
-
-    def _with_cells(self, counts, key_xor, check_xor):
-        store = PythonCellStore.__new__(PythonCellStore)
-        CellStore.__init__(store, len(counts), self.count_bits, self.key_bits)
-        store._counts, store._key_xor, store._check_xor = counts, key_xor, check_xor
-        return store
-
-    def folded(self, regions, num_cells):
-        size, target = self.num_cells // regions, num_cells // regions
-        counts, key_xor, check_xor = [0] * num_cells, [0] * num_cells, [0] * num_cells
-        for cell, (count, key, check) in enumerate(
-            zip(self._counts, self._key_xor, self._check_xor)
-        ):
-            region, offset = divmod(cell, size)
-            into = region * target + offset % target
-            counts[into] += count
-            key_xor[into] ^= key
-            check_xor[into] ^= check
-        return self._with_cells(counts, key_xor, check_xor)
-
-    def upper_half(self, regions):
-        size = self.num_cells // regions
-        half = size // 2
-        cells = [
-            start + offset for start in range(half, self.num_cells, size) for offset in range(half)
-        ]
-        return self._with_cells(
-            [self._counts[cell] for cell in cells],
-            [self._key_xor[cell] for cell in cells],
-            [self._check_xor[cell] for cell in cells],
-        )
-
-    def unfolded(self, upper, regions):
-        upper_counts, upper_keys, upper_checks = (
-            (upper._counts, upper._key_xor, upper._check_xor)
-            if isinstance(upper, PythonCellStore)
-            else upper.snapshot()
-        )
-        size = self.num_cells // regions
-        counts: list[int] = []
-        key_xor: list[int] = []
-        check_xor: list[int] = []
-        for start in range(0, self.num_cells, size):
-            span = slice(start, start + size)
-            counts += [a - b for a, b in zip(self._counts[span], upper_counts[span])]
-            counts += upper_counts[span]
-            key_xor += [a ^ b for a, b in zip(self._key_xor[span], upper_keys[span])]
-            key_xor += upper_keys[span]
-            check_xor += [a ^ b for a, b in zip(self._check_xor[span], upper_checks[span])]
-            check_xor += upper_checks[span]
-        return self._with_cells(counts, key_xor, check_xor)
-
-    def is_empty(self):
-        count_bits = self.count_bits
-        return (
-            all(count_residue(count, count_bits) == 0 for count in self._counts)
-            and all(key == 0 for key in self._key_xor)
-            and all(check == 0 for check in self._check_xor)
-        )
-
-    def pure_cells(self, checksum):
-        keys: list[int] = []
-        signs: list[int] = []
-        key_xor, check_xor, count_bits = self._key_xor, self._check_xor, self.count_bits
-        for cell, count in enumerate(self._counts):
-            count = count_residue(count, count_bits)
-            if count == 1 or count == -1:
-                key = key_xor[cell]
-                if check_xor[cell] == checksum.of_key(key):
-                    keys.append(key)
-                    signs.append(count)
-        return keys, signs
-
-    def snapshot(self):
-        counts = [count_residue(count, self.count_bits) for count in self._counts]
-        return counts, list(self._key_xor), list(self._check_xor)
-
-    def load(self, counts, key_xors, check_xors):
-        self._counts = list(counts)
-        self._key_xor = list(key_xors)
-        self._check_xor = list(check_xors)
-
-    def copy(self):
-        return self._with_cells(list(self._counts), list(self._key_xor), list(self._check_xor))
 
 
 class KeyBatch(NamedTuple):
@@ -418,16 +134,6 @@ def _folds_of(limbs):
     return _np.fromiter(map(fingerprint64, keys), dtype=_np.uint64, count=len(keys))
 
 
-def _dense_of(cells, num_limbs: int):
-    """A :meth:`CellStore.snapshot` as :class:`NumpyCellStore` arrays."""
-    counts, keys, checks = cells
-    return (
-        _np.asarray(counts, dtype=_np.int64),
-        _limbs_of(keys, num_limbs),
-        _np.asarray(checks, dtype=_np.uint64),
-    )
-
-
 def _repeated(rows, times: int):
     """``rows`` stacked ``times`` times along the first axis: the values of a
     hash-major flat scatter.  ``ufunc.at`` needs them shaped like the flat
@@ -436,39 +142,32 @@ def _repeated(rows, times: int):
     return _np.concatenate([rows] * times)
 
 
-@register_cell_backend
-class NumpyCellStore(CellStore):
-    """Vectorized backend over NumPy arrays (any key width, checksums <= 64 bits).
+class NumpyCellStore:
+    """The per-cell ``(count, key_xor, check_xor)`` triples as NumPy arrays
+    (any key width, checksums and counts of at most 64 bits).
 
     A key takes ``num_limbs = ceil(key_bits / 64)`` ``uint64`` limbs, most
     significant first: ``key_xor`` has shape ``(num_cells, num_limbs)``, and
     at one limb it is the flat ``(num_cells,)`` array of words, so narrow
     tables run exactly the one-word code.  Cells and checksums are hashed
-    from each key's 64-bit fold, as on :class:`PythonCellStore`, so both
-    stores hold identical cells.
+    from each key's 64-bit fold.
     """
 
+    #: Reported by :attr:`repro.iblt.table.IBLT.backend`.
     name = "numpy"
-    vectorized = True
-    priority = 10
 
     def __init__(self, num_cells: int, count_bits: int, key_bits: int) -> None:
-        super().__init__(num_cells, count_bits, key_bits)
+        self.num_cells = num_cells
+        self.count_bits = count_bits
+        self.key_bits = key_bits
         self.num_limbs = -(-key_bits // 64)
         self._counts = _np.zeros(num_cells, dtype=_np.int64)
         shape = (num_cells,) if self.num_limbs == 1 else (num_cells, self.num_limbs)
         self._key_xor = _np.zeros(shape, dtype=_np.uint64)
         self._check_xor = _np.zeros(num_cells, dtype=_np.uint64)
 
-    @classmethod
-    def available(cls):
-        return HAS_NUMPY
-
-    @classmethod
-    def supports(cls, params):
-        return HAS_NUMPY and params.checksum_bits <= 64
-
-    def apply(self, cells, key, check, delta):
+    def apply(self, cells: Sequence[int], key: int, check: int, delta: int) -> None:
+        """Scatter one key (with its checksum) into its cells with ``delta``."""
         counts, key_xor, check_xor = self._counts, self._key_xor, self._check_xor
         key_limbs = _np.uint64(key) if self.num_limbs == 1 else _limbs_of([key], self.num_limbs)[0]
         check_word = _np.uint64(check)
@@ -477,7 +176,9 @@ class NumpyCellStore(CellStore):
             key_xor[cell] ^= key_limbs
             check_xor[cell] ^= check_word
 
-    def prepare_keys(self, keys, key_bits):
+    def prepare_keys(self, keys, key_bits: int) -> KeyBatch:
+        """Validate a key batch and return the :class:`KeyBatch`
+        :meth:`apply_batch` takes."""
         # A KeyBatch (what an earlier call returned) cannot hold a float, a
         # negative or an over-long key: only the width is left to check.
         if isinstance(keys, KeyBatch):
@@ -507,7 +208,8 @@ class NumpyCellStore(CellStore):
                 _validate_key_scalar(key, key_bits)
             raise  # pragma: no cover - scalar validation always raises first
 
-    def coerce_keys(self, keys):
+    def coerce_keys(self, keys: Sequence[int]) -> KeyBatch:
+        """Like :meth:`prepare_keys` for keys already known valid."""
         if self.num_limbs == 1:
             words = _np.asarray(keys, dtype=_np.uint64)
             return KeyBatch(words, words)
@@ -516,7 +218,8 @@ class NumpyCellStore(CellStore):
             _np.fromiter(map(fingerprint64, keys), dtype=_np.uint64, count=len(keys)),
         )
 
-    def apply_batch(self, keys, deltas, family, checksum):
+    def apply_batch(self, keys, deltas, family: HashFamily, checksum: Checksum) -> None:
+        """Scatter a key batch; ``deltas`` is one int or one per key."""
         limbs, folds = keys if isinstance(keys, KeyBatch) else self.coerce_keys(keys)
         if folds.size == 0:
             return
@@ -532,21 +235,26 @@ class NumpyCellStore(CellStore):
         _np.bitwise_xor.at(self._key_xor, cells, _repeated(limbs, num_hashes))
         _np.bitwise_xor.at(self._check_xor, cells, _repeated(checks, num_hashes))
 
-    def combine(self, other, sign):
-        if isinstance(other, NumpyCellStore):
-            other_counts = other._counts
-            other_keys = other._key_xor
-            other_checks = other._check_xor
-        else:
-            other_counts, other_keys, other_checks = _dense_of(other.snapshot(), self.num_limbs)
+    def combine(self, other: "NumpyCellStore", sign: int) -> None:
+        """In-place cell-wise ``self += sign * other`` (counts add, XORs fold)."""
         if sign == 1:
-            self._counts += other_counts
+            self._counts += other._counts
         else:
-            self._counts -= other_counts
-        self._key_xor ^= other_keys
-        self._check_xor ^= other_checks
+            self._counts -= other._counts
+        self._key_xor ^= other._key_xor
+        self._check_xor ^= other._check_xor
 
-    def peel_rounds(self, checksum, family):
+    def peel_rounds(self, checksum: Checksum, family: HashFamily) -> tuple[list[int], list[int]]:
+        """Run the entire peeling loop in-store; return recovered keys.
+
+        Peels the table in place, round by round: every currently pure cell
+        (count residue of +-1, checksum-verified) is found in one scan, each
+        key is chosen exactly once per round (first cell in ascending cell
+        order wins), and all chosen keys are removed in one batch update.
+        Stops when a round finds no pure cell or after
+        :func:`max_peel_rounds` rounds.  Returns the keys recovered with
+        positive and negative counts.
+        """
         counts, key_xor, check_xor = self._counts, self._key_xor, self._check_xor
         num_hashes = family.num_hashes
         positive: list[int] = []
@@ -581,9 +289,11 @@ class NumpyCellStore(CellStore):
             _np.bitwise_xor.at(check_xor, cells, _repeated(checks[chosen], num_hashes))
         return positive, negative
 
-    def _with_cells(self, counts, key_xor, check_xor):
+    def _with_cells(self, counts, key_xor, check_xor) -> "NumpyCellStore":
         store = NumpyCellStore.__new__(NumpyCellStore)
-        CellStore.__init__(store, counts.shape[0], self.count_bits, self.key_bits)
+        store.num_cells = counts.shape[0]
+        store.count_bits = self.count_bits
+        store.key_bits = self.key_bits
         store.num_limbs = self.num_limbs
         store._counts, store._key_xor, store._check_xor = counts, key_xor, check_xor
         return store
@@ -592,7 +302,17 @@ class NumpyCellStore(CellStore):
         """``array`` viewed as ``(regions, *shape)`` cells, limbs kept last."""
         return array.reshape((regions, *shape) + array.shape[1:])
 
-    def folded(self, regions, num_cells):
+    # -- folding --------------------------------------------------------------------
+    #
+    # A table of ``regions`` equal regions maps hash i to region i at
+    # ``mix % size``; as (x mod 2r) mod r = x mod r, adding each cell into its
+    # position modulo a divisor of the region size gives the table of the same
+    # keys at that size.  The three methods below are that identity's pieces.
+
+    def folded(self, regions: int, num_cells: int) -> "NumpyCellStore":
+        """A new store of ``num_cells`` cells: every cell added into its
+        offset modulo the smaller region size (``num_cells // regions`` must
+        divide this store's)."""
         target = num_cells // regions
         shape = (self.num_cells // regions // target, target)
         flat = (num_cells,)
@@ -604,7 +324,9 @@ class NumpyCellStore(CellStore):
             .reshape(flat),
         )
 
-    def upper_half(self, regions):
+    def upper_half(self, regions: int) -> "NumpyCellStore":
+        """A new store of the upper half of every region, in region order:
+        what this store adds over its fold to half the size."""
         half = self.num_cells // regions // 2
 
         def upper(array):
@@ -614,9 +336,10 @@ class NumpyCellStore(CellStore):
 
         return self._with_cells(upper(self._counts), upper(self._key_xor), upper(self._check_xor))
 
-    def unfolded(self, upper, regions):
-        if not isinstance(upper, NumpyCellStore):
-            upper = self._with_cells(*_dense_of(upper.snapshot(), self.num_limbs))
+    def unfolded(self, upper: "NumpyCellStore", regions: int) -> "NumpyCellStore":
+        """The store of twice the size whose fold is this one and whose
+        :meth:`upper_half` is ``upper``: each region's lower half is
+        ``self - upper`` and its upper half ``upper``."""
         size = self.num_cells // regions
 
         def joined(fold, top, lower):
@@ -649,35 +372,25 @@ class NumpyCellStore(CellStore):
         (deserialization; the arrays must not be used elsewhere)."""
         self._counts, self._key_xor, self._check_xor = counts, key_xor, check_xor
 
-    def is_empty(self):
+    def is_empty(self) -> bool:
+        """True when every cell is all-zero (counts read as residues)."""
         return not (
             count_residue(self._counts, self.count_bits).any()
             or self._key_xor.any()
             or self._check_xor.any()
         )
 
-    def pure_cells(self, checksum):
-        residues = count_residue(self._counts, self.count_bits)
-        candidates = _np.nonzero(_np.abs(residues) == 1)[0]
-        if candidates.size == 0:
-            return [], []
-        limbs = self._key_xor[candidates]
-        verified = self._check_xor[candidates] == checksum.of_keys_array(_folds_of(limbs))
-        return _ints_of(limbs[verified]), residues[candidates][verified].tolist()
-
-    def snapshot(self):
+    def snapshot(self) -> tuple[list[int], list[int], list[int]]:
+        """Cell contents as ``(counts, key_xors, check_xors)`` Python lists,
+        every count as its residue (:func:`count_residue`)."""
         return (
             count_residue(self._counts, self.count_bits).tolist(),
             _ints_of(self._key_xor),
             self._check_xor.tolist(),
         )
 
-    def load(self, counts, key_xors, check_xors):
-        self._counts, self._key_xor, self._check_xor = _dense_of(
-            (counts, key_xors, check_xors), self.num_limbs
-        )
-
-    def copy(self):
+    def copy(self) -> "NumpyCellStore":
+        """Independent deep copy."""
         return self._with_cells(
             self._counts.copy(), self._key_xor.copy(), self._check_xor.copy()
         )

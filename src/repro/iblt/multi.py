@@ -4,7 +4,7 @@ The set-of-sets protocols of Section 3 encode every child set of a parent
 into its own small IBLT, all built from the *same* :class:`IBLTParameters`
 (same seed, same cell count).  Built one at a time through
 :meth:`IBLT.from_items`, each child pays for its own hash-family derivation,
-backend resolution and per-table scatter -- a pure-Python ``O(n)`` loop that
+cell-store set-up and per-table scatter -- a Python ``O(n)`` loop that
 dominates encoding for parents with many small children.
 
 :class:`IBLTArray` materializes all ``s`` child tables in one pass instead:
@@ -16,10 +16,10 @@ and checksums from one mix), and the results are
 scattered into a single ``(s, num_cells)`` cell tensor -- three ``ufunc.at``
 calls for the entire parent set.  :meth:`IBLTArray.serialize_all` writes the
 tensor out the same way: all cells as bit planes, packed to bytes in one
-pass, one ``int.from_bytes`` per row.  When the tensor path is unavailable
-(no NumPy, or keys wider than one 64-bit word) the array builds and
-serializes each row through the ordinary per-table path, so the contents
-are bit-identical: ``IBLTArray(params, children).table(i)`` always equals
+pass, one ``int.from_bytes`` per row.  Keys wider than one 64-bit word
+take the per-row path instead: the array builds and serializes each row
+through the ordinary per-table path, so the contents are bit-identical:
+``IBLTArray(params, children).table(i)`` always equals
 ``IBLT.from_items(params, children[i])``.
 
 The many-balls-into-many-bins structure of this batch build (every element
@@ -33,85 +33,80 @@ from __future__ import annotations
 from itertools import chain
 from typing import Any, Iterable, Sequence
 
+import numpy as _np
+
 from repro.errors import ParameterError
-from repro.hashing.mix import HAS_NUMPY
 from repro.iblt.backends import _repeated, count_residue, max_peel_rounds
+from repro.iblt.codec import pack_rows
 from repro.iblt.table import IBLT, DecodeResult, IBLTParameters
 
-if HAS_NUMPY:
-    import numpy as _np
 
-    from repro.iblt.codec import pack_rows
+def _peel_tensor(counts, key_xor, check_xor, family, checksum, count_bits):
+    """Peel every row of an ``(s, num_cells)`` cell tensor, in place.
 
-
-if HAS_NUMPY:
-
-    def _peel_tensor(counts, key_xor, check_xor, family, checksum, count_bits):
-        """Peel every row of an ``(s, num_cells)`` cell tensor, in place.
-
-        Rows never share cells, so one *global* round (pure-cell scan over the
-        whole flattened tensor, per-(row, key) dedup, one batched removal)
-        advances every still-active row exactly as its own isolated peeling
-        round would -- a row with no pure cells is simply untouched and stays
-        frozen.  Each row therefore evolves bit-identically to
-        ``IBLT.try_decode`` on that row alone, at a fraction of the dispatch
-        cost.  Returns one :class:`~repro.iblt.table.DecodeResult` per row.
-        """
-        num_tables, num_cells = counts.shape
-        flat_counts = counts.reshape(-1)
-        flat_keys = key_xor.reshape(-1)
-        flat_checks = check_xor.reshape(-1)
-        num_hashes = family.num_hashes
-        positive: list[list[int]] = [[] for _ in range(num_tables)]
-        negative: list[list[int]] = [[] for _ in range(num_tables)]
-        for _ in range(max_peel_rounds(num_cells)):
-            residues = count_residue(flat_counts, count_bits)
-            candidates = _np.nonzero(_np.abs(residues) == 1)[0]
-            if candidates.size == 0:
-                break
-            keys = flat_keys[candidates]
-            cells, checks = family.cells_and_checks_array(keys, checksum)
-            verified = flat_checks[candidates] == checks
-            candidates = candidates[verified]
-            if candidates.size == 0:
-                break
-            keys = keys[verified]
-            checks = checks[verified]
-            cells = cells[:, verified]
-            signs = residues[candidates]
-            rows = candidates // num_cells
-            # First cell in ascending cell order wins per (row, key) pair --
-            # the same tie-break as every in-store peel.  Sort by (row, key,
-            # candidate position) and keep each group's first element.
-            order = _np.lexsort((_np.arange(candidates.size), keys, rows))
-            sorted_rows = rows[order]
-            sorted_keys = keys[order]
-            boundary = _np.ones(order.size, dtype=bool)
-            boundary[1:] = (sorted_rows[1:] != sorted_rows[:-1]) | (
-                sorted_keys[1:] != sorted_keys[:-1]
-            )
-            winners = order[boundary]
-            chosen_keys = keys[winners]
-            chosen_signs = signs[winners]
-            chosen_checks = checks[winners]
-            row_offsets = rows[winners] * num_cells
-            cells = (cells[:, winners] + row_offsets).reshape(-1)
-            _np.add.at(flat_counts, cells, _repeated(-chosen_signs, num_hashes))
-            _np.bitwise_xor.at(flat_keys, cells, _repeated(chosen_keys, num_hashes))
-            _np.bitwise_xor.at(flat_checks, cells, _repeated(chosen_checks, num_hashes))
-            for row, key, sign in zip(
-                rows[winners].tolist(), chosen_keys.tolist(), chosen_signs.tolist()
-            ):
-                (positive[row] if sign == 1 else negative[row]).append(key)
-        decoded = ~(
-            count_residue(counts, count_bits).any(axis=1)
-            | key_xor.any(axis=1)
-            | check_xor.any(axis=1)
+    Rows never share cells, so one *global* round (pure-cell scan over the
+    whole flattened tensor, per-(row, key) dedup, one batched removal)
+    advances every still-active row exactly as its own isolated peeling
+    round would -- a row with no pure cells is simply untouched and stays
+    frozen.  Each row therefore evolves bit-identically to
+    ``IBLT.try_decode`` on that row alone, at a fraction of the dispatch
+    cost.  Returns one :class:`~repro.iblt.table.DecodeResult` per row.
+    """
+    num_tables, num_cells = counts.shape
+    flat_counts = counts.reshape(-1)
+    flat_keys = key_xor.reshape(-1)
+    flat_checks = check_xor.reshape(-1)
+    num_hashes = family.num_hashes
+    positive: list[list[int]] = [[] for _ in range(num_tables)]
+    negative: list[list[int]] = [[] for _ in range(num_tables)]
+    for _ in range(max_peel_rounds(num_cells)):
+        residues = count_residue(flat_counts, count_bits)
+        candidates = _np.nonzero(_np.abs(residues) == 1)[0]
+        if candidates.size == 0:
+            break
+        keys = flat_keys[candidates]
+        cells, checks = family.cells_and_checks_array(keys, checksum)
+        verified = flat_checks[candidates] == checks
+        candidates = candidates[verified]
+        if candidates.size == 0:
+            break
+        keys = keys[verified]
+        checks = checks[verified]
+        cells = cells[:, verified]
+        signs = residues[candidates]
+        rows = candidates // num_cells
+        # First cell in ascending cell order wins per (row, key) pair --
+        # the same tie-break as the store's peel.  Sort by (row, key,
+        # candidate position) and keep each group's first element.
+        order = _np.lexsort((_np.arange(candidates.size), keys, rows))
+        sorted_rows = rows[order]
+        sorted_keys = keys[order]
+        boundary = _np.ones(order.size, dtype=bool)
+        boundary[1:] = (sorted_rows[1:] != sorted_rows[:-1]) | (
+            sorted_keys[1:] != sorted_keys[:-1]
         )
-        return [
-            DecodeResult(bool(decoded[row]), set(positive[row]), set(negative[row]))
-            for row in range(num_tables)
-        ]
+        winners = order[boundary]
+        chosen_keys = keys[winners]
+        chosen_signs = signs[winners]
+        chosen_checks = checks[winners]
+        row_offsets = rows[winners] * num_cells
+        cells = (cells[:, winners] + row_offsets).reshape(-1)
+        _np.add.at(flat_counts, cells, _repeated(-chosen_signs, num_hashes))
+        _np.bitwise_xor.at(flat_keys, cells, _repeated(chosen_keys, num_hashes))
+        _np.bitwise_xor.at(flat_checks, cells, _repeated(chosen_checks, num_hashes))
+        for row, key, sign in zip(
+            rows[winners].tolist(), chosen_keys.tolist(), chosen_signs.tolist()
+        ):
+            (positive[row] if sign == 1 else negative[row]).append(key)
+    decoded = ~(
+        count_residue(counts, count_bits).any(axis=1)
+        | key_xor.any(axis=1)
+        | check_xor.any(axis=1)
+    )
+    return [
+        DecodeResult(bool(decoded[row]), set(positive[row]), set(negative[row]))
+        for row in range(num_tables)
+    ]
 
 
 class FlatChildren:
@@ -142,11 +137,9 @@ class IBLTArray:
         :class:`FlatChildren` of one.  Row ``i`` holds exactly the contents
         of ``IBLT.from_items(params, children[i])``.
     backend:
-        Cell-store backend name, with the same semantics as
-        :class:`~repro.iblt.table.IBLT`: the vectorized tensor path is used
-        when the resolved backend is vectorized and the parameters fit in 64
-        bits, and the per-row reference path otherwise.  Materialized tables
-        (:meth:`table`) resolve their stores through the same request.
+        Accepted as :class:`~repro.iblt.table.IBLT` accepts it.  The rows
+        share one tensor when keys fit in 64 bits, and are per-row tables
+        otherwise.
     """
 
     def __init__(
@@ -159,15 +152,9 @@ class IBLTArray:
         flat = children if isinstance(children, FlatChildren) else FlatChildren(children)
         self.num_tables = len(flat.rows)
         # One template table supplies the shared hash family, checksum and
-        # resolved cell store; rows clone it instead of re-deriving seeds.
+        # cell store; rows clone it instead of re-deriving seeds.
         self._template = IBLT(params, backend=backend)
-        store = self._template._store
-        self._vectorized = (
-            HAS_NUMPY
-            and getattr(type(store), "vectorized", False)
-            and params.key_bits <= 64
-            and params.checksum_bits <= 64
-        )
+        self._vectorized = params.key_bits <= 64
         if self._vectorized:
             self._tables: list[IBLT] | None = None
             self._build_tensor(flat)
@@ -182,7 +169,7 @@ class IBLTArray:
 
     @property
     def backend(self) -> str:
-        """Name of the cell-store backend the rows resolved to."""
+        """Name of the rows' cell store: ``"numpy"``."""
         return self._template.backend
 
     @property
@@ -232,17 +219,12 @@ class IBLTArray:
         Row ``i`` holds exactly the cells of
         ``minuend.subtract(subtrahends[i])``, stacked into one tensor so
         :meth:`decode_all` can peel every difference at once -- the decode
-        side of the sets-of-sets candidate loops.  Returns ``None`` when any
-        operand is off the tensor path (non-vectorized store), in which case
-        callers should fall back to per-pair ``subtract().try_decode()``
-        (whose lazy early exit is the better economics there anyway).
+        side of the sets-of-sets candidate loops.  Returns ``None`` for keys
+        wider than 64 bits (off the tensor path), in which case callers
+        should fall back to per-pair ``subtract().try_decode()`` (whose lazy
+        early exit is the better economics there anyway).
         """
-        stores = [minuend._store] + [table._store for table in subtrahends]
-        if (
-            not HAS_NUMPY
-            or minuend.params.key_bits > 64
-            or not all(hasattr(store, "dense_cells") for store in stores)
-        ):
+        if minuend.params.key_bits > 64:
             return None
         for table in subtrahends:
             if table.params != minuend.params:
@@ -279,10 +261,10 @@ class IBLTArray:
         if self._tables is not None:
             return self._tables[index].copy()
         table = self._template.copy()
-        table._store.load(
-            self._counts[index].tolist(),
-            self._key_xor[index].tolist(),
-            self._check_xor[index].tolist(),
+        table._store.load_dense(
+            self._counts[index].copy(),
+            self._key_xor[index].copy(),
+            self._check_xor[index].copy(),
         )
         return table
 

@@ -8,28 +8,24 @@ negative; a table can therefore represent the *signed difference* of two
 sets, which is how set reconciliation uses it (insert Alice's elements,
 delete Bob's, peel what remains).
 
-Cell storage is delegated to a pluggable backend (:mod:`repro.iblt.backends`,
-selected through the :mod:`repro.config` registry): a pure-Python reference
-store, or a vectorized NumPy store that hashes and scatters whole key arrays
-at once.  :meth:`IBLT.insert_batch` and
-:meth:`IBLT.delete_batch` feed the backend whole key batches in one scatter;
+Cells live in the one NumPy cell store (:mod:`repro.iblt.backends`), which
+hashes and scatters whole key arrays at once.  :meth:`IBLT.insert_batch` and
+:meth:`IBLT.delete_batch` feed it whole key batches in one scatter;
 :meth:`IBLT.subtract` and :meth:`IBLT.merge` combine tables cell-wise through
-the backend (``CellStore.combine``); the single-key methods remain for
-incremental callers.  Backends produce bit-identical tables for the same parameters and
-keys, so the backend choice is invisible to protocols (and to
-serialization).
+it (``NumpyCellStore.combine``); the single-key methods remain for
+incremental callers.
 
 Counts are kept modulo ``2**count_bits``: a sent table carries only the low
 ``count_bits`` bits of each count, so every count is read as its signed
 residue (:func:`~repro.iblt.backends.count_residue`).  Peeling repeatedly
 extracts "pure" cells (``count ≡ ±1 (mod 2**count_bits)`` with a key
 checksum matching the cell checksum) until the table is empty or stuck.  The
-peeler works in rounds: each round asks the backend for every currently pure
-cell in one scan (vectorized on the NumPy backend), then removes all the
-recovered keys in one batch update.  The two failure modes of the paper are
-surfaced distinctly: a peeling failure leaves the table non-empty and is
-always detected; a checksum failure is caught when the final table is not
-structurally empty or by the caller's whole-set hash.
+peeler works in rounds: each round finds every currently pure cell in one
+vectorized scan, then removes all the recovered keys in one batch update.
+The two failure modes of the paper are surfaced distinctly: a peeling
+failure leaves the table non-empty and is always detected; a checksum
+failure is caught when the final table is not structurally empty or by the
+caller's whole-set hash.
 """
 
 from __future__ import annotations
@@ -38,10 +34,9 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import islice
 
-from repro.config import resolve_cell_backend
 from repro.errors import DecodeError, ParameterError
 from repro.hashing import Checksum, HashFamily, derive_seed
-from repro.iblt import backends as _backends  # also registers the built-in backends
+from repro.iblt import backends as _backends
 from repro.iblt import codec as _codec
 from repro.iblt.sizing import cells_for_difference
 
@@ -67,16 +62,13 @@ class IBLTParameters:
         sized to keep false pure cells rare next to peeling failures, not to
         rule them out: the callers' whole-set hash turns any wrong answer into
         a detected failure (see ``docs/protocols.md`` for the measured rates).
+        8 to 64 bits: a checksum is one word of the cell store.
     count_bits:
-        Width of the cell count.  Counts are kept modulo ``2**count_bits``
-        and read as signed residues in
+        Width of the cell count, 4 to 64 bits.  Counts are kept modulo
+        ``2**count_bits`` and read as signed residues in
         ``[-2**(count_bits-1), 2**(count_bits-1))``, so a table serializes
         whatever its counts; a pure cell is one whose count is ``±1``
         modulo ``2**count_bits``.
-
-    The cell-store backend is deliberately *not* part of the parameters: two
-    tables built with different backends but equal parameters hold identical
-    cell contents and combine freely.
     """
 
     num_cells: int
@@ -93,10 +85,10 @@ class IBLTParameters:
             raise ParameterError("key_bits must be positive")
         if self.num_hashes < 2:
             raise ParameterError("num_hashes must be at least 2")
-        if self.checksum_bits < 8:
-            raise ParameterError("checksum_bits must be at least 8")
-        if self.count_bits < 4:
-            raise ParameterError("count_bits must be at least 4")
+        if not 8 <= self.checksum_bits <= 64:
+            raise ParameterError("checksum_bits must lie in [8, 64]")
+        if not 4 <= self.count_bits <= 64:
+            raise ParameterError("count_bits must lie in [4, 64]")
 
     @classmethod
     def for_difference(
@@ -204,23 +196,21 @@ class IBLT:
     params:
         Shared table configuration.
     backend:
-        Cell-store backend name (``"python"``, ``"numpy"``, or ``"auto"``);
-        ``None`` uses the process default (see :mod:`repro.config`).  A
-        backend that cannot represent ``params`` -- e.g. the NumPy store for
-        checksums wider than 64 bits -- silently falls back to the
-        pure-Python reference store.
+        ``None``, ``"auto"`` or ``"numpy"``: all name the one cell store.
+        Any other name raises :class:`~repro.errors.ParameterError`.
     """
 
     def __init__(self, params: IBLTParameters, backend: str | None = None) -> None:
+        _backends.check_backend(backend)
         self.params = params
-        self._store = resolve_cell_backend(backend, params)(
+        self._store = _backends.NumpyCellStore(
             params.num_cells, params.count_bits, params.key_bits
         )
         self._family, self._checksum = _hashers(params)
 
     @property
     def backend(self) -> str:
-        """Name of the cell-store backend this table resolved to."""
+        """Name of the cell store: ``"numpy"``."""
         return self._store.name
 
     # -- construction helpers ------------------------------------------------------
@@ -267,11 +257,11 @@ class IBLT:
         self._store.apply_batch(prepared, delta, self._family, self._checksum)
 
     def insert_batch(self, keys) -> None:
-        """Insert a whole batch of keys through the backend's scatter path."""
+        """Insert a whole batch of keys through the store's scatter path."""
         self._update_batch(keys, +1)
 
     def delete_batch(self, keys) -> None:
-        """Delete a whole batch of keys through the backend's scatter path."""
+        """Delete a whole batch of keys through the store's scatter path."""
         self._update_batch(keys, -1)
 
     #: Chunk size for the streaming insert_all/delete_all wrappers: large
@@ -289,7 +279,7 @@ class IBLT:
 
         Routed through :meth:`insert_batch` in bounded chunks, so arbitrary
         (even unbounded) iterables stream in constant memory while still
-        getting the backend's batch scatter path.  On a validation error,
+        getting the store's batch scatter path.  On a validation error,
         chunks before the offending one remain applied.
         """
         self._update_all(keys, +1)
@@ -311,8 +301,7 @@ class IBLT:
         If ``self`` encodes Alice's set and ``other`` encodes Bob's, the
         result encodes the signed symmetric difference and can be decoded to
         recover it (the "combine Alice and Bob's IBLTs" operation of
-        Section 2).  Backends may differ between the operands; the result
-        keeps ``self``'s backend.
+        Section 2).
         """
         self._check_compatible(other)
         result = self.copy()
@@ -328,7 +317,7 @@ class IBLT:
 
     # -- folding --------------------------------------------------------------------
 
-    def _with_store(self, params: IBLTParameters, store: _backends.CellStore) -> "IBLT":
+    def _with_store(self, params: IBLTParameters, store: _backends.NumpyCellStore) -> "IBLT":
         table = IBLT.__new__(IBLT)
         table.params = params
         table._family, table._checksum = _hashers(params)
@@ -396,14 +385,13 @@ class IBLT:
         """Peel the table and report what was recovered.
 
         The table itself is not modified; peeling happens on a working copy.
-        The whole peeling loop runs inside the backend
-        (:meth:`~repro.iblt.backends.CellStore.peel_rounds`): every currently
-        pure cell is found in one scan, then all recovered keys are removed
-        in one batch update, round after round, entirely in the store's
-        vectorized or compiled code.  The round structure is identical
-        across backends, so decode results are too; this method only
-        collects the recovered keys.  On a failed peel the partial sets are
-        kept (useful to the cascading protocol) but flagged.
+        The whole peeling loop runs inside the store
+        (:meth:`~repro.iblt.backends.NumpyCellStore.peel_rounds`): every
+        currently pure cell is found in one scan, then all recovered keys
+        are removed in one batch update, round after round, as vector
+        operations; this method only collects the recovered keys.  On a
+        failed peel the partial sets are kept (useful to the cascading
+        protocol) but flagged.
         """
         work = self.copy()
         positive, negative = work._store.peel_rounds(work._checksum, work._family)
@@ -432,30 +420,21 @@ class IBLT:
         ``count (mod 2**count_bits) || key_xor || check_xor``.  Because the
         width is fully determined by the parameters, a serialized table can be
         used as a fixed-width key of a *parent* IBLT (Section 3.2).  The
-        encoding is backend-independent: equal contents serialize equally.
-        The NumPy store packs its arrays as bit planes, the Python store
-        folds its ints (:mod:`repro.iblt.codec`).
+        store's arrays are packed as bit planes (:mod:`repro.iblt.codec`).
         """
-        store = self._store
-        if isinstance(store, _backends.NumpyCellStore):
-            counts, key_xor, check_xor = store.dense_cells()
-            return _codec.pack_rows(self.params, counts[None], key_xor[None], check_xor[None])[0]
-        return _codec.fold_cells(self.params, *store.snapshot())
+        counts, key_xor, check_xor = self._store.dense_cells()
+        return _codec.pack_rows(self.params, counts[None], key_xor[None], check_xor[None])[0]
 
     @classmethod
     def deserialize(
         cls, params: IBLTParameters, encoded: int, backend: str | None = None
     ) -> "IBLT":
-        """Inverse of :meth:`serialize`; the NumPy store takes the unpacked
-        arrays as they are (counts wider than 64 bits go the scalar way)."""
+        """Inverse of :meth:`serialize`; the store takes the unpacked arrays
+        as they are."""
         if encoded < 0 or encoded.bit_length() > params.size_bits:
             raise ParameterError("encoded value does not match the parameters")
         table = cls(params, backend=backend)
-        store = table._store
-        if isinstance(store, _backends.NumpyCellStore) and params.count_bits <= 64:
-            store.load_dense(*_codec.unpack_row(params, encoded))
-        else:
-            store.load(*_codec.split_cells(params, encoded))
+        table._store.load_dense(*_codec.unpack_row(params, encoded))
         return table
 
     def __eq__(self, other: object) -> bool:

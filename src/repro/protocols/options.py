@@ -43,7 +43,8 @@ class ReconcileOptions:
         Bound ``d_hat`` on differing children (set-of-sets protocols);
         ``None`` uses each protocol's default.
     backend:
-        IBLT cell-store backend name (see :mod:`repro.config`).
+        ``None``, ``"auto"`` or ``"numpy"``: the one IBLT cell store (any
+        other name raises :class:`ParameterError` when a table is built).
     field_kernel:
         GF(p) field kernel name (see :mod:`repro.field.kernels`).
     num_hashes:

@@ -49,7 +49,6 @@ from repro.graphs.forest import (
     _reconstruct_forest,
     ahu_signatures,
 )
-from repro.graphs import graph as graph_module
 from repro.graphs.graph import Graph
 from repro.graphs.separation import (
     degree_neighborhood_signatures,
@@ -91,13 +90,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # ---------------------------------------------------------------------------
 
 
-def _edge_key_set(graph: Graph) -> KeyArray | set[int]:
-    """The graph's edge keys in the form a :class:`SetSource` validates
-    fastest: the ``uint64`` array, or the set without NumPy."""
-    return graph.edge_key_array() if graph_module.HAS_NUMPY else graph.edge_keys()
-
-
-def _graph_from_peer_keys(num_vertices: int, keys: KeyArray | set[int]) -> Graph | None:
+def _graph_from_peer_keys(num_vertices: int, keys: KeyArray) -> Graph | None:
     """The graph a peer's verified edge keys describe, or ``None`` when they
     describe none (a self-loop ``u*n + u``, or a key in the slack between
     ``n*n`` and the key width's power of two): the peer chose the keys."""
@@ -131,12 +124,12 @@ def labeled_parties(
 
     def alice_party() -> PartyGenerator:
         outcome = yield from ibf_alice(
-            SetSource(_edge_key_set(alice), ctx), difference_bound
+            SetSource(alice.edge_key_array(), ctx), difference_bound
         )
         return outcome
 
     def bob_party() -> PartyGenerator:
-        outcome = yield from ibf_bob(SetSource(_edge_key_set(bob), ctx), difference_bound)
+        outcome = yield from ibf_bob(SetSource(bob.edge_key_array(), ctx), difference_bound)
         if outcome.success:
             recovered = _graph_from_peer_keys(num_vertices, outcome.recovered)
             if recovered is None:
@@ -159,7 +152,7 @@ def _bob_edge_phase(
     num_vertices = bob.num_vertices
     bob_canonical = bob.relabel([bob_labeling[v] for v in range(num_vertices)])
     edge_outcome = yield from ibf_bob(
-        SetSource(_edge_key_set(bob_canonical), edge_ctx), difference_bound
+        SetSource(bob_canonical.edge_key_array(), edge_ctx), difference_bound
     )
     if edge_outcome.aborted:
         return aborted_outcome()
@@ -311,7 +304,7 @@ def degree_order_parties(
         alice_canonical = alice.relabel([alice_labeling[v] for v in range(num_vertices)])
         yield from cascading_alice_known(alice_signature_set, difference_bound, sig_ctx)
         yield from ibf_alice(
-            SetSource(_edge_key_set(alice_canonical), edge_ctx), difference_bound
+            SetSource(alice_canonical.edge_key_array(), edge_ctx), difference_bound
         )
         return PartyOutcome(True)
 
@@ -409,7 +402,7 @@ def degree_neighborhood_parties(
         alice_canonical = alice.relabel([alice_labeling[v] for v in range(num_vertices)])
         yield from cascading_alice_known(alice_signature_set, change_bound, sig_ctx)
         yield from ibf_alice(
-            SetSource(_edge_key_set(alice_canonical), edge_ctx), difference_bound
+            SetSource(alice_canonical.edge_key_array(), edge_ctx), difference_bound
         )
         return PartyOutcome(True)
 

@@ -35,6 +35,8 @@ from typing import (
     Set,
 )
 
+import numpy as _np
+
 from repro.comm import WORD_BITS
 from repro.comm.bits import BitReader, BitWriter
 from repro.comm.sizing import bits_for_value
@@ -48,7 +50,7 @@ from repro.core.setrecon.difference import max_element_bits
 from repro.errors import ParameterError
 from repro.estimator import L0Estimator
 from repro.hashing import Checksum, derive_seed
-from repro.hashing.mix import HAS_NUMPY, checked_keys, is_key_array
+from repro.hashing.mix import checked_keys, is_key_array
 from repro.iblt import IBLT, DecodeResult, IBLTParameters
 from repro.iblt.backends import KeyBatch
 from repro.iblt.sizing import capacity_of
@@ -69,9 +71,6 @@ from repro.protocols.wire import (
     TableWithHashCodec,
     WireError,
 )
-
-if HAS_NUMPY:
-    import numpy as _np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -267,12 +266,12 @@ class SetSource:
     source then holds as a :class:`KeyArrayView`.  The source validates the
     items once, at construction, through
     :func:`~repro.hashing.mix.checked_keys` (an array by its dtype), which
-    settles their one form there: a ``uint64`` array when NumPy is present
-    and every key is below ``2**64``, else the checked list.  The table build,
-    Bob's delete, the set hash (computed once) and the estimator all reuse
-    it; only the
-    pure-Python cell store (``backend="python"``, or a key too wide for one
-    limb) is handed the array as a list.
+    settles their one form there: a ``uint64`` array when every key is below
+    ``2**64``, else the checked list.  The table build, Bob's delete, the set
+    hash (computed once) and the estimator all reuse it; only a table whose
+    keys take more than one limb is handed the array as a list.  Items that
+    are not a set and repeat an element raise
+    :class:`~repro.errors.ParameterError` (:func:`refuse_repeats`).
     """
 
     items: Collection[int] | KeyArray
@@ -290,15 +289,17 @@ class SetSource:
             if self.ctx.universe_size > 1 << 64:
                 raise ParameterError("a uint64 key array needs a universe of at most 2**64")
             object.__setattr__(self, "items", KeyArrayView(items))
-        object.__setattr__(self, "keys", checked_keys(items))
+        keys = checked_keys(items)
+        refuse_repeats(items, keys)
+        object.__setattr__(self, "keys", keys)
 
     def _batch_for(self, table: IBLT) -> KeyBatch | list[int]:
         """The keys as ``table``'s cell store takes them without checking
-        them again: one word per key on a one-limb NumPy table, else a list."""
+        them again: one word per key on a one-limb table, else a list."""
         keys = self.keys
         if isinstance(keys, list):
             return keys
-        if table.backend == "numpy" and table.params.key_bits <= 64:
+        if table.params.key_bits <= 64:
             return KeyBatch(keys, keys)
         return keys.tolist()
 
@@ -354,13 +355,7 @@ class SetSource:
             array, flipped = _array_with_difference(items.array, added, removed)
             return self.set_hash ^ checksum.of_checked(flipped), len(array), array
         recovered = set(items)
-        # ``set_hash`` folds every item and a repeated one cancels; the
-        # recovered set's hash is of its distinct keys.
-        recovered_hash = (
-            self.set_hash
-            if len(recovered) == self.size
-            else checksum.of_set(recovered)
-        )
+        recovered_hash = self.set_hash
         for key in removed:
             if key in recovered:
                 recovered.remove(key)
@@ -370,6 +365,25 @@ class SetSource:
                 recovered.add(key)
                 recovered_hash ^= checksum.of_key(key)
         return recovered_hash, len(recovered), recovered
+
+
+def refuse_repeats(items: Any, keys: list[int] | KeyArray) -> None:
+    """Raise :class:`~repro.errors.ParameterError` when a set protocol's
+    input repeats an element: ``keys`` is what
+    :func:`~repro.hashing.mix.checked_keys` made of ``items``.
+
+    A repeat would cancel out of the whole-set hash and stay in the table,
+    so the session would fail without saying why.  A ``set`` or
+    ``frozenset`` cannot repeat and costs nothing; an ascending array (a
+    graph's edge keys) is settled in one pass."""
+    if isinstance(items, AbstractSet):
+        return
+    if isinstance(keys, list):
+        repeats = len(set(keys)) != len(keys)
+    else:
+        repeats = not (keys[1:] > keys[:-1]).all() and _np.unique(keys).size != keys.size
+    if repeats:
+        raise ParameterError("a set input repeats an element; pass a set")
 
 
 def _array_with_difference(
@@ -748,6 +762,8 @@ def cpi_parties(
     field_kernel: str | None = None,
 ) -> PartyPair:
     """Both parties for the ``cpi`` protocol."""
+    for items in (alice, bob):
+        refuse_repeats(items, checked_keys(items, array_above=None))
     return (
         cpi_alice(alice, difference_bound, universe_size, field_kernel=field_kernel),
         cpi_bob(bob, difference_bound, universe_size, seed, field_kernel=field_kernel),

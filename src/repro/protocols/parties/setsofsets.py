@@ -375,12 +375,11 @@ def _recover_child(
     per-reconcile cache, so each candidate's table is built exactly once no
     matter how many of Alice's keys it is tried against.
 
-    On a vectorized backend every candidate difference peels in one batched
-    :meth:`~repro.iblt.multi.IBLTArray.decode_all` pass; otherwise the
-    candidates are tried lazily one by one (keeping the early exit on the
-    first hash match, which is the better economics for the scalar store).
-    Either way the answer is the first candidate, in order, whose decode
-    matches the hash -- bit-identical across backends.
+    Child tables of keys up to 64 bits peel every candidate difference in
+    one batched :meth:`~repro.iblt.multi.IBLTArray.decode_all` pass; wider
+    ones are tried lazily one by one (keeping the early exit on the first
+    hash match).  Either way the answer is the first candidate, in order,
+    whose decode matches the hash.
     """
     alice_table, alice_hash = scheme.decode(alice_key, backend=backend)
     tables = [candidate_tables.get(candidate) for candidate in candidate_children]

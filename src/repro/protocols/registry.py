@@ -1,8 +1,8 @@
 """The protocol registry and the uniform :func:`reconcile` entry point.
 
 Every protocol in the library registers a :class:`Protocol` descriptor here
-(the same ``name -> class`` registry seam used for cell-store backends and
-field kernels, :class:`repro.config._Registry`), carrying metadata -- input
+(the same ``name -> class`` registry seam used for field kernels,
+:class:`repro.config._Registry`), carrying metadata -- input
 kind, round count, known/unknown-``d`` support, paper reference -- and a
 ``build`` hook that turns ``(alice, bob, options)`` into the two party
 generators.  ``repro.reconcile(alice, bob, protocol="multiround", ...)``
@@ -51,7 +51,7 @@ class Protocol:
     summary: str = ""
     #: Paper reference (theorem / corollary numbers).
     reference: str = ""
-    #: Registry-seam plumbing (parity with backend/kernel descriptors).
+    #: Registry-seam plumbing (parity with the kernel descriptors).
     priority: int = 0
 
     @classmethod

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, TypeGuard
 
 from repro.errors import ParameterError, ServiceError, SessionRejectedError
+from repro.iblt.backends import BACKEND_NAMES
 from repro.protocols.options import ReconcileOptions
 from repro.service.admission import ADMISSION_CODES
 
@@ -87,6 +88,11 @@ def _optional_text(value: Any) -> bool:
     return value is None or isinstance(value, str)
 
 
+def _cell_backend(value: Any) -> bool:
+    """A name ``backend=`` accepts (:data:`~repro.iblt.backends.BACKEND_NAMES`)."""
+    return value is None or value in BACKEND_NAMES
+
+
 def _factor(value: Any) -> bool:
     return (
         isinstance(value, (int, float))
@@ -100,14 +106,14 @@ def _factor(value: Any) -> bool:
 #: :class:`ReconcileOptions` field (any other name is refused as unknown).
 #: Counts and bounds are integers in ``[low, MAX_WIRE_BOUND]`` (never bools),
 #: ``universe_size`` is a positive integer, multipliers are positive finite
-#: numbers.
+#: numbers, ``backend`` a name the one cell store answers to.
 _OPTION_CHECKS: dict[str, Callable[[Any], bool]] = {
     "seed": _is_int,
     "difference_bound": _integer(0, optional=True),
     "universe_size": lambda value: value is None or (_is_int(value) and value > 0),
     "max_child_size": _integer(0, optional=True),
     "differing_children_bound": _integer(0, optional=True),
-    "backend": _optional_text,
+    "backend": _cell_backend,
     "field_kernel": _optional_text,
     "num_hashes": _integer(2),
     "child_hash_bits": _integer(1),

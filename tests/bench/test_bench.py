@@ -120,9 +120,8 @@ class TestBenchmarkTrajectory:
                     if floor is None or metric not in row:
                         continue
                     assert row[metric] >= floor, (name, metric, row)
-        # All six trajectories are recorded in this repository.
+        # All five trajectories are recorded in this repository.
         assert {
-            "cell_backend",
             "cluster_convergence",
             "field_kernel",
             "setsofsets_encoding",

@@ -169,7 +169,7 @@ class TestForgedPrelude:
 class TestFoldLadder:
     """kv's known-bound phase one starts at a small rung and grows by halves."""
 
-    @pytest.mark.parametrize("backend", [None, "python"])
+    @pytest.mark.parametrize("backend", [None, "numpy"])
     def test_a_session_grown_twice_succeeds_and_charges_each_step(self, backend):
         left, right = replica_pair(unique=25)  # d = 50: too many for 32 or 64 cells
         ctx = kv_context(ReconcileOptions(seed=SEED, difference_bound=64, backend=backend))

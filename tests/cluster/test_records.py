@@ -13,7 +13,6 @@ from repro.cluster.records import (
     record_fingerprints,
     write_record,
 )
-from repro.hashing import HAS_NUMPY
 from repro.comm.bits import BitReader, BitWriter
 from repro.errors import ParameterError
 
@@ -69,15 +68,13 @@ class TestFingerprints:
         )
 
 
-@pytest.fixture(params=["as-installed", "no-numpy", "always-array"])
+@pytest.fixture(params=["as-installed", "always-scalar", "always-array"])
 def fingerprint_route(request, monkeypatch):
-    """``record_fingerprints`` as installed, with NumPy hidden, and on the
-    array route whatever the batch size."""
-    if request.param == "no-numpy":
-        monkeypatch.setattr(records_module, "HAS_NUMPY", False)
+    """``record_fingerprints`` on the route the batch size picks, on the
+    scalar route and on the array route whatever the batch size."""
+    if request.param == "always-scalar":
+        monkeypatch.setattr(records_module, "_BATCH_CUTOFF", 1 << 62)
     elif request.param == "always-array":
-        if not HAS_NUMPY:
-            pytest.skip("the array route needs NumPy")
         monkeypatch.setattr(records_module, "_BATCH_CUTOFF", 0)
     return request.param
 

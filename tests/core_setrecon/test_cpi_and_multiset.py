@@ -124,10 +124,6 @@ class TestCPIProtocol:
 
     @pytest.mark.parametrize("field_kernel", ["python", "numpy", None])
     def test_explicit_kernel_selection(self, field_kernel):
-        from repro.field.kernels import NumpyFieldKernel
-
-        if field_kernel == "numpy" and not NumpyFieldKernel.available():
-            pytest.skip("NumPy not installed")
         alice, bob = make_instance(90, 7, seed=21)
         result = cpi(
             alice, bob, difference_bound=8, seed=22, field_kernel=field_kernel

@@ -3,7 +3,7 @@
 Covers:
 
 * ``ChildEncodingScheme.encode_all`` / ``child_set_hash_many`` bit-identity
-  with the scalar paths, on every backend;
+  with the scalar paths, and with child tables built on the reference store;
 * ``encode_children``: every scheme's keys from one shared flatten,
   validation and child-hash pass, equal to the per-scheme and per-child forms;
 * the per-reconcile :class:`ChildTableCache` (candidate tables built once,
@@ -16,6 +16,8 @@ import random
 
 import pytest
 
+import reference_store
+from reference_store import STORES
 from repro import reconcile
 from repro.core.setsofsets import SetOfSets
 from repro.core.setsofsets.encoding import (
@@ -27,11 +29,10 @@ from repro.core.setsofsets.encoding import (
 )
 from repro.core.setsofsets import encoding
 from repro.errors import CapacityError
-from repro.iblt import IBLT, IBLTParameters, NumpyCellStore
+from repro.iblt import IBLT, IBLTParameters
 from repro.workloads import sets_of_sets_instance
 
 UNIVERSE = 512
-BACKENDS = ["python"] + (["numpy"] if NumpyCellStore.available() else [])
 
 PARAMS = IBLTParameters.for_difference(
     4, 24, seed=31, num_hashes=3, checksum_bits=24, count_bits=16
@@ -47,12 +48,22 @@ def random_children(count, seed=3):
     ]
 
 
+def encoded_on(store, scheme, child):
+    """``scheme.encode(child)``, the child's table built on ``store``."""
+    if store == "numpy":
+        return scheme.encode(child)
+    table = reference_store.table_of(scheme.child_params, child)
+    return (reference_store.serialize(table) << scheme.hash_bits) | child_set_hash(
+        child, scheme.seed, scheme.hash_bits
+    )
+
+
 class TestBatchEncoding:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", STORES)
     def test_encode_all_matches_scalar_encode(self, backend):
         children = random_children(30)
-        assert SCHEME.encode_all(children, backend=backend) == [
-            SCHEME.encode(child, backend=backend) for child in children
+        assert SCHEME.encode_all(children) == [
+            encoded_on(backend, SCHEME, child) for child in children
         ]
 
     def test_encode_all_empty(self):
@@ -64,14 +75,11 @@ class TestBatchEncoding:
             child_set_hash(child, 5, 48) for child in children
         ]
 
-    @pytest.mark.skipif(
-        not NumpyCellStore.available(), reason="NumPy not installed"
-    )
     def test_encode_all_identical_across_backends(self):
         children = random_children(30, seed=15)
-        assert SCHEME.encode_all(children, backend="python") == SCHEME.encode_all(
-            children, backend="numpy"
-        )
+        assert SCHEME.encode_all(children, backend="numpy") == [
+            encoded_on("reference", SCHEME, child) for child in children
+        ]
 
 
 def level_schemes(hash_seeds, key_bits=24):
@@ -89,12 +97,11 @@ def level_schemes(hash_seeds, key_bits=24):
     ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestEncodeChildren:
     @pytest.mark.parametrize(
         "hash_seeds", [(77, 77, 77), (77, 78, 77)], ids=["shared-seed", "own-seeds"]
     )
-    def test_equals_per_scheme_and_per_child_encoding(self, backend, hash_seeds, monkeypatch):
+    def test_equals_per_scheme_and_per_child_encoding(self, hash_seeds, monkeypatch):
         schemes = level_schemes(hash_seeds)
         children = random_children(30, seed=11) + [frozenset()]
         hash_passes = []
@@ -105,21 +112,21 @@ class TestEncodeChildren:
             return hash_many(children, seed, bits)
 
         monkeypatch.setattr(encoding, "child_set_hash_many", counting)
-        encoded = encode_children(schemes, children, backend=backend)
+        encoded = encode_children(schemes, children)
         # One hash pass per distinct (seed, width), not one per scheme.
         assert sorted(hash_passes) == sorted({(seed, 48) for seed in hash_seeds})
+        monkeypatch.undo()
         for scheme, keys in zip(schemes, encoded):
-            assert keys == scheme.encode_all(children, backend=backend)
-            assert keys == [scheme.encode(child, backend=backend) for child in children]
+            assert keys == scheme.encode_all(children)
+            for store in STORES:
+                assert keys == [encoded_on(store, scheme, child) for child in children]
 
-    def test_no_schemes_and_no_children(self, backend):
-        assert encode_children([], random_children(3), backend=backend) == []
-        assert encode_children(level_schemes((77, 77)), [], backend=backend) == [[], []]
+    def test_no_schemes_and_no_children(self):
+        assert encode_children([], random_children(3)) == []
+        assert encode_children(level_schemes((77, 77)), []) == [[], []]
 
     @pytest.mark.parametrize("narrow_level", [0, 1], ids=["first", "later"])
-    def test_an_element_past_a_schemes_key_bits_raises_as_that_scheme_does(
-        self, backend, narrow_level
-    ):
+    def test_an_element_past_a_schemes_key_bits_raises_as_that_scheme_does(self, narrow_level):
         # 5000 fits 24 bits and not 12: the shared array must be checked
         # against every scheme's own width, first level or not.
         schemes = level_schemes((77, 77))
@@ -127,9 +134,9 @@ class TestEncodeChildren:
         schemes[narrow_level] = narrow
         children = [[1, 2], [3, 5000]]
         with pytest.raises(CapacityError) as alone:
-            narrow.encode_all(children, backend=backend)
+            narrow.encode_all(children)
         with pytest.raises(CapacityError) as shared:
-            encode_children(schemes, children, backend=backend)
+            encode_children(schemes, children)
         assert str(shared.value) == str(alone.value)
         assert "key_bits=12" in str(shared.value)
 

@@ -12,7 +12,6 @@ import itertools
 import pytest
 
 from repro import reconcile
-from repro.iblt import NumpyCellStore
 from repro.protocols.parties.setsofsets import (
     SetsOfSetsContext,
     _cascade_candidates,
@@ -22,7 +21,6 @@ from repro.protocols.parties.setsofsets import (
 from repro.workloads import sets_of_sets_instance
 
 UNIVERSE = 1 << 20
-BACKENDS = ["python"] + (["numpy"] if NumpyCellStore.available() else [])
 
 #: ``{shape: (h, levels run, T* sent)}`` at u = 2^20, d = 24 and 32 children,
 #: where the whole cascade has 5 levels.  At h = 28 one explicit table is the
@@ -36,9 +34,8 @@ SHAPES = {
 }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_every_plan_shape_is_reachable_and_recovers_alice(shape, backend):
+def test_every_plan_shape_is_reachable_and_recovers_alice(shape):
     max_child_size, levels, sends_t_star = SHAPES[shape]
     instance = sets_of_sets_instance(32, 16, UNIVERSE, 12, seed=5, max_children_touched=6)
     ctx = context_for(
@@ -51,7 +48,6 @@ def test_every_plan_shape_is_reachable_and_recovers_alice(shape, backend):
     result = reconcile(
         instance.alice, instance.bob, protocol="cascading", difference_bound=24,
         universe_size=UNIVERSE, max_child_size=max_child_size, seed=2018,
-        backend=backend,
     )
     assert result.success and result.recovered == instance.alice
     assert result.total_bits == plan.total_bits

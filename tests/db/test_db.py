@@ -1,11 +1,7 @@
 """Tests for binary tables and database reconciliation."""
 
+import numpy as np
 import pytest
-
-try:
-    import numpy as np
-except ImportError:
-    np = None
 
 from repro import reconcile
 from repro.db import BinaryTable
@@ -58,13 +54,11 @@ class TestBinaryTable:
         with pytest.raises(ParameterError):
             table.flip_bit({0}, 5)
 
-    @pytest.mark.skipif(np is None, reason="NumPy not installed")
     def test_matrix_round_trip(self):
         table = BinaryTable(["a", "b", "c"], [{0, 2}, {1}])
         rebuilt = BinaryTable.from_matrix(table.columns, table.to_matrix())
         assert rebuilt == table
 
-    @pytest.mark.skipif(np is None, reason="NumPy not installed")
     def test_from_matrix_shape_checked(self):
         with pytest.raises(ParameterError):
             BinaryTable.from_matrix(["a"], np.zeros((2, 2), dtype=np.uint8))

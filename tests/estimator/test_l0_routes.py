@@ -8,6 +8,7 @@ import random
 import statistics
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +17,7 @@ from repro.comm.sizing import bits_for_value
 from repro.errors import ParameterError
 from repro.estimator import L0Estimator, l0
 from repro.hashing import derive_seed, fingerprint64, mix64
-from repro.hashing.mix import HAS_NUMPY, MASK64
+from repro.hashing.mix import MASK64
 from repro.protocols.parties.setrecon import bound_for_estimate
 from repro.protocols.wire import EstimatorCodec, WireError
 
@@ -101,13 +102,13 @@ def key_sets(draw, wide=False):
 # -- (a) the routes agree, counter for counter ---------------------------------------
 
 
-@pytest.mark.parametrize("numpy_visible", [True, False], ids=["numpy", "no-numpy"])
+@pytest.mark.parametrize("cutoff", [CUTOFF, 1 << 62], ids=["as-sized", "always-scalar"])
 @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide-key"])
 @given(data=st.data(), shape=st.sampled_from(SHAPES), seed=st.integers(0, 1 << 32))
 @settings(max_examples=40, deadline=None)
-def test_update_all_equals_a_loop_of_update(numpy_visible, wide, data, shape, seed):
+def test_update_all_equals_a_loop_of_update(cutoff, wide, data, shape, seed):
     ones, twos = data.draw(key_sets(wide)), data.draw(key_sets(wide))
-    with mock.patch.object(l0, "HAS_NUMPY", HAS_NUMPY and numpy_visible):
+    with mock.patch.object(l0, "_BATCH_CUTOFF", cutoff):
         batched = L0Estimator(seed, *shape)
         batched.update_all(ones, 1)
         batched.update_all(twos, 2)
@@ -122,7 +123,6 @@ def test_update_all_equals_a_loop_of_update(numpy_visible, wide, data, shape, se
     )
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="the array route needs NumPy")
 def test_the_array_route_is_taken_exactly_above_the_cutoff():
     taken = []
     with mock.patch.object(
@@ -152,8 +152,6 @@ def test_a_zero_level_hash_is_sampled_into_every_level(size):
 
 def one_pass_and_scalar(seed, num_levels, keys, side):
     """The counters the one-pass array route and the per-key scalar route leave."""
-    import numpy as np
-
     delta = 1 if side == 1 else 3
     one_pass, scalar = L0Estimator(seed, num_levels), L0Estimator(seed, num_levels)
     one_pass._add_array(np.array(keys, dtype=np.uint64), delta)
@@ -162,7 +160,6 @@ def one_pass_and_scalar(seed, num_levels, keys, side):
     return bytes(one_pass._counters), bytes(scalar._counters)
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="the array route needs NumPy")
 @pytest.mark.parametrize("side", [1, 2])
 @pytest.mark.parametrize("num_levels", [4, 32])
 @pytest.mark.parametrize("size", [0, 1, 300, 5000])
@@ -178,7 +175,6 @@ def test_the_one_pass_route_equals_the_scalar_route(side, num_levels, size):
     assert any(one_pass) == bool(size)
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="the array route needs NumPy")
 @pytest.mark.parametrize("side", [1, 2])
 def test_a_key_past_the_top_level_lands_on_every_level(side):
     """A level hash with at least ``num_levels`` trailing zeros is capped at

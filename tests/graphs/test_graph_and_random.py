@@ -3,6 +3,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +11,7 @@ from repro import reconcile
 from repro.errors import ParameterError
 from repro.graphs import Graph, gnp_random_graph, perturb_edges
 from repro.graphs import graph as graph_module
-from repro.graphs import random_graphs as random_graphs_module
 from repro.graphs.separation import degree_order_signatures
-from repro.hashing import HAS_NUMPY
 from repro.graphs.random_graphs import (
     planted_separated_graph,
     random_permutation,
@@ -103,20 +102,15 @@ def random_edges(n, seed):
 
 
 class TestLinearTransforms:
-    """The bulk transforms against the per-edge ``add_edge`` reference, on the
-    array route, on the array route cut into blocks of a few rows, and with
-    ``HAS_NUMPY`` turned off (the row walk): every route must give the values
-    the reference gives, hence each other's."""
+    """The bulk transforms against the per-edge ``add_edge`` reference, on
+    whole matrices and cut into blocks of a few rows: both must give the
+    values the reference gives, hence each other's."""
 
-    @pytest.fixture(params=["numpy", "blocked", "no-numpy"], autouse=True)
+    @pytest.fixture(params=["numpy", "blocked"], autouse=True)
     def route(self, request, monkeypatch):
-        if request.param != "no-numpy" and not HAS_NUMPY:
-            pytest.skip("needs NumPy")
         if request.param == "blocked":
             # 256 bits: one block up to n = 16, several from n = 17 on.
             monkeypatch.setattr(graph_module, "_BLOCK_BITS", 256)
-        if request.param == "no-numpy":
-            monkeypatch.setattr(graph_module, "HAS_NUMPY", False)
         return request.param
 
     @pytest.mark.parametrize("n", SIZES)
@@ -158,10 +152,6 @@ class TestLinearTransforms:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_key_arrays_equal_the_reference(self, route, n):
-        if route == "no-numpy":
-            pytest.skip("the key array needs NumPy")
-        import numpy as np
-
         edges = random_edges(n, n)
         graph = Graph(n, edges)
         array = graph.edge_key_array()
@@ -213,10 +203,7 @@ class TestVertexTypes:
     used to pass as 0 or 1, and a float used to crash on a list index.  A
     NumPy integer scalar is an integer, and is stored as a Python int."""
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="needs NumPy")
     def test_numpy_integer_scalars_are_vertices_and_keys(self):
-        import numpy as np
-
         graph = Graph(4, [(np.int64(0), np.uint8(1))])
         graph.add_edge(np.intp(1), 2)
         assert graph.degree(np.int64(1)) == 2
@@ -248,11 +235,8 @@ class TestVertexTypes:
         with pytest.raises(ParameterError):
             Graph.from_edge_keys(4, keys)
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="needs NumPy")
     @pytest.mark.parametrize("dtype", ["float64", "bool"])
     def test_from_edge_keys_rejects_non_int_arrays(self, dtype):
-        import numpy as np
-
         with pytest.raises(ParameterError):
             Graph.from_edge_keys(4, np.array([6], dtype=dtype))
 
@@ -277,24 +261,17 @@ class TestRandomGraphs:
         assert gnp_random_graph(50, 0.2, 3) != gnp_random_graph(50, 0.2, 4)
 
     #: ``(n, p, seed) -> (edges, sha256 prefix of the sorted keys)`` on the
-    #: NumPy stream (``True``) and on the pure-Python fallback's stream.
+    #: one NumPy stream.
     GNP_PINS = {
-        True: {
-            (40, 0.3, 1): (237, "75749c53fc25c6eb"),
-            (300, 0.2, 2018): (8922, "6f487a9d9151bf7a"),
-        },
-        False: {
-            (40, 0.3, 1): (228, "2765d1a07e44ef90"),
-            (300, 0.2, 2018): (9086, "7e90b24ec3b3df6f"),
-        },
+        (40, 0.3, 1): (237, "75749c53fc25c6eb"),
+        (300, 0.2, 2018): (8922, "6f487a9d9151bf7a"),
     }
 
     @pytest.mark.parametrize("n, p, seed", [(40, 0.3, 1), (300, 0.2, 2018)])
     def test_gnp_realisations_are_pinned(self, n, p, seed):
         graph = gnp_random_graph(n, p, seed)
         digest = hashlib.sha256(repr(sorted(graph.edge_keys())).encode()).hexdigest()[:16]
-        pins = self.GNP_PINS[random_graphs_module.np is not None]
-        assert (graph.num_edges, digest) == pins[(n, p, seed)]
+        assert (graph.num_edges, digest) == self.GNP_PINS[(n, p, seed)]
 
     def test_gnp_invalid_probability(self):
         with pytest.raises(ParameterError):

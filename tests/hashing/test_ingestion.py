@@ -3,12 +3,14 @@ pinned as a refusal grid across every entry point that takes keys from a
 caller: each accepts and refuses exactly the same values, alone and in a
 batch large enough for the array route."""
 
+import numpy as np
 import pytest
 
+import reference_store
 from repro.core.setsofsets import SetOfSets
 from repro.errors import CapacityError, ParameterError
 from repro.estimator import L0Estimator
-from repro.hashing import HAS_NUMPY, Checksum, checked_keys
+from repro.hashing import Checksum, checked_keys
 from repro.hashing.mix import is_key_array
 from repro.iblt import IBLT, IBLTParameters
 from repro.protocols.parties.setrecon import SetReconContext, SetSource
@@ -32,18 +34,14 @@ VALUES = {
     "2**70": (1 << 70, WIDE),
     "str": ("7", ParameterError),
     "None": (None, ParameterError),
+    "numpy int64": (np.int64(3), ParameterError),
+    "numpy uint64": (np.uint64(3), ParameterError),
 }
-if HAS_NUMPY:
-    import numpy as np
-
-    VALUES["numpy int64"] = (np.int64(3), ParameterError)
-    VALUES["numpy uint64"] = (np.uint64(3), ParameterError)
 
 
-def _table(backend):
+def _table(store):
     def insert(keys):
-        table = IBLT(IBLTParameters(40, 64, 1, 3), backend=backend)
-        table.insert_batch(keys)
+        reference_store.new_table(IBLTParameters(40, 64, 1, 3), store).insert_batch(keys)
 
     return insert
 
@@ -53,7 +51,7 @@ ENTRY_POINTS = {
     "Checksum.of_set": Checksum(1, 64).of_set,
     "SetSource": lambda keys: SetSource(keys, SetReconContext(1 << 80, 3)),
     "L0Estimator.update_all": lambda keys: L0Estimator(1).update_all(keys, 1),
-    "IBLT python store": _table("python"),
+    "IBLT reference store": _table("reference"),
     "IBLT numpy store": _table("numpy"),
     "SetOfSets": lambda keys: SetOfSets([keys, [1]]),
 }
@@ -63,8 +61,6 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("value", VALUES, ids=list(VALUES))
 @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=list(ENTRY_POINTS))
 def test_every_entry_point_accepts_and_refuses_alike(entry, value, padding):
-    if entry == "IBLT numpy store" and not HAS_NUMPY:
-        pytest.skip("needs NumPy")
     key, refusal = VALUES[value]
     if refusal is WIDE:
         refusal = CapacityError if entry.startswith("IBLT") else None
@@ -79,8 +75,8 @@ def test_every_entry_point_accepts_and_refuses_alike(entry, value, padding):
 @pytest.mark.parametrize("keys", [[3, 1 << 63], list(range(100))])
 def test_narrow_keys_come_back_as_one_array_with_numpy(keys):
     checked = checked_keys(iter(keys))
-    assert is_key_array(checked) == HAS_NUMPY
-    assert (checked.tolist() if HAS_NUMPY else checked) == keys
+    assert is_key_array(checked)
+    assert checked.tolist() == keys
     assert checked_keys(keys, array_above=len(keys)) == keys
     assert checked_keys(keys, array_above=None) == keys
 
@@ -88,6 +84,5 @@ def test_narrow_keys_come_back_as_one_array_with_numpy(keys):
 def test_a_wide_key_or_no_key_keeps_the_list_and_an_array_passes_as_it_is():
     assert checked_keys([1, 1 << 64]) == [1, 1 << 64]
     assert checked_keys(()) == []
-    if HAS_NUMPY:
-        array = np.arange(5, dtype=np.uint64)
-        assert checked_keys(array) is array
+    array = np.arange(5, dtype=np.uint64)
+    assert checked_keys(array) is array

@@ -1,8 +1,8 @@
 """The one order-independent set fold behind every whole-set and child-set hash.
 
 ``Checksum.of_set`` / ``of_sets`` pick a scalar or a batched route from the
-input; these tests hold the two routes -- and a NumPy-free install -- to the
-same bytes, pin those bytes as literals (no protocol test notices a changed
+input; these tests hold the two routes to the same bytes, pin those bytes as
+literals (no protocol test notices a changed
 verification-hash value, because both parties change together), and check
 the linearity the sketch store's running hash relies on.
 """
@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import repro.hashing.checksum as checksum_module
 from repro.core.setsofsets.encoding import child_set_hash_many, parent_hash
 from repro.errors import ParameterError
-from repro.hashing import HAS_NUMPY, Checksum, SeededHasher, fingerprint64, mix64
+from repro.hashing import Checksum, SeededHasher, fingerprint64, mix64
 from repro.hashing.checksum import _BATCH_CUTOFF
 from repro.protocols.parties.setrecon import set_verification_hash
 
@@ -30,19 +30,17 @@ def reference_fold(checksum, values):
     return combined
 
 
-@pytest.fixture(params=["as-installed", "no-numpy", "always-scalar"])
+@pytest.fixture(params=["as-installed", "always-scalar"])
 def route(request, monkeypatch):
-    """Run a test on the installed routes, with NumPy hidden, and with the
-    size cutoff out of reach."""
-    if request.param == "no-numpy":
-        monkeypatch.setattr(checksum_module, "HAS_NUMPY", False)
-    elif request.param == "always-scalar":
+    """Run a test on the routes the sizes pick, and with the size cutoff out
+    of reach."""
+    if request.param == "always-scalar":
         monkeypatch.setattr(checksum_module, "_BATCH_CUTOFF", 1 << 62)
     return request.param
 
 
 class TestPinnedValues:
-    """Literal values: the numpy and no-numpy CI jobs must produce these bytes."""
+    """Literal values: both routes must produce these bytes."""
 
     def test_of_set(self, route):
         assert Checksum(SEED, 64).of_set(range(1, 101)) == 0xB25B8823F8C5F63E
@@ -171,7 +169,6 @@ class TestLinearity:
         assert parent_hash([[1, 2], [3]], SEED) != parent_hash([[1], [2, 3]], SEED)
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="needs the batched route")
 def test_large_sets_take_the_batched_route(monkeypatch):
     def scalar_route_used(*args, **kwargs):
         raise AssertionError("scalar fold on a large narrow-key set")

@@ -1,4 +1,5 @@
-"""Folding an IBLT: the fold ladder's exact identity on both cell stores.
+"""Folding an IBLT: the fold ladder's exact identity, on the cell store and
+on the reference store.
 
 Hash ``i`` maps a key to ``start_i + mix64(fp ^ seed_i) % size_i`` with seeds
 that do not depend on the cell count, and (x mod 2r) mod r = x mod r.  So a
@@ -12,20 +13,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_store
+from reference_store import STORES, table_of
 from repro.errors import ParameterError
-from repro.iblt import IBLT, IBLTParameters, NumpyCellStore
+from repro.iblt import IBLT, IBLTParameters
 from repro.iblt.table import MIN_RUNG_REGION, fold_ladder, resized
 
-BACKENDS = ["python"] + (["numpy"] if NumpyCellStore.available() else [])
+
+def serialized(table):
+    if table.backend == "numpy":
+        return table.serialize()
+    return reference_store.serialize(table)
 
 
 def sent(table):
     """The table as a peer receives it: through the wire, count residues only."""
-    return IBLT.deserialize(table.params, table.serialize(), backend=table.backend)
+    if table.backend == "numpy":
+        return IBLT.deserialize(table.params, table.serialize())
+    return reference_store.deserialize(table.params, reference_store.serialize(table))
 
 
 def built(params, inserted, deleted, backend):
-    table = IBLT.from_items(params, inserted, backend=backend)
+    table = table_of(params, inserted, backend)
     table.delete_batch(deleted)
     return table
 
@@ -50,7 +59,7 @@ def folds(draw):
     return top, regions * target, inserted, deleted
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", STORES)
 @settings(max_examples=60, deadline=None)
 @given(case=folds())
 def test_a_fold_is_the_table_of_the_same_keys(backend, case):
@@ -61,10 +70,10 @@ def test_a_fold_is_the_table_of_the_same_keys(backend, case):
         folded = source.fold(num_cells)
         assert folded.params == reference.params
         assert folded == reference
-        assert folded.serialize() == reference.serialize()
+        assert serialized(folded) == serialized(reference)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", STORES)
 @settings(max_examples=60, deadline=None)
 @given(case=folds())
 def test_fold_minus_upper_half_rebuilds_the_double(backend, case):
@@ -77,19 +86,19 @@ def test_fold_minus_upper_half_rebuilds_the_double(backend, case):
     for lower, half in ((fold, upper), (sent(fold), sent(upper))):
         rebuilt = lower.unfold(half)
         assert rebuilt == double
-        assert rebuilt.serialize() == double.serialize()
+        assert serialized(rebuilt) == serialized(double)
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="NumPy not installed")
 @settings(max_examples=30, deadline=None)
 @given(case=folds())
 def test_both_stores_fold_alike(case):
     top, num_cells, inserted, deleted = case
-    python, numpy = (built(top, inserted, deleted, backend) for backend in BACKENDS)
-    assert python.fold(num_cells) == numpy.fold(num_cells)
-    assert python.upper_half() == numpy.upper_half()
-    # Mixed stores unfold too (the upper half converts to the fold's store).
-    assert numpy.fold(top.num_cells // 2).unfold(python.upper_half()) == numpy
+    reference, numpy = (built(top, inserted, deleted, backend) for backend in STORES)
+    assert reference.fold(num_cells) == numpy.fold(num_cells)
+    assert reference.upper_half() == numpy.upper_half()
+    half = top.num_cells // 2
+    assert reference.fold(half).unfold(reference.upper_half()) == numpy
+    assert numpy.fold(half).unfold(numpy.upper_half()) == reference
 
 
 class TestFoldLadder:
@@ -116,11 +125,11 @@ class TestFoldLadder:
             assert resized(params, top.num_cells) == top
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", STORES)
 class TestRefusals:
     def table(self, backend, num_cells=52):
-        return IBLT.from_items(
-            IBLTParameters(num_cells=num_cells, key_bits=32, seed=3), range(20), backend=backend
+        return table_of(
+            IBLTParameters(num_cells=num_cells, key_bits=32, seed=3), range(20), backend
         )
 
     def test_a_fold_needs_a_divisor_of_the_regions(self, backend):

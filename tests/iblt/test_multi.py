@@ -1,14 +1,18 @@
-"""Tests for the batched IBLTArray construction (repro.iblt.multi)."""
+"""Tests for the batched IBLTArray construction (repro.iblt.multi).
+
+Rows are checked against single tables built on each store: the library's
+NumPy store and the reference store (``tests/reference_store.py``).
+"""
 
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference_store
+from reference_store import STORES, table_of
 from repro.errors import CapacityError, ParameterError
-from repro.iblt import IBLT, IBLTArray, IBLTParameters, NumpyCellStore
-
-BACKENDS = ["python"] + (["numpy"] if NumpyCellStore.available() else [])
+from repro.iblt import IBLT, IBLTArray, IBLTParameters
 
 PARAMS = IBLTParameters.for_difference(
     4, 24, seed=99, num_hashes=3, checksum_bits=24, count_bits=16
@@ -25,61 +29,63 @@ def random_children(count, seed=7, max_size=9, universe=1 << 20):
     return children
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+def serialized(table):
+    if table.backend == "numpy":
+        return table.serialize()
+    return reference_store.serialize(table)
+
+
+@pytest.mark.parametrize("backend", STORES)
 class TestMatchesPerTableConstruction:
     def test_tables_equal_from_items(self, backend):
         children = random_children(40)
-        array = IBLTArray(PARAMS, children, backend=backend)
+        array = IBLTArray(PARAMS, children)
         for index, child in enumerate(children):
-            assert array.table(index) == IBLT.from_items(
-                PARAMS, child, backend=backend
-            )
+            assert array.table(index) == table_of(PARAMS, child, backend)
 
     def test_serialize_all_matches_per_table_serialize(self, backend):
         children = random_children(40, seed=13)
-        array = IBLTArray(PARAMS, children, backend=backend)
+        array = IBLTArray(PARAMS, children)
         assert array.serialize_all() == [
-            IBLT.from_items(PARAMS, child, backend=backend).serialize()
-            for child in children
+            serialized(table_of(PARAMS, child, backend)) for child in children
         ]
         assert array.serialize_all() == [t.serialize() for t in array.tables()]
 
     def test_duplicate_keys_inside_a_child(self, backend):
         children = [[5, 5, 9], [9]]
-        array = IBLTArray(PARAMS, children, backend=backend)
+        array = IBLTArray(PARAMS, children)
         for index, child in enumerate(children):
-            assert array.table(index) == IBLT.from_items(
-                PARAMS, child, backend=backend
-            )
+            assert array.table(index) == table_of(PARAMS, child, backend)
 
     def test_empty_array(self, backend):
-        array = IBLTArray(PARAMS, [], backend=backend)
+        array = IBLTArray(PARAMS, [])
         assert len(array) == 0
         assert array.serialize_all() == []
         assert array.tables() == []
 
     def test_materialized_tables_are_independent(self, backend):
-        array = IBLTArray(PARAMS, [[1, 2], [3]], backend=backend)
+        array = IBLTArray(PARAMS, [[1, 2], [3]])
         first = array.table(0)
         first.insert(7)
-        assert array.table(0) == IBLT.from_items(PARAMS, [1, 2], backend=backend)
+        assert array.table(0) == table_of(PARAMS, [1, 2], backend)
 
     def test_rejects_invalid_keys(self, backend):
-        with pytest.raises(ParameterError):
-            IBLTArray(PARAMS, [[1], [-2]], backend=backend)
-        with pytest.raises(CapacityError):
-            IBLTArray(PARAMS, [[1 << 30]], backend=backend)
+        # The array refuses what a single table on either store refuses.
+        for child, error in (([-2], ParameterError), ([1 << 30], CapacityError)):
+            with pytest.raises(error):
+                IBLTArray(PARAMS, [[1], child])
+            with pytest.raises(error):
+                table_of(PARAMS, child, backend)
 
 
-@pytest.mark.skipif(not NumpyCellStore.available(), reason="NumPy not installed")
 class TestBackendSelection:
     def test_numpy_backend_vectorizes(self):
         array = IBLTArray(PARAMS, [[1]], backend="numpy")
         assert array.vectorized and array.backend == "numpy"
 
-    def test_python_backend_uses_row_fallback(self):
-        array = IBLTArray(PARAMS, [[1]], backend="python")
-        assert not array.vectorized and array.backend == "python"
+    def test_python_backend_refused(self):
+        with pytest.raises(ParameterError, match="unknown cell backend"):
+            IBLTArray(PARAMS, [[1]], backend="python")
 
     def test_wide_keys_fall_back_and_agree(self):
         wide = IBLTParameters.for_difference(3, 100, seed=5, num_hashes=3)
@@ -92,9 +98,10 @@ class TestBackendSelection:
 
     def test_cross_backend_bit_identity(self):
         children = random_children(30, seed=21)
-        python_array = IBLTArray(PARAMS, children, backend="python")
         numpy_array = IBLTArray(PARAMS, children, backend="numpy")
-        assert python_array.serialize_all() == numpy_array.serialize_all()
+        assert numpy_array.serialize_all() == [
+            reference_store.serialize(table_of(PARAMS, child)) for child in children
+        ]
 
     def test_rows_decode_like_single_tables(self):
         children = [[1, 2, 3], [10, 11]]
@@ -104,29 +111,29 @@ class TestBackendSelection:
             assert positive == set(child) and negative == set()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", STORES)
 class TestBatchedDecode:
     def test_decode_all_matches_per_row_try_decode(self, backend):
         children = random_children(25, seed=31, max_size=5)
-        array = IBLTArray(PARAMS, children, backend=backend)
+        array = IBLTArray(PARAMS, children)
         assert array.decode_all() == [
-            array.table(index).try_decode() for index in range(len(array))
+            table_of(PARAMS, child, backend).try_decode() for child in children
         ]
 
     def test_decode_all_reports_undecodable_rows(self, backend):
         # Row 1 holds far more keys than the table can peel.
         children = [[1, 2], list(range(1000, 1200)), [7]]
-        array = IBLTArray(PARAMS, children, backend=backend)
+        array = IBLTArray(PARAMS, children)
         results = array.decode_all()
         assert [r.success for r in results] == [True, False, True]
         assert results[0].positive == {1, 2}
         assert results[2].positive == {7}
+        assert results == [table_of(PARAMS, child, backend).try_decode() for child in children]
 
     def test_decode_all_empty_array(self, backend):
-        assert IBLTArray(PARAMS, [], backend=backend).decode_all() == []
+        assert IBLTArray(PARAMS, []).decode_all() == []
 
 
-@pytest.mark.skipif(not NumpyCellStore.available(), reason="NumPy not installed")
 class TestFromDifference:
     def test_matches_subtract_then_decode(self):
         alice = IBLT.from_items(PARAMS, [1, 2, 3, 99], backend="numpy")
@@ -140,9 +147,10 @@ class TestFromDifference:
             alice.subtract(candidate).try_decode() for candidate in candidates
         ]
 
-    def test_scalar_store_returns_none(self):
-        alice = IBLT.from_items(PARAMS, [1], backend="python")
-        other = IBLT.from_items(PARAMS, [2], backend="python")
+    def test_wide_keys_return_none(self):
+        wide = IBLTParameters.for_difference(3, 100, seed=5, num_hashes=3)
+        alice = IBLT.from_items(wide, [1 << 80])
+        other = IBLT.from_items(wide, [2])
         assert IBLTArray.from_difference(alice, [other]) is None
 
     def test_parameter_mismatch_rejected(self):
@@ -179,7 +187,7 @@ def arrays_to_serialize(draw):
     return params, draw(st.lists(child, max_size=5))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", STORES)
 class TestPackedSerializer:
     @settings(max_examples=150, deadline=None)
     @given(arrays_to_serialize())
@@ -189,20 +197,21 @@ class TestPackedSerializer:
     @example((PARAMS, [[], [], []]))
     def test_rows_equal_the_scalar_serializer(self, backend, case):
         params, children = case
-        array = IBLTArray(params, children, backend=backend)
-        serialized = array.serialize_all()
-        assert serialized == [array.table(i).serialize() for i in range(len(children))]
-        assert all(0 <= row < 1 << params.size_bits for row in serialized)
+        array = IBLTArray(params, children)
+        rows = array.serialize_all()
+        assert rows == [array.table(i).serialize() for i in range(len(children))]
+        assert rows == [serialized(table_of(params, child, backend)) for child in children]
+        assert all(0 <= row < 1 << params.size_bits for row in rows)
 
     def test_counts_past_count_bits_wrap(self, backend):
         params = IBLTParameters(6, 20, 3, 3, checksum_bits=24, count_bits=4)
-        array = IBLTArray(params, [[1], [9] * 8], backend=backend)  # 8 is past [-8, 8)
-        serialized = array.serialize_all()
-        assert serialized == [array.table(i).serialize() for i in range(len(array))]
-        assert IBLT.deserialize(params, serialized[1]) == array.table(1)
+        children = [[1], [9] * 8]  # 8 is past [-8, 8)
+        array = IBLTArray(params, children)
+        rows = array.serialize_all()
+        assert rows == [serialized(table_of(params, child, backend)) for child in children]
+        assert IBLT.deserialize(params, rows[1]) == array.table(1)
 
 
-@pytest.mark.skipif(not NumpyCellStore.available(), reason="NumPy not installed")
 class TestPackedDifferenceRows:
     """``from_difference`` arrays are where a tensor holds negative counts."""
 
@@ -225,9 +234,9 @@ class TestPackedDifferenceRows:
             )
         )
 
-    @pytest.mark.parametrize("count_bits", [4, 70])
+    @pytest.mark.parametrize("count_bits", [4, 64])
     def test_count_widths_at_both_ends(self, count_bits):
-        # Below a byte, and past 64 bits, where the sign plane is repeated.
+        # Below a byte, and a whole word.
         params = IBLTParameters(6, 20, 3, 3, checksum_bits=24, count_bits=count_bits)
         minuend = IBLT.from_items(params, [4, 5], backend="numpy")
         plenty = IBLT.from_items(params, [9] * 6 + [4], backend="numpy")

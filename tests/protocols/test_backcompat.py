@@ -15,17 +15,11 @@ import pytest
 
 import repro
 from repro.core.setsofsets import MultisetOfMultisets
-from repro.graphs import random_graphs
 from repro.protocols.parties.applications import db_parties
 from repro.protocols.session import run_session
 from repro.workloads import sets_of_sets_instance
 
 from protocol_fixtures import protocol_instances
-
-#: ``gnp_random_graph`` samples from NumPy's generator when it is importable
-#: and from ``random`` otherwise, so the two graph fixtures (the instances, not
-#: the protocols) differ between the CI legs; both were recorded.
-_NUMPY_GRAPHS = random_graphs.np is not None
 
 #: (success, total_bits, num_rounds, attempts) recorded from the
 #: pre-session implementation (commit ea3d034) on the fixed inputs below.
@@ -56,7 +50,7 @@ PINNED = {
     # bodies (commit 450668c, the last one that had them) on the
     # ``protocol_fixtures`` instances with seed 99.
     "degree_order": (True, 1432, 1, 1),
-    "degree_neighborhood": (True, 126416 if _NUMPY_GRAPHS else 135248, 1, 1),
+    "degree_neighborhood": (True, 126416, 1, 1),
     "forest": (True, 15744, 1, 1),
     "db": (True, 848, 1, 1),
     "db_naive": (True, 848, 1, 1),
@@ -71,13 +65,13 @@ PINNED = {
 #: the cascade entries' ``num_levels`` once more with the cascade plan.
 PINNED_DETAILS = {
     "degree_order": {
-        "bob_canonical_labeling": 1486071807 if _NUMPY_GRAPHS else 250573192,
+        "bob_canonical_labeling": 1486071807,
         "num_top": 32, "signature_bits": 896, "edge_bits": 536,
     },
     "degree_neighborhood": {
-        "bob_canonical_labeling": 3175327270 if _NUMPY_GRAPHS else 2477635943,
+        "bob_canonical_labeling": 3175327270,
         "max_degree": 52, "edge_bits": 496,
-        "signature_bits": 125920 if _NUMPY_GRAPHS else 134752,
+        "signature_bits": 125920,
     },
     "forest": {"max_depth": 6, "change_bound": 78, "failure": None},
     "db": {

@@ -1,8 +1,8 @@
 """Frame-sequence pins for the sets-of-sets family and the applications on it.
 
-``test_backcompat.py`` pins bit totals and the cross-backend suites pin
-python == numpy; a hash or packing change made on both tiers at once passes
-both.  These pins are over the bytes: SHA-256 of every frame (sender, label,
+``test_backcompat.py`` pins bit totals and the cross-store suite checks
+every sent table against the reference store; a hash or packing change made
+on both at once passes both.  These pins are over the bytes: SHA-256 of every frame (sender, label,
 charged bits, serialized payload) of one session per protocol through
 :class:`SerializingTransport`, on the ``protocol_fixtures`` instances.
 """
@@ -12,17 +12,11 @@ import hashlib
 import pytest
 
 import repro
-from repro.graphs import random_graphs
 from repro.protocols.transports import SerializingTransport
 
 from protocol_fixtures import protocol_instances
 
 SEED = 2018
-
-#: ``gnp_random_graph`` draws from NumPy's generator when it is importable and
-#: from ``random`` otherwise, so the two graph *instances* differ between the
-#: CI legs (as in ``test_backcompat.py``); both legs were recorded.
-_NUMPY_GRAPHS = random_graphs.np is not None
 
 
 class RecordingTransport(SerializingTransport):
@@ -91,16 +85,10 @@ FRAME_PINS = {
         "0deb7dc8685bdb0f233c4dfb0ad1dd1725e19c90164a064446c623d43c6f2704", 15744,
     ),
     "degree_order": (
-        "90a737e088107ed45854db64bdbffad19b09493a1219f66897443dbc9f8725b3"
-        if _NUMPY_GRAPHS
-        else "4ae7da295e204badb8ebe3081b92c5248a1bdaee88fc646f40d59862ec2935ea",
-        1432,
+        "90a737e088107ed45854db64bdbffad19b09493a1219f66897443dbc9f8725b3", 1432,
     ),
     "degree_neighborhood": (
-        "04f7316f20899a26767cc0c569d5d5fda10f8112bf57bbca0d45ee3ba36c74b9"
-        if _NUMPY_GRAPHS
-        else "1115fa9791527915798cb6e68b937e84fcd271f3c6754fdc156413845b00b1a9",
-        126416 if _NUMPY_GRAPHS else 135248,
+        "04f7316f20899a26767cc0c569d5d5fda10f8112bf57bbca0d45ee3ba36c74b9", 126416,
     ),
     "db": (
         "c15ca2248ac949544b94f23920819202776ddcf32fb07c3612ccca427a77734b", 848,
@@ -111,20 +99,19 @@ FRAME_PINS = {
 }
 
 
-def session_frames(case, backend=None):
+def session_frames(case):
     protocol, overrides = CASES[case]
     alice, bob, kwargs = protocol_instances()[protocol]
     transport = RecordingTransport()
     result = repro.reconcile(
         alice, bob, protocol=protocol, seed=SEED, transport=transport,
-        backend=backend, **{**kwargs, **overrides},
+        **{**kwargs, **overrides},
     )
     return transport.frames, result
 
 
-@pytest.mark.parametrize("backend", [None, "python"], ids=["default", "python"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_session_frames_match_the_recorded_pins(case, backend):
-    frames, result = session_frames(case, backend)
+def test_session_frames_match_the_recorded_pins(case):
+    frames, result = session_frames(case)
     assert result.success, result.details
     assert (frames_digest(frames), result.total_bits) == FRAME_PINS[case]

@@ -7,7 +7,7 @@ import pytest
 import repro
 from repro.documents import DocumentCollection
 from repro.errors import ParameterError
-from repro.iblt import IBLT, NumpyCellStore
+from repro.iblt import IBLT
 from repro.protocols import ReconcileOptions
 from repro.protocols.registry import get, names, registry_table_markdown, specs
 from repro.workloads import edited_corpus_pair
@@ -69,7 +69,6 @@ class TestReconcileEntryPoint:
             assert result.success, (protocol, result.details)
             assert result.total_bits > 0
 
-    @pytest.mark.skipif(not NumpyCellStore.available(), reason="NumPy not installed")
     @pytest.mark.parametrize(
         "protocol", ["cascading", "naive", "iblt_of_iblts", "degree_order", "forest"]
     )

@@ -98,6 +98,9 @@ HOSTILE_HELLOS.update(
         "safety-string": with_option("safety_factor", "2"),
         "safety-negative": with_option("safety_factor", -1.0),
         "backend-int": with_option("backend", 3),
+        # The one cell store answers to "numpy" and "auto" only.
+        "backend-python": with_option("backend", "python"),
+        "backend-unknown": with_option("backend", "gpu"),
     }
 )
 

@@ -1,52 +1,81 @@
-"""Cross-backend determinism: same seed => identical transcripts and results.
+"""Cross-store determinism: every table a protocol sends, against the reference store.
 
-The cell-store backends (:mod:`repro.iblt.backends`) must be observationally
-identical: for the same seed and inputs, a protocol run with the pure-Python
-store and one with the NumPy store must exchange byte-identical messages and
-return identical :class:`~repro.comm.ReconciliationResult`\\ s.  These tests
-pin that guarantee for the flat set-reconciliation protocol and the
-structured set-of-sets protocols (IBLT-of-IBLTs, cascading, multiround), all
-of which route their child encodings through the batched
-:class:`~repro.iblt.multi.IBLTArray` pipeline.
+The protocols build every IBLT on the library's one cell store
+(:mod:`repro.iblt.backends`).  These tests run the flat set-reconciliation
+protocol and the structured set-of-sets protocols (IBLT-of-IBLTs, cascading,
+multiround), all of which route their child encodings through the batched
+:class:`~repro.iblt.multi.IBLTArray` pipeline, and check each table a session
+sends against the reference store (``tests/reference_store.py``): read back
+onto it, the table holds the same cells, peels the same keys in the same
+rounds, and folds, halves and unfolds to the same tables.  Alice's ``ibf``
+table is also rebuilt from her set on the reference store, bit for bit.
 
-The same guarantee covers the fallback: ``backend="numpy"`` must produce
-byte-identical transcripts when it falls back to the reference store (NumPy
-missing, or checksums wider than 64 bits).  Keys wider than 64 bits stay on
-the NumPy store, as limbs.
+Every name ``backend=`` accepts (``None``, ``"auto"``, ``"numpy"``) must give
+the same results and byte-identical transcripts.  Keys wider than 64 bits
+stay on the NumPy store, as limbs.
 """
 
 import random
 
 import pytest
 
+import reference_store
+from reference_store import peel_by_round
 from repro import reconcile
-from repro.config import resolve_cell_backend
 from repro.core.setsofsets.types import SetOfSets
-from repro.iblt import IBLT, IBLTParameters, NumpyCellStore
+from repro.errors import ParameterError
+from repro.iblt import IBLT, IBLTParameters
+from repro.protocols.parties.setrecon import SetReconContext
 
-pytestmark = pytest.mark.skipif(
-    not NumpyCellStore.available(), reason="NumPy not installed"
-)
+NAMES = [None, "auto", "numpy"]
+
+
+def payload_tables(payload):
+    """Every IBLT in one message's payload."""
+    tables = []
+    stack = [payload]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, IBLT):
+            tables.append(item)
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return tables
+
+
+def sent_tables(transcript):
+    """Every IBLT the session sent, in send order."""
+    return [table for message in transcript.messages for table in payload_tables(message.payload)]
 
 
 def transcript_fingerprint(transcript):
     """Message metadata plus canonical payload bytes (tables serialize)."""
-    fingerprint = []
-    for message in transcript.messages:
-        payload = message.payload
-        serialized = []
-        stack = [payload]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, IBLT):
-                serialized.append(item.serialize())
-            elif isinstance(item, (list, tuple)):
-                stack.extend(item)
-        fingerprint.append(
-            (message.sender, message.round_index, message.label, message.size_bits,
-             tuple(serialized))
+    return [
+        (
+            message.sender,
+            message.round_index,
+            message.label,
+            message.size_bits,
+            tuple(table.serialize() for table in payload_tables(message.payload)),
         )
-    return fingerprint
+        for message in transcript.messages
+    ]
+
+
+def assert_agrees_with_reference(table):
+    """``table`` read onto the reference store: same cells, integer, peel
+    rounds and decode, and the same fold, upper half and unfold."""
+    reference = reference_store.deserialize(table.params, table.serialize())
+    assert reference == table
+    assert reference_store.serialize(reference) == table.serialize()
+    assert reference.try_decode() == table.try_decode()
+    assert peel_by_round(reference) == peel_by_round(table)
+    params = table.params
+    if params.num_cells % (2 * params.num_hashes) == 0:
+        half = params.num_cells // 2
+        assert reference.fold(half) == table.fold(half)
+        assert reference.upper_half() == table.upper_half()
+        assert reference.fold(half).unfold(reference.upper_half()) == table
 
 
 def run_known_d(backend):
@@ -98,78 +127,69 @@ def run_multiround(backend):
     )
 
 
-class TestKnownD:
+class _Protocol:
+    """The checks every protocol below runs; ``run`` is its session."""
+
+    @staticmethod
+    def run(backend):
+        raise NotImplementedError
+
     def test_identical_results(self):
-        py = run_known_d("python")
-        np_result = run_known_d("numpy")
-        assert py.success and np_result.success
-        assert py.recovered == np_result.recovered
-        assert py.details == np_result.details
+        results = [self.run(name) for name in NAMES]
+        assert all(result.success for result in results)
+        for result in results[1:]:
+            assert result.recovered == results[0].recovered
+            assert result.details == results[0].details
 
     def test_byte_identical_transcripts(self):
-        py = run_known_d("python")
-        np_result = run_known_d("numpy")
-        assert transcript_fingerprint(py.transcript) == transcript_fingerprint(
-            np_result.transcript
-        )
+        fingerprints = [transcript_fingerprint(self.run(name).transcript) for name in NAMES]
+        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+
+    def test_every_sent_table_agrees_with_the_reference_store(self):
+        tables = sent_tables(self.run(None).transcript)
+        assert tables
+        for table in tables:
+            assert_agrees_with_reference(table)
 
 
-class TestCascading:
-    def test_identical_results(self):
-        py = run_cascading("python")
-        np_result = run_cascading("numpy")
-        assert py.success and np_result.success
-        assert py.recovered == np_result.recovered
-        assert py.details == np_result.details
+class TestKnownD(_Protocol):
+    run = staticmethod(run_known_d)
 
-    def test_byte_identical_transcripts(self):
-        py = run_cascading("python")
-        np_result = run_cascading("numpy")
-        assert transcript_fingerprint(py.transcript) == transcript_fingerprint(
-            np_result.transcript
-        )
+    def test_alice_table_rebuilds_on_the_reference_store(self):
+        rng = random.Random(1234)
+        alice = set(rng.sample(range(1 << 30), 500)) | {1 << 30, (1 << 30) + 7}
+        (sent,) = sent_tables(run_known_d(None).transcript)
+        params = SetReconContext(1 << 31, 77).table_params(8)
+        assert sent.params == params
+        rebuilt = reference_store.table_of(params, alice)
+        assert reference_store.serialize(rebuilt) == sent.serialize()
 
 
-class TestIBLTofIBLTs:
-    def test_identical_results(self):
-        py = run_iblt_of_iblts("python")
-        np_result = run_iblt_of_iblts("numpy")
-        assert py.success and np_result.success
-        assert py.recovered == np_result.recovered
-        assert py.details == np_result.details
-
-    def test_byte_identical_transcripts(self):
-        py = run_iblt_of_iblts("python")
-        np_result = run_iblt_of_iblts("numpy")
-        assert transcript_fingerprint(py.transcript) == transcript_fingerprint(
-            np_result.transcript
-        )
+class TestCascading(_Protocol):
+    run = staticmethod(run_cascading)
 
 
-class TestMultiround:
-    def test_identical_results(self):
-        py = run_multiround("python")
-        np_result = run_multiround("numpy")
-        assert py.success and np_result.success
-        assert py.recovered == np_result.recovered
-        assert py.details == np_result.details
+class TestIBLTofIBLTs(_Protocol):
+    run = staticmethod(run_iblt_of_iblts)
 
-    def test_byte_identical_transcripts(self):
-        py = run_multiround("python")
-        np_result = run_multiround("numpy")
-        assert transcript_fingerprint(py.transcript) == transcript_fingerprint(
-            np_result.transcript
-        )
+
+class TestMultiround(_Protocol):
+    run = staticmethod(run_multiround)
 
 
 class TestDefaultBackendInvariance:
     def test_auto_matches_forced_backends(self):
         auto = run_known_d(None)
-        forced = run_known_d("python")
+        forced = run_known_d("numpy")
         assert auto.recovered == forced.recovered
         assert transcript_fingerprint(auto.transcript) == transcript_fingerprint(
             forced.transcript
         )
+
+    @pytest.mark.parametrize("run", [run_known_d, run_iblt_of_iblts], ids=["ibf", "iblt_of_iblts"])
+    def test_a_refused_name_raises(self, run):
+        with pytest.raises(ParameterError, match="unknown cell backend"):
+            run("python")
 
 
 class TestFallbackChain:
@@ -180,24 +200,9 @@ class TestFallbackChain:
 
     def test_wide_keys_stay_on_numpy(self):
         wide = self.params(key_bits=80)
-        assert resolve_cell_backend("numpy", wide).name == "numpy"
         table = IBLT(wide, backend="numpy")
         assert table.backend == "numpy"
         table.insert_batch([1 << 70, 5])
         result = table.try_decode()
         assert result.success and result.positive == {1 << 70, 5}
-
-    def test_numpy_absent_runs_reference_chain(self, monkeypatch):
-        """With NumPy reported unavailable, ``numpy`` requests degrade to the
-        reference store and still produce the exact python-tier transcript."""
-        monkeypatch.setattr(
-            NumpyCellStore, "available", classmethod(lambda cls: False)
-        )
-        assert resolve_cell_backend("numpy", self.params()).name == "python"
-        degraded = run_iblt_of_iblts("numpy")
-        monkeypatch.undo()
-        py = run_iblt_of_iblts("python")
-        assert degraded.recovered == py.recovered
-        assert transcript_fingerprint(degraded.transcript) == (
-            transcript_fingerprint(py.transcript)
-        )
+        assert_agrees_with_reference(table)

@@ -4,6 +4,8 @@
 tier was deleted (no session could import it).  The name now gets the typed
 error every other unregistered name gets, through every way of spelling the
 request, instead of silently running on a tier the caller did not ask for.
+The cell store has no registry left (``backend=`` names the one store), and
+no environment variable.
 """
 
 import pytest
@@ -17,29 +19,31 @@ PARAMS = IBLTParameters(num_cells=64, key_bits=32, seed=1)
 SETS = ({1, 2, 3}, {2, 3, 4})
 OPTIONS = dict(universe_size=100, difference_bound=4, seed=1)
 
-#: seam -> (what errors call it, keyword, environment variable, a protocol
-#: that resolves it, the direct entry point taking a name or ``None``).
+#: seam -> (the refusal, keyword, environment variable or ``None``, a
+#: protocol that resolves it, the direct entry point taking a name or ``None``).
 SEAMS = {
     "cell": (
-        "cell backend", "backend", "REPRO_CELL_BACKEND", "ibf",
-        lambda name: IBLT(PARAMS, backend=name),
+        r"unknown cell backend 'numba'; accepted: \['auto', 'numpy'\]", "backend", None,
+        "ibf", lambda name: IBLT(PARAMS, backend=name),
     ),
     "kernel": (
-        "field kernel", "field_kernel", "REPRO_FIELD_KERNEL", "cpi",
-        lambda name: kernel_for(1048583, name),
+        r"unknown field kernel 'numba'; registered: \['numpy', 'python'\]", "field_kernel",
+        "REPRO_FIELD_KERNEL", "cpi", lambda name: kernel_for(1048583, name),
     ),
 }
 
 
-@pytest.mark.parametrize("via", ["keyword", "environment"])
-@pytest.mark.parametrize("seam", SEAMS)
+@pytest.mark.parametrize(
+    "seam, via",
+    [("cell", "keyword"), ("kernel", "keyword"), ("kernel", "environment")],
+    ids=["cell-keyword", "kernel-keyword", "kernel-environment"],
+)
 def test_numba_is_an_unknown_name(monkeypatch, seam, via):
-    kind, keyword, variable, protocol, direct = SEAMS[seam]
+    error, keyword, variable, protocol, direct = SEAMS[seam]
     name, options = "numba", {**OPTIONS, keyword: "numba"}
     if via == "environment":
         monkeypatch.setenv(variable, "numba")
         name, options = None, OPTIONS
-    error = rf"unknown {kind} 'numba'; registered: \['numpy', 'python'\]"
     with pytest.raises(ParameterError, match=error):
         direct(name)
     with pytest.raises(ParameterError, match=error):
