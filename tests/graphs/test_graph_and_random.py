@@ -103,14 +103,18 @@ def random_edges(n, seed):
 
 class TestLinearTransforms:
     """The bulk transforms against the per-edge ``add_edge`` reference, on
-    whole matrices and cut into blocks of a few rows: both must give the
-    values the reference gives, hence each other's."""
+    whole matrices, cut into blocks of a few rows and cut into blocks of one
+    row each: every cut must give the values the reference gives, hence each
+    other's."""
 
-    @pytest.fixture(params=["numpy", "blocked"], autouse=True)
+    @pytest.fixture(params=["numpy", "blocked", "one-row-blocks"], autouse=True)
     def route(self, request, monkeypatch):
         if request.param == "blocked":
             # 256 bits: one block up to n = 16, several from n = 17 on.
             monkeypatch.setattr(graph_module, "_BLOCK_BITS", 256)
+        elif request.param == "one-row-blocks":
+            # Narrower than any row: the floor of one row per block.
+            monkeypatch.setattr(graph_module, "_BLOCK_BITS", 1)
         return request.param
 
     @pytest.mark.parametrize("n", SIZES)

@@ -30,12 +30,14 @@ def reference_fold(checksum, values):
     return combined
 
 
-@pytest.fixture(params=["as-installed", "always-scalar"])
+@pytest.fixture(params=["as-installed", "always-scalar", "always-batched"])
 def route(request, monkeypatch):
-    """Run a test on the routes the sizes pick, and with the size cutoff out
-    of reach."""
+    """Run a test on the routes the sizes pick, with the size cutoff out of
+    reach, and with every input, the empty one too, past the cutoff."""
     if request.param == "always-scalar":
         monkeypatch.setattr(checksum_module, "_BATCH_CUTOFF", 1 << 62)
+    elif request.param == "always-batched":
+        monkeypatch.setattr(checksum_module, "_BATCH_CUTOFF", -1)
     return request.param
 
 
