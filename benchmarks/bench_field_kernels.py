@@ -3,7 +3,7 @@
 Times the characteristic-polynomial protocol's two sides (Theorem 2.3) --
 ``cpi_encode`` (batch evaluation of chi_A at d+1 points) and ``cpi_decode``
 (batch evaluation, Vandermonde assembly, Gaussian elimination, root
-finding) -- under each registered field kernel, asserting bit-identical
+finding) -- under each of the two field kernels, asserting bit-identical
 ``CPIMessage.evaluations`` and recovered sets.  The acceptance bar for the
 vectorized kernel is a >= 8x ``cpi_decode`` speedup over the reference
 kernel at ``n = 600, d = 48``.
@@ -190,10 +190,6 @@ def compare_gcd_phase(degree: int = GCD_DEGREE, seed: int = DEFAULT_SEED) -> dic
 
 import pytest
 
-needs_numpy = pytest.mark.skipif(
-    not NumpyFieldKernel.available(), reason="NumPy not installed"
-)
-
 
 @pytest.mark.parametrize("kernel", ["python", "numpy"])
 @pytest.mark.parametrize("difference", [4, 16])
@@ -201,13 +197,10 @@ def test_cpi_smoke_small_d(benchmark, kernel, difference):
     """CPI round-trip at small d under each kernel (CI smoke)."""
     from conftest import run_once
 
-    if kernel == "numpy" and not NumpyFieldKernel.available():
-        pytest.skip("NumPy not installed")
     run = run_once(benchmark, _run_kernel, kernel, difference)
     assert run["recovered"] is not None
 
 
-@needs_numpy
 def test_kernels_bit_identical_across_d(benchmark):
     from conftest import run_once
 
@@ -216,7 +209,6 @@ def test_kernels_bit_identical_across_d(benchmark):
     assert all(row["identical_recovered_sets"] for row in rows)
 
 
-@needs_numpy
 def test_numpy_kernel_speedup_floor(benchmark):
     """The tentpole acceptance check: >= 8x cpi_decode at n=600, d=48."""
     from conftest import run_once
@@ -225,7 +217,6 @@ def test_numpy_kernel_speedup_floor(benchmark):
     assert rows[0]["speedup"] >= SPEEDUP_FLOOR, rows
 
 
-@needs_numpy
 def test_gcd_phase_tiers_identical(benchmark):
     """CI smoke for the large-degree gcd row at a small degree: both tiers
     produce exactly the same coefficients."""
@@ -241,8 +232,6 @@ def main() -> None:
         "CPI field-kernel comparison",
         Path(__file__).resolve().parent.parent / "BENCH_field_kernels.json",
     ).parse_args()
-    if not NumpyFieldKernel.available():
-        sys.exit("NumPy is required for the field-kernel comparison")
     rows = compare(seed=args.seed)
     for row in rows:
         print(

@@ -29,13 +29,6 @@ Quickstart::
 """
 
 from repro.comm import ReconciliationResult, Transcript
-from repro.config import (
-    available_field_kernels,
-    default_field_kernel,
-    field_kernel_names,
-    set_default_field_kernel,
-)
-from repro.field import use_kernel
 from repro.core.setsofsets import (
     SetOfSets,
     MultisetOfMultisets,
@@ -69,11 +62,6 @@ __all__ = [
     "InMemoryTransport",
     "SerializingTransport",
     "SocketTransport",
-    "available_field_kernels",
-    "field_kernel_names",
-    "default_field_kernel",
-    "set_default_field_kernel",
-    "use_kernel",
     "SetOfSets",
     "MultisetOfMultisets",
     "reconcile_multisets_of_multisets",

@@ -1,7 +1,7 @@
 """R6xx: registry / documentation / test-coverage consistency.
 
-The two registries (protocols, field kernels) are the source of truth for
-what the library serves.  Everything that *describes* them -- the README
+The protocol registry and the two field kernels are the source of truth
+for what the library serves.  Everything that *describes* them -- the README
 protocol table, the docs pages, and the cross-transport
 determinism coverage list in the test suite -- must agree, or a freshly
 registered protocol could ship unserved, undocumented, and untested without
@@ -14,16 +14,16 @@ any test noticing.
   ``tests/protocols/protocol_fixtures.py`` (the list that feeds the
   cross-transport determinism suite); an uncovered protocol would escape
   the byte-identity tests entirely.
-* ``R604`` -- a registered field kernel is not documented in
-  docs/field-kernels.md.
+* ``R604`` -- a field kernel is not documented in docs/field-kernels.md.
 * ``R605`` -- incoherent registry metadata (``supports_unknown_d`` without
   ``rounds_unknown`` or vice versa, an unknown ``input_kind``, or empty
   summary/reference).
 * ``R606`` -- a docs page with no row in the README documentation index.
 
-Unlike the AST passes this one *imports* the registries: the set of
-registered names is runtime state by design (registration is open), and the
-import is exactly what ``python -m repro.analysis`` already paid for.
+Unlike the AST passes this one *imports* the protocol registry and the
+kernels: the set of registered protocols is runtime state by design
+(registration is open), and the import is exactly what
+``python -m repro.analysis`` already paid for.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class RegistryDocsPass(AnalysisPass):
         "R602": "registered protocol not named in docs/protocols.md",
         "R603": "registered protocol has no cross-transport determinism "
         "fixture instance",
-        "R604": "registered field kernel missing from its docs table",
+        "R604": "field kernel missing from its docs table",
         "R605": "incoherent protocol registry metadata",
         "R606": "docs page missing from the README documentation index",
     }
@@ -78,7 +78,7 @@ class RegistryDocsPass(AnalysisPass):
     def check_project(
         self, root: Path, sources: Sequence[SourceFile]
     ) -> Iterator[Finding]:
-        from repro.config import field_kernel_names
+        from repro.field.kernels import FIELD_KERNELS
         from repro.protocols import registry
 
         readme = self._read(root / "README.md")
@@ -121,11 +121,11 @@ class RegistryDocsPass(AnalysisPass):
                 )
             yield from self._check_metadata(spec, registry_py)
 
-        for kernel in field_kernel_names():
-            if kernels_doc is not None and f"`{kernel}`" not in kernels_doc:
+        for kernel in FIELD_KERNELS:
+            if kernels_doc is not None and f"`{kernel.name}`" not in kernels_doc:
                 yield Finding(
                     "R604",
-                    f"field kernel {kernel!r} is not documented in "
+                    f"field kernel {kernel.name!r} is not documented in "
                     "docs/field-kernels.md",
                     "docs/field-kernels.md",
                     1,

@@ -17,10 +17,11 @@ plus ``O(n d)`` evaluation time, matching the simpler of the two evaluation
 strategies discussed under Theorem 2.3.
 
 Every field-heavy step (batch evaluation, system assembly, elimination,
-root finding) runs through the pluggable field kernels of
-:mod:`repro.field.kernels`; pass ``field_kernel=`` to pin one, or leave it
-``None`` for the process default (vectorized NumPy when usable).  Messages,
-transcripts and recovered sets are bit-identical across kernels.
+gcd, division, root finding) runs through the one field kernel
+:func:`~repro.field.kernels.kernel_for` picks for the modulus and the
+``field_kernel=`` name (``"python"`` forces the reference kernel; ``None``
+takes vectorized NumPy when the modulus allows).  Messages, transcripts
+and recovered sets are bit-identical across kernels.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.core.setrecon.difference import apply_difference
 from repro.errors import ParameterError
 from repro.field import PrimeField, Polynomial, find_roots
 from repro.field.gfp import prime_field
-from repro.field.kernels import kernel_for, use_kernel
+from repro.field.kernels import kernel_for
 from repro.field.linalg import rational_interpolation_system, solve_linear_system
 from repro.field.prime import prime_at_least
 from repro.hashing import derive_seed
@@ -155,82 +156,86 @@ def cpi_decode(
     kernel = kernel_for(field.modulus, field_kernel)
     points = evaluation_points(universe_size, bound + 1)
 
-    with use_kernel(field_kernel):
-        bob_evaluations = Polynomial.evaluate_from_roots_many(
-            field, bob_list, points, kernel=kernel
+    bob_evaluations = Polynomial.evaluate_from_roots_many(
+        field, bob_list, points, kernel=kernel
+    )
+
+    if m_bar == 0:
+        numerator = Polynomial.one(field)
+        denominator = Polynomial.one(field)
+    else:
+        # Linear system for the non-leading coefficients of the monic
+        # numerator P (degree deg_num) and denominator Q (degree deg_den):
+        #   P(z_i) - f_i * Q(z_i) = 0   with  f_i = chi_A(z_i) / chi_B(z_i).
+        matrix, rhs = rational_interpolation_system(
+            field,
+            points[:m_bar],
+            message.evaluations[:m_bar],
+            bob_evaluations[:m_bar],
+            deg_num,
+            deg_den,
+            kernel=kernel,
         )
-
-        if m_bar == 0:
-            numerator = Polynomial.one(field)
-            denominator = Polynomial.one(field)
-        else:
-            # Linear system for the non-leading coefficients of the monic
-            # numerator P (degree deg_num) and denominator Q (degree deg_den):
-            #   P(z_i) - f_i * Q(z_i) = 0   with  f_i = chi_A(z_i) / chi_B(z_i).
-            matrix, rhs = rational_interpolation_system(
-                field,
-                points[:m_bar],
-                message.evaluations[:m_bar],
-                bob_evaluations[:m_bar],
-                deg_num,
-                deg_den,
-                kernel=kernel,
-            )
-            solution = solve_linear_system(field, matrix, rhs, kernel=kernel)
-            if solution is None:
-                return False, None
-            # Kernel solutions are canonical residues and the forced leading
-            # 1 keeps the tuples trimmed, so skip from_coefficients here.
-            numerator = Polynomial(field, tuple(solution[:deg_num]) + (1,))
-            denominator = Polynomial(field, tuple(solution[deg_num:]) + (1,))
-
-        common = numerator.gcd(denominator)
-        if common.degree > 0:
-            numerator = (numerator // common).monic()
-            denominator = (denominator // common).monic()
-
-        # lint: allow[D301] seeded from the protocol seed; decode-side search
-        rng = random.Random(derive_seed(seed, "cpi-roots"))
-        alice_only = (
-            find_roots(numerator, rng, kernel=kernel) if numerator.degree > 0 else []
-        )
-        # The denominator's roots must be elements Bob holds, so instead of a
-        # second Cantor-Zassenhaus factorisation we batch-evaluate it over
-        # Bob's set and read the zeros off.  If any root lies outside Bob's
-        # set, fewer than ``degree`` zeros show up and decoding fails exactly
-        # as it would have after a full factorisation.
-        if denominator.degree > 0:
-            denom_values = denominator.evaluate_many(bob_list, kernel=kernel)
-            bob_only = [
-                element
-                for element, value in zip(bob_list, denom_values)
-                if value == 0
-            ]
-        else:
-            bob_only = []
-
-        # The recovered factors must split completely into distinct roots that
-        # are genuine universe elements, and the denominator roots must be
-        # Bob's (guaranteed for bob_only, which was read off Bob's set).
-        if len(alice_only) != numerator.degree or len(bob_only) != denominator.degree:
+        solution = solve_linear_system(field, matrix, rhs, kernel=kernel)
+        if solution is None:
             return False, None
-        if any(root >= universe_size for root in alice_only + bob_only):
-            return False, None
-        bob_set = bob if isinstance(bob, (set, frozenset)) else set(bob_list)
-        if bob_set & set(alice_only):
-            return False, None
+        # Kernel solutions are canonical residues and the forced leading
+        # 1 keeps the tuples trimmed, so skip from_coefficients here.
+        numerator = Polynomial(field, tuple(solution[:deg_num]) + (1,))
+        denominator = Polynomial(field, tuple(solution[deg_num:]) + (1,))
 
-        recovered = apply_difference(bob_set, alice_only, bob_only)
-        if len(recovered) != message.set_size:
-            return False, None
-        # Spare-point verification: check the reconstruction against the last
-        # evaluation Alice sent (it is unused when m_bar < d + 1, and a harmless
-        # re-check otherwise).
-        check_point = points[-1]
-        check_value = Polynomial.evaluate_from_roots_many(
-            field, recovered, [check_point], kernel=kernel
-        )[0]
-        if check_value != message.evaluations[-1]:
-            return False, None
-        return True, recovered
+    p = field.modulus
+    common = kernel.poly_gcd(p, numerator.coeffs, denominator.coeffs)
+    if len(common) > 1:
+        numerator = Polynomial(
+            field, tuple(kernel.poly_divmod(p, numerator.coeffs, common)[0])
+        ).monic()
+        denominator = Polynomial(
+            field, tuple(kernel.poly_divmod(p, denominator.coeffs, common)[0])
+        ).monic()
+
+    # lint: allow[D301] seeded from the protocol seed; decode-side search
+    rng = random.Random(derive_seed(seed, "cpi-roots"))
+    alice_only = (
+        find_roots(numerator, rng, kernel=kernel) if numerator.degree > 0 else []
+    )
+    # The denominator's roots must be elements Bob holds, so instead of a
+    # second Cantor-Zassenhaus factorisation we batch-evaluate it over
+    # Bob's set and read the zeros off.  If any root lies outside Bob's
+    # set, fewer than ``degree`` zeros show up and decoding fails exactly
+    # as it would have after a full factorisation.
+    if denominator.degree > 0:
+        denom_values = denominator.evaluate_many(bob_list, kernel=kernel)
+        bob_only = [
+            element
+            for element, value in zip(bob_list, denom_values)
+            if value == 0
+        ]
+    else:
+        bob_only = []
+
+    # The recovered factors must split completely into distinct roots that
+    # are genuine universe elements, and the denominator roots must be
+    # Bob's (guaranteed for bob_only, which was read off Bob's set).
+    if len(alice_only) != numerator.degree or len(bob_only) != denominator.degree:
+        return False, None
+    if any(root >= universe_size for root in alice_only + bob_only):
+        return False, None
+    bob_set = bob if isinstance(bob, (set, frozenset)) else set(bob_list)
+    if bob_set & set(alice_only):
+        return False, None
+
+    recovered = apply_difference(bob_set, alice_only, bob_only)
+    if len(recovered) != message.set_size:
+        return False, None
+    # Spare-point verification: check the reconstruction against the last
+    # evaluation Alice sent (it is unused when m_bar < d + 1, and a harmless
+    # re-check otherwise).
+    check_point = points[-1]
+    check_value = Polynomial.evaluate_from_roots_many(
+        field, recovered, [check_point], kernel=kernel
+    )[0]
+    if check_value != message.evaluations[-1]:
+        return False, None
+    return True, recovered
 

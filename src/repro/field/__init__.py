@@ -14,9 +14,10 @@ over a prime field GF(p) with ``p`` larger than the element universe:
 * :mod:`repro.field.roots` -- root finding for polynomials over GF(p) via
   Cantor-Zassenhaus equal-degree splitting (used to extract the reconciled
   set elements from the interpolated characteristic-polynomial ratio).
-* :mod:`repro.field.kernels` -- the pluggable batched-arithmetic backends
+* :mod:`repro.field.kernels` -- the two batched-arithmetic kernels
   (pure-Python reference and vectorized NumPy) every hot path above runs
-  through; see :mod:`repro.config` for selection.
+  through; :func:`~repro.field.kernels.kernel_for` picks one from the
+  modulus.
 """
 
 from repro.field.prime import is_probable_prime, next_prime
@@ -26,7 +27,6 @@ from repro.field.kernels import (
     NumpyFieldKernel,
     PythonFieldKernel,
     kernel_for,
-    use_kernel,
 )
 from repro.field.poly import Polynomial
 from repro.field.linalg import (
@@ -46,7 +46,6 @@ __all__ = [
     "PythonFieldKernel",
     "NumpyFieldKernel",
     "kernel_for",
-    "use_kernel",
     "Polynomial",
     "solve_nullspace_vector",
     "solve_linear_system",

@@ -1,4 +1,4 @@
-"""Pluggable GF(p) field kernels: the batched arithmetic behind the CPI path.
+"""The two GF(p) field kernels: the batched arithmetic behind the CPI path.
 
 The characteristic-polynomial protocol (Theorem 2.3) and the multiround
 protocol that leans on it (Theorem 3.9) spend essentially all of their time
@@ -6,18 +6,21 @@ in four inner loops: evaluating characteristic polynomials ``prod (z - r)``
 at the shared points, assembling and solving the rational-interpolation
 linear system (Gaussian elimination, the paper's ``O(d^3)`` step),
 polynomial products/remainders, and Cantor-Zassenhaus root finding.  This
-module isolates those loops behind a backend seam, selected through the
-:mod:`repro.config` registry:
+module holds those loops in two stateless kernels:
 
-* :class:`FieldKernel` -- the abstract kernel interface.  Batch-first: every
+* :class:`FieldKernel` -- the kernel interface.  Batch-first: every
   method takes whole vectors/matrices of field elements.
 * :class:`PythonFieldKernel` -- the reference implementation over plain
-  Python integers.  Handles any modulus; always available; defines the
-  semantics the other kernels must match value for value.
+  Python integers, root finding included.  Handles any modulus and defines
+  the semantics the NumPy kernel must match value for value.
 * :class:`NumpyFieldKernel` -- vectorized implementation over NumPy
-  ``int64`` arrays.  Safe only for ``p < 2**31`` (products of two canonical
-  residues then fit in a signed 64-bit word); larger moduli transparently
-  fall back to the reference kernel via the registry.
+  ``int64`` arrays.  Exact only for odd ``p < 2**31`` (products of two
+  canonical residues then fit in a signed 64-bit word).
+
+The modulus picks the kernel (:func:`kernel_for`): the NumPy kernel for
+``2 < p < 2**31``, the Python kernel otherwise.  ``field_kernel="python"``
+forces the reference kernel at any modulus; the choice is always passed
+down explicitly, never held in process state.
 
 Determinism: kernels are observationally identical.  All arithmetic is
 exact (integer, never floating point), so batched evaluation, elimination
@@ -27,22 +30,15 @@ of GF(p) roots of a polynomial is intrinsic, so
 :meth:`FieldKernel.find_distinct_roots` returns the same sorted list no
 matter which kernel computed it.  ``tests/field/test_kernels.py`` and
 ``tests/test_cross_kernel_determinism.py`` pin both guarantees.
-
-Kernel selection precedence: explicit
-``field_kernel=`` keyword > :func:`use_kernel` context >
-:func:`repro.config.set_default_field_kernel` > ``REPRO_FIELD_KERNEL``
-environment variable > ``"auto"`` (highest priority usable kernel).
 """
 
 from __future__ import annotations
 
-import contextlib
 from abc import ABC, abstractmethod
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as _np
 
-from repro.config import register_field_kernel, resolve_field_kernel
 from repro.errors import ParameterError
 
 _MASK16 = 0xFFFF
@@ -240,6 +236,66 @@ def _small_degree_roots(p: int, coeffs: Sequence[int]) -> list[int]:
     return sorted({(-b + root) * inv2 % p, (-b - root) * inv2 % p})
 
 
+def _poly_pow_mod_scalar(
+    p: int, base: Sequence[int], exponent: int, modulus: Sequence[int]
+) -> list[int]:
+    """``base ** exponent mod modulus`` by square-and-multiply (trimmed lists)."""
+    result = [1]
+    base = _poly_mod_scalar(p, base, modulus)
+    while exponent:
+        if exponent & 1:
+            result = _poly_mod_scalar(p, _poly_mul_scalar(p, result, base), modulus)
+        base = _poly_mod_scalar(p, _poly_mul_scalar(p, base, base), modulus)
+        exponent >>= 1
+    return result
+
+
+def _linear_factor_product(p: int, f: list[int]) -> list[int]:
+    """The product of the distinct linear factors of monic ``f``:
+    ``gcd(f, x^p - x)``."""
+    x_to_p_minus_x = _poly_pow_mod_scalar(p, [0, 1], p, f)
+    x_to_p_minus_x += [0] * (2 - len(x_to_p_minus_x))
+    x_to_p_minus_x[1] = (x_to_p_minus_x[1] - 1) % p
+    return _poly_gcd_scalar(p, f, _trim(x_to_p_minus_x))
+
+
+def _split_roots(p: int, poly: list[int], rng, roots: list[int]) -> None:
+    """Split a monic product of distinct linear factors into its roots.
+
+    The classic Cantor-Zassenhaus split ``gcd(g, (x + a)^((p-1)/2) - 1)``
+    on an explicit work-stack: a split can be maximally unbalanced (one
+    linear factor off a degree-d product per step), so a recursive
+    formulation overflows Python's recursion limit for adversarial degrees
+    near 1e4.  The stack is processed depth-first with the split-off factor
+    handled before its complementary cofactor -- the order the recursion
+    visited them, so the rng draw sequence is the recursion's.
+    """
+    exponent = (p - 1) // 2
+    stack = [poly]
+    while stack:
+        current = stack.pop()
+        degree = len(current) - 1
+        if degree <= 0:
+            continue
+        if degree == 1:
+            # current = x + c (monic), root = -c.
+            roots.append(-current[0] % p)
+            continue
+        if p == 2:  # pragma: no cover - universes are always larger
+            roots.extend(x for x in (0, 1) if _poly_eval_scalar(p, current, x) == 0)
+            continue
+        while True:
+            shift = rng.randrange(p)
+            probe = _minus_one(p, _poly_pow_mod_scalar(p, [shift, 1], exponent, current))
+            factor = _poly_gcd_scalar(p, current, probe)
+            if 0 < len(factor) - 1 < degree:
+                break
+        complementary = _poly_divmod_scalar(p, current, factor)[0]
+        # Pop order: factor first, then its cofactor (matches the recursion).
+        stack.append(_poly_monic_scalar(p, complementary))
+        stack.append(factor)
+
+
 # ---------------------------------------------------------------------------
 # The kernel interface
 # ---------------------------------------------------------------------------
@@ -248,24 +304,8 @@ def _small_degree_roots(p: int, coeffs: Sequence[int]) -> list[int]:
 class FieldKernel(ABC):
     """Batched GF(p) arithmetic backend for the CPI reconciliation path."""
 
-    #: Registry name (see :mod:`repro.config`).
+    #: The name ``field_kernel=`` selects it by.
     name: ClassVar[str]
-    #: True when batch operations run over whole arrays rather than loops.
-    vectorized: ClassVar[bool]
-    #: Auto-selection preference; higher wins.
-    priority: ClassVar[int]
-
-    # -- capability probes ----------------------------------------------------------
-
-    @classmethod
-    def available(cls) -> bool:
-        """True when the kernel's dependencies are importable."""
-        return True
-
-    @classmethod
-    def supports(cls, modulus: int) -> bool:
-        """True when the kernel's arithmetic is exact for this modulus."""
-        return True
 
     # -- batched primitives ---------------------------------------------------------
 
@@ -403,13 +443,10 @@ class FieldKernel(ABC):
 # ---------------------------------------------------------------------------
 
 
-@register_field_kernel
 class PythonFieldKernel(FieldKernel):
     """Reference kernel over plain Python integers (any modulus)."""
 
     name = "python"
-    vectorized = False
-    priority = 0
 
     def evaluate_from_roots_many(self, modulus, roots, points):
         p = modulus
@@ -469,15 +506,17 @@ class PythonFieldKernel(FieldKernel):
         return rows, pivot_columns
 
     def find_distinct_roots(self, modulus, coeffs, rng):
-        # Delegate to the classic recursive Cantor-Zassenhaus implementation,
-        # which is the reference semantics (imported lazily: roots.py imports
-        # this module for kernel dispatch).
-        from repro.field.gfp import prime_field
-        from repro.field.poly import Polynomial
-        from repro.field.roots import _find_roots_reference
-
-        poly = Polynomial.from_coefficients(prime_field(modulus), list(coeffs))
-        return _find_roots_reference(poly, rng)
+        """Cantor-Zassenhaus: ``gcd(f, x^p - x)``, then random splits."""
+        p = modulus
+        trimmed = _trim([c % p for c in coeffs])
+        if not trimmed:
+            raise ParameterError("cannot find roots of the zero polynomial")
+        if len(trimmed) == 1:
+            return []
+        roots: list[int] = []
+        _split_roots(p, _linear_factor_product(p, _poly_monic_scalar(p, trimmed)), rng, roots)
+        roots.sort()
+        return roots
 
 
 # ---------------------------------------------------------------------------
@@ -683,19 +722,10 @@ class _Modulus:
         return cur
 
 
-@register_field_kernel
 class NumpyFieldKernel(FieldKernel):
     """Vectorized kernel over NumPy int64 arrays (odd moduli below 2**31)."""
 
     name = "numpy"
-    vectorized = True
-    priority = 10
-
-    @classmethod
-    def supports(cls, modulus):
-        # Products of two canonical residues must fit a signed 64-bit word,
-        # and the root finder assumes an odd modulus.
-        return 2 < modulus < 2**31
 
     # -- evaluation -----------------------------------------------------------------
 
@@ -1061,46 +1091,37 @@ class NumpyFieldKernel(FieldKernel):
 
 
 # ---------------------------------------------------------------------------
-# Kernel resolution (explicit > context > process default > env > auto)
+# Kernel resolution: the modulus picks the kernel
 # ---------------------------------------------------------------------------
 
-_kernel_instances: dict[type[FieldKernel], FieldKernel] = {}
-_override_stack: list[str] = []
+#: The two kernels (stateless singletons), reference first.
+FIELD_KERNELS = (PythonFieldKernel(), NumpyFieldKernel())
+_PYTHON_KERNEL, _NUMPY_KERNEL = FIELD_KERNELS
+
+#: The names ``field_kernel=`` accepts: ``"auto"`` and each kernel's.
+FIELD_KERNEL_NAMES = ("auto", "numpy", "python")
 
 
-def _instance(cls: type[FieldKernel]) -> FieldKernel:
-    kernel = _kernel_instances.get(cls)
-    if kernel is None:
-        kernel = _kernel_instances[cls] = cls()
-    return kernel
+def check_field_kernel(name: str | None) -> None:
+    """Refuse a ``field_kernel=`` request no kernel answers to
+    (:data:`FIELD_KERNEL_NAMES`, or ``None``)."""
+    if name is not None and name not in FIELD_KERNEL_NAMES:
+        raise ParameterError(
+            f"unknown field kernel {name!r}; accepted: {list(FIELD_KERNEL_NAMES)}"
+        )
 
 
 def kernel_for(modulus: int, name: str | None = None) -> FieldKernel:
-    """The field kernel to use for ``modulus``.
+    """The field kernel for ``modulus``.
 
-    ``name=None`` consults, in order: the innermost :func:`use_kernel`
-    context, the process-wide default, the ``REPRO_FIELD_KERNEL``
-    environment variable, and finally ``"auto"`` selection.  Kernels are
-    stateless singletons, so this is cheap enough for per-operation calls.
+    ``"python"`` is the reference kernel at any modulus.  ``None``,
+    ``"auto"`` and ``"numpy"`` take the NumPy kernel when its arithmetic is
+    exact for the modulus (odd, below ``2**31``: products of two canonical
+    residues fit a signed 64-bit word, and the root finder assumes an odd
+    modulus) and the reference kernel otherwise.  Any other name raises
+    :class:`~repro.errors.ParameterError`.
     """
-    if name is None and _override_stack:
-        name = _override_stack[-1]
-    return _instance(resolve_field_kernel(name, modulus))
-
-
-@contextlib.contextmanager
-def use_kernel(name: str | None):
-    """Scoped kernel override: every field operation inside prefers ``name``.
-
-    ``use_kernel(None)`` is a no-op context (inherit the surrounding
-    selection), which lets protocol entry points thread an optional
-    ``field_kernel=`` argument without special-casing.
-    """
-    if name is None:
-        yield
-        return
-    _override_stack.append(name)
-    try:
-        yield
-    finally:
-        _override_stack.pop()
+    if name == "python":
+        return _PYTHON_KERNEL
+    check_field_kernel(name)
+    return _NUMPY_KERNEL if 2 < modulus < 2**31 else _PYTHON_KERNEL

@@ -10,9 +10,10 @@ and are always canonical residues of the owning :class:`PrimeField`.  The
 zero polynomial is represented by an empty coefficient list and has degree
 ``-1`` by convention.
 
-Products and long divisions route through the active field kernel
-(:mod:`repro.field.kernels`), so large-degree arithmetic is vectorized when
-NumPy is available while staying bit-identical to the reference kernel.
+Products and long divisions route through the field kernel for the modulus
+(:func:`repro.field.kernels.kernel_for`), so large-degree arithmetic is
+vectorized below ``2**31`` while staying bit-identical to the reference
+kernel.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class Polynomial:
         This is the CPI hot path: both parties evaluate their characteristic
         polynomial at all ``d + 1`` shared points, which the scalar method
         turns into ``O(n d)`` interpreted field operations.  The batch form
-        hands the whole set to the active field kernel (one difference
+        hands the whole set to the field kernel (one difference
         matrix plus a balanced product tree on the NumPy kernel), returning
         bit-identical values.
         """

@@ -2,18 +2,16 @@
 
 The characteristic-polynomial protocol recovers the set difference as the
 roots of the numerator / denominator of the interpolated rational function.
-We find roots with the standard Cantor-Zassenhaus strategy:
+Both field kernels find roots with the Cantor-Zassenhaus strategy:
 
 1. restrict to the product of distinct linear factors by taking
    ``gcd(f, x^p - x)``;
-2. split that product recursively with random shifts
-   ``gcd(g, (x + a)^((p-1)/2) - 1)``.
+2. split that product with random shifts ``gcd(g, (x + a)^((p-1)/2) - 1)``.
 
-Degrees are small (at most the difference bound ``d``), so this is fast even
-in pure Python.  When a vectorized field kernel is active (see
-:mod:`repro.field.kernels`) the whole factorisation runs inside the kernel
--- level-batched modular exponentiation plus closed-form quadratics -- and
-returns the identical root set, the roots of a polynomial being intrinsic.
+The reference kernel runs it on scalar coefficient lists; the NumPy kernel
+batches each level's modular exponentiations and finishes quadratics in
+closed form.  Both return the identical root set, the roots of a polynomial
+being intrinsic (:meth:`repro.field.kernels.FieldKernel.find_distinct_roots`).
 """
 
 from __future__ import annotations
@@ -23,73 +21,6 @@ import random
 from repro.errors import ParameterError
 from repro.field.kernels import FieldKernel, kernel_for
 from repro.field.poly import Polynomial
-
-
-def _linear_factor_product(poly: Polynomial) -> Polynomial:
-    """Return the product of the distinct linear factors of ``poly``.
-
-    Computes ``gcd(poly, x^p - x)`` using modular exponentiation of ``x``.
-    """
-    field = poly.field
-    x = Polynomial.x(field)
-    x_to_p = x.pow_mod(field.modulus, poly)
-    return poly.gcd(x_to_p - x)
-
-
-def _split_roots(poly: Polynomial, rng: random.Random, roots: list[int]) -> None:
-    """Split a product of distinct linear factors into roots.
-
-    Runs the classic recursive Cantor-Zassenhaus split on an explicit
-    work-stack: a split can be maximally unbalanced (one linear factor off a
-    degree-d product per step), so the recursive formulation overflows
-    Python's recursion limit for adversarial degrees near 1e4.  The stack is
-    processed depth-first with the split-off factor handled before its
-    complementary cofactor -- the exact order the recursion visited them, so
-    the rng draw sequence (and therefore every downstream value) is
-    unchanged.
-    """
-    field = poly.field
-    exponent = (field.modulus - 1) // 2
-    one = Polynomial.one(field)
-    stack = [poly]
-    while stack:
-        current = stack.pop()
-        degree = current.degree
-        if degree <= 0:
-            continue
-        if degree == 1:
-            # current = x + c (monic), root = -c.
-            roots.append(field.neg(current.coeffs[0]))
-            continue
-        if field.modulus == 2:  # pragma: no cover - universes are always larger
-            for candidate in (0, 1):
-                if current.evaluate(candidate) == 0:
-                    roots.append(candidate)
-            continue
-        while True:
-            shift = field.uniform_element(rng)
-            shifted = Polynomial.from_coefficients(field, [shift, 1])
-            probe = shifted.pow_mod(exponent, current) - one
-            factor = current.gcd(probe)
-            if 0 < factor.degree < degree:
-                break
-        complementary = (current // factor).monic()
-        # Pop order: factor first, then its cofactor (matches the recursion).
-        stack.append(complementary)
-        stack.append(factor.monic())
-
-
-def _find_roots_reference(poly: Polynomial, rng: random.Random) -> list[int]:
-    """The classic recursive Cantor-Zassenhaus path (reference semantics)."""
-    monic = poly.monic()
-    if monic.degree == 0:
-        return []
-    linear_part = _linear_factor_product(monic)
-    roots: list[int] = []
-    if linear_part.degree >= 1:
-        _split_roots(linear_part.monic(), rng, roots)
-    roots.sort()
-    return roots
 
 
 def find_roots(
@@ -108,9 +39,10 @@ def find_roots(
         ``random.Random`` keeps the whole protocol deterministic; the default
         uses a fixed seed so results are reproducible.
     kernel:
-        Field kernel override; defaults to the active kernel for the
-        polynomial's modulus.  The returned roots are identical for every
-        kernel (only the factorisation strategy differs).
+        The field kernel to factor with; defaults to
+        :func:`~repro.field.kernels.kernel_for` the polynomial's modulus.
+        The returned roots are identical for every kernel (only the
+        factorisation strategy differs).
     """
     if poly.is_zero():
         raise ParameterError("cannot find roots of the zero polynomial")
@@ -118,9 +50,7 @@ def find_roots(
         rng = random.Random(0x5EED)
     if kernel is None:
         kernel = kernel_for(poly.field.modulus)
-    if kernel.vectorized:
-        return kernel.find_distinct_roots(poly.field.modulus, poly.coeffs, rng)
-    return _find_roots_reference(poly, rng)
+    return kernel.find_distinct_roots(poly.field.modulus, poly.coeffs, rng)
 
 
 def roots_with_multiplicity(poly: Polynomial, rng: random.Random | None = None) -> dict[int, int]:

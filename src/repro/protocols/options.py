@@ -9,7 +9,8 @@ which fields it reads.  Fields irrelevant to a protocol are simply ignored.
 ``difference_bound=None`` selects a protocol's unknown-``d`` variant (the
 estimator-based or repeated-doubling flavor); a non-negative integer selects
 the known-``d`` variant, and a negative one is refused here, once, for every
-protocol.
+protocol.  So are the two tier names: a ``backend`` or ``field_kernel`` that
+names no tier raises before any party is built, whatever the protocol reads.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ParameterError
+from repro.field.kernels import check_field_kernel
+from repro.iblt.backends import check_backend
 
 
 @dataclass(frozen=True)
@@ -44,9 +47,11 @@ class ReconcileOptions:
         ``None`` uses each protocol's default.
     backend:
         ``None``, ``"auto"`` or ``"numpy"``: the one IBLT cell store (any
-        other name raises :class:`ParameterError` when a table is built).
+        other name raises :class:`ParameterError`).
     field_kernel:
-        GF(p) field kernel name (see :mod:`repro.field.kernels`).
+        ``None``, ``"auto"``, ``"numpy"`` or ``"python"``: the GF(p) field
+        kernel (:func:`repro.field.kernels.kernel_for`; any other name raises
+        :class:`ParameterError`).
     num_hashes:
         Parent-IBLT hash count.
     child_hash_bits:
@@ -104,6 +109,8 @@ class ReconcileOptions:
             raise ParameterError(
                 f"difference_bound must be None or >= 0 (got {self.difference_bound})"
             )
+        check_backend(self.backend)
+        check_field_kernel(self.field_kernel)
 
     def merged(self, **overrides: Any) -> "ReconcileOptions":
         """A copy with ``overrides`` applied (unknown names raise)."""

@@ -1,12 +1,11 @@
 """The protocol registry and the uniform :func:`reconcile` entry point.
 
-Every protocol in the library registers a :class:`Protocol` descriptor here
-(the same ``name -> class`` registry seam used for field kernels,
-:class:`repro.config._Registry`), carrying metadata -- input
-kind, round count, known/unknown-``d`` support, paper reference -- and a
-``build`` hook that turns ``(alice, bob, options)`` into the two party
-generators.  ``repro.reconcile(alice, bob, protocol="multiround", ...)``
-resolves a name, builds the parties, and runs them over any transport.
+Every protocol in the library registers a :class:`Protocol` descriptor in
+one ``name -> class`` dict, carrying metadata -- input kind, round count,
+known/unknown-``d`` support, paper reference -- and a ``build`` hook that
+turns ``(alice, bob, options)`` into the two party generators.
+``repro.reconcile(alice, bob, protocol="multiround", ...)`` resolves a name,
+builds the parties, and runs them over any transport.
 """
 
 from __future__ import annotations
@@ -14,17 +13,11 @@ from __future__ import annotations
 from typing import Any
 
 from repro.comm import ReconciliationResult, Transcript
-from repro.config import _Registry
+from repro.errors import ParameterError
 from repro.protocols.options import ReconcileOptions
 from repro.protocols.party import PartyPair
 from repro.protocols.session import run_session
 from repro.protocols.transports import Transport
-
-#: Environment variable naming the default protocol for :func:`reconcile`.
-PROTOCOL_ENV_VAR = "REPRO_PROTOCOL"
-
-_protocol_registry: _Registry = _Registry("protocol", PROTOCOL_ENV_VAR)
-
 
 class Protocol:
     """Base class for protocol descriptors.
@@ -51,16 +44,6 @@ class Protocol:
     summary: str = ""
     #: Paper reference (theorem / corollary numbers).
     reference: str = ""
-    #: Registry-seam plumbing (parity with the kernel descriptors).
-    priority: int = 0
-
-    @classmethod
-    def available(cls) -> bool:
-        return True
-
-    @classmethod
-    def supports(cls, key: Any) -> bool:
-        return True
 
     @classmethod
     def build(cls, alice: Any, bob: Any, options: ReconcileOptions) -> PartyPair:
@@ -75,19 +58,34 @@ class Protocol:
         return f"{cls.rounds_known} / {cls.rounds_unknown} (unknown d)"
 
 
+_protocols: dict[str, type[Protocol]] = {}
+
+
 def register_protocol(cls: type[Protocol]) -> type[Protocol]:
-    """Register a protocol descriptor under ``cls.name`` (decorator-friendly)."""
-    return _protocol_registry.register(cls)
+    """Register a protocol descriptor under ``cls.name`` (decorator-friendly).
+
+    An empty name or one already registered raises
+    :class:`~repro.errors.ParameterError`.
+    """
+    if not cls.name or cls.name in _protocols:
+        raise ParameterError(f"invalid or duplicate protocol name {cls.name!r}")
+    _protocols[cls.name] = cls
+    return cls
 
 
 def names() -> list[str]:
     """Sorted names of every registered protocol."""
-    return _protocol_registry.names()
+    return sorted(_protocols)
 
 
 def get(name: str) -> type[Protocol]:
     """Look up a protocol descriptor by name (unknown names raise)."""
-    return _protocol_registry.lookup(name)
+    try:
+        return _protocols[name]
+    except KeyError:
+        raise ParameterError(
+            f"unknown protocol {name!r}; registered: {names()}"
+        ) from None
 
 
 def specs() -> list[type[Protocol]]:
@@ -146,13 +144,7 @@ def reconcile(
         **overrides
     )
     alice_party, bob_party = spec.build(alice, bob, merged)
-    return run_session(
-        alice_party,
-        bob_party,
-        transport=transport,
-        transcript=transcript,
-        field_kernel=merged.field_kernel,
-    )
+    return run_session(alice_party, bob_party, transport=transport, transcript=transcript)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from typing import Any
 
 from repro.comm import ReconciliationResult, Transcript
 from repro.errors import ReconciliationError
-from repro.field.kernels import use_kernel
 from repro.protocols.party import (
     END_OF_SESSION,
     PartyGenerator,
@@ -77,9 +76,6 @@ class Session:
     transcript:
         Optional existing transcript to append to (protocols running as
         subroutines of a larger one reuse the caller's).
-    field_kernel:
-        Optional GF(p) kernel name scoped around the whole session (both
-        parties).
     """
 
     _ROLES = ("alice", "bob")
@@ -90,19 +86,13 @@ class Session:
         bob: PartyGenerator,
         transport: Transport | None = None,
         transcript: Transcript | None = None,
-        field_kernel: str | None = None,
     ) -> None:
         self._parties = {"alice": alice, "bob": bob}
         self.transport = transport if transport is not None else InMemoryTransport()
         self.transcript = transcript if transcript is not None else Transcript()
-        self.field_kernel = field_kernel
 
     def run(self) -> SessionResult:
         """Drive both parties to completion and return the combined result."""
-        with use_kernel(self.field_kernel):
-            return self._run()
-
-    def _run(self) -> SessionResult:
         inbox: dict[str, deque] = {role: deque() for role in self._ROLES}
         outcomes: dict[str, PartyOutcome] = {}
         # Per-party scheduler state: ("new", None) before the first advance,
@@ -166,10 +156,7 @@ def run_session(
     bob: PartyGenerator,
     transport: Transport | None = None,
     transcript: Transcript | None = None,
-    field_kernel: str | None = None,
 ) -> ReconciliationResult:
     """Run a session and combine the outcomes (``Session(...).run()`` as one call)."""
-    session = Session(
-        alice, bob, transport=transport, transcript=transcript, field_kernel=field_kernel
-    )
+    session = Session(alice, bob, transport=transport, transcript=transcript)
     return session.run().to_reconciliation_result()

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, TypeGuard
 
 from repro.errors import ParameterError, ServiceError, SessionRejectedError
-from repro.iblt.backends import BACKEND_NAMES
 from repro.protocols.options import ReconcileOptions
 from repro.service.admission import ADMISSION_CODES
 
@@ -84,13 +83,10 @@ def _integer(low: int, *, optional: bool = False) -> Callable[[Any], bool]:
     return check
 
 
-def _optional_text(value: Any) -> bool:
-    return value is None or isinstance(value, str)
-
-
-def _cell_backend(value: Any) -> bool:
-    """A name ``backend=`` accepts (:data:`~repro.iblt.backends.BACKEND_NAMES`)."""
-    return value is None or value in BACKEND_NAMES
+def _tier_name(value: Any) -> bool:
+    """Any value: :class:`ReconcileOptions` refuses a tier name it does not
+    know, for local and peer callers alike."""
+    return True
 
 
 def _factor(value: Any) -> bool:
@@ -106,15 +102,16 @@ def _factor(value: Any) -> bool:
 #: :class:`ReconcileOptions` field (any other name is refused as unknown).
 #: Counts and bounds are integers in ``[low, MAX_WIRE_BOUND]`` (never bools),
 #: ``universe_size`` is a positive integer, multipliers are positive finite
-#: numbers, ``backend`` a name the one cell store answers to.
+#: numbers; ``backend`` and ``field_kernel`` are checked by
+#: :class:`ReconcileOptions` itself.
 _OPTION_CHECKS: dict[str, Callable[[Any], bool]] = {
     "seed": _is_int,
     "difference_bound": _integer(0, optional=True),
     "universe_size": lambda value: value is None or (_is_int(value) and value > 0),
     "max_child_size": _integer(0, optional=True),
     "differing_children_bound": _integer(0, optional=True),
-    "backend": _cell_backend,
-    "field_kernel": _optional_text,
+    "backend": _tier_name,
+    "field_kernel": _tier_name,
     "num_hashes": _integer(2),
     "child_hash_bits": _integer(1),
     "safety_factor": _factor,
@@ -156,7 +153,7 @@ def options_from_wire(wire: dict[str, Any]) -> ReconcileOptions:
             raise ServiceError(f"invalid option in hello: {name}={value!r}")
     try:
         return ReconcileOptions().merged(**wire)
-    except ParameterError as exc:  # e.g. a negative difference_bound
+    except ParameterError as exc:  # e.g. a negative bound or an unknown tier
         raise ServiceError(f"invalid option in hello: {exc}") from exc
 
 

@@ -22,10 +22,9 @@ and the server keeps serving.  A ``stats`` control request returns the
 metrics report without running a session.
 
 Concurrency note: the per-session ``field_kernel`` choice travels inside the
-options and is honored by the party builders themselves; the server
-deliberately does *not* use the scoped :func:`repro.field.use_kernel`
-override, whose process-global stack would leak across sessions interleaved
-on the event loop.
+options and the party builders pass it down to every GF(p) call; no kernel
+choice is held in process state, so sessions interleaved on the event loop
+cannot see each other's.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""Field-kernel registry, selection, and cross-kernel exactness tests.
+"""Field-kernel selection and cross-kernel exactness tests.
 
-The contract under test: every registered :class:`~repro.field.kernels.
-FieldKernel` computes *bit-identical* values for the batched primitives
+The contract under test: both :class:`~repro.field.kernels.FieldKernel`
+implementations compute *bit-identical* values for the batched primitives
 (evaluation, products, division, elimination, system assembly), and
 identical root sets for the factorisation entry point, no matter how
 different the internal strategies are.
@@ -12,15 +12,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import (
-    AUTO_BACKEND,
-    _resolve_field_kernel_cached,
-    available_field_kernels,
-    default_field_kernel,
-    field_kernel_names,
-    resolve_field_kernel,
-    set_default_field_kernel,
-)
 from repro.errors import ParameterError
 from repro.field import Polynomial, find_roots, prime_field
 from repro.field.kernels import (
@@ -30,88 +21,48 @@ from repro.field.kernels import (
     _poly_gcd_scalar,
     _poly_mul_scalar,
     kernel_for,
-    use_kernel,
 )
 from repro.field.linalg import (
     gaussian_elimination,
     rational_interpolation_system,
     solve_linear_system,
 )
-from repro.field.roots import _find_roots_reference
-
-needs_numpy = pytest.mark.skipif(
-    not NumpyFieldKernel.available(), reason="NumPy not installed"
-)
 
 PRIMES = [3, 5, 17, 257, 65537, 1048583, (1 << 29) + 11]
 BIG_PRIME = (1 << 61) - 1  # Mersenne prime above the NumPy kernel's range
 
 python_kernel = PythonFieldKernel()
-
-
-def both_kernels():
-    kernels = [python_kernel]
-    if NumpyFieldKernel.available():
-        kernels.append(NumpyFieldKernel())
-    return kernels
-
-
-def vectorized_kernels():
-    return both_kernels()[1:]
+numpy_kernel = NumpyFieldKernel()
+BOTH_KERNELS = (python_kernel, numpy_kernel)
 
 
 # ---------------------------------------------------------------------------
-# Registry and selection
+# Selection: the modulus picks the kernel
 # ---------------------------------------------------------------------------
 
 
-class TestRegistry:
-    def test_python_kernel_always_registered_and_available(self):
-        assert "python" in field_kernel_names()
-        assert "python" in available_field_kernels()
+class TestKernelFor:
+    @pytest.mark.parametrize("name", [None, "auto", "numpy"])
+    def test_modulus_picks_the_kernel(self, name):
+        # Products of two residues below 2**31 fit an int64; 2**61 - 1
+        # squared does not, so only the reference kernel takes it.
+        assert kernel_for(1048583, name).name == "numpy"
+        assert kernel_for(2**31 - 1, name).name == "numpy"
+        assert kernel_for(BIG_PRIME, name).name == "python"
+        assert kernel_for(2**31 + 11, name).name == "python"
 
-    def test_both_kernels_registered(self):
-        assert field_kernel_names() == ["numpy", "python"]
+    def test_python_is_the_reference_at_any_modulus(self):
+        assert kernel_for(1048583, "python").name == "python"
+        assert kernel_for(BIG_PRIME, "python").name == "python"
 
-    def test_unknown_name_raises(self):
-        with pytest.raises(ParameterError):
-            resolve_field_kernel("no-such-kernel", 17)
+    def test_kernels_are_singletons(self):
+        assert kernel_for(1048583) is kernel_for(65537, "numpy")
+        assert kernel_for(BIG_PRIME) is kernel_for(17, "python")
 
-    def test_auto_prefers_vectorized_when_supported(self):
-        cls = resolve_field_kernel(AUTO_BACKEND, 1048583)
-        if NumpyFieldKernel.available():
-            assert cls is NumpyFieldKernel
-        else:
-            assert cls is PythonFieldKernel
-
-    def test_large_modulus_falls_back_to_reference(self):
-        # 2**61 - 1 squared overflows int64, so only the reference kernel
-        # qualifies -- even when numpy is requested explicitly.
-        assert resolve_field_kernel(AUTO_BACKEND, BIG_PRIME) is PythonFieldKernel
-        assert resolve_field_kernel("numpy", BIG_PRIME) is PythonFieldKernel
-
-    def test_explicit_python_request_is_honoured(self):
-        assert resolve_field_kernel("python", 1048583) is PythonFieldKernel
-
-    def test_process_default_and_context_override(self):
-        assert default_field_kernel() == AUTO_BACKEND
-        try:
-            set_default_field_kernel("python")
-            assert kernel_for(1048583).name == "python"
-            with use_kernel(AUTO_BACKEND):
-                expected = "numpy" if NumpyFieldKernel.available() else "python"
-                assert kernel_for(1048583).name == expected
-            assert kernel_for(1048583).name == "python"
-        finally:
-            set_default_field_kernel(None)
-
-    def test_use_kernel_none_is_inherit(self):
-        with use_kernel(None):
-            assert kernel_for(BIG_PRIME).name == "python"
-
-    def test_set_default_validates(self):
-        with pytest.raises(ParameterError):
-            set_default_field_kernel("bogus")
+    @pytest.mark.parametrize("name", ["no-such-kernel", "numba", ""])
+    def test_unknown_name_raises(self, name):
+        with pytest.raises(ParameterError, match="unknown field kernel"):
+            kernel_for(17, name)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +89,7 @@ class TestBatchedPrimitives:
         expected = [
             Polynomial.evaluate_from_roots(field, roots, z) for z in points
         ]
-        for kernel in both_kernels():
+        for kernel in BOTH_KERNELS:
             assert kernel.evaluate_from_roots_many(p, roots, points) == expected
 
     @settings(max_examples=60, deadline=None)
@@ -149,7 +100,7 @@ class TestBatchedPrimitives:
         field = prime_field(p)
         poly = Polynomial.from_coefficients(field, coeffs)
         expected = [poly.evaluate(z) for z in points]
-        for kernel in both_kernels():
+        for kernel in BOTH_KERNELS:
             assert kernel.poly_eval_many(p, poly.coeffs, points) == expected
 
     @settings(max_examples=60, deadline=None)
@@ -165,7 +116,7 @@ class TestBatchedPrimitives:
             return
         reference_mul = python_kernel.poly_mul(p, a, b)
         reference_div = python_kernel.poly_divmod(p, a, b)
-        for kernel in both_kernels():
+        for kernel in BOTH_KERNELS:
             assert kernel.poly_mul(p, a, b) == reference_mul
             assert kernel.poly_divmod(p, a, b) == reference_div
 
@@ -182,7 +133,7 @@ class TestBatchedPrimitives:
         rhs = [data.draw(st.integers(0, p - 1)) for _ in range(rows)]
         reference_ge = python_kernel.gaussian_elimination(p, matrix)
         reference_solve = python_kernel.solve_linear_system(p, matrix, rhs)
-        for kernel in both_kernels():
+        for kernel in BOTH_KERNELS:
             assert kernel.gaussian_elimination(p, matrix) == reference_ge
             assert kernel.solve_linear_system(p, matrix, rhs) == reference_solve
         if reference_solve is not None:
@@ -213,9 +164,10 @@ class TestBatchedPrimitives:
             )
             poly = poly * extra
         seed = data.draw(st.integers(0, 2**16))
-        expected = _find_roots_reference(poly, random.Random(seed))
+        expected = python_kernel.find_distinct_roots(p, poly.coeffs, random.Random(seed))
         assert set(roots) <= set(expected)
-        for kernel in both_kernels():
+        assert all(poly.evaluate(root) == 0 for root in expected)
+        for kernel in BOTH_KERNELS:
             produced = kernel.find_distinct_roots(
                 p, poly.coeffs, random.Random(seed + 1)
             )
@@ -225,7 +177,7 @@ class TestBatchedPrimitives:
         p = 1048583
         field = prime_field(p)
         values = [random.Random(0).randrange(1, p) for _ in range(50)]
-        for kernel in both_kernels():
+        for kernel in BOTH_KERNELS:
             assert kernel.inv_many(p, values) == [field.inv(v) for v in values]
             with pytest.raises(ZeroDivisionError):
                 kernel.inv_many(p, values + [0])
@@ -241,31 +193,34 @@ class TestBatchedPrimitives:
             rational_interpolation_system(
                 field, points, numer, denom, 6, 4, kernel=kernel
             )
-            for kernel in both_kernels()
+            for kernel in BOTH_KERNELS
         ]
         assert all(result == results[0] for result in results)
 
 
 # ---------------------------------------------------------------------------
-# Polynomial layer integration (ops route through the active kernel)
+# Polynomial layer integration (ops route through kernel_for the modulus)
 # ---------------------------------------------------------------------------
 
 
 class TestPolynomialIntegration:
-    @needs_numpy
     def test_polynomial_ops_identical_under_both_kernels(self):
+        # Polynomial operators run on the NumPy kernel at this modulus; the
+        # reference kernel's primitives must give the same coefficients.
         p = 1048583
         field = prime_field(p)
         rng = random.Random(7)
         a = Polynomial.from_coefficients(field, [rng.randrange(p) for _ in range(30)])
         b = Polynomial.from_coefficients(field, [rng.randrange(p) for _ in range(18)])
-        results = []
-        for name in ("python", "numpy"):
-            with use_kernel(name):
-                results.append(
-                    (a * b, a.divmod(b), a.gcd(b), (a * b).divmod(a))
-                )
-        assert results[0] == results[1]
+        assert kernel_for(p).name == "numpy"
+        product = a * b
+        assert list(product.coeffs) == python_kernel.poly_mul(p, a.coeffs, b.coeffs)
+        for dividend, divisor in ((a, b), (product, a)):
+            quotient, remainder = dividend.divmod(divisor)
+            assert (list(quotient.coeffs), list(remainder.coeffs)) == (
+                python_kernel.poly_divmod(p, dividend.coeffs, divisor.coeffs)
+            )
+        assert list(a.gcd(b).coeffs) == python_kernel.poly_gcd(p, a.coeffs, b.coeffs)
 
     def test_evaluate_from_roots_many_matches_points_loop(self):
         p = 65537
@@ -281,7 +236,7 @@ class TestPolynomialIntegration:
         p = 257
         field = prime_field(p)
         matrix = [[1, 2], [3, 4]]
-        for kernel in both_kernels():
+        for kernel in BOTH_KERNELS:
             rref, pivots = gaussian_elimination(field, matrix, kernel=kernel)
             assert pivots == [0, 1]
             assert solve_linear_system(field, matrix, [5, 6], kernel=kernel) is not None
@@ -289,43 +244,8 @@ class TestPolynomialIntegration:
     def test_find_roots_kernel_argument(self):
         field = prime_field(1048583)
         poly = Polynomial.from_roots(field, [11, 22, 33, 44, 55])
-        for kernel in both_kernels():
+        for kernel in BOTH_KERNELS:
             assert find_roots(poly, kernel=kernel) == [11, 22, 33, 44, 55]
-
-
-# ---------------------------------------------------------------------------
-# Registry fallback chain (numpy -> python)
-# ---------------------------------------------------------------------------
-
-
-class TestFallbackChain:
-    """``field_kernel="numpy"`` requests degrade gracefully to the reference.
-
-    The resolver is cached, so every availability monkeypatch must clear
-    :func:`repro.config._resolve_field_kernel_cached` both after patching
-    and after undoing the patch.
-    """
-
-    def test_numpy_request_resolves_down_the_chain(self):
-        resolved = resolve_field_kernel("numpy", 1048583)
-        if NumpyFieldKernel.available():
-            assert resolved is NumpyFieldKernel
-        else:
-            assert resolved is PythonFieldKernel
-
-    def test_numpy_absent_resolves_to_reference(self, monkeypatch):
-        monkeypatch.setattr(
-            NumpyFieldKernel, "available", classmethod(lambda cls: False)
-        )
-        _resolve_field_kernel_cached.cache_clear()
-        try:
-            assert resolve_field_kernel("numpy", 1048583) is PythonFieldKernel
-            assert (
-                resolve_field_kernel(AUTO_BACKEND, 1048583) is PythonFieldKernel
-            )
-        finally:
-            monkeypatch.undo()
-            _resolve_field_kernel_cached.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -354,22 +274,20 @@ class TestLargeDegreeGcd:
         a, b = self._operands(p, rng)
         assert min(len(a), len(b)) > _GCD_VECTOR_CUTOFF
         expected = _poly_gcd_scalar(p, a, b)
-        for kernel in vectorized_kernels():
+        for kernel in (numpy_kernel,):
             assert kernel.poly_gcd(p, a, b) == expected
 
-    @needs_numpy
     def test_gcd_recovers_planted_common_factor(self):
         p = 1048583
         field = prime_field(p)
         a = Polynomial.from_roots(field, range(1, 120))
         b = Polynomial.from_roots(field, range(60, 200))
         expected = Polynomial.from_roots(field, range(60, 120))
-        for kernel in vectorized_kernels():
+        for kernel in (numpy_kernel,):
             assert kernel.poly_gcd(p, a.coeffs, b.coeffs) == list(
                 expected.coeffs
             )
 
-    @needs_numpy
     def test_root_finding_at_degree_200_exercises_the_chain(self):
         # Degree 200 keeps every top-level gcd above the cutoff, so the
         # Cantor-Zassenhaus driver runs through the vectorized Euclid path.
@@ -378,7 +296,7 @@ class TestLargeDegreeGcd:
         rng = random.Random(11)
         roots = sorted(rng.sample(range(1, p), 200))
         poly = Polynomial.from_roots(field, roots)
-        for kernel in vectorized_kernels():
+        for kernel in (numpy_kernel,):
             produced = kernel.find_distinct_roots(
                 p, poly.coeffs, random.Random(5)
             )

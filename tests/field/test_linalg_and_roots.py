@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ParameterError
 from repro.field import PrimeField, Polynomial, find_roots
 from repro.field.linalg import gaussian_elimination, solve_linear_system, solve_nullspace_vector
-from repro.field.roots import _split_roots, roots_with_multiplicity
+from repro.field import kernels
+from repro.field.roots import roots_with_multiplicity
 
 FIELD = PrimeField(10007)
 
@@ -129,9 +130,9 @@ class TestSplitRootsWorkStack:
     recursive ``_split_roots`` to call depth ``d`` -- a ``RecursionError``
     once ``d`` passes the interpreter's recursion limit.  The explicit
     work-stack must recover every root.  The test is quadratic in ``d``, so
-    ``d`` sits just past the limit and no higher.  The probe is forced via ``pow_mod`` so the
-    worst case is deterministic rather than a (vanishingly unlikely) run of
-    unlucky random shifts.
+    ``d`` sits just past the limit and no higher.  The probe is forced via the
+    scalar ``pow`` helper so the worst case is deterministic rather than a
+    (vanishingly unlikely) run of unlucky random shifts.
     """
 
     def test_deeply_unbalanced_split_peels_all_roots(self, monkeypatch):
@@ -141,14 +142,12 @@ class TestSplitRootsWorkStack:
         poly = Polynomial.from_roots(FIELD, range(1, degree + 1))
         peeled = iter(range(1, degree + 1))
 
-        def one_linear_factor(self, exponent, modulus):
-            # probe = pow_mod(...) - 1 must equal (x - r): return (x - r) + 1.
+        def one_linear_factor(p, base, exponent, modulus):
+            # probe = pow(...) - 1 must equal (x - r): return (x - r) + 1.
             r = next(peeled)
-            return Polynomial.from_coefficients(
-                FIELD, [(1 - r) % FIELD.modulus, 1]
-            )
+            return [(1 - r) % p, 1]
 
-        monkeypatch.setattr(Polynomial, "pow_mod", one_linear_factor)
+        monkeypatch.setattr(kernels, "_poly_pow_mod_scalar", one_linear_factor)
         roots: list[int] = []
-        _split_roots(poly, random.Random(0), roots)
+        kernels._split_roots(FIELD.modulus, list(poly.coeffs), random.Random(0), roots)
         assert sorted(roots) == list(range(1, degree + 1))

@@ -9,7 +9,14 @@ from repro.documents import DocumentCollection
 from repro.errors import ParameterError
 from repro.iblt import IBLT
 from repro.protocols import ReconcileOptions
-from repro.protocols.registry import get, names, registry_table_markdown, specs
+from repro.protocols.registry import (
+    Protocol,
+    get,
+    names,
+    register_protocol,
+    registry_table_markdown,
+    specs,
+)
 from repro.workloads import edited_corpus_pair
 
 from protocol_fixtures import protocol_instances
@@ -48,6 +55,14 @@ class TestRegistry:
             if spec.supports_unknown_d:
                 assert spec.rounds_unknown is not None
             assert spec.rounds_label()
+
+    @pytest.mark.parametrize("name", ["", "ibf"], ids=["empty", "duplicate"])
+    def test_register_refuses_an_empty_or_duplicate_name(self, name):
+        descriptor = type("Impostor", (Protocol,), {"name": name})
+        with pytest.raises(ParameterError, match="protocol name"):
+            register_protocol(descriptor)
+        assert names() == sorted(EXPECTED_PROTOCOLS)
+        assert name == "" or get(name) is not descriptor
 
     def test_input_kinds(self):
         kinds = {spec.name: spec.input_kind for spec in specs()}
@@ -115,6 +130,27 @@ class TestReconcileEntryPoint:
         kwargs = {**kwargs, "difference_bound": -1}
         with pytest.raises(ParameterError, match="difference_bound"):
             repro.reconcile(alice, bob, protocol=protocol, seed=99, **kwargs)
+
+    @pytest.mark.parametrize("protocol", sorted(protocol_instances()))
+    def test_unknown_tier_name_refused_by_every_protocol(self, protocol):
+        # Checked once, in ReconcileOptions: a protocol that never reads
+        # the name refuses it as well.
+        alice, bob, kwargs = protocol_instances()[protocol]
+        for keyword, error in (("backend", "cell backend"), ("field_kernel", "field kernel")):
+            with pytest.raises(ParameterError, match=f"unknown {error} 'gpu'"):
+                repro.reconcile(
+                    alice, bob, protocol=protocol, seed=99, **{**kwargs, keyword: "gpu"}
+                )
+
+    def test_tier_names_checked_by_options_and_merge(self):
+        for name in (None, "auto", "numpy", "python"):
+            assert ReconcileOptions(field_kernel=name).field_kernel == name
+        for name in (None, "auto", "numpy"):
+            assert ReconcileOptions(backend=name).backend == name
+        with pytest.raises(ParameterError, match="unknown cell backend 'python'"):
+            ReconcileOptions(backend="python")
+        with pytest.raises(ParameterError, match="unknown field kernel 3"):
+            ReconcileOptions().merged(field_kernel=3)
 
     def test_negative_bound_refused_by_options_and_merge(self):
         with pytest.raises(ParameterError, match="difference_bound"):

@@ -101,6 +101,8 @@ HOSTILE_HELLOS.update(
         # The one cell store answers to "numpy" and "auto" only.
         "backend-python": with_option("backend", "python"),
         "backend-unknown": with_option("backend", "gpu"),
+        # ReconcileOptions refuses a field kernel no kernel answers to.
+        "field_kernel-unknown": with_option("field_kernel", "bogus"),
     }
 )
 

@@ -14,14 +14,9 @@ import random
 import pytest
 
 from repro import reconcile
-from repro.config import _resolve_field_kernel_cached
 from repro.core.setrecon.cpi import CPIMessage, cpi_decode, cpi_encode
-from repro.field.kernels import NumpyFieldKernel, kernel_for
+from repro.field.kernels import NumpyFieldKernel
 from repro.workloads import sets_of_sets_instance
-
-pytestmark = pytest.mark.skipif(
-    not NumpyFieldKernel.available(), reason="NumPy not installed"
-)
 
 UNIVERSE = 1 << 20
 
@@ -121,33 +116,6 @@ class TestCPIAcrossKernels:
             forced.transcript
         )
 
-    def test_numpy_absent_runs_reference_kernel(self, monkeypatch):
-        # With NumPy reported unavailable a "numpy" request runs on the
-        # reference kernel -- the bytes the NumPy kernel itself produces.
-        alice, bob = make_sets(150, 11, seed=5)
-        result_np = reconcile(
-            alice, bob, protocol="cpi", difference_bound=12, universe_size=UNIVERSE, seed=9,
-            field_kernel="numpy",
-        )
-        monkeypatch.setattr(
-            NumpyFieldKernel, "available", classmethod(lambda cls: False)
-        )
-        _resolve_field_kernel_cached.cache_clear()
-        try:
-            assert kernel_for(1048583, "numpy").name == "python"
-            degraded = reconcile(
-                alice, bob, protocol="cpi", difference_bound=12, universe_size=UNIVERSE,
-                seed=9, field_kernel="numpy",
-            )
-        finally:
-            monkeypatch.undo()
-            _resolve_field_kernel_cached.cache_clear()
-        assert degraded.success and result_np.success
-        assert degraded.recovered == result_np.recovered
-        assert transcript_fingerprint(degraded.transcript) == (
-            transcript_fingerprint(result_np.transcript)
-        )
-
 
 class TestMultiroundAcrossKernels:
     def run(self, field_kernel, unknown=False):
@@ -185,3 +153,35 @@ class TestMultiroundAcrossKernels:
         # The protocol must actually have exercised the CPI path for this
         # instance, otherwise the kernel comparison is vacuous.
         assert result_py.details["cpi_payloads"] > 0
+
+
+class TestReferenceKernelIsPurePython:
+    """``field_kernel="python"`` runs no NumPy-kernel code, even at a modulus
+    the NumPy kernel would take: the choice is passed down explicitly."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_kernel_raises(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the NumPy field kernel ran")
+
+        for name in dir(NumpyFieldKernel):
+            if not name.startswith("_") and callable(getattr(NumpyFieldKernel, name)):
+                monkeypatch.setattr(NumpyFieldKernel, name, refuse)
+
+    def test_cpi_session(self):
+        alice, bob = make_sets(150, 11, seed=5)
+        result = reconcile(
+            alice, bob, protocol="cpi", difference_bound=12, universe_size=UNIVERSE, seed=9,
+            field_kernel="python",
+        )
+        assert result.success and result.recovered == alice
+        with pytest.raises(AssertionError, match="NumPy field kernel ran"):
+            reconcile(
+                alice, bob, protocol="cpi", difference_bound=12, universe_size=UNIVERSE,
+                seed=9,
+            )
+
+    @pytest.mark.parametrize("unknown", [False, True])
+    def test_multiround_session(self, unknown):
+        result = TestMultiroundAcrossKernels().run("python", unknown)
+        assert result.success and result.details["cpi_payloads"] > 0

@@ -1,11 +1,12 @@
-"""An unregistered tier name is refused, never resolved to another tier.
+"""An unknown tier name is refused, never resolved to another tier.
 
-``numba`` was a registered cell backend and field kernel until the compiled
-tier was deleted (no session could import it).  The name now gets the typed
-error every other unregistered name gets, through every way of spelling the
-request, instead of silently running on a tier the caller did not ask for.
-The cell store has no registry left (``backend=`` names the one store), and
-no environment variable.
+``numba`` was a cell backend and field kernel until the compiled tier was
+deleted (no session could import it).  The name now gets the typed error
+every other unknown name gets, through every way of spelling the request,
+instead of silently running on a tier the caller did not ask for.
+:class:`~repro.protocols.options.ReconcileOptions` checks both names once,
+so a protocol that never reads one (``ibf`` builds no GF(p) field) refuses
+it too.  Neither tier is chosen by an environment variable.
 """
 
 import pytest
@@ -19,32 +20,27 @@ PARAMS = IBLTParameters(num_cells=64, key_bits=32, seed=1)
 SETS = ({1, 2, 3}, {2, 3, 4})
 OPTIONS = dict(universe_size=100, difference_bound=4, seed=1)
 
-#: seam -> (the refusal, keyword, environment variable or ``None``, a
-#: protocol that resolves it, the direct entry point taking a name or ``None``).
+#: seam -> (the refusal, keyword, the direct entry point taking a name).
 SEAMS = {
     "cell": (
-        r"unknown cell backend 'numba'; accepted: \['auto', 'numpy'\]", "backend", None,
-        "ibf", lambda name: IBLT(PARAMS, backend=name),
+        r"unknown cell backend 'numba'; accepted: \['auto', 'numpy'\]", "backend",
+        lambda name: IBLT(PARAMS, backend=name),
     ),
     "kernel": (
-        r"unknown field kernel 'numba'; registered: \['numpy', 'python'\]", "field_kernel",
-        "REPRO_FIELD_KERNEL", "cpi", lambda name: kernel_for(1048583, name),
+        r"unknown field kernel 'numba'; accepted: \['auto', 'numpy', 'python'\]",
+        "field_kernel", lambda name: kernel_for(1048583, name),
     ),
 }
 
 
 @pytest.mark.parametrize(
-    "seam, via",
-    [("cell", "keyword"), ("kernel", "keyword"), ("kernel", "environment")],
-    ids=["cell-keyword", "kernel-keyword", "kernel-environment"],
+    "seam, protocol",
+    [("cell", "ibf"), ("kernel", "cpi"), ("kernel", "ibf")],
+    ids=["cell-keyword", "kernel-keyword", "kernel-keyword-ibf"],
 )
-def test_numba_is_an_unknown_name(monkeypatch, seam, via):
-    error, keyword, variable, protocol, direct = SEAMS[seam]
-    name, options = "numba", {**OPTIONS, keyword: "numba"}
-    if via == "environment":
-        monkeypatch.setenv(variable, "numba")
-        name, options = None, OPTIONS
+def test_numba_is_an_unknown_name(seam, protocol):
+    error, keyword, direct = SEAMS[seam]
     with pytest.raises(ParameterError, match=error):
-        direct(name)
+        direct("numba")
     with pytest.raises(ParameterError, match=error):
-        repro.reconcile(*SETS, protocol=protocol, **options)
+        repro.reconcile(*SETS, protocol=protocol, **{**OPTIONS, keyword: "numba"})
