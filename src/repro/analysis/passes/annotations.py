@@ -1,8 +1,8 @@
 """T7xx: typing completeness for the strict-typed packages.
 
 ``pyproject.toml`` gates ``repro.protocols``, ``repro.comm``,
-``repro.service``, ``repro.store``, ``repro.cluster`` and this analysis
-package behind ``mypy --strict`` in CI.  mypy cannot run in every
+``repro.service``, ``repro.store``, ``repro.cluster``, ``repro.graphs`` and
+this analysis package behind ``mypy --strict`` in CI.  mypy cannot run in every
 environment this repo targets (offline images without the toolchain), so
 this pass enforces the *completeness* half of strictness -- every function
 fully annotated -- on the stdlib AST, everywhere:
@@ -29,6 +29,7 @@ STRICT_TYPED_PATHS = (
     "src/repro/store/",
     "src/repro/cluster/",
     "src/repro/analysis/",
+    "src/repro/graphs/",
 )
 
 

@@ -28,28 +28,34 @@ This module holds the local labeling transforms; the protocol is
 
 from __future__ import annotations
 
+from typing import Any, Sequence
+
+import numpy as _np
+
 from repro.core.setsofsets import SetOfSets
 from repro.errors import ParameterError
-from repro.graphs.separation import signature_mask
+from repro.graphs.graph import _rows_of
+from repro.graphs.separation import signature_matrix, signature_order
 
 
-def canonical_labeling_from_signatures(
-    top_vertices: list[int], signatures: dict[int, frozenset[int]]
-) -> dict[int, int]:
-    """Alice's canonical labeling: degree rank for the top, signature order below.
+def canonical_labels(top_vertices: list[int], others: list[int], matrix: Any) -> Any:
+    """Alice's canonical labeling as an array, ``labels[v]`` for vertex ``v``:
+    degree rank for the top, then the others in signature order
+    (:func:`~repro.graphs.separation.signature_order` of ``matrix``, the
+    :func:`~repro.graphs.separation.degree_order_matrix` rows).
 
     Raises :class:`ParameterError` when two signatures coincide (the graph is
     then not separated and the scheme does not apply).
     """
-    labeling = {vertex: rank for rank, vertex in enumerate(top_vertices)}
-    ordered = sorted(signatures.items(), key=lambda item: sorted(item[1]))
-    seen: set[frozenset[int]] = set()
-    for offset, (vertex, signature) in enumerate(ordered):
-        if signature in seen:
-            raise ParameterError("duplicate vertex signatures: graph is not separated")
-        seen.add(signature)
-        labeling[vertex] = len(top_vertices) + offset
-    return labeling
+    order = signature_order(matrix)
+    ordered = matrix[order]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+        raise ParameterError("duplicate vertex signatures: graph is not separated")
+    num_top = len(top_vertices)
+    labels = _np.empty(num_top + len(others), dtype=_np.intp)
+    labels[top_vertices] = _np.arange(num_top)
+    labels[_np.asarray(others, dtype=_np.intp)[order]] = _np.arange(num_top, len(labels))
+    return labels
 
 
 def _closest_rank(mask: int, alice_masks: list[int], difference_bound: int) -> int | None:
@@ -63,30 +69,37 @@ def _closest_rank(mask: int, alice_masks: list[int], difference_bound: int) -> i
 
 def _conforming_labels_for_bob(
     alice_signatures: SetOfSets,
-    bob_signatures: dict[int, frozenset[int]],
+    bob_others: Sequence[int],
+    bob_matrix: Any,
     num_top: int,
     difference_bound: int,
 ) -> dict[int, int] | None:
     """Map each of Bob's non-top vertices to Alice's canonical label.
 
-    A Bob vertex conforms to the *closest* Alice signature, which must lie
-    within Hamming distance ``difference_bound`` (under full separation the
-    closest signature is also the unique one within that distance); returns
-    ``None`` when a vertex has no close-enough signature, the closest is
-    tied, or two vertices claim the same signature.
+    ``bob_others`` and ``bob_matrix`` are Bob's
+    :func:`~repro.graphs.separation.degree_order_matrix`.  A Bob vertex
+    conforms to the *closest* Alice signature, which must lie within Hamming
+    distance ``difference_bound`` (under full separation the closest
+    signature is also the unique one within that distance); returns ``None``
+    when a vertex has no close-enough signature, the closest is tied, two
+    vertices claim the same signature, or one of Alice's recovered (peer
+    chosen) signatures has a member outside ``[0, num_top)``.
 
-    Alice's signatures are distinct, so one equal to Bob's is at distance 0,
-    closest and untied: a dict lookup settles all but the O(d) perturbed
-    vertices, and only those scan Alice's signatures.
+    Both sides' signatures become masks in one pack of a bit matrix each, and
+    Alice's are ranked in her canonical order.  Her signatures are distinct,
+    so one equal to Bob's is at distance 0, closest and untied: a dict lookup
+    settles all but the O(d) perturbed vertices, and only those scan Alice's
+    signatures.
     """
-    alice_masks = [
-        signature_mask(signature) for signature in alice_signatures.sorted_children()
-    ]
+    try:
+        alice_matrix = signature_matrix(alice_signatures.children, num_top)
+    except ParameterError:
+        return None
+    alice_masks = _rows_of(alice_matrix[signature_order(alice_matrix)])
     rank_of_mask = {mask: rank for rank, mask in enumerate(alice_masks)}
     assigned: dict[int, int] = {}
     used: set[int] = set()
-    for vertex, signature in bob_signatures.items():
-        mask = signature_mask(signature)
+    for vertex, mask in zip(bob_others, _rows_of(bob_matrix)):
         rank = rank_of_mask.get(mask)
         if rank is None:
             rank = _closest_rank(mask, alice_masks, difference_bound)

@@ -18,6 +18,7 @@ enumeration; the protocol is ``exhaustive_parties`` in
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterator
 
 from repro.graphs.graph import Graph
 from repro.graphs.isomorphism import (
@@ -37,7 +38,7 @@ def _canonical_evaluation(graph: Graph, point: int, prime: int) -> int:
     return value
 
 
-def _graphs_within_changes(graph: Graph, max_changes: int):
+def _graphs_within_changes(graph: Graph, max_changes: int) -> Iterator[Graph]:
     """Yield every graph obtained by toggling at most ``max_changes`` edge slots."""
     n = graph.num_vertices
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]

@@ -10,8 +10,8 @@ reconciliation), relabeling, and conversion to/from :mod:`networkx` for
 interoperability and testing.
 
 The bulk transforms -- edge keys to and from the rows, relabeling, the
-anchor signatures of the degree-ordering scheme -- unpack the rows into a
-0/1 matrix and work on arrays (a permutation gather, ``np.divmod`` with
+anchor matrix of the degree-ordering scheme -- unpack the rows into a 0/1
+matrix and work on arrays (a permutation gather, ``np.divmod`` with
 vectorised range and self-loop checks, packing back to rows); the rows stay
 the one stored form.  The rows cost n²/8 bytes whatever the edge count,
 which suits the paper's dense G(n, p); the transforms unpack them a block of
@@ -23,11 +23,14 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as _np
 
 from repro.errors import ParameterError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx
 
 _ONE = re.compile("1")
 
@@ -58,6 +61,24 @@ def _as_ints(values: Iterable[Any], what: str) -> list[int]:
     return [_index(value, what) for value in values]
 
 
+def _permutation(mapping: Sequence[int] | Any, num_vertices: int) -> Any:
+    """``mapping`` as an ``intp`` array, checked to be a permutation of
+    ``0 .. num_vertices - 1``: an integer NumPy array, or integers as
+    :func:`_as_ints` takes them."""
+    if isinstance(mapping, _np.ndarray) and mapping.dtype.kind in "ui":
+        array = mapping.astype(_np.intp, copy=False)
+        valid = array.shape == (num_vertices,) and bool(
+            (_np.sort(array) == _np.arange(num_vertices)).all()
+        )
+    else:
+        values = _as_ints(mapping, "mapping entry")
+        valid = sorted(values) == list(range(num_vertices))
+        array = _np.array(values if valid else [], dtype=_np.intp)
+    if not valid:
+        raise ParameterError("mapping must be a permutation of the vertex ids")
+    return array
+
+
 #: Bits the bulk transforms unpack at once, about 4 MiB of ``bool``: one
 #: n-by-n matrix would take n² bytes, eight times the rows.
 _BLOCK_BITS = 1 << 22
@@ -86,6 +107,10 @@ def _rows_of(matrix: Any) -> list[int]:
     num_bytes = packed.shape[1]
     if num_bytes == 0:  # zero-width rows (n = 0) hold nothing
         return [0] * packed.shape[0]
+    if num_bytes <= 8:  # a row in one little-endian uint64: a signature mask
+        limbs = _np.zeros((packed.shape[0], 8), dtype=_np.uint8)
+        limbs[:, :num_bytes] = packed
+        return limbs.view("<u8").ravel().tolist()
     data = packed.tobytes()
     return [
         int.from_bytes(data[start : start + num_bytes], "little")
@@ -173,28 +198,50 @@ class Graph:
             for offset in _members(row >> (u + 1)):
                 yield (u, u + 1 + offset)
 
-    def neighbors_among(
-        self, anchors: Sequence[int], vertices: Sequence[int]
-    ) -> list[frozenset[int]]:
-        """For each of ``vertices``, its neighbors among ``anchors`` as indices
-        into ``anchors``: the degree-ordering signature (Section 5.1), or,
-        with every vertex as an anchor, each vertex's neighbor set.
+    def _vertex_ids(self, values: Iterable[Any], what: str) -> list[int]:
+        """``values`` as Python ints (see :func:`_as_ints`), all vertex ids."""
+        ids = _as_ints(values, what)
+        if ids and (min(ids) < 0 or max(ids) >= self._num_vertices):
+            raise ParameterError("anchors and vertices must be vertex ids")
+        return ids
+
+    def anchor_matrix(self, anchors: Sequence[int], vertices: Sequence[int]) -> Any:
+        """A ``(len(vertices), len(anchors))`` ``bool`` matrix whose ``[i, j]``
+        is set when ``vertices[i]`` is adjacent to ``anchors[j]``: with the
+        top-degree vertices as anchors, its rows are the degree-ordering
+        signatures (Section 5.1) as bit strings.
 
         Only the anchors' rows are read: ``len(anchors)`` rows, not n.
         """
-        anchors = _as_ints(anchors, "anchor")
-        vertices = _as_ints(vertices, "vertex")
-        for group in (anchors, vertices):
-            if group and (min(group) < 0 or max(group) >= self._num_vertices):
-                raise ParameterError("anchors and vertices must be vertex ids")
-        owners = [_np.empty(0, dtype=_np.intp)]
-        indices = [_np.empty(0, dtype=_np.intp)]
+        anchors = self._vertex_ids(anchors, "anchor")
+        vertices = self._vertex_ids(vertices, "vertex")
+        matrix = _np.empty((len(vertices), len(anchors)), dtype=bool)
         for start, stop in _row_blocks(len(anchors), self._num_vertices):
             block = _bit_matrix(
                 [self._rows[anchor] for anchor in anchors[start:stop]], self._num_vertices
             )
-            # Row-major nonzero of the transposed block: indices grouped by vertex.
-            block_owners, block_indices = _np.nonzero(block[:, vertices].T)
+            matrix[:, start:stop] = block[:, vertices].T
+        return matrix
+
+    def neighbors_among(
+        self, anchors: Sequence[int], vertices: Sequence[int]
+    ) -> list[frozenset[int]]:
+        """For each of ``vertices``, its neighbors among ``anchors`` as indices
+        into ``anchors``; with every vertex as an anchor, each vertex's
+        neighbor set.
+
+        :meth:`anchor_matrix` a block of anchors at a time, so the transient
+        matrix stays near :data:`_BLOCK_BITS` even with n anchors.
+        """
+        anchors = self._vertex_ids(anchors, "anchor")
+        vertices = self._vertex_ids(vertices, "vertex")
+        owners = [_np.empty(0, dtype=_np.intp)]
+        indices = [_np.empty(0, dtype=_np.intp)]
+        for start, stop in _row_blocks(len(anchors), self._num_vertices):
+            # Row-major nonzero: indices grouped by vertex.
+            block_owners, block_indices = _np.nonzero(
+                self.anchor_matrix(anchors[start:stop], vertices)
+            )
             owners.append(block_owners)
             indices.append(block_indices + start)
         # A stable sort regroups the blocks by vertex, each group ascending.
@@ -330,16 +377,14 @@ class Graph:
     def relabel(self, mapping: Sequence[int]) -> "Graph":
         """Return the graph with vertex ``v`` renamed to ``mapping[v]``.
 
-        ``mapping`` must be a permutation of ``0 .. n-1`` given as ints.
+        ``mapping`` must be a permutation of ``0 .. n-1``: ints, or an
+        integer NumPy array.
         """
         n = self._num_vertices
-        mapping = _as_ints(mapping, "mapping entry")
-        if sorted(mapping) != list(range(n)):
-            raise ParameterError("mapping must be a permutation of the vertex ids")
         # New vertex mapping[v] is old vertex v: gather rows and columns
         # through the inverse permutation.
         inverse = _np.empty(n, dtype=_np.intp)
-        inverse[mapping] = _np.arange(n)
+        inverse[_permutation(mapping, n)] = _np.arange(n)
         old = inverse.tolist()
         rows: list[int] = []
         for start, stop in _row_blocks(n, n):
@@ -347,6 +392,23 @@ class Graph:
             rows.extend(_rows_of(block[:, inverse]))
         # A permutation keeps neighbors distinct and creates no self-loop.
         return Graph._of_rows(rows, self._num_edges)
+
+    def relabeled_edge_keys(self, mapping: Sequence[int] | Any) -> Any:
+        """``relabel(mapping).edge_key_array()`` without the relabeled graph.
+
+        Each key of :meth:`edge_key_array` has its endpoints renamed through
+        ``mapping`` (a permutation, as :meth:`relabel` takes it) and is
+        re-keyed ``min * n + max``, and the keys are sorted: O(m) array work
+        instead of a gather of the whole n-by-n matrix.
+        """
+        n = self._num_vertices
+        labels = _permutation(mapping, n).astype(_np.int64, copy=False)
+        # Keys are below n*n, so signed arithmetic and native indices hold them.
+        low, high = _np.divmod(self.edge_key_array().view(_np.int64), max(n, 1))
+        low, high = labels[low], labels[high]
+        keys = _np.minimum(low, high) * n + _np.maximum(low, high)
+        keys.sort()
+        return keys.view(_np.uint64)
 
     # -- comparisons and conversions ----------------------------------------------------
 
@@ -364,7 +426,7 @@ class Graph:
     def __hash__(self) -> int:
         return hash((self._num_vertices, tuple(self._rows)))
 
-    def to_networkx(self):
+    def to_networkx(self) -> "networkx.Graph":
         """Convert to a :class:`networkx.Graph`."""
         import networkx as nx
 
@@ -374,7 +436,7 @@ class Graph:
         return graph
 
     @classmethod
-    def from_networkx(cls, nx_graph) -> "Graph":
+    def from_networkx(cls, nx_graph: "networkx.Graph") -> "Graph":
         """Convert from a :class:`networkx.Graph` with integer-labelable nodes."""
         nodes = sorted(nx_graph.nodes())
         index = {node: position for position, node in enumerate(nodes)}

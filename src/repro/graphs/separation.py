@@ -20,12 +20,14 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import or_
-from typing import Iterable
+from typing import Any, Collection, Iterable
+
+import numpy as _np
 
 from repro.errors import ParameterError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, _rows_of
 
 
 # ---------------------------------------------------------------------------
@@ -35,38 +37,108 @@ from repro.graphs.graph import Graph
 
 def degree_sorted_vertices(graph: Graph) -> list[int]:
     """Vertices sorted by decreasing degree (ties broken by vertex id)."""
-    degrees = graph.degree_sequence()
-    return sorted(graph.vertices(), key=lambda v: (-degrees[v], v))
+    degrees = _np.array(graph.degree_sequence(), dtype=_np.int64)
+    return _np.argsort(-degrees, kind="stable").tolist()
+
+
+def degree_order_matrix(graph: Graph, num_top: int) -> tuple[list[int], list[int], Any]:
+    """The degree-ordering signatures as one bit matrix.
+
+    Returns
+    -------
+    (top_vertices, others, matrix):
+        ``top_vertices`` is the list of the ``num_top`` highest-degree
+        vertices and ``others`` the rest, both in degree order.  ``matrix``
+        is the ``(len(others), num_top)`` ``bool`` matrix whose row ``i`` is
+        the paper's ``sig(others[i])``: bit ``j`` is set when ``others[i]``
+        is adjacent to ``top_vertices[j]``.
+    """
+    if num_top < 0 or num_top > graph.num_vertices:
+        raise ParameterError("num_top must lie in [0, num_vertices]")
+    ordered = degree_sorted_vertices(graph)
+    top_vertices, others = ordered[:num_top], ordered[num_top:]
+    return top_vertices, others, graph.anchor_matrix(top_vertices, others)
 
 
 def degree_order_signatures(
     graph: Graph, num_top: int
 ) -> tuple[list[int], dict[int, frozenset[int]]]:
-    """Compute the degree-ordering signatures.
+    """:func:`degree_order_matrix` with each signature read as a set.
 
     Returns
     -------
     (top_vertices, signatures):
         ``top_vertices`` is the list of the ``num_top`` highest-degree
         vertices (in degree order).  ``signatures[v]``, for every other
-        vertex ``v``, is the subset of ``{0, ..., num_top-1}`` recording which
-        top vertices ``v`` is adjacent to (the paper's ``sig(v)`` read as a
-        set rather than a bit string).
+        vertex ``v`` (in degree order), is the subset of ``{0, ...,
+        num_top-1}`` recording which top vertices ``v`` is adjacent to.
     """
-    if num_top < 0 or num_top > graph.num_vertices:
-        raise ParameterError("num_top must lie in [0, num_vertices]")
-    ordered = degree_sorted_vertices(graph)
-    top_vertices = ordered[:num_top]
-    others = ordered[num_top:]
-    signatures = dict(zip(others, graph.neighbors_among(top_vertices, others)))
-    return top_vertices, signatures
+    top_vertices, others, matrix = degree_order_matrix(graph, num_top)
+    return top_vertices, dict(zip(others, signature_sets(matrix)))
+
+
+def signature_sets(matrix: Any) -> list[frozenset[int]]:
+    """Each row of a signature matrix as the set of its set columns."""
+    _, columns = _np.nonzero(matrix)  # row-major: grouped by row, ascending
+    flat = columns.tolist()
+    stops = _np.cumsum(_np.count_nonzero(matrix, axis=1)).tolist()
+    return [frozenset(flat[start:stop]) for start, stop in zip([0, *stops], stops)]
+
+
+def signature_matrix(signatures: Iterable[Collection[int]], num_top: int) -> Any:
+    """The inverse of :func:`signature_sets`: a ``(count, num_top)`` ``bool``
+    matrix, row ``i`` set at the members of the ``i``-th signature.
+
+    Raises :class:`ParameterError` for a member outside ``[0, num_top)``:
+    recovered signatures come from a peer.
+    """
+    rows = list(signatures)
+    sizes = list(map(len, rows))
+    try:
+        members = _np.fromiter(chain.from_iterable(rows), dtype=_np.int64, count=sum(sizes))
+    except OverflowError:  # a member past int64 is out of range too
+        members = _np.array([-1])
+    if members.size and (members.min() < 0 or members.max() >= num_top):
+        raise ParameterError(f"signature member out of range [0, {num_top})")
+    matrix = _np.zeros((len(rows), num_top), dtype=bool)
+    matrix[_np.repeat(_np.arange(len(rows)), sizes), members] = True
+    return matrix
+
+
+#: Base-3 digits per ``int64`` sort key in :func:`signature_order`: 3**39 < 2**63.
+_DIGITS_PER_KEY = 39
+
+
+def signature_order(matrix: Any) -> Any:
+    """The order of a signature matrix's rows by their sorted members,
+    lexicographically: the stable order of ``sorted(key=sorted)`` over the
+    rows' sets.
+
+    Column ``i`` of a row reads 1 for a member, 2 for a non-member below the
+    row's largest member and 0 above it.  Where two rows first differ, the
+    row with the member there sorts first unless the other row has ended
+    (it is then a prefix, and sorts first): exactly the comparison of the
+    sorted member lists.  The digits, 39 columns to a base-3 ``int64``, are
+    the keys of one stable ``np.lexsort``.
+    """
+    num_rows, width = matrix.shape
+    # A member at or after each column: members read 2 - 1.
+    reach = _np.logical_or.accumulate(matrix[:, ::-1], axis=1)[:, ::-1]
+    digits = 2 * reach.astype(_np.int64) - matrix
+    keys = [
+        digits[:, start : start + _DIGITS_PER_KEY]
+        @ 3 ** _np.arange(min(_DIGITS_PER_KEY, width - start) - 1, -1, -1, dtype=_np.int64)
+        for start in range(0, width, _DIGITS_PER_KEY)
+    ]
+    return _np.lexsort(keys[::-1]) if keys else _np.arange(num_rows)
 
 
 def signature_mask(signature: Iterable[int]) -> int:
     """A signature as a Python-int bitmask: bit ``i`` is set iff ``i`` is a member.
 
     The Hamming distance of two signatures is then ``(a ^ b).bit_count()``,
-    for any ``num_top`` (Python ints do not stop at 64 bits).
+    for any ``num_top`` (Python ints do not stop at 64 bits).  A signature
+    matrix packs to the same masks, one per row, in one ``_rows_of`` call.
     """
     return reduce(or_, map((1).__lshift__, signature), 0)
 
@@ -83,8 +155,7 @@ def is_degree_separated(graph: Graph, num_top: int, degree_gap: int, signature_g
     for index in range(min(num_top, len(ordered) - 1)):
         if degrees[index] - degrees[index + 1] < degree_gap:
             return False
-    _, signatures = degree_order_signatures(graph, num_top)
-    masks = [signature_mask(signature) for signature in signatures.values()]
+    masks = _rows_of(degree_order_matrix(graph, num_top)[2])
     return all(
         (first ^ second).bit_count() >= signature_gap
         for first, second in combinations(masks, 2)

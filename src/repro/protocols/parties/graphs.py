@@ -24,6 +24,8 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.comm.bits import BitReader, BitWriter
 from repro.comm.sizing import bits_for_value
 from repro.core.setsofsets.types import SetOfSets
@@ -34,10 +36,7 @@ from repro.graphs.degree_neighborhood import (
     _encode_signature,
     signature_change_bound,
 )
-from repro.graphs.degree_order import (
-    _conforming_labels_for_bob,
-    canonical_labeling_from_signatures,
-)
+from repro.graphs.degree_order import _conforming_labels_for_bob, canonical_labels
 from repro.graphs.exhaustive import (
     MAX_BRUTE_FORCE_VERTICES,
     _canonical_evaluation,
@@ -52,8 +51,9 @@ from repro.graphs.forest import (
 from repro.graphs.graph import Graph
 from repro.graphs.separation import (
     degree_neighborhood_signatures,
-    degree_order_signatures,
+    degree_order_matrix,
     multiset_mask,
+    signature_sets,
 )
 from repro.hashing import derive_seed
 from repro.protocols.party import (
@@ -150,10 +150,8 @@ def _bob_edge_phase(
     """Bob's last step in Theorems 5.2 / 5.6: adopt Alice's labeling, then
     labeled edge reconciliation; ``scheme_details`` joins the outcome's."""
     num_vertices = bob.num_vertices
-    bob_canonical = bob.relabel([bob_labeling[v] for v in range(num_vertices)])
-    edge_outcome = yield from ibf_bob(
-        SetSource(bob_canonical.edge_key_array(), edge_ctx), difference_bound
-    )
+    bob_keys = bob.relabeled_edge_keys([bob_labeling[v] for v in range(num_vertices)])
+    edge_outcome = yield from ibf_bob(SetSource(bob_keys, edge_ctx), difference_bound)
     if edge_outcome.aborted:
         return aborted_outcome()
     if not edge_outcome.success:
@@ -268,12 +266,11 @@ def degree_order_parties(
     if num_top <= 0 or num_top > alice.num_vertices:
         raise ParameterError("num_top must lie in (0, num_vertices]")
     difference_bound = max(1, difference_bound)
-    num_vertices = alice.num_vertices
 
-    alice_top, alice_signatures = degree_order_signatures(alice, num_top)
-    bob_top, bob_signatures = degree_order_signatures(bob, num_top)
-    alice_signature_set = SetOfSets(alice_signatures.values())
-    bob_signature_set = SetOfSets(bob_signatures.values())
+    alice_top, alice_others, alice_matrix = degree_order_matrix(alice, num_top)
+    bob_top, bob_others, bob_matrix = degree_order_matrix(bob, num_top)
+    alice_signature_set = SetOfSets(signature_sets(alice_matrix))
+    bob_signature_set = SetOfSets(signature_sets(bob_matrix))
 
     sig_ctx = context_for(
         alice_signature_set,
@@ -294,18 +291,12 @@ def degree_order_parties(
 
     def alice_party() -> PartyGenerator:
         try:
-            alice_labeling = canonical_labeling_from_signatures(
-                alice_top, alice_signatures
-            )
+            alice_labels = canonical_labels(alice_top, alice_others, alice_matrix)
         except ParameterError:
             return PartyOutcome(False, details={"failure": "alice-not-separated"})
-        if alice_signature_set.num_children != len(alice_signatures):
-            return PartyOutcome(False, details={"failure": "alice-not-separated"})
-        alice_canonical = alice.relabel([alice_labeling[v] for v in range(num_vertices)])
+        alice_keys = alice.relabeled_edge_keys(alice_labels)
         yield from cascading_alice_known(alice_signature_set, difference_bound, sig_ctx)
-        yield from ibf_alice(
-            SetSource(alice_canonical.edge_key_array(), edge_ctx), difference_bound
-        )
+        yield from ibf_alice(SetSource(alice_keys, edge_ctx), difference_bound)
         return PartyOutcome(True)
 
     def bob_party() -> PartyGenerator:
@@ -319,8 +310,12 @@ def degree_order_parties(
                 False,
                 details={"failure": "signature-reconciliation", **sig_outcome.details},
             )
+        # Alice's signatures are peer data: one per non-top vertex, or no
+        # labeling is a permutation.
+        if sig_outcome.recovered.num_children != len(bob_others):
+            return PartyOutcome(False, details={"failure": "conforming-match"})
         conforming = _conforming_labels_for_bob(
-            sig_outcome.recovered, bob_signatures, num_top, difference_bound
+            sig_outcome.recovered, bob_others, bob_matrix, num_top, difference_bound
         )
         if conforming is None:
             return PartyOutcome(False, details={"failure": "conforming-match"})
@@ -398,12 +393,10 @@ def degree_neighborhood_parties(
         if len(set(alice_encoded.values())) != num_vertices:
             return PartyOutcome(False, details={"failure": "alice-not-disjoint"})
         alice_order = sorted(alice_encoded, key=lambda v: sorted(alice_encoded[v]))
-        alice_labeling = {vertex: rank for rank, vertex in enumerate(alice_order)}
-        alice_canonical = alice.relabel([alice_labeling[v] for v in range(num_vertices)])
+        # Vertex alice_order[rank] gets label rank: the inverse permutation.
+        alice_keys = alice.relabeled_edge_keys(np.argsort(alice_order))
         yield from cascading_alice_known(alice_signature_set, change_bound, sig_ctx)
-        yield from ibf_alice(
-            SetSource(alice_canonical.edge_key_array(), edge_ctx), difference_bound
-        )
+        yield from ibf_alice(SetSource(alice_keys, edge_ctx), difference_bound)
         return PartyOutcome(True)
 
     def bob_party() -> PartyGenerator:

@@ -2,7 +2,8 @@
 
 ``_conforming_labels_for_bob`` settles a vertex whose signature Alice also
 holds by a dict lookup and scans her signatures only for the rest.  The
-all-pairs loop it replaced is kept here verbatim as the oracle.
+all-pairs loop it replaced is kept here verbatim as the oracle; ``conforming``
+hands Bob's ``{vertex: signature}`` to it as the bit matrix the parties hold.
 """
 
 import random
@@ -14,7 +15,7 @@ from repro.core.setsofsets import SetOfSets
 from repro.graphs import degree_order
 from repro.graphs.degree_order import _conforming_labels_for_bob
 from repro.core.setrecon.multiset import multiset_symmetric_difference
-from repro.graphs.separation import multiset_mask, signature_mask
+from repro.graphs.separation import multiset_mask, signature_mask, signature_matrix
 
 
 def quadratic_conforming_labels(alice_signatures, bob_signatures, num_top, difference_bound):
@@ -46,6 +47,17 @@ def quadratic_conforming_labels(alice_signatures, bob_signatures, num_top, diffe
     return assigned
 
 
+def conforming(alice_signatures, bob_signatures, num_top, difference_bound):
+    """``_conforming_labels_for_bob`` on Bob's vertices and signature matrix."""
+    return _conforming_labels_for_bob(
+        alice_signatures,
+        list(bob_signatures),
+        signature_matrix(bob_signatures.values(), num_top),
+        num_top,
+        difference_bound,
+    )
+
+
 def sig(*indices):
     return frozenset(indices)
 
@@ -58,20 +70,20 @@ NUM_TOP = 10
 class TestOutcomes:
     def test_exact_hits(self):
         bob = {21: sig(3, 4, 5), 20: sig(0, 1, 2), 22: sig(6, 7, 8, 9)}
-        assert _conforming_labels_for_bob(ALICE, bob, NUM_TOP, 0) == {20: 10, 21: 11, 22: 12}
+        assert conforming(ALICE, bob, NUM_TOP, 0) == {20: 10, 21: 11, 22: 12}
 
     def test_residue_hit_within_bound(self):
         bob = {20: sig(0, 1, 2), 21: sig(3, 4), 22: sig(6, 7, 8, 9, 5)}
-        assert _conforming_labels_for_bob(ALICE, bob, NUM_TOP, 1) == {20: 10, 21: 11, 22: 12}
+        assert conforming(ALICE, bob, NUM_TOP, 1) == {20: 10, 21: 11, 22: 12}
 
     def test_closest_is_tied(self):
         # {0,1,2,3,4,5} is three away from both of Alice's first two signatures.
-        assert _conforming_labels_for_bob(ALICE, {20: sig(0, 1, 2, 3, 4, 5)}, NUM_TOP, 3) is None
+        assert conforming(ALICE, {20: sig(0, 1, 2, 3, 4, 5)}, NUM_TOP, 3) is None
 
     def test_closest_is_too_far(self):
         bob = {20: sig(0, 1)}
-        assert _conforming_labels_for_bob(ALICE, bob, NUM_TOP, 1) == {20: 10}
-        assert _conforming_labels_for_bob(ALICE, bob, NUM_TOP, 0) is None
+        assert conforming(ALICE, bob, NUM_TOP, 1) == {20: 10}
+        assert conforming(ALICE, bob, NUM_TOP, 0) is None
 
     def test_two_vertices_claim_one_label(self):
         for bob in (
@@ -79,15 +91,15 @@ class TestOutcomes:
             {20: sig(0, 1), 21: sig(0, 1, 2)},           # residue, then exact hit
             {20: sig(0, 1), 21: sig(0, 2)},              # residue twice
         ):
-            assert _conforming_labels_for_bob(ALICE, bob, NUM_TOP, 1) is None
+            assert conforming(ALICE, bob, NUM_TOP, 1) is None
 
     def test_no_alice_signatures(self):
-        assert _conforming_labels_for_bob(SetOfSets.empty(), {}, NUM_TOP, 2) == {}
-        assert _conforming_labels_for_bob(SetOfSets.empty(), {20: sig(0)}, NUM_TOP, 2) is None
+        assert conforming(SetOfSets.empty(), {}, NUM_TOP, 2) == {}
+        assert conforming(SetOfSets.empty(), {20: sig(0)}, NUM_TOP, 2) is None
 
     def test_labels_keep_bob_vertex_order(self):
         bob = {22: sig(6, 7, 8), 20: sig(0, 1, 2), 21: sig(3, 4, 5)}
-        assert list(_conforming_labels_for_bob(ALICE, bob, NUM_TOP, 1)) == [22, 20, 21]
+        assert list(conforming(ALICE, bob, NUM_TOP, 1)) == [22, 20, 21]
 
 
 def planted_family(rng, num_top, count, difference_bound):
@@ -118,7 +130,7 @@ def test_matches_the_quadratic_oracle(num_top):
         count = rng.randrange(1, min(25, 2 ** num_top))
         alice, bob = planted_family(rng, num_top, count, difference_bound)
         expected = quadratic_conforming_labels(alice, bob, num_top, difference_bound)
-        got = _conforming_labels_for_bob(alice, bob, num_top, difference_bound)
+        got = conforming(alice, bob, num_top, difference_bound)
         assert got == expected
         if expected is not None:
             assert list(got) == list(expected)
@@ -136,7 +148,7 @@ def test_residue_scan_only_without_an_exact_hit(monkeypatch):
 
     monkeypatch.setattr(degree_order, "_closest_rank", recording)
     bob = {20: sig(0, 1, 2), 21: sig(3, 4), 22: sig(6, 7, 8, 9), 23: sig(3, 4, 5)}
-    assert _conforming_labels_for_bob(ALICE, bob, NUM_TOP, 1) is None  # 21 and 23 collide
+    assert conforming(ALICE, bob, NUM_TOP, 1) is None  # 21 and 23 collide
     assert scanned == [signature_mask(sig(3, 4))]
 
 

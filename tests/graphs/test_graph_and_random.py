@@ -165,6 +165,23 @@ class TestLinearTransforms:
         assert rebuilt == graph and rebuilt.num_edges == len(edges)
         assert hash(rebuilt) == hash(graph)
 
+    @pytest.mark.parametrize("n", SIZES)
+    def test_relabeled_edge_keys_equal_relabel(self, n):
+        graph = Graph(n, random_edges(n, n + 1))
+        mapping = random_permutation(n, random.Random(n))
+        expected = graph.relabel(mapping).edge_key_array()
+        for given in (mapping, np.array(mapping, dtype=np.intp)):
+            keys = graph.relabeled_edge_keys(given)
+            assert keys.dtype == np.uint64
+            assert keys.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize(
+        "mapping", [[0, 0, 1], [0, 1], [0, 1, 3], [True, False, 2], np.array([0, 2, 2])]
+    )
+    def test_relabeled_edge_keys_reject_non_permutations(self, mapping):
+        with pytest.raises(ParameterError):
+            Graph(3, [(0, 1)]).relabeled_edge_keys(mapping)
+
     def test_relabel_does_not_share_adjacency(self):
         graph = Graph(3, [(0, 1)])
         relabeled = graph.relabel([0, 1, 2])

@@ -14,13 +14,13 @@ from repro.graphs import (
     is_degree_separated,
     neighborhood_disjointness,
 )
-from repro.graphs.degree_order import canonical_labeling_from_signatures
+from repro.graphs.degree_order import canonical_labels
 from repro.graphs.random_graphs import (
     gnp_random_graph,
     planted_separated_graph,
     reconciliation_pair,
 )
-from repro.graphs.separation import degree_sorted_vertices
+from repro.graphs.separation import degree_sorted_vertices, signature_matrix
 
 
 class TestDegreeOrderSignatures:
@@ -58,13 +58,11 @@ class TestDegreeOrderSignatures:
 
     def test_canonical_labeling_duplicate_signatures_rejected(self):
         with pytest.raises(ParameterError):
-            canonical_labeling_from_signatures([0], {1: frozenset({0}), 2: frozenset({0})})
+            canonical_labels([0], [1, 2], signature_matrix([{0}, {0}], 1))
 
     def test_canonical_labeling_order(self):
-        labeling = canonical_labeling_from_signatures(
-            [7, 8], {1: frozenset({0, 1}), 2: frozenset({0})}
-        )
-        assert labeling[7] == 0 and labeling[8] == 1
+        labeling = canonical_labels([3, 0], [1, 2], signature_matrix([{0, 1}, {0}], 2))
+        assert labeling[3] == 0 and labeling[0] == 1
         assert labeling[2] == 2 and labeling[1] == 3
 
 
