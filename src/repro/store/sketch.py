@@ -100,7 +100,7 @@ class _Family:
         self.config = config
         self.tables: dict[int, IBLT] = {}  # num_cells -> table, LRU first
         self.estimators: dict[int, L0Estimator] = {}  # side -> estimator
-        self.hash: int | None = None  # running XOR hash, once first asked for
+        self.hash: int | None = None  # running XOR hash, folded when first built
 
     def keep_table(self, table: IBLT) -> None:
         """File ``table`` as the most recently served one."""
@@ -267,12 +267,9 @@ class SketchStore:
     def _hash_disagrees(entry: _DatasetEntry, dataset: Any) -> bool:
         """Whether a replayed whole-set hash differs from the supplied
         dataset's: O(n) once per load and per seed, against a size check
-        that a batch of as many inserts as deletes passes."""
-        replayed = {
-            family.config.seed: family.hash
-            for family in entry.families.values()
-            if family.hash is not None
-        }
+        that a batch of as many inserts as deletes passes.  Every loaded
+        family has one: a snapshot that lacks it is refused."""
+        replayed = {family.config.seed: family.hash for family in entry.families.values()}
         return any(
             value != _verification_hash(seed, dataset) for seed, value in replayed.items()
         )
@@ -297,9 +294,9 @@ class SketchStore:
             estimator = config.context().make_estimator()
             estimator.read_wire(BitReader(bytes.fromhex(item["state"])))
             entry.family(config).estimators[int(item["side"])] = estimator
-        hashes = {int(seed): int(value) for seed, value in body.get("hashes", {}).items()}
+        hashes = {int(seed): int(value) for seed, value in body["hashes"].items()}
         for family in entry.families.values():
-            family.hash = hashes.get(family.config.seed)
+            family.hash = hashes[family.config.seed]
         return entry
 
     # -- the incremental core -------------------------------------------------------
@@ -379,6 +376,16 @@ class SketchStore:
 
     # -- sketch access --------------------------------------------------------------
 
+    @staticmethod
+    def _family(entry: _DatasetEntry, config: SketchConfig, dataset: Any) -> _Family:
+        """``entry``'s family for ``config``; one built from ``dataset`` gets
+        its whole-set hash folded then, so every snapshot of it persists the
+        hash that guards its replay."""
+        family = entry.family(config)
+        if family.hash is None and dataset is not None:
+            family.hash = _verification_hash(config.seed, dataset)
+        return family
+
     def table_for(
         self, key: str, config: SketchConfig, difference_bound: int, dataset: Any
     ) -> IBLT:
@@ -402,8 +409,7 @@ class SketchStore:
                 f"for dataset {key!r}"
             )
         with self._lock:
-            entry = self._entry(key, dataset)
-            family = entry.family(config)
+            family = self._family(self._entry(key, dataset), config, dataset)
             table = family.tables.get(params.num_cells)
             if table is not None:
                 self._metric("record_store_hit")
@@ -429,8 +435,7 @@ class SketchStore:
         if side not in (1, 2):
             raise ParameterError(f"estimator side must be 1 or 2, got {side}")
         with self._lock:
-            entry = self._entry(key, dataset)
-            estimators = entry.family(config).estimators
+            estimators = self._family(self._entry(key, dataset), config, dataset).estimators
             estimator = estimators.get(side)
             if estimator is not None:
                 self._metric("record_store_hit")
@@ -447,13 +452,9 @@ class SketchStore:
     def verification_hash(self, key: str, config: SketchConfig, dataset: Any) -> int:
         """The running whole-set verification hash for ``config.seed``."""
         with self._lock:
-            family = self._entry(key, dataset).family(config)
+            family = self._family(self._entry(key, dataset), config, dataset)
             if family.hash is None:
-                if dataset is None:
-                    raise StoreError(
-                        f"no cached hash for dataset {key!r} and no data to fold"
-                    )
-                family.hash = _verification_hash(config.seed, dataset)
+                raise StoreError(f"no cached hash for dataset {key!r} and no data to fold")
             return family.hash
 
     def size_of(self, key: str, dataset: Any = None) -> int:
