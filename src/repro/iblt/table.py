@@ -177,6 +177,21 @@ def fold_ladder(top: IBLTParameters) -> tuple[IBLTParameters, ...]:
     return tuple(reversed(rungs))
 
 
+def foldable(params: IBLTParameters) -> IBLTParameters:
+    """``params`` with regions rounded up to ``r0 * 2**j`` cells, ``8 <= r0 < 16``.
+
+    That is the shape whose :func:`fold_ladder` halves all the way down to
+    regions of ``r0``, at the cost of at most 1/8 more cells.  A table with
+    regions under ``2 * MIN_RUNG_REGION`` cells (or unequal ones) cannot fold
+    and is returned as it is.
+    """
+    region, uneven = divmod(params.num_cells, params.num_hashes)
+    if uneven or region < 2 * MIN_RUNG_REGION:
+        return params
+    step = 1 << ((region // MIN_RUNG_REGION).bit_length() - 1)  # 2**j <= region / 8
+    return resized(params, params.num_hashes * step * -(-region // step))
+
+
 @lru_cache(maxsize=256)
 def _hashers(params: IBLTParameters) -> tuple[HashFamily, Checksum]:
     """The bucket hash family and cell checksum of ``params``, derived once

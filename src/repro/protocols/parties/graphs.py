@@ -282,6 +282,7 @@ def degree_order_parties(
         child_hash_bits=child_hash_bits,
         num_hashes=num_hashes,
         level_slack=level_slack,
+        t_star_ladder=False,  # alice's edge table follows the cascade
     )
     edge_ctx = SetReconContext(
         alice.edge_key_universe, derive_seed(seed, "degree-order-edges"),
@@ -382,6 +383,7 @@ def degree_neighborhood_parties(
         child_hash_bits=child_hash_bits,
         num_hashes=num_hashes,
         level_slack=level_slack,
+        t_star_ladder=False,  # alice's edge table follows the cascade
     )
     edge_ctx = SetReconContext(
         alice.edge_key_universe, derive_seed(seed, "degree-neighborhood-edges"),

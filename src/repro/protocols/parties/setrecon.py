@@ -32,6 +32,7 @@ from typing import (
     Iterable,
     Iterator,
     Mapping,
+    Sequence,
     Set,
 )
 
@@ -572,7 +573,14 @@ def ladder_rungs(
     difference and so a free lower bound on ``d``; the top when none does.
     """
     rungs = fold_ladder(ctx.table_params(difference_bound))
-    start = next(
+    return rungs, start_rung(rungs, size_gap)
+
+
+def start_rung(rungs: Sequence[IBLTParameters], size_gap: int) -> int:
+    """The index of the smallest rung whose
+    :func:`~repro.iblt.sizing.capacity_of` covers ``size_gap``, a free lower
+    bound on the difference; the top's when none does."""
+    return next(
         (
             index
             for index, params in enumerate(rungs)
@@ -580,7 +588,6 @@ def ladder_rungs(
         ),
         len(rungs) - 1,
     )
-    return rungs, start
 
 
 def _start_codec(

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from functools import lru_cache
+from typing import Any, Callable, Iterable
 
 from repro.comm import WORD_BITS
 from repro.comm.bits import BitReader, BitWriter
@@ -54,6 +55,7 @@ from repro.errors import ParameterError
 from repro.estimator import L0Estimator
 from repro.hashing import derive_seed
 from repro.iblt import IBLT, IBLTArray, IBLTParameters
+from repro.iblt.table import fold_ladder, foldable
 from repro.protocols.party import (
     END_OF_SESSION,
     PartyGenerator,
@@ -63,11 +65,18 @@ from repro.protocols.party import (
     Send,
     aborted_outcome,
 )
-from repro.protocols.parties.setrecon import estimated_bound
+from repro.protocols.parties.setrecon import (
+    GROW,
+    GROWTH_REFUSED,
+    GrowOrCodec,
+    estimated_bound,
+    start_rung,
+)
 from repro.protocols.wire import (
     NULL_CODEC,
     EstimatorCodec,
     PayloadCodec,
+    TableCodec,
     TableWithHashCodec,
     WireError,
 )
@@ -79,7 +88,11 @@ class SetsOfSetsContext:
 
     ``max_num_children`` and ``max_total_elements`` are the public size
     statistics (the paper's ``s`` and ``n``) used for the ``d_hat`` and
-    ``max_bound`` defaults; builders fill them from both inputs.
+    ``max_bound`` defaults, and ``child_count_gap`` is ``|s_A - s_B|``, which
+    picks the cascade's T* start rung; builders fill them from both inputs.
+    ``t_star_ladder=False`` sends the cascade's T* as one rung, for callers
+    whose alice speaks again right after the cascade and so cannot wait for
+    a growth request.
     """
 
     universe_size: int
@@ -96,6 +109,8 @@ class SetsOfSetsContext:
     fallback_to_all_children: bool = True
     max_num_children: int = 1
     max_total_elements: int = 1
+    child_count_gap: int = 0
+    t_star_ladder: bool = True
 
     def with_seed(self, seed: int) -> "SetsOfSetsContext":
         return replace(self, seed=seed)
@@ -110,6 +125,7 @@ def context_for(
         seed,
         max_num_children=max(1, alice.num_children, bob.num_children),
         max_total_elements=max(1, alice.total_elements + bob.total_elements),
+        child_count_gap=abs(alice.num_children - bob.num_children),
         **kwargs,
     )
 
@@ -581,25 +597,41 @@ class _CascadePlan:
     """Everything both parties derive from the shared cascading context.
 
     ``schemes`` and ``level_params`` are the child-IBLT levels the plan runs;
-    ``t_star_params`` sizes T*, the explicit table that ends the cascade
-    (``None`` when the plan runs every level and ``d < h``).
+    ``t_star_rungs`` is the fold ladder of T*, the explicit table that ends
+    the cascade, smallest rung first and the top last (empty when the plan
+    runs every level and ``d < h``).
     """
 
-    schemes: list[ChildEncodingScheme]
-    level_params: list[IBLTParameters]
+    schemes: tuple[ChildEncodingScheme, ...]
+    level_params: tuple[IBLTParameters, ...]
     explicit_scheme: ExplicitChildScheme
-    t_star_params: IBLTParameters | None
+    t_star_rungs: tuple[IBLTParameters, ...]
 
     @property
     def num_levels(self) -> int:
         return len(self.schemes)
 
     @property
-    def total_bits(self) -> int:
+    def t_star_params(self) -> IBLTParameters | None:
+        """T*'s top rung (``None`` when the plan sends no T*)."""
+        return self.t_star_rungs[-1] if self.t_star_rungs else None
+
+    def message_bits(self, start: int = -1) -> int:
+        """Bits of alice's message with T* at rung ``start`` (the top by default)."""
         total = sum(params.size_bits for params in self.level_params) + WORD_BITS
-        if self.t_star_params is not None:
-            total += self.t_star_params.size_bits
+        if self.t_star_rungs:
+            total += self.t_star_rungs[start].size_bits
         return total
+
+    @property
+    def total_bits(self) -> int:
+        """The message's bits with T* at its top rung: what plans are ranked by."""
+        return self.message_bits()
+
+    def start_rung(self, ctx: SetsOfSetsContext) -> int:
+        """The T* rung alice sends first: the smallest whose capacity covers
+        the parents' child-count gap (0 when the plan sends no T*)."""
+        return start_rung(self.t_star_rungs, ctx.child_count_gap) if self.t_star_rungs else 0
 
 
 def _cascade_candidates(
@@ -610,7 +642,10 @@ def _cascade_candidates(
     Cut ``j < L`` runs child-IBLT levels ``1..j`` and then one explicit table
     in place of level ``j + 1``, with that level's capacity: an explicit key
     decodes to the child itself, so nothing after it is needed.  Cut ``L``
-    is Algorithm 2 in full, whose T* is present only when ``d >= h``.
+    is Algorithm 2 in full, whose T* is present only when ``d >= h``.  With
+    ``ctx.t_star_ladder`` each T* is rounded up to a
+    :func:`~repro.iblt.table.foldable` top and carries its fold ladder;
+    without, it is one rung.
     """
     difference_bound = max(1, difference_bound)
     d_hat = (
@@ -620,12 +655,12 @@ def _cascade_candidates(
     )
     cascade_limit = max(2, min(difference_bound, ctx.max_child_size))
     levels = range(1, max(1, math.ceil(math.log2(cascade_limit))) + 1)
-    schemes = [_level_child_scheme(ctx, level) for level in levels]
+    schemes = tuple(_level_child_scheme(ctx, level) for level in levels)
     capacities = [
         _parent_capacity(level, difference_bound, d_hat, ctx.level_slack)
         for level in levels
     ]
-    level_params = [
+    level_params = tuple(
         IBLTParameters.for_difference(
             capacity,
             scheme.key_bits,
@@ -633,14 +668,15 @@ def _cascade_candidates(
             ctx.num_hashes,
         )
         for level, scheme, capacity in zip(levels, schemes, capacities)
-    ]
+    )
     explicit_scheme = ExplicitChildScheme(ctx.universe_size, ctx.max_child_size)
     explicit_seed = derive_seed(ctx.seed, "cascade-t-star")
 
-    def explicit_table(capacity: int) -> IBLTParameters:
-        return IBLTParameters.for_difference(
+    def explicit_table(capacity: int) -> tuple[IBLTParameters, ...]:
+        params = IBLTParameters.for_difference(
             capacity, explicit_scheme.key_bits, explicit_seed, ctx.num_hashes
         )
+        return fold_ladder(foldable(params)) if ctx.t_star_ladder else (params,)
 
     candidates = [
         _CascadePlan(
@@ -648,32 +684,42 @@ def _cascade_candidates(
         )
         for cut, capacity in enumerate(capacities)
     ]
-    t_star_params = None
+    t_star_rungs: tuple[IBLTParameters, ...] = ()
     if difference_bound >= ctx.max_child_size:
-        t_star_params = explicit_table(
+        t_star_rungs = explicit_table(
             _clamped_capacity(
                 ctx.level_slack * difference_bound / ctx.max_child_size, d_hat
             )
         )
-    candidates.append(_CascadePlan(schemes, level_params, explicit_scheme, t_star_params))
+    candidates.append(_CascadePlan(schemes, level_params, explicit_scheme, t_star_rungs))
     return candidates
 
 
+@lru_cache(maxsize=32)
 def _cascade_plan(ctx: SetsOfSetsContext, difference_bound: int) -> _CascadePlan:
-    """The cheapest truncation of the cascade (fewer levels on a tie)."""
+    """The cheapest truncation of the cascade by top-rung bits (fewer levels on a tie).
+
+    Derived once per context and bound (a few hundred microseconds), so the
+    two parties of one session, which share both, build it once.
+    """
     return min(_cascade_candidates(ctx, difference_bound), key=lambda plan: plan.total_bits)
 
 
 class CascadingMessageCodec(PayloadCodec):
     """Codec for Alice's single cascading message.
 
-    Payload: ``(level_tables, t_star_or_None, verification)``.  Every table's
-    parameters follow from the shared plan, so only cell contents travel --
-    exactly the bits the transcript charges (zero framing).
+    Payload: ``(level_tables, t_star_or_None, verification)``, T* at rung
+    ``start`` of the plan's ladder (the top by default).  Every table's
+    parameters follow from the shared plan and start rung, so only cell
+    contents travel -- exactly the bits the transcript charges (zero
+    framing).
     """
 
-    def __init__(self, plan: _CascadePlan, backend: str | None = None) -> None:
+    def __init__(
+        self, plan: _CascadePlan, start: int = -1, backend: str | None = None
+    ) -> None:
         self.plan = plan
+        self.t_star_params = plan.t_star_rungs[start] if plan.t_star_rungs else None
         self.backend = backend
 
     def write(
@@ -682,12 +728,14 @@ class CascadingMessageCodec(PayloadCodec):
         level_tables, t_star, verification = payload
         if len(level_tables) != self.plan.num_levels:
             raise WireError("level count disagrees with the shared cascade plan")
-        if (t_star is None) != (self.plan.t_star_params is None):
+        if (t_star is None) != (self.t_star_params is None):
             raise WireError("T* presence disagrees with the shared cascade plan")
         for params, table in zip(self.plan.level_params, level_tables):
             writer.write(table.serialize(), params.size_bits)
         if t_star is not None:
-            writer.write(t_star.serialize(), self.plan.t_star_params.size_bits)
+            if t_star.params != self.t_star_params:
+                raise WireError("T* parameters disagree with the shared cascade plan")
+            writer.write(t_star.serialize(), self.t_star_params.size_bits)
         writer.write(verification, WORD_BITS)
 
     def read(self, reader: BitReader) -> tuple[list[IBLT], IBLT | None, int]:
@@ -696,25 +744,56 @@ class CascadingMessageCodec(PayloadCodec):
             for params in self.plan.level_params
         ]
         t_star = None
-        if self.plan.t_star_params is not None:
+        if self.t_star_params is not None:
             t_star = IBLT.deserialize(
-                self.plan.t_star_params,
-                reader.read(self.plan.t_star_params.size_bits),
+                self.t_star_params,
+                reader.read(self.t_star_params.size_bits),
                 backend=self.backend,
             )
         verification = reader.read(WORD_BITS)
         return level_tables, t_star, verification
 
 
+#: Bob's one-bit T* growth request (:data:`GROW` is all that travels this way).
+GROWTH_REQUEST_CODEC = GrowOrCodec(NULL_CODEC)
+
+
+def reconstruction_hash(
+    bob_hash: int,
+    bob: SetOfSets,
+    removed: Iterable[frozenset[int]],
+    added: Iterable[frozenset[int]],
+    seed: int,
+) -> int:
+    """``parent_hash(bob.replace_children(removed, added).children, seed)`` in O(d).
+
+    :func:`parent_hash` XORs one check per child, so the reconstruction's
+    hash is bob's own (``bob_hash``) XOR the checks of the children whose
+    membership flips: the added ones he lacks, and the removed ones he has
+    and does not get back.
+    """
+    added = set(map(frozenset, added))
+    removed = set(map(frozenset, removed))
+    flips = (added - bob.children) | ((removed & bob.children) - added)
+    return bob_hash ^ parent_hash(flips, seed)
+
+
 def cascading_alice_known(
     alice: SetOfSets, difference_bound: int, ctx: SetsOfSetsContext
 ) -> PartyGenerator:
-    """Alice's side: build the plan's level tables (and T*) and send them at once."""
+    """Alice's side: build the plan's level tables and T*, and send them at once.
+
+    T* goes at its start rung.  Below the top she then answers each growth
+    request with the next rung's upper half and refuses one past the top;
+    a T* that starts at its top (one rung) ends her side with the message.
+    """
     if difference_bound < 0:
         raise ParameterError("difference_bound must be non-negative")
     if ctx.max_child_size is None or ctx.max_child_size <= 0:
         raise ParameterError("max_child_size must be positive")
     plan = _cascade_plan(ctx, difference_bound)
+    rungs = plan.t_star_rungs
+    index = plan.start_rung(ctx)
     level_tables: list[IBLT] = []
     level_keys = encode_children(plan.schemes, alice.children, backend=ctx.backend)
     for keys, params in zip(level_keys, plan.level_params):
@@ -722,29 +801,55 @@ def cascading_alice_known(
         table.insert_batch(keys)
         level_tables.append(table)
     t_star: IBLT | None = None
-    if plan.t_star_params is not None:
-        t_star = IBLT(plan.t_star_params, backend=ctx.backend)
-        t_star.insert_batch(plan.explicit_scheme.encode_many(alice.children))
+    if rungs:
+        t_star_keys = plan.explicit_scheme.encode_many(alice.children)
+        t_star = IBLT(rungs[index], backend=ctx.backend)
+        t_star.insert_batch(t_star_keys)
     verification = parent_hash(alice.children, ctx.seed)
     yield Send(
         "cascading level tables",
-        plan.total_bits,
+        plan.message_bits(index),
         payload=(level_tables, t_star, verification),
-        codec=CascadingMessageCodec(plan, backend=ctx.backend),
+        codec=CascadingMessageCodec(plan, index, backend=ctx.backend),
     )
+    if index >= len(rungs) - 1:
+        return PartyOutcome(True)
+    while (yield Receive(GROWTH_REQUEST_CODEC)) is GROW:
+        index += 1
+        if index == len(rungs):
+            return PartyOutcome(False, details={"failure": GROWTH_REFUSED})
+        rung = IBLT(rungs[index], backend=ctx.backend)
+        rung.insert_batch(t_star_keys)
+        upper = rung.upper_half()
+        yield Send(
+            "T* upper half",
+            upper.size_bits,
+            payload=upper,
+            codec=TableCodec(upper.params, ctx.backend),
+        )
     return PartyOutcome(True)
 
 
 def cascading_bob_known(
     bob: SetOfSets, difference_bound: int, ctx: SetsOfSetsContext
 ) -> PartyGenerator:
-    """Bob's side: process the plan's levels in order, then T*."""
+    """Bob's side: process the plan's levels in order, then T* rung by rung.
+
+    His whole-parent hash is computed once, and each reconstruction is
+    checked against alice's in O(d) (:func:`reconstruction_hash`).  Below
+    the top, a rejected rung (a child peeled with both signs, or a wrong
+    hash, which a failed peel leaves) sends a one-bit growth request, and
+    alice's upper half unfolds T* to the next rung.  At the top the failure
+    stands.
+    """
     if difference_bound < 0:
         raise ParameterError("difference_bound must be non-negative")
     if ctx.max_child_size is None or ctx.max_child_size <= 0:
         raise ParameterError("max_child_size must be positive")
     plan = _cascade_plan(ctx, difference_bound)
-    payload = yield Receive(CascadingMessageCodec(plan, backend=ctx.backend))
+    rungs = plan.t_star_rungs
+    index = plan.start_rung(ctx)
+    payload = yield Receive(CascadingMessageCodec(plan, index, backend=ctx.backend))
     if payload is END_OF_SESSION:
         return aborted_outcome()
     level_tables, t_star, verification = payload
@@ -789,34 +894,51 @@ def cascading_bob_known(
             if recovered is not None:
                 recovered_children.add(recovered)
 
-    if t_star is not None:
-        work = t_star.copy()
+    bob_hash = parent_hash(bob.children, ctx.seed)
+    removed, added = differing_bob, recovered_children
+    if t_star is None:
+        verified = (
+            reconstruction_hash(bob_hash, bob, removed, added, ctx.seed) == verification
+        )
+    else:
         # Children in D_B stay in the table so only Alice's unrecovered
         # children remain to extract: the keys a level >= 2 table carries,
         # so a T* that replaces a level fits that level's capacity.
-        deletions = plan.explicit_scheme.encode_many(
+        scheme = plan.explicit_scheme
+        deletions = scheme.encode_many(
             [child for child in bob.children if child not in differing_bob]
         )
-        deletions.extend(plan.explicit_scheme.encode_many(recovered_children))
-        work.delete_batch(deletions)
-        decode = work.try_decode()
-        for key in decode.positive:
-            recovered_children.add(plan.explicit_scheme.decode(key))
-        for key in decode.negative:
-            decoded = plan.explicit_scheme.decode(key)
-            if decoded in bob.children:
-                differing_bob.add(decoded)
+        deletions.extend(scheme.encode_many(recovered_children))
+        while True:
+            work = t_star.copy()
+            work.delete_batch(deletions)
+            decode = work.try_decode()
+            added = recovered_children | set(map(scheme.decode, decode.positive))
+            removed = differing_bob | {
+                child for child in map(scheme.decode, decode.negative) if child in bob
+            }
+            # A child peeled with both signs is no difference, and the O(d)
+            # hash cannot see it: its flip and its echo cancel.
+            verified = decode.positive.isdisjoint(decode.negative) and (
+                reconstruction_hash(bob_hash, bob, removed, added, ctx.seed) == verification
+            )
+            index += 1
+            if verified or index >= len(rungs):
+                break
+            yield Send("T* growth request", 1, payload=GROW, codec=GROWTH_REQUEST_CODEC)
+            upper = yield Receive(TableCodec(t_star.params, ctx.backend))
+            if upper is END_OF_SESSION:
+                return aborted_outcome()
+            t_star = t_star.unfold(upper)
 
-    reconstruction = bob.replace_children(differing_bob, recovered_children)
-    verified = parent_hash(reconstruction.children, ctx.seed) == verification
     return PartyOutcome(
         verified,
-        reconstruction if verified else None,
+        bob.replace_children(removed, added) if verified else None,
         details={
             "num_levels": plan.num_levels,
             "used_t_star": t_star is not None,
-            "recovered_children": len(recovered_children),
-            "differing_bob_children": len(differing_bob),
+            "recovered_children": len(added),
+            "differing_bob_children": len(removed),
             "failure": None if verified else "verification-hash",
         },
     )
@@ -840,15 +962,19 @@ def cascading_parties(
     if max_bound is None:
         max_bound = 2 * ctx.max_total_elements
 
-    def known_alice(bound: int, attempt: int) -> PartyGenerator:
-        return cascading_alice_known(
-            alice, bound, ctx.with_seed(derive_seed(ctx.seed, "cascade-doubling", attempt))
+    # Each attempt's T* is one rung: alice's next step waits for the retry request.
+    def attempt_ctx(attempt: int) -> SetsOfSetsContext:
+        return replace(
+            ctx,
+            seed=derive_seed(ctx.seed, "cascade-doubling", attempt),
+            t_star_ladder=False,
         )
 
+    def known_alice(bound: int, attempt: int) -> PartyGenerator:
+        return cascading_alice_known(alice, bound, attempt_ctx(attempt))
+
     def known_bob(bound: int, attempt: int) -> PartyGenerator:
-        return cascading_bob_known(
-            bob, bound, ctx.with_seed(derive_seed(ctx.seed, "cascade-doubling", attempt))
-        )
+        return cascading_bob_known(bob, bound, attempt_ctx(attempt))
 
     return (
         doubling_alice(known_alice, initial_bound, max_bound),

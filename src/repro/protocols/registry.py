@@ -311,7 +311,10 @@ class CascadingProtocol(Protocol):
     rounds_known = 1
     rounds_unknown = "2 log d"
     supports_unknown_d = True
-    summary = "level cascade: cheap levels recover small-difference children first"
+    summary = (
+        "level cascade: cheap levels recover small-difference children first; "
+        "T* is a fold ladder (+2 rounds per growth)"
+    )
     reference = "Thm 3.7 / Cor 3.8"
 
     @classmethod
@@ -413,7 +416,10 @@ class ForestProtocol(Protocol):
     name = "forest"
     input_kind = "forest"
     rounds_known = 1
-    summary = "AHU signatures as multisets-of-multisets over the cascading protocol"
+    summary = (
+        "AHU signatures as multisets-of-multisets over the cascading protocol "
+        "(+2 rounds per T* growth)"
+    )
     reference = "Thm 6.1"
 
     @classmethod
@@ -483,7 +489,7 @@ class DatabaseProtocol(Protocol):
     name = "db"
     input_kind = "table"
     rounds_known = 1
-    summary = "binary relational tables as sets of row-sets (cascading)"
+    summary = "binary relational tables as sets of row-sets (cascading, +2 rounds per T* growth)"
     reference = "Section 1.1 application"
 
     @classmethod

@@ -50,7 +50,9 @@ def test_every_plan_shape_is_reachable_and_recovers_alice(shape):
         universe_size=UNIVERSE, max_child_size=max_child_size, seed=2018,
     )
     assert result.success and result.recovered == instance.alice
-    assert result.total_bits == plan.total_bits
+    # One round: the levels, T* at its start rung and the parent hash.
+    assert result.num_rounds == 1
+    assert result.total_bits == plan.message_bits(plan.start_rung(ctx))
     assert result.details["num_levels"] == levels
     assert result.details["used_t_star"] == sends_t_star
 

@@ -17,7 +17,7 @@ import reference_store
 from reference_store import STORES, table_of
 from repro.errors import ParameterError
 from repro.iblt import IBLT, IBLTParameters
-from repro.iblt.table import MIN_RUNG_REGION, fold_ladder, resized
+from repro.iblt.table import MIN_RUNG_REGION, fold_ladder, foldable, resized
 
 
 def serialized(table):
@@ -118,6 +118,18 @@ class TestFoldLadder:
         assert self.cells(self.params(52)) == [52]  # regions of 13
         assert self.cells(self.params(32)) == [32]  # regions of 8: the floor
         assert self.cells(self.params(10)) == [10]  # unequal regions
+
+    def test_foldable_rounds_a_top_up_to_a_full_ladder(self):
+        # 96 = 4 x 24 = 4 x 12 x 2 folds already; 4 x 17 rounds to 4 x 9 x 2;
+        # 4 x 100 to 4 x 13 x 8.  Regions under 16 cells stay as they are.
+        for cells, rounded in ((96, 96), (68, 72), (400, 416), (124, 128), (60, 60), (52, 52)):
+            assert foldable(self.params(cells)).num_cells == rounded
+        for cells in range(64, 4096, 4):
+            top = foldable(self.params(cells))
+            assert cells <= top.num_cells <= cells * 9 / 8
+            rungs = fold_ladder(top)
+            assert 8 <= rungs[0].num_cells // 4 < 16
+            assert rungs[-1] == top
 
     def test_every_rung_shares_the_top_but_for_its_size(self):
         top = IBLTParameters.for_difference(64, 64, seed=5)
