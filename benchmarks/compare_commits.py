@@ -5,12 +5,20 @@
 
 ``DIR`` are two checkouts of this repository (e.g. a ``git clone`` of
 ``HEAD~`` and the working tree).  For each pair ``i`` and each workload it
-runs ``BENCHMARK.json``'s command once in each checkout -- one process per
+runs ``BENCHMARK.json``'s command once for each checkout -- one process per
 run, seed ``seed-base + i`` on both sides, the side that goes first
 alternating -- and reads the end-to-end metrics off the last JSON line the
 command prints.  It is a reader of that line, not another benchmark: the
 run length, workloads, metrics, directions and bounds all come from the
 parent checkout's ``BENCHMARK.json``.
+
+Every run starts in a fresh temporary copy of its checkout's tracked and
+unignored files (``git ls-files -co --exclude-standard``), so neither side
+carries ``__pycache__``, ``.pytest_cache`` or ``benchmarks/e2e/.work`` from
+earlier use: those alone moved the ``serve-*`` workloads' ``op_ms`` and
+``peak_rss_mib`` by several percent.  A run that exits non-zero but printed
+its result line (the runner exits 1 when an op failed) counts, failed ops
+and all; only a run with no result line aborts the comparison.
 
 Per workload and metric it prints each side's median and quartiles, in how
 many pairs the change read better (ties count for neither), whether the
@@ -26,18 +34,54 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
+import tempfile
 from pathlib import Path
 
 
+def fresh_copy(checkout: Path, into: Path) -> Path:
+    """Copy ``checkout``'s tracked and unignored files into ``into``."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-co", "--exclude-standard", "-z"],
+        cwd=checkout, stdout=subprocess.PIPE, check=True,
+    ).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        source = checkout / name
+        if source.is_file():  # a tracked file deleted from the tree is listed too
+            target = into / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+    return into
+
+
+def result_line(stdout: str) -> dict | None:
+    """The run's result: its last line, if that is a JSON object with metrics."""
+    lines = stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return None
+    return result if isinstance(result, dict) and "metrics" in result else None
+
+
 def one_run(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
-    """One run in its own process; the parsed last line of its output."""
-    finished = subprocess.run(
-        command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, stdout=subprocess.PIPE, text=True, check=True, timeout=600,
-    )
-    return json.loads(finished.stdout.strip().splitlines()[-1])
+    """One run in its own process and its own fresh copy of ``checkout``."""
+    with tempfile.TemporaryDirectory(prefix="compare-commits-") as scratch:
+        finished = subprocess.run(
+            command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
+            cwd=fresh_copy(checkout, Path(scratch)), stdout=subprocess.PIPE, text=True,
+            timeout=600,
+        )
+    result = result_line(finished.stdout)
+    if result is None:
+        raise SystemExit(
+            f"{checkout}: {workload} at seed {seed} exited {finished.returncode} "
+            "without a result line"
+        )
+    result["exit_code"] = finished.returncode
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, ...]:
@@ -96,7 +140,8 @@ def main() -> int:
                 runs[name][side].append(result)
                 print(f"# pair {pair} {name} {side}: "
                       + " ".join(f"{k}={m['value']:.7g}" for k, m in result["metrics"].items())
-                      + f" failed={result['failed']}/{result['attempted']}", flush=True)
+                      + f" failed={result['failed']}/{result['attempted']}"
+                      + f" exit={result['exit_code']}", flush=True)
 
     worse = 0
     print(f"{'workload':18s} {'metric':15s} {'parent q1/med/q3':>32s} "

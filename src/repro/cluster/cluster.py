@@ -56,6 +56,10 @@ class Cluster:
         Per-round sketch bound.  An integer keeps every round on the same
         table geometry (so the live sketches are reused as-is, O(d) per
         round); ``None`` runs the estimator-sized unknown-``d`` variant.
+    backend:
+        The IBLT cell store (``None``, ``"auto"`` or ``"numpy"``).  Table
+        sizing is no parameter: every sketch hashes each key into
+        :data:`~repro.iblt.sizing.NUM_HASHES` cells.
     policy:
         Peer-selection policy (see :class:`~repro.cluster.gossip.GossipScheduler`).
     exchange:
@@ -76,7 +80,6 @@ class Cluster:
         *,
         seed: int = 0,
         difference_bound: int | None = 32,
-        num_hashes: int = 4,
         backend: str | None = None,
         policy: str = "uniform",
         exchange: str = "gossip",
@@ -94,10 +97,7 @@ class Cluster:
         self.max_attempts = max_attempts
         self.journal_root = Path(journal_root) if journal_root is not None else None
         self.options = ReconcileOptions(
-            seed=seed,
-            difference_bound=difference_bound,
-            num_hashes=num_hashes,
-            backend=backend,
+            seed=seed, difference_bound=difference_bound, backend=backend
         )
         self.scheduler = GossipScheduler(seed, policy)
         self.metrics = ClusterMetrics()

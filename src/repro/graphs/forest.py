@@ -31,6 +31,11 @@ from repro.core.setsofsets.nested import MultisetOfMultisets
 from repro.errors import ParameterError
 from repro.hashing import SeededHasher, derive_seed, int_to_bytes
 
+#: Width of every AHU signature: 48 bits keep two of a forest's ``n``
+#: subtree classes from colliding except with probability about
+#: ``n**2 / 2**49`` (under 2e-7 at ``n = 10**4``), in one machine word.
+SIGNATURE_BITS = 48
+
 
 class RootedForest:
     """A forest of rooted trees over vertices ``0 .. n-1`` stored as a parent array."""
@@ -175,15 +180,15 @@ def forest_canonical_form(forest: RootedForest) -> tuple[str, ...]:
     return tuple(sorted(labels[root] for root in forest.roots()))
 
 
-def ahu_signatures(forest: RootedForest, seed: int, signature_bits: int = 48) -> list[int]:
+def ahu_signatures(forest: RootedForest, seed: int) -> list[int]:
     """Hashed AHU signatures of every vertex (the paper's vertex signatures).
 
-    ``signatures[v]`` is a ``signature_bits``-wide hash of the sorted list of
+    ``signatures[v]`` is a :data:`SIGNATURE_BITS`-wide hash of the sorted list of
     the children's signatures (leaves hash the empty list), so it identifies
     the isomorphism class of the subtree rooted at ``v`` up to hash
     collisions.
     """
-    hasher = SeededHasher(derive_seed(seed, "ahu-signature"), signature_bits)
+    hasher = SeededHasher(derive_seed(seed, "ahu-signature"), SIGNATURE_BITS)
     children = forest.children_lists()
     signatures = [0] * forest.num_vertices
     for vertex in _bottom_up_order(forest):
@@ -198,11 +203,9 @@ def ahu_signatures(forest: RootedForest, seed: int, signature_bits: int = 48) ->
 # ---------------------------------------------------------------------------
 
 
-def _edge_multisets(
-    forest: RootedForest, signatures: Sequence[int], signature_bits: int
-) -> MultisetOfMultisets:
+def _edge_multisets(forest: RootedForest, signatures: Sequence[int]) -> MultisetOfMultisets:
     """The per-vertex child multisets: tagged own signature plus child signatures."""
-    parent_tag = 1 << signature_bits
+    parent_tag = 1 << SIGNATURE_BITS
     children = forest.children_lists()
     multisets: list[list[int]] = []
     for vertex in range(forest.num_vertices):
@@ -212,11 +215,9 @@ def _edge_multisets(
     return MultisetOfMultisets(multisets)
 
 
-def _reconstruct_forest(
-    collection: MultisetOfMultisets, signature_bits: int
-) -> RootedForest | None:
+def _reconstruct_forest(collection: MultisetOfMultisets) -> RootedForest | None:
     """Rebuild a forest (up to isomorphism) from the per-vertex child multisets."""
-    parent_tag = 1 << signature_bits
+    parent_tag = 1 << SIGNATURE_BITS
     vertex_count: Counter = Counter()
     children_of: dict[int, Counter] = {}
     child_usage: Counter = Counter()

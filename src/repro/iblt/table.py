@@ -38,7 +38,7 @@ from repro.errors import DecodeError, ParameterError
 from repro.hashing import Checksum, HashFamily, derive_seed
 from repro.iblt import backends as _backends
 from repro.iblt import codec as _codec
-from repro.iblt.sizing import cells_for_difference
+from repro.iblt.sizing import NUM_HASHES, cells_for_difference
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class IBLTParameters:
     num_cells: int
     key_bits: int
     seed: int
-    num_hashes: int = 4
+    num_hashes: int = NUM_HASHES
     checksum_bits: int = 16
     count_bits: int = 4
 
@@ -96,7 +96,7 @@ class IBLTParameters:
         difference_bound: int,
         key_bits: int,
         seed: int,
-        num_hashes: int = 4,
+        num_hashes: int = NUM_HASHES,
         checksum_bits: int = 16,
         count_bits: int = 4,
     ) -> "IBLTParameters":

@@ -1,10 +1,15 @@
 """The consolidated options object shared by every protocol entry point.
 
 :class:`ReconcileOptions` is the one keyword set of :func:`repro.reconcile`
-(``seed``, ``backend=``, ``field_kernel=``, sizing knobs): one frozen
-dataclass carries every cross-protocol parameter, and each protocol
-documents (in its :class:`~repro.protocols.registry.Protocol` descriptor)
-which fields it reads.  Fields irrelevant to a protocol are simply ignored.
+(``seed``, the facts about the inputs, ``backend=``, ``field_kernel=``):
+one frozen dataclass carries every cross-protocol parameter, and each
+protocol documents (in its :class:`~repro.protocols.registry.Protocol`
+descriptor) which fields it reads.  Fields irrelevant to a protocol are
+simply ignored.  Sizing is not an option: hash counts, hash widths and slack
+factors are constants of the module that owns each decision
+(:data:`repro.iblt.sizing.NUM_HASHES`,
+:data:`repro.protocols.parties.setrecon.SAFETY_FACTOR` and the constants at
+the top of :mod:`repro.protocols.parties.setsofsets`).
 
 ``difference_bound=None`` selects a protocol's unknown-``d`` variant (the
 estimator-based or repeated-doubling flavor); a non-negative integer selects
@@ -26,7 +31,7 @@ from repro.iblt.backends import check_backend
 
 @dataclass(frozen=True)
 class ReconcileOptions:
-    """Every tunable a registered protocol can consume.
+    """Every fact and tier choice a registered protocol can consume.
 
     Attributes
     ----------
@@ -52,23 +57,6 @@ class ReconcileOptions:
         ``None``, ``"auto"``, ``"numpy"`` or ``"python"``: the GF(p) field
         kernel (:func:`repro.field.kernels.kernel_for`; any other name raises
         :class:`ParameterError`).
-    num_hashes:
-        Parent-IBLT hash count.
-    child_hash_bits:
-        Width of per-child identification hashes.
-    safety_factor:
-        Multiplier applied to the difference estimate of the two-round
-        unknown-``d`` protocols (``ibf``, ``naive``, ``labeled``, ``kv``).
-        Every unknown-``d`` protocol estimates with the one L0 sketch of
-        :mod:`repro.estimator`; its shape is part of the protocol, not an
-        option.
-    estimate_safety:
-        Multiplier applied to the multiround estimates: the differing-children
-        estimate of its unknown-``d`` variant and every per-child estimate.
-    level_slack:
-        Cascading per-level capacity slack.
-    initial_bound, max_bound:
-        Repeated-doubling schedule (unknown-``d`` IBLT-of-IBLTs/cascading).
     num_top:
         Degree-ordering parameter ``h`` (``degree_order``); ``None`` derives
         a default from the vertex count.
@@ -78,10 +66,6 @@ class ReconcileOptions:
     max_depth:
         Depth bound ``sigma`` (``forest``); ``None`` uses the forests' actual
         depths.
-    signature_bits:
-        Signature hash width (``forest``).
-    fallback_to_all_children:
-        IBLT-of-IBLTs relaxed-model fallback (see Theorem 3.5 notes).
     """
 
     seed: int = 0
@@ -91,18 +75,9 @@ class ReconcileOptions:
     differing_children_bound: int | None = None
     backend: str | None = None
     field_kernel: str | None = None
-    num_hashes: int = 4
-    child_hash_bits: int = 48
-    safety_factor: float = 2.0
-    estimate_safety: float = 2.0
-    level_slack: float = 3.0
-    initial_bound: int = 1
-    max_bound: int | None = None
     num_top: int | None = None
     max_degree: int | None = None
     max_depth: int | None = None
-    signature_bits: int = 48
-    fallback_to_all_children: bool = True
 
     def __post_init__(self) -> None:
         if self.difference_bound is not None and self.difference_bound < 0:

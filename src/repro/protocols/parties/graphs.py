@@ -44,6 +44,7 @@ from repro.graphs.exhaustive import (
 )
 from repro.graphs.forest import (
     RootedForest,
+    SIGNATURE_BITS,
     _edge_multisets,
     _reconstruct_forest,
     ahu_signatures,
@@ -106,21 +107,13 @@ def labeled_parties(
     difference_bound: int | None,
     seed: int,
     *,
-    num_hashes: int = 4,
     backend: str | None = None,
-    safety_factor: float = 2.0,
 ) -> PartyPair:
     """Both parties for labeled-graph reconciliation."""
     if alice.num_vertices != bob.num_vertices:
         raise ParameterError("labeled reconciliation requires equal vertex counts")
     num_vertices = alice.num_vertices
-    ctx = SetReconContext(
-        alice.edge_key_universe,
-        seed,
-        num_hashes,
-        backend,
-        safety_factor=safety_factor,
-    )
+    ctx = SetReconContext(alice.edge_key_universe, seed, backend)
 
     def alice_party() -> PartyGenerator:
         outcome = yield from ibf_alice(
@@ -256,9 +249,6 @@ def degree_order_parties(
     seed: int,
     *,
     backend: str | None = None,
-    child_hash_bits: int = 48,
-    num_hashes: int = 4,
-    level_slack: float = 3.0,
 ) -> PartyPair:
     """Both parties for the degree-ordering scheme."""
     if alice.num_vertices != bob.num_vertices:
@@ -279,14 +269,10 @@ def degree_order_parties(
         derive_seed(seed, "degree-order-signatures"),
         max_child_size=num_top,
         backend=backend,
-        child_hash_bits=child_hash_bits,
-        num_hashes=num_hashes,
-        level_slack=level_slack,
         t_star_ladder=False,  # alice's edge table follows the cascade
     )
     edge_ctx = SetReconContext(
-        alice.edge_key_universe, derive_seed(seed, "degree-order-edges"),
-        num_hashes, backend,
+        alice.edge_key_universe, derive_seed(seed, "degree-order-edges"), backend
     )
     signature_bits = _cascade_plan(sig_ctx, difference_bound).total_bits
 
@@ -344,9 +330,6 @@ def degree_neighborhood_parties(
     seed: int,
     *,
     backend: str | None = None,
-    child_hash_bits: int = 48,
-    num_hashes: int = 4,
-    level_slack: float = 3.0,
 ) -> PartyPair:
     """Both parties for the degree-neighborhood scheme."""
     if alice.num_vertices != bob.num_vertices:
@@ -380,14 +363,10 @@ def degree_neighborhood_parties(
         derive_seed(seed, "degree-neighborhood-signatures"),
         max_child_size=max_child,
         backend=backend,
-        child_hash_bits=child_hash_bits,
-        num_hashes=num_hashes,
-        level_slack=level_slack,
         t_star_ladder=False,  # alice's edge table follows the cascade
     )
     edge_ctx = SetReconContext(
-        alice.edge_key_universe, derive_seed(seed, "degree-neighborhood-edges"),
-        num_hashes, backend,
+        alice.edge_key_universe, derive_seed(seed, "degree-neighborhood-edges"), backend
     )
     signature_bits = _cascade_plan(sig_ctx, change_bound).total_bits
 
@@ -464,11 +443,7 @@ def forest_parties(
     max_depth: int | None,
     seed: int,
     *,
-    signature_bits: int = 48,
     backend: str | None = None,
-    child_hash_bits: int = 48,
-    num_hashes: int = 4,
-    level_slack: float = 3.0,
 ) -> PartyPair:
     """Both parties for forest reconciliation over the cascading protocol."""
     difference_bound = max(1, difference_bound)
@@ -476,18 +451,14 @@ def forest_parties(
         max_depth = max(alice.max_depth, bob.max_depth)
     max_depth = max(1, max_depth)
 
-    alice_collection = _edge_multisets(
-        alice, ahu_signatures(alice, seed, signature_bits), signature_bits
-    )
-    bob_collection = _edge_multisets(
-        bob, ahu_signatures(bob, seed, signature_bits), signature_bits
-    )
+    alice_collection = _edge_multisets(alice, ahu_signatures(alice, seed))
+    bob_collection = _edge_multisets(bob, ahu_signatures(bob, seed))
 
     # Each edge edit changes the signatures of at most ``sigma`` ancestors;
     # each changed signature perturbs two multisets (its own tagged entry and
     # its parent's child entry), and the edit itself moves one child entry.
     change_bound = difference_bound * (4 * max_depth + 2)
-    universe = 1 << (signature_bits + 1)
+    universe = 1 << (SIGNATURE_BITS + 1)
 
     # The collections are multisets of multisets (isomorphic subtrees repeat),
     # so they travel over the Theorem 3.11 parties.
@@ -498,9 +469,6 @@ def forest_parties(
         universe,
         derive_seed(seed, "forest-sos"),
         backend=backend,
-        child_hash_bits=child_hash_bits,
-        num_hashes=num_hashes,
-        level_slack=level_slack,
     )
 
     def bob_party() -> PartyGenerator:
@@ -513,15 +481,12 @@ def forest_parties(
                 details={"failure": "collection-reconciliation", **outcome.details},
             )
         recovered_collection = outcome.recovered
-        reconstructed = _reconstruct_forest(recovered_collection, signature_bits)
+        reconstructed = _reconstruct_forest(recovered_collection)
         if reconstructed is None:
             return PartyOutcome(False, details={"failure": "reconstruction"})
         # Local sanity check: the rebuilt forest must reproduce the recovered
         # collection (catches reconstruction bugs and signature collisions).
-        rebuilt_signatures = ahu_signatures(reconstructed, seed, signature_bits)
-        rebuilt_collection = _edge_multisets(
-            reconstructed, rebuilt_signatures, signature_bits
-        )
+        rebuilt_collection = _edge_multisets(reconstructed, ahu_signatures(reconstructed, seed))
         verified = rebuilt_collection == recovered_collection
         return PartyOutcome(
             verified,

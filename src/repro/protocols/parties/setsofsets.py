@@ -81,14 +81,36 @@ from repro.protocols.wire import (
     WireError,
 )
 
+#: Width of the per-child identification hashes (the hash half of every
+#: child-IBLT key, multiround's child hashes): two parents' ``2 s`` children
+#: collide with probability about ``(2 s)**2 / 2**49``, under 1e-6 at
+#: ``s = 10**4``, and a hash fits one machine word.
+CHILD_HASH_BITS = 48
+
+#: The cascade's capacity slack: level ``i >= 2`` is sized for
+#: ``LEVEL_SLACK * d / 2**(i-1)`` children and T* for ``LEVEL_SLACK * d / h``,
+#: the constant that the budget argument of Theorem 3.7's proof leaves free;
+#: 3 is the value every pinned cascade transcript was recorded at.
+LEVEL_SLACK = 3.0
+
+#: The multiplier on multiround's estimates (the differing-children estimate
+#: of its unknown-``d`` variant and every per-child estimate), the same
+#: coverage margin as :data:`~repro.protocols.parties.setrecon.SAFETY_FACTOR`.
+ESTIMATE_SAFETY = 2.0
+
+#: The first bound the repeated-doubling variants (Cor 3.6 / 3.8) try: a
+#: small difference then costs a small table.  The last is
+#: :func:`_doubling_top`.
+INITIAL_BOUND = 1
+
 
 @dataclass(frozen=True)
 class SetsOfSetsContext:
     """Shared knowledge for one set-of-sets protocol execution.
 
     ``max_num_children`` and ``max_total_elements`` are the public size
-    statistics (the paper's ``s`` and ``n``) used for the ``d_hat`` and
-    ``max_bound`` defaults, and ``child_count_gap`` is ``|s_A - s_B|``, which
+    statistics (the paper's ``s`` and ``n``) used for the ``d_hat`` default
+    and the doubling top, and ``child_count_gap`` is ``|s_A - s_B|``, which
     picks the cascade's T* start rung; builders fill them from both inputs.
     ``t_star_ladder=False`` sends the cascade's T* as one rung, for callers
     whose alice speaks again right after the cascade and so cannot wait for
@@ -99,14 +121,8 @@ class SetsOfSetsContext:
     seed: int
     max_child_size: int | None = None
     differing_children_bound: int | None = None
-    num_hashes: int = 4
-    child_hash_bits: int = 48
     backend: str | None = None
     field_kernel: str | None = None
-    level_slack: float = 3.0
-    safety_factor: float = 2.0
-    estimate_safety: float = 2.0
-    fallback_to_all_children: bool = True
     max_num_children: int = 1
     max_total_elements: int = 1
     child_count_gap: int = 0
@@ -143,7 +159,6 @@ def _naive_parent_params(ctx: SetsOfSetsContext, bound: int) -> IBLTParameters:
         2 * max(1, bound),
         scheme.key_bits,
         derive_seed(ctx.seed, "naive-parent"),
-        ctx.num_hashes,
     )
 
 
@@ -234,7 +249,7 @@ def naive_alice_unknown(alice: SetOfSets, ctx: SetsOfSetsContext) -> PartyGenera
     # A bound never needs more than s differing child pairs: the difference
     # holds at most a + b <= 2 s child encodings.
     prelude = yield from estimated_bound(
-        own, EstimatorCodec(L0Estimator, own.seed), ctx.safety_factor, ctx.max_num_children
+        own, EstimatorCodec(L0Estimator, own.seed), ctx.max_num_children
     )
     if prelude is None:
         return aborted_outcome()
@@ -282,18 +297,23 @@ def naive_parties(
 # ---------------------------------------------------------------------------
 
 
+def _doubling_top(ctx: SetsOfSetsContext) -> int:
+    """The last bound the doubling variants try: twice the parents' total
+    size, which no difference between them reaches."""
+    return 2 * ctx.max_total_elements
+
+
 def doubling_alice(
-    known_alice: Callable[[int, int], PartyGenerator],
-    initial_bound: int,
-    max_bound: int,
+    known_alice: Callable[[int, int], PartyGenerator], max_bound: int
 ) -> PartyGenerator:
     """Alice's side of a repeated-doubling protocol.
 
     ``known_alice(bound, attempt)`` builds the known-``d`` sub-party for one
-    attempt.  After each attempt alice waits: a retry request means "double
-    and go again"; :data:`END_OF_SESSION` means bob verified and finished.
+    attempt, from :data:`INITIAL_BOUND` up to ``max_bound``.  After each
+    attempt alice waits: a retry request means "double and go again";
+    :data:`END_OF_SESSION` means bob verified and finished.
     """
-    bound = max(1, initial_bound)
+    bound = INITIAL_BOUND
     attempts = 0
     while bound <= max_bound:
         attempts += 1
@@ -308,9 +328,7 @@ def doubling_alice(
 
 
 def doubling_bob(
-    known_bob: Callable[[int, int], PartyGenerator],
-    initial_bound: int,
-    max_bound: int,
+    known_bob: Callable[[int, int], PartyGenerator], max_bound: int
 ) -> PartyGenerator:
     """Bob's side: try each attempt, acknowledge failures with a retry request.
 
@@ -318,7 +336,7 @@ def doubling_bob(
     bound is always attempted (a true ``d`` between the last power of two and
     ``max_bound`` would otherwise never be tried).
     """
-    bound = max(1, initial_bound)
+    bound = INITIAL_BOUND
     attempts = 0
     while bound <= max_bound:
         attempts += 1
@@ -356,7 +374,7 @@ def _flat_child_scheme(
         count_bits=16,
     )
     return ChildEncodingScheme(
-        child_params, ctx.child_hash_bits, derive_seed(ctx.seed, "child-hash")
+        child_params, CHILD_HASH_BITS, derive_seed(ctx.seed, "child-hash")
     )
 
 
@@ -373,7 +391,6 @@ def _flat_parent_params(ctx: SetsOfSetsContext, difference_bound: int) -> IBLTPa
         2 * max(1, d_hat),
         scheme.key_bits,
         derive_seed(ctx.seed, "parent-iblt"),
-        ctx.num_hashes,
     )
 
 
@@ -472,14 +489,12 @@ def iblt_of_iblts_bob_known(
         # A negative key we never inserted: checksum corruption in the parent.
         return PartyOutcome(False, details={"failure": "parent-checksum"})
 
-    other_children = (
-        [child for child in bob_children if child not in set(differing_bob_children)]
-        if ctx.fallback_to_all_children
-        else []
-    )
+    differing = set(differing_bob_children)
+    other_children = [child for child in bob_children if child not in differing]
 
     # Candidate child tables are built once per reconcile call and shared
-    # across every one of Alice's keys; the fallback candidates are only
+    # across every one of Alice's keys; the fallback candidates (every other
+    # child of bob's, the relaxed model of Theorem 3.5's notes) are only
     # built if some encoding actually needs them.
     candidate_tables = ChildTableCache(scheme, backend=ctx.backend)
     if decode.positive:
@@ -491,7 +506,7 @@ def iblt_of_iblts_bob_known(
             scheme, alice_key, differing_bob_children, candidate_tables,
             backend=ctx.backend,
         )
-        if recovered is None and ctx.fallback_to_all_children:
+        if recovered is None:
             candidate_tables.add_children(other_children)
             recovered = _recover_child(
                 scheme, alice_key, other_children, candidate_tables,
@@ -518,9 +533,6 @@ def iblt_of_iblts_parties(
     bob: SetOfSets,
     difference_bound: int | None,
     ctx: SetsOfSetsContext,
-    *,
-    initial_bound: int = 1,
-    max_bound: int | None = None,
 ) -> PartyPair:
     """Both parties; ``difference_bound=None`` runs repeated doubling."""
     if difference_bound is not None:
@@ -528,8 +540,6 @@ def iblt_of_iblts_parties(
             iblt_of_iblts_alice_known(alice, difference_bound, ctx),
             iblt_of_iblts_bob_known(bob, difference_bound, ctx),
         )
-    if max_bound is None:
-        max_bound = 2 * ctx.max_total_elements
 
     def known_alice(bound: int, attempt: int) -> PartyGenerator:
         return iblt_of_iblts_alice_known(
@@ -542,8 +552,8 @@ def iblt_of_iblts_parties(
         )
 
     return (
-        doubling_alice(known_alice, initial_bound, max_bound),
-        doubling_bob(known_bob, initial_bound, max_bound),
+        doubling_alice(known_alice, _doubling_top(ctx)),
+        doubling_bob(known_bob, _doubling_top(ctx)),
     )
 
 
@@ -563,33 +573,28 @@ def _level_child_scheme(ctx: SetsOfSetsContext, level: int) -> ChildEncodingSche
         count_bits=16,
     )
     return ChildEncodingScheme(
-        child_params, ctx.child_hash_bits, derive_seed(ctx.seed, "child-hash")
+        child_params, CHILD_HASH_BITS, derive_seed(ctx.seed, "child-hash")
     )
 
 
 def _clamped_capacity(budget: float, d_hat: int) -> int:
-    """``ceil(budget)`` keys, clamped to ``[2, 2 * d_hat]``.
-
-    No table of the cascade ever holds more than the ``2 * d_hat`` differing
-    children of both sides.  The clamp is taken before the float becomes an
-    int, so a peer-chosen ``level_slack`` can neither size a table past it
-    nor overflow the conversion.
-    """
-    ceiling = 2 * d_hat
-    return max(2, ceiling if budget >= ceiling else math.ceil(budget))
+    """``ceil(budget)`` keys, clamped to ``[2, 2 * d_hat]``: no table of the
+    cascade ever holds more than the ``2 * d_hat`` differing children of
+    both sides."""
+    return max(2, min(2 * d_hat, math.ceil(budget)))
 
 
-def _parent_capacity(level: int, difference_bound: int, d_hat: int, slack: float) -> int:
+def _parent_capacity(level: int, difference_bound: int, d_hat: int) -> int:
     """Capacity (in keys) of the level-``level`` parent table.
 
     Level 1 may see every differing child encoding from both sides (up to
     ``2 * d_hat``); level ``i >= 2`` sees at most about ``d / 2^{i-1}``
     unrecovered children by the budget argument in the proof of Theorem 3.7
-    (we apply a small constant ``slack`` on top).
+    (we apply :data:`LEVEL_SLACK` on top).
     """
     if level == 1:
         return max(2, min(2 * d_hat, 2 * difference_bound))
-    return _clamped_capacity(slack * difference_bound / 2 ** (level - 1), d_hat)
+    return _clamped_capacity(LEVEL_SLACK * difference_bound / 2 ** (level - 1), d_hat)
 
 
 @dataclass(frozen=True)
@@ -656,16 +661,12 @@ def _cascade_candidates(
     cascade_limit = max(2, min(difference_bound, ctx.max_child_size))
     levels = range(1, max(1, math.ceil(math.log2(cascade_limit))) + 1)
     schemes = tuple(_level_child_scheme(ctx, level) for level in levels)
-    capacities = [
-        _parent_capacity(level, difference_bound, d_hat, ctx.level_slack)
-        for level in levels
-    ]
+    capacities = [_parent_capacity(level, difference_bound, d_hat) for level in levels]
     level_params = tuple(
         IBLTParameters.for_difference(
             capacity,
             scheme.key_bits,
             derive_seed(ctx.seed, "cascade-parent", level),
-            ctx.num_hashes,
         )
         for level, scheme, capacity in zip(levels, schemes, capacities)
     )
@@ -673,9 +674,7 @@ def _cascade_candidates(
     explicit_seed = derive_seed(ctx.seed, "cascade-t-star")
 
     def explicit_table(capacity: int) -> tuple[IBLTParameters, ...]:
-        params = IBLTParameters.for_difference(
-            capacity, explicit_scheme.key_bits, explicit_seed, ctx.num_hashes
-        )
+        params = IBLTParameters.for_difference(capacity, explicit_scheme.key_bits, explicit_seed)
         return fold_ladder(foldable(params)) if ctx.t_star_ladder else (params,)
 
     candidates = [
@@ -687,9 +686,7 @@ def _cascade_candidates(
     t_star_rungs: tuple[IBLTParameters, ...] = ()
     if difference_bound >= ctx.max_child_size:
         t_star_rungs = explicit_table(
-            _clamped_capacity(
-                ctx.level_slack * difference_bound / ctx.max_child_size, d_hat
-            )
+            _clamped_capacity(LEVEL_SLACK * difference_bound / ctx.max_child_size, d_hat)
         )
     candidates.append(_CascadePlan(schemes, level_params, explicit_scheme, t_star_rungs))
     return candidates
@@ -949,9 +946,6 @@ def cascading_parties(
     bob: SetOfSets,
     difference_bound: int | None,
     ctx: SetsOfSetsContext,
-    *,
-    initial_bound: int = 1,
-    max_bound: int | None = None,
 ) -> PartyPair:
     """Both parties; ``difference_bound=None`` runs repeated doubling."""
     if difference_bound is not None:
@@ -959,8 +953,6 @@ def cascading_parties(
             cascading_alice_known(alice, difference_bound, ctx),
             cascading_bob_known(bob, difference_bound, ctx),
         )
-    if max_bound is None:
-        max_bound = 2 * ctx.max_total_elements
 
     # Each attempt's T* is one rung: alice's next step waits for the retry request.
     def attempt_ctx(attempt: int) -> SetsOfSetsContext:
@@ -977,8 +969,8 @@ def cascading_parties(
         return cascading_bob_known(bob, bound, attempt_ctx(attempt))
 
     return (
-        doubling_alice(known_alice, initial_bound, max_bound),
-        doubling_bob(known_bob, initial_bound, max_bound),
+        doubling_alice(known_alice, _doubling_top(ctx)),
+        doubling_bob(known_bob, _doubling_top(ctx)),
     )
 
 
@@ -1065,9 +1057,8 @@ def _hash_iblt_params(ctx: SetsOfSetsContext, d_hat: int) -> IBLTParameters:
     # remain after Bob subtracts his own hashes, so size for that.
     return IBLTParameters.for_difference(
         2 * max(1, d_hat),
-        ctx.child_hash_bits,
+        CHILD_HASH_BITS,
         derive_seed(ctx.seed, "multiround-hash-iblt"),
-        ctx.num_hashes,
         checksum_bits=24,
         count_bits=16,
     )
@@ -1112,7 +1103,7 @@ class MultiroundRound2Codec(PayloadCodec):
         self.params = hash_params
         self.factory, self.estimator_seed = _multiround_child_estimator(ctx)
         self.min_entry_bits = (
-            ctx.child_hash_bits + self.factory(self.estimator_seed).size_bits
+            CHILD_HASH_BITS + self.factory(self.estimator_seed).size_bits
         )
 
     def write(
@@ -1123,7 +1114,7 @@ class MultiroundRound2Codec(PayloadCodec):
         bob_hash_table, bob_estimators = payload
         writer.write(bob_hash_table.serialize(), self.params.size_bits)
         for child_hash, estimator in bob_estimators:
-            writer.write(child_hash, self.ctx.child_hash_bits)
+            writer.write(child_hash, CHILD_HASH_BITS)
             estimator.write_wire(writer)
 
     def read(
@@ -1134,7 +1125,7 @@ class MultiroundRound2Codec(PayloadCodec):
         )
         bob_estimators = []
         while reader.remaining_bits >= self.min_entry_bits:
-            child_hash = reader.read(self.ctx.child_hash_bits)
+            child_hash = reader.read(CHILD_HASH_BITS)
             estimator = self.factory(self.estimator_seed)
             estimator.read_wire(reader)
             bob_estimators.append((child_hash, estimator))
@@ -1169,12 +1160,12 @@ class MultiroundPayloadsCodec(PayloadCodec):
         self.ctx = ctx
 
     def _min_entry_bits(self) -> int:
-        return 2 * self.ctx.child_hash_bits + CHILD_FLAG_BITS + CHILD_BOUND_BITS
+        return 2 * CHILD_HASH_BITS + CHILD_FLAG_BITS + CHILD_BOUND_BITS
 
     def write(self, writer: BitWriter, payload: list[ChildPayload]) -> None:
         for child in payload:
-            writer.write(child.target_hash, self.ctx.child_hash_bits)
-            writer.write(child.own_hash, self.ctx.child_hash_bits)
+            writer.write(child.target_hash, CHILD_HASH_BITS)
+            writer.write(child.own_hash, CHILD_HASH_BITS)
             writer.write(0 if child.iblt is not None else 1, CHILD_FLAG_BITS)
             writer.write(child.bound, CHILD_BOUND_BITS)
             if child.iblt is not None:
@@ -1195,8 +1186,8 @@ class MultiroundPayloadsCodec(PayloadCodec):
         payloads = []
         minimum = self._min_entry_bits()
         while reader.remaining_bits > minimum:
-            target_hash = reader.read(self.ctx.child_hash_bits)
-            own_hash = reader.read(self.ctx.child_hash_bits)
+            target_hash = reader.read(CHILD_HASH_BITS)
+            own_hash = reader.read(CHILD_HASH_BITS)
             is_cpi = reader.read(CHILD_FLAG_BITS)
             bound = reader.read(CHILD_BOUND_BITS)
             # An honest bound is >= 1 and already clamped; anything else would
@@ -1269,7 +1260,7 @@ def multiround_alice_known(
     hash_params = _hash_iblt_params(ctx, d_hat)
     alice_hash_table = IBLT(hash_params, backend=ctx.backend)
     alice_children = alice.sorted_children()
-    alice_hashes = child_set_hash_many(alice_children, hash_seed, ctx.child_hash_bits)
+    alice_hashes = child_set_hash_many(alice_children, hash_seed, CHILD_HASH_BITS)
     alice_hash_to_child = dict(zip(alice_hashes, alice_children))
     alice_child_to_hash = dict(zip(alice_children, alice_hashes))
     alice_hash_table.insert_batch(list(alice_hash_to_child))
@@ -1315,7 +1306,7 @@ def multiround_alice_known(
             best_hash = 0
             best_estimate = len(child)
         bound = _clamp_child_bound(
-            ctx, max(1, int(math.ceil(ctx.estimate_safety * best_estimate)) + 1)
+            ctx, max(1, int(math.ceil(ESTIMATE_SAFETY * best_estimate)) + 1)
         )
         own_hash = alice_child_to_hash[child]
         if best_estimate >= cpi_threshold:
@@ -1342,7 +1333,7 @@ def multiround_alice_known(
                 )
             )
     round3_bits = sum(
-        payload.size_bits(ctx.child_hash_bits) for payload in payloads
+        payload.size_bits(CHILD_HASH_BITS) for payload in payloads
     )
     yield Send(
         "per-child payloads",
@@ -1370,12 +1361,12 @@ def multiround_bob_known(
     hash_seed = derive_seed(ctx.seed, "child-hash")
 
     def hash_of(child: frozenset[int]) -> int:
-        return child_set_hash(child, hash_seed, ctx.child_hash_bits)
+        return child_set_hash(child, hash_seed, CHILD_HASH_BITS)
 
     # ---- Round 2: Bob replies with his hash IBLT and per-child estimators.
     bob_hash_table = IBLT(hash_params, backend=ctx.backend)
     bob_children = bob.sorted_children()
-    bob_hashes = child_set_hash_many(bob_children, hash_seed, ctx.child_hash_bits)
+    bob_hashes = child_set_hash_many(bob_children, hash_seed, CHILD_HASH_BITS)
     bob_hash_to_child = dict(zip(bob_hashes, bob_children))
     bob_child_to_hash = dict(zip(bob_children, bob_hashes))
     bob_hash_table.insert_batch(list(bob_hash_to_child))
@@ -1391,7 +1382,7 @@ def multiround_bob_known(
         estimator.update_all(child, 1)
         bob_estimators.append((bob_child_to_hash[child], estimator))
     round2_bits = bob_hash_table.size_bits + sum(
-        ctx.child_hash_bits + estimator.size_bits for _, estimator in bob_estimators
+        CHILD_HASH_BITS + estimator.size_bits for _, estimator in bob_estimators
     )
     # The hash-table parameters came with round 1 (directly, or via its
     # self-describing header), so the reply codec never needs its own header.
@@ -1453,7 +1444,7 @@ def _multiround_dhat_estimator(
     """The differing-children estimator over the children's hashes."""
     estimator = L0Estimator(derive_seed(ctx.seed, "multiround-dhat-estimator"))
     hash_seed = derive_seed(ctx.seed, "child-hash")
-    estimator.update_all(child_set_hash_many(children, hash_seed, ctx.child_hash_bits), side)
+    estimator.update_all(child_set_hash_many(children, hash_seed, CHILD_HASH_BITS), side)
     return estimator
 
 
@@ -1465,7 +1456,7 @@ def multiround_alice_unknown(
     own = _multiround_dhat_estimator(ctx, alice, 2)
     # As in the naive prelude: at most s differing child pairs.
     prelude = yield from estimated_bound(
-        own, EstimatorCodec(L0Estimator, own.seed), ctx.estimate_safety, ctx.max_num_children
+        own, EstimatorCodec(L0Estimator, own.seed), ctx.max_num_children, ESTIMATE_SAFETY
     )
     if prelude is None:
         return aborted_outcome()

@@ -161,15 +161,9 @@ def _derived_max_child_size(alice: Any, bob: Any, options: ReconcileOptions) -> 
 def _sets_of_sets_options(options: ReconcileOptions) -> dict[str, Any]:
     """The ``SetsOfSetsContext`` fields every set-of-sets protocol takes from ``options``."""
     return dict(
-        num_hashes=options.num_hashes,
-        child_hash_bits=options.child_hash_bits,
         backend=options.backend,
         field_kernel=options.field_kernel,
         differing_children_bound=options.differing_children_bound,
-        level_slack=options.level_slack,
-        safety_factor=options.safety_factor,
-        estimate_safety=options.estimate_safety,
-        fallback_to_all_children=options.fallback_to_all_children,
     )
 
 
@@ -204,13 +198,7 @@ class IBFProtocol(Protocol):
         from repro.protocols.parties.setrecon import SetReconContext, ibf_parties
 
         options.require("universe_size")
-        ctx = SetReconContext(
-            options.universe_size,
-            options.seed,
-            options.num_hashes,
-            options.backend,
-            safety_factor=options.safety_factor,
-        )
+        ctx = SetReconContext(options.universe_size, options.seed, options.backend)
         return ibf_parties(alice, bob, options.difference_bound, ctx)
 
 
@@ -294,14 +282,7 @@ class IBLTOfIBLTsProtocol(Protocol):
         from repro.protocols.parties.setsofsets import iblt_of_iblts_parties
 
         ctx = _sets_of_sets_context(alice, bob, options)
-        return iblt_of_iblts_parties(
-            alice,
-            bob,
-            options.difference_bound,
-            ctx,
-            initial_bound=options.initial_bound,
-            max_bound=options.max_bound,
-        )
+        return iblt_of_iblts_parties(alice, bob, options.difference_bound, ctx)
 
 
 @register_protocol
@@ -325,14 +306,7 @@ class CascadingProtocol(Protocol):
             alice, bob, options,
             max_child_size=_derived_max_child_size(alice, bob, options),
         )
-        return cascading_parties(
-            alice,
-            bob,
-            options.difference_bound,
-            ctx,
-            initial_bound=options.initial_bound,
-            max_bound=options.max_bound,
-        )
+        return cascading_parties(alice, bob, options.difference_bound, ctx)
 
 
 @register_protocol
@@ -379,9 +353,6 @@ class DegreeOrderProtocol(Protocol):
             options.num_top,
             options.seed,
             backend=options.backend,
-            child_hash_bits=options.child_hash_bits,
-            num_hashes=options.num_hashes,
-            level_slack=options.level_slack,
         )
 
 
@@ -405,9 +376,6 @@ class DegreeNeighborhoodProtocol(Protocol):
             options.max_degree,
             options.seed,
             backend=options.backend,
-            child_hash_bits=options.child_hash_bits,
-            num_hashes=options.num_hashes,
-            level_slack=options.level_slack,
         )
 
 
@@ -433,11 +401,7 @@ class ForestProtocol(Protocol):
             options.difference_bound,
             options.max_depth,
             options.seed,
-            signature_bits=options.signature_bits,
             backend=options.backend,
-            child_hash_bits=options.child_hash_bits,
-            num_hashes=options.num_hashes,
-            level_slack=options.level_slack,
         )
 
 
@@ -460,9 +424,7 @@ class LabeledGraphProtocol(Protocol):
             bob,
             options.difference_bound,
             options.seed,
-            num_hashes=options.num_hashes,
             backend=options.backend,
-            safety_factor=options.safety_factor,
         )
 
 

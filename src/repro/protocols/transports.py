@@ -83,13 +83,14 @@ def _encode_and_measure(
     sender: str,
     send: Send,
     measurements: list[MessageMeasurement],
-    strict: bool,
     wire_name: str,
 ) -> bytes:
     """Encode one message, record its measurement, enforce the byte budget.
 
     The single accounting rule shared by every byte-level transport: the
-    encoding must fit ``ceil((size_bits + framing_bits) / 8)`` bytes.
+    encoding must fit ``ceil((size_bits + framing_bits) / 8)`` bytes, or
+    :class:`~repro.protocols.wire.WireAccountingError` is raised after the
+    measurement is recorded.
     """
     if send.codec is None:
         raise WireError(
@@ -105,7 +106,7 @@ def _encode_and_measure(
         len(data),
     )
     measurements.append(measurement)
-    if strict and not measurement.within_budget:
+    if not measurement.within_budget:
         raise WireAccountingError(
             f"message {send.label!r} serialized to {len(data)} bytes but its "
             f"transcript entry charged {send.size_bits} bits "
@@ -130,26 +131,19 @@ class InMemoryTransport(Transport):
 class SerializingTransport(Transport):
     """Round-trip every payload through bytes and verify the accounting.
 
-    Parameters
-    ----------
-    strict:
-        When True (default), a message whose encoding exceeds its charged
-        ``size_bits`` (rounded up to bytes, plus the codec's documented
-        framing) raises :class:`~repro.protocols.wire.WireAccountingError`
-        at send time.  When False, the violation is only recorded in
-        :attr:`measurements`.
+    A message whose encoding exceeds its charged ``size_bits`` (rounded up
+    to bytes, plus the codec's documented framing) raises
+    :class:`~repro.protocols.wire.WireAccountingError` at send time; every
+    message's :class:`MessageMeasurement` is kept in :attr:`measurements`.
     """
 
     name = "serializing"
 
-    def __init__(self, strict: bool = True) -> None:
-        self.strict = strict
+    def __init__(self) -> None:
         self.measurements: list[MessageMeasurement] = []
 
     def on_send(self, sender: str, send: Send) -> bytes:
-        return _encode_and_measure(
-            sender, send, self.measurements, self.strict, self.name
-        )
+        return _encode_and_measure(sender, send, self.measurements, self.name)
 
     def on_receive(self, inflight: bytes, receive: Receive, send: Send) -> Any:
         codec = receive.codec if receive.codec is not None else send.codec
@@ -305,12 +299,11 @@ class SocketTransport:
 
     name = "socket"
 
-    def __init__(self, sock: _socket.socket, role: str, strict: bool = True) -> None:
+    def __init__(self, sock: _socket.socket, role: str) -> None:
         if role not in ("alice", "bob"):
             raise ParameterError("role must be 'alice' or 'bob'")
         self.sock = sock
         self.role = role
-        self.strict = strict
         self.measurements: list[MessageMeasurement] = []
         enable_nodelay(sock)
 
@@ -323,9 +316,7 @@ class SocketTransport:
             raise ReconciliationError(f"socket send failed: {exc}") from exc
 
     def send_message(self, send: Send) -> None:
-        data = _encode_and_measure(
-            self.role, send, self.measurements, self.strict, self.name
-        )
+        data = _encode_and_measure(self.role, send, self.measurements, self.name)
         self._sendall(
             pack_frame(FRAME_MESSAGE, self.role, send.label, send.size_bits, data)
         )

@@ -58,7 +58,6 @@ async def areconcile(
     *,
     role: str = "bob",
     options: ReconcileOptions | None = None,
-    strict: bool = True,
     latency: float = 0.0,
     **overrides: Any,
 ) -> ReconciliationResult:
@@ -77,9 +76,7 @@ async def areconcile(
     spec = registry.get(protocol)
     hello = Hello(protocol, role, options_to_wire(merged), PeerStats.of(data))
     reader, writer = await _connect(host, port)
-    transport = AsyncSocketTransport(
-        reader, writer, role, strict=strict, latency=latency
-    )
+    transport = AsyncSocketTransport(reader, writer, role, latency=latency)
     try:
         await transport.send_frame(FRAME_CONTROL, HELLO_LABEL, payload=hello.to_json())
         frame = await transport.receive_frame()

@@ -103,7 +103,6 @@ class WorkerConfig:
     worker_id: int
     datasets: dict[str, Any]
     store_root: str | None = None
-    strict: bool = True
     latency: float = 0.0
     drain_deadline: float = 5.0
     anti_entropy_interval: float | None = None
@@ -132,7 +131,6 @@ async def _worker_body(config: WorkerConfig, conn: Any) -> None:
     store = SketchStore(config.store_root) if config.store_root else None
     server = SyncServer(
         config.datasets,
-        strict=config.strict,
         latency=config.latency,
         metrics=metrics,
         store=store,
@@ -323,7 +321,6 @@ class SyncFleet:
         workers: int = 2,
         host: str = "127.0.0.1",
         port: int = 0,
-        strict: bool = True,
         latency: float = 0.0,
         store_root: str | None = None,
         admission: AdmissionPolicy | AdmissionController | None = None,
@@ -342,7 +339,6 @@ class SyncFleet:
         self.workers = workers
         self.host = host
         self._requested_port = port
-        self.strict = strict
         self.latency = latency
         self.store_root = store_root
         self.seed = seed
@@ -517,7 +513,6 @@ class SyncFleet:
             worker_id=worker_id,
             datasets=self._datasets_for(worker_id),
             store_root=self._store_root_for(worker_id),
-            strict=self.strict,
             latency=self.latency,
             drain_deadline=self.drain_deadline,
             anti_entropy_interval=self.anti_entropy_interval,

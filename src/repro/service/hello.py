@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, TypeGuard
 
@@ -74,13 +73,9 @@ def _is_count(value: Any) -> bool:
 MAX_WIRE_BOUND = 2**32 - 1
 
 
-def _integer(low: int, *, optional: bool = False) -> Callable[[Any], bool]:
-    def check(value: Any) -> bool:
-        if value is None:
-            return optional
-        return _is_int(value) and low <= value <= MAX_WIRE_BOUND
-
-    return check
+def _bound(value: Any) -> bool:
+    """``None`` or an integer in ``[0, MAX_WIRE_BOUND]``."""
+    return value is None or (_is_count(value) and value <= MAX_WIRE_BOUND)
 
 
 def _tier_name(value: Any) -> bool:
@@ -89,41 +84,23 @@ def _tier_name(value: Any) -> bool:
     return True
 
 
-def _factor(value: Any) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value > 0
-    )
-
-
 #: What every option a peer may send must be, one entry per
 #: :class:`ReconcileOptions` field (any other name is refused as unknown).
-#: Counts and bounds are integers in ``[low, MAX_WIRE_BOUND]`` (never bools),
-#: ``universe_size`` is a positive integer, multipliers are positive finite
-#: numbers; ``backend`` and ``field_kernel`` are checked by
-#: :class:`ReconcileOptions` itself.
+#: Counts and bounds are integers in ``[0, MAX_WIRE_BOUND]`` (never bools),
+#: ``universe_size`` is a positive integer; ``backend`` and ``field_kernel``
+#: are checked by :class:`ReconcileOptions` itself.  Sizing is no option, so
+#: a hello that names a hash count or a slack factor is refused as unknown.
 _OPTION_CHECKS: dict[str, Callable[[Any], bool]] = {
     "seed": _is_int,
-    "difference_bound": _integer(0, optional=True),
+    "difference_bound": _bound,
     "universe_size": lambda value: value is None or (_is_int(value) and value > 0),
-    "max_child_size": _integer(0, optional=True),
-    "differing_children_bound": _integer(0, optional=True),
+    "max_child_size": _bound,
+    "differing_children_bound": _bound,
     "backend": _tier_name,
     "field_kernel": _tier_name,
-    "num_hashes": _integer(2),
-    "child_hash_bits": _integer(1),
-    "safety_factor": _factor,
-    "estimate_safety": _factor,
-    "level_slack": _factor,
-    "initial_bound": _integer(1),
-    "max_bound": _integer(0, optional=True),
-    "num_top": _integer(0, optional=True),
-    "max_degree": _integer(0, optional=True),
-    "max_depth": _integer(0, optional=True),
-    "signature_bits": _integer(1),
-    "fallback_to_all_children": lambda value: isinstance(value, bool),
+    "num_top": _bound,
+    "max_degree": _bound,
+    "max_depth": _bound,
 }
 
 

@@ -71,6 +71,13 @@ logger = logging.getLogger(__name__)
 class SyncServer:
     """Serve reconciliation sessions for a set of named datasets.
 
+    A session's options are the fields of the client's hello
+    (:func:`~repro.service.hello.options_from_wire`): facts about the inputs
+    and the tier names, never a sizing choice, so a hello that names a hash
+    count or a slack factor is refused.  Every outgoing message is held to
+    its charged size: one over its byte budget raises
+    :class:`~repro.protocols.wire.WireAccountingError` and fails the session.
+
     Parameters
     ----------
     datasets:
@@ -82,8 +89,6 @@ class SyncServer:
     host, port:
         Listen address; port 0 picks a free port (read :attr:`port` after
         :meth:`start`).
-    strict:
-        Enforce the byte-budget accounting on every outgoing message.
     latency:
         Simulated one-way wire delay per frame (benchmarks only).
     metrics:
@@ -134,7 +139,6 @@ class SyncServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        strict: bool = True,
         latency: float = 0.0,
         metrics: ServiceMetrics | None = None,
         store: SketchStore | None = None,
@@ -149,7 +153,6 @@ class SyncServer:
         self.datasets = dict(datasets)
         self.host = host
         self._requested_port = port
-        self.strict = strict
         self.latency = latency
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.store = store
@@ -251,9 +254,7 @@ class SyncServer:
     ) -> None:
         # The outgoing role is unknown until the hello names the client's;
         # it is rewritten below before any session frame is sent.
-        transport = AsyncSocketTransport(
-            reader, writer, "bob", strict=self.strict, latency=self.latency
-        )
+        transport = AsyncSocketTransport(reader, writer, "bob", latency=self.latency)
         await self._serve_connection(transport)
 
     async def serve_handoff(
@@ -271,9 +272,7 @@ class SyncServer:
         except OSError:
             sock.close()  # peer vanished between accept and handoff
             return
-        transport = AsyncSocketTransport(
-            reader, writer, "bob", strict=self.strict, latency=self.latency
-        )
+        transport = AsyncSocketTransport(reader, writer, "bob", latency=self.latency)
         first_frame = None
         if initial:
             transport.bytes_received += len(initial)

@@ -83,9 +83,6 @@ class AsyncSocketTransport:
     role:
         ``"alice"`` or ``"bob"`` -- stamped on every outgoing frame so both
         endpoints rebuild identical transcripts.
-    strict:
-        Enforce the byte budget (measured bytes <= charged ``size_bits``
-        plus documented framing) on every sent message.
     latency:
         Simulated one-way wire delay in seconds, awaited before each frame
         is written.  Only benchmarks and tests set this.
@@ -98,7 +95,6 @@ class AsyncSocketTransport:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         role: str,
-        strict: bool = True,
         latency: float = 0.0,
     ) -> None:
         if role not in ("alice", "bob"):
@@ -106,7 +102,6 @@ class AsyncSocketTransport:
         self.reader = reader
         self.writer = writer
         self.role = role
-        self.strict = strict
         self.latency = latency
         self.measurements: list[MessageMeasurement] = []
         self.bytes_sent = 0
@@ -149,9 +144,7 @@ class AsyncSocketTransport:
         return assemble_frame(kind, sender_len, label_len, size_bits, body)
 
     async def send_message(self, send: Send) -> None:
-        data = _encode_and_measure(
-            self.role, send, self.measurements, self.strict, self.name
-        )
+        data = _encode_and_measure(self.role, send, self.measurements, self.name)
         await self.send_frame(FRAME_MESSAGE, send.label, send.size_bits, data)
 
     async def send_fin(self) -> None:

@@ -2,14 +2,14 @@
 
 A live sketch is only reusable by a session that would have built the exact
 same sketch from scratch: same universe (key width), same seed (bucket and
-checksum hash functions), same hash count, same backend choice.  Those
-fields -- the subset of
-:class:`~repro.protocols.options.ReconcileOptions` the ``ibf`` builder
+checksum hash functions), same backend choice.  Those fields -- the subset
+of :class:`~repro.protocols.options.ReconcileOptions` the ``ibf`` builder
 reads -- make up :class:`SketchConfig`; its :attr:`~SketchConfig.fingerprint`
 is the cache key, and a persisted sketch whose recorded parameters no longer
 match the parameters recomputed from its recorded config is discarded as an
 invalidation (the library's sizing rules or hash derivations changed
-underneath it).
+underneath it, or it was built with another hash count than
+:data:`~repro.iblt.sizing.NUM_HASHES`).
 
 The field kernel is deliberately absent: GF(p) arithmetic never touches an
 IBLT or estimator sketch, so a kernel change cannot invalidate one.
@@ -22,11 +22,12 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
 from repro.core.setrecon.difference import max_element_bits
+from repro.iblt import IBLTParameters
+from repro.iblt.sizing import NUM_HASHES
+from repro.protocols.parties.setrecon import SAFETY_FACTOR, SetReconContext, table_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.iblt import IBLTParameters
     from repro.protocols.options import ReconcileOptions
-    from repro.protocols.parties.setrecon import SetReconContext
 
 
 @dataclass(frozen=True)
@@ -39,44 +40,26 @@ class SketchConfig:
 
     universe_size: int
     seed: int = 0
-    num_hashes: int = 4
     backend: str | None = None
-    safety_factor: float = 2.0
 
     @classmethod
     def from_options(cls, options: "ReconcileOptions") -> "SketchConfig":
-        return cls(
-            universe_size=options.universe_size,
-            seed=options.seed,
-            num_hashes=options.num_hashes,
-            backend=options.backend,
-            safety_factor=options.safety_factor,
-        )
+        return cls(options.universe_size, options.seed, options.backend)
 
-    def context(self) -> "SetReconContext":
+    def context(self) -> SetReconContext:
         """The shared protocol context a session with this config derives."""
         return _context(self)
 
     @property
     def fingerprint(self) -> str:
-        """The cache key: every field that shapes sketch *contents*.
-
-        ``safety_factor`` only scales the derived difference bound -- two
-        configs differing only there share every sketch -- so it is not
-        part of the fingerprint.
-        """
-        return (
-            f"u{self.universe_size}/s{self.seed}/k{self.num_hashes}"
-            f"/b{self.backend or 'default'}"
-        )
+        """The cache key: every field that shapes sketch *contents*."""
+        return f"u{self.universe_size}/s{self.seed}/k{NUM_HASHES}/b{self.backend or 'default'}"
 
     # -- derived identities the invalidation rules check against ---------------------
 
     @property
     def table_seed(self) -> int:
         """Seed every IBLT of this config is built with."""
-        from repro.protocols.parties.setrecon import table_seed
-
         return table_seed(self.seed)
 
     @property
@@ -84,11 +67,11 @@ class SketchConfig:
         """Key width every IBLT of this config is built with."""
         return max_element_bits(self.universe_size)
 
-    def expected_params(self, num_cells: int) -> "IBLTParameters":
+    def expected_params(self, num_cells: int) -> IBLTParameters:
         """The table parameters this config derives for a given cell count."""
         return _expected_params(self, num_cells)
 
-    def admits_params(self, params: "IBLTParameters") -> bool:
+    def admits_params(self, params: IBLTParameters) -> bool:
         """Whether table parameters could have come from this config.
 
         This is the invalidation rule for persisted (and received) tables:
@@ -101,23 +84,22 @@ class SketchConfig:
     # -- persistence -----------------------------------------------------------------
 
     def to_wire(self) -> dict[str, Any]:
+        """The persisted config.  ``num_hashes`` and ``safety_factor`` are the
+        constants :data:`NUM_HASHES` and :data:`SAFETY_FACTOR`, written so
+        the snapshot format (pinned byte for byte) keeps its shape."""
         return {
             "universe_size": self.universe_size,
             "seed": self.seed,
-            "num_hashes": self.num_hashes,
+            "num_hashes": NUM_HASHES,
             "backend": self.backend,
-            "safety_factor": self.safety_factor,
+            "safety_factor": SAFETY_FACTOR,
         }
 
     @classmethod
     def from_wire(cls, wire: dict[str, Any]) -> "SketchConfig":
-        return cls(
-            universe_size=int(wire["universe_size"]),
-            seed=int(wire["seed"]),
-            num_hashes=int(wire["num_hashes"]),
-            backend=wire.get("backend"),
-            safety_factor=float(wire.get("safety_factor", 2.0)),
-        )
+        """Read a persisted config.  Its ``num_hashes`` is not honoured: a
+        table built with another hash count fails :meth:`admits_params`."""
+        return cls(int(wire["universe_size"]), int(wire["seed"]), wire.get("backend"))
 
 
 # Every session asks for these, several times; a config is frozen, so each
@@ -125,25 +107,10 @@ class SketchConfig:
 
 
 @lru_cache(maxsize=64)
-def _context(config: SketchConfig) -> "SetReconContext":
-    from repro.protocols.parties.setrecon import SetReconContext
-
-    return SetReconContext(
-        config.universe_size,
-        config.seed,
-        config.num_hashes,
-        config.backend,
-        safety_factor=config.safety_factor,
-    )
+def _context(config: SketchConfig) -> SetReconContext:
+    return SetReconContext(config.universe_size, config.seed, config.backend)
 
 
 @lru_cache(maxsize=256)
-def _expected_params(config: SketchConfig, num_cells: int) -> "IBLTParameters":
-    from repro.iblt import IBLTParameters
-
-    return IBLTParameters(
-        num_cells=num_cells,
-        key_bits=config.key_bits,
-        seed=config.table_seed,
-        num_hashes=config.num_hashes,
-    )
+def _expected_params(config: SketchConfig, num_cells: int) -> IBLTParameters:
+    return IBLTParameters(num_cells=num_cells, key_bits=config.key_bits, seed=config.table_seed)

@@ -1,6 +1,7 @@
 """The acceptance arithmetic of ``benchmarks/compare_commits.py``."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "compare_commits.py"
@@ -40,3 +41,27 @@ def test_a_spread_wider_than_the_bound_is_unresolved_not_unchanged():
     noisy = [100.0, 140.0, 90.0, 150.0, 95.0, 145.0, 105.0, 135.0, 98.0, 142.0]
     assert verdict(noisy, noisy[::-1], "lower", 0.1)["verdict"] == "unresolved"
     assert verdict(noisy, [value * 1.5 for value in noisy], "lower", 0.1)["verdict"] == "worse"
+
+
+def test_a_run_counts_when_it_printed_its_result_line():
+    line = '{"correct": false, "attempted": 8, "failed": 8, "metrics": {}}'
+    assert compare_commits.result_line(f"noise\n{line}\n")["failed"] == 8
+    assert compare_commits.result_line("") is None
+    assert compare_commits.result_line("Traceback ...\nKilled\n") is None
+    assert compare_commits.result_line('{"no": "metrics"}') is None
+
+
+def test_a_fresh_copy_holds_only_tracked_and_unignored_files(tmp_path):
+    checkout, into = tmp_path / "checkout", tmp_path / "copy"
+    (checkout / "pkg" / "__pycache__").mkdir(parents=True)
+    (checkout / ".gitignore").write_text("__pycache__/\n.work/\n")
+    (checkout / "pkg" / "mod.py").write_text("x = 1\n")
+    (checkout / "pkg" / "__pycache__" / "mod.pyc").write_bytes(b"stale")
+    (checkout / ".work").mkdir()
+    (checkout / ".work" / "journal").write_text("old run\n")
+    (checkout / "new.py").write_text("untracked but not ignored\n")
+    subprocess.run(["git", "init", "-q"], cwd=checkout, check=True)
+    subprocess.run(["git", "add", ".gitignore", "pkg/mod.py"], cwd=checkout, check=True)
+    compare_commits.fresh_copy(checkout, into)
+    copied = sorted(str(path.relative_to(into)) for path in into.rglob("*") if path.is_file())
+    assert copied == [".gitignore", "new.py", "pkg/mod.py"]

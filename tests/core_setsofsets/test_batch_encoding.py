@@ -8,8 +8,8 @@ Covers:
   validation and child-hash pass, equal to the per-scheme and per-child forms;
 * the per-reconcile :class:`ChildTableCache` (candidate tables built once,
   not once per (Alice key, candidate) pair);
-* the repeated-doubling clamp: the largest permitted bound is attempted even
-  when it is not a power of two times the initial bound.
+* the repeated-doubling clamp: the top bound is attempted even when it is
+  not a power of two times the initial bound.
 """
 
 import random
@@ -28,6 +28,8 @@ from repro.core.setsofsets.encoding import (
     encode_children,
 )
 from repro.core.setsofsets import encoding
+from repro.protocols.parties import setsofsets
+from repro.protocols.parties.setsofsets import INITIAL_BOUND
 from repro.errors import CapacityError
 from repro.iblt import IBLT, IBLTParameters
 from repro.workloads import sets_of_sets_instance
@@ -207,8 +209,13 @@ class TestNoRedundantTableBuilds:
 
 
 class TestDoublingClampToMaxBound:
-    """The satellite bugfix: ``bound *= 2`` must not jump past ``max_bound``
-    without the largest permitted bound ever being attempted."""
+    """``bound *= 2`` must not jump past the doubling top without the top
+    ever being attempted.  The top is ``2 n`` (``_doubling_top``); these
+    sessions lower it to 5 so the clamp shows on small instances."""
+
+    @pytest.fixture(autouse=True)
+    def top_of_five(self, monkeypatch):
+        monkeypatch.setattr(setsofsets, "_doubling_top", lambda ctx: 5)
 
     def test_iblt_of_iblts_succeeds_exactly_at_clamped_bound(self):
         # Chosen (by search over seeds) so that bounds 1, 2 and 4 all fail
@@ -219,7 +226,7 @@ class TestDoublingClampToMaxBound:
         )
         result = reconcile(
             instance.alice, instance.bob, protocol="iblt_of_iblts",
-            difference_bound=None, universe_size=UNIVERSE, seed=103, max_bound=5,
+            difference_bound=None, universe_size=UNIVERSE, seed=103,
         )
         assert result.success and result.recovered == instance.alice
         assert result.details["final_difference_bound"] == 5
@@ -233,7 +240,7 @@ class TestDoublingClampToMaxBound:
         )
         result = reconcile(
             instance.alice, instance.bob, protocol="iblt_of_iblts",
-            difference_bound=None, universe_size=UNIVERSE, seed=11, max_bound=5,
+            difference_bound=None, universe_size=UNIVERSE, seed=11,
         )
         assert not result.success
         assert result.details["failure"] == "exceeded-max-bound"
@@ -250,7 +257,7 @@ class TestDoublingClampToMaxBound:
         result = reconcile(
             instance.alice, instance.bob, protocol="cascading", difference_bound=None,
             universe_size=UNIVERSE, max_child_size=instance.max_child_size,
-            seed=11, max_bound=5,
+            seed=11,
         )
         assert result.success and result.recovered == instance.alice
         assert result.details["final_difference_bound"] == 5
@@ -263,16 +270,23 @@ class TestDoublingClampToMaxBound:
         result = reconcile(
             instance.alice, instance.bob, protocol="cascading", difference_bound=None,
             universe_size=UNIVERSE, max_child_size=instance.max_child_size,
-            seed=11, max_bound=5,
+            seed=11,
         )
         assert not result.success
         assert result.details["failure"] == "exceeded-max-bound"
         assert result.attempts == 4  # bounds 1, 2, 4, 5 -- not 1, 2, 4
 
-    def test_initial_bound_above_max_bound_attempts_nothing(self):
+    def test_a_top_below_the_initial_bound_attempts_nothing(self, monkeypatch):
+        monkeypatch.setattr(setsofsets, "_doubling_top", lambda ctx: INITIAL_BOUND - 1)
         alice = SetOfSets([{1, 2}])
         result = reconcile(
             alice, alice, protocol="iblt_of_iblts", difference_bound=None,
-            universe_size=UNIVERSE, seed=1, initial_bound=8, max_bound=5,
+            universe_size=UNIVERSE, seed=1,
         )
         assert not result.success and result.attempts == 0
+
+
+def test_the_doubling_top_is_twice_the_parents_total_size():
+    alice, bob = SetOfSets([{1, 2}, {3}]), SetOfSets([{1, 2, 4}])
+    ctx = setsofsets.context_for(alice, bob, UNIVERSE, 1)
+    assert setsofsets._doubling_top(ctx) == 2 * (3 + 3)

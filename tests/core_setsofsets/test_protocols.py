@@ -146,13 +146,16 @@ class TestIBLTofIBLTsSpecifics:
             )
 
     def test_failure_reported_when_bound_too_small(self):
+        # Two children differ by 8 elements each, against child tables sized
+        # for 1: neither decodes against its partner, nor (the fallback)
+        # against any other child of bob's.
         instance = small_instance(seed=19, changes=16, touched=2)
         result = reconcile(
             instance.alice, instance.bob, protocol="iblt_of_iblts", difference_bound=1,
             universe_size=UNIVERSE, seed=6, differing_children_bound=1,
-            fallback_to_all_children=False,
         )
         assert not result.success
+        assert result.details["failure"] == "child-iblt-decode"
 
 
 class TestCascadingSpecifics:

@@ -405,6 +405,6 @@ def test_accuracy_over_200_seeds(difference):
         bob.update_all(shared + pool[size:], 2)
         estimate = alice.merge(bob).query()
         ratios.append(estimate / difference)
-        covered += bound_for_estimate(estimate, 2.0) >= difference
+        covered += bound_for_estimate(estimate) >= difference
     assert 0.5 <= statistics.median(ratios) <= 2.0
     assert covered >= 0.95 * trials

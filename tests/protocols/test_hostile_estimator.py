@@ -23,6 +23,7 @@ from repro.protocols.parties import setsofsets
 from repro.protocols.registry import get
 from repro.protocols.parties.setrecon import (
     BOUND_HEADER_BITS,
+    SAFETY_FACTOR,
     SetReconContext,
     SetSource,
     bound_for_estimate,
@@ -147,11 +148,11 @@ def test_every_prelude_clamps_a_forged_estimate_before_sizing_a_table(protocol):
 # -- the shared prelude, driven by hand ------------------------------------------------
 
 
-def run_prelude(peer, safety_factor=2.0, ceiling=1 << 20, own=None):
+def run_prelude(peer, safety=SAFETY_FACTOR, ceiling=1 << 20, own=None):
     """What :func:`estimated_bound` returns when ``peer`` is received."""
     ctx = SetReconContext(1 << 20, seed=5)
     own = ctx.make_estimator() if own is None else own
-    prelude = estimated_bound(own, ctx.estimator_codec(), safety_factor, ceiling)
+    prelude = estimated_bound(own, ctx.estimator_codec(), ceiling, safety)
     receive = next(prelude)
     assert isinstance(receive, Receive)
     with pytest.raises(StopIteration) as stopped:
@@ -164,17 +165,14 @@ def test_the_prelude_returns_none_when_the_session_ends():
 
 
 @pytest.mark.parametrize("size", [0, 1, 6, 40, 300])
-@pytest.mark.parametrize("safety_factor", [1.0, 2.0])
-def test_an_honest_estimate_is_inflated_and_not_clamped(size, safety_factor):
+@pytest.mark.parametrize("safety", [1.0, SAFETY_FACTOR])
+def test_an_honest_estimate_is_inflated_and_not_clamped(size, safety):
     ctx = SetReconContext(1 << 20, seed=5)
     peer, own = ctx.make_estimator(), ctx.make_estimator()
     peer.update_all(range(size), 1)
     own.update_all(range(size // 2), 2)
     estimate = peer.merge(own).query()
-    assert run_prelude(peer, safety_factor, own=own) == (
-        estimate,
-        bound_for_estimate(estimate, safety_factor),
-    )
+    assert run_prelude(peer, safety, own=own) == (estimate, bound_for_estimate(estimate, safety))
 
 
 def test_the_prelude_clamps_to_the_ceiling_and_the_header():
@@ -186,12 +184,14 @@ def test_the_prelude_clamps_to_the_ceiling_and_the_header():
 #: An honest pair whose estimate sits under every ceiling: one element (for
 #: ``ibf``) or one child (for the sets of sets, 40 a side) differs.
 HONEST_KEYS = {
-    "ibf": ("estimated_difference", "difference_bound_used", "safety_factor"),
+    "ibf": ("estimated_difference", "difference_bound_used", SAFETY_FACTOR),
     "naive": (
-        "estimated_differing_children", "differing_children_bound_used", "safety_factor"
+        "estimated_differing_children", "differing_children_bound_used", SAFETY_FACTOR
     ),
     "multiround": (
-        "estimated_differing_children", "differing_children_bound_used", "estimate_safety"
+        "estimated_differing_children",
+        "differing_children_bound_used",
+        setsofsets.ESTIMATE_SAFETY,
     ),
 }
 
@@ -211,5 +211,5 @@ def test_an_honest_session_runs_on_the_unclamped_bound(protocol):
     assert result.success
     estimate = result.details[estimate_key]
     assert 1 <= estimate
-    bound = bound_for_estimate(estimate, getattr(options, safety))
+    bound = bound_for_estimate(estimate, safety)
     assert result.details[bound_key] == bound < ceiling

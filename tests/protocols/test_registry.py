@@ -182,24 +182,21 @@ class TestReconcileEntryPoint:
         assert bounded.success and bounded.recovered == alice
         assert (default.total_bits, bounded.total_bits) == (848, 624)
 
-    def test_documents_honours_fallback_to_all_children(self):
+    def test_documents_decodes_a_new_child_against_an_unchanged_one(self):
         # Alice holds a near-duplicate of a document both sides share, so the
-        # only child it decodes against is one of Bob's *unchanged* children.
+        # only child it decodes against is one of Bob's *unchanged* children:
+        # bob has no differing child, and the fallback to all of his finds it.
         shared, _ = edited_corpus_pair(6, 30, 0, 0, 0, seed=3)
         words = shared[0].split()
         words[5] = "zebra"
         alice = DocumentCollection([*shared, " ".join(words)], 3, seed=3)
         bob = DocumentCollection(shared, 3, seed=3)
-        outcomes = {
-            fallback: repro.reconcile(
-                alice, bob, protocol="documents", seed=1, difference_bound=16,
-                fallback_to_all_children=fallback,
-            )
-            for fallback in (True, False)
-        }
-        assert outcomes[True].success
-        assert outcomes[True].recovered == alice.to_sets_of_sets()
-        assert outcomes[False].details["failure"] == "child-iblt-decode"
+        outcome = repro.reconcile(
+            alice, bob, protocol="documents", seed=1, difference_bound=16
+        )
+        assert outcome.success
+        assert outcome.recovered == alice.to_sets_of_sets()
+        assert outcome.details["differing_children_found"] == 1
 
 
 class TestDocsSync:

@@ -20,6 +20,13 @@ from repro.protocols.party import aborted_outcome
 from repro.protocols.session import run_session
 from repro.protocols.wire import PayloadCodec
 
+#: Sizing choices that are constants of the modules owning them, so no
+#: option may name them.
+SIZING_CONSTANTS = (
+    "num_hashes", "child_hash_bits", "signature_bits", "safety_factor", "estimate_safety",
+    "level_slack", "initial_bound", "max_bound", "fallback_to_all_children",
+)
+
 
 class _FatCodec(PayloadCodec):
     """Deliberately encodes more bytes than the charged size allows."""
@@ -116,19 +123,13 @@ class TestSerializingTransportChecks:
             )
 
     def test_over_budget_message_rejected_when_strict(self):
+        # Every serializing transport is strict; the over-budget message is
+        # still measured before it is refused.
+        transport = SerializingTransport()
         with pytest.raises(WireAccountingError, match="charged"):
             run_session(
-                _sender(size_bits=8, codec=_FatCodec()),
-                _receiver(),
-                transport=SerializingTransport(),
+                _sender(size_bits=8, codec=_FatCodec()), _receiver(), transport=transport
             )
-
-    def test_over_budget_message_recorded_when_lenient(self):
-        transport = SerializingTransport(strict=False)
-        result = run_session(
-            _sender(size_bits=8, codec=_FatCodec()), _receiver(), transport=transport
-        )
-        assert result.success
         assert len(transport.measurements) == 1
         assert not transport.measurements[0].within_budget
 
@@ -142,6 +143,12 @@ class TestReconcileOptions:
         # Every unknown-d prelude uses the one L0 sketch; there is no factory knob.
         with pytest.raises(ParameterError, match="unknown reconcile option"):
             ReconcileOptions().merged(estimator_factory=lambda seed: None)
+
+    @pytest.mark.parametrize("name", SIZING_CONSTANTS)
+    def test_sizing_is_not_an_option(self, name):
+        # Hash counts, widths and slacks are module constants, not options.
+        with pytest.raises(ParameterError, match="unknown reconcile option"):
+            ReconcileOptions().merged(**{name: 1})
 
     def test_merged_returns_new_frozen_copy(self):
         base = ReconcileOptions(seed=1)

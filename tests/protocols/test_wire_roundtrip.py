@@ -32,6 +32,7 @@ from repro.protocols.parties.setrecon import (
     set_verification_hash,
 )
 from repro.protocols.parties.setsofsets import (
+    CHILD_HASH_BITS,
     CascadingMessageCodec,
     ChildPayload,
     MultiroundPayloadsCodec,
@@ -252,7 +253,7 @@ class TestSetsOfSetsCodecs:
             estimators.append((index + 1, estimator))
         payload = (table, estimators)
         size_bits = table.size_bits + sum(
-            ctx.child_hash_bits + est.size_bits for _, est in estimators
+            CHILD_HASH_BITS + est.size_bits for _, est in estimators
         )
         codec = MultiroundRound2Codec(ctx, params)
         data = assert_within_budget(codec, payload, size_bits)
@@ -295,7 +296,7 @@ class TestSetsOfSetsCodecs:
                     )
                 )
         codec = MultiroundPayloadsCodec(ctx)
-        size_bits = sum(p.size_bits(ctx.child_hash_bits) for p in payloads)
+        size_bits = sum(p.size_bits(CHILD_HASH_BITS) for p in payloads)
         data = assert_within_budget(codec, payloads, size_bits)
         decoded = codec.decode(data)
         assert decoded == payloads

@@ -93,10 +93,6 @@ HOSTILE_HELLOS.update(
         "universe-float": with_option("universe_size", 1.5),
         "universe-zero": with_option("universe_size", 0),
         "seed-list": with_option("seed", [1]),
-        "hashes-bool": with_option("num_hashes", True),
-        "hashes-one": with_option("num_hashes", 1),
-        "safety-string": with_option("safety_factor", "2"),
-        "safety-negative": with_option("safety_factor", -1.0),
         "backend-int": with_option("backend", 3),
         # The one cell store answers to "numpy" and "auto" only.
         "backend-python": with_option("backend", "python"),
@@ -170,47 +166,66 @@ def test_malformed_mutate_is_refused_in_the_ack(body):
     assert_sessions_balance(stats)
 
 
-#: ``level_slack`` values a ``cascading`` hello may carry: each passes the
-#: option checks (a positive finite number) and is acked, so the cascade plan
-#: itself must keep every table within its ``2 d_hat`` keys.  Unclamped, the
-#: first sized tables of millions of cells and the other two overflowed the
-#: float-to-int conversion of a capacity.
-HOSTILE_SLACKS = {"slack-1e6": 1e6, "slack-1e300": 1e300, "slack-max-float": 1.7e308}
+#: Sizing choices a peer cannot make, each with a hostile value: they are
+#: constants of the modules that own them, so a hello naming one is refused
+#: as an unknown option before any party is built.
+HOSTILE_SIZING = {
+    "num_hashes": 3,
+    "child_hash_bits": 1,
+    "signature_bits": 2**32 - 1,
+    "safety_factor": 1e300,
+    "estimate_safety": 1e300,
+    "level_slack": 1.7e308,
+    "initial_bound": 2**32 - 1,
+    "max_bound": 2**32 - 1,
+    "fallback_to_all_children": False,
+}
 
 
 @pytest.mark.timeout(60)
-@pytest.mark.parametrize("slack", HOSTILE_SLACKS.values(), ids=HOSTILE_SLACKS.keys())
-def test_a_hostile_level_slack_cannot_size_the_cascade(slack):
+@pytest.mark.parametrize("name, value", HOSTILE_SIZING.items(), ids=HOSTILE_SIZING.keys())
+def test_a_hello_naming_a_sizing_constant_is_refused(name, value):
     instance = sets_of_sets_instance(30, 8, UNIVERSE, 6, seed=4, max_children_touched=3)
+    options = {"universe_size": UNIVERSE, "difference_bound": 64}
+    hello = {
+        **VALID,
+        "protocol": "cascading",
+        "options": {**options, name: value},
+        "stats": PeerStats.of(instance.bob).to_wire(),
+    }
 
     async def scenario():
         async with SyncServer({"cascading": instance.alice}) as server:
-            try:
-                result = await asyncio.wait_for(
-                    areconcile(
-                        "127.0.0.1", server.port, "cascading", instance.bob,
-                        universe_size=UNIVERSE, difference_bound=64, level_slack=slack,
-                    ),
-                    timeout=5,
-                )
-            except ServiceError:
-                result = None  # refused in the ack: also a bounded answer
-            return result, await afetch_stats("127.0.0.1", server.port)
+            with pytest.raises(ServiceError, match=r"unknown option\(s\) in hello"):
+                await send_hello(server.port, hello)
+            # The same session without the sizing name is served.
+            result = await areconcile(
+                "127.0.0.1", server.port, "cascading", instance.bob, **options
+            )
+            assert result.success and result.recovered == instance.alice
+            return await afetch_stats("127.0.0.1", server.port)
 
-    result, stats = asyncio.run(scenario())
-    if result is not None:
-        assert result.success and result.recovered == instance.alice
+    stats = asyncio.run(scenario())
     assert_sessions_balance(stats)
     assert stats["sessions_failed"] == 0
+    assert stats["rejected_hellos"] == 1
 
 
 def test_every_option_has_a_wire_check_that_admits_its_default():
     defaults = ReconcileOptions()
+    # The options are facts about the inputs and two tier names: a new field
+    # (a sizing knob above all) needs this list edited.
+    assert [field.name for field in dataclasses.fields(defaults)] == [
+        "seed", "difference_bound", "universe_size", "max_child_size",
+        "differing_children_bound", "backend", "field_kernel", "num_top",
+        "max_degree", "max_depth",
+    ]
     assert set(_OPTION_CHECKS) == set(dataclasses.asdict(defaults))
     for name, check in _OPTION_CHECKS.items():
         assert check(getattr(defaults, name)), name
-    options = ReconcileOptions(seed=7, difference_bound=2**32 - 1, safety_factor=3)
+    options = ReconcileOptions(seed=7, difference_bound=2**32 - 1, max_child_size=12)
     assert options_from_wire(options_to_wire(options)) == options
+    assert set(HOSTILE_SIZING).isdisjoint(_OPTION_CHECKS)
 
 
 @pytest.mark.timeout(120)

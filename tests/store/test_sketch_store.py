@@ -13,6 +13,7 @@ from repro.core.setrecon.difference import max_element_bits
 from repro.errors import ParameterError, StoreError
 from repro.hashing import derive_seed
 from repro.iblt import IBLT, IBLTParameters
+from repro.iblt.sizing import NUM_HASHES
 from repro.protocols.parties.setrecon import (
     SetReconContext,
     ibf_parties,
@@ -66,20 +67,22 @@ def test_live_table_equals_fresh_encode_after_mutations():
 
 @pytest.mark.parametrize("universe", [UNIVERSE, 1 << 64])
 @pytest.mark.parametrize("seed", [0, SEED])
-@pytest.mark.parametrize("num_hashes", [3, 4])
-def test_derived_table_params_are_cached_and_equal_the_derivation(universe, seed, num_hashes):
+def test_derived_table_params_are_cached_and_equal_the_derivation(universe, seed):
     """``table_params`` and ``table_seed`` derive once per process; the cached
-    values are exactly what the uncached derivation gives."""
-    config = SketchConfig(universe, seed=seed, num_hashes=num_hashes)
+    values are exactly what the uncached derivation gives, and a table of
+    another hash count is never admitted."""
+    config = SketchConfig(universe, seed=seed)
     assert config.table_seed == derive_seed(seed, "setrecon")
     context = config.context()
     for bound in (0, 1, 24, 64, 500):
         uncached = IBLTParameters.for_difference(
-            max(1, bound), max_element_bits(universe), derive_seed(seed, "setrecon"), num_hashes
+            max(1, bound), max_element_bits(universe), derive_seed(seed, "setrecon")
         )
+        assert uncached.num_hashes == NUM_HASHES
         assert context.table_params(bound) == uncached
         assert context.table_params(bound) is config.context().table_params(bound)
         assert config.admits_params(uncached)
+        assert not config.admits_params(dataclasses.replace(uncached, num_hashes=3))
 
 
 def test_same_geometry_shares_one_table_and_counts_hits():
@@ -221,6 +224,82 @@ def test_restart_with_changed_config_invalidates(tmp_path):
     ).serialize()
     assert metrics.store_invalidations >= 1
     reopened.close()
+
+
+def snapshot_with_every_sketch(tmp_path, dataset, config):
+    store = SketchStore(tmp_path)
+    store.table_for("d", config, 20, dataset)
+    store.estimator_for("d", config, 1, dataset)
+    store.verification_hash("d", config, dataset)
+    path = store.snapshot("d")
+    store.close()
+    return path
+
+
+def test_a_snapshot_of_the_persisted_config_shape_is_served(tmp_path):
+    """Every snapshot ever written names its family's hash count and safety
+    factor.  Both are constants now; a snapshot that names their values
+    reopens and serves its sketches unchanged."""
+    dataset = make_dataset()
+    config = SketchConfig(UNIVERSE, seed=SEED)
+    path = snapshot_with_every_sketch(tmp_path, dataset, config)
+    body = json.loads(path.read_text())
+    shape = {
+        "universe_size": UNIVERSE, "seed": SEED, "num_hashes": 4, "backend": None,
+        "safety_factor": 2.0,
+    }
+    assert [item["config"] for item in body["tables"] + body["estimators"]] == [shape, shape]
+    assert body["tables"][0]["params"]["num_hashes"] == 4
+
+    metrics = ServiceMetrics()
+    reopened = SketchStore(tmp_path, metrics=metrics)
+    live = reopened.table_for("d", config, 20, dataset)
+    assert live.serialize() == fresh_table(config, 20, dataset).serialize()
+    reopened.estimator_for("d", config, 1, dataset)
+    assert (metrics.store_hits, metrics.store_misses, metrics.store_invalidations) == (2, 0, 0)
+    client = set(dataset) ^ {UNIVERSE - 3, next(iter(dataset))}
+    view = StoreView(reopened, "d", config, dataset)
+    _, client_bob = ibf_parties(set(), client, 20, SetReconContext(UNIVERSE, SEED))
+    result = run_session(stored_ibf_party("alice", view, 20), client_bob)
+    assert result.success and result.recovered == dataset
+    reopened.close()
+
+
+def test_a_three_hash_family_is_invalidated_and_rebuilt(tmp_path):
+    """A store whose clients once asked for ``k = 3`` kept that family beside
+    the ``k = 4`` one.  Its table is one invalidation and is never served: a
+    request for its geometry is refused and the ``k = 4`` table is rebuilt
+    from the dataset, while the snapshot's ``k = 4`` sketches still serve."""
+    dataset = make_dataset()
+    config = SketchConfig(UNIVERSE, seed=SEED)
+    path = snapshot_with_every_sketch(tmp_path, dataset, config)
+    body = json.loads(path.read_text())
+    three = IBLTParameters.for_difference(
+        20, max_element_bits(UNIVERSE), config.table_seed, num_hashes=3
+    )
+    item = {
+        "config": {**body["tables"][0]["config"], "num_hashes": 3},
+        "params": dataclasses.asdict(three),
+        "cells": format(IBLT.from_items(three, dataset).serialize(), "x"),
+    }
+    assert item["params"].keys() == body["tables"][0]["params"].keys()
+
+    metrics = ServiceMetrics()
+    path.write_text(json.dumps({**body, "tables": body["tables"] + [item]}))
+    beside = SketchStore(tmp_path, metrics=metrics)
+    assert beside.table_for("d", config, 20, dataset).params.num_hashes == NUM_HASHES
+    with pytest.raises(StoreError, match="disagree"):
+        beside.table_for_params("d", config, three, dataset)
+    assert (metrics.store_hits, metrics.store_misses, metrics.store_invalidations) == (1, 0, 1)
+    beside.close()
+
+    metrics = ServiceMetrics()
+    path.write_text(json.dumps({**body, "tables": [item]}))
+    alone = SketchStore(tmp_path, metrics=metrics)
+    live = alone.table_for("d", config, 20, dataset)
+    assert live.serialize() == fresh_table(config, 20, dataset).serialize()
+    assert (metrics.store_hits, metrics.store_misses, metrics.store_invalidations) == (0, 1, 1)
+    alone.close()
 
 
 def test_restart_with_out_of_band_dataset_change_invalidates(tmp_path):
