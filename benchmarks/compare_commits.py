@@ -16,9 +16,12 @@ Every run starts in a fresh temporary copy of its checkout's tracked and
 unignored files (``git ls-files -co --exclude-standard``), so neither side
 carries ``__pycache__``, ``.pytest_cache`` or ``benchmarks/e2e/.work`` from
 earlier use: those alone moved the ``serve-*`` workloads' ``op_ms`` and
-``peak_rss_mib`` by several percent.  A run that exits non-zero but printed
-its result line (the runner exits 1 when an op failed) counts, failed ops
-and all; only a run with no result line aborts the comparison.
+``peak_rss_mib`` by several percent.  A run that exits non-zero only because
+some of its ops failed (its result line reports ``failed > 0`` and the runner
+flagged no invalid run) counts, failed ops and all.  Any other non-zero run
+aborts the comparison: one with no result line, and an invalid one (a tier
+resolved to the wrong name, an op's bits or rounds changed between
+repetitions, or the workload's own check failed).
 
 Per workload and metric it prints each side's median and quartiles, in how
 many pairs the change read better (ties count for neither), whether the
@@ -37,6 +40,7 @@ import json
 import shutil
 import statistics
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -66,22 +70,34 @@ def result_line(stdout: str) -> dict | None:
     return result if isinstance(result, dict) and "metrics" in result else None
 
 
+def counted(result: dict | None, exit_code: int, stderr: str, where: str) -> dict:
+    """``result`` if the run counts; otherwise abort the comparison.
+
+    A run counts when it exited 0, or when it exited non-zero because ops
+    failed: its result line reports ``failed > 0`` and its stderr holds no
+    ``invalid run:`` line, which the runner prints for every other reason
+    it exits 1.
+    """
+    if result is None:
+        raise SystemExit(f"{where} exited {exit_code} without a result line")
+    if exit_code != 0 and (result["failed"] == 0 or "invalid run:" in stderr):
+        raise SystemExit(f"{where} exited {exit_code}: an invalid run")
+    return {**result, "exit_code": exit_code}
+
+
 def one_run(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
     """One run in its own process and its own fresh copy of ``checkout``."""
     with tempfile.TemporaryDirectory(prefix="compare-commits-") as scratch:
         finished = subprocess.run(
             command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
-            cwd=fresh_copy(checkout, Path(scratch)), stdout=subprocess.PIPE, text=True,
-            timeout=600,
+            cwd=fresh_copy(checkout, Path(scratch)), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, timeout=600,
         )
-    result = result_line(finished.stdout)
-    if result is None:
-        raise SystemExit(
-            f"{checkout}: {workload} at seed {seed} exited {finished.returncode} "
-            "without a result line"
-        )
-    result["exit_code"] = finished.returncode
-    return result
+    sys.stderr.write(finished.stderr)
+    return counted(
+        result_line(finished.stdout), finished.returncode, finished.stderr,
+        f"{checkout}: {workload} at seed {seed}",
+    )
 
 
 def quartiles(values: list[float]) -> tuple[float, ...]:

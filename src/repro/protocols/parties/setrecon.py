@@ -87,7 +87,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 BOUND_HEADER_BITS = 32
 
 #: The multiplier on the merged L0 estimate that an unknown-``d`` initiator
-#: sizes for (``ibf``, ``naive``, ``labeled``, ``kv``): twice the estimate
+#: sizes for (``ibf``, ``naive``, ``labeled``, ``kv``, and ``multiround``'s
+#: differing-children and per-child estimates): twice the estimate
 #: covers the true difference in at least 95 % of seeded trials at every
 #: size ``tests/estimator/test_l0_routes.py`` measures.
 SAFETY_FACTOR = 2.0
@@ -145,13 +146,13 @@ class SetReconContext:
         return EstimatorCodec(L0Estimator, self.estimator_seed)
 
 
-def bound_for_estimate(estimate: int, safety: float = SAFETY_FACTOR) -> int:
+def bound_for_estimate(estimate: int) -> int:
     """The difference bound an unknown-``d`` initiator sizes her sketch for."""
-    return max(1, int(round(safety * estimate)) + 1)
+    return max(1, int(round(SAFETY_FACTOR * estimate)) + 1)
 
 
 def estimated_bound(
-    own: L0Estimator, codec: EstimatorCodec, ceiling: int, safety: float = SAFETY_FACTOR
+    own: L0Estimator, codec: EstimatorCodec, ceiling: int
 ) -> Generator[Receive, Any, tuple[int, int] | None]:
     """The initiator's half of every unknown-``d`` prelude (Cor 3.2, Thm 3.4,
     Thm 3.10): receive the peer's L0 frame, merge her own, and return
@@ -166,7 +167,7 @@ def estimated_bound(
     if peer is END_OF_SESSION:
         return None
     estimate = peer.merge(own).query()
-    bound = min(bound_for_estimate(estimate, safety), ceiling, 2**BOUND_HEADER_BITS - 1)
+    bound = min(bound_for_estimate(estimate), ceiling, 2**BOUND_HEADER_BITS - 1)
     return estimate, bound
 
 

@@ -69,6 +69,7 @@ from repro.protocols.parties.setrecon import (
     GROW,
     GROWTH_REFUSED,
     GrowOrCodec,
+    bound_for_estimate,
     estimated_bound,
     start_rung,
 )
@@ -92,11 +93,6 @@ CHILD_HASH_BITS = 48
 #: the constant that the budget argument of Theorem 3.7's proof leaves free;
 #: 3 is the value every pinned cascade transcript was recorded at.
 LEVEL_SLACK = 3.0
-
-#: The multiplier on multiround's estimates (the differing-children estimate
-#: of its unknown-``d`` variant and every per-child estimate), the same
-#: coverage margin as :data:`~repro.protocols.parties.setrecon.SAFETY_FACTOR`.
-ESTIMATE_SAFETY = 2.0
 
 #: The first bound the repeated-doubling variants (Cor 3.6 / 3.8) try: a
 #: small difference then costs a small table.  The last is
@@ -578,10 +574,15 @@ def _level_child_scheme(ctx: SetsOfSetsContext, level: int) -> ChildEncodingSche
 
 
 def _clamped_capacity(budget: float, d_hat: int) -> int:
-    """``ceil(budget)`` keys, clamped to ``[2, 2 * d_hat]``: no table of the
-    cascade ever holds more than the ``2 * d_hat`` differing children of
-    both sides."""
-    return max(2, min(2 * d_hat, math.ceil(budget)))
+    """``ceil(budget)`` keys, clamped to ``[2, 2 * d_hat]``.
+
+    No table of the cascade ever holds more than the ``2 * d_hat`` differing
+    children of both sides.  The clamp is taken before the float becomes an
+    int, so a huge ``difference_bound`` (whose budget reads ``inf``) can
+    neither size a table past it nor overflow the conversion.
+    """
+    ceiling = 2 * d_hat
+    return max(2, ceiling if budget >= ceiling else math.ceil(budget))
 
 
 def _parent_capacity(level: int, difference_bound: int, d_hat: int) -> int:
@@ -1305,9 +1306,7 @@ def multiround_alice_known(
             # explicitly via a CPI message against the empty set.
             best_hash = 0
             best_estimate = len(child)
-        bound = _clamp_child_bound(
-            ctx, max(1, int(math.ceil(ESTIMATE_SAFETY * best_estimate)) + 1)
-        )
+        bound = _clamp_child_bound(ctx, bound_for_estimate(best_estimate))
         own_hash = alice_child_to_hash[child]
         if best_estimate >= cpi_threshold:
             child_params = _multiround_child_params(ctx, bound, own_hash)
@@ -1456,7 +1455,7 @@ def multiround_alice_unknown(
     own = _multiround_dhat_estimator(ctx, alice, 2)
     # As in the naive prelude: at most s differing child pairs.
     prelude = yield from estimated_bound(
-        own, EstimatorCodec(L0Estimator, own.seed), ctx.max_num_children, ESTIMATE_SAFETY
+        own, EstimatorCodec(L0Estimator, own.seed), ctx.max_num_children
     )
     if prelude is None:
         return aborted_outcome()

@@ -24,10 +24,10 @@ from typing import TYPE_CHECKING, Any
 from repro.core.setrecon.difference import max_element_bits
 from repro.iblt import IBLTParameters
 from repro.iblt.sizing import NUM_HASHES
-from repro.protocols.parties.setrecon import SAFETY_FACTOR, SetReconContext, table_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocols.options import ReconcileOptions
+    from repro.protocols.parties.setrecon import SetReconContext
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class SketchConfig:
     def from_options(cls, options: "ReconcileOptions") -> "SketchConfig":
         return cls(options.universe_size, options.seed, options.backend)
 
-    def context(self) -> SetReconContext:
+    def context(self) -> "SetReconContext":
         """The shared protocol context a session with this config derives."""
         return _context(self)
 
@@ -60,6 +60,8 @@ class SketchConfig:
     @property
     def table_seed(self) -> int:
         """Seed every IBLT of this config is built with."""
+        from repro.protocols.parties.setrecon import table_seed
+
         return table_seed(self.seed)
 
     @property
@@ -84,15 +86,16 @@ class SketchConfig:
     # -- persistence -----------------------------------------------------------------
 
     def to_wire(self) -> dict[str, Any]:
-        """The persisted config.  ``num_hashes`` and ``safety_factor`` are the
-        constants :data:`NUM_HASHES` and :data:`SAFETY_FACTOR`, written so
-        the snapshot format (pinned byte for byte) keeps its shape."""
+        """The persisted config.  ``num_hashes`` is :data:`NUM_HASHES`, the
+        hash count every table of the family has."""
         return {
             "universe_size": self.universe_size,
             "seed": self.seed,
             "num_hashes": NUM_HASHES,
             "backend": self.backend,
-            "safety_factor": SAFETY_FACTOR,
+            # Read by nothing; kept only so the snapshot format (pinned byte
+            # for byte) keeps its shape.
+            "safety_factor": 2.0,
         }
 
     @classmethod
@@ -107,7 +110,9 @@ class SketchConfig:
 
 
 @lru_cache(maxsize=64)
-def _context(config: SketchConfig) -> SetReconContext:
+def _context(config: SketchConfig) -> "SetReconContext":
+    from repro.protocols.parties.setrecon import SetReconContext
+
     return SetReconContext(config.universe_size, config.seed, config.backend)
 
 

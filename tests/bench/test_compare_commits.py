@@ -4,6 +4,8 @@ import importlib.util
 import subprocess
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "compare_commits.py"
 spec = importlib.util.spec_from_file_location("compare_commits", SCRIPT)
 compare_commits = importlib.util.module_from_spec(spec)
@@ -49,6 +51,24 @@ def test_a_run_counts_when_it_printed_its_result_line():
     assert compare_commits.result_line("") is None
     assert compare_commits.result_line("Traceback ...\nKilled\n") is None
     assert compare_commits.result_line('{"no": "metrics"}') is None
+
+
+def test_only_a_run_whose_ops_failed_counts_despite_its_exit_code():
+    counted = compare_commits.counted
+    ops_failed = {"correct": False, "attempted": 8, "failed": 3, "metrics": {}}
+    assert counted(ops_failed, 1, "w: failed op: timeout\n", "w")["exit_code"] == 1
+    assert counted({**ops_failed, "correct": True, "failed": 0}, 0, "", "w")["failed"] == 0
+    # Exit 1 with no failed op: a tier, determinism or workload check failed.
+    invalid = {"correct": False, "attempted": 8, "failed": 0, "metrics": {}}
+    with pytest.raises(SystemExit, match="invalid run"):
+        counted(invalid, 1, "w: invalid run: cell backend resolved to 'x'\n", "w")
+    with pytest.raises(SystemExit, match="invalid run"):
+        counted(invalid, 1, "", "w")
+    # Failed ops do not hide an invalid run beside them.
+    with pytest.raises(SystemExit, match="invalid run"):
+        counted(ops_failed, 1, "w: invalid run: an op's bits or rounds changed\n", "w")
+    with pytest.raises(SystemExit, match="without a result line"):
+        counted(None, -9, "", "w")
 
 
 def test_a_fresh_copy_holds_only_tracked_and_unignored_files(tmp_path):

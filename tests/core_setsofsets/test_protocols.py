@@ -190,6 +190,16 @@ class TestCascadingSpecifics:
         assert result.details["num_levels"] == plan.num_levels
         assert result.details["recovered_children"] >= 0
 
+    def test_a_float_overflowing_bound_sizes_tables_at_the_children_clamp(self):
+        # LEVEL_SLACK * d is inf here: each table is clamped before ceil().
+        alice = SetOfSets([{1, 2}, {3, 4}])
+        bob = SetOfSets([{1, 2}, {3, 5}])
+        result = reconcile(
+            alice, bob, protocol="cascading", difference_bound=10**308, universe_size=64,
+            seed=3,
+        )
+        assert result.success and result.recovered == alice
+
     def test_invalid_parameters(self):
         alice = SetOfSets([{1}])
         with pytest.raises(ParameterError):

@@ -148,11 +148,11 @@ def test_every_prelude_clamps_a_forged_estimate_before_sizing_a_table(protocol):
 # -- the shared prelude, driven by hand ------------------------------------------------
 
 
-def run_prelude(peer, safety=SAFETY_FACTOR, ceiling=1 << 20, own=None):
+def run_prelude(peer, ceiling=1 << 20, own=None):
     """What :func:`estimated_bound` returns when ``peer`` is received."""
     ctx = SetReconContext(1 << 20, seed=5)
     own = ctx.make_estimator() if own is None else own
-    prelude = estimated_bound(own, ctx.estimator_codec(), ceiling, safety)
+    prelude = estimated_bound(own, ctx.estimator_codec(), ceiling)
     receive = next(prelude)
     assert isinstance(receive, Receive)
     with pytest.raises(StopIteration) as stopped:
@@ -165,14 +165,15 @@ def test_the_prelude_returns_none_when_the_session_ends():
 
 
 @pytest.mark.parametrize("size", [0, 1, 6, 40, 300])
-@pytest.mark.parametrize("safety", [1.0, SAFETY_FACTOR])
-def test_an_honest_estimate_is_inflated_and_not_clamped(size, safety):
+def test_an_honest_estimate_is_inflated_and_not_clamped(size):
     ctx = SetReconContext(1 << 20, seed=5)
     peer, own = ctx.make_estimator(), ctx.make_estimator()
     peer.update_all(range(size), 1)
     own.update_all(range(size // 2), 2)
     estimate = peer.merge(own).query()
-    assert run_prelude(peer, safety, own=own) == (estimate, bound_for_estimate(estimate, safety))
+    bound = max(1, round(SAFETY_FACTOR * estimate) + 1)
+    assert bound_for_estimate(estimate) == bound
+    assert run_prelude(peer, own=own) == (estimate, bound)
 
 
 def test_the_prelude_clamps_to_the_ceiling_and_the_header():
@@ -184,21 +185,15 @@ def test_the_prelude_clamps_to_the_ceiling_and_the_header():
 #: An honest pair whose estimate sits under every ceiling: one element (for
 #: ``ibf``) or one child (for the sets of sets, 40 a side) differs.
 HONEST_KEYS = {
-    "ibf": ("estimated_difference", "difference_bound_used", SAFETY_FACTOR),
-    "naive": (
-        "estimated_differing_children", "differing_children_bound_used", SAFETY_FACTOR
-    ),
-    "multiround": (
-        "estimated_differing_children",
-        "differing_children_bound_used",
-        setsofsets.ESTIMATE_SAFETY,
-    ),
+    "ibf": ("estimated_difference", "difference_bound_used"),
+    "naive": ("estimated_differing_children", "differing_children_bound_used"),
+    "multiround": ("estimated_differing_children", "differing_children_bound_used"),
 }
 
 
 @pytest.mark.parametrize("protocol", sorted(HONEST_KEYS))
 def test_an_honest_session_runs_on_the_unclamped_bound(protocol):
-    estimate_key, bound_key, safety = HONEST_KEYS[protocol]
+    estimate_key, bound_key = HONEST_KEYS[protocol]
     if protocol == "ibf":
         alice, bob = set(range(0, 200, 2)), set(range(0, 202, 2))
         ceiling = 1 << 10
@@ -211,5 +206,5 @@ def test_an_honest_session_runs_on_the_unclamped_bound(protocol):
     assert result.success
     estimate = result.details[estimate_key]
     assert 1 <= estimate
-    bound = bound_for_estimate(estimate, safety)
+    bound = bound_for_estimate(estimate)
     assert result.details[bound_key] == bound < ceiling
