@@ -26,11 +26,12 @@ repetitions, or the workload's own check failed).
 Per workload and metric it prints each side's median and quartiles, in how
 many pairs the change read better (ties count for neither), whether the
 medians differ by more than the parent's own inter-quartile distance, and
-the verdict against the metric's ``bound``: ``better`` (a gain may be
-claimed: at least nine tenths of the pairs and clear of the parent's
-spread), ``worse`` (the median regressed past the bound), ``unresolved``
-(the runs spread further than the bound and do not all read better), or
-``same``.
+the verdict against the metric's ``bound``: ``same`` when every pair
+reads exactly equal (however far the readings spread across seeds),
+otherwise ``better`` (a gain may be claimed: at least nine tenths of the
+pairs and clear of the parent's spread), ``worse`` (the median regressed
+past the bound), ``unresolved`` (the runs spread further than the bound and
+do not all read better), or ``same``.
 """
 
 from __future__ import annotations
@@ -115,7 +116,9 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     gain = sign * (p_median - c_median)  # positive: the change's median is better
     limit = bound * (abs(p_median) or 1.0)
     clear = abs(gain) > p_high - p_low
-    if gain > 0 and clear and wins >= 0.9 * len(parent):
+    if parent == change:  # every pair tied exactly: no spread can hide a change
+        word = "same"
+    elif gain > 0 and clear and wins >= 0.9 * len(parent):
         word = "better"
     elif -gain > limit:
         word = "worse"

@@ -25,7 +25,7 @@ The party state machines live in :mod:`repro.protocols.parties.setsofsets`.
 and multisets of multisets (Section 3.4), which the graph applications use.
 """
 
-from repro.core.setsofsets.types import SetOfSets
+from repro.core.setsofsets.types import FlatSetOfSets, SetOfSets
 from repro.core.setsofsets.matching import (
     minimum_matching_difference,
     relaxed_difference,
@@ -40,6 +40,7 @@ from repro.core.setsofsets.nested import (
 
 __all__ = [
     "SetOfSets",
+    "FlatSetOfSets",
     "minimum_matching_difference",
     "relaxed_difference",
     "differing_children_count",

@@ -6,7 +6,8 @@ This module provides:
 
 * canonical hashing of a child set (both parties compute identical hashes),
   in scalar (:func:`child_set_hash`) and batch (:func:`child_set_hash_many`)
-  forms;
+  forms, the batch one over a party's flat batch
+  (:class:`~repro.iblt.multi.FlatChildren`) when it has one;
 * packing / unpacking of a child encoding into a fixed-width integer key --
   :func:`encode_children` batches the whole parent set through one
   :class:`~repro.iblt.multi.IBLTArray` pass per scheme, over one flatten,
@@ -14,14 +15,17 @@ This module provides:
 * a per-reconcile cache of candidate child tables for the decode side
   (:class:`ChildTableCache`);
 * explicit (raw) encodings of whole child sets, used by the naive protocol
-  of Theorem 3.3 and the ``T*`` table of Algorithm 2.
+  of Theorem 3.3 and the ``T*`` table of Algorithm 2, one array pass over a
+  flat batch when a key fits in a word
+  (:meth:`ExplicitChildScheme.encode_batch`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as _np
 
@@ -31,47 +35,75 @@ from repro.hashing.mix import MASK64, mix64_array
 from repro.iblt import IBLT, IBLTArray, IBLTParameters
 from repro.iblt.multi import FlatChildren
 
+# ---------------------------------------------------------------------------
+# Child-set hashing
+# ---------------------------------------------------------------------------
+
 #: Above this many children the finishing mix runs on an array (measured:
 #: ~6 us of array set-up against ~0.35 us saved per child).
 _MIX_ARRAY_CUTOFF = 16
 
 
-# ---------------------------------------------------------------------------
-# Child-set hashing
-# ---------------------------------------------------------------------------
+@lru_cache(maxsize=256)
+def _checksum(seed: int, purpose: str, bits: int) -> Checksum:
+    """The ``bits``-wide checksum seeded for ``purpose``, derived once per
+    ``(seed, purpose, bits)``: every hash of a session (both parties' and
+    each rung's) uses the same ones, and a checksum derives its word seed
+    (a BLAKE2b call) on first use only."""
+    return Checksum(derive_seed(seed, purpose), bits)
+
+
+def _flat(children: Iterable[Iterable[int]] | FlatChildren) -> FlatChildren:
+    return children if isinstance(children, FlatChildren) else FlatChildren(children)
+
+
+def _ints(values: Any) -> list[int]:
+    """A key array, or the list the per-row path made, as a list of ints."""
+    return values if isinstance(values, list) else values.tolist()
+
+
+def _child_hashes(flat: FlatChildren, seed: int, bits: int) -> Any:
+    """:func:`child_set_hash_many` of a flat batch: one checksum pass and one
+    ``reduceat`` fold the rows, and the finishing mix is one more array pass
+    (a ``uint64`` array), or scalar (a list) for a few children or an
+    element past 64 bits."""
+    if not 1 <= bits <= 64:
+        raise ParameterError("child-set hashes are 1 to 64 bits wide")
+    checksum = _checksum(seed, "child-set-hash", 64)
+    mask = (1 << bits) - 1
+    if flat.elements is None:
+        folds = checksum.of_sets(flat.rows)
+    else:
+        folds = flat.reduce_rows(_np.bitwise_xor, checksum.of_keys_array(flat.elements))
+        if flat.num_children > _MIX_ARRAY_CUTOFF:
+            # The size is added modulo 2**64, as the scalar form masks it.
+            return mix64_array(folds + flat.sizes.astype(_np.uint64)) & _np.uint64(mask)
+        folds = folds.tolist()
+    return [
+        mix64((fold + size) & MASK64) & mask for fold, size in zip(folds, flat.sizes.tolist())
+    ]
 
 
 def child_set_hash_many(
-    children: Iterable[Iterable[int]], seed: int, bits: int
+    children: Iterable[Iterable[int]] | FlatChildren, seed: int, bits: int
 ) -> list[int]:
     """Canonical ``bits``-wide hashes of many child sets, in order.
 
-    Each hash is the order-independent fold of the child's elements
-    (:meth:`~repro.hashing.checksum.Checksum.of_sets`: one flat pass over
-    every child) finished by one more mix over the fold plus the child's
-    size, so it is identical for both parties whatever order they iterate
-    in (and 0 for the empty child).  The finishing mix is what keeps the XOR of child hashes
+    Each hash is the order-independent fold of the child's elements (the
+    XOR of their :class:`~repro.hashing.checksum.Checksum`, as
+    :meth:`~repro.hashing.checksum.Checksum.of_set` folds a set) finished by
+    one more mix over the fold plus the child's size, so it is identical for
+    both parties whatever order they iterate in (and 0 for the empty child).
+    The finishing mix is what keeps the XOR of child hashes
     (:func:`parent_hash`) from being linear in the *elements*: without it,
     moving an element from one child to another would not change the parent
     hash.  The paper asks for an ``O(log s)``-bit pairwise-independent hash;
     48 bits (the library default set by the protocols) keeps collision
     probability among ``O(s^2)`` pairs negligible for any realistic ``s``.
+    ``children`` may be a :class:`~repro.iblt.multi.FlatChildren` already
+    built, which is then not flattened again.
     """
-    if not 1 <= bits <= 64:
-        raise ParameterError("child-set hashes are 1 to 64 bits wide")
-    children = [
-        child if isinstance(child, (frozenset, list)) else list(child) for child in children
-    ]
-    folds = Checksum(derive_seed(seed, "child-set-hash"), 64).of_sets(children)
-    mask = (1 << bits) - 1
-    if len(children) > _MIX_ARRAY_CUTOFF:
-        sizes = _np.fromiter(map(len, children), dtype=_np.uint64, count=len(children))
-        mixed = mix64_array(_np.asarray(folds, dtype=_np.uint64) + sizes)
-        return (mixed & _np.uint64(mask)).tolist()
-    return [
-        mix64((fold + len(child)) & MASK64) & mask
-        for fold, child in zip(folds, children)
-    ]
+    return _ints(_child_hashes(_flat(children), seed, bits))
 
 
 def child_set_hash(child: Iterable[int], seed: int, bits: int) -> int:
@@ -79,16 +111,18 @@ def child_set_hash(child: Iterable[int], seed: int, bits: int) -> int:
     return child_set_hash_many([child], seed, bits)[0]
 
 
-def parent_hash(children: Iterable[Iterable[int]], seed: int, bits: int = 64) -> int:
-    """Verification hash of a whole parent set (order independent).
+def parent_hash(
+    children: Iterable[Iterable[int]] | FlatChildren, seed: int, bits: int = 64
+) -> int:
+    """Verification hash of a whole parent set (order independent): the
+    :meth:`~repro.hashing.checksum.Checksum.of_set` fold of its child hashes.
 
     Protocols send this tiny hash alongside their main payload so Bob can
     verify his reconstruction (the replication / verification trick described
     at the end of Section 3.2).
     """
-    return Checksum(derive_seed(seed, "parent-hash"), bits).of_set(
-        child_set_hash_many(children, seed, bits)
-    )
+    hashes = _child_hashes(_flat(children), seed, bits)
+    return _checksum(seed, "parent-hash", bits).of_set(hashes)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +196,7 @@ class ChildEncodingScheme:
 
 def encode_children(
     schemes: Sequence[ChildEncodingScheme],
-    children: Iterable[Iterable[int]],
+    children: Iterable[Iterable[int]] | FlatChildren,
     backend: str | None = None,
 ) -> list[list[int]]:
     """The children's keys under every scheme: ``result[i][j]`` equals
@@ -170,21 +204,21 @@ def encode_children(
 
     The levels of a cascade encode the same children with the same child-hash
     seed and width, so what does not depend on the scheme runs once: one
-    flatten and validation (:class:`~repro.iblt.multi.FlatChildren`) and one
-    hash pass per distinct ``(seed, hash_bits)``.  Each scheme's child IBLTs
-    are then built and serialized in one :class:`~repro.iblt.multi.IBLTArray`
-    pass, one scheme's cell tensor at a time.  With no schemes the children
-    are not read.
+    flatten and validation (:class:`~repro.iblt.multi.FlatChildren`, or the
+    one given) and one hash pass per distinct ``(seed, hash_bits)``.  Each
+    scheme's child IBLTs are then built and serialized in one
+    :class:`~repro.iblt.multi.IBLTArray` pass, one scheme's cell tensor at a
+    time.  With no schemes the children are not read.
     """
     if not schemes:
         return []
-    flat = FlatChildren(children)
+    flat = _flat(children)
     hashes: dict[tuple[int, int], list[int]] = {}
     encoded = []
     for scheme in schemes:
         shared = (scheme.seed, scheme.hash_bits)
         if shared not in hashes:
-            hashes[shared] = child_set_hash_many(flat.rows, *shared)
+            hashes[shared] = child_set_hash_many(flat, *shared)
         tables = IBLTArray(scheme.child_params, flat, backend=backend).serialize_all()
         encoded.append(
             [(table << scheme.hash_bits) | tail for table, tail in zip(tables, hashes[shared])]
@@ -293,7 +327,8 @@ class ExplicitChildScheme:
         return self.encode_many([child])[0]
 
     def encode_many(self, children: Iterable[Iterable[int]]) -> list[int]:
-        """The keys of many children, in order, in one pass.
+        """The keys of many children, in order (:meth:`encode_batch` of
+        their flat batch).
 
         An element that is not a non-negative ``int`` (a ``bool`` included)
         raises :class:`ParameterError`; a child larger than ``max_child_size``
@@ -304,22 +339,51 @@ class ExplicitChildScheme:
             for element in chain.from_iterable(rows):
                 if not isinstance(element, int) or isinstance(element, bool):
                     raise ParameterError("child set elements must be integers")
+        return _ints(self.encode_batch(FlatChildren(list(map(sorted, rows)))))
+
+    def encode_batch(self, flat: FlatChildren) -> Any:
+        """The keys of a flat batch whose rows are sets in ascending order
+        (a :class:`~repro.core.setsofsets.types.FlatSetOfSets`, or the batch
+        :meth:`encode_many` builds): one ``uint64`` array when the keys fit
+        in a word, else a list of ints.
+
+        A bitmap key is the OR of ``1 << element`` over the row; a packed key
+        puts the row's ``j``-th smallest of ``n`` elements, with its present
+        bit, in slot ``n - 1 - j``.  Either is one ``reduceat``.  A row larger
+        than ``max_child_size`` or an element outside the universe raises
+        :class:`CapacityError`.
+        """
         limit, universe = self.max_child_size, self.universe_size
-        bitmap, slot_bits, present_bits = self.uses_bitmap, self.slot_bits, self._present_bits
+        oversized = flat.sizes[flat.sizes > limit]
+        if oversized.size:
+            raise CapacityError(
+                f"child set of size {int(oversized[0])} exceeds max_child_size {limit}"
+            )
+        elements = flat.elements
+        if self.key_bits > 64 or elements is None:
+            return self._encode_rows(flat.rows)
+        if elements.size and int(elements.max()) >= universe:
+            raise CapacityError("child set element outside the universe")
+        if self.uses_bitmap:
+            return flat.reduce_rows(_np.bitwise_or, _np.left_shift(_np.uint64(1), elements))
+        # Slots left of each element in its row: its row's end, less one, less its index.
+        after = _np.repeat(flat.starts + flat.sizes - 1, flat.sizes) - _np.arange(elements.size)
+        slots = (elements | _np.uint64(1 << self.element_bits)) << (
+            after.astype(_np.uint64) * _np.uint64(self.slot_bits)
+        )
+        return flat.reduce_rows(_np.bitwise_or, slots)
+
+    def _encode_rows(self, rows: list) -> list[int]:
+        """:meth:`encode_batch` one row at a time, for keys past one word."""
+        limit, universe = self.max_child_size, self.universe_size
+        slot_bits, present_bits = self.slot_bits, self._present_bits
         keys = []
-        for child in rows:
-            if len(child) > limit:
-                raise CapacityError(
-                    f"child set of size {len(child)} exceeds max_child_size {limit}"
-                )
+        for ordered in rows:
             encoded = 0
-            if child:
-                ordered = sorted(child)
-                if ordered[0] < 0:
-                    raise ParameterError("child set elements must be non-negative")
+            if ordered:
                 if ordered[-1] >= universe:
                     raise CapacityError("child set element outside the universe")
-                if bitmap:
+                if self.uses_bitmap:
                     # Distinct powers of two: their sum is their OR.
                     encoded = sum(map((1).__lshift__, ordered))
                 else:

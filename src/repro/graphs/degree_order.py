@@ -32,7 +32,7 @@ from typing import Any, Sequence
 
 import numpy as _np
 
-from repro.core.setsofsets import SetOfSets
+from repro.core.setsofsets import FlatSetOfSets, SetOfSets
 from repro.errors import ParameterError
 from repro.graphs.graph import _rows_of
 from repro.graphs.separation import signature_matrix, signature_order
@@ -68,7 +68,7 @@ def _closest_rank(mask: int, alice_masks: list[int], difference_bound: int) -> i
 
 
 def _conforming_labels_for_bob(
-    alice_signatures: SetOfSets,
+    alice_signatures: SetOfSets | FlatSetOfSets,
     bob_others: Sequence[int],
     bob_matrix: Any,
     num_top: int,
@@ -92,7 +92,12 @@ def _conforming_labels_for_bob(
     signatures.
     """
     try:
-        alice_matrix = signature_matrix(alice_signatures.children, num_top)
+        alice_matrix = signature_matrix(
+            alice_signatures
+            if isinstance(alice_signatures, FlatSetOfSets)
+            else alice_signatures.children,
+            num_top,
+        )
     except ParameterError:
         return None
     alice_masks = _rows_of(alice_matrix[signature_order(alice_matrix)])

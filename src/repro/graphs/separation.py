@@ -26,8 +26,10 @@ from typing import Any, Collection, Iterable
 
 import numpy as _np
 
+from repro.core.setsofsets.types import FlatSetOfSets
 from repro.errors import ParameterError
 from repro.graphs.graph import Graph, _rows_of
+from repro.iblt.multi import FlatChildren
 
 
 # ---------------------------------------------------------------------------
@@ -85,23 +87,43 @@ def signature_sets(matrix: Any) -> list[frozenset[int]]:
     return [frozenset(flat[start:stop]) for start, stop in zip([0, *stops], stops)]
 
 
-def signature_matrix(signatures: Iterable[Collection[int]], num_top: int) -> Any:
+def signature_batch(matrix: Any) -> FlatSetOfSets:
+    """The rows of a signature matrix as a parent set in flat form, straight
+    from ``np.nonzero``: in :func:`signature_order`, equal rows collapsed
+    (as ``SetOfSets(signature_sets(matrix))`` collapses them)."""
+    ordered = matrix[signature_order(matrix)]
+    distinct = _np.ones(len(ordered), dtype=bool)
+    distinct[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ordered = ordered[distinct]
+    _, columns = _np.nonzero(ordered)  # row-major: grouped by row, ascending
+    return FlatSetOfSets.from_arrays(
+        columns.astype(_np.uint64), _np.count_nonzero(ordered, axis=1).astype(_np.int64)
+    )
+
+
+def signature_matrix(signatures: Iterable[Collection[int]] | FlatChildren, num_top: int) -> Any:
     """The inverse of :func:`signature_sets`: a ``(count, num_top)`` ``bool``
-    matrix, row ``i`` set at the members of the ``i``-th signature.
+    matrix, row ``i`` set at the members of the ``i``-th signature (of a
+    flat batch's ``i``-th row).
 
     Raises :class:`ParameterError` for a member outside ``[0, num_top)``:
     recovered signatures come from a peer.
     """
-    rows = list(signatures)
-    sizes = list(map(len, rows))
-    try:
-        members = _np.fromiter(chain.from_iterable(rows), dtype=_np.int64, count=sum(sizes))
-    except OverflowError:  # a member past int64 is out of range too
-        members = _np.array([-1])
-    if members.size and (members.min() < 0 or members.max() >= num_top):
+    if isinstance(signatures, FlatChildren):
+        sizes = signatures.sizes
+        # A member past 64 bits is out of range too.
+        members = _np.array([-1]) if signatures.elements is None else signatures.elements
+    else:
+        rows = list(signatures)
+        sizes = _np.fromiter(map(len, rows), dtype=_np.int64, count=len(rows))
+        try:
+            members = _np.fromiter(chain.from_iterable(rows), dtype=_np.int64, count=sizes.sum())
+        except OverflowError:  # a member past int64 is out of range too
+            members = _np.array([-1])
+    if members.size and (int(members.min()) < 0 or int(members.max()) >= num_top):
         raise ParameterError(f"signature member out of range [0, {num_top})")
-    matrix = _np.zeros((len(rows), num_top), dtype=bool)
-    matrix[_np.repeat(_np.arange(len(rows)), sizes), members] = True
+    matrix = _np.zeros((len(sizes), num_top), dtype=bool)
+    matrix[_np.repeat(_np.arange(len(sizes)), sizes), members] = True
     return matrix
 
 

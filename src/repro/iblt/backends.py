@@ -184,7 +184,7 @@ class NumpyCellStore:
         if isinstance(keys, KeyBatch):
             batch = keys
         else:
-            batch = self._checked_batch(list(keys), key_bits)
+            batch = self._checked_batch(keys if is_key_array(keys) else list(keys), key_bits)
         top_bits = key_bits - 64 * (self.num_limbs - 1)
         if top_bits < 64 and batch.folds.size:
             top = batch.limbs if self.num_limbs == 1 else batch.limbs[:, 0]
@@ -198,8 +198,12 @@ class NumpyCellStore:
         # Types and signs are checked before NumPy sees a key (it would
         # truncate a float and, on 1.x, wrap a negative): exact parity.
         keys = checked_keys(keys, "IBLT keys", array_above=0 if self.num_limbs == 1 else None)
-        if is_key_array(keys):
-            return KeyBatch(keys, keys)
+        if is_key_array(keys):  # every key below 2**64: its own fold, in the last limb
+            if self.num_limbs == 1:
+                return KeyBatch(keys, keys)
+            limbs = _np.zeros((keys.size, self.num_limbs), dtype=_np.uint64)
+            limbs[:, -1] = keys
+            return KeyBatch(limbs, keys)
         try:
             return self.coerce_keys(keys)
         except (OverflowError, TypeError, ValueError):

@@ -31,11 +31,12 @@ but they are why one flat scatter is safe: rows never interact.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence, TypeVar
 
 import numpy as _np
 
 from repro.errors import ParameterError
+from repro.hashing.mix import checked_keys, is_key_array
 from repro.iblt.backends import _repeated, count_residue, max_peel_rounds
 from repro.iblt.codec import pack_rows
 from repro.iblt.table import IBLT, DecodeResult, IBLTParameters
@@ -109,19 +110,99 @@ def _peel_tensor(counts, key_xor, check_xor, family, checksum, count_bits):
     ]
 
 
+_Batch = TypeVar("_Batch", bound="FlatChildren")
+
+
 class FlatChildren:
-    """One parent's children, flattened once for every array built over them:
-    the ``rows`` and ``keys``, every element in row order as one
-    :class:`~repro.iblt.backends.KeyBatch`, validated by the first tensor
-    build and only checked against ``key_bits`` by the later ones (the other
-    levels of a cascade)."""
+    """One parent's children flattened once, for every encoder and array
+    built over them.
+
+    ``elements`` is every element, row after row, as one ``uint64`` array,
+    and ``sizes`` the row lengths (``int64``); rows keep their given order
+    and their elements' multiplicities.  Elements are validated once, on
+    construction (integers, non-negative).  A batch holding an element of
+    ``2**64`` or more has ``elements = None``, and its readers take the
+    per-row path over :attr:`rows`.  ``keys`` is the
+    :class:`~repro.iblt.backends.KeyBatch` the first tensor build made,
+    which the later ones (the other levels of a cascade) only width-check.
+    """
 
     def __init__(self, children: Iterable[Iterable[int]]) -> None:
-        self.rows = [
+        rows = [
             child if isinstance(child, (list, tuple)) else list(child)
             for child in children
         ]
+        elements = checked_keys(chain.from_iterable(rows), "child set elements", array_above=0)
+        if not is_key_array(elements):  # no element, or one past 64 bits
+            elements = None if elements else _np.empty(0, dtype=_np.uint64)
+        self._init(elements, _np.fromiter(map(len, rows), dtype=_np.int64, count=len(rows)), rows)
+
+    @classmethod
+    def from_arrays(cls: type[_Batch], elements: Any, sizes: Any) -> _Batch:
+        """A batch over a ``uint64`` element array and its ``int64`` row
+        sizes, taken as they are (no validation)."""
+        batch = cls.__new__(cls)
+        batch._init(elements, sizes, None)
+        return batch
+
+    @classmethod
+    def from_checked_rows(cls: type[_Batch], rows: list) -> _Batch:
+        """A batch of list rows whose elements are known to be non-negative
+        ints (a :class:`~repro.core.setsofsets.types.SetOfSets` checked its
+        own), flattened without checking them again."""
+        sizes = _np.fromiter(map(len, rows), dtype=_np.int64, count=len(rows))
+        try:
+            elements = _np.fromiter(
+                chain.from_iterable(rows), dtype=_np.uint64, count=int(sizes.sum())
+            )
+        except OverflowError:  # an element past 64 bits
+            elements = None
+        batch = cls.__new__(cls)
+        batch._init(elements, sizes, rows)
+        return batch
+
+    def _init(self, elements: Any, sizes: Any, rows: list | None) -> None:
+        self.elements = elements
+        self.sizes = sizes
+        self.starts = _np.cumsum(sizes) - sizes
+        self._rows = rows
         self.keys: Any = None
+
+    @property
+    def rows(self) -> list:
+        """The rows as Python lists (built from the arrays on first use)."""
+        if self._rows is None:
+            flat = self.elements.tolist()
+            stops = (self.starts + self.sizes).tolist()
+            self._rows = [flat[start:stop] for start, stop in zip(self.starts.tolist(), stops)]
+        return self._rows
+
+    def row(self, index: int) -> list[int]:
+        """Row ``index`` as a list, without building the others."""
+        if self._rows is not None:
+            return self._rows[index]
+        start = int(self.starts[index])
+        return self.elements[start : start + int(self.sizes[index])].tolist()
+
+    @property
+    def num_children(self) -> int:
+        return len(self.sizes)
+
+    @property
+    def total_elements(self) -> int:
+        return int(self.sizes.sum())
+
+    def reduce_rows(self, ufunc: Any, values: Any) -> Any:
+        """``ufunc`` folded over each row's entries of ``values`` (one per
+        element, in element order), 0 for an empty row: one ``reduceat``."""
+        folds = _np.zeros(len(self.sizes), dtype=values.dtype)
+        # reduceat answers an empty segment with the *next* segment's first
+        # value, so fold the non-empty rows only (their starts still
+        # partition the flat array).
+        occupied = _np.flatnonzero(self.sizes)
+        if occupied.size:
+            folds[occupied] = ufunc.reduceat(values, self.starts[occupied])
+        return folds
 
 
 class IBLTArray:
@@ -150,7 +231,7 @@ class IBLTArray:
     ) -> None:
         self.params = params
         flat = children if isinstance(children, FlatChildren) else FlatChildren(children)
-        self.num_tables = len(flat.rows)
+        self.num_tables = flat.num_children
         # One template table supplies the shared hash family, checksum and
         # cell store; rows clone it instead of re-deriving seeds.
         self._template = IBLT(params, backend=backend)
@@ -183,9 +264,12 @@ class IBLTArray:
         """Scatter every (child_index, element) pair of the flat array at once."""
         params = self.params
         num_cells = params.num_cells
-        lengths = list(map(len, flat.rows))
-        elements = flat.keys if flat.keys is not None else chain.from_iterable(flat.rows)
-        # The validated key batch (an earlier one passes on a width check).
+        if flat.keys is not None:  # an earlier build's key batch: a width check
+            elements = flat.keys
+        elif flat.elements is not None:
+            elements = flat.elements
+        else:  # an element past 64 bits: the store refuses it as it would a key
+            elements = chain.from_iterable(flat.rows)
         flat.keys = self._template._store.prepare_keys(elements, params.key_bits)
         keys = flat.keys.folds
         total_cells = self.num_tables * num_cells
@@ -197,7 +281,7 @@ class IBLTArray:
             checksum = self._template._checksum
             # Row offset per flat key; broadcasting adds it to every hash row.
             offsets = _np.repeat(
-                _np.arange(self.num_tables, dtype=_np.int64) * num_cells, lengths
+                _np.arange(self.num_tables, dtype=_np.int64) * num_cells, flat.sizes
             )
             cells, checks = family.cells_and_checks_array(keys, checksum)
             cells = (cells + offsets).reshape(-1)

@@ -54,7 +54,7 @@ from repro.graphs.separation import (
     degree_neighborhood_signatures,
     degree_order_matrix,
     multiset_mask,
-    signature_sets,
+    signature_batch,
 )
 from repro.hashing import derive_seed
 from repro.protocols.party import (
@@ -259,8 +259,8 @@ def degree_order_parties(
 
     alice_top, alice_others, alice_matrix = degree_order_matrix(alice, num_top)
     bob_top, bob_others, bob_matrix = degree_order_matrix(bob, num_top)
-    alice_signature_set = SetOfSets(signature_sets(alice_matrix))
-    bob_signature_set = SetOfSets(signature_sets(bob_matrix))
+    alice_signature_set = signature_batch(alice_matrix)
+    bob_signature_set = signature_batch(bob_matrix)
 
     sig_ctx = context_for(
         alice_signature_set,

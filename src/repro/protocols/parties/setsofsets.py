@@ -50,7 +50,7 @@ from repro.core.setsofsets.nested import (
     encode_multiset_children,
     encoded_universe_size,
 )
-from repro.core.setsofsets.types import SetOfSets
+from repro.core.setsofsets.types import FlatSetOfSets, SetOfSets
 from repro.errors import ParameterError
 from repro.estimator import L0Estimator
 from repro.hashing import derive_seed
@@ -129,7 +129,11 @@ class SetsOfSetsContext:
 
 
 def context_for(
-    alice: SetOfSets, bob: SetOfSets, universe_size: int, seed: int, **kwargs: Any
+    alice: SetOfSets | FlatSetOfSets,
+    bob: SetOfSets | FlatSetOfSets,
+    universe_size: int,
+    seed: int,
+    **kwargs: Any,
 ) -> SetsOfSetsContext:
     """Build a context with the public size statistics of both parents."""
     return SetsOfSetsContext(
@@ -758,7 +762,7 @@ GROWTH_REQUEST_CODEC = GrowOrCodec(NULL_CODEC)
 
 def reconstruction_hash(
     bob_hash: int,
-    bob: SetOfSets,
+    bob: SetOfSets | FlatSetOfSets,
     removed: Iterable[frozenset[int]],
     added: Iterable[frozenset[int]],
     seed: int,
@@ -768,22 +772,25 @@ def reconstruction_hash(
     :func:`parent_hash` XORs one check per child, so the reconstruction's
     hash is bob's own (``bob_hash``) XOR the checks of the children whose
     membership flips: the added ones he lacks, and the removed ones he has
-    and does not get back.
+    and does not get back.  Only those O(d) children are looked up in ``bob``.
     """
     added = set(map(frozenset, added))
-    removed = set(map(frozenset, removed))
-    flips = (added - bob.children) | ((removed & bob.children) - added)
+    removed = set(map(frozenset, removed)) - added
+    flips = {child for child in added if child not in bob}
+    flips.update(child for child in removed if child in bob)
     return bob_hash ^ parent_hash(flips, seed)
 
 
 def cascading_alice_known(
-    alice: SetOfSets, difference_bound: int, ctx: SetsOfSetsContext
+    alice: SetOfSets | FlatSetOfSets, difference_bound: int, ctx: SetsOfSetsContext
 ) -> PartyGenerator:
     """Alice's side: build the plan's level tables and T*, and send them at once.
 
-    T* goes at its start rung.  Below the top she then answers each growth
-    request with the next rung's upper half and refuses one past the top;
-    a T* that starts at its top (one rung) ends her side with the message.
+    Every key and hash comes from one flat batch of her children (built
+    here from a :class:`SetOfSets`).  T* goes at its start rung.  Below the
+    top she then answers each growth request with the next rung's upper
+    half and refuses one past the top; a T* that starts at its top (one
+    rung) ends her side with the message.
     """
     if difference_bound < 0:
         raise ParameterError("difference_bound must be non-negative")
@@ -792,18 +799,19 @@ def cascading_alice_known(
     plan = _cascade_plan(ctx, difference_bound)
     rungs = plan.t_star_rungs
     index = plan.start_rung(ctx)
+    flat = alice if isinstance(alice, FlatSetOfSets) else FlatSetOfSets.of(alice)
     level_tables: list[IBLT] = []
-    level_keys = encode_children(plan.schemes, alice.children, backend=ctx.backend)
+    level_keys = encode_children(plan.schemes, flat, backend=ctx.backend)
     for keys, params in zip(level_keys, plan.level_params):
         table = IBLT(params, backend=ctx.backend)
         table.insert_batch(keys)
         level_tables.append(table)
     t_star: IBLT | None = None
     if rungs:
-        t_star_keys = plan.explicit_scheme.encode_many(alice.children)
+        t_star_keys = plan.explicit_scheme.encode_batch(flat)
         t_star = IBLT(rungs[index], backend=ctx.backend)
         t_star.insert_batch(t_star_keys)
-    verification = parent_hash(alice.children, ctx.seed)
+    verification = parent_hash(flat, ctx.seed)
     yield Send(
         "cascading level tables",
         plan.message_bits(index),
@@ -829,16 +837,17 @@ def cascading_alice_known(
 
 
 def cascading_bob_known(
-    bob: SetOfSets, difference_bound: int, ctx: SetsOfSetsContext
+    bob: SetOfSets | FlatSetOfSets, difference_bound: int, ctx: SetsOfSetsContext
 ) -> PartyGenerator:
     """Bob's side: process the plan's levels in order, then T* rung by rung.
 
-    His whole-parent hash is computed once, and each reconstruction is
-    checked against alice's in O(d) (:func:`reconstruction_hash`).  Below
-    the top, a rejected rung (a child peeled with both signs, or a wrong
-    hash, which a failed peel leaves) sends a one-bit growth request, and
-    alice's upper half unfolds T* to the next rung.  At the top the failure
-    stands.
+    His keys and whole-parent hash come from one flat batch of his children
+    (built here from a :class:`SetOfSets`), and frozensets only for the
+    O(d) children that differ.  Each reconstruction is checked against
+    alice's hash in O(d) (:func:`reconstruction_hash`).  Below the top, a
+    rejected rung (a child peeled with both signs, or a wrong hash, which a
+    failed peel leaves) sends a one-bit growth request, and alice's upper
+    half unfolds T* to the next rung.  At the top the failure stands.
     """
     if difference_bound < 0:
         raise ParameterError("difference_bound must be non-negative")
@@ -852,36 +861,29 @@ def cascading_bob_known(
         return aborted_outcome()
     level_tables, t_star, verification = payload
 
-    # Bob's matching maps level keys back to his children, the one place an
-    # order is observable; with no levels there is nothing to sort.  His
-    # encodings for every level come out of one pass over his children; the
-    # few already-recovered children are re-encoded per level below.
-    bob_children = bob.sorted_children() if plan.schemes else []
-    bob_level_keys = encode_children(plan.schemes, bob_children, backend=ctx.backend)
+    # Bob's matching maps level keys back to his children by their canonical
+    # index, the one place an order is observable.  His encodings for every
+    # level come out of one pass over his batch; the few already-recovered
+    # children are re-encoded per level below.
+    flat = bob if isinstance(bob, FlatSetOfSets) else FlatSetOfSets.of(bob)
+    bob_level_keys = encode_children(plan.schemes, flat, backend=ctx.backend)
     recovered_children: set[frozenset[int]] = set()   # D_A
-    differing_bob: set[frozenset[int]] = set()        # D_B
+    differing_rows: set[int] = set()                  # D_B, by canonical index
 
-    for level_index, (scheme, alice_table, bob_keys) in enumerate(
-        zip(plan.schemes, level_tables, bob_level_keys)
-    ):
-        level = level_index + 1
+    for scheme, alice_table, bob_keys in zip(plan.schemes, level_tables, bob_level_keys):
         work = alice_table.copy()
-        encoding_to_child = dict(zip(bob_keys, bob_children))
-        deletions = [
-            key
-            for key, child in zip(bob_keys, bob_children)
-            if level == 1 or child not in differing_bob
-        ]
+        row_of_key = dict(zip(bob_keys, range(len(bob_keys))))
+        deletions = [key for row, key in enumerate(bob_keys) if row not in differing_rows]
         if recovered_children:
             deletions.extend(scheme.encode_all(recovered_children, backend=ctx.backend))
         work.delete_batch(deletions)
         decode = work.try_decode()  # partial results are still useful on failure
 
         for key in decode.negative:
-            child = encoding_to_child.get(key)
-            if child is not None:
-                differing_bob.add(child)
-        candidates = sorted(differing_bob, key=sorted)
+            row = row_of_key.get(key)
+            if row is not None:
+                differing_rows.add(row)
+        candidates = [flat.child(row) for row in sorted(differing_rows)]
         candidate_tables = ChildTableCache(scheme, backend=ctx.backend)
         if decode.positive:
             candidate_tables.add_children(candidates)
@@ -892,7 +894,8 @@ def cascading_bob_known(
             if recovered is not None:
                 recovered_children.add(recovered)
 
-    bob_hash = parent_hash(bob.children, ctx.seed)
+    bob_hash = parent_hash(flat, ctx.seed)
+    differing_bob = {flat.child(row) for row in differing_rows}
     removed, added = differing_bob, recovered_children
     if t_star is None:
         verified = (
@@ -901,15 +904,19 @@ def cascading_bob_known(
     else:
         # Children in D_B stay in the table so only Alice's unrecovered
         # children remain to extract: the keys a level >= 2 table carries,
-        # so a T* that replaces a level fits that level's capacity.
+        # so a T* that replaces a level fits that level's capacity.  All of
+        # Bob's keys go out and D_B's come back in, which leaves the same cells.
         scheme = plan.explicit_scheme
-        deletions = scheme.encode_many(
-            [child for child in bob.children if child not in differing_bob]
-        )
-        deletions.extend(scheme.encode_many(recovered_children))
+        bob_keys = scheme.encode_batch(flat)
+        restored = scheme.encode_many(differing_bob)
+        recovered_keys = scheme.encode_many(recovered_children)
         while True:
             work = t_star.copy()
-            work.delete_batch(deletions)
+            work.delete_batch(bob_keys)
+            if restored:
+                work.insert_batch(restored)
+            if recovered_keys:
+                work.delete_batch(recovered_keys)
             decode = work.try_decode()
             added = recovered_children | set(map(scheme.decode, decode.positive))
             removed = differing_bob | {

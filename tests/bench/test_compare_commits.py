@@ -39,6 +39,15 @@ def test_identical_counts_are_the_same_and_ties_win_nothing():
     assert (row["verdict"], row["wins"], row["losses"]) == ("same", 0, 0)
 
 
+def test_pairs_that_all_tie_exactly_are_the_same_however_wide_their_spread():
+    # bits_per_op at seeds 2018.. differ by seed, but each pair is byte-identical.
+    bits = [1386.0, 1240.5, 1533.0, 1386.0, 1101.0, 1690.5, 1240.5, 1386.0, 1533.0, 980.0]
+    row = verdict(bits, list(bits), "lower", 0.02)
+    assert (row["verdict"], row["wins"], row["losses"]) == ("same", 0, 0)
+    # One pair off by a bit is no longer a tie throughout: the spread decides.
+    assert verdict(bits, bits[:-1] + [981.0], "lower", 0.02)["verdict"] == "unresolved"
+
+
 def test_a_spread_wider_than_the_bound_is_unresolved_not_unchanged():
     noisy = [100.0, 140.0, 90.0, 150.0, 95.0, 145.0, 105.0, 135.0, 98.0, 142.0]
     assert verdict(noisy, noisy[::-1], "lower", 0.1)["verdict"] == "unresolved"

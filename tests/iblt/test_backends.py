@@ -136,6 +136,30 @@ class TestBatchAPI:
         assert table.is_structurally_empty()
 
 
+class TestKeyArrayBatches:
+    """A ``uint64`` key array is a batch as valid as the list of its keys."""
+
+    @pytest.mark.parametrize("key_bits", [20, 64, 100, 200])
+    def test_array_batch_cells_equal_list_batch_cells(self, key_bits):
+        rng = random.Random(key_bits)
+        keys = [rng.randrange(1 << min(key_bits, 64)) for _ in range(40)] + [0, 7, 7]
+        params = make_params(key_bits=key_bits)
+        from_list, from_array = IBLT(params), IBLT(params)
+        from_list.insert_batch(keys)
+        from_array.insert_batch(np.array(keys, dtype=np.uint64))
+        assert from_array == from_list
+        from_list.delete_batch(keys[:9])
+        from_array.delete_batch(np.array(keys[:9], dtype=np.uint64))
+        assert from_array == from_list
+        assert from_array.serialize() == from_list.serialize()
+
+    def test_array_batch_is_width_checked(self):
+        table = IBLT(make_params(key_bits=8))
+        with pytest.raises(CapacityError):
+            table.insert_batch(np.array([1, 256], dtype=np.uint64))
+        assert table.is_structurally_empty()
+
+
 @pytest.mark.parametrize("backend", STORES)
 class TestWideKeyBatches:
     """Batches over keys on both sides of 2**64: one fold per key, either store."""
