@@ -84,8 +84,9 @@ def main() -> None:
     print(f"\nExplicit transfer of Alice's data would cost ~{explicit} bits.")
 
     # The same protocols are registered by name behind the uniform entry
-    # point; the serializing transport round-trips every message through its
-    # wire codec and verifies the measured bytes against the charged bits.
+    # point; its default serializing transport round-trips every message
+    # through its wire codec and verifies the measured bytes against the
+    # charged bits (passed here to read its measurements).
     import repro
 
     transport = repro.SerializingTransport()

@@ -6,9 +6,9 @@ The sibling of ``socket_sync.py`` at service scale: a single
 and ``multiround`` protocols on one event loop, and twelve clients connect
 *concurrently* -- four per protocol, each holding its own perturbed copy of
 the server data.  Every client recovers the server's dataset, and each
-result is checked against the same protocol run as an in-memory session
-(identical recovered data and identical transcript bits: the wire changes
-nothing but the transport).
+result is checked against the same protocol run as an in-process session
+(identical recovered data and identical transcript bits: the socket changes
+nothing but where the bytes travel).
 
 The finale fetches the server's ``stats`` report, which shows the
 sessions it served.
@@ -69,7 +69,7 @@ def client_options(client_id: int) -> ReconcileOptions:
 
 
 async def run_client(port, protocol, client_id, datasets):
-    """One concurrent client session plus its in-memory reference run."""
+    """One concurrent client session plus its in-process reference run."""
     mine = perturb(datasets[protocol], random.Random(SEED + client_id))
     options = client_options(client_id)
     result = await areconcile("127.0.0.1", port, protocol, mine, options=options)
@@ -78,7 +78,7 @@ async def run_client(port, protocol, client_id, datasets):
     )
     assert result.success, f"client {client_id} ({protocol}) failed"
     assert result.recovered == datasets[protocol], f"client {client_id} wrong data"
-    assert result.recovered == reference.recovered, "network != in-memory recovery"
+    assert result.recovered == reference.recovered, "network != in-process recovery"
     assert result.total_bits == reference.total_bits, "transport changed accounting"
     return protocol, client_id, result.total_bits
 
@@ -100,7 +100,7 @@ async def main() -> None:
         ]
         finished = await asyncio.gather(*tasks)
         print(f"[clients] {len(finished)} concurrent sessions reconciled, "
-              "all byte-identical to in-memory runs:")
+              "all byte-identical to in-process runs:")
         for protocol, client_id, bits in finished:
             print(f"[clients]   #{client_id:<2} {protocol:<11} {bits:>7} bits")
 

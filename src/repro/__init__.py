@@ -42,7 +42,6 @@ from repro.db import BinaryTable
 from repro.documents import DocumentCollection
 from repro import protocols
 from repro.protocols import (
-    InMemoryTransport,
     ReconcileOptions,
     SerializingTransport,
     Session,
@@ -59,7 +58,6 @@ __all__ = [
     "reconcile",
     "ReconcileOptions",
     "Session",
-    "InMemoryTransport",
     "SerializingTransport",
     "SocketTransport",
     "SetOfSets",

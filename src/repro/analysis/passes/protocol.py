@@ -11,8 +11,8 @@ Walks every generator in the party modules (``repro/protocols/parties/``,
   expression; an uncharged message would silently corrupt the transcript's
   bit accounting (the quantity the whole benchmark suite measures).
 * ``P103`` -- every ``Send`` must name a wire codec.  ``codec=None``
-  restricts the protocol to the in-memory transport and breaks the
-  cross-transport determinism guarantee for every protocol built on it.
+  raises :class:`~repro.protocols.wire.WireError` when the command is built,
+  so the protocol runs on no transport at all.
 * ``P104`` -- every ``Receive`` must name the codec it expects, for the same
   reason.
 * ``P105`` -- alice/bob generator pairs must be conversation-balanced: the
@@ -172,8 +172,8 @@ class ProtocolPartyPass(AnalysisPass):
         "P101": "party generators may only yield Send/Receive or delegate "
         "with 'yield from'",
         "P102": "Send must charge an explicit size_bits expression",
-        "P103": "Send must name a wire codec (codec=None breaks serializing "
-        "transports)",
+        "P103": "Send must name a wire codec (codec=None breaks every "
+        "transport)",
         "P104": "Receive must name the codec it expects",
         "P105": "alice/bob pair is not conversation-balanced",
     }

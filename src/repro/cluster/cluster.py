@@ -34,7 +34,6 @@ from repro.errors import ClusterError, ParameterError
 from repro.protocols.options import ReconcileOptions
 from repro.protocols.registry import get as get_protocol
 from repro.protocols.session import Session
-from repro.protocols.transports import SerializingTransport, Transport
 
 #: Bound multiplier between retry attempts of one failed pair sync.
 _RETRY_FACTOR = 4
@@ -66,9 +65,10 @@ class Cluster:
         ``"gossip"`` (set reconciliation, the default) or ``"full"`` (the
         full-state-exchange baseline).
     serializing:
-        Run every session over a :class:`SerializingTransport` so charged
-        sizes are validated against real bytes (slower; tests use it to pin
-        wire-exactness inside the cluster loop).
+        Kept only because existing callers pass ``serializing=True``: every
+        session already runs over the default
+        :class:`~repro.protocols.transports.SerializingTransport`, so
+        ``False`` raises :class:`ParameterError`.
     journal_root:
         Directory for per-node record journals; required for
         :meth:`restart` to recover state after :meth:`crash`.
@@ -83,7 +83,7 @@ class Cluster:
         backend: str | None = None,
         policy: str = "uniform",
         exchange: str = "gossip",
-        serializing: bool = False,
+        serializing: bool = True,
         journal_root: Path | str | None = None,
         max_attempts: int = 4,
     ) -> None:
@@ -91,9 +91,10 @@ class Cluster:
             raise ParameterError("a cluster needs at least 2 nodes")
         if exchange not in ("gossip", "full"):
             raise ParameterError(f"unknown exchange mode {exchange!r}")
+        if not serializing:
+            raise ParameterError("every cluster session serializes; serializing must be True")
         self.seed = seed
         self.exchange = exchange
-        self.serializing = serializing
         self.max_attempts = max_attempts
         self.journal_root = Path(journal_root) if journal_root is not None else None
         self.options = ReconcileOptions(
@@ -163,9 +164,6 @@ class Cluster:
 
     # -- one pairwise round ---------------------------------------------------------
 
-    def _transport(self) -> Transport | None:
-        return SerializingTransport() if self.serializing else None
-
     def _bound_schedule(self) -> Iterable[int | None]:
         bound = self.options.difference_bound
         yield bound
@@ -200,7 +198,7 @@ class Cluster:
             attempts += 1
             options = self.options.merged(difference_bound=bound)
             alice_party, bob_party = spec.build(peer_kv, initiator_kv, options)
-            result = Session(alice_party, bob_party, transport=self._transport()).run()
+            result = Session(alice_party, bob_party).run()
             bits += result.transcript.total_bits
             messages += len(result.transcript.messages)
             if result.alice.success and result.bob.success:

@@ -31,8 +31,9 @@ class Message:
     size_bits:
         Serialized size charged for the message.
     payload:
-        The in-memory payload object handed to the receiving party.  Not
-        serialized (the simulation passes Python objects), but its size was.
+        The payload object: in an in-process session the sender's object as
+        sent (the receiving party decodes its own from the wire bytes); on
+        a socket endpoint that received the message, the decoded one.
     """
 
     sender: str

@@ -17,8 +17,9 @@ the cascading protocol builds every encoded child's sketch through
 
 This module holds the types and the encoding; the protocol itself (Theorem
 3.11) is the party pair in :mod:`repro.protocols.parties.setsofsets`, and
-:func:`reconcile_multisets_of_multisets` runs it over an in-memory session
-(Theorem 3.11 has no registered protocol name of its own).
+:func:`reconcile_multisets_of_multisets` runs it over a default
+(serializing) session (Theorem 3.11 has no registered protocol name of its
+own).
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def reconcile_multisets_of_multisets(
     """Reconcile two multisets of multisets (one-way, Bob recovers Alice's).
 
     Thin wrapper over the party pair of
-    :mod:`repro.protocols.parties.setsofsets` (in-memory session), which runs
+    :mod:`repro.protocols.parties.setsofsets` (default session), which runs
     the cascading protocol of Theorem 3.7 on the encoded parents.
 
     Parameters

@@ -38,16 +38,17 @@ from repro.graphs.graph import _rows_of
 from repro.graphs.separation import signature_matrix, signature_order
 
 
-def canonical_labels(top_vertices: list[int], others: list[int], matrix: Any) -> Any:
+def canonical_labels(
+    top_vertices: list[int], others: list[int], matrix: Any, order: Any
+) -> Any:
     """Alice's canonical labeling as an array, ``labels[v]`` for vertex ``v``:
-    degree rank for the top, then the others in signature order
-    (:func:`~repro.graphs.separation.signature_order` of ``matrix``, the
+    degree rank for the top, then the others in signature order (``order``,
+    the :func:`~repro.graphs.separation.signature_order` of ``matrix``, the
     :func:`~repro.graphs.separation.degree_order_matrix` rows).
 
     Raises :class:`ParameterError` when two signatures coincide (the graph is
     then not separated and the scheme does not apply).
     """
-    order = signature_order(matrix)
     ordered = matrix[order]
     if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise ParameterError("duplicate vertex signatures: graph is not separated")

@@ -87,11 +87,12 @@ def signature_sets(matrix: Any) -> list[frozenset[int]]:
     return [frozenset(flat[start:stop]) for start, stop in zip([0, *stops], stops)]
 
 
-def signature_batch(matrix: Any) -> FlatSetOfSets:
+def signature_batch(matrix: Any, order: Any) -> FlatSetOfSets:
     """The rows of a signature matrix as a parent set in flat form, straight
-    from ``np.nonzero``: in :func:`signature_order`, equal rows collapsed
-    (as ``SetOfSets(signature_sets(matrix))`` collapses them)."""
-    ordered = matrix[signature_order(matrix)]
+    from ``np.nonzero``: in ``order`` (the matrix's :func:`signature_order`),
+    equal rows collapsed (as ``SetOfSets(signature_sets(matrix))`` collapses
+    them)."""
+    ordered = matrix[order]
     distinct = _np.ones(len(ordered), dtype=bool)
     distinct[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     ordered = ordered[distinct]

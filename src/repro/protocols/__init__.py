@@ -7,8 +7,9 @@ session:
   :class:`Send` / :class:`Receive`) and their outcomes;
 * :mod:`~repro.protocols.wire` -- codecs that serialize every message payload
   to bytes and back, tied to the transcript's bit accounting;
-* :mod:`~repro.protocols.transports` -- the transport seam: zero-copy
-  in-memory, serializing (accounting-verified), and real sockets;
+* :mod:`~repro.protocols.transports` -- the transport seam: in-process
+  serializing (the default, accounting-verified) and real sockets, both
+  decoding with the receiver's codec;
 * :mod:`~repro.protocols.session` -- the session loop driving two parties;
 * :mod:`~repro.protocols.registry` -- the protocol registry and the uniform
   :func:`repro.reconcile` entry point;
@@ -37,7 +38,6 @@ from repro.protocols.transports import (
     FRAME_FIN,
     FRAME_MESSAGE,
     Frame,
-    InMemoryTransport,
     MessageMeasurement,
     SerializingTransport,
     SocketTransport,
@@ -78,7 +78,6 @@ __all__ = [
     "FRAME_FIN",
     "FRAME_MESSAGE",
     "Frame",
-    "InMemoryTransport",
     "MessageMeasurement",
     "SerializingTransport",
     "SocketTransport",

@@ -55,6 +55,7 @@ from repro.graphs.separation import (
     degree_order_matrix,
     multiset_mask,
     signature_batch,
+    signature_order,
 )
 from repro.hashing import derive_seed
 from repro.protocols.party import (
@@ -259,8 +260,10 @@ def degree_order_parties(
 
     alice_top, alice_others, alice_matrix = degree_order_matrix(alice, num_top)
     bob_top, bob_others, bob_matrix = degree_order_matrix(bob, num_top)
-    alice_signature_set = signature_batch(alice_matrix)
-    bob_signature_set = signature_batch(bob_matrix)
+    # Alice's row order serves both her signature set and her labeling.
+    alice_order = signature_order(alice_matrix)
+    alice_signature_set = signature_batch(alice_matrix, alice_order)
+    bob_signature_set = signature_batch(bob_matrix, signature_order(bob_matrix))
 
     sig_ctx = context_for(
         alice_signature_set,
@@ -278,7 +281,7 @@ def degree_order_parties(
 
     def alice_party() -> PartyGenerator:
         try:
-            alice_labels = canonical_labels(alice_top, alice_others, alice_matrix)
+            alice_labels = canonical_labels(alice_top, alice_others, alice_matrix, alice_order)
         except ParameterError:
             return PartyOutcome(False, details={"failure": "alice-not-separated"})
         alice_keys = alice.relabeled_edge_keys(alice_labels)

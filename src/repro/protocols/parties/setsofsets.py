@@ -7,7 +7,7 @@ messages, followed by the multiset-of-multisets reduction (Thm 3.11) that
 runs the cascading parties on multiplicity-folded parents.
 :func:`repro.reconcile` runs the four protocols by name, and
 :func:`~repro.core.setsofsets.nested.reconcile_multisets_of_multisets` runs
-the reduction over an in-memory session.
+the reduction over a default (serializing) session.
 
 Shared-context conventions (documented in docs/protocols.md): the universe
 size ``u``, child bound ``h``, the seed, and both parents' child counts and

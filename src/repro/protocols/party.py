@@ -24,9 +24,10 @@ Parties compose: a protocol that runs another protocol as a subroutine simply
 and the application protocols are built this way).
 
 ``Send.codec`` / ``Receive.codec`` name the :class:`~repro.protocols.wire`
-codec able to turn the payload into bytes and back.  The in-memory transport
-ignores codecs entirely (zero-copy, today's simulation behavior); the
-serializing and socket transports use them to put real bytes on the wire.
+codec able to turn the payload into bytes and back.  Every transport puts
+real bytes on the wire: the sender's codec encodes, the receiver's decodes,
+so a party only ever sees what the bytes say.  A command without a codec
+raises :class:`~repro.protocols.wire.WireError` when it is built.
 
 When a party blocks on :class:`Receive` after its peer has already finished,
 the session delivers the :data:`END_OF_SESSION` sentinel instead of a
@@ -38,6 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Generator
+
+from repro.protocols.wire import WireError
 
 
 class _EndOfSession:
@@ -64,10 +67,9 @@ class Send:
         accounting, validated against the real encoding by
         :class:`~repro.protocols.transports.SerializingTransport`.
     payload:
-        The in-memory payload object.
+        The sender's payload object.
     codec:
-        Wire codec able to serialize the payload (``None`` restricts the
-        protocol to the in-memory transport).
+        Wire codec able to serialize the payload (required).
     """
 
     label: str
@@ -75,16 +77,29 @@ class Send:
     payload: Any = None
     codec: Any = None
 
+    def __post_init__(self) -> None:
+        _require_codec(self.codec, f"message {self.label!r}")
+
 
 @dataclass(frozen=True)
 class Receive:
     """Yield this to block until the peer's next message arrives.
 
-    The yield expression evaluates to the received payload (decoded through
-    ``codec`` on serializing transports) or :data:`END_OF_SESSION`.
+    The yield expression evaluates to the received payload, decoded from
+    the wire bytes through this (the receiver's) ``codec``, or
+    :data:`END_OF_SESSION`.
     """
 
     codec: Any = None
+
+    def __post_init__(self) -> None:
+        _require_codec(self.codec, "a receive")
+
+
+def _require_codec(codec: Any, what: str) -> None:
+    """The one place a missing wire codec is refused."""
+    if codec is None:
+        raise WireError(f"{what} has no wire codec; no transport can carry it")
 
 
 @dataclass

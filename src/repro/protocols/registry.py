@@ -5,7 +5,9 @@ one ``name -> class`` dict, carrying metadata -- input kind, round count,
 known/unknown-``d`` support, paper reference -- and a ``build`` hook that
 turns ``(alice, bob, options)`` into the two party generators.
 ``repro.reconcile(alice, bob, protocol="multiround", ...)`` resolves a name,
-builds the parties, and runs them over any transport.
+builds the parties, and runs them over a transport: by default the
+in-process :class:`~repro.protocols.transports.SerializingTransport`, whose
+receiver decodes the same bytes a socket would deliver.
 """
 
 from __future__ import annotations
@@ -134,8 +136,8 @@ def reconcile(
         protocol="ibf", seed=7, universe_size=100, difference_bound=4)``
         works without building an options object first).
     transport:
-        A :class:`~repro.protocols.transports.Transport`; ``None`` uses the
-        zero-copy in-memory transport.
+        A :class:`~repro.protocols.transports.Transport`; ``None`` uses a
+        fresh :class:`~repro.protocols.transports.SerializingTransport`.
     transcript:
         Optional existing transcript to append to.
     """

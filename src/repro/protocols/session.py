@@ -9,8 +9,9 @@ its peer finished.  The result combines both parties' outcomes into the
 library's standard :class:`~repro.comm.result.ReconciliationResult`.
 
 The uniform entry point :func:`repro.reconcile` builds a registered
-protocol's parties and runs them through this loop (by default over an
-:class:`~repro.protocols.transports.InMemoryTransport`).
+protocol's parties and runs them through this loop (by default over a
+:class:`~repro.protocols.transports.SerializingTransport`, so the receiver
+decodes exactly what the wire would carry).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.protocols.party import (
     Receive,
     Send,
 )
-from repro.protocols.transports import InMemoryTransport, Transport, outcome_from_stop
+from repro.protocols.transports import SerializingTransport, Transport, outcome_from_stop
 
 
 @dataclass
@@ -71,8 +72,8 @@ class Session:
         convention ``alice`` is the party whose data is recovered and ``bob``
         the recovering party; either may send first.
     transport:
-        A :class:`~repro.protocols.transports.Transport`; defaults to the
-        zero-copy in-memory transport.
+        A :class:`~repro.protocols.transports.Transport`; defaults to a
+        fresh :class:`~repro.protocols.transports.SerializingTransport`.
     transcript:
         Optional existing transcript to append to (protocols running as
         subroutines of a larger one reuse the caller's).
@@ -88,7 +89,7 @@ class Session:
         transcript: Transcript | None = None,
     ) -> None:
         self._parties = {"alice": alice, "bob": bob}
-        self.transport = transport if transport is not None else InMemoryTransport()
+        self.transport = transport if transport is not None else SerializingTransport()
         self.transcript = transcript if transcript is not None else Transcript()
 
     def run(self) -> SessionResult:

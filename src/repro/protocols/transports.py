@@ -1,22 +1,19 @@
 """Transport seam: how a party's messages reach its peer.
 
-Three implementations of one interface:
+Every transport puts real bytes on the wire: the sender's codec encodes each
+payload, the measured byte length is cross-checked against the ``size_bits``
+the transcript charged (plus the codec's documented framing), and the
+receiver decodes with its own codec.  Two implementations:
 
-* :class:`InMemoryTransport` -- payload objects are handed over untouched
-  (zero-copy).  This is the default: the in-process simulation every
-  :func:`repro.reconcile` call runs unless given another transport.
-* :class:`SerializingTransport` -- every payload is round-tripped through its
-  wire codec.  The receiver gets a genuinely re-decoded object, and the
-  measured byte length of every message is cross-checked against the
-  ``size_bits`` the transcript charged (plus the codec's documented framing)
-  -- turning the paper's communication accounting from asserted into
-  verified.
+* :class:`SerializingTransport` -- both parties in one process; the default
+  of every :class:`~repro.protocols.session.Session` and
+  :func:`repro.reconcile` call.  The receiver gets a genuinely re-decoded
+  object, so the paper's communication accounting is verified, not asserted.
 * :class:`SocketTransport` -- one endpoint of a real byte stream (e.g. a TCP
   connection); two OS processes each drive one party with
-  :func:`run_party`.  The frame format is shared with
-  :class:`SerializingTransport`'s measurements: a small uncharged header
-  (sender, label, claimed ``size_bits``, payload length) followed by the
-  codec-encoded payload bytes.
+  :func:`run_party`.  A frame is a small uncharged header (sender, label,
+  claimed ``size_bits``, payload length) followed by the codec-encoded
+  payload bytes that :class:`SerializingTransport` measures.
 
 The asyncio sibling, :class:`repro.service.AsyncSocketTransport`, speaks the
 exact same frames through the packing/parsing helpers defined here, so the
@@ -39,7 +36,7 @@ from repro.protocols.party import (
     Receive,
     Send,
 )
-from repro.protocols.wire import WireAccountingError, WireError
+from repro.protocols.wire import WireAccountingError
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,6 @@ def _encode_and_measure(
     sender: str,
     send: Send,
     measurements: list[MessageMeasurement],
-    wire_name: str,
 ) -> bytes:
     """Encode one message, record its measurement, enforce the byte budget.
 
@@ -92,11 +88,6 @@ def _encode_and_measure(
     :class:`~repro.protocols.wire.WireAccountingError` is raised after the
     measurement is recorded.
     """
-    if send.codec is None:
-        raise WireError(
-            f"message {send.label!r} has no wire codec; "
-            f"it cannot travel over the {wire_name} transport"
-        )
     data = send.codec.encode(send.payload)
     measurement = MessageMeasurement(
         sender,
@@ -116,18 +107,6 @@ def _encode_and_measure(
     return data
 
 
-class InMemoryTransport(Transport):
-    """Zero-copy transport: the receiver sees the sender's payload object."""
-
-    name = "memory"
-
-    def on_send(self, sender: str, send: Send) -> Any:
-        return send.payload
-
-    def on_receive(self, inflight: Any, receive: Receive, send: Send) -> Any:
-        return inflight
-
-
 class SerializingTransport(Transport):
     """Round-trip every payload through bytes and verify the accounting.
 
@@ -143,11 +122,10 @@ class SerializingTransport(Transport):
         self.measurements: list[MessageMeasurement] = []
 
     def on_send(self, sender: str, send: Send) -> bytes:
-        return _encode_and_measure(sender, send, self.measurements, self.name)
+        return _encode_and_measure(sender, send, self.measurements)
 
     def on_receive(self, inflight: bytes, receive: Receive, send: Send) -> Any:
-        codec = receive.codec if receive.codec is not None else send.codec
-        return codec.decode(inflight)
+        return receive.codec.decode(inflight)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +294,7 @@ class SocketTransport:
             raise ReconciliationError(f"socket send failed: {exc}") from exc
 
     def send_message(self, send: Send) -> None:
-        data = _encode_and_measure(self.role, send, self.measurements, self.name)
+        data = _encode_and_measure(self.role, send, self.measurements)
         self._sendall(
             pack_frame(FRAME_MESSAGE, self.role, send.label, send.size_bits, data)
         )
@@ -363,7 +341,7 @@ def outcome_from_stop(stop_value: Any, who: str = "party") -> PartyOutcome:
     """Normalize a party generator's return value into a :class:`PartyOutcome`.
 
     The single normalization point shared by every party driver: the
-    in-memory session loop, the blocking socket driver above and the asyncio
+    in-process session loop, the blocking socket driver above and the asyncio
     driver in :mod:`repro.service.transport`.  ``who`` names the offender in
     the error (the session loop passes the role).
     """
@@ -400,10 +378,6 @@ def _drive_party(
                         value = END_OF_SESSION
                     else:
                         sender, label, size_bits, data = frame
-                        if command.codec is None:
-                            raise WireError(
-                                f"receiver provided no codec for message {label!r}"
-                            )
                         payload = command.codec.decode(data)
                         transcript.send(sender, label, size_bits, payload)
                         value = payload

@@ -142,7 +142,7 @@ class PeerStats:
     context builders only read these three attributes off the inputs
     (``context_for`` and ``_derived_max_child_size``), so a
     :class:`PeerStats` carrying the peer's real statistics yields the exact
-    shared context an in-memory session over both real inputs would build.
+    shared context an in-process session over both real inputs would build.
     """
 
     num_children: int = 0

@@ -46,7 +46,6 @@ from repro.protocols.transports import (
     pack_frame,
     parse_frame_header,
 )
-from repro.protocols.wire import WireError
 
 
 def frame_from_bytes(data: bytes) -> Frame:
@@ -144,7 +143,7 @@ class AsyncSocketTransport:
         return assemble_frame(kind, sender_len, label_len, size_bits, body)
 
     async def send_message(self, send: Send) -> None:
-        data = _encode_and_measure(self.role, send, self.measurements, self.name)
+        data = _encode_and_measure(self.role, send, self.measurements)
         await self.send_frame(FRAME_MESSAGE, send.label, send.size_bits, data)
 
     async def send_fin(self) -> None:
@@ -218,10 +217,6 @@ async def _drive_party_async(
                         value = END_OF_SESSION
                     else:
                         sender, label, size_bits, data = frame
-                        if command.codec is None:
-                            raise WireError(
-                                f"receiver provided no codec for message {label!r}"
-                            )
                         payload = command.codec.decode(data)
                         transcript.send(sender, label, size_bits, payload)
                         value = payload

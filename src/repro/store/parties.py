@@ -74,8 +74,8 @@ class StoreView:
         )
 
     def owned_table(self, difference_bound: int) -> IBLT:
-        # copy(): the receiver owns the payload object on in-memory transports,
-        # and the live table must never leave the store's control.
+        # copy(): the transcript keeps the sent payload object, and the live
+        # table must never leave the store's control.
         return self.table(difference_bound).copy()
 
     def rung_table(self, difference_bound: int, num_cells: int) -> IBLT:

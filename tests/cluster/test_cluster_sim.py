@@ -40,17 +40,11 @@ class TestConvergence:
             cluster.metrics.bits_for_round(r + 1) for r in range(report.rounds)
         ) == report.total_bits
 
-    def test_serializing_transport_charges_identical_bits(self):
-        """The simulated loop's accounting survives real byte serialization."""
-        plain = Cluster(4, seed=SEED, difference_bound=32)
-        plant_writes(plain)
-        report_plain = plain.run_until_converged()
-        checked = Cluster(4, seed=SEED, difference_bound=32, serializing=True)
-        plant_writes(checked)
-        report_checked = checked.run_until_converged()
-        assert report_plain.total_bits == report_checked.total_bits
-        assert report_plain.digest == report_checked.digest
-        assert report_plain.rounds == report_checked.rounds
+    def test_serializing_false_is_refused(self):
+        """Every session serializes; the keyword survives only as ``True``."""
+        Cluster(2, seed=SEED, serializing=True)
+        with pytest.raises(ParameterError, match="serializ"):
+            Cluster(2, seed=SEED, serializing=False)
 
     def test_run_is_a_deterministic_function_of_the_seed(self):
         reports = []

@@ -23,7 +23,7 @@ from repro.core.setsofsets.encoding import (
     parent_hash,
 )
 from repro.errors import CapacityError, ParameterError
-from repro.graphs.separation import signature_batch, signature_matrix
+from repro.graphs.separation import signature_batch, signature_matrix, signature_order
 from repro.hashing import Checksum, derive_seed
 from repro.hashing.mix import MASK64, mix64
 from repro.iblt.multi import FlatChildren
@@ -191,7 +191,8 @@ def test_the_batch_is_the_canonical_order_with_duplicates_collapsed(children):
     assert batch.total_elements == parent.total_elements
     assert batch.children == parent.children
     # The signature matrix's batch collapses equal rows the same way.
-    matrix_batch = signature_batch(signature_matrix(children, 13))
+    matrix = signature_matrix(children, 13)
+    matrix_batch = signature_batch(matrix, signature_order(matrix))
     assert FlatSetOfSets.from_arrays(matrix_batch.elements, matrix_batch.sizes).rows == expected
     assert np.array_equal(matrix_batch.elements, batch.elements)
 

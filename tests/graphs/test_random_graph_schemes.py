@@ -20,7 +20,7 @@ from repro.graphs.random_graphs import (
     planted_separated_graph,
     reconciliation_pair,
 )
-from repro.graphs.separation import degree_sorted_vertices, signature_matrix
+from repro.graphs.separation import degree_sorted_vertices, signature_matrix, signature_order
 
 
 class TestDegreeOrderSignatures:
@@ -58,10 +58,12 @@ class TestDegreeOrderSignatures:
 
     def test_canonical_labeling_duplicate_signatures_rejected(self):
         with pytest.raises(ParameterError):
-            canonical_labels([0], [1, 2], signature_matrix([{0}, {0}], 1))
+            matrix = signature_matrix([{0}, {0}], 1)
+            canonical_labels([0], [1, 2], matrix, signature_order(matrix))
 
     def test_canonical_labeling_order(self):
-        labeling = canonical_labels([3, 0], [1, 2], signature_matrix([{0, 1}, {0}], 2))
+        matrix = signature_matrix([{0, 1}, {0}], 2)
+        labeling = canonical_labels([3, 0], [1, 2], matrix, signature_order(matrix))
         assert labeling[3] == 0 and labeling[0] == 1
         assert labeling[2] == 2 and labeling[1] == 3
 

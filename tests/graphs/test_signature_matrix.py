@@ -95,7 +95,7 @@ def test_canonical_labels_equal_the_sorted_reference(n, num_top):
     expected = {vertex: rank for rank, vertex in enumerate(top)}
     expected.update({vertex: num_top + rank for rank, (vertex, _) in enumerate(ordered)})
     top_vertices, others, matrix = degree_order_matrix(graph, num_top)
-    labels = canonical_labels(top_vertices, others, matrix)
+    labels = canonical_labels(top_vertices, others, matrix, signature_order(matrix))
     assert labels.tolist() == [expected[v] for v in range(n)]
 
 
@@ -103,4 +103,4 @@ def test_canonical_labels_refuse_equal_signatures():
     # 1 and 2 both see only the top vertex 0.
     top_vertices, others, matrix = degree_order_matrix(Graph(3, [(0, 1), (0, 2)]), 1)
     with pytest.raises(ParameterError):
-        canonical_labels(top_vertices, others, matrix)
+        canonical_labels(top_vertices, others, matrix, signature_order(matrix))

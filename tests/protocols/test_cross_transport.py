@@ -1,26 +1,24 @@
 """Cross-transport determinism and accounting verification.
 
-For every registered protocol: the in-memory and serializing transports must
-produce identical results and transcripts, every serialized message must fit
-the bits its transcript entry charged (plus the codec's documented framing),
-and the socket transport (two endpoints over a real byte stream) must agree
-with both.
+For every registered protocol: the default in-process session and the socket
+transport (two endpoints over a real byte stream) must produce identical
+results and transcripts, both must put the same bytes on the wire, and every
+serialized message must fit the bits its transcript entry charged (plus the
+codec's documented framing).
 """
 
+import functools
 import socket
 import threading
 
 import pytest
 
 import repro
-from repro.protocols import (
-    InMemoryTransport,
-    SerializingTransport,
-    SocketTransport,
-    run_party,
-)
+from repro.protocols import SerializingTransport, SocketTransport, run_party
+from repro.protocols.options import ReconcileOptions
 from repro.protocols.parties.setsofsets import context_for, multiround_parties
 from repro.protocols.registry import get, names
+from repro.protocols.session import run_session
 
 from protocol_fixtures import protocol_instances
 
@@ -33,6 +31,59 @@ def transcript_meta(transcript):
     ]
 
 
+def run_over_socketpair(alice_party, bob_party):
+    """Drive the two parties in two threads over a socketpair; returns
+    ``{role: (outcome, transcript, transport)}``."""
+    left, right = socket.socketpair()
+    parties = {"alice": (alice_party, left), "bob": (bob_party, right)}
+    results = {}
+
+    def drive(role):
+        party, sock = parties[role]
+        transport = SocketTransport(sock, role)
+        results[role] = (*run_party(party, transport), transport)
+
+    threads = [threading.Thread(target=drive, args=(role,)) for role in parties]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    left.close()
+    right.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert set(results) == set(parties), "an endpoint raised"
+    return results
+
+
+def socket_session(protocol, **overrides):
+    alice, bob, kwargs = _INSTANCES[protocol]
+    options = ReconcileOptions(seed=99).merged(**{**kwargs, **overrides})
+    return run_over_socketpair(*get(protocol).build(alice, bob, options))
+
+
+def assert_same_session(result, endpoints):
+    """A default session's result equals what both socket endpoints saw."""
+    (alice, alice_transcript, _), (bob, bob_transcript, _) = (
+        endpoints["alice"], endpoints["bob"],
+    )
+    assert result.success == (alice.success and bob.success)
+    assert result.recovered == (bob.recovered if result.success else None)
+    assert result.attempts == max(alice.attempts, bob.attempts)
+    assert transcript_meta(alice_transcript) == transcript_meta(bob_transcript)
+    assert transcript_meta(result.transcript) == transcript_meta(bob_transcript)
+
+
+@functools.cache
+def _runs(protocol):
+    """One default session (with its transport kept) and one socket session."""
+    alice, bob, kwargs = _INSTANCES[protocol]
+    transport = SerializingTransport()
+    result = repro.reconcile(
+        alice, bob, protocol=protocol, seed=99, transport=transport, **kwargs
+    )
+    return result, transport, socket_session(protocol)
+
+
 def test_every_registered_protocol_has_an_instance():
     # A protocol registered without cross-transport coverage must fail here.
     assert set(_INSTANCES) == set(names())
@@ -40,31 +91,20 @@ def test_every_registered_protocol_has_an_instance():
 
 @pytest.mark.parametrize("protocol", sorted(_INSTANCES))
 class TestCrossTransport:
-    def run_both(self, protocol):
-        alice, bob, kwargs = _INSTANCES[protocol]
-        memory = repro.reconcile(
-            alice, bob, protocol=protocol, seed=99,
-            transport=InMemoryTransport(), **kwargs,
-        )
-        transport = SerializingTransport()
-        serialized = repro.reconcile(
-            alice, bob, protocol=protocol, seed=99, transport=transport, **kwargs
-        )
-        return memory, serialized, transport
-
     def test_identical_results_and_transcripts(self, protocol):
-        memory, serialized, _ = self.run_both(protocol)
-        assert memory.success and serialized.success, (
-            memory.details, serialized.details,
-        )
-        assert memory.recovered == serialized.recovered
-        assert memory.attempts == serialized.attempts
-        assert transcript_meta(memory.transcript) == transcript_meta(
-            serialized.transcript
-        )
+        result, _, endpoints = _runs(protocol)
+        assert result.success, result.details
+        assert_same_session(result, endpoints)
+
+    def test_socket_puts_the_same_bytes_on_the_wire(self, protocol):
+        _, transport, endpoints = _runs(protocol)
+        sent = {role: iter(endpoints[role][2].measurements) for role in endpoints}
+        _, transcript, _ = endpoints["bob"]
+        socket_measurements = [next(sent[m.sender]) for m in transcript.messages]
+        assert socket_measurements == transport.measurements
 
     def test_measured_bytes_within_charged_bits(self, protocol):
-        _, _, transport = self.run_both(protocol)
+        _, transport, _ = _runs(protocol)
         assert transport.measurements, "serializing transport saw no messages"
         for measurement in transport.measurements:
             assert measurement.within_budget, (
@@ -78,7 +118,7 @@ class TestCrossTransport:
         # bits: per message, at most 32 header bits plus 57 bits for each
         # 121-bit-minimum multiround child entry -- bounded here by half the
         # charged size plus one word.
-        _, _, transport = self.run_both(protocol)
+        _, transport, _ = _runs(protocol)
         for measurement in transport.measurements:
             assert measurement.framing_bits <= measurement.charged_bits // 2 + 64, (
                 measurement.label,
@@ -94,16 +134,11 @@ def test_unknown_d_variants_cross_transport(protocol):
         pytest.skip("known-d only")
     alice, bob, kwargs = _INSTANCES[protocol]
     kwargs = dict(kwargs, difference_bound=None)
-    memory = repro.reconcile(
-        alice, bob, protocol=protocol, seed=99, transport=InMemoryTransport(), **kwargs
-    )
     transport = SerializingTransport()
-    serialized = repro.reconcile(
+    result = repro.reconcile(
         alice, bob, protocol=protocol, seed=99, transport=transport, **kwargs
     )
-    assert memory.success == serialized.success
-    assert memory.recovered == serialized.recovered
-    assert transcript_meta(memory.transcript) == transcript_meta(serialized.transcript)
+    assert_same_session(result, socket_session(protocol, difference_bound=None))
     for measurement in transport.measurements:
         assert measurement.within_budget, measurement
 
@@ -114,58 +149,10 @@ def test_failure_paths_cross_transport():
     inst_alice, inst_bob, kwargs = _INSTANCES["multiround"]
     ctx = context_for(inst_alice, inst_bob, kwargs["universe_size"], 3,
                       max_child_size=16, differing_children_bound=1)
-    from repro.protocols.session import run_session
-
-    memory = run_session(
-        *multiround_parties(inst_alice, inst_bob, 1, ctx),
-        transport=InMemoryTransport(),
-    )
-    serialized = run_session(
-        *multiround_parties(inst_alice, inst_bob, 1, ctx),
-        transport=SerializingTransport(),
-    )
-    assert memory.success == serialized.success
-    assert memory.details == serialized.details
-    assert transcript_meta(memory.transcript) == transcript_meta(serialized.transcript)
-
-
-class TestSocketTransport:
-    def run_over_socketpair(self, protocol):
-        alice, bob, kwargs = _INSTANCES[protocol]
-        spec = get(protocol)
-        from repro.protocols.options import ReconcileOptions
-
-        options = ReconcileOptions(seed=99).merged(**kwargs)
-        results = {}
-
-        def drive(role):
-            alice_party, bob_party = spec.build(alice, bob, options)
-            party = alice_party if role == "alice" else bob_party
-            transport = SocketTransport(socks[role], role)
-            results[role] = run_party(party, transport)
-
-        left, right = socket.socketpair()
-        socks = {"alice": left, "bob": right}
-        threads = [
-            threading.Thread(target=drive, args=(role,)) for role in ("alice", "bob")
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        left.close()
-        right.close()
-        return results
-
-    @pytest.mark.parametrize("protocol", ["ibf", "multiround", "iblt_of_iblts"])
-    def test_two_endpoint_session_matches_in_memory(self, protocol):
-        alice, bob, kwargs = _INSTANCES[protocol]
-        reference = repro.reconcile(alice, bob, protocol=protocol, seed=99, **kwargs)
-        results = self.run_over_socketpair(protocol)
-        alice_outcome, alice_transcript = results["alice"]
-        bob_outcome, bob_transcript = results["bob"]
-        assert bob_outcome.success and reference.success
-        assert bob_outcome.recovered == reference.recovered
-        # Both endpoints observe the same transcript, equal to the in-memory one.
-        assert transcript_meta(alice_transcript) == transcript_meta(bob_transcript)
-        assert transcript_meta(bob_transcript) == transcript_meta(reference.transcript)
+    result = run_session(*multiround_parties(inst_alice, inst_bob, 1, ctx))
+    endpoints = run_over_socketpair(*multiround_parties(inst_alice, inst_bob, 1, ctx))
+    assert not result.success
+    assert_same_session(result, endpoints)
+    alice, _, _ = endpoints["alice"]
+    bob, _, _ = endpoints["bob"]
+    assert result.details == {**alice.details, **bob.details}

@@ -118,9 +118,16 @@ class TestSessionLoop:
 class TestSerializingTransportChecks:
     def test_missing_codec_rejected(self):
         with pytest.raises(WireError, match="no wire codec"):
-            run_session(
-                _sender(codec=None), _receiver(), transport=SerializingTransport()
-            )
+            run_session(_sender(codec=None), _receiver())
+
+    def test_codec_less_receive_rejected(self):
+        # The receiver decodes with its own codec only, never the sender's.
+        def codec_less_receiver():
+            payload = yield Receive()
+            return PartyOutcome(True, recovered=payload)
+
+        with pytest.raises(WireError, match="no wire codec"):
+            run_session(_sender(), codec_less_receiver())
 
     def test_over_budget_message_rejected_when_strict(self):
         # Every serializing transport is strict; the over-budget message is

@@ -76,7 +76,7 @@ def test_async_session_matches_in_memory_session():
     )
     assert bob_outcome.success and bob_outcome.recovered == alice_set
     assert bob_outcome.recovered == reference.recovered
-    # Both endpoints rebuild the same transcript, matching the in-memory run.
+    # Both endpoints rebuild the same transcript, matching the in-process run.
     meta = lambda t: [(m.sender, m.label, m.size_bits) for m in t.messages]
     assert meta(alice_transcript) == meta(bob_transcript)
     assert meta(bob_transcript) == meta(reference.transcript)

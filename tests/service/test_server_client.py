@@ -1,6 +1,6 @@
 """The asyncio sync server and aclient API, including the acceptance pin:
 one server, >= 64 concurrent client sessions across >= 3 registered
-protocols, every recovery byte-identical to an in-memory session."""
+protocols, every recovery byte-identical to an in-process session."""
 
 import asyncio
 import json
