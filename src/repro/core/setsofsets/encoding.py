@@ -15,9 +15,13 @@ This module provides:
 * a per-reconcile cache of candidate child tables for the decode side
   (:class:`ChildTableCache`);
 * explicit (raw) encodings of whole child sets, used by the naive protocol
-  of Theorem 3.3 and the ``T*`` table of Algorithm 2, one array pass over a
-  flat batch when a key fits in a word
-  (:meth:`ExplicitChildScheme.encode_batch`).
+  of Theorem 3.3 and the ``T*`` table of Algorithm 2, array passes over a
+  flat batch (:meth:`ExplicitChildScheme.encode_batch`): a key that fits in
+  a word is one ``reduceat``, and a wider key is built straight into the
+  cell store's ``uint64`` limbs and handed to every table it goes into as a
+  :class:`~repro.iblt.backends.KeyBatch`, whose folds are read from the
+  limbs' bytes (:func:`~repro.hashing.mix.fingerprint64_rows`).  A wide key
+  becomes a Python int only on the decode side.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ import numpy as _np
 
 from repro.errors import CapacityError, ParameterError
 from repro.hashing import Checksum, derive_seed, mix64
-from repro.hashing.mix import MASK64, mix64_array
+from repro.hashing.mix import MASK64, fingerprint64_rows, mix64_array
 from repro.iblt import IBLT, IBLTArray, IBLTParameters
+from repro.iblt.backends import KeyBatch, _ints_of, _limbs_of
 from repro.iblt.multi import FlatChildren
 
 # ---------------------------------------------------------------------------
@@ -58,7 +63,10 @@ def _flat(children: Iterable[Iterable[int]] | FlatChildren) -> FlatChildren:
 
 
 def _ints(values: Any) -> list[int]:
-    """A key array, or the list the per-row path made, as a list of ints."""
+    """A key array or :class:`~repro.iblt.backends.KeyBatch`, or the list the
+    per-row path made, as a list of ints."""
+    if isinstance(values, KeyBatch):
+        return _ints_of(values.limbs)
     return values if isinstance(values, list) else values.tolist()
 
 
@@ -327,32 +335,29 @@ class ExplicitChildScheme:
         return self.encode_many([child])[0]
 
     def encode_many(self, children: Iterable[Iterable[int]]) -> list[int]:
-        """The keys of many children, in order (:meth:`encode_batch` of
-        their flat batch).
+        """The keys of many children, in order, as ints (:meth:`encode_batch`
+        read back: the decode side's form)."""
+        return _ints(self.encode_batch(children))
 
-        An element that is not a non-negative ``int`` (a ``bool`` included)
-        raises :class:`ParameterError`; a child larger than ``max_child_size``
-        or with an element outside the universe raises :class:`CapacityError`.
+    def encode_batch(self, children: Iterable[Iterable[int]] | FlatChildren) -> Any:
+        """The keys of many children, in order, in the form a table takes
+        them: a ``uint64`` array when a key fits in a word, else a
+        :class:`~repro.iblt.backends.KeyBatch` of ``ceil(key_bits / 64)``
+        limbs per key (a list of ints only for a batch holding an element of
+        ``2**64`` or more).
+
+        ``children`` is a flat batch whose rows are sets in ascending order
+        (a :class:`~repro.core.setsofsets.types.FlatSetOfSets`), or child
+        sets, checked and sorted here.  A bitmap key is the OR of
+        ``1 << element`` over the row; a packed key puts the row's ``j``-th
+        smallest of ``n`` elements, with its present bit, in slot
+        ``n - 1 - j``.  In a word either is one ``reduceat``, and so is a
+        key past a word (:meth:`_key_batch`), into its limbs.  An element
+        that is not a non-negative ``int`` (a ``bool`` included) raises
+        :class:`ParameterError`; a row larger than ``max_child_size`` or an
+        element outside the universe raises :class:`CapacityError`.
         """
-        rows = [child if isinstance(child, frozenset) else set(child) for child in children]
-        if not set(map(type, chain.from_iterable(rows))) <= {int}:
-            for element in chain.from_iterable(rows):
-                if not isinstance(element, int) or isinstance(element, bool):
-                    raise ParameterError("child set elements must be integers")
-        return _ints(self.encode_batch(FlatChildren(list(map(sorted, rows)))))
-
-    def encode_batch(self, flat: FlatChildren) -> Any:
-        """The keys of a flat batch whose rows are sets in ascending order
-        (a :class:`~repro.core.setsofsets.types.FlatSetOfSets`, or the batch
-        :meth:`encode_many` builds): one ``uint64`` array when the keys fit
-        in a word, else a list of ints.
-
-        A bitmap key is the OR of ``1 << element`` over the row; a packed key
-        puts the row's ``j``-th smallest of ``n`` elements, with its present
-        bit, in slot ``n - 1 - j``.  Either is one ``reduceat``.  A row larger
-        than ``max_child_size`` or an element outside the universe raises
-        :class:`CapacityError`.
-        """
+        flat = children if isinstance(children, FlatChildren) else self._flat_of(children)
         limit, universe = self.max_child_size, self.universe_size
         oversized = flat.sizes[flat.sizes > limit]
         if oversized.size:
@@ -360,21 +365,75 @@ class ExplicitChildScheme:
                 f"child set of size {int(oversized[0])} exceeds max_child_size {limit}"
             )
         elements = flat.elements
-        if self.key_bits > 64 or elements is None:
+        if elements is None:
             return self._encode_rows(flat.rows)
         if elements.size and int(elements.max()) >= universe:
             raise CapacityError("child set element outside the universe")
+        if self.key_bits > 64:
+            return self._key_batch(flat)
         if self.uses_bitmap:
             return flat.reduce_rows(_np.bitwise_or, _np.left_shift(_np.uint64(1), elements))
-        # Slots left of each element in its row: its row's end, less one, less its index.
-        after = _np.repeat(flat.starts + flat.sizes - 1, flat.sizes) - _np.arange(elements.size)
         slots = (elements | _np.uint64(1 << self.element_bits)) << (
-            after.astype(_np.uint64) * _np.uint64(self.slot_bits)
+            self._slots_after(flat).astype(_np.uint64) * _np.uint64(self.slot_bits)
         )
         return flat.reduce_rows(_np.bitwise_or, slots)
 
+    @staticmethod
+    def _flat_of(children: Iterable[Iterable[int]]) -> FlatChildren:
+        """The flat batch of child sets, each row checked and sorted."""
+        rows = [child if isinstance(child, frozenset) else set(child) for child in children]
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            for element in chain.from_iterable(rows):
+                if not isinstance(element, int) or isinstance(element, bool):
+                    raise ParameterError("child set elements must be integers")
+        return FlatChildren(list(map(sorted, rows)))
+
+    @staticmethod
+    def _slots_after(flat: FlatChildren) -> Any:
+        """Slots left of each element in its row: its row's end, less one,
+        less its index (``int64``)."""
+        return _np.repeat(flat.starts + flat.sizes - 1, flat.sizes) - _np.arange(
+            flat.elements.size
+        )
+
+    def _key_batch(self, flat: FlatChildren) -> KeyBatch:
+        """The keys past one word, built in limbs, most significant first.
+
+        Element ``e`` of a bitmap sets bit ``e % 64`` of limb ``e // 64``
+        from the right.  A packed key starts from its row size's present
+        bits (:func:`_present_limbs`); each element then goes in at its
+        slot's offset in two parts: its low part in the limb the offset
+        falls in, and the bits that spill past that limb's top into the next
+        limb up.  A row's elements are ascending, so they reach its limbs in
+        limb order and the parts for one limb are adjacent (:func:`_or_runs`);
+        a limb boundary is crossed by one slot at most, so the spills need no
+        reduction.  Every row's fold is read from its limbs.
+        """
+        num_limbs = -(-self.key_bits // 64)
+        elements = flat.elements
+        # Each element's row, as the flat index of the row's last limb.
+        last = _np.repeat(_np.arange(1, flat.num_children + 1) * num_limbs - 1, flat.sizes)
+        if self.uses_bitmap:
+            limbs = _np.zeros((flat.num_children, num_limbs), dtype=_np.uint64)
+            positions = last - (elements >> _np.uint64(6)).astype(_np.int64)
+            _or_runs(limbs, positions, _np.left_shift(_np.uint64(1), elements & _np.uint64(63)))
+        else:
+            limbs = _present_limbs(self)[flat.sizes]
+            offsets = self._slots_after(flat) * self.slot_bits
+            positions = last - (offsets >> 6)
+            shifts = (offsets & 63).astype(_np.uint64)
+            _or_runs(limbs, positions, elements << shifts)
+            # An element of at most 64 bits reaches the next limb when its
+            # shift leaves it fewer bits than it has (so the shift is >= 1).
+            spill = _np.flatnonzero(shifts > _np.uint64(64 - min(self.element_bits, 64)))
+            limbs.reshape(-1)[positions[spill] - 1] |= elements[spill] >> (
+                _np.uint64(64) - shifts[spill]
+            )
+        return KeyBatch(limbs, fingerprint64_rows(limbs))
+
     def _encode_rows(self, rows: list) -> list[int]:
-        """:meth:`encode_batch` one row at a time, for keys past one word."""
+        """:meth:`encode_batch` one row at a time, as ints: for a batch with
+        an element of ``2**64`` or more, which no ``uint64`` array holds."""
         limit, universe = self.max_child_size, self.universe_size
         slot_bits, present_bits = self.slot_bits, self._present_bits
         keys = []
@@ -394,6 +453,8 @@ class ExplicitChildScheme:
         return keys
 
     def decode(self, key: int) -> frozenset[int]:
+        """The child set a key encodes (a slot's element is not checked
+        against the universe: a peer's key can name one past it)."""
         if self.uses_bitmap:
             elements = []
             index = 0
@@ -412,3 +473,29 @@ class ExplicitChildScheme:
                 elements.append(slot & element_mask)
             key >>= slot_bits
         return frozenset(elements)
+
+
+def _or_runs(limbs: Any, positions: Any, values: Any) -> None:
+    """OR ``values`` into the flat view of ``limbs`` at ``positions``, where
+    equal positions are adjacent: one ``reduceat`` per run of them, then one
+    OR per limb touched (no ``ufunc.at``)."""
+    starts = _np.empty(positions.size, dtype=bool)
+    starts[:1] = True
+    _np.not_equal(positions[1:], positions[:-1], out=starts[1:])
+    runs = _np.flatnonzero(starts)
+    limbs.reshape(-1)[positions[runs]] |= _np.bitwise_or.reduceat(values, runs)
+
+
+@lru_cache(maxsize=32)
+def _present_limbs(scheme: ExplicitChildScheme) -> Any:
+    """Row ``n``: the limbs of a packed key's present bits for a child of
+    ``n`` elements (slots ``0 .. n - 1``), for ``n`` in ``0 .. h``.  Read
+    only; indexing it by the row sizes gives each row's starting limbs."""
+    limit, slot_bits = scheme.max_child_size, scheme.slot_bits
+    present = scheme._present_bits
+    limbs = _limbs_of(
+        [present >> (slot_bits * (limit - size)) for size in range(limit + 1)],
+        -(-scheme.key_bits // 64),
+    )
+    limbs.flags.writeable = False
+    return limbs

@@ -14,6 +14,10 @@ vectorize.  This module defines the mixing function both paths use instead:
   the scalar and vectorized paths agree without any hashing); wider keys
   (e.g. serialized child IBLTs used as parent-table keys, Section 3.2) are
   folded through BLAKE2b once per key;
+* :func:`fingerprint64_rows` -- :func:`fingerprint64` of every row of a
+  ``uint64`` limb array (a wide key as ``L`` words, most significant first,
+  the way the cell store holds it), read from the limbs' bytes: a wide key
+  never becomes a Python int to be folded;
 * :func:`checked_keys` -- the one ingestion of a caller's key batch, which
   refuses what the two paths would hash differently and hands the batch
   paths their ``uint64`` array.
@@ -63,6 +67,40 @@ def fingerprint64(key: int) -> int:
     return int.from_bytes(
         hashlib.blake2b(data, digest_size=8, person=b"repro-fp64").digest(), "big"
     )
+
+
+#: The keyed BLAKE2b state :func:`fingerprint64` starts from, copied once per
+#: wide row by :func:`fingerprint64_rows` (a copy skips the keying).
+_FP64_HASHER = hashlib.blake2b(digest_size=8, person=b"repro-fp64")
+
+
+def fingerprint64_rows(limbs):
+    """:func:`fingerprint64` of every row of an ``(n, L)`` ``uint64`` limb
+    array, most significant limb first, as a ``uint64`` array.
+
+    A row is read as its big-endian bytes with the leading zero bytes
+    stripped (the bytes :func:`fingerprint64` hashes).  One that fits in a
+    word is its own fold; any other is folded by one copy of the pre-keyed
+    BLAKE2b state.
+    """
+    data = limbs.astype(">u8")
+    width = data.shape[1] * 8
+    nonzero = data.view(_np.uint8) != 0
+    nonzero[:, -1] = True  # a zero row starts at its last byte
+    skips = nonzero.argmax(axis=1)
+    wide = _np.flatnonzero(skips < width - 8)
+    folds = limbs[:, -1].copy()
+    if wide.size:
+        starts = wide * width
+        raw = data.tobytes()
+        copy = _FP64_HASHER.copy
+        digests = []
+        for start, stop in zip((starts + skips[wide]).tolist(), (starts + width).tolist()):
+            hasher = copy()
+            hasher.update(raw[start:stop])
+            digests.append(hasher.digest())
+        folds[wide] = _np.frombuffer(b"".join(digests), dtype=">u8")
+    return folds
 
 
 _INT_TYPES = frozenset({int, bool})

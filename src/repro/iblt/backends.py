@@ -10,9 +10,14 @@ in-place combination, the fold ladder's pieces and snapshot/load.
 A key of ``key_bits`` bits is held as ``L = ceil(key_bits / 64)`` ``uint64``
 limbs, so ``key_xor`` has shape ``(num_cells, L)`` (flat at ``L = 1``):
 tables whose keys are serialized child IBLTs or explicit child sets
-(Section 3.2) live here too.  Batch inserts hash the keys' 64-bit folds
-through :meth:`~repro.hashing.family.HashFamily.cells_and_checks_array`
-(cells and checksums from one mix) and scatter with ``ufunc.at``; the peeler
+(Section 3.2) live here too.  A batch of such keys is a :class:`KeyBatch`
+of limbs and folds; the folds are read from the limbs' bytes
+(:func:`~repro.hashing.mix.fingerprint64_rows`), whether the batch came as
+ints, as a peel round's candidates or already built in limbs by its
+encoder, so no wide key becomes an int on its way in.  Batch inserts hash
+the keys' 64-bit folds through
+:meth:`~repro.hashing.family.HashFamily.cells_and_checks_array` (cells and
+checksums from one mix) and scatter with ``ufunc.at``; the peeler
 runs whole rounds (pure-cell scan, checksum verification, per-key dedup,
 batch removal) as vector operations.  Checksums and counts are at most 64
 bits wide (:class:`~repro.iblt.table.IBLTParameters` refuses wider ones).
@@ -33,7 +38,7 @@ import numpy as _np
 
 from repro.errors import CapacityError, ParameterError
 from repro.hashing import Checksum, HashFamily
-from repro.hashing.mix import checked_keys, fingerprint64, is_key_array
+from repro.hashing.mix import checked_keys, fingerprint64_rows, is_key_array
 
 #: The names ``backend=`` accepts: the one store's, and ``"auto"``.  The
 #: option selects nothing; it stays so that callers naming the store keep
@@ -126,12 +131,11 @@ def _ints_of(limbs) -> list[int]:
 
 def _folds_of(limbs):
     """:func:`~repro.hashing.mix.fingerprint64` of every key of a key array:
-    the array itself at one word per key, one BLAKE2b digest per key past
-    64 bits otherwise."""
-    if limbs.ndim == 1:
-        return limbs
-    keys = _ints_of(limbs)
-    return _np.fromiter(map(fingerprint64, keys), dtype=_np.uint64, count=len(keys))
+    the array itself at one word per key, else
+    :func:`~repro.hashing.mix.fingerprint64_rows` of the limb rows (a row
+    that fits in a word is its last limb, any other one BLAKE2b digest of
+    its bytes; no row becomes an int)."""
+    return limbs if limbs.ndim == 1 else fingerprint64_rows(limbs)
 
 
 def _repeated(rows, times: int):
@@ -217,10 +221,8 @@ class NumpyCellStore:
         if self.num_limbs == 1:
             words = _np.asarray(keys, dtype=_np.uint64)
             return KeyBatch(words, words)
-        return KeyBatch(
-            _limbs_of(keys, self.num_limbs),
-            _np.fromiter(map(fingerprint64, keys), dtype=_np.uint64, count=len(keys)),
-        )
+        limbs = _limbs_of(keys, self.num_limbs)
+        return KeyBatch(limbs, fingerprint64_rows(limbs))
 
     def apply_batch(self, keys, deltas, family: HashFamily, checksum: Checksum) -> None:
         """Scatter a key batch; ``deltas`` is one int or one per key."""

@@ -94,6 +94,11 @@ CHILD_HASH_BITS = 48
 #: 3 is the value every pinned cascade transcript was recorded at.
 LEVEL_SLACK = 3.0
 
+#: The failure label of a bob whose decode names a child with an element at
+#: or past the universe size: no child of an honest alice's, which the
+#: encoders refuse.
+OUTSIDE_UNIVERSE = "child-outside-universe"
+
 #: The first bound the repeated-doubling variants (Cor 3.6 / 3.8) try: a
 #: small difference then costs a small table.  The last is
 #: :func:`_doubling_top`.
@@ -146,6 +151,15 @@ def context_for(
     )
 
 
+def _outside_universe(children: Iterable[Iterable[int]], ctx: SetsOfSetsContext) -> bool:
+    """True when a decoded child holds an element at or past ``u``.  A
+    peer's key can carry one: a packed slot and a child IBLT's key hold
+    ``ceil(log2 u)`` element bits, which reach past ``u`` unless ``u`` is a
+    power of two."""
+    universe = ctx.universe_size
+    return any(max(child, default=0) >= universe for child in children)
+
+
 # ---------------------------------------------------------------------------
 # Naive protocol (Theorems 3.3 and 3.4)
 # ---------------------------------------------------------------------------
@@ -186,7 +200,7 @@ def naive_alice_known(
     scheme = ExplicitChildScheme(ctx.universe_size, ctx.max_child_size)
     params = _naive_parent_params(ctx, differing_children_bound)
     alice_table = IBLT(params, backend=ctx.backend)
-    alice_table.insert_batch(scheme.encode_many(alice.children))
+    alice_table.insert_batch(scheme.encode_batch(alice.children))
     verification = parent_hash(alice.children, ctx.seed)
     yield Send(
         "naive parent IBLT",
@@ -213,11 +227,13 @@ def naive_bob_known(
     alice_table, verification = payload
     scheme = ExplicitChildScheme(ctx.universe_size, ctx.max_child_size)
     difference = alice_table.copy()
-    difference.delete_batch(scheme.encode_many(bob.children))
+    difference.delete_batch(scheme.encode_batch(bob.children))
     decode = difference.try_decode()
     if not decode.success:
         return PartyOutcome(False, details={"failure": "parent-iblt-peel"})
     alice_only = [scheme.decode(key) for key in decode.positive]
+    if _outside_universe(alice_only, ctx):
+        return PartyOutcome(False, details={"failure": OUTSIDE_UNIVERSE})
     bob_only = [scheme.decode(key) for key in decode.negative]
     recovered = bob.replace_children(bob_only, alice_only)
     verified = parent_hash(recovered.children, ctx.seed) == verification
@@ -515,6 +531,8 @@ def iblt_of_iblts_bob_known(
         if recovered is None:
             return PartyOutcome(False, details={"failure": "child-iblt-decode"})
         recovered_children.append(recovered)
+    if _outside_universe(recovered_children, ctx):
+        return PartyOutcome(False, details={"failure": OUTSIDE_UNIVERSE})
 
     reconstruction = bob.replace_children(differing_bob_children, recovered_children)
     verified = parent_hash(reconstruction.children, ctx.seed) == verification
@@ -894,9 +912,12 @@ def cascading_bob_known(
             if recovered is not None:
                 recovered_children.add(recovered)
 
+    if _outside_universe(recovered_children, ctx):
+        return PartyOutcome(False, details={"failure": OUTSIDE_UNIVERSE})
     bob_hash = parent_hash(flat, ctx.seed)
     differing_bob = {flat.child(row) for row in differing_rows}
     removed, added = differing_bob, recovered_children
+    failure = "verification-hash"
     if t_star is None:
         verified = (
             reconstruction_hash(bob_hash, bob, removed, added, ctx.seed) == verification
@@ -908,24 +929,34 @@ def cascading_bob_known(
         # Bob's keys go out and D_B's come back in, which leaves the same cells.
         scheme = plan.explicit_scheme
         bob_keys = scheme.encode_batch(flat)
-        restored = scheme.encode_many(differing_bob)
-        recovered_keys = scheme.encode_many(recovered_children)
+        # (Encoding an empty batch costs more than skipping it.)
+        restored = scheme.encode_batch(differing_bob) if differing_bob else None
+        recovered_keys = (
+            scheme.encode_batch(recovered_children) if recovered_children else None
+        )
         while True:
             work = t_star.copy()
             work.delete_batch(bob_keys)
-            if restored:
+            if restored is not None:
                 work.insert_batch(restored)
-            if recovered_keys:
+            if recovered_keys is not None:
                 work.delete_batch(recovered_keys)
             decode = work.try_decode()
-            added = recovered_children | set(map(scheme.decode, decode.positive))
+            peeled = set(map(scheme.decode, decode.positive))
+            added = recovered_children | peeled
             removed = differing_bob | {
                 child for child in map(scheme.decode, decode.negative) if child in bob
             }
             # A child peeled with both signs is no difference, and the O(d)
-            # hash cannot see it: its flip and its echo cancel.
-            verified = decode.positive.isdisjoint(decode.negative) and (
-                reconstruction_hash(bob_hash, bob, removed, added, ctx.seed) == verification
+            # hash cannot see it: its flip and its echo cancel.  A child
+            # past the universe is no child of alice's: a packed slot holds
+            # element bits up to the next power of two.
+            outside = _outside_universe(peeled, ctx)
+            failure = OUTSIDE_UNIVERSE if outside else "verification-hash"
+            verified = (
+                not outside
+                and decode.positive.isdisjoint(decode.negative)
+                and reconstruction_hash(bob_hash, bob, removed, added, ctx.seed) == verification
             )
             index += 1
             if verified or index >= len(rungs):
@@ -944,7 +975,7 @@ def cascading_bob_known(
             "used_t_star": t_star is not None,
             "recovered_children": len(added),
             "differing_bob_children": len(removed),
-            "failure": None if verified else "verification-hash",
+            "failure": None if verified else failure,
         },
     )
 
@@ -1429,6 +1460,8 @@ def multiround_bob_known(
         if recovered is None or hash_of(recovered) != payload.own_hash:
             return PartyOutcome(False, details={"failure": "child-recovery"})
         recovered_children.append(recovered)
+    if _outside_universe(recovered_children, ctx):
+        return PartyOutcome(False, details={"failure": OUTSIDE_UNIVERSE})
 
     reconstruction = bob.replace_children(bob_differing, recovered_children)
     verified = parent_hash(reconstruction.children, ctx.seed) == verification

@@ -1,8 +1,9 @@
 """The flat child batch against the per-child encoders and SetOfSets.
 
 The cascade's encoders read one :class:`~repro.iblt.multi.FlatChildren` per
-party: explicit T* keys (:meth:`ExplicitChildScheme.encode_batch`), child
-hashes and the parent hash each come from array passes over it.  Here every
+party: explicit T* keys (:meth:`ExplicitChildScheme.encode_batch`, in limbs
+past one word), child hashes and the parent hash each come from array passes
+over it.  Here every
 batch result is checked against the scalar calls and against reference
 implementations written out below one child at a time (the encoders as they
 were before they read a batch), and :class:`FlatSetOfSets` against the
@@ -24,8 +25,9 @@ from repro.core.setsofsets.encoding import (
 )
 from repro.errors import CapacityError, ParameterError
 from repro.graphs.separation import signature_batch, signature_matrix, signature_order
-from repro.hashing import Checksum, derive_seed
+from repro.hashing import Checksum, derive_seed, fingerprint64
 from repro.hashing.mix import MASK64, mix64
+from repro.iblt.backends import KeyBatch, _limbs_of
 from repro.iblt.multi import FlatChildren
 from repro.protocols.parties.setsofsets import reconstruction_hash
 
@@ -91,13 +93,18 @@ def parents(draw, scheme):
 def test_batch_keys_equal_the_scalar_and_reference_keys(name, data):
     scheme = SCHEMES[name]
     parent = SetOfSets(data.draw(parents(scheme)))
-    batch = FlatSetOfSets.of(parent)
-    keys = scheme.encode_batch(batch)
-    keys = keys if isinstance(keys, list) else keys.tolist()
     children = parent.sorted_children()
-    assert keys == [scheme.encode(child) for child in children]
-    assert keys == [reference_key(scheme, child) for child in children]
-    assert list(map(scheme.decode, keys)) == children
+    expected = [reference_key(scheme, child) for child in children]
+    keys = scheme.encode_batch(FlatSetOfSets.of(parent))
+    if scheme.key_bits > 64:  # the cell store's limbs and folds, no ints
+        assert isinstance(keys, KeyBatch)
+        assert np.array_equal(keys.limbs, _limbs_of(expected, -(-scheme.key_bits // 64)))
+        assert keys.folds.tolist() == list(map(fingerprint64, expected))
+    else:
+        assert keys.tolist() == expected
+    assert scheme.encode_many(children) == expected
+    assert [scheme.encode(child) for child in children] == expected
+    assert list(map(scheme.decode, expected)) == children
 
 
 @settings(max_examples=80, deadline=None)

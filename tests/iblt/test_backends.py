@@ -11,6 +11,7 @@ import reference_store
 from reference_store import STORES, new_table, peel_by_round, table_of
 from repro.errors import CapacityError, ParameterError
 from repro.hashing import Checksum, HashFamily
+from repro.hashing import mix as mixing
 from repro.iblt import IBLT, IBLTParameters
 
 
@@ -210,7 +211,16 @@ class TestWideKeyBatches:
                 folds.append(data)
             return blake2b(data, **kwargs)
 
+        class CountingState:
+            """The pre-keyed fold state a batch of limb rows copies once per row."""
+
+            def copy(self):
+                folds.append(None)
+                return keyed.copy()
+
+        keyed = mixing._FP64_HASHER
         monkeypatch.setattr(hashlib, "blake2b", counting)
+        monkeypatch.setattr(mixing, "_FP64_HASHER", CountingState())
         table.insert_batch(keys)
         assert len(folds) == sum(key >> 64 != 0 for key in keys)
         table.delete_batch(keys)

@@ -4,8 +4,10 @@ In Theorem 5.2 Bob matches his non-top vertices to the signatures Alice's
 cascade delivers, and those are whatever children she chose.  Her set may
 hold more or fewer children than Bob has non-top vertices, and a level child
 table keys elements at its key width, so at ``h = 30`` a child delivered
-through one may hold 30 or 31.  Bob must report ``"conforming-match"``, not
-raise out of ``run_session``.
+through one may hold 30 or 31.  Bob must report a labelled failure, not
+raise out of ``run_session``: ``"conforming-match"`` for a set that does
+not fit his matrix, and ``"child-outside-universe"`` for a member past
+``h``, which the cascade's Bob refuses before the matching sees it.
 
 Every forgery travels over the default session, so Bob decodes the bytes
 with his own context.  The cheapest plan at ``h = 30`` is T* alone, whose
@@ -21,7 +23,7 @@ from repro.graphs import Graph, gnp_random_graph
 from repro.graphs.separation import degree_order_matrix, signature_batch, signature_order
 from repro.protocols.parties import graphs as graph_parties
 from repro.protocols.parties import setsofsets
-from repro.protocols.parties.setsofsets import context_for
+from repro.protocols.parties.setsofsets import OUTSIDE_UNIVERSE, context_for
 
 NUM_TOP = 30
 DIFFERENCE_BOUND = 2
@@ -62,21 +64,27 @@ def grown(member):
 
 
 REWRITES = {
-    "member-30": (grown(30), True),
-    "member-31": (grown(31), True),
+    "member-30": (grown(30), True, OUTSIDE_UNIVERSE),
+    "member-31": (grown(31), True, OUTSIDE_UNIVERSE),
     "one-child-more": (
-        lambda s: s.replace_children([], [frozenset(range(0, NUM_TOP, 2))]), False,
+        lambda s: s.replace_children([], [frozenset(range(0, NUM_TOP, 2))]),
+        False,
+        "conforming-match",
     ),
-    "one-child-fewer": (lambda s: s.replace_children([victim(s)], []), False),
+    "one-child-fewer": (
+        lambda s: s.replace_children([victim(s)], []), False, "conforming-match",
+    ),
 }
 
 
-@pytest.mark.parametrize(("rewrite", "levels"), REWRITES.values(), ids=REWRITES.keys())
-def test_signatures_that_fit_no_matrix_fail_the_session(rewrite, levels, monkeypatch):
+@pytest.mark.parametrize(
+    ("rewrite", "levels", "failure"), REWRITES.values(), ids=REWRITES.keys()
+)
+def test_signatures_that_fit_no_matrix_fail_the_session(rewrite, levels, failure, monkeypatch):
     _, result = run_with_equal_graphs(rewrite, monkeypatch, levels=levels)
     assert not result.success
     assert result.recovered is None
-    assert result.details["failure"] == "conforming-match"
+    assert result.details["failure"] == failure
 
 
 INSIDE = {
