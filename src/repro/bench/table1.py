@@ -26,8 +26,7 @@ class Table1Config:
     """Workload parameters for the Table 1 regime.
 
     ``field_kernel`` selects the GF(p) kernel for every protocol run
-    (``None`` keeps the process default); ``backend`` is passed on as
-    :class:`~repro.iblt.table.IBLT` accepts it.
+    (``None`` keeps the process default).
     """
 
     universe_size: int = 2048
@@ -36,7 +35,6 @@ class Table1Config:
     children_touched: int = 4
     repeats: int = 3
     seed: int = 2018
-    backend: str | None = None
     field_kernel: str | None = None
 
 
@@ -72,7 +70,6 @@ def run_table1(config: Table1Config | None = None) -> list[ProtocolMeasurement]:
                 differing_children_bound=instance.differing_children,
                 universe_size=instance.universe_size,
                 max_child_size=instance.max_child_size,
-                backend=config.backend,
                 field_kernel=config.field_kernel,
             )
 

@@ -31,12 +31,15 @@ from repro.cluster.gossip import GossipScheduler
 from repro.cluster.records import records_bits
 from repro.cluster.replica import VersionedKV
 from repro.errors import ClusterError, ParameterError
+from repro.iblt.backends import check_backend
 from repro.protocols.options import ReconcileOptions
 from repro.protocols.registry import get as get_protocol
 from repro.protocols.session import Session
 
 #: Bound multiplier between retry attempts of one failed pair sync.
 _RETRY_FACTOR = 4
+#: Attempts of one pair sync, each at a larger bound, before it fails.
+_MAX_ATTEMPTS = 4
 #: First known-``d`` bound tried after an unknown-``d`` attempt failed.
 _FALLBACK_BOUND = 16
 
@@ -56,9 +59,9 @@ class Cluster:
         table geometry (so the live sketches are reused as-is, O(d) per
         round); ``None`` runs the estimator-sized unknown-``d`` variant.
     backend:
-        The IBLT cell store (``None``, ``"auto"`` or ``"numpy"``).  Table
-        sizing is no parameter: every sketch hashes each key into
-        :data:`~repro.iblt.sizing.NUM_HASHES` cells.
+        Kept only because existing callers pass it: ``None``, ``"auto"`` and
+        ``"numpy"`` all name the one cell store, and any other name raises
+        :class:`ParameterError`.
     policy:
         Peer-selection policy (see :class:`~repro.cluster.gossip.GossipScheduler`).
     exchange:
@@ -85,7 +88,6 @@ class Cluster:
         exchange: str = "gossip",
         serializing: bool = True,
         journal_root: Path | str | None = None,
-        max_attempts: int = 4,
     ) -> None:
         if num_nodes < 2:
             raise ParameterError("a cluster needs at least 2 nodes")
@@ -93,13 +95,11 @@ class Cluster:
             raise ParameterError(f"unknown exchange mode {exchange!r}")
         if not serializing:
             raise ParameterError("every cluster session serializes; serializing must be True")
+        check_backend(backend)
         self.seed = seed
         self.exchange = exchange
-        self.max_attempts = max_attempts
         self.journal_root = Path(journal_root) if journal_root is not None else None
-        self.options = ReconcileOptions(
-            seed=seed, difference_bound=difference_bound, backend=backend
-        )
+        self.options = ReconcileOptions(seed=seed, difference_bound=difference_bound)
         self.scheduler = GossipScheduler(seed, policy)
         self.metrics = ClusterMetrics()
         self.replicas: dict[str, VersionedKV] = {}
@@ -169,7 +169,7 @@ class Cluster:
         yield bound
         # Grown from at least 1: a zero bound would otherwise stay zero.
         bound = _FALLBACK_BOUND if bound is None else max(bound, 1)
-        for _ in range(1, self.max_attempts):
+        for _ in range(1, _MAX_ATTEMPTS):
             bound *= _RETRY_FACTOR
             yield bound
 

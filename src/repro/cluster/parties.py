@@ -191,11 +191,11 @@ def kv_context(options: "ReconcileOptions") -> SetReconContext:
             "kv sessions reconcile 64-bit record fingerprints; leave "
             "universe_size unset or pass 2**64"
         )
-    return SetReconContext(universe, options.seed, options.backend)
+    return SetReconContext(universe, options.seed)
 
 
 def _view(replica: "VersionedKV", ctx: SetReconContext) -> StoreView:
-    return replica.view_for(SketchConfig(ctx.universe_size, ctx.seed, ctx.backend))
+    return replica.view_for(SketchConfig(ctx.universe_size, ctx.seed))
 
 
 def _in_sync_outcome(view: StoreView) -> PartyOutcome:

@@ -166,35 +166,28 @@ class ChildEncodingScheme:
         """Width of a full child encoding (serialized child IBLT + hash)."""
         return self.child_params.size_bits + self.hash_bits
 
-    def encode(self, child: Iterable[int], backend: str | None = None) -> int:
-        """Encode a child set into a fixed-width integer key.
-
-        ``backend`` is accepted as :class:`~repro.iblt.table.IBLT` accepts it.
-        """
+    def encode(self, child: Iterable[int]) -> int:
+        """Encode a child set into a fixed-width integer key."""
         child = list(child)
-        table = IBLT.from_items(self.child_params, child, backend=backend)
+        table = IBLT.from_items(self.child_params, child)
         serialized = table.serialize()
         return (serialized << self.hash_bits) | child_set_hash(
             child, self.seed, self.hash_bits
         )
 
-    def encode_all(
-        self, children: Iterable[Iterable[int]], backend: str | None = None
-    ) -> list[int]:
+    def encode_all(self, children: Iterable[Iterable[int]]) -> list[int]:
         """Encode many child sets (the batch form protocols feed to
         :meth:`~repro.iblt.table.IBLT.insert_batch`): the one-scheme call of
         :func:`encode_children`, bit-identical to :meth:`encode` per child.
         """
-        return encode_children([self], children, backend=backend)[0]
+        return encode_children([self], children)[0]
 
-    def decode(self, key: int, backend: str | None = None) -> tuple[IBLT, int]:
+    def decode(self, key: int) -> tuple[IBLT, int]:
         """Split a key back into ``(child IBLT, child hash)``."""
         if key < 0 or key.bit_length() > self.key_bits:
             raise CapacityError("encoded child key does not match the scheme")
         child_hash = key & ((1 << self.hash_bits) - 1)
-        table = IBLT.deserialize(
-            self.child_params, key >> self.hash_bits, backend=backend
-        )
+        table = IBLT.deserialize(self.child_params, key >> self.hash_bits)
         return table, child_hash
 
     def hash_of(self, child: Iterable[int]) -> int:
@@ -205,7 +198,6 @@ class ChildEncodingScheme:
 def encode_children(
     schemes: Sequence[ChildEncodingScheme],
     children: Iterable[Iterable[int]] | FlatChildren,
-    backend: str | None = None,
 ) -> list[list[int]]:
     """The children's keys under every scheme: ``result[i][j]`` equals
     ``schemes[i].encode(children[j])``.
@@ -227,7 +219,7 @@ def encode_children(
         shared = (scheme.seed, scheme.hash_bits)
         if shared not in hashes:
             hashes[shared] = child_set_hash_many(flat, *shared)
-        tables = IBLTArray(scheme.child_params, flat, backend=backend).serialize_all()
+        tables = IBLTArray(scheme.child_params, flat).serialize_all()
         encoded.append(
             [(table << scheme.hash_bits) | tail for table, tail in zip(tables, hashes[shared])]
         )
@@ -246,9 +238,8 @@ class ChildTableCache:
     (subtracting *from* them is fine: :meth:`IBLT.subtract` copies).
     """
 
-    def __init__(self, scheme: ChildEncodingScheme, backend: str | None = None) -> None:
+    def __init__(self, scheme: ChildEncodingScheme) -> None:
         self._scheme = scheme
-        self._backend = backend
         self._tables: dict[frozenset[int], IBLT] = {}
 
     def add_children(self, children: Iterable[Iterable[int]]) -> None:
@@ -262,7 +253,7 @@ class ChildTableCache:
                 missing.append(frozen)
         if not missing:
             return
-        array = IBLTArray(self._scheme.child_params, missing, backend=self._backend)
+        array = IBLTArray(self._scheme.child_params, missing)
         for index, child in enumerate(missing):
             self._tables[child] = array.table(index)
 

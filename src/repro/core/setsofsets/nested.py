@@ -211,7 +211,6 @@ def reconcile_multisets_of_multisets(
     *,
     element_multiplicity_bound: int | None = None,
     parent_multiplicity_bound: int | None = None,
-    backend: str | None = None,
 ) -> ReconciliationResult:
     """Reconcile two multisets of multisets (one-way, Bob recovers Alice's).
 
@@ -231,8 +230,6 @@ def reconcile_multisets_of_multisets(
         Universe of the underlying elements.
     element_multiplicity_bound, parent_multiplicity_bound:
         Bounds on multiplicities; default to what the two inputs exhibit.
-    backend:
-        Accepted as :class:`~repro.iblt.table.IBLT` accepts it.
     """
     from repro.protocols.parties.setsofsets import multisets_of_multisets_parties
     from repro.protocols.session import run_session
@@ -245,6 +242,5 @@ def reconcile_multisets_of_multisets(
         seed,
         element_multiplicity_bound=element_multiplicity_bound,
         parent_multiplicity_bound=parent_multiplicity_bound,
-        backend=backend,
     )
     return run_session(alice_party, bob_party)

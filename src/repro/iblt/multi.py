@@ -37,7 +37,7 @@ import numpy as _np
 
 from repro.errors import ParameterError
 from repro.hashing.mix import checked_keys, is_key_array
-from repro.iblt.backends import _repeated, count_residue, max_peel_rounds
+from repro.iblt.backends import _repeated, check_backend, count_residue, max_peel_rounds
 from repro.iblt.codec import pack_rows
 from repro.iblt.table import IBLT, DecodeResult, IBLTParameters
 
@@ -218,9 +218,10 @@ class IBLTArray:
         :class:`FlatChildren` of one.  Row ``i`` holds exactly the contents
         of ``IBLT.from_items(params, children[i])``.
     backend:
-        Accepted as :class:`~repro.iblt.table.IBLT` accepts it.  The rows
-        share one tensor when keys fit in 64 bits, and are per-row tables
-        otherwise.
+        Checked as :class:`~repro.iblt.table.IBLT` checks it, then dropped.
+
+    The rows share one tensor when keys fit in 64 bits, and are per-row
+    tables otherwise.
     """
 
     def __init__(
@@ -229,12 +230,13 @@ class IBLTArray:
         children: "Sequence[Iterable[int]] | FlatChildren",
         backend: str | None = None,
     ) -> None:
+        check_backend(backend)
         self.params = params
         flat = children if isinstance(children, FlatChildren) else FlatChildren(children)
         self.num_tables = flat.num_children
         # One template table supplies the shared hash family, checksum and
         # cell store; rows clone it instead of re-deriving seeds.
-        self._template = IBLT(params, backend=backend)
+        self._template = IBLT(params)
         self._vectorized = params.key_bits <= 64
         if self._vectorized:
             self._tables: list[IBLT] | None = None
@@ -400,5 +402,5 @@ class IBLTArray:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"IBLTArray(tables={self.num_tables}, cells={self.params.num_cells}, "
-            f"backend={self.backend}, vectorized={self._vectorized})"
+            f"vectorized={self._vectorized})"
         )

@@ -211,8 +211,9 @@ class IBLT:
     params:
         Shared table configuration.
     backend:
-        ``None``, ``"auto"`` or ``"numpy"``: all name the one cell store.
-        Any other name raises :class:`~repro.errors.ParameterError`.
+        ``None``, ``"auto"`` or ``"numpy"``: all name the one cell store, so
+        the name is checked and dropped.  Any other name raises
+        :class:`~repro.errors.ParameterError`.
     """
 
     def __init__(self, params: IBLTParameters, backend: str | None = None) -> None:
@@ -464,5 +465,5 @@ class IBLT:
         occupied = sum(1 for count in self._store.snapshot()[0] if count != 0)
         return (
             f"IBLT(cells={self.params.num_cells}, key_bits={self.params.key_bits}, "
-            f"occupied={occupied}, backend={self._store.name})"
+            f"occupied={occupied})"
         )

@@ -51,8 +51,9 @@ class ReconcileOptions:
         Bound ``d_hat`` on differing children (set-of-sets protocols);
         ``None`` uses each protocol's default.
     backend:
-        ``None``, ``"auto"`` or ``"numpy"``: the one IBLT cell store (any
-        other name raises :class:`ParameterError`).
+        ``None``, ``"auto"`` or ``"numpy"``: all name the one IBLT cell
+        store, so no protocol reads it (any other name raises
+        :class:`ParameterError`).
     field_kernel:
         ``None``, ``"auto"``, ``"numpy"`` or ``"python"``: the GF(p) field
         kernel (:func:`repro.field.kernels.kernel_for`; any other name raises

@@ -107,14 +107,12 @@ def labeled_parties(
     bob: Graph,
     difference_bound: int | None,
     seed: int,
-    *,
-    backend: str | None = None,
 ) -> PartyPair:
     """Both parties for labeled-graph reconciliation."""
     if alice.num_vertices != bob.num_vertices:
         raise ParameterError("labeled reconciliation requires equal vertex counts")
     num_vertices = alice.num_vertices
-    ctx = SetReconContext(alice.edge_key_universe, seed, backend)
+    ctx = SetReconContext(alice.edge_key_universe, seed)
 
     def alice_party() -> PartyGenerator:
         outcome = yield from ibf_alice(
@@ -248,8 +246,6 @@ def degree_order_parties(
     difference_bound: int,
     num_top: int,
     seed: int,
-    *,
-    backend: str | None = None,
 ) -> PartyPair:
     """Both parties for the degree-ordering scheme."""
     if alice.num_vertices != bob.num_vertices:
@@ -271,12 +267,9 @@ def degree_order_parties(
         num_top,
         derive_seed(seed, "degree-order-signatures"),
         max_child_size=num_top,
-        backend=backend,
         t_star_ladder=False,  # alice's edge table follows the cascade
     )
-    edge_ctx = SetReconContext(
-        alice.edge_key_universe, derive_seed(seed, "degree-order-edges"), backend
-    )
+    edge_ctx = SetReconContext(alice.edge_key_universe, derive_seed(seed, "degree-order-edges"))
     signature_bits = _cascade_plan(sig_ctx, difference_bound).total_bits
 
     def alice_party() -> PartyGenerator:
@@ -331,8 +324,6 @@ def degree_neighborhood_parties(
     difference_bound: int,
     max_degree: int,
     seed: int,
-    *,
-    backend: str | None = None,
 ) -> PartyPair:
     """Both parties for the degree-neighborhood scheme."""
     if alice.num_vertices != bob.num_vertices:
@@ -365,11 +356,10 @@ def degree_neighborhood_parties(
         pair_universe,
         derive_seed(seed, "degree-neighborhood-signatures"),
         max_child_size=max_child,
-        backend=backend,
         t_star_ladder=False,  # alice's edge table follows the cascade
     )
     edge_ctx = SetReconContext(
-        alice.edge_key_universe, derive_seed(seed, "degree-neighborhood-edges"), backend
+        alice.edge_key_universe, derive_seed(seed, "degree-neighborhood-edges")
     )
     signature_bits = _cascade_plan(sig_ctx, change_bound).total_bits
 
@@ -445,8 +435,6 @@ def forest_parties(
     difference_bound: int,
     max_depth: int | None,
     seed: int,
-    *,
-    backend: str | None = None,
 ) -> PartyPair:
     """Both parties for forest reconciliation over the cascading protocol."""
     difference_bound = max(1, difference_bound)
@@ -466,12 +454,7 @@ def forest_parties(
     # The collections are multisets of multisets (isomorphic subtrees repeat),
     # so they travel over the Theorem 3.11 parties.
     collection_alice, collection_bob = multisets_of_multisets_parties(
-        alice_collection,
-        bob_collection,
-        change_bound,
-        universe,
-        derive_seed(seed, "forest-sos"),
-        backend=backend,
+        alice_collection, bob_collection, change_bound, universe, derive_seed(seed, "forest-sos")
     )
 
     def bob_party() -> PartyGenerator:

@@ -130,7 +130,6 @@ class SetReconContext:
 
     universe_size: int
     seed: int
-    backend: str | None = None
 
     def table_params(self, difference_bound: int) -> IBLTParameters:
         return _table_params(self.universe_size, self.seed, difference_bound)
@@ -202,9 +201,7 @@ class IBFMessageCodec(PayloadCodec):
     def read(self, reader: BitReader) -> tuple[IBLT, int, int]:
         bound = reader.read(BOUND_HEADER_BITS) if self.self_describing else self.bound
         params = self.ctx.table_params(bound)
-        table = IBLT.deserialize(
-            params, reader.read(params.size_bits), backend=self.ctx.backend
-        )
+        table = IBLT.deserialize(params, reader.read(params.size_bits))
         set_hash = reader.read(WORD_BITS)
         set_size = reader.read_tail_int()
         return table, set_hash, set_size
@@ -316,7 +313,7 @@ class SetSource:
         return _verification_checksum(self.ctx.seed).of_checked(self.keys)
 
     def _table(self, params: IBLTParameters) -> IBLT:
-        table = IBLT(params, backend=self.ctx.backend)
+        table = IBLT(params)
         table.insert_batch(self._batch_for(table))
         return table
 
@@ -598,9 +595,7 @@ def _start_codec(
 ) -> TableWithHashCodec:
     """The start rung's table and the 64-bit whole-set hash: its cell count
     is shared (both sides know both sizes), so nothing says which rung."""
-    return TableWithHashCodec(
-        partial(resized, rungs[-1]), rungs[start].num_cells, backend=ctx.backend
-    )
+    return TableWithHashCodec(partial(resized, rungs[-1]), rungs[start].num_cells)
 
 
 def growth_refused(source: SetSource | StoreView) -> PartyOutcome:
@@ -645,7 +640,7 @@ def ladder_alice(
             f"{label} growth",
             upper.size_bits,
             payload=upper,
-            codec=TableCodec(upper.params, ctx.backend),
+            codec=TableCodec(upper.params),
         )
 
 
@@ -679,7 +674,7 @@ def ladder_bob_difference(
         if difference is not None or index == len(rungs):
             return outcome, difference
         yield Send(label, 1, payload=GROW, codec=request_codec)
-        upper = yield Receive(TableCodec(alice_table.params, ctx.backend))
+        upper = yield Receive(TableCodec(alice_table.params))
         if upper is END_OF_SESSION:
             return aborted_outcome(), None
         alice_table = alice_table.unfold(upper)

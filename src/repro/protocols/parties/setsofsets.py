@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Collection, Iterable
 
 from repro.comm import WORD_BITS
 from repro.comm.bits import BitReader, BitWriter
@@ -98,6 +98,9 @@ LEVEL_SLACK = 3.0
 #: or past the universe size: no child of an honest alice's, which the
 #: encoders refuse.
 OUTSIDE_UNIVERSE = "child-outside-universe"
+#: The failure label of a cascade bob whose decode names a child of more than
+#: ``h`` elements: no child of an honest alice's, and T* cannot encode it.
+OVER_MAX_SIZE = "child-over-max-size"
 
 #: The first bound the repeated-doubling variants (Cor 3.6 / 3.8) try: a
 #: small difference then costs a small table.  The last is
@@ -122,7 +125,6 @@ class SetsOfSetsContext:
     seed: int
     max_child_size: int | None = None
     differing_children_bound: int | None = None
-    backend: str | None = None
     field_kernel: str | None = None
     max_num_children: int = 1
     max_total_elements: int = 1
@@ -160,6 +162,18 @@ def _outside_universe(children: Iterable[Iterable[int]], ctx: SetsOfSetsContext)
     return any(max(child, default=0) >= universe for child in children)
 
 
+def _foreign_child(children: Collection[frozenset[int]], ctx: SetsOfSetsContext) -> str | None:
+    """The cascade's failure label for decoded children that no child of
+    alice's can be (:data:`OUTSIDE_UNIVERSE`, :data:`OVER_MAX_SIZE`), or
+    ``None``.  A level's child IBLT and a T* bitmap carry any size."""
+    if _outside_universe(children, ctx):
+        return OUTSIDE_UNIVERSE
+    limit = ctx.max_child_size
+    if limit is not None and any(len(child) > limit for child in children):
+        return OVER_MAX_SIZE
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Naive protocol (Theorems 3.3 and 3.4)
 # ---------------------------------------------------------------------------
@@ -183,7 +197,6 @@ def _naive_codec(
         lambda b: _naive_parent_params(ctx, b),
         bound,
         self_describing=self_describing,
-        backend=ctx.backend,
     )
 
 
@@ -199,7 +212,7 @@ def naive_alice_known(
         raise ParameterError("differing_children_bound must be non-negative")
     scheme = ExplicitChildScheme(ctx.universe_size, ctx.max_child_size)
     params = _naive_parent_params(ctx, differing_children_bound)
-    alice_table = IBLT(params, backend=ctx.backend)
+    alice_table = IBLT(params)
     alice_table.insert_batch(scheme.encode_batch(alice.children))
     verification = parent_hash(alice.children, ctx.seed)
     yield Send(
@@ -415,7 +428,6 @@ def _recover_child(
     alice_key: int,
     candidate_children: list[frozenset[int]],
     candidate_tables: ChildTableCache,
-    backend: str | None = None,
 ) -> frozenset[int] | None:
     """Try to decode one of Alice's child encodings against candidate children.
 
@@ -430,7 +442,7 @@ def _recover_child(
     hash match).  Either way the answer is the first candidate, in order,
     whose decode matches the hash.
     """
-    alice_table, alice_hash = scheme.decode(alice_key, backend=backend)
+    alice_table, alice_hash = scheme.decode(alice_key)
     tables = [candidate_tables.get(candidate) for candidate in candidate_children]
     batched = IBLTArray.from_difference(alice_table, tables)
     if batched is not None:
@@ -458,16 +470,14 @@ def iblt_of_iblts_alice_known(
         raise ParameterError("difference_bound must be non-negative")
     scheme = _flat_child_scheme(ctx, difference_bound)
     parent_params = _flat_parent_params(ctx, difference_bound)
-    alice_table = IBLT(parent_params, backend=ctx.backend)
-    alice_table.insert_batch(scheme.encode_all(alice.children, backend=ctx.backend))
+    alice_table = IBLT(parent_params)
+    alice_table.insert_batch(scheme.encode_all(alice.children))
     verification = parent_hash(alice.children, ctx.seed)
     yield Send(
         "parent IBLT of child encodings",
         alice_table.size_bits + WORD_BITS,
         payload=(alice_table, verification),
-        codec=TableWithHashCodec(
-            lambda b: _flat_parent_params(ctx, b), difference_bound, backend=ctx.backend
-        ),
+        codec=TableWithHashCodec(lambda b: _flat_parent_params(ctx, b), difference_bound),
     )
     return PartyOutcome(True)
 
@@ -477,9 +487,7 @@ def iblt_of_iblts_bob_known(
 ) -> PartyGenerator:
     """Bob's side: peel the parent, decode differing children pairwise."""
     payload = yield Receive(
-        TableWithHashCodec(
-            lambda b: _flat_parent_params(ctx, b), difference_bound, backend=ctx.backend
-        )
+        TableWithHashCodec(lambda b: _flat_parent_params(ctx, b), difference_bound)
     )
     if payload is END_OF_SESSION:
         return aborted_outcome()
@@ -487,9 +495,7 @@ def iblt_of_iblts_bob_known(
     scheme = _flat_child_scheme(ctx, difference_bound)
 
     bob_children = bob.sorted_children()
-    bob_encoding_to_child = dict(
-        zip(scheme.encode_all(bob_children, backend=ctx.backend), bob_children)
-    )
+    bob_encoding_to_child = dict(zip(scheme.encode_all(bob_children), bob_children))
     difference_table = alice_table.copy()
     difference_table.delete_batch(list(bob_encoding_to_child))
     decode = difference_table.try_decode()
@@ -512,22 +518,16 @@ def iblt_of_iblts_bob_known(
     # across every one of Alice's keys; the fallback candidates (every other
     # child of bob's, the relaxed model of Theorem 3.5's notes) are only
     # built if some encoding actually needs them.
-    candidate_tables = ChildTableCache(scheme, backend=ctx.backend)
+    candidate_tables = ChildTableCache(scheme)
     if decode.positive:
         candidate_tables.add_children(differing_bob_children)
 
     recovered_children: list[frozenset[int]] = []
     for alice_key in decode.positive:
-        recovered = _recover_child(
-            scheme, alice_key, differing_bob_children, candidate_tables,
-            backend=ctx.backend,
-        )
+        recovered = _recover_child(scheme, alice_key, differing_bob_children, candidate_tables)
         if recovered is None:
             candidate_tables.add_children(other_children)
-            recovered = _recover_child(
-                scheme, alice_key, other_children, candidate_tables,
-                backend=ctx.backend,
-            )
+            recovered = _recover_child(scheme, alice_key, other_children, candidate_tables)
         if recovered is None:
             return PartyOutcome(False, details={"failure": "child-iblt-decode"})
         recovered_children.append(recovered)
@@ -735,12 +735,9 @@ class CascadingMessageCodec(PayloadCodec):
     framing).
     """
 
-    def __init__(
-        self, plan: _CascadePlan, start: int = -1, backend: str | None = None
-    ) -> None:
+    def __init__(self, plan: _CascadePlan, start: int = -1) -> None:
         self.plan = plan
         self.t_star_params = plan.t_star_rungs[start] if plan.t_star_rungs else None
-        self.backend = backend
 
     def write(
         self, writer: BitWriter, payload: tuple[list[IBLT], IBLT | None, int]
@@ -760,15 +757,13 @@ class CascadingMessageCodec(PayloadCodec):
 
     def read(self, reader: BitReader) -> tuple[list[IBLT], IBLT | None, int]:
         level_tables = [
-            IBLT.deserialize(params, reader.read(params.size_bits), backend=self.backend)
+            IBLT.deserialize(params, reader.read(params.size_bits))
             for params in self.plan.level_params
         ]
         t_star = None
         if self.t_star_params is not None:
             t_star = IBLT.deserialize(
-                self.t_star_params,
-                reader.read(self.t_star_params.size_bits),
-                backend=self.backend,
+                self.t_star_params, reader.read(self.t_star_params.size_bits)
             )
         verification = reader.read(WORD_BITS)
         return level_tables, t_star, verification
@@ -819,22 +814,22 @@ def cascading_alice_known(
     index = plan.start_rung(ctx)
     flat = alice if isinstance(alice, FlatSetOfSets) else FlatSetOfSets.of(alice)
     level_tables: list[IBLT] = []
-    level_keys = encode_children(plan.schemes, flat, backend=ctx.backend)
+    level_keys = encode_children(plan.schemes, flat)
     for keys, params in zip(level_keys, plan.level_params):
-        table = IBLT(params, backend=ctx.backend)
+        table = IBLT(params)
         table.insert_batch(keys)
         level_tables.append(table)
     t_star: IBLT | None = None
     if rungs:
         t_star_keys = plan.explicit_scheme.encode_batch(flat)
-        t_star = IBLT(rungs[index], backend=ctx.backend)
+        t_star = IBLT(rungs[index])
         t_star.insert_batch(t_star_keys)
     verification = parent_hash(flat, ctx.seed)
     yield Send(
         "cascading level tables",
         plan.message_bits(index),
         payload=(level_tables, t_star, verification),
-        codec=CascadingMessageCodec(plan, index, backend=ctx.backend),
+        codec=CascadingMessageCodec(plan, index),
     )
     if index >= len(rungs) - 1:
         return PartyOutcome(True)
@@ -842,14 +837,14 @@ def cascading_alice_known(
         index += 1
         if index == len(rungs):
             return PartyOutcome(False, details={"failure": GROWTH_REFUSED})
-        rung = IBLT(rungs[index], backend=ctx.backend)
+        rung = IBLT(rungs[index])
         rung.insert_batch(t_star_keys)
         upper = rung.upper_half()
         yield Send(
             "T* upper half",
             upper.size_bits,
             payload=upper,
-            codec=TableCodec(upper.params, ctx.backend),
+            codec=TableCodec(upper.params),
         )
     return PartyOutcome(True)
 
@@ -874,7 +869,7 @@ def cascading_bob_known(
     plan = _cascade_plan(ctx, difference_bound)
     rungs = plan.t_star_rungs
     index = plan.start_rung(ctx)
-    payload = yield Receive(CascadingMessageCodec(plan, index, backend=ctx.backend))
+    payload = yield Receive(CascadingMessageCodec(plan, index))
     if payload is END_OF_SESSION:
         return aborted_outcome()
     level_tables, t_star, verification = payload
@@ -884,7 +879,7 @@ def cascading_bob_known(
     # level come out of one pass over his batch; the few already-recovered
     # children are re-encoded per level below.
     flat = bob if isinstance(bob, FlatSetOfSets) else FlatSetOfSets.of(bob)
-    bob_level_keys = encode_children(plan.schemes, flat, backend=ctx.backend)
+    bob_level_keys = encode_children(plan.schemes, flat)
     recovered_children: set[frozenset[int]] = set()   # D_A
     differing_rows: set[int] = set()                  # D_B, by canonical index
 
@@ -893,7 +888,7 @@ def cascading_bob_known(
         row_of_key = dict(zip(bob_keys, range(len(bob_keys))))
         deletions = [key for row, key in enumerate(bob_keys) if row not in differing_rows]
         if recovered_children:
-            deletions.extend(scheme.encode_all(recovered_children, backend=ctx.backend))
+            deletions.extend(scheme.encode_all(recovered_children))
         work.delete_batch(deletions)
         decode = work.try_decode()  # partial results are still useful on failure
 
@@ -902,18 +897,17 @@ def cascading_bob_known(
             if row is not None:
                 differing_rows.add(row)
         candidates = [flat.child(row) for row in sorted(differing_rows)]
-        candidate_tables = ChildTableCache(scheme, backend=ctx.backend)
+        candidate_tables = ChildTableCache(scheme)
         if decode.positive:
             candidate_tables.add_children(candidates)
         for key in decode.positive:
-            recovered = _recover_child(
-                scheme, key, candidates, candidate_tables, backend=ctx.backend
-            )
+            recovered = _recover_child(scheme, key, candidates, candidate_tables)
             if recovered is not None:
                 recovered_children.add(recovered)
 
-    if _outside_universe(recovered_children, ctx):
-        return PartyOutcome(False, details={"failure": OUTSIDE_UNIVERSE})
+    refused = _foreign_child(recovered_children, ctx)
+    if refused is not None:
+        return PartyOutcome(False, details={"failure": refused})
     bob_hash = parent_hash(flat, ctx.seed)
     differing_bob = {flat.child(row) for row in differing_rows}
     removed, added = differing_bob, recovered_children
@@ -949,12 +943,12 @@ def cascading_bob_known(
             }
             # A child peeled with both signs is no difference, and the O(d)
             # hash cannot see it: its flip and its echo cancel.  A child
-            # past the universe is no child of alice's: a packed slot holds
-            # element bits up to the next power of two.
-            outside = _outside_universe(peeled, ctx)
-            failure = OUTSIDE_UNIVERSE if outside else "verification-hash"
+            # past the universe or past h is no child of alice's: a packed
+            # slot holds element bits up to the next power of two.
+            refused = _foreign_child(peeled, ctx)
+            failure = refused or "verification-hash"
             verified = (
-                not outside
+                refused is None
                 and decode.positive.isdisjoint(decode.negative)
                 and reconstruction_hash(bob_hash, bob, removed, added, ctx.seed) == verification
             )
@@ -962,7 +956,7 @@ def cascading_bob_known(
             if verified or index >= len(rungs):
                 break
             yield Send("T* growth request", 1, payload=GROW, codec=GROWTH_REQUEST_CODEC)
-            upper = yield Receive(TableCodec(t_star.params, ctx.backend))
+            upper = yield Receive(TableCodec(t_star.params))
             if upper is END_OF_SESSION:
                 return aborted_outcome()
             t_star = t_star.unfold(upper)
@@ -1159,9 +1153,7 @@ class MultiroundRound2Codec(PayloadCodec):
     def read(
         self, reader: BitReader
     ) -> tuple[IBLT, list[tuple[int, L0Estimator]]]:
-        bob_hash_table = IBLT.deserialize(
-            self.params, reader.read(self.params.size_bits), backend=self.ctx.backend
-        )
+        bob_hash_table = IBLT.deserialize(self.params, reader.read(self.params.size_bits))
         bob_estimators = []
         while reader.remaining_bits >= self.min_entry_bits:
             child_hash = reader.read(CHILD_HASH_BITS)
@@ -1235,9 +1227,7 @@ class MultiroundPayloadsCodec(PayloadCodec):
                 raise WireError(f"per-child bound {bound} outside the clamp range")
             if not is_cpi:
                 params = _multiround_child_params(self.ctx, bound, own_hash)
-                table = IBLT.deserialize(
-                    params, reader.read(params.size_bits), backend=self.ctx.backend
-                )
+                table = IBLT.deserialize(params, reader.read(params.size_bits))
                 payloads.append(ChildPayload(target_hash, own_hash, bound, table, None))
             else:
                 set_size = reader.read(CHILD_SET_SIZE_BITS)
@@ -1275,7 +1265,6 @@ def _multiround_r1_codec(
         lambda dh: _hash_iblt_params(ctx, dh),
         d_hat,
         self_describing=self_describing,
-        backend=ctx.backend,
     )
 
 
@@ -1297,7 +1286,7 @@ def multiround_alice_known(
     # ---- Round 1: the IBLT of Alice's child hashes (one batch; the hashes
     # of the whole parent set are computed in one batched pass).
     hash_params = _hash_iblt_params(ctx, d_hat)
-    alice_hash_table = IBLT(hash_params, backend=ctx.backend)
+    alice_hash_table = IBLT(hash_params)
     alice_children = alice.sorted_children()
     alice_hashes = child_set_hash_many(alice_children, hash_seed, CHILD_HASH_BITS)
     alice_hash_to_child = dict(zip(alice_hashes, alice_children))
@@ -1353,7 +1342,7 @@ def multiround_alice_known(
                     best_hash,
                     own_hash,
                     bound,
-                    IBLT.from_items(child_params, child, backend=ctx.backend),
+                    IBLT.from_items(child_params, child),
                     None,
                 )
             )
@@ -1401,7 +1390,7 @@ def multiround_bob_known(
         return child_set_hash(child, hash_seed, CHILD_HASH_BITS)
 
     # ---- Round 2: Bob replies with his hash IBLT and per-child estimators.
-    bob_hash_table = IBLT(hash_params, backend=ctx.backend)
+    bob_hash_table = IBLT(hash_params)
     bob_children = bob.sorted_children()
     bob_hashes = child_set_hash_many(bob_children, hash_seed, CHILD_HASH_BITS)
     bob_hash_to_child = dict(zip(bob_hashes, bob_children))
@@ -1439,9 +1428,7 @@ def multiround_bob_known(
         base_child = bob_hash_to_child.get(payload.target_hash, frozenset())
         recovered: frozenset[int] | None = None
         if payload.iblt is not None:
-            base_table = IBLT.from_items(
-                payload.iblt.params, base_child, backend=ctx.backend
-            )
+            base_table = IBLT.from_items(payload.iblt.params, base_child)
             decode = payload.iblt.subtract(base_table).try_decode()
             if decode.success:
                 recovered = frozenset(

@@ -163,7 +163,6 @@ def _derived_max_child_size(alice: Any, bob: Any, options: ReconcileOptions) -> 
 def _sets_of_sets_options(options: ReconcileOptions) -> dict[str, Any]:
     """The ``SetsOfSetsContext`` fields every set-of-sets protocol takes from ``options``."""
     return dict(
-        backend=options.backend,
         field_kernel=options.field_kernel,
         differing_children_bound=options.differing_children_bound,
     )
@@ -200,7 +199,7 @@ class IBFProtocol(Protocol):
         from repro.protocols.parties.setrecon import SetReconContext, ibf_parties
 
         options.require("universe_size")
-        ctx = SetReconContext(options.universe_size, options.seed, options.backend)
+        ctx = SetReconContext(options.universe_size, options.seed)
         return ibf_parties(alice, bob, options.difference_bound, ctx)
 
 
@@ -349,12 +348,7 @@ class DegreeOrderProtocol(Protocol):
 
         options.require("difference_bound", "num_top")
         return degree_order_parties(
-            alice,
-            bob,
-            options.difference_bound,
-            options.num_top,
-            options.seed,
-            backend=options.backend,
+            alice, bob, options.difference_bound, options.num_top, options.seed
         )
 
 
@@ -372,12 +366,7 @@ class DegreeNeighborhoodProtocol(Protocol):
 
         options.require("difference_bound", "max_degree")
         return degree_neighborhood_parties(
-            alice,
-            bob,
-            options.difference_bound,
-            options.max_degree,
-            options.seed,
-            backend=options.backend,
+            alice, bob, options.difference_bound, options.max_degree, options.seed
         )
 
 
@@ -398,12 +387,7 @@ class ForestProtocol(Protocol):
 
         options.require("difference_bound")
         return forest_parties(
-            alice,
-            bob,
-            options.difference_bound,
-            options.max_depth,
-            options.seed,
-            backend=options.backend,
+            alice, bob, options.difference_bound, options.max_depth, options.seed
         )
 
 
@@ -421,13 +405,7 @@ class LabeledGraphProtocol(Protocol):
     def build(cls, alice: Any, bob: Any, options: ReconcileOptions) -> PartyPair:
         from repro.protocols.parties.graphs import labeled_parties
 
-        return labeled_parties(
-            alice,
-            bob,
-            options.difference_bound,
-            options.seed,
-            backend=options.backend,
-        )
+        return labeled_parties(alice, bob, options.difference_bound, options.seed)
 
 
 @register_protocol

@@ -98,9 +98,8 @@ class TableCodec(PayloadCodec):
     parameters themselves are shared context and never transmitted.
     """
 
-    def __init__(self, params: IBLTParameters, backend: str | None = None) -> None:
+    def __init__(self, params: IBLTParameters) -> None:
         self.params = params
-        self.backend = backend
 
     def write(self, writer: BitWriter, payload: IBLT) -> None:
         if payload.params != self.params:
@@ -108,9 +107,7 @@ class TableCodec(PayloadCodec):
         writer.write(payload.serialize(), self.params.size_bits)
 
     def read(self, reader: BitReader) -> IBLT:
-        return IBLT.deserialize(
-            self.params, reader.read(self.params.size_bits), backend=self.backend
-        )
+        return IBLT.deserialize(self.params, reader.read(self.params.size_bits))
 
 
 class TableWithHashCodec(PayloadCodec):
@@ -132,14 +129,12 @@ class TableWithHashCodec(PayloadCodec):
         *,
         self_describing: bool = False,
         hash_bits: int = 64,
-        backend: str | None = None,
         header_bits: int = 32,
     ) -> None:
         self.params_for_bound = params_for_bound
         self.bound = bound
         self.self_describing = self_describing
         self.hash_bits = hash_bits
-        self.backend = backend
         self.header_bits = header_bits
 
     def write(self, writer: BitWriter, payload: tuple[IBLT, int]) -> None:
@@ -157,9 +152,7 @@ class TableWithHashCodec(PayloadCodec):
     def read(self, reader: BitReader) -> tuple[IBLT, int]:
         bound = reader.read(self.header_bits) if self.self_describing else self.bound
         params = self.params_for_bound(bound)
-        table = IBLT.deserialize(
-            params, reader.read(params.size_bits), backend=self.backend
-        )
+        table = IBLT.deserialize(params, reader.read(params.size_bits))
         verification = reader.read(self.hash_bits)
         return table, verification
 

@@ -1,9 +1,9 @@
 """The protocol configuration a stored sketch is keyed on.
 
 A live sketch is only reusable by a session that would have built the exact
-same sketch from scratch: same universe (key width), same seed (bucket and
-checksum hash functions), same backend choice.  Those fields -- the subset
-of :class:`~repro.protocols.options.ReconcileOptions` the ``ibf`` builder
+same sketch from scratch: same universe (key width) and same seed (bucket
+and checksum hash functions).  Those fields -- the subset of
+:class:`~repro.protocols.options.ReconcileOptions` the ``ibf`` builder
 reads -- make up :class:`SketchConfig`; its :attr:`~SketchConfig.fingerprint`
 is the cache key, and a persisted sketch whose recorded parameters no longer
 match the parameters recomputed from its recorded config is discarded as an
@@ -11,18 +11,21 @@ invalidation (the library's sizing rules or hash derivations changed
 underneath it, or it was built with another hash count than
 :data:`~repro.iblt.sizing.NUM_HASHES`).
 
-The field kernel is deliberately absent: GF(p) arithmetic never touches an
-IBLT or estimator sketch, so a kernel change cannot invalidate one.
+The tier names are deliberately absent.  Every ``backend`` name serves the
+one cell store, so every spelling shares one family; and GF(p) arithmetic
+never touches an IBLT or estimator sketch, so a field kernel cannot
+invalidate one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
 from repro.core.setrecon.difference import max_element_bits
 from repro.iblt import IBLTParameters
+from repro.iblt.backends import check_backend
 from repro.iblt.sizing import NUM_HASHES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -40,11 +43,16 @@ class SketchConfig:
 
     universe_size: int
     seed: int = 0
-    backend: str | None = None
+    #: Checked (:func:`~repro.iblt.backends.check_backend`), then dropped:
+    #: every accepted name is the one cell store.
+    backend: InitVar[str | None] = None
+
+    def __post_init__(self, backend: str | None) -> None:
+        check_backend(backend)
 
     @classmethod
     def from_options(cls, options: "ReconcileOptions") -> "SketchConfig":
-        return cls(options.universe_size, options.seed, options.backend)
+        return cls(options.universe_size, options.seed)
 
     def context(self) -> "SetReconContext":
         """The shared protocol context a session with this config derives."""
@@ -53,7 +61,7 @@ class SketchConfig:
     @property
     def fingerprint(self) -> str:
         """The cache key: every field that shapes sketch *contents*."""
-        return f"u{self.universe_size}/s{self.seed}/k{NUM_HASHES}/b{self.backend or 'default'}"
+        return f"u{self.universe_size}/s{self.seed}/k{NUM_HASHES}"
 
     # -- derived identities the invalidation rules check against ---------------------
 
@@ -92,17 +100,19 @@ class SketchConfig:
             "universe_size": self.universe_size,
             "seed": self.seed,
             "num_hashes": NUM_HASHES,
-            "backend": self.backend,
             # Read by nothing; kept only so the snapshot format (pinned byte
             # for byte) keeps its shape.
+            "backend": None,
             "safety_factor": 2.0,
         }
 
     @classmethod
     def from_wire(cls, wire: dict[str, Any]) -> "SketchConfig":
         """Read a persisted config.  Its ``num_hashes`` is not honoured: a
-        table built with another hash count fails :meth:`admits_params`."""
-        return cls(int(wire["universe_size"]), int(wire["seed"]), wire.get("backend"))
+        table built with another hash count fails :meth:`admits_params`.  Its
+        ``backend`` is ignored: a family persisted under any name is the one
+        family."""
+        return cls(int(wire["universe_size"]), int(wire["seed"]))
 
 
 # Every session asks for these, several times; a config is frozen, so each
@@ -113,7 +123,7 @@ class SketchConfig:
 def _context(config: SketchConfig) -> "SetReconContext":
     from repro.protocols.parties.setrecon import SetReconContext
 
-    return SetReconContext(config.universe_size, config.seed, config.backend)
+    return SetReconContext(config.universe_size, config.seed)
 
 
 @lru_cache(maxsize=256)

@@ -21,7 +21,7 @@ elements per session.  :class:`SketchStore` owns that live state:
 
 * the dataset's size, maintained arithmetically.
 
-The config (seed, hash count, backend) and the difference bound are chosen
+The config (universe and seed) and the difference bound are chosen
 by the *peer*, and every live sketch costs every later
 :meth:`~SketchStore.apply` an update, so what stays live is capped: at most
 :data:`MAX_LIVE_FAMILIES` families per dataset and
@@ -285,9 +285,7 @@ class SketchStore:
             if not config.admits_params(params):
                 self._metric("record_store_invalidation")
                 continue
-            table = IBLT.deserialize(
-                params, int(item["cells"], 16), backend=config.backend
-            )
+            table = IBLT.deserialize(params, int(item["cells"], 16))
             entry.family(config).keep_table(table)
         for item in body.get("estimators", []):
             config = SketchConfig.from_wire(item["config"])
@@ -419,7 +417,7 @@ class SketchStore:
                     raise StoreError(
                         f"no cached table for dataset {key!r} and no data to encode"
                     )
-                table = IBLT.from_items(params, dataset, backend=config.backend)
+                table = IBLT.from_items(params, dataset)
             family.keep_table(table)
             return table
 

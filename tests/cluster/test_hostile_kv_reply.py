@@ -102,7 +102,7 @@ def test_the_honest_reply_still_succeeds():
 
 
 def test_the_cluster_driver_merges_nothing_from_a_forging_peer():
-    cluster = Cluster(2, seed=SEED, difference_bound=16, max_attempts=2)
+    cluster = Cluster(2, seed=SEED, difference_bound=16)
     hostile, bob = pair(REPLIES["forged"])
     cluster.replicas.update(node0=hostile, node1=bob)
     before = bob.digest()

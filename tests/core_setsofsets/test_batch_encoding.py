@@ -79,7 +79,7 @@ class TestBatchEncoding:
 
     def test_encode_all_identical_across_backends(self):
         children = random_children(30, seed=15)
-        assert SCHEME.encode_all(children, backend="numpy") == [
+        assert SCHEME.encode_all(children) == [
             encoded_on("reference", SCHEME, child) for child in children
         ]
 

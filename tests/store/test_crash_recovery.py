@@ -32,7 +32,7 @@ OPS = st.lists(
 
 def fresh_bits(config, dataset):
     params = config.context().table_params(BOUND)
-    return IBLT.from_items(params, dataset, backend=config.backend).serialize()
+    return IBLT.from_items(params, dataset).serialize()
 
 
 def check_sync(store, config, dataset, supplied=True):

@@ -36,7 +36,7 @@ def make_dataset(size=500, seed=SEED):
 
 def fresh_table(config, bound, dataset):
     params = config.context().table_params(bound)
-    return IBLT.from_items(params, dataset, backend=config.backend)
+    return IBLT.from_items(params, dataset)
 
 
 def test_live_table_equals_fresh_encode_after_mutations():
@@ -262,6 +262,53 @@ def test_a_snapshot_of_the_persisted_config_shape_is_served(tmp_path):
     _, client_bob = ibf_parties(set(), client, 20, SetReconContext(UNIVERSE, SEED))
     result = run_session(stored_ibf_party("alice", view, 20), client_bob)
     assert result.success and result.recovered == dataset
+    reopened.close()
+
+
+#: Every name ``backend=`` accepts: all name the one cell store.
+BACKEND_NAMES = (None, "auto", "numpy")
+
+
+def test_every_backend_spelling_is_one_family(tmp_path):
+    """A config checks its ``backend`` and drops it: every spelling is one
+    config and one fingerprint, so one live family is built and served."""
+    dataset = make_dataset()
+    configs = [SketchConfig(UNIVERSE, seed=SEED, backend=name) for name in BACKEND_NAMES]
+    assert len(set(configs)) == 1
+    assert len({config.fingerprint for config in configs}) == 1
+    metrics = ServiceMetrics()
+    store = SketchStore(tmp_path, metrics=metrics)
+    for config in configs:
+        live = store.table_for("d", config, 20, dataset)
+        store.estimator_for("d", config, 1, dataset)
+    assert live.serialize() == fresh_table(configs[0], 20, dataset).serialize()
+    assert (metrics.store_hits, metrics.store_misses) == (4, 2)
+    body = json.loads(store.snapshot("d").read_text())
+    assert (len(body["tables"]), len(body["estimators"]), len(body["hashes"])) == (1, 1, 1)
+    store.close()
+    with pytest.raises(ParameterError, match="unknown cell backend 'python'"):
+        SketchConfig(UNIVERSE, seed=SEED, backend="python")
+
+
+def test_a_snapshot_persisted_under_a_backend_name_is_the_one_family(tmp_path):
+    """Snapshots once recorded the config's ``backend``.  One that names
+    ``"numpy"`` reopens into the one family: every spelling is a hit."""
+    dataset = make_dataset()
+    config = SketchConfig(UNIVERSE, seed=SEED)
+    path = snapshot_with_every_sketch(tmp_path, dataset, config)
+    body = json.loads(path.read_text())
+    for item in body["tables"] + body["estimators"]:
+        item["config"]["backend"] = "numpy"
+    path.write_text(json.dumps(body))
+
+    metrics = ServiceMetrics()
+    reopened = SketchStore(tmp_path, metrics=metrics)
+    for name in BACKEND_NAMES:
+        named = SketchConfig(UNIVERSE, seed=SEED, backend=name)
+        live = reopened.table_for("d", named, 20, dataset)
+        reopened.estimator_for("d", named, 1, dataset)
+    assert live.serialize() == fresh_table(config, 20, dataset).serialize()
+    assert (metrics.store_hits, metrics.store_misses, metrics.store_invalidations) == (6, 0, 0)
     reopened.close()
 
 
