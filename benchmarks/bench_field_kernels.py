@@ -1,23 +1,33 @@
-"""Field-kernel comparison: pure-Python vs vectorized NumPy GF(p) kernels.
+"""Field-kernel timings: the CPI path on the one GF(p) kernel, at both dtypes.
 
 Times the characteristic-polynomial protocol's two sides (Theorem 2.3) --
 ``cpi_encode`` (batch evaluation of chi_A at d+1 points) and ``cpi_decode``
 (batch evaluation, Vandermonde assembly, Gaussian elimination, root
-finding) -- under each of the two field kernels, asserting bit-identical
-``CPIMessage.evaluations`` and recovered sets.  The acceptance bar for the
-vectorized kernel is a >= 8x ``cpi_decode`` speedup over the reference
-kernel at ``n = 600, d = 48``.
+finding) -- at ``n = 600``:
+
+* ``u = 2**20`` (``int64`` arrays) for ``d`` in 4, 16, 48.  The acceptance
+  bar is a bound on the kernel's own ``cpi_decode`` time at ``d = 48``
+  (:data:`DECODE_BOUND_S`), set from measurements of the previous release
+  on a 2-core host.
+* ``u = 2**32`` and ``2**64`` (primes above ``2**31``: ``object`` arrays of
+  Python ints) for ``d`` in 8, 16, 48.
+
+``--baseline RECORD`` adds the times of a record this script wrote on
+another checkout (say, the parent commit) to every matching row, with the
+decode ratio, so a change can be compared row for row.
 
 The large-scale row (``compare_gcd_phase``, d = 10^4) times the phase that
 dominates CPI decoding at large difference bounds: the Cantor-Zassenhaus
-root-finding gcd chain on degree-d polynomials.  It compares the scalar
-reference chain against the vectorized Euclid chain, asserting exact
-coefficient identity; acceptance bar >= 2x on the gcd phase.
+root-finding gcd chain on degree-d polynomials.  It compares the kernel's
+scalar Euclid chain against its vectorized one, asserting exact coefficient
+identity; acceptance bar >= 2x on the gcd phase.
 
-Run under pytest like the other benchmarks (the small-``d`` cases double as
-the CI smoke test), or standalone::
+Run under pytest like the other benchmarks (the ``smoke`` cases check the
+kernel's messages and recovered sets against the reference kernel in
+``tests/reference_kernel.py`` on both dtypes and double as the CI smoke
+test), or standalone::
 
-    PYTHONPATH=src python benchmarks/bench_field_kernels.py
+    PYTHONPATH=src python benchmarks/bench_field_kernels.py [--baseline RECORD]
 
 which also rewrites ``BENCH_field_kernels.json`` at the repository root.
 """
@@ -25,7 +35,6 @@ which also rewrites ``BENCH_field_kernels.json`` at the repository root.
 from __future__ import annotations
 
 import random
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -35,56 +44,59 @@ if str(_SRC) not in sys.path:  # standalone execution
     sys.path.insert(0, str(_SRC))
 
 from repro.bench.cli import DEFAULT_SEED, benchmark_config, benchmark_parser
-from repro.bench.reporting import write_benchmark_record
+from repro.bench.reporting import load_benchmark_record, write_benchmark_record
 from repro.core.setrecon.cpi import cpi_decode, cpi_encode
-from repro.field import NumpyFieldKernel
 
 UNIVERSE = 1 << 20
 SET_SIZE = 600
 DIFFERENCES = (4, 16, 48)
-SPEEDUP_FLOOR = 8.0  # acceptance bar for cpi_decode at the largest d
-ROUNDS = 7  # interleaved measurement rounds per (kernel, d)
+#: The wide universes (CPI primes above 2**31) and their difference bounds.
+WIDE_UNIVERSES = (1 << 32, 1 << 64)
+WIDE_DIFFERENCES = (8, 16, 48)
+#: Upper bound on cpi_decode at n = 600, d = 48, u = 2**20, in seconds:
+#: 2.7x the previous release's median (best-of-7) of 3.65 ms over eight
+#: runs on a 2-core host, whose runs spread from 3.5 to 6.3 ms.
+DECODE_BOUND_S = 0.010
+ROUNDS = 7  # best-of measurement rounds per row
 GCD_DEGREE = 10_000
-GCD_SPEEDUP_FLOOR = 2.0  # vectorized gcd chain vs scalar reference at d=1e4
+GCD_SPEEDUP_FLOOR = 2.0  # vectorized gcd chain vs scalar chain at d=1e4
 PRIME = 1048583  # the CPI prime just above UNIVERSE
 
 
-def _instance(size: int, difference: int, seed: int) -> tuple[set[int], set[int]]:
-    """Two sets differing in exactly ``difference`` elements."""
+def _instance(
+    size: int, difference: int, seed: int, universe: int = UNIVERSE
+) -> tuple[set[int], set[int]]:
+    """Two sets of the universe differing in exactly ``difference`` elements."""
     rng = random.Random(seed)
-    alice = set(rng.sample(range(UNIVERSE), size))
+    alice: set[int] = set()
+    while len(alice) < size:
+        alice.add(rng.randrange(universe))
     bob = set(alice)
     for element in rng.sample(sorted(alice), difference // 2):
         bob.discard(element)
     while len(alice ^ bob) < difference:
-        bob.add(rng.randrange(UNIVERSE))
+        bob.add(rng.randrange(universe))
     return alice, bob
 
 
-def _run_kernel(
-    kernel: str, difference: int, seed: int = DEFAULT_SEED, rounds: int = ROUNDS
+def run_cpi(
+    difference: int,
+    universe: int = UNIVERSE,
+    seed: int = DEFAULT_SEED,
+    rounds: int = ROUNDS,
 ) -> dict:
-    """Encode + decode under one kernel; timings are best-of-``rounds``."""
-    alice, bob = _instance(SET_SIZE, difference, seed=difference * 1000 + seed)
-
-    encode_times = []
+    """Encode + decode one instance; timings are best-of-``rounds``."""
+    alice, bob = _instance(SET_SIZE, difference, difference * 1000 + seed, universe)
+    encode_times, decode_times = [], []
     for _ in range(rounds):
         start = time.perf_counter()
-        message = cpi_encode(alice, difference, UNIVERSE, field_kernel=kernel)
+        message = cpi_encode(alice, difference, universe)
         encode_times.append(time.perf_counter() - start)
-
-    decode_times = []
-    for _ in range(rounds):
         start = time.perf_counter()
-        success, recovered = cpi_decode(
-            message, bob, UNIVERSE, seed, field_kernel=kernel
-        )
+        success, recovered = cpi_decode(message, bob, universe, seed)
         decode_times.append(time.perf_counter() - start)
-    assert success, f"{kernel} decode failed at d={difference}"
-    assert recovered == alice, f"{kernel} recovered the wrong set at d={difference}"
+    assert success and recovered == alice, f"decode failed at u={universe} d={difference}"
     return {
-        "kernel": kernel,
-        "d": difference,
         "message": message,
         "recovered": recovered,
         "encode_s": min(encode_times),
@@ -92,49 +104,41 @@ def _run_kernel(
     }
 
 
-def compare(differences=DIFFERENCES, seed: int = DEFAULT_SEED) -> list[dict]:
-    """Run both kernels per difference; assert bit-identical protocol data.
-
-    Measurement rounds for the two kernels are interleaved so load spikes
-    on shared machines hit both sides, and best-of-round times are compared
-    (the standard microbenchmark guard against one-sided noise).
-    """
+def timing_rows(seed: int = DEFAULT_SEED) -> list[dict]:
+    """One row per (universe, d): the ``int64`` rows, then the wide ones."""
+    cases = [(UNIVERSE, d) for d in DIFFERENCES] + [
+        (universe, d) for universe in WIDE_UNIVERSES for d in WIDE_DIFFERENCES
+    ]
     rows = []
-    for difference in differences:
-        python_run = _run_kernel("python", difference, seed=seed, rounds=2)  # warmup
-        numpy_run = _run_kernel("numpy", difference, seed=seed, rounds=2)
-        python_best: dict = python_run
-        numpy_best: dict = numpy_run
-        for _ in range(ROUNDS):
-            python_run = _run_kernel("python", difference, seed=seed, rounds=1)
-            numpy_run = _run_kernel("numpy", difference, seed=seed, rounds=3)
-            for key in ("encode_s", "decode_s"):
-                python_best[key] = min(python_best[key], python_run[key])
-                numpy_best[key] = min(numpy_best[key], numpy_run[key])
-        python_run, numpy_run = python_best, numpy_best
-        assert python_run["message"] == numpy_run["message"], "evaluations differ"
-        assert python_run["recovered"] == numpy_run["recovered"], "recovery differs"
+    for universe, difference in cases:
+        run_cpi(difference, universe, seed, rounds=1)  # warmup
+        run = run_cpi(difference, universe, seed)
         rows.append(
             {
                 "n": SET_SIZE,
+                "u_bits": universe.bit_length() - 1,
                 "d": difference,
-                "python": {
-                    "encode_s": round(python_run["encode_s"], 6),
-                    "decode_s": round(python_run["decode_s"], 6),
-                },
-                "numpy": {
-                    "encode_s": round(numpy_run["encode_s"], 6),
-                    "decode_s": round(numpy_run["decode_s"], 6),
-                },
-                "speedup": round(python_run["decode_s"] / numpy_run["decode_s"], 2),
-                "encode_speedup": round(
-                    python_run["encode_s"] / numpy_run["encode_s"], 2
-                ),
-                "identical_evaluations": True,
-                "identical_recovered_sets": True,
+                "prime": run["message"].prime,
+                "encode_s": round(run["encode_s"], 6),
+                "decode_s": round(run["decode_s"], 6),
             }
         )
     return rows
+
+
+def add_baseline(rows: list[dict], baseline: dict) -> None:
+    """Put the matching rows' times of another checkout's record beside ours."""
+    theirs = {
+        (row["u_bits"], row["d"]): row
+        for row in baseline["results"]
+        if "u_bits" in row
+    }
+    for row in rows:
+        other = theirs.get((row["u_bits"], row["d"]))
+        if other is None:
+            continue
+        row["baseline"] = {"encode_s": other["encode_s"], "decode_s": other["decode_s"]}
+        row["decode_ratio"] = round(other["decode_s"] / row["decode_s"], 2)
 
 
 def compare_gcd_phase(degree: int = GCD_DEGREE, seed: int = DEFAULT_SEED) -> dict:
@@ -144,10 +148,11 @@ def compare_gcd_phase(degree: int = GCD_DEGREE, seed: int = DEFAULT_SEED) -> dic
     at large difference bounds -- is a chain of large-degree polynomial
     gcds.  This row builds two degree-``degree`` products of linears
     sharing ``degree // 2`` roots (the shape a split sees) and times one
-    gcd under both tiers: the scalar reference chain and the vectorized
-    NumPy Euclid chain.  They must produce exactly the same coefficients.
+    gcd on both of the kernel's chains: the scalar one it runs below
+    ``_GCD_VECTOR_CUTOFF`` and the vectorized one it runs above.  They must
+    produce exactly the same coefficients.
     """
-    from repro.field import Polynomial, prime_field
+    from repro.field import Polynomial, kernel_for, prime_field
     from repro.field.kernels import _poly_gcd_scalar
 
     rng = random.Random(seed)
@@ -161,64 +166,86 @@ def compare_gcd_phase(degree: int = GCD_DEGREE, seed: int = DEFAULT_SEED) -> dic
     scalar_gcd = _poly_gcd_scalar(PRIME, a_coeffs, b_coeffs)
     scalar_s = time.perf_counter() - start
 
-    numpy_kernel = NumpyFieldKernel()
-    numpy_times = []
+    kernel = kernel_for(PRIME)
+    vector_times = []
     for _ in range(3):
         start = time.perf_counter()
-        numpy_gcd = numpy_kernel.poly_gcd(PRIME, a_coeffs, b_coeffs)
-        numpy_times.append(time.perf_counter() - start)
+        vector_gcd = kernel.poly_gcd(PRIME, a_coeffs, b_coeffs)
+        vector_times.append(time.perf_counter() - start)
 
-    assert scalar_gcd == numpy_gcd
+    assert scalar_gcd == vector_gcd
     assert len(scalar_gcd) - 1 == degree // 2  # exactly the shared roots
     return {
         "n": SET_SIZE,
         "d": degree,
         "phase": "root-finding gcd chain",
         "shared_roots": degree // 2,
-        "python": {"gcd_s": round(scalar_s, 6)},
-        "numpy": {"gcd_s": round(min(numpy_times), 6)},
+        "scalar": {"gcd_s": round(scalar_s, 6)},
+        "vector": {"gcd_s": round(min(vector_times), 6)},
         "identical_coefficients": True,
-        "speedup": round(scalar_s / min(numpy_times), 2),
-        "gcd_speedup": round(scalar_s / min(numpy_times), 2),
+        "speedup": round(scalar_s / min(vector_times), 2),
+        "gcd_speedup": round(scalar_s / min(vector_times), 2),
         "gcd_speedup_floor": GCD_SPEEDUP_FLOOR,
     }
 
 
 # ---------------------------------------------------------------------------
-# pytest entry points (the small-d cases are the CI smoke test)
+# pytest entry points (the smoke cases are the CI smoke test)
 # ---------------------------------------------------------------------------
 
 import pytest
 
+#: The smoke universes: CPI primes below 2**31 (int64) and above 2**64.
+SMOKE_UNIVERSES = {"u2e20": UNIVERSE, "u2e64": 1 << 64}
 
-@pytest.mark.parametrize("kernel", ["python", "numpy"])
+
+def on_the_reference_kernel(func, *args):
+    """``func(*args)`` with every GF(p) call routed to the reference kernel."""
+    from unittest import mock
+
+    from reference_kernel import PythonFieldKernel
+    from repro.field import kernels
+
+    with mock.patch.object(kernels, "_KERNEL", PythonFieldKernel()):
+        return func(*args)
+
+
+@pytest.mark.parametrize("universe", SMOKE_UNIVERSES.values(), ids=SMOKE_UNIVERSES)
 @pytest.mark.parametrize("difference", [4, 16])
-def test_cpi_smoke_small_d(benchmark, kernel, difference):
-    """CPI round-trip at small d under each kernel (CI smoke)."""
+def test_cpi_smoke_small_d(benchmark, universe, difference):
+    """CPI round-trip at small d: the kernel's message and recovered set
+    equal the reference kernel's (CI smoke)."""
     from conftest import run_once
 
-    run = run_once(benchmark, _run_kernel, kernel, difference)
-    assert run["recovered"] is not None
+    run = run_once(benchmark, run_cpi, difference, universe, DEFAULT_SEED, 2)
+    reference = on_the_reference_kernel(run_cpi, difference, universe, DEFAULT_SEED, 1)
+    assert run["message"] == reference["message"]
+    assert run["recovered"] == reference["recovered"]
 
 
-def test_kernels_bit_identical_across_d(benchmark):
+@pytest.mark.parametrize("universe", SMOKE_UNIVERSES.values(), ids=SMOKE_UNIVERSES)
+def test_smoke_decode_failure_matches_the_reference(benchmark, universe):
+    """Past the bound, both kernels refuse the same message the same way."""
     from conftest import run_once
 
-    rows = run_once(benchmark, compare, differences=(4, 16))
-    assert all(row["identical_evaluations"] for row in rows)
-    assert all(row["identical_recovered_sets"] for row in rows)
+    alice, bob = _instance(200, 20, 3, universe)
+    message = cpi_encode(alice, 4, universe)
+    decode = run_once(benchmark, cpi_decode, message, bob, universe, 1)
+    assert decode == (False, None)
+    assert on_the_reference_kernel(cpi_decode, message, bob, universe, 1) == decode
 
 
-def test_numpy_kernel_speedup_floor(benchmark):
-    """The tentpole acceptance check: >= 8x cpi_decode at n=600, d=48."""
+def test_decode_time_bound(benchmark):
+    """The acceptance check: cpi_decode at n=600, d=48, u=2**20 within
+    :data:`DECODE_BOUND_S`."""
     from conftest import run_once
 
-    rows = run_once(benchmark, compare, differences=(DIFFERENCES[-1],))
-    assert rows[0]["speedup"] >= SPEEDUP_FLOOR, rows
+    run = run_once(benchmark, run_cpi, DIFFERENCES[-1])
+    assert run["decode_s"] <= DECODE_BOUND_S, run["decode_s"]
 
 
-def test_gcd_phase_tiers_identical(benchmark):
-    """CI smoke for the large-degree gcd row at a small degree: both tiers
+def test_gcd_phase_chains_identical(benchmark):
+    """CI smoke for the large-degree gcd row at a small degree: both chains
     produce exactly the same coefficients."""
     from conftest import run_once
 
@@ -228,28 +255,41 @@ def test_gcd_phase_tiers_identical(benchmark):
 
 
 def main() -> None:
-    args = benchmark_parser(
-        "CPI field-kernel comparison",
+    parser = benchmark_parser(
+        "CPI field-kernel timings",
         Path(__file__).resolve().parent.parent / "BENCH_field_kernels.json",
-    ).parse_args()
-    rows = compare(seed=args.seed)
+    )
+    parser.add_argument(
+        "--baseline",
+        type=Path,
+        help="a record this script wrote on another checkout, compared row by row",
+    )
+    args = parser.parse_args()
+    rows = timing_rows(seed=args.seed)
+    if args.baseline is not None:
+        add_baseline(rows, load_benchmark_record(args.baseline))
     for row in rows:
-        print(
-            f"n={row['n']}  d={row['d']:>3}  "
-            f"python decode={row['python']['decode_s']*1000:8.2f} ms  "
-            f"numpy decode={row['numpy']['decode_s']*1000:7.2f} ms  "
-            f"speedup={row['speedup']:.1f}x  (encode {row['encode_speedup']:.1f}x)"
+        line = (
+            f"n={row['n']}  u=2^{row['u_bits']:<2}  d={row['d']:>3}  "
+            f"encode={row['encode_s'] * 1000:7.2f} ms  decode={row['decode_s'] * 1000:7.2f} ms"
         )
-    largest = rows[-1]
-    if largest["speedup"] < SPEEDUP_FLOOR:
+        if "baseline" in row:
+            line += (
+                f"  baseline decode={row['baseline']['decode_s'] * 1000:7.2f} ms"
+                f"  ({row['decode_ratio']:.2f}x)"
+            )
+        print(line)
+    bounded = next(row for row in rows if row["u_bits"] == 20 and row["d"] == DIFFERENCES[-1])
+    if bounded["decode_s"] > DECODE_BOUND_S:
         sys.exit(
-            f"decode speedup {largest['speedup']}x below the {SPEEDUP_FLOOR}x floor"
+            f"decode {bounded['decode_s'] * 1000:.2f} ms above the "
+            f"{DECODE_BOUND_S * 1000:.1f} ms bound at d={DIFFERENCES[-1]}"
         )
     gcd_row = compare_gcd_phase(seed=args.seed)
     print(
         f"n={gcd_row['n']}  d={gcd_row['d']:>5}  gcd phase  "
-        f"python={gcd_row['python']['gcd_s']:.2f}s  "
-        f"numpy={gcd_row['numpy']['gcd_s']:.2f}s  "
+        f"scalar={gcd_row['scalar']['gcd_s']:.2f}s  "
+        f"vector={gcd_row['vector']['gcd_s']:.2f}s  "
         f"speedup={gcd_row['speedup']:.1f}x"
     )
     if gcd_row["speedup"] < GCD_SPEEDUP_FLOOR:
@@ -259,35 +299,30 @@ def main() -> None:
         )
     rows.append(gcd_row)
     config = benchmark_config(
-        args.seed, differences=list(DIFFERENCES), gcd_degree=GCD_DEGREE
+        args.seed,
+        differences=list(DIFFERENCES),
+        wide_universe_bits=[u.bit_length() - 1 for u in WIDE_UNIVERSES],
+        wide_differences=list(WIDE_DIFFERENCES),
+        gcd_degree=GCD_DEGREE,
     )
-    if args.profile:
-        config["profile"] = {
-            "python_encode_s": rows[-2]["python"]["encode_s"],
-            "python_field_s": rows[-2]["python"]["decode_s"],
-            "numpy_encode_s": rows[-2]["numpy"]["encode_s"],
-            "numpy_field_s": rows[-2]["numpy"]["decode_s"],
-            "gcd_python_s": gcd_row["python"]["gcd_s"],
-            "gcd_numpy_s": gcd_row["numpy"]["gcd_s"],
-        }
-    output = args.output
+    if args.baseline is not None:
+        config["baseline"] = args.baseline.name
     write_benchmark_record(
-        output,
+        args.output,
         benchmark="bench_field_kernels",
         description=(
-            "CPI encode/decode wall-clock per GF(p) field kernel; "
-            "bit-identical evaluations and recovered sets asserted per d; "
-            "the d=1e4 row times the root-finding gcd chain under both "
-            "tiers"
+            "CPI encode/decode wall-clock on the GF(p) field kernel, best of "
+            f"{ROUNDS}, at u = 2^20 (int64 arrays) and u = 2^32, 2^64 (object "
+            "arrays); the d=1e4 row times the root-finding gcd chain, scalar "
+            "against vectorized"
         ),
         config=config,
-        universe=UNIVERSE,
         set_size=SET_SIZE,
-        speedup_floor=SPEEDUP_FLOOR,
+        decode_bound_s=DECODE_BOUND_S,
         gcd_speedup_floor=GCD_SPEEDUP_FLOOR,
         results=rows,
     )
-    print(f"wrote {output}")
+    print(f"wrote {args.output}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ _SRC = Path(__file__).resolve().parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-# Test helpers that are not tests (the IBLT reference store) import by name.
+# Test helpers that are not tests (the IBLT reference store, the reference
+# field kernel) import by name.
 _TESTS = Path(__file__).resolve().parent / "tests"
 if str(_TESTS) not in sys.path:
     sys.path.append(str(_TESTS))

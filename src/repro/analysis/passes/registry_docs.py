@@ -14,7 +14,7 @@ any test noticing.
   ``tests/protocols/protocol_fixtures.py`` (the list that feeds the
   cross-transport determinism suite); an uncovered protocol would escape
   the byte-identity tests entirely.
-* ``R604`` -- a field kernel is not documented in docs/field-kernels.md.
+* ``R604`` -- an accepted field-kernel name is not documented in docs/field-kernels.md.
 * ``R605`` -- incoherent registry metadata (``supports_unknown_d`` without
   ``rounds_unknown`` or vice versa, an unknown ``input_kind``, or empty
   summary/reference).
@@ -70,7 +70,7 @@ class RegistryDocsPass(AnalysisPass):
         "R602": "registered protocol not named in docs/protocols.md",
         "R603": "registered protocol has no cross-transport determinism "
         "fixture instance",
-        "R604": "field kernel missing from its docs table",
+        "R604": "field kernel name missing from its docs page",
         "R605": "incoherent protocol registry metadata",
         "R606": "docs page missing from the README documentation index",
     }
@@ -78,7 +78,7 @@ class RegistryDocsPass(AnalysisPass):
     def check_project(
         self, root: Path, sources: Sequence[SourceFile]
     ) -> Iterator[Finding]:
-        from repro.field.kernels import FIELD_KERNELS
+        from repro.field.kernels import FIELD_KERNEL_NAMES
         from repro.protocols import registry
 
         readme = self._read(root / "README.md")
@@ -121,11 +121,11 @@ class RegistryDocsPass(AnalysisPass):
                 )
             yield from self._check_metadata(spec, registry_py)
 
-        for kernel in FIELD_KERNELS:
-            if kernels_doc is not None and f"`{kernel.name}`" not in kernels_doc:
+        for name in FIELD_KERNEL_NAMES:
+            if kernels_doc is not None and f"`{name}`" not in kernels_doc:
                 yield Finding(
                     "R604",
-                    f"field kernel {kernel.name!r} is not documented in "
+                    f"field kernel name {name!r} is not documented in "
                     "docs/field-kernels.md",
                     "docs/field-kernels.md",
                     1,

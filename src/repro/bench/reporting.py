@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 #: ``results`` rows) of the headline speedup each one tracks.
 BENCHMARK_RECORDS = {
     "cluster_convergence": "BENCH_cluster.json",
-    "field_kernel": "BENCH_field_kernels.json",
+    "field_kernels": "BENCH_field_kernels.json",
     "setsofsets_encoding": "BENCH_setsofsets.json",
     "service_throughput": "BENCH_service.json",
     "sketch_store": "BENCH_store.json",

@@ -23,11 +23,7 @@ from repro.workloads.sets_of_sets import SetsOfSetsInstance, table1_instance
 
 @dataclass(frozen=True)
 class Table1Config:
-    """Workload parameters for the Table 1 regime.
-
-    ``field_kernel`` selects the GF(p) kernel for every protocol run
-    (``None`` keeps the process default).
-    """
+    """Workload parameters for the Table 1 regime."""
 
     universe_size: int = 2048
     num_children: int = 64
@@ -35,7 +31,6 @@ class Table1Config:
     children_touched: int = 4
     repeats: int = 3
     seed: int = 2018
-    field_kernel: str | None = None
 
 
 def run_table1(config: Table1Config | None = None) -> list[ProtocolMeasurement]:
@@ -70,7 +65,6 @@ def run_table1(config: Table1Config | None = None) -> list[ProtocolMeasurement]:
                 differing_children_bound=instance.differing_children,
                 universe_size=instance.universe_size,
                 max_child_size=instance.max_child_size,
-                field_kernel=config.field_kernel,
             )
 
         return run

@@ -17,11 +17,10 @@ plus ``O(n d)`` evaluation time, matching the simpler of the two evaluation
 strategies discussed under Theorem 2.3.
 
 Every field-heavy step (batch evaluation, system assembly, elimination,
-gcd, division, root finding) runs through the one field kernel
-:func:`~repro.field.kernels.kernel_for` picks for the modulus and the
-``field_kernel=`` name (``"python"`` forces the reference kernel; ``None``
-takes vectorized NumPy when the modulus allows).  Messages, transcripts
-and recovered sets are bit-identical across kernels.
+gcd, division, root finding) runs on the one field kernel
+(:mod:`repro.field.kernels`): ``int64`` arrays when the prime is below
+``2**31``, arrays of Python ints above it, the same code and the same
+messages either way.
 """
 
 from __future__ import annotations
@@ -95,11 +94,7 @@ def evaluation_points(universe_size: int, count: int) -> list[int]:
 
 
 def cpi_encode(
-    elements: Set[int],
-    difference_bound: int,
-    universe_size: int,
-    *,
-    field_kernel: str | None = None,
+    elements: Set[int], difference_bound: int, universe_size: int
 ) -> CPIMessage:
     """Alice's side: evaluate her characteristic polynomial at ``d + 1`` points.
 
@@ -110,10 +105,7 @@ def cpi_encode(
         raise ParameterError("difference_bound must be non-negative")
     field = field_for_universe(universe_size, difference_bound)
     points = evaluation_points(universe_size, difference_bound + 1)
-    kernel = kernel_for(field.modulus, field_kernel)
-    evaluations = tuple(
-        Polynomial.evaluate_from_roots_many(field, elements, points, kernel=kernel)
-    )
+    evaluations = tuple(Polynomial.evaluate_from_roots_many(field, elements, points))
     return CPIMessage(len(elements), evaluations, difference_bound, field.modulus)
 
 
@@ -122,8 +114,6 @@ def cpi_decode(
     bob: Set[int],
     universe_size: int,
     seed: int = 0,
-    *,
-    field_kernel: str | None = None,
 ) -> tuple[bool, set[int] | None]:
     """Bob's side: interpolate the rational function and recover Alice's set.
 
@@ -153,12 +143,10 @@ def cpi_decode(
     deg_den = (m_bar - size_delta) // 2
 
     field = prime_field(message.prime)
-    kernel = kernel_for(field.modulus, field_kernel)
+    kernel = kernel_for(field.modulus)
     points = evaluation_points(universe_size, bound + 1)
 
-    bob_evaluations = Polynomial.evaluate_from_roots_many(
-        field, bob_list, points, kernel=kernel
-    )
+    bob_evaluations = Polynomial.evaluate_from_roots_many(field, bob_list, points)
 
     if m_bar == 0:
         numerator = Polynomial.one(field)
@@ -174,9 +162,8 @@ def cpi_decode(
             bob_evaluations[:m_bar],
             deg_num,
             deg_den,
-            kernel=kernel,
         )
-        solution = solve_linear_system(field, matrix, rhs, kernel=kernel)
+        solution = solve_linear_system(field, matrix, rhs)
         if solution is None:
             return False, None
         # Kernel solutions are canonical residues and the forced leading
@@ -196,16 +183,14 @@ def cpi_decode(
 
     # lint: allow[D301] seeded from the protocol seed; decode-side search
     rng = random.Random(derive_seed(seed, "cpi-roots"))
-    alice_only = (
-        find_roots(numerator, rng, kernel=kernel) if numerator.degree > 0 else []
-    )
+    alice_only = find_roots(numerator, rng) if numerator.degree > 0 else []
     # The denominator's roots must be elements Bob holds, so instead of a
     # second Cantor-Zassenhaus factorisation we batch-evaluate it over
     # Bob's set and read the zeros off.  If any root lies outside Bob's
     # set, fewer than ``degree`` zeros show up and decoding fails exactly
     # as it would have after a full factorisation.
     if denominator.degree > 0:
-        denom_values = denominator.evaluate_many(bob_list, kernel=kernel)
+        denom_values = denominator.evaluate_many(bob_list)
         bob_only = [
             element
             for element, value in zip(bob_list, denom_values)
@@ -232,9 +217,7 @@ def cpi_decode(
     # evaluation Alice sent (it is unused when m_bar < d + 1, and a harmless
     # re-check otherwise).
     check_point = points[-1]
-    check_value = Polynomial.evaluate_from_roots_many(
-        field, recovered, [check_point], kernel=kernel
-    )[0]
+    check_value = Polynomial.evaluate_from_roots_many(field, recovered, [check_point])[0]
     if check_value != message.evaluations[-1]:
         return False, None
     return True, recovered

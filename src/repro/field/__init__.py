@@ -14,20 +14,15 @@ over a prime field GF(p) with ``p`` larger than the element universe:
 * :mod:`repro.field.roots` -- root finding for polynomials over GF(p) via
   Cantor-Zassenhaus equal-degree splitting (used to extract the reconciled
   set elements from the interpolated characteristic-polynomial ratio).
-* :mod:`repro.field.kernels` -- the two batched-arithmetic kernels
-  (pure-Python reference and vectorized NumPy) every hot path above runs
-  through; :func:`~repro.field.kernels.kernel_for` picks one from the
-  modulus.
+* :mod:`repro.field.kernels` -- the one batched-arithmetic kernel
+  (:class:`~repro.field.kernels.NumpyFieldKernel`) every hot path above
+  runs through, on ``int64`` arrays below ``2**31`` and on arrays of Python
+  ints at or above it; :func:`~repro.field.kernels.kernel_for` returns it.
 """
 
 from repro.field.prime import is_probable_prime, next_prime
 from repro.field.gfp import PrimeField, prime_field
-from repro.field.kernels import (
-    FieldKernel,
-    NumpyFieldKernel,
-    PythonFieldKernel,
-    kernel_for,
-)
+from repro.field.kernels import NumpyFieldKernel, kernel_for
 from repro.field.poly import Polynomial
 from repro.field.linalg import (
     gaussian_elimination,
@@ -42,8 +37,6 @@ __all__ = [
     "next_prime",
     "PrimeField",
     "prime_field",
-    "FieldKernel",
-    "PythonFieldKernel",
     "NumpyFieldKernel",
     "kernel_for",
     "Polynomial",

@@ -1,4 +1,4 @@
-"""The two GF(p) field kernels: the batched arithmetic behind the CPI path.
+"""The GF(p) field kernel: the batched arithmetic behind the CPI path.
 
 The characteristic-polynomial protocol (Theorem 2.3) and the multiround
 protocol that leans on it (Theorem 3.9) spend essentially all of their time
@@ -6,36 +6,28 @@ in four inner loops: evaluating characteristic polynomials ``prod (z - r)``
 at the shared points, assembling and solving the rational-interpolation
 linear system (Gaussian elimination, the paper's ``O(d^3)`` step),
 polynomial products/remainders, and Cantor-Zassenhaus root finding.  This
-module holds those loops in two stateless kernels:
+module holds those loops in one stateless, batch-first kernel,
+:class:`NumpyFieldKernel`: every method takes whole vectors/matrices of
+field elements and runs them as NumPy array operations.
 
-* :class:`FieldKernel` -- the kernel interface.  Batch-first: every
-  method takes whole vectors/matrices of field elements.
-* :class:`PythonFieldKernel` -- the reference implementation over plain
-  Python integers, root finding included.  Handles any modulus and defines
-  the semantics the NumPy kernel must match value for value.
-* :class:`NumpyFieldKernel` -- vectorized implementation over NumPy
-  ``int64`` arrays.  Exact only for odd ``p < 2**31`` (products of two
-  canonical residues then fit in a signed 64-bit word).
+The array dtype follows the modulus.  Below ``2**31`` it is ``int64``: a
+product of two canonical residues fits a signed 64-bit word, and the few
+sums that could overflow are guarded by :data:`_INT64_SAFE` (16-bit limb
+splits, chunked matmuls).  At or above ``2**31`` it is NumPy ``object``
+arrays of Python ints, exact at any size, running the same code.  Below
+small size cutoffs the kernel drops to scalar helpers over Python lists.
+All arithmetic is exact (integer, never floating point).
 
-The modulus picks the kernel (:func:`kernel_for`): the NumPy kernel for
-``2 < p < 2**31``, the Python kernel otherwise.  ``field_kernel="python"``
-forces the reference kernel at any modulus; the choice is always passed
-down explicitly, never held in process state.
-
-Determinism: kernels are observationally identical.  All arithmetic is
-exact (integer, never floating point), so batched evaluation, elimination
-and system assembly return *bit-identical* values across kernels.  Root
-finding is allowed to take a different (faster) path internally -- the set
-of GF(p) roots of a polynomial is intrinsic, so
-:meth:`FieldKernel.find_distinct_roots` returns the same sorted list no
-matter which kernel computed it.  ``tests/field/test_kernels.py`` and
-``tests/test_cross_kernel_determinism.py`` pin both guarantees.
+:func:`kernel_for` returns the kernel for a modulus (any odd prime); it also
+takes the ``field_kernel=`` name the public entry points still accept,
+checks it (:func:`check_field_kernel`) and drops it.  The reference kernel
+the tests compare against value for value lives in
+``tests/reference_kernel.py``.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import ClassVar, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as _np
 
@@ -45,7 +37,7 @@ _MASK16 = 0xFFFF
 
 
 # ---------------------------------------------------------------------------
-# Shared scalar helpers (exact semantics both kernels build on)
+# Scalar helpers (the kernel's small-size paths)
 # ---------------------------------------------------------------------------
 
 
@@ -172,19 +164,12 @@ def _minus_one(p: int, coeffs: list[int]) -> list[int]:
     return _trim(coeffs)
 
 
-def _poly_eval_scalar(p: int, coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def _sqrt_mod(p: int, a: int) -> int | None:
     """A square root of ``a`` modulo an odd prime ``p`` (``None`` if a non-residue).
 
     Deterministic Tonelli-Shanks: the non-residue witness is found by
-    scanning 2, 3, 4, ... so repeated calls (and both kernels) agree on
-    which of the two roots is returned.
+    scanning 2, 3, 4, ... so repeated calls agree on which of the two roots
+    is returned.
     """
     a %= p
     if a == 0:
@@ -221,8 +206,6 @@ def _small_degree_roots(p: int, coeffs: Sequence[int]) -> list[int]:
     if degree == 1:
         # c0 + c1 x = 0  =>  x = -c0 / c1.
         return [(-coeffs[0]) * pow(coeffs[1], -1, p) % p]
-    if p == 2:  # pragma: no cover - universes are always larger
-        return [x for x in (0, 1) if _poly_eval_scalar(p, coeffs, x) == 0]
     inv_lead = pow(coeffs[2], -1, p)
     b = coeffs[1] * inv_lead % p
     c = coeffs[0] * inv_lead % p
@@ -236,298 +219,18 @@ def _small_degree_roots(p: int, coeffs: Sequence[int]) -> list[int]:
     return sorted({(-b + root) * inv2 % p, (-b - root) * inv2 % p})
 
 
-def _poly_pow_mod_scalar(
-    p: int, base: Sequence[int], exponent: int, modulus: Sequence[int]
-) -> list[int]:
-    """``base ** exponent mod modulus`` by square-and-multiply (trimmed lists)."""
-    result = [1]
-    base = _poly_mod_scalar(p, base, modulus)
-    while exponent:
-        if exponent & 1:
-            result = _poly_mod_scalar(p, _poly_mul_scalar(p, result, base), modulus)
-        base = _poly_mod_scalar(p, _poly_mul_scalar(p, base, base), modulus)
-        exponent >>= 1
-    return result
-
-
-def _linear_factor_product(p: int, f: list[int]) -> list[int]:
-    """The product of the distinct linear factors of monic ``f``:
-    ``gcd(f, x^p - x)``."""
-    x_to_p_minus_x = _poly_pow_mod_scalar(p, [0, 1], p, f)
-    x_to_p_minus_x += [0] * (2 - len(x_to_p_minus_x))
-    x_to_p_minus_x[1] = (x_to_p_minus_x[1] - 1) % p
-    return _poly_gcd_scalar(p, f, _trim(x_to_p_minus_x))
-
-
-def _split_roots(p: int, poly: list[int], rng, roots: list[int]) -> None:
-    """Split a monic product of distinct linear factors into its roots.
-
-    The classic Cantor-Zassenhaus split ``gcd(g, (x + a)^((p-1)/2) - 1)``
-    on an explicit work-stack: a split can be maximally unbalanced (one
-    linear factor off a degree-d product per step), so a recursive
-    formulation overflows Python's recursion limit for adversarial degrees
-    near 1e4.  The stack is processed depth-first with the split-off factor
-    handled before its complementary cofactor -- the order the recursion
-    visited them, so the rng draw sequence is the recursion's.
-    """
-    exponent = (p - 1) // 2
-    stack = [poly]
-    while stack:
-        current = stack.pop()
-        degree = len(current) - 1
-        if degree <= 0:
-            continue
-        if degree == 1:
-            # current = x + c (monic), root = -c.
-            roots.append(-current[0] % p)
-            continue
-        if p == 2:  # pragma: no cover - universes are always larger
-            roots.extend(x for x in (0, 1) if _poly_eval_scalar(p, current, x) == 0)
-            continue
-        while True:
-            shift = rng.randrange(p)
-            probe = _minus_one(p, _poly_pow_mod_scalar(p, [shift, 1], exponent, current))
-            factor = _poly_gcd_scalar(p, current, probe)
-            if 0 < len(factor) - 1 < degree:
-                break
-        complementary = _poly_divmod_scalar(p, current, factor)[0]
-        # Pop order: factor first, then its cofactor (matches the recursion).
-        stack.append(_poly_monic_scalar(p, complementary))
-        stack.append(factor)
-
-
 # ---------------------------------------------------------------------------
-# The kernel interface
-# ---------------------------------------------------------------------------
-
-
-class FieldKernel(ABC):
-    """Batched GF(p) arithmetic backend for the CPI reconciliation path."""
-
-    #: The name ``field_kernel=`` selects it by.
-    name: ClassVar[str]
-
-    # -- batched primitives ---------------------------------------------------------
-
-    @abstractmethod
-    def evaluate_from_roots_many(
-        self, modulus: int, roots: Iterable[int], points: Sequence[int]
-    ) -> list[int]:
-        """Evaluate ``prod (z - r)`` at every ``z`` in ``points`` in one pass."""
-
-    @abstractmethod
-    def poly_eval_many(
-        self, modulus: int, coeffs: Sequence[int], points: Sequence[int]
-    ) -> list[int]:
-        """Horner-evaluate one (low-first) coefficient vector at many points."""
-
-    @abstractmethod
-    def poly_mul(self, modulus: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        """Product of two trimmed canonical coefficient sequences."""
-
-    @abstractmethod
-    def poly_divmod(
-        self, modulus: int, a: Sequence[int], b: Sequence[int]
-    ) -> tuple[list[int], list[int]]:
-        """Long division ``a = q * b + r`` with trimmed canonical outputs."""
-
-    def poly_gcd(self, modulus: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        """Monic greatest common divisor of two coefficient sequences.
-
-        One kernel call instead of a per-Euclid-step dispatch.  The default
-        is the shared scalar chain, which is optimal for the small degrees
-        most protocols see; vectorized kernels override it for the large
-        degrees of the d=1e4 CZ regime (bit-identical results either way).
-        """
-        return _poly_gcd_scalar(modulus, a, b)
-
-    @abstractmethod
-    def gaussian_elimination(
-        self, modulus: int, matrix: Sequence[Sequence[int]]
-    ) -> tuple[list[list[int]], list[int]]:
-        """Reduced row echelon form and pivot columns over GF(p)."""
-
-    @abstractmethod
-    def find_distinct_roots(self, modulus: int, coeffs: Sequence[int], rng) -> list[int]:
-        """All distinct GF(p) roots of a nonzero polynomial, sorted ascending."""
-
-    def solve_linear_system(
-        self, modulus: int, matrix: Sequence[Sequence[int]], rhs: Sequence[int]
-    ) -> list[int] | None:
-        """Solve ``matrix @ x = rhs``; ``None`` if inconsistent.
-
-        Under-determined systems get the canonical particular solution with
-        free variables set to zero (fixed by the uniqueness of the reduced
-        echelon form, so every kernel returns identical vectors).
-        """
-        if not matrix:
-            return []
-        num_cols = len(matrix[0])
-        augmented = [list(row) + [value] for row, value in zip(matrix, rhs)]
-        rref, pivot_columns = self.gaussian_elimination(modulus, augmented)
-        # Inconsistent iff the augmented column is a pivot.
-        if pivot_columns and pivot_columns[-1] == num_cols:
-            return None
-        solution = [0] * num_cols
-        for row, pivot_col in zip(rref, pivot_columns):
-            solution[pivot_col] = row[num_cols]
-        return solution
-
-    def assemble_rational_system(
-        self,
-        modulus: int,
-        points: Sequence[int],
-        numer_evals: Sequence[int],
-        denom_evals: Sequence[int],
-        deg_num: int,
-        deg_den: int,
-    ) -> tuple[list[list[int]], list[int]]:
-        """The Vandermonde-style system of the rational interpolation step.
-
-        Row ``i`` encodes ``P(z_i) - f_i Q(z_i) = 0`` for monic ``P``
-        (degree ``deg_num``) and ``Q`` (degree ``deg_den``) with
-        ``f_i = numer_evals[i] / denom_evals[i]``; the right-hand side moves
-        the two forced leading coefficients over.  The default implementation
-        is scalar but already uses one batched inversion for the ratios.
-        """
-        p = modulus
-        ratios = [
-            n * inv_d % p
-            for n, inv_d in zip(numer_evals, self.inv_many(p, denom_evals))
-        ]
-        matrix: list[list[int]] = []
-        rhs: list[int] = []
-        for z, f in zip(points, ratios):
-            z %= p
-            row = []
-            power = 1
-            for _ in range(deg_num):
-                row.append(power)
-                power = power * z % p
-            power = 1
-            for _ in range(deg_den):
-                row.append((-(f * power)) % p)
-                power = power * z % p
-            matrix.append(row)
-            rhs.append((f * pow(z, deg_den, p) - pow(z, deg_num, p)) % p)
-        return matrix, rhs
-
-    def inv_many(self, modulus: int, values: Sequence[int]) -> list[int]:
-        """Batch modular inversion (Montgomery's trick: one ``pow``, 3n muls).
-
-        Raises :class:`ZeroDivisionError` on any zero entry, matching
-        :meth:`repro.field.gfp.PrimeField.inv`.
-        """
-        p = modulus
-        values = [v % p for v in values]
-        if not values:
-            return []
-        prefix = [0] * len(values)
-        acc = 1
-        for i, v in enumerate(values):
-            if v == 0:
-                raise ZeroDivisionError("cannot invert zero in a prime field")
-            acc = acc * v % p
-            prefix[i] = acc
-        inv_acc = pow(acc, -1, p)
-        out = [0] * len(values)
-        for i in range(len(values) - 1, 0, -1):
-            out[i] = inv_acc * prefix[i - 1] % p
-            inv_acc = inv_acc * values[i] % p
-        out[0] = inv_acc
-        return out
-
-
-# ---------------------------------------------------------------------------
-# Reference kernel
-# ---------------------------------------------------------------------------
-
-
-class PythonFieldKernel(FieldKernel):
-    """Reference kernel over plain Python integers (any modulus)."""
-
-    name = "python"
-
-    def evaluate_from_roots_many(self, modulus, roots, points):
-        p = modulus
-        root_list = [r % p for r in roots]
-        out = []
-        for point in points:
-            z = point % p
-            acc = 1
-            for root in root_list:
-                acc = acc * (z - root) % p
-            out.append(acc)
-        return out
-
-    def poly_eval_many(self, modulus, coeffs, points):
-        return [_poly_eval_scalar(modulus, coeffs, z % modulus) for z in points]
-
-    def poly_mul(self, modulus, a, b):
-        return _poly_mul_scalar(modulus, a, b)
-
-    def poly_divmod(self, modulus, a, b):
-        return _poly_divmod_scalar(modulus, a, b)
-
-    def gaussian_elimination(self, modulus, matrix):
-        p = modulus
-        rows = [[entry % p for entry in row] for row in matrix]
-        if not rows:
-            return [], []
-        num_cols = len(rows[0])
-        if any(len(row) != num_cols for row in rows):
-            raise ParameterError("matrix rows must all have the same length")
-        pivot_columns: list[int] = []
-        pivot_row = 0
-        for col in range(num_cols):
-            if pivot_row >= len(rows):
-                break
-            chosen = None
-            for candidate in range(pivot_row, len(rows)):
-                if rows[candidate][col] != 0:
-                    chosen = candidate
-                    break
-            if chosen is None:
-                continue
-            rows[pivot_row], rows[chosen] = rows[chosen], rows[pivot_row]
-            inv = pow(rows[pivot_row][col], -1, p)
-            rows[pivot_row] = [inv * entry % p for entry in rows[pivot_row]]
-            for other in range(len(rows)):
-                if other == pivot_row or rows[other][col] == 0:
-                    continue
-                factor = rows[other][col]
-                pivot_entries = rows[pivot_row]
-                rows[other] = [
-                    (entry - factor * pivot_entry) % p
-                    for entry, pivot_entry in zip(rows[other], pivot_entries)
-                ]
-            pivot_columns.append(col)
-            pivot_row += 1
-        return rows, pivot_columns
-
-    def find_distinct_roots(self, modulus, coeffs, rng):
-        """Cantor-Zassenhaus: ``gcd(f, x^p - x)``, then random splits."""
-        p = modulus
-        trimmed = _trim([c % p for c in coeffs])
-        if not trimmed:
-            raise ParameterError("cannot find roots of the zero polynomial")
-        if len(trimmed) == 1:
-            return []
-        roots: list[int] = []
-        _split_roots(p, _linear_factor_product(p, _poly_monic_scalar(p, trimmed)), rng, roots)
-        roots.sort()
-        return roots
-
-
-# ---------------------------------------------------------------------------
-# NumPy kernel
+# Array helpers
 # ---------------------------------------------------------------------------
 
 # Below these operand sizes the vector dispatch overhead exceeds the scalar
-# loop cost, so the NumPy kernel drops to the (bit-identical) scalar helpers.
+# loop cost, so the kernel drops to the (bit-identical) scalar helpers.
 _MUL_SCALAR_CUTOFF = 96  # product work: a.degree * b.degree
 _DIV_SCALAR_CUTOFF = 32  # divisor length (the vectorized inner-loop width)
 
+#: Moduli at or above this run on ``object`` arrays: the product of two
+#: residues no longer fits a signed 64-bit word.
+_WIDE_MODULUS = 1 << 31
 
 # Largest intermediate we allow in int64 vector arithmetic (margin below 2**63).
 _INT64_SAFE = 1 << 62
@@ -538,6 +241,28 @@ _INT64_SAFE = 1 << 62
 _GCD_VECTOR_CUTOFF = 48
 
 
+def _dtype(p):
+    """The array dtype of modulus ``p``: ``int64`` below :data:`_WIDE_MODULUS`,
+    Python ints (``object``) at or above it."""
+    return _np.int64 if p < _WIDE_MODULUS else object
+
+
+def _exact(p, terms):
+    """Whether a sum of ``terms`` products of two residues is exact in the
+    dtype of ``p`` (always, on ``object`` arrays)."""
+    return p >= _WIDE_MODULUS or terms * p * p < _INT64_SAFE
+
+
+def _array(p, values):
+    """``values`` (canonical residues) as an array of the dtype of ``p``."""
+    return _np.asarray(values, dtype=_dtype(p))
+
+
+def _residues(p, values):
+    """Canonical residues of ``values`` as an array of the dtype of ``p``."""
+    return _array(p, values if isinstance(values, (list, tuple)) else list(values)) % p
+
+
 def _trim_arr(arr):
     """Array counterpart of :func:`_trim` (returns a view)."""
     nonzero = _np.nonzero(arr)[0]
@@ -545,7 +270,7 @@ def _trim_arr(arr):
 
 
 def _pmod_vec(p, a, b):
-    """Remainder of canonical int64 arrays ``a mod b`` (``len(b) >= 2``).
+    """Remainder of canonical residue arrays ``a mod b`` (``len(b) >= 2``).
 
     Same long-division chain as :func:`_poly_mod_scalar`, with each
     reduction step a whole-array multiply-subtract; returns a trimmed
@@ -574,8 +299,8 @@ def _poly_gcd_vec(p, a, b):
     same Euclidean chain); hands the tail of the chain to the scalar
     helper once both degrees drop below :data:`_GCD_VECTOR_CUTOFF`.
     """
-    x = _trim_arr(_np.asarray(a, dtype=_np.int64) % p)
-    y = _trim_arr(_np.asarray(b, dtype=_np.int64) % p)
+    x = _trim_arr(_residues(p, a))
+    y = _trim_arr(_residues(p, b))
     while len(y) >= _GCD_VECTOR_CUTOFF:
         if len(x) >= len(y):
             x = _pmod_vec(p, x, y)
@@ -584,16 +309,15 @@ def _poly_gcd_vec(p, a, b):
 
 
 def _pmul_np(p, a, b):
-    """Exact product of canonical int64 coefficient arrays mod ``p``.
+    """Exact product of canonical coefficient arrays mod ``p``.
 
-    Fast path: when every convolution term sum provably fits a signed
-    64-bit word (``n * p**2 < 2**62``), one direct convolution suffices
-    -- this covers every realistic universe (p up to ~2**28 at CPI
-    degrees).  Otherwise coefficients are split into 16-bit limbs and
+    Fast path: when every convolution term sum is exact (``object`` arrays,
+    or ``n * p**2 < 2**62`` on ``int64``), one direct convolution suffices
+    -- this covers every realistic ``int64`` universe (p up to ~2**28 at
+    CPI degrees).  Otherwise coefficients are split into 16-bit limbs and
     the three partial convolutions are recombined modulo ``p``.
     """
-    n = len(a) + len(b) - 1
-    if n * p * p < _INT64_SAFE:
+    if _exact(p, len(a) + len(b) - 1):
         return _np.convolve(a, b) % p
     w16 = (1 << 16) % p
     w32 = w16 * w16 % p
@@ -617,7 +341,7 @@ class _Modulus:
 
     Reduction of a product (degree <= 2m-2) is one small integer
     matmul: the rows give ``x^(m+j) mod q``.  When the dot products
-    could overflow int64 they are pre-split into 16-bit limbs.
+    could overflow ``int64`` they are pre-split into 16-bit limbs.
     """
 
     __slots__ = ("p", "q", "m", "x_m", "rows", "rows_hi", "rows_lo", "w16", "fast")
@@ -630,16 +354,16 @@ class _Modulus:
         # Strict int64 bound for every fused op: convolution term sums
         # (<= m terms of p^2), the reduction matmul plus carry-in, and
         # the linear multiply's three-way sum.
-        self.fast = (self.m + 1) * p * p < _INT64_SAFE
+        self.fast = _exact(p, self.m + 1)
         self.x_m = (p - q[: self.m] % p) % p  # x^m mod q
-        rows = _np.zeros((max(0, self.m - 1), self.m), dtype=_np.int64)
+        rows = _np.zeros((max(0, self.m - 1), self.m), dtype=q.dtype)
         cur = self.x_m
         for j in range(self.m - 1):
             rows[j] = cur
             if j == self.m - 2:
                 break
             top = int(cur[self.m - 1])
-            nxt = _np.empty(self.m, dtype=_np.int64)
+            nxt = _np.empty(self.m, dtype=q.dtype)
             nxt[0] = 0
             nxt[1:] = cur[: self.m - 1]
             if top:
@@ -654,7 +378,7 @@ class _Modulus:
         """``u mod q`` for ``len(u) <= 2m - 1`` (canonical residues)."""
         m = self.m
         if len(u) <= m:
-            out = _np.zeros(m, dtype=_np.int64)
+            out = _np.zeros(m, dtype=u.dtype)
             out[: len(u)] = u
             return out
         lo, hi = u[:m], u[m:]
@@ -703,7 +427,7 @@ class _Modulus:
     def pow_linear(self, shift, exponent):
         """``(x + shift) ** exponent mod q`` (exponent >= 1, m >= 2)."""
         p, m = self.p, self.m
-        cur = _np.zeros(m, dtype=_np.int64)
+        cur = _np.zeros(m, dtype=self.q.dtype)
         cur[0] = shift % p
         cur[1] = 1
         bits = bin(exponent)[3:]
@@ -722,38 +446,41 @@ class _Modulus:
         return cur
 
 
-class NumpyFieldKernel(FieldKernel):
-    """Vectorized kernel over NumPy int64 arrays (odd moduli below 2**31)."""
+# ---------------------------------------------------------------------------
+# The kernel
+# ---------------------------------------------------------------------------
 
+
+class NumpyFieldKernel:
+    """Batched GF(p) arithmetic over NumPy arrays, for any odd prime ``p``.
+
+    Stateless: every method takes the modulus and whole vectors/matrices of
+    field elements, and returns Python ints (canonical residues).
+    """
+
+    #: The name :func:`kernel_for` reports.
     name = "numpy"
 
     # -- evaluation -----------------------------------------------------------------
 
-    @staticmethod
-    def _residues(p, values):
-        """Canonical int64 residue array, with a big-int fallback path."""
-        try:
-            return _np.asarray(
-                values if isinstance(values, (list, tuple)) else list(values),
-                dtype=_np.int64,
-            ) % p
-        except (OverflowError, TypeError, ValueError):
-            return _np.asarray([v % p for v in values], dtype=_np.int64)
-
-    def evaluate_from_roots_many(self, modulus, roots, points):
+    def evaluate_from_roots_many(
+        self, modulus: int, roots: Iterable[int], points: Sequence[int]
+    ) -> list[int]:
+        """Evaluate ``prod (z - r)`` at every ``z`` in ``points`` in one pass."""
         p = modulus
-        root_array = self._residues(p, roots)
-        point_array = self._residues(p, points)
+        root_array = _residues(p, roots)
+        point_array = _residues(p, points)
         if root_array.size == 0:
             return [1] * len(points)
         if point_array.size == 0:
             return []
         # (num_points, num_roots) difference matrix, then a balanced product
         # tree along the root axis: log_r(n) vectorized multiply-mod passes.
-        # Radix 3 when three canonical residues multiply without overflowing
-        # int64 (p < ~2^20.6), radix 2 otherwise.
-        diff = (point_array[:, None] - root_array[None, :]) % p
-        radix = 3 if p * p * p < _INT64_SAFE else 2
+        # The differences lie in (-p, p) and stay unreduced until the first
+        # pass.  Radix 3 when three of them multiply without overflowing
+        # (object arrays, or int64 with p < ~2^20.6), radix 2 otherwise.
+        diff = point_array[:, None] - root_array[None, :]
+        radix = 3 if p >= _WIDE_MODULUS or p * p * p < _INT64_SAFE else 2
         while diff.shape[1] > 1:
             width = diff.shape[1]
             rem = width % radix
@@ -771,16 +498,19 @@ class NumpyFieldKernel(FieldKernel):
                 diff[:, :1] = diff[:, :1] * spill[:, :1] % p
                 if rem == 2:
                     diff[:, :1] = diff[:, :1] * spill[:, 1:2] % p
-        return diff[:, 0].tolist()
+        return (diff[:, 0] % p).tolist()
 
-    def poly_eval_many(self, modulus, coeffs, points):
+    def poly_eval_many(
+        self, modulus: int, coeffs: Sequence[int], points: Sequence[int]
+    ) -> list[int]:
+        """Horner-evaluate one (low-first) coefficient vector at many points."""
         p = modulus
         if not len(points):
             return []
         if not coeffs:
             return [0] * len(points)
-        z = self._residues(p, points)
-        acc = _np.full(z.shape, coeffs[-1] % p, dtype=_np.int64)
+        z = _residues(p, points)
+        acc = _np.full(z.shape, coeffs[-1] % p, dtype=z.dtype)
         for c in reversed(coeffs[:-1]):
             acc *= z
             acc += c % p
@@ -789,16 +519,20 @@ class NumpyFieldKernel(FieldKernel):
 
     # -- polynomial arithmetic ------------------------------------------------------
 
-    def poly_mul(self, modulus, a, b):
+    def poly_mul(self, modulus: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        """Product of two trimmed canonical coefficient sequences."""
         if not a or not b:
             return []
         if (len(a) - 1) * (len(b) - 1) < _MUL_SCALAR_CUTOFF:
             return _poly_mul_scalar(modulus, a, b)
-        a_arr = _np.asarray(a, dtype=_np.int64)
-        b_arr = a_arr if b is a else _np.asarray(b, dtype=_np.int64)
+        a_arr = _array(modulus, a)
+        b_arr = a_arr if b is a else _array(modulus, b)
         return _trim([int(v) for v in _pmul_np(modulus, a_arr, b_arr)])
 
-    def poly_gcd(self, modulus, a, b):
+    def poly_gcd(self, modulus: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        """Monic greatest common divisor: the scalar Euclidean chain for the
+        small degrees most protocols see, whole-array remainder steps for the
+        large degrees of the d=1e4 CZ regime (bit-identical either way)."""
         if min(len(a), len(b)) < _GCD_VECTOR_CUTOFF:
             return _poly_gcd_scalar(modulus, a, b)
         return _poly_gcd_vec(modulus, a, b)
@@ -808,20 +542,19 @@ class NumpyFieldKernel(FieldKernel):
         """Remainder with the gcd chain's scalar/vector dispatch (lists in/out)."""
         if min(len(a), len(b)) < _GCD_VECTOR_CUTOFF:
             return _poly_mod_scalar(modulus, a, b)
-        remainder = _pmod_vec(
-            modulus,
-            _np.asarray(a, dtype=_np.int64) % modulus,
-            _np.asarray(b, dtype=_np.int64) % modulus,
-        )
+        remainder = _pmod_vec(modulus, _residues(modulus, a), _residues(modulus, b))
         return [int(v) for v in remainder]
 
-    def poly_divmod(self, modulus, a, b):
+    def poly_divmod(
+        self, modulus: int, a: Sequence[int], b: Sequence[int]
+    ) -> tuple[list[int], list[int]]:
+        """Long division ``a = q * b + r`` with trimmed canonical outputs."""
         quotient_len = max(0, len(a) - len(b) + 1)
         if len(b) < _DIV_SCALAR_CUTOFF or quotient_len == 0:
             return _poly_divmod_scalar(modulus, a, b)
         p = modulus
-        remainder = _np.asarray(a, dtype=_np.int64) % p
-        divisor = _np.asarray(b, dtype=_np.int64) % p
+        remainder = _residues(p, a)
+        divisor = _residues(p, b)
         width = len(b)
         inv_lead = pow(int(divisor[-1]), -1, p)
         quotient = [0] * quotient_len
@@ -836,7 +569,10 @@ class NumpyFieldKernel(FieldKernel):
 
     # -- linear algebra -------------------------------------------------------------
 
-    def gaussian_elimination(self, modulus, matrix):
+    def gaussian_elimination(
+        self, modulus: int, matrix: Sequence[Sequence[int]]
+    ) -> tuple[list[list[int]], list[int]]:
+        """Reduced row echelon form and pivot columns over GF(p)."""
         p = modulus
         rows = [list(row) for row in matrix]
         if not rows:
@@ -844,7 +580,7 @@ class NumpyFieldKernel(FieldKernel):
         num_cols = len(rows[0])
         if any(len(row) != num_cols for row in rows):
             raise ParameterError("matrix rows must all have the same length")
-        arr = _np.asarray(rows, dtype=_np.int64) % p
+        arr = _array(p, rows) % p
         pivot_columns: list[int] = []
         pivot_row = 0
         num_rows = arr.shape[0]
@@ -853,8 +589,8 @@ class NumpyFieldKernel(FieldKernel):
                 break
             # Optimistic pivoting: the diagonal entry is almost always
             # usable for the dense Vandermonde-style CPI systems; fall back
-            # to a column scan (same choice as the reference kernel: first
-            # row with a nonzero entry) only when it is zero.
+            # to a column scan (the textbook choice: first row with a
+            # nonzero entry) only when it is zero.
             if arr[pivot_row, col] == 0:
                 nonzero = _np.nonzero(arr[pivot_row:, col])[0]
                 if nonzero.size == 0:
@@ -876,35 +612,46 @@ class NumpyFieldKernel(FieldKernel):
             pivot_row += 1
         return arr.tolist(), pivot_columns
 
-    def solve_linear_system(self, modulus, matrix, rhs):
+    def solve_linear_system(
+        self, modulus: int, matrix: Sequence[Sequence[int]], rhs: Sequence[int]
+    ) -> list[int] | None:
+        """Solve ``matrix @ x = rhs``; ``None`` if inconsistent.
+
+        Under-determined systems get the canonical particular solution with
+        free variables set to zero (fixed by the uniqueness of the reduced
+        echelon form, so any exact elimination order returns it).
+        """
         p = modulus
         if not matrix:
             return []
         num_cols = len(matrix[0])
-        # The back-substitution dot products sum up to num_cols p^2 terms.
-        if (num_cols + 2) * p * p >= _INT64_SAFE or any(
-            len(row) != num_cols for row in matrix
-        ):
-            return super().solve_linear_system(modulus, matrix, rhs)
-        arr = (
-            _np.asarray(
-                [list(row) + [value] for row, value in zip(matrix, rhs)],
-                dtype=_np.int64,
-            )
-            % p
-        )
+        augmented = [list(row) + [value] for row, value in zip(matrix, rhs)]
+        if not _exact(p, num_cols + 2):
+            # The back-substitution dot products below sum up to num_cols
+            # p^2 terms, past what int64 holds: read the solution off the
+            # reduced echelon form, whose updates are single products.
+            rref, pivot_columns = self.gaussian_elimination(p, augmented)
+            # Inconsistent iff the augmented column is a pivot.
+            if pivot_columns and pivot_columns[-1] == num_cols:
+                return None
+            solution = [0] * num_cols
+            for row, pivot_col in zip(rref, pivot_columns):
+                solution[pivot_col] = row[num_cols]
+            return solution
+        if any(len(row) != num_cols for row in matrix):
+            raise ParameterError("matrix rows must all have the same length")
+        arr = _array(p, augmented) % p
         num_rows = arr.shape[0]
         # Forward elimination only (rows below the pivot); the reduced form
         # above the pivot is never needed for a single solve.  Pivots are
         # processed two at a time: a closed-form 2x2 inverse turns the
-        # whole block step into two int64 matmuls (echelon solutions are
+        # whole block step into two matmuls (echelon solutions are
         # canonical, so any exact elimination order yields the same result).
         pivot_columns: list[int] = []
         pivot_row = 0
         col = 0
-        block_width = 2 if (2 * p * p) < _INT64_SAFE else 1
         while col < num_cols and pivot_row < num_rows:
-            width = min(block_width, num_cols - col, num_rows - pivot_row)
+            width = min(2, num_cols - col, num_rows - pivot_row)
             if width > 1:
                 a00 = int(arr[pivot_row, col])
                 a01 = int(arr[pivot_row, col + 1])
@@ -918,7 +665,7 @@ class NumpyFieldKernel(FieldKernel):
                             [a11 * inv_det % p, (-a01) * inv_det % p],
                             [(-a10) * inv_det % p, a00 * inv_det % p],
                         ],
-                        dtype=_np.int64,
+                        dtype=arr.dtype,
                     )
                     # Pivot rows become echelon (identity in block columns)...
                     reduced = inv_arr @ arr[pivot_row : pivot_row + width] % p
@@ -933,7 +680,7 @@ class NumpyFieldKernel(FieldKernel):
                     pivot_row += width
                     col += width
                     continue
-            # Scalar fallback: one reference-style pivot step.
+            # Scalar fallback: one textbook pivot step.
             if arr[pivot_row, col] == 0:
                 nonzero = _np.nonzero(arr[pivot_row:, col])[0]
                 if nonzero.size == 0:
@@ -953,7 +700,7 @@ class NumpyFieldKernel(FieldKernel):
         # Rows below the rank have an all-zero left side by construction.
         if arr[pivot_row:, num_cols].any():
             return None
-        solution = _np.zeros(num_cols, dtype=_np.int64)
+        solution = _np.zeros(num_cols, dtype=arr.dtype)
         for k in range(pivot_row - 1, -1, -1):
             col = pivot_columns[k]
             row = arr[k]
@@ -963,21 +710,35 @@ class NumpyFieldKernel(FieldKernel):
         return solution.tolist()
 
     def assemble_rational_system(
-        self, modulus, points, numer_evals, denom_evals, deg_num, deg_den
-    ):
+        self,
+        modulus: int,
+        points: Sequence[int],
+        numer_evals: Sequence[int],
+        denom_evals: Sequence[int],
+        deg_num: int,
+        deg_den: int,
+    ) -> tuple[list[list[int]], list[int]]:
+        """The Vandermonde-style system of the rational interpolation step.
+
+        Row ``i`` encodes ``P(z_i) - f_i Q(z_i) = 0`` for monic ``P``
+        (degree ``deg_num``) and ``Q`` (degree ``deg_den``) with
+        ``f_i = numer_evals[i] / denom_evals[i]``; the right-hand side moves
+        the two forced leading coefficients over.  The ratios take one
+        batched inversion, the powers a column-doubling Vandermonde build.
+        """
         p = modulus
         if not len(points):
             return [], []
-        z = _np.asarray([v % p for v in points], dtype=_np.int64)
-        ratios = _np.asarray(
+        z = _residues(p, points)
+        ratios = _array(
+            p,
             [
                 n * inv_d % p
                 for n, inv_d in zip(numer_evals, self.inv_many(p, denom_evals))
             ],
-            dtype=_np.int64,
         )
         max_power = max(deg_num, deg_den)
-        powers = _np.empty((len(points), max_power + 1), dtype=_np.int64)
+        powers = _np.empty((len(points), max_power + 1), dtype=z.dtype)
         powers[:, 0] = 1
         if max_power:
             powers[:, 1] = z
@@ -990,19 +751,46 @@ class NumpyFieldKernel(FieldKernel):
                     powers[:, :take] * z_filled[:, None]
                 ) % p
                 filled += take
-        matrix = _np.empty((len(points), deg_num + deg_den), dtype=_np.int64)
+        matrix = _np.empty((len(points), deg_num + deg_den), dtype=z.dtype)
         matrix[:, :deg_num] = powers[:, :deg_num]
         matrix[:, deg_num:] = (-(ratios[:, None] * powers[:, :deg_den])) % p
         rhs = (ratios * powers[:, deg_den] - powers[:, deg_num]) % p
         return matrix.tolist(), rhs.tolist()
 
+    def inv_many(self, modulus: int, values: Sequence[int]) -> list[int]:
+        """Batch modular inversion (Montgomery's trick: one ``pow``, 3n muls).
+
+        Raises :class:`ZeroDivisionError` on any zero entry, matching
+        :meth:`repro.field.gfp.PrimeField.inv`.
+        """
+        p = modulus
+        values = [v % p for v in values]
+        if not values:
+            return []
+        prefix = [0] * len(values)
+        acc = 1
+        for i, v in enumerate(values):
+            if v == 0:
+                raise ZeroDivisionError("cannot invert zero in a prime field")
+            acc = acc * v % p
+            prefix[i] = acc
+        inv_acc = pow(acc, -1, p)
+        out = [0] * len(values)
+        for i in range(len(values) - 1, 0, -1):
+            out[i] = inv_acc * prefix[i - 1] % p
+            inv_acc = inv_acc * values[i] % p
+        out[0] = inv_acc
+        return out
+
     # -- root finding ---------------------------------------------------------------
 
-    def find_distinct_roots(self, modulus, coeffs, rng):
-        """Cantor-Zassenhaus with level-batched splitting.
+    def find_distinct_roots(self, modulus: int, coeffs: Sequence[int], rng) -> list[int]:
+        """All distinct GF(p) roots of a nonzero polynomial, sorted ascending.
 
-        Differences from the reference implementation (results are identical,
-        the set of roots being intrinsic to the polynomial):
+        Cantor-Zassenhaus with level-batched splitting.  Differences from
+        the textbook ``gcd(f, x^p - x)`` followed by one random split per
+        factor (the result is the same, the set of roots being intrinsic to
+        the polynomial):
 
         * ``x^((p-1)/2) mod f`` is computed once and reused both for the
           distinct-linear-part extraction (``x^p = (x^e)^2 x``) and as the
@@ -1027,7 +815,7 @@ class NumpyFieldKernel(FieldKernel):
             return _small_degree_roots(p, f)
 
         exponent = (p - 1) // 2
-        ctx = _Modulus(p, _np.asarray(f, dtype=_np.int64))
+        ctx = _Modulus(p, _array(p, f))
         # h = x^e mod f; then x^p mod f = (h^2 mod f) * x mod f.
         h = ctx.pow_linear(0, exponent)
         x_p = ctx.mul_linear(ctx.mulmod(h, h), 0)
@@ -1073,9 +861,9 @@ class NumpyFieldKernel(FieldKernel):
             # of the survivors so the squarings and probes shrink with them.
             total_degree = sum(len(factor) - 1 for factor in pending)
             if total_degree >= 3 and 2 * total_degree <= ctx.m:
-                product = _np.asarray(pending[0], dtype=_np.int64)
+                product = _array(p, pending[0])
                 for factor in pending[1:]:
-                    product = _pmul_np(p, product, _np.asarray(factor, dtype=_np.int64))
+                    product = _pmul_np(p, product, _array(p, factor))
                 ctx = _Modulus(p, product)
             shift = rng.randrange(p)
             probe = _minus_one(p, [int(v) for v in ctx.pow_linear(shift, exponent)])
@@ -1091,37 +879,33 @@ class NumpyFieldKernel(FieldKernel):
 
 
 # ---------------------------------------------------------------------------
-# Kernel resolution: the modulus picks the kernel
+# Kernel resolution: the one kernel, and the name the entry points accept
 # ---------------------------------------------------------------------------
 
-#: The two kernels (stateless singletons), reference first.
-FIELD_KERNELS = (PythonFieldKernel(), NumpyFieldKernel())
-_PYTHON_KERNEL, _NUMPY_KERNEL = FIELD_KERNELS
+_KERNEL = NumpyFieldKernel()
 
-#: The names ``field_kernel=`` accepts: ``"auto"`` and each kernel's.
-FIELD_KERNEL_NAMES = ("auto", "numpy", "python")
+#: The names ``field_kernel=`` accepts; each names the one kernel.
+FIELD_KERNEL_NAMES = ("auto", "numpy")
 
 
-def check_field_kernel(name: str | None) -> None:
-    """Refuse a ``field_kernel=`` request no kernel answers to
+def check_field_kernel(field_kernel: str | None) -> None:
+    """Refuse a ``field_kernel=`` request the one kernel does not answer to
     (:data:`FIELD_KERNEL_NAMES`, or ``None``)."""
-    if name is not None and name not in FIELD_KERNEL_NAMES:
+    if field_kernel is not None and field_kernel not in FIELD_KERNEL_NAMES:
         raise ParameterError(
-            f"unknown field kernel {name!r}; accepted: {list(FIELD_KERNEL_NAMES)}"
+            f"unknown field kernel {field_kernel!r}; accepted: {list(FIELD_KERNEL_NAMES)}"
         )
 
 
-def kernel_for(modulus: int, name: str | None = None) -> FieldKernel:
-    """The field kernel for ``modulus``.
+def kernel_for(modulus: int, field_kernel: str | None = None) -> NumpyFieldKernel:
+    """The field kernel for the odd prime ``modulus``.
 
-    ``"python"`` is the reference kernel at any modulus.  ``None``,
-    ``"auto"`` and ``"numpy"`` take the NumPy kernel when its arithmetic is
-    exact for the modulus (odd, below ``2**31``: products of two canonical
-    residues fit a signed 64-bit word, and the root finder assumes an odd
-    modulus) and the reference kernel otherwise.  Any other name raises
-    :class:`~repro.errors.ParameterError`.
+    ``field_kernel`` is checked (:func:`check_field_kernel`) and dropped:
+    every accepted name selects the same kernel.  A modulus below 3 raises
+    :class:`~repro.errors.ParameterError` (the root finder assumes an odd
+    modulus; the CPI path never builds one).
     """
-    if name == "python":
-        return _PYTHON_KERNEL
-    check_field_kernel(name)
-    return _NUMPY_KERNEL if 2 < modulus < 2**31 else _PYTHON_KERNEL
+    check_field_kernel(field_kernel)
+    if modulus < 3:
+        raise ParameterError(f"the field kernel needs an odd prime modulus (got {modulus})")
+    return _KERNEL

@@ -5,11 +5,8 @@ protocol (Theorem 2.3) reduces to finding a nonzero vector in the nullspace
 of a small linear system over GF(p); the paper notes this costs ``O(d^3)``
 via Gaussian elimination, which is exactly what we implement.
 
-Every entry point takes an optional ``kernel`` (see
-:mod:`repro.field.kernels`): the reference kernel reproduces the classic
-row-by-row elimination, the NumPy kernel eliminates whole columns per pivot
-with vectorized modular arithmetic.  Both return bit-identical reduced
-matrices (same pivot choice, exact arithmetic).
+Every entry point runs on the field kernel (:mod:`repro.field.kernels`),
+which eliminates whole columns per pivot with vectorized modular arithmetic.
 """
 
 from __future__ import annotations
@@ -18,13 +15,11 @@ from typing import Sequence
 
 from repro.errors import ParameterError
 from repro.field.gfp import PrimeField
-from repro.field.kernels import FieldKernel, kernel_for
+from repro.field.kernels import kernel_for
 
 
 def gaussian_elimination(
-    field: PrimeField,
-    matrix: Sequence[Sequence[int]],
-    kernel: FieldKernel | None = None,
+    field: PrimeField, matrix: Sequence[Sequence[int]]
 ) -> tuple[list[list[int]], list[int]]:
     """Reduce ``matrix`` to reduced row echelon form over ``field``.
 
@@ -34,15 +29,11 @@ def gaussian_elimination(
         The reduced matrix (as a new list of lists of canonical residues) and
         the list of pivot column indices, one per nonzero row.
     """
-    if kernel is None:
-        kernel = kernel_for(field.modulus)
-    return kernel.gaussian_elimination(field.modulus, matrix)
+    return kernel_for(field.modulus).gaussian_elimination(field.modulus, matrix)
 
 
 def solve_nullspace_vector(
-    field: PrimeField,
-    matrix: Sequence[Sequence[int]],
-    kernel: FieldKernel | None = None,
+    field: PrimeField, matrix: Sequence[Sequence[int]]
 ) -> list[int] | None:
     """Return a nonzero vector ``v`` with ``matrix @ v = 0`` over GF(p).
 
@@ -55,7 +46,7 @@ def solve_nullspace_vector(
     if not matrix:
         return None
     num_cols = len(matrix[0])
-    rref, pivot_columns = gaussian_elimination(field, matrix, kernel)
+    rref, pivot_columns = gaussian_elimination(field, matrix)
     free_columns = [col for col in range(num_cols) if col not in pivot_columns]
     if not free_columns:
         return None
@@ -76,7 +67,6 @@ def solve_linear_system(
     field: PrimeField,
     matrix: Sequence[Sequence[int]],
     rhs: Sequence[int],
-    kernel: FieldKernel | None = None,
 ) -> list[int] | None:
     """Solve ``matrix @ x = rhs`` over GF(p); return ``None`` if inconsistent.
 
@@ -85,9 +75,7 @@ def solve_linear_system(
     """
     if len(matrix) != len(rhs):
         raise ParameterError("matrix and right-hand side sizes disagree")
-    if kernel is None:
-        kernel = kernel_for(field.modulus)
-    return kernel.solve_linear_system(field.modulus, matrix, rhs)
+    return kernel_for(field.modulus).solve_linear_system(field.modulus, matrix, rhs)
 
 
 def rational_interpolation_system(
@@ -97,7 +85,6 @@ def rational_interpolation_system(
     denom_evals: Sequence[int],
     deg_num: int,
     deg_den: int,
-    kernel: FieldKernel | None = None,
 ) -> tuple[list[list[int]], list[int]]:
     """Assemble the Vandermonde-style system of the CPI interpolation step.
 
@@ -106,11 +93,8 @@ def rational_interpolation_system(
     where ``f_i = numer_evals[i] / denom_evals[i]`` is the evaluation ratio
     ``chi_A(z_i) / chi_B(z_i)``; the right-hand side carries the two forced
     leading terms.  Ratios are produced with one batched inversion
-    (Montgomery's trick) and the powers with a batched Vandermonde build on
-    the vectorized kernel.
+    (Montgomery's trick) and the powers with a batched Vandermonde build.
     """
-    if kernel is None:
-        kernel = kernel_for(field.modulus)
-    return kernel.assemble_rational_system(
+    return kernel_for(field.modulus).assemble_rational_system(
         field.modulus, points, numer_evals, denom_evals, deg_num, deg_den
     )

@@ -10,10 +10,9 @@ and are always canonical residues of the owning :class:`PrimeField`.  The
 zero polynomial is represented by an empty coefficient list and has degree
 ``-1`` by convention.
 
-Products and long divisions route through the field kernel for the modulus
-(:func:`repro.field.kernels.kernel_for`), so large-degree arithmetic is
-vectorized below ``2**31`` while staying bit-identical to the reference
-kernel.
+Products, long divisions, gcds and batched evaluations route through the
+field kernel (:func:`repro.field.kernels.kernel_for`), so large-degree
+arithmetic is vectorized at every modulus.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Iterable, Sequence
 
 from repro.errors import ParameterError
 from repro.field.gfp import PrimeField
-from repro.field.kernels import FieldKernel, kernel_for
+from repro.field.kernels import kernel_for
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,7 @@ class Polynomial:
 
     @staticmethod
     def evaluate_from_roots_many(
-        field: PrimeField,
-        roots: Iterable[int],
-        points: Sequence[int],
-        kernel: FieldKernel | None = None,
+        field: PrimeField, roots: Iterable[int], points: Sequence[int]
     ) -> list[int]:
         """Evaluate ``prod (z - r)`` at every ``z`` in ``points`` in one batch.
 
@@ -100,20 +96,17 @@ class Polynomial:
         polynomial at all ``d + 1`` shared points, which the scalar method
         turns into ``O(n d)`` interpreted field operations.  The batch form
         hands the whole set to the field kernel (one difference
-        matrix plus a balanced product tree on the NumPy kernel), returning
-        bit-identical values.
+        matrix plus a balanced product tree), returning the same values.
         """
-        if kernel is None:
-            kernel = kernel_for(field.modulus)
-        return kernel.evaluate_from_roots_many(field.modulus, roots, points)
+        return kernel_for(field.modulus).evaluate_from_roots_many(
+            field.modulus, roots, points
+        )
 
-    def evaluate_many(
-        self, points: Sequence[int], kernel: FieldKernel | None = None
-    ) -> list[int]:
+    def evaluate_many(self, points: Sequence[int]) -> list[int]:
         """Batched Horner evaluation of this polynomial at many points."""
-        if kernel is None:
-            kernel = kernel_for(self.field.modulus)
-        return kernel.poly_eval_many(self.field.modulus, self.coeffs, points)
+        return kernel_for(self.field.modulus).poly_eval_many(
+            self.field.modulus, self.coeffs, points
+        )
 
     # -- basic queries -------------------------------------------------------------
 

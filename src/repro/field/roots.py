@@ -2,16 +2,14 @@
 
 The characteristic-polynomial protocol recovers the set difference as the
 roots of the numerator / denominator of the interpolated rational function.
-Both field kernels find roots with the Cantor-Zassenhaus strategy:
+The field kernel finds roots with the Cantor-Zassenhaus strategy:
 
 1. restrict to the product of distinct linear factors by taking
    ``gcd(f, x^p - x)``;
 2. split that product with random shifts ``gcd(g, (x + a)^((p-1)/2) - 1)``.
 
-The reference kernel runs it on scalar coefficient lists; the NumPy kernel
-batches each level's modular exponentiations and finishes quadratics in
-closed form.  Both return the identical root set, the roots of a polynomial
-being intrinsic (:meth:`repro.field.kernels.FieldKernel.find_distinct_roots`).
+It batches each level's modular exponentiations and finishes quadratics in
+closed form (:meth:`repro.field.kernels.NumpyFieldKernel.find_distinct_roots`).
 """
 
 from __future__ import annotations
@@ -19,15 +17,11 @@ from __future__ import annotations
 import random
 
 from repro.errors import ParameterError
-from repro.field.kernels import FieldKernel, kernel_for
+from repro.field.kernels import kernel_for
 from repro.field.poly import Polynomial
 
 
-def find_roots(
-    poly: Polynomial,
-    rng: random.Random | None = None,
-    kernel: FieldKernel | None = None,
-) -> list[int]:
+def find_roots(poly: Polynomial, rng: random.Random | None = None) -> list[int]:
     """Return all roots in GF(p) of ``poly`` (each distinct root once).
 
     Parameters
@@ -38,19 +32,13 @@ def find_roots(
         Randomness source for the Cantor-Zassenhaus splits.  Passing a seeded
         ``random.Random`` keeps the whole protocol deterministic; the default
         uses a fixed seed so results are reproducible.
-    kernel:
-        The field kernel to factor with; defaults to
-        :func:`~repro.field.kernels.kernel_for` the polynomial's modulus.
-        The returned roots are identical for every kernel (only the
-        factorisation strategy differs).
     """
     if poly.is_zero():
         raise ParameterError("cannot find roots of the zero polynomial")
     if rng is None:
         rng = random.Random(0x5EED)
-    if kernel is None:
-        kernel = kernel_for(poly.field.modulus)
-    return kernel.find_distinct_roots(poly.field.modulus, poly.coeffs, rng)
+    modulus = poly.field.modulus
+    return kernel_for(modulus).find_distinct_roots(modulus, poly.coeffs, rng)
 
 
 def roots_with_multiplicity(poly: Polynomial, rng: random.Random | None = None) -> dict[int, int]:

@@ -16,6 +16,7 @@ estimator-based or repeated-doubling flavor); a non-negative integer selects
 the known-``d`` variant, and a negative one is refused here, once, for every
 protocol.  So are the two tier names: a ``backend`` or ``field_kernel`` that
 names no tier raises before any party is built, whatever the protocol reads.
+Each tier has one implementation, so an accepted name is dropped here.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ class ReconcileOptions:
         store, so no protocol reads it (any other name raises
         :class:`ParameterError`).
     field_kernel:
-        ``None``, ``"auto"``, ``"numpy"`` or ``"python"``: the GF(p) field
-        kernel (:func:`repro.field.kernels.kernel_for`; any other name raises
-        :class:`ParameterError`).
+        ``None``, ``"auto"`` or ``"numpy"``: all name the one GF(p) field
+        kernel (:mod:`repro.field.kernels`), so no protocol reads it (any
+        other name, ``"python"`` included, raises :class:`ParameterError`).
     num_top:
         Degree-ordering parameter ``h`` (``degree_order``); ``None`` derives
         a default from the vertex count.

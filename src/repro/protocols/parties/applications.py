@@ -9,8 +9,8 @@ application).  This module is the only spelling of each protocol;
 ``protocol="documents"``, and ``db_parties(..., protocol="naive")`` is the
 one way to put the naive protocol under a table.  Both builders forward their
 ``context_options`` to :func:`context_for`, so every
-:class:`SetsOfSetsContext` field (``differing_children_bound``,
-``field_kernel``) reaches the underlying protocol.
+:class:`SetsOfSetsContext` field (``differing_children_bound``, ...)
+reaches the underlying protocol.
 """
 
 from __future__ import annotations

@@ -716,16 +716,10 @@ class CPIMessageCodec(PayloadCodec):
 
 
 def cpi_alice(
-    alice: Set[int],
-    difference_bound: int,
-    universe_size: int,
-    *,
-    field_kernel: str | None = None,
+    alice: Set[int], difference_bound: int, universe_size: int
 ) -> PartyGenerator:
     """Alice's side of the one-round CPI protocol."""
-    message = cpi_encode(
-        alice, difference_bound, universe_size, field_kernel=field_kernel
-    )
+    message = cpi_encode(alice, difference_bound, universe_size)
     yield Send(
         "CPI evaluations",
         message.size_bits,
@@ -740,16 +734,12 @@ def cpi_bob(
     difference_bound: int,
     universe_size: int,
     seed: int = 0,
-    *,
-    field_kernel: str | None = None,
 ) -> PartyGenerator:
     """Bob's side: rational interpolation and root extraction."""
     message = yield Receive(CPIMessageCodec(universe_size, difference_bound))
     if message is END_OF_SESSION:
         return aborted_outcome()
-    success, recovered = cpi_decode(
-        message, bob, universe_size, seed, field_kernel=field_kernel
-    )
+    success, recovered = cpi_decode(message, bob, universe_size, seed)
     return PartyOutcome(
         success,
         recovered,
@@ -763,13 +753,18 @@ def cpi_parties(
     difference_bound: int,
     universe_size: int,
     seed: int = 0,
-    *,
-    field_kernel: str | None = None,
 ) -> PartyPair:
-    """Both parties for the ``cpi`` protocol."""
+    """Both parties for the ``cpi`` protocol.
+
+    An element at or past ``universe_size`` is refused: the field holds its
+    residue, which could decode as another element.
+    """
     for items in (alice, bob):
-        refuse_repeats(items, checked_keys(items, array_above=None))
+        keys = checked_keys(items, array_above=None)
+        refuse_repeats(items, keys)
+        if keys and max(keys) >= universe_size:
+            raise ParameterError("cpi set elements must be below universe_size")
     return (
-        cpi_alice(alice, difference_bound, universe_size, field_kernel=field_kernel),
-        cpi_bob(bob, difference_bound, universe_size, seed, field_kernel=field_kernel),
+        cpi_alice(alice, difference_bound, universe_size),
+        cpi_bob(bob, difference_bound, universe_size, seed),
     )

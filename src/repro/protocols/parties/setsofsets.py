@@ -98,8 +98,8 @@ LEVEL_SLACK = 3.0
 #: or past the universe size: no child of an honest alice's, which the
 #: encoders refuse.
 OUTSIDE_UNIVERSE = "child-outside-universe"
-#: The failure label of a cascade bob whose decode names a child of more than
-#: ``h`` elements: no child of an honest alice's, and T* cannot encode it.
+#: The failure label of a bob whose decode names a child of more than ``h``
+#: elements: no child of an honest alice's, which the encoders refuse.
 OVER_MAX_SIZE = "child-over-max-size"
 
 #: The first bound the repeated-doubling variants (Cor 3.6 / 3.8) try: a
@@ -125,7 +125,6 @@ class SetsOfSetsContext:
     seed: int
     max_child_size: int | None = None
     differing_children_bound: int | None = None
-    field_kernel: str | None = None
     max_num_children: int = 1
     max_total_elements: int = 1
     child_count_gap: int = 0
@@ -153,20 +152,17 @@ def context_for(
     )
 
 
-def _outside_universe(children: Iterable[Iterable[int]], ctx: SetsOfSetsContext) -> bool:
-    """True when a decoded child holds an element at or past ``u``.  A
-    peer's key can carry one: a packed slot and a child IBLT's key hold
-    ``ceil(log2 u)`` element bits, which reach past ``u`` unless ``u`` is a
-    power of two."""
-    universe = ctx.universe_size
-    return any(max(child, default=0) >= universe for child in children)
-
-
 def _foreign_child(children: Collection[frozenset[int]], ctx: SetsOfSetsContext) -> str | None:
-    """The cascade's failure label for decoded children that no child of
-    alice's can be (:data:`OUTSIDE_UNIVERSE`, :data:`OVER_MAX_SIZE`), or
-    ``None``.  A level's child IBLT and a T* bitmap carry any size."""
-    if _outside_universe(children, ctx):
+    """A bob's failure label for decoded children that no child of alice's
+    can be (:data:`OUTSIDE_UNIVERSE`, :data:`OVER_MAX_SIZE`), or ``None``.
+
+    A peer's key can carry either: a packed slot and a child IBLT's key hold
+    ``ceil(log2 u)`` element bits, which reach past ``u`` unless ``u`` is a
+    power of two, and a child IBLT, a CPI payload or a bitmap key holds a
+    set of any size.
+    """
+    universe = ctx.universe_size
+    if any(max(child, default=0) >= universe for child in children):
         return OUTSIDE_UNIVERSE
     limit = ctx.max_child_size
     if limit is not None and any(len(child) > limit for child in children):
@@ -245,8 +241,9 @@ def naive_bob_known(
     if not decode.success:
         return PartyOutcome(False, details={"failure": "parent-iblt-peel"})
     alice_only = [scheme.decode(key) for key in decode.positive]
-    if _outside_universe(alice_only, ctx):
-        return PartyOutcome(False, details={"failure": OUTSIDE_UNIVERSE})
+    refused = _foreign_child(alice_only, ctx)
+    if refused is not None:
+        return PartyOutcome(False, details={"failure": refused})
     bob_only = [scheme.decode(key) for key in decode.negative]
     recovered = bob.replace_children(bob_only, alice_only)
     verified = parent_hash(recovered.children, ctx.seed) == verification
@@ -531,8 +528,9 @@ def iblt_of_iblts_bob_known(
         if recovered is None:
             return PartyOutcome(False, details={"failure": "child-iblt-decode"})
         recovered_children.append(recovered)
-    if _outside_universe(recovered_children, ctx):
-        return PartyOutcome(False, details={"failure": OUTSIDE_UNIVERSE})
+    refused = _foreign_child(recovered_children, ctx)
+    if refused is not None:
+        return PartyOutcome(False, details={"failure": refused})
 
     reconstruction = bob.replace_children(differing_bob_children, recovered_children)
     verified = parent_hash(reconstruction.children, ctx.seed) == verification
@@ -1353,9 +1351,7 @@ def multiround_alice_known(
                     own_hash,
                     bound,
                     None,
-                    cpi_encode(
-                        child, bound, ctx.universe_size, field_kernel=ctx.field_kernel
-                    ),
+                    cpi_encode(child, bound, ctx.universe_size),
                 )
             )
     round3_bits = sum(
@@ -1436,19 +1432,16 @@ def multiround_bob_known(
                 )
         else:
             success, result = cpi_decode(
-                payload.cpi,
-                set(base_child),
-                ctx.universe_size,
-                ctx.seed,
-                field_kernel=ctx.field_kernel,
+                payload.cpi, set(base_child), ctx.universe_size, ctx.seed
             )
             if success:
                 recovered = frozenset(result)
         if recovered is None or hash_of(recovered) != payload.own_hash:
             return PartyOutcome(False, details={"failure": "child-recovery"})
         recovered_children.append(recovered)
-    if _outside_universe(recovered_children, ctx):
-        return PartyOutcome(False, details={"failure": OUTSIDE_UNIVERSE})
+    refused = _foreign_child(recovered_children, ctx)
+    if refused is not None:
+        return PartyOutcome(False, details={"failure": refused})
 
     reconstruction = bob.replace_children(bob_differing, recovered_children)
     verified = parent_hash(reconstruction.children, ctx.seed) == verification

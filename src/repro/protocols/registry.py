@@ -162,10 +162,7 @@ def _derived_max_child_size(alice: Any, bob: Any, options: ReconcileOptions) -> 
 
 def _sets_of_sets_options(options: ReconcileOptions) -> dict[str, Any]:
     """The ``SetsOfSetsContext`` fields every set-of-sets protocol takes from ``options``."""
-    return dict(
-        field_kernel=options.field_kernel,
-        differing_children_bound=options.differing_children_bound,
-    )
+    return dict(differing_children_bound=options.differing_children_bound)
 
 
 def _sets_of_sets_context(
@@ -243,7 +240,6 @@ class CPIProtocol(Protocol):
             options.difference_bound,
             options.universe_size,
             options.seed,
-            field_kernel=options.field_kernel,
         )
 
 
@@ -282,7 +278,10 @@ class IBLTOfIBLTsProtocol(Protocol):
     def build(cls, alice: Any, bob: Any, options: ReconcileOptions) -> PartyPair:
         from repro.protocols.parties.setsofsets import iblt_of_iblts_parties
 
-        ctx = _sets_of_sets_context(alice, bob, options)
+        ctx = _sets_of_sets_context(
+            alice, bob, options,
+            max_child_size=_derived_max_child_size(alice, bob, options),
+        )
         return iblt_of_iblts_parties(alice, bob, options.difference_bound, ctx)
 
 

@@ -21,10 +21,10 @@ failure is recorded in the shared :class:`~repro.service.metrics.ServiceMetrics`
 and the server keeps serving.  A ``stats`` control request returns the
 metrics report without running a session.
 
-Concurrency note: the per-session ``field_kernel`` choice travels inside the
-options and the party builders pass it down to every GF(p) call; no kernel
-choice is held in process state, so sessions interleaved on the event loop
-cannot see each other's.
+Concurrency note: the GF(p) field kernel and the cell store are stateless
+and one each, so sessions interleaved on the event loop share no tier
+choice; every per-session option travels inside the session's own
+:class:`~repro.protocols.options.ReconcileOptions`.
 """
 
 from __future__ import annotations

@@ -105,7 +105,7 @@ class TestBenchmarkTrajectory:
         # All five trajectories are recorded in this repository.
         assert {
             "cluster_convergence",
-            "field_kernel",
+            "field_kernels",
             "setsofsets_encoding",
             "service_throughput",
             "sketch_store",

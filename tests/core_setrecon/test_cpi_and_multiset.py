@@ -122,13 +122,25 @@ class TestCPIProtocol:
         with pytest.raises(ParameterError):
             field_for_universe(0, 1)
 
-    @pytest.mark.parametrize("field_kernel", ["python", "numpy", None])
+    @pytest.mark.parametrize("field_kernel", ["auto", "numpy", None])
     def test_explicit_kernel_selection(self, field_kernel):
         alice, bob = make_instance(90, 7, seed=21)
         result = cpi(
             alice, bob, difference_bound=8, seed=22, field_kernel=field_kernel
         )
         assert result.success and result.recovered == alice
+
+    @pytest.mark.parametrize("element", [UNIVERSE, 2**70])
+    def test_an_element_outside_the_universe_is_refused(self, element):
+        # Its residue mod p could decode as another element of the universe.
+        for alice, bob in (({element, 5}, {5}), ({5}, {element, 5})):
+            with pytest.raises(ParameterError, match="below universe_size"):
+                cpi(alice, bob, difference_bound=2)
+
+    def test_the_reference_kernel_name_is_refused(self):
+        alice, bob = make_instance(90, 7, seed=21)
+        with pytest.raises(ParameterError, match="unknown field kernel 'python'"):
+            cpi(alice, bob, difference_bound=8, seed=22, field_kernel="python")
 
     @settings(max_examples=20, deadline=None)
     @given(

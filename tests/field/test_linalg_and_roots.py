@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ParameterError
 from repro.field import PrimeField, Polynomial, find_roots
 from repro.field.linalg import gaussian_elimination, solve_linear_system, solve_nullspace_vector
-from repro.field import kernels
 from repro.field.roots import roots_with_multiplicity
+
+import reference_kernel
 
 FIELD = PrimeField(10007)
 
@@ -124,7 +125,8 @@ class TestRootFinding:
 
 
 class TestSplitRootsWorkStack:
-    """Regression: maximally unbalanced Cantor-Zassenhaus splits.
+    """Regression: maximally unbalanced Cantor-Zassenhaus splits in the
+    reference kernel (``tests/reference_kernel.py``).
 
     A probe that peels exactly one linear factor per split used to drive the
     recursive ``_split_roots`` to call depth ``d`` -- a ``RecursionError``
@@ -147,7 +149,7 @@ class TestSplitRootsWorkStack:
             r = next(peeled)
             return [(1 - r) % p, 1]
 
-        monkeypatch.setattr(kernels, "_poly_pow_mod_scalar", one_linear_factor)
+        monkeypatch.setattr(reference_kernel, "_poly_pow_mod_scalar", one_linear_factor)
         roots: list[int] = []
-        kernels._split_roots(FIELD.modulus, list(poly.coeffs), random.Random(0), roots)
+        reference_kernel._split_roots(FIELD.modulus, list(poly.coeffs), random.Random(0), roots)
         assert sorted(roots) == list(range(1, degree + 1))

@@ -13,9 +13,16 @@ bob's, and bob must end with ``child-over-max-size``:
   not encode it either);
 * ``t-star-bitmap``: ``u = 32``, ``h = 8``, bound 4 (a plan of T* alone,
   bitmap keys); alice writes the child's bitmap into T*.
+
+The other set-of-sets bobs refuse the same child at ``u = 32``, ``h = 8``:
+the naive one at the parent (a 9-element bitmap key has the layout of an
+8-element one, and with the matching parent hash it used to verify), and
+the IBLT-of-IBLTs and multiround ones after recovering it from a child IBLT
+or a CPI payload, which hold a set of any size.
 """
 
 import random
+from dataclasses import replace
 from itertools import count, islice
 
 import pytest
@@ -30,6 +37,9 @@ from repro.protocols.parties.setsofsets import (
     _cascade_plan,
     cascading_bob_known,
     context_for,
+    iblt_of_iblts_parties,
+    multiround_parties,
+    naive_parties,
 )
 from repro.protocols.session import Session
 
@@ -118,4 +128,39 @@ def test_the_cascade_refuses_a_child_past_h(case):
 def test_a_change_within_h_reconciles_from_the_same_alice(case):
     alice, bob = parents(case, 1, removed=1)
     result = run(case, alice, bob)
+    assert result.bob.success and result.bob.recovered == alice
+
+
+#: The other bobs: protocol -> (party builder, the session's bound).
+BOBS = {
+    "naive": (naive_parties, 2),
+    "iblt_of_iblts": (iblt_of_iblts_parties, 4),
+    "multiround": (multiround_parties, 4),
+}
+
+
+def run_protocol(protocol, alice, bob):
+    """One session of ``protocol`` at ``u = 32``: bob on ``h = 8``, alice on
+    a context that lets her encode a 9-element child."""
+    build, bound = BOBS[protocol]
+    ctx = context("t-star-bitmap", alice, bob)
+    alice_party, _ = build(alice, bob, bound, replace(ctx, max_child_size=9))
+    _, bob_party = build(alice, bob, bound, ctx)
+    return Session(alice_party, bob_party).run()
+
+
+@pytest.mark.parametrize("protocol", BOBS)
+def test_every_bob_refuses_a_child_past_h(protocol):
+    alice, bob = parents("t-star-bitmap", 1)
+    assert max(map(len, alice.children)) == 9
+    result = run_protocol(protocol, alice, bob)
+    assert not result.bob.success
+    assert result.bob.recovered is None
+    assert result.bob.details["failure"] == OVER_MAX_SIZE
+
+
+@pytest.mark.parametrize("protocol", BOBS)
+def test_the_same_alice_reconciles_a_change_within_h(protocol):
+    alice, bob = parents("t-star-bitmap", 1, removed=1)
+    result = run_protocol(protocol, alice, bob)
     assert result.bob.success and result.bob.recovered == alice

@@ -143,12 +143,13 @@ class TestReconcileEntryPoint:
                 )
 
     def test_tier_names_checked_by_options_and_merge(self):
-        for name in (None, "auto", "numpy", "python"):
-            assert ReconcileOptions(field_kernel=name).field_kernel == name
         for name in (None, "auto", "numpy"):
+            assert ReconcileOptions(field_kernel=name).field_kernel == name
             assert ReconcileOptions(backend=name).backend == name
         with pytest.raises(ParameterError, match="unknown cell backend 'python'"):
             ReconcileOptions(backend="python")
+        with pytest.raises(ParameterError, match="unknown field kernel 'python'"):
+            ReconcileOptions(field_kernel="python")
         with pytest.raises(ParameterError, match="unknown field kernel 3"):
             ReconcileOptions().merged(field_kernel=3)
 

@@ -97,8 +97,10 @@ HOSTILE_HELLOS.update(
         # The one cell store answers to "numpy" and "auto" only.
         "backend-python": with_option("backend", "python"),
         "backend-unknown": with_option("backend", "gpu"),
-        # ReconcileOptions refuses a field kernel no kernel answers to.
+        # ReconcileOptions refuses a field kernel no kernel answers to; the
+        # one kernel answers to "numpy" and "auto" only.
         "field_kernel-unknown": with_option("field_kernel", "bogus"),
+        "field_kernel-python": with_option("field_kernel", "python"),
     }
 )
 
@@ -145,6 +147,22 @@ def test_malformed_hello_is_refused_in_the_ack(body):
             return await afetch_stats("127.0.0.1", server.port)
 
     assert_sessions_balance(asyncio.run(scenario()))
+
+
+@pytest.mark.timeout(60)
+def test_a_hello_naming_the_reference_kernel_is_refused_as_unknown():
+    """``"python"`` names no kernel any more: the refusal is an unknown
+    name's, word for word."""
+
+    async def refusal(name):
+        async with SyncServer(DATASETS) as server:
+            with pytest.raises(ServiceError, match="refused") as refused:
+                await send_hello(server.port, with_option("field_kernel", name))
+        return str(refused.value)
+
+    python, unknown = (asyncio.run(refusal(name)) for name in ("python", "bogus"))
+    assert "unknown field kernel 'python'; accepted: ['auto', 'numpy']" in python
+    assert python.replace("'python'", "'bogus'") == unknown
 
 
 @pytest.mark.timeout(60)

@@ -27,7 +27,7 @@ SEAMS = {
         lambda name: IBLT(PARAMS, backend=name),
     ),
     "kernel": (
-        r"unknown field kernel 'numba'; accepted: \['auto', 'numpy', 'python'\]",
+        r"unknown field kernel 'numba'; accepted: \['auto', 'numpy'\]",
         "field_kernel", lambda name: kernel_for(1048583, name),
     ),
 }
