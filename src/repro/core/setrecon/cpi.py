@@ -93,6 +93,16 @@ def evaluation_points(universe_size: int, count: int) -> list[int]:
     return [universe_size + index for index in range(count)]
 
 
+def _evaluations(field: PrimeField, elements, points: list[int]) -> list[int]:
+    """``chi(z)`` of ``elements`` at every point.  An element the field's
+    arrays cannot hold (``2**63`` or more below a 31-bit prime) is a
+    :class:`ParameterError`, not the arrays' ``OverflowError``."""
+    try:
+        return Polynomial.evaluate_from_roots_many(field, elements, points)
+    except OverflowError:
+        raise ParameterError("cpi set elements must be below universe_size") from None
+
+
 def cpi_encode(
     elements: Set[int], difference_bound: int, universe_size: int
 ) -> CPIMessage:
@@ -105,7 +115,7 @@ def cpi_encode(
         raise ParameterError("difference_bound must be non-negative")
     field = field_for_universe(universe_size, difference_bound)
     points = evaluation_points(universe_size, difference_bound + 1)
-    evaluations = tuple(Polynomial.evaluate_from_roots_many(field, elements, points))
+    evaluations = tuple(_evaluations(field, elements, points))
     return CPIMessage(len(elements), evaluations, difference_bound, field.modulus)
 
 
@@ -146,7 +156,7 @@ def cpi_decode(
     kernel = kernel_for(field.modulus)
     points = evaluation_points(universe_size, bound + 1)
 
-    bob_evaluations = Polynomial.evaluate_from_roots_many(field, bob_list, points)
+    bob_evaluations = _evaluations(field, bob_list, points)
 
     if m_bar == 0:
         numerator = Polynomial.one(field)

@@ -124,10 +124,13 @@ def checked_keys(
     validated it).  Refused, as :class:`~repro.errors.ParameterError` naming
     ``what``: anything not an ``int`` (a float, even ``2.0``, which
     ``fromiter`` would truncate; a NumPy scalar; a string; ``None``) and a
-    negative key (NumPy 1.x wraps it into ``uint64``).  ``bool`` and ``int``
-    subclasses are ints.  The type check is one C-level pass over the key
-    types; only a batch holding another type (an ``int`` subclass at best)
-    pays an ``isinstance`` per key.
+    negative key.  ``bool`` and ``int`` subclasses are ints.  The type check
+    is one C-level pass over the key types; only a batch holding another
+    type (an ``int`` subclass at best) pays an ``isinstance`` per key.  The
+    sign is read only off the array path: ``fromiter`` into ``uint64``
+    raises ``OverflowError`` on a negative key (NumPy 2; 1.x wrapped it,
+    hence the ``numpy>=2.0`` floor), so only the list a batch falls back to
+    takes a ``min`` pass.
     """
     if is_key_array(values):
         return values
@@ -136,13 +139,13 @@ def checked_keys(
         isinstance(key, int) for key in keys
     ):
         raise ParameterError(f"{what} must be Python integers")
-    if keys and min(keys) < 0:
-        raise ParameterError(f"{what} must be non-negative")
     if array_above is not None and len(keys) > array_above:
         try:
             return _np.fromiter(keys, dtype=_np.uint64, count=len(keys))
-        except OverflowError:  # a key of 2**64 or more: the list it is
+        except OverflowError:  # a negative key, or one of 2**64 or more
             pass
+    if keys and min(keys) < 0:
+        raise ParameterError(f"{what} must be non-negative")
     return keys
 
 

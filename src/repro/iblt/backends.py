@@ -17,7 +17,7 @@ ints, as a peel round's candidates or already built in limbs by its
 encoder, so no wide key becomes an int on its way in.  Batch inserts hash
 the keys' 64-bit folds through
 :meth:`~repro.hashing.family.HashFamily.cells_and_checks_array` (cells and
-checksums from one mix) and scatter with ``ufunc.at``; the peeler
+checksums from one mix) and write them with :func:`scatter`; the peeler
 runs whole rounds (pure-cell scan, checksum verification, per-key dedup,
 batch removal) as vector operations.  Checksums and counts are at most 64
 bits wide (:class:`~repro.iblt.table.IBLTParameters` refuses wider ones).
@@ -138,12 +138,45 @@ def _folds_of(limbs):
     return limbs if limbs.ndim == 1 else fingerprint64_rows(limbs)
 
 
-def _repeated(rows, times: int):
-    """``rows`` stacked ``times`` times along the first axis: the values of a
-    hash-major flat scatter.  ``ufunc.at`` needs them shaped like the flat
-    index array (broadcasting a 1-D value row over a 2-D index gives wrong
-    sums on some NumPy 2 releases), and one concatenate is cheaper than a tile."""
-    return _np.concatenate([rows] * times)
+def scatter(arrays, cells, keys, checks, deltas, key_bits: int, checksum_bits: int) -> None:
+    """Add a non-empty key batch into flat ``(counts, key_xor, check_xor)``
+    ``arrays``, in place: the one scatter of every table build and peel
+    removal.
+
+    ``cells`` is the ``(num_hashes, n)`` cell matrix, ``keys`` the words or
+    limb rows, ``checks`` their checksums, ``deltas`` one int or one per key.
+    The index is flattened hash-major and the values stacked once per hash
+    to its shape (broadcasting a 1-D value row over a 2-D index gives wrong
+    sums on some NumPy 2 releases).
+
+    ``np.bitwise_xor.at`` costs about 5x ``np.add.at`` per index (it has no
+    fast indexed loop).  So when key and checksum fit one word (one limb,
+    ``key_bits + checksum_bits <= 64``) and the batch writes at least as
+    many cells as the arrays hold, ``key << checksum_bits | check`` is
+    XOR-scattered once and split in one pass over the cells, which a
+    sparser batch would not repay.  The cells come out the same either way.
+    """
+    counts, key_xor, check_xor = arrays
+    repeats = cells.shape[0]
+    cells = cells.reshape(-1)
+
+    def repeated(rows):
+        return _np.concatenate([rows] * repeats)
+
+    if isinstance(deltas, int):
+        _np.add.at(counts, cells, _np.int64(deltas))
+    else:
+        _np.add.at(counts, cells, repeated(_np.asarray(deltas, dtype=_np.int64)))
+    if key_xor.ndim == 1 and key_bits + checksum_bits <= 64 and cells.size >= counts.size:
+        shift = _np.uint64(checksum_bits)
+        words = _np.zeros(counts.size, dtype=_np.uint64)
+        _np.bitwise_xor.at(words, cells, repeated((keys << shift) | checks))
+        key_xor ^= words >> shift
+        words &= _np.uint64((1 << checksum_bits) - 1)
+        check_xor ^= words
+    else:
+        _np.bitwise_xor.at(key_xor, cells, repeated(keys))
+        _np.bitwise_xor.at(check_xor, cells, repeated(checks))
 
 
 class NumpyCellStore:
@@ -199,8 +232,9 @@ class NumpyCellStore:
         return batch
 
     def _checked_batch(self, keys, key_bits):
-        # Types and signs are checked before NumPy sees a key (it would
-        # truncate a float and, on 1.x, wrap a negative): exact parity.
+        # Types are checked before NumPy sees a key (it would truncate a
+        # float), signs on the list path a negative key falls back to:
+        # exact parity.
         keys = checked_keys(keys, "IBLT keys", array_above=0 if self.num_limbs == 1 else None)
         if is_key_array(keys):  # every key below 2**64: its own fold, in the last limb
             if self.num_limbs == 1:
@@ -229,17 +263,8 @@ class NumpyCellStore:
         limbs, folds = keys if isinstance(keys, KeyBatch) else self.coerce_keys(keys)
         if folds.size == 0:
             return
-        num_hashes = family.num_hashes
-        # One flat scatter per accumulator, hash-major.
         cells, checks = family.cells_and_checks_array(folds, checksum)
-        cells = cells.reshape(-1)
-        if isinstance(deltas, int):
-            _np.add.at(self._counts, cells, _np.int64(deltas))
-        else:
-            delta_array = _np.asarray(deltas, dtype=_np.int64)
-            _np.add.at(self._counts, cells, _repeated(delta_array, num_hashes))
-        _np.bitwise_xor.at(self._key_xor, cells, _repeated(limbs, num_hashes))
-        _np.bitwise_xor.at(self._check_xor, cells, _repeated(checks, num_hashes))
+        scatter(self.dense_cells(), cells, limbs, checks, deltas, self.key_bits, checksum.bits)
 
     def combine(self, other: "NumpyCellStore", sign: int) -> None:
         """In-place cell-wise ``self += sign * other`` (counts add, XORs fold)."""
@@ -262,7 +287,6 @@ class NumpyCellStore:
         positive and negative counts.
         """
         counts, key_xor, check_xor = self._counts, self._key_xor, self._check_xor
-        num_hashes = family.num_hashes
         positive: list[int] = []
         negative: list[int] = []
         for _ in range(max_peel_rounds(self.num_cells)):
@@ -289,10 +313,8 @@ class NumpyCellStore:
             signs = residues[candidates[chosen]]
             for key, sign in zip(first, signs.tolist()):
                 (positive if sign == 1 else negative).append(key)
-            cells = cells[:, chosen].reshape(-1)
-            _np.add.at(counts, cells, _repeated(-signs, num_hashes))
-            _np.bitwise_xor.at(key_xor, cells, _repeated(limbs, num_hashes))
-            _np.bitwise_xor.at(check_xor, cells, _repeated(checks[chosen], num_hashes))
+            cells, checks = cells[:, chosen], checks[chosen]
+            scatter(self.dense_cells(), cells, limbs, checks, -signs, self.key_bits, checksum.bits)
         return positive, negative
 
     def _with_cells(self, counts, key_xor, check_xor) -> "NumpyCellStore":

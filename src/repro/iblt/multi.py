@@ -12,11 +12,11 @@ the children are flattened to ``(child_index, element)`` pairs
 (:class:`FlatChildren`: once, however many parameter sets are built over
 them), the whole flat element array is hashed once through the batch pipeline
 (:meth:`~repro.hashing.family.HashFamily.cells_and_checks_array`: cells
-and checksums from one mix), and the results are
-scattered into a single ``(s, num_cells)`` cell tensor -- three ``ufunc.at``
-calls for the entire parent set.  :meth:`IBLTArray.serialize_all` writes the
-tensor out the same way: all cells as bit planes, packed to bytes in one
-pass, one ``int.from_bytes`` per row.  Keys wider than one 64-bit word
+and checksums from one mix), and the results are scattered into a single
+``(s, num_cells)`` cell tensor by one :func:`~repro.iblt.backends.scatter`
+call for the entire parent set.  :meth:`IBLTArray.serialize_all` writes
+the tensor out the same way: all cells as bit planes, packed to bytes in
+one pass, one ``int.from_bytes`` per row.  Keys wider than one 64-bit word
 take the per-row path instead: the array builds and serializes each row
 through the ordinary per-table path, so the contents are bit-identical:
 ``IBLTArray(params, children).table(i)`` always equals
@@ -37,12 +37,12 @@ import numpy as _np
 
 from repro.errors import ParameterError
 from repro.hashing.mix import checked_keys, is_key_array
-from repro.iblt.backends import _repeated, check_backend, count_residue, max_peel_rounds
+from repro.iblt.backends import check_backend, count_residue, max_peel_rounds, scatter
 from repro.iblt.codec import pack_rows
 from repro.iblt.table import IBLT, DecodeResult, IBLTParameters
 
 
-def _peel_tensor(counts, key_xor, check_xor, family, checksum, count_bits):
+def _peel_tensor(counts, key_xor, check_xor, family, checksum, params):
     """Peel every row of an ``(s, num_cells)`` cell tensor, in place.
 
     Rows never share cells, so one *global* round (pure-cell scan over the
@@ -54,10 +54,11 @@ def _peel_tensor(counts, key_xor, check_xor, family, checksum, count_bits):
     cost.  Returns one :class:`~repro.iblt.table.DecodeResult` per row.
     """
     num_tables, num_cells = counts.shape
+    count_bits, key_bits = params.count_bits, params.key_bits
     flat_counts = counts.reshape(-1)
     flat_keys = key_xor.reshape(-1)
     flat_checks = check_xor.reshape(-1)
-    num_hashes = family.num_hashes
+    arrays = (flat_counts, flat_keys, flat_checks)
     positive: list[list[int]] = [[] for _ in range(num_tables)]
     negative: list[list[int]] = [[] for _ in range(num_tables)]
     for _ in range(max_peel_rounds(num_cells)):
@@ -91,10 +92,8 @@ def _peel_tensor(counts, key_xor, check_xor, family, checksum, count_bits):
         chosen_signs = signs[winners]
         chosen_checks = checks[winners]
         row_offsets = rows[winners] * num_cells
-        cells = (cells[:, winners] + row_offsets).reshape(-1)
-        _np.add.at(flat_counts, cells, _repeated(-chosen_signs, num_hashes))
-        _np.bitwise_xor.at(flat_keys, cells, _repeated(chosen_keys, num_hashes))
-        _np.bitwise_xor.at(flat_checks, cells, _repeated(chosen_checks, num_hashes))
+        cells = cells[:, winners] + row_offsets
+        scatter(arrays, cells, chosen_keys, chosen_checks, -chosen_signs, key_bits, checksum.bits)
         for row, key, sign in zip(
             rows[winners].tolist(), chosen_keys.tolist(), chosen_signs.tolist()
         ):
@@ -286,11 +285,8 @@ class IBLTArray:
                 _np.arange(self.num_tables, dtype=_np.int64) * num_cells, flat.sizes
             )
             cells, checks = family.cells_and_checks_array(keys, checksum)
-            cells = (cells + offsets).reshape(-1)
-            num_hashes = family.num_hashes
-            _np.add.at(counts, cells, _np.int64(1))
-            _np.bitwise_xor.at(key_xor, cells, _repeated(keys, num_hashes))
-            _np.bitwise_xor.at(check_xor, cells, _repeated(checks, num_hashes))
+            arrays = (counts, key_xor, check_xor)
+            scatter(arrays, cells + offsets, keys, checks, 1, params.key_bits, checksum.bits)
         shape = (self.num_tables, num_cells)
         self._counts = counts.reshape(shape)
         self._key_xor = key_xor.reshape(shape)
@@ -377,7 +373,7 @@ class IBLTArray:
             self._check_xor.copy(),
             self._template._family,
             self._template._checksum,
-            self.params.count_bits,
+            self.params,
         )
 
     # -- serialization ---------------------------------------------------------------

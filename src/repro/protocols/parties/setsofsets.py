@@ -170,6 +170,15 @@ def _foreign_child(children: Collection[frozenset[int]], ctx: SetsOfSetsContext)
     return None
 
 
+def _refuse_oversized(alice: SetOfSets, ctx: SetsOfSetsContext) -> None:
+    """Raise :class:`ParameterError` for a child of alice's past
+    ``ctx.max_child_size``, before she sends anything: her bob would refuse
+    it (:data:`OVER_MAX_SIZE`) only after the whole session."""
+    limit, largest = ctx.max_child_size, alice.max_child_size
+    if limit is not None and largest > limit:
+        raise ParameterError(f"child set of size {largest} exceeds max_child_size {limit}")
+
+
 # ---------------------------------------------------------------------------
 # Naive protocol (Theorems 3.3 and 3.4)
 # ---------------------------------------------------------------------------
@@ -465,6 +474,7 @@ def iblt_of_iblts_alice_known(
     """Alice's side of the one-round IBLT-of-IBLTs protocol (Theorem 3.5)."""
     if difference_bound < 0:
         raise ParameterError("difference_bound must be non-negative")
+    _refuse_oversized(alice, ctx)
     scheme = _flat_child_scheme(ctx, difference_bound)
     parent_params = _flat_parent_params(ctx, difference_bound)
     alice_table = IBLT(parent_params)
@@ -1277,6 +1287,7 @@ def multiround_alice_known(
     """Alice's side of the three-round protocol (Theorem 3.9): rounds 1 and 3."""
     if difference_bound < 0:
         raise ParameterError("difference_bound must be non-negative")
+    _refuse_oversized(alice, ctx)
     difference_bound = max(1, difference_bound)
     factory, estimator_seed = _multiround_child_estimator(ctx)
     hash_seed = derive_seed(ctx.seed, "child-hash")

@@ -137,6 +137,14 @@ class TestCPIProtocol:
             with pytest.raises(ParameterError, match="below universe_size"):
                 cpi(alice, bob, difference_bound=2)
 
+    def test_direct_calls_refuse_an_element_past_the_int64_arrays(self):
+        # Below 2**31 the field runs on int64 arrays, which cannot hold 2**70.
+        with pytest.raises(ParameterError, match="below universe_size"):
+            cpi_encode({2**70, 5}, 2, 1 << 20)
+        message = cpi_encode({3, 5}, 2, 1 << 20)
+        with pytest.raises(ParameterError, match="below universe_size"):
+            cpi_decode(message, {2**70, 5}, 1 << 20)
+
     def test_the_reference_kernel_name_is_refused(self):
         alice, bob = make_instance(90, 7, seed=21)
         with pytest.raises(ParameterError, match="unknown field kernel 'python'"):

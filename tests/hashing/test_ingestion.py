@@ -72,6 +72,22 @@ def test_every_entry_point_accepts_and_refuses_alike(entry, value, padding):
             ENTRY_POINTS[entry](batch)
 
 
+def test_fromiter_refuses_a_negative_key():
+    # checked_keys reads the sign of an array-bound batch off this refusal
+    # (NumPy 1.x wrapped -1 to 2**64 - 1 instead), hence numpy>=2.0.
+    with pytest.raises(OverflowError):
+        np.fromiter([-1], dtype=np.uint64)
+    with pytest.raises(OverflowError):
+        np.fromiter([5, -(1 << 70)], dtype=np.uint64, count=2)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["narrow", "with a key past 64 bits"])
+def test_a_negative_key_is_refused_on_either_route(wide):
+    keys = [-3, *range(100)] + ([1 << 70] if wide else [])
+    with pytest.raises(ParameterError, match="must be non-negative"):
+        checked_keys(keys)
+
+
 @pytest.mark.parametrize("keys", [[3, 1 << 63], list(range(100))])
 def test_narrow_keys_come_back_as_one_array_with_numpy(keys):
     checked = checked_keys(iter(keys))

@@ -12,7 +12,7 @@ from reference_store import STORES, new_table, peel_by_round, table_of
 from repro.errors import CapacityError, ParameterError
 from repro.hashing import Checksum, HashFamily
 from repro.hashing import mix as mixing
-from repro.iblt import IBLT, IBLTParameters
+from repro.iblt import IBLT, IBLTArray, IBLTParameters, backends
 
 
 def make_params(cells=64, key_bits=32, seed=1, **kwargs):
@@ -382,3 +382,178 @@ class TestSerializationRoundTrip:
         table = table_of(params, items, backend)
         reference = table_of(params, items)
         assert serialized(table) == reference_store.serialize(reference)
+
+
+def _reference_scatter(initial, cells, keys, checks, deltas):
+    """The cells after a scatter that writes each field of each key
+    separately, on Python ints: what :func:`backends.scatter` must give."""
+    counts, key_xor, check_xor = (list(array) for array in initial)
+    keys = keys.tolist() if keys.ndim == 1 else [tuple(row) for row in keys.tolist()]
+    num_keys = len(keys)
+    for position, cell in enumerate(cells.tolist()):
+        index = position % num_keys
+        counts[cell] += deltas if isinstance(deltas, int) else int(deltas[index])
+        if isinstance(keys[index], tuple):
+            key_xor[cell] = tuple(a ^ b for a, b in zip(key_xor[cell], keys[index]))
+        else:
+            key_xor[cell] ^= keys[index]
+        check_xor[cell] ^= checks[index]
+    return counts, key_xor, check_xor
+
+
+def _as_lists(counts, key_xor, check_xor):
+    keys = key_xor.tolist() if key_xor.ndim == 1 else [tuple(row) for row in key_xor.tolist()]
+    return counts.tolist(), keys, check_xor.tolist()
+
+
+#: (key_bits, checksum_bits) pairs whose sum is 63, 64 and 65, plus a key of
+#: two limbs: only the first two fit one word.
+WIDTHS = [(47, 16), (32, 31), (48, 16), (56, 8), (49, 16), (1, 64), (80, 16)]
+
+
+class _CountingXor:
+    """``np.bitwise_xor`` with its ``at`` calls counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def at(self, *args):
+        self.calls += 1
+        np.bitwise_xor.at(*args)
+
+
+class _NumpyWithCountingXor:
+    def __init__(self, xor):
+        self.bitwise_xor = xor
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestSharedScatter:
+    """:func:`repro.iblt.backends.scatter`, the one scatter of every table
+    build and peel removal, against a field-by-field reference: key and
+    checksum share one XOR scatter only when they fit one word and the batch
+    is at least as dense as the table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        widths=st.sampled_from(WIDTHS),
+        num_cells=st.integers(min_value=3, max_value=40),
+        density=st.sampled_from([0.2, 1.0, 3.0]),
+        array_deltas=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_cells_equal_the_field_by_field_reference(
+        self, widths, num_cells, density, array_deltas, seed
+    ):
+        key_bits, checksum_bits = widths
+        rng = np.random.default_rng(seed)
+        num_hashes = 3
+        num_keys = max(1, int(density * num_cells / num_hashes))
+        num_limbs = -(-key_bits // 64)
+        top_bits = key_bits - 64 * (num_limbs - 1)
+
+        def words(shape, bits):
+            high = rng.integers(0, 1 << 32, size=shape, dtype=np.uint64) << np.uint64(32)
+            low = rng.integers(0, 1 << 32, size=shape, dtype=np.uint64)
+            return (high | low) >> np.uint64(64 - bits)
+
+        key_shape = (num_keys,) if num_limbs == 1 else (num_keys, num_limbs)
+        keys = words(key_shape, 64)
+        if num_limbs == 1:
+            keys >>= np.uint64(64 - top_bits)
+        else:
+            keys[:, 0] >>= np.uint64(64 - top_bits)
+        checks = words(num_keys, checksum_bits)
+        cells = rng.integers(0, num_cells, size=num_hashes * num_keys)
+        deltas = rng.integers(-2, 3, size=num_keys) if array_deltas else int(rng.integers(-2, 3))
+        initial = (
+            rng.integers(-5, 5, size=num_cells),
+            words((num_cells,) + key_shape[1:], 64),
+            words(num_cells, checksum_bits),
+        )
+        arrays = tuple(array.copy() for array in initial)
+        backends.scatter(
+            arrays, cells.reshape(num_hashes, -1), keys, checks, deltas, key_bits, checksum_bits
+        )
+        expected = _reference_scatter(_as_lists(*initial), cells, keys, checks.tolist(), deltas)
+        assert _as_lists(*arrays) == expected
+
+    @pytest.mark.parametrize("widths", WIDTHS, ids=[f"{k}+{c}" for k, c in WIDTHS])
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_one_xor_scatter_exactly_for_a_dense_batch_in_one_word(
+        self, widths, dense, monkeypatch
+    ):
+        key_bits, checksum_bits = widths
+        params = make_params(cells=60, key_bits=key_bits, checksum_bits=checksum_bits)
+        table = IBLT(params)
+        # As many cells written as the table holds, or one key fewer.
+        count = 60 // params.num_hashes - (0 if dense else 1)
+        keys = [key % (1 << key_bits) for key in range(1, 1 + count)]
+        xor = _CountingXor()
+        monkeypatch.setattr(backends, "_np", _NumpyWithCountingXor(xor))
+        table.insert_batch(keys)
+        monkeypatch.undo()
+        packed = dense and key_bits + checksum_bits <= 64
+        assert xor.calls == (1 if packed else 2)
+        assert table == table_of(params, keys)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        widths=st.sampled_from(WIDTHS),
+        num_keys=st.integers(min_value=1, max_value=120),
+        array_deltas=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_store_batches_and_peels_equal_the_reference_store(
+        self, widths, num_keys, array_deltas, seed
+    ):
+        key_bits, checksum_bits = widths
+        rng = random.Random(seed)
+        params = make_params(cells=45, key_bits=key_bits, checksum_bits=checksum_bits, seed=seed)
+        keys = [rng.getrandbits(key_bits) for _ in range(num_keys)]
+        deltas = [rng.choice([-1, 1, 2]) for _ in keys] if array_deltas else 1
+        outcomes = []
+        for store in STORES:
+            table = new_table(params, store)
+            prepared = table._store.prepare_keys(keys, key_bits)
+            array = np.asarray(deltas, dtype=np.int64) if array_deltas else deltas
+            table._store.apply_batch(prepared, array, table._family, table._checksum)
+            result = table.try_decode()
+            outcomes.append((table._store.snapshot(), result.positive, result.negative))
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        widths=st.sampled_from(WIDTHS),
+        sizes=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=8),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_iblt_array_rows_equal_per_row_tables(self, widths, sizes, seed):
+        key_bits, checksum_bits = widths
+        rng = random.Random(seed)
+        params = make_params(cells=24, key_bits=key_bits, checksum_bits=checksum_bits, seed=seed)
+        children = [[rng.getrandbits(key_bits) for _ in range(size)] for size in sizes]
+        array = IBLTArray(params, children)
+        tables = [IBLT.from_items(params, child) for child in children]
+        assert array.tables() == tables
+        assert array.serialize_all() == [table.serialize() for table in tables]
+        assert array.decode_all() == [table.try_decode() for table in tables]
+        difference = IBLTArray.from_difference(tables[0], tables)
+        if difference is not None:
+            assert difference.decode_all() == [
+                tables[0].subtract(table).try_decode() for table in tables
+            ]
+
+    @pytest.mark.parametrize("widths", WIDTHS[:5], ids=[f"{k}+{c}" for k, c in WIDTHS[:5]])
+    def test_a_key_past_key_bits_changes_no_cell(self, widths):
+        key_bits, checksum_bits = widths
+        table = IBLT(make_params(cells=30, key_bits=key_bits, checksum_bits=checksum_bits))
+        table.insert_batch(range(5))
+        before = table._store.snapshot()
+        with pytest.raises(CapacityError):
+            table.insert_batch(list(range(40)) + [1 << key_bits])
+        with pytest.raises(CapacityError):
+            table.insert_batch(np.array(list(range(40)) + [1 << key_bits], dtype=np.uint64))
+        assert table._store.snapshot() == before

@@ -18,7 +18,8 @@ The other set-of-sets bobs refuse the same child at ``u = 32``, ``h = 8``:
 the naive one at the parent (a 9-element bitmap key has the layout of an
 8-element one, and with the matching parent hash it used to verify), and
 the IBLT-of-IBLTs and multiround ones after recovering it from a child IBLT
-or a CPI payload, which hold a set of any size.
+or a CPI payload, which hold a set of any size.  Those two alices refuse
+such a child of their own before sending anything.
 """
 
 import random
@@ -29,6 +30,7 @@ import pytest
 
 from repro.core.setsofsets.encoding import ExplicitChildScheme, encode_children, parent_hash
 from repro.core.setsofsets.types import FlatSetOfSets, SetOfSets
+from repro.errors import ParameterError
 from repro.iblt import IBLT
 from repro.protocols.party import PartyOutcome, Send
 from repro.protocols.parties.setsofsets import (
@@ -164,3 +166,12 @@ def test_the_same_alice_reconciles_a_change_within_h(protocol):
     alice, bob = parents("t-star-bitmap", 1, removed=1)
     result = run_protocol(protocol, alice, bob)
     assert result.bob.success and result.bob.recovered == alice
+
+
+@pytest.mark.parametrize("protocol", ["iblt_of_iblts", "multiround"])
+def test_alice_refuses_her_own_child_past_h_before_sending(protocol):
+    alice, bob = parents("t-star-bitmap", 1)
+    build, bound = BOBS[protocol]
+    alice_party, _ = build(alice, bob, bound, context("t-star-bitmap", alice, bob))
+    with pytest.raises(ParameterError, match="size 9 exceeds max_child_size 8"):
+        next(alice_party)
