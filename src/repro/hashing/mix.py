@@ -126,11 +126,10 @@ def checked_keys(
     ``fromiter`` would truncate; a NumPy scalar; a string; ``None``) and a
     negative key.  ``bool`` and ``int`` subclasses are ints.  The type check
     is one C-level pass over the key types; only a batch holding another
-    type (an ``int`` subclass at best) pays an ``isinstance`` per key.  The
-    sign is read only off the array path: ``fromiter`` into ``uint64``
-    raises ``OverflowError`` on a negative key (NumPy 2; 1.x wrapped it,
-    hence the ``numpy>=2.0`` floor), so only the list a batch falls back to
-    takes a ``min`` pass.
+    type (an ``int`` subclass at best) pays an ``isinstance`` per key.  On
+    the array path the sign costs no pass: ``fromiter`` into ``uint64``
+    raises ``OverflowError`` on a negative key (NumPy >= 2.0; 1.x wrapped
+    it), and only the list a batch then falls back to takes a ``min`` pass.
     """
     if is_key_array(values):
         return values

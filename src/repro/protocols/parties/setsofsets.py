@@ -1483,6 +1483,7 @@ def multiround_alice_unknown(
     ctx: SetsOfSetsContext,
 ) -> PartyGenerator:
     """Alice's side of the four-round protocol (Theorem 3.10)."""
+    _refuse_oversized(alice, ctx)
     own = _multiround_dhat_estimator(ctx, alice, 2)
     # As in the naive prelude: at most s differing child pairs.
     prelude = yield from estimated_bound(

@@ -168,10 +168,12 @@ def test_the_same_alice_reconciles_a_change_within_h(protocol):
     assert result.bob.success and result.bob.recovered == alice
 
 
-@pytest.mark.parametrize("protocol", ["iblt_of_iblts", "multiround"])
-def test_alice_refuses_her_own_child_past_h_before_sending(protocol):
+@pytest.mark.parametrize(
+    "protocol, bound", [("iblt_of_iblts", 4), ("multiround", 4), ("multiround", None)]
+)
+def test_alice_refuses_her_own_child_past_h_before_sending(protocol, bound):
     alice, bob = parents("t-star-bitmap", 1)
-    build, bound = BOBS[protocol]
+    build = BOBS[protocol][0]
     alice_party, _ = build(alice, bob, bound, context("t-star-bitmap", alice, bob))
     with pytest.raises(ParameterError, match="size 9 exceeds max_child_size 8"):
         next(alice_party)
