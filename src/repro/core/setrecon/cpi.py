@@ -93,10 +93,15 @@ def evaluation_points(universe_size: int, count: int) -> list[int]:
     return [universe_size + index for index in range(count)]
 
 
-def _evaluations(field: PrimeField, elements, points: list[int]) -> list[int]:
-    """``chi(z)`` of ``elements`` at every point.  An element the field's
-    arrays cannot hold (``2**63`` or more below a 31-bit prime) is a
-    :class:`ParameterError`, not the arrays' ``OverflowError``."""
+def _evaluations(
+    field: PrimeField, elements, points: list[int], universe_size: int
+) -> list[int]:
+    """``chi(z)`` of ``elements`` at every point.  An element at or above
+    ``universe_size`` (reduced modulo the prime, it would alias a smaller
+    element and decode as that one) or one the field's arrays cannot hold
+    is a :class:`ParameterError`."""
+    if elements and max(elements) >= universe_size:
+        raise ParameterError("cpi set elements must be below universe_size")
     try:
         return Polynomial.evaluate_from_roots_many(field, elements, points)
     except OverflowError:
@@ -115,7 +120,7 @@ def cpi_encode(
         raise ParameterError("difference_bound must be non-negative")
     field = field_for_universe(universe_size, difference_bound)
     points = evaluation_points(universe_size, difference_bound + 1)
-    evaluations = tuple(_evaluations(field, elements, points))
+    evaluations = tuple(_evaluations(field, elements, points, universe_size))
     return CPIMessage(len(elements), evaluations, difference_bound, field.modulus)
 
 
@@ -156,7 +161,7 @@ def cpi_decode(
     kernel = kernel_for(field.modulus)
     points = evaluation_points(universe_size, bound + 1)
 
-    bob_evaluations = _evaluations(field, bob_list, points)
+    bob_evaluations = _evaluations(field, bob_list, points, universe_size)
 
     if m_bar == 0:
         numerator = Polynomial.one(field)

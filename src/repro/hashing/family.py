@@ -76,7 +76,14 @@ class HashFamily:
         # Columns, so one XOR broadcasts a key row against every seed.
         self._np_seeds = _np.array(self._seeds, dtype=_np.uint64)[:, None]
         self._np_starts = _np.array([start for start, _ in bounds], dtype=_np.int64)[:, None]
-        self._np_sizes = _np.array([size for _, size in bounds], dtype=_np.uint64)[:, None]
+        # ``(rows, size)`` pairs with a scalar divisor each: every row at
+        # once when the regions are equal (the sized tables), else per row.
+        sizes = [_np.uint64(size) for _, size in bounds]
+        self._np_divisors: list[tuple[int | slice, _np.uint64]] = (
+            [(slice(None), sizes[0])]
+            if remainder == 0
+            else list(enumerate(sizes))
+        )
         self._np_joint_seeds: dict[Checksum, _np.ndarray] = {}
 
     def cells_for(self, key: int) -> list[int]:
@@ -121,7 +128,16 @@ class HashFamily:
         return self._cells_of(mixed[:-1]), mixed[-1] & checksum._np_mask
 
     def _cells_of(self, mixed):
+        # ``mixed`` is the caller's scratch and becomes the cells.  Floor
+        # division by a scalar takes NumPy's libdivide path, several times
+        # faster than ``%`` by an array, which divides word by word; the
+        # residue ``mixed - (mixed // size) * size`` is the same exact value.
         # Residues are below a region size, so the int64 view is exact.
-        cells = (mixed % self._np_sizes).view(_np.int64)
+        for rows, size in self._np_divisors:
+            words = mixed[rows]
+            quotients = words // size
+            quotients *= size
+            words -= quotients
+        cells = mixed.view(_np.int64)
         cells += self._np_starts
         return cells

@@ -7,6 +7,17 @@ and drive it over an :class:`~repro.service.transport.AsyncSocketTransport`.
 The default ``role="bob"`` recovers the server's dataset; ``role="alice"``
 pushes the client's data to the server instead.
 
+Sessions reuse connections.  When the ack says ``keep_alive`` and the
+session ends cleanly (party done, the server's FIN read), the connection
+waits in a pool of the running event loop, keyed by ``(host, port,
+protocol)``, for the loop's next :func:`areconcile`; any error closes it
+instead.  A pooled connection the server closed while it sat idle fails
+before its ack, and the session then runs once on a fresh connection;
+nothing is re-run after an ack.  The pool closes its connections when the
+loop shuts down its async generators, which :func:`asyncio.run` does on
+exit.  :func:`amutate` and :func:`afetch_stats` stay one-shot, so a
+mutation is never replayed.
+
 Blocking convenience wrappers (:func:`reconcile_with_server`,
 :func:`fetch_stats_blocking`) cover scripts and the CLI.
 """
@@ -15,10 +26,11 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any
+import weakref
+from typing import Any, AsyncGenerator
 
 from repro.comm import ReconciliationResult
-from repro.errors import ServiceError
+from repro.errors import ReconciliationError, ServiceError
 from repro.protocols import registry
 from repro.protocols.options import ReconcileOptions
 from repro.protocols.transports import FRAME_CONTROL
@@ -32,8 +44,8 @@ from repro.service.hello import (
     PeerStats,
     mutate_payload,
     options_to_wire,
-    parse_ack,
     parse_mutate_ack,
+    parse_session_ack,
     placeholder_input,
 )
 from repro.service.transport import AsyncSocketTransport, run_party_async
@@ -48,6 +60,74 @@ async def _connect(
         return await asyncio.open_connection(host, port)
     except OSError as exc:
         raise ServiceError(f"cannot reach the sync server at {host}:{port}: {exc}") from exc
+
+
+Connection = tuple[asyncio.StreamReader, asyncio.StreamWriter]
+PoolKey = tuple[str, int, str]
+
+
+class _ConnectionPool:
+    """One event loop's idle connections, most recently used last."""
+
+    def __init__(self) -> None:
+        self.idle: dict[PoolKey, list[Connection]] = {}
+        #: Keeps the loop's finaliser for this pool alive (loops hold
+        #: their async generators weakly).
+        self.closer: AsyncGenerator[None, None] | None = None
+
+    def take(self, key: PoolKey) -> Connection | None:
+        """An idle connection to ``key`` the server has not visibly closed."""
+        connections = self.idle.get(key, [])
+        while connections:
+            reader, writer = connections.pop()
+            if not reader.at_eof() and not writer.is_closing():
+                return reader, writer
+            writer.close()
+        return None
+
+    def put(self, key: PoolKey, connection: Connection) -> None:
+        self.idle.setdefault(key, []).append(connection)
+
+    async def aclose(self) -> None:
+        connections = [c for batch in self.idle.values() for c in batch]
+        self.idle.clear()
+        for _reader, writer in connections:
+            writer.close()
+        for _reader, writer in connections:
+            try:
+                await writer.wait_closed()
+            except (OSError, ConnectionError):
+                pass
+
+
+#: Keyed by the loop object itself, never ``id(loop)``: a dead loop's id can
+#: come back for a new loop, which must not inherit the old sockets.
+_POOLS: weakref.WeakKeyDictionary[
+    asyncio.AbstractEventLoop, _ConnectionPool
+] = weakref.WeakKeyDictionary()
+
+
+async def _pool() -> _ConnectionPool:
+    """The running loop's pool, created on first use."""
+    loop = asyncio.get_running_loop()
+    pool = _POOLS.get(loop)
+    if pool is None:
+        pool = _POOLS[loop] = _ConnectionPool()
+        closer = pool.closer = _close_at_shutdown(loop, pool)
+        await closer.__anext__()  # the first step registers it with the loop
+    return pool
+
+
+async def _close_at_shutdown(
+    loop: asyncio.AbstractEventLoop, pool: _ConnectionPool
+) -> AsyncGenerator[None, None]:
+    """Parks after its first step; the loop's ``shutdown_asyncgens`` (run
+    by :func:`asyncio.run` on exit) finalises it, closing the pool."""
+    try:
+        yield
+    finally:
+        _POOLS.pop(loop, None)
+        await pool.aclose()
 
 
 async def areconcile(
@@ -75,17 +155,54 @@ async def areconcile(
     )
     spec = registry.get(protocol)
     hello = Hello(protocol, role, options_to_wire(merged), PeerStats.of(data))
-    reader, writer = await _connect(host, port)
-    transport = AsyncSocketTransport(reader, writer, role, latency=latency)
+    pool = await _pool()
+    key = (host, port, protocol)
+    session = (pool, key, spec, hello, data, latency)
+    connection = pool.take(key)
+    if connection is not None:
+        try:
+            return await _run_session(connection, *session, reused=True)
+        except _StaleConnection:
+            pass  # closed by the server while idle: once more, on a fresh one
+    return await _run_session(await _connect(host, port), *session, reused=False)
+
+
+class _StaleConnection(Exception):
+    """A reused connection failed before the ack: no session started on it."""
+
+
+async def _run_session(
+    connection: Connection,
+    pool: _ConnectionPool,
+    key: PoolKey,
+    spec: type[registry.Protocol],
+    hello: Hello,
+    data: Any,
+    latency: float,
+    *,
+    reused: bool,
+) -> ReconciliationResult:
+    """One session on ``connection``, which goes back to ``pool`` after a
+    clean session the server keeps alive and is closed otherwise."""
+    role = hello.role
+    transport = AsyncSocketTransport(*connection, role, latency=latency)
+    pooled = False
     try:
-        await transport.send_frame(FRAME_CONTROL, HELLO_LABEL, payload=hello.to_json())
-        frame = await transport.receive_frame()
+        try:
+            await transport.send_frame(
+                FRAME_CONTROL, HELLO_LABEL, payload=hello.to_json()
+            )
+            frame = await transport.receive_frame()
+        except ReconciliationError:
+            if reused:
+                raise _StaleConnection() from None
+            raise
         if frame.kind != FRAME_CONTROL or frame.label != ACK_LABEL:
             raise ServiceError(
                 f"expected a hello-ack, got frame kind {frame.kind} "
                 f"label {frame.label!r}"
             )
-        acked_options, server_stats = parse_ack(frame.payload)
+        acked_options, server_stats, keep_alive = parse_session_ack(frame.payload)
         placeholder = placeholder_input(spec.input_kind, server_stats)
         if role == "alice":
             build_alice, build_bob = data, placeholder
@@ -94,8 +211,14 @@ async def areconcile(
         alice_party, bob_party = spec.build(build_alice, build_bob, acked_options)
         party = alice_party if role == "alice" else bob_party
         outcome, transcript = await run_party_async(party, transport)
+        sent, received = transport.bytes_sent, transport.bytes_received
+        if keep_alive:
+            await transport.receive_fin()
+            pool.put(key, connection)
+            pooled = True
     finally:
-        await transport.aclose()
+        if not pooled:
+            await transport.aclose()
     return ReconciliationResult(
         outcome.success,
         outcome.recovered,
@@ -103,8 +226,8 @@ async def areconcile(
         attempts=outcome.attempts,
         details={
             **outcome.details,
-            "wire_bytes_sent": transport.bytes_sent,
-            "wire_bytes_received": transport.bytes_received,
+            "wire_bytes_sent": sent,
+            "wire_bytes_received": received,
         },
     )
 

@@ -11,10 +11,13 @@ both parties know; exchanging them in the hello lets both endpoints build
 identical shared contexts even though each only holds its own data.
 
 The server replies with a ``"hello-ack"`` control frame: either
-``{"ok": true, "options": ..., "stats": ...}`` echoing the canonicalized
-options plus the *server* input's public statistics, or ``{"ok": false,
-"error": ...}``, which the client surfaces as a
-:class:`~repro.errors.ServiceError`.
+``{"ok": true, "options": ..., "stats": ..., "keep_alive": ...}`` echoing
+the canonicalized options plus the *server* input's public statistics and
+saying whether the connection stays open for another session once this
+one's FINs are exchanged, or ``{"ok": false, "error": ...}``, which the
+client surfaces as a :class:`~repro.errors.ServiceError`.  A client that
+does not know ``keep_alive`` ignores it, and an ack without it means
+one-shot, so older peers interoperate both ways.
 
 A hello may instead carry ``{"stats_request": true}`` to request the
 service metrics report rather than a session.  :meth:`Hello.from_json`
@@ -250,7 +253,7 @@ def placeholder_input(input_kind: str, stats: PeerStats) -> Any:
 
 
 def ack_payload(
-    options: ReconcileOptions, stats: PeerStats
+    options: ReconcileOptions, stats: PeerStats, keep_alive: bool = False
 ) -> bytes:
     """A successful ``hello-ack`` payload."""
     return json.dumps(
@@ -259,6 +262,7 @@ def ack_payload(
             "version": SERVICE_VERSION,
             "options": options_to_wire(options),
             "stats": stats.to_wire(),
+            "keep_alive": keep_alive,
         }
     ).encode()
 
@@ -361,16 +365,26 @@ def parse_mutate_ack(payload: bytes) -> dict[str, int]:
 
 
 def parse_ack(payload: bytes) -> tuple[ReconcileOptions, PeerStats]:
-    """Parse a ``hello-ack``; raises on refusal.
+    """Parse a ``hello-ack`` into ``(options, server stats)``; raises on
+    refusal (see :func:`parse_session_ack`)."""
+    options, stats, _keep_alive = parse_session_ack(payload)
+    return options, stats
+
+
+def parse_session_ack(payload: bytes) -> tuple[ReconcileOptions, PeerStats, bool]:
+    """Parse a ``hello-ack`` into ``(options, server stats, keep_alive)``.
 
     A refusal carrying an admission code raises the typed (retryable)
     :class:`~repro.errors.SessionRejectedError`; any other refusal raises
-    a plain :class:`ServiceError`.
+    a plain :class:`ServiceError`.  ``keep_alive`` is true only when the
+    server said so.
     """
     try:
         body = json.loads(payload.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ServiceError(f"malformed hello-ack payload: {exc}") from exc
+    if not isinstance(body, dict):
+        raise ServiceError(f"hello-ack must be a JSON object, got {body!r}")
     if not body.get("ok"):
         message = body.get("error", "unknown error")
         code = body.get("code")
@@ -382,4 +396,5 @@ def parse_ack(payload: bytes) -> tuple[ReconcileOptions, PeerStats]:
     return (
         options_from_wire(body.get("options") or {}),
         PeerStats.from_wire(body.get("stats")),
+        body.get("keep_alive") is True,
     )

@@ -1,13 +1,22 @@
 """The asyncio sync server: many concurrent sessions on one event loop.
 
 :class:`SyncServer` accepts any number of simultaneous connections.  Each
-connection starts with the hello/ack handshake of :mod:`repro.service.hello`
+session starts with the hello/ack handshake of :mod:`repro.service.hello`
 (protocol name, client role, wire options, public size statistics), after
 which the server builds its side of the named protocol from the registry
 and drives it with :func:`~repro.service.transport.run_party_async` -- one
-server-side party per connection, all multiplexed on a single event loop.  Blocking
+server-side party per session, all multiplexed on a single event loop.  Blocking
 :class:`~repro.protocols.transports.SocketTransport` clients interoperate:
 the frame format is shared.
+
+A connection carries sessions back to back: a FIN ends a session, EOF on a
+frame boundary ends the connection.  The ack says ``keep_alive``, and a
+client that reads the server's FIN may send its next hello on the same
+socket instead of reconnecting.  Admission and the session record stay per
+session.  A connection idle between sessions is closed after
+:data:`IDLE_TIMEOUT_S`, and at once on drain.  A fleet hand-off
+(:meth:`SyncServer.serve_handoff`) serves one session and acks
+``keep_alive: false``, so the supervisor routes every session.
 
 The server is data-oriented: it is constructed with a mapping from protocol
 name to the dataset it serves for that protocol (its "side" of every
@@ -39,7 +48,7 @@ from repro.errors import ReproError, ServiceError, StoreError
 from repro.service.admission import AdmissionController, rejection_message
 from repro.protocols import registry
 from repro.protocols.options import ReconcileOptions
-from repro.protocols.transports import FRAME_CONTROL, Frame
+from repro.protocols.transports import FRAME_CONTROL, FRAME_FIN, Frame
 from repro.service.hello import (
     ACK_LABEL,
     HELLO_LABEL,
@@ -66,6 +75,10 @@ from repro.store import AntiEntropyLoop, SketchConfig, SketchStore, StoreView
 from repro.store.parties import stored_ibf_party
 
 logger = logging.getLogger(__name__)
+
+#: Seconds a connection may sit idle between sessions before the server
+#: closes it.
+IDLE_TIMEOUT_S = 30.0
 
 
 class SyncServer:
@@ -171,12 +184,16 @@ class SyncServer:
         self.control_handlers = dict(control_handlers or {})
         self._server: asyncio.AbstractServer | None = None
         self._sessions: set[asyncio.Task] = set()
+        #: Connections waiting between sessions: no session in flight.
+        self._idle: dict[asyncio.Task, AsyncSocketTransport] = {}
+        self._draining = False
         self._anti_entropy_task: asyncio.Task | None = None
 
     # -- lifecycle ------------------------------------------------------------------
 
     async def start(self) -> None:
         """Bind and start accepting connections (does not block)."""
+        self._draining = False
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self._requested_port
         )
@@ -201,14 +218,17 @@ class SyncServer:
     async def adrain(self, deadline: float | None = None) -> dict[str, int]:
         """Gracefully shut down: stop accepting, finish in-flight sessions.
 
-        The listener closes first (new connections are refused), then
-        in-flight sessions get up to ``deadline`` seconds to complete;
-        stragglers are cancelled.  Returns ``{"drained": ..., "aborted": ...}``
-        and records the same split in the metrics.  A durable store is
-        flushed so nothing rides only on the journal after shutdown.
+        The listener closes first (new connections are refused) and
+        connections idle between sessions close at once; in-flight sessions
+        get up to ``deadline`` seconds to complete, and their connections
+        close after them.  Stragglers are cancelled.  Returns
+        ``{"drained": ..., "aborted": ...}`` and records the same split in
+        the metrics.  A durable store is flushed so nothing rides only on
+        the journal after shutdown.
         """
         if deadline is None:
             deadline = self.drain_deadline
+        self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -220,7 +240,12 @@ class SyncServer:
             except asyncio.CancelledError:
                 pass
             self._anti_entropy_task = None
-        pending = {task for task in self._sessions if not task.done()}
+        idle = dict(self._idle)
+        for transport in idle.values():
+            transport.writer.close()  # its task sees EOF and ends
+        pending = {
+            task for task in self._sessions if not task.done() and task not in idle
+        }
         drained = aborted = 0
         if pending:
             done, still_running = await asyncio.wait(pending, timeout=deadline)
@@ -229,6 +254,8 @@ class SyncServer:
                 task.cancel()
             if still_running:
                 await asyncio.gather(*still_running, return_exceptions=True)
+        if idle:
+            await asyncio.gather(*idle, return_exceptions=True)
         self.metrics.record_drain(drained, aborted)
         if self.store is not None and self.store.durable:
             try:
@@ -266,6 +293,9 @@ class SyncServer:
         passing; ``initial`` holds the raw bytes of the first frame the
         supervisor already consumed while routing, replayed here so the
         session transcript is byte-identical to a directly-accepted one.
+        The connection serves that one request (the ack says
+        ``keep_alive: false``): every session passes the supervisor's
+        admission and routing.
         """
         try:
             reader, writer = await asyncio.open_connection(sock=sock)
@@ -281,17 +311,29 @@ class SyncServer:
             except ReproError:
                 await transport.aclose()
                 return  # the supervisor only hands off frames it parsed
-        await self._serve_connection(transport, first_frame)
+        await self._serve_connection(transport, first_frame, keep_alive=False)
 
     async def _serve_connection(
-        self, transport: AsyncSocketTransport, first_frame: Frame | None = None
+        self,
+        transport: AsyncSocketTransport,
+        first_frame: Frame | None = None,
+        keep_alive: bool = True,
     ) -> None:
         task = asyncio.current_task()
         if task is not None:
             self._sessions.add(task)
             task.add_done_callback(self._sessions.discard)
         try:
-            await self._serve_one(transport, first_frame)
+            frame = (
+                first_frame
+                if first_frame is not None
+                else await transport.receive_frame()
+            )
+            while await self._serve_one(transport, frame, keep_alive) and keep_alive:
+                request = await self._next_request(transport)
+                if request is None:
+                    break  # EOF, idle timeout or drain: the connection is done
+                frame = request
         except ReproError:
             pass  # recorded where it happened; the connection is done either way
         except asyncio.CancelledError:
@@ -305,29 +347,55 @@ class SyncServer:
         finally:
             await transport.aclose()
 
-    async def _serve_one(
-        self, transport: AsyncSocketTransport, first_frame: Frame | None = None
-    ) -> None:
-        frame = (
-            first_frame if first_frame is not None else await transport.receive_frame()
+    async def _next_request(self, transport: AsyncSocketTransport) -> Frame | None:
+        """Wait, idle, for the frame that opens the connection's next request.
+
+        FINs closing the previous session are skipped, and the wire counters
+        start afresh, so a session record counts that session's bytes only.
+        ``None`` means the connection is done: EOF on a frame boundary,
+        :data:`IDLE_TIMEOUT_S` of silence, or a drain.
+        """
+        if self._draining:
+            return None
+        task = asyncio.current_task()
+        assert task is not None  # connections are always served in a task
+        timer = asyncio.get_running_loop().call_later(
+            IDLE_TIMEOUT_S, transport.writer.close
         )
+        self._idle[task] = transport
+        try:
+            while True:
+                transport.reset_counters()
+                frame = await transport.next_frame()
+                if frame is None or frame.kind != FRAME_FIN:
+                    break
+        finally:
+            timer.cancel()
+            del self._idle[task]
+        return None if self._draining else frame
+
+    async def _serve_one(
+        self, transport: AsyncSocketTransport, frame: Frame, keep_alive: bool
+    ) -> bool:
+        """Answer one request; returns whether the connection may carry
+        another (false after a refusal)."""
         if frame.kind == FRAME_CONTROL and frame.label == MUTATE_LABEL:
             await self._handle_mutate(transport, frame)
-            return
+            return True
         if frame.kind == FRAME_CONTROL and frame.label in self.control_handlers:
             reply = await self.control_handlers[frame.label](frame.payload)
             await transport.send_frame(
                 FRAME_CONTROL, f"{frame.label}-ack", payload=reply
             )
-            return
+            return True
         if frame.kind != FRAME_CONTROL or frame.label != HELLO_LABEL:
             await self._refuse(transport, "expected a hello control frame")
-            return
+            return False
         try:
             hello = Hello.from_json(frame.payload)
         except ServiceError as exc:
             await self._refuse(transport, str(exc))
-            return
+            return False
 
         if hello.want_stats:
             self.metrics.record_stats_request()
@@ -336,7 +404,7 @@ class SyncServer:
                 STATS_LABEL,
                 payload=json.dumps(self.metrics.report()).encode(),
             )
-            return
+            return True
 
         if self.admission is not None:
             peer = transport.writer.get_extra_info("peername")
@@ -345,29 +413,32 @@ class SyncServer:
             if code is not None:
                 self.metrics.record_shed(code)
                 await self._refuse(transport, rejection_message(code), code=code)
-                return
+                return False
             try:
-                await self._serve_session(transport, hello)
+                return await self._serve_session(transport, hello, keep_alive)
             finally:
                 self.admission.release()
-            return
-        await self._serve_session(transport, hello)
+        return await self._serve_session(transport, hello, keep_alive)
 
     async def _serve_session(
-        self, transport: AsyncSocketTransport, hello: Hello
-    ) -> None:
+        self, transport: AsyncSocketTransport, hello: Hello, keep_alive: bool
+    ) -> bool:
+        """Run one session; returns whether its ack kept the connection alive."""
         self.metrics.record_start()
         try:
             spec, dataset, options = self._negotiate(hello)
         except ServiceError as exc:
             self.metrics.record_rejected()
             await self._refuse(transport, str(exc))
-            return
+            return False
 
         server_role = "bob" if hello.role == "alice" else "alice"
         transport.role = server_role
+        keep_alive = keep_alive and not self._draining
         await transport.send_frame(
-            FRAME_CONTROL, ACK_LABEL, payload=ack_payload(options, PeerStats.of(dataset))
+            FRAME_CONTROL,
+            ACK_LABEL,
+            payload=ack_payload(options, PeerStats.of(dataset), keep_alive),
         )
 
         outcome = None
@@ -413,6 +484,7 @@ class SyncServer:
                     error=error,
                 )
             )
+        return keep_alive
 
     def _store_view(
         self, spec: Any, hello: Hello, options: Any, dataset: Any

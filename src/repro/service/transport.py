@@ -11,13 +11,17 @@ client therefore interoperates with the asyncio server and vice versa.
 :func:`run_party_async` mirrors :func:`~repro.protocols.transports.run_party`
 for coroutines: it drives one party generator, reconstructing the transcript
 from the frames both endpoints observe, and always sends a FIN on the way
-out so the peer's pending read fails fast instead of hanging.
+out so the peer's pending read fails fast instead of hanging.  A FIN ends a
+session, not the connection: the service runs sessions back to back on one
+stream, and EOF on a frame boundary (:meth:`AsyncSocketTransport.next_frame`)
+ends the connection.
 
 The transport additionally counts raw wire bytes in each direction
 (``bytes_sent`` / ``bytes_received``, headers included) -- the service
 metrics report these against the bits the transcript charged -- and accepts
-a ``latency`` knob that simulates one-way wire delay before each frame
-(used by the throughput benchmark to model WAN clients; zero by default).
+a ``latency`` knob that simulates one-way wire delay before each frame but
+the FIN, which trails the last message down the same pipe (used by the
+throughput benchmark to model WAN clients; zero by default).
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ class AsyncSocketTransport:
         endpoints rebuild identical transcripts.
     latency:
         Simulated one-way wire delay in seconds, awaited before each frame
-        is written.  Only benchmarks and tests set this.
+        but the FIN is written.  Only benchmarks and tests set this.
     """
 
     name = "async-socket"
@@ -105,6 +109,8 @@ class AsyncSocketTransport:
         self.measurements: list[MessageMeasurement] = []
         self.bytes_sent = 0
         self.bytes_received = 0
+        #: Whether :meth:`receive_message` has read the peer's FIN.
+        self.fin_received = False
         sock = writer.get_extra_info("socket")
         if sock is not None:
             enable_nodelay(sock)
@@ -117,7 +123,9 @@ class AsyncSocketTransport:
         """Write one raw frame (control frames use this directly)."""
         if self.latency:
             await asyncio.sleep(self.latency)
-        data = pack_frame(kind, self.role, label, size_bits, payload)
+        await self._write(pack_frame(kind, self.role, label, size_bits, payload))
+
+    async def _write(self, data: bytes) -> None:
         try:
             self.writer.write(data)
             await self.writer.drain()
@@ -125,8 +133,10 @@ class AsyncSocketTransport:
             raise ReconciliationError(f"socket send failed: {exc}") from exc
         self.bytes_sent += len(data)
 
-    async def receive_frame(self) -> Frame:
-        """Read one complete frame (clean errors on EOF or truncation)."""
+    async def next_frame(self) -> Frame | None:
+        """Read one complete frame; ``None`` when the peer closed the
+        connection on a frame boundary (clean errors on truncation)."""
+        header = b""
         try:
             header = await self.reader.readexactly(FRAME_HEADER.size)
             kind, sender_len, label_len, size_bits, payload_len = parse_frame_header(
@@ -134,6 +144,8 @@ class AsyncSocketTransport:
             )
             body = await self.reader.readexactly(sender_len + label_len + payload_len)
         except asyncio.IncompleteReadError as exc:
+            if not header and not exc.partial:
+                return None
             raise ReconciliationError(
                 "peer closed the connection mid-frame"
             ) from exc
@@ -142,23 +154,50 @@ class AsyncSocketTransport:
         self.bytes_received += len(header) + len(body)
         return assemble_frame(kind, sender_len, label_len, size_bits, body)
 
+    async def receive_frame(self) -> Frame:
+        """Read one complete frame (clean errors on EOF or truncation)."""
+        frame = await self.next_frame()
+        if frame is None:
+            raise ReconciliationError("peer closed the connection mid-frame")
+        return frame
+
     async def send_message(self, send: Send) -> None:
         data = _encode_and_measure(self.role, send, self.measurements)
         await self.send_frame(FRAME_MESSAGE, send.label, send.size_bits, data)
 
     async def send_fin(self) -> None:
-        await self.send_frame(FRAME_FIN)
+        await self._write(pack_frame(FRAME_FIN, self.role))
 
     async def receive_message(self) -> tuple[str, str, int, bytes] | None:
         """The next frame as ``(sender, label, size_bits, data)``; ``None`` on FIN."""
         frame = await self.receive_frame()
         if frame.kind == FRAME_FIN:
+            self.fin_received = True
             return None
         if frame.kind != FRAME_MESSAGE:
             raise ReconciliationError(
                 f"unexpected frame kind {frame.kind} mid-session"
             )
         return frame.sender, frame.label, frame.size_bits, frame.payload
+
+    async def receive_fin(self) -> None:
+        """Read the peer's closing FIN unless the session already did; any
+        other frame in its place means the stream is not at a session
+        boundary."""
+        if self.fin_received:
+            return
+        frame = await self.receive_frame()
+        if frame.kind != FRAME_FIN:
+            raise ReconciliationError(
+                f"expected the peer's FIN, got frame kind {frame.kind}"
+            )
+        self.fin_received = True
+
+    def reset_counters(self) -> None:
+        """Start the wire counters afresh for the next session on this stream."""
+        self.measurements = []
+        self.bytes_sent = self.bytes_received = 0
+        self.fin_received = False
 
     async def aclose(self) -> None:
         """Close the underlying stream, swallowing teardown races."""

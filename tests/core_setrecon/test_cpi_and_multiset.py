@@ -145,6 +145,17 @@ class TestCPIProtocol:
         with pytest.raises(ParameterError, match="below universe_size"):
             cpi_decode(message, {2**70, 5}, 1 << 20)
 
+    def test_direct_calls_refuse_an_element_aliasing_one_in_the_universe(self):
+        # At u = 2**20 and d = 2 the field is GF(1048583): 1048583 + 7 is
+        # no overflow, but it reduces to 7 and used to decode as 7.
+        alias = 1048583 + 7
+        with pytest.raises(ParameterError, match="below universe_size"):
+            cpi_encode({alias, 5}, 2, 1 << 20)
+        message = cpi_encode({7, 5}, 2, 1 << 20)
+        with pytest.raises(ParameterError, match="below universe_size"):
+            cpi_decode(message, {alias, 5}, 1 << 20)
+        assert cpi_decode(message, {5}, 1 << 20) == (True, {5, 7})
+
     def test_the_reference_kernel_name_is_refused(self):
         alice, bob = make_instance(90, 7, seed=21)
         with pytest.raises(ParameterError, match="unknown field kernel 'python'"):

@@ -1,5 +1,6 @@
 """Tests for family and checksum hashing."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,6 +48,23 @@ class TestHashFamily:
         family = HashFamily(1, 3, 9)
         with pytest.raises(ParameterError):
             family.region_of(9)
+
+    @pytest.mark.parametrize("num_cells", [4 * 1024, 4003, 10])
+    def test_array_cells_equal_modulo_on_random_words(self, num_cells):
+        """Scalar floor division per region gives the residues ``%`` gives,
+        word for word, for equal and unequal region sizes."""
+        family = HashFamily(seed=7, num_hashes=4, num_cells=num_cells)
+        rng = np.random.default_rng(num_cells)
+        mixed = rng.integers(0, 2**64, size=(4, 5000), dtype=np.uint64)
+        mixed[:, :3] = np.array([0, 2**64 - 1, 2**63], dtype=np.uint64)
+        starts = np.array([[start] for start, _ in family._region_bounds])
+        sizes = np.array([[size] for _, size in family._region_bounds], dtype=np.uint64)
+        expected = (mixed % sizes).astype(np.int64) + starts
+        assert np.array_equal(family._cells_of(mixed.copy()), expected)
+        keys = mixed[0, :200].copy()
+        assert family.cells_for_array(keys).T.tolist() == [
+            family.cells_for(int(key)) for key in keys
+        ]
 
 
 class TestChecksum:

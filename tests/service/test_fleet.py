@@ -16,9 +16,10 @@ import socket
 import pytest
 
 from repro.core.setsofsets.types import SetOfSets
-from repro.errors import ServiceError, SessionRejectedError
+from repro.errors import ReconciliationError, ServiceError, SessionRejectedError
 from repro.protocols import pack_frame, read_frame
 from repro.protocols.options import ReconcileOptions
+from repro.protocols.registry import get
 from repro.protocols.transports import FRAME_CONTROL
 from repro.service import (
     LeastLoadedDispatcher,
@@ -32,8 +33,16 @@ from repro.service import (
     fleet_supported,
     owner_of,
 )
-from repro.service.hello import HELLO_LABEL, Hello, PeerStats, options_to_wire
+from repro.service.hello import (
+    HELLO_LABEL,
+    Hello,
+    PeerStats,
+    options_to_wire,
+    parse_session_ack,
+    placeholder_input,
+)
 from repro.service.metrics import MERGEABLE_COUNTERS
+from repro.service.transport import AsyncSocketTransport, run_party_async
 
 UNIVERSE = 1 << 20
 SEED = 2018
@@ -283,6 +292,79 @@ class TestFleetServing:
         assert sum(
             w["wire_bytes_sent"] for w in workers.values()
         ) == report["wire_bytes_sent"]
+
+    def test_handoff_is_one_shot(self):
+        """A handed-off connection acks ``keep_alive: false`` and closes
+        after its one session, so every session passes the supervisor's
+        admission and routing: N sequential syncs on one loop are N
+        dispatched connections."""
+        rng = random.Random(SEED)
+        server_set = set(rng.sample(range(UNIVERSE), 200))
+        mine = perturb(server_set, rng)
+        spec = get("ibf")
+
+        async def raw_session(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            transport = AsyncSocketTransport(reader, writer, "bob")
+            hello = Hello("ibf", "bob", options_to_wire(options(0)), PeerStats.of(mine))
+            await transport.send_frame(FRAME_CONTROL, HELLO_LABEL, payload=hello.to_json())
+            ack = await transport.receive_frame()
+            acked, stats, keep_alive = parse_session_ack(ack.payload)
+            _, party = spec.build(placeholder_input("set", stats), mine, acked)
+            outcome, _ = await run_party_async(party, transport)
+            await transport.receive_fin()
+            try:  # the worker closes: EOF, or a reset when our FIN is unread
+                after_fin = await asyncio.wait_for(transport.next_frame(), 10)
+            except ReconciliationError:
+                after_fin = None
+            await transport.aclose()
+            return keep_alive, outcome, after_fin
+
+        async def scenario():
+            async with SyncFleet({"ibf": server_set}, workers=2, seed=SEED) as fleet:
+                keep_alive, outcome, after_fin = await raw_session(fleet.port)
+                results = [
+                    await areconcile(
+                        "127.0.0.1", fleet.port, "ibf",
+                        perturb(server_set, random.Random(SEED + index)),
+                        options=options(index),
+                    )
+                    for index in range(4)
+                ]
+                dispatched = fleet.metrics.snapshot()["connections_dispatched"]
+                await fleet.adrain()
+            return keep_alive, outcome, after_fin, results, dispatched
+
+        keep_alive, outcome, after_fin, results, dispatched = asyncio.run(scenario())
+        assert keep_alive is False
+        assert outcome.success and outcome.recovered == server_set
+        assert after_fin is None
+        assert all(result.success for result in results)
+        assert dispatched == 1 + len(results)
+
+    def test_worker_refuses_a_protocol_it_does_not_host(self):
+        rng = random.Random(SEED)
+        server_set = set(rng.sample(range(UNIVERSE), 200))
+
+        async def scenario():
+            async with SyncFleet({"ibf": server_set}, workers=2, seed=SEED) as fleet:
+                with pytest.raises(ServiceError, match="no dataset configured"):
+                    await areconcile(
+                        "127.0.0.1", fleet.port, "cpi", set(server_set),
+                        options=options(0),
+                    )
+                # The refusal closed that connection and wedged nothing.
+                result = await areconcile(
+                    "127.0.0.1", fleet.port, "ibf", set(server_set),
+                    options=options(1),
+                )
+                report = await fleet.fleet_report()
+                await fleet.adrain()
+            return result, report
+
+        result, report = asyncio.run(scenario())
+        assert result.success and result.recovered == server_set
+        assert report["rejected_hellos"] == 1
 
 
 @needs_fleet
